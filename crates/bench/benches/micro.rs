@@ -1,5 +1,5 @@
-//! Criterion micro-benchmarks of the hot paths: wire codecs, crypto,
-//! reassembly, schedulers, netlink framing, ECMP hashing and the raw
+//! Criterion micro-benchmarks of the hot paths: wire codecs, stream taps,
+//! crypto, reassembly, schedulers, netlink framing, ECMP hashing and the raw
 //! simulator event loop.
 
 use bytes::Bytes;
@@ -9,7 +9,7 @@ use smapp_mptcp::options::{Dss, DssMapping, MpOption};
 use smapp_mptcp::{LowestRtt, SchedCandidate, Scheduler};
 use smapp_netlink::{decode as nl_decode, encode_event};
 use smapp_sim::{Addr, FlowKey};
-use smapp_tcp::{Reassembly, TcpFlags, TcpHeader, TcpOption, TcpOptions, TcpSegment};
+use smapp_tcp::{Reassembly, StreamTap, TcpFlags, TcpHeader, TcpOption, TcpOptions, TcpSegment};
 use std::hint::black_box;
 
 fn bench_tcp_codec(c: &mut Criterion) {
@@ -45,6 +45,27 @@ fn bench_tcp_codec(c: &mut Criterion) {
     g.bench_function("decode_1400b_dss", |b| {
         b.iter(|| TcpSegment::decode(black_box(&wire)).unwrap())
     });
+    g.finish();
+}
+
+/// The end-host integrity tap over 1 MiB of stream, fed the way the two
+/// ends feed it: MSS-sized deliveries (receiver) and 64 KiB application
+/// writes (sender).
+fn bench_stream_tap(c: &mut Criterion) {
+    let data: Vec<u8> = (0..1u32 << 20).map(|i| (i * 31 + 7) as u8).collect();
+    let mut g = c.benchmark_group("stream_tap");
+    g.throughput(Throughput::Bytes(data.len() as u64));
+    for (name, chunk) in [("update_1400b", 1400), ("update_64kib", 64 * 1024)] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut tap = StreamTap::new();
+                for piece in black_box(&data).chunks(chunk) {
+                    tap.update(piece);
+                }
+                tap.digest()
+            })
+        });
+    }
     g.finish();
 }
 
@@ -189,6 +210,7 @@ fn bench_simulator(c: &mut Criterion) {
 criterion_group!(
     micro,
     bench_tcp_codec,
+    bench_stream_tap,
     bench_crypto,
     bench_reassembly,
     bench_scheduler,

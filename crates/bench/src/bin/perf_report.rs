@@ -5,7 +5,7 @@
 //! the deterministic multi-core sweep engine, twice: once at `--jobs 1`
 //! for single-thread throughput and allocations/event, once at `--jobs N`
 //! for aggregate matrix wall-time — asserting the two passes produce
-//! bit-identical trajectories. Writes `BENCH_PR10.json`.
+//! bit-identical trajectories. Writes `BENCH_PR12.json`.
 //!
 //! Usage:
 //!
@@ -49,7 +49,7 @@ fn main() {
                     .to_string_lossy()
                     .into_owned()
             } else {
-                "BENCH_PR10.json".to_string()
+                "BENCH_PR12.json".to_string()
             }
         });
 

@@ -19,6 +19,13 @@ use smapp_sim::SimTime;
 
 use crate::app::{App, AppCtx};
 
+// Payload pattern blocks, one per sending app. `on_send_space` fires for
+// every MSS the peer acknowledges; writing from a static block keeps that
+// path free of a 64 KiB allocate-and-fill per call.
+static BULK_CHUNK: [u8; 64 * 1024] = [0xA5; 64 * 1024];
+static STREAM_CHUNK: [u8; 16 * 1024] = [0x5A; 16 * 1024];
+static RESPONSE_CHUNK: [u8; 64 * 1024] = [0xC3; 64 * 1024];
+
 /// Writes `total` bytes, then (optionally) closes. Tracks when every byte
 /// was acknowledged.
 #[derive(Debug, Default)]
@@ -57,9 +64,8 @@ impl BulkSender {
 
     fn fill(&mut self, ctx: &mut AppCtx<'_, '_>) {
         while self.written < self.total {
-            let want = (self.total - self.written).min(64 * 1024) as usize;
-            let chunk = vec![0xA5u8; want];
-            let n = ctx.write(&chunk);
+            let want = (self.total - self.written).min(BULK_CHUNK.len() as u64) as usize;
+            let n = ctx.write(&BULK_CHUNK[..want]);
             self.written += n as u64;
             if n < want {
                 return; // buffer full; resume on_send_space
@@ -195,9 +201,8 @@ impl StreamSender {
 
     fn write_pending(&mut self, ctx: &mut AppCtx<'_, '_>) {
         while self.pending > 0 {
-            let want = self.pending.min(16 * 1024) as usize;
-            let chunk = vec![0x5Au8; want];
-            let n = ctx.write(&chunk);
+            let want = self.pending.min(STREAM_CHUNK.len() as u64) as usize;
+            let n = ctx.write(&STREAM_CHUNK[..want]);
             self.pending -= n as u64;
             if n < want {
                 return;
@@ -328,9 +333,9 @@ impl GetServer {
             return;
         }
         while self.written < self.response_size {
-            let want = (self.response_size - self.written).min(64 * 1024) as usize;
-            let chunk = vec![0xC3u8; want];
-            let n = ctx.write(&chunk);
+            let want =
+                (self.response_size - self.written).min(RESPONSE_CHUNK.len() as u64) as usize;
+            let n = ctx.write(&RESPONSE_CHUNK[..want]);
             self.written += n as u64;
             if n < want {
                 return;

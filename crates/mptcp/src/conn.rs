@@ -654,6 +654,11 @@ impl Connection {
         self.subflows.get(id as usize)
     }
 
+    /// Every subflow ever created, closed ones included, by id.
+    pub(crate) fn subflows(&self) -> &[Subflow] {
+        &self.subflows
+    }
+
     /// `TCP_INFO` of a subflow.
     pub fn subflow_info(&self, id: SubflowId) -> Option<TcpInfo> {
         self.subflows.get(id as usize).map(|s| s.info())

@@ -18,6 +18,7 @@ use crate::conn::{ConnInfo, ConnState, Connection};
 use crate::env::StackEnv;
 use crate::options::MpOption;
 use crate::pm::{ConnToken, FourTuple, PmAction, PmEvent, StackView, SubflowError, SubflowId};
+use crate::subflow::SfState;
 
 /// Timer classes multiplexed into the stack's `u64` timer tokens.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -464,21 +465,12 @@ impl HostStack {
         let Some(conn) = self.conns[idx].as_ref() else {
             return;
         };
-        // Remove demux entries of closed subflows.
-        let dead: Vec<FourTuple> = self
-            .flows
-            .iter()
-            .filter(|(_, &(i, sub))| {
-                i == idx
-                    && self.conns[idx]
-                        .as_ref()
-                        .and_then(|c| c.subflow(sub))
-                        .is_none_or(|s| s.state == crate::subflow::SfState::Closed)
-            })
-            .map(|(t, _)| *t)
-            .collect();
-        for t in dead {
-            self.flows.remove(&t);
+        // Remove demux entries of closed subflows. Only this connection's
+        // own subflows are walked: the table holds every flow of the host.
+        for sf in conn.subflows() {
+            if sf.state == SfState::Closed && self.flows.get(&sf.tuple) == Some(&(idx, sf.id)) {
+                self.flows.remove(&sf.tuple);
+            }
         }
         if conn.state == ConnState::Closed {
             self.by_token.remove(&conn.token);
@@ -560,6 +552,97 @@ impl StackView for HostStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::NullApp;
+    use crate::apps::{BulkSender, Sink};
+    use crate::harness::{Harness, Side};
+    use smapp_sim::SimTime;
+    use std::collections::HashSet;
+    use std::time::Duration;
+
+    #[test]
+    fn post_process_reaps_exactly_the_closed_subflows_of_its_connection() {
+        let (a0, a1, b0) = (
+            Addr::new(10, 0, 0, 1),
+            Addr::new(10, 0, 2, 1),
+            Addr::new(10, 0, 1, 1),
+        );
+        let mut h = Harness::new(11, Duration::from_millis(5), vec![a0, a1], vec![b0]);
+        h.b.listen(80, Box::new(|| Box::new(NullApp)));
+        h.b.listen(
+            81,
+            Box::new(|| {
+                Box::new(Sink {
+                    close_on_eof: true,
+                    ..Default::default()
+                })
+            }),
+        );
+        let tuples = |s: &HostStack| s.flows.keys().copied().collect::<HashSet<FourTuple>>();
+
+        // Three established connections with two subflows each.
+        let tokens: Vec<ConnToken> = (0..3)
+            .map(|_| h.connect(Side::A, 80, Box::new(NullApp)).unwrap())
+            .collect();
+        h.run_until(SimTime::from_secs(1));
+        for &token in &tokens {
+            assert!(h.apply(
+                Side::A,
+                &PmAction::OpenSubflow {
+                    token,
+                    src: a1,
+                    src_port: 0,
+                    dst: b0,
+                    dst_port: 80,
+                    backup: false,
+                },
+            ));
+        }
+        h.run_until(SimTime::from_secs(2));
+        assert_eq!(h.a.flows.len(), 6);
+        assert_eq!(h.b.flows.len(), 6);
+
+        // Reset one subflow of the middle connection: exactly its tuple
+        // leaves the demux table, on both hosts.
+        let victim =
+            h.a.conn_by_token(tokens[1])
+                .unwrap()
+                .subflow(1)
+                .unwrap()
+                .tuple;
+        let mut expect = tuples(&h.a);
+        h.apply(
+            Side::A,
+            &PmAction::CloseSubflow {
+                token: tokens[1],
+                id: 1,
+                reset: true,
+            },
+        );
+        h.run_until(SimTime::from_secs(3));
+        assert!(expect.remove(&victim));
+        assert_eq!(tuples(&h.a), expect);
+        assert_eq!(h.b.flows.len(), 5);
+        assert_eq!(h.a.by_token.len(), 3, "no connection closed yet");
+        assert_eq!(h.b.by_token.len(), 3);
+
+        // A fourth connection that closes completely takes its own flow
+        // and token with it and nothing else.
+        let short = h
+            .connect(
+                Side::A,
+                81,
+                Box::new(BulkSender::new(10_000).close_when_done()),
+            )
+            .unwrap();
+        assert_eq!(h.a.by_token.len(), 4);
+        h.run_until(SimTime::from_secs(10));
+        assert_eq!(h.a.conn_by_token(short).unwrap().state, ConnState::Closed);
+        assert!(!h.a.by_token.contains_key(&short));
+        assert_eq!(h.a.by_token.len(), 3);
+        assert_eq!(h.b.by_token.len(), 3);
+        assert_eq!(tuples(&h.a), expect);
+        assert_eq!(h.b.flows.len(), 5);
+    }
 
     #[test]
     fn timer_token_roundtrip() {

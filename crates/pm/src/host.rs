@@ -430,8 +430,8 @@ impl Host {
                     fallback_inferred: c.stats.fallback_inferred,
                     meta_una: info.meta_una,
                     meta_snd_nxt: info.meta_snd_nxt,
-                    tap_sent: (c.stats.tap_sent.count, c.stats.tap_sent.fnv),
-                    tap_recvd: (c.stats.tap_recvd.count, c.stats.tap_recvd.fnv),
+                    tap_sent: (c.stats.tap_sent.count(), c.stats.tap_sent.digest()),
+                    tap_recvd: (c.stats.tap_recvd.count(), c.stats.tap_recvd.digest()),
                     reinjections: c.stats.reinjections,
                     subflows,
                 }

@@ -60,12 +60,12 @@ impl RunVerdict {
 
 /// One direction of one connection's stream taps, keyed by the initial
 /// subflow's four-tuple (local perspective).
-struct Endpoint {
-    host: String,
+struct Endpoint<'a> {
+    host: &'a str,
     token: u32,
     tuple: FourTuple,
-    sent: smapp_tcp::StreamTap,
-    recvd: smapp_tcp::StreamTap,
+    sent: &'a smapp_tcp::StreamTap,
+    recvd: &'a smapp_tcp::StreamTap,
 }
 
 fn reversed(t: &FourTuple) -> FourTuple {
@@ -124,11 +124,11 @@ pub fn conclude(
             }
             if let Some(sf0) = conn.subflow(0) {
                 endpoints.push(Endpoint {
-                    host: host.name.clone(),
+                    host: &host.name,
                     token: conn.token,
                     tuple: sf0.tuple,
-                    sent: conn.stats.tap_sent.clone(),
-                    recvd: conn.stats.tap_recvd.clone(),
+                    sent: &conn.stats.tap_sent,
+                    recvd: &conn.stats.tap_recvd,
                 });
             }
         }
@@ -149,7 +149,7 @@ pub fn conclude(
             continue;
         };
         let b = &endpoints[bi];
-        if let Some(err) = a.sent.check_against_receiver(&b.recvd) {
+        if let Some(err) = a.sent.check_against_receiver(b.recvd) {
             violations.push(format!(
                 "{prefix} stream {}:{:08x} -> {}:{:08x}: {err}",
                 a.host, a.token, b.host, b.token
@@ -263,8 +263,8 @@ mod tests {
             if let Some(h) = sim.node(id).as_any().downcast_ref::<Host>() {
                 for c in h.stack.connections() {
                     match h.name.as_str() {
-                        "client" => sent = Some(c.stats.tap_sent.count),
-                        "server" => recvd = Some(c.stats.tap_recvd.count),
+                        "client" => sent = Some(c.stats.tap_sent.count()),
+                        "server" => recvd = Some(c.stats.tap_recvd.count()),
                         _ => {}
                     }
                 }

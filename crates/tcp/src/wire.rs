@@ -442,60 +442,53 @@ impl TcpSegment {
         if opt_len > MAX_OPTIONS_LEN {
             return Err(WireError::OptionsTooLong);
         }
-        let total = TCP_HEADER_LEN + opt_len + self.payload.len();
-        let mut buf = BytesMut::with_capacity(total);
+        // Compose header, options and padding on the stack and append them
+        // at once: every `BufMut` call re-checks the buffer's uniqueness
+        // and capacity, which costs more than the bytes it writes.
+        let mut head = [0u8; TCP_HEADER_LEN + MAX_OPTIONS_LEN];
+        let head_len = TCP_HEADER_LEN + opt_len;
         let h = &self.hdr;
-        buf.put_u16(h.src_port);
-        buf.put_u16(h.dst_port);
-        buf.put_u32(h.seq.0);
-        buf.put_u32(h.ack.0);
-        let data_offset = ((TCP_HEADER_LEN + opt_len) / 4) as u8;
-        buf.put_u8(data_offset << 4);
-        buf.put_u8(h.flags.to_byte());
-        buf.put_u16(h.window);
-        buf.put_u16(0); // checksum: not modeled (no corruption in the simulator)
-        buf.put_u16(0); // urgent pointer
-        let mut written = 0usize;
+        head[0..2].copy_from_slice(&h.src_port.to_be_bytes());
+        head[2..4].copy_from_slice(&h.dst_port.to_be_bytes());
+        head[4..8].copy_from_slice(&h.seq.0.to_be_bytes());
+        head[8..12].copy_from_slice(&h.ack.0.to_be_bytes());
+        head[12] = ((head_len / 4) as u8) << 4;
+        head[13] = h.flags.to_byte();
+        head[14..16].copy_from_slice(&h.window.to_be_bytes());
+        // 16..18 checksum: not modeled (no corruption in the simulator);
+        // 18..20 urgent pointer: unused.
+        let mut at = TCP_HEADER_LEN;
+        let mut put = |bytes: &[u8]| {
+            head[at..at + bytes.len()].copy_from_slice(bytes);
+            at += bytes.len();
+        };
         for opt in &h.options {
-            written += opt.wire_len();
             match opt {
                 TcpOption::Mss(v) => {
-                    buf.put_u8(2);
-                    buf.put_u8(4);
-                    buf.put_u16(*v);
+                    put(&[2, 4]);
+                    put(&v.to_be_bytes());
                 }
-                TcpOption::WindowScale(s) => {
-                    buf.put_u8(3);
-                    buf.put_u8(3);
-                    buf.put_u8(*s);
-                }
-                TcpOption::SackPermitted => {
-                    buf.put_u8(4);
-                    buf.put_u8(2);
-                }
+                TcpOption::WindowScale(s) => put(&[3, 3, *s]),
+                TcpOption::SackPermitted => put(&[4, 2]),
                 TcpOption::Timestamps { val, ecr } => {
-                    buf.put_u8(8);
-                    buf.put_u8(10);
-                    buf.put_u32(*val);
-                    buf.put_u32(*ecr);
+                    put(&[8, 10]);
+                    put(&val.to_be_bytes());
+                    put(&ecr.to_be_bytes());
                 }
                 TcpOption::Mptcp(b) => {
-                    buf.put_u8(OPT_KIND_MPTCP);
-                    buf.put_u8((2 + b.len()) as u8);
-                    buf.put_slice(b.as_slice());
+                    put(&[OPT_KIND_MPTCP, (2 + b.len()) as u8]);
+                    put(b.as_slice());
                 }
                 TcpOption::Unknown { kind, data } => {
-                    buf.put_u8(*kind);
-                    buf.put_u8((2 + data.len()) as u8);
-                    buf.put_slice(data.as_slice());
+                    put(&[*kind, (2 + data.len()) as u8]);
+                    put(data.as_slice());
                 }
             }
         }
         // Pad options with NOPs to a 4-byte boundary.
-        while written % 4 != 0 {
-            buf.put_u8(1);
-            written += 1;
-        }
+        head[at..head_len].fill(1);
+        let mut buf = BytesMut::with_capacity(head_len + self.payload.len());
+        buf.put_slice(&head[..head_len]);
         buf.put_slice(&self.payload);
         Ok(buf.freeze())
     }
