@@ -5,126 +5,86 @@
 //! and recorded in EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use smapp_bench::scenarios::{fig2a, fig2b, fig2c, fig3, sec42};
+use smapp_bench::scenarios::fig2a::{self, Fig2a};
+use smapp_bench::scenarios::fig2b::{self, Fig2b};
+use smapp_bench::scenarios::fig2c::{self, Fig2c};
+use smapp_bench::scenarios::fig3::{self, Fig3};
+use smapp_bench::scenarios::sec42::{self, Sec42};
+use smapp_bench::scenarios::Scenario;
 
-fn bench_fig2a(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig2a");
+/// Time `S` under `params` as `<S::NAME>/<name>`, a fresh seed (counting
+/// up from `seed0 + 1`) per iteration.
+fn bench<S: Scenario>(c: &mut Criterion, name: &str, seed0: u64, params: S::Params) {
+    let mut g = c.benchmark_group(S::NAME);
     g.sample_size(10);
-    g.bench_function("backup_switchover_1mb", |b| {
-        let mut seed = 0;
+    g.bench_function(name, |b| {
+        let mut seed = seed0;
         b.iter(|| {
             seed += 1;
-            fig2a::run(&fig2a::Params {
-                seed,
-                transfer: 1_000_000,
-                ..Default::default()
-            })
+            S::run(&params, seed)
         })
     });
     g.finish();
+}
+
+fn bench_fig2a(c: &mut Criterion) {
+    let params = fig2a::Params {
+        transfer: 1_000_000,
+        ..Default::default()
+    };
+    bench::<Fig2a>(c, "backup_switchover_1mb", 0, params);
 }
 
 fn bench_fig2b(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig2b");
-    g.sample_size(10);
-    g.bench_function("smart_stream_10_blocks", |b| {
-        let mut seed = 0;
-        b.iter(|| {
-            seed += 1;
-            fig2b::run_one(
-                &fig2b::Params {
-                    blocks: 10,
-                    loss: 0.30,
-                    manager: fig2b::Manager::SmartStream,
-                    ..Default::default()
-                },
-                seed,
-            )
-        })
-    });
-    g.bench_function("fullmesh_10_blocks", |b| {
-        let mut seed = 0;
-        b.iter(|| {
-            seed += 1;
-            fig2b::run_one(
-                &fig2b::Params {
-                    blocks: 10,
-                    loss: 0.30,
-                    manager: fig2b::Manager::FullMesh,
-                    ..Default::default()
-                },
-                seed,
-            )
-        })
-    });
-    g.finish();
+    for (manager, name) in [
+        (fig2b::Manager::SmartStream, "smart_stream_10_blocks"),
+        (fig2b::Manager::FullMesh, "fullmesh_10_blocks"),
+    ] {
+        let params = fig2b::Params {
+            blocks: 10,
+            loss: 0.30,
+            manager,
+        };
+        bench::<Fig2b>(c, name, 0, params);
+    }
 }
 
 fn bench_fig2c(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig2c");
-    g.sample_size(10);
     for (manager, name) in [
         (fig2c::Manager::Refresh, "refresh_5mb"),
         (fig2c::Manager::Ndiffports, "ndiffports_5mb"),
     ] {
-        g.bench_function(name, |b| {
-            let mut seed = 1000;
-            b.iter(|| {
-                seed += 1;
-                fig2c::run_one(
-                    &fig2c::Params {
-                        transfer: 5_000_000,
-                        manager,
-                        ..Default::default()
-                    },
-                    seed,
-                )
-            })
-        });
+        let params = fig2c::Params {
+            transfer: 5_000_000,
+            manager,
+            ..Default::default()
+        };
+        bench::<Fig2c>(c, name, 1000, params);
     }
-    g.finish();
 }
 
 fn bench_fig3(c: &mut Criterion) {
-    let mut g = c.benchmark_group("fig3");
-    g.sample_size(10);
     for (manager, name) in [
         (fig3::Manager::Kernel, "kernel_20_gets"),
         (fig3::Manager::Userspace, "userspace_20_gets"),
     ] {
-        g.bench_function(name, |b| {
-            let mut seed = 0;
-            b.iter(|| {
-                seed += 1;
-                fig3::run(&fig3::Params {
-                    seed,
-                    gets: 20,
-                    response: 128 * 1024,
-                    manager,
-                    ..Default::default()
-                })
-            })
-        });
+        let params = fig3::Params {
+            gets: 20,
+            response: 128 * 1024,
+            manager,
+            ..Default::default()
+        };
+        bench::<Fig3>(c, name, 0, params);
     }
-    g.finish();
 }
 
 fn bench_sec42(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sec42");
-    g.sample_size(10);
-    g.bench_function("baseline_6_retries", |b| {
-        let mut seed = 0;
-        b.iter(|| {
-            seed += 1;
-            sec42::run(&sec42::Params {
-                seed,
-                max_retries: 6,
-                transfer: 1_000_000,
-                ..Default::default()
-            })
-        })
-    });
-    g.finish();
+    let params = sec42::Params {
+        max_retries: 6,
+        transfer: 1_000_000,
+        ..Default::default()
+    };
+    bench::<Sec42>(c, "baseline_6_retries", 0, params);
 }
 
 criterion_group!(

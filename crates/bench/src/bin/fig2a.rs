@@ -7,7 +7,8 @@
 //! Prints `path<tab>seconds<tab>relative_bytes` rows (path `master` or
 //! `backup`) — the series plotted in the paper — plus a summary block.
 
-use smapp_bench::scenarios::fig2a;
+use smapp_bench::scenarios::fig2a::{Fig2a, Params};
+use smapp_bench::scenarios::Scenario;
 
 use smapp_bench::count_alloc::CountingAlloc;
 
@@ -19,13 +20,9 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
-    let params = fig2a::Params {
-        seed,
-        ..Default::default()
-    };
     eprintln!("# fig2a: two 5 Mb/s paths, 30% loss on primary from t=1s,");
     eprintln!("#        smart-backup controller with RTO threshold 1s, seed {seed}");
-    let r = fig2a::run(&params);
+    let r = Fig2a::run(&Params::default(), seed).results;
 
     println!("# series: master/backup (seconds, relative data sequence bytes)");
     for (t, seq, path) in &r.rows {

@@ -9,7 +9,9 @@
 //! also emit), and the default full-mesh path manager at 10/20/30/40%
 //! loss — the four curves of the figure.
 
-use smapp_bench::scenarios::fig2b::{self, Manager};
+use smapp_bench::scenarios::fig2b::{Fig2b, Manager, Params};
+use smapp_bench::scenarios::Scenario;
+use smapp_bench::Cdf;
 
 use smapp_bench::count_alloc::CountingAlloc;
 
@@ -22,31 +24,24 @@ fn main() {
     eprintln!("# fig2b: 2 x 5 Mb/s paths, 10 ms delay, one 64 KB block per second");
     eprintln!("#        {runs} runs x {blocks} blocks per configuration");
 
-    // Smart stream under each loss ratio (paper: curves nearly overlap).
-    for loss in [0.10, 0.20, 0.30, 0.40] {
-        let cdf = fig2b::run(&fig2b::Params {
-            seed0: 1,
-            runs,
-            blocks,
-            loss,
-            manager: Manager::SmartStream,
-        });
-        let label = format!("smart-{:.0}pct", loss * 100.0);
-        cdf.print_series(&label, "block completion time s", 60);
-        eprintln!("# {}", cdf.summary(&label));
-    }
-    // Default full-mesh baseline under each loss ratio.
-    for loss in [0.10, 0.20, 0.30, 0.40] {
-        let cdf = fig2b::run(&fig2b::Params {
-            seed0: 1,
-            runs,
-            blocks,
-            loss,
-            manager: Manager::FullMesh,
-        });
-        let label = format!("fullmesh-{:.0}pct", loss * 100.0);
-        cdf.print_series(&label, "block completion time s", 60);
-        eprintln!("# {}", cdf.summary(&label));
+    // Smart stream under each loss ratio (paper: curves nearly overlap),
+    // then the default full-mesh baseline under each.
+    for (manager, name) in [
+        (Manager::SmartStream, "smart"),
+        (Manager::FullMesh, "fullmesh"),
+    ] {
+        for loss in [0.10, 0.20, 0.30, 0.40] {
+            let p = Params {
+                blocks,
+                loss,
+                manager,
+            };
+            let delays = (1..=runs).flat_map(|seed| Fig2b::run(&p, seed).results);
+            let cdf = Cdf::new(delays.collect());
+            let label = format!("{name}-{:.0}pct", loss * 100.0);
+            cdf.print_series(&label, "block completion time s", 60);
+            eprintln!("# {}", cdf.summary(&label));
+        }
     }
     eprintln!("# paper: the smart controller keeps the CDF nearly identical across");
     eprintln!("# paper: 10-40% loss, while the default manager grows a long tail.");

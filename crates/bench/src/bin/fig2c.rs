@@ -5,7 +5,9 @@
 //! cargo run --release -p smapp-bench --bin fig2c [--quick]
 //! ```
 
-use smapp_bench::scenarios::fig2c::{self, Manager};
+use smapp_bench::scenarios::fig2c::{Fig2c, Manager, Params};
+use smapp_bench::scenarios::Scenario;
+use smapp_bench::Cdf;
 
 use smapp_bench::count_alloc::CountingAlloc;
 
@@ -32,19 +34,22 @@ fn main() {
         (Manager::Ndiffports, "ndiffports"),
         (Manager::NdiffportsUser, "ndiffports-user"),
     ] {
-        let r = fig2c::run(&fig2c::Params {
-            seed0: 100,
-            runs,
+        let p = Params {
             transfer,
             n: 5,
             manager,
-        });
-        r.completion.print_series(label, "completion time s", 60);
-        eprintln!("# {}", r.completion.summary(label));
-        eprintln!(
-            "# {label} runs by distinct paths used (1/2/3/4): {:?}",
-            r.paths_used
-        );
+        };
+        let mut times = Vec::new();
+        let mut paths_used = [0u64; 4];
+        for seed in 100..100 + runs {
+            let run = Fig2c::run(&p, seed);
+            times.push(run.summary.ended_at.as_secs_f64());
+            paths_used[run.results.paths_used.clamp(1, 4) - 1] += 1;
+        }
+        let completion = Cdf::new(times);
+        completion.print_series(label, "completion time s", 60);
+        eprintln!("# {}", completion.summary(label));
+        eprintln!("# {label} runs by distinct paths used (1/2/3/4): {paths_used:?}");
     }
     eprintln!("# paper: ndiffports clusters at ~28s/37s/55s (4/3/2 paths);");
     eprintln!("# paper: refresh concentrates near the 4-path optimum (27.8s floor).");

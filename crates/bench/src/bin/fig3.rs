@@ -5,7 +5,8 @@
 //! cargo run --release -p smapp-bench --bin fig3 [--quick] [--stressed]
 //! ```
 
-use smapp_bench::scenarios::fig3::{self, Manager};
+use smapp_bench::scenarios::fig3::{Fig3, Manager, Params};
+use smapp_bench::scenarios::Scenario;
 
 use smapp_bench::count_alloc::CountingAlloc;
 
@@ -19,20 +20,20 @@ fn main() {
     eprintln!("# fig3: {gets} consecutive 512 KB GETs over a 1 Gb/s lab link;");
     eprintln!("#       delay between SYN(MP_CAPABLE) and SYN(MP_JOIN), microseconds");
 
-    let (kernel, _) = fig3::run(&fig3::Params {
-        gets,
-        manager: Manager::Kernel,
-        ..Default::default()
-    });
+    let series = |manager, stressed| {
+        let params = Params {
+            gets,
+            manager,
+            stressed,
+            ..Default::default()
+        };
+        Fig3::run(&params, 7).results.deltas
+    };
+    let kernel = series(Manager::Kernel, false);
     kernel.print_series("kernel", "us", 80);
     eprintln!("# {}", kernel.summary("kernel"));
 
-    let (user, _) = fig3::run(&fig3::Params {
-        gets,
-        manager: Manager::Userspace,
-        stressed,
-        ..Default::default()
-    });
+    let user = series(Manager::Userspace, stressed);
     let label = if stressed {
         "userspace-stressed"
     } else {

@@ -1,7 +1,7 @@
 //! `perf_report` — the perf trajectory's measurement binary.
 //!
-//! Drives the full scenario×seed matrix (fig2a, fig2b, fig2c, fig3, §4.2,
-//! fleet, plus the network-dynamics trio handover/flap/middlebox) through
+//! Drives the full scenario×seed matrix (every scenario in
+//! `smapp_bench::scenarios::REGISTRY`) through
 //! the deterministic multi-core sweep engine, twice: once at `--jobs 1`
 //! for single-thread throughput and allocations/event, once at `--jobs N`
 //! for aggregate matrix wall-time — asserting the two passes produce

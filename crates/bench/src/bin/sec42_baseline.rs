@@ -6,7 +6,8 @@
 //! cargo run --release -p smapp-bench --bin sec42_baseline [--quick]
 //! ```
 
-use smapp_bench::scenarios::sec42;
+use smapp_bench::scenarios::sec42::{Params, Sec42};
+use smapp_bench::scenarios::Scenario;
 
 use smapp_bench::count_alloc::CountingAlloc;
 
@@ -15,7 +16,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let params = sec42::Params {
+    let params = Params {
         max_retries: if quick { 6 } else { 15 },
         ..Default::default()
     };
@@ -24,7 +25,7 @@ fn main() {
         "#               give-up after {} doublings",
         params.max_retries
     );
-    let r = sec42::run(&params);
+    let r = Sec42::run(&params, 11).results;
     match r.switch_at {
         Some(t) => {
             println!("switch_to_backup_s\t{t:.1}");

@@ -7,8 +7,9 @@
 //! the perf harness snapshots [`allocs`] around each single-threaded matrix
 //! cell and reports **allocations per simulated event** in the committed
 //! `BENCH_*.json` trajectory, so future PRs can see allocator-pressure
-//! regressions, not just wall-time — and `gate::ALLOC_CEILINGS` fails the
-//! build when a scenario's figure regresses past its committed ceiling.
+//! regressions, not just wall-time — and [`crate::gate::check`] fails the
+//! build when a scenario's figure regresses past its committed
+//! [`ALLOC_CEILING`](crate::scenarios::Scenario::ALLOC_CEILING).
 //!
 //! The counter is a process-wide relaxed atomic: exact in the `--jobs 1`
 //! measurement pass (one cell at a time on one thread), and deliberately

@@ -21,10 +21,11 @@
 //!   would have caught the PR4→PR9 creeping collapse. Allocation counts
 //!   are wall-clock-independent, so each scenario row must also stay
 //!   under its committed `allocs_per_event` ceiling
-//!   ([`ALLOC_CEILINGS`]). Both checks are disabled together with the
-//!   aggregate floor when `min_ratio` is `0.0` (instrumented builds).
-//! * Every scenario registered in [`crate::scenarios::ALL`] must appear in
-//!   the report — a new scenario cannot silently skip benchmarking.
+//!   ([`Scenario::ALLOC_CEILING`](crate::scenarios::Scenario::ALLOC_CEILING)).
+//!   Both checks are disabled together with the aggregate floor when
+//!   `min_ratio` is `0.0` (instrumented builds).
+//! * Every scenario in [`crate::scenarios::REGISTRY`] must appear in the
+//!   report — a new scenario cannot silently skip benchmarking.
 //! * The generated-scenario fuzz corpus must have run with **zero**
 //!   protocol-invariant oracle violations; a missing fuzz section fails
 //!   the gate too (the corpus cannot silently stop running).
@@ -40,6 +41,8 @@
 //! The parser is deliberately tiny and hand-rolled (the workspace carries
 //! no serde): it only reads the flat `"key": value` shapes `perf_report`
 //! emits.
+
+use crate::scenarios::REGISTRY;
 
 /// Aggregate smoke events/sec committed as the gate baseline, measured
 /// with `perf_report --smoke --jobs 2` on the reference machine.
@@ -70,34 +73,6 @@ pub const FIG2C_BEST_COMMITTED_EVENTS_PER_SEC: f64 = 2_277_566.0;
 /// gate. 25% absorbs run-to-run noise on the reference machine while
 /// catching the PR4→PR9 class of creeping regression (−79%) immediately.
 pub const FIG2C_MAX_DROP: f64 = 0.25;
-
-/// Per-scenario `allocs_per_event` ceilings, pinned just above the PR-10
-/// measured values (smoke and full mode, whichever is higher — short
-/// smoke runs amortize setup allocations over fewer events). Keyed by
-/// scenario name; every variant of a scenario shares its ceiling. The
-/// tier-1 `alloc_ceilings` test re-measures each scenario against this
-/// table, and [`check`] enforces it on every emitted report.
-pub const ALLOC_CEILINGS: &[(&str, f64)] = &[
-    ("fig2a", 0.35),
-    ("fig2b", 0.25),
-    ("fig2c", 0.20),
-    ("fig3", 0.15),
-    ("sec42", 0.15),
-    ("fleet", 0.55),
-    ("handover", 0.20),
-    ("flap", 0.20),
-    ("middlebox", 0.20),
-    ("cdn", 1.10),
-    ("fuzz", 0.90),
-];
-
-/// The committed allocs/event ceiling for a scenario (any variant).
-pub fn alloc_ceiling(scenario: &str) -> Option<f64> {
-    ALLOC_CEILINGS
-        .iter()
-        .find(|(name, _)| *name == scenario)
-        .map(|(_, ceiling)| *ceiling)
-}
 
 /// Gate verdict: what was read and which invariants failed.
 #[derive(Debug)]
@@ -205,7 +180,9 @@ pub fn check(json: &str, min_ratio: f64) -> GateReport {
             let scenario = name.split('/').next().unwrap_or(&name);
             let allocs_per_event: Option<f64> =
                 raw_value(line, "allocs_per_event").and_then(|v| v.parse().ok());
-            match (alloc_ceiling(scenario), allocs_per_event) {
+            let registered = REGISTRY.iter().find(|s| s.name == scenario);
+            let ceiling = registered.map(|s| s.alloc_ceiling);
+            match (ceiling, allocs_per_event) {
                 (Some(ceiling), Some(ape)) => {
                     if ape > ceiling {
                         failures.push(format!(
@@ -256,10 +233,10 @@ pub fn check(json: &str, min_ratio: f64) -> GateReport {
         }
     }
 
-    for want in crate::scenarios::ALL {
+    for want in REGISTRY.iter().map(|s| s.name) {
         if !scenario_names
             .iter()
-            .any(|n| n.split('/').next() == Some(*want))
+            .any(|n| n.split('/').next() == Some(want))
         {
             failures.push(format!(
                 "scenario {want} is registered but missing from the report \
@@ -377,10 +354,10 @@ mod tests {
             "  \"sweep\": {{\"jobs\": 2, \"parallel_parity\": {parity}}},\n"
         ));
         s.push_str("  \"scenarios\": [\n");
-        let n = crate::scenarios::ALL.len();
-        for (i, name) in crate::scenarios::ALL.iter().enumerate() {
+        let n = REGISTRY.len();
+        for (i, name) in REGISTRY.iter().map(|s| s.name).enumerate() {
             // The ratchet keys on the real fig2c/refresh row name.
-            let variant = if *name == "fig2c" { "refresh" } else { "v" };
+            let variant = if name == "fig2c" { "refresh" } else { "v" };
             s.push_str(&format!(
                 "    {{\"name\": \"{name}/{variant}\", \"workload\": \"w\", \"runs\": 1, \
                  \"wall_s\": 0.5000, \"events\": {events}, \"events_per_sec\": 1, \
@@ -409,7 +386,7 @@ mod tests {
         assert!(r.passed(), "failures: {:?}", r.failures);
         assert_eq!(r.parallel_parity, Some(true));
         assert_eq!(r.fig2c_parity, None);
-        assert_eq!(r.scenario_names.len(), crate::scenarios::ALL.len());
+        assert_eq!(r.scenario_names.len(), REGISTRY.len());
         assert!(r.events_per_sec > 1_000_000.0);
     }
 
@@ -524,16 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn ceiling_table_covers_every_registered_scenario() {
-        for name in crate::scenarios::ALL {
-            assert!(
-                alloc_ceiling(name).is_some(),
-                "scenario {name} has no committed allocs/event ceiling"
-            );
-        }
-    }
-
-    #[test]
     fn zero_fuzz_cases_fails() {
         let empty = sample("true", "null", 10_000_000).replace("\"cases\": 4", "\"cases\": 0");
         let r = check(&empty, DEFAULT_MIN_RATIO);
@@ -638,9 +605,6 @@ mod tests {
         // real report through `check`.
         let json = sample("true", "null", 5_000_000);
         let r = check(&json, DEFAULT_MIN_RATIO);
-        assert_eq!(
-            r.scenario_names[0],
-            format!("{}/v", crate::scenarios::ALL[0])
-        );
+        assert_eq!(r.scenario_names[0], format!("{}/v", REGISTRY[0].name));
     }
 }

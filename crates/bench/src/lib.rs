@@ -35,15 +35,17 @@
 //! replayable seeds or full case literals (`fuzz` binary; fixed corpus
 //! in `FUZZ_CORPUS.txt`).
 //!
-//! The `perf_report` binary ([`perf`]) drives the full scenario×seed
-//! matrix — every paper artifact above plus the beyond-paper workloads —
-//! through the deterministic multi-core [`sweep`] engine (`--jobs N`),
-//! measures wall time, events/sec, peak event-queue depth and
-//! allocations/event ([`count_alloc`]), writes `BENCH_PR9.json`, and
-//! verifies both that parallel execution reproduces the sequential
-//! trajectories bit-for-bit and that the fig2c per-seed trajectory is
-//! identical to the recorded `524cdc6` baseline. The `perf_gate` binary
-//! ([`gate`]) re-checks those invariants (plus scenario coverage and a
+//! Each scenario is one [`scenarios::Scenario`] impl registered once in
+//! [`scenarios::REGISTRY`]; everything below iterates that registry. The
+//! `perf_report` binary ([`perf`]) drives the full scenario×seed matrix —
+//! every paper artifact above plus the beyond-paper workloads — through
+//! the deterministic multi-core [`sweep`] engine (`--jobs N`), measures
+//! wall time, events/sec, peak event-queue depth and allocations/event
+//! ([`count_alloc`]), writes `BENCH_PR12.json`, and verifies both that
+//! parallel execution reproduces the sequential trajectories bit-for-bit
+//! and that the fig2c per-seed trajectory is identical to the recorded
+//! `524cdc6` baseline. The `perf_gate` binary ([`gate`]) re-checks those
+//! invariants (plus registry coverage, allocs/event ceilings and a
 //! generous throughput floor) over the CI smoke report and fails the
 //! build on regression.
 

@@ -21,15 +21,14 @@ use smapp_mptcp::apps::{BulkSender, Sink, StreamSender};
 use smapp_mptcp::{App, StackConfig};
 use smapp_pm::topo::{self, CLIENT_ADDR1, SERVER_ADDR};
 use smapp_pm::{FullMeshPm, Host};
-use smapp_sim::{LinkCfg, SimRng, SimTime};
+use smapp_sim::{LinkCfg, SimRng, SimTime, StopReason};
 
+use super::{checked_run, sink_server, Row, Run, Scenario};
 use crate::traffic::{FlowClass, TrafficModel};
 
 /// Parameters of one CDN-traffic run.
 #[derive(Debug, Clone)]
 pub struct Params {
-    /// RNG seed (world and traffic sample).
-    pub seed: u64,
     /// Traffic model to sample flows from.
     pub model: TrafficModel,
     /// Cap on sampled flows.
@@ -43,7 +42,6 @@ pub struct Params {
 impl Default for Params {
     fn default() -> Self {
         Params {
-            seed: 47,
             model: TrafficModel::cdn(),
             max_flows: 60,
             window: SimTime::from_secs(20),
@@ -72,84 +70,105 @@ pub struct Results {
 /// Decorrelates the traffic sample from the world RNG.
 const TRAFFIC_SALT: u64 = 0xCD11_7AFF_1C5A_17ED;
 
-/// Run one CDN-traffic experiment.
-pub fn run(p: &Params) -> Results {
-    run_instrumented(p).1
-}
+/// The CDN traffic-mix scenario; the seed drives both the world and the
+/// traffic sample.
+pub struct Cdn;
 
-/// Like [`run`], additionally returning the simulator's
-/// [`smapp_sim::RunSummary`] for the perf harness and sweep matrix.
-pub fn run_instrumented(p: &Params) -> (smapp_sim::RunSummary, Results) {
-    let mut trng = SimRng::seed_from_u64(p.seed ^ TRAFFIC_SALT);
-    let flows = p
-        .model
-        .sample(&mut trng, SimTime::from_millis(10), p.window, p.max_flows);
+impl Scenario for Cdn {
+    const NAME: &'static str = "cdn";
+    const ALLOC_CEILING: f64 = 1.10;
+    type Params = Params;
+    type Results = Results;
 
-    let mut client =
-        Host::new("client", StackConfig::default()).with_pm(Box::new(FullMeshPm::new()));
-    let mut offered = 0u64;
-    let mut streams = 0usize;
-    for f in &flows {
-        let app: Box<dyn App> = match f.class {
-            FlowClass::ShortGet => {
-                offered += f.size;
-                Box::new(BulkSender::new(f.size).close_when_done())
-            }
-            FlowClass::Streaming => {
-                streams += 1;
-                // The stream sends whole blocks, so round the sampled
-                // size to what the app will actually write.
-                let blocks = (f.size / 16_384).clamp(1, 60);
-                offered += blocks * 16_384;
-                Box::new(StreamSender::new(16_384, Duration::from_millis(40), blocks))
-            }
+    fn rows(smoke: bool) -> Vec<Row<Params>> {
+        let params = Params {
+            max_flows: if smoke { 14 } else { 40 },
+            model: TrafficModel {
+                size_max: if smoke { 150_000 } else { 600_000 },
+                ..TrafficModel::cdn()
+            },
+            window: SimTime::from_secs(if smoke { 8 } else { 15 }),
+            ..Default::default()
         };
-        client.connect_at(f.start, Some(CLIENT_ADDR1), SERVER_ADDR, 80, app);
+        vec![Row {
+            variant: "traffic",
+            seeds: if smoke { vec![47] } else { vec![47, 48] },
+            workload: format!(
+                "<= {} Pareto-sized GET/stream flows over a {} s wavy-Poisson window",
+                params.max_flows,
+                params.window.as_secs_f64()
+            ),
+            params,
+        }]
     }
-    let mut server = Host::new("server", StackConfig::default());
-    server.listen(
-        80,
-        Box::new(|| {
-            Box::new(Sink {
-                close_on_eof: true,
-                ..Default::default()
-            })
-        }),
-    );
-    let net = topo::two_path(
-        p.seed,
-        client,
-        server,
-        LinkCfg::mbps_ms(20, 10),
-        LinkCfg::mbps_ms(10, 25),
-    );
-    let mut sim = net.sim;
-    sim.core.set_trace(Box::new(smapp_sim::Oracle::new()));
-    let summary = sim.run_until(p.horizon);
-    smapp_pm::verify::conclude(&mut sim, &summary, "cdn", p.seed).expect_clean();
 
-    let server_host = topo::host(&sim, net.server);
-    let mut delivered = 0u64;
-    let mut server_conns = 0usize;
-    for c in server_host.stack.connections() {
-        server_conns += 1;
-        if let Some(s) = c.app().and_then(|a| a.as_any().downcast_ref::<Sink>()) {
-            delivered += s.received;
+    fn run(p: &Params, seed: u64) -> Run<Results> {
+        let mut trng = SimRng::seed_from_u64(seed ^ TRAFFIC_SALT);
+        let flows = p
+            .model
+            .sample(&mut trng, SimTime::from_millis(10), p.window, p.max_flows);
+
+        let mut client =
+            Host::new("client", StackConfig::default()).with_pm(Box::new(FullMeshPm::new()));
+        let mut offered = 0u64;
+        let mut streams = 0usize;
+        for f in &flows {
+            let app: Box<dyn App> = match f.class {
+                FlowClass::ShortGet => {
+                    offered += f.size;
+                    Box::new(BulkSender::new(f.size).close_when_done())
+                }
+                FlowClass::Streaming => {
+                    streams += 1;
+                    // The stream sends whole blocks, so round the sampled
+                    // size to what the app will actually write.
+                    let blocks = (f.size / 16_384).clamp(1, 60);
+                    offered += blocks * 16_384;
+                    Box::new(StreamSender::new(16_384, Duration::from_millis(40), blocks))
+                }
+            };
+            client.connect_at(f.start, Some(CLIENT_ADDR1), SERVER_ADDR, 80, app);
+        }
+        let net = topo::two_path(
+            seed,
+            client,
+            sink_server(),
+            LinkCfg::mbps_ms(20, 10),
+            LinkCfg::mbps_ms(10, 25),
+        );
+        let mut sim = net.sim;
+        let (summary, _) = checked_run(&mut sim, None, p.horizon, Self::NAME, seed);
+
+        let mut delivered = 0u64;
+        let mut server_conns = 0usize;
+        for c in topo::host(&sim, net.server).stack.connections() {
+            server_conns += 1;
+            if let Some(s) = c.app().and_then(|a| a.as_any().downcast_ref::<Sink>()) {
+                delivered += s.received;
+            }
+        }
+        let drained_at =
+            (summary.reason == StopReason::Idle).then(|| summary.ended_at.as_secs_f64());
+        Run {
+            summary,
+            results: Results {
+                flows: flows.len(),
+                streams,
+                offered,
+                delivered,
+                server_conns,
+                drained_at,
+            },
         }
     }
-    let drained_at =
-        (summary.reason == smapp_sim::StopReason::Idle).then(|| summary.ended_at.as_secs_f64());
-    (
-        summary,
-        Results {
-            flows: flows.len(),
-            streams,
-            offered,
-            delivered,
-            server_conns,
-            drained_at,
-        },
-    )
+
+    fn trajectory(run: &Run<Results>) -> String {
+        let r = &run.results;
+        format!(
+            "flows={} streams={} offered={} delivered={} drained={:?}",
+            r.flows, r.streams, r.offered, r.delivered, r.drained_at
+        )
+    }
 }
 
 #[cfg(test)]
@@ -166,14 +185,13 @@ mod tests {
             },
             window: SimTime::from_secs(8),
             horizon: SimTime::from_secs(60),
-            ..Default::default()
         }
     }
 
     #[test]
     fn cdn_mix_drains_oracle_clean_with_full_delivery() {
         let p = smoke_params();
-        let r = run(&p);
+        let r = Cdn::run(&p, 47).results;
         assert!(r.flows >= 5, "model scheduled a real mix: {}", r.flows);
         assert_eq!(r.server_conns, r.flows, "every flow arrived");
         assert_eq!(r.delivered, r.offered, "every offered byte delivered");
@@ -186,7 +204,7 @@ mod tests {
             max_flows: 40,
             ..smoke_params()
         };
-        let r = run(&p);
+        let r = Cdn::run(&p, 47).results;
         assert!(r.streams > 0, "some flows stream");
         assert!(r.streams < r.flows, "most flows are GETs");
     }
@@ -194,14 +212,10 @@ mod tests {
     #[test]
     fn cdn_is_deterministic_per_seed() {
         let p = smoke_params();
-        let (s1, r1) = run_instrumented(&p);
-        let (s2, r2) = run_instrumented(&p);
-        assert_eq!(s1, s2);
-        assert_eq!(r1.delivered, r2.delivered);
-        let (s3, _) = run_instrumented(&Params {
-            seed: 48,
-            ..smoke_params()
-        });
-        assert!(s3 != s1, "different seed, different trajectory");
+        let (a, b) = (Cdn::run(&p, 47), Cdn::run(&p, 47));
+        assert_eq!(a.summary, b.summary);
+        assert_eq!(a.results.delivered, b.results.delivered);
+        let c = Cdn::run(&p, 48);
+        assert!(c.summary != a.summary, "different seed, different trajectory");
     }
 }

@@ -10,20 +10,19 @@
 use std::time::Duration;
 
 use smapp::{controller_of, BackupConfig, BackupController, ControllerRuntime};
-use smapp_mptcp::apps::{BulkSender, Sink};
 use smapp_mptcp::StackConfig;
 use smapp_netlink::LatencyModel;
-use smapp_pm::topo::{self, CLIENT_ADDR1, CLIENT_ADDR2, SERVER_ADDR};
+use smapp_pm::topo::{self, CLIENT_ADDR1, CLIENT_ADDR2};
 use smapp_pm::Host;
 use smapp_sim::{LinkCfg, LossModel, SimTime};
 
+use super::{bulk_client, bulk_outcome, checked_run, sink_as, sink_server, Row, Run, Scenario};
+use crate::sweep::digest_rows;
 use crate::trace::SeqTraceSink;
 
 /// Parameters of the Fig. 2a run.
 #[derive(Debug, Clone)]
 pub struct Params {
-    /// RNG seed.
-    pub seed: u64,
     /// When the primary path degrades.
     pub loss_onset: SimTime,
     /// Loss ratio after onset (paper: 0.30).
@@ -39,7 +38,6 @@ pub struct Params {
 impl Default for Params {
     fn default() -> Self {
         Params {
-            seed: 42,
             loss_onset: SimTime::from_secs(1),
             loss: 0.30,
             rto_threshold: Duration::from_secs(1),
@@ -63,97 +61,83 @@ pub struct Results {
     pub completed_at: Option<f64>,
 }
 
-/// Run the experiment.
-pub fn run(p: &Params) -> Results {
-    run_instrumented(p).1
-}
+/// The Fig. 2a experiment.
+pub struct Fig2a;
 
-/// Like [`run`], additionally returning the simulator's [`smapp_sim::RunSummary`]
-/// (event count, peak queue depth) for the perf harness.
-pub fn run_instrumented(p: &Params) -> (smapp_sim::RunSummary, Results) {
-    let controller = BackupController::new(BackupConfig {
-        rto_threshold: p.rto_threshold,
-        backup_src: CLIENT_ADDR2,
-    });
-    let mut client = Host::new("client", StackConfig::default()).with_user(
-        ControllerRuntime::boxed(controller),
-        LatencyModel::idle_host(),
-    );
-    client.connect_at(
-        SimTime::from_millis(10),
-        Some(CLIENT_ADDR1),
-        SERVER_ADDR,
-        80,
-        Box::new(
-            BulkSender::new(p.transfer)
-                .close_when_done()
-                .stop_sim_when_acked(),
-        ),
-    );
-    let mut server = Host::new("server", StackConfig::default());
-    server.listen(
-        80,
-        Box::new(|| {
-            Box::new(Sink {
-                close_on_eof: true,
-                ..Default::default()
-            })
-        }),
-    );
-    let net = topo::two_path(
-        p.seed,
-        client,
-        server,
-        LinkCfg::mbps_ms(5, 10),
-        LinkCfg::mbps_ms(5, 10),
-    );
-    let mut sim = net.sim;
-    sim.core
-        .set_trace(smapp_sim::Oracle::wrapping(Box::new(SeqTraceSink::new(
-            vec![net.link1, net.link2],
-        ))));
-    let l1 = net.link1;
-    let (onset, loss) = (p.loss_onset, p.loss);
-    sim.at(onset, move |core| {
-        core.set_loss_both(l1, LossModel::Bernoulli(loss));
-    });
-    let summary = sim.run_until(p.horizon);
+impl Scenario for Fig2a {
+    const NAME: &'static str = "fig2a";
+    const ALLOC_CEILING: f64 = 0.35;
+    type Params = Params;
+    type Results = Results;
 
-    let verdict = smapp_pm::verify::conclude(&mut sim, &summary, "fig2a", p.seed);
-    verdict.expect_clean();
-    let sink = verdict.inner.expect("trace sink installed");
-    let rows = sink
-        .as_any()
-        .downcast_ref::<SeqTraceSink>()
-        .expect("seq sink")
-        .relative_rows();
+    fn rows(smoke: bool) -> Vec<Row<Params>> {
+        let params = Params {
+            transfer: if smoke { 200_000 } else { 2_000_000 },
+            ..Default::default()
+        };
+        vec![Row {
+            variant: "backup",
+            seeds: if smoke { vec![42] } else { vec![42, 43, 44] },
+            workload: format!("{} B transfer, 30% loss onset at 1 s", params.transfer),
+            params,
+        }]
+    }
 
-    let client_host = topo::host(&sim, net.client);
-    let ctrl = controller_of::<BackupController>(client_host).unwrap();
-    let switch_at = ctrl.switchovers.first().map(|(t, _, _)| t.as_secs_f64());
-    let delivered = topo::host(&sim, net.server)
-        .stack
-        .connections()
-        .next()
-        .map(|c| {
-            c.app()
-                .unwrap()
-                .as_any()
-                .downcast_ref::<Sink>()
-                .unwrap()
-                .received
-        })
-        .unwrap_or(0);
-    let completed_at = (delivered >= p.transfer).then(|| summary.ended_at.as_secs_f64());
-    (
-        summary,
-        Results {
-            rows,
-            switch_at,
-            delivered,
-            completed_at,
-        },
-    )
+    fn run(p: &Params, seed: u64) -> Run<Results> {
+        let controller = BackupController::new(BackupConfig {
+            rto_threshold: p.rto_threshold,
+            backup_src: CLIENT_ADDR2,
+        });
+        let client = Host::new("client", StackConfig::default()).with_user(
+            ControllerRuntime::boxed(controller),
+            LatencyModel::idle_host(),
+        );
+        let net = topo::two_path(
+            seed,
+            bulk_client(client, Some(CLIENT_ADDR1), p.transfer),
+            sink_server(),
+            LinkCfg::mbps_ms(5, 10),
+            LinkCfg::mbps_ms(5, 10),
+        );
+        let mut sim = net.sim;
+        let l1 = net.link1;
+        let loss = p.loss;
+        sim.at(p.loss_onset, move |core| {
+            core.set_loss_both(l1, LossModel::Bernoulli(loss));
+        });
+        let (summary, sink) = checked_run(
+            &mut sim,
+            Some(Box::new(SeqTraceSink::new(vec![net.link1, net.link2]))),
+            p.horizon,
+            Self::NAME,
+            seed,
+        );
+
+        let ctrl = controller_of::<BackupController>(topo::host(&sim, net.client)).unwrap();
+        let switch_at = ctrl.switchovers.first().map(|(t, _, _)| t.as_secs_f64());
+        let (delivered, completed_at) = bulk_outcome(&sim, net.server, p.transfer, &summary);
+        Run {
+            summary,
+            results: Results {
+                rows: sink_as::<SeqTraceSink>(&sink).relative_rows(),
+                switch_at,
+                delivered,
+                completed_at,
+            },
+        }
+    }
+
+    fn trajectory(run: &Run<Results>) -> String {
+        let r = &run.results;
+        format!(
+            "rows={} digest={:016x} switch={:?} delivered={} done={:?}",
+            r.rows.len(),
+            digest_rows(&r.rows),
+            r.switch_at,
+            r.delivered,
+            r.completed_at
+        )
+    }
 }
 
 #[cfg(test)]
@@ -166,7 +150,7 @@ mod tests {
             transfer: 1_000_000,
             ..Default::default()
         };
-        let r = run(&p);
+        let r = Fig2a::run(&p, 42).results;
         let switch = r.switch_at.expect("controller switched");
         assert!(switch > 1.0, "switch after loss onset, got {switch}");
         assert!(switch < 30.0, "switch within seconds, got {switch}");

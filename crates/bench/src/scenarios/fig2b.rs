@@ -21,7 +21,8 @@ use smapp_pm::topo::{self, CLIENT_ADDR1, CLIENT_ADDR2, SERVER_ADDR};
 use smapp_pm::{FullMeshPm, Host};
 use smapp_sim::{LinkCfg, LossModel, SimTime};
 
-use crate::stats::Cdf;
+use super::{checked_run, first_app, Row, Run, Scenario};
+use crate::sweep::digest_f64s;
 
 /// Which manager drives the subflows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,13 +33,9 @@ pub enum Manager {
     SmartStream,
 }
 
-/// Parameters of one Fig. 2b series.
+/// Parameters of one Fig. 2b run.
 #[derive(Debug, Clone)]
 pub struct Params {
-    /// Base RNG seed; run `runs` seeds starting here.
-    pub seed0: u64,
-    /// Independent runs to aggregate.
-    pub runs: u64,
     /// Blocks per run.
     pub blocks: u64,
     /// Loss ratio on the initial path.
@@ -50,8 +47,6 @@ pub struct Params {
 impl Default for Params {
     fn default() -> Self {
         Params {
-            seed0: 1,
-            runs: 5,
             blocks: 30,
             loss: 0.30,
             manager: Manager::SmartStream,
@@ -59,116 +54,131 @@ impl Default for Params {
     }
 }
 
-/// Run one seed; returns the per-block delivery delays in seconds
-/// (completion at the sink minus the block's write time at the sender).
-pub fn run_one(p: &Params, seed: u64) -> Vec<f64> {
-    run_one_instrumented(p, seed).1
-}
+/// The Fig. 2b experiment. One run yields the per-block delivery delays
+/// in seconds (completion at the sink minus the block's write time at the
+/// sender); the figure's CDF pools them over a seed range.
+pub struct Fig2b;
 
-/// Like [`run_one`], additionally returning the simulator's
-/// [`smapp_sim::RunSummary`] (event count, peak queue depth) for the perf
-/// harness and sweep matrix.
-pub fn run_one_instrumented(p: &Params, seed: u64) -> (smapp_sim::RunSummary, Vec<f64>) {
-    let block = 64 * 1024u64;
-    let mut client = match p.manager {
-        Manager::FullMesh => {
-            Host::new("client", StackConfig::default()).with_pm(Box::new(FullMeshPm::new()))
-        }
-        Manager::SmartStream => Host::new("client", StackConfig::default()).with_user(
-            ControllerRuntime::boxed(StreamController::new(StreamConfig::paper(CLIENT_ADDR2))),
-            LatencyModel::idle_host(),
-        ),
-    };
-    client.connect_at(
-        SimTime::from_millis(10),
-        Some(CLIENT_ADDR1),
-        SERVER_ADDR,
-        80,
-        Box::new(StreamSender::new(block, Duration::from_secs(1), p.blocks)),
-    );
-    let mut server = Host::new("server", StackConfig::default());
-    server.listen(
-        80,
-        Box::new(move || {
-            Box::new(Sink {
-                close_on_eof: true,
-                stop_on_eof: true,
-                ..Sink::with_blocks(block)
+impl Scenario for Fig2b {
+    const NAME: &'static str = "fig2b";
+    const ALLOC_CEILING: f64 = 0.25;
+    type Params = Params;
+    type Results = Vec<f64>;
+
+    fn rows(smoke: bool) -> Vec<Row<Params>> {
+        [
+            ("smart", Manager::SmartStream),
+            ("fullmesh", Manager::FullMesh),
+        ]
+        .into_iter()
+        // Smoke runs the smart row only.
+        .filter(|&(_, manager)| !smoke || manager == Manager::SmartStream)
+        .map(|(variant, manager)| {
+                let params = Params {
+                    blocks: if smoke { 8 } else { 25 },
+                    loss: 0.30,
+                    manager,
+                };
+                Row {
+                    variant,
+                    seeds: if smoke { vec![1] } else { vec![1, 2] },
+                    workload: format!("{} x 64 KB blocks, 30% loss, {variant}", params.blocks),
+                    params,
+                }
             })
-        }),
-    );
-    let net = topo::two_path(
-        seed,
-        client,
-        server,
-        LinkCfg::mbps_ms(5, 10),
-        LinkCfg::mbps_ms(5, 10),
-    );
-    let mut sim = net.sim;
-    sim.core.set_trace(Box::new(smapp_sim::Oracle::new()));
-    let l1 = net.link1;
-    let loss = p.loss;
-    // Loss starts with the stream (after the handshake completes).
-    sim.at(SimTime::from_millis(200), move |core| {
-        core.set_loss_both(l1, LossModel::Bernoulli(loss));
-    });
-    let summary = sim.run_until(SimTime::from_secs(p.blocks + 120));
-    smapp_pm::verify::conclude(&mut sim, &summary, "fig2b", seed).expect_clean();
-
-    // Pair block completions (sink side) with block starts (sender side).
-    let starts: Vec<SimTime> = topo::host(&sim, net.client)
-        .stack
-        .connections()
-        .next()
-        .and_then(|c| c.app())
-        .and_then(|a| a.as_any().downcast_ref::<StreamSender>())
-        .map(|s| s.block_starts.clone())
-        .unwrap_or_default();
-    let completions: Vec<SimTime> = topo::host(&sim, net.server)
-        .stack
-        .connections()
-        .next()
-        .and_then(|c| c.app())
-        .and_then(|a| a.as_any().downcast_ref::<Sink>())
-        .map(|s| s.block_completions.clone())
-        .unwrap_or_default();
-    let delays = starts
-        .iter()
-        .zip(&completions)
-        .map(|(s, c)| c.saturating_since(*s).as_secs_f64())
-        .collect();
-    (summary, delays)
-}
-
-/// Aggregate `runs` seeds into one CDF.
-pub fn run(p: &Params) -> Cdf {
-    let mut delays = Vec::new();
-    for i in 0..p.runs {
-        delays.extend(run_one(p, p.seed0 + i));
+            .collect()
     }
-    Cdf::new(delays)
+
+    fn run(p: &Params, seed: u64) -> Run<Vec<f64>> {
+        let block = 64 * 1024u64;
+        let mut client = match p.manager {
+            Manager::FullMesh => {
+                Host::new("client", StackConfig::default()).with_pm(Box::new(FullMeshPm::new()))
+            }
+            Manager::SmartStream => Host::new("client", StackConfig::default()).with_user(
+                ControllerRuntime::boxed(StreamController::new(StreamConfig::paper(CLIENT_ADDR2))),
+                LatencyModel::idle_host(),
+            ),
+        };
+        client.connect_at(
+            SimTime::from_millis(10),
+            Some(CLIENT_ADDR1),
+            SERVER_ADDR,
+            80,
+            Box::new(StreamSender::new(block, Duration::from_secs(1), p.blocks)),
+        );
+        let mut server = Host::new("server", StackConfig::default());
+        server.listen(
+            80,
+            Box::new(move || {
+                Box::new(Sink {
+                    close_on_eof: true,
+                    stop_on_eof: true,
+                    ..Sink::with_blocks(block)
+                })
+            }),
+        );
+        let net = topo::two_path(
+            seed,
+            client,
+            server,
+            LinkCfg::mbps_ms(5, 10),
+            LinkCfg::mbps_ms(5, 10),
+        );
+        let mut sim = net.sim;
+        let l1 = net.link1;
+        let loss = p.loss;
+        // Loss starts with the stream (after the handshake completes).
+        sim.at(SimTime::from_millis(200), move |core| {
+            core.set_loss_both(l1, LossModel::Bernoulli(loss));
+        });
+        let horizon = SimTime::from_secs(p.blocks + 120);
+        let (summary, _) = checked_run(&mut sim, None, horizon, Self::NAME, seed);
+
+        // Pair block completions (sink side) with block starts (sender side).
+        let starts = first_app::<StreamSender>(&sim, net.client)
+            .map(|s| s.block_starts.clone())
+            .unwrap_or_default();
+        let completions = first_app::<Sink>(&sim, net.server)
+            .map(|s| s.block_completions.clone())
+            .unwrap_or_default();
+        let delays = starts
+            .iter()
+            .zip(&completions)
+            .map(|(s, c)| c.saturating_since(*s).as_secs_f64())
+            .collect();
+        Run {
+            summary,
+            results: delays,
+        }
+    }
+
+    fn trajectory(run: &Run<Vec<f64>>) -> String {
+        format!(
+            "blocks={} digest={:016x}",
+            run.results.len(),
+            digest_f64s(&run.results)
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Cdf;
 
     #[test]
     fn fig2b_smart_stream_bounds_tail() {
-        let smart = run(&Params {
-            runs: 2,
-            blocks: 20,
-            loss: 0.30,
-            manager: Manager::SmartStream,
-            ..Default::default()
-        });
-        let baseline = run(&Params {
-            runs: 2,
-            blocks: 20,
-            loss: 0.30,
-            manager: Manager::FullMesh,
-            ..Default::default()
-        });
+        let pooled = |manager| {
+            let p = Params {
+                blocks: 20,
+                loss: 0.30,
+                manager,
+            };
+            Cdf::new((1..=2).flat_map(|seed| Fig2b::run(&p, seed).results).collect())
+        };
+        let smart = pooled(Manager::SmartStream);
+        let baseline = pooled(Manager::FullMesh);
         assert!(!smart.is_empty() && !baseline.is_empty());
         // The paper's qualitative claim: the smart controller's tail beats
         // the default full-mesh tail under 30% loss.

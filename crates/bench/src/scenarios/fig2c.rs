@@ -12,14 +12,14 @@
 //! time using only one path is 111.7 s").
 
 use smapp::{ControllerRuntime, NdiffportsController, RefreshConfig, RefreshController};
-use smapp_mptcp::apps::{BulkSender, Sink};
 use smapp_mptcp::StackConfig;
 use smapp_netlink::LatencyModel;
-use smapp_pm::topo::{self, SERVER_ADDR};
+use smapp_pm::topo;
 use smapp_pm::{Host, NdiffportsPm};
 use smapp_sim::{LinkCfg, SimTime};
 
-use crate::stats::Cdf;
+use super::{bulk_client, checked_run, paths_used, sink_server, Row, Run, Scenario};
+use crate::perf::FIG2C_SEEDS;
 
 /// Which manager drives the subflows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,13 +32,9 @@ pub enum Manager {
     Refresh,
 }
 
-/// Parameters of one Fig. 2c series.
+/// Parameters of one Fig. 2c run.
 #[derive(Debug, Clone)]
 pub struct Params {
-    /// Base RNG seed.
-    pub seed0: u64,
-    /// Independent runs.
-    pub runs: u64,
     /// Transfer size (paper: 100 MB).
     pub transfer: u64,
     /// Subflows per connection (paper: 5).
@@ -50,8 +46,6 @@ pub struct Params {
 impl Default for Params {
     fn default() -> Self {
         Params {
-            seed0: 100,
-            runs: 20,
             transfer: 100_000_000,
             n: 5,
             manager: Manager::Refresh,
@@ -64,123 +58,130 @@ pub fn paper_paths() -> Vec<LinkCfg> {
     (1..=4).map(|i| LinkCfg::mbps_ms(8, 10 * i)).collect()
 }
 
-/// Run one seed; returns `(completion seconds, distinct paths used)`.
-pub fn run_one(p: &Params, seed: u64) -> (f64, usize) {
-    let (summary, used) = run_one_instrumented(p, seed);
-    (summary.ended_at.as_secs_f64(), used)
-}
-
-/// Like [`run_one`], returning the full [`smapp_sim::RunSummary`] (event count, peak
-/// queue depth) alongside the distinct-paths count — the perf harness uses
-/// the event count both for events/sec and to assert that optimized builds
-/// reproduce the baseline trajectory exactly.
-pub fn run_one_instrumented(p: &Params, seed: u64) -> (smapp_sim::RunSummary, usize) {
-    let mut client = match p.manager {
-        Manager::Ndiffports => {
-            Host::new("client", StackConfig::default()).with_pm(Box::new(NdiffportsPm::new(p.n)))
-        }
-        Manager::NdiffportsUser => Host::new("client", StackConfig::default()).with_user(
-            ControllerRuntime::boxed(NdiffportsController::new(p.n)),
-            LatencyModel::idle_host(),
-        ),
-        Manager::Refresh => Host::new("client", StackConfig::default()).with_user(
-            ControllerRuntime::boxed(RefreshController::new(RefreshConfig {
-                n: p.n,
-                ..Default::default()
-            })),
-            LatencyModel::idle_host(),
-        ),
-    };
-    client.connect_at(
-        SimTime::from_millis(10),
-        None,
-        SERVER_ADDR,
-        80,
-        Box::new(
-            BulkSender::new(p.transfer)
-                .close_when_done()
-                .stop_sim_when_acked(),
-        ),
-    );
-    let mut server = Host::new("server", StackConfig::default());
-    server.listen(
-        80,
-        Box::new(|| {
-            Box::new(Sink {
-                close_on_eof: true,
-                ..Default::default()
-            })
-        }),
-    );
-    let net = topo::ecmp(seed, client, server, &paper_paths());
-    let mut sim = net.sim;
-    sim.core.set_trace(Box::new(smapp_sim::Oracle::new()));
-    // Generous horizon: worst case (1 path) is ~110 s for 100 MB.
-    let summary = sim.run_until(SimTime::from_secs(1200));
-    smapp_pm::verify::conclude(&mut sim, &summary, "fig2c", seed).expect_clean();
-    let used = net
-        .paths
-        .iter()
-        .filter(|&&l| {
-            sim.core.link_stats(l, smapp_sim::Dir::AtoB).bytes_delivered > p.transfer / 100
-        })
-        .count();
-    (summary, used)
-}
-
-/// Results of a Fig. 2c series.
+/// Results of one Fig. 2c run; the completion time is the run's
+/// `summary.ended_at`.
 #[derive(Debug)]
 pub struct Results {
-    /// Completion-time CDF, seconds.
-    pub completion: Cdf,
-    /// Distinct-paths histogram: `counts[k]` = runs that used k+1 paths.
-    pub paths_used: [u64; 4],
+    /// Distinct bottleneck paths that carried meaningful traffic.
+    pub paths_used: usize,
 }
 
-/// Aggregate `runs` seeds.
-pub fn run(p: &Params) -> Results {
-    let mut times = Vec::new();
-    let mut paths_used = [0u64; 4];
-    for i in 0..p.runs {
-        let (t, used) = run_one(p, p.seed0 + i);
-        times.push(t);
-        paths_used[used.clamp(1, 4) - 1] += 1;
+/// The Fig. 2c experiment.
+pub struct Fig2c;
+
+impl Scenario for Fig2c {
+    const NAME: &'static str = "fig2c";
+    const ALLOC_CEILING: f64 = 0.20;
+    type Params = Params;
+    type Results = Results;
+
+    fn rows(smoke: bool) -> Vec<Row<Params>> {
+        let row = |variant, manager, seeds: &[u64]| {
+            let params = Params {
+                transfer: if smoke { 5_000_000 } else { 100_000_000 },
+                manager,
+                ..Default::default()
+            };
+            Row {
+                variant,
+                seeds: seeds.to_vec(),
+                workload: format!(
+                    "{} B transfer, 5 subflows, {variant}, 4 ECMP paths",
+                    params.transfer
+                ),
+                params,
+            }
+        };
+        if smoke {
+            vec![row("refresh", Manager::Refresh, &FIG2C_SEEDS[..1])]
+        } else {
+            vec![
+                row("refresh", Manager::Refresh, &FIG2C_SEEDS),
+                row("ndiffports", Manager::Ndiffports, &[100, 101]),
+            ]
+        }
     }
-    Results {
-        completion: Cdf::new(times),
-        paths_used,
+
+    fn run(p: &Params, seed: u64) -> Run<Results> {
+        let client = match p.manager {
+            Manager::Ndiffports => Host::new("client", StackConfig::default())
+                .with_pm(Box::new(NdiffportsPm::new(p.n))),
+            Manager::NdiffportsUser => Host::new("client", StackConfig::default()).with_user(
+                ControllerRuntime::boxed(NdiffportsController::new(p.n)),
+                LatencyModel::idle_host(),
+            ),
+            Manager::Refresh => Host::new("client", StackConfig::default()).with_user(
+                ControllerRuntime::boxed(RefreshController::new(RefreshConfig {
+                    n: p.n,
+                    ..Default::default()
+                })),
+                LatencyModel::idle_host(),
+            ),
+        };
+        let net = topo::ecmp(
+            seed,
+            bulk_client(client, None, p.transfer),
+            sink_server(),
+            &paper_paths(),
+        );
+        let mut sim = net.sim;
+        // Generous horizon: worst case (1 path) is ~110 s for 100 MB.
+        let horizon = SimTime::from_secs(1200);
+        let (summary, _) = checked_run(&mut sim, None, horizon, Self::NAME, seed);
+        Run {
+            summary,
+            results: Results {
+                paths_used: paths_used(&sim, &net.paths, p.transfer),
+            },
+        }
+    }
+
+    fn trajectory(run: &Run<Results>) -> String {
+        format!(
+            "end_ns={} paths={}",
+            run.summary.ended_at.as_nanos(),
+            run.results.paths_used
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Cdf;
 
     #[test]
     fn fig2c_refresh_beats_ndiffports() {
         // Reduced size for test speed: 20 MB, 6 runs each.
-        let small = |manager| Params {
-            runs: 6,
-            transfer: 20_000_000,
-            manager,
-            ..Default::default()
+        let series = |manager| -> Vec<Run<Results>> {
+            let p = Params {
+                transfer: 20_000_000,
+                manager,
+                ..Default::default()
+            };
+            (100..106).map(|seed| Fig2c::run(&p, seed)).collect()
         };
-        let refresh = run(&small(Manager::Refresh));
-        let ndiff = run(&small(Manager::Ndiffports));
+        let median = |runs: &[Run<Results>]| {
+            Cdf::new(
+                runs.iter()
+                    .map(|r| r.summary.ended_at.as_secs_f64())
+                    .collect(),
+            )
+            .median()
+        };
+        let refresh = series(Manager::Refresh);
+        let ndiff = series(Manager::Ndiffports);
         // Medians: the refresh controller must win.
-        let r = refresh.completion.median();
-        let n = ndiff.completion.median();
+        let r = median(&refresh);
+        let n = median(&ndiff);
         assert!(
             r < n,
             "refresh median {r:.1}s must beat ndiffports median {n:.1}s"
         );
         // Ndiffports shows spread across path counts; refresh concentrates
         // on high path counts (>= 3 paths in the vast majority of runs).
-        let refresh_high: u64 = refresh.paths_used[2] + refresh.paths_used[3];
-        assert!(
-            refresh_high >= 5,
-            "refresh mostly uses >=3 paths: {:?}",
-            refresh.paths_used
-        );
+        let paths: Vec<usize> = refresh.iter().map(|r| r.results.paths_used).collect();
+        let refresh_high = paths.iter().filter(|&&k| k >= 3).count();
+        assert!(refresh_high >= 5, "refresh mostly uses >=3 paths: {paths:?}");
     }
 }

@@ -21,7 +21,9 @@ use smapp_pm::topo::{self, SERVER_ADDR};
 use smapp_pm::{Host, NdiffportsPm};
 use smapp_sim::{LinkCfg, SimTime};
 
+use super::{checked_run, sink_as, Row, Run, Scenario};
 use crate::stats::Cdf;
+use crate::sweep::digest_f64s;
 use crate::trace::HandshakeTraceSink;
 
 /// Which path manager creates the second subflow.
@@ -36,8 +38,6 @@ pub enum Manager {
 /// Parameters of one Fig. 3 series.
 #[derive(Debug, Clone)]
 pub struct Params {
-    /// RNG seed.
-    pub seed: u64,
     /// Consecutive GETs (paper: 1000).
     pub gets: u32,
     /// Response size (paper: 512 KB).
@@ -51,7 +51,6 @@ pub struct Params {
 impl Default for Params {
     fn default() -> Self {
         Params {
-            seed: 7,
             gets: 1000,
             response: 512 * 1024,
             manager: Manager::Kernel,
@@ -60,94 +59,145 @@ impl Default for Params {
     }
 }
 
-/// Run one series; returns the CAPA→JOIN deltas (microseconds) plus the
-/// number of completed GET cycles.
-pub fn run(p: &Params) -> (Cdf, u32) {
-    let (_, cdf, completed) = run_instrumented(p);
-    (cdf, completed)
+/// Results of one Fig. 3 series.
+#[derive(Debug)]
+pub struct Results {
+    /// CAPA→JOIN deltas, microseconds.
+    pub deltas: Cdf,
+    /// GET cycles completed.
+    pub completed: u32,
 }
 
-/// Like [`run`], additionally returning the simulator's [`smapp_sim::RunSummary`]
-/// (event count, peak queue depth) for the perf harness.
-pub fn run_instrumented(p: &Params) -> (smapp_sim::RunSummary, Cdf, u32) {
-    let latency = if p.stressed {
-        LatencyModel::stressed_host()
-    } else {
-        LatencyModel::idle_host()
-    };
-    let mut client = match p.manager {
-        Manager::Kernel => {
-            Host::new("client", StackConfig::default()).with_pm(Box::new(NdiffportsPm::new(2)))
+/// The Fig. 3 experiment.
+pub struct Fig3;
+
+impl Scenario for Fig3 {
+    const NAME: &'static str = "fig3";
+    const ALLOC_CEILING: f64 = 0.15;
+    type Params = Params;
+    type Results = Results;
+
+    fn rows(smoke: bool) -> Vec<Row<Params>> {
+        [
+            ("kernel", Manager::Kernel),
+            ("userspace", Manager::Userspace),
+        ]
+        .into_iter()
+        // Smoke runs the kernel row only.
+        .filter(|&(_, manager)| !smoke || manager == Manager::Kernel)
+        .map(|(variant, manager)| {
+            let params = Params {
+                gets: if smoke { 20 } else { 300 },
+                manager,
+                ..Default::default()
+            };
+            Row {
+                variant,
+                seeds: vec![7],
+                workload: format!("{} consecutive 512 KB GETs, {variant} PM", params.gets),
+                params,
+            }
+        })
+        .collect()
+    }
+
+    fn run(p: &Params, seed: u64) -> Run<Results> {
+        let latency = if p.stressed {
+            LatencyModel::stressed_host()
+        } else {
+            LatencyModel::idle_host()
+        };
+        let mut client = match p.manager {
+            Manager::Kernel => {
+                Host::new("client", StackConfig::default()).with_pm(Box::new(NdiffportsPm::new(2)))
+            }
+            Manager::Userspace => Host::new("client", StackConfig::default()).with_user(
+                ControllerRuntime::boxed(NdiffportsController::new(2)),
+                latency,
+            ),
+        };
+        let progress = Rc::new(RefCell::new(GetProgress::default()));
+        client.connect_at(
+            SimTime::from_millis(1),
+            None,
+            SERVER_ADDR,
+            80,
+            Box::new(GetClient {
+                remaining: p.gets - 1,
+                request_size: 100,
+                dst: SERVER_ADDR,
+                dst_port: 80,
+                progress: Rc::clone(&progress),
+                stop_when_done: true,
+            }),
+        );
+        let response = p.response;
+        let mut server = Host::new("server", StackConfig::default());
+        server.listen(80, Box::new(move || Box::new(GetServer::new(response))));
+
+        // 1 Gb/s lab link, 50 µs one-way (the paper's direct Ethernet cable).
+        let lab = LinkCfg::new(1_000_000_000, std::time::Duration::from_micros(50));
+        let net = topo::two_path(seed, client, server, lab.clone(), lab);
+        let mut sim = net.sim;
+        let (summary, sink) = checked_run(
+            &mut sim,
+            Some(Box::new(HandshakeTraceSink::new(net.client))),
+            SimTime::from_secs(3600),
+            Self::NAME,
+            seed,
+        );
+        let deltas_us = sink_as::<HandshakeTraceSink>(&sink)
+            .deltas
+            .iter()
+            .map(|s| s * 1e6)
+            .collect();
+        let completed = progress.borrow().completed;
+        Run {
+            summary,
+            results: Results {
+                deltas: Cdf::new(deltas_us),
+                completed,
+            },
         }
-        Manager::Userspace => Host::new("client", StackConfig::default()).with_user(
-            ControllerRuntime::boxed(NdiffportsController::new(2)),
-            latency,
-        ),
-    };
-    let progress = Rc::new(RefCell::new(GetProgress::default()));
-    client.connect_at(
-        SimTime::from_millis(1),
-        None,
-        SERVER_ADDR,
-        80,
-        Box::new(GetClient {
-            remaining: p.gets - 1,
-            request_size: 100,
-            dst: SERVER_ADDR,
-            dst_port: 80,
-            progress: Rc::clone(&progress),
-            stop_when_done: true,
-        }),
-    );
-    let response = p.response;
-    let mut server = Host::new("server", StackConfig::default());
-    server.listen(80, Box::new(move || Box::new(GetServer::new(response))));
+    }
 
-    // 1 Gb/s lab link, 50 µs one-way (the paper's direct Ethernet cable).
-    let lab = LinkCfg::new(1_000_000_000, std::time::Duration::from_micros(50));
-    let net = topo::two_path(p.seed, client, server, lab.clone(), lab);
-    let mut sim = net.sim;
-    sim.core.set_trace(smapp_sim::Oracle::wrapping(Box::new(
-        HandshakeTraceSink::new(net.client),
-    )));
-    let summary = sim.run_until(SimTime::from_secs(3600));
-
-    let verdict = smapp_pm::verify::conclude(&mut sim, &summary, "fig3", p.seed);
-    verdict.expect_clean();
-    let sink = verdict.inner.expect("sink installed");
-    let deltas_us: Vec<f64> = sink
-        .as_any()
-        .downcast_ref::<HandshakeTraceSink>()
-        .expect("handshake sink")
-        .deltas
-        .iter()
-        .map(|s| s * 1e6)
-        .collect();
-    let completed = progress.borrow().completed;
-    (summary, Cdf::new(deltas_us), completed)
+    fn trajectory(run: &Run<Results>) -> String {
+        let r = &run.results;
+        format!(
+            "joins={} digest={:016x} completed={}",
+            r.deltas.len(),
+            digest_f64s(&r.deltas.samples),
+            r.completed
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn series(p: Params) -> Results {
+        Fig3::run(&p, 7).results
+    }
+
     #[test]
     fn fig3_userspace_penalty_small() {
         let gets = 60;
-        let (kernel, did_k) = run(&Params {
+        let k = series(Params {
             gets,
             response: 128 * 1024,
             manager: Manager::Kernel,
             ..Default::default()
         });
-        let (user, did_u) = run(&Params {
+        let u = series(Params {
             gets,
             response: 128 * 1024,
             manager: Manager::Userspace,
             ..Default::default()
         });
-        assert_eq!(did_k, gets);
-        assert_eq!(did_u, gets);
+        assert_eq!(k.completed, gets);
+        assert_eq!(u.completed, gets);
+        let (kernel, user) = (k.deltas, u.deltas);
         assert_eq!(kernel.len(), gets as usize, "one JOIN per connection");
         assert_eq!(user.len(), gets as usize);
         let penalty = user.mean() - kernel.mean();
@@ -167,19 +217,20 @@ mod tests {
     #[test]
     fn fig3_stress_increases_penalty_but_bounded() {
         let gets = 40;
-        let (kernel, _) = run(&Params {
+        let kernel = series(Params {
             gets,
             response: 64 * 1024,
             manager: Manager::Kernel,
             ..Default::default()
-        });
-        let (stressed, _) = run(&Params {
+        })
+        .deltas;
+        let stressed = series(Params {
             gets,
             response: 64 * 1024,
             manager: Manager::Userspace,
             stressed: true,
-            ..Default::default()
-        });
+        })
+        .deltas;
         let penalty = stressed.mean() - kernel.mean();
         assert!(
             penalty < 80.0,

@@ -15,18 +15,21 @@
 //! seed at any sweep `--jobs` count.
 
 use smapp::{controller_of, ControllerRuntime, RefreshConfig, RefreshController};
-use smapp_mptcp::apps::{BulkSender, Sink};
 use smapp_mptcp::StackConfig;
 use smapp_netlink::LatencyModel;
-use smapp_pm::topo::{self, SERVER_ADDR};
+use smapp_pm::topo;
 use smapp_pm::Host;
-use smapp_sim::{InstallPolicy, LinkCfg, Netem, NetemScript, SimTime};
+use smapp_sim::{InstallPolicy, Netem, NetemScript, SimTime};
+
+use super::fig2c::paper_paths;
+use super::{
+    bulk_client, bulk_outcome, checked_run, paths_used, sink_server, Row, Run, Scenario,
+};
+use crate::sweep::digest_f64s;
 
 /// Parameters of one flap run.
 #[derive(Debug, Clone)]
 pub struct Params {
-    /// RNG seed.
-    pub seed: u64,
     /// Transfer size in bytes.
     pub transfer: u64,
     /// Subflows the refresh controller maintains (paper: 5).
@@ -46,7 +49,6 @@ pub struct Params {
 impl Default for Params {
     fn default() -> Self {
         Params {
-            seed: 31,
             transfer: 20_000_000,
             n: 5,
             first_down: SimTime::from_secs(2),
@@ -72,98 +74,96 @@ pub struct Results {
     pub paths_used: usize,
 }
 
-/// Run one flap experiment.
-pub fn run(p: &Params) -> Results {
-    run_instrumented(p).1
-}
+/// The flapping-ECMP-path scenario.
+pub struct Flap;
 
-/// Like [`run`], additionally returning the simulator's
-/// [`smapp_sim::RunSummary`] for the perf harness and sweep matrix.
-pub fn run_instrumented(p: &Params) -> (smapp_sim::RunSummary, Results) {
-    let mut client = Host::new("client", StackConfig::default()).with_user(
-        ControllerRuntime::boxed(RefreshController::new(RefreshConfig {
-            n: p.n,
-            ..Default::default()
-        })),
-        LatencyModel::idle_host(),
-    );
-    client.connect_at(
-        SimTime::from_millis(10),
-        None,
-        SERVER_ADDR,
-        80,
-        Box::new(
-            BulkSender::new(p.transfer)
-                .close_when_done()
-                .stop_sim_when_acked(),
-        ),
-    );
-    let mut server = Host::new("server", StackConfig::default());
-    server.listen(
-        80,
-        Box::new(|| {
-            Box::new(Sink {
-                close_on_eof: true,
+impl Scenario for Flap {
+    const NAME: &'static str = "flap";
+    const ALLOC_CEILING: f64 = 0.20;
+    type Params = Params;
+    type Results = Results;
+
+    fn rows(smoke: bool) -> Vec<Row<Params>> {
+        let params = if smoke {
+            Params {
+                transfer: 4_000_000,
+                first_down: SimTime::from_millis(500),
+                flaps: 2,
                 ..Default::default()
-            })
-        }),
-    );
-    // The §4.4 fabric: 4 × 8 Mb/s, 10/20/30/40 ms.
-    let path_cfgs: Vec<LinkCfg> = (1..=4).map(|i| LinkCfg::mbps_ms(8, 10 * i)).collect();
-    let net = topo::ecmp(p.seed, client, server, &path_cfgs);
-    let mut sim = net.sim;
-    sim.core.set_trace(Box::new(smapp_sim::Oracle::new()));
-
-    // Flap the first (fastest) bottleneck path: down for `down_for` every
-    // `period`, `flaps` times.
-    let victim = net.paths[0];
-    let mut script = NetemScript::new();
-    for k in 0..p.flaps {
-        let down_at = p.first_down + p.period * k;
-        script.add(down_at, Netem::on(victim).down());
-        script.add(down_at + p.down_for, Netem::on(victim).up());
+            }
+        } else {
+            Params::default()
+        };
+        vec![Row {
+            variant: "refresh",
+            seeds: if smoke { vec![31] } else { vec![31, 32] },
+            workload: format!(
+                "{} B transfer, path 0 down {}x for {:?} every {:?}, refresh PM",
+                params.transfer, params.flaps, params.down_for, params.period
+            ),
+            params,
+        }]
     }
-    sim.install(script, InstallPolicy::Sort).unwrap();
 
-    let summary = sim.run_until(p.horizon);
-    smapp_pm::verify::conclude(&mut sim, &summary, "flap", p.seed).expect_clean();
+    fn run(p: &Params, seed: u64) -> Run<Results> {
+        let client = Host::new("client", StackConfig::default()).with_user(
+            ControllerRuntime::boxed(RefreshController::new(RefreshConfig {
+                n: p.n,
+                ..Default::default()
+            })),
+            LatencyModel::idle_host(),
+        );
+        // The §4.4 fabric: 4 × 8 Mb/s, 10/20/30/40 ms.
+        let net = topo::ecmp(
+            seed,
+            bulk_client(client, None, p.transfer),
+            sink_server(),
+            &paper_paths(),
+        );
+        let mut sim = net.sim;
 
-    let delivered = topo::host(&sim, net.server)
-        .stack
-        .connections()
-        .next()
-        .map(|c| {
-            c.app()
-                .unwrap()
-                .as_any()
-                .downcast_ref::<Sink>()
-                .unwrap()
-                .received
-        })
-        .unwrap_or(0);
-    let ctrl = controller_of::<RefreshController>(topo::host(&sim, net.client)).unwrap();
-    let refreshes = ctrl
-        .refreshes
-        .iter()
-        .map(|(t, id, rate)| (t.as_secs_f64(), *id, *rate))
-        .collect();
-    let paths_used = net
-        .paths
-        .iter()
-        .filter(|&&l| {
-            sim.core.link_stats(l, smapp_sim::Dir::AtoB).bytes_delivered > p.transfer / 100
-        })
-        .count();
-    let completed_at = (delivered >= p.transfer).then(|| summary.ended_at.as_secs_f64());
-    (
-        summary,
-        Results {
-            delivered,
-            completed_at,
-            refreshes,
-            paths_used,
-        },
-    )
+        // Flap the first (fastest) bottleneck path: down for `down_for`
+        // every `period`, `flaps` times.
+        let victim = net.paths[0];
+        let mut script = NetemScript::new();
+        for k in 0..p.flaps {
+            let down_at = p.first_down + p.period * k;
+            script.add(down_at, Netem::on(victim).down());
+            script.add(down_at + p.down_for, Netem::on(victim).up());
+        }
+        sim.install(script, InstallPolicy::Sort).unwrap();
+        let (summary, _) = checked_run(&mut sim, None, p.horizon, Self::NAME, seed);
+
+        let ctrl = controller_of::<RefreshController>(topo::host(&sim, net.client)).unwrap();
+        let refreshes = ctrl
+            .refreshes
+            .iter()
+            .map(|(t, id, rate)| (t.as_secs_f64(), *id, *rate))
+            .collect();
+        let (delivered, completed_at) = bulk_outcome(&sim, net.server, p.transfer, &summary);
+        Run {
+            summary,
+            results: Results {
+                delivered,
+                completed_at,
+                refreshes,
+                paths_used: paths_used(&sim, &net.paths, p.transfer),
+            },
+        }
+    }
+
+    fn trajectory(run: &Run<Results>) -> String {
+        let r = &run.results;
+        let refresh_times: Vec<f64> = r.refreshes.iter().map(|(t, _, _)| *t).collect();
+        format!(
+            "refreshes={} digest={:016x} paths={} delivered={} done={:?}",
+            r.refreshes.len(),
+            digest_f64s(&refresh_times),
+            r.paths_used,
+            r.delivered,
+            r.completed_at
+        )
+    }
 }
 
 #[cfg(test)]
@@ -179,7 +179,7 @@ mod tests {
             transfer: 10_000_000,
             ..Default::default()
         };
-        let r = run(&p);
+        let r = Flap::run(&p, 31).results;
         assert_eq!(r.delivered, p.transfer, "transfer survives the flaps");
         let done = r.completed_at.expect("completed within horizon");
         assert!(
@@ -203,10 +203,9 @@ mod tests {
             flaps: 2,
             ..Default::default()
         };
-        let (s1, r1) = run_instrumented(&p);
-        let (s2, r2) = run_instrumented(&p);
-        assert_eq!(s1, s2);
-        assert_eq!(r1.refreshes, r2.refreshes);
-        assert_eq!(r1.completed_at, r2.completed_at);
+        let (a, b) = (Flap::run(&p, 31), Flap::run(&p, 31));
+        assert_eq!(a.summary, b.summary);
+        assert_eq!(a.results.refreshes, b.results.refreshes);
+        assert_eq!(a.results.completed_at, b.results.completed_at);
     }
 }

@@ -30,6 +30,7 @@ use smapp_sim::{
     Addr, AddrPrefix, InstallPolicy, LinkCfg, Netem, NetemScript, Router, SimTime, Simulator,
 };
 
+use super::{checked_run, Row, Run, Scenario};
 use crate::sweep::fnv1a;
 
 /// Parameters of one fleet run.
@@ -85,8 +86,8 @@ impl Default for Params {
 
 /// The addressing scheme below supports this many clients before the
 /// second octet would overflow (16 + 10_000/200 = 66 ≤ 255, with room to
-/// spare); [`run_instrumented`] rejects larger fleets up front rather
-/// than wrapping octets into colliding addresses.
+/// spare); [`Fleet`]'s runner rejects larger fleets up front rather than
+/// wrapping octets into colliding addresses.
 pub const MAX_CLIENTS: usize = 10_000;
 
 /// Address of client `i` (one unique /24 per client).
@@ -124,202 +125,252 @@ pub struct FleetStats {
     pub diag_digest: u64,
 }
 
-/// Run one seed; returns the simulator summary plus fleet statistics.
-pub fn run_instrumented(p: &Params, seed: u64) -> (smapp_sim::RunSummary, FleetStats) {
-    assert!(p.clients > 0 && p.gets > 0 && !p.paths.is_empty());
-    assert!(
-        p.clients <= MAX_CLIENTS,
-        "fleet addressing supports at most {MAX_CLIENTS} clients"
-    );
-    let mut sim = Simulator::new(seed);
-    sim.core.set_trace(Box::new(smapp_sim::Oracle::new()));
+/// The many-client fleet scenario.
+pub struct Fleet;
 
-    // Server.
-    let response = p.response;
-    let mut server = Host::new("server", StackConfig::default());
-    server.listen(80, Box::new(move || Box::new(GetServer::new(response))));
-    let server_id = sim.add_node(Box::new(server));
-    let s_if = sim.add_iface(server_id, SERVER_ADDR, "eth0");
+impl Scenario for Fleet {
+    const NAME: &'static str = "fleet";
+    const ALLOC_CEILING: f64 = 0.55;
+    type Params = Params;
+    type Results = FleetStats;
 
-    // The two routers around the shared bottleneck.
-    let r1_id = sim.add_node(Box::new(Router::new(11)));
-    let r2_id = sim.add_node(Box::new(Router::new(22)));
-    let r2_s = sim.add_iface(r2_id, Addr::new(10, 0, 9, 254), "toS");
-    sim.connect(r2_s, s_if, LinkCfg::mbps_ms(1000, 1));
-
-    let mut r1_ups = Vec::new();
-    let mut r2_ups = Vec::new();
-    for (i, cfg) in p.paths.iter().enumerate() {
-        let a = sim.add_iface(r1_id, Addr::new(10, 1, i as u8, 1), "up");
-        let b = sim.add_iface(r2_id, Addr::new(10, 1, i as u8, 2), "down");
-        sim.connect(a, b, cfg.clone());
-        r1_ups.push(a);
-        r2_ups.push(b);
-    }
-
-    // Clients: even indices run the in-kernel ndiffports PM, odd indices
-    // the userspace refresh controller — the fleet is heterogeneous.
-    let mut progress: Vec<Rc<RefCell<GetProgress>>> = Vec::with_capacity(p.clients);
-    let mut client_ids: Vec<smapp_sim::NodeId> = Vec::with_capacity(p.clients);
-    let mut client_routes: Vec<(AddrPrefix, smapp_sim::IfaceId)> = Vec::with_capacity(p.clients);
-    for i in 0..p.clients {
-        let mut client = if i % 2 == 0 {
-            Host::new(format!("c{i}"), StackConfig::default())
-                .with_pm(Box::new(NdiffportsPm::new(p.n_subflows)))
-        } else {
-            Host::new(format!("c{i}"), StackConfig::default()).with_user(
-                ControllerRuntime::boxed(RefreshController::new(RefreshConfig {
-                    n: p.n_subflows,
-                    ..Default::default()
-                })),
-                LatencyModel::idle_host(),
-            )
-        };
-        let prog = Rc::new(RefCell::new(GetProgress::default()));
-        client.connect_at(
-            SimTime::from_millis(10) + p.stagger * i as u32,
-            None,
-            SERVER_ADDR,
-            80,
-            Box::new(GetClient {
-                remaining: p.gets - 1,
-                request_size: p.request,
-                dst: SERVER_ADDR,
-                dst_port: 80,
-                progress: Rc::clone(&prog),
-                stop_when_done: false,
-            }),
-        );
-        progress.push(prog);
-
-        let addr = client_addr(i);
-        let client_id = sim.add_node(Box::new(client));
-        client_ids.push(client_id);
-        let c_if = sim.add_iface(client_id, addr, "eth0");
-        let r_if = sim.add_iface(
-            r1_id,
-            Addr::new(addr.octets()[0], addr.octets()[1], addr.octets()[2], 254),
-            "toC",
-        );
-        sim.connect(c_if, r_if, p.access.clone());
-        client_routes.push((AddrPrefix::new(addr, 24), r_if));
-    }
-
-    {
-        let r1 = sim
-            .node_mut(r1_id)
-            .as_any_mut()
-            .downcast_mut::<Router>()
-            .unwrap();
-        r1.add_route("10.0.9.0/24".parse().unwrap(), r1_ups);
-        for (prefix, iface) in client_routes {
-            r1.add_route(prefix, vec![iface]);
-        }
-    }
-    {
-        let r2 = sim
-            .node_mut(r2_id)
-            .as_any_mut()
-            .downcast_mut::<Router>()
-            .unwrap();
-        r2.add_route("10.0.9.0/24".parse().unwrap(), vec![r2_s]);
-        // Return traffic to every client funnels back over the bottleneck.
-        r2.add_route("10.0.0.0/8".parse().unwrap(), r2_ups);
-    }
-
-    // Sockdiag sweep: probe every client mid-transfer (shortly after its
-    // own staggered connect) and once more fleet-wide at 500 ms. Probes
-    // are strictly read-only — no RNG draws, no sends — so a probed run's
-    // trajectory is bit-identical to an unprobed one.
-    if let Some(after) = p.probe_after {
-        let mut script = NetemScript::new();
-        for (i, &id) in client_ids.iter().enumerate() {
-            let connect = SimTime::from_millis(10) + p.stagger * i as u32;
-            script.add(connect + after, Netem::peer(id).probe());
-            script.add(SimTime::from_millis(500), Netem::peer(id).probe());
-        }
-        sim.install(script, InstallPolicy::Sort).unwrap();
-    }
-
-    // Watchdog: the refresh controllers re-arm their poll timers for as
-    // long as they live, so the event queue never drains on its own. A
-    // 1 Hz script watches aggregate progress and stops the run as soon as
-    // every GET has completed — `ended_at` then reports the fleet's true
-    // completion second instead of the horizon.
-    let expected = p.clients as u64 * p.gets as u64;
-    let watch: Rc<Vec<Rc<RefCell<GetProgress>>>> = Rc::new(progress.clone());
-    for t in 1..=(p.horizon.as_secs_f64().ceil() as u64) {
-        let watch = Rc::clone(&watch);
-        sim.at(SimTime::from_secs(t), move |core| {
-            let done: u64 = watch.iter().map(|c| c.borrow().completed as u64).sum();
-            if done >= expected {
-                core.request_stop();
+    fn rows(smoke: bool) -> Vec<Row<Params>> {
+        let params = if smoke {
+            Params {
+                clients: 60,
+                response: 32 * 1024,
+                ..Default::default()
             }
-        });
+        } else {
+            Params::default()
+        };
+        vec![Row {
+            variant: "mixed",
+            seeds: vec![1],
+            workload: format!(
+                "{} clients x {} GET(s) of {} B, {} ECMP bottleneck paths, mixed kernel/refresh",
+                params.clients,
+                params.gets,
+                params.response,
+                params.paths.len()
+            ),
+            params,
+        }]
     }
 
-    let summary = sim.run_until(p.horizon);
-    smapp_pm::verify::conclude(&mut sim, &summary, "fleet", seed).expect_clean();
+    fn run(p: &Params, seed: u64) -> Run<FleetStats> {
+        assert!(p.clients > 0 && p.gets > 0 && !p.paths.is_empty());
+        assert!(
+            p.clients <= MAX_CLIENTS,
+            "fleet addressing supports at most {MAX_CLIENTS} clients"
+        );
+        let mut sim = Simulator::new(seed);
 
-    // Fold every client's completion series into the stats.
-    let mut completed = 0u64;
-    let mut clients_done = 0usize;
-    let mut last_ns = 0u64;
-    let mut digest_bytes: Vec<u8> = Vec::with_capacity(p.clients * 16);
-    for prog in &progress {
-        let prog = prog.borrow();
-        completed += prog.completed as u64;
-        if prog.completed >= p.gets {
-            clients_done += 1;
+        // Server.
+        let response = p.response;
+        let mut server = Host::new("server", StackConfig::default());
+        server.listen(80, Box::new(move || Box::new(GetServer::new(response))));
+        let server_id = sim.add_node(Box::new(server));
+        let s_if = sim.add_iface(server_id, SERVER_ADDR, "eth0");
+
+        // The two routers around the shared bottleneck.
+        let r1_id = sim.add_node(Box::new(Router::new(11)));
+        let r2_id = sim.add_node(Box::new(Router::new(22)));
+        let r2_s = sim.add_iface(r2_id, Addr::new(10, 0, 9, 254), "toS");
+        sim.connect(r2_s, s_if, LinkCfg::mbps_ms(1000, 1));
+
+        let mut r1_ups = Vec::new();
+        let mut r2_ups = Vec::new();
+        for (i, cfg) in p.paths.iter().enumerate() {
+            let a = sim.add_iface(r1_id, Addr::new(10, 1, i as u8, 1), "up");
+            let b = sim.add_iface(r2_id, Addr::new(10, 1, i as u8, 2), "down");
+            sim.connect(a, b, cfg.clone());
+            r1_ups.push(a);
+            r2_ups.push(b);
         }
-        for t in &prog.completions {
-            let ns = t.as_nanos();
-            last_ns = last_ns.max(ns);
-            digest_bytes.extend_from_slice(&ns.to_le_bytes());
-        }
-        // Client delimiter keeps (a,bc) and (ab,c) distributions distinct.
-        digest_bytes.push(0xFF);
-    }
-    // Fold the sockdiag plane into the stats: decode every stored reply
-    // frame (exercising the full netlink wire path) and fingerprint the
-    // raw bytes for per-seed parity.
-    let mut diag_probes = 0u64;
-    let mut diag_conns = 0u64;
-    let mut diag_subflows = 0u64;
-    let mut diag_live = 0u64;
-    let mut diag_bytes: Vec<u8> = Vec::new();
-    for &id in &client_ids {
-        let host = topo::host(&sim, id);
-        diag_probes += host.diag.probes;
-        for frame in &host.diag.replies {
-            diag_bytes.extend_from_slice(frame);
-            let Ok(PmNlMessage::DiagReply { conns, .. }) = decode(frame) else {
-                panic!("stored probe reply must decode as a diag reply");
+
+        // Clients: even indices run the in-kernel ndiffports PM, odd indices
+        // the userspace refresh controller — the fleet is heterogeneous.
+        let mut progress: Vec<Rc<RefCell<GetProgress>>> = Vec::with_capacity(p.clients);
+        let mut client_ids: Vec<smapp_sim::NodeId> = Vec::with_capacity(p.clients);
+        let mut client_routes: Vec<(AddrPrefix, smapp_sim::IfaceId)> = Vec::with_capacity(p.clients);
+        for i in 0..p.clients {
+            let mut client = if i % 2 == 0 {
+                Host::new(format!("c{i}"), StackConfig::default())
+                    .with_pm(Box::new(NdiffportsPm::new(p.n_subflows)))
+            } else {
+                Host::new(format!("c{i}"), StackConfig::default()).with_user(
+                    ControllerRuntime::boxed(RefreshController::new(RefreshConfig {
+                        n: p.n_subflows,
+                        ..Default::default()
+                    })),
+                    LatencyModel::idle_host(),
+                )
             };
-            for c in &conns {
-                diag_conns += 1;
-                diag_subflows += c.subflows.len() as u64;
-                if c.state == ConnState::Established
-                    && c.subflows.iter().any(|(_, i)| i.cwnd > 0 && i.srtt_us > 0)
-                {
-                    diag_live += 1;
+            let prog = Rc::new(RefCell::new(GetProgress::default()));
+            client.connect_at(
+                SimTime::from_millis(10) + p.stagger * i as u32,
+                None,
+                SERVER_ADDR,
+                80,
+                Box::new(GetClient {
+                    remaining: p.gets - 1,
+                    request_size: p.request,
+                    dst: SERVER_ADDR,
+                    dst_port: 80,
+                    progress: Rc::clone(&prog),
+                    stop_when_done: false,
+                }),
+            );
+            progress.push(prog);
+
+            let addr = client_addr(i);
+            let client_id = sim.add_node(Box::new(client));
+            client_ids.push(client_id);
+            let c_if = sim.add_iface(client_id, addr, "eth0");
+            let r_if = sim.add_iface(
+                r1_id,
+                Addr::new(addr.octets()[0], addr.octets()[1], addr.octets()[2], 254),
+                "toC",
+            );
+            sim.connect(c_if, r_if, p.access.clone());
+            client_routes.push((AddrPrefix::new(addr, 24), r_if));
+        }
+
+        {
+            let r1 = sim
+                .node_mut(r1_id)
+                .as_any_mut()
+                .downcast_mut::<Router>()
+                .unwrap();
+            r1.add_route("10.0.9.0/24".parse().unwrap(), r1_ups);
+            for (prefix, iface) in client_routes {
+                r1.add_route(prefix, vec![iface]);
+            }
+        }
+        {
+            let r2 = sim
+                .node_mut(r2_id)
+                .as_any_mut()
+                .downcast_mut::<Router>()
+                .unwrap();
+            r2.add_route("10.0.9.0/24".parse().unwrap(), vec![r2_s]);
+            // Return traffic to every client funnels back over the bottleneck.
+            r2.add_route("10.0.0.0/8".parse().unwrap(), r2_ups);
+        }
+
+        // Sockdiag sweep: probe every client mid-transfer (shortly after its
+        // own staggered connect) and once more fleet-wide at 500 ms. Probes
+        // are strictly read-only — no RNG draws, no sends — so a probed run's
+        // trajectory is bit-identical to an unprobed one.
+        if let Some(after) = p.probe_after {
+            let mut script = NetemScript::new();
+            for (i, &id) in client_ids.iter().enumerate() {
+                let connect = SimTime::from_millis(10) + p.stagger * i as u32;
+                script.add(connect + after, Netem::peer(id).probe());
+                script.add(SimTime::from_millis(500), Netem::peer(id).probe());
+            }
+            sim.install(script, InstallPolicy::Sort).unwrap();
+        }
+
+        // Watchdog: the refresh controllers re-arm their poll timers for as
+        // long as they live, so the event queue never drains on its own. A
+        // 1 Hz script watches aggregate progress and stops the run as soon as
+        // every GET has completed — `ended_at` then reports the fleet's true
+        // completion second instead of the horizon.
+        let expected = p.clients as u64 * p.gets as u64;
+        let watch: Rc<Vec<Rc<RefCell<GetProgress>>>> = Rc::new(progress.clone());
+        for t in 1..=(p.horizon.as_secs_f64().ceil() as u64) {
+            let watch = Rc::clone(&watch);
+            sim.at(SimTime::from_secs(t), move |core| {
+                let done: u64 = watch.iter().map(|c| c.borrow().completed as u64).sum();
+                if done >= expected {
+                    core.request_stop();
+                }
+            });
+        }
+
+        let (summary, _) = checked_run(&mut sim, None, p.horizon, Self::NAME, seed);
+
+        // Fold every client's completion series into the stats.
+        let mut completed = 0u64;
+        let mut clients_done = 0usize;
+        let mut last_ns = 0u64;
+        let mut digest_bytes: Vec<u8> = Vec::with_capacity(p.clients * 16);
+        for prog in &progress {
+            let prog = prog.borrow();
+            completed += prog.completed as u64;
+            if prog.completed >= p.gets {
+                clients_done += 1;
+            }
+            for t in &prog.completions {
+                let ns = t.as_nanos();
+                last_ns = last_ns.max(ns);
+                digest_bytes.extend_from_slice(&ns.to_le_bytes());
+            }
+            // Client delimiter keeps (a,bc) and (ab,c) distributions distinct.
+            digest_bytes.push(0xFF);
+        }
+        // Fold the sockdiag plane into the stats: decode every stored reply
+        // frame (exercising the full netlink wire path) and fingerprint the
+        // raw bytes for per-seed parity.
+        let mut diag_probes = 0u64;
+        let mut diag_conns = 0u64;
+        let mut diag_subflows = 0u64;
+        let mut diag_live = 0u64;
+        let mut diag_bytes: Vec<u8> = Vec::new();
+        for &id in &client_ids {
+            let host = topo::host(&sim, id);
+            diag_probes += host.diag.probes;
+            for frame in &host.diag.replies {
+                diag_bytes.extend_from_slice(frame);
+                let Ok(PmNlMessage::DiagReply { conns, .. }) = decode(frame) else {
+                    panic!("stored probe reply must decode as a diag reply");
+                };
+                for c in &conns {
+                    diag_conns += 1;
+                    diag_subflows += c.subflows.len() as u64;
+                    if c.state == ConnState::Established
+                        && c.subflows.iter().any(|(_, i)| i.cwnd > 0 && i.srtt_us > 0)
+                    {
+                        diag_live += 1;
+                    }
                 }
             }
         }
+        Run {
+            summary,
+            results: FleetStats {
+                expected,
+                completed,
+                clients_done,
+                last_completion_ns: last_ns,
+                completions_digest: fnv1a(&digest_bytes),
+                diag_probes,
+                diag_conns,
+                diag_subflows,
+                diag_live,
+                diag_digest: fnv1a(&diag_bytes),
+            },
+        }
     }
-    let stats = FleetStats {
-        expected,
-        completed,
-        clients_done,
-        last_completion_ns: last_ns,
-        completions_digest: fnv1a(&digest_bytes),
-        diag_probes,
-        diag_conns,
-        diag_subflows,
-        diag_live,
-        diag_digest: fnv1a(&diag_bytes),
-    };
-    (summary, stats)
+
+    fn trajectory(run: &Run<FleetStats>) -> String {
+        let stats = &run.results;
+        format!(
+            "completed={}/{} clients_done={} last_ns={} digest={:016x} \
+             diag=p{}/c{}/s{} ddigest={:016x}",
+            stats.completed,
+            stats.expected,
+            stats.clients_done,
+            stats.last_completion_ns,
+            stats.completions_digest,
+            stats.diag_probes,
+            stats.diag_conns,
+            stats.diag_subflows,
+            stats.diag_digest
+        )
+    }
 }
 
 #[cfg(test)]
@@ -340,7 +391,10 @@ mod tests {
     #[test]
     fn fleet_completes_and_is_deterministic() {
         let p = small();
-        let (s1, f1) = run_instrumented(&p, 3);
+        let Run {
+            summary: s1,
+            results: f1,
+        } = Fleet::run(&p, 3);
         assert_eq!(
             f1.completed, f1.expected,
             "all GETs complete within the horizon: {f1:?}"
@@ -371,12 +425,12 @@ mod tests {
         // Same seed ⇒ bit-identical trajectory (digest covers every
         // completion instant of every client), including the encoded
         // sockdiag reply bytes.
-        let (s2, f2) = run_instrumented(&p, 3);
-        assert_eq!(f1, f2);
-        assert_eq!(s1.events, s2.events);
-        assert_eq!(s1.ended_at, s2.ended_at);
+        let again = Fleet::run(&p, 3);
+        assert_eq!(f1, again.results);
+        assert_eq!(s1.events, again.summary.events);
+        assert_eq!(s1.ended_at, again.summary.ended_at);
         // Different seed ⇒ different micro-trajectory.
-        let (_, f3) = run_instrumented(&p, 4);
+        let f3 = Fleet::run(&p, 4).results;
         assert_ne!(f1.completions_digest, f3.completions_digest);
     }
 
@@ -385,12 +439,12 @@ mod tests {
         // A probed run and an unprobed run of the same seed must agree on
         // every completion instant: sockdiag is a pure observer.
         let p = small();
-        let (_, probed) = run_instrumented(&p, 9);
+        let probed = Fleet::run(&p, 9).results;
         let unprobed_p = Params {
             probe_after: None,
             ..small()
         };
-        let (_, unprobed) = run_instrumented(&unprobed_p, 9);
+        let unprobed = Fleet::run(&unprobed_p, 9).results;
         assert!(probed.diag_probes > 0 && unprobed.diag_probes == 0);
         assert_eq!(probed.completions_digest, unprobed.completions_digest);
         assert_eq!(probed.last_completion_ns, unprobed.last_completion_ns);

@@ -8,19 +8,55 @@
 //! oracle enabled alongside the hand-written ones. The full corpus runs in
 //! the dedicated `fuzz` binary / CI job.
 
-use crate::fuzz::{run_case, CaseOutcome};
+use super::{Row, Run, Scenario};
+use crate::fuzz::{default_corpus, run_case, CaseOutcome};
 
-/// Run one corpus seed; the matrix adapter.
-pub fn run_instrumented(seed: u64) -> (smapp_sim::RunSummary, CaseOutcome) {
-    let out = run_case(seed);
-    (out.summary, out)
-}
+/// The generated-scenario corpus slice. Unlike the hand-written scenarios
+/// it goes through [`run_case`] rather than the shared checked runner,
+/// because a fuzz case must *report* its violations (in
+/// [`CaseOutcome::violations`]; a `viol=` count other than zero fails the
+/// CI gate) instead of panicking on the first one.
+pub struct Fuzz;
 
-/// The corpus slice the matrix runs: `n` seeds from the front of the
-/// committed corpus (smoke keeps it small; the `fuzz` bin runs everything).
-pub fn matrix_seeds(n: usize) -> Vec<u64> {
-    let corpus = crate::fuzz::default_corpus();
-    corpus.into_iter().take(n).collect()
+impl Scenario for Fuzz {
+    const NAME: &'static str = "fuzz";
+    const ALLOC_CEILING: f64 = 0.90;
+    /// A case is derived from its seed alone.
+    type Params = ();
+    type Results = CaseOutcome;
+
+    /// `n` seeds from the front of the committed corpus (smoke keeps it
+    /// small; the `fuzz` bin runs everything).
+    fn rows(smoke: bool) -> Vec<Row<()>> {
+        let n = if smoke { 4 } else { 12 };
+        vec![Row {
+            variant: "corpus",
+            params: (),
+            seeds: default_corpus().into_iter().take(n).collect(),
+            workload: format!(
+                "{n} generated (topology x dynamics x controller) cases, oracle on"
+            ),
+        }]
+    }
+
+    fn run(_: &(), seed: u64) -> Run<CaseOutcome> {
+        let out = run_case(seed);
+        Run {
+            summary: out.summary,
+            results: out,
+        }
+    }
+
+    fn trajectory(run: &Run<CaseOutcome>) -> String {
+        let out = &run.results;
+        format!(
+            "viol={} delivered={} cov_bits={} {}",
+            out.violations.len(),
+            out.delivered,
+            out.coverage.count(),
+            out.desc
+        )
+    }
 }
 
 #[cfg(test)]
@@ -29,15 +65,8 @@ mod tests {
 
     #[test]
     fn matrix_slice_is_a_corpus_prefix() {
-        let s = matrix_seeds(4);
+        let s = &Fuzz::rows(true)[0].seeds;
         assert_eq!(s.len(), 4);
-        assert_eq!(s, crate::fuzz::default_corpus()[..4].to_vec());
-    }
-
-    #[test]
-    fn adapter_reports_the_case_outcome() {
-        let (summary, out) = run_instrumented(matrix_seeds(1)[0]);
-        assert_eq!(summary, out.summary);
-        assert!(out.violations.is_empty(), "{:?}", out.violations);
+        assert_eq!(*s, default_corpus()[..4].to_vec());
     }
 }

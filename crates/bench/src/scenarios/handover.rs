@@ -18,20 +18,19 @@
 use std::time::Duration;
 
 use smapp::{controller_of, BackupConfig, BackupController, ControllerRuntime};
-use smapp_mptcp::apps::{BulkSender, Sink};
 use smapp_mptcp::StackConfig;
 use smapp_netlink::LatencyModel;
-use smapp_pm::topo::{self, CLIENT_ADDR1, CLIENT_ADDR2, SERVER_ADDR};
+use smapp_pm::topo::{self, CLIENT_ADDR1, CLIENT_ADDR2};
 use smapp_pm::Host;
 use smapp_sim::{InstallPolicy, LinkCfg, LossPct, Netem, NetemScript, SimTime};
 
+use super::{bulk_client, bulk_outcome, checked_run, sink_as, sink_server, Row, Run, Scenario};
+use crate::sweep::digest_rows;
 use crate::trace::SeqTraceSink;
 
 /// Parameters of one handover run.
 #[derive(Debug, Clone)]
 pub struct Params {
-    /// RNG seed.
-    pub seed: u64,
     /// When the WiFi path starts degrading.
     pub loss_onset: SimTime,
     /// WiFi loss ratio after onset.
@@ -49,7 +48,6 @@ pub struct Params {
 impl Default for Params {
     fn default() -> Self {
         Params {
-            seed: 21,
             loss_onset: SimTime::from_secs(1),
             loss: 0.30,
             break_at: SimTime::from_secs(5),
@@ -74,103 +72,93 @@ pub struct Results {
     pub rows: Vec<(f64, u64, usize)>,
 }
 
-/// Run one handover.
-pub fn run(p: &Params) -> Results {
-    run_instrumented(p).1
-}
+/// The WiFi→LTE handover scenario.
+pub struct Handover;
 
-/// Like [`run`], additionally returning the simulator's
-/// [`smapp_sim::RunSummary`] for the perf harness and sweep matrix.
-pub fn run_instrumented(p: &Params) -> (smapp_sim::RunSummary, Results) {
-    let controller = BackupController::new(BackupConfig {
-        rto_threshold: p.rto_threshold,
-        backup_src: CLIENT_ADDR2, // the cellular interface
-    });
-    let mut client = Host::new("smartphone", StackConfig::default()).with_user(
-        ControllerRuntime::boxed(controller),
-        LatencyModel::idle_host(),
-    );
-    client.connect_at(
-        SimTime::from_millis(10),
-        Some(CLIENT_ADDR1), // start on WiFi
-        SERVER_ADDR,
-        80,
-        Box::new(
-            BulkSender::new(p.transfer)
-                .close_when_done()
-                .stop_sim_when_acked(),
-        ),
-    );
-    let mut server = Host::new("server", StackConfig::default());
-    server.listen(
-        80,
-        Box::new(|| {
-            Box::new(Sink {
-                close_on_eof: true,
-                ..Default::default()
-            })
-        }),
-    );
-    let net = topo::two_path(
-        p.seed,
-        client,
-        server,
-        LinkCfg::mbps_ms(5, 10), // WiFi
-        LinkCfg::mbps_ms(5, 40), // LTE: more delay
-    );
-    let mut sim = net.sim;
-    sim.core
-        .set_trace(smapp_sim::Oracle::wrapping(Box::new(SeqTraceSink::new(
-            vec![net.link1, net.link2],
-        ))));
+impl Scenario for Handover {
+    const NAME: &'static str = "handover";
+    const ALLOC_CEILING: f64 = 0.20;
+    type Params = Params;
+    type Results = Results;
 
-    // The mobility script: degrade, then hard-break, the WiFi path.
-    sim.install(
-        NetemScript::new()
-            .at(
-                p.loss_onset,
-                Netem::on(net.link1).loss(LossPct::ratio(p.loss)),
-            )
-            .at(p.break_at, Netem::iface(net.client_if1).down()),
-        InstallPolicy::Sort,
-    )
-    .unwrap();
-    let summary = sim.run_until(p.horizon);
+    fn rows(smoke: bool) -> Vec<Row<Params>> {
+        let params = Params {
+            transfer: if smoke { 800_000 } else { 2_000_000 },
+            ..Default::default()
+        };
+        vec![Row {
+            variant: "backup",
+            seeds: if smoke { vec![21] } else { vec![21, 22, 23] },
+            workload: format!(
+                "{} B transfer, 30% WiFi loss at 1 s, iface down at 5 s, smart backup",
+                params.transfer
+            ),
+            params,
+        }]
+    }
 
-    let verdict = smapp_pm::verify::conclude(&mut sim, &summary, "handover", p.seed);
-    verdict.expect_clean();
-    let sink = verdict.inner.expect("trace installed");
-    let rows = sink
-        .as_any()
-        .downcast_ref::<SeqTraceSink>()
-        .expect("seq sink")
-        .relative_rows();
-    let phone = topo::host(&sim, net.client);
-    let ctrl = controller_of::<BackupController>(phone).unwrap();
-    let switch_at = ctrl.switchovers.first().map(|(t, _, _)| t.as_secs_f64());
-    let delivered = topo::host(&sim, net.server)
-        .stack
-        .connections()
-        .next()
-        .map(|c| {
-            c.app()
-                .unwrap()
-                .as_any()
-                .downcast_ref::<Sink>()
-                .unwrap()
-                .received
-        })
-        .unwrap_or(0);
-    let completed_at = (delivered >= p.transfer).then(|| summary.ended_at.as_secs_f64());
-    (
-        summary,
-        Results {
-            switch_at,
-            delivered,
-            completed_at,
-            rows,
-        },
-    )
+    fn run(p: &Params, seed: u64) -> Run<Results> {
+        let controller = BackupController::new(BackupConfig {
+            rto_threshold: p.rto_threshold,
+            backup_src: CLIENT_ADDR2, // the cellular interface
+        });
+        let client = Host::new("smartphone", StackConfig::default()).with_user(
+            ControllerRuntime::boxed(controller),
+            LatencyModel::idle_host(),
+        );
+        let net = topo::two_path(
+            seed,
+            bulk_client(client, Some(CLIENT_ADDR1), p.transfer), // start on WiFi
+            sink_server(),
+            LinkCfg::mbps_ms(5, 10), // WiFi
+            LinkCfg::mbps_ms(5, 40), // LTE: more delay
+        );
+        let mut sim = net.sim;
+
+        // The mobility script: degrade, then hard-break, the WiFi path.
+        sim.install(
+            NetemScript::new()
+                .at(
+                    p.loss_onset,
+                    Netem::on(net.link1).loss(LossPct::ratio(p.loss)),
+                )
+                .at(p.break_at, Netem::iface(net.client_if1).down()),
+            InstallPolicy::Sort,
+        )
+        .unwrap();
+        let (summary, sink) = checked_run(
+            &mut sim,
+            Some(Box::new(SeqTraceSink::new(vec![net.link1, net.link2]))),
+            p.horizon,
+            Self::NAME,
+            seed,
+        );
+
+        let ctrl = controller_of::<BackupController>(topo::host(&sim, net.client)).unwrap();
+        let switch_at = ctrl.switchovers.first().map(|(t, _, _)| t.as_secs_f64());
+        let (delivered, completed_at) = bulk_outcome(&sim, net.server, p.transfer, &summary);
+        Run {
+            summary,
+            results: Results {
+                switch_at,
+                delivered,
+                completed_at,
+                rows: sink_as::<SeqTraceSink>(&sink).relative_rows(),
+            },
+        }
+    }
+
+    fn trajectory(run: &Run<Results>) -> String {
+        let r = &run.results;
+        format!(
+            "rows={} digest={:016x} switch={:?} delivered={} done={:?}",
+            r.rows.len(),
+            digest_rows(&r.rows),
+            r.switch_at,
+            r.delivered,
+            r.completed_at
+        )
+    }
 }
 
 #[cfg(test)]
@@ -182,7 +170,7 @@ mod tests {
         // 2 MB at 5 Mb/s needs >3 s of wire time, so the 1 s loss onset
         // and 5 s hard break both land mid-transfer.
         let p = Params::default();
-        let r = run(&p);
+        let r = Handover::run(&p, 21).results;
         let switch = r.switch_at.expect("controller activated the backup");
         assert!(
             switch > p.loss_onset.as_secs_f64(),
@@ -210,7 +198,7 @@ mod tests {
             break_at: SimTime::from_secs(1),
             ..Default::default()
         };
-        let r = run(&p);
+        let r = Handover::run(&p, 21).results;
         assert!(r.switch_at.is_some(), "hard break still activates backup");
         assert_eq!(r.delivered, p.transfer);
     }
@@ -221,10 +209,9 @@ mod tests {
             transfer: 300_000,
             ..Default::default()
         };
-        let (s1, r1) = run_instrumented(&p);
-        let (s2, r2) = run_instrumented(&p);
-        assert_eq!(s1, s2);
-        assert_eq!(r1.rows, r2.rows);
-        assert_eq!(r1.switch_at, r2.switch_at);
+        let (a, b) = (Handover::run(&p, 21), Handover::run(&p, 21));
+        assert_eq!(a.summary, b.summary);
+        assert_eq!(a.results.rows, b.results.rows);
+        assert_eq!(a.results.switch_at, b.results.switch_at);
     }
 }

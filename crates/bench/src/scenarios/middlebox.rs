@@ -13,19 +13,17 @@
 //! The `clear` variant runs the identical world with stripping off, as the
 //! control: MPTCP negotiates, the backup join succeeds, two subflows live.
 
-use smapp_mptcp::apps::{BulkSender, Sink};
 use smapp_mptcp::StackConfig;
-use smapp_pm::topo::{self, CLIENT_ADDR1, CLIENT_ADDR2, SERVER_ADDR};
+use smapp_pm::topo::{self, CLIENT_ADDR1, CLIENT_ADDR2};
 use smapp_pm::Host;
 use smapp_sim::{InstallPolicy, LinkCfg, Netem, NetemScript, Router, SimTime};
 
+use super::{bulk_client, bulk_outcome, checked_run, sink_server, Row, Run, Scenario};
 use crate::pms::BackupFlagPm;
 
 /// Parameters of one middlebox run.
 #[derive(Debug, Clone)]
 pub struct Params {
-    /// RNG seed.
-    pub seed: u64,
     /// Whether the router strips MPTCP options.
     pub strip: bool,
     /// When stripping switches on (default: before the first SYN).
@@ -39,7 +37,6 @@ pub struct Params {
 impl Default for Params {
     fn default() -> Self {
         Params {
-            seed: 41,
             strip: true,
             strip_at: SimTime::ZERO,
             transfer: 2_000_000,
@@ -63,94 +60,85 @@ pub struct Results {
     pub completed_at: Option<f64>,
 }
 
-/// Run one middlebox experiment.
-pub fn run(p: &Params) -> Results {
-    run_instrumented(p).1
-}
+/// The option-stripping middlebox scenario.
+pub struct Middlebox;
 
-/// Like [`run`], additionally returning the simulator's
-/// [`smapp_sim::RunSummary`] for the perf harness and sweep matrix.
-pub fn run_instrumented(p: &Params) -> (smapp_sim::RunSummary, Results) {
-    // The client tries to add a subflow over its second interface as soon
-    // as the connection establishes — which a fallback connection refuses.
-    let mut client = Host::new("client", StackConfig::default())
-        .with_pm(Box::new(BackupFlagPm::new(CLIENT_ADDR2)));
-    client.connect_at(
-        SimTime::from_millis(10),
-        Some(CLIENT_ADDR1),
-        SERVER_ADDR,
-        80,
-        Box::new(
-            BulkSender::new(p.transfer)
-                .close_when_done()
-                .stop_sim_when_acked(),
-        ),
-    );
-    let mut server = Host::new("server", StackConfig::default());
-    server.listen(
-        80,
-        Box::new(|| {
-            Box::new(Sink {
-                close_on_eof: true,
-                ..Default::default()
-            })
-        }),
-    );
-    let net = topo::two_path(
-        p.seed,
-        client,
-        server,
-        LinkCfg::mbps_ms(5, 10),
-        LinkCfg::mbps_ms(5, 10),
-    );
-    let mut sim = net.sim;
-    sim.core.set_trace(Box::new(smapp_sim::Oracle::new()));
-    if p.strip {
-        sim.install(
-            NetemScript::new().at(p.strip_at, Netem::peer(net.router).strip_mptcp(true)),
-            InstallPolicy::Sort,
-        )
-        .unwrap();
+impl Scenario for Middlebox {
+    const NAME: &'static str = "middlebox";
+    const ALLOC_CEILING: f64 = 0.20;
+    type Params = Params;
+    type Results = Results;
+
+    fn rows(smoke: bool) -> Vec<Row<Params>> {
+        let params = Params {
+            transfer: if smoke { 500_000 } else { 2_000_000 },
+            ..Default::default()
+        };
+        vec![Row {
+            variant: "strip",
+            seeds: if smoke { vec![41] } else { vec![41, 42, 43] },
+            workload: format!(
+                "{} B transfer through an MPTCP-option-stripping router hop",
+                params.transfer
+            ),
+            params,
+        }]
     }
-    let summary = sim.run_until(p.horizon);
-    smapp_pm::verify::conclude(&mut sim, &summary, "middlebox", p.seed).expect_clean();
 
-    let conn_facts = topo::host(&sim, net.client)
-        .stack
-        .connections()
-        .next()
-        .map(|c| (c.is_fallback(), c.subflow_count()));
-    let (fallback, subflows) = conn_facts.unwrap_or((false, 0));
-    let options_stripped = sim
-        .node(net.router)
-        .as_any()
-        .downcast_ref::<Router>()
-        .expect("router node")
-        .options_stripped;
-    let delivered = topo::host(&sim, net.server)
-        .stack
-        .connections()
-        .next()
-        .map(|c| {
-            c.app()
-                .unwrap()
-                .as_any()
-                .downcast_ref::<Sink>()
-                .unwrap()
-                .received
-        })
-        .unwrap_or(0);
-    let completed_at = (delivered >= p.transfer).then(|| summary.ended_at.as_secs_f64());
-    (
-        summary,
-        Results {
-            fallback,
-            subflows,
-            options_stripped,
-            delivered,
-            completed_at,
-        },
-    )
+    fn run(p: &Params, seed: u64) -> Run<Results> {
+        // The client tries to add a subflow over its second interface as
+        // soon as the connection establishes — which a fallback connection
+        // refuses.
+        let client = Host::new("client", StackConfig::default())
+            .with_pm(Box::new(BackupFlagPm::new(CLIENT_ADDR2)));
+        let net = topo::two_path(
+            seed,
+            bulk_client(client, Some(CLIENT_ADDR1), p.transfer),
+            sink_server(),
+            LinkCfg::mbps_ms(5, 10),
+            LinkCfg::mbps_ms(5, 10),
+        );
+        let mut sim = net.sim;
+        if p.strip {
+            sim.install(
+                NetemScript::new().at(p.strip_at, Netem::peer(net.router).strip_mptcp(true)),
+                InstallPolicy::Sort,
+            )
+            .unwrap();
+        }
+        let (summary, _) = checked_run(&mut sim, None, p.horizon, Self::NAME, seed);
+
+        let (fallback, subflows) = topo::host(&sim, net.client)
+            .stack
+            .connections()
+            .next()
+            .map_or((false, 0), |c| (c.is_fallback(), c.subflow_count()));
+        let options_stripped = sim
+            .node(net.router)
+            .as_any()
+            .downcast_ref::<Router>()
+            .expect("router node")
+            .options_stripped;
+        let (delivered, completed_at) = bulk_outcome(&sim, net.server, p.transfer, &summary);
+        Run {
+            summary,
+            results: Results {
+                fallback,
+                subflows,
+                options_stripped,
+                delivered,
+                completed_at,
+            },
+        }
+    }
+
+    fn trajectory(run: &Run<Results>) -> String {
+        let r = &run.results;
+        format!(
+            "fallback={} subflows={} stripped={} delivered={} done={:?}",
+            r.fallback, r.subflows, r.options_stripped, r.delivered, r.completed_at
+        )
+    }
 }
 
 #[cfg(test)]
@@ -163,7 +151,7 @@ mod tests {
             transfer: 500_000,
             ..Default::default()
         };
-        let r = run(&p);
+        let r = Middlebox::run(&p, 41).results;
         assert!(r.fallback, "client fell back to plain TCP");
         assert_eq!(r.subflows, 1, "join refused: one subflow only");
         assert!(r.options_stripped > 0, "the middlebox actually interfered");
@@ -177,7 +165,7 @@ mod tests {
             transfer: 500_000,
             ..Default::default()
         };
-        let r = run(&p);
+        let r = Middlebox::run(&p, 41).results;
         assert!(!r.fallback, "MPTCP negotiated");
         assert_eq!(r.subflows, 2, "backup join succeeded");
         assert_eq!(r.options_stripped, 0);
@@ -190,8 +178,9 @@ mod tests {
             transfer: 300_000,
             ..Default::default()
         };
-        let (s1, _) = run_instrumented(&p);
-        let (s2, _) = run_instrumented(&p);
-        assert_eq!(s1, s2);
+        assert_eq!(
+            Middlebox::run(&p, 41).summary,
+            Middlebox::run(&p, 41).summary
+        );
     }
 }

@@ -14,20 +14,18 @@
 //! address is assigned but most packets are lost" in its terminal form) so
 //! every retransmission is lost and the doubling runs to completion.
 
-use smapp_mptcp::apps::{BulkSender, Sink};
 use smapp_mptcp::StackConfig;
-use smapp_pm::topo::{self, CLIENT_ADDR1, SERVER_ADDR};
+use smapp_pm::topo::{self, CLIENT_ADDR1};
 use smapp_pm::Host;
 use smapp_sim::{LinkCfg, LossModel, SimTime};
 
+use super::{bulk_client, bulk_outcome, checked_run, sink_as, sink_server, Row, Run, Scenario};
 use crate::pms::BackupFlagPm;
 use crate::trace::SeqTraceSink;
 
 /// Parameters of the baseline run.
 #[derive(Debug, Clone)]
 pub struct Params {
-    /// RNG seed.
-    pub seed: u64,
     /// When the primary path dies.
     pub loss_onset: SimTime,
     /// Transfer size.
@@ -39,7 +37,6 @@ pub struct Params {
 impl Default for Params {
     fn default() -> Self {
         Params {
-            seed: 11,
             loss_onset: SimTime::from_secs(1),
             transfer: 4_000_000,
             max_retries: 15,
@@ -59,95 +56,82 @@ pub struct Results {
     pub delivered: u64,
 }
 
-/// Run the baseline.
-pub fn run(p: &Params) -> Results {
-    run_instrumented(p).1
-}
+/// The §4.2 no-SMAPP baseline.
+pub struct Sec42;
 
-/// Like [`run`], additionally returning the simulator's
-/// [`smapp_sim::RunSummary`] (event count, peak queue depth) for the perf
-/// harness and sweep matrix.
-pub fn run_instrumented(p: &Params) -> (smapp_sim::RunSummary, Results) {
-    let mut cfg = StackConfig::default();
-    cfg.rto.max_retries = p.max_retries;
-    let mut client =
-        Host::new("client", cfg).with_pm(Box::new(BackupFlagPm::new(topo::CLIENT_ADDR2)));
-    client.connect_at(
-        SimTime::from_millis(10),
-        Some(CLIENT_ADDR1),
-        SERVER_ADDR,
-        80,
-        Box::new(
-            BulkSender::new(p.transfer)
-                .close_when_done()
-                .stop_sim_when_acked(),
-        ),
-    );
-    let mut server = Host::new("server", StackConfig::default());
-    server.listen(
-        80,
-        Box::new(|| {
-            Box::new(Sink {
-                close_on_eof: true,
-                ..Default::default()
-            })
-        }),
-    );
-    let net = topo::two_path(
-        p.seed,
-        client,
-        server,
-        LinkCfg::mbps_ms(5, 10),
-        LinkCfg::mbps_ms(5, 10),
-    );
-    let mut sim = net.sim;
-    sim.core
-        .set_trace(smapp_sim::Oracle::wrapping(Box::new(SeqTraceSink::new(
-            vec![net.link1, net.link2],
-        ))));
-    let l1 = net.link1;
-    sim.at(p.loss_onset, move |core| {
-        core.set_loss_both(l1, LossModel::Bernoulli(1.0));
-    });
-    // Horizon: the give-up takes ~13.5 minutes; allow the transfer to
-    // finish afterwards.
-    let summary = sim.run_until(SimTime::from_secs(1800));
+impl Scenario for Sec42 {
+    const NAME: &'static str = "sec42";
+    const ALLOC_CEILING: f64 = 0.15;
+    type Params = Params;
+    type Results = Results;
 
-    let verdict = smapp_pm::verify::conclude(&mut sim, &summary, "sec42", p.seed);
-    verdict.expect_clean();
-    let sink = verdict.inner.expect("trace installed");
-    let rows = sink
-        .as_any()
-        .downcast_ref::<SeqTraceSink>()
-        .expect("seq sink")
-        .relative_rows();
-    // First data on the backup link *after* the loss onset is the switch.
-    let switch_at = rows
-        .iter()
-        .find(|(t, _, path)| *path == 1 && *t > p.loss_onset.as_secs_f64())
-        .map(|(t, _, _)| *t);
-    let delivered = topo::host(&sim, net.server)
-        .stack
-        .connections()
-        .next()
-        .map(|c| {
-            c.app()
-                .unwrap()
-                .as_any()
-                .downcast_ref::<Sink>()
-                .unwrap()
-                .received
-        })
-        .unwrap_or(0);
-    let completed_at = (delivered >= p.transfer).then(|| summary.ended_at.as_secs_f64());
-    (
-        summary,
-        Results {
-            switch_at,
-            completed_at,
-            delivered,
-        },
-    )
+    fn rows(smoke: bool) -> Vec<Row<Params>> {
+        let params = Params {
+            transfer: if smoke { 1_000_000 } else { 4_000_000 },
+            max_retries: if smoke { 6 } else { 15 },
+            ..Default::default()
+        };
+        vec![Row {
+            variant: "giveup",
+            seeds: vec![11],
+            workload: format!(
+                "{} B transfer, blackhole at 1 s, {}-doubling give-up",
+                params.transfer, params.max_retries
+            ),
+            params,
+        }]
+    }
+
+    fn run(p: &Params, seed: u64) -> Run<Results> {
+        let mut cfg = StackConfig::default();
+        cfg.rto.max_retries = p.max_retries;
+        let client =
+            Host::new("client", cfg).with_pm(Box::new(BackupFlagPm::new(topo::CLIENT_ADDR2)));
+        let net = topo::two_path(
+            seed,
+            bulk_client(client, Some(CLIENT_ADDR1), p.transfer),
+            sink_server(),
+            LinkCfg::mbps_ms(5, 10),
+            LinkCfg::mbps_ms(5, 10),
+        );
+        let mut sim = net.sim;
+        let l1 = net.link1;
+        sim.at(p.loss_onset, move |core| {
+            core.set_loss_both(l1, LossModel::Bernoulli(1.0));
+        });
+        // Horizon: the give-up takes ~13.5 minutes; allow the transfer to
+        // finish afterwards.
+        let (summary, sink) = checked_run(
+            &mut sim,
+            Some(Box::new(SeqTraceSink::new(vec![net.link1, net.link2]))),
+            SimTime::from_secs(1800),
+            Self::NAME,
+            seed,
+        );
+        // First data on the backup link *after* the loss onset is the switch.
+        let switch_at = sink_as::<SeqTraceSink>(&sink)
+            .relative_rows()
+            .iter()
+            .find(|(t, _, path)| *path == 1 && *t > p.loss_onset.as_secs_f64())
+            .map(|(t, _, _)| *t);
+        let (delivered, completed_at) = bulk_outcome(&sim, net.server, p.transfer, &summary);
+        Run {
+            summary,
+            results: Results {
+                switch_at,
+                completed_at,
+                delivered,
+            },
+        }
+    }
+
+    fn trajectory(run: &Run<Results>) -> String {
+        let r = &run.results;
+        format!(
+            "switch={:?} delivered={} done={:?}",
+            r.switch_at, r.delivered, r.completed_at
+        )
+    }
 }
 
 #[cfg(test)]
@@ -156,7 +140,7 @@ mod tests {
 
     #[test]
     fn sec42_backoff_kill_takes_minutes() {
-        let r = run(&Params::default());
+        let r = Sec42::run(&Params::default(), 11).results;
         let switch = r.switch_at.expect("backup eventually used");
         // The paper: "after 12 minutes". Our RTO policy gives
         // 0.2+0.4+...+102.4 + 5×120 ≈ 805 s ≈ 13.4 min from the moment the
@@ -173,11 +157,12 @@ mod tests {
     fn sec42_quick_variant_scales_with_retries() {
         // With 6 retries the give-up shrinks to ~25 s — the mechanism, not
         // the constant, drives the narrative.
-        let r = run(&Params {
+        let p = Params {
             max_retries: 6,
             transfer: 1_000_000,
             ..Default::default()
-        });
+        };
+        let r = Sec42::run(&p, 11).results;
         let switch = r.switch_at.expect("switch happened");
         assert!(
             (5.0..90.0).contains(&switch),

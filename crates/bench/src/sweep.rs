@@ -119,30 +119,6 @@ pub struct MatrixEntry {
     pub build: Box<dyn Fn(u64) -> ScenarioRun + Send + Sync>,
 }
 
-impl MatrixEntry {
-    /// Convenience constructor.
-    pub fn new(
-        scenario: &'static str,
-        variant: &'static str,
-        seeds: Vec<u64>,
-        build: impl Fn(u64) -> ScenarioRun + Send + Sync + 'static,
-    ) -> Self {
-        MatrixEntry {
-            scenario,
-            variant,
-            seeds,
-            workload: String::new(),
-            build: Box::new(build),
-        }
-    }
-
-    /// Attach a workload description.
-    pub fn workload(mut self, workload: String) -> Self {
-        self.workload = workload;
-        self
-    }
-}
-
 /// One completed matrix cell, in stable `(entry, seed)` order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepResult {
@@ -246,6 +222,18 @@ pub fn digest_f64s(xs: &[f64]) -> u64 {
     h
 }
 
+/// Digest a `(seconds, data seq, path)` sequence trace (bit-exact,
+/// order-sensitive) — the rows [`crate::trace::SeqTraceSink`] collects.
+pub(crate) fn digest_rows(rows: &[(f64, u64, usize)]) -> u64 {
+    let mut bytes = Vec::with_capacity(rows.len() * 24);
+    for (t, seq, path) in rows {
+        bytes.extend_from_slice(&t.to_bits().to_le_bytes());
+        bytes.extend_from_slice(&seq.to_le_bytes());
+        bytes.extend_from_slice(&(*path as u64).to_le_bytes());
+    }
+    fnv1a(&bytes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,29 +307,33 @@ mod tests {
         );
     }
 
+    fn entry(
+        scenario: &'static str,
+        variant: &'static str,
+        seeds: Vec<u64>,
+        peak_queue: usize,
+    ) -> MatrixEntry {
+        MatrixEntry {
+            scenario,
+            variant,
+            seeds,
+            workload: String::new(),
+            build: Box::new(move |seed| ScenarioRun {
+                summary: RunSummary {
+                    reason: smapp_sim::StopReason::Idle,
+                    ended_at: smapp_sim::SimTime::from_millis(seed),
+                    events: seed,
+                    peak_queue,
+                },
+                trajectory: format!("seed={seed}"),
+            }),
+        }
+    }
+
     #[test]
     fn matrix_expands_in_stable_order() {
         let m = Matrix {
-            entries: vec![
-                MatrixEntry::new("a", "x", vec![10, 11], |seed| ScenarioRun {
-                    summary: RunSummary {
-                        reason: smapp_sim::StopReason::Idle,
-                        ended_at: smapp_sim::SimTime::from_millis(seed),
-                        events: seed,
-                        peak_queue: 1,
-                    },
-                    trajectory: format!("seed={seed}"),
-                }),
-                MatrixEntry::new("b", "", vec![7], |seed| ScenarioRun {
-                    summary: RunSummary {
-                        reason: smapp_sim::StopReason::Idle,
-                        ended_at: smapp_sim::SimTime::from_millis(seed),
-                        events: seed,
-                        peak_queue: 2,
-                    },
-                    trajectory: format!("seed={seed}"),
-                }),
-            ],
+            entries: vec![entry("a", "x", vec![10, 11], 1), entry("b", "", vec![7], 2)],
         };
         assert_eq!(m.len(), 3);
         let r1 = m.run(1);

@@ -2,8 +2,8 @@
 //!
 //! Installs the counting allocator and re-runs every registered scenario
 //! in smoke mode, asserting each one's measured allocations per simulated
-//! event stays under the ceiling committed in
-//! [`smapp_bench::gate::ALLOC_CEILINGS`]. This is the tier-1 twin of the
+//! event stays under the ceiling the scenario commits to
+//! ([`smapp_bench::scenarios::Scenario::ALLOC_CEILING`]). This is the tier-1 twin of the
 //! CI `perf_gate`: the gate reads the numbers out of a release
 //! `perf_report`, this test re-measures them from scratch on every
 //! `cargo test`. Allocation counts are deterministic per cell (unlike
@@ -19,8 +19,8 @@
 
 use bytes::Bytes;
 use smapp_bench::count_alloc::{self, CountingAlloc};
-use smapp_bench::gate::alloc_ceiling;
 use smapp_bench::perf::paper_matrix;
+use smapp_bench::scenarios::REGISTRY;
 use smapp_sim::trace::{TraceEvent, TraceKind, TraceSink};
 use smapp_sim::{Addr, Dir, IfaceId, LinkId, NodeId, Oracle, Packet, SimTime};
 
@@ -89,25 +89,16 @@ fn scenarios_stay_under_committed_alloc_ceilings_and_oracle_is_clean() {
     let results = paper_matrix(true).run(1);
     assert!(!results.is_empty(), "smoke matrix produced no cells");
 
-    let mut per_scenario: Vec<(&'static str, u64, u64)> = Vec::new();
-    for r in &results {
-        match per_scenario.iter_mut().find(|(s, _, _)| *s == r.scenario) {
-            Some((_, allocs, events)) => {
-                *allocs += r.allocs;
-                *events += r.run.summary.events;
-            }
-            None => per_scenario.push((r.scenario, r.allocs, r.run.summary.events)),
-        }
-    }
-
-    for (scenario, allocs, events) in &per_scenario {
-        let ceiling = alloc_ceiling(scenario)
-            .unwrap_or_else(|| panic!("scenario {scenario} has no committed ceiling"));
-        assert!(*events > 0, "scenario {scenario} processed zero events");
-        let per_event = *allocs as f64 / *events as f64;
+    for scenario in REGISTRY {
+        let cells = results.iter().filter(|r| r.scenario == scenario.name);
+        let (allocs, events) =
+            cells.fold((0, 0), |(a, e), r| (a + r.allocs, e + r.run.summary.events));
+        let (name, ceiling) = (scenario.name, scenario.alloc_ceiling);
+        assert!(events > 0, "scenario {name} processed zero events");
+        let per_event = allocs as f64 / events as f64;
         assert!(
             per_event <= ceiling,
-            "scenario {scenario}: {per_event:.3} allocs/event breaches the \
+            "scenario {name}: {per_event:.3} allocs/event breaches the \
              committed ceiling {ceiling:.2} ({allocs} allocations over \
              {events} events) — the hot path regressed allocator pressure"
         );

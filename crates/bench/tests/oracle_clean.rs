@@ -1,175 +1,66 @@
 //! Tier-1 guard: every registered scenario runs under the
-//! protocol-invariant oracle, clean, at one smoke seed each.
+//! protocol-invariant oracle, clean, over its smoke rows.
 //!
-//! The scenarios themselves call `smapp_pm::verify::conclude(...)
-//! .expect_clean()` after every run, so simply *running* each one at a
-//! smoke size exercises the wire oracle (time monotonicity, link
-//! conservation, TCP/MPTCP wire sanity) and the end-host taps (stream
-//! digests, DSS coverage, buffer/sequence bounds) — a violation panics
-//! with the replayable `(scenario, seed, time)` triple.
+//! The scenarios' shared checked runner calls
+//! `smapp_pm::verify::conclude(...).expect_clean()` after every run, so
+//! simply *running* each one at smoke size exercises the wire oracle (time
+//! monotonicity, link conservation, TCP/MPTCP wire sanity) and the
+//! end-host taps (stream digests, DSS coverage, buffer/sequence bounds) —
+//! a violation panics with the replayable `(scenario, seed, time)` triple.
 //!
-//! The runner list below is checked against `scenarios::ALL`, so a new
-//! scenario cannot register without adding an oracle-clean smoke run here.
+//! The first test runs the registry's smoke matrix, so a new scenario is
+//! covered by registering it; the second keeps the per-scenario outcome
+//! checks that need typed results.
 
-use smapp_bench::scenarios::{
-    self, cdn, fig2a, fig2b, fig2c, fig3, flap, fleet, fuzz, handover, middlebox, sec42,
-};
-
-/// A named smoke run.
-type Runner = (&'static str, Box<dyn FnOnce()>);
-
-/// One smoke-size run per scenario, by name. Each closure panics on any
-/// oracle violation (via `expect_clean` inside the scenario).
-fn runners() -> Vec<Runner> {
-    vec![
-        (
-            "cdn",
-            Box::new(|| {
-                let p = cdn::Params {
-                    max_flows: 10,
-                    model: smapp_bench::traffic::TrafficModel {
-                        size_max: 120_000,
-                        ..smapp_bench::traffic::TrafficModel::cdn()
-                    },
-                    window: smapp_sim::SimTime::from_secs(6),
-                    ..Default::default()
-                };
-                let (summary, r) = cdn::run_instrumented(&p);
-                assert!(summary.events > 0);
-                assert!(r.flows > 0 && r.delivered == r.offered);
-            }) as Box<dyn FnOnce()>,
-        ),
-        (
-            "fig2a",
-            Box::new(|| {
-                let p = fig2a::Params {
-                    transfer: 200_000,
-                    ..Default::default()
-                };
-                let (summary, _) = fig2a::run_instrumented(&p);
-                assert!(summary.events > 0);
-            }) as Box<dyn FnOnce()>,
-        ),
-        (
-            "fig2b",
-            Box::new(|| {
-                let p = fig2b::Params {
-                    blocks: 4,
-                    ..Default::default()
-                };
-                let (summary, _) = fig2b::run_one_instrumented(&p, 1);
-                assert!(summary.events > 0);
-            }),
-        ),
-        (
-            "fig2c",
-            Box::new(|| {
-                let p = fig2c::Params {
-                    transfer: 2_000_000,
-                    ..Default::default()
-                };
-                let (summary, _) = fig2c::run_one_instrumented(&p, 100);
-                assert!(summary.events > 0);
-            }),
-        ),
-        (
-            "fig3",
-            Box::new(|| {
-                let p = fig3::Params {
-                    gets: 5,
-                    ..Default::default()
-                };
-                let (summary, _, completed) = fig3::run_instrumented(&p);
-                assert!(summary.events > 0);
-                assert_eq!(completed, 5);
-            }),
-        ),
-        (
-            "flap",
-            Box::new(|| {
-                let p = flap::Params {
-                    transfer: 1_000_000,
-                    first_down: smapp_sim::SimTime::from_millis(500),
-                    flaps: 1,
-                    ..Default::default()
-                };
-                let (summary, _) = flap::run_instrumented(&p);
-                assert!(summary.events > 0);
-            }),
-        ),
-        (
-            "fleet",
-            Box::new(|| {
-                let p = fleet::Params {
-                    clients: 12,
-                    response: 16 * 1024,
-                    ..Default::default()
-                };
-                let (summary, stats) = fleet::run_instrumented(&p, 1);
-                assert!(summary.events > 0);
-                assert!(stats.completed > 0);
-            }),
-        ),
-        (
-            "fuzz",
-            Box::new(|| {
-                let (summary, out) = fuzz::run_instrumented(fuzz::matrix_seeds(1)[0]);
-                assert!(summary.events > 0);
-                assert!(out.violations.is_empty(), "{:?}", out.violations);
-            }),
-        ),
-        (
-            "handover",
-            Box::new(|| {
-                let p = handover::Params {
-                    transfer: 400_000,
-                    ..Default::default()
-                };
-                let (summary, _) = handover::run_instrumented(&p);
-                assert!(summary.events > 0);
-            }),
-        ),
-        (
-            "middlebox",
-            Box::new(|| {
-                let p = middlebox::Params {
-                    transfer: 300_000,
-                    ..Default::default()
-                };
-                let (summary, r) = middlebox::run_instrumented(&p);
-                assert!(summary.events > 0);
-                assert!(r.fallback, "stripping forces fallback");
-            }),
-        ),
-        (
-            "sec42",
-            Box::new(|| {
-                let p = sec42::Params {
-                    transfer: 500_000,
-                    max_retries: 5,
-                    ..Default::default()
-                };
-                let (summary, _) = sec42::run_instrumented(&p);
-                assert!(summary.events > 0);
-            }),
-        ),
-    ]
-}
+use smapp_bench::perf::paper_matrix;
+use smapp_bench::scenarios::cdn::Cdn;
+use smapp_bench::scenarios::fig3::Fig3;
+use smapp_bench::scenarios::fleet::Fleet;
+use smapp_bench::scenarios::fuzz::Fuzz;
+use smapp_bench::scenarios::middlebox::Middlebox;
+use smapp_bench::scenarios::{Run, Scenario};
 
 #[test]
 fn every_registered_scenario_runs_oracle_clean() {
-    let runners = runners();
-    let covered: Vec<&str> = runners.iter().map(|(n, _)| *n).collect();
-    assert_eq!(
-        covered,
-        scenarios::ALL.to_vec(),
-        "oracle smoke coverage must list exactly scenarios::ALL, in order"
-    );
-    for (name, run) in runners {
-        // Any oracle violation panics inside the scenario with the
-        // replayable (scenario, seed, time) triple.
-        eprintln!("oracle smoke: {name}");
-        run();
+    // Any oracle violation panics inside the scenario's runner.
+    for cell in paper_matrix(true).run(1) {
+        let (scenario, variant, seed) = (cell.scenario, cell.variant, cell.seed);
+        assert!(
+            cell.run.summary.events > 0,
+            "{scenario}/{variant} seed {seed} processed no events"
+        );
+    }
+}
+
+/// Every smoke cell of `S`, with the parameters it ran under.
+fn smoke<S: Scenario>() -> Vec<(S::Params, Run<S::Results>)> {
+    let mut runs = Vec::new();
+    for row in S::rows(true) {
+        for &seed in &row.seeds {
+            runs.push((row.params.clone(), S::run(&row.params, seed)));
+        }
+    }
+    runs
+}
+
+#[test]
+fn smoke_runs_reach_their_scenario_specific_outcome() {
+    for (p, run) in smoke::<Fig3>() {
+        assert_eq!(run.results.completed, p.gets, "fig3 workload completes");
+    }
+    for (_, run) in smoke::<Middlebox>() {
+        assert!(run.results.fallback, "stripping forces fallback");
+    }
+    for (_, run) in smoke::<Cdn>() {
+        let r = run.results;
+        assert!(r.flows > 0 && r.delivered == r.offered, "{r:?}");
+    }
+    for (_, run) in smoke::<Fleet>() {
+        assert!(run.results.completed > 0, "{:?}", run.results);
+    }
+    for (_, run) in smoke::<Fuzz>() {
+        let v = run.results.violations;
+        assert!(v.is_empty(), "seed {}: {v:?}", run.results.seed);
     }
 }
 

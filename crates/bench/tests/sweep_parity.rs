@@ -3,125 +3,22 @@
 //! per-seed trajectories and identical `RunSummary`s — thread count and
 //! completion order must be unobservable in the results.
 
-use smapp_bench::scenarios::{fig2a, fig2c, fig3, flap, fleet, handover, middlebox};
-use smapp_bench::sweep::{parity, Matrix, MatrixEntry, ScenarioRun};
+use smapp_bench::perf::paper_matrix;
+use smapp_bench::sweep::{parity, Matrix};
 
-/// A miniature but heterogeneous matrix: three paper scenarios, a small
-/// fleet, and the three dynamics-scripted scenarios (same seed + script
-/// must be bit-identical at any worker count), several seeds each, with
-/// deliberately uneven cell runtimes so parallel completion order differs
-/// from job order.
+/// The registry's smoke matrix — every scenario, paper and beyond — widened
+/// to at least two seeds per row (same seed + script must be bit-identical
+/// at any worker count). Cell runtimes are deliberately uneven (fig2a ~1 k
+/// events, fig3 and flap tens of thousands), so parallel completion order
+/// differs from job order.
 fn mini_matrix() -> Matrix {
-    let entries = vec![
-        MatrixEntry::new("fig2a", "backup", vec![42, 43], |seed| {
-            let p = fig2a::Params {
-                seed,
-                transfer: 300_000,
-                ..Default::default()
-            };
-            let (summary, r) = fig2a::run_instrumented(&p);
-            ScenarioRun {
-                summary,
-                trajectory: format!("rows={} delivered={}", r.rows.len(), r.delivered),
-            }
-        }),
-        MatrixEntry::new("fig2c", "refresh", vec![100, 101], |seed| {
-            let p = fig2c::Params {
-                transfer: 3_000_000,
-                ..Default::default()
-            };
-            let (summary, used) = fig2c::run_one_instrumented(&p, seed);
-            ScenarioRun {
-                summary,
-                trajectory: format!("end_ns={} paths={used}", summary.ended_at.as_nanos()),
-            }
-        }),
-        MatrixEntry::new("fig3", "kernel", vec![7], |seed| {
-            let p = fig3::Params {
-                seed,
-                gets: 15,
-                response: 64 * 1024,
-                ..Default::default()
-            };
-            let (summary, cdf, completed) = fig3::run_instrumented(&p);
-            ScenarioRun {
-                summary,
-                trajectory: format!("joins={} completed={completed}", cdf.len()),
-            }
-        }),
-        MatrixEntry::new("fleet", "mixed", vec![1, 2], |seed| {
-            let p = fleet::Params {
-                clients: 30,
-                gets: 1,
-                response: 16 * 1024,
-                stagger: std::time::Duration::from_millis(3),
-                paths: vec![
-                    smapp_sim::LinkCfg::mbps_ms(50, 5),
-                    smapp_sim::LinkCfg::mbps_ms(50, 10),
-                ],
-                ..Default::default()
-            };
-            let (summary, stats) = fleet::run_instrumented(&p, seed);
-            ScenarioRun {
-                summary,
-                trajectory: format!(
-                    "completed={}/{} digest={:016x}",
-                    stats.completed, stats.expected, stats.completions_digest
-                ),
-            }
-        }),
-        MatrixEntry::new("handover", "backup", vec![21, 22], |seed| {
-            let p = handover::Params {
-                seed,
-                ..Default::default()
-            };
-            let (summary, r) = handover::run_instrumented(&p);
-            ScenarioRun {
-                summary,
-                trajectory: format!(
-                    "rows={} switch={:?} delivered={}",
-                    r.rows.len(),
-                    r.switch_at,
-                    r.delivered
-                ),
-            }
-        }),
-        MatrixEntry::new("flap", "refresh", vec![31], |seed| {
-            let p = flap::Params {
-                seed,
-                transfer: 8_000_000,
-                flaps: 2,
-                ..Default::default()
-            };
-            let (summary, r) = flap::run_instrumented(&p);
-            ScenarioRun {
-                summary,
-                trajectory: format!(
-                    "refreshes={} paths={} delivered={} done={:?}",
-                    r.refreshes.len(),
-                    r.paths_used,
-                    r.delivered,
-                    r.completed_at
-                ),
-            }
-        }),
-        MatrixEntry::new("middlebox", "strip", vec![41, 42], |seed| {
-            let p = middlebox::Params {
-                seed,
-                transfer: 500_000,
-                ..Default::default()
-            };
-            let (summary, r) = middlebox::run_instrumented(&p);
-            ScenarioRun {
-                summary,
-                trajectory: format!(
-                    "fallback={} subflows={} stripped={} delivered={}",
-                    r.fallback, r.subflows, r.options_stripped, r.delivered
-                ),
-            }
-        }),
-    ];
-    Matrix { entries }
+    let mut matrix = paper_matrix(true);
+    for entry in &mut matrix.entries {
+        if entry.seeds.len() < 2 {
+            entry.seeds.push(entry.seeds[0] + 1);
+        }
+    }
+    matrix
 }
 
 #[test]

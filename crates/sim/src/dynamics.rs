@@ -7,7 +7,7 @@
 //! to plain TCP (§1, the classic deployment hazard). This module makes
 //! those changes first-class: a [`DynamicsScript`] is a time-ordered list
 //! of [`DynAction`]s installed on the [`crate::Simulator`] with
-//! [`crate::Simulator::install_dynamics`] and executed through the same
+//! [`crate::Simulator::install`] and executed through the same
 //! calendar event queue as every packet and timer — so a scripted run is
 //! exactly as deterministic, seed-stable and sweep-parallel-safe as an
 //! unscripted one.
@@ -16,11 +16,11 @@
 //!
 //! * Entries are executed in `(time, installation order)` order. A script
 //!   whose entries are out of order is either **stably sorted** at install
-//!   time ([`crate::Simulator::install_dynamics`]) or **rejected**
-//!   ([`DynamicsScript::validate`] /
-//!   [`crate::Simulator::install_dynamics_strict`]) — both behaviours are
-//!   deterministic, there is no silent reordering ambiguity: ties at the
-//!   same instant always preserve the order entries were added in.
+//!   time ([`crate::InstallPolicy::Sort`]) or **rejected**
+//!   ([`DynamicsScript::validate`] / [`crate::InstallPolicy::Strict`]) —
+//!   both behaviours are deterministic, there is no silent reordering
+//!   ambiguity: ties at the same instant always preserve the order entries
+//!   were added in.
 //! * Actions mutate only simulation state (link parameters, interface
 //!   admin state, node middlebox knobs) through the same code paths node
 //!   callbacks use, so per-seed trajectories are bit-identical whether the
@@ -213,10 +213,11 @@ impl std::error::Error for OutOfOrderError {}
 ///
 /// Build one with the chainable [`DynamicsScript::at`] (or
 /// [`DynamicsScript::push`]), then install it with
-/// [`crate::Simulator::install_dynamics`]. Entries may be added in any
-/// order; installation stably sorts by time, so entries sharing an instant
-/// run in the order they were added. Use [`DynamicsScript::validate`] (or
-/// the strict installer) to *reject* out-of-order scripts instead.
+/// [`crate::Simulator::install`]. Entries may be added in any order; the
+/// [`crate::InstallPolicy::Sort`] policy stably sorts by time, so entries
+/// sharing an instant run in the order they were added. Use
+/// [`DynamicsScript::validate`] (or [`crate::InstallPolicy::Strict`]) to
+/// *reject* out-of-order scripts instead.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DynamicsScript {
     entries: Vec<DynEntry>,
@@ -272,8 +273,8 @@ impl DynamicsScript {
 
     /// Consume the script, returning entries stably sorted by time:
     /// entries at the same instant keep their insertion order. This is the
-    /// deterministic normalization [`crate::Simulator::install_dynamics`]
-    /// applies.
+    /// deterministic normalization [`crate::Simulator::install`] applies
+    /// under [`crate::InstallPolicy::Sort`].
     pub fn into_ordered(mut self) -> Vec<DynEntry> {
         self.entries.sort_by_key(|e| e.at);
         self.entries

@@ -700,22 +700,6 @@ impl Simulator {
         Ok(())
     }
 
-    /// Install a [`DynamicsScript`], stably sorting out-of-order entries.
-    #[deprecated(note = "use Simulator::install(script, InstallPolicy::Sort)")]
-    pub fn install_dynamics(&mut self, script: DynamicsScript) {
-        self.install(script, InstallPolicy::Sort)
-            .expect("Sort policy never rejects");
-    }
-
-    /// Install a [`DynamicsScript`], rejecting out-of-order entries.
-    #[deprecated(note = "use Simulator::install(script, InstallPolicy::Strict)")]
-    pub fn install_dynamics_strict(
-        &mut self,
-        script: DynamicsScript,
-    ) -> Result<(), OutOfOrderError> {
-        self.install(script, InstallPolicy::Strict)
-    }
-
     /// Number of nodes in the simulation.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -1395,19 +1379,6 @@ mod tests {
             (s.events, s.ended_at, ping.got)
         };
         assert_eq!(run(7), run(7));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_install_shims_still_work() {
-        use crate::dynamics::{DynAction, DynamicsScript};
-        let script = || DynamicsScript::new().at(SimTime::from_millis(1), DynAction::Stop);
-        let (mut sim, ..) = two_hosts(8, LinkCfg::mbps_ms(10, 5));
-        sim.install_dynamics(script());
-        assert_eq!(sim.run().reason, StopReason::Requested);
-        let (mut sim, ..) = two_hosts(8, LinkCfg::mbps_ms(10, 5));
-        sim.install_dynamics_strict(script()).unwrap();
-        assert_eq!(sim.run().reason, StopReason::Requested);
     }
 
     #[test]

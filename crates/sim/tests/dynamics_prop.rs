@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use smapp_sim::{DynAction, DynamicsScript, Eviction, InstallPolicy, LinkId, SimTime, Simulator};
+use smapp_sim::{
+    DynAction, DynamicsScript, Eviction, InstallPolicy, LinkId, SimTime, Simulator, StopReason,
+};
 
 /// Build a script from millisecond timestamps; each action's `pkts` field
 /// encodes its insertion index so ordering is observable after the sort.
@@ -36,6 +38,21 @@ fn index_of(a: &DynAction) -> usize {
 /// for `validate()`.
 fn first_violation(times_ms: &[u64]) -> Option<usize> {
     times_ms.windows(2).position(|w| w[1] < w[0]).map(|i| i + 1)
+}
+
+/// An in-order script installs — and then executes — identically under
+/// either policy.
+#[test]
+fn either_policy_executes_an_in_order_script() {
+    let run = |policy| {
+        let mut sim = Simulator::new(1);
+        let script = DynamicsScript::new().at(SimTime::from_millis(1), DynAction::Stop);
+        sim.install(script, policy).unwrap();
+        sim.run()
+    };
+    let (sorted, strict) = (run(InstallPolicy::Sort), run(InstallPolicy::Strict));
+    assert_eq!(sorted.reason, StopReason::Requested);
+    assert_eq!(sorted, strict);
 }
 
 proptest! {
