@@ -28,11 +28,10 @@
 //! # let _ = (dflt, user_process);
 //! ```
 
-use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use smapp_mptcp::{ConnToken, PmEvent, SubflowError};
-use smapp_sim::Addr;
+use smapp_sim::{Addr, FxHashMap, FxHashSet};
 
 use crate::controller::{ControlApi, SubflowController};
 
@@ -61,11 +60,15 @@ impl Default for FullMeshConfig {
 
 #[derive(Debug, Default)]
 struct ConnRec {
+    /// Creation rank: interface events walk the connections in this order,
+    /// so the open commands they send — each making the kernel draw a port
+    /// and an ISS from the world RNG — come out the same in every process.
+    seq: u64,
     is_client: bool,
     /// Remote addresses (initial + ADD_ADDR), with ports.
     remotes: Vec<(Addr, u16)>,
     /// (src, dst) pairs believed to have a subflow (or one in progress).
-    pairs: HashSet<(Addr, Addr)>,
+    pairs: FxHashSet<(Addr, Addr)>,
 }
 
 /// A pending re-establishment attempt.
@@ -81,11 +84,12 @@ struct Retry {
 #[derive(Debug, Default)]
 pub struct FullMeshController {
     cfg: FullMeshConfig,
-    conns: HashMap<ConnToken, ConnRec>,
-    /// Local addresses currently up (learned from `new_local_addr` /
-    /// `del_local_addr`; the kernel dumps existing addresses at
-    /// subscription time).
-    locals: HashSet<Addr>,
+    conns: FxHashMap<ConnToken, ConnRec>,
+    conns_created: u64,
+    /// Local addresses currently up, in arrival order (learned from
+    /// `new_local_addr` / `del_local_addr`; the kernel dumps existing
+    /// addresses at subscription time).
+    locals: Vec<Addr>,
     retries: Vec<Retry>,
     /// Subflows opened (diagnostics).
     pub subflows_opened: u64,
@@ -126,8 +130,8 @@ impl FullMeshController {
         if !rec.is_client {
             return;
         }
-        for local in self.locals.iter().copied() {
-            for (remote, port) in rec.remotes.clone() {
+        for &local in &self.locals {
+            for &(remote, port) in &rec.remotes {
                 if rec.pairs.insert((local, remote)) {
                     self.subflows_opened += 1;
                     api.open_subflow(token, local, 0, remote, port, false);
@@ -146,7 +150,12 @@ impl SubflowController for FullMeshController {
                 is_client,
                 ..
             } => {
-                let rec = self.conns.entry(*token).or_default();
+                let seq = self.conns_created;
+                self.conns_created += 1;
+                let rec = self.conns.entry(*token).or_insert_with(|| ConnRec {
+                    seq,
+                    ..Default::default()
+                });
                 rec.is_client = *is_client;
                 rec.remotes.push((tuple.dst, tuple.dst_port));
                 rec.pairs.insert((tuple.src, tuple.dst));
@@ -198,14 +207,18 @@ impl SubflowController for FullMeshController {
                 // retried once the remote list is updated; conservative.
             }
             PmEvent::LocalAddrUp { addr } => {
-                self.locals.insert(*addr);
-                let tokens: Vec<ConnToken> = self.conns.keys().copied().collect();
-                for t in tokens {
+                if !self.locals.contains(addr) {
+                    self.locals.push(*addr);
+                }
+                let mut tokens: Vec<(u64, ConnToken)> =
+                    self.conns.iter().map(|(t, rec)| (rec.seq, *t)).collect();
+                tokens.sort_unstable();
+                for (_, t) in tokens {
                     self.mesh(api, t);
                 }
             }
             PmEvent::LocalAddrDown { addr } => {
-                self.locals.remove(addr);
+                self.locals.retain(|l| l != addr);
                 for rec in self.conns.values_mut() {
                     rec.pairs.retain(|(l, _)| l != addr);
                 }
@@ -232,5 +245,55 @@ impl SubflowController for FullMeshController {
 
     fn name(&self) -> &'static str {
         "fullmesh-user"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ControllerRuntime;
+    use smapp_mptcp::FourTuple;
+    use smapp_netlink::{decode, encode_event, PmNlCommand, PmNlMessage, UserCtx, UserProcess};
+    use smapp_sim::{SimRng, SimTime};
+
+    #[test]
+    fn mesh_commands_follow_connection_creation_and_address_arrival_order() {
+        const CREATED: [ConnToken; 8] = [70, 3, 41, 9, 88, 15, 62, 27];
+        let [l1, l2, l3, r1] = [1, 2, 3, 9].map(|n| Addr::new(10, 0, n, 1));
+        let commands = || {
+            let mut rng = SimRng::seed_from_u64(1);
+            let mut ctx = UserCtx::new(SimTime::ZERO, &mut rng);
+            let mut rt = ControllerRuntime::new(FullMeshController::new());
+            let mut feed = |ev: PmEvent| rt.on_message(&mut ctx, encode_event(&ev));
+            feed(PmEvent::LocalAddrUp { addr: l2 });
+            feed(PmEvent::LocalAddrUp { addr: l1 });
+            for token in CREATED {
+                feed(PmEvent::ConnCreated {
+                    token,
+                    tuple: FourTuple {
+                        src: l1,
+                        src_port: 40_000,
+                        dst: r1,
+                        dst_port: 80,
+                    },
+                    initial_subflow: 0,
+                    is_client: true,
+                });
+            }
+            feed(PmEvent::LocalAddrUp { addr: l3 });
+            let opened = ctx.to_kernel.iter().map(|f| match decode(f).unwrap() {
+                PmNlMessage::Command {
+                    cmd: PmNlCommand::SubflowCreate { token, src, .. },
+                    ..
+                } => (token, src),
+                other => panic!("unexpected {other:?}"),
+            });
+            opened.collect::<Vec<_>>()
+        };
+        // Two instances fed the same events agree: connections in creation
+        // order, and within each the addresses in arrival order.
+        let expect: Vec<_> = CREATED.iter().flat_map(|&t| [(t, l2), (t, l3)]).collect();
+        assert_eq!(commands(), expect);
+        assert_eq!(commands(), expect);
     }
 }

@@ -904,14 +904,18 @@ impl Connection {
                         ..TcpFlags::ACK
                     },
                     window,
-                    options: TcpOptions::from([TcpOption::Mptcp(
-                        MpOption::Dss(Dss {
-                            data_ack: Some(data_ack),
-                            mapping,
-                            data_fin: tag.data_fin,
-                        })
-                        .encode(),
-                    )]),
+                    options: if self.fallback {
+                        TcpOptions::new()
+                    } else {
+                        TcpOptions::from([TcpOption::Mptcp(
+                            MpOption::Dss(Dss {
+                                data_ack: Some(data_ack),
+                                mapping,
+                                data_fin: tag.data_fin,
+                            })
+                            .encode(),
+                        )])
+                    },
                 },
                 payload,
             };
@@ -1282,18 +1286,22 @@ impl Connection {
                 ack: sf.wire_ack().into(),
                 flags: TcpFlags::ACK,
                 window,
-                options: TcpOptions::from([TcpOption::Mptcp(
-                    MpOption::Dss(Dss {
-                        data_ack: Some(data_ack),
-                        mapping: Some(DssMapping {
-                            dsn,
-                            ssn: 0,
-                            len: 0,
-                        }),
-                        data_fin: true,
-                    })
-                    .encode(),
-                )]),
+                options: if self.fallback {
+                    TcpOptions::new()
+                } else {
+                    TcpOptions::from([TcpOption::Mptcp(
+                        MpOption::Dss(Dss {
+                            data_ack: Some(data_ack),
+                            mapping: Some(DssMapping {
+                                dsn,
+                                ssn: 0,
+                                len: 0,
+                            }),
+                            data_fin: true,
+                        })
+                        .encode(),
+                    )])
+                },
             },
             payload: Bytes::new(),
         };
@@ -1357,14 +1365,18 @@ impl Connection {
                         ..TcpFlags::ACK
                     },
                     window,
-                    options: TcpOptions::from([TcpOption::Mptcp(
-                        MpOption::Dss(Dss {
-                            data_ack: Some(data_ack),
-                            mapping: None,
-                            data_fin: false,
-                        })
-                        .encode(),
-                    )]),
+                    options: if self.fallback {
+                        TcpOptions::new()
+                    } else {
+                        TcpOptions::from([TcpOption::Mptcp(
+                            MpOption::Dss(Dss {
+                                data_ack: Some(data_ack),
+                                mapping: None,
+                                data_fin: false,
+                            })
+                            .encode(),
+                        )])
+                    },
                 },
                 payload: Bytes::new(),
             },

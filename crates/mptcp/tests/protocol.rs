@@ -488,7 +488,17 @@ fn plain_tcp_fallback_when_server_lacks_mptcp() {
             Box::new(BulkSender::new(100_000).close_when_done()),
         )
         .unwrap();
-    h.run_until(SimTime::from_secs(20));
+    // Once the handshake has fallen back, nothing either host emits may
+    // carry an MPTCP option — retransmissions and FINs included. A
+    // stripper switched on after establishment counts any that do.
+    h.run_until(SimTime::from_millis(25));
+    assert_eq!(
+        h.a.conn_by_token(token).unwrap().state,
+        ConnState::Established
+    );
+    (h.strip_a2b, h.strip_b2a, h.loss_a2b) = (true, true, 0.05);
+    h.run_until(SimTime::from_secs(60));
+    assert_eq!(h.stripped, [0, 0], "MPTCP option sent after fallback");
     let conn = h.a.conn_by_token(token).unwrap();
     assert_eq!(conn.state, ConnState::Closed, "transfer completed");
     assert_eq!(conn.remote_token(), None, "no MPTCP negotiated");
@@ -533,8 +543,17 @@ fn middlebox_stripping_both_directions_forces_clean_fallback() {
             Box::new(BulkSender::new(100_000).close_when_done()),
         )
         .unwrap();
-    h.run_until(SimTime::from_secs(20));
-    assert!(h.stripped[0] >= 1, "SYN options stripped");
+    h.run_until(SimTime::from_millis(25));
+    assert_eq!(
+        h.a.conn_by_token(token).unwrap().state,
+        ConnState::Established
+    );
+    assert_eq!(h.stripped, [1, 0], "only the SYN's MP_CAPABLE was stripped");
+    // From here on the connection is plain TCP: with loss forcing
+    // retransmissions, neither those nor the FINs may carry an option.
+    h.loss_a2b = 0.05;
+    h.run_until(SimTime::from_secs(60));
+    assert_eq!(h.stripped, [1, 0], "MPTCP option sent after fallback");
     let conn = h.a.conn_by_token(token).unwrap();
     assert_eq!(conn.state, ConnState::Closed, "transfer completed");
     assert!(conn.is_fallback());

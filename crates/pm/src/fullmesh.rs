@@ -9,25 +9,28 @@
 //! (servers never create subflows); on the server side it announces
 //! additional local addresses via `ADD_ADDR` so the client's mesh can grow.
 
-use std::collections::{HashMap, HashSet};
-
 use smapp_mptcp::{ConnToken, PathManagerHook, PmAction, PmActions, PmEvent, StackView};
-use smapp_sim::Addr;
+use smapp_sim::{Addr, FxHashMap, FxHashSet};
 
 #[derive(Debug, Default)]
 struct ConnRec {
+    /// Creation rank: interface events walk the connections in this order,
+    /// so the subflows they open — each drawing a port and an ISS from the
+    /// world RNG — come out the same in every process.
+    seq: u64,
     is_client: bool,
     dst_port: u16,
     /// (local, remote) pairs with a live (or in-progress) subflow.
-    pairs: HashSet<(Addr, Addr)>,
+    pairs: FxHashSet<(Addr, Addr)>,
     /// Local addresses announced to the peer (server side).
-    announced: HashSet<Addr>,
+    announced: FxHashSet<Addr>,
 }
 
 /// The kernel full-mesh path manager.
 #[derive(Debug, Default)]
 pub struct FullMeshPm {
-    conns: HashMap<ConnToken, ConnRec>,
+    conns: FxHashMap<ConnToken, ConnRec>,
+    conns_created: u64,
     /// Subflows opened over the lifetime (diagnostics).
     pub subflows_opened: u64,
 }
@@ -96,7 +99,12 @@ impl PathManagerHook for FullMeshPm {
                 is_client,
                 ..
             } => {
-                let rec = self.conns.entry(*token).or_default();
+                let seq = self.conns_created;
+                self.conns_created += 1;
+                let rec = self.conns.entry(*token).or_insert_with(|| ConnRec {
+                    seq,
+                    ..Default::default()
+                });
                 rec.is_client = *is_client;
                 rec.dst_port = tuple.dst_port;
                 rec.pairs.insert((tuple.src, tuple.dst));
@@ -129,8 +137,10 @@ impl PathManagerHook for FullMeshPm {
                 // the subflows close.
             }
             PmEvent::LocalAddrUp { .. } => {
-                let tokens: Vec<ConnToken> = self.conns.keys().copied().collect();
-                for t in tokens {
+                let mut tokens: Vec<(u64, ConnToken)> =
+                    self.conns.iter().map(|(t, rec)| (rec.seq, *t)).collect();
+                tokens.sort_unstable();
+                for (_, t) in tokens {
                     self.mesh(t, view, actions);
                     self.announce(t, view, actions);
                 }
@@ -335,6 +345,37 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    #[test]
+    fn local_addr_up_opens_subflows_in_connection_creation_order() {
+        const CREATED: [ConnToken; 8] = [70, 3, 41, 9, 88, 15, 62, 27];
+        let view = FakeView {
+            locals: vec![L1, L2],
+            remotes: vec![(0, R1, 80)],
+        };
+        let opened_for = || {
+            let mut pm = FullMeshPm::new();
+            let mut actions = PmActions::new();
+            for token in CREATED {
+                let created = PmEvent::ConnCreated {
+                    token,
+                    tuple: tuple(),
+                    initial_subflow: 0,
+                    is_client: true,
+                };
+                pm.on_event(&created, &view, &mut actions);
+            }
+            pm.on_event(&PmEvent::LocalAddrUp { addr: L2 }, &view, &mut actions);
+            let opened = actions.drain().into_iter().map(|a| match a {
+                PmAction::OpenSubflow { token, .. } => token,
+                other => panic!("unexpected {other:?}"),
+            });
+            opened.collect::<Vec<_>>()
+        };
+        // Two instances fed the same events agree, on creation order.
+        assert_eq!(opened_for(), CREATED);
+        assert_eq!(opened_for(), CREATED);
     }
 
     #[test]

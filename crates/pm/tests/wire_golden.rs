@@ -25,7 +25,7 @@ const GOLDEN: [(&str, u64, u64); 4] = [
     ("fullmesh_loss_datafin", 1074, 0xfc3eefa3fe151b7e),
     ("backup_prio_addaddr", 898, 0x827716767b712417),
     ("pm_reset", 944, 0xcc211c2b0c3971dc),
-    ("stripped_fallback_loss", 900, 0x768f71e2f8b4f186),
+    ("stripped_fallback_loss", 900, 0x8ae7e668010da25d),
 ];
 
 #[derive(Default)]
