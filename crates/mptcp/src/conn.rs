@@ -463,6 +463,7 @@ impl Connection {
     }
 
     /// Accept an `MP_JOIN` SYN for this connection; emits the SYN/ACK.
+    /// Refused (`None`) in fallback: there are no keys to authenticate with.
     pub fn accept_join_syn(
         &mut self,
         cfg: &StackConfig,
@@ -470,6 +471,9 @@ impl Connection {
         tuple: FourTuple,
         syn: &TcpSegment,
     ) -> Option<SubflowId> {
+        if self.fallback {
+            return None;
+        }
         let (backup, nonce_remote) = syn.mptcp_opts().find_map(|o| match MpOption::decode(o) {
             Ok(MpOption::JoinSyn { backup, nonce, .. }) => Some((backup, nonce)),
             _ => None,
@@ -1314,20 +1318,19 @@ impl Connection {
         let data_ack = self.current_data_ack();
         let window = self.advertised_window_scaled();
         let sf = &self.subflows[id as usize];
-        let mut options = if self.fallback {
-            TcpOptions::new()
-        } else {
-            TcpOptions::from([TcpOption::Mptcp(
+        let mut options = TcpOptions::new();
+        if !self.fallback {
+            options.push(TcpOption::Mptcp(
                 MpOption::Dss(Dss {
                     data_ack: Some(data_ack),
                     mapping: None,
                     data_fin: false,
                 })
                 .encode(),
-            )])
-        };
-        for e in extra {
-            options.push(TcpOption::Mptcp(e.encode()));
+            ));
+            for e in extra {
+                options.push(TcpOption::Mptcp(e.encode()));
+            }
         }
         let seg = TcpSegment {
             hdr: TcpHeader {

@@ -497,6 +497,18 @@ fn plain_tcp_fallback_when_server_lacks_mptcp() {
         ConnState::Established
     );
     (h.strip_a2b, h.strip_b2a, h.loss_a2b) = (true, true, 0.05);
+    // PM-requested signalling (MP_PRIO, ADD_ADDR) has no peer to reach.
+    let (id, backup) = (0, false);
+    h.apply(Side::A, &PmAction::SetBackup { token, id, backup });
+    let (addr_id, addr) = (1, A2);
+    h.apply(
+        Side::A,
+        &PmAction::AnnounceAddr {
+            token,
+            addr_id,
+            addr,
+        },
+    );
     h.run_until(SimTime::from_secs(60));
     assert_eq!(h.stripped, [0, 0], "MPTCP option sent after fallback");
     let conn = h.a.conn_by_token(token).unwrap();
@@ -625,6 +637,44 @@ fn one_directional_stripping_infers_fallback_from_dss_less_data() {
         "transfer completed despite stripping"
     );
     assert_eq!(conn.state, ConnState::Closed);
+}
+
+#[test]
+fn join_reaching_a_connection_that_inferred_fallback_is_refused() {
+    // Stripping starts A→B right after the SYN: both ends negotiate MPTCP,
+    // then the server sees DSS-less data and infers fallback (forgetting
+    // the keys) while the client, not yet aware, sends an intact MP_JOIN.
+    // The server must answer it with a reset, not look for keys.
+    let mut h = two_addr_harness(33);
+    let token = h
+        .connect(
+            Side::A,
+            80,
+            Box::new(BulkSender::new(100_000).close_when_done()),
+        )
+        .unwrap();
+    h.run_until(SimTime::from_millis(15));
+    h.strip_a2b = true;
+    h.run_until(SimTime::from_millis(25));
+    h.strip_a2b = false;
+    assert!(h.apply(
+        Side::A,
+        &PmAction::OpenSubflow {
+            token,
+            src: A2,
+            src_port: 0,
+            dst: B1,
+            dst_port: 80,
+            backup: false,
+        },
+    ));
+    h.run_until(SimTime::from_secs(30));
+    let sconn = h.b.connections().next().unwrap();
+    assert!(sconn.stats.fallback_inferred);
+    assert_eq!(sconn.subflow_count(), 1, "the join was refused");
+    assert_eq!(sconn.stats.bytes_received, 100_000);
+    let conn = h.a.conn_by_token(token).unwrap();
+    assert_eq!(conn.subflow(1).unwrap().state, SfState::Closed);
 }
 
 #[test]
