@@ -27,11 +27,10 @@
 //! # let _ = user_process;
 //! ```
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use smapp_mptcp::{ConnToken, PmEvent, SubflowId};
-use smapp_sim::{Addr, SimTime};
+use smapp_sim::{Addr, FxHashMap, SimTime};
 
 use crate::controller::{ControlApi, SubflowController};
 
@@ -50,14 +49,14 @@ struct ConnRec {
     dst: Addr,
     dst_port: u16,
     /// Source address of each live subflow.
-    sub_src: HashMap<SubflowId, Addr>,
+    sub_src: FxHashMap<SubflowId, Addr>,
 }
 
 /// The §4.2 controller.
 #[derive(Debug)]
 pub struct BackupController {
     cfg: BackupConfig,
-    conns: HashMap<ConnToken, ConnRec>,
+    conns: FxHashMap<ConnToken, ConnRec>,
     /// `(time, token, killed subflow)` of every switchover (the Fig. 2a
     /// switch instant).
     pub switchovers: Vec<(SimTime, ConnToken, SubflowId)>,
@@ -68,7 +67,7 @@ impl BackupController {
     pub fn new(cfg: BackupConfig) -> Self {
         BackupController {
             cfg,
-            conns: HashMap::new(),
+            conns: FxHashMap::default(),
             switchovers: Vec::new(),
         }
     }
@@ -83,7 +82,7 @@ impl SubflowController for BackupController {
                 initial_subflow,
                 is_client: true,
             } => {
-                let mut sub_src = HashMap::new();
+                let mut sub_src = FxHashMap::default();
                 sub_src.insert(*initial_subflow, tuple.src);
                 self.conns.insert(
                     *token,

@@ -25,11 +25,10 @@
 //! # let _ = user_process;
 //! ```
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use smapp_mptcp::{ConnToken, PmEvent, SubflowId};
-use smapp_sim::{Addr, SimTime};
+use smapp_sim::{Addr, FxHashMap, SimTime};
 use smapp_tcp::{TcpInfo, TcpStateInfo};
 
 use crate::controller::{ControlApi, SubflowController};
@@ -68,7 +67,7 @@ struct ConnRec {
 pub struct RefreshController {
     cfg: RefreshConfig,
     reg: Vec<ConnToken>,
-    conns: HashMap<ConnToken, ConnRec>,
+    conns: FxHashMap<ConnToken, ConnRec>,
     /// `(time, killed subflow, its pacing rate)` per refresh (diagnostics).
     pub refreshes: Vec<(SimTime, SubflowId, u64)>,
 }
@@ -79,7 +78,7 @@ impl RefreshController {
         RefreshController {
             cfg,
             reg: Vec::new(),
-            conns: HashMap::new(),
+            conns: FxHashMap::default(),
             refreshes: Vec::new(),
         }
     }

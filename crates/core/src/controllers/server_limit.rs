@@ -10,10 +10,8 @@
 //! on every accepted connection: excess subflows are closed with RST the
 //! moment they establish.
 
-use std::collections::HashMap;
-
 use smapp_mptcp::{ConnToken, PmEvent, SubflowId};
-use smapp_sim::{Addr, SimTime};
+use smapp_sim::{Addr, FxHashMap, SimTime};
 
 use crate::controller::{ControlApi, SubflowController};
 
@@ -36,7 +34,7 @@ impl Default for ServerLimitConfig {
 pub struct ServerLimitController {
     cfg: ServerLimitConfig,
     /// token -> remote addr -> live accepted subflows.
-    conns: HashMap<ConnToken, HashMap<Addr, Vec<SubflowId>>>,
+    conns: FxHashMap<ConnToken, FxHashMap<Addr, Vec<SubflowId>>>,
     /// `(time, token, subflow)` of every rejection.
     pub rejections: Vec<(SimTime, ConnToken, SubflowId)>,
 }
@@ -46,7 +44,7 @@ impl ServerLimitController {
     pub fn new(cfg: ServerLimitConfig) -> Self {
         ServerLimitController {
             cfg,
-            conns: HashMap::new(),
+            conns: FxHashMap::default(),
             rejections: Vec::new(),
         }
     }

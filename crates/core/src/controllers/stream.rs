@@ -23,11 +23,10 @@
 //! # let _ = user_process;
 //! ```
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use smapp_mptcp::{ConnToken, PmEvent, SubflowId};
-use smapp_sim::{Addr, SimTime};
+use smapp_sim::{Addr, FxHashMap, SimTime};
 use smapp_tcp::TcpInfo;
 
 use crate::controller::{ControlApi, SubflowController};
@@ -70,7 +69,7 @@ struct ConnRec {
     dst_port: u16,
     established_at: SimTime,
     second_opened: bool,
-    sub_src: HashMap<SubflowId, Addr>,
+    sub_src: FxHashMap<SubflowId, Addr>,
 }
 
 /// The §4.3 controller.
@@ -79,7 +78,7 @@ pub struct StreamController {
     cfg: StreamConfig,
     /// Timer-token registry: index -> token.
     reg: Vec<ConnToken>,
-    conns: HashMap<ConnToken, ConnRec>,
+    conns: FxHashMap<ConnToken, ConnRec>,
     /// Times at which the second subflow was opened (diagnostics).
     pub interventions: Vec<SimTime>,
     /// Subflows closed for excessive RTO (diagnostics).
@@ -92,7 +91,7 @@ impl StreamController {
         StreamController {
             cfg,
             reg: Vec::new(),
-            conns: HashMap::new(),
+            conns: FxHashMap::default(),
             interventions: Vec::new(),
             rto_closes: Vec::new(),
         }
@@ -118,7 +117,7 @@ impl SubflowController for StreamController {
                 initial_subflow,
                 is_client: true,
             } => {
-                let mut sub_src = HashMap::new();
+                let mut sub_src = FxHashMap::default();
                 sub_src.insert(*initial_subflow, tuple.src);
                 self.conns.insert(
                     *token,

@@ -21,8 +21,8 @@ use std::time::Duration;
 use bytes::Bytes;
 use smapp_sim::{Addr, SimTime};
 use smapp_tcp::{
-    lia_alpha, CongestionControl, Lia, Reno, RtoState, StreamTap, TcpFlags, TcpHeader, TcpInfo,
-    TcpOption, TcpOptions, TcpSegment,
+    lia_alpha, Lia, Reno, RtoState, StreamTap, TcpFlags, TcpHeader, TcpInfo, TcpOption, TcpOptions,
+    TcpSegment,
 };
 
 use crate::app::{App, AppCtx};
@@ -114,6 +114,35 @@ pub struct ConnInfo {
     pub peer_window: u64,
 }
 
+/// Whether the connection speaks Multipath TCP or has given it up. Written
+/// by the constructor and by [`Connection::fall_back`], nowhere else.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mode {
+    /// MPTCP is negotiated, or still being negotiated.
+    Mptcp {
+        /// A DSS option has arrived from the peer. Gates the sender-side
+        /// §3.7 fallback inference: a plain ACK proves stripping only
+        /// while the peer has never spoken DSS.
+        peer_dss_seen: bool,
+    },
+    /// Plain TCP: the peer did not negotiate MPTCP, or a middlebox strips
+    /// it. Single subflow, no MPTCP option sent, identity mapping between
+    /// subflow and meta stream, close via the subflow FIN, no reinjection,
+    /// no joins.
+    Fallback,
+}
+
+/// How a connection came to fall back.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum FallbackCause {
+    /// The `MP_CAPABLE` handshake did not complete: a peer without MPTCP,
+    /// or options stripped from the first SYN on.
+    Handshake,
+    /// RFC 6824 §3.7: MPTCP was negotiated, then a middlebox began
+    /// stripping its options mid-connection.
+    Inferred,
+}
+
 /// The meta socket.
 pub struct Connection {
     /// Slot index within the stack (stable; slots are never reused).
@@ -127,6 +156,9 @@ pub struct Connection {
     /// Stats.
     pub stats: ConnStats,
 
+    /// The host's configuration when the connection was created.
+    cfg: StackConfig,
+    mode: Mode,
     local_key: Key,
     remote_key: Option<Key>,
     remote_token: Option<ConnToken>,
@@ -150,13 +182,11 @@ pub struct Connection {
     meta_recv: smapp_tcp::Reassembly,
     peer_fin_off: Option<u64>,
     eof_delivered: bool,
-    recv_buf: u64,
 
     // --- subflows & scheduling ---
     subflows: Vec<Subflow>,
     scheduler: Box<dyn Scheduler>,
-    /// Pending reinjection ranges: start -> end (meta offsets).
-    reinject: BTreeMap<u64, u64>,
+    reinject: ReinjectQueue,
     peer_window: u64,
     /// Scratch for [`Connection::pump`]'s candidate list; capacity is
     /// retained across events so the pump loop does not allocate.
@@ -169,19 +199,6 @@ pub struct Connection {
     pub remote_addrs: Vec<(u8, Addr, u16)>,
     /// The original destination (address id 0 in PM terms).
     pub initial_remote: (Addr, u16),
-    next_local_addr_id: u8,
-
-    coupled_cc: bool,
-    cfg_mss: usize,
-    wscale: u8,
-    /// Plain-TCP fallback: the peer did not negotiate MPTCP. Single
-    /// subflow, no DSS options, identity mapping between subflow and meta
-    /// stream, close via the subflow FIN.
-    fallback: bool,
-    /// True once any DSS option has been received from the peer. Gates the
-    /// sender-side §3.7 fallback inference: a plain ACK proves stripping
-    /// only while the peer has never spoken DSS.
-    peer_dss_seen: bool,
 }
 
 impl std::fmt::Debug for Connection {
@@ -197,137 +214,42 @@ impl std::fmt::Debug for Connection {
     }
 }
 
-/// Internal helper bundling what segment emission needs.
-struct SegBuild {
-    tuple: FourTuple,
-    seg: TcpSegment,
-}
-
 impl Connection {
-    // ------------------------------------------------------------------
-    // Construction & handshakes
-    // ------------------------------------------------------------------
-
-    /// Create the client side and emit the initial `MP_CAPABLE` SYN.
-    #[allow(clippy::too_many_arguments)]
-    pub fn client(
-        idx: usize,
-        cfg: &StackConfig,
-        tuple: FourTuple,
-        app: Box<dyn App>,
-        env: &mut StackEnv<'_>,
-        events: &mut Vec<PmEvent>,
-    ) -> Connection {
-        let local_key = env.rng.range_u64(1, u64::MAX);
-        let iss = env.rng.range_u64(0, 1 << 32) as u32;
-        let nonce = env.rng.range_u64(0, 1 << 32) as u32;
-        let mut conn = Connection::common(idx, cfg, Role::Client, local_key, app, env.now);
-        conn.initial_remote = (tuple.dst, tuple.dst_port);
-        let mut sf = conn.new_subflow_obj(
-            cfg,
-            tuple,
-            SfState::SynSent,
-            true,
-            iss,
-            nonce,
-            false,
-            env.now,
-        );
-        sf.id = 0;
-        conn.subflows.push(sf);
-        events.push(PmEvent::ConnCreated {
-            token: conn.token,
-            tuple,
-            initial_subflow: 0,
-            is_client: true,
-        });
-        conn.send_syn(0, cfg, env);
-        conn.arm_rto(0, env);
-        conn
-    }
-
-    /// Create the server side from a received `MP_CAPABLE` (or plain) SYN
-    /// and emit the SYN/ACK.
-    #[allow(clippy::too_many_arguments)]
-    pub fn server_from_syn(
-        idx: usize,
-        cfg: &StackConfig,
-        tuple: FourTuple,
-        syn: &TcpSegment,
-        app: Box<dyn App>,
-        env: &mut StackEnv<'_>,
-        events: &mut Vec<PmEvent>,
-    ) -> Connection {
-        let local_key = env.rng.range_u64(1, u64::MAX);
-        let iss = env.rng.range_u64(0, 1 << 32) as u32;
-        let mut conn = Connection::common(idx, cfg, Role::Server, local_key, app, env.now);
-        // Parse the client's key (if we speak MPTCP at all).
-        if cfg.mptcp_enabled {
-            for opt in syn.mptcp_opts() {
-                if let Ok(MpOption::Capable {
-                    sender_key,
-                    receiver_key: None,
-                    ..
-                }) = MpOption::decode(opt)
-                {
-                    conn.set_remote_key(sender_key);
-                }
-            }
-        }
-        if conn.remote_key.is_none() {
-            conn.fallback = true;
-        }
-        conn.initial_remote = (tuple.dst, tuple.dst_port);
-        let mut sf = conn.new_subflow_obj(
-            cfg,
-            tuple,
-            SfState::SynReceived,
-            false,
-            iss,
-            0,
-            false,
-            env.now,
-        );
-        sf.id = 0;
-        sf.irs = syn.hdr.seq.0;
-        sf.peer_wscale = syn
-            .hdr
-            .options
-            .iter()
-            .find_map(|o| match o {
-                TcpOption::WindowScale(s) => Some(*s),
-                _ => None,
-            })
-            .unwrap_or(0);
-        sf.peer_window = syn.hdr.window as u64; // SYN windows are unscaled
-        conn.subflows.push(sf);
-        events.push(PmEvent::ConnCreated {
-            token: conn.token,
-            tuple,
-            initial_subflow: 0,
-            is_client: false,
-        });
-        conn.send_synack(0, cfg, env);
-        conn.arm_rto(0, env);
-        conn
-    }
-
+    /// A connection object with no subflow yet, announced to the path
+    /// manager.
     fn common(
         idx: usize,
         cfg: &StackConfig,
         role: Role,
-        local_key: Key,
+        tuple: FourTuple,
         app: Box<dyn App>,
-        now: SimTime,
+        env: &mut StackEnv<'_>,
+        events: &mut Vec<PmEvent>,
     ) -> Connection {
+        let local_key = env.rng.range_u64(1, u64::MAX);
+        let token = token_from_key(local_key);
+        events.push(PmEvent::ConnCreated {
+            token,
+            tuple,
+            initial_subflow: 0,
+            is_client: role == Role::Client,
+        });
         Connection {
             idx,
-            token: token_from_key(local_key),
+            token,
             role,
             state: ConnState::Establishing,
             stats: ConnStats {
-                created_at: now,
+                created_at: env.now,
                 ..Default::default()
+            },
+            cfg: cfg.clone(),
+            mode: if cfg.mptcp_enabled {
+                Mode::Mptcp {
+                    peer_dss_seen: false,
+                }
+            } else {
+                Mode::Fallback
             },
             local_key,
             remote_key: None,
@@ -346,40 +268,32 @@ impl Connection {
             meta_recv: smapp_tcp::Reassembly::new(),
             peer_fin_off: None,
             eof_delivered: false,
-            recv_buf: cfg.recv_buf,
             subflows: Vec::new(),
             scheduler: by_name(cfg.scheduler).expect("unknown scheduler in config"),
-            reinject: BTreeMap::new(),
+            reinject: ReinjectQueue::default(),
             peer_window: 64 * 1024,
             sched_scratch: Vec::new(),
             coupling_scratch: Vec::new(),
             remote_addrs: Vec::new(),
-            initial_remote: (Addr::UNSPECIFIED, 0),
-            next_local_addr_id: 1,
-            coupled_cc: cfg.cc == CcAlgo::Lia,
-            cfg_mss: cfg.mss,
-            wscale: cfg.window_scale,
-            fallback: !cfg.mptcp_enabled,
-            peer_dss_seen: false,
+            initial_remote: (tuple.dst, tuple.dst_port),
         }
     }
 
     /// True when the connection fell back to plain TCP.
     pub fn is_fallback(&self) -> bool {
-        self.fallback
+        self.mode == Mode::Fallback
     }
 
-    /// Enter inferred plain-TCP fallback (RFC 6824 §3.7): a middlebox is
-    /// stripping MPTCP options mid-connection. Refuse further joins and
-    /// drop any queued connection-level reinjections — the peer reads the
-    /// subflow as plain TCP, so reinjected bytes at fresh subflow offsets
-    /// would be misread as new stream data.
-    fn infer_fallback(&mut self) {
-        self.fallback = true;
+    /// The one way out of MPTCP mode. Forget the keys — no further joins,
+    /// in either direction — and drop any queued connection-level
+    /// reinjections: the peer reads the subflow as plain TCP, so reinjected
+    /// bytes at fresh subflow offsets would be misread as new stream data.
+    fn fall_back(&mut self, cause: FallbackCause) {
+        self.mode = Mode::Fallback;
         self.remote_key = None;
         self.remote_token = None;
-        self.stats.fallback_inferred = true;
-        self.reinject.clear();
+        self.stats.fallback_inferred = cause == FallbackCause::Inferred;
+        self.reinject.0.clear();
     }
 
     /// Record an end-host oracle violation (capped; see
@@ -394,244 +308,6 @@ impl Connection {
         self.remote_key = Some(key);
         self.remote_token = Some(token_from_key(key));
         self.idsn_remote = idsn_from_key(key);
-    }
-
-    fn new_cc(&self, cfg: &StackConfig) -> Box<dyn CongestionControl> {
-        match cfg.cc {
-            CcAlgo::Reno => Box::new(Reno::new(cfg.mss as u64)),
-            CcAlgo::Lia => Box::new(Lia::new(cfg.mss as u64)),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn new_subflow_obj(
-        &self,
-        cfg: &StackConfig,
-        tuple: FourTuple,
-        state: SfState,
-        initiated_here: bool,
-        iss: u32,
-        nonce: u32,
-        backup: bool,
-        now: SimTime,
-    ) -> Subflow {
-        Subflow::new(
-            self.subflows.len() as SubflowId,
-            tuple,
-            state,
-            initiated_here,
-            iss,
-            nonce,
-            backup,
-            self.new_cc(cfg),
-            RtoState::new(cfg.rto.clone()),
-            cfg.syn_retries,
-            now,
-        )
-    }
-
-    /// Open an additional subflow via `MP_JOIN`. Fails (returns `None`)
-    /// when the connection is not established or the remote key is unknown.
-    #[allow(clippy::too_many_arguments)]
-    pub fn open_subflow(
-        &mut self,
-        cfg: &StackConfig,
-        env: &mut StackEnv<'_>,
-        tuple: FourTuple,
-        backup: bool,
-    ) -> Option<SubflowId> {
-        if self.state != ConnState::Established || self.remote_token.is_none() {
-            return None;
-        }
-        let iss = env.rng.range_u64(0, 1 << 32) as u32;
-        let nonce = env.rng.range_u64(0, 1 << 32) as u32;
-        let sf = self.new_subflow_obj(
-            cfg,
-            tuple,
-            SfState::SynSent,
-            true,
-            iss,
-            nonce,
-            backup,
-            env.now,
-        );
-        let id = sf.id;
-        self.subflows.push(sf);
-        self.send_syn(id, cfg, env);
-        self.arm_rto(id, env);
-        Some(id)
-    }
-
-    /// Accept an `MP_JOIN` SYN for this connection; emits the SYN/ACK.
-    /// Refused (`None`) in fallback: there are no keys to authenticate with.
-    pub fn accept_join_syn(
-        &mut self,
-        cfg: &StackConfig,
-        env: &mut StackEnv<'_>,
-        tuple: FourTuple,
-        syn: &TcpSegment,
-    ) -> Option<SubflowId> {
-        if self.fallback {
-            return None;
-        }
-        let (backup, nonce_remote) = syn.mptcp_opts().find_map(|o| match MpOption::decode(o) {
-            Ok(MpOption::JoinSyn { backup, nonce, .. }) => Some((backup, nonce)),
-            _ => None,
-        })?;
-        let iss = env.rng.range_u64(0, 1 << 32) as u32;
-        let nonce_local = env.rng.range_u64(0, 1 << 32) as u32;
-        let mut sf = self.new_subflow_obj(
-            cfg,
-            tuple,
-            SfState::SynReceived,
-            false,
-            iss,
-            nonce_local,
-            backup,
-            env.now,
-        );
-        let id = sf.id;
-        sf.irs = syn.hdr.seq.0;
-        sf.nonce_remote = nonce_remote;
-        sf.peer_wscale = syn
-            .hdr
-            .options
-            .iter()
-            .find_map(|o| match o {
-                TcpOption::WindowScale(s) => Some(*s),
-                _ => None,
-            })
-            .unwrap_or(0);
-        self.subflows.push(sf);
-        self.send_synack(id, cfg, env);
-        self.arm_rto(id, env);
-        Some(id)
-    }
-
-    fn send_syn(&mut self, id: SubflowId, cfg: &StackConfig, env: &mut StackEnv<'_>) {
-        let window = self.advertised_window_unscaled();
-        let sf = &self.subflows[id as usize];
-        let mp = if !cfg.mptcp_enabled {
-            None
-        } else if sf.id == 0 {
-            Some(MpOption::Capable {
-                version: MPTCP_VERSION,
-                flags: CAPABLE_FLAG_HMAC_SHA1,
-                sender_key: self.local_key,
-                receiver_key: None,
-            })
-        } else {
-            Some(MpOption::JoinSyn {
-                backup: sf.backup,
-                addr_id: sf.id,
-                token: self.remote_token.expect("join without remote token"),
-                nonce: sf.nonce_local,
-            })
-        };
-        let mut options = TcpOptions::from([
-            TcpOption::Mss(cfg.mss as u16),
-            TcpOption::WindowScale(self.wscale),
-        ]);
-        if let Some(mp) = mp {
-            options.push(TcpOption::Mptcp(mp.encode()));
-        }
-        let seg = TcpSegment {
-            hdr: TcpHeader {
-                src_port: sf.tuple.src_port,
-                dst_port: sf.tuple.dst_port,
-                seq: sf.iss.into(),
-                ack: 0.into(),
-                flags: TcpFlags::SYN,
-                window,
-                options,
-            },
-            payload: Bytes::new(),
-        };
-        env.send_segment(sf.tuple.src, sf.tuple.dst, &seg);
-    }
-
-    fn send_synack(&mut self, id: SubflowId, cfg: &StackConfig, env: &mut StackEnv<'_>) {
-        let window = self.advertised_window_unscaled();
-        let sf = &self.subflows[id as usize];
-        let mp = if !cfg.mptcp_enabled || (self.remote_key.is_none() && sf.id == 0) {
-            None
-        } else if sf.id == 0 {
-            Some(MpOption::Capable {
-                version: MPTCP_VERSION,
-                flags: CAPABLE_FLAG_HMAC_SHA1,
-                sender_key: self.local_key,
-                receiver_key: None,
-            })
-        } else {
-            // Responder HMAC: we are B on this subflow.
-            let hmac = join_hmac_b(
-                self.remote_key.expect("join accept without keys"),
-                self.local_key,
-                sf.nonce_remote,
-                sf.nonce_local,
-            );
-            Some(MpOption::JoinSynAck {
-                backup: sf.backup,
-                addr_id: sf.id,
-                hmac,
-                nonce: sf.nonce_local,
-            })
-        };
-        let mut options = TcpOptions::from([
-            TcpOption::Mss(cfg.mss as u16),
-            TcpOption::WindowScale(self.wscale),
-        ]);
-        if let Some(mp) = mp {
-            options.push(TcpOption::Mptcp(mp.encode()));
-        }
-        let seg = TcpSegment {
-            hdr: TcpHeader {
-                src_port: sf.tuple.src_port,
-                dst_port: sf.tuple.dst_port,
-                seq: sf.iss.into(),
-                ack: sf.irs.wrapping_add(1).into(),
-                flags: TcpFlags::SYN_ACK,
-                window,
-                options,
-            },
-            payload: Bytes::new(),
-        };
-        env.send_segment(sf.tuple.src, sf.tuple.dst, &seg);
-    }
-
-    /// The third ACK of a handshake (initial or join).
-    fn send_handshake_ack(&mut self, id: SubflowId, env: &mut StackEnv<'_>) {
-        let window = self.advertised_window_scaled();
-        let sf = &self.subflows[id as usize];
-        let mp = if sf.id == 0 {
-            self.remote_key.map(|rk| MpOption::Capable {
-                version: MPTCP_VERSION,
-                flags: CAPABLE_FLAG_HMAC_SHA1,
-                sender_key: self.local_key,
-                receiver_key: Some(rk),
-            })
-        } else {
-            self.remote_key.map(|rk| MpOption::JoinAck {
-                hmac: join_hmac_a(self.local_key, rk, sf.nonce_local, sf.nonce_remote),
-            })
-        };
-        let mut options = TcpOptions::new();
-        if let Some(mp) = mp {
-            options.push(TcpOption::Mptcp(mp.encode()));
-        }
-        let seg = TcpSegment {
-            hdr: TcpHeader {
-                src_port: sf.tuple.src_port,
-                dst_port: sf.tuple.dst_port,
-                seq: sf.wire_seq(sf.snd_off).into(),
-                ack: sf.wire_ack().into(),
-                flags: TcpFlags::ACK,
-                window,
-                options,
-            },
-            payload: Bytes::new(),
-        };
-        env.send_segment(sf.tuple.src, sf.tuple.dst, &seg);
     }
 
     // ------------------------------------------------------------------
@@ -701,14 +377,6 @@ impl Connection {
         self.app.as_deref()
     }
 
-    /// Mutable app access.
-    pub fn app_mut(&mut self) -> Option<&mut (dyn App + 'static)> {
-        match self.app.as_mut() {
-            Some(b) => Some(b.as_mut()),
-            None => None,
-        }
-    }
-
     /// Local token of the peer (known after the handshake).
     pub fn remote_token(&self) -> Option<ConnToken> {
         self.remote_token
@@ -731,20 +399,32 @@ impl Connection {
         self.app_closed = true;
     }
 
+    /// Run one application callback. The app is taken out for the call so
+    /// the callback can reach the connection through its [`AppCtx`].
+    fn with_app(
+        &mut self,
+        env: &mut StackEnv<'_>,
+        f: impl FnOnce(&mut dyn App, &mut AppCtx<'_, '_>),
+    ) {
+        if let Some(mut app) = self.app.take() {
+            f(app.as_mut(), &mut AppCtx { conn: self, env });
+            self.app = Some(app);
+        }
+    }
+
+    /// Dispatch an application timer.
+    pub fn on_app_timer(&mut self, token: u64, env: &mut StackEnv<'_>) {
+        self.with_app(env, |app, ctx| app.on_app_timer(ctx, token));
+        self.pump(env);
+    }
+
     // ------------------------------------------------------------------
     // Window bookkeeping
     // ------------------------------------------------------------------
 
-    fn advertised_window_unscaled(&self) -> u16 {
-        self.recv_free().min(u16::MAX as u64) as u16
-    }
-
-    fn advertised_window_scaled(&self) -> u16 {
-        (self.recv_free() >> self.wscale).min(u16::MAX as u64) as u16
-    }
-
     fn recv_free(&self) -> u64 {
-        self.recv_buf
+        self.cfg
+            .recv_buf
             .saturating_sub(self.meta_recv.buffered_bytes())
     }
 
@@ -761,223 +441,25 @@ impl Connection {
         env.timers.push((sf.current_rto(), t));
     }
 
-    fn disarm_rto(&mut self, id: SubflowId) {
-        self.subflows[id as usize].rto_armed = false;
-    }
-
-    fn arm_meta_fin_timer(&mut self, env: &mut StackEnv<'_>) {
-        self.meta_fin_gen = self.meta_fin_gen.wrapping_add(1) & 0x0FFF_FFFF;
-        let backoff = std::time::Duration::from_secs(1 << self.meta_fin_backoff.min(5));
-        let t = timer_token(TimerKind::MetaFin, self.idx, 0, self.meta_fin_gen);
-        env.timers.push((backoff, t));
-    }
-
     /// Handle a retransmission-timer firing for subflow `id`.
     pub fn on_rto_timer(
         &mut self,
         id: SubflowId,
         gen: u64,
-        cfg: &StackConfig,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {
         let Some(sf) = self.subflows.get(id as usize) else {
             return;
         };
-        if !sf.rto_armed || sf.rto_gen != gen || sf.state == SfState::Closed {
+        if !sf.rto_armed || sf.rto_gen != gen {
             return;
         }
         match sf.state {
-            SfState::SynSent | SfState::SynReceived => self.handshake_rto(id, cfg, env, events),
-            SfState::Established => self.established_rto(id, cfg, env, events),
+            SfState::SynSent | SfState::SynReceived => self.handshake_rto(id, env, events),
+            SfState::Established => self.established_rto(id, env, events),
             SfState::Closed => {}
         }
-    }
-
-    fn handshake_rto(
-        &mut self,
-        id: SubflowId,
-        cfg: &StackConfig,
-        env: &mut StackEnv<'_>,
-        events: &mut Vec<PmEvent>,
-    ) {
-        let sf = &mut self.subflows[id as usize];
-        if sf.syn_retries_left == 0 {
-            let err = SubflowError::Timeout;
-            self.kill_subflow(id, err, env, events);
-            if id == 0 && self.state == ConnState::Establishing {
-                self.abort(env, events);
-            }
-            return;
-        }
-        sf.syn_retries_left -= 1;
-        sf.rto.on_expiry();
-        let state = sf.state;
-        match state {
-            SfState::SynSent => self.send_syn(id, cfg, env),
-            SfState::SynReceived => self.send_synack(id, cfg, env),
-            _ => unreachable!(),
-        }
-        self.arm_rto(id, env);
-    }
-
-    fn established_rto(
-        &mut self,
-        id: SubflowId,
-        cfg: &StackConfig,
-        env: &mut StackEnv<'_>,
-        events: &mut Vec<PmEvent>,
-    ) {
-        let sf = &mut self.subflows[id as usize];
-        if !sf.has_retransmittable() {
-            sf.rto_armed = false;
-            return;
-        }
-        sf.rto.on_expiry();
-        if sf.rto.exhausted() {
-            self.kill_subflow(id, SubflowError::Timeout, env, events);
-            self.pump(cfg, env, events);
-            return;
-        }
-        let flight_bytes = sf.flight.bytes_in_flight();
-        sf.cc.on_retransmit_timeout(flight_bytes);
-        sf.recovery = None;
-        sf.dupacks = 0;
-        // Connection-level reinjection: everything this subflow has in
-        // flight becomes eligible on the other subflows.
-        let ranges: Vec<MetaRange> = sf.flight.iter().filter_map(|s| s.tag.map).collect();
-        for r in ranges {
-            self.add_reinject(r);
-        }
-        self.retransmit_head(id, env);
-        let (current_rto, backoffs) = {
-            let sf = &self.subflows[id as usize];
-            (sf.current_rto(), sf.rto.backoffs())
-        };
-        events.push(PmEvent::RtoExpired {
-            token: self.token,
-            id,
-            current_rto,
-            backoffs,
-        });
-        self.arm_rto(id, env);
-        self.pump(cfg, env, events);
-    }
-
-    /// Retransmit the oldest outstanding segment (or the FIN) on `id`.
-    fn retransmit_head(&mut self, id: SubflowId, env: &mut StackEnv<'_>) {
-        let data_ack = self.current_data_ack();
-        let window = self.advertised_window_scaled();
-        let head = {
-            let sf = &mut self.subflows[id as usize];
-            sf.stats.retrans += 1;
-            sf.flight
-                .mark_head_retransmitted(env.now)
-                .map(|(off, len)| {
-                    (
-                        off,
-                        len,
-                        sf.flight.oldest().expect("head exists").tag.clone(),
-                    )
-                })
-        };
-        if let Some((off, len, tag)) = head {
-            // A partial ACK may have trimmed the head inside the original
-            // segment (a middlebox that re-segments the stream makes
-            // mid-segment cumulative ACKs routine): the tag still holds the
-            // payload as originally sent, so skip the acked prefix and
-            // advance the mapping to match. Replaying the full payload at
-            // the trimmed offset would shift the byte stream and write past
-            // its end.
-            let skip = tag.payload.len() - len as usize;
-            let payload = tag.payload.slice(skip..);
-            let mapping = tag.map.map(|m| DssMapping {
-                dsn: self.wire_dsn(m.off + skip as u64),
-                ssn: (off as u32).wrapping_add(1),
-                len: (m.len - skip as u32) as u16,
-            });
-            let sf = &self.subflows[id as usize];
-            let seg = TcpSegment {
-                hdr: TcpHeader {
-                    src_port: sf.tuple.src_port,
-                    dst_port: sf.tuple.dst_port,
-                    seq: sf.wire_seq(off).into(),
-                    ack: sf.wire_ack().into(),
-                    flags: TcpFlags {
-                        psh: true,
-                        ..TcpFlags::ACK
-                    },
-                    window,
-                    options: if self.fallback {
-                        TcpOptions::new()
-                    } else {
-                        TcpOptions::from([TcpOption::Mptcp(
-                            MpOption::Dss(Dss {
-                                data_ack: Some(data_ack),
-                                mapping,
-                                data_fin: tag.data_fin,
-                            })
-                            .encode(),
-                        )])
-                    },
-                },
-                payload,
-            };
-            env.send_segment(sf.tuple.src, sf.tuple.dst, &seg);
-        } else {
-            let fin = {
-                let sf = &self.subflows[id as usize];
-                sf.fin_sent_off.filter(|_| !sf.fin_acked)
-            };
-            if let Some(fin_off) = fin {
-                let built = self.build_fin_segment(id, fin_off, data_ack, window);
-                env.send_segment(built.tuple.src, built.tuple.dst, &built.seg);
-            }
-        }
-    }
-
-    /// Meta-level DATA_FIN retransmission timer.
-    pub fn on_meta_fin_timer(
-        &mut self,
-        gen: u64,
-        cfg: &StackConfig,
-        env: &mut StackEnv<'_>,
-        events: &mut Vec<PmEvent>,
-    ) {
-        if gen != self.meta_fin_gen || self.fin_acked || self.state == ConnState::Closed {
-            return;
-        }
-        let Some(fin_off) = self.fin_sent_off else {
-            return;
-        };
-        self.meta_fin_backoff += 1;
-        if self.meta_fin_backoff > 10 {
-            // Peer is unreachable at the data level; abort.
-            self.abort(env, events);
-            return;
-        }
-        // Re-send a standalone DATA_FIN on every live subflow: one of them
-        // may be a zombie (the peer's side died behind a NAT and its RST
-        // never reached us), and the data level deduplicates the signal.
-        let ids: Vec<SubflowId> = self
-            .subflows
-            .iter()
-            .filter(|s| s.state == SfState::Established)
-            .map(|s| s.id)
-            .collect();
-        for id in ids {
-            self.send_standalone_datafin(id, fin_off, env);
-        }
-        self.arm_meta_fin_timer(env);
-        let _ = cfg;
-    }
-
-    fn best_live_subflow(&self) -> Option<SubflowId> {
-        self.subflows
-            .iter()
-            .filter(|s| s.state == SfState::Established)
-            .min_by_key(|s| (s.rtt.srtt().unwrap_or(std::time::Duration::MAX), s.id))
-            .map(|s| s.id)
     }
 
     // ------------------------------------------------------------------
@@ -1005,12 +487,671 @@ impl Connection {
         }
         self.idsn_remote.wrapping_add(1).wrapping_add(off)
     }
+}
 
-    // ------------------------------------------------------------------
-    // Reinjection bookkeeping
-    // ------------------------------------------------------------------
+// ----------------------------------------------------------------------
+// Handshakes: MP_CAPABLE (subflow 0) and MP_JOIN, both directions
+// ----------------------------------------------------------------------
 
-    fn add_reinject(&mut self, r: MetaRange) {
+/// A fresh 32-bit draw (ISS, nonce).
+fn draw32(env: &mut StackEnv<'_>) -> u32 {
+    env.rng.range_u64(0, 1 << 32) as u32
+}
+
+/// The window-scale shift a SYN or SYN/ACK announces (0 when absent).
+fn peer_wscale(syn: &TcpSegment) -> u8 {
+    let scale = |o: &TcpOption| match o {
+        TcpOption::WindowScale(s) => Some(*s),
+        _ => None,
+    };
+    syn.hdr.options.iter().find_map(scale).unwrap_or(0)
+}
+
+impl Connection {
+    /// Create the client side and emit the initial `MP_CAPABLE` SYN.
+    pub fn client(
+        idx: usize,
+        cfg: &StackConfig,
+        tuple: FourTuple,
+        app: Box<dyn App>,
+        env: &mut StackEnv<'_>,
+        events: &mut Vec<PmEvent>,
+    ) -> Connection {
+        let mut conn = Connection::common(idx, cfg, Role::Client, tuple, app, env, events);
+        conn.start_subflow(tuple, false, None, env);
+        conn
+    }
+
+    /// Create the server side from a received `MP_CAPABLE` (or plain) SYN
+    /// and emit the SYN/ACK.
+    pub fn server_from_syn(
+        idx: usize,
+        cfg: &StackConfig,
+        tuple: FourTuple,
+        syn: &TcpSegment,
+        app: Box<dyn App>,
+        env: &mut StackEnv<'_>,
+        events: &mut Vec<PmEvent>,
+    ) -> Connection {
+        let mut conn = Connection::common(idx, cfg, Role::Server, tuple, app, env, events);
+        // Parse the client's key (if we speak MPTCP at all).
+        if cfg.mptcp_enabled {
+            for opt in syn.mptcp_opts() {
+                if let Ok(MpOption::Capable {
+                    sender_key,
+                    receiver_key: None,
+                    ..
+                }) = MpOption::decode(opt)
+                {
+                    conn.set_remote_key(sender_key);
+                }
+            }
+        }
+        if conn.remote_key.is_none() {
+            conn.fall_back(FallbackCause::Handshake);
+        }
+        conn.start_subflow(tuple, false, Some((syn, 0)), env);
+        conn
+    }
+
+    /// Open an additional subflow via `MP_JOIN`. Fails (returns `None`)
+    /// when the connection is not established or the remote key is unknown.
+    pub fn open_subflow(
+        &mut self,
+        env: &mut StackEnv<'_>,
+        tuple: FourTuple,
+        backup: bool,
+    ) -> Option<SubflowId> {
+        if self.state != ConnState::Established || self.remote_token.is_none() {
+            return None;
+        }
+        Some(self.start_subflow(tuple, backup, None, env))
+    }
+
+    /// Accept an `MP_JOIN` SYN for this connection; emits the SYN/ACK.
+    /// Refused (`None`) in fallback: there are no keys to authenticate with.
+    pub fn accept_join_syn(
+        &mut self,
+        env: &mut StackEnv<'_>,
+        tuple: FourTuple,
+        syn: &TcpSegment,
+    ) -> Option<SubflowId> {
+        if self.is_fallback() {
+            return None;
+        }
+        let (backup, nonce_remote) = syn.mptcp_opts().find_map(|o| match MpOption::decode(o) {
+            Ok(MpOption::JoinSyn { backup, nonce, .. }) => Some((backup, nonce)),
+            _ => None,
+        })?;
+        Some(self.start_subflow(tuple, backup, Some((syn, nonce_remote)), env))
+    }
+
+    /// Add a subflow and start its handshake: answer `peer`'s SYN (with
+    /// the nonce it carried) when there is one, else send ours. Either is
+    /// guarded by the retransmission timer.
+    fn start_subflow(
+        &mut self,
+        tuple: FourTuple,
+        backup: bool,
+        peer: Option<(&TcpSegment, u32)>,
+        env: &mut StackEnv<'_>,
+    ) -> SubflowId {
+        let id = self.subflows.len() as SubflowId;
+        let iss = draw32(env);
+        // MP_JOIN exchanges nonces. So, for nothing, does the initiator of
+        // subflow 0: per-seed trajectories depend on that draw by now.
+        let nonce = if id == 0 && peer.is_some() {
+            0
+        } else {
+            draw32(env)
+        };
+        let mut sf = Subflow::new(
+            id,
+            tuple,
+            if peer.is_some() {
+                SfState::SynReceived
+            } else {
+                SfState::SynSent
+            },
+            peer.is_none(),
+            iss,
+            nonce,
+            backup,
+            match self.cfg.cc {
+                CcAlgo::Reno => Box::new(Reno::new(self.cfg.mss as u64)),
+                CcAlgo::Lia => Box::new(Lia::new(self.cfg.mss as u64)),
+            },
+            RtoState::new(self.cfg.rto.clone()),
+            self.cfg.syn_retries,
+            env.now,
+        );
+        if let Some((syn, nonce_remote)) = peer {
+            sf.irs = syn.hdr.seq.0;
+            sf.nonce_remote = nonce_remote;
+            sf.peer_wscale = peer_wscale(syn);
+        }
+        self.subflows.push(sf);
+        self.send_handshake(id, env);
+        self.arm_rto(id, env);
+        id
+    }
+
+    /// Send the handshake segment subflow `id` owes in its current state —
+    /// the SYN, the SYN/ACK or, once established, the third ACK — with the
+    /// `MP_CAPABLE` (subflow 0) or `MP_JOIN` option that belongs on it.
+    /// Retransmissions come through here too. Whether the option goes out
+    /// is [`Connection::emit`]'s call: a connection that does not speak
+    /// MPTCP, or gave it up, sends the bare segment.
+    fn send_handshake(&self, id: SubflowId, env: &mut StackEnv<'_>) {
+        let sf = &self.subflows[id as usize];
+        let flags = match sf.state {
+            SfState::SynSent => TcpFlags::SYN,
+            SfState::SynReceived => TcpFlags::SYN_ACK,
+            _ => TcpFlags::ACK,
+        };
+        let mp = if id == 0 {
+            Some(MpOption::Capable {
+                version: MPTCP_VERSION,
+                flags: CAPABLE_FLAG_HMAC_SHA1,
+                sender_key: self.local_key,
+                // SYN and SYN/ACK carry one key; the third ACK echoes the
+                // peer's.
+                receiver_key: self.remote_key.filter(|_| !flags.syn),
+            })
+        } else {
+            let keys = self.remote_key.zip(self.remote_token);
+            keys.map(|(remote_key, token)| match sf.state {
+                SfState::SynSent => MpOption::JoinSyn {
+                    backup: sf.backup,
+                    addr_id: sf.id,
+                    token,
+                    nonce: sf.nonce_local,
+                },
+                // Responder HMAC: we are B on this subflow.
+                SfState::SynReceived => MpOption::JoinSynAck {
+                    backup: sf.backup,
+                    addr_id: sf.id,
+                    hmac: join_hmac_b(remote_key, self.local_key, sf.nonce_remote, sf.nonce_local),
+                    nonce: sf.nonce_local,
+                },
+                _ => MpOption::JoinAck {
+                    hmac: join_hmac_a(self.local_key, remote_key, sf.nonce_local, sf.nonce_remote),
+                },
+            })
+        };
+        let what = Seg {
+            flags,
+            mp,
+            ..Default::default()
+        };
+        self.emit(id, what, env);
+    }
+
+    fn handshake_rto(&mut self, id: SubflowId, env: &mut StackEnv<'_>, events: &mut Vec<PmEvent>) {
+        let sf = &mut self.subflows[id as usize];
+        if sf.syn_retries_left == 0 {
+            self.subflow_failed(id, SubflowError::Timeout, env, events);
+            return;
+        }
+        sf.syn_retries_left -= 1;
+        sf.rto.on_expiry();
+        self.send_handshake(id, env);
+        self.arm_rto(id, env);
+    }
+
+    fn on_segment_synsent(
+        &mut self,
+        id: SubflowId,
+        seg: &TcpSegment,
+        env: &mut StackEnv<'_>,
+        events: &mut Vec<PmEvent>,
+    ) {
+        if !(seg.hdr.flags.syn && seg.hdr.flags.ack) {
+            return;
+        }
+        // Validate the ACK covers our SYN.
+        let sf = &self.subflows[id as usize];
+        if seg.hdr.ack.0 != sf.iss.wrapping_add(1) {
+            return;
+        }
+        // Parse MPTCP side.
+        let mut capable_key = None;
+        let mut join = None;
+        for o in seg.mptcp_opts() {
+            match MpOption::decode(o) {
+                Ok(MpOption::Capable {
+                    sender_key,
+                    receiver_key: None,
+                    ..
+                }) => capable_key = Some(sender_key),
+                Ok(MpOption::JoinSynAck { hmac, nonce, .. }) => join = Some((hmac, nonce)),
+                _ => {}
+            }
+        }
+        if id == 0 {
+            match capable_key {
+                Some(k) => self.set_remote_key(k),
+                // Peer fell back to plain TCP: single-subflow mode.
+                None => self.fall_back(FallbackCause::Handshake),
+            }
+        } else {
+            // MP_JOIN: verify the responder HMAC. No valid JOIN response
+            // counts as a refusal.
+            let nonce_local = sf.nonce_local;
+            let authentic = join.filter(|&(hmac, nonce_b)| {
+                let remote_key = self.remote_key.expect("join without keys");
+                hmac == join_hmac_b(self.local_key, remote_key, nonce_local, nonce_b)
+            });
+            let Some((_, nonce_b)) = authentic else {
+                self.kill_subflow(id, SubflowError::Refused, events);
+                return;
+            };
+            self.subflows[id as usize].nonce_remote = nonce_b;
+        }
+        let sf = &mut self.subflows[id as usize];
+        sf.irs = seg.hdr.seq.0;
+        sf.peer_wscale = peer_wscale(seg);
+        self.subflow_established(id, seg, env, events);
+    }
+
+    fn on_segment_synreceived(
+        &mut self,
+        id: SubflowId,
+        seg: &TcpSegment,
+        env: &mut StackEnv<'_>,
+        events: &mut Vec<PmEvent>,
+    ) {
+        let sf = &self.subflows[id as usize];
+        // Duplicate SYN (our SYN/ACK was lost): resend it.
+        if seg.hdr.flags.syn && !seg.hdr.flags.ack {
+            self.send_handshake(id, env);
+            return;
+        }
+        if !seg.hdr.flags.ack || seg.hdr.ack.0 != sf.iss.wrapping_add(1) {
+            return;
+        }
+        // For joins, the third ACK must carry a valid HMAC-A.
+        if id != 0 {
+            let hmac_ok = seg.mptcp_opts().any(|o| {
+                matches!(
+                    MpOption::decode(o),
+                    Ok(MpOption::JoinAck { hmac })
+                        if hmac == join_hmac_a(
+                            self.remote_key.expect("join without keys"),
+                            self.local_key,
+                            sf.nonce_remote,
+                            sf.nonce_local,
+                        )
+                )
+            });
+            if !hmac_ok {
+                // Not the authenticated third ACK; wait for it (the
+                // SYN/ACK RTO will retransmit if it never comes).
+                return;
+            }
+        }
+        self.subflow_established(id, seg, env, events);
+    }
+
+    /// The handshake of subflow `id` completed with `seg`: the SYN/ACK on
+    /// the side that initiated it, the third ACK on the other.
+    fn subflow_established(
+        &mut self,
+        id: SubflowId,
+        seg: &TcpSegment,
+        env: &mut StackEnv<'_>,
+        events: &mut Vec<PmEvent>,
+    ) {
+        let now = env.now;
+        let sf = &mut self.subflows[id as usize];
+        sf.state = SfState::Established;
+        sf.stats.established_at = Some(now);
+        if let Some(d) = now.checked_since(sf.stats.created_at) {
+            sf.rtt.on_sample(d);
+        }
+        sf.rto.on_ack_progress();
+        sf.rto_armed = false;
+        // A SYN/ACK's window is unscaled; the third ACK's is not.
+        let shift = if seg.hdr.flags.syn { 0 } else { sf.peer_wscale };
+        self.peer_window = (seg.hdr.window as u64) << shift;
+        let (tuple, backup, initiated_here) = (sf.tuple, sf.backup, sf.initiated_here);
+        if initiated_here {
+            self.send_handshake(id, env);
+        }
+        if id == 0 {
+            self.state = ConnState::Established;
+            self.stats.established_at = Some(now);
+            events.push(PmEvent::ConnEstablished {
+                token: self.token,
+                tuple,
+                is_client: self.role == Role::Client,
+            });
+        }
+        events.push(PmEvent::SubflowEstablished {
+            token: self.token,
+            id,
+            tuple,
+            backup,
+            initiated_here,
+        });
+        if id == 0 {
+            self.with_app(env, |app, ctx| app.on_established(ctx));
+        }
+        // The third ACK may carry data; process it in the established path.
+        if !initiated_here && (!seg.payload.is_empty() || seg.hdr.flags.fin) {
+            self.on_segment_established(id, seg, env, events);
+        } else {
+            self.pump(env);
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Send side: the emitter, the transmission pump, retransmission and
+// connection-level reinjection
+// ----------------------------------------------------------------------
+
+const PSH_ACK: TcpFlags = TcpFlags {
+    psh: true,
+    ..TcpFlags::ACK
+};
+
+/// What differs between the segments a connection sends. Ports, the ACK
+/// number, the window, the SYN options and the DATA_ACK are
+/// [`Connection::emit`]'s business.
+#[derive(Default)]
+struct Seg {
+    flags: TcpFlags,
+    /// Subflow stream offset the segment starts at; `None` is the next
+    /// unsent one (a segment that occupies no sequence space). Unused with
+    /// SYN set: a SYN sits at the ISS.
+    off: Option<u64>,
+    /// Ask for a DSS option with this mapping and DATA_FIN bit; the
+    /// DATA_ACK is filled in on the way out.
+    dss: Option<Dss>,
+    /// MPTCP signalling besides the DSS: the handshake option, `MP_PRIO`,
+    /// `ADD_ADDR` or `REMOVE_ADDR`.
+    mp: Option<MpOption>,
+    payload: Bytes,
+}
+
+/// Meta ranges awaiting reinjection on another subflow: disjoint, coalesced,
+/// start -> end.
+#[derive(Default)]
+struct ReinjectQueue(BTreeMap<u64, u64>);
+
+impl ReinjectQueue {
+    /// Queue the part of `r` at or above `una`, merging with neighbours.
+    fn add(&mut self, r: MetaRange, una: u64) {
+        let mut start = r.off.max(una);
+        let mut end = r.end();
+        if start >= end {
+            return;
+        }
+        // Predecessor overlapping or touching.
+        if let Some((&ps, &pe)) = self.0.range(..=start).next_back() {
+            if pe >= start {
+                start = ps;
+                end = end.max(pe);
+                self.0.remove(&ps);
+            }
+        }
+        // Successors covered.
+        while let Some((&ns, &ne)) = self.0.range(start..).next() {
+            if ns > end {
+                break;
+            }
+            end = end.max(ne);
+            self.0.remove(&ns);
+        }
+        self.0.insert(start, end);
+    }
+
+    /// Forget everything below `una`.
+    fn gc(&mut self, una: u64) {
+        while let Some((&s, &e)) = self.0.first_key_value().filter(|(&s, _)| s < una) {
+            self.0.remove(&s);
+            if e > una {
+                self.0.insert(una, e);
+            }
+        }
+    }
+
+    /// Take the lowest chunk at or above `una`, at most `max_len` bytes.
+    fn take_chunk(&mut self, max_len: u32, una: u64) -> Option<MetaRange> {
+        loop {
+            let (&start, &end) = self.0.iter().next()?;
+            self.0.remove(&start);
+            let start = start.max(una);
+            if start >= end {
+                continue;
+            }
+            let len = ((end - start) as u32).min(max_len);
+            if start + (len as u64) < end {
+                self.0.insert(start + len as u64, end);
+            }
+            return Some(MetaRange { off: start, len });
+        }
+    }
+}
+
+impl Connection {
+    /// Put one segment on the wire from subflow `id`. Every segment the
+    /// connection sends is built here and nowhere else, and only here is it
+    /// decided whether MPTCP options may ride on it.
+    fn emit(&self, id: SubflowId, what: Seg, env: &mut StackEnv<'_>) {
+        let sf = &self.subflows[id as usize];
+        let flags = what.flags;
+        let mut options = TcpOptions::new();
+        if flags.syn {
+            options.push(TcpOption::Mss(self.cfg.mss as u16));
+            options.push(TcpOption::WindowScale(self.cfg.window_scale));
+        }
+        // In fallback the peer is plain TCP, or something on the path
+        // removes what it does not know: no kind-30 option of any sort.
+        if !self.is_fallback() {
+            if let Some(dss) = what.dss {
+                let dss = MpOption::Dss(Dss {
+                    data_ack: Some(self.current_data_ack()),
+                    ..dss
+                });
+                options.push(TcpOption::Mptcp(dss.encode()));
+            }
+            if let Some(mp) = what.mp {
+                options.push(TcpOption::Mptcp(mp.encode()));
+            }
+        }
+        let seq = if flags.syn {
+            sf.iss
+        } else {
+            sf.wire_seq(what.off.unwrap_or(sf.snd_off))
+        };
+        // SYN windows are never scaled (RFC 7323 §2.2); a RST offers none.
+        let window = if flags.rst {
+            0
+        } else if flags.syn {
+            self.recv_free()
+        } else {
+            self.recv_free() >> self.cfg.window_scale
+        };
+        let seg = TcpSegment {
+            hdr: TcpHeader {
+                src_port: sf.tuple.src_port,
+                dst_port: sf.tuple.dst_port,
+                seq: seq.into(),
+                // A first SYN acknowledges nothing.
+                ack: if flags.ack { sf.wire_ack() } else { 0 }.into(),
+                flags,
+                window: window.min(u16::MAX as u64) as u16,
+                options,
+            },
+            payload: what.payload,
+        };
+        env.send_segment(sf.tuple.src, sf.tuple.dst, &seg);
+    }
+
+    /// Send a pure ACK (subflow + data ack) on `id`, optionally carrying
+    /// one more MPTCP option (ADD_ADDR, MP_PRIO, ...).
+    fn send_ack(&self, id: SubflowId, extra: Option<MpOption>, env: &mut StackEnv<'_>) {
+        let what = Seg {
+            flags: TcpFlags::ACK,
+            dss: Some(Dss::default()),
+            mp: extra,
+            ..Default::default()
+        };
+        self.emit(id, what, env);
+    }
+
+    /// Send the FIN of subflow `id`, which sits at stream offset `fin_off`.
+    fn send_fin(&self, id: SubflowId, fin_off: u64, env: &mut StackEnv<'_>) {
+        let what = Seg {
+            flags: TcpFlags {
+                fin: true,
+                ..TcpFlags::ACK
+            },
+            off: Some(fin_off),
+            dss: Some(Dss::default()),
+            ..Default::default()
+        };
+        self.emit(id, what, env);
+    }
+
+    /// Signal the end of the meta stream (at `fin_off`) on its own, with a
+    /// zero-length mapping.
+    fn send_standalone_datafin(&self, id: SubflowId, fin_off: u64, env: &mut StackEnv<'_>) {
+        let mapping = DssMapping {
+            dsn: self.wire_dsn(fin_off),
+            ssn: 0,
+            len: 0,
+        };
+        let what = Seg {
+            flags: TcpFlags::ACK,
+            dss: Some(Dss {
+                mapping: Some(mapping),
+                data_fin: true,
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        self.emit(id, what, env);
+    }
+
+    /// Transmit `range` of the meta stream on subflow `id`.
+    fn send_data_on(
+        &mut self,
+        id: SubflowId,
+        range: MetaRange,
+        data_fin: bool,
+        env: &mut StackEnv<'_>,
+    ) {
+        let payload = self.meta_send.slice(range.off, range.len);
+        let sf = &mut self.subflows[id as usize];
+        let ssn_off = sf.snd_off;
+        let tag = SegTag {
+            map: Some(range),
+            payload: payload.clone(),
+            data_fin,
+        };
+        sf.flight.on_send(ssn_off, range.len, env.now, tag);
+        sf.snd_off += range.len as u64;
+        let need_arm = !sf.rto_armed;
+        let mapping = DssMapping {
+            dsn: self.wire_dsn(range.off),
+            ssn: (ssn_off as u32).wrapping_add(1),
+            len: range.len as u16,
+        };
+        let what = Seg {
+            flags: PSH_ACK,
+            off: Some(ssn_off),
+            dss: Some(Dss {
+                mapping: Some(mapping),
+                data_fin,
+                ..Default::default()
+            }),
+            payload,
+            ..Default::default()
+        };
+        self.emit(id, what, env);
+        if need_arm {
+            self.arm_rto(id, env);
+        }
+    }
+
+    /// Retransmit the oldest outstanding segment (or the FIN) on `id`.
+    fn retransmit_head(&mut self, id: SubflowId, env: &mut StackEnv<'_>) {
+        let sf = &mut self.subflows[id as usize];
+        sf.stats.retrans += 1;
+        let Some((off, len)) = sf.flight.mark_head_retransmitted(env.now) else {
+            if let Some(fin_off) = sf.fin_sent_off.filter(|_| !sf.fin_acked) {
+                self.send_fin(id, fin_off, env);
+            }
+            return;
+        };
+        let tag = &sf.flight.oldest().expect("head exists").tag;
+        // A partial ACK may have trimmed the head inside the original
+        // segment (a middlebox that re-segments the stream makes
+        // mid-segment cumulative ACKs routine): the tag still holds the
+        // payload as originally sent, so skip the acked prefix and
+        // advance the mapping to match. Replaying the full payload at
+        // the trimmed offset would shift the byte stream and write past
+        // its end.
+        let skip = tag.payload.len() - len as usize;
+        let (payload, map, data_fin) = (tag.payload.slice(skip..), tag.map, tag.data_fin);
+        let mapping = map.map(|m| DssMapping {
+            dsn: self.wire_dsn(m.off + skip as u64),
+            ssn: (off as u32).wrapping_add(1),
+            len: (m.len - skip as u32) as u16,
+        });
+        let what = Seg {
+            flags: PSH_ACK,
+            off: Some(off),
+            dss: Some(Dss {
+                mapping,
+                data_fin,
+                ..Default::default()
+            }),
+            payload,
+            ..Default::default()
+        };
+        self.emit(id, what, env);
+    }
+
+    fn established_rto(
+        &mut self,
+        id: SubflowId,
+        env: &mut StackEnv<'_>,
+        events: &mut Vec<PmEvent>,
+    ) {
+        let sf = &mut self.subflows[id as usize];
+        if !sf.has_retransmittable() {
+            sf.rto_armed = false;
+            return;
+        }
+        sf.rto.on_expiry();
+        if sf.rto.exhausted() {
+            self.subflow_failed(id, SubflowError::Timeout, env, events);
+            return;
+        }
+        let flight_bytes = sf.flight.bytes_in_flight();
+        sf.cc.on_retransmit_timeout(flight_bytes);
+        sf.recovery = None;
+        sf.dupacks = 0;
+        self.reinject_flight(id);
+        self.retransmit_head(id, env);
+        let sf = &self.subflows[id as usize];
+        events.push(PmEvent::RtoExpired {
+            token: self.token,
+            id,
+            current_rto: sf.current_rto(),
+            backoffs: sf.rto.backoffs(),
+        });
+        self.arm_rto(id, env);
+        self.pump(env);
+    }
+
+    /// Connection-level reinjection: everything subflow `id` has in flight
+    /// becomes eligible on the other subflows.
+    fn reinject_flight(&mut self, id: SubflowId) {
         // Plain-TCP fallback must never reinject: there is one subflow and
         // no DSS mapping to re-anchor the bytes, so `send_data_on` would
         // append the payload at a fresh subflow offset and the receiver's
@@ -1019,71 +1160,14 @@ impl Connection {
         // (`retransmit_head`) is the only recovery path here. (Found by
         // the scenario fuzzer: split-rewriter cases RTO under queue
         // pressure and tripped the stream-duplication oracle.)
-        if self.fallback {
+        if self.is_fallback() {
             return;
         }
-        let start = r.off.max(self.meta_una);
-        let end = r.end();
-        if start >= end {
-            return;
-        }
-        // Coalesce with neighbours.
-        let mut start = start;
-        let mut end = end;
-        // Predecessor overlapping or touching.
-        if let Some((&ps, &pe)) = self.reinject.range(..=start).next_back() {
-            if pe >= start {
-                start = ps;
-                end = end.max(pe);
-                self.reinject.remove(&ps);
-            }
-        }
-        // Successors covered.
-        while let Some((&ns, &ne)) = self.reinject.range(start..).next() {
-            if ns > end {
-                break;
-            }
-            end = end.max(ne);
-            self.reinject.remove(&ns);
-        }
-        self.reinject.insert(start, end);
-    }
-
-    fn gc_reinject(&mut self) {
-        let una = self.meta_una;
-        let to_fix: Vec<(u64, u64)> = self.reinject.range(..una).map(|(&s, &e)| (s, e)).collect();
-        for (s, e) in to_fix {
-            self.reinject.remove(&s);
-            if e > una {
-                self.reinject.insert(una, e);
-            }
+        let flight = &self.subflows[id as usize].flight;
+        for r in flight.iter().filter_map(|s| s.tag.map) {
+            self.reinject.add(r, self.meta_una);
         }
     }
-
-    fn take_reinject_chunk(&mut self, max_len: u32) -> Option<MetaRange> {
-        loop {
-            let (&start, &end) = self.reinject.iter().next()?;
-            self.reinject.remove(&start);
-            let start = start.max(self.meta_una);
-            if start >= end {
-                continue;
-            }
-            let len = ((end - start) as u32).min(max_len);
-            if start + (len as u64) < end {
-                self.reinject.insert(start + len as u64, end);
-            }
-            return Some(MetaRange { off: start, len });
-        }
-    }
-
-    /// Bytes currently pending reinjection (diagnostics).
-    pub fn reinject_pending(&self) -> u64 {
-        self.reinject.iter().map(|(s, e)| e - s).sum()
-    }
-
-    // ------------------------------------------------------------------
-    // Transmission pump
-    // ------------------------------------------------------------------
 
     /// Candidates for the scheduler: established, able to carry data, with
     /// congestion window space; backups filtered per RFC 6824. Fills the
@@ -1111,12 +1195,11 @@ impl Connection {
 
     /// Drive transmission: reinjections first, then new data, then the
     /// DATA_FIN. Runs until no scheduler candidate or nothing to send.
-    #[allow(clippy::ptr_arg)]
-    pub fn pump(&mut self, cfg: &StackConfig, env: &mut StackEnv<'_>, events: &mut Vec<PmEvent>) {
+    fn pump(&mut self, env: &mut StackEnv<'_>) {
         if self.state != ConnState::Established {
             return;
         }
-        let mss = self.cfg_mss as u32;
+        let mss = self.cfg.mss as u32;
         let mut cands = std::mem::take(&mut self.sched_scratch);
         loop {
             self.fill_sched_candidates(&mut cands);
@@ -1124,10 +1207,10 @@ impl Connection {
                 break;
             }
             // 1. Reinjection has priority.
-            if let Some(r) = self.take_reinject_chunk(mss) {
+            if let Some(r) = self.reinject.take_chunk(mss, self.meta_una) {
                 let Some(chosen) = self.scheduler.select(&cands) else {
                     // Put it back; nothing can carry it now.
-                    self.add_reinject(r);
+                    self.reinject.add(r, self.meta_una);
                     break;
                 };
                 let space = self.subflows[chosen as usize].cwnd_space() as u32;
@@ -1136,10 +1219,11 @@ impl Connection {
                 self.send_data_on(chosen, sent, false, env);
                 self.stats.reinjections += 1;
                 if len < r.len {
-                    self.add_reinject(MetaRange {
+                    let rest = MetaRange {
                         off: r.off + len as u64,
                         len: r.len - len,
-                    });
+                    };
+                    self.reinject.add(rest, self.meta_una);
                 }
                 continue;
             }
@@ -1161,15 +1245,13 @@ impl Connection {
                 };
                 // Piggyback the DATA_FIN on the final data segment
                 // (MPTCP only; fallback closes with a plain FIN below).
-                let is_last = !self.fallback
+                let is_last = !self.is_fallback()
                     && self.app_closed
                     && range.end() == self.meta_send.tail_offset()
                     && self.fin_sent_off.is_none();
                 self.send_data_on(chosen, range, is_last, env);
                 if is_last {
-                    self.fin_sent_off = Some(range.end());
-                    self.meta_fin_backoff = 0;
-                    self.arm_meta_fin_timer(env);
+                    self.data_fin_sent(range.end(), env);
                 }
                 self.meta_snd_nxt += len as u64;
                 self.stats.bytes_sent += len as u64;
@@ -1190,7 +1272,7 @@ impl Connection {
                 && self.meta_snd_nxt == self.meta_send.tail_offset()
             {
                 let fin_off = self.meta_send.tail_offset();
-                if self.fallback {
+                if self.is_fallback() {
                     self.fin_sent_off = Some(fin_off);
                     self.subflows[0].fin_wanted = true;
                     self.try_send_subflow_fin(0, env);
@@ -1199,196 +1281,19 @@ impl Connection {
                         break;
                     };
                     self.send_standalone_datafin(chosen, fin_off, env);
-                    self.fin_sent_off = Some(fin_off);
-                    self.meta_fin_backoff = 0;
-                    self.arm_meta_fin_timer(env);
+                    self.data_fin_sent(fin_off, env);
                 }
             }
             break;
         }
         self.sched_scratch = cands;
         self.update_coupling();
-        self.maybe_close_subflows(env, events);
-        let _ = cfg;
-    }
-
-    /// Transmit `range` of the meta stream on subflow `id`.
-    fn send_data_on(
-        &mut self,
-        id: SubflowId,
-        range: MetaRange,
-        data_fin: bool,
-        env: &mut StackEnv<'_>,
-    ) {
-        let payload = self.meta_send.slice(range.off, range.len);
-        let data_ack = self.current_data_ack();
-        let window = self.advertised_window_scaled();
-        let dsn = self.wire_dsn(range.off);
-        let sf = &mut self.subflows[id as usize];
-        let ssn_off = sf.snd_off;
-        sf.flight.on_send(
-            ssn_off,
-            range.len,
-            env.now,
-            SegTag {
-                map: Some(range),
-                payload: payload.clone(),
-                data_fin,
-            },
-        );
-        sf.snd_off += range.len as u64;
-        let options = if self.fallback {
-            TcpOptions::new()
-        } else {
-            TcpOptions::from([TcpOption::Mptcp(
-                MpOption::Dss(Dss {
-                    data_ack: Some(data_ack),
-                    mapping: Some(DssMapping {
-                        dsn,
-                        ssn: (ssn_off as u32).wrapping_add(1),
-                        len: range.len as u16,
-                    }),
-                    data_fin,
-                })
-                .encode(),
-            )])
-        };
-        let sf = &self.subflows[id as usize];
-        let seg = TcpSegment {
-            hdr: TcpHeader {
-                src_port: sf.tuple.src_port,
-                dst_port: sf.tuple.dst_port,
-                seq: sf.wire_seq(ssn_off).into(),
-                ack: sf.wire_ack().into(),
-                flags: TcpFlags {
-                    psh: true,
-                    ..TcpFlags::ACK
-                },
-                window,
-                options,
-            },
-            payload,
-        };
-        let (src, dst) = (sf.tuple.src, sf.tuple.dst);
-        let need_arm = !sf.rto_armed;
-        env.send_segment(src, dst, &seg);
-        if need_arm {
-            self.arm_rto(id, env);
-        }
-    }
-
-    fn send_standalone_datafin(&mut self, id: SubflowId, fin_off: u64, env: &mut StackEnv<'_>) {
-        let data_ack = self.current_data_ack();
-        let window = self.advertised_window_scaled();
-        let dsn = self.wire_dsn(fin_off);
-        let sf = &self.subflows[id as usize];
-        let seg = TcpSegment {
-            hdr: TcpHeader {
-                src_port: sf.tuple.src_port,
-                dst_port: sf.tuple.dst_port,
-                seq: sf.wire_seq(sf.snd_off).into(),
-                ack: sf.wire_ack().into(),
-                flags: TcpFlags::ACK,
-                window,
-                options: if self.fallback {
-                    TcpOptions::new()
-                } else {
-                    TcpOptions::from([TcpOption::Mptcp(
-                        MpOption::Dss(Dss {
-                            data_ack: Some(data_ack),
-                            mapping: Some(DssMapping {
-                                dsn,
-                                ssn: 0,
-                                len: 0,
-                            }),
-                            data_fin: true,
-                        })
-                        .encode(),
-                    )])
-                },
-            },
-            payload: Bytes::new(),
-        };
-        env.send_segment(sf.tuple.src, sf.tuple.dst, &seg);
-    }
-
-    /// Send a pure ACK (subflow + data ack) on `id`, optionally carrying
-    /// extra MPTCP options (ADD_ADDR, MP_PRIO, ...).
-    fn send_ack(&mut self, id: SubflowId, extra: Vec<MpOption>, env: &mut StackEnv<'_>) {
-        let data_ack = self.current_data_ack();
-        let window = self.advertised_window_scaled();
-        let sf = &self.subflows[id as usize];
-        let mut options = TcpOptions::new();
-        if !self.fallback {
-            options.push(TcpOption::Mptcp(
-                MpOption::Dss(Dss {
-                    data_ack: Some(data_ack),
-                    mapping: None,
-                    data_fin: false,
-                })
-                .encode(),
-            ));
-            for e in extra {
-                options.push(TcpOption::Mptcp(e.encode()));
-            }
-        }
-        let seg = TcpSegment {
-            hdr: TcpHeader {
-                src_port: sf.tuple.src_port,
-                dst_port: sf.tuple.dst_port,
-                seq: sf.wire_seq(sf.snd_off).into(),
-                ack: sf.wire_ack().into(),
-                flags: TcpFlags::ACK,
-                window,
-                options,
-            },
-            payload: Bytes::new(),
-        };
-        env.send_segment(sf.tuple.src, sf.tuple.dst, &seg);
-    }
-
-    fn build_fin_segment(
-        &self,
-        id: SubflowId,
-        fin_off: u64,
-        data_ack: u64,
-        window: u16,
-    ) -> SegBuild {
-        let sf = &self.subflows[id as usize];
-        SegBuild {
-            tuple: sf.tuple,
-            seg: TcpSegment {
-                hdr: TcpHeader {
-                    src_port: sf.tuple.src_port,
-                    dst_port: sf.tuple.dst_port,
-                    seq: sf.wire_seq(fin_off).into(),
-                    ack: sf.wire_ack().into(),
-                    flags: TcpFlags {
-                        fin: true,
-                        ..TcpFlags::ACK
-                    },
-                    window,
-                    options: if self.fallback {
-                        TcpOptions::new()
-                    } else {
-                        TcpOptions::from([TcpOption::Mptcp(
-                            MpOption::Dss(Dss {
-                                data_ack: Some(data_ack),
-                                mapping: None,
-                                data_fin: false,
-                            })
-                            .encode(),
-                        )])
-                    },
-                },
-                payload: Bytes::new(),
-            },
-        }
+        self.maybe_close_subflows(env);
     }
 
     /// LIA coupling: recompute alpha across subflows and push it down.
     fn update_coupling(&mut self) {
-        if !self.coupled_cc {
+        if self.cfg.cc != CcAlgo::Lia {
             return;
         }
         let mut inputs = std::mem::take(&mut self.coupling_scratch);
@@ -1416,22 +1321,67 @@ impl Connection {
         self.coupling_scratch = inputs;
     }
 
-    // ------------------------------------------------------------------
-    // Segment receive path
-    // ------------------------------------------------------------------
+    fn best_live_subflow(&self) -> Option<SubflowId> {
+        self.subflows
+            .iter()
+            .filter(|s| s.state == SfState::Established)
+            .min_by_key(|s| (s.rtt.srtt().unwrap_or(Duration::MAX), s.id))
+            .map(|s| s.id)
+    }
 
+    /// PM-requested backup-priority change; signals MP_PRIO to the peer.
+    pub fn pm_set_backup(&mut self, id: SubflowId, backup: bool, env: &mut StackEnv<'_>) {
+        if let Some(sf) = self.subflows.get_mut(id as usize) {
+            if sf.state == SfState::Established {
+                sf.backup = backup;
+                let prio = MpOption::Prio {
+                    backup,
+                    addr_id: None,
+                };
+                self.send_ack(id, Some(prio), env);
+            }
+        }
+    }
+
+    /// PM-requested address announcement (ADD_ADDR to the peer).
+    pub fn pm_announce_addr(&self, addr_id: u8, addr: Addr, env: &mut StackEnv<'_>) {
+        if let Some(id) = self.best_live_subflow() {
+            let add_addr = MpOption::AddAddr {
+                addr_id,
+                addr,
+                port: None,
+            };
+            self.send_ack(id, Some(add_addr), env);
+        }
+    }
+
+    /// PM-requested address withdrawal (REMOVE_ADDR to the peer).
+    pub fn pm_withdraw_addr(&self, addr_id: u8, env: &mut StackEnv<'_>) {
+        if let Some(id) = self.best_live_subflow() {
+            let remove_addr = MpOption::RemoveAddr {
+                addr_ids: vec![addr_id],
+            };
+            self.send_ack(id, Some(remove_addr), env);
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Receive side: demultiplexed segments, ACK processing, DSS mappings,
+// fallback inference, delivery to the application
+// ----------------------------------------------------------------------
+
+impl Connection {
     /// Process an incoming segment for subflow `id`.
     pub fn on_segment(
         &mut self,
         id: SubflowId,
         seg: &TcpSegment,
-        cfg: &StackConfig,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {
-        let state = match self.subflows.get(id as usize) {
-            Some(s) => s.state,
-            None => return,
+        let Some(state) = self.subflows.get(id as usize).map(|s| s.state) else {
+            return;
         };
         if seg.hdr.flags.rst {
             let err = if state == SfState::SynSent {
@@ -1439,217 +1389,21 @@ impl Connection {
             } else {
                 SubflowError::Reset
             };
-            self.kill_subflow(id, err, env, events);
-            if self.state == ConnState::Establishing && id == 0 {
-                self.abort(env, events);
-            } else {
-                self.pump(cfg, env, events);
-            }
+            self.subflow_failed(id, err, env, events);
             return;
         }
         match state {
-            SfState::SynSent => self.on_segment_synsent(id, seg, cfg, env, events),
-            SfState::SynReceived => self.on_segment_synreceived(id, seg, cfg, env, events),
-            SfState::Established => self.on_segment_established(id, seg, cfg, env, events),
+            SfState::SynSent => self.on_segment_synsent(id, seg, env, events),
+            SfState::SynReceived => self.on_segment_synreceived(id, seg, env, events),
+            SfState::Established => self.on_segment_established(id, seg, env, events),
             SfState::Closed => { /* stale segment for a dead subflow */ }
         }
     }
 
-    fn on_segment_synsent(
-        &mut self,
-        id: SubflowId,
-        seg: &TcpSegment,
-        cfg: &StackConfig,
-        env: &mut StackEnv<'_>,
-        events: &mut Vec<PmEvent>,
-    ) {
-        if !(seg.hdr.flags.syn && seg.hdr.flags.ack) {
-            return;
-        }
-        // Validate the ACK covers our SYN.
-        let sf = &self.subflows[id as usize];
-        if seg.hdr.ack.0 != sf.iss.wrapping_add(1) {
-            return;
-        }
-        // Parse MPTCP side.
-        let mut capable_key = None;
-        let mut join = None;
-        for o in seg.mptcp_opts() {
-            match MpOption::decode(o) {
-                Ok(MpOption::Capable {
-                    sender_key,
-                    receiver_key: None,
-                    ..
-                }) => capable_key = Some(sender_key),
-                Ok(MpOption::JoinSynAck {
-                    backup,
-                    hmac,
-                    nonce,
-                    ..
-                }) => join = Some((backup, hmac, nonce)),
-                _ => {}
-            }
-        }
-        if id == 0 {
-            match capable_key {
-                Some(k) => self.set_remote_key(k),
-                None => {
-                    // Peer fell back to plain TCP: single-subflow mode.
-                    self.remote_key = None;
-                    self.remote_token = None;
-                    self.fallback = true;
-                }
-            }
-        } else {
-            // MP_JOIN: verify the responder HMAC.
-            let Some((_backup, hmac, nonce_b)) = join else {
-                // No valid JOIN response: treat as refusal.
-                self.kill_subflow(id, SubflowError::Refused, env, events);
-                return;
-            };
-            let sf = &mut self.subflows[id as usize];
-            sf.nonce_remote = nonce_b;
-            let expect = join_hmac_b(
-                self.local_key,
-                self.remote_key.expect("join without keys"),
-                self.subflows[id as usize].nonce_local,
-                nonce_b,
-            );
-            if expect != hmac {
-                self.kill_subflow(id, SubflowError::Refused, env, events);
-                return;
-            }
-        }
-        let now = env.now;
-        let sf = &mut self.subflows[id as usize];
-        sf.irs = seg.hdr.seq.0;
-        sf.reasm = smapp_tcp::Reassembly::new();
-        sf.peer_wscale = seg
-            .hdr
-            .options
-            .iter()
-            .find_map(|o| match o {
-                TcpOption::WindowScale(s) => Some(*s),
-                _ => None,
-            })
-            .unwrap_or(0);
-        sf.peer_window = seg.hdr.window as u64; // SYN/ACK window unscaled
-        sf.state = SfState::Established;
-        sf.stats.established_at = Some(now);
-        if let Some(d) = now.checked_since(sf.stats.created_at) {
-            sf.rtt.on_sample(d);
-        }
-        sf.rto.on_ack_progress();
-        sf.rto_armed = false;
-        let tuple = sf.tuple;
-        let backup = sf.backup;
-        self.peer_window = seg.hdr.window as u64; // SYN/ACK window is unscaled
-        self.send_handshake_ack(id, env);
-        if id == 0 {
-            self.state = ConnState::Established;
-            self.stats.established_at = Some(now);
-            events.push(PmEvent::ConnEstablished {
-                token: self.token,
-                tuple,
-                is_client: self.role == Role::Client,
-            });
-        }
-        events.push(PmEvent::SubflowEstablished {
-            token: self.token,
-            id,
-            tuple,
-            backup,
-            initiated_here: true,
-        });
-        if id == 0 {
-            self.app_event_established(env);
-        }
-        self.pump(cfg, env, events);
-    }
-
-    fn on_segment_synreceived(
-        &mut self,
-        id: SubflowId,
-        seg: &TcpSegment,
-        cfg: &StackConfig,
-        env: &mut StackEnv<'_>,
-        events: &mut Vec<PmEvent>,
-    ) {
-        let sf = &self.subflows[id as usize];
-        // Duplicate SYN (our SYN/ACK was lost): resend it.
-        if seg.hdr.flags.syn && !seg.hdr.flags.ack {
-            self.send_synack(id, cfg, env);
-            return;
-        }
-        if !seg.hdr.flags.ack || seg.hdr.ack.0 != sf.iss.wrapping_add(1) {
-            return;
-        }
-        // For joins, the third ACK must carry a valid HMAC-A.
-        if id != 0 {
-            let hmac_ok = seg.mptcp_opts().any(|o| {
-                matches!(
-                    MpOption::decode(o),
-                    Ok(MpOption::JoinAck { hmac })
-                        if hmac == join_hmac_a(
-                            self.remote_key.expect("join without keys"),
-                            self.local_key,
-                            self.subflows[id as usize].nonce_remote,
-                            self.subflows[id as usize].nonce_local,
-                        )
-                )
-            });
-            if !hmac_ok {
-                // Not the authenticated third ACK; wait for it (the
-                // SYN/ACK RTO will retransmit if it never comes).
-                return;
-            }
-        }
-        let now = env.now;
-        let sf = &mut self.subflows[id as usize];
-        sf.state = SfState::Established;
-        sf.stats.established_at = Some(now);
-        if let Some(d) = now.checked_since(sf.stats.created_at) {
-            sf.rtt.on_sample(d);
-        }
-        sf.rto.on_ack_progress();
-        sf.rto_armed = false;
-        sf.peer_window = (seg.hdr.window as u64) << sf.peer_wscale;
-        let tuple = sf.tuple;
-        let backup = sf.backup;
-        self.peer_window = (seg.hdr.window as u64) << sf.peer_wscale;
-        if id == 0 {
-            self.state = ConnState::Established;
-            self.stats.established_at = Some(now);
-            events.push(PmEvent::ConnEstablished {
-                token: self.token,
-                tuple,
-                is_client: self.role == Role::Client,
-            });
-        }
-        events.push(PmEvent::SubflowEstablished {
-            token: self.token,
-            id,
-            tuple,
-            backup,
-            initiated_here: false,
-        });
-        if id == 0 {
-            self.app_event_established(env);
-        }
-        // The third ACK may carry data; process it in the established path.
-        if !seg.payload.is_empty() || seg.hdr.flags.fin {
-            self.on_segment_established(id, seg, cfg, env, events);
-        } else {
-            self.pump(cfg, env, events);
-        }
-    }
-
-    #[allow(clippy::cognitive_complexity)]
     fn on_segment_established(
         &mut self,
         id: SubflowId,
         seg: &TcpSegment,
-        cfg: &StackConfig,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {
@@ -1657,14 +1411,13 @@ impl Connection {
         if seg.hdr.flags.syn && seg.hdr.flags.ack {
             let sf = &self.subflows[id as usize];
             if seg.hdr.seq.0 == sf.irs {
-                self.send_handshake_ack(id, env);
+                self.send_handshake(id, env);
             }
             return;
         }
 
         // ---- parse MPTCP options ----
         let mut dss: Option<Dss> = None;
-        let mut extra_events: Vec<PmEvent> = Vec::new();
         let mut prio_change: Option<(Option<u8>, bool)> = None;
         let mut fastclose = false;
         let mut any_mp_opt = false;
@@ -1679,7 +1432,7 @@ impl Connection {
                 }) if !self.remote_addrs.iter().any(|(i, _, _)| *i == addr_id) => {
                     let p = port.unwrap_or(self.subflows[id as usize].tuple.dst_port);
                     self.remote_addrs.push((addr_id, addr, p));
-                    extra_events.push(PmEvent::AddAddrReceived {
+                    events.push(PmEvent::AddAddrReceived {
                         token: self.token,
                         addr_id,
                         addr,
@@ -1689,7 +1442,7 @@ impl Connection {
                 Ok(MpOption::RemoveAddr { addr_ids }) => {
                     for aid in addr_ids {
                         self.remote_addrs.retain(|(i, _, _)| *i != aid);
-                        extra_events.push(PmEvent::RemAddrReceived {
+                        events.push(PmEvent::RemAddrReceived {
                             token: self.token,
                             addr_id: aid,
                         });
@@ -1700,9 +1453,8 @@ impl Connection {
                 _ => {}
             }
         }
-        events.append(&mut extra_events);
-        if dss.is_some() {
-            self.peer_dss_seen = true;
+        if let (Some(_), Mode::Mptcp { peer_dss_seen }) = (&dss, &mut self.mode) {
+            *peer_dss_seen = true;
         }
         if fastclose {
             self.abort(env, events);
@@ -1717,7 +1469,9 @@ impl Connection {
 
         // ---- fallback inference (RFC 6824 §3.7; `cfg.fallback_inference`
         // exists so the oracle's broken-build detection test can switch the
-        // mechanism off and prove the invariant checker catches it) ----
+        // mechanism off and prove the invariant checker catches it). Only
+        // ever on the sole, initial subflow. ----
+        let may_infer = self.cfg.fallback_inference && id == 0 && self.subflows.len() == 1;
         // MPTCP was negotiated, yet the very first data-bearing segment on
         // the (sole) initial subflow carries no DSS option: a middlebox on
         // the path is stripping MPTCP options — possibly in one direction
@@ -1726,23 +1480,20 @@ impl Connection {
         // unmapped forever. Fall back to plain TCP on this subflow and
         // refuse further joins, exactly as if the handshake had fallen
         // back.
-        if cfg.fallback_inference
-            && !self.fallback
-            && id == 0
-            && self.subflows.len() == 1
+        if may_infer
+            && !self.is_fallback()
             && dss.is_none()
             && !seg.payload.is_empty()
             && self.meta_recv.next_expected() == 0
             && self.peer_fin_off.is_none()
         {
-            self.infer_fallback();
+            self.fall_back(FallbackCause::Inferred);
         }
 
         // ---- subflow-level ACK processing ----
         let pre_ack_una = self.subflows[id as usize].una_off;
-        let mut data_acked_progress = false;
         if seg.hdr.flags.ack {
-            self.process_subflow_ack(id, seg, env, events);
+            self.process_subflow_ack(id, seg, env);
         }
         // Sender-side §3.7 inference, the mirror image of the receiver-side
         // check above: we sent DSS-mapped data, and the (sole) subflow's
@@ -1752,16 +1503,18 @@ impl Connection {
         // subflow as plain TCP. Fall back before any connection-level
         // reinjection can place bytes at fresh subflow offsets the peer
         // would misread as new data (identity mapping past the stream end).
-        if cfg.fallback_inference
-            && !self.fallback
-            && id == 0
-            && self.subflows.len() == 1
+        if may_infer
+            && matches!(
+                self.mode,
+                Mode::Mptcp {
+                    peer_dss_seen: false
+                }
+            )
             && !any_mp_opt
             && seg.payload.is_empty()
-            && !self.peer_dss_seen
             && self.subflows[id as usize].una_off > pre_ack_una
         {
-            self.infer_fallback();
+            self.fall_back(FallbackCause::Inferred);
         }
         // Peer window (conn-level; any subflow updates it).
         {
@@ -1773,19 +1526,17 @@ impl Connection {
         }
 
         // ---- DSS: data ack (fallback: the subflow ACK is the data ack) ----
-        if self.fallback {
+        if self.is_fallback() {
             let sf0 = &self.subflows[0];
             let acked = sf0.una_off.min(sf0.snd_off);
             let fin_acked = sf0.fin_acked;
-            data_acked_progress = self.on_data_ack(acked, env, events);
+            self.on_data_ack(acked, env);
             if fin_acked {
                 self.fin_acked = true;
             }
-        } else if let Some(d) = &dss {
-            if let Some(wire_ack) = d.data_ack {
-                let acked = self.meta_off_from_wire_data_ack(wire_ack);
-                data_acked_progress = self.on_data_ack(acked, env, events);
-            }
+        } else if let Some(wire_ack) = dss.and_then(|d| d.data_ack) {
+            let acked = self.meta_off_from_wire_data_ack(wire_ack);
+            self.on_data_ack(acked, env);
         }
 
         // ---- payload ----
@@ -1794,28 +1545,23 @@ impl Connection {
             should_ack = true;
             let sf = &mut self.subflows[id as usize];
             let off = sf.offset_from_wire_seq(seg.hdr.seq.0);
-            // Record the DSS mapping for these bytes (fallback: identity).
-            if self.fallback {
-                let sf = &mut self.subflows[id as usize];
+            // Record the DSS mapping for these bytes (fallback: identity;
+            // `add_recv_map` ignores the empty mapping of a bare DATA_FIN).
+            let len = seg.payload.len() as u32;
+            let mapped = if self.is_fallback() {
+                Some((off, len))
+            } else {
+                let m = dss.and_then(|d| d.mapping);
+                m.map(|m| (self.meta_off_from_wire_dsn(m.dsn), len.min(m.len as u32)))
+            };
+            let sf = &mut self.subflows[id as usize];
+            if let Some((meta, len)) = mapped {
                 sf.add_recv_map(RecvMap {
                     ssn: off,
-                    meta: off,
-                    len: seg.payload.len() as u32,
+                    meta,
+                    len,
                 });
-            } else if let Some(d) = &dss {
-                if let Some(m) = d.mapping {
-                    if m.len > 0 {
-                        let meta = self.meta_off_from_wire_dsn(m.dsn);
-                        let sf = &mut self.subflows[id as usize];
-                        sf.add_recv_map(RecvMap {
-                            ssn: off,
-                            meta,
-                            len: m.len.min(seg.payload.len() as u16) as u32,
-                        });
-                    }
-                }
             }
-            let sf = &mut self.subflows[id as usize];
             sf.reasm.insert(off, seg.payload.clone());
             // Pop in-order subflow bytes and lift them to the meta level;
             // each popped chunk carries the subflow offset of its first
@@ -1826,16 +1572,8 @@ impl Connection {
                     let at = ssn + inner_off as u64;
                     let sf = &self.subflows[id as usize];
                     match sf.meta_offset_of(at) {
-                        Some(meta) => {
-                            // Extent of this mapping from `at`.
-                            let map = sf
-                                .recv_maps
-                                .iter()
-                                .find(|m| m.ssn <= at && at < m.ssn + m.len as u64)
-                                .copied()
-                                .expect("mapping exists");
-                            let take = ((map.ssn + map.len as u64 - at) as usize)
-                                .min(chunk.len() - inner_off);
+                        Some((meta, mapped)) => {
+                            let take = (mapped as usize).min(chunk.len() - inner_off);
                             let piece = chunk.slice(inner_off..inner_off + take);
                             self.meta_recv.insert(meta, piece);
                             inner_off += take;
@@ -1860,8 +1598,8 @@ impl Connection {
             // must fit the advertised receive buffer — the sender can only
             // have sent into windows we opened.
             let buffered = self.meta_recv.buffered_bytes();
-            if buffered > self.recv_buf {
-                let cap = self.recv_buf;
+            if buffered > self.cfg.recv_buf {
+                let cap = self.cfg.recv_buf;
                 self.integrity_violation(format!(
                     "receive reassembly holds {buffered} bytes > receive buffer {cap}"
                 ));
@@ -1887,49 +1625,36 @@ impl Connection {
         self.deliver_meta(env);
 
         // ---- subflow FIN ----
+        let sf = &mut self.subflows[id as usize];
         if seg.hdr.flags.fin {
             should_ack = true;
-            let sf = &mut self.subflows[id as usize];
             let off = sf.offset_from_wire_seq(seg.hdr.seq.0);
-            let fin_off = off + seg.payload.len() as u64;
-            sf.peer_fin_off = Some(fin_off);
+            sf.peer_fin_off = Some(off + seg.payload.len() as u64);
         }
-        {
-            let sf = &mut self.subflows[id as usize];
-            if let Some(f) = sf.peer_fin_off {
-                if !sf.peer_fin_consumed && sf.reasm.next_expected() >= f {
-                    sf.peer_fin_consumed = true;
-                }
+        if let Some(f) = sf.peer_fin_off {
+            if sf.reasm.next_expected() >= f {
+                sf.peer_fin_consumed = true;
             }
         }
-        if self.fallback && self.peer_fin_off.is_none() {
-            let consumed = self.subflows[0].peer_fin_consumed;
-            if consumed {
-                self.peer_fin_off = Some(self.meta_recv.next_expected());
-                self.deliver_meta(env);
-            }
+        // Fallback: the subflow FIN is the end of the stream.
+        if self.is_fallback() && self.peer_fin_off.is_none() && self.subflows[0].peer_fin_consumed {
+            self.peer_fin_off = Some(self.meta_recv.next_expected());
+            self.deliver_meta(env);
         }
 
         // ---- acknowledge ----
         if should_ack {
-            self.send_ack(id, Vec::new(), env);
+            self.send_ack(id, None, env);
         }
 
         // ---- progress: close bookkeeping, new transmissions ----
-        let _ = data_acked_progress;
         self.finish_subflow_close(id, env, events);
-        self.pump(cfg, env, events);
+        self.pump(env);
         self.maybe_conn_closed(env, events);
     }
 
     /// Cumulative/duplicate ACK handling for one subflow.
-    fn process_subflow_ack(
-        &mut self,
-        id: SubflowId,
-        seg: &TcpSegment,
-        env: &mut StackEnv<'_>,
-        _events: &mut [PmEvent],
-    ) {
+    fn process_subflow_ack(&mut self, id: SubflowId, seg: &TcpSegment, env: &mut StackEnv<'_>) {
         let now = env.now;
         let sf = &mut self.subflows[id as usize];
         let acked_off = sf.offset_from_wire_ack(seg.hdr.ack.0);
@@ -1984,7 +1709,7 @@ impl Connection {
             if sf.has_retransmittable() {
                 self.arm_rto(id, env);
             } else {
-                self.disarm_rto(id);
+                sf.rto_armed = false;
             }
             if retransmit_hole {
                 self.retransmit_head(id, env);
@@ -2005,18 +1730,13 @@ impl Connection {
         }
     }
 
-    /// Meta-level cumulative data ACK. Returns true when it advanced.
-    fn on_data_ack(
-        &mut self,
-        acked_off: u64,
-        env: &mut StackEnv<'_>,
-        _events: &mut [PmEvent],
-    ) -> bool {
+    /// Meta-level cumulative data ACK.
+    fn on_data_ack(&mut self, acked_off: u64, env: &mut StackEnv<'_>) {
         let fin_plus = self.fin_sent_off.map(|f| f + 1);
         let limit = fin_plus.unwrap_or(self.meta_snd_nxt).max(self.meta_snd_nxt);
         let acked = acked_off.min(limit);
         if acked <= self.meta_una {
-            return false;
+            return;
         }
         if let Some(f) = self.fin_sent_off {
             if acked > f {
@@ -2027,7 +1747,7 @@ impl Connection {
         let had_free = self.meta_send.free();
         self.meta_send.release_until(release_to);
         self.meta_una = acked.min(self.fin_sent_off.unwrap_or(acked));
-        self.gc_reinject();
+        self.reinject.gc(self.meta_una);
         // Send-side sequence-space bounds: una never passes snd_nxt, and
         // snd_nxt never passes the bytes the application actually wrote.
         if self.meta_una > self.meta_snd_nxt || self.meta_snd_nxt > self.meta_send.tail_offset() {
@@ -2041,9 +1761,8 @@ impl Connection {
             ));
         }
         if self.meta_send.free() > had_free && !self.app_closed {
-            self.app_event_send_space(env);
+            self.with_app(env, |app, ctx| app.on_send_space(ctx));
         }
-        true
     }
 
     /// Insert-order delivery to the application.
@@ -2051,35 +1770,79 @@ impl Connection {
         while let Some((_, c)) = self.meta_recv.pop_next() {
             self.stats.bytes_received += c.len() as u64;
             self.stats.tap_recvd.update(&c);
-            self.app_event_data(env, c);
+            self.with_app(env, |app, ctx| app.on_data(ctx, c));
         }
         if let Some(f) = self.peer_fin_off {
             if !self.eof_delivered && self.meta_recv.next_expected() >= f {
                 self.eof_delivered = true;
-                self.app_event_eof(env);
+                self.with_app(env, |app, ctx| app.on_eof(ctx));
             }
         }
     }
+}
 
-    // ------------------------------------------------------------------
-    // Close / abort / kill
-    // ------------------------------------------------------------------
+// ----------------------------------------------------------------------
+// Close side: DATA_FIN, subflow FIN exchanges, subflow death, abort
+// ----------------------------------------------------------------------
+
+impl Connection {
+    /// A DATA_FIN for meta offset `fin_off` just went out: remember it and
+    /// start its retransmission timer.
+    fn data_fin_sent(&mut self, fin_off: u64, env: &mut StackEnv<'_>) {
+        self.fin_sent_off = Some(fin_off);
+        self.meta_fin_backoff = 0;
+        self.arm_meta_fin_timer(env);
+    }
+
+    fn arm_meta_fin_timer(&mut self, env: &mut StackEnv<'_>) {
+        self.meta_fin_gen = self.meta_fin_gen.wrapping_add(1) & 0x0FFF_FFFF;
+        let backoff = Duration::from_secs(1 << self.meta_fin_backoff.min(5));
+        let t = timer_token(TimerKind::MetaFin, self.idx, 0, self.meta_fin_gen);
+        env.timers.push((backoff, t));
+    }
+
+    /// Meta-level DATA_FIN retransmission timer.
+    pub fn on_meta_fin_timer(
+        &mut self,
+        gen: u64,
+        env: &mut StackEnv<'_>,
+        events: &mut Vec<PmEvent>,
+    ) {
+        if gen != self.meta_fin_gen || self.fin_acked || self.state == ConnState::Closed {
+            return;
+        }
+        let Some(fin_off) = self.fin_sent_off else {
+            return;
+        };
+        self.meta_fin_backoff += 1;
+        if self.meta_fin_backoff > 10 {
+            // Peer is unreachable at the data level; abort.
+            self.abort(env, events);
+            return;
+        }
+        // Re-send a standalone DATA_FIN on every live subflow: one of them
+        // may be a zombie (the peer's side died behind a NAT and its RST
+        // never reached us), and the data level deduplicates the signal.
+        for sf in &self.subflows {
+            if sf.state == SfState::Established {
+                self.send_standalone_datafin(sf.id, fin_off, env);
+            }
+        }
+        self.arm_meta_fin_timer(env);
+    }
 
     /// When the meta close handshake is done in both directions, wind down
     /// the subflows with FIN exchanges.
-    fn maybe_close_subflows(&mut self, env: &mut StackEnv<'_>, _events: &mut [PmEvent]) {
+    fn maybe_close_subflows(&mut self, env: &mut StackEnv<'_>) {
         if !(self.fin_acked && self.eof_delivered) {
             return;
         }
-        let ids: Vec<SubflowId> = self
-            .subflows
-            .iter()
-            .filter(|s| s.state == SfState::Established && s.fin_sent_off.is_none())
-            .map(|s| s.id)
-            .collect();
-        for id in ids {
-            self.subflows[id as usize].fin_wanted = true;
-            self.try_send_subflow_fin(id, env);
+        for id in 0..self.subflows.len() {
+            let sf = &mut self.subflows[id];
+            if sf.state == SfState::Established && sf.fin_sent_off.is_none() {
+                sf.fin_wanted = true;
+                self.try_send_subflow_fin(id as SubflowId, env);
+            }
         }
     }
 
@@ -2090,10 +1853,7 @@ impl Connection {
         }
         let fin_off = sf.snd_off;
         sf.fin_sent_off = Some(fin_off);
-        let data_ack = self.current_data_ack();
-        let window = self.advertised_window_scaled();
-        let built = self.build_fin_segment(id, fin_off, data_ack, window);
-        env.send_segment(built.tuple.src, built.tuple.dst, &built.seg);
+        self.send_fin(id, fin_off, env);
         self.arm_rto(id, env);
     }
 
@@ -2121,22 +1881,9 @@ impl Connection {
             self.try_send_subflow_fin(id, env);
         }
         // Both directions done? Subflow is closed.
-        let done = {
-            let sf = &self.subflows[id as usize];
-            sf.state == SfState::Established && sf.close_complete()
-        };
-        if done {
-            let sf = &mut self.subflows[id as usize];
-            sf.state = SfState::Closed;
-            sf.rto_armed = false;
-            let tuple = sf.tuple;
-            self.stats.sf_close_reasons |= SubflowError::None.coverage_bit();
-            events.push(PmEvent::SubflowClosed {
-                token: self.token,
-                id,
-                tuple,
-                error: SubflowError::None,
-            });
+        let sf = &self.subflows[id as usize];
+        if sf.state == SfState::Established && sf.close_complete() {
+            self.kill_subflow(id, SubflowError::None, events);
         }
     }
 
@@ -2149,38 +1896,36 @@ impl Connection {
         let meta_done = self.fin_acked && self.eof_delivered;
         let all_closed = self.subflows.iter().all(|s| s.state == SfState::Closed);
         if meta_done && all_closed {
-            self.state = ConnState::Closed;
-            self.stats.closed_at = Some(env.now);
-            events.push(PmEvent::ConnClosed { token: self.token });
-            self.app_event_closed(env.now);
+            self.closed(env.now, events);
         }
     }
 
     /// Hard-abort the connection (handshake failure, FASTCLOSE, meta
     /// timeout): every subflow dies, the app learns immediately.
-    pub fn abort(&mut self, env: &mut StackEnv<'_>, events: &mut Vec<PmEvent>) {
+    fn abort(&mut self, env: &mut StackEnv<'_>, events: &mut Vec<PmEvent>) {
         if self.state == ConnState::Closed {
             return;
         }
-        let ids: Vec<SubflowId> = self.live_subflow_ids();
-        for id in ids {
-            self.kill_subflow(id, SubflowError::Timeout, env, events);
+        for id in self.live_subflow_ids() {
+            self.kill_subflow(id, SubflowError::Timeout, events);
         }
-        self.state = ConnState::Closed;
-        self.stats.closed_at = Some(env.now);
-        events.push(PmEvent::ConnClosed { token: self.token });
-        self.app_event_closed(env.now);
+        self.closed(env.now, events);
     }
 
-    /// Kill one subflow with an error; unacked meta data it carried becomes
+    /// The connection is over: tell the path manager and the application.
+    fn closed(&mut self, now: SimTime, events: &mut Vec<PmEvent>) {
+        self.state = ConnState::Closed;
+        self.stats.closed_at = Some(now);
+        events.push(PmEvent::ConnClosed { token: self.token });
+        if let Some(app) = self.app.as_mut() {
+            app.on_closed(now);
+        }
+    }
+
+    /// Close one subflow for the given reason (`SubflowError::None` after a
+    /// complete FIN exchange); unacked meta data it carried becomes
     /// eligible for reinjection elsewhere.
-    pub fn kill_subflow(
-        &mut self,
-        id: SubflowId,
-        error: SubflowError,
-        _env: &mut StackEnv<'_>,
-        events: &mut Vec<PmEvent>,
-    ) {
+    pub fn kill_subflow(&mut self, id: SubflowId, error: SubflowError, events: &mut Vec<PmEvent>) {
         let Some(sf) = self.subflows.get_mut(id as usize) else {
             return;
         };
@@ -2189,13 +1934,10 @@ impl Connection {
         }
         sf.state = SfState::Closed;
         sf.rto_armed = false;
-        self.stats.sf_close_reasons |= error.coverage_bit();
         let tuple = sf.tuple;
-        let ranges: Vec<MetaRange> = sf.flight.iter().filter_map(|s| s.tag.map).collect();
-        sf.flight.clear();
-        for r in ranges {
-            self.add_reinject(r);
-        }
+        self.stats.sf_close_reasons |= error.coverage_bit();
+        self.reinject_flight(id);
+        self.subflows[id as usize].flight.clear();
         events.push(PmEvent::SubflowClosed {
             token: self.token,
             id,
@@ -2204,16 +1946,33 @@ impl Connection {
         });
     }
 
+    /// Subflow `id` died under us (RST, handshake or data timeout, ICMP
+    /// error). If it was carrying the connection's own handshake the
+    /// connection dies with it; otherwise the other subflows take over.
+    fn subflow_failed(
+        &mut self,
+        id: SubflowId,
+        error: SubflowError,
+        env: &mut StackEnv<'_>,
+        events: &mut Vec<PmEvent>,
+    ) {
+        self.kill_subflow(id, error, events);
+        if id == 0 && self.state == ConnState::Establishing {
+            self.abort(env, events);
+        } else {
+            self.pump(env);
+        }
+    }
+
     /// PM-requested graceful or hard close of a subflow.
     pub fn pm_close_subflow(
         &mut self,
         id: SubflowId,
         reset: bool,
-        cfg: &StackConfig,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {
-        let Some(sf) = self.subflows.get(id as usize) else {
+        let Some(sf) = self.subflows.get_mut(id as usize) else {
             return;
         };
         if sf.state == SfState::Closed {
@@ -2221,72 +1980,17 @@ impl Connection {
         }
         if reset || sf.state != SfState::Established {
             // Send an RST so the peer tears down too.
-            let sf = &self.subflows[id as usize];
-            let seg = TcpSegment {
-                hdr: TcpHeader {
-                    src_port: sf.tuple.src_port,
-                    dst_port: sf.tuple.dst_port,
-                    seq: sf.wire_seq(sf.snd_off).into(),
-                    ack: sf.wire_ack().into(),
-                    flags: TcpFlags::RST,
-                    window: 0,
-                    options: TcpOptions::new(),
-                },
-                payload: Bytes::new(),
+            let rst = Seg {
+                flags: TcpFlags::RST,
+                ..Default::default()
             };
-            env.send_segment(sf.tuple.src, sf.tuple.dst, &seg);
-            self.kill_subflow(id, SubflowError::PmRequested, env, events);
-            self.pump(cfg, env, events);
+            self.emit(id, rst, env);
+            self.kill_subflow(id, SubflowError::PmRequested, events);
+            self.pump(env);
         } else {
             // Graceful: stop scheduling data on it, FIN when drained.
-            self.subflows[id as usize].fin_wanted = true;
+            sf.fin_wanted = true;
             self.try_send_subflow_fin(id, env);
-        }
-    }
-
-    /// PM-requested backup-priority change; signals MP_PRIO to the peer.
-    pub fn pm_set_backup(&mut self, id: SubflowId, backup: bool, env: &mut StackEnv<'_>) {
-        if let Some(sf) = self.subflows.get_mut(id as usize) {
-            if sf.state == SfState::Established {
-                sf.backup = backup;
-                self.send_ack(
-                    id,
-                    vec![MpOption::Prio {
-                        backup,
-                        addr_id: None,
-                    }],
-                    env,
-                );
-            }
-        }
-    }
-
-    /// PM-requested address announcement (ADD_ADDR to the peer).
-    pub fn pm_announce_addr(&mut self, addr_id: u8, addr: Addr, env: &mut StackEnv<'_>) {
-        self.next_local_addr_id = self.next_local_addr_id.max(addr_id + 1);
-        if let Some(id) = self.best_live_subflow() {
-            self.send_ack(
-                id,
-                vec![MpOption::AddAddr {
-                    addr_id,
-                    addr,
-                    port: None,
-                }],
-                env,
-            );
-        }
-    }
-
-    /// PM-requested address withdrawal (REMOVE_ADDR to the peer).
-    pub fn pm_withdraw_addr(&mut self, addr_id: u8, env: &mut StackEnv<'_>) {
-        if let Some(id) = self.best_live_subflow() {
-            self.send_ack(
-                id,
-                vec![MpOption::RemoveAddr {
-                    addr_ids: vec![addr_id],
-                }],
-                env,
-            );
         }
     }
 
@@ -2294,7 +1998,6 @@ impl Connection {
     pub fn on_icmp_unreachable(
         &mut self,
         id: SubflowId,
-        cfg: &StackConfig,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {
@@ -2303,74 +2006,10 @@ impl Connection {
         };
         match sf.state {
             SfState::SynSent | SfState::SynReceived => {
-                self.kill_subflow(id, SubflowError::NetUnreachable, env, events);
-                if id == 0 && self.state == ConnState::Establishing {
-                    self.abort(env, events);
-                } else {
-                    self.pump(cfg, env, events);
-                }
+                self.subflow_failed(id, SubflowError::NetUnreachable, env, events)
             }
             _ => sf.soft_errors += 1,
         }
-    }
-
-    // ------------------------------------------------------------------
-    // App event helpers (take/put dance around the borrow checker)
-    // ------------------------------------------------------------------
-
-    fn app_event_established(&mut self, env: &mut StackEnv<'_>) {
-        if let Some(mut app) = self.app.take() {
-            app.on_established(&mut AppCtx { conn: self, env });
-            self.app = Some(app);
-        }
-    }
-
-    fn app_event_data(&mut self, env: &mut StackEnv<'_>, data: Bytes) {
-        if let Some(mut app) = self.app.take() {
-            app.on_data(&mut AppCtx { conn: self, env }, data);
-            self.app = Some(app);
-        }
-    }
-
-    fn app_event_send_space(&mut self, env: &mut StackEnv<'_>) {
-        if let Some(mut app) = self.app.take() {
-            app.on_send_space(&mut AppCtx { conn: self, env });
-            self.app = Some(app);
-        }
-    }
-
-    fn app_event_eof(&mut self, env: &mut StackEnv<'_>) {
-        if let Some(mut app) = self.app.take() {
-            app.on_eof(&mut AppCtx { conn: self, env });
-            self.app = Some(app);
-        }
-    }
-
-    fn app_event_closed(&mut self, now: SimTime) {
-        if let Some(app) = self.app.as_mut() {
-            app.on_closed(now);
-        }
-    }
-
-    /// Dispatch an application timer.
-    pub fn on_app_timer(
-        &mut self,
-        token: u64,
-        cfg: &StackConfig,
-        env: &mut StackEnv<'_>,
-        events: &mut Vec<PmEvent>,
-    ) {
-        if let Some(mut app) = self.app.take() {
-            app.on_app_timer(&mut AppCtx { conn: self, env }, token);
-            self.app = Some(app);
-        }
-        self.pump(cfg, env, events);
-    }
-
-    /// Let the app push more data / react, then pump (host calls this after
-    /// out-of-band app interactions).
-    pub fn kick(&mut self, cfg: &StackConfig, env: &mut StackEnv<'_>, events: &mut Vec<PmEvent>) {
-        self.pump(cfg, env, events);
     }
 }
 
@@ -2380,109 +2019,110 @@ mod tests {
     use crate::app::NullApp;
     use smapp_sim::SimRng;
 
-    fn tuple() -> FourTuple {
-        FourTuple {
+    /// Run `check` on a client connection that has just sent its SYN, the
+    /// env it sent it into and the events it raised.
+    fn with_client(
+        seed: u64,
+        cfg: StackConfig,
+        check: impl FnOnce(Connection, &StackEnv<'_>, &[PmEvent]),
+    ) {
+        let tuple = FourTuple {
             src: Addr::new(10, 0, 0, 1),
             src_port: 40_000,
             dst: Addr::new(10, 0, 0, 2),
             dst_port: 80,
-        }
+        };
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut env = StackEnv::new(SimTime::ZERO, &mut rng);
+        let mut events = Vec::new();
+        let conn = Connection::client(0, &cfg, tuple, Box::new(NullApp), &mut env, &mut events);
+        check(conn, &env, &events);
     }
 
     #[test]
     fn client_emits_capable_syn() {
-        let mut rng = SimRng::seed_from_u64(1);
-        let mut env = StackEnv::new(SimTime::ZERO, &mut rng);
-        let mut events = Vec::new();
-        let cfg = StackConfig::default();
-        let conn = Connection::client(0, &cfg, tuple(), Box::new(NullApp), &mut env, &mut events);
-        assert_eq!(conn.state, ConnState::Establishing);
-        assert_eq!(env.out.len(), 1);
-        let seg = TcpSegment::decode(&env.out[0].seg).unwrap();
-        assert!(seg.hdr.flags.syn && !seg.hdr.flags.ack);
-        let mp = MpOption::decode(seg.mptcp_opt().unwrap()).unwrap();
-        assert!(matches!(
-            mp,
-            MpOption::Capable {
-                receiver_key: None,
-                ..
-            }
-        ));
-        assert!(matches!(
-            events[0],
-            PmEvent::ConnCreated {
-                is_client: true,
-                ..
-            }
-        ));
-        // One RTO timer armed for the SYN.
-        assert_eq!(env.timers.len(), 1);
+        with_client(1, StackConfig::default(), |conn, env, events| {
+            assert_eq!(conn.state, ConnState::Establishing);
+            assert_eq!(env.out.len(), 1);
+            let seg = TcpSegment::decode(&env.out[0].seg).unwrap();
+            assert!(seg.hdr.flags.syn && !seg.hdr.flags.ack);
+            let mp = MpOption::decode(seg.mptcp_opt().unwrap()).unwrap();
+            assert!(matches!(
+                mp,
+                MpOption::Capable {
+                    receiver_key: None,
+                    ..
+                }
+            ));
+            assert!(matches!(
+                events[0],
+                PmEvent::ConnCreated {
+                    is_client: true,
+                    ..
+                }
+            ));
+            // One RTO timer armed for the SYN.
+            assert_eq!(env.timers.len(), 1);
+        });
     }
 
     #[test]
     fn plain_tcp_client_emits_bare_syn() {
-        let mut rng = SimRng::seed_from_u64(1);
-        let mut env = StackEnv::new(SimTime::ZERO, &mut rng);
-        let mut events = Vec::new();
         let cfg = StackConfig {
             mptcp_enabled: false,
             ..Default::default()
         };
-        let _conn = Connection::client(0, &cfg, tuple(), Box::new(NullApp), &mut env, &mut events);
-        let seg = TcpSegment::decode(&env.out[0].seg).unwrap();
-        assert!(seg.mptcp_opt().is_none());
+        with_client(1, cfg, |_conn, env, _events| {
+            let seg = TcpSegment::decode(&env.out[0].seg).unwrap();
+            assert!(seg.mptcp_opt().is_none());
+        });
     }
 
     #[test]
     fn reinject_ranges_coalesce() {
-        let mut rng = SimRng::seed_from_u64(2);
-        let mut env = StackEnv::new(SimTime::ZERO, &mut rng);
-        let mut events = Vec::new();
-        let cfg = StackConfig::default();
-        let mut conn =
-            Connection::client(0, &cfg, tuple(), Box::new(NullApp), &mut env, &mut events);
-        conn.add_reinject(MetaRange { off: 0, len: 100 });
-        conn.add_reinject(MetaRange { off: 100, len: 100 });
-        conn.add_reinject(MetaRange { off: 50, len: 20 });
-        assert_eq!(conn.reinject_pending(), 200);
-        assert_eq!(conn.reinject.len(), 1);
-        conn.add_reinject(MetaRange { off: 500, len: 10 });
-        assert_eq!(conn.reinject.len(), 2);
-        // Chunks come out in offset order, clipped to max_len.
-        let c1 = conn.take_reinject_chunk(150).unwrap();
-        assert_eq!((c1.off, c1.len), (0, 150));
-        let c2 = conn.take_reinject_chunk(150).unwrap();
-        assert_eq!((c2.off, c2.len), (150, 50));
-        let c3 = conn.take_reinject_chunk(150).unwrap();
-        assert_eq!((c3.off, c3.len), (500, 10));
-        assert!(conn.take_reinject_chunk(10).is_none());
+        with_client(2, StackConfig::default(), |mut conn, _env, _events| {
+            let una = conn.meta_una;
+            conn.reinject.add(MetaRange { off: 0, len: 100 }, una);
+            conn.reinject.add(MetaRange { off: 100, len: 100 }, una);
+            conn.reinject.add(MetaRange { off: 50, len: 20 }, una);
+            assert_eq!(conn.reinject.0, BTreeMap::from([(0, 200)]));
+            conn.reinject.add(MetaRange { off: 500, len: 10 }, una);
+            assert_eq!(conn.reinject.0.len(), 2);
+            // Chunks come out in offset order, clipped to max_len.
+            let c1 = conn.reinject.take_chunk(150, una).unwrap();
+            assert_eq!((c1.off, c1.len), (0, 150));
+            let c2 = conn.reinject.take_chunk(150, una).unwrap();
+            assert_eq!((c2.off, c2.len), (150, 50));
+            let c3 = conn.reinject.take_chunk(150, una).unwrap();
+            assert_eq!((c3.off, c3.len), (500, 10));
+            assert!(conn.reinject.take_chunk(10, una).is_none());
+        });
     }
 
     #[test]
     fn reinject_respects_meta_una() {
-        let mut rng = SimRng::seed_from_u64(3);
-        let mut env = StackEnv::new(SimTime::ZERO, &mut rng);
-        let mut events = Vec::new();
-        let cfg = StackConfig::default();
-        let mut conn =
-            Connection::client(0, &cfg, tuple(), Box::new(NullApp), &mut env, &mut events);
-        conn.meta_una = 80;
-        conn.add_reinject(MetaRange { off: 0, len: 100 });
-        let c = conn.take_reinject_chunk(1000).unwrap();
-        assert_eq!((c.off, c.len), (80, 20));
+        with_client(3, StackConfig::default(), |mut conn, _env, _events| {
+            conn.reinject.add(MetaRange { off: 0, len: 100 }, 80);
+            let c = conn.reinject.take_chunk(1000, 80).unwrap();
+            assert_eq!((c.off, c.len), (80, 20));
+            // Acknowledged ranges are forgotten, straddling ones trimmed.
+            conn.reinject.add(MetaRange { off: 0, len: 50 }, 0);
+            conn.reinject.add(MetaRange { off: 90, len: 20 }, 0);
+            conn.reinject.gc(100);
+            assert_eq!(
+                conn.reinject.0.into_iter().collect::<Vec<_>>(),
+                [(100, 110)]
+            );
+        });
     }
 
     #[test]
     fn dsn_conversions_roundtrip() {
-        let mut rng = SimRng::seed_from_u64(4);
-        let mut env = StackEnv::new(SimTime::ZERO, &mut rng);
-        let mut events = Vec::new();
-        let cfg = StackConfig::default();
-        let mut conn =
-            Connection::client(0, &cfg, tuple(), Box::new(NullApp), &mut env, &mut events);
-        conn.idsn_remote = conn.idsn_local; // pretend symmetric for the test
-        let off = 123_456u64;
-        let wire = conn.wire_dsn(off);
-        assert_eq!(conn.meta_off_from_wire_dsn(wire), off);
+        with_client(4, StackConfig::default(), |mut conn, _env, _events| {
+            conn.idsn_remote = conn.idsn_local; // pretend symmetric for the test
+            let off = 123_456u64;
+            let wire = conn.wire_dsn(off);
+            assert_eq!(conn.meta_off_from_wire_dsn(wire), off);
+        });
     }
 }

@@ -454,7 +454,7 @@ mod tests {
                 addr: Addr::new(1, 1, 1, 1),
             },
         ];
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = smapp_sim::FxHashSet::default();
         for e in &evs {
             assert!(seen.insert(e.mask_bit()), "duplicate mask bit");
             assert!(e.mask_bit() & EVENT_MASK_ALL != 0);

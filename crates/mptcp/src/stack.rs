@@ -6,8 +6,6 @@
 //! `MP_JOIN` SYNs routed by token), applies path-manager actions, and
 //! surfaces [`PmEvent`]s for whatever path manager the host plugged in.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use smapp_sim::{Addr, FxHashMap, FxHashSet, IcmpMsg, Packet, PROTO_ICMP, PROTO_TCP};
 use smapp_tcp::{SeqNum, TcpFlags, TcpHeader, TcpInfo, TcpOptions, TcpSegment};
@@ -100,7 +98,7 @@ pub struct HostStack {
     flows: FxHashMap<FourTuple, (usize, SubflowId)>,
     /// Demux: our token -> conn slot (for MP_JOIN and PM commands).
     by_token: FxHashMap<ConnToken, usize>,
-    listeners: HashMap<u16, AppFactory>,
+    listeners: FxHashMap<u16, AppFactory>,
     /// Local addresses and their up/down state (host keeps this current).
     local_addrs: Vec<(Addr, bool)>,
     used_ports: FxHashSet<(Addr, u16)>,
@@ -118,7 +116,7 @@ impl HostStack {
             conns: Vec::new(),
             flows: FxHashMap::default(),
             by_token: FxHashMap::default(),
-            listeners: HashMap::new(),
+            listeners: FxHashMap::default(),
             local_addrs: Vec::new(),
             used_ports: FxHashSet::default(),
             events: Vec::new(),
@@ -219,7 +217,7 @@ impl HostStack {
         // 1. Existing subflow?
         if let Some(&(idx, sub)) = self.flows.get(&tuple) {
             if let Some(conn) = self.conns[idx].as_mut() {
-                conn.on_segment(sub, &seg, &self.cfg, env, &mut self.events);
+                conn.on_segment(sub, &seg, env, &mut self.events);
                 self.post_process(idx, env);
                 return;
             }
@@ -234,7 +232,7 @@ impl HostStack {
             if let Some(token) = join_token {
                 if let Some(&idx) = self.by_token.get(&token) {
                     if let Some(conn) = self.conns[idx].as_mut() {
-                        if let Some(sub) = conn.accept_join_syn(&self.cfg, env, tuple, &seg) {
+                        if let Some(sub) = conn.accept_join_syn(env, tuple, &seg) {
                             self.flows.insert(tuple, (idx, sub));
                             self.used_ports.insert((tuple.src, tuple.src_port));
                             return;
@@ -313,7 +311,7 @@ impl HostStack {
         });
         if let Some((idx, sub)) = found {
             if let Some(conn) = self.conns[idx].as_mut() {
-                conn.on_icmp_unreachable(sub, &self.cfg, env, &mut self.events);
+                conn.on_icmp_unreachable(sub, env, &mut self.events);
             }
             self.post_process(idx, env);
         }
@@ -332,9 +330,9 @@ impl HostStack {
             return;
         };
         match kind {
-            TimerKind::Rto => conn.on_rto_timer(sub, gen, &self.cfg, env, &mut self.events),
-            TimerKind::App => conn.on_app_timer(gen, &self.cfg, env, &mut self.events),
-            TimerKind::MetaFin => conn.on_meta_fin_timer(gen, &self.cfg, env, &mut self.events),
+            TimerKind::Rto => conn.on_rto_timer(sub, gen, env, &mut self.events),
+            TimerKind::App => conn.on_app_timer(gen, env),
+            TimerKind::MetaFin => conn.on_meta_fin_timer(gen, env, &mut self.events),
         }
         self.post_process(idx, env);
     }
@@ -364,7 +362,7 @@ impl HostStack {
                     .filter(|&id| conn.subflow(id).is_some_and(|s| s.tuple.src == addr))
                     .collect();
                 for id in victims {
-                    conn.kill_subflow(id, SubflowError::IfaceDown, env, &mut self.events);
+                    conn.kill_subflow(id, SubflowError::IfaceDown, &mut self.events);
                 }
                 self.post_process(idx, env);
             }
@@ -405,7 +403,7 @@ impl HostStack {
                     false
                 } else {
                     let src_port = if *src_port == 0 {
-                        match self.alloc_port_inner(env, *src) {
+                        match self.alloc_port(env, *src) {
                             Some(p) => p,
                             None => return false,
                         }
@@ -419,7 +417,7 @@ impl HostStack {
                         dst_port: *dst_port,
                     };
                     let conn = self.conns[idx].as_mut().unwrap();
-                    match conn.open_subflow(&self.cfg, env, tuple, *backup) {
+                    match conn.open_subflow(env, tuple, *backup) {
                         Some(sub) => {
                             self.flows.insert(tuple, (idx, sub));
                             true
@@ -429,7 +427,7 @@ impl HostStack {
                 }
             }
             PmAction::CloseSubflow { id, reset, .. } => {
-                conn.pm_close_subflow(*id, *reset, &self.cfg, env, &mut self.events);
+                conn.pm_close_subflow(*id, *reset, env, &mut self.events);
                 true
             }
             PmAction::SetBackup { id, backup, .. } => {
@@ -447,16 +445,6 @@ impl HostStack {
         };
         self.post_process(idx, env);
         ok
-    }
-
-    fn alloc_port_inner(&mut self, env: &mut StackEnv<'_>, addr: Addr) -> Option<u16> {
-        for _ in 0..64 {
-            let p = env.rng.ephemeral_port();
-            if self.used_ports.insert((addr, p)) {
-                return Some(p);
-            }
-        }
-        None
     }
 
     /// House-keeping after any connection activity: drop closed flows from
@@ -491,17 +479,9 @@ impl HostStack {
     /// A connection by token (live) or by scanning (closed).
     pub fn conn_by_token(&self, token: ConnToken) -> Option<&Connection> {
         if let Some(&idx) = self.by_token.get(&token) {
-            return self.conns[idx].as_deref_conn();
+            return self.conns[idx].as_ref();
         }
         self.conns.iter().flatten().find(|c| c.token == token)
-    }
-
-    /// Mutable connection access by token.
-    pub fn conn_by_token_mut(&mut self, token: ConnToken) -> Option<&mut Connection> {
-        if let Some(&idx) = self.by_token.get(&token) {
-            return self.conns[idx].as_mut();
-        }
-        self.conns.iter_mut().flatten().find(|c| c.token == token)
     }
 
     /// All connections, in creation order.
@@ -512,17 +492,6 @@ impl HostStack {
     /// Connection-level info.
     pub fn conn_info(&self, token: ConnToken) -> Option<ConnInfo> {
         self.conn_by_token(token).map(|c| c.info())
-    }
-}
-
-/// Helper to keep `conn_by_token` readable.
-trait AsDerefConn {
-    fn as_deref_conn(&self) -> Option<&Connection>;
-}
-
-impl AsDerefConn for Option<Connection> {
-    fn as_deref_conn(&self) -> Option<&Connection> {
-        self.as_ref()
     }
 }
 
@@ -556,7 +525,6 @@ mod tests {
     use crate::apps::{BulkSender, Sink};
     use crate::harness::{Harness, Side};
     use smapp_sim::SimTime;
-    use std::collections::HashSet;
     use std::time::Duration;
 
     #[test]
@@ -577,7 +545,7 @@ mod tests {
                 })
             }),
         );
-        let tuples = |s: &HostStack| s.flows.keys().copied().collect::<HashSet<FourTuple>>();
+        let tuples = |s: &HostStack| s.flows.keys().copied().collect::<FxHashSet<FourTuple>>();
 
         // Three established connections with two subflows each.
         let tokens: Vec<ConnToken> = (0..3)

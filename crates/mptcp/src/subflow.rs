@@ -152,8 +152,6 @@ pub struct Subflow {
     /// SYN (or SYN/ACK) retransmissions remaining before giving up.
     pub syn_retries_left: u32,
 
-    /// Peer receive window in bytes (already unscaled).
-    pub peer_window: u64,
     /// Peer's window-scale shift from the handshake.
     pub peer_wscale: u8,
     /// Soft errors observed (ICMP unreachable while established).
@@ -221,7 +219,6 @@ impl Subflow {
             nonce_local,
             nonce_remote: 0,
             syn_retries_left: syn_retries,
-            peer_window: 64 * 1024,
             peer_wscale: 0,
             soft_errors: 0,
             stats: SfStats {
@@ -292,14 +289,15 @@ impl Subflow {
         self.recv_maps.insert(pos, m);
     }
 
-    /// Translate a chunk of in-order subflow payload (at `ssn`) to its meta
-    /// offset using the stored mappings. Returns `None` when no mapping
-    /// covers the byte — a protocol violation from the peer.
-    pub fn meta_offset_of(&self, ssn: u64) -> Option<u64> {
+    /// Translate in-order subflow offset `ssn` to its meta offset using the
+    /// stored mappings, with the number of bytes the covering mapping maps
+    /// from there on. Returns `None` when no mapping covers the byte — a
+    /// protocol violation from the peer.
+    pub fn meta_offset_of(&self, ssn: u64) -> Option<(u64, u64)> {
         self.recv_maps
             .iter()
             .find(|m| m.ssn <= ssn && ssn < m.ssn + m.len as u64)
-            .map(|m| m.meta + (ssn - m.ssn))
+            .map(|m| (m.meta + (ssn - m.ssn), m.ssn + m.len as u64 - ssn))
     }
 
     /// Drop mappings entirely below the delivered subflow offset.
@@ -435,10 +433,10 @@ mod tests {
             meta: 5000,
             len: 50,
         });
-        assert_eq!(s.meta_offset_of(0), Some(1000));
-        assert_eq!(s.meta_offset_of(99), Some(1099));
-        assert_eq!(s.meta_offset_of(100), Some(5000));
-        assert_eq!(s.meta_offset_of(149), Some(5049));
+        assert_eq!(s.meta_offset_of(0), Some((1000, 100)));
+        assert_eq!(s.meta_offset_of(99), Some((1099, 1)));
+        assert_eq!(s.meta_offset_of(100), Some((5000, 50)));
+        assert_eq!(s.meta_offset_of(149), Some((5049, 1)));
         assert_eq!(s.meta_offset_of(150), None);
     }
 

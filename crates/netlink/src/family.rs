@@ -134,11 +134,11 @@ pub mod attr {
     pub const FALLBACK: u16 = 24;
     /// Bytes pushed through the send-side stream tap (u64).
     pub const TAP_SENT_BYTES: u16 = 25;
-    /// Running FNV digest of the sent stream (u64).
+    /// Running `StreamTap` digest of the sent stream (u64).
     pub const TAP_SENT_DIGEST: u16 = 26;
     /// Bytes pushed through the receive-side stream tap (u64).
     pub const TAP_RECVD_BYTES: u16 = 27;
-    /// Running FNV digest of the received stream (u64).
+    /// Running `StreamTap` digest of the received stream (u64).
     pub const TAP_RECVD_DIGEST: u16 = 28;
     /// Connection-level reinjections performed (u64).
     pub const REINJECTIONS: u16 = 29;

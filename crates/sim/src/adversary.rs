@@ -229,7 +229,7 @@ mod tests {
             .all(|(x, y)| x.payload == y.payload && x.src == y.src));
         // Every packet is a SYN; a mixed flood uses several source ports.
         assert!(a.iter().all(|p| p.payload[13] == 0x02));
-        let ports: std::collections::HashSet<_> = a.iter().map(|p| p.ports().0).collect();
+        let ports: crate::FxHashSet<_> = a.iter().map(|p| p.ports().0).collect();
         assert!(ports.len() > 1);
     }
 

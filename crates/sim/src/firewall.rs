@@ -19,12 +19,12 @@
 //!   long-lived connections behind home gateways.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::time::Duration;
 
 use bytes::BytesMut;
 
 use crate::addr::{Addr, FlowKey};
+use crate::hash::FxHashMap;
 use crate::node::{IfaceId, Node};
 use crate::packet::{IcmpMsg, Packet, UnreachCode};
 use crate::time::SimTime;
@@ -55,12 +55,12 @@ pub struct Firewall {
     /// Port-translation mode.
     nat: bool,
     /// Filter-mode flow table: normalized key -> last activity.
-    flows: HashMap<FlowKey, SimTime>,
+    flows: FxHashMap<FlowKey, SimTime>,
     /// NAT forward table: inside (src, sport, dst, dport) -> entry.
-    fwd: HashMap<(Addr, u16, Addr, u16), NatEntry>,
+    fwd: FxHashMap<(Addr, u16, Addr, u16), NatEntry>,
     /// NAT reverse table: (public port, remote addr, remote port) ->
     /// inside (addr, port).
-    rev: HashMap<(u16, Addr, u16), (Addr, u16)>,
+    rev: FxHashMap<(u16, Addr, u16), (Addr, u16)>,
     next_port: u16,
     /// Packets forwarded in either direction.
     pub forwarded: u64,
@@ -80,9 +80,9 @@ impl Firewall {
             idle_timeout,
             policy,
             nat: false,
-            flows: HashMap::new(),
-            fwd: HashMap::new(),
-            rev: HashMap::new(),
+            flows: FxHashMap::default(),
+            fwd: FxHashMap::default(),
+            rev: FxHashMap::default(),
             next_port: 20_000,
             forwarded: 0,
             denied: 0,

@@ -10,6 +10,10 @@
 //! Not collision-resistant against adversarial keys — use only for keys the
 //! simulation itself generates (tuples, tokens, addresses, ids).
 
+// The one place the std maps may be named: the aliases below give them a
+// fixed hasher (see `clippy.toml`).
+#![allow(clippy::disallowed_types)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -414,7 +414,7 @@ mod tests {
             vec![IfaceId(0), IfaceId(1), IfaceId(2), IfaceId(3)],
         );
         let dst = Addr::new(10, 9, 9, 9);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FxHashSet::default();
         for sport in 0..64u16 {
             let p = pkt_with_ports(dst, 40_000 + sport, 80);
             let first = r.select_egress(&p).unwrap();

@@ -74,11 +74,6 @@ impl<T> Flight<T> {
         self.in_flight
     }
 
-    /// Number of tracked segments.
-    pub fn seg_count(&self) -> usize {
-        self.segs.len()
-    }
-
     /// True when nothing is outstanding.
     pub fn is_empty(&self) -> bool {
         self.segs.is_empty()

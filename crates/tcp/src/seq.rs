@@ -76,12 +76,6 @@ pub fn unwrap_u32(expected: u64, wire: u32) -> u64 {
         .expect("at least one candidate")
 }
 
-/// Same idea for DSS data sequence numbers carried as 32-bit values
-/// (RFC 6824 allows 4- or 8-byte DSNs; the 4-byte form wraps like this).
-pub fn unwrap_dsn32(expected: u64, wire: u32) -> u64 {
-    unwrap_u32(expected, wire)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
