@@ -304,12 +304,6 @@ impl Connection {
         }
     }
 
-    fn set_remote_key(&mut self, key: Key) {
-        self.remote_key = Some(key);
-        self.remote_token = Some(token_from_key(key));
-        self.idsn_remote = idsn_from_key(key);
-    }
-
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------
@@ -534,22 +528,7 @@ impl Connection {
         events: &mut Vec<PmEvent>,
     ) -> Connection {
         let mut conn = Connection::common(idx, cfg, Role::Server, tuple, app, env, events);
-        // Parse the client's key (if we speak MPTCP at all).
-        if cfg.mptcp_enabled {
-            for opt in syn.mptcp_opts() {
-                if let Ok(MpOption::Capable {
-                    sender_key,
-                    receiver_key: None,
-                    ..
-                }) = MpOption::decode(opt)
-                {
-                    conn.set_remote_key(sender_key);
-                }
-            }
-        }
-        if conn.remote_key.is_none() {
-            conn.fall_back(FallbackCause::Handshake);
-        }
+        conn.learn_peer_key(syn);
         conn.start_subflow(tuple, false, Some((syn, 0)), env);
         conn
     }
@@ -584,6 +563,28 @@ impl Connection {
             _ => None,
         })?;
         Some(self.start_subflow(tuple, backup, Some((syn, nonce_remote)), env))
+    }
+
+    /// Adopt the key on the peer's `MP_CAPABLE` SYN or SYN/ACK. Without one
+    /// — or if this host does not speak MPTCP itself — the connection is
+    /// plain TCP from here on.
+    fn learn_peer_key(&mut self, seg: &TcpSegment) {
+        let key = seg.mptcp_opts().find_map(|o| match MpOption::decode(o) {
+            Ok(MpOption::Capable {
+                sender_key,
+                receiver_key: None,
+                ..
+            }) => Some(sender_key),
+            _ => None,
+        });
+        match key.filter(|_| !self.is_fallback()) {
+            Some(key) => {
+                self.remote_key = Some(key);
+                self.remote_token = Some(token_from_key(key));
+                self.idsn_remote = idsn_from_key(key);
+            }
+            None => self.fall_back(FallbackCause::Handshake),
+        }
     }
 
     /// Add a subflow and start its handshake: answer `peer`'s SYN (with
@@ -714,30 +715,16 @@ impl Connection {
         if seg.hdr.ack.0 != sf.iss.wrapping_add(1) {
             return;
         }
-        // Parse MPTCP side.
-        let mut capable_key = None;
-        let mut join = None;
-        for o in seg.mptcp_opts() {
-            match MpOption::decode(o) {
-                Ok(MpOption::Capable {
-                    sender_key,
-                    receiver_key: None,
-                    ..
-                }) => capable_key = Some(sender_key),
-                Ok(MpOption::JoinSynAck { hmac, nonce, .. }) => join = Some((hmac, nonce)),
-                _ => {}
-            }
-        }
         if id == 0 {
-            match capable_key {
-                Some(k) => self.set_remote_key(k),
-                // Peer fell back to plain TCP: single-subflow mode.
-                None => self.fall_back(FallbackCause::Handshake),
-            }
+            self.learn_peer_key(seg);
         } else {
             // MP_JOIN: verify the responder HMAC. No valid JOIN response
             // counts as a refusal.
             let nonce_local = sf.nonce_local;
+            let join = seg.mptcp_opts().find_map(|o| match MpOption::decode(o) {
+                Ok(MpOption::JoinSynAck { hmac, nonce, .. }) => Some((hmac, nonce)),
+                _ => None,
+            });
             let authentic = join.filter(|&(hmac, nonce_b)| {
                 let remote_key = self.remote_key.expect("join without keys");
                 hmac == join_hmac_b(self.local_key, remote_key, nonce_local, nonce_b)
@@ -1865,19 +1852,17 @@ impl Connection {
         events: &mut Vec<PmEvent>,
     ) {
         // Peer closed toward us and we're done too? Reciprocate the FIN.
-        let reciprocate = {
-            let sf = &self.subflows[id as usize];
-            sf.state == SfState::Established
-                && sf.peer_fin_consumed
-                && sf.fin_sent_off.is_none()
-                && self.fin_acked
-                && self.eof_delivered
-        };
-        if reciprocate {
-            self.subflows[id as usize].fin_wanted = true;
+        let meta_done = self.fin_acked && self.eof_delivered;
+        let sf = &mut self.subflows[id as usize];
+        if meta_done
+            && sf.state == SfState::Established
+            && sf.peer_fin_consumed
+            && sf.fin_sent_off.is_none()
+        {
+            sf.fin_wanted = true;
         }
         // FIN wanted and flight drained? send it.
-        if self.subflows[id as usize].fin_wanted {
+        if sf.fin_wanted {
             self.try_send_subflow_fin(id, env);
         }
         // Both directions done? Subflow is closed.
