@@ -115,8 +115,8 @@ impl Connection {
     ) -> SubflowId {
         let id = self.subflows.len() as SubflowId;
         let iss = draw32(env);
-        // MP_JOIN exchanges nonces. So, for nothing, does the initiator of
-        // subflow 0: per-seed trajectories depend on that draw by now.
+        // MP_JOIN exchanges nonces; MP_CAPABLE does not, yet its initiator
+        // has always drawn one and per-seed trajectories depend on it.
         let nonce = if id == 0 && peer.is_some() {
             0
         } else {

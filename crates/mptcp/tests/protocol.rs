@@ -498,15 +498,20 @@ fn plain_tcp_fallback_when_server_lacks_mptcp() {
     );
     (h.strip_a2b, h.strip_b2a, h.loss_a2b) = (true, true, 0.05);
     // PM-requested signalling (MP_PRIO, ADD_ADDR) has no peer to reach.
-    let (id, backup) = (0, false);
-    h.apply(Side::A, &PmAction::SetBackup { token, id, backup });
-    let (addr_id, addr) = (1, A2);
+    h.apply(
+        Side::A,
+        &PmAction::SetBackup {
+            token,
+            id: 0,
+            backup: false,
+        },
+    );
     h.apply(
         Side::A,
         &PmAction::AnnounceAddr {
             token,
-            addr_id,
-            addr,
+            addr_id: 1,
+            addr: A2,
         },
     );
     h.run_until(SimTime::from_secs(60));

@@ -103,9 +103,13 @@ fn world(seed: u64, pm: Box<dyn PathManagerHook>, link: LinkCfg) -> TwoPathNet {
     topo::two_path(seed, client, server, link.clone(), link)
 }
 
-/// Run a leg to its horizon and check the transfer arrived; returns
-/// `(packets, digest)` and the world for the leg's own sanity checks.
-fn run(mut net: TwoPathNet, script: NetemScript) -> ((u64, u64), TwoPathNet) {
+/// Run a leg to its horizon and check the transfer arrived; returns its
+/// [`GOLDEN`] row and the world for the leg's own sanity checks.
+fn run(
+    leg: &'static str,
+    mut net: TwoPathNet,
+    script: NetemScript,
+) -> ((&'static str, u64, u64), TwoPathNet) {
     net.sim.install(script, InstallPolicy::Sort).unwrap();
     net.sim.core.set_trace(Box::<WireSink>::default());
     net.sim.run_until(SimTime::from_secs(60));
@@ -113,7 +117,7 @@ fn run(mut net: TwoPathNet, script: NetemScript) -> ((u64, u64), TwoPathNet) {
     let sink = sink.as_any().downcast_ref::<WireSink>().unwrap();
     let server = topo::host(&net.sim, net.server).stack.connections().next();
     assert_eq!(server.unwrap().stats.bytes_received, 300_000);
-    ((sink.pkts, sink.tap.digest()), net)
+    ((leg, sink.pkts, sink.tap.digest()), net)
 }
 
 #[test]
@@ -124,14 +128,12 @@ fn emitted_bytes_match_the_recorded_constants() {
 
     // (a) Full-mesh join, 2 % loss (RTO + fast retransmit + reinjection),
     // DATA_FIN close and the subflow FIN exchanges.
-    let (d, net) = run(
-        world(14, Box::new(FullMeshPm::new()), lossy()),
-        NetemScript::new(),
-    );
+    let net = world(14, Box::new(FullMeshPm::new()), lossy());
+    let (row, net) = run("fullmesh_loss_datafin", net, NetemScript::new());
     let conn = topo::host(&net.sim, net.client).stack.connections().next();
     assert_eq!(conn.unwrap().subflow_count(), 2);
     assert!(conn.unwrap().stats.reinjections > 0);
-    got.push(("fullmesh_loss_datafin", d.0, d.1));
+    got.push(row);
 
     // (b) Backup join, then MP_PRIO, ADD_ADDR and REMOVE_ADDR riding on
     // pure ACKs.
@@ -151,10 +153,11 @@ fn emitted_bytes_match_the_recorded_constants() {
             actions.push(PmAction::WithdrawAddr { token, addr_id: 2 });
         }
     });
-    let (d, net) = run(world(2, Box::new(pm), clean()), NetemScript::new());
+    let net = world(2, Box::new(pm), clean());
+    let (row, net) = run("backup_prio_addaddr", net, NetemScript::new());
     let server = topo::host(&net.sim, net.server).stack.connections().next();
     assert!(!server.unwrap().subflow(1).unwrap().backup, "MP_PRIO seen");
-    got.push(("backup_prio_addaddr", d.0, d.1));
+    got.push(row);
 
     // (c) Path 2 blackholes mid-transfer; the PM answers the first RTO
     // there with a reset close, and the flight is reinjected on path 1.
@@ -173,19 +176,19 @@ fn emitted_bytes_match_the_recorded_constants() {
         SimTime::from_millis(200),
         Netem::on(net.link2).loss(LossPct::percent(100.0)),
     );
-    let (d, net) = run(net, blackhole);
+    let (row, net) = run("pm_reset", net, blackhole);
     let conn = topo::host(&net.sim, net.client).stack.connections().next();
     assert!(conn.unwrap().stats.reinjections > 0);
-    got.push(("pm_reset", d.0, d.1));
+    got.push(row);
 
     // (d) The router strips MPTCP options from the first SYN on: plain-TCP
     // fallback, with loss so the retransmission and FIN paths run too.
     let net = world(4, Box::new(smapp_mptcp::NoopPm), lossy());
     let strip = NetemScript::new().at(SimTime::ZERO, Netem::peer(net.router).strip_mptcp(true));
-    let (d, net) = run(net, strip);
+    let (row, net) = run("stripped_fallback_loss", net, strip);
     let conn = topo::host(&net.sim, net.client).stack.connections().next();
     assert!(conn.unwrap().is_fallback());
-    got.push(("stripped_fallback_loss", d.0, d.1));
+    got.push(row);
 
     let table: String = got
         .iter()
