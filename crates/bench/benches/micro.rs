@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the hot paths: wire codecs, stream taps,
-//! crypto, reassembly, schedulers, netlink framing, ECMP hashing and the raw
-//! simulator event loop.
+//! crypto, the send buffer, reassembly, schedulers, netlink framing, ECMP
+//! hashing and the raw simulator event loop.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -9,7 +9,9 @@ use smapp_mptcp::options::{Dss, DssMapping, MpOption};
 use smapp_mptcp::{LowestRtt, SchedCandidate, Scheduler};
 use smapp_netlink::{decode as nl_decode, encode_event};
 use smapp_sim::{Addr, FlowKey};
-use smapp_tcp::{Reassembly, StreamTap, TcpFlags, TcpHeader, TcpOption, TcpOptions, TcpSegment};
+use smapp_tcp::{
+    Reassembly, SendBuffer, StreamTap, TcpFlags, TcpHeader, TcpOption, TcpOptions, TcpSegment,
+};
 use std::hint::black_box;
 
 fn bench_tcp_codec(c: &mut Criterion) {
@@ -78,6 +80,38 @@ fn bench_crypto(c: &mut Criterion) {
     let msg = [0u8; 64];
     g.bench_function("hmac_sha1_join_auth", |b| {
         b.iter(|| hmac_sha1(black_box(&key), black_box(&msg)))
+    });
+    g.finish();
+}
+
+/// One application write through the connection send buffer: accept a
+/// 64 KiB block, hand it out in MSS-sized ranges, release each as if
+/// acknowledged. `owned` is an app that builds a `Vec` per write (allocate,
+/// fill, hand over); `static_backed` is what the `smapp_mptcp::apps`
+/// senders do, a slice of a `static` block.
+fn bench_send_buffer(c: &mut Criterion) {
+    const BLOCK: usize = 64 * 1024;
+    const MSS: u64 = 1400;
+    static PATTERN: Bytes = Bytes::from_static(&[0xA5; BLOCK]);
+    let cycle = |sb: &mut SendBuffer, data: Bytes| {
+        let mut off = sb.tail_offset();
+        sb.write(data);
+        while off < sb.tail_offset() {
+            let len = (sb.tail_offset() - off).min(MSS);
+            black_box(sb.slice(off, len as u32));
+            off += len;
+            sb.release_until(off);
+        }
+    };
+    let mut g = c.benchmark_group("send_buffer");
+    g.throughput(Throughput::Bytes(BLOCK as u64));
+    g.bench_function("write_slice_release_owned_64kib", |b| {
+        let mut sb = SendBuffer::with_capacity(4 << 20);
+        b.iter(|| cycle(&mut sb, Bytes::from(vec![0xA5u8; BLOCK])))
+    });
+    g.bench_function("write_slice_release_static_64kib", |b| {
+        let mut sb = SendBuffer::with_capacity(4 << 20);
+        b.iter(|| cycle(&mut sb, PATTERN.clone()))
     });
     g.finish();
 }
@@ -212,6 +246,7 @@ criterion_group!(
     bench_tcp_codec,
     bench_stream_tap,
     bench_crypto,
+    bench_send_buffer,
     bench_reassembly,
     bench_scheduler,
     bench_netlink,

@@ -361,7 +361,7 @@ mod tests {
             s.push_str(&format!(
                 "    {{\"name\": \"{name}/{variant}\", \"workload\": \"w\", \"runs\": 1, \
                  \"wall_s\": 0.5000, \"events\": {events}, \"events_per_sec\": 1, \
-                 \"allocs_per_event\": 0.1, \"peak_queue\": 10, \"sim_s\": 1.0}}{}\n",
+                 \"allocs_per_event\": 0.01, \"peak_queue\": 10, \"sim_s\": 1.0}}{}\n",
                 if i + 1 < n { "," } else { "" }
             ));
         }
@@ -469,11 +469,11 @@ mod tests {
 
     #[test]
     fn alloc_ceiling_breach_fails() {
-        // 0.50 allocs/event against fig2c's 0.20 ceiling.
+        // 0.50 allocs/event against fig2c's 0.08 ceiling.
         let json = sample("true", "null", 10_000_000);
         let hot = patch_fig2c_row(
             &json,
-            "\"allocs_per_event\": 0.1",
+            "\"allocs_per_event\": 0.01",
             "\"allocs_per_event\": 0.5",
         );
         let r = check(&hot, DEFAULT_MIN_RATIO);
@@ -492,7 +492,7 @@ mod tests {
     #[test]
     fn missing_allocs_per_event_fails() {
         let json = sample("true", "null", 10_000_000);
-        let unmeasured = patch_fig2c_row(&json, "\"allocs_per_event\": 0.1, ", "");
+        let unmeasured = patch_fig2c_row(&json, "\"allocs_per_event\": 0.01, ", "");
         let r = check(&unmeasured, DEFAULT_MIN_RATIO);
         assert!(r
             .failures

@@ -92,6 +92,9 @@ pub struct ScenarioPerf {
     pub events_per_sec: f64,
     /// Heap allocations per simulated event.
     pub allocs_per_event: f64,
+    /// Largest heap high-water mark among the row's runs, in bytes above
+    /// what was live when the run started.
+    pub peak_live_bytes: u64,
     /// Maximum event-queue depth over the row's runs.
     pub peak_queue: usize,
     /// Simulated seconds covered.
@@ -175,6 +178,7 @@ fn aggregate(matrix: &Matrix, seq: &[SweepResult]) -> Vec<ScenarioPerf> {
             events,
             events_per_sec: events as f64 / wall_s,
             allocs_per_event: allocs as f64 / events.max(1) as f64,
+            peak_live_bytes: cells.iter().map(|c| c.peak_live_bytes).max().unwrap_or(0),
             peak_queue: cells
                 .iter()
                 .map(|c| c.run.summary.peak_queue)
@@ -343,7 +347,7 @@ impl PerfReport {
             s.push_str(&format!(
                 "    {{\"name\": \"{}\", \"workload\": \"{}\", \"runs\": {}, \"wall_s\": {:.4}, \
                  \"events\": {}, \"events_per_sec\": {:.0}, \"allocs_per_event\": {:.2}, \
-                 \"peak_queue\": {}, \"sim_s\": {:.3}}}{}\n",
+                 \"peak_live_bytes\": {}, \"peak_queue\": {}, \"sim_s\": {:.3}}}{}\n",
                 p.name,
                 p.workload,
                 p.runs,
@@ -351,6 +355,7 @@ impl PerfReport {
                 p.events,
                 p.events_per_sec,
                 p.allocs_per_event,
+                p.peak_live_bytes,
                 p.peak_queue,
                 p.sim_s,
                 if i + 1 < self.scenarios.len() {
@@ -406,17 +411,18 @@ impl PerfReport {
             }
         ));
         s.push_str(
-            "scenario          runs wall_s    events      events/sec  allocs/ev  peak_q  sim_s\n",
+            "scenario          runs wall_s    events      events/sec  allocs/ev  live_MB  peak_q  sim_s\n",
         );
         for p in &self.scenarios {
             s.push_str(&format!(
-                "{:<17} {:<4} {:<9.3} {:<11} {:<11.0} {:<10.2} {:<7} {:.2}\n",
+                "{:<17} {:<4} {:<9.3} {:<11} {:<11.0} {:<10.2} {:<8.1} {:<7} {:.2}\n",
                 p.name,
                 p.runs,
                 p.wall_s,
                 p.events,
                 p.events_per_sec,
                 p.allocs_per_event,
+                p.peak_live_bytes as f64 / 1e6,
                 p.peak_queue,
                 p.sim_s
             ));

@@ -71,7 +71,9 @@ pub struct Fig2c;
 
 impl Scenario for Fig2c {
     const NAME: &'static str = "fig2c";
-    const ALLOC_CEILING: f64 = 0.20;
+    // PR 20 (no per-write chunk copy): 0.052 -> 0.012 full, 0.046 -> 0.039
+    // smoke; ceiling is 2x the higher one.
+    const ALLOC_CEILING: f64 = 0.08;
     type Params = Params;
     type Results = Results;
 

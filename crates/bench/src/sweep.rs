@@ -135,6 +135,9 @@ pub struct SweepResult {
     /// Heap allocations during the cell (meaningful at `--jobs 1`, where
     /// the process-wide counter is not shared with concurrent cells).
     pub allocs: u64,
+    /// The most heap the cell held at once beyond what was live when it
+    /// started, in bytes (meaningful at `--jobs 1`, like `allocs`).
+    pub peak_live_bytes: u64,
 }
 
 /// A declarative scenario×seed matrix.
@@ -165,10 +168,13 @@ impl Matrix {
                 let (scenario, variant) = (entry.scenario, entry.variant);
                 jobs.push(Box::new(move || {
                     let allocs0 = count_alloc::allocs();
+                    let live0 = count_alloc::live_bytes();
+                    count_alloc::reset_peak();
                     let t0 = Instant::now();
                     let run = build(seed);
                     let wall_s = t0.elapsed().as_secs_f64();
                     let allocs = count_alloc::allocs().saturating_sub(allocs0);
+                    let peak_live_bytes = count_alloc::peak_live_bytes().saturating_sub(live0);
                     SweepResult {
                         scenario,
                         variant,
@@ -176,6 +182,7 @@ impl Matrix {
                         run,
                         wall_s,
                         allocs,
+                        peak_live_bytes,
                     }
                 }));
             }

@@ -9,23 +9,35 @@
 //! `cargo test`. Allocation counts are deterministic per cell (unlike
 //! wall-clock), so the assertions hold in debug builds too.
 //!
-//! The second half proves the protocol-invariant oracle itself is
+//! The second part proves the protocol-invariant oracle itself is
 //! allocation-free on its clean path: a synthetic clean trace stream
 //! (valid TCP segments carrying DSS mappings, link-conserving event
 //! order) must not allocate at all after the first-packet warmup.
 //!
-//! Both measurements live in ONE `#[test]` so nothing else in this
+//! The third part is the memory guard: the `fleet` smoke cell's live-heap
+//! high-water mark, from the same allocator's byte counters, must stay
+//! under a committed ceiling — no clock and no `/proc` involved.
+//!
+//! All three measurements live in ONE `#[test]` so nothing else in this
 //! binary allocates concurrently while a window is being measured.
 
 use bytes::Bytes;
 use smapp_bench::count_alloc::{self, CountingAlloc};
 use smapp_bench::perf::paper_matrix;
 use smapp_bench::scenarios::REGISTRY;
+use smapp_bench::sweep::Matrix;
 use smapp_sim::trace::{TraceEvent, TraceKind, TraceSink};
 use smapp_sim::{Addr, Dir, IfaceId, LinkId, NodeId, Oracle, Packet, SimTime};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Most heap the `fleet` smoke cell (60 clients, one 32 KiB GET each) may
+/// hold at once, in bytes above what was live when it started. Measured
+/// 2 482 013 at PR 20, where the servers' send buffers stopped holding
+/// heap copies of the response block; 4 398 009 at its parent. The ceiling
+/// is 1.5x the former and below the latter.
+const FLEET_SMOKE_LIVE_CEILING: u64 = 3_700_000;
 
 /// A valid 36-byte TCP header (offset 9 words) with one kind-30 DSS
 /// option carrying a mapping for `payload_len` bytes, followed by that
@@ -130,5 +142,31 @@ fn scenarios_stay_under_committed_alloc_ceilings_and_oracle_is_clean() {
         "Oracle::record allocated {} times across 40,000 clean-path events \
          — the always-on oracle must be free on the clean path",
         after - before
+    );
+
+    // ---- Part 3: what the fleet holds at its worst moment. ----
+    // First the instrument: nothing else allocates in this binary, so the
+    // byte counters move by exactly what this thread does.
+    let before = count_alloc::live_bytes();
+    count_alloc::reset_peak();
+    let block = vec![0u8; 1 << 20];
+    assert_eq!(count_alloc::live_bytes() - before, 1 << 20);
+    drop(block);
+    assert_eq!(count_alloc::live_bytes(), before);
+    assert_eq!(count_alloc::peak_live_bytes() - before, 1 << 20);
+
+    // The fleet smoke cell, alone on a thread of its own so that its
+    // `Bytes` pool starts empty whatever parts 1 and 2 left in this one's.
+    let fleet = REGISTRY.iter().find(|s| s.name == "fleet").unwrap();
+    let alone = Matrix {
+        entries: (fleet.entries)(true),
+    };
+    let cells = std::thread::spawn(move || alone.run(1)).join().unwrap();
+    let held = cells[0].peak_live_bytes;
+    assert!(
+        held <= FLEET_SMOKE_LIVE_CEILING,
+        "fleet smoke cell held {held} bytes of heap at its high-water mark, \
+         above the committed ceiling {FLEET_SMOKE_LIVE_CEILING} — \
+         per-connection memory regressed"
     );
 }

@@ -300,15 +300,13 @@ struct BurstIdleBurst {
 
 impl App for BurstIdleBurst {
     fn on_established(&mut self, ctx: &mut AppCtx<'_, '_>) {
-        let chunk = vec![0u8; self.burst as usize];
-        ctx.write(&chunk);
+        ctx.write(Bytes::from(vec![0u8; self.burst as usize]));
         ctx.set_timer(self.idle, 1);
     }
     fn on_app_timer(&mut self, ctx: &mut AppCtx<'_, '_>, _t: u64) {
         if !self.sent_second {
             self.sent_second = true;
-            let chunk = vec![1u8; self.burst as usize];
-            ctx.write(&chunk);
+            ctx.write(Bytes::from(vec![1u8; self.burst as usize]));
             ctx.close();
         }
     }
@@ -520,12 +518,11 @@ impl App for KeepaliveApp {
     fn on_app_timer(&mut self, ctx: &mut AppCtx<'_, '_>, _t: u64) {
         if self.sent < self.keepalives {
             self.sent += 1;
-            ctx.write(&[0u8]); // the keepalive byte
+            ctx.write(Bytes::from_static(&[0u8])); // the keepalive byte
             ctx.set_timer(self.interval, 1);
         } else if !self.done {
             self.done = true;
-            let chunk = vec![7u8; self.burst as usize];
-            ctx.write(&chunk);
+            ctx.write(Bytes::from(vec![7u8; self.burst as usize]));
             ctx.close();
         }
     }

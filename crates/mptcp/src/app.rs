@@ -6,6 +6,15 @@
 //! *only* this socket-like interface — everything multipath-aware goes
 //! through the subflow controller instead.
 //!
+//! The stream moves as [`Bytes`] in both directions and is never copied at
+//! this boundary. [`App::on_data`] hands the app a slice of the buffer the
+//! segment arrived in; [`AppCtx::write`] takes ownership of the app's
+//! `Bytes`, returns how long a prefix it accepted, and holds that buffer
+//! until it is acknowledged. An app should therefore hand out slices of a
+//! long-lived buffer — `Bytes::from_static` over a `static` block, or one
+//! `Bytes::from(vec)` sliced per write — and re-offer the unaccepted
+//! remainder (`data.slice(n..)`) from [`App::on_send_space`].
+//!
 //! Ready-made apps used by the experiments live in [`crate::apps`].
 
 use bytes::Bytes;
@@ -58,10 +67,14 @@ impl AppCtx<'_, '_> {
         self.env.now
     }
 
-    /// Write bytes into the connection send buffer; returns how many were
-    /// accepted (backpressure applies — watch
-    /// [`App::on_send_space`] for room).
-    pub fn write(&mut self, data: &[u8]) -> usize {
+    /// Hand `data` to the connection send buffer; returns the length of
+    /// the prefix it accepted (backpressure applies — watch
+    /// [`App::on_send_space`] for room, then offer the rest again).
+    ///
+    /// The mirror of [`App::on_data`]: the connection takes ownership of
+    /// the `Bytes` and keeps *that* buffer, cut to the accepted prefix,
+    /// until the peer acknowledges it — nothing is copied.
+    pub fn write(&mut self, data: Bytes) -> usize {
         self.conn.app_write(data)
     }
 

@@ -20,11 +20,13 @@ use smapp_sim::SimTime;
 use crate::app::{App, AppCtx};
 
 // Payload pattern blocks, one per sending app. `on_send_space` fires for
-// every MSS the peer acknowledges; writing from a static block keeps that
-// path free of a 64 KiB allocate-and-fill per call.
-static BULK_CHUNK: [u8; 64 * 1024] = [0xA5; 64 * 1024];
-static STREAM_CHUNK: [u8; 16 * 1024] = [0x5A; 16 * 1024];
-static RESPONSE_CHUNK: [u8; 64 * 1024] = [0xC3; 64 * 1024];
+// every MSS the peer acknowledges, and a send buffer holds up to 4 MiB per
+// connection: every write is a slice of one of these static-backed blocks,
+// so neither the call nor the buffered stream costs any heap.
+static BULK_CHUNK: Bytes = Bytes::from_static(&[0xA5; 64 * 1024]);
+static STREAM_CHUNK: Bytes = Bytes::from_static(&[0x5A; 16 * 1024]);
+static RESPONSE_CHUNK: Bytes = Bytes::from_static(&[0xC3; 64 * 1024]);
+static REQUEST_CHUNK: Bytes = Bytes::from_static(&[b'G'; 4 * 1024]);
 
 /// Writes `total` bytes, then (optionally) closes. Tracks when every byte
 /// was acknowledged.
@@ -65,7 +67,7 @@ impl BulkSender {
     fn fill(&mut self, ctx: &mut AppCtx<'_, '_>) {
         while self.written < self.total {
             let want = (self.total - self.written).min(BULK_CHUNK.len() as u64) as usize;
-            let n = ctx.write(&BULK_CHUNK[..want]);
+            let n = ctx.write(BULK_CHUNK.slice(..want));
             self.written += n as u64;
             if n < want {
                 return; // buffer full; resume on_send_space
@@ -202,7 +204,7 @@ impl StreamSender {
     fn write_pending(&mut self, ctx: &mut AppCtx<'_, '_>) {
         while self.pending > 0 {
             let want = self.pending.min(STREAM_CHUNK.len() as u64) as usize;
-            let n = ctx.write(&STREAM_CHUNK[..want]);
+            let n = ctx.write(STREAM_CHUNK.slice(..want));
             self.pending -= n as u64;
             if n < want {
                 return;
@@ -273,8 +275,16 @@ pub struct GetClient {
 
 impl App for GetClient {
     fn on_established(&mut self, ctx: &mut AppCtx<'_, '_>) {
-        let req = vec![b'G'; self.request_size];
-        ctx.write(&req);
+        // Whatever the send buffer does not take at once is not sent.
+        let mut left = self.request_size;
+        while left > 0 {
+            let want = left.min(REQUEST_CHUNK.len());
+            let n = ctx.write(REQUEST_CHUNK.slice(..want));
+            left -= n;
+            if n < want {
+                return;
+            }
+        }
     }
     fn on_eof(&mut self, ctx: &mut AppCtx<'_, '_>) {
         {
@@ -335,7 +345,7 @@ impl GetServer {
         while self.written < self.response_size {
             let want =
                 (self.response_size - self.written).min(RESPONSE_CHUNK.len() as u64) as usize;
-            let n = ctx.write(&RESPONSE_CHUNK[..want]);
+            let n = ctx.write(RESPONSE_CHUNK.slice(..want));
             self.written += n as u64;
             if n < want {
                 return;
@@ -485,5 +495,45 @@ mod tests {
         assert_eq!(h.b.connections().count(), 5);
         let times = &progress.borrow().completions;
         assert!(times.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// True when the oldest byte `conn` still buffers lives in `block`.
+    fn buffers_from(conn: &crate::conn::Connection, block: &Bytes) -> bool {
+        let buf = conn.send_buffer();
+        assert!(!buf.is_empty(), "nothing buffered");
+        let first = buf.slice(buf.head_offset(), 1).as_ptr() as usize;
+        let start = block.as_ptr() as usize;
+        (start..start + block.len()).contains(&first)
+    }
+
+    #[test]
+    fn senders_buffer_their_static_blocks_not_copies() {
+        let mut h = Harness::new(
+            4,
+            Duration::from_millis(5),
+            vec![Addr::new(10, 0, 0, 1)],
+            vec![Addr::new(10, 0, 1, 1)],
+        );
+        h.rate_a2b = Some(1_000_000);
+        h.rate_b2a = Some(1_000_000);
+        h.b.listen(80, Box::new(|| Box::new(Sink::default())));
+        h.b.listen(81, Box::new(|| Box::new(GetServer::new(512 * 1024))));
+        let bulk = h
+            .connect(Side::A, 80, Box::new(BulkSender::new(1 << 20)))
+            .unwrap();
+        let get = GetClient {
+            remaining: 0,
+            request_size: 100,
+            dst: Addr::new(10, 0, 1, 1),
+            dst_port: 81,
+            progress: Rc::default(),
+            stop_when_done: false,
+        };
+        h.connect(Side::A, 81, Box::new(get)).unwrap();
+        // Long enough for both senders to fill, far too short to drain.
+        h.run_until(SimTime::from_millis(200));
+        assert!(buffers_from(h.a.conn_by_token(bulk).unwrap(), &BULK_CHUNK));
+        let serving = h.b.connections().find(|c| !c.send_buffer().is_empty());
+        assert!(buffers_from(serving.unwrap(), &RESPONSE_CHUNK));
     }
 }

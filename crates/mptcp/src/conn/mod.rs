@@ -390,17 +390,23 @@ impl Connection {
     // Application interface (via AppCtx)
     // ------------------------------------------------------------------
 
-    pub(crate) fn app_write(&mut self, data: &[u8]) -> usize {
+    pub(crate) fn app_write(&mut self, data: Bytes) -> usize {
         if self.app_closed || self.state == ConnState::Closed {
             return 0;
         }
-        let n = self.meta_send.write(data);
+        let n = self.meta_send.write(data.clone());
         self.stats.tap_sent.update(&data[..n]);
         n
     }
 
     pub(crate) fn app_close(&mut self) {
         self.app_closed = true;
+    }
+
+    /// The connection-level send buffer, for tests of what it retains.
+    #[cfg(test)]
+    pub(crate) fn send_buffer(&self) -> &smapp_tcp::SendBuffer {
+        &self.meta_send
     }
 
     /// Run one application callback. The app is taken out for the call so

@@ -21,10 +21,55 @@ fn pattern(i: u64) -> u8 {
     (i % 251) as u8 ^ (i / 251 % 256) as u8
 }
 
+/// How a [`PatternSender`] hands its stream to [`AppCtx::write`].
+#[derive(Clone, Copy)]
+enum Writes {
+    /// A freshly built `Vec` of up to 16 KiB per call.
+    FreshVecs,
+    /// Everything not yet accepted as one `Bytes`, offered again whenever
+    /// room appears: every call but the last is accepted in part.
+    WholeRemainder,
+    /// One byte per call.
+    SingleBytes,
+}
+
 /// Writes `total` position-encoded bytes, then closes.
 struct PatternSender {
-    total: u64,
-    written: u64,
+    stream: Bytes,
+    written: usize,
+    writes: Writes,
+    /// Calls that were accepted only in part.
+    cut_short: u32,
+}
+
+impl PatternSender {
+    fn new(total: u64, writes: Writes) -> Self {
+        PatternSender {
+            stream: (0..total).map(pattern).collect(),
+            written: 0,
+            writes,
+            cut_short: 0,
+        }
+    }
+
+    fn fill(&mut self, ctx: &mut AppCtx<'_, '_>) {
+        while self.written < self.stream.len() {
+            let rest = self.stream.slice(self.written..);
+            let chunk = match self.writes {
+                Writes::FreshVecs => Bytes::from(rest[..rest.len().min(16 * 1024)].to_vec()),
+                Writes::WholeRemainder => rest,
+                Writes::SingleBytes => rest.slice(..1),
+            };
+            let want = chunk.len();
+            let n = ctx.write(chunk);
+            self.written += n;
+            if n < want {
+                self.cut_short += 1;
+                return;
+            }
+        }
+        ctx.close();
+    }
 }
 
 impl App for PatternSender {
@@ -39,23 +84,6 @@ impl App for PatternSender {
     }
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
-    }
-}
-
-impl PatternSender {
-    fn fill(&mut self, ctx: &mut AppCtx<'_, '_>) {
-        while self.written < self.total {
-            let want = (self.total - self.written).min(16 * 1024) as usize;
-            let chunk: Vec<u8> = (0..want)
-                .map(|k| pattern(self.written + k as u64))
-                .collect();
-            let n = ctx.write(&chunk);
-            self.written += n as u64;
-            if n < want {
-                return;
-            }
-        }
-        ctx.close();
     }
 }
 
@@ -89,14 +117,38 @@ impl App for PatternChecker {
 }
 
 fn run_scenario(seed: u64, loss: f64, total: u64, second_subflow: bool, blackhole: bool) {
+    run_writer(
+        seed,
+        loss,
+        total,
+        second_subflow,
+        blackhole,
+        Writes::FreshVecs,
+        4 << 20,
+    );
+}
+
+/// Runs one transfer and checks it three ways: the receiving app compares
+/// every byte with its position, the connections' stream taps agree, and
+/// EOF arrives. Returns how many of the sender's writes were cut short.
+fn run_writer(
+    seed: u64,
+    loss: f64,
+    total: u64,
+    second_subflow: bool,
+    blackhole: bool,
+    writes: Writes,
+    send_buf: u64,
+) -> u32 {
     let mut h = Harness::new(seed, Duration::from_millis(10), vec![A1, A2], vec![B1]);
+    h.a.cfg.send_buf = send_buf;
     h.b.listen(80, Box::new(|| Box::new(PatternChecker::default())));
     h.rate_a2b = Some(10_000_000);
     h.rate_b2a = Some(10_000_000);
     h.loss_a2b = loss;
     h.loss_b2a = loss;
     let token = h
-        .connect(Side::A, 80, Box::new(PatternSender { total, written: 0 }))
+        .connect(Side::A, 80, Box::new(PatternSender::new(total, writes)))
         .unwrap();
     if second_subflow {
         h.run_until(SimTime::from_millis(100));
@@ -124,15 +176,17 @@ fn run_scenario(seed: u64, loss: f64, total: u64, second_subflow: bool, blackhol
     }
     h.run_until(SimTime::from_secs(600));
 
-    let checker =
-        h.b.connections()
-            .next()
-            .unwrap()
-            .app()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<PatternChecker>()
-            .unwrap();
+    let sender = h.a.conn_by_token(token).unwrap();
+    let receiver = h.b.connections().next().unwrap();
+    let (sent, recvd) = (&sender.stats.tap_sent, &receiver.stats.tap_recvd);
+    assert_eq!((sent.count(), recvd.count()), (total, total));
+    assert_eq!(sent.check_against_receiver(recvd), None, "seed {seed}");
+    let checker = receiver
+        .app()
+        .unwrap()
+        .as_any()
+        .downcast_ref::<PatternChecker>()
+        .unwrap();
     assert_eq!(
         checker.received, total,
         "seed {seed} loss {loss}: byte count"
@@ -142,6 +196,8 @@ fn run_scenario(seed: u64, loss: f64, total: u64, second_subflow: bool, blackhol
         "seed {seed} loss {loss}: every byte at its exact offset"
     );
     assert!(checker.eof, "seed {seed}: EOF delivered");
+    let sender = sender.app().unwrap().as_any();
+    sender.downcast_ref::<PatternSender>().unwrap().cut_short
 }
 
 #[test]
@@ -172,6 +228,28 @@ fn blackhole_recovery_two_paths() {
 #[test]
 fn heavy_loss_two_paths() {
     run_scenario(6, 0.20, 150_000, true, false);
+}
+
+/// The whole stream as one `Bytes`, far larger than a 24 000-byte send
+/// buffer: the connection keeps a prefix of the caller's buffer each time.
+#[test]
+fn oversized_write_offered_repeatedly_lossy_two_paths() {
+    let cut_short = run_writer(
+        7,
+        0.05,
+        400_000,
+        true,
+        false,
+        Writes::WholeRemainder,
+        24_000,
+    );
+    assert!(cut_short >= 400_000 / 24_000, "only {cut_short} partial");
+}
+
+/// One-byte writes: every segment is stitched from ~1400 buffered chunks.
+#[test]
+fn one_byte_chunks_lossy_two_paths() {
+    run_writer(8, 0.05, 40_000, true, false, Writes::SingleBytes, 4 << 20);
 }
 
 /// Property-style sweep: many seeds × loss ratios, smaller transfers.

@@ -17,7 +17,7 @@ use bytes::{Bytes, BytesMut};
 pub struct SendBuffer {
     /// Stream offset of the first byte in `chunks`.
     head: u64,
-    chunks: Vec<Bytes>,
+    chunks: VecDeque<Bytes>,
     /// Total buffered bytes.
     len: u64,
     /// Capacity in bytes; `write` accepts at most the free space.
@@ -29,7 +29,7 @@ impl SendBuffer {
     pub fn with_capacity(cap: u64) -> Self {
         SendBuffer {
             head: 0,
-            chunks: Vec::new(),
+            chunks: VecDeque::new(),
             len: 0,
             cap,
         }
@@ -62,13 +62,14 @@ impl SendBuffer {
 
     /// Append as much of `data` as fits; returns the number of bytes
     /// accepted (an application would retry the rest when space frees up).
-    pub fn write(&mut self, data: &[u8]) -> usize {
+    ///
+    /// The buffer keeps `data` itself, cut to the accepted prefix: nothing
+    /// is copied, and everything downstream (slice/retransmit/encode input)
+    /// shares the caller's storage.
+    pub fn write(&mut self, data: Bytes) -> usize {
         let take = (self.free().min(data.len() as u64)) as usize;
         if take > 0 {
-            // The one copy on the send side: the application's transient
-            // slice becomes an owned chunk. Everything downstream
-            // (slice/retransmit/encode input) shares it zero-copy.
-            self.chunks.push(Bytes::from(data[..take].to_owned()));
+            self.chunks.push_back(data.slice(..take));
             self.len += take as u64;
         }
         take
@@ -118,7 +119,7 @@ impl SendBuffer {
         let mut out = BytesMut::with_capacity(len as usize);
         let want_end = off + len as u64;
         let mut want_from = off;
-        for chunk in &self.chunks[idx..] {
+        for chunk in self.chunks.range(idx..) {
             let chunk_end = pos + chunk.len() as u64;
             let s = (want_from - pos) as usize;
             let e = (want_end.min(chunk_end) - pos) as usize;
@@ -137,14 +138,14 @@ impl SendBuffer {
     /// Offsets at or below the current head are ignored.
     pub fn release_until(&mut self, upto: u64) {
         while self.head < upto {
-            let Some(first) = self.chunks.first_mut() else {
+            let Some(first) = self.chunks.front_mut() else {
                 break;
             };
             let flen = first.len() as u64;
             if self.head + flen <= upto {
                 self.head += flen;
                 self.len -= flen;
-                self.chunks.remove(0);
+                self.chunks.pop_front();
             } else {
                 let cut = (upto - self.head) as usize;
                 *first = first.slice(cut..);
@@ -320,30 +321,50 @@ mod tests {
     #[test]
     fn send_buffer_write_and_cap() {
         let mut sb = SendBuffer::with_capacity(10);
-        assert_eq!(sb.write(b"hello"), 5);
-        assert_eq!(sb.write(b"world!!"), 5); // only 5 fit
+        assert_eq!(sb.write(b(b"hello")), 5);
+        assert_eq!(sb.write(b(b"world!!")), 5); // only 5 fit
         assert_eq!(sb.len(), 10);
         assert_eq!(sb.free(), 0);
-        assert_eq!(sb.write(b"x"), 0);
+        assert_eq!(sb.write(b(b"x")), 0);
+        assert_eq!(&sb.slice(0, 10)[..], b"helloworld");
     }
 
     #[test]
     fn send_buffer_single_chunk_slice_is_zero_copy() {
         let mut sb = SendBuffer::with_capacity(100);
-        sb.write(b"0123456789");
-        let chunk_ptr = sb.slice(0, 10).as_ptr() as usize;
+        let data = b(b"0123456789");
+        let data_ptr = data.as_ptr() as usize;
+        assert_eq!(sb.write(data), 10);
+        // The buffered chunk is the buffer that was written, not a copy...
+        assert_eq!(sb.slice(0, 10).as_ptr() as usize, data_ptr);
+        // ...and a sub-range aliases it too.
         let sub = sb.slice(3, 4);
         assert_eq!(&sub[..], b"3456");
-        // The sub-slice aliases the buffered chunk, not a fresh copy.
-        assert_eq!(sub.as_ptr() as usize, chunk_ptr + 3);
+        assert_eq!(sub.as_ptr() as usize, data_ptr + 3);
+    }
+
+    #[test]
+    fn send_buffer_partial_acceptance_retains_exactly_the_prefix() {
+        static BLOCK: [u8; 16] = *b"abcdefghijklmnop";
+        let mut sb = SendBuffer::with_capacity(12);
+        assert_eq!(sb.write(b(b"01234")), 5);
+        assert_eq!(sb.write(Bytes::from_static(&BLOCK)), 7);
+        assert_eq!((sb.len(), sb.free(), sb.tail_offset()), (12, 0, 12));
+        let kept = sb.slice(5, 7);
+        assert_eq!(&kept[..], b"abcdefg");
+        assert_eq!(kept.as_ptr(), BLOCK.as_ptr());
+        // Room for the rest appears once the head is released.
+        sb.release_until(9);
+        assert_eq!(sb.write(Bytes::from_static(&BLOCK[7..])), 9);
+        assert_eq!(&sb.slice(9, 12)[..], b"efghijklmnop");
     }
 
     #[test]
     fn send_buffer_slice_spans_chunks() {
         let mut sb = SendBuffer::with_capacity(100);
-        sb.write(b"hello");
-        sb.write(b" ");
-        sb.write(b"world");
+        sb.write(b(b"hello"));
+        sb.write(b(b" "));
+        sb.write(b(b"world"));
         assert_eq!(&sb.slice(0, 11)[..], b"hello world");
         assert_eq!(&sb.slice(3, 5)[..], b"lo wo");
         assert_eq!(&sb.slice(6, 5)[..], b"world");
@@ -352,7 +373,7 @@ mod tests {
     #[test]
     fn send_buffer_release_partial_chunk() {
         let mut sb = SendBuffer::with_capacity(100);
-        sb.write(b"abcdef");
+        sb.write(b(b"abcdef"));
         sb.release_until(2);
         assert_eq!(sb.head_offset(), 2);
         assert_eq!(&sb.slice(2, 4)[..], b"cdef");
@@ -368,7 +389,7 @@ mod tests {
     #[should_panic(expected = "outside buffered")]
     fn send_buffer_slice_released_panics() {
         let mut sb = SendBuffer::with_capacity(100);
-        sb.write(b"abcdef");
+        sb.write(b(b"abcdef"));
         sb.release_until(3);
         sb.slice(0, 2);
     }
@@ -505,27 +526,55 @@ mod prop {
             prop_assert_eq!(r.buffered_bytes(), 0);
         }
 
-        /// Sliced ranges from the send buffer always equal the bytes written.
+        /// Sliced ranges from the send buffer always equal the bytes
+        /// written: under a small capacity (writes are cut short and the
+        /// writer carries on with the remainder), releases interleaved with
+        /// the writes, and ranges that start and end anywhere — inside a
+        /// chunk or across several.
         #[test]
         fn send_buffer_slice_correct(
+            cap in 1u64..120,
             writes in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..50), 1..10),
-            release_frac in 0.0f64..1.0,
+            release_fracs in proptest::collection::vec(0.0f64..1.0, 1..10),
+            ranges in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..5),
         ) {
-            let mut sb = SendBuffer::with_capacity(1 << 20);
+            let mut sb = SendBuffer::with_capacity(cap);
+            // Every byte accepted so far, by stream offset.
             let mut mirror: Vec<u8> = Vec::new();
+            let mut release_fracs = release_fracs.iter().cycle();
             for w in &writes {
-                sb.write(w);
-                mirror.extend_from_slice(w);
+                let mut rest = Bytes::from(w.clone());
+                while !rest.is_empty() {
+                    let free = sb.free();
+                    let n = sb.write(rest.clone());
+                    prop_assert_eq!(n as u64, free.min(rest.len() as u64));
+                    mirror.extend_from_slice(&rest[..n]);
+                    rest = rest.slice(n..);
+                    prop_assert_eq!(sb.tail_offset(), mirror.len() as u64);
+
+                    let (head, tail) = (sb.head_offset(), sb.tail_offset());
+                    for &(a, b) in &ranges {
+                        let off = head + ((tail - head) as f64 * a) as u64;
+                        let len = ((tail - off) as f64 * b) as u32;
+                        let got = sb.slice(off, len);
+                        prop_assert_eq!(&got[..], &mirror[off as usize..][..len as usize]);
+                    }
+                    // A full buffer must drain for the writer to make
+                    // progress; otherwise release some fraction, or nothing.
+                    let release_frac = release_fracs.next().unwrap();
+                    let release = if sb.free() == 0 {
+                        head + 1 + ((tail - head - 1) as f64 * release_frac) as u64
+                    } else {
+                        head + ((tail - head) as f64 * release_frac) as u64
+                    };
+                    sb.release_until(release);
+                    prop_assert_eq!(sb.head_offset(), release);
+                    prop_assert_eq!(sb.len(), tail - release);
+                }
             }
-            let release = (mirror.len() as f64 * release_frac) as u64;
-            sb.release_until(release);
-            let head = sb.head_offset() as usize;
-            let tail = sb.tail_offset() as usize;
-            prop_assert_eq!(head, release as usize);
-            if tail > head {
-                let got = sb.slice(head as u64, (tail - head) as u32);
-                prop_assert_eq!(&got[..], &mirror[head..tail]);
-            }
+            let (head, tail) = (sb.head_offset(), sb.tail_offset());
+            let got = sb.slice(head, (tail - head) as u32);
+            prop_assert_eq!(&got[..], &mirror[head as usize..]);
         }
     }
 }
