@@ -1,43 +1,52 @@
-//! The simulator's event queue: a calendar queue with an overflow heap.
+//! The simulator's event queue: a hashed timing wheel over the event slab.
 //!
 //! The run loop's innermost operations are "schedule an event a short time
-//! from now" and "pop the earliest event". A single `BinaryHeap` pays
-//! `O(log n)` sifts on every push and pop. Almost all events in this
-//! simulator land within a few link delays of `now`, so [`EventQueue`]
-//! keeps a ring of fixed-width time buckets in front of the heap:
+//! from now" and "pop the earliest event", and every workload spends more
+//! host time here than in any other layer. A binary heap pays an
+//! `O(log n)` sift on each of them; [`EventQueue`] pays a list link on
+//! push and an array read on pop:
 //!
-//! * pushes into the near future append to an unsorted bucket — `O(1)`;
-//! * pushes inside the already-open bucket go to a (tiny) `current` heap;
-//! * far-future events (RTO timers, scripted scenario changes) overflow to
-//!   a regular binary heap and migrate into the ring as the wheel turns.
+//! * time is cut into ticks of 2^16 ns (≈ 65 µs); the wheel has 2^14
+//!   buckets, one per tick of the next ≈ 1.07 s, so link events *and*
+//!   RTO-scale timers land in it;
+//! * a bucket is an intrusive singly-linked list threaded through the
+//!   event slab (`Slot::next`), `heads[tick % N]` is its first slot and one
+//!   bit per bucket in `occupied` says whether it has any — a push is two
+//!   stores and an `or`, the next non-empty bucket is a `trailing_zeros`
+//!   scan;
+//! * when the earliest non-empty bucket *opens* its keys are copied into
+//!   `current` and sorted once; pops then read `current` front to back.
+//!   An event scheduled inside the already-open tick is placed into
+//!   `current` by insertion from the back (it is almost always the latest);
+//! * only entries more than a wheel revolution ahead (scripted scenario
+//!   changes, give-up timers) wait in a binary heap, `far`, and move into
+//!   the wheel as it turns.
 //!
-//! # Struct-of-arrays layout
-//!
-//! Events themselves (which can embed a whole packet) live in a slab and
-//! are addressed by slot; the heaps and ring buckets move only 24-byte
-//! [`Key`]s. Heap sifts therefore shuffle keys, not payloads, and opening
-//! a ring bucket heapifies the whole batch in `O(n)` (`BinaryHeap::from`)
-//! instead of `n` sifting pushes — the spent heap's allocation is recycled
-//! into the emptied bucket, so the steady state allocates nothing.
+//! The slab's free slots are chained through the same `next` field, so the
+//! queue's only growable storage is the slab, `current` and (rarely) `far`.
 //!
 //! Ordering is **exactly** the `(at, seq)` order a single heap would
-//! produce: the structures partition time (`current` < ring < overflow),
-//! and each bucket is heapified before it is drained. Determinism is the
-//! simulator's core contract; `queue_orders_like_reference` in the tests
-//! checks this against a plain-heap reference model.
+//! produce: the structures partition time (`current` < wheel < `far`) and a
+//! bucket is sorted before it is drained. Determinism is the simulator's
+//! core contract; the tests check this against a plain-heap reference.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Log2 of the bucket width in nanoseconds (2^20 ns ≈ 1.05 ms — around one
-/// full-size-packet serialization time on the paper's 8 Mb/s paths).
-const BUCKET_SHIFT: u32 = 20;
-/// Number of ring buckets. 64 buckets × ~1 ms ≈ 67 ms of near future, which
-/// covers queueing + serialization + propagation on the paper's topologies;
-/// only RTO-scale timers overflow.
-const NUM_BUCKETS: usize = 64;
+/// Log2 of the tick (bucket) width in nanoseconds: 2^16 ns ≈ 65.5 µs,
+/// about five full-size packets on a 1 Gb/s link and well under one on the
+/// paper's 8 Mb/s paths, so an open bucket holds a handful of events.
+const TICK_SHIFT: u32 = 16;
+/// Number of wheel buckets: 2^14 ticks ≈ 1.07 s of future, past the RTO
+/// floor and the one-second timers of every scenario in the tree.
+const WHEEL_SLOTS: usize = 1 << 14;
+const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
+/// Words in the occupancy bitmap.
+const WORDS: usize = WHEEL_SLOTS / 64;
+/// "No slot": list terminator and empty-bucket marker.
+const NIL: u32 = u32::MAX;
 
 /// An entry popped from the event queue. Ties are broken by insertion
 /// order (`seq`) so the simulation is fully deterministic.
@@ -50,8 +59,19 @@ pub(crate) struct Scheduled<E> {
     pub ev: E,
 }
 
-/// What the heaps and ring buckets actually move: the ordering fields plus
-/// a slab slot. The event payload never travels through a sift.
+/// One slab entry. A queued slot is on exactly one list: a wheel bucket's
+/// (then `next` is the bucket's next slot), or none while its key sits in
+/// `current` or `far`. A free slot has `ev == None` and `next` continues
+/// the free list.
+struct Slot<E> {
+    at: SimTime,
+    seq: u64,
+    next: u32,
+    ev: Option<E>,
+}
+
+/// What `current` and `far` hold: the ordering fields plus the slab slot.
+/// The event payload never moves while it is queued.
 #[derive(Clone, Copy)]
 struct Key {
     at: SimTime,
@@ -76,26 +96,30 @@ impl Ord for Key {
     }
 }
 
-/// Calendar queue over slab-backed events; see the module docs.
+const fn tick_of(at: SimTime) -> u64 {
+    at.as_nanos() >> TICK_SHIFT
+}
+
+/// Timing wheel over slab-backed events; see the module docs.
 pub(crate) struct EventQueue<E> {
-    /// Keys with `at < open_end`, heap-ordered. The only structure pops
-    /// come from.
-    current: BinaryHeap<Reverse<Key>>,
-    /// Unsorted buckets; bucket `(head + k) % NUM_BUCKETS` covers times
-    /// `[open_end + k·W, open_end + (k+1)·W)`. Stored pre-wrapped in
-    /// `Reverse` so a bucket converts into the min-heap without a remap.
-    ring: Vec<Vec<Reverse<Key>>>,
-    /// Ring bucket that will be opened next.
-    head: usize,
-    /// Boundary between `current` and the ring, in ns (multiple of W).
-    open_end: u64,
-    /// Entries living in the ring (not `current`, not `overflow`).
-    ring_len: usize,
-    /// Far future: `at >= open_end + NUM_BUCKETS·W`.
-    overflow: BinaryHeap<Reverse<Key>>,
-    /// Event payloads, addressed by `Key::slot`; freed slots recycle.
-    slab: Vec<Option<E>>,
-    free: Vec<u32>,
+    /// Event payloads and the links between them, addressed by slot.
+    slab: Vec<Slot<E>>,
+    /// First free slab slot, or `NIL`.
+    free: u32,
+    /// `heads[t % N]` is the first slot of the bucket for tick `t` in
+    /// `[next_tick, next_tick + N)`, or `NIL`.
+    heads: Box<[u32; WHEEL_SLOTS]>,
+    /// Bit `b` is set iff `heads[b] != NIL`.
+    occupied: [u64; WORDS],
+    /// First tick that has not been opened; everything before it is in
+    /// `current`.
+    next_tick: u64,
+    /// Keys of the open window (`tick < next_tick`), ascending; those
+    /// before `cursor` have been popped.
+    current: Vec<Key>,
+    cursor: usize,
+    /// Entries at `next_tick + N` ticks or later.
+    far: BinaryHeap<Reverse<Key>>,
     len: usize,
     peak_len: usize,
 }
@@ -103,14 +127,17 @@ pub(crate) struct EventQueue<E> {
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
-            current: BinaryHeap::new(),
-            ring: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
-            head: 0,
-            open_end: bucket_width(),
-            ring_len: 0,
-            overflow: BinaryHeap::new(),
             slab: Vec::new(),
-            free: Vec::new(),
+            free: NIL,
+            heads: vec![NIL; WHEEL_SLOTS]
+                .into_boxed_slice()
+                .try_into()
+                .expect("the vector has WHEEL_SLOTS elements"),
+            occupied: [0; WORDS],
+            next_tick: 0,
+            current: Vec::new(),
+            cursor: 0,
+            far: BinaryHeap::new(),
             len: 0,
             peak_len: 0,
         }
@@ -127,28 +154,29 @@ impl<E> EventQueue<E> {
     }
 
     pub fn push(&mut self, at: SimTime, seq: u64, ev: E) {
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slab[s as usize] = Some(ev);
-                s
-            }
-            None => {
-                self.slab.push(Some(ev));
-                (self.slab.len() - 1) as u32
-            }
+        let entry = Slot {
+            at,
+            seq,
+            next: NIL,
+            ev: Some(ev),
         };
-        let key = Key { at, seq, slot };
-        let ns = at.as_nanos();
-        if ns < self.open_end {
-            self.current.push(Reverse(key));
+        let slot = if self.free != NIL {
+            let s = self.free;
+            self.free = std::mem::replace(&mut self.slab[s as usize], entry).next;
+            s
         } else {
-            let k = (ns - self.open_end) >> BUCKET_SHIFT;
-            if (k as usize) < NUM_BUCKETS {
-                self.ring[(self.head + k as usize) % NUM_BUCKETS].push(Reverse(key));
-                self.ring_len += 1;
-            } else {
-                self.overflow.push(Reverse(key));
-            }
+            let s = u32::try_from(self.slab.len()).expect("fewer than 2^32 queued events");
+            assert!(s != NIL, "fewer than 2^32 - 1 queued events");
+            self.slab.push(entry);
+            s
+        };
+        let tick = tick_of(at);
+        if tick < self.next_tick {
+            self.insert_current(Key { at, seq, slot });
+        } else if tick - self.next_tick < WHEEL_SLOTS as u64 {
+            self.link(tick, slot);
+        } else {
+            self.far.push(Reverse(Key { at, seq, slot }));
         }
         self.len += 1;
         if self.len > self.peak_len {
@@ -158,18 +186,26 @@ impl<E> EventQueue<E> {
 
     /// Time of the earliest entry, advancing the wheel as needed.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.prepare_current();
-        self.current.peek().map(|Reverse(k)| k.at)
+        if self.cursor == self.current.len() {
+            self.advance();
+        }
+        self.current.get(self.cursor).map(|k| k.at)
     }
 
     /// Remove and return the earliest entry (exact `(at, seq)` order).
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        self.prepare_current();
-        let Reverse(key) = self.current.pop()?;
-        let ev = self.slab[key.slot as usize]
+        if self.cursor == self.current.len() {
+            self.advance();
+        }
+        let key = *self.current.get(self.cursor)?;
+        self.cursor += 1;
+        let slot = &mut self.slab[key.slot as usize];
+        let ev = slot
+            .ev
             .take()
             .expect("queued key points at an occupied slab slot");
-        self.free.push(key.slot);
+        slot.next = self.free;
+        self.free = key.slot;
         self.len -= 1;
         Some(Scheduled {
             at: key.at,
@@ -178,62 +214,108 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// Make `current` hold the globally earliest entry (if any exist).
-    fn prepare_current(&mut self) {
-        while self.current.is_empty() && self.len > 0 {
-            if self.ring_len == 0 {
-                // Everything lives in the overflow heap: fast-forward the
-                // wheel to the overflow head instead of stepping bucket by
-                // bucket through empty time.
-                let target = self.overflow.peek().map(|Reverse(k)| k.at.as_nanos());
-                if let Some(t) = target {
-                    let aligned = (t >> BUCKET_SHIFT) << BUCKET_SHIFT;
-                    if aligned > self.open_end {
-                        self.open_end = aligned;
-                    }
-                    self.refill_from_overflow();
-                }
-            }
-            self.open_next_bucket();
+    /// Place a key that belongs to the open window. A newly scheduled
+    /// event is later than most of what the window still holds, so the
+    /// search runs from the back; it stops at `cursor`, which makes an
+    /// entry earlier than everything unpopped the next one out.
+    fn insert_current(&mut self, key: Key) {
+        if self.cursor == self.current.len() {
+            self.current.clear();
+            self.cursor = 0;
         }
+        let mut i = self.current.len();
+        while i > self.cursor && key < self.current[i - 1] {
+            i -= 1;
+        }
+        self.current.insert(i, key);
     }
 
-    /// Open the bucket at `head`: heapify its entries into `current` (an
-    /// `O(n)` batch, not `n` sifts — `current` is empty here, the caller's
-    /// loop condition) and advance the wheel by one width. The spent
-    /// heap's allocation is recycled into the emptied bucket slot.
-    fn open_next_bucket(&mut self) {
-        debug_assert!(self.current.is_empty(), "bucket opened over a live heap");
-        let bucket = std::mem::take(&mut self.ring[self.head]);
-        self.ring_len -= bucket.len();
-        let spent = std::mem::replace(&mut self.current, BinaryHeap::from(bucket));
-        self.ring[self.head] = spent.into_vec();
-        self.head = (self.head + 1) % NUM_BUCKETS;
-        self.open_end += bucket_width();
-        self.refill_from_overflow();
+    /// Put `slot` on the list of the bucket for `tick`, which must lie
+    /// inside the wheel's horizon.
+    fn link(&mut self, tick: u64, slot: u32) {
+        debug_assert!(tick >= self.next_tick && tick - self.next_tick < WHEEL_SLOTS as u64);
+        let b = (tick & WHEEL_MASK) as usize;
+        self.slab[slot as usize].next = std::mem::replace(&mut self.heads[b], slot);
+        self.occupied[b / 64] |= 1 << (b % 64);
     }
 
-    /// Pull overflow entries that now fall inside the ring's horizon.
-    fn refill_from_overflow(&mut self) {
-        let horizon = self
-            .open_end
-            .saturating_add(NUM_BUCKETS as u64 * bucket_width());
-        while let Some(Reverse(k)) = self.overflow.peek() {
-            let ns = k.at.as_nanos();
-            if ns >= horizon {
+    /// `current` is used up: open the earliest non-empty bucket. Leaves
+    /// `current` empty only when the whole queue is.
+    fn advance(&mut self) {
+        self.current.clear();
+        self.cursor = 0;
+        let tick = match self.first_occupied_tick() {
+            Some(tick) => tick,
+            None => {
+                // Everything left is a revolution or more away: turn the
+                // wheel straight to the earliest of it instead of stepping
+                // through empty time.
+                let Some(Reverse(head)) = self.far.peek() else {
+                    return;
+                };
+                self.next_tick = tick_of(head.at);
+                self.refill_from_far();
+                self.next_tick
+            }
+        };
+        let b = (tick & WHEEL_MASK) as usize;
+        self.occupied[b / 64] &= !(1 << (b % 64));
+        let mut s = std::mem::replace(&mut self.heads[b], NIL);
+        while s != NIL {
+            let slot = &self.slab[s as usize];
+            self.current.push(Key {
+                at: slot.at,
+                seq: slot.seq,
+                slot: s,
+            });
+            s = slot.next;
+        }
+        // The list is newest-first and events are mostly scheduled in time
+        // order: reversed, the sort's input is nearly sorted.
+        self.current.reverse();
+        self.current.sort_unstable();
+        // The horizon moves with `next_tick`; whatever of `far` it now
+        // covers must be in the wheel before the next bucket is chosen.
+        // Those entries are at `tick + N` or later, so none belongs to the
+        // window that just opened.
+        self.next_tick = tick + 1;
+        self.refill_from_far();
+    }
+
+    /// Tick of the earliest non-empty bucket: the first set bit at or
+    /// after `next_tick`'s position, wrapping once around the wheel.
+    fn first_occupied_tick(&self) -> Option<u64> {
+        let start = (self.next_tick & WHEEL_MASK) as usize;
+        let (w0, b0) = (start / 64, start % 64);
+        let below_start = !(!0u64 << b0);
+        for i in 0..=WORDS {
+            let mut word = self.occupied[(w0 + i) % WORDS];
+            if i == 0 {
+                word &= !below_start;
+            } else if i == WORDS {
+                word &= below_start;
+            }
+            if word != 0 {
+                let dist = i * 64 + word.trailing_zeros() as usize - b0;
+                return Some(self.next_tick + dist as u64);
+            }
+        }
+        None
+    }
+
+    /// Move `far` entries that the horizon now covers into the wheel.
+    fn refill_from_far(&mut self) {
+        while let Some(Reverse(key)) = self.far.peek() {
+            let tick = tick_of(key.at);
+            debug_assert!(tick >= self.next_tick, "far entry behind the wheel");
+            if tick - self.next_tick >= WHEEL_SLOTS as u64 {
                 break;
             }
-            let Reverse(k) = self.overflow.pop().unwrap();
-            debug_assert!(ns >= self.open_end, "overflow entry behind the wheel");
-            let idx = ((ns - self.open_end) >> BUCKET_SHIFT) as usize;
-            self.ring[(self.head + idx) % NUM_BUCKETS].push(Reverse(k));
-            self.ring_len += 1;
+            let slot = key.slot;
+            self.far.pop();
+            self.link(tick, slot);
         }
     }
-}
-
-const fn bucket_width() -> u64 {
-    1 << BUCKET_SHIFT
 }
 
 #[cfg(test)]
