@@ -128,9 +128,14 @@ impl Connection {
     }
 
     /// The connection is over: tell the path manager and the application.
+    /// The object stays for post-run inspection (stats, stream taps, the
+    /// diag dump), its buffers do not.
     fn closed(&mut self, now: SimTime, events: &mut Vec<PmEvent>) {
         self.state = ConnState::Closed;
         self.stats.closed_at = Some(now);
+        self.meta_send.clear();
+        self.meta_recv = smapp_tcp::Reassembly::starting_at(self.meta_recv.next_expected());
+        self.reinject = ReinjectQueue::default();
         events.push(PmEvent::ConnClosed { token: self.token });
         if let Some(app) = self.app.as_mut() {
             app.on_closed(now);
@@ -152,7 +157,7 @@ impl Connection {
         let tuple = sf.tuple;
         self.stats.sf_close_reasons |= error.coverage_bit();
         self.reinject_flight(id);
-        self.subflows[id as usize].flight.clear();
+        self.subflows[id as usize].release_buffers();
         events.push(PmEvent::SubflowClosed {
             token: self.token,
             id,

@@ -14,60 +14,114 @@ pub const SHA1_LEN: usize = 20;
 /// SHA-1 block size in bytes.
 const BLOCK_LEN: usize = 64;
 
+/// SHA-1 state fed a piece at a time: the five chaining words plus the
+/// bytes of a block not yet complete. Everything lives in fixed arrays, so
+/// hashing allocates nothing.
+struct Sha1 {
+    h: [u32; 5],
+    block: [u8; BLOCK_LEN],
+    /// Bytes of `block` filled so far (always below `BLOCK_LEN`).
+    fill: usize,
+    /// Message bytes consumed so far.
+    len: u64,
+}
+
+impl Sha1 {
+    fn new() -> Self {
+        Sha1 {
+            h: [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0],
+            block: [0; BLOCK_LEN],
+            fill: 0,
+            len: 0,
+        }
+    }
+
+    fn update(&mut self, mut data: &[u8]) {
+        self.len += data.len() as u64;
+        if self.fill > 0 {
+            let take = (BLOCK_LEN - self.fill).min(data.len());
+            self.block[self.fill..self.fill + take].copy_from_slice(&data[..take]);
+            self.fill += take;
+            data = &data[take..];
+            if self.fill < BLOCK_LEN {
+                return;
+            }
+            compress(&mut self.h, &self.block);
+            self.fill = 0;
+        }
+        let mut blocks = data.chunks_exact(BLOCK_LEN);
+        for block in &mut blocks {
+            compress(
+                &mut self.h,
+                block.try_into().expect("chunks are block-sized"),
+            );
+        }
+        let rest = blocks.remainder();
+        self.block[..rest.len()].copy_from_slice(rest);
+        self.fill = rest.len();
+    }
+
+    /// Pad (0x80, zeros, 64-bit big-endian bit length) and emit the digest.
+    fn finish(mut self) -> [u8; SHA1_LEN] {
+        let bit_len = self.len * 8;
+        self.block[self.fill] = 0x80;
+        self.block[self.fill + 1..].fill(0);
+        if self.fill + 1 > BLOCK_LEN - 8 {
+            // No room left for the length: it goes in a block of its own.
+            compress(&mut self.h, &self.block);
+            self.block.fill(0);
+        }
+        self.block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.h, &self.block);
+        let mut out = [0u8; SHA1_LEN];
+        for (i, word) in self.h.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+}
+
+/// The SHA-1 compression function: fold one block into the chaining words.
+fn compress(h: &mut [u32; 5], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 80];
+    for (i, word) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+    }
+    for i in 16..80 {
+        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+    }
+    let (mut a, mut b, mut c, mut d, mut e) = (h[0], h[1], h[2], h[3], h[4]);
+    for (i, &wi) in w.iter().enumerate() {
+        let (f, k) = match i {
+            0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
+            20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
+            40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
+            _ => (b ^ c ^ d, 0xCA62C1D6),
+        };
+        let tmp = a
+            .rotate_left(5)
+            .wrapping_add(f)
+            .wrapping_add(e)
+            .wrapping_add(k)
+            .wrapping_add(wi);
+        e = d;
+        d = c;
+        c = b.rotate_left(30);
+        b = a;
+        a = tmp;
+    }
+    h[0] = h[0].wrapping_add(a);
+    h[1] = h[1].wrapping_add(b);
+    h[2] = h[2].wrapping_add(c);
+    h[3] = h[3].wrapping_add(d);
+    h[4] = h[4].wrapping_add(e);
+}
+
 /// Compute the SHA-1 digest of `data`.
 pub fn sha1(data: &[u8]) -> [u8; SHA1_LEN] {
-    let mut h: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
-
-    // Message with padding: 0x80, zeros, 64-bit big-endian bit length.
-    let bit_len = (data.len() as u64) * 8;
-    let mut msg = Vec::with_capacity(data.len() + BLOCK_LEN + 9);
-    msg.extend_from_slice(data);
-    msg.push(0x80);
-    while msg.len() % BLOCK_LEN != 56 {
-        msg.push(0);
-    }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
-
-    let mut w = [0u32; 80];
-    for block in msg.chunks_exact(BLOCK_LEN) {
-        for (i, word) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let (mut a, mut b, mut c, mut d, mut e) = (h[0], h[1], h[2], h[3], h[4]);
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
-        }
-        h[0] = h[0].wrapping_add(a);
-        h[1] = h[1].wrapping_add(b);
-        h[2] = h[2].wrapping_add(c);
-        h[3] = h[3].wrapping_add(d);
-        h[4] = h[4].wrapping_add(e);
-    }
-
-    let mut out = [0u8; SHA1_LEN];
-    for (i, word) in h.iter().enumerate() {
-        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-    }
-    out
+    let mut s = Sha1::new();
+    s.update(data);
+    s.finish()
 }
 
 /// Compute HMAC-SHA1 (RFC 2104) of `msg` under `key`.
@@ -78,18 +132,13 @@ pub fn hmac_sha1(key: &[u8], msg: &[u8]) -> [u8; SHA1_LEN] {
     } else {
         k[..key.len()].copy_from_slice(key);
     }
-    let mut inner = Vec::with_capacity(BLOCK_LEN + msg.len());
-    let mut outer = Vec::with_capacity(BLOCK_LEN + SHA1_LEN);
-    for &b in &k {
-        inner.push(b ^ 0x36);
-    }
-    inner.extend_from_slice(msg);
-    let inner_hash = sha1(&inner);
-    for &b in &k {
-        outer.push(b ^ 0x5C);
-    }
-    outer.extend_from_slice(&inner_hash);
-    sha1(&outer)
+    let mut inner = Sha1::new();
+    inner.update(&k.map(|b| b ^ 0x36));
+    inner.update(msg);
+    let mut outer = Sha1::new();
+    outer.update(&k.map(|b| b ^ 0x5C));
+    outer.update(&inner.finish());
+    outer.finish()
 }
 
 #[cfg(test)]
@@ -137,6 +186,46 @@ mod tests {
         assert_eq!(hex(&sha1(&msg)), "0098ba824b5c16427bd7a1122a5a442a25ec644d");
     }
 
+    /// Inputs `0, 1, 2, ..` of the lengths where the padding changes
+    /// shape: 55 is the longest message whose padding fits its own block,
+    /// 56..=63 push the length into a second block, 64 and 65 start one.
+    /// Digests from an independent implementation (Python's `hashlib`).
+    #[test]
+    fn sha1_padding_edges() {
+        let msg: Vec<u8> = (0..=255u8).collect();
+        for (len, want) in [
+            (55, "8ae2d46729cfe68ff927af5eec9c7d1b66d65ac2"),
+            (56, "636e2ec698dac903498e648bd2f3af641d3c88cb"),
+            (63, "6d942da0c4392b123528f2905c713a3ce28364bd"),
+            (64, "c6138d514ffa2135bfce0ed0b8fac65669917ec7"),
+            (65, "69bd728ad6e13cd76ff19751fde427b00e395746"),
+        ] {
+            assert_eq!(hex(&sha1(&msg[..len])), want, "{len}-byte input");
+        }
+    }
+
+    /// However a message is cut into updates, the digest is the one-shot
+    /// digest (the pieces straddle, end on and start on block boundaries).
+    #[test]
+    fn sha1_incremental_matches_one_shot() {
+        let msg: Vec<u8> = (0..200u32).map(|i| (i * 7) as u8).collect();
+        for cuts in [
+            &[1usize, 63, 64, 72][..],
+            &[64, 128],
+            &[55, 56, 57],
+            &[0, 199],
+        ] {
+            let mut s = Sha1::new();
+            let mut from = 0;
+            for &cut in cuts {
+                s.update(&msg[from..cut]);
+                from = cut;
+            }
+            s.update(&msg[from..]);
+            assert_eq!(s.finish(), sha1(&msg), "cuts {cuts:?}");
+        }
+    }
+
     // RFC 2202 HMAC-SHA1 test vectors.
     #[test]
     fn hmac_rfc2202_case1() {
@@ -176,6 +265,24 @@ mod tests {
             )),
             "aa4ae5e15272d00e95705637ce8a3b55ed402112"
         );
+    }
+
+    /// Key and message lengths around the block size, against Python's
+    /// `hmac`: a 64-byte key is used as is, a 65-byte one is hashed first.
+    #[test]
+    fn hmac_block_sized_keys() {
+        let bytes: Vec<u8> = (0..=255u8).collect();
+        for (key_len, msg_len, want) in [
+            (64, 56, "1ab2d9aa82bd7a55af426529ca0ee6f0db22f88e"),
+            (65, 55, "ef01c2a9e0046f534d56bbad3888c5470528887b"),
+            (16, 8, "5319c34ea875f3a129b78fb1f4e25b65424cb0d9"),
+        ] {
+            assert_eq!(
+                hex(&hmac_sha1(&bytes[..key_len], &bytes[..msg_len])),
+                want,
+                "{key_len}-byte key, {msg_len}-byte message"
+            );
+        }
     }
 
     #[test]

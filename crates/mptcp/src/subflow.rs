@@ -312,6 +312,15 @@ impl Subflow {
         }
     }
 
+    /// The subflow is closed and will neither send nor receive again:
+    /// give back what its flight, reassembly and mapping queues hold. The
+    /// sequence state the diag dump reads stays.
+    pub fn release_buffers(&mut self) {
+        self.flight.clear();
+        self.reasm = Reassembly::starting_at(self.reasm.next_expected());
+        self.recv_maps = VecDeque::new();
+    }
+
     /// Current (backed-off) retransmission timeout.
     pub fn current_rto(&self) -> Duration {
         self.rto.current_rto(&self.rtt)

@@ -9,7 +9,7 @@
 //! * the **initial data sequence number (IDSN)** — the least significant
 //!   64 bits of the same digest.
 
-use crate::crypto::sha1;
+use crate::crypto::{hmac_sha1, sha1};
 
 /// A 64-bit MPTCP key.
 pub type Key = u64;
@@ -29,16 +29,19 @@ pub fn idsn_from_key(key: Key) -> u64 {
     ])
 }
 
+/// `hi ‖ lo` in network byte order.
+fn concat_u64(hi: u64, lo: u64) -> [u8; 16] {
+    (((hi as u128) << 64) | lo as u128).to_be_bytes()
+}
+
+fn concat_u32(hi: u32, lo: u32) -> [u8; 8] {
+    (((hi as u64) << 32) | lo as u64).to_be_bytes()
+}
+
 /// HMAC for the `MP_JOIN` SYN/ACK (RFC 6824 §3.2): key = Key-B ‖ Key-A,
 /// message = R-B ‖ R-A, truncated to the most significant 64 bits.
 pub fn join_hmac_b(key_a: Key, key_b: Key, nonce_a: u32, nonce_b: u32) -> u64 {
-    let mut key = Vec::with_capacity(16);
-    key.extend_from_slice(&key_b.to_be_bytes());
-    key.extend_from_slice(&key_a.to_be_bytes());
-    let mut msg = Vec::with_capacity(8);
-    msg.extend_from_slice(&nonce_b.to_be_bytes());
-    msg.extend_from_slice(&nonce_a.to_be_bytes());
-    let mac = crate::crypto::hmac_sha1(&key, &msg);
+    let mac = hmac_sha1(&concat_u64(key_b, key_a), &concat_u32(nonce_b, nonce_a));
     u64::from_be_bytes([
         mac[0], mac[1], mac[2], mac[3], mac[4], mac[5], mac[6], mac[7],
     ])
@@ -47,13 +50,7 @@ pub fn join_hmac_b(key_a: Key, key_b: Key, nonce_a: u32, nonce_b: u32) -> u64 {
 /// HMAC for the third `MP_JOIN` ACK (RFC 6824 §3.2): key = Key-A ‖ Key-B,
 /// message = R-A ‖ R-B, full 160 bits.
 pub fn join_hmac_a(key_a: Key, key_b: Key, nonce_a: u32, nonce_b: u32) -> [u8; 20] {
-    let mut key = Vec::with_capacity(16);
-    key.extend_from_slice(&key_a.to_be_bytes());
-    key.extend_from_slice(&key_b.to_be_bytes());
-    let mut msg = Vec::with_capacity(8);
-    msg.extend_from_slice(&nonce_a.to_be_bytes());
-    msg.extend_from_slice(&nonce_b.to_be_bytes());
-    crate::crypto::hmac_sha1(&key, &msg)
+    hmac_sha1(&concat_u64(key_a, key_b), &concat_u32(nonce_a, nonce_b))
 }
 
 #[cfg(test)]

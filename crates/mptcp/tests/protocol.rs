@@ -756,3 +756,78 @@ fn heavy_loss_transfer_still_completes_on_two_subflows() {
             .received;
     assert_eq!(sink_bytes, total, "reliability under 15% loss, 2 subflows");
 }
+
+/// A world keeps its connection objects until it is dropped (stats, taps
+/// and the diag dump read them after the run), so what a dead subflow or a
+/// closed connection still *holds* is what every later connection's memory
+/// sits on top of: the flight ring goes when the subflow dies, the rest
+/// when the connection closes.
+#[test]
+fn closed_subflows_and_connections_keep_no_buffer_storage() {
+    let mut h = two_addr_harness(17);
+    h.rate_a2b = Some(10_000_000);
+    h.rate_b2a = Some(10_000_000);
+    let total = 1_000_000u64;
+    let token = h
+        .connect(
+            Side::A,
+            80,
+            Box::new(BulkSender::new(total).close_when_done()),
+        )
+        .unwrap();
+    h.run_until(SimTime::from_millis(50));
+    h.apply(
+        Side::A,
+        &PmAction::OpenSubflow {
+            token,
+            src: A2,
+            src_port: 0,
+            dst: B1,
+            dst_port: 80,
+            backup: false,
+        },
+    );
+    h.run_until(SimTime::from_millis(300));
+    let conn = h.a.conn_by_token(token).unwrap();
+    for id in [0, 1] {
+        let sf = conn.subflow(id).unwrap();
+        assert!(sf.flight.capacity() > 0, "subflow {id} is carrying data");
+    }
+
+    // One subflow dies mid-transfer: its ring goes at once, the other's
+    // stays in use.
+    h.apply(
+        Side::A,
+        &PmAction::CloseSubflow {
+            token,
+            id: 1,
+            reset: true,
+        },
+    );
+    let conn = h.a.conn_by_token(token).unwrap();
+    assert_eq!(conn.subflow(1).unwrap().state, SfState::Closed);
+    assert_eq!(conn.subflow(1).unwrap().flight.capacity(), 0);
+    assert!(conn.subflow(0).unwrap().flight.capacity() > 0);
+
+    h.run_until(SimTime::from_secs(60));
+    let send_buf = StackConfig::default().send_buf;
+    for conn in [
+        h.a.conn_by_token(token).unwrap(),
+        h.b.connections().next().unwrap(),
+    ] {
+        assert_eq!(conn.state, ConnState::Closed);
+        assert_eq!(conn.send_space(), send_buf, "send buffer emptied");
+        for id in 0..conn.subflow_count() as u8 {
+            let sf = conn.subflow(id).unwrap();
+            assert_eq!(sf.flight.capacity(), 0, "subflow {id}");
+            assert!(!sf.reasm.has_hole() && sf.recv_maps.capacity() == 0);
+        }
+    }
+    // What post-run inspection reads is still there.
+    let client = h.a.conn_by_token(token).unwrap();
+    let server = h.b.connections().next().unwrap();
+    assert_eq!(client.stats.bytes_sent, total);
+    assert_eq!(server.stats.bytes_received, total);
+    assert_eq!(client.meta_una(), total);
+    assert!(client.subflow_info(0).unwrap().snd_una > 0);
+}

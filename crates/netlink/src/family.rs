@@ -699,7 +699,7 @@ fn decode_diag_conn(nest: &crate::wire::Attr<'_>) -> Result<DiagConn, NlError> {
     let attrs = attr_map(nest.nested_attrs())?;
     let u64_of = |ty: u16| -> Result<u64, NlError> { find_attr(&attrs, ty)?.as_u64() };
     let mut subflows = Vec::new();
-    for a in &attrs {
+    for a in attrs.iter() {
         if a.ty == attr::SUBFLOW_NEST {
             let inner = attr_map(a.nested_attrs())?;
             let id = find_attr(&inner, attr::SUBFLOW_ID)?.as_u8()?;
@@ -859,7 +859,7 @@ pub fn decode(bytes: &[u8]) -> Result<PmNlMessage, NlError> {
         },
         cmd::REPLY_INFO => {
             let mut subflows = Vec::new();
-            for a in &attrs {
+            for a in attrs.iter() {
                 if a.ty == attr::SUBFLOW_NEST {
                     let inner = attr_map(a.nested_attrs())?;
                     let id = find_attr(&inner, attr::SUBFLOW_ID)?.as_u8()?;
@@ -894,9 +894,9 @@ pub fn decode(bytes: &[u8]) -> Result<PmNlMessage, NlError> {
         },
         cmd::REPLY_DIAG => {
             let mut conns = Vec::new();
-            for a in &attrs {
+            for a in attrs.iter() {
                 if a.ty == attr::CONN_NEST {
-                    conns.push(decode_diag_conn(a)?);
+                    conns.push(decode_diag_conn(&a)?);
                 }
             }
             PmNlMessage::DiagReply { seq, conns }

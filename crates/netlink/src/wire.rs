@@ -329,23 +329,38 @@ impl<'a> Iterator for AttrIter<'a> {
     }
 }
 
-/// Collect attributes of a region into a lookup helper (last wins).
-pub fn attr_map<'a>(iter: AttrIter<'a>) -> Result<Vec<Attr<'a>>, NlError> {
-    iter.collect()
+/// A TLV region that has been walked end to end once and holds only
+/// well-formed attributes; lookups re-walk it in place.
+#[derive(Debug, Clone, Copy)]
+pub struct Attrs<'a> {
+    region: &'a [u8],
+}
+
+impl<'a> Attrs<'a> {
+    /// The attributes, in wire order.
+    pub fn iter(&self) -> impl Iterator<Item = Attr<'a>> {
+        AttrIter { rest: self.region }.flatten()
+    }
+}
+
+/// Check every attribute of a region; a malformed one anywhere in it
+/// fails the whole region, whichever attribute is looked up later.
+pub fn attr_map<'a>(iter: AttrIter<'a>) -> Result<Attrs<'a>, NlError> {
+    let region = iter.rest;
+    for attr in iter {
+        attr?;
+    }
+    Ok(Attrs { region })
 }
 
 /// Find the first attribute with type `ty`.
-pub fn find_attr<'a>(attrs: &[Attr<'a>], ty: u16) -> Result<Attr<'a>, NlError> {
-    attrs
-        .iter()
-        .find(|a| a.ty == ty)
-        .copied()
-        .ok_or(NlError::MissingAttr(ty))
+pub fn find_attr<'a>(attrs: &Attrs<'a>, ty: u16) -> Result<Attr<'a>, NlError> {
+    find_attr_opt(attrs, ty).ok_or(NlError::MissingAttr(ty))
 }
 
 /// Find an optional attribute with type `ty`.
-pub fn find_attr_opt<'a>(attrs: &[Attr<'a>], ty: u16) -> Option<Attr<'a>> {
-    attrs.iter().find(|a| a.ty == ty).copied()
+pub fn find_attr_opt<'a>(attrs: &Attrs<'a>, ty: u16) -> Option<Attr<'a>> {
+    attrs.iter().find(|a| a.ty == ty)
 }
 
 #[cfg(test)]
@@ -466,7 +481,31 @@ mod prop {
                         let _ = inner;
                     }
                 }
+                // A region is accepted exactly when its walk meets no
+                // error, and lookups in an accepted one cannot fail badly.
+                match attr_map(f.attrs()) {
+                    Ok(attrs) => {
+                        prop_assert!(f.attrs().all(|a| a.is_ok()));
+                        for ty in 0..4 {
+                            let _ = find_attr(&attrs, ty);
+                        }
+                    }
+                    Err(_) => prop_assert!(f.attrs().any(|a| a.is_err())),
+                }
             }
+            // A malformed attribute *behind* the one a caller wants still
+            // fails the frame: attribute 1 is fine, the next header claims
+            // more bytes than follow.
+            let mut fb = FrameBuilder::new(1, 0, 0, 0, GenlMsgHdr { cmd: 1, version: 0 });
+            fb.attr_u32(1, 5);
+            let mut v = fb.finish().to_vec();
+            v.extend_from_slice(&[0xFF, 0xFF, 2, 0]);
+            v.extend_from_slice(&data[..data.len().min(8)]);
+            let len = v.len() as u32;
+            v[..4].copy_from_slice(&len.to_le_bytes());
+            let f = Frame::parse(&v).unwrap();
+            prop_assert_eq!(f.attrs().next().unwrap().unwrap().as_u32(), Ok(5));
+            prop_assert_eq!(attr_map(f.attrs()).err(), Some(NlError::BadAttr));
         }
 
         #[test]
@@ -480,7 +519,7 @@ mod prop {
             let bytes = fb.finish();
             let f = Frame::parse(&bytes).unwrap();
             let attrs = attr_map(f.attrs()).unwrap();
-            prop_assert_eq!(attrs.len(), vals.len());
+            prop_assert_eq!(attrs.iter().count(), vals.len());
             for (a, (ty, v)) in attrs.iter().zip(&vals) {
                 prop_assert_eq!(a.ty, *ty);
                 prop_assert_eq!(a.as_u64().unwrap(), *v);

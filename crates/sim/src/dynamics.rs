@@ -8,7 +8,7 @@
 //! those changes first-class: a [`DynamicsScript`] is a time-ordered list
 //! of [`DynAction`]s installed on the [`crate::Simulator`] with
 //! [`crate::Simulator::install`] and executed through the same
-//! calendar event queue as every packet and timer — so a scripted run is
+//! event queue as every packet and timer — so a scripted run is
 //! exactly as deterministic, seed-stable and sweep-parallel-safe as an
 //! unscripted one.
 //!

@@ -153,6 +153,13 @@ impl<E> EventQueue<E> {
         self.peak_len
     }
 
+    /// Slab slots ever created; equals [`EventQueue::peak_len`] as long as
+    /// freed slots are reused before the slab grows.
+    #[cfg(test)]
+    pub fn slab_len(&self) -> usize {
+        self.slab.len()
+    }
+
     pub fn push(&mut self, at: SimTime, seq: u64, ev: E) {
         let entry = Slot {
             at,
@@ -448,5 +455,171 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One wheel revolution in nanoseconds.
+    const HORIZON: u64 = (WHEEL_SLOTS as u64) << TICK_SHIFT;
+    const TICK: u64 = 1 << TICK_SHIFT;
+
+    /// The queue under test and the reference heap, fed the same entries
+    /// and popped in lockstep.
+    struct Pair {
+        q: EventQueue<u32>,
+        r: Reference,
+        seq: u64,
+        /// Time of the last pop, as the run loop's `now`.
+        now: u64,
+    }
+    impl Pair {
+        fn starting_at(now: u64) -> Self {
+            Pair {
+                q: EventQueue::new(),
+                r: Reference {
+                    heap: BinaryHeap::new(),
+                },
+                seq: 0,
+                now,
+            }
+        }
+        fn push_at(&mut self, ns: u64) {
+            let at = SimTime::from_nanos(ns);
+            self.q.push(at, self.seq, self.seq as u32);
+            self.r.push(at, self.seq, self.seq as u32);
+            self.seq += 1;
+        }
+        fn push(&mut self, delta: u64) {
+            self.push_at(self.now + delta);
+        }
+        /// Pop both and compare; false once both are empty.
+        fn pop(&mut self) -> bool {
+            let got = self.q.pop().map(|s| (s.at, s.seq, s.ev));
+            assert_eq!(got, self.r.pop(), "after {} pushes", self.seq);
+            assert_eq!(self.q.len(), self.r.heap.len());
+            if let Some((at, ..)) = got {
+                self.now = at.as_nanos();
+            }
+            got.is_some()
+        }
+        fn drain(&mut self) {
+            while self.pop() {}
+        }
+    }
+
+    /// Deltas on both sides of the horizon (wheel vs `far`), kept up until
+    /// the wheel has gone round several times.
+    #[test]
+    fn horizon_straddling_deltas_over_full_revolutions() {
+        for seed in 0..8u64 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut p = Pair::starting_at(0);
+            p.push(0);
+            while p.now < 4 * HORIZON {
+                for _ in 0..(1 + rng.next_u64() % 4) {
+                    let delta = match rng.next_u64() % 4 {
+                        0 => rng.next_u64() % (2 * TICK),
+                        1 => HORIZON / 3 + rng.next_u64() % HORIZON,
+                        // The last in-wheel ticks and the first `far` ones.
+                        _ => HORIZON - 3 * TICK + rng.next_u64() % (6 * TICK),
+                    };
+                    p.push(delta);
+                }
+                for _ in 0..(1 + rng.next_u64() % 4) {
+                    p.pop();
+                }
+            }
+            assert!(p.q.next_tick > 4 * WHEEL_SLOTS as u64, "the wheel wrapped");
+            p.drain();
+        }
+    }
+
+    /// Zero-delay events: bursts scheduled at the time of the last pop (and
+    /// a little after it), while that tick's bucket is the open one.
+    #[test]
+    fn equal_time_bursts_into_the_open_bucket() {
+        let mut rng = SimRng::seed_from_u64(3);
+        let mut p = Pair::starting_at(0);
+        p.push_at(5 * TICK + 17);
+        p.push_at(5 * TICK + 900);
+        for _round in 0..40 {
+            assert!(p.pop());
+            for _ in 0..(rng.next_u64() % 24) {
+                p.push([0, 0, 0, 1, 40][(rng.next_u64() % 5) as usize]);
+            }
+            // One for the next tick keeps the rounds going once the burst
+            // has been eaten.
+            p.push(TICK);
+            for _ in 0..(rng.next_u64() % 12) {
+                p.pop();
+            }
+        }
+        p.drain();
+    }
+
+    /// The run loop never schedules into the past, but the queue's answer
+    /// is defined anyway (and is the reference heap's): such an entry is
+    /// the next one out.
+    #[test]
+    fn entry_earlier_than_the_last_pop_is_next_out() {
+        let mut p = Pair::starting_at(0);
+        p.push_at(7 * TICK + 500);
+        p.push_at(7 * TICK + 600);
+        assert!(p.pop());
+        p.push_at(7 * TICK + 100);
+        p.push_at(2 * TICK);
+        p.drain();
+        assert_eq!(p.now, 7 * TICK + 600);
+    }
+
+    /// Hour-scale times: an empty wheel jumps straight to a `far` entry,
+    /// the last representable instant included, and keeps ordering near
+    /// events scheduled from there.
+    #[test]
+    fn hour_scale_times_and_a_jump_from_an_empty_wheel() {
+        const HOUR: u64 = 3_600_000_000_000;
+        let mut p = Pair::starting_at(3 * HOUR);
+        p.push(2 * HOUR);
+        p.push(2 * HOUR + 7);
+        p.push_at(u64::MAX);
+        assert!(p.pop());
+        assert_eq!(p.now, 5 * HOUR);
+        assert_eq!(p.q.next_tick, tick_of(SimTime::from_nanos(5 * HOUR)) + 1);
+        // From here, near events around the jumped-to instant.
+        for delta in [3 * TICK, 0, HORIZON - 1, 12, HORIZON + TICK, TICK - 1] {
+            p.push(delta);
+        }
+        p.drain();
+        assert_eq!(p.now, u64::MAX);
+        // A drained queue starts again from wherever the next entry is.
+        p.push_at(u64::MAX);
+        p.drain();
+    }
+
+    /// Skipping empty buckets by bitmap must not overtake `far`: an entry
+    /// that was beyond the horizon when pushed is in the wheel before a
+    /// later-pushed, later-timed wheel entry can be chosen — also when its
+    /// bucket is the one that has just been drained, and when the wheel's
+    /// last in-horizon bucket sits below the start position in the bitmap.
+    #[test]
+    fn bitmap_skip_never_passes_a_far_entry() {
+        let mut p = Pair::starting_at(0);
+        let x = 100 * TICK + 5;
+        p.push_at(x);
+        p.push_at(x + HORIZON); // `far`; same bucket index as `x`
+        p.push_at(x + HORIZON + 3 * TICK); // `far`
+        assert_eq!(p.q.far.len(), 2);
+        assert!(p.pop());
+        // `x`'s bucket opened: the horizon moved one tick and covers the
+        // first `far` entry only.
+        assert_eq!(p.q.far.len(), 1);
+        p.push_at(x + HORIZON - TICK); // last in-horizon tick, bit 36 < 37
+        p.push_at(x + HORIZON + 1); // shares the re-used bucket
+        p.push_at(x + HORIZON / 2);
+        assert!(p.pop());
+        assert_eq!(p.now, x + HORIZON / 2);
+        assert_eq!(p.q.far.len(), 0, "the skip pulled the rest of `far` in");
+        p.push_at(x + HORIZON + 4 * TICK); // wheel, later than the old `far`
+        p.push_at(x + HORIZON + 2 * TICK);
+        p.drain();
+        assert_eq!(p.now, x + HORIZON + 4 * TICK);
     }
 }

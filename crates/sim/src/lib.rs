@@ -12,7 +12,7 @@
 //! * stateful firewall/NAT middleboxes with idle timeouts ([`Firewall`]),
 //! * scripted deterministic network dynamics — link parameter changes,
 //!   link/interface flaps, middlebox control — executed through the
-//!   calendar event queue ([`DynamicsScript`], [`dynamics`]), plus a
+//!   event queue ([`DynamicsScript`], [`dynamics`]), plus a
 //!   typed `tc`-style impairment language that compiles onto it
 //!   ([`Netem`], [`netem`]),
 //! * a tracing facility equivalent to running tcpdump on every link

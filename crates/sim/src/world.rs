@@ -9,8 +9,8 @@
 //!
 //! # Event ordering and timers
 //!
-//! Events execute in strict `(time, insertion order)` order via a calendar
-//! queue (`crate::equeue`). Timers armed through [`Ctx::set_timer_after`]
+//! Events execute in strict `(time, insertion order)` order via a timing
+//! wheel (`crate::equeue`). Timers armed through [`Ctx::set_timer_after`]
 //! return a [`TimerHandle`] and can be cancelled with [`Ctx::cancel_timer`];
 //! cancellation is *lazy* — the queue entry stays until its expiry instant
 //! and still counts as one processed event when it pops (so enabling
@@ -674,7 +674,7 @@ impl Simulator {
 
     /// Install a dynamics script — a [`DynamicsScript`] or anything that
     /// compiles into one, e.g. a [`crate::netem::NetemScript`]. Every
-    /// entry becomes a calendar-queue event at its scheduled time.
+    /// entry becomes an event-queue entry at its scheduled time.
     ///
     /// The ordering policy decides what happens to out-of-order scripts:
     /// [`InstallPolicy::Sort`] stably sorts entries by time first (ties
@@ -1478,5 +1478,56 @@ mod tests {
             summary.peak_queue
         );
         assert_eq!(sim.core.live_timer_count(), 0);
+    }
+
+    /// Lazy cancellation as the event queue sees it: a cancelled timer —
+    /// in the wheel or a revolution away — stays queued, pops exactly once
+    /// at its expiry without reaching the node, and its slot is reused.
+    #[test]
+    fn cancelled_timers_pop_once_at_expiry_and_slots_recycle() {
+        struct Churn {
+            ticks: u64,
+        }
+        impl Churn {
+            const TICKS: u64 = 100;
+        }
+        impl Node for Churn {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                for after in [Duration::from_millis(300), Duration::from_secs(2)] {
+                    let h = ctx.set_timer_after(after, 0);
+                    assert!(ctx.cancel_timer(h));
+                }
+                ctx.set_timer_after(Duration::from_millis(1), 1);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+                assert_eq!(token, 1, "a cancelled timer reached the node");
+                self.ticks += 1;
+                let h = ctx.set_timer_after(Duration::from_millis(50), 0);
+                assert!(ctx.cancel_timer(h));
+                if self.ticks < Self::TICKS {
+                    ctx.set_timer_after(Duration::from_millis(1), 1);
+                }
+            }
+            fn on_packet(&mut self, _: &mut Ctx<'_>, _: IfaceId, _: Packet) {}
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut sim = Simulator::new(5);
+        sim.add_node(Box::new(Churn { ticks: 0 }));
+        let summary = sim.run();
+        assert_eq!(summary.reason, StopReason::Idle);
+        // Start + 100 ticks + the 100 + 2 cancelled entries, each once.
+        assert_eq!(summary.events, 1 + 2 * Churn::TICKS + 2);
+        // The queue drains when its last entry — cancelled at t = 0 — expires.
+        assert_eq!(summary.ended_at, SimTime::from_secs(2));
+        // Inside a tick handler: 49 earlier cancelled 50 ms entries not yet
+        // expired, the new one, the next tick and the two long ones.
+        assert_eq!(summary.peak_queue, 53);
+        assert_eq!(sim.core.queue.slab_len(), summary.peak_queue);
+        assert_eq!(sim.core.queue_depth(), 0);
     }
 }

@@ -4,7 +4,7 @@
 //! stream). They are used at two levels: per subflow (subflow sequence
 //! space) and once per connection (MPTCP data-sequence space).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::{Bytes, BytesMut};
 
@@ -134,6 +134,14 @@ impl SendBuffer {
         out.freeze()
     }
 
+    /// Drop everything buffered and the storage behind it (connection
+    /// close). Offsets stay where they were: the head moves up to the tail.
+    pub fn clear(&mut self) {
+        self.head += self.len;
+        self.len = 0;
+        self.chunks = VecDeque::new();
+    }
+
     /// Release all bytes below `upto` (they were cumulatively acknowledged).
     /// Offsets at or below the current head are ignored.
     pub fn release_until(&mut self, upto: u64) {
@@ -163,9 +171,11 @@ impl SendBuffer {
 /// stream exactly once.
 ///
 /// In-order arrivals (the no-loss steady state, i.e. almost every data
-/// segment of a simulation) bypass the `BTreeMap` entirely: they go
-/// straight into a ring-buffered ready queue whose capacity is retained
-/// across events, so the hot path performs no per-segment allocation.
+/// segment of a simulation) go straight into a ring-buffered ready queue;
+/// out-of-order ones wait in a second ring kept sorted by offset. With
+/// several subflows over unequal paths the connection-level queue goes
+/// empty and non-empty again constantly, and both rings keep their capacity
+/// across that, so neither path allocates per segment.
 #[derive(Debug, Default)]
 pub struct Reassembly {
     /// Next offset the consumer expects (end of the ready queue).
@@ -175,9 +185,9 @@ pub struct Reassembly {
     ready_off: u64,
     /// Contiguous in-order chunks awaiting [`Reassembly::pop_next`].
     ready: VecDeque<Bytes>,
-    /// Pending out-of-order segments, keyed by start offset. Invariant:
-    /// entries are disjoint and all end after `next`.
-    segs: BTreeMap<u64, Bytes>,
+    /// Pending out-of-order segments as `(start offset, bytes)`, sorted by
+    /// start. Invariant: entries are disjoint and all start after `next`.
+    segs: VecDeque<(u64, Bytes)>,
     /// Bytes currently buffered out of order.
     buffered: u64,
 }
@@ -195,7 +205,7 @@ impl Reassembly {
             next,
             ready_off: next,
             ready: VecDeque::new(),
-            segs: BTreeMap::new(),
+            segs: VecDeque::new(),
             buffered: 0,
         }
     }
@@ -233,14 +243,17 @@ impl Reassembly {
             off = self.next;
         }
         // In-order fast path: exactly the expected offset with nothing
-        // buffered out of order — straight into the ready queue, no tree.
+        // buffered out of order — straight into the ready queue.
         if off == self.next && self.segs.is_empty() {
             self.next = off + data.len() as u64;
             self.ready.push_back(data);
             return;
         }
+        // Where the segment goes: after every entry starting at or below
+        // `off`.
+        let i = self.segs.partition_point(|s| s.0 <= off);
         // Trim against the predecessor segment.
-        if let Some((&p_off, p_data)) = self.segs.range(..=off).next_back() {
+        if let Some((p_off, p_data)) = i.checked_sub(1).map(|p| &self.segs[p]) {
             let p_end = p_off + p_data.len() as u64;
             if p_end > off {
                 let skip = p_end - off;
@@ -251,36 +264,27 @@ impl Reassembly {
                 off = p_end;
             }
         }
-        // Swallow or trim successor segments that we now cover.
+        // Swallow the successor segments that we now cover entirely, and
+        // keep the tail of one we cover in part.
         let end = off + data.len() as u64;
-        while let Some((&s_off, s_data)) = self.segs.range(off..).next() {
-            if s_off >= end {
-                break;
-            }
-            let s_len = s_data.len() as u64;
-            let s_end = s_off + s_len;
-            if s_end <= end {
-                // Fully covered: drop it.
-                self.segs.remove(&s_off);
-                self.buffered -= s_len;
-            } else {
-                // Partially covered: keep its tail.
-                let tail = s_data.slice((end - s_off) as usize..);
-                self.segs.remove(&s_off);
-                self.buffered -= s_len;
-                self.buffered += tail.len() as u64;
-                self.segs.insert(end, tail);
-                break;
-            }
+        let seg_end = |(s_off, s_data): &(u64, Bytes)| s_off + s_data.len() as u64;
+        let mut covered = i;
+        while self.segs.get(covered).is_some_and(|s| seg_end(s) <= end) {
+            self.buffered -= self.segs[covered].1.len() as u64;
+            covered += 1;
+        }
+        self.segs.drain(i..covered);
+        if let Some((s_off, s_data)) = self.segs.get_mut(i).filter(|s| s.0 < end) {
+            let cut = end - *s_off;
+            *s_data = s_data.slice(cut as usize..);
+            *s_off = end;
+            self.buffered -= cut;
         }
         self.buffered += data.len() as u64;
-        self.segs.insert(off, data);
+        self.segs.insert(i, (off, data));
         // Lift whatever became contiguous into the ready queue.
-        while let Some((&s_off, _)) = self.segs.first_key_value() {
-            if s_off != self.next {
-                break;
-            }
-            let (_, d) = self.segs.pop_first().unwrap();
+        while self.segs.front().is_some_and(|s| s.0 == self.next) {
+            let (_, d) = self.segs.pop_front().expect("front was just seen");
             self.next += d.len() as u64;
             self.buffered -= d.len() as u64;
             self.ready.push_back(d);
@@ -386,6 +390,17 @@ mod tests {
     }
 
     #[test]
+    fn send_buffer_clear_drops_data_and_storage_but_not_offsets() {
+        let mut sb = SendBuffer::with_capacity(100);
+        sb.write(b(b"abcdef"));
+        sb.release_until(2);
+        sb.clear();
+        assert!(sb.is_empty());
+        assert_eq!((sb.head_offset(), sb.tail_offset(), sb.free()), (6, 6, 100));
+        assert_eq!(sb.chunks.capacity(), 0);
+    }
+
+    #[test]
     #[should_panic(expected = "outside buffered")]
     fn send_buffer_slice_released_panics() {
         let mut sb = SendBuffer::with_capacity(100);
@@ -458,6 +473,26 @@ mod tests {
     }
 
     #[test]
+    fn reassembly_hole_queue_keeps_its_storage() {
+        // Pairs arriving swapped: the out-of-order queue goes non-empty and
+        // empty again on every pair and must not give its ring back.
+        let mut r = Reassembly::new();
+        let mut cap = 0;
+        for pair in 0..100u64 {
+            r.insert(pair * 4 + 2, b(b"cd"));
+            assert!(r.has_hole());
+            if pair == 0 {
+                cap = r.segs.capacity();
+            }
+            r.insert(pair * 4, b(b"ab"));
+            assert!(!r.has_hole());
+            assert_eq!(r.pop_ready().concat(), b"abcd");
+        }
+        assert!(cap > 0);
+        assert_eq!(r.segs.capacity(), cap);
+    }
+
+    #[test]
     fn reassembly_starting_offset() {
         let mut r = Reassembly::starting_at(100);
         r.insert(50, b(b"old")); // entirely stale
@@ -516,11 +551,22 @@ mod prop {
 
             let mut r = Reassembly::new();
             let mut out: Vec<u8> = Vec::new();
+            // Model: which bytes have been offered so far.
+            let mut seen = vec![false; n];
             for (s, e) in shuffled {
                 r.insert(s as u64, Bytes::from(stream[s..e].to_owned()));
                 for chunk in r.pop_ready() {
                     out.extend_from_slice(&chunk);
                 }
+                // After every insert the queue has delivered exactly the
+                // gap-free prefix and holds each later byte once.
+                seen[s..e].fill(true);
+                let prefix = seen.iter().position(|&b| !b).unwrap_or(n);
+                let held = seen[prefix..].iter().filter(|&&b| b).count();
+                prop_assert_eq!(r.next_expected(), prefix as u64);
+                prop_assert_eq!(out.len(), prefix);
+                prop_assert_eq!(r.buffered_bytes(), held as u64);
+                prop_assert_eq!(r.has_hole(), held > 0);
             }
             prop_assert_eq!(out, stream);
             prop_assert_eq!(r.buffered_bytes(), 0);

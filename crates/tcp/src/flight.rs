@@ -174,10 +174,16 @@ impl<T> Flight<T> {
         self.segs.iter()
     }
 
-    /// Drop all state (connection abort).
+    /// Segments the tracker has room for without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.segs.capacity()
+    }
+
+    /// Drop all state and the storage behind it (subflow death): a closed
+    /// subflow sends nothing again, and a world keeps its connection
+    /// objects until it is dropped.
     pub fn clear(&mut self) {
-        self.segs.clear();
-        self.in_flight = 0;
+        *self = Self::default();
     }
 }
 
@@ -261,8 +267,10 @@ mod tests {
     fn clear_resets() {
         let mut f: Flight<()> = Flight::new();
         f.on_send(0, 10, t(0), ());
+        assert!(f.capacity() > 0);
         f.clear();
         assert!(f.is_empty());
+        assert_eq!(f.capacity(), 0, "clear gives the ring back");
         assert_eq!(f.bytes_in_flight(), 0);
         assert_eq!(f.mark_head_retransmitted(t(1)), None);
     }
