@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the hot paths: wire codecs, stream taps,
 //! crypto, the send buffer, reassembly, schedulers, netlink framing, ECMP
-//! hashing and the raw simulator event loop.
+//! hashing, the event queue and the raw simulator event loop.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -138,6 +138,24 @@ fn bench_reassembly(c: &mut Criterion) {
             black_box(r.pop_ready());
         })
     });
+    // The connection-level queue over unequal paths: neighbours arrive
+    // swapped, so the hole queue goes non-empty and empty again per pair.
+    g.bench_function("swapped_pairs_1000x1400", |b| {
+        let chunk = Bytes::from(vec![0u8; 1400]);
+        let mut r = Reassembly::new();
+        let mut base = 0u64;
+        b.iter(|| {
+            for pair in 0..500u64 {
+                let off = base + pair * 2800;
+                r.insert(off + 1400, chunk.clone());
+                r.insert(off, chunk.clone());
+                while let Some(c) = r.pop_next() {
+                    black_box(c);
+                }
+            }
+            base += 500 * 2800;
+        })
+    });
     g.finish();
 }
 
@@ -190,6 +208,136 @@ fn bench_ecmp_hash(c: &mut Criterion) {
         proto: 6,
     };
     c.bench_function("ecmp_hash", |b| b.iter(|| black_box(&key).ecmp_hash(7)));
+}
+
+/// The event queue, driven the only way it can be from outside the `sim`
+/// crate: a node whose timers are the whole workload.
+fn bench_event_queue(c: &mut Criterion) {
+    use smapp_sim::{Ctx, IfaceId, Node, Packet, Simulator, TimerHandle};
+    use std::any::Any;
+    use std::time::Duration;
+
+    /// Hold model: `pending` timers outstanding; each expiry schedules one
+    /// more `base + rng % spread` nanoseconds ahead until `left` runs out.
+    struct Hold {
+        pending: usize,
+        left: u64,
+        base: u64,
+        spread: u64,
+    }
+    impl Hold {
+        fn arm(&mut self, ctx: &mut Ctx<'_>) {
+            let after = self.base + ctx.rng().next_u64() % self.spread;
+            ctx.set_timer_after(Duration::from_nanos(after), 0);
+        }
+    }
+    impl Node for Hold {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for _ in 0..self.pending {
+                self.arm(ctx);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _: u64) {
+            if self.left > 0 {
+                self.left -= 1;
+                self.arm(ctx);
+            }
+        }
+        fn on_packet(&mut self, _: &mut Ctx<'_>, _: IfaceId, _: Packet) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// What an ACK clock does to a retransmission timer: every tick cancels
+    /// the pending 200 ms timer and arms a new one.
+    struct Rearm {
+        rto: Option<TimerHandle>,
+        left: u64,
+    }
+    impl Node for Rearm {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer_after(Duration::from_micros(100), 1);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            if token != 1 {
+                return;
+            }
+            if let Some(old) = self.rto.take() {
+                ctx.cancel_timer(old);
+            }
+            self.rto = Some(ctx.set_timer_after(Duration::from_millis(200), 0));
+            if self.left > 0 {
+                self.left -= 1;
+                ctx.set_timer_after(Duration::from_micros(100), 1);
+            }
+        }
+        fn on_packet(&mut self, _: &mut Ctx<'_>, _: IfaceId, _: Packet) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    fn run(node: impl Node + 'static) -> u64 {
+        let mut sim = Simulator::new(1);
+        sim.add_node(Box::new(node));
+        sim.run().events
+    }
+
+    const EVENTS: u64 = 100_000;
+    let mut g = c.benchmark_group("event_queue");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(EVENTS));
+    // (name, base ns, spread ns): a few buckets ahead, inside the open
+    // bucket, and at retransmission-timeout distance.
+    for (name, base, spread) in [
+        ("hold_1k_near", 100_000, 2_000_000),
+        ("hold_1k_same_bucket", 0, 50_000),
+        ("hold_1k_rto_scale", 200_000_000, 800_000_000),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                run(Hold {
+                    pending: 1_000,
+                    left: EVENTS - 1_000,
+                    base,
+                    spread,
+                })
+            })
+        });
+    }
+    g.bench_function("cancel_and_rearm", |b| {
+        b.iter(|| {
+            run(Rearm {
+                rto: None,
+                left: EVENTS / 2,
+            })
+        })
+    });
+    // World turnover: what a sweep of short worlds pays per world for the
+    // queue's fixed tables.
+    g.throughput(Throughput::Elements(240));
+    g.bench_function("build_and_drain_240_short_worlds", |b| {
+        b.iter(|| {
+            (0..240)
+                .map(|_| {
+                    run(Hold {
+                        pending: 16,
+                        left: 100,
+                        base: 100_000,
+                        spread: 2_000_000,
+                    })
+                })
+                .sum::<u64>()
+        })
+    });
+    g.finish();
 }
 
 fn bench_simulator(c: &mut Criterion) {
@@ -251,6 +399,7 @@ criterion_group!(
     bench_scheduler,
     bench_netlink,
     bench_ecmp_hash,
+    bench_event_queue,
     bench_simulator
 );
 criterion_main!(micro);

@@ -469,7 +469,7 @@ mod tests {
 
     #[test]
     fn alloc_ceiling_breach_fails() {
-        // 0.50 allocs/event against fig2c's 0.08 ceiling.
+        // 0.50 allocs/event against fig2c's 0.041 ceiling.
         let json = sample("true", "null", 10_000_000);
         let hot = patch_fig2c_row(
             &json,

@@ -76,7 +76,10 @@ pub struct Cdn;
 
 impl Scenario for Cdn {
     const NAME: &'static str = "cdn";
-    const ALLOC_CEILING: f64 = 1.10;
+    // PR 24 (wheel event queue, allocation-free reassembly ring, crypto and
+    // netlink lookups): 0.552 -> 0.280 full, 0.686 -> 0.350 smoke;
+    // ceiling is 2x the higher one.
+    const ALLOC_CEILING: f64 = 0.70;
     type Params = Params;
     type Results = Results;
 

@@ -66,7 +66,10 @@ pub struct Fig2a;
 
 impl Scenario for Fig2a {
     const NAME: &'static str = "fig2a";
-    const ALLOC_CEILING: f64 = 0.35;
+    // PR 24 (wheel event queue, allocation-free reassembly ring, crypto and
+    // netlink lookups): 0.026 -> 0.015 full, 0.213 -> 0.140 smoke;
+    // ceiling is 2x the higher one.
+    const ALLOC_CEILING: f64 = 0.28;
     type Params = Params;
     type Results = Results;
 

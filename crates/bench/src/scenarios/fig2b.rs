@@ -61,7 +61,10 @@ pub struct Fig2b;
 
 impl Scenario for Fig2b {
     const NAME: &'static str = "fig2b";
-    const ALLOC_CEILING: f64 = 0.25;
+    // PR 24 (wheel event queue, allocation-free reassembly ring, crypto and
+    // netlink lookups): 0.041 -> 0.024 full, 0.107 -> 0.064 smoke;
+    // ceiling is 2x the higher one.
+    const ALLOC_CEILING: f64 = 0.13;
     type Params = Params;
     type Results = Vec<f64>;
 

@@ -73,7 +73,10 @@ pub struct Fig3;
 
 impl Scenario for Fig3 {
     const NAME: &'static str = "fig3";
-    const ALLOC_CEILING: f64 = 0.15;
+    // PR 24 (wheel event queue, allocation-free reassembly ring, crypto and
+    // netlink lookups): 0.026 -> 0.015 full, 0.035 -> 0.018 smoke;
+    // ceiling is 2x the higher one.
+    const ALLOC_CEILING: f64 = 0.037;
     type Params = Params;
     type Results = Results;
 

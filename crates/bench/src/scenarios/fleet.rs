@@ -130,7 +130,10 @@ pub struct Fleet;
 
 impl Scenario for Fleet {
     const NAME: &'static str = "fleet";
-    const ALLOC_CEILING: f64 = 0.55;
+    // PR 24 (wheel event queue, allocation-free reassembly ring, crypto and
+    // netlink lookups): 0.143 -> 0.102 full, 0.350 -> 0.217 smoke;
+    // ceiling is 2x the higher one.
+    const ALLOC_CEILING: f64 = 0.44;
     type Params = Params;
     type Results = FleetStats;
 

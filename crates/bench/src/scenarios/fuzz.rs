@@ -20,7 +20,10 @@ pub struct Fuzz;
 
 impl Scenario for Fuzz {
     const NAME: &'static str = "fuzz";
-    const ALLOC_CEILING: f64 = 0.90;
+    // PR 24 (wheel event queue, allocation-free reassembly ring, crypto and
+    // netlink lookups): 0.462 -> 0.334 full, 0.522 -> 0.411 smoke;
+    // ceiling is 2x the higher one.
+    const ALLOC_CEILING: f64 = 0.83;
     /// A case is derived from its seed alone.
     type Params = ();
     type Results = CaseOutcome;

@@ -77,7 +77,10 @@ pub struct Handover;
 
 impl Scenario for Handover {
     const NAME: &'static str = "handover";
-    const ALLOC_CEILING: f64 = 0.20;
+    // PR 24 (wheel event queue, allocation-free reassembly ring, crypto and
+    // netlink lookups): 0.029 -> 0.014 full, 0.057 -> 0.032 smoke;
+    // ceiling is 2x the higher one.
+    const ALLOC_CEILING: f64 = 0.063;
     type Params = Params;
     type Results = Results;
 

@@ -65,7 +65,10 @@ pub struct Middlebox;
 
 impl Scenario for Middlebox {
     const NAME: &'static str = "middlebox";
-    const ALLOC_CEILING: f64 = 0.20;
+    // PR 24 (wheel event queue, allocation-free reassembly ring, crypto and
+    // netlink lookups): 0.015 -> 0.009 full, 0.059 -> 0.035 smoke;
+    // ceiling is 2x the higher one.
+    const ALLOC_CEILING: f64 = 0.07;
     type Params = Params;
     type Results = Results;
 

@@ -61,7 +61,10 @@ pub struct Sec42;
 
 impl Scenario for Sec42 {
     const NAME: &'static str = "sec42";
-    const ALLOC_CEILING: f64 = 0.15;
+    // PR 24 (wheel event queue, allocation-free reassembly ring, crypto and
+    // netlink lookups): 0.011 -> 0.006 full, 0.038 -> 0.022 smoke;
+    // ceiling is 2x the higher one.
+    const ALLOC_CEILING: f64 = 0.044;
     type Params = Params;
     type Results = Results;
 
