@@ -134,7 +134,7 @@ impl Connection {
         self.state = ConnState::Closed;
         self.stats.closed_at = Some(now);
         self.meta_send.clear();
-        self.meta_recv = smapp_tcp::Reassembly::starting_at(self.meta_recv.next_expected());
+        self.meta_recv.clear();
         self.reinject = ReinjectQueue::default();
         events.push(PmEvent::ConnClosed { token: self.token });
         if let Some(app) = self.app.as_mut() {

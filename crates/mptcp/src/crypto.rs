@@ -66,7 +66,7 @@ impl Sha1 {
         let bit_len = self.len * 8;
         self.block[self.fill] = 0x80;
         self.block[self.fill + 1..].fill(0);
-        if self.fill + 1 > BLOCK_LEN - 8 {
+        if self.fill >= BLOCK_LEN - 8 {
             // No room left for the length: it goes in a block of its own.
             compress(&mut self.h, &self.block);
             self.block.fill(0);

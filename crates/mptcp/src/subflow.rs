@@ -317,7 +317,7 @@ impl Subflow {
     /// sequence state the diag dump reads stays.
     pub fn release_buffers(&mut self) {
         self.flight.clear();
-        self.reasm = Reassembly::starting_at(self.reasm.next_expected());
+        self.reasm.clear();
         self.recv_maps = VecDeque::new();
     }
 

@@ -23,7 +23,15 @@
 //!   the wheel as it turns.
 //!
 //! The slab's free slots are chained through the same `next` field, so the
-//! queue's only growable storage is the slab, `current` and (rarely) `far`.
+//! queue's only growable storage is the slab, `current` and (rarely) `far`;
+//! its fixed tables are 66 KiB (`heads` 64 KiB, the bitmap 2 KiB).
+//!
+//! What it costs instead: a bucket is sorted when it opens and an insertion
+//! into the open one moves the keys behind it, so the price per event grows
+//! with the number of events *in one tick* — a handful in every scenario
+//! of the tree, where the old heap's grew with the whole queue. A world
+//! with hundreds of events per 65 µs would be better served by a heap (the
+//! `event_queue/hold_1k_same_bucket` micro-benchmark is that world).
 //!
 //! Ordering is **exactly** the `(at, seq)` order a single heap would
 //! produce: the structures partition time (`current` < wheel < `far`) and a
@@ -172,8 +180,10 @@ impl<E> EventQueue<E> {
             self.free = std::mem::replace(&mut self.slab[s as usize], entry).next;
             s
         } else {
-            let s = u32::try_from(self.slab.len()).expect("fewer than 2^32 queued events");
-            assert!(s != NIL, "fewer than 2^32 - 1 queued events");
+            let s = u32::try_from(self.slab.len())
+                .ok()
+                .filter(|&s| s != NIL)
+                .expect("fewer than 2^32 - 1 events queued at once");
             self.slab.push(entry);
             s
         };
@@ -186,9 +196,7 @@ impl<E> EventQueue<E> {
             self.far.push(Reverse(Key { at, seq, slot }));
         }
         self.len += 1;
-        if self.len > self.peak_len {
-            self.peak_len = self.len;
-        }
+        self.peak_len = self.peak_len.max(self.len);
     }
 
     /// Time of the earliest entry, advancing the wheel as needed.
@@ -277,9 +285,6 @@ impl<E> EventQueue<E> {
             });
             s = slot.next;
         }
-        // The list is newest-first and events are mostly scheduled in time
-        // order: reversed, the sort's input is nearly sorted.
-        self.current.reverse();
         self.current.sort_unstable();
         // The horizon moves with `next_tick`; whatever of `far` it now
         // covers must be in the wheel before the next bucket is chosen.

@@ -225,6 +225,12 @@ impl Reassembly {
         !self.segs.is_empty()
     }
 
+    /// Drop everything buffered, in order or not, and the storage behind it
+    /// (subflow death, connection close). The expected offset stays.
+    pub fn clear(&mut self) {
+        *self = Self::starting_at(self.next);
+    }
+
     /// Offer a segment at `off`. Duplicate and overlapping bytes are
     /// discarded; new bytes are retained.
     pub fn insert(&mut self, off: u64, data: Bytes) {
@@ -490,6 +496,19 @@ mod tests {
         }
         assert!(cap > 0);
         assert_eq!(r.segs.capacity(), cap);
+    }
+
+    #[test]
+    fn reassembly_clear_drops_data_and_storage_but_not_the_offset() {
+        let mut r = Reassembly::new();
+        r.insert(0, b(b"ab"));
+        r.insert(4, b(b"ef"));
+        r.clear();
+        assert_eq!((r.next_expected(), r.buffered_bytes()), (2, 0));
+        assert!(!r.has_hole() && r.pop_next().is_none());
+        assert_eq!((r.ready.capacity(), r.segs.capacity()), (0, 0));
+        r.insert(2, b(b"cd"));
+        assert_eq!(r.pop_next(), Some((2, b(b"cd"))));
     }
 
     #[test]
