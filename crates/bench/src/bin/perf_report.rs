@@ -5,7 +5,8 @@
 //! the deterministic multi-core sweep engine, twice: once at `--jobs 1`
 //! for single-thread throughput and allocations/event, once at `--jobs N`
 //! for aggregate matrix wall-time — asserting the two passes produce
-//! bit-identical trajectories. Writes `BENCH_PR12.json`.
+//! bit-identical trajectories. Prints the per-row table; writes the report
+//! JSON only when given `--out`.
 //!
 //! Usage:
 //!
@@ -39,25 +40,15 @@ fn main() {
     let out = args
         .iter()
         .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| {
-            if smoke {
-                // Never let a smoke run silently clobber the recorded
-                // full-run benchmark artifact in the repo root.
-                std::env::temp_dir()
-                    .join("perf_smoke.json")
-                    .to_string_lossy()
-                    .into_owned()
-            } else {
-                "BENCH_PR12.json".to_string()
-            }
-        });
+        .and_then(|i| args.get(i + 1));
 
     let report = perf::run_all(smoke, jobs);
     print!("{}", report.render());
 
-    std::fs::write(&out, report.to_json()).expect("write report JSON");
-    println!("wrote {out}");
+    if let Some(out) = out {
+        std::fs::write(out, report.to_json()).expect("write report JSON");
+        println!("wrote {out}");
+    }
 
     if !report.parallel_parity {
         eprintln!("FATAL: --jobs {jobs} trajectories diverged from --jobs 1");

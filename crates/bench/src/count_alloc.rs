@@ -5,10 +5,9 @@
 //! shows up as wall-time only under different heap states or allocators).
 //! Every bench binary installs [`CountingAlloc`] as its `#[global_allocator]`;
 //! the perf harness snapshots [`allocs`] around each single-threaded matrix
-//! cell and reports **allocations per simulated event** in the committed
-//! `BENCH_*.json` trajectory, so future PRs can see allocator-pressure
-//! regressions, not just wall-time — and [`crate::gate::check`] fails the
-//! build when a scenario's figure regresses past its committed
+//! cell and reports **allocations per simulated event** per row, and the
+//! tier-1 `tests/alloc_ceilings.rs` fails the build when a row's figure
+//! regresses past its scenario's committed
 //! [`ALLOC_CEILING`](crate::scenarios::Scenario::ALLOC_CEILING).
 //!
 //! Beside the call counter it tracks the bytes currently allocated and

@@ -56,7 +56,8 @@ pub fn paper_matrix(smoke: bool) -> Matrix {
 /// row's trajectory — the sweep erases the probed run's typed
 /// `FleetStats`, and the only typed fleet run [`run_all`] makes itself is
 /// the *unprobed* one. A missing or unparseable token reads as zeros —
-/// the gate then fails on `probes == 0` rather than silently passing.
+/// the smoke-report test then fails on `probes == 0` rather than
+/// silently passing.
 fn fleet_diag_in(trajectory: &str) -> (u64, u64, u64) {
     let Some(tok) = trajectory
         .split_whitespace()
@@ -148,7 +149,7 @@ pub struct PerfReport {
     /// Calendar events the probed fleet run processed beyond an unprobed
     /// run of the same seed — the whole cost of the introspection plane.
     /// Probes are read-only, so this is exactly one event per probe on a
-    /// healthy build (the gate enforces `extra_events <= probes`).
+    /// healthy build (the smoke-report test asserts equality).
     pub diag_extra_events: u64,
     /// Whether every fig2c seed reproduced the baseline trajectory
     /// (full mode only).
@@ -502,18 +503,6 @@ mod tests {
             json.matches('}').count(),
             "JSON braces balance"
         );
-        // End-to-end through the CI gate parser: the real serialized
-        // report must parse and pass (throughput check disabled — this is
-        // a debug build).
-        let verdict = crate::gate::check(&json, 0.0);
-        assert!(
-            verdict.passed(),
-            "gate must pass on a healthy smoke report: {:?}",
-            verdict.failures
-        );
-        assert_eq!(verdict.parallel_parity, Some(true));
-        assert_eq!(verdict.fig2c_parity, None, "smoke emits null");
-        assert_eq!(verdict.scenario_names.len(), r.scenarios.len());
         let _ = r.render();
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! The generator lives in [`crate::fuzz`]; this module is the thin
 //! scenario adapter that puts a slice of the committed fixed-seed corpus
-//! into the perf/sweep matrix, so every `perf_report` run (and therefore
-//! every CI build, via `perf_gate`) executes generated scenarios with the
+//! into the perf/sweep matrix, so every `perf_report` run and every
+//! registry-driven tier-1 test executes generated scenarios with the
 //! oracle enabled alongside the hand-written ones. The full corpus runs in
 //! the dedicated `fuzz` binary / CI job.
 
@@ -15,7 +15,8 @@ use crate::fuzz::{default_corpus, run_case, CaseOutcome};
 /// it goes through [`run_case`] rather than the shared checked runner,
 /// because a fuzz case must *report* its violations (in
 /// [`CaseOutcome::violations`]; a `viol=` count other than zero fails the
-/// CI gate) instead of panicking on the first one.
+/// tier-1 `oracle_clean` and smoke-report tests) instead of panicking on
+/// the first one.
 pub struct Fuzz;
 
 impl Scenario for Fuzz {

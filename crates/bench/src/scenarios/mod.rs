@@ -8,9 +8,10 @@
 //! its parameters, its matrix rows, how one seed runs and how that run
 //! renders as a trajectory string. The `registry!` invocation at the
 //! bottom of this file is the **only** list of scenarios: it declares the
-//! modules and builds [`REGISTRY`], which the perf matrix, the CI gate,
-//! the alloc-ceiling test, the oracle-clean smoke and the jobs-parity
-//! test all iterate. Adding a scenario is one file plus one registry line.
+//! modules and builds [`REGISTRY`], which the perf matrix, the
+//! alloc-ceiling test, the oracle-clean smoke, the smoke golden and the
+//! jobs-parity test all iterate. Adding a scenario is one file plus one
+//! registry line.
 
 use smapp_mptcp::apps::{BulkSender, Sink};
 use smapp_mptcp::StackConfig;
@@ -52,8 +53,8 @@ pub trait Scenario {
     /// Committed `allocs_per_event` ceiling, pinned just above the PR-10
     /// measured values (smoke and full mode, whichever is higher — short
     /// smoke runs amortize setup allocations over fewer events). Every
-    /// variant shares it; the tier-1 `alloc_ceilings` test and
-    /// [`crate::gate::check`] both enforce it.
+    /// variant shares it; the tier-1 `alloc_ceilings` test holds each
+    /// `scenario/variant` row of the smoke matrix under it.
     const ALLOC_CEILING: f64;
     /// Everything that shapes a run except the seed.
     type Params: Clone + Send + Sync + 'static;
@@ -244,8 +245,8 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique() {
-        // The gate and the ceiling lookups key on `NAME`: two scenarios
-        // sharing one would silently merge their rows.
+        // Report rows and the ceiling lookups key on `NAME`: two
+        // scenarios sharing one would silently merge their rows.
         for (i, s) in REGISTRY.iter().enumerate() {
             assert_eq!(
                 REGISTRY.iter().position(|r| r.name == s.name),
@@ -262,7 +263,7 @@ mod tests {
             assert!(
                 (s.entries)(true).iter().any(|e| !e.seeds.is_empty()),
                 "scenario `{}` is registered but has no smoke cell — it would \
-                 silently skip the CI gate and every registry-driven test",
+                 silently skip every registry-driven test",
                 s.name
             );
         }

@@ -1,11 +1,10 @@
 //! Tier-1 allocator-pressure regression test.
 //!
-//! Installs the counting allocator and re-runs every registered scenario
-//! in smoke mode, asserting each one's measured allocations per simulated
-//! event stays under the ceiling the scenario commits to
-//! ([`smapp_bench::scenarios::Scenario::ALLOC_CEILING`]). This is the tier-1 twin of the
-//! CI `perf_gate`: the gate reads the numbers out of a release
-//! `perf_report`, this test re-measures them from scratch on every
+//! Installs the counting allocator and re-runs the smoke matrix, asserting
+//! that each `scenario/variant` row's allocations per simulated event stay
+//! under the ceiling its scenario commits to
+//! ([`smapp_bench::scenarios::Scenario::ALLOC_CEILING`]) — the same figure
+//! `perf_report` prints as `allocs/ev`, re-measured from scratch on every
 //! `cargo test`. Allocation counts are deterministic per cell (unlike
 //! wall-clock), so the assertions hold in debug builds too.
 //!
@@ -97,22 +96,31 @@ fn record_clean_hop(oracle: &mut Oracle, pkt: &Packet, t_us: u64) {
 
 #[test]
 fn scenarios_stay_under_committed_alloc_ceilings_and_oracle_is_clean() {
-    // ---- Part 1: every registered scenario under its ceiling. ----
+    // ---- Part 1: every matrix row under its scenario's ceiling. ----
     // jobs = 1: the process-wide counter is exact when cells run one at
     // a time.
-    let results = paper_matrix(true).run(1);
+    let matrix = paper_matrix(true);
+    let results = matrix.run(1);
     assert!(!results.is_empty(), "smoke matrix produced no cells");
 
-    for scenario in REGISTRY {
-        let cells = results.iter().filter(|r| r.scenario == scenario.name);
+    for entry in &matrix.entries {
+        let (scenario, variant) = (entry.scenario, entry.variant);
+        let cells = results
+            .iter()
+            .filter(|r| r.scenario == scenario && r.variant == variant);
         let (allocs, events) =
             cells.fold((0, 0), |(a, e), r| (a + r.allocs, e + r.run.summary.events));
-        let (name, ceiling) = (scenario.name, scenario.alloc_ceiling);
-        assert!(events > 0, "scenario {name} processed zero events");
+        let name = format!("{scenario}/{variant}");
+        let ceiling = REGISTRY
+            .iter()
+            .find(|s| s.name == scenario)
+            .unwrap()
+            .alloc_ceiling;
+        assert!(events > 0, "row {name} processed zero events");
         let per_event = allocs as f64 / events as f64;
         assert!(
             per_event <= ceiling,
-            "scenario {name}: {per_event:.3} allocs/event breaches the \
+            "row {name}: {per_event:.3} allocs/event breaches the \
              committed ceiling {ceiling:.2} ({allocs} allocations over \
              {events} events) — the hot path regressed allocator pressure"
         );

@@ -353,8 +353,9 @@ pub fn conn_state_from_u8(v: u8) -> ConnState {
 
 /// Version byte of the blob layout.
 const TCP_INFO_BLOB_VERSION: u8 = 1;
-/// Size of the encoded blob.
-pub const TCP_INFO_BLOB_LEN: usize = 4 + 8 * 10 + 4;
+/// Size of the encoded blob: four header bytes, ten `u64`s, `backoffs`
+/// (`u32`) and `retrans` (`u64`).
+pub const TCP_INFO_BLOB_LEN: usize = 4 + 8 * 10 + 4 + 8;
 
 fn state_to_u8(s: TcpStateInfo) -> u8 {
     match s {
@@ -395,7 +396,6 @@ pub fn encode_tcp_info(i: &TcpInfo) -> Bytes {
     b.put_u64_le(i.in_flight);
     b.put_u64_le(i.bytes_acked);
     b.put_u32_le(i.backoffs);
-    // retrans rides in the trailing u32? No: widen the blob instead.
     b.put_u64_le(i.retrans);
     b.freeze()
 }
@@ -920,115 +920,123 @@ mod tests {
         }
     }
 
-    fn roundtrip_event(ev: PmEvent) {
-        let bytes = encode_event(&ev);
-        let got = decode(&bytes).unwrap();
-        assert_eq!(got, PmNlMessage::Event(ev));
+    /// One of every event, both `AddAddrReceived` port shapes included.
+    fn events() -> Vec<PmEvent> {
+        vec![
+            PmEvent::ConnCreated {
+                token: 0xDEAD_BEEF,
+                tuple: tuple(),
+                initial_subflow: 0,
+                is_client: true,
+            },
+            PmEvent::ConnEstablished {
+                token: 1,
+                tuple: tuple(),
+                is_client: false,
+            },
+            PmEvent::ConnClosed { token: 2 },
+            PmEvent::SubflowEstablished {
+                token: 3,
+                id: 2,
+                tuple: tuple(),
+                backup: true,
+                initiated_here: false,
+            },
+            PmEvent::SubflowClosed {
+                token: 4,
+                id: 1,
+                tuple: tuple(),
+                error: SubflowError::Reset,
+            },
+            PmEvent::AddAddrReceived {
+                token: 5,
+                addr_id: 2,
+                addr: Addr::new(192, 168, 0, 9),
+                port: Some(8080),
+            },
+            PmEvent::AddAddrReceived {
+                token: 5,
+                addr_id: 2,
+                addr: Addr::new(192, 168, 0, 9),
+                port: None,
+            },
+            PmEvent::RemAddrReceived {
+                token: 6,
+                addr_id: 3,
+            },
+            PmEvent::RtoExpired {
+                token: 7,
+                id: 0,
+                current_rto: Duration::from_millis(1600),
+                backoffs: 3,
+            },
+            PmEvent::LocalAddrUp {
+                addr: Addr::new(10, 0, 9, 9),
+            },
+            PmEvent::LocalAddrDown {
+                addr: Addr::new(10, 0, 9, 9),
+            },
+        ]
     }
 
     #[test]
     fn all_events_roundtrip() {
-        roundtrip_event(PmEvent::ConnCreated {
-            token: 0xDEAD_BEEF,
-            tuple: tuple(),
-            initial_subflow: 0,
-            is_client: true,
-        });
-        roundtrip_event(PmEvent::ConnEstablished {
-            token: 1,
-            tuple: tuple(),
-            is_client: false,
-        });
-        roundtrip_event(PmEvent::ConnClosed { token: 2 });
-        roundtrip_event(PmEvent::SubflowEstablished {
-            token: 3,
-            id: 2,
-            tuple: tuple(),
-            backup: true,
-            initiated_here: false,
-        });
-        roundtrip_event(PmEvent::SubflowClosed {
-            token: 4,
-            id: 1,
-            tuple: tuple(),
-            error: SubflowError::Reset,
-        });
-        roundtrip_event(PmEvent::AddAddrReceived {
-            token: 5,
-            addr_id: 2,
-            addr: Addr::new(192, 168, 0, 9),
-            port: Some(8080),
-        });
-        roundtrip_event(PmEvent::AddAddrReceived {
-            token: 5,
-            addr_id: 2,
-            addr: Addr::new(192, 168, 0, 9),
-            port: None,
-        });
-        roundtrip_event(PmEvent::RemAddrReceived {
-            token: 6,
-            addr_id: 3,
-        });
-        roundtrip_event(PmEvent::RtoExpired {
-            token: 7,
-            id: 0,
-            current_rto: Duration::from_millis(1600),
-            backoffs: 3,
-        });
-        roundtrip_event(PmEvent::LocalAddrUp {
-            addr: Addr::new(10, 0, 9, 9),
-        });
-        roundtrip_event(PmEvent::LocalAddrDown {
-            addr: Addr::new(10, 0, 9, 9),
-        });
+        for ev in events() {
+            let got = decode(&encode_event(&ev)).unwrap();
+            assert_eq!(got, PmNlMessage::Event(ev));
+        }
     }
 
-    fn roundtrip_command(c: PmNlCommand) {
-        let bytes = encode_command(77, &c);
-        match decode(&bytes).unwrap() {
-            PmNlMessage::Command { seq, cmd } => {
-                assert_eq!(seq, 77);
-                assert_eq!(cmd, c);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+    /// One of every command, both `GetInfo` shapes included.
+    fn commands() -> Vec<PmNlCommand> {
+        vec![
+            PmNlCommand::Subscribe { mask: 0x3FF },
+            PmNlCommand::SubflowCreate {
+                token: 9,
+                src: Addr::new(10, 0, 2, 1),
+                src_port: 0,
+                dst: Addr::new(10, 0, 1, 1),
+                dst_port: 80,
+                backup: true,
+            },
+            PmNlCommand::SubflowClose {
+                token: 9,
+                id: 4,
+                reset: true,
+            },
+            PmNlCommand::SetBackup {
+                token: 9,
+                id: 1,
+                backup: false,
+            },
+            PmNlCommand::GetInfo { token: 9, id: None },
+            PmNlCommand::GetInfo {
+                token: 9,
+                id: Some(2),
+            },
+            PmNlCommand::AnnounceAddr {
+                token: 9,
+                addr_id: 5,
+                addr: Addr::new(172, 16, 0, 1),
+            },
+            PmNlCommand::WithdrawAddr {
+                token: 9,
+                addr_id: 5,
+            },
+        ]
     }
 
     #[test]
     fn all_commands_roundtrip() {
-        roundtrip_command(PmNlCommand::Subscribe { mask: 0x3FF });
-        roundtrip_command(PmNlCommand::SubflowCreate {
-            token: 9,
-            src: Addr::new(10, 0, 2, 1),
-            src_port: 0,
-            dst: Addr::new(10, 0, 1, 1),
-            dst_port: 80,
-            backup: true,
-        });
-        roundtrip_command(PmNlCommand::SubflowClose {
-            token: 9,
-            id: 4,
-            reset: true,
-        });
-        roundtrip_command(PmNlCommand::SetBackup {
-            token: 9,
-            id: 1,
-            backup: false,
-        });
-        roundtrip_command(PmNlCommand::GetInfo { token: 9, id: None });
-        roundtrip_command(PmNlCommand::GetInfo {
-            token: 9,
-            id: Some(2),
-        });
-        roundtrip_command(PmNlCommand::AnnounceAddr {
-            token: 9,
-            addr_id: 5,
-            addr: Addr::new(172, 16, 0, 1),
-        });
-        roundtrip_command(PmNlCommand::WithdrawAddr {
-            token: 9,
-            addr_id: 5,
-        });
+        for c in commands() {
+            match decode(&encode_command(77, &c)).unwrap() {
+                PmNlMessage::Command { seq, cmd } => {
+                    assert_eq!(seq, 77);
+                    assert_eq!(cmd, c);
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1057,13 +1065,37 @@ mod tests {
     fn tcp_info_blob_rejects_bad() {
         assert!(decode_tcp_info(&[]).is_err());
         let mut blob = encode_tcp_info(&TcpInfo::default()).to_vec();
+        assert_eq!(blob.len(), TCP_INFO_BLOB_LEN);
         blob[0] = 99; // wrong version
         assert!(decode_tcp_info(&blob).is_err());
     }
 
+    /// Found by `decode_never_panics_on_hostile_bodies`: the length check
+    /// stopped 8 bytes short of `retrans`, so a `TCP_INFO` attribute cut
+    /// to 88..95 bytes panicked reading it. Mask 5 turns the attribute's
+    /// length 100 into 97: a 93-byte blob inside an otherwise valid frame.
     #[test]
-    fn info_reply_roundtrip() {
-        let infos = vec![
+    fn short_tcp_info_blob_in_a_frame_is_an_error() {
+        let frame = encode_info_reply(6, 0xABCD, None, &infos()[..1]);
+        let len_at = frame.len() - 4 - TCP_INFO_BLOB_LEN;
+        assert_eq!(frame[len_at], (4 + TCP_INFO_BLOB_LEN) as u8);
+        let mut v = frame.to_vec();
+        v[len_at] ^= 5;
+        assert_eq!(
+            decode(&v),
+            Err(NlError::BadAttrLen {
+                ty: attr::TCP_INFO,
+                len: 93
+            })
+        );
+        for len in 88..TCP_INFO_BLOB_LEN {
+            assert!(decode_tcp_info(&encode_tcp_info(&TcpInfo::default())[..len]).is_err());
+        }
+    }
+
+    /// Two subflow snapshots, as an info reply carries them.
+    fn infos() -> Vec<(SubflowId, TcpInfo)> {
+        vec![
             (
                 0u8,
                 TcpInfo {
@@ -1081,7 +1113,12 @@ mod tests {
                     ..Default::default()
                 },
             ),
-        ];
+        ]
+    }
+
+    #[test]
+    fn info_reply_roundtrip() {
+        let infos = infos();
         let bytes = encode_info_reply(42, 0xABCD, Some((1000, 2000)), &infos);
         match decode(&bytes).unwrap() {
             PmNlMessage::InfoReply {
@@ -1137,9 +1174,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn diag_reply_roundtrip() {
-        let conns = vec![
+    /// A live two-subflow connection and a closed fallback one.
+    fn diag_conns() -> Vec<DiagConn> {
+        vec![
             DiagConn {
                 token: 0xA1,
                 state: ConnState::Established,
@@ -1179,7 +1216,12 @@ mod tests {
                 reinjections: 0,
                 subflows: vec![],
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn diag_reply_roundtrip() {
+        let conns = diag_conns();
         let bytes = encode_diag_reply(21, &conns);
         match decode(&bytes).unwrap() {
             PmNlMessage::DiagReply { seq, conns: got } => {
@@ -1236,5 +1278,60 @@ mod tests {
             c.to_action(),
             Some(PmAction::OpenSubflow { token: 1, .. })
         ));
+    }
+
+    /// One frame from every encoder: each event and command, info replies
+    /// with and without connection-level offsets, an ack, both diag request
+    /// shapes and a diag reply.
+    fn every_frame() -> Vec<Bytes> {
+        let mut frames: Vec<Bytes> = events().iter().map(encode_event).collect();
+        frames.extend(commands().iter().map(|c| encode_command(5, c)));
+        frames.push(encode_info_reply(6, 0xABCD, Some((1000, 2000)), &infos()));
+        frames.push(encode_info_reply(7, 0xABCD, None, &infos()));
+        frames.push(encode_ack(8, 110));
+        frames.push(encode_diag_request(9, Some(0xFEED)));
+        frames.push(encode_diag_request(10, None));
+        frames.push(encode_diag_reply(11, &diag_conns()));
+        frames
+    }
+
+    /// Rewrite `nlmsghdr.len` to the buffer's length, so that a cut or
+    /// extended frame passes `Frame::parse` and the damage reaches the
+    /// family's attribute decoding.
+    fn relength(mut v: Vec<u8>) -> Vec<u8> {
+        if v.len() >= 4 {
+            let len = v.len() as u32;
+            v[..4].copy_from_slice(&len.to_le_bytes());
+        }
+        v
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn decode_never_panics_on_hostile_bodies(
+            mask in 1u8..=255,
+            cut in proptest::prelude::any::<u16>(),
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..24),
+        ) {
+            // Returning at all is the property: `Ok` or `Err`, never a panic.
+            for frame in every_frame() {
+                // One byte flipped, at every position in turn: lengths,
+                // types, nest flags and payloads of every attribute.
+                for i in 0..frame.len() {
+                    let mut v = frame.to_vec();
+                    v[i] ^= mask;
+                    let _ = decode(&v);
+                }
+                // Cut short, as received and with the header length agreeing.
+                let head = &frame[..cut as usize % frame.len()];
+                let _ = decode(head);
+                let _ = decode(&relength(head.to_vec()));
+                // Extended, likewise.
+                let mut v = frame.to_vec();
+                v.extend_from_slice(&tail);
+                let _ = decode(&v);
+                let _ = decode(&relength(v));
+            }
+        }
     }
 }
