@@ -10,7 +10,8 @@ use smapp_mptcp::{LowestRtt, SchedCandidate, Scheduler};
 use smapp_netlink::{decode as nl_decode, encode_event};
 use smapp_sim::{Addr, FlowKey};
 use smapp_tcp::{
-    Reassembly, SendBuffer, StreamTap, TcpFlags, TcpHeader, TcpOption, TcpOptions, TcpSegment,
+    encode_parts, OptionWriter, Reassembly, SendBuffer, StreamTap, TcpFlags, TcpHeader, TcpOption,
+    TcpOptions, TcpSegment, TcpView, OPT_KIND_MPTCP,
 };
 use std::hint::black_box;
 
@@ -46,6 +47,22 @@ fn bench_tcp_codec(c: &mut Criterion) {
     });
     g.bench_function("decode_1400b_dss", |b| {
         b.iter(|| TcpSegment::decode(black_box(&wire)).unwrap())
+    });
+    // What the stack does per segment: read in place, write from parts.
+    g.bench_function("view_parse_1400b_dss", |b| {
+        b.iter(|| {
+            let view = TcpView::parse(black_box(&wire)).unwrap();
+            view.mptcp_opts().count()
+        })
+    });
+    let hdr = seg.hdr.fixed();
+    let dss = seg.mptcp_opt().unwrap();
+    g.bench_function("encode_parts_1400b_dss", |b| {
+        b.iter(|| {
+            let mut opts = OptionWriter::new();
+            opts.push(OPT_KIND_MPTCP, black_box(dss));
+            encode_parts(&hdr, &opts, &seg.payload).unwrap()
+        })
     });
     g.finish();
 }

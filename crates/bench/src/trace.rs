@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 use smapp_mptcp::options::MpOption;
 use smapp_sim::{LinkId, SimTime, TraceEvent, TraceKind, TraceSink};
-use smapp_tcp::TcpSegment;
+use smapp_tcp::TcpView;
 
 /// One observed data segment for the Fig. 2a sequence plot.
 #[derive(Debug, Clone, Copy)]
@@ -66,7 +66,7 @@ impl TraceSink for SeqTraceSink {
         let Some(path) = self.links.iter().position(|&l| l == link) else {
             return;
         };
-        let Ok(seg) = TcpSegment::decode(&ev.pkt.payload) else {
+        let Ok(seg) = TcpView::parse(&ev.pkt.payload) else {
             return;
         };
         if seg.payload.is_empty() {
@@ -130,7 +130,7 @@ impl TraceSink for HandshakeTraceSink {
         if node != self.node {
             return;
         }
-        let Ok(seg) = TcpSegment::decode(&ev.pkt.payload) else {
+        let Ok(seg) = TcpView::parse(&ev.pkt.payload) else {
             return;
         };
         if !seg.hdr.flags.syn || seg.hdr.flags.ack {
@@ -157,52 +157,35 @@ impl TraceSink for HandshakeTraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use smapp_mptcp::options::{Dss, DssMapping};
     use smapp_sim::{Addr, Dir, Packet};
-    use smapp_tcp::{TcpFlags, TcpHeader, TcpOption, TcpOptions};
+    use smapp_tcp::{encode_parts, OptionWriter, TcpFixed, TcpFlags, OPT_KIND_MPTCP};
+
+    /// A packet from port 1 to port 2 carrying one MPTCP option.
+    fn pkt(flags: TcpFlags, opt: MpOption, payload_len: usize) -> Packet {
+        let hdr = TcpFixed {
+            src_port: 1,
+            dst_port: 2,
+            flags,
+            ..Default::default()
+        };
+        let mut opts = OptionWriter::new();
+        opts.push(OPT_KIND_MPTCP, &opt.encode());
+        let seg = encode_parts(&hdr, &opts, &vec![0u8; payload_len]).unwrap();
+        Packet::tcp(Addr::new(1, 1, 1, 1), Addr::new(2, 2, 2, 2), seg)
+    }
 
     fn data_pkt(dsn: u64, len: u16) -> Packet {
-        let seg = TcpSegment {
-            hdr: TcpHeader {
-                src_port: 1,
-                dst_port: 2,
-                flags: TcpFlags::ACK,
-                options: TcpOptions::from([TcpOption::Mptcp(
-                    MpOption::Dss(Dss {
-                        data_ack: None,
-                        mapping: Some(DssMapping { dsn, ssn: 1, len }),
-                        data_fin: false,
-                    })
-                    .encode(),
-                )]),
-                ..Default::default()
-            },
-            payload: Bytes::from(vec![0u8; len as usize]),
-        };
-        Packet::tcp(
-            Addr::new(1, 1, 1, 1),
-            Addr::new(2, 2, 2, 2),
-            seg.encode().unwrap(),
-        )
+        let dss = MpOption::Dss(Dss {
+            data_ack: None,
+            mapping: Some(DssMapping { dsn, ssn: 1, len }),
+            data_fin: false,
+        });
+        pkt(TcpFlags::ACK, dss, len as usize)
     }
 
     fn syn_pkt(opt: MpOption) -> Packet {
-        let seg = TcpSegment {
-            hdr: TcpHeader {
-                src_port: 1,
-                dst_port: 2,
-                flags: TcpFlags::SYN,
-                options: TcpOptions::from([TcpOption::Mptcp(opt.encode())]),
-                ..Default::default()
-            },
-            payload: Bytes::new(),
-        };
-        Packet::tcp(
-            Addr::new(1, 1, 1, 1),
-            Addr::new(2, 2, 2, 2),
-            seg.encode().unwrap(),
-        )
+        pkt(TcpFlags::SYN, opt, 0)
     }
 
     #[test]

@@ -8,13 +8,15 @@ fn draw32(env: &mut StackEnv<'_>) -> u32 {
     env.rng.range_u64(0, 1 << 32) as u32
 }
 
-/// The window-scale shift a SYN or SYN/ACK announces (0 when absent).
-fn peer_wscale(syn: &TcpSegment) -> u8 {
-    let scale = |o: &TcpOption| match o {
-        TcpOption::WindowScale(s) => Some(*s),
+/// The window-scale shift a SYN or SYN/ACK announces (0 when absent),
+/// clamped to 14 as RFC 7323 §2.3 requires: the window is shifted by it on
+/// every segment, and a forged 64 would overflow the shift.
+fn peer_wscale(syn: &TcpView<'_>) -> u8 {
+    let scale = |(kind, body): (u8, &[u8])| match (kind, body) {
+        (OPT_KIND_WINDOW_SCALE, &[shift]) => Some(shift.min(MAX_WINDOW_SCALE)),
         _ => None,
     };
-    syn.hdr.options.iter().find_map(scale).unwrap_or(0)
+    syn.options().find_map(scale).unwrap_or(0)
 }
 
 impl Connection {
@@ -38,7 +40,7 @@ impl Connection {
         idx: usize,
         cfg: &StackConfig,
         tuple: FourTuple,
-        syn: &TcpSegment,
+        syn: &TcpView<'_>,
         app: Box<dyn App>,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
@@ -69,7 +71,7 @@ impl Connection {
         &mut self,
         env: &mut StackEnv<'_>,
         tuple: FourTuple,
-        syn: &TcpSegment,
+        syn: &TcpView<'_>,
     ) -> Option<SubflowId> {
         if self.is_fallback() {
             return None;
@@ -84,7 +86,7 @@ impl Connection {
     /// Adopt the key on the peer's `MP_CAPABLE` SYN or SYN/ACK. Without one
     /// — or if this host does not speak MPTCP itself — the connection is
     /// plain TCP from here on.
-    fn learn_peer_key(&mut self, seg: &TcpSegment) {
+    fn learn_peer_key(&mut self, seg: &TcpView<'_>) {
         let key = seg.mptcp_opts().find_map(|o| match MpOption::decode(o) {
             Ok(MpOption::Capable {
                 sender_key,
@@ -110,7 +112,7 @@ impl Connection {
         &mut self,
         tuple: FourTuple,
         backup: bool,
-        peer: Option<(&TcpSegment, u32)>,
+        peer: Option<(&TcpView<'_>, u32)>,
         env: &mut StackEnv<'_>,
     ) -> SubflowId {
         let id = self.subflows.len() as SubflowId;
@@ -224,7 +226,7 @@ impl Connection {
     pub(super) fn on_segment_synsent(
         &mut self,
         id: SubflowId,
-        seg: &TcpSegment,
+        seg: &TcpView<'_>,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {
@@ -265,7 +267,7 @@ impl Connection {
     pub(super) fn on_segment_synreceived(
         &mut self,
         id: SubflowId,
-        seg: &TcpSegment,
+        seg: &TcpView<'_>,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {
@@ -306,7 +308,7 @@ impl Connection {
     fn subflow_established(
         &mut self,
         id: SubflowId,
-        seg: &TcpSegment,
+        seg: &TcpView<'_>,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {

@@ -26,8 +26,8 @@ use std::time::Duration;
 use bytes::Bytes;
 use smapp_sim::{Addr, SimTime};
 use smapp_tcp::{
-    lia_alpha, Lia, Reno, RtoState, StreamTap, TcpFlags, TcpHeader, TcpInfo, TcpOption, TcpOptions,
-    TcpSegment,
+    lia_alpha, Lia, OptionWriter, Reno, RtoState, StreamTap, TcpFixed, TcpFlags, TcpInfo, TcpView,
+    MAX_WINDOW_SCALE, OPT_KIND_MPTCP, OPT_KIND_MSS, OPT_KIND_WINDOW_SCALE,
 };
 
 use crate::app::{App, AppCtx};
@@ -585,10 +585,10 @@ impl Connection {
     fn emit(&self, id: SubflowId, what: Seg, env: &mut StackEnv<'_>) {
         let sf = &self.subflows[id as usize];
         let flags = what.flags;
-        let mut options = TcpOptions::new();
+        let mut opts = OptionWriter::new();
         if flags.syn {
-            options.push(TcpOption::Mss(self.cfg.mss as u16));
-            options.push(TcpOption::WindowScale(self.cfg.window_scale));
+            opts.push(OPT_KIND_MSS, &(self.cfg.mss as u16).to_be_bytes());
+            opts.push(OPT_KIND_WINDOW_SCALE, &[self.cfg.window_scale]);
         }
         // In fallback the peer is plain TCP, or something on the path
         // removes what it does not know: no kind-30 option of any sort.
@@ -598,10 +598,10 @@ impl Connection {
                     data_ack: Some(self.current_data_ack()),
                     ..dss
                 });
-                options.push(TcpOption::Mptcp(dss.encode()));
+                opts.push(OPT_KIND_MPTCP, &dss.encode());
             }
             if let Some(mp) = what.mp {
-                options.push(TcpOption::Mptcp(mp.encode()));
+                opts.push(OPT_KIND_MPTCP, &mp.encode());
             }
         }
         let seq = if flags.syn {
@@ -617,20 +617,16 @@ impl Connection {
         } else {
             self.recv_free() >> self.cfg.window_scale
         };
-        let seg = TcpSegment {
-            hdr: TcpHeader {
-                src_port: sf.tuple.src_port,
-                dst_port: sf.tuple.dst_port,
-                seq: seq.into(),
-                // A first SYN acknowledges nothing.
-                ack: if flags.ack { sf.wire_ack() } else { 0 }.into(),
-                flags,
-                window: window.min(u16::MAX as u64) as u16,
-                options,
-            },
-            payload: what.payload,
+        let hdr = TcpFixed {
+            src_port: sf.tuple.src_port,
+            dst_port: sf.tuple.dst_port,
+            seq: seq.into(),
+            // A first SYN acknowledges nothing.
+            ack: if flags.ack { sf.wire_ack() } else { 0 }.into(),
+            flags,
+            window: window.min(u16::MAX as u64) as u16,
         };
-        env.send_segment(sf.tuple.src, sf.tuple.dst, &seg);
+        env.send_segment(sf.tuple.src, sf.tuple.dst, &hdr, &opts, &what.payload);
     }
 }
 
@@ -665,9 +661,9 @@ mod tests {
         with_client(1, StackConfig::default(), |conn, env, events| {
             assert_eq!(conn.state, ConnState::Establishing);
             assert_eq!(env.out.len(), 1);
-            let seg = TcpSegment::decode(&env.out[0].seg).unwrap();
+            let seg = TcpView::parse(&env.out[0].seg).unwrap();
             assert!(seg.hdr.flags.syn && !seg.hdr.flags.ack);
-            let mp = MpOption::decode(seg.mptcp_opt().unwrap()).unwrap();
+            let mp = MpOption::decode(seg.mptcp_opts().next().unwrap()).unwrap();
             assert!(matches!(
                 mp,
                 MpOption::Capable {
@@ -694,9 +690,56 @@ mod tests {
             ..Default::default()
         };
         with_client(1, cfg, |_conn, env, _events| {
-            let seg = TcpSegment::decode(&env.out[0].seg).unwrap();
-            assert!(seg.mptcp_opt().is_none());
+            let seg = TcpView::parse(&env.out[0].seg).unwrap();
+            assert!(seg.mptcp_opts().next().is_none());
         });
+    }
+
+    #[test]
+    fn peer_window_scale_is_clamped_to_14() {
+        let tuple = FourTuple {
+            src: Addr::new(10, 0, 0, 1),
+            src_port: 40_000,
+            dst: Addr::new(10, 0, 0, 2),
+            dst_port: 80,
+        };
+        // A segment from the server: ports swapped, a 1000-unit window.
+        let from_peer = |flags, seq: u32, ack: u32, opts: &OptionWriter| {
+            let hdr = TcpFixed {
+                src_port: tuple.dst_port,
+                dst_port: tuple.src_port,
+                seq: seq.into(),
+                ack: ack.into(),
+                flags,
+                window: 1000,
+            };
+            smapp_tcp::encode_parts(&hdr, opts, &[]).unwrap()
+        };
+        for announced in [15u8, 200] {
+            let mut rng = SimRng::seed_from_u64(5);
+            let mut env = StackEnv::new(SimTime::ZERO, &mut rng);
+            let mut events = Vec::new();
+            let cfg = StackConfig::default();
+            let app = Box::new(NullApp);
+            let mut conn = Connection::client(0, &cfg, tuple, app, &mut env, &mut events);
+            let acked = conn.subflows[0].iss.wrapping_add(1);
+            let mut syn_opts = OptionWriter::new();
+            syn_opts.push(OPT_KIND_WINDOW_SCALE, &[announced]);
+            let capable = MpOption::Capable {
+                version: MPTCP_VERSION,
+                flags: CAPABLE_FLAG_HMAC_SHA1,
+                sender_key: 0x1234,
+                receiver_key: None,
+            };
+            syn_opts.push(OPT_KIND_MPTCP, &capable.encode());
+            let syn_ack = from_peer(TcpFlags::SYN_ACK, 5_000, acked, &syn_opts);
+            let syn_ack = TcpView::parse(&syn_ack).unwrap();
+            conn.on_segment(0, &syn_ack, &mut env, &mut events);
+            assert_eq!(conn.state, ConnState::Established);
+            let ack = from_peer(TcpFlags::ACK, 5_001, acked, &OptionWriter::new());
+            conn.on_segment(0, &TcpView::parse(&ack).unwrap(), &mut env, &mut events);
+            assert_eq!(conn.peer_window, 1000 << 14, "announced shift {announced}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ impl Connection {
     pub fn on_segment(
         &mut self,
         id: SubflowId,
-        seg: &TcpSegment,
+        seg: &TcpView<'_>,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {
@@ -35,7 +35,7 @@ impl Connection {
     pub(super) fn on_segment_established(
         &mut self,
         id: SubflowId,
-        seg: &TcpSegment,
+        seg: &TcpView<'_>,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {
@@ -286,7 +286,7 @@ impl Connection {
     }
 
     /// Cumulative/duplicate ACK handling for one subflow.
-    fn process_subflow_ack(&mut self, id: SubflowId, seg: &TcpSegment, env: &mut StackEnv<'_>) {
+    fn process_subflow_ack(&mut self, id: SubflowId, seg: &TcpView<'_>, env: &mut StackEnv<'_>) {
         let now = env.now;
         let sf = &mut self.subflows[id as usize];
         let acked_off = sf.offset_from_wire_ack(seg.hdr.ack.0);

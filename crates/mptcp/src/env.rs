@@ -9,7 +9,7 @@
 
 use bytes::Bytes;
 use smapp_sim::{Addr, SimRng, SimTime};
-use smapp_tcp::TcpSegment;
+use smapp_tcp::{encode_parts, OptionWriter, TcpFixed};
 
 use crate::app::App;
 
@@ -71,42 +71,44 @@ impl<'a> StackEnv<'a> {
         }
     }
 
-    /// Encode and queue a segment for transmission.
+    /// Encode a segment from its parts and queue it for transmission.
     ///
     /// # Panics
-    /// Panics if the segment's options exceed the TCP limit — the stack
-    /// never builds such segments, so this is an engine bug.
-    pub fn send_segment(&mut self, src: Addr, dst: Addr, seg: &TcpSegment) {
-        let bytes = seg.encode().expect("stack built an unencodable segment");
-        self.out.push(OutPacket {
-            src,
-            dst,
-            seg: bytes,
-        });
+    /// Panics if `opts` overflowed the 40-byte options area — the stack
+    /// never writes that much, so this is an engine bug.
+    pub fn send_segment(
+        &mut self,
+        src: Addr,
+        dst: Addr,
+        hdr: &TcpFixed,
+        opts: &OptionWriter,
+        payload: &[u8],
+    ) {
+        let seg = encode_parts(hdr, opts, payload).expect("stack built an unencodable segment");
+        self.out.push(OutPacket { src, dst, seg });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smapp_tcp::{TcpHeader, TcpSegment};
+    use smapp_tcp::TcpView;
 
     #[test]
     fn send_segment_encodes() {
         let mut rng = SimRng::seed_from_u64(1);
         let mut env = StackEnv::new(SimTime::ZERO, &mut rng);
-        let seg = TcpSegment {
-            hdr: TcpHeader {
-                src_port: 10,
-                dst_port: 20,
-                ..Default::default()
-            },
-            payload: Bytes::from_static(b"hi"),
+        let hdr = TcpFixed {
+            src_port: 10,
+            dst_port: 20,
+            ..Default::default()
         };
-        env.send_segment(Addr::new(1, 1, 1, 1), Addr::new(2, 2, 2, 2), &seg);
+        let (src, dst) = (Addr::new(1, 1, 1, 1), Addr::new(2, 2, 2, 2));
+        env.send_segment(src, dst, &hdr, &OptionWriter::new(), b"hi");
         assert_eq!(env.out.len(), 1);
-        let back = TcpSegment::decode(&env.out[0].seg).unwrap();
+        let back = TcpView::parse(&env.out[0].seg).unwrap();
+        assert_eq!(back.hdr, hdr);
         assert_eq!(back.payload, Bytes::from_static(b"hi"));
-        assert_eq!(env.out[0].src, Addr::new(1, 1, 1, 1));
+        assert_eq!(env.out[0].src, src);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! All MPTCP signalling travels in TCP option kind 30; the first nibble of
 //! the option payload selects a *subtype*. `smapp-tcp` carries that payload
-//! opaquely as [`smapp_tcp::TcpOption::Mptcp`]; this module encodes and
-//! decodes it.
+//! opaquely (read through [`smapp_tcp::TcpView::mptcp_opts`], written with
+//! [`smapp_tcp::OptionWriter`]); this module encodes and decodes it.
 //!
 //! The connection-level checksum (negotiated off by default in the Linux
 //! kernel deployments the paper ran on) is not used, so DSS options carry

@@ -6,9 +6,8 @@
 //! `MP_JOIN` SYNs routed by token), applies path-manager actions, and
 //! surfaces [`PmEvent`]s for whatever path manager the host plugged in.
 
-use bytes::Bytes;
 use smapp_sim::{Addr, FxHashMap, FxHashSet, IcmpMsg, Packet, PROTO_ICMP, PROTO_TCP};
-use smapp_tcp::{SeqNum, TcpFlags, TcpHeader, TcpInfo, TcpOptions, TcpSegment};
+use smapp_tcp::{OptionWriter, SeqNum, TcpFixed, TcpFlags, TcpInfo, TcpView};
 
 use crate::app::App;
 use crate::config::StackConfig;
@@ -205,7 +204,7 @@ impl HostStack {
     }
 
     fn on_tcp(&mut self, env: &mut StackEnv<'_>, pkt: &Packet) {
-        let Ok(seg) = TcpSegment::decode(&pkt.payload) else {
+        let Ok(seg) = TcpView::parse(&pkt.payload) else {
             return; // malformed: drop
         };
         let tuple = FourTuple {
@@ -271,28 +270,24 @@ impl HostStack {
         }
     }
 
-    fn send_rst(&mut self, env: &mut StackEnv<'_>, tuple: &FourTuple, offending: &TcpSegment) {
+    fn send_rst(&mut self, env: &mut StackEnv<'_>, tuple: &FourTuple, offending: &TcpView<'_>) {
         self.rst_sent += 1;
-        let seg = TcpSegment {
-            hdr: TcpHeader {
-                src_port: tuple.src_port,
-                dst_port: tuple.dst_port,
-                seq: offending.hdr.ack,
-                ack: SeqNum(
-                    offending
-                        .hdr
-                        .seq
-                        .0
-                        .wrapping_add(offending.payload.len() as u32)
-                        .wrapping_add(offending.hdr.flags.syn as u32),
-                ),
-                flags: TcpFlags::RST,
-                window: 0,
-                options: TcpOptions::new(),
-            },
-            payload: Bytes::new(),
+        let hdr = TcpFixed {
+            src_port: tuple.src_port,
+            dst_port: tuple.dst_port,
+            seq: offending.hdr.ack,
+            ack: SeqNum(
+                offending
+                    .hdr
+                    .seq
+                    .0
+                    .wrapping_add(offending.payload.len() as u32)
+                    .wrapping_add(offending.hdr.flags.syn as u32),
+            ),
+            flags: TcpFlags::RST,
+            window: 0,
         };
-        env.send_segment(tuple.src, tuple.dst, &seg);
+        env.send_segment(tuple.src, tuple.dst, &hdr, &OptionWriter::new(), &[]);
     }
 
     fn on_icmp(&mut self, env: &mut StackEnv<'_>, pkt: &Packet) {

@@ -60,13 +60,9 @@ impl Packet {
     /// (both TCP and our ICMP encapsulation place them there). Returns
     /// `(0, 0)` when the payload is too short.
     pub fn ports(&self) -> (u16, u16) {
-        if self.payload.len() >= 4 {
-            (
-                u16::from_be_bytes([self.payload[0], self.payload[1]]),
-                u16::from_be_bytes([self.payload[2], self.payload[3]]),
-            )
-        } else {
-            (0, 0)
+        match *self.payload {
+            [s0, s1, d0, d1, ..] => (u16::from_be_bytes([s0, s1]), u16::from_be_bytes([d0, d1])),
+            _ => (0, 0),
         }
     }
 

@@ -122,10 +122,22 @@ impl fmt::Display for SimTime {
 ///
 /// `bits` are put on a wire running at `bits_per_sec`; the result is rounded
 /// up to the next nanosecond so back-to-back packets never occupy zero time.
+///
+/// Computed in `u64` whenever `bits × 10⁹` fits, which is any packet (up to
+/// ≈ 2.3 GB); a 128-bit division per packet per hop showed in profiles.
 pub fn tx_time(bits: u64, bits_per_sec: u64) -> Duration {
     assert!(bits_per_sec > 0, "link rate must be positive");
-    let ns = (bits as u128 * 1_000_000_000u128).div_ceil(bits_per_sec as u128);
-    Duration::from_nanos(ns as u64)
+    let ns = match bits.checked_mul(1_000_000_000) {
+        Some(scaled) => scaled.div_ceil(bits_per_sec),
+        None => tx_time_ns_wide(bits, bits_per_sec),
+    };
+    Duration::from_nanos(ns)
+}
+
+/// `tx_time` in nanoseconds through 128-bit arithmetic, for sizes whose
+/// `bits × 10⁹` overflows `u64`.
+fn tx_time_ns_wide(bits: u64, bits_per_sec: u64) -> u64 {
+    (bits as u128 * 1_000_000_000u128).div_ceil(bits_per_sec as u128) as u64
 }
 
 #[cfg(test)]
@@ -176,5 +188,38 @@ mod tests {
         assert_eq!(format!("{}", SimTime::from_nanos(1_500)), "1.5us");
         assert_eq!(format!("{}", SimTime::from_millis(2)), "2.000ms");
         assert_eq!(format!("{}", SimTime::from_secs(3)), "3.000000s");
+    }
+}
+
+#[cfg(test)]
+mod prop {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The largest size whose `bits × 10⁹` fits a `u64`.
+    const NARROW_MAX: u64 = u64::MAX / 1_000_000_000;
+
+    proptest! {
+        /// The `u64` fast path gives exactly the 128-bit formula's result,
+        /// for packet sizes, on both sides of the overflow boundary and
+        /// anywhere else.
+        #[test]
+        fn tx_time_matches_the_128_bit_formula(
+            bits in prop_oneof![
+                0u64..200_000,
+                NARROW_MAX - 1_000..NARROW_MAX + 1_000,
+                any::<u64>(),
+            ],
+            rate in prop_oneof![1_000u64..100_000_000_000, 1u64..=u64::MAX],
+        ) {
+            let wide = tx_time_ns_wide(bits, rate);
+            prop_assert_eq!(tx_time(bits, rate), Duration::from_nanos(wide));
+        }
+    }
+
+    #[test]
+    fn the_boundary_is_where_the_property_looks() {
+        assert!(NARROW_MAX.checked_mul(1_000_000_000).is_some());
+        assert!((NARROW_MAX + 1).checked_mul(1_000_000_000).is_none());
     }
 }

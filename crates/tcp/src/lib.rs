@@ -47,5 +47,7 @@ pub use rto::{RtoPolicy, RtoState};
 pub use rtt::RttEstimator;
 pub use seq::{unwrap_u32, SeqNum};
 pub use wire::{
-    OptBytes, TcpFlags, TcpHeader, TcpOption, TcpOptions, TcpSegment, WireError, OPT_KIND_MPTCP,
+    encode_parts, OptBytes, OptionWriter, TcpFixed, TcpFlags, TcpHeader, TcpOption, TcpOptions,
+    TcpSegment, TcpView, WireError, MAX_WINDOW_SCALE, OPT_KIND_MPTCP, OPT_KIND_MSS,
+    OPT_KIND_WINDOW_SCALE,
 };

@@ -8,6 +8,15 @@
 //! opaque subtype payload at this layer; the `smapp-mptcp` crate owns the
 //! subtype codec. This mirrors the real-world layering where TCP option
 //! parsing and MPTCP option semantics live in different parts of the stack.
+//!
+//! One reader and one writer serve every segment. [`TcpView::parse`]
+//! validates a received frame and reads it in place: the fixed header is
+//! copied out, the options stay in the frame behind one `(kind, body)`
+//! iterator, and the payload is a zero-copy slice. [`OptionWriter`] appends
+//! options into a 40-byte area and [`encode_parts`] writes header, padded
+//! options and payload into a pooled buffer. [`TcpSegment`] is the owned
+//! form for tests and trace tools; its `decode` and `encode` are that
+//! reader and that writer.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -19,6 +28,17 @@ pub const MAX_OPTIONS_LEN: usize = 40;
 pub const TCP_HEADER_LEN: usize = 20;
 /// TCP option kind carrying all Multipath TCP signalling (RFC 6824).
 pub const OPT_KIND_MPTCP: u8 = 30;
+/// TCP option kind: maximum segment size (SYN only).
+pub const OPT_KIND_MSS: u8 = 2;
+/// TCP option kind: window scale shift (SYN only).
+pub const OPT_KIND_WINDOW_SCALE: u8 = 3;
+/// Largest window-scale shift a peer may use (RFC 7323 §2.3): a larger
+/// announced value is read as this one.
+pub const MAX_WINDOW_SCALE: u8 = 14;
+const OPT_KIND_EOL: u8 = 0;
+const OPT_KIND_NOP: u8 = 1;
+const OPT_KIND_SACK_PERMITTED: u8 = 4;
+const OPT_KIND_TIMESTAMPS: u8 = 8;
 
 /// TCP header flags (the subset the engine uses).
 #[derive(Clone, Copy, PartialEq, Eq, Default)]
@@ -146,11 +166,13 @@ impl OptBytes {
     }
 
     /// The stored bytes.
+    #[inline]
     pub fn as_slice(&self) -> &[u8] {
         &self.data[..self.len as usize]
     }
 
     /// Append bytes. Panics on overflow past [`MAX_OPT_BODY_LEN`].
+    #[inline]
     pub fn push_slice(&mut self, s: &[u8]) {
         let at = self.len as usize;
         assert!(at + s.len() <= MAX_OPT_BODY_LEN, "option body overflow");
@@ -166,6 +188,7 @@ impl Default for OptBytes {
 }
 
 impl BufMut for OptBytes {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.push_slice(src);
     }
@@ -173,6 +196,7 @@ impl BufMut for OptBytes {
 
 impl std::ops::Deref for OptBytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
@@ -237,13 +261,13 @@ pub enum TcpOption {
 /// decoder, not stored).
 pub const MAX_TCP_OPTIONS: usize = MAX_OPTIONS_LEN / 2;
 
-/// A fixed-capacity, inline list of TCP options.
+/// A fixed-capacity, inline list of TCP options: the options of the owned
+/// [`TcpSegment`].
 ///
-/// Replaces the former `Vec<TcpOption>`: decoding a segment and building
-/// one for transmit both happen for every simulated packet, and the option
-/// list was one heap allocation per event on each side. Capacity
-/// [`MAX_TCP_OPTIONS`] is enough for any wire-valid header, so `push` can
-/// only panic on a construction bug.
+/// Allocation-free, but 884 bytes; the stack's per-packet path uses
+/// [`TcpView`] and [`OptionWriter`] instead. Capacity [`MAX_TCP_OPTIONS`]
+/// is enough for any wire-valid header, so `push` can only panic on a
+/// construction bug.
 #[derive(Clone, Copy)]
 pub struct TcpOptions {
     opts: [TcpOption; MAX_TCP_OPTIONS],
@@ -273,11 +297,6 @@ impl TcpOptions {
     pub fn as_slice(&self) -> &[TcpOption] {
         &self.opts[..self.len as usize]
     }
-
-    /// Drop all options.
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
 }
 
 impl Default for TcpOptions {
@@ -295,21 +314,7 @@ impl std::ops::Deref for TcpOptions {
 
 impl<const N: usize> From<[TcpOption; N]> for TcpOptions {
     fn from(arr: [TcpOption; N]) -> Self {
-        let mut o = TcpOptions::new();
-        for opt in arr {
-            o.push(opt);
-        }
-        o
-    }
-}
-
-impl From<&[TcpOption]> for TcpOptions {
-    fn from(s: &[TcpOption]) -> Self {
-        let mut o = TcpOptions::new();
-        for opt in s {
-            o.push(*opt);
-        }
-        o
+        arr.into_iter().collect()
     }
 }
 
@@ -357,6 +362,246 @@ impl TcpOption {
             TcpOption::Unknown { data, .. } => 2 + data.len(),
         }
     }
+
+    /// The typed form of one `(kind, body)` pair of a validated options
+    /// area; a known kind with an unexpected length stays `Unknown`.
+    fn from_wire(kind: u8, body: &[u8]) -> TcpOption {
+        match (kind, body) {
+            (OPT_KIND_MSS, &[hi, lo]) => TcpOption::Mss(u16::from_be_bytes([hi, lo])),
+            (OPT_KIND_WINDOW_SCALE, &[shift]) => TcpOption::WindowScale(shift),
+            (OPT_KIND_SACK_PERMITTED, []) => TcpOption::SackPermitted,
+            (OPT_KIND_TIMESTAMPS, &[a, b, c, d, e, f, g, h]) => TcpOption::Timestamps {
+                val: u32::from_be_bytes([a, b, c, d]),
+                ecr: u32::from_be_bytes([e, f, g, h]),
+            },
+            (OPT_KIND_MPTCP, _) => TcpOption::Mptcp(OptBytes::copy_from_slice(body)),
+            _ => TcpOption::Unknown {
+                kind,
+                data: OptBytes::copy_from_slice(body),
+            },
+        }
+    }
+
+    fn write_to(&self, w: &mut OptionWriter) {
+        match self {
+            TcpOption::Mss(v) => w.push(OPT_KIND_MSS, &v.to_be_bytes()),
+            TcpOption::WindowScale(s) => w.push(OPT_KIND_WINDOW_SCALE, &[*s]),
+            TcpOption::SackPermitted => w.push(OPT_KIND_SACK_PERMITTED, &[]),
+            TcpOption::Timestamps { val, ecr } => {
+                let both = (u64::from(*val) << 32 | u64::from(*ecr)).to_be_bytes();
+                w.push(OPT_KIND_TIMESTAMPS, &both);
+            }
+            TcpOption::Mptcp(b) => w.push(OPT_KIND_MPTCP, b),
+            TcpOption::Unknown { kind, data } => w.push(*kind, data),
+        }
+    }
+}
+
+/// The fixed 20-byte part of a TCP header: every field but the options.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub struct TcpFixed {
+    /// Source port.
+    pub src_port: u16,
+    /// Destination port.
+    pub dst_port: u16,
+    /// Sequence number.
+    pub seq: SeqNum,
+    /// Acknowledgment number (meaningful when `flags.ack`).
+    pub ack: SeqNum,
+    /// Control flags.
+    pub flags: TcpFlags,
+    /// Advertised receive window (possibly scaled by a negotiated shift).
+    pub window: u16,
+}
+
+/// A received segment, read in place.
+///
+/// [`TcpView::parse`] checks the whole header, options included, so a view
+/// always holds a well-formed segment: walking its options cannot fail. The
+/// fixed fields are copied out, the options area is borrowed from the
+/// frame, and the payload is an Arc-backed [`Bytes::slice`] of it — a
+/// 1400-byte payload is never memcpy'd between the sender's
+/// [`encode_parts`] and the receiving application.
+#[derive(Clone, Debug)]
+pub struct TcpView<'a> {
+    /// The fixed header fields.
+    pub hdr: TcpFixed,
+    /// The options area, padding included.
+    options: &'a [u8],
+    /// Payload bytes, sharing the frame's allocation.
+    pub payload: Bytes,
+}
+
+impl<'a> TcpView<'a> {
+    /// Validate `frame` and read it in place. Allocation-free.
+    ///
+    /// # Errors
+    /// [`WireError::Truncated`], [`WireError::BadDataOffset`] or
+    /// [`WireError::BadOptionLength`] for a malformed header.
+    pub fn parse(frame: &'a Bytes) -> Result<TcpView<'a>, WireError> {
+        let b: &'a [u8] = frame;
+        let Some(h) = b.first_chunk::<TCP_HEADER_LEN>() else {
+            return Err(WireError::Truncated);
+        };
+        let data_offset = (h[12] >> 4) as usize * 4;
+        if data_offset < TCP_HEADER_LEN || data_offset > b.len() {
+            return Err(WireError::BadDataOffset);
+        }
+        let options = &b[TCP_HEADER_LEN..data_offset];
+        let mut walk = OptionWalk {
+            rest: options,
+            malformed: false,
+        };
+        walk.by_ref().for_each(drop);
+        if walk.malformed {
+            return Err(WireError::BadOptionLength);
+        }
+        Ok(TcpView {
+            hdr: TcpFixed {
+                src_port: u16::from_be_bytes([h[0], h[1]]),
+                dst_port: u16::from_be_bytes([h[2], h[3]]),
+                seq: SeqNum(u32::from_be_bytes([h[4], h[5], h[6], h[7]])),
+                ack: SeqNum(u32::from_be_bytes([h[8], h[9], h[10], h[11]])),
+                flags: TcpFlags::from_byte(h[13]),
+                window: u16::from_be_bytes([h[14], h[15]]),
+            },
+            options,
+            payload: frame.slice(data_offset..),
+        })
+    }
+
+    /// The options as `(kind, body)` pairs, in wire order.
+    #[inline]
+    pub fn options(&self) -> impl Iterator<Item = (u8, &'a [u8])> {
+        OptionWalk {
+            rest: self.options,
+            malformed: false,
+        }
+    }
+
+    /// The bodies of all MPTCP options, in wire order (a segment may carry
+    /// e.g. a DSS and an ADD_ADDR together).
+    #[inline]
+    pub fn mptcp_opts(&self) -> impl Iterator<Item = &'a [u8]> {
+        self.options()
+            .filter_map(|(kind, body)| (kind == OPT_KIND_MPTCP).then_some(body))
+    }
+}
+
+/// The `(kind, body)` pairs of an options area: NOPs are skipped and the
+/// walk ends at End-of-Option-List. The one option walk of this module.
+struct OptionWalk<'a> {
+    rest: &'a [u8],
+    /// Set when the walk stopped at an option whose length octet is
+    /// missing, below 2 or past the end of the area. Never set on the
+    /// options of a [`TcpView`], which [`TcpView::parse`] checked this way.
+    malformed: bool,
+}
+
+impl<'a> Iterator for OptionWalk<'a> {
+    type Item = (u8, &'a [u8]);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u8, &'a [u8])> {
+        loop {
+            let rest = self.rest;
+            match *rest {
+                [] | [OPT_KIND_EOL, ..] => return None,
+                [OPT_KIND_NOP, ref tail @ ..] => self.rest = tail,
+                [kind, len, ..] if len >= 2 && len as usize <= rest.len() => {
+                    let (opt, tail) = rest.split_at(len as usize);
+                    self.rest = tail;
+                    return Some((kind, &opt[2..]));
+                }
+                _ => {
+                    self.malformed = true;
+                    self.rest = &[];
+                    return None;
+                }
+            }
+        }
+    }
+}
+
+/// The options area of a segment being built: kind, length and body
+/// appended in order into [`MAX_OPTIONS_LEN`] bytes, with no heap and no
+/// per-option struct.
+///
+/// A push that would take the area past 40 bytes writes nothing and marks
+/// the area too long, and [`encode_parts`] refuses it with
+/// [`WireError::OptionsTooLong`].
+#[derive(Clone, Copy, Debug)]
+pub struct OptionWriter {
+    /// NOP past `len`, so the padding is in place before it is needed.
+    buf: [u8; MAX_OPTIONS_LEN],
+    len: u8,
+    too_long: bool,
+}
+
+impl OptionWriter {
+    /// An empty options area.
+    pub const fn new() -> Self {
+        OptionWriter {
+            buf: [OPT_KIND_NOP; MAX_OPTIONS_LEN],
+            len: 0,
+            too_long: false,
+        }
+    }
+
+    /// Append one option: `kind`, its length octet, then `body`.
+    #[inline]
+    pub fn push(&mut self, kind: u8, body: &[u8]) {
+        let at = self.len as usize;
+        let end = at + 2 + body.len();
+        if self.too_long || end > MAX_OPTIONS_LEN {
+            self.too_long = true;
+            return;
+        }
+        self.buf[at] = kind;
+        self.buf[at + 1] = (2 + body.len()) as u8;
+        self.buf[at + 2..end].copy_from_slice(body);
+        self.len = end as u8;
+    }
+}
+
+impl Default for OptionWriter {
+    fn default() -> Self {
+        OptionWriter::new()
+    }
+}
+
+/// Encode one segment: the fixed header, the options NOP-padded to a
+/// 4-byte boundary, then the payload, in one buffer from the `bytes` pool.
+///
+/// # Errors
+/// [`WireError::OptionsTooLong`] if `opts` overflowed its 40 bytes.
+pub fn encode_parts(
+    hdr: &TcpFixed,
+    opts: &OptionWriter,
+    payload: &[u8],
+) -> Result<Bytes, WireError> {
+    if opts.too_long {
+        return Err(WireError::OptionsTooLong);
+    }
+    // Compose header, options and padding on the stack and append them
+    // at once: every `BufMut` call re-checks the buffer's uniqueness and
+    // capacity, which costs more than the bytes it writes.
+    let mut head = [0u8; TCP_HEADER_LEN + MAX_OPTIONS_LEN];
+    let head_len = TCP_HEADER_LEN + (opts.len as usize).div_ceil(4) * 4;
+    head[0..2].copy_from_slice(&hdr.src_port.to_be_bytes());
+    head[2..4].copy_from_slice(&hdr.dst_port.to_be_bytes());
+    head[4..8].copy_from_slice(&hdr.seq.0.to_be_bytes());
+    head[8..12].copy_from_slice(&hdr.ack.0.to_be_bytes());
+    head[12] = ((head_len / 4) as u8) << 4;
+    head[13] = hdr.flags.to_byte();
+    head[14..16].copy_from_slice(&hdr.window.to_be_bytes());
+    // 16..18 checksum: not modeled (no corruption in the simulator);
+    // 18..20 urgent pointer: unused.
+    head[TCP_HEADER_LEN..].copy_from_slice(&opts.buf);
+    let mut buf = BytesMut::with_capacity(head_len + payload.len());
+    buf.put_slice(&head[..head_len]);
+    buf.put_slice(payload);
+    Ok(buf.freeze())
 }
 
 /// A decoded TCP header.
@@ -378,7 +623,9 @@ pub struct TcpHeader {
     pub options: TcpOptions,
 }
 
-/// A full TCP segment: header plus payload bytes.
+/// A full TCP segment, owned: header plus payload bytes. For tests, trace
+/// tools and the benchmark; the stack reads [`TcpView`]s and writes with
+/// [`encode_parts`].
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct TcpSegment {
     /// The header.
@@ -387,7 +634,7 @@ pub struct TcpSegment {
     pub payload: Bytes,
 }
 
-/// Errors from [`TcpSegment::decode`].
+/// Errors from [`TcpView::parse`] and [`encode_parts`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// Fewer bytes than a minimal header.
@@ -414,11 +661,6 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 impl TcpSegment {
-    /// Total bytes this segment occupies (header + options + payload).
-    pub fn wire_len(&self) -> usize {
-        TCP_HEADER_LEN + options_padded_len(&self.hdr.options) + self.payload.len()
-    }
-
     /// First MPTCP option payload, if any.
     pub fn mptcp_opt(&self) -> Option<&OptBytes> {
         self.mptcp_opts().next()
@@ -433,136 +675,59 @@ impl TcpSegment {
         })
     }
 
-    /// Encode to wire bytes.
+    /// Encode to wire bytes, through [`OptionWriter`] and [`encode_parts`].
     ///
     /// # Errors
     /// [`WireError::OptionsTooLong`] if the options exceed 40 bytes.
     pub fn encode(&self) -> Result<Bytes, WireError> {
-        let opt_len = options_padded_len(&self.hdr.options);
-        if opt_len > MAX_OPTIONS_LEN {
-            return Err(WireError::OptionsTooLong);
+        let mut opts = OptionWriter::new();
+        for opt in &self.hdr.options {
+            opt.write_to(&mut opts);
         }
-        // Compose header, options and padding on the stack and append them
-        // at once: every `BufMut` call re-checks the buffer's uniqueness
-        // and capacity, which costs more than the bytes it writes.
-        let mut head = [0u8; TCP_HEADER_LEN + MAX_OPTIONS_LEN];
-        let head_len = TCP_HEADER_LEN + opt_len;
-        let h = &self.hdr;
-        head[0..2].copy_from_slice(&h.src_port.to_be_bytes());
-        head[2..4].copy_from_slice(&h.dst_port.to_be_bytes());
-        head[4..8].copy_from_slice(&h.seq.0.to_be_bytes());
-        head[8..12].copy_from_slice(&h.ack.0.to_be_bytes());
-        head[12] = ((head_len / 4) as u8) << 4;
-        head[13] = h.flags.to_byte();
-        head[14..16].copy_from_slice(&h.window.to_be_bytes());
-        // 16..18 checksum: not modeled (no corruption in the simulator);
-        // 18..20 urgent pointer: unused.
-        let mut at = TCP_HEADER_LEN;
-        let mut put = |bytes: &[u8]| {
-            head[at..at + bytes.len()].copy_from_slice(bytes);
-            at += bytes.len();
-        };
-        for opt in &h.options {
-            match opt {
-                TcpOption::Mss(v) => {
-                    put(&[2, 4]);
-                    put(&v.to_be_bytes());
-                }
-                TcpOption::WindowScale(s) => put(&[3, 3, *s]),
-                TcpOption::SackPermitted => put(&[4, 2]),
-                TcpOption::Timestamps { val, ecr } => {
-                    put(&[8, 10]);
-                    put(&val.to_be_bytes());
-                    put(&ecr.to_be_bytes());
-                }
-                TcpOption::Mptcp(b) => {
-                    put(&[OPT_KIND_MPTCP, (2 + b.len()) as u8]);
-                    put(b.as_slice());
-                }
-                TcpOption::Unknown { kind, data } => {
-                    put(&[*kind, (2 + data.len()) as u8]);
-                    put(data.as_slice());
-                }
-            }
-        }
-        // Pad options with NOPs to a 4-byte boundary.
-        head[at..head_len].fill(1);
-        let mut buf = BytesMut::with_capacity(head_len + self.payload.len());
-        buf.put_slice(&head[..head_len]);
-        buf.put_slice(&self.payload);
-        Ok(buf.freeze())
+        encode_parts(&self.hdr.fixed(), &opts, &self.payload)
     }
 
-    /// Decode from wire bytes.
-    ///
-    /// Allocation-free: the input is the reference-counted frame buffer,
-    /// the returned segment's `payload` is an Arc-backed [`Bytes::slice`]
-    /// of it — a 1400-byte payload is never memcpy'd between the sender's
-    /// `encode` and the receiving application — and options (tens of bytes
-    /// at most, by TCP's 40-byte limit) are parsed into inline
-    /// fixed-capacity storage.
+    /// Decode from wire bytes: [`TcpView::parse`], then the options
+    /// collected into inline storage. Allocation-free; the payload aliases
+    /// the frame.
     pub fn decode(b: &Bytes) -> Result<TcpSegment, WireError> {
-        if b.len() < TCP_HEADER_LEN {
-            return Err(WireError::Truncated);
-        }
-        let data_offset = (b[12] >> 4) as usize * 4;
-        if data_offset < TCP_HEADER_LEN || data_offset > b.len() {
-            return Err(WireError::BadDataOffset);
-        }
-        let mut hdr = TcpHeader {
-            src_port: u16::from_be_bytes([b[0], b[1]]),
-            dst_port: u16::from_be_bytes([b[2], b[3]]),
-            seq: SeqNum(u32::from_be_bytes([b[4], b[5], b[6], b[7]])),
-            ack: SeqNum(u32::from_be_bytes([b[8], b[9], b[10], b[11]])),
-            flags: TcpFlags::from_byte(b[13]),
-            window: u16::from_be_bytes([b[14], b[15]]),
-            options: TcpOptions::new(),
-        };
-        let mut i = TCP_HEADER_LEN;
-        while i < data_offset {
-            let kind = b[i];
-            match kind {
-                0 => break,  // end of options
-                1 => i += 1, // NOP
-                _ => {
-                    if i + 1 >= data_offset {
-                        return Err(WireError::BadOptionLength);
-                    }
-                    let len = b[i + 1] as usize;
-                    if len < 2 || i + len > data_offset {
-                        return Err(WireError::BadOptionLength);
-                    }
-                    let body = &b[i + 2..i + len];
-                    let opt = match (kind, len) {
-                        (2, 4) => TcpOption::Mss(u16::from_be_bytes([body[0], body[1]])),
-                        (3, 3) => TcpOption::WindowScale(body[0]),
-                        (4, 2) => TcpOption::SackPermitted,
-                        (8, 10) => TcpOption::Timestamps {
-                            val: u32::from_be_bytes([body[0], body[1], body[2], body[3]]),
-                            ecr: u32::from_be_bytes([body[4], body[5], body[6], body[7]]),
-                        },
-                        (OPT_KIND_MPTCP, _) => TcpOption::Mptcp(OptBytes::copy_from_slice(body)),
-                        _ => TcpOption::Unknown {
-                            kind,
-                            data: OptBytes::copy_from_slice(body),
-                        },
-                    };
-                    hdr.options.push(opt);
-                    i += len;
-                }
-            }
-        }
-        Ok(TcpSegment {
-            hdr,
-            payload: b.slice(data_offset..),
-        })
+        TcpView::parse(b).map(TcpSegment::from)
     }
 }
 
-/// Length of the encoded options area, padded to a 4-byte boundary.
-fn options_padded_len(options: &[TcpOption]) -> usize {
-    let raw: usize = options.iter().map(|o| o.wire_len()).sum();
-    raw.div_ceil(4) * 4
+impl From<TcpView<'_>> for TcpSegment {
+    fn from(v: TcpView<'_>) -> Self {
+        let f = v.hdr;
+        TcpSegment {
+            hdr: TcpHeader {
+                src_port: f.src_port,
+                dst_port: f.dst_port,
+                seq: f.seq,
+                ack: f.ack,
+                flags: f.flags,
+                window: f.window,
+                options: v
+                    .options()
+                    .map(|(kind, body)| TcpOption::from_wire(kind, body))
+                    .collect(),
+            },
+            payload: v.payload,
+        }
+    }
+}
+
+impl TcpHeader {
+    /// The fixed fields, without the options.
+    pub fn fixed(&self) -> TcpFixed {
+        TcpFixed {
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+            seq: self.seq,
+            ack: self.ack,
+            flags: self.flags,
+            window: self.window,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -594,7 +759,8 @@ mod tests {
         let wire = seg.encode().unwrap();
         let back = TcpSegment::decode(&wire).unwrap();
         assert_eq!(back, seg);
-        assert_eq!(wire.len(), seg.wire_len());
+        // MSS 4 + window scale 3 + MPTCP 12 bytes, padded to 20.
+        assert_eq!(wire.len(), TCP_HEADER_LEN + 20 + 11);
     }
 
     #[test]
@@ -732,6 +898,38 @@ mod tests {
     }
 
     #[test]
+    fn option_writer_holds_exactly_forty_bytes() {
+        let mut w = OptionWriter::new();
+        w.push(99, &[0; 18]);
+        w.push(99, &[0; 18]);
+        let full = encode_parts(&TcpFixed::default(), &w, &[]).unwrap();
+        assert_eq!(full.len(), TCP_HEADER_LEN + MAX_OPTIONS_LEN);
+        w.push(OPT_KIND_SACK_PERMITTED, &[]);
+        assert_eq!(
+            encode_parts(&TcpFixed::default(), &w, &[]),
+            Err(WireError::OptionsTooLong)
+        );
+    }
+
+    #[test]
+    fn view_walk_skips_nops_and_stops_at_end_of_list() {
+        let mut wire = vec![0u8; 20];
+        // Data offset 8 words: 12 bytes of options. A NOP, a 4-byte MPTCP
+        // option, EOL, then bytes the walk never reads.
+        wire[12] = 8 << 4;
+        wire.extend_from_slice(&[1, 30, 4, 0xAB, 0xCD, 0, 99, 2, 7, 7, 7, 7]);
+        wire.extend_from_slice(b"data");
+        let frame = Bytes::from(wire);
+        let view = TcpView::parse(&frame).unwrap();
+        assert_eq!(
+            view.options().collect::<Vec<_>>(),
+            [(OPT_KIND_MPTCP, &[0xAB, 0xCD][..])]
+        );
+        assert_eq!(view.mptcp_opts().collect::<Vec<_>>(), [&[0xAB, 0xCD][..]]);
+        assert_eq!(view.payload, Bytes::from_static(b"data"));
+    }
+
+    #[test]
     #[should_panic(expected = "option body exceeds 38 bytes")]
     fn oversized_option_body_panics_at_construction() {
         let _ = OptBytes::copy_from_slice(&[0u8; 39]);
@@ -786,6 +984,7 @@ mod tests {
 mod prop {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn arb_option() -> impl Strategy<Value = TcpOption> {
         prop_oneof![
@@ -826,7 +1025,7 @@ mod prop {
                         ack: SeqNum(ack),
                         flags: TcpFlags::from_byte(flags),
                         window,
-                        options: TcpOptions::from(&options[..]),
+                        options: options.iter().copied().collect(),
                     },
                     payload: Bytes::from(payload),
                 },
@@ -886,12 +1085,36 @@ mod prop {
             ack: SeqNum(u32::from_be_bytes([b[8], b[9], b[10], b[11]])),
             flags: TcpFlags::from_byte(b[13]),
             window: u16::from_be_bytes([b[14], b[15]]),
-            options: TcpOptions::from(&options[..]),
+            options: options.iter().copied().collect(),
         };
         Ok(TcpSegment {
             hdr,
             payload: Bytes::from(b[data_offset..].to_owned()),
         })
+    }
+
+    /// [`TcpView::parse`] against the reference model: the same error, or
+    /// the same fixed fields, options and payload.
+    fn view_matches_copying_decode(wire: &Bytes) -> Result<(), TestCaseError> {
+        match (TcpView::parse(wire), copying_decode(wire)) {
+            (Ok(view), Ok(seg)) => {
+                prop_assert_eq!(view.hdr, seg.hdr.fixed());
+                let opts: TcpOptions = view
+                    .options()
+                    .map(|(kind, body)| TcpOption::from_wire(kind, body))
+                    .collect();
+                prop_assert_eq!(opts, seg.hdr.options);
+                prop_assert_eq!(view.payload, seg.payload);
+            }
+            (Err(e), Err(reference)) => prop_assert_eq!(e, reference),
+            (view, reference) => prop_assert!(
+                false,
+                "parse {:?} but the reference model {:?}",
+                view.map(|v| v.hdr),
+                reference.map(|s| s.hdr.fixed())
+            ),
+        }
+        Ok(())
     }
 
     proptest! {
@@ -905,23 +1128,63 @@ mod prop {
 
         #[test]
         fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..120)) {
-            let _ = TcpSegment::decode(&Bytes::from(bytes));
+            let frame = Bytes::from(bytes);
+            let _ = TcpSegment::decode(&frame);
+            if let Ok(view) = TcpView::parse(&frame) {
+                for (kind, body) in view.options() {
+                    prop_assert!(kind > OPT_KIND_NOP && body.len() <= MAX_OPT_BODY_LEN);
+                }
+                prop_assert!(view.mptcp_opts().count() <= MAX_TCP_OPTIONS);
+            }
         }
 
-        /// Zero-copy decode agrees byte-for-byte with the old copying
-        /// decoder — on valid encodings *and* on arbitrary byte soup
-        /// (including which error is returned).
+        /// Zero-copy decode and the borrowed view agree byte-for-byte with
+        /// the old copying decoder — on valid encodings *and* on arbitrary
+        /// byte soup (including which error is returned).
         #[test]
         fn zero_copy_decode_matches_copying_decode(
             seg in arb_segment(),
             soup in proptest::collection::vec(any::<u8>(), 0..120),
+            garbled in proptest::collection::vec(prop_oneof![0u8..12, any::<u8>()], 0..40),
         ) {
             if seg.hdr.options.iter().map(|o| o.wire_len()).sum::<usize>() <= 38 {
                 let wire = seg.encode().unwrap();
                 prop_assert_eq!(TcpSegment::decode(&wire), copying_decode(&wire));
+                view_matches_copying_decode(&wire)?;
             }
             let soup = Bytes::from(soup);
             prop_assert_eq!(TcpSegment::decode(&soup), copying_decode(&soup));
+            view_matches_copying_decode(&soup)?;
+            // A valid fixed header over option bytes that are mostly small
+            // kinds and lengths: the option walk itself meets the byte soup.
+            let area = garbled.len().div_ceil(4) * 4;
+            let mut framed = vec![0u8; TCP_HEADER_LEN];
+            framed[12] = (((TCP_HEADER_LEN + area) / 4) as u8) << 4;
+            framed.extend_from_slice(&garbled);
+            framed.resize(TCP_HEADER_LEN + area, OPT_KIND_NOP);
+            framed.extend_from_slice(b"payload");
+            let framed = Bytes::from(framed);
+            prop_assert_eq!(TcpSegment::decode(&framed), copying_decode(&framed));
+            view_matches_copying_decode(&framed)?;
+        }
+
+        /// The writer refuses an options area exactly when it would exceed
+        /// 40 bytes; below that, it pads what it holds to a 4-byte boundary.
+        #[test]
+        fn writer_rejects_exactly_what_overflows_40_bytes(
+            options in proptest::collection::vec(arb_option(), 0..6),
+        ) {
+            let mut w = OptionWriter::new();
+            for opt in &options {
+                opt.write_to(&mut w);
+            }
+            let raw: usize = options.iter().map(|o| o.wire_len()).sum();
+            match encode_parts(&TcpFixed::default(), &w, b"x") {
+                Ok(frame) => prop_assert!(
+                    raw <= MAX_OPTIONS_LEN && frame.len() == TCP_HEADER_LEN + raw.div_ceil(4) * 4 + 1
+                ),
+                Err(e) => prop_assert!(raw > MAX_OPTIONS_LEN && e == WireError::OptionsTooLong),
+            }
         }
     }
 }
