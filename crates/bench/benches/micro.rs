@@ -1,4 +1,5 @@
-//! Criterion micro-benchmarks of the hot paths: wire codecs, stream taps,
+//! Criterion micro-benchmarks of the hot paths: wire codecs, the oracle
+//! and the option stripper, stream taps,
 //! crypto, the send buffer, reassembly, schedulers, netlink framing, ECMP
 //! hashing, the event queue and the raw simulator event loop.
 
@@ -63,6 +64,54 @@ fn bench_tcp_codec(c: &mut Criterion) {
             opts.push(OPT_KIND_MPTCP, black_box(dss));
             encode_parts(&hdr, &opts, &seg.payload).unwrap()
         })
+    });
+    g.finish();
+}
+
+/// The simulator's own readers of the same frame: the always-on oracle
+/// checks every sent segment, and an option-stripping router rewrites it.
+fn bench_sim_wire(c: &mut Criterion) {
+    use smapp_sim::dynamics::strip_mptcp_options;
+    use smapp_sim::{IfaceId, NodeId, Oracle, Packet, SimTime, TraceEvent, TraceKind, TraceSink};
+    let seg = TcpSegment {
+        hdr: TcpHeader {
+            src_port: 43210,
+            dst_port: 80,
+            flags: TcpFlags::ACK,
+            options: TcpOptions::from([TcpOption::Mptcp(
+                MpOption::Dss(Dss {
+                    data_ack: Some(123_456_789),
+                    mapping: Some(DssMapping {
+                        dsn: 987_654_321,
+                        ssn: 42,
+                        len: 1400,
+                    }),
+                    data_fin: false,
+                })
+                .encode(),
+            )]),
+            ..Default::default()
+        },
+        payload: Bytes::from(vec![0xA5u8; 1400]),
+    };
+    let wire = seg.encode().unwrap();
+    let pkt = Packet::tcp(Addr::new(10, 0, 1, 1), Addr::new(10, 0, 9, 1), wire.clone());
+    let mut g = c.benchmark_group("sim_wire");
+    g.bench_function("oracle_send_1400b_dss", |b| {
+        let mut oracle = Oracle::new();
+        let ev = TraceEvent {
+            at: SimTime::from_millis(1),
+            kind: TraceKind::Send {
+                node: NodeId(0),
+                iface: IfaceId(0),
+            },
+            pkt: &pkt,
+        };
+        b.iter(|| oracle.record(black_box(&ev)));
+        assert!(oracle.is_clean());
+    });
+    g.bench_function("strip_1400b_dss", |b| {
+        b.iter(|| strip_mptcp_options(black_box(&wire)).unwrap())
     });
     g.finish();
 }
@@ -409,6 +458,7 @@ fn bench_simulator(c: &mut Criterion) {
 criterion_group!(
     micro,
     bench_tcp_codec,
+    bench_sim_wire,
     bench_stream_tap,
     bench_crypto,
     bench_send_buffer,

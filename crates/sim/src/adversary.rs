@@ -233,6 +233,37 @@ mod tests {
         assert!(ports.len() > 1);
     }
 
+    /// Exact wire bytes, not just the SYN flag and the length: the first
+    /// four SYNs of a mixed flood at seed 7 (an `MP_JOIN`, two plain SYNs,
+    /// an `MP_CAPABLE`), and the RST answering a SYN-ACK.
+    #[test]
+    fn flood_wire_bytes_are_pinned() {
+        let syns = flood_world(7, FloodMix::Mixed);
+        let expect: [&[u8]; 4] = [
+            &[
+                181, 189, 0, 80, 250, 78, 158, 20, 0, 0, 0, 0, 128, 2, 255, 255, 0, 0, 0, 0, 30,
+                12, 16, 1, 99, 24, 1, 60, 245, 121, 3, 118,
+            ],
+            &[
+                195, 25, 0, 80, 98, 30, 163, 128, 0, 0, 0, 0, 80, 2, 255, 255, 0, 0, 0, 0,
+            ],
+            &[
+                167, 229, 0, 80, 217, 193, 17, 237, 0, 0, 0, 0, 80, 2, 255, 255, 0, 0, 0, 0,
+            ],
+            &[
+                195, 94, 0, 80, 46, 16, 196, 9, 0, 0, 0, 0, 128, 2, 255, 255, 0, 0, 0, 0, 30, 12,
+                0, 1, 126, 160, 104, 241, 193, 200, 130, 79,
+            ],
+        ];
+        for (got, want) in syns.iter().zip(expect) {
+            assert_eq!(&got.payload[..], want);
+        }
+        assert_eq!(
+            &rst_reply().payload[..],
+            &[156, 64, 0, 80, 0, 0, 3, 9, 0, 0, 0, 0, 80, 4, 0, 0, 0, 0, 0, 0]
+        );
+    }
+
     #[test]
     fn mp_join_flood_carries_kind_30_joins() {
         let pkts = flood_world(3, FloodMix::MpJoin);
@@ -242,8 +273,9 @@ mod tests {
         }));
     }
 
-    #[test]
-    fn syn_ack_is_answered_with_rst() {
+    /// What the flood source sends back for a SYN-ACK from port 80 to its
+    /// port 40000 acknowledging 777; the reply must be its only packet.
+    fn rst_reply() -> Packet {
         let mut sim = Simulator::new(1);
         let fl = sim.add_node(Box::new(FloodSource::new(FloodCfg {
             target: Addr::new(10, 0, 9, 1),
@@ -271,20 +303,26 @@ mod tests {
         );
         sim.core.send_from(ci, synack);
         sim.run();
-        let got = &sim
-            .node(co)
-            .as_any()
-            .downcast_ref::<Collector>()
+        let fl = sim.node(fl).as_any().downcast_ref::<FloodSource>().unwrap();
+        assert_eq!(fl.rst_replies, 1);
+        let got = &mut sim
+            .node_mut(co)
+            .as_any_mut()
+            .downcast_mut::<Collector>()
             .unwrap()
             .got;
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].payload[13], 0x04, "RST");
+        got.pop().unwrap()
+    }
+
+    #[test]
+    fn syn_ack_is_answered_with_rst() {
+        let rst = rst_reply();
+        assert_eq!(rst.payload[13], 0x04, "RST");
         assert_eq!(
-            u32::from_be_bytes(got[0].payload[4..8].try_into().unwrap()),
+            u32::from_be_bytes(rst.payload[4..8].try_into().unwrap()),
             777,
             "RST seq = their ack"
         );
-        let fl = sim.node(fl).as_any().downcast_ref::<FloodSource>().unwrap();
-        assert_eq!(fl.rst_replies, 1);
     }
 }
