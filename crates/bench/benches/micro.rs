@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the hot paths: wire codecs, the oracle
-//! and the option stripper, stream taps,
-//! crypto, the send buffer, reassembly, schedulers, netlink framing, ECMP
-//! hashing, the event queue and the raw simulator event loop.
+//! and the option stripper, stream taps, crypto, the send buffer,
+//! reassembly, schedulers, netlink framing, ECMP hashing, the event queue
+//! and the raw simulator event loop.
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -16,8 +16,10 @@ use smapp_tcp::{
 };
 use std::hint::black_box;
 
-fn bench_tcp_codec(c: &mut Criterion) {
-    let seg = TcpSegment {
+/// An ACK carrying a 1400-byte payload and one DSS option (data ACK and
+/// mapping): the common data segment of every workload.
+fn dss_segment() -> TcpSegment {
+    TcpSegment {
         hdr: TcpHeader {
             src_port: 43210,
             dst_port: 80,
@@ -39,7 +41,11 @@ fn bench_tcp_codec(c: &mut Criterion) {
             )]),
         },
         payload: Bytes::from(vec![0xA5u8; 1400]),
-    };
+    }
+}
+
+fn bench_tcp_codec(c: &mut Criterion) {
+    let seg = dss_segment();
     let wire = seg.encode().unwrap();
     let mut g = c.benchmark_group("tcp_codec");
     g.throughput(Throughput::Bytes(wire.len() as u64));
@@ -73,28 +79,7 @@ fn bench_tcp_codec(c: &mut Criterion) {
 fn bench_sim_wire(c: &mut Criterion) {
     use smapp_sim::dynamics::strip_mptcp_options;
     use smapp_sim::{IfaceId, NodeId, Oracle, Packet, SimTime, TraceEvent, TraceKind, TraceSink};
-    let seg = TcpSegment {
-        hdr: TcpHeader {
-            src_port: 43210,
-            dst_port: 80,
-            flags: TcpFlags::ACK,
-            options: TcpOptions::from([TcpOption::Mptcp(
-                MpOption::Dss(Dss {
-                    data_ack: Some(123_456_789),
-                    mapping: Some(DssMapping {
-                        dsn: 987_654_321,
-                        ssn: 42,
-                        len: 1400,
-                    }),
-                    data_fin: false,
-                })
-                .encode(),
-            )]),
-            ..Default::default()
-        },
-        payload: Bytes::from(vec![0xA5u8; 1400]),
-    };
-    let wire = seg.encode().unwrap();
+    let wire = dss_segment().encode().unwrap();
     let pkt = Packet::tcp(Addr::new(10, 0, 1, 1), Addr::new(10, 0, 9, 1), wire.clone());
     let mut g = c.benchmark_group("sim_wire");
     g.bench_function("oracle_send_1400b_dss", |b| {

@@ -26,6 +26,7 @@ use smapp_bench::perf::paper_matrix;
 use smapp_bench::scenarios::REGISTRY;
 use smapp_bench::sweep::Matrix;
 use smapp_sim::trace::{TraceEvent, TraceKind, TraceSink};
+use smapp_sim::wire::{encode_parts, OptionWriter, TcpFixed, TcpFlags, OPT_KIND_MPTCP};
 use smapp_sim::{Addr, Dir, IfaceId, LinkId, NodeId, Oracle, Packet, SimTime};
 
 #[global_allocator]
@@ -45,21 +46,21 @@ const FLEET_SMOKE_LIVE_CEILING: u64 = 3_340_000;
 /// payload. The oracle's clean path walks exactly this shape on every
 /// data segment of a real run.
 fn dss_data_segment(payload_len: usize) -> Bytes {
-    let mut b = vec![0u8; 36 + payload_len];
-    b[0..2].copy_from_slice(&4000u16.to_be_bytes()); // src port
-    b[2..4].copy_from_slice(&80u16.to_be_bytes()); // dst port
-    b[12] = 9 << 4; // data offset: 36 bytes
-    b[13] = 0x10; // ACK
-                  // Options: kind 30, len 14, subtype DSS (0x2), flags 0x04 (mapping
-                  // present, 4-byte DSN) -> DSN(4) SSN(4) len(2); then two NOPs.
-    b[20] = 30;
-    b[21] = 14;
-    b[22] = 0x20;
-    b[23] = 0x04;
-    b[32..34].copy_from_slice(&(payload_len as u16).to_be_bytes());
-    b[34] = 1;
-    b[35] = 1;
-    Bytes::from(b)
+    let hdr = TcpFixed {
+        src_port: 4000,
+        dst_port: 80,
+        flags: TcpFlags::ACK,
+        ..TcpFixed::default()
+    };
+    // Subtype DSS (0x2), flags 0x04 (mapping present, 4-byte DSN), then
+    // DSN(4) SSN(4) len(2); the writer pads the 14-byte option with two
+    // NOPs.
+    let mut dss = [0u8; 12];
+    dss[..2].copy_from_slice(&[0x20, 0x04]);
+    dss[10..].copy_from_slice(&(payload_len as u16).to_be_bytes());
+    let mut opts = OptionWriter::new();
+    opts.push(OPT_KIND_MPTCP, &dss);
+    encode_parts(&hdr, &opts, &vec![0u8; payload_len]).unwrap()
 }
 
 /// Drive one packet through the conserving event sequence the simulator

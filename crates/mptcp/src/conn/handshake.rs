@@ -227,6 +227,7 @@ impl Connection {
         &mut self,
         id: SubflowId,
         seg: &TcpView<'_>,
+        frame: &Bytes,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {
@@ -261,13 +262,14 @@ impl Connection {
         let sf = &mut self.subflows[id as usize];
         sf.irs = seg.hdr.seq.0;
         sf.peer_wscale = peer_wscale(seg);
-        self.subflow_established(id, seg, env, events);
+        self.subflow_established(id, seg, frame, env, events);
     }
 
     pub(super) fn on_segment_synreceived(
         &mut self,
         id: SubflowId,
         seg: &TcpView<'_>,
+        frame: &Bytes,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {
@@ -300,7 +302,7 @@ impl Connection {
                 return;
             }
         }
-        self.subflow_established(id, seg, env, events);
+        self.subflow_established(id, seg, frame, env, events);
     }
 
     /// The handshake of subflow `id` completed with `seg`: the SYN/ACK on
@@ -309,6 +311,7 @@ impl Connection {
         &mut self,
         id: SubflowId,
         seg: &TcpView<'_>,
+        frame: &Bytes,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {
@@ -349,7 +352,7 @@ impl Connection {
         }
         // The third ACK may carry data; process it in the established path.
         if !initiated_here && (!seg.payload.is_empty() || seg.hdr.flags.fin) {
-            self.on_segment_established(id, seg, env, events);
+            self.on_segment_established(id, seg, frame, env, events);
         } else {
             self.pump(env);
         }

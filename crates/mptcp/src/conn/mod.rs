@@ -733,11 +733,12 @@ mod tests {
             };
             syn_opts.push(OPT_KIND_MPTCP, &capable.encode());
             let syn_ack = from_peer(TcpFlags::SYN_ACK, 5_000, acked, &syn_opts);
-            let syn_ack = TcpView::parse(&syn_ack).unwrap();
-            conn.on_segment(0, &syn_ack, &mut env, &mut events);
+            let view = TcpView::parse(&syn_ack).unwrap();
+            conn.on_segment(0, &view, &syn_ack, &mut env, &mut events);
             assert_eq!(conn.state, ConnState::Established);
             let ack = from_peer(TcpFlags::ACK, 5_001, acked, &OptionWriter::new());
-            conn.on_segment(0, &TcpView::parse(&ack).unwrap(), &mut env, &mut events);
+            let view = TcpView::parse(&ack).unwrap();
+            conn.on_segment(0, &view, &ack, &mut env, &mut events);
             assert_eq!(conn.peer_window, 1000 << 14, "announced shift {announced}");
         }
     }

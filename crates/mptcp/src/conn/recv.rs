@@ -4,11 +4,13 @@
 use super::*;
 
 impl Connection {
-    /// Process an incoming segment for subflow `id`.
+    /// Process an incoming segment for subflow `id`: `seg` read from
+    /// `frame`, which received payload is sliced out of.
     pub fn on_segment(
         &mut self,
         id: SubflowId,
         seg: &TcpView<'_>,
+        frame: &Bytes,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {
@@ -25,9 +27,9 @@ impl Connection {
             return;
         }
         match state {
-            SfState::SynSent => self.on_segment_synsent(id, seg, env, events),
-            SfState::SynReceived => self.on_segment_synreceived(id, seg, env, events),
-            SfState::Established => self.on_segment_established(id, seg, env, events),
+            SfState::SynSent => self.on_segment_synsent(id, seg, frame, env, events),
+            SfState::SynReceived => self.on_segment_synreceived(id, seg, frame, env, events),
+            SfState::Established => self.on_segment_established(id, seg, frame, env, events),
             SfState::Closed => { /* stale segment for a dead subflow */ }
         }
     }
@@ -36,6 +38,7 @@ impl Connection {
         &mut self,
         id: SubflowId,
         seg: &TcpView<'_>,
+        frame: &Bytes,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {
@@ -194,7 +197,7 @@ impl Connection {
                     len,
                 });
             }
-            sf.reasm.insert(off, seg.payload.clone());
+            sf.reasm.insert(off, frame.slice(seg.header_len()..));
             // Pop in-order subflow bytes and lift them to the meta level;
             // each popped chunk carries the subflow offset of its first
             // byte.

@@ -108,7 +108,7 @@ mod tests {
         assert_eq!(env.out.len(), 1);
         let back = TcpView::parse(&env.out[0].seg).unwrap();
         assert_eq!(back.hdr, hdr);
-        assert_eq!(back.payload, Bytes::from_static(b"hi"));
+        assert_eq!(back.payload, b"hi");
         assert_eq!(env.out[0].src, src);
     }
 }

@@ -216,7 +216,7 @@ impl HostStack {
         // 1. Existing subflow?
         if let Some(&(idx, sub)) = self.flows.get(&tuple) {
             if let Some(conn) = self.conns[idx].as_mut() {
-                conn.on_segment(sub, &seg, env, &mut self.events);
+                conn.on_segment(sub, &seg, &pkt.payload, env, &mut self.events);
                 self.post_process(idx, env);
                 return;
             }

@@ -17,13 +17,13 @@
 use std::any::Any;
 use std::time::Duration;
 
-use bytes::Bytes;
-
 use crate::addr::Addr;
-use crate::dynamics::OPT_KIND_MPTCP;
 use crate::node::{IfaceId, Node};
 use crate::packet::{Packet, PROTO_TCP};
 use crate::time::SimTime;
+use crate::wire::{
+    encode_parts, OptionWriter, SeqNum, TcpFixed, TcpFlags, TcpView, OPT_KIND_MPTCP,
+};
 use crate::world::Ctx;
 
 /// What mix of bogus handshakes a [`FloodSource`] emits.
@@ -89,34 +89,30 @@ impl FloodSource {
             FloodMix::MpJoin => 2,
             FloodMix::Mixed => ctx.rng().range_u64(0, 3),
         };
-        let options: Vec<u8> = match flavor {
-            // MP_CAPABLE SYN: subtype 0, flags, 8-byte random key.
-            1 => {
-                let key = ctx.rng().next_u64();
-                let mut o = vec![OPT_KIND_MPTCP, 12, 0x00, 0x01];
-                o.extend_from_slice(&key.to_be_bytes());
-                o
-            }
-            // MP_JOIN SYN: subtype 1, addr id, 4-byte token, 4-byte nonce.
-            2 => {
-                let token = ctx.rng().next_u64() as u32;
-                let nonce = ctx.rng().next_u64() as u32;
-                let mut o = vec![OPT_KIND_MPTCP, 12, 0x10, 0x01];
-                o.extend_from_slice(&token.to_be_bytes());
-                o.extend_from_slice(&nonce.to_be_bytes());
-                o
-            }
-            _ => Vec::new(),
+        // MP_CAPABLE SYN: subtype 0, flags, 8-byte random key. MP_JOIN
+        // SYN: subtype 1, address id, 4-byte random token, 4-byte nonce.
+        let mut opts = OptionWriter::new();
+        let mut body = [0u8; 10];
+        if flavor == 1 {
+            body[..2].copy_from_slice(&[0x00, 0x01]);
+            body[2..].copy_from_slice(&ctx.rng().next_u64().to_be_bytes());
+            opts.push(OPT_KIND_MPTCP, &body);
+        } else if flavor == 2 {
+            body[..2].copy_from_slice(&[0x10, 0x01]);
+            body[2..6].copy_from_slice(&(ctx.rng().next_u64() as u32).to_be_bytes());
+            body[6..].copy_from_slice(&(ctx.rng().next_u64() as u32).to_be_bytes());
+            opts.push(OPT_KIND_MPTCP, &body);
+        }
+        let hdr = TcpFixed {
+            src_port,
+            dst_port: self.cfg.port,
+            seq: SeqNum(seq),
+            flags: TcpFlags::SYN,
+            window: 65_535,
+            ..TcpFixed::default()
         };
-        let mut seg = vec![0u8; 20];
-        seg[0..2].copy_from_slice(&src_port.to_be_bytes());
-        seg[2..4].copy_from_slice(&self.cfg.port.to_be_bytes());
-        seg[4..8].copy_from_slice(&seq.to_be_bytes());
-        seg[12] = (((20 + options.len()) / 4) as u8) << 4;
-        seg[13] = 0x02; // SYN
-        seg[14..16].copy_from_slice(&65_535u16.to_be_bytes());
-        seg.extend_from_slice(&options);
-        ctx.send(iface, Packet::tcp(src, self.cfg.target, Bytes::from(seg)));
+        let seg = encode_parts(&hdr, &opts, &[]).expect("one option fits");
+        ctx.send(iface, Packet::tcp(src, self.cfg.target, seg));
         self.sent += 1;
     }
 }
@@ -141,26 +137,28 @@ impl Node for FloodSource {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, pkt: Packet) {
         // Answer SYN-ACKs with an RST so the victim reaps its half-open
         // state; ignore everything else (RSTs to our bogus MP_JOINs).
-        if pkt.proto != PROTO_TCP || pkt.payload.len() < 20 {
+        if pkt.proto != PROTO_TCP {
             return;
         }
-        let b = &pkt.payload;
-        if b[13] & 0x12 != 0x12 {
+        let Ok(seg) = TcpView::parse(&pkt.payload) else {
+            return;
+        };
+        if !(seg.hdr.flags.syn && seg.hdr.flags.ack) {
             return;
         }
-        let their_ack = u32::from_be_bytes([b[8], b[9], b[10], b[11]]);
-        let (sport, dport) = (
-            u16::from_be_bytes([b[0], b[1]]),
-            u16::from_be_bytes([b[2], b[3]]),
-        );
-        let mut rst = vec![0u8; 20];
-        rst[0..2].copy_from_slice(&dport.to_be_bytes());
-        rst[2..4].copy_from_slice(&sport.to_be_bytes());
-        rst[4..8].copy_from_slice(&their_ack.to_be_bytes());
-        rst[12] = 5 << 4;
-        rst[13] = 0x04; // RST
+        let hdr = TcpFixed {
+            src_port: seg.hdr.dst_port,
+            dst_port: seg.hdr.src_port,
+            seq: seg.hdr.ack,
+            flags: TcpFlags {
+                rst: true,
+                ..TcpFlags::default()
+            },
+            ..TcpFixed::default()
+        };
+        let rst = encode_parts(&hdr, &OptionWriter::new(), &[]).expect("no options");
         let src = ctx.iface(iface).addr;
-        ctx.send(iface, Packet::tcp(src, pkt.src, Bytes::from(rst)));
+        ctx.send(iface, Packet::tcp(src, pkt.src, rst));
         self.rst_replies += 1;
     }
 
@@ -290,16 +288,17 @@ mod tests {
         let ci = sim.add_iface(co, Addr::new(10, 0, 9, 1), "eth0");
         sim.connect(fi, ci, LinkCfg::mbps_ms(100, 1));
         // A SYN-ACK from the victim toward the flood source.
-        let mut b = vec![0u8; 20];
-        b[0..2].copy_from_slice(&80u16.to_be_bytes());
-        b[2..4].copy_from_slice(&40_000u16.to_be_bytes());
-        b[8..12].copy_from_slice(&777u32.to_be_bytes());
-        b[12] = 5 << 4;
-        b[13] = 0x12;
+        let hdr = TcpFixed {
+            src_port: 80,
+            dst_port: 40_000,
+            ack: SeqNum(777),
+            flags: TcpFlags::SYN_ACK,
+            ..TcpFixed::default()
+        };
         let synack = Packet::tcp(
             Addr::new(10, 0, 9, 1),
             Addr::new(10, 0, 3, 1),
-            Bytes::from(b),
+            encode_parts(&hdr, &OptionWriter::new(), &[]).unwrap(),
         );
         sim.core.send_from(ci, synack);
         sim.run();

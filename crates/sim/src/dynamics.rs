@@ -46,6 +46,7 @@ use bytes::Bytes;
 use crate::link::{Dir, Eviction, LinkId, LossModel};
 use crate::node::{IfaceId, NodeId};
 use crate::time::SimTime;
+use crate::wire::{OptionWriter, TcpView, OPT_KIND_MPTCP, TCP_HEADER_LEN};
 
 /// An out-of-band control command delivered to a node by
 /// [`DynAction::Command`] (see [`crate::Node::on_command`]).
@@ -281,81 +282,48 @@ impl DynamicsScript {
     }
 }
 
-/// TCP option kind carrying all Multipath TCP signalling (RFC 6824).
-/// Duplicated from `smapp-tcp` (which sits *above* this crate) — a
-/// middlebox identifies the option by its wire kind byte, not by the
-/// endpoint stack's types.
-pub const OPT_KIND_MPTCP: u8 = 30;
-
-/// Minimum TCP header length (no options).
-const TCP_FIXED_LEN: usize = 20;
-
 /// Strip every MPTCP option (kind 30) from a raw TCP segment.
 ///
 /// `payload` is the L4 bytes of a [`crate::Packet`] with `proto ==`
 /// [`crate::PROTO_TCP`]. Returns the rewritten segment plus the number of
 /// options removed, or `None` when there is nothing to strip — the segment
-/// carries no kind-30 option, or it does not parse as TCP (a middlebox
-/// must never corrupt what it cannot parse).
+/// carries no kind-30 option, or [`TcpView::parse`] rejects it (a
+/// middlebox must never corrupt what it cannot parse).
 ///
-/// Remaining options are re-packed in order and NOP-padded to a 4-byte
-/// boundary; the data offset is rewritten accordingly. All other header
-/// fields and the application payload pass through untouched — exactly the
-/// behaviour of a protocol-normalizing middlebox that "cleans" unknown
-/// TCP options while forwarding the connection itself.
+/// Remaining options are re-packed in order through an [`OptionWriter`],
+/// which NOP-pads them to a 4-byte boundary; the data offset is rewritten
+/// accordingly. All other header bits, reserved ones included, and the
+/// application payload pass through untouched — exactly the behaviour of a
+/// protocol-normalizing middlebox that "cleans" unknown TCP options while
+/// forwarding the connection itself.
 pub fn strip_mptcp_options(payload: &[u8]) -> Option<(Bytes, u32)> {
-    if payload.len() < TCP_FIXED_LEN {
-        return None;
-    }
-    let data_offset = (payload[12] >> 4) as usize * 4;
-    if data_offset < TCP_FIXED_LEN || data_offset > payload.len() {
-        return None;
-    }
-    // First pass: parse the option list, remembering the survivors.
-    let opts = &payload[TCP_FIXED_LEN..data_offset];
-    let mut keep: Vec<&[u8]> = Vec::new();
+    let seg = TcpView::parse(payload).ok()?;
+    let mut kept = OptionWriter::new();
     let mut stripped = 0u32;
-    let mut i = 0usize;
-    while i < opts.len() {
-        match opts[i] {
-            0 => break,  // end of options
-            1 => i += 1, // NOP padding: dropped, re-padded below
-            kind => {
-                if i + 1 >= opts.len() {
-                    return None; // truncated TLV: not parseable, pass through
-                }
-                let len = opts[i + 1] as usize;
-                if len < 2 || i + len > opts.len() {
-                    return None;
-                }
-                if kind == OPT_KIND_MPTCP {
-                    stripped += 1;
-                } else {
-                    keep.push(&opts[i..i + len]);
-                }
-                i += len;
-            }
+    for (kind, body) in seg.options() {
+        if kind == OPT_KIND_MPTCP {
+            stripped += 1;
+        } else {
+            kept.push(kind, body);
         }
     }
     if stripped == 0 {
         return None;
     }
-    let kept_len: usize = keep.iter().map(|o| o.len()).sum();
-    let padded = kept_len.div_ceil(4) * 4;
-    let mut out = Vec::with_capacity(TCP_FIXED_LEN + padded + (payload.len() - data_offset));
-    out.extend_from_slice(&payload[..TCP_FIXED_LEN]);
-    for o in keep {
-        out.extend_from_slice(o);
-    }
-    out.resize(TCP_FIXED_LEN + padded, 1); // NOP padding
-    out.extend_from_slice(&payload[data_offset..]);
-    out[12] = (((TCP_FIXED_LEN + padded) / 4) as u8) << 4 | (payload[12] & 0x0F);
+    // The survivors came out of a valid 40-byte area: they fit in one.
+    let area = kept.padded().ok()?;
+    let mut out = Vec::with_capacity(TCP_HEADER_LEN + area.len() + seg.payload.len());
+    out.extend_from_slice(&payload[..TCP_HEADER_LEN]);
+    out.extend_from_slice(area);
+    out.extend_from_slice(seg.payload);
+    out[12] = (((TCP_HEADER_LEN + area.len()) / 4) as u8) << 4 | (payload[12] & 0x0F);
     Some((Bytes::from(out), stripped))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{encode_parts, TcpFixed, TcpFlags, OPT_KIND_MSS, OPT_KIND_WINDOW_SCALE};
 
     fn at(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -412,38 +380,42 @@ mod tests {
         ));
     }
 
-    /// Hand-rolled 20-byte TCP header with the given options appended
-    /// (caller pads), plus payload.
-    fn raw_tcp(options: &[u8], payload: &[u8]) -> Vec<u8> {
-        assert_eq!(options.len() % 4, 0, "caller pads options");
-        let mut b = vec![0u8; TCP_FIXED_LEN];
-        b[0..2].copy_from_slice(&4321u16.to_be_bytes());
-        b[2..4].copy_from_slice(&80u16.to_be_bytes());
-        b[12] = (((TCP_FIXED_LEN + options.len()) / 4) as u8) << 4;
-        b[13] = 0x18; // PSH|ACK
-        b.extend_from_slice(options);
-        b.extend_from_slice(payload);
-        b
+    /// A valid PSH|ACK segment from port 4321 to 80 carrying `options`
+    /// (kind, body) NOP-padded by the writer, then `payload`.
+    fn tcp_seg(options: &[(u8, &[u8])], payload: &[u8]) -> Vec<u8> {
+        let hdr = TcpFixed {
+            src_port: 4321,
+            dst_port: 80,
+            flags: TcpFlags::PSH_ACK,
+            ..TcpFixed::default()
+        };
+        let mut opts = OptionWriter::new();
+        for (kind, body) in options {
+            opts.push(*kind, body);
+        }
+        encode_parts(&hdr, &opts, payload).unwrap().to_vec()
     }
 
     #[test]
     fn strip_removes_only_kind_30() {
-        // MSS (4) + MPTCP dss-ish (4) + NOP NOP WScale (3+1 pad as NOPs).
-        let opts = [
-            2, 4, 0x05, 0xB4, // MSS 1460
-            30, 4, 0x20, 0x00, // MPTCP, 2-byte body
-            3, 3, 7, 1, // window scale + NOP pad
-        ];
-        let seg = raw_tcp(&opts, b"hello");
+        // MSS (4) + MPTCP dss-ish (4) + WScale (3, then one NOP of padding).
+        let seg = tcp_seg(
+            &[
+                (OPT_KIND_MSS, &1460u16.to_be_bytes()),
+                (OPT_KIND_MPTCP, &[0x20, 0x00]),
+                (OPT_KIND_WINDOW_SCALE, &[7]),
+            ],
+            b"hello",
+        );
         let (out, n) = strip_mptcp_options(&seg).expect("stripped");
         assert_eq!(n, 1);
         // Survivors: MSS(4) + WScale(3) -> 7 -> padded to 8.
-        assert_eq!((out[12] >> 4) as usize * 4, TCP_FIXED_LEN + 8);
+        assert_eq!((out[12] >> 4) as usize * 4, TCP_HEADER_LEN + 8);
         assert_eq!(
-            &out[TCP_FIXED_LEN..TCP_FIXED_LEN + 7],
+            &out[TCP_HEADER_LEN..TCP_HEADER_LEN + 7],
             &[2, 4, 0x05, 0xB4, 3, 3, 7]
         );
-        assert_eq!(out[TCP_FIXED_LEN + 7], 1, "NOP padded");
+        assert_eq!(out[TCP_HEADER_LEN + 7], 1, "NOP padded");
         assert_eq!(&out[out.len() - 5..], b"hello");
         // Ports and flags untouched.
         assert_eq!(&out[..12], &seg[..12]);
@@ -452,7 +424,7 @@ mod tests {
 
     #[test]
     fn strip_is_noop_without_mptcp_options() {
-        let seg = raw_tcp(&[2, 4, 0x05, 0xB4], b"data");
+        let seg = tcp_seg(&[(OPT_KIND_MSS, &1460u16.to_be_bytes())], b"data");
         assert!(strip_mptcp_options(&seg).is_none());
         assert!(strip_mptcp_options(b"short").is_none());
     }
@@ -460,29 +432,32 @@ mod tests {
     #[test]
     fn strip_passes_malformed_segments_through() {
         // Option with length 0 — unparseable; middlebox must not touch it.
-        let seg = raw_tcp(&[30, 0, 1, 1], b"");
+        // Malformed bytes are edited in: the writer cannot produce them.
+        let mut seg = tcp_seg(&[(OPT_KIND_MPTCP, &[])], b"");
+        seg[TCP_HEADER_LEN + 1] = 0;
         assert!(strip_mptcp_options(&seg).is_none());
+        assert!(strip_mptcp_options(&crate::wire::MALFORMED_OPTION_AREA).is_none());
         // Bad data offset.
-        let mut seg = raw_tcp(&[], b"x");
+        let mut seg = tcp_seg(&[], b"x");
         seg[12] = 0xF0;
         assert!(strip_mptcp_options(&seg).is_none());
     }
 
     #[test]
     fn strip_handles_multiple_mptcp_options_and_eol() {
-        let opts = [
-            30, 4, 0x20, 0x00, // MPTCP #1
-            30, 3, 0x50, // MPTCP #2 (3 bytes)
-            0,    // EOL: rest is padding
-        ];
-        let seg = raw_tcp(&opts, b"zz");
+        let mut seg = tcp_seg(
+            &[(OPT_KIND_MPTCP, &[0x20, 0x00]), (OPT_KIND_MPTCP, &[0x50])],
+            b"zz",
+        );
+        // EOL where the writer put its NOP pad: the rest is padding.
+        seg[TCP_HEADER_LEN + 7] = 0;
         let (out, n) = strip_mptcp_options(&seg).expect("stripped");
         assert_eq!(n, 2);
         assert_eq!(
             (out[12] >> 4) as usize * 4,
-            TCP_FIXED_LEN,
+            TCP_HEADER_LEN,
             "no options left"
         );
-        assert_eq!(&out[TCP_FIXED_LEN..], b"zz");
+        assert_eq!(&out[TCP_HEADER_LEN..], b"zz");
     }
 }

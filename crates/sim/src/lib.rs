@@ -5,7 +5,8 @@
 //!
 //! * a nanosecond event clock ([`SimTime`]) and a deterministic run loop
 //!   ([`Simulator`]) driven by a single seeded RNG ([`SimRng`]),
-//! * IP-style packets carrying real L4 wire bytes ([`Packet`]),
+//! * IP-style packets carrying real L4 wire bytes ([`Packet`]), and the
+//!   TCP header reader and writer every layer shares ([`wire`]),
 //! * full-duplex links with bandwidth, propagation delay, drop-tail queues
 //!   and (time-varying) random loss ([`LinkCfg`], [`LossModel`]),
 //! * ECMP routers hashing the 5-tuple ([`Router`]),
@@ -81,6 +82,7 @@ pub mod rng;
 pub mod router;
 pub mod time;
 pub mod trace;
+pub mod wire;
 pub mod world;
 
 pub use addr::{Addr, AddrPrefix, FlowKey};

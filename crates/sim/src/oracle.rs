@@ -18,8 +18,9 @@
 //!   minted inside a link);
 //! * **TCP parseability** — every TCP packet handed to an interface
 //!   carries a structurally valid TCP segment (header, data offset, option
-//!   TLV walk). This is the check that catches a middlebox rewriter
-//!   corrupting segments it should normalize;
+//!   TLV walk), as judged by the tree's one header reader,
+//!   [`crate::wire::TcpView::parse`]. This is the check that catches a
+//!   middlebox rewriter corrupting segments it should normalize;
 //! * **MPTCP option sanity** — kind-30 options parse (known subtype,
 //!   plausible length), a DSS mapping covers exactly the segment's payload
 //!   (RFC 6824 §3.3: our endpoints map whole segments), and `MP_CAPABLE`
@@ -38,6 +39,7 @@ use crate::hash::FxHashMap;
 use crate::packet::{Packet, PROTO_ICMP, PROTO_TCP};
 use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceKind, TraceSink};
+use crate::wire::{TcpView, TCP_HEADER_LEN};
 use crate::world::{RunSummary, StopReason};
 use crate::DropReason;
 
@@ -187,79 +189,49 @@ impl Oracle {
         &mut self.links[idx]
     }
 
-    /// Structural checks on an outgoing TCP packet's wire bytes.
-    /// Allocation-free on the (overwhelmingly common) clean path: the
-    /// option walk hands each kind-30 body to [`Oracle::check_mptcp_opt`]
-    /// without collecting anything.
+    /// Structural checks on an outgoing TCP packet's wire bytes, read
+    /// through the tree's one header reader ([`TcpView::parse`]).
+    /// Allocation-free on the (overwhelmingly common) clean path: each
+    /// kind-30 body goes to [`Oracle::check_mptcp_opt`] without collecting
+    /// anything.
     fn check_tcp(&mut self, at: SimTime, pkt: &Packet) {
-        const FIXED: usize = 20;
-        let b = &pkt.payload[..];
-        let parse_err = |o: &mut Oracle, e: &'static str| {
-            o.violate(
-                at,
-                "tcp-parse",
-                format!("{} -> {}: {e} (len {})", pkt.src, pkt.dst, b.len()),
-            );
+        let seg = match TcpView::parse(&pkt.payload) {
+            Ok(seg) => seg,
+            Err(e) => {
+                let (src, dst, len) = (pkt.src, pkt.dst, pkt.payload.len());
+                let detail = format!("{src} -> {dst}: {e} (len {len})");
+                return self.violate(at, "tcp-parse", detail);
+            }
         };
-        if b.len() < FIXED {
-            return parse_err(self, "segment shorter than the fixed TCP header");
-        }
-        let data_offset = (b[12] >> 4) as usize * 4;
-        if data_offset < FIXED || data_offset > b.len() {
-            return parse_err(self, "bad data offset");
-        }
-        let seg = TcpWire {
-            src_port: u16::from_be_bytes([b[0], b[1]]),
-            dst_port: u16::from_be_bytes([b[2], b[3]]),
-            syn: b[13] & 0x02 != 0,
-            ack: b[13] & 0x10 != 0,
-            payload_len: b.len() - data_offset,
-        };
-        let (fin, rst) = (b[13] & 0x01 != 0, b[13] & 0x04 != 0);
+        let f = seg.hdr.flags;
         let cov = &mut self.coverage;
-        match (seg.syn, seg.ack) {
+        match (f.syn, f.ack) {
             (true, false) => cov.set(wire::SYN),
             (true, true) => cov.set(wire::SYN_ACK),
             _ => {}
         }
-        if fin {
+        if f.fin {
             cov.set(wire::FIN);
         }
-        if rst {
+        if f.rst {
             cov.set(wire::RST);
         }
-        if seg.payload_len > 0 {
-            cov.set(if fin { wire::DATA_FIN } else { wire::DATA });
-        } else if !seg.syn && !fin && !rst && seg.ack {
+        if !seg.payload.is_empty() {
+            cov.set(if f.fin { wire::DATA_FIN } else { wire::DATA });
+        } else if !f.syn && !f.fin && !f.rst && f.ack {
             cov.set(wire::PURE_ACK);
         }
-        if data_offset == FIXED && !seg.syn {
+        if seg.header_len() == TCP_HEADER_LEN && !f.syn {
             cov.set(wire::NO_OPTIONS);
         }
-        let mut i = FIXED;
-        while i < data_offset {
-            match b[i] {
-                0 => break,
-                1 => i += 1,
-                kind => {
-                    if i + 1 >= data_offset {
-                        return parse_err(self, "truncated option TLV");
-                    }
-                    let len = b[i + 1] as usize;
-                    if len < 2 || i + len > data_offset {
-                        return parse_err(self, "bad option length");
-                    }
-                    if kind == crate::dynamics::OPT_KIND_MPTCP {
-                        self.check_mptcp_opt(at, pkt, &seg, &b[i + 2..i + len]);
-                    }
-                    i += len;
-                }
-            }
+        for body in seg.mptcp_opts() {
+            self.check_mptcp_opt(at, pkt, &seg, body);
         }
     }
 
     /// Check one kind-30 option body against `seg`'s context.
-    fn check_mptcp_opt(&mut self, at: SimTime, pkt: &Packet, seg: &TcpWire, body: &[u8]) {
+    fn check_mptcp_opt(&mut self, at: SimTime, pkt: &Packet, seg: &TcpView<'_>, body: &[u8]) {
+        let (syn, ack) = (seg.hdr.flags.syn, seg.hdr.flags.ack);
         match parse_mptcp(body) {
             Err(e) => self.violate(
                 at,
@@ -267,15 +239,15 @@ impl Oracle {
                 format!("{} -> {}: {e}", pkt.src, pkt.dst),
             ),
             Ok(MpWire::Capable { key }) => {
-                self.coverage.set(if seg.syn && !seg.ack {
+                self.coverage.set(if syn && !ack {
                     wire::MP_CAPABLE_SYN
                 } else {
                     wire::MP_CAPABLE_ACK
                 });
                 // Key uniqueness is only meaningfully asserted on the
                 // initial SYN (retransmits repeat the key on the same flow).
-                if seg.syn && !seg.ack {
-                    let fk = (pkt.src.0, pkt.dst.0, seg.src_port, seg.dst_port);
+                if syn && !ack {
+                    let fk = (pkt.src.0, pkt.dst.0, seg.hdr.src_port, seg.hdr.dst_port);
                     match self.capable_keys.get(&key) {
                         Some(prev) if *prev != fk => {
                             let detail = format!(
@@ -297,15 +269,11 @@ impl Oracle {
             Ok(MpWire::Dss { map_len: None }) => self.coverage.set(wire::DSS_ACK_ONLY),
             Ok(MpWire::Dss { map_len: Some(len) }) => {
                 self.coverage.set(wire::DSS_MAP);
-                if len != 0 && len as usize != seg.payload_len {
-                    self.violate(
-                        at,
-                        "dss-mapping",
-                        format!(
-                            "{} -> {}: DSS mapping len {} != payload len {}",
-                            pkt.src, pkt.dst, len, seg.payload_len
-                        ),
-                    );
+                let (src, dst, payload) = (pkt.src, pkt.dst, seg.payload.len());
+                if len != 0 && len as usize != payload {
+                    let detail =
+                        format!("{src} -> {dst}: DSS mapping len {len} != payload len {payload}");
+                    self.violate(at, "dss-mapping", detail);
                 }
             }
             Ok(MpWire::Other) => self.coverage.set(wire::MP_OTHER),
@@ -431,9 +399,10 @@ impl TraceSink for Oracle {
 }
 
 // ---------------------------------------------------------------------
-// Minimal wire parsing (hand-rolled; `smapp-tcp` sits *above* this crate,
-// so like the middlebox rewriter in `dynamics`, the oracle reads raw
-// bytes).
+// MPTCP subtypes, read independently of the stack: the framing above is
+// the shared `crate::wire` reader, but what a kind-30 body means is
+// checked here against RFC 6824 itself, so a bug in `smapp-mptcp`'s option
+// codec cannot vouch for itself.
 // ---------------------------------------------------------------------
 
 /// What the oracle extracts from one MPTCP (kind-30) option.
@@ -446,15 +415,6 @@ enum MpWire {
     Dss { map_len: Option<u16> },
     /// Any other valid subtype.
     Other,
-}
-
-/// Context of the segment an option was found in.
-struct TcpWire {
-    src_port: u16,
-    dst_port: u16,
-    syn: bool,
-    ack: bool,
-    payload_len: usize,
 }
 
 /// Parse one kind-30 option body far enough for the oracle's checks.
@@ -557,7 +517,27 @@ mod tests {
     use crate::addr::Addr;
     use crate::link::{Dir, LinkId};
     use crate::node::{IfaceId, NodeId};
+    use crate::wire::{encode_parts, OptionWriter, TcpFixed, TcpFlags, OPT_KIND_MPTCP};
     use bytes::Bytes;
+
+    const SEND: TraceKind = TraceKind::Send {
+        node: NodeId(0),
+        iface: IfaceId(0),
+    };
+
+    const ENQUEUE: TraceKind = TraceKind::Enqueue {
+        link: LinkId(0),
+        dir: Dir::AtoB,
+    };
+    const TX_START: TraceKind = TraceKind::TxStart {
+        link: LinkId(0),
+        dir: Dir::AtoB,
+    };
+    const DELIVER: TraceKind = TraceKind::Deliver {
+        link: LinkId(0),
+        iface: IfaceId(1),
+        node: NodeId(1),
+    };
 
     fn ev(at_ms: u64, kind: TraceKind, pkt: &Packet) -> TraceEvent<'_> {
         TraceEvent {
@@ -567,65 +547,38 @@ mod tests {
         }
     }
 
-    fn tcp_pkt(payload: Vec<u8>) -> Packet {
+    fn tcp_pkt(payload: impl Into<Bytes>) -> Packet {
         Packet::tcp(
             Addr::new(10, 0, 0, 1),
             Addr::new(10, 0, 0, 2),
-            Bytes::from(payload),
+            payload.into(),
         )
     }
 
-    /// A minimal valid TCP header with the given flags and options.
-    fn raw_tcp(flags: u8, options: &[u8], payload: &[u8]) -> Vec<u8> {
-        assert_eq!(options.len() % 4, 0);
-        let mut b = vec![0u8; 20];
-        b[0..2].copy_from_slice(&40_000u16.to_be_bytes());
-        b[2..4].copy_from_slice(&80u16.to_be_bytes());
-        b[12] = (((20 + options.len()) / 4) as u8) << 4;
-        b[13] = flags;
-        b.extend_from_slice(options);
-        b.extend_from_slice(payload);
-        b
+    /// A valid segment from port 40000 to 80: `flags`, one MPTCP option
+    /// per body in `mptcp`, then `payload`.
+    fn tcp_seg(flags: TcpFlags, mptcp: &[&[u8]], payload: &[u8]) -> Bytes {
+        let hdr = TcpFixed {
+            src_port: 40_000,
+            dst_port: 80,
+            flags,
+            ..TcpFixed::default()
+        };
+        let mut opts = OptionWriter::new();
+        for body in mptcp {
+            opts.push(OPT_KIND_MPTCP, body);
+        }
+        encode_parts(&hdr, &opts, payload).unwrap()
     }
 
     #[test]
     fn clean_link_lifecycle_is_clean() {
         let mut o = Oracle::new();
-        let p = tcp_pkt(raw_tcp(0x10, &[], b"hi"));
-        let link = LinkId(0);
-        o.record(&ev(
-            1,
-            TraceKind::Send {
-                node: NodeId(0),
-                iface: IfaceId(0),
-            },
-            &p,
-        ));
-        o.record(&ev(
-            1,
-            TraceKind::Enqueue {
-                link,
-                dir: Dir::AtoB,
-            },
-            &p,
-        ));
-        o.record(&ev(
-            1,
-            TraceKind::TxStart {
-                link,
-                dir: Dir::AtoB,
-            },
-            &p,
-        ));
-        o.record(&ev(
-            2,
-            TraceKind::Deliver {
-                link,
-                iface: IfaceId(1),
-                node: NodeId(1),
-            },
-            &p,
-        ));
+        let p = tcp_pkt(tcp_seg(TcpFlags::ACK, &[], b"hi"));
+        o.record(&ev(1, SEND, &p));
+        o.record(&ev(1, ENQUEUE, &p));
+        o.record(&ev(1, TX_START, &p));
+        o.record(&ev(2, DELIVER, &p));
         o.finish(&RunSummary {
             reason: StopReason::Idle,
             ended_at: SimTime::from_millis(2),
@@ -638,33 +591,16 @@ mod tests {
     #[test]
     fn delivery_without_transmission_is_flagged() {
         let mut o = Oracle::new();
-        let p = tcp_pkt(raw_tcp(0x10, &[], b""));
-        let link = LinkId(3);
-        o.record(&ev(
-            1,
-            TraceKind::Deliver {
-                link,
-                iface: IfaceId(1),
-                node: NodeId(1),
-            },
-            &p,
-        ));
+        let p = tcp_pkt(tcp_seg(TcpFlags::ACK, &[], b""));
+        o.record(&ev(1, DELIVER, &p));
         assert_eq!(o.violations()[0].invariant, "link-conservation");
     }
 
     #[test]
     fn idle_end_with_leftover_packets_is_flagged() {
         let mut o = Oracle::new();
-        let p = tcp_pkt(raw_tcp(0x10, &[], b""));
-        let link = LinkId(0);
-        o.record(&ev(
-            1,
-            TraceKind::Enqueue {
-                link,
-                dir: Dir::AtoB,
-            },
-            &p,
-        ));
+        let p = tcp_pkt(tcp_seg(TcpFlags::ACK, &[], b""));
+        o.record(&ev(1, ENQUEUE, &p));
         o.finish(&RunSummary {
             reason: StopReason::Idle,
             ended_at: SimTime::from_millis(5),
@@ -674,14 +610,7 @@ mod tests {
         assert!(!o.is_clean());
         // A horizon stop with the same counters is fine (packet in flight).
         let mut o2 = Oracle::new();
-        o2.record(&ev(
-            1,
-            TraceKind::Enqueue {
-                link,
-                dir: Dir::AtoB,
-            },
-            &p,
-        ));
+        o2.record(&ev(1, ENQUEUE, &p));
         o2.finish(&RunSummary {
             reason: StopReason::Horizon,
             ended_at: SimTime::from_millis(5),
@@ -694,40 +623,20 @@ mod tests {
     #[test]
     fn time_regression_is_flagged() {
         let mut o = Oracle::new();
-        let p = tcp_pkt(raw_tcp(0x10, &[], b""));
-        o.record(&ev(
-            5,
-            TraceKind::Send {
-                node: NodeId(0),
-                iface: IfaceId(0),
-            },
-            &p,
-        ));
-        o.record(&ev(
-            3,
-            TraceKind::Send {
-                node: NodeId(0),
-                iface: IfaceId(0),
-            },
-            &p,
-        ));
+        let p = tcp_pkt(tcp_seg(TcpFlags::ACK, &[], b""));
+        o.record(&ev(5, SEND, &p));
+        o.record(&ev(3, SEND, &p));
         assert_eq!(o.violations()[0].invariant, "time-monotonicity");
     }
 
     #[test]
     fn corrupt_tcp_on_the_wire_is_flagged() {
         let mut o = Oracle::new();
-        let mut raw = raw_tcp(0x10, &[], b"x");
+        // A bad data offset, which the writer cannot produce.
+        let mut raw = tcp_seg(TcpFlags::ACK, &[], b"x").to_vec();
         raw[12] = 0xF0; // data offset 60 > len
         let p = tcp_pkt(raw);
-        o.record(&ev(
-            1,
-            TraceKind::Send {
-                node: NodeId(0),
-                iface: IfaceId(0),
-            },
-            &p,
-        ));
+        o.record(&ev(1, SEND, &p));
         assert_eq!(o.violations()[0].invariant, "tcp-parse");
     }
 
@@ -740,21 +649,9 @@ mod tests {
         body.extend_from_slice(&[0; 8]); // dsn
         body.extend_from_slice(&[0; 4]); // ssn
         body.extend_from_slice(&5u16.to_be_bytes());
-        let mut opts = vec![30, (2 + body.len()) as u8];
-        opts.extend_from_slice(&body);
-        while opts.len() % 4 != 0 {
-            opts.push(1);
-        }
-        let p = tcp_pkt(raw_tcp(0x18, &opts, b"hi"));
+        let p = tcp_pkt(tcp_seg(TcpFlags::PSH_ACK, &[&body], b"hi"));
         let mut o = Oracle::new();
-        o.record(&ev(
-            1,
-            TraceKind::Send {
-                node: NodeId(0),
-                iface: IfaceId(0),
-            },
-            &p,
-        ));
+        o.record(&ev(1, SEND, &p));
         assert_eq!(o.violations()[0].invariant, "dss-mapping");
     }
 
@@ -764,32 +661,16 @@ mod tests {
             // MP_CAPABLE SYN body: subtype 0, flags, key (8) = 10 bytes.
             let mut body = vec![0x00, 0x01];
             body.extend_from_slice(&0xDEAD_BEEF_u64.to_be_bytes());
-            let mut opts = vec![30, 12];
-            opts.extend_from_slice(&body); // 12 bytes: already 4-aligned
-            let mut p = tcp_pkt(raw_tcp(0x02, &opts, b""));
+            let mut p = tcp_pkt(tcp_seg(TcpFlags::SYN, &[&body], b""));
             p.src = src;
             p
         };
         let mut o = Oracle::new();
         let p1 = mk(Addr::new(10, 0, 0, 1));
         let p2 = mk(Addr::new(10, 0, 0, 7));
-        o.record(&ev(
-            1,
-            TraceKind::Send {
-                node: NodeId(0),
-                iface: IfaceId(0),
-            },
-            &p1,
-        ));
+        o.record(&ev(1, SEND, &p1));
         // Retransmit on the same flow: fine.
-        o.record(&ev(
-            2,
-            TraceKind::Send {
-                node: NodeId(0),
-                iface: IfaceId(0),
-            },
-            &p1,
-        ));
+        o.record(&ev(2, SEND, &p1));
         assert!(o.is_clean());
         o.record(&ev(
             3,
@@ -805,14 +686,14 @@ mod tests {
     #[test]
     fn coverage_bits_track_wire_features() {
         let mut o = Oracle::new();
-        let send = TraceKind::Send {
-            node: NodeId(0),
-            iface: IfaceId(0),
-        };
         // SYN, then a pure ACK, then data+FIN with no options.
-        o.record(&ev(1, send, &tcp_pkt(raw_tcp(0x02, &[], b""))));
-        o.record(&ev(2, send, &tcp_pkt(raw_tcp(0x10, &[], b""))));
-        o.record(&ev(3, send, &tcp_pkt(raw_tcp(0x11, &[], b"xy"))));
+        o.record(&ev(1, SEND, &tcp_pkt(tcp_seg(TcpFlags::SYN, &[], b""))));
+        o.record(&ev(2, SEND, &tcp_pkt(tcp_seg(TcpFlags::ACK, &[], b""))));
+        o.record(&ev(
+            3,
+            SEND,
+            &tcp_pkt(tcp_seg(TcpFlags::FIN_ACK, &[], b"xy")),
+        ));
         let c = o.coverage;
         assert!(c.get(crate::coverage::wire::SYN));
         assert!(c.get(crate::coverage::wire::PURE_ACK));
@@ -825,25 +706,23 @@ mod tests {
         assert!(o.is_clean());
         // Identical replay ⇒ identical bitmap.
         let mut o2 = Oracle::new();
-        o2.record(&ev(1, send, &tcp_pkt(raw_tcp(0x02, &[], b""))));
-        o2.record(&ev(2, send, &tcp_pkt(raw_tcp(0x10, &[], b""))));
-        o2.record(&ev(3, send, &tcp_pkt(raw_tcp(0x11, &[], b"xy"))));
+        o2.record(&ev(1, SEND, &tcp_pkt(tcp_seg(TcpFlags::SYN, &[], b""))));
+        o2.record(&ev(2, SEND, &tcp_pkt(tcp_seg(TcpFlags::ACK, &[], b""))));
+        o2.record(&ev(
+            3,
+            SEND,
+            &tcp_pkt(tcp_seg(TcpFlags::FIN_ACK, &[], b"xy")),
+        ));
         assert_eq!(o2.coverage, c);
     }
 
     #[test]
     fn violations_set_the_violation_coverage_bit() {
         let mut o = Oracle::new();
-        let mut raw = raw_tcp(0x10, &[], b"x");
+        // A bad data offset, which the writer cannot produce.
+        let mut raw = tcp_seg(TcpFlags::ACK, &[], b"x").to_vec();
         raw[12] = 0xF0;
-        o.record(&ev(
-            1,
-            TraceKind::Send {
-                node: NodeId(0),
-                iface: IfaceId(0),
-            },
-            &tcp_pkt(raw),
-        ));
+        o.record(&ev(1, SEND, &tcp_pkt(raw)));
         assert!(o.coverage.get(crate::coverage::wire::VIOLATION));
     }
 
@@ -851,15 +730,8 @@ mod tests {
     fn wrapping_forwards_to_inner() {
         let inner = crate::trace::CollectorSink::with_cap(0);
         let mut o = Oracle::wrapping(Box::new(inner));
-        let p = tcp_pkt(raw_tcp(0x10, &[], b""));
-        o.record(&ev(
-            1,
-            TraceKind::Send {
-                node: NodeId(0),
-                iface: IfaceId(0),
-            },
-            &p,
-        ));
+        let p = tcp_pkt(tcp_seg(TcpFlags::ACK, &[], b""));
+        o.record(&ev(1, SEND, &p));
         let inner = o.take_inner().unwrap();
         let c = inner
             .as_any()

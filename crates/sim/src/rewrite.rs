@@ -14,10 +14,14 @@
 //! * **segment coalescing** ([`coalesce_pair`]) — LRO/GRO-style merging of
 //!   contiguous in-flight segments.
 //!
-//! All functions follow the stripper's contract: parse raw wire bytes, and
-//! return `None` for anything that does not parse or is not eligible — a
-//! middlebox must never corrupt what it cannot parse. Splitting and
-//! coalescing are restricted to segments with **no TCP options**: a DSS
+//! All three read the segment through the tree's one header reader,
+//! [`TcpView::parse`], and follow the stripper's contract: anything it
+//! rejects — a short frame, a bad data offset, or a valid data offset over
+//! a malformed option area — passes through untouched (`None`), because a
+//! middlebox must never corrupt what it cannot parse. They take seq, flags
+//! and payload length from the view but copy every byte they do not
+//! change, reserved and unknown flag bits included. Splitting and
+//! coalescing are restricted to segments with **no options area**: a DSS
 //! mapping covers exactly one segment's payload, so re-segmenting an
 //! option-bearing packet would forge mappings the endpoints never made
 //! (and the wire oracle would rightly flag). After an option stripper has
@@ -26,51 +30,7 @@
 
 use bytes::Bytes;
 
-/// Minimum TCP header length (no options).
-const TCP_FIXED_LEN: usize = 20;
-
-/// Parse the data offset of a raw TCP segment, validating bounds.
-fn data_offset(p: &[u8]) -> Option<usize> {
-    if p.len() < TCP_FIXED_LEN {
-        return None;
-    }
-    let off = (p[12] >> 4) as usize * 4;
-    if off < TCP_FIXED_LEN || off > p.len() {
-        return None;
-    }
-    Some(off)
-}
-
-/// The flags byte of a raw TCP segment, when it parses.
-pub fn tcp_flags(p: &[u8]) -> Option<u8> {
-    data_offset(p).map(|_| p[13])
-}
-
-/// The sequence number of a raw TCP segment, when it parses.
-pub fn tcp_seq(p: &[u8]) -> Option<u32> {
-    data_offset(p).map(|_| u32::from_be_bytes([p[4], p[5], p[6], p[7]]))
-}
-
-/// Payload length of a raw TCP segment, when it parses.
-pub fn tcp_payload_len(p: &[u8]) -> Option<usize> {
-    data_offset(p).map(|off| p.len() - off)
-}
-
-/// True when the segment parses and carries no options at all.
-pub fn has_no_options(p: &[u8]) -> bool {
-    data_offset(p) == Some(TCP_FIXED_LEN)
-}
-
-/// True for a parseable *pure ACK*: ACK set, no payload, no SYN/FIN/RST.
-/// (Option-bearing pure ACKs — e.g. MPTCP DSS data-acks — count too: both
-/// TCP and DSS acknowledgements are cumulative, so a thinner may drop
-/// them.)
-pub fn is_pure_ack(p: &[u8]) -> bool {
-    match data_offset(p) {
-        Some(off) => p[13] & 0x17 == 0x10 && p.len() == off,
-        None => false,
-    }
-}
+use crate::wire::{TcpView, TCP_HEADER_LEN};
 
 /// Rewrite sequence and acknowledgment numbers by the given wrapping
 /// deltas — the observable effect of an ISN-randomizing NAT. The sequence
@@ -79,17 +39,14 @@ pub fn is_pure_ack(p: &[u8]) -> bool {
 /// garbage and must stay untouched). Returns `None` when the segment does
 /// not parse (pass through) or when both deltas are no-ops.
 pub fn rewrite_seq_ack(p: &[u8], seq_delta: u32, ack_delta: u32) -> Option<Bytes> {
-    data_offset(p)?;
-    let ack_flag = p[13] & 0x10 != 0;
-    if seq_delta == 0 && (!ack_flag || ack_delta == 0) {
+    let hdr = TcpView::parse(p).ok()?.hdr;
+    if seq_delta == 0 && (!hdr.flags.ack || ack_delta == 0) {
         return None;
     }
     let mut out = p.to_vec();
-    let seq = u32::from_be_bytes([p[4], p[5], p[6], p[7]]).wrapping_add(seq_delta);
-    out[4..8].copy_from_slice(&seq.to_be_bytes());
-    if ack_flag {
-        let ack = u32::from_be_bytes([p[8], p[9], p[10], p[11]]).wrapping_sub(ack_delta);
-        out[8..12].copy_from_slice(&ack.to_be_bytes());
+    out[4..8].copy_from_slice(&hdr.seq.add(seq_delta).0.to_be_bytes());
+    if hdr.flags.ack {
+        out[8..12].copy_from_slice(&hdr.ack.sub(ack_delta).0.to_be_bytes());
     }
     Some(Bytes::from(out))
 }
@@ -98,35 +55,30 @@ pub fn rewrite_seq_ack(p: &[u8], seq_delta: u32, ack_delta: u32) -> Option<Bytes
 /// what a re-segmenting middlebox produces: the first half keeps the
 /// original sequence number and loses FIN/PSH, the second half starts
 /// `k` bytes later in sequence space and inherits the trailing flags.
-/// Eligibility: parses, no options, no SYN/RST, at least 2 payload bytes.
+/// Eligibility: parses, no options area, no SYN/RST, at least 2 payload
+/// bytes.
 ///
 /// `buggy` is a **test-only** fault injection: the second half is emitted
 /// with a corrupt data offset (claiming a zero-length header), which the
 /// wire oracle must flag as `tcp-parse`. It exists so the fuzzer's
 /// broken-build detection test has a deterministic rewriter bug to find.
 pub fn split_segment(p: &[u8], buggy: bool) -> Option<(Bytes, Bytes)> {
-    let off = data_offset(p)?;
-    if off != TCP_FIXED_LEN {
+    let seg = TcpView::parse(p).ok()?;
+    if seg.header_len() != TCP_HEADER_LEN {
         return None; // options present: re-segmenting would forge DSS maps
     }
-    let flags = p[13];
-    if flags & 0x06 != 0 {
-        return None; // SYN or RST
-    }
-    let payload_len = p.len() - off;
-    if payload_len < 2 {
+    if seg.hdr.flags.syn || seg.hdr.flags.rst || seg.payload.len() < 2 {
         return None;
     }
-    let k = payload_len / 2;
-    let seq = u32::from_be_bytes([p[4], p[5], p[6], p[7]]);
+    let (off, k) = (TCP_HEADER_LEN, seg.payload.len() / 2);
 
     let mut first = p[..off + k].to_vec();
     first[13] &= !0x09; // clear FIN|PSH: they travel with the tail
 
-    let mut second = Vec::with_capacity(off + payload_len - k);
+    let mut second = Vec::with_capacity(p.len() - k);
     second.extend_from_slice(&p[..off]);
     second.extend_from_slice(&p[off + k..]);
-    second[4..8].copy_from_slice(&seq.wrapping_add(k as u32).to_be_bytes());
+    second[4..8].copy_from_slice(&seg.hdr.seq.add(k as u32).0.to_be_bytes());
     if buggy {
         second[12] &= 0x0F; // data offset 0: structurally invalid
     }
@@ -135,63 +87,76 @@ pub fn split_segment(p: &[u8], buggy: bool) -> Option<(Bytes, Bytes)> {
 
 /// Merge two contiguous option-free segments of the same flow into one —
 /// LRO/GRO-style coalescing. `first` must immediately precede `second` in
-/// sequence space; both must parse, carry no options, and `first` must be
-/// plain data (no SYN/FIN/RST). The merged segment keeps `first`'s
+/// sequence space; both must parse, carry no options area, and `first`
+/// must be plain data (no SYN/FIN/RST). The merged segment keeps `first`'s
 /// sequence number, takes `second`'s acknowledgment/window/flags (the
 /// fresher cumulative state), and concatenates the payloads.
 pub fn coalesce_pair(first: &[u8], second: &[u8]) -> Option<Bytes> {
-    let off_a = data_offset(first)?;
-    let off_b = data_offset(second)?;
-    if off_a != TCP_FIXED_LEN || off_b != TCP_FIXED_LEN {
+    let (a, b) = (TcpView::parse(first).ok()?, TcpView::parse(second).ok()?);
+    if a.header_len() != TCP_HEADER_LEN || b.header_len() != TCP_HEADER_LEN {
         return None;
     }
-    if first[13] & 0x07 != 0 || second[13] & 0x06 != 0 {
+    let (fa, fb) = (a.hdr.flags, b.hdr.flags);
+    if fa.syn || fa.fin || fa.rst || fb.syn || fb.rst {
         return None; // first must be plain data; second may carry FIN
     }
-    let len_a = first.len() - off_a;
-    let len_b = second.len() - off_b;
-    if len_a == 0 || len_b == 0 {
+    if a.payload.is_empty() || b.payload.is_empty() {
         return None;
     }
-    if first[0..4] != second[0..4] {
+    if (a.hdr.src_port, a.hdr.dst_port) != (b.hdr.src_port, b.hdr.dst_port) {
         return None; // different flow (ports)
     }
-    let seq_a = u32::from_be_bytes([first[4], first[5], first[6], first[7]]);
-    let seq_b = u32::from_be_bytes([second[4], second[5], second[6], second[7]]);
-    if seq_a.wrapping_add(len_a as u32) != seq_b {
+    if a.hdr.seq.add(a.payload.len() as u32) != b.hdr.seq {
         return None; // not contiguous
     }
-    let mut out = Vec::with_capacity(TCP_FIXED_LEN + len_a + len_b);
-    out.extend_from_slice(&second[..TCP_FIXED_LEN]);
-    out[4..8].copy_from_slice(&seq_a.to_be_bytes());
-    out.extend_from_slice(&first[off_a..]);
-    out.extend_from_slice(&second[off_b..]);
+    let mut out = Vec::with_capacity(TCP_HEADER_LEN + a.payload.len() + b.payload.len());
+    out.extend_from_slice(&second[..TCP_HEADER_LEN]);
+    out[4..8].copy_from_slice(&a.hdr.seq.0.to_be_bytes());
+    out.extend_from_slice(a.payload);
+    out.extend_from_slice(b.payload);
     Some(Bytes::from(out))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{encode_parts, OptionWriter, TcpFixed, TcpFlags, MALFORMED_OPTION_AREA};
 
-    /// Option-free TCP segment: ports 4321→80, given seq/ack/flags/payload.
-    fn seg(seq: u32, ack: u32, flags: u8, payload: &[u8]) -> Vec<u8> {
-        let mut b = vec![0u8; TCP_FIXED_LEN];
-        b[0..2].copy_from_slice(&4321u16.to_be_bytes());
-        b[2..4].copy_from_slice(&80u16.to_be_bytes());
-        b[4..8].copy_from_slice(&seq.to_be_bytes());
-        b[8..12].copy_from_slice(&ack.to_be_bytes());
-        b[12] = 5 << 4;
-        b[13] = flags;
-        b.extend_from_slice(payload);
-        b
+    /// A segment from port 4321 to 80: seq/ack/flags, the options in
+    /// `opts`, then `payload`.
+    fn seg_with(
+        seq: u32,
+        ack: u32,
+        flags: TcpFlags,
+        opts: &OptionWriter,
+        payload: &[u8],
+    ) -> Vec<u8> {
+        let hdr = TcpFixed {
+            src_port: 4321,
+            dst_port: 80,
+            seq: seq.into(),
+            ack: ack.into(),
+            flags,
+            window: 0,
+        };
+        encode_parts(&hdr, opts, payload).unwrap().to_vec()
+    }
+
+    /// An option-free segment from port 4321 to 80.
+    fn seg(seq: u32, ack: u32, flags: TcpFlags, payload: &[u8]) -> Vec<u8> {
+        seg_with(seq, ack, flags, &OptionWriter::new(), payload)
+    }
+
+    fn view(b: &[u8]) -> TcpView<'_> {
+        TcpView::parse(b).unwrap()
     }
 
     #[test]
     fn seq_rewrite_shifts_and_round_trips() {
-        let s = seg(1000, 500, 0x18, b"abc");
+        let s = seg(1000, 500, TcpFlags::PSH_ACK, b"abc");
         let out = rewrite_seq_ack(&s, 7, 3).unwrap();
-        assert_eq!(tcp_seq(&out), Some(1007));
-        assert_eq!(u32::from_be_bytes([out[8], out[9], out[10], out[11]]), 497);
+        assert_eq!(view(&out).hdr.seq.0, 1007);
+        assert_eq!(view(&out).hdr.ack.0, 497);
         // Undo with the inverse deltas: byte-identical round trip.
         let back = rewrite_seq_ack(&out, 0u32.wrapping_sub(7), 0u32.wrapping_sub(3)).unwrap();
         assert_eq!(&back[..], &s[..]);
@@ -199,81 +164,80 @@ mod tests {
 
     #[test]
     fn seq_rewrite_leaves_unset_ack_alone() {
-        let s = seg(1000, 0xDEAD, 0x02, b""); // SYN, no ACK flag
+        let s = seg(1000, 0xDEAD, TcpFlags::SYN, b""); // no ACK flag
         let out = rewrite_seq_ack(&s, 5, 9).unwrap();
-        assert_eq!(tcp_seq(&out), Some(1005));
+        assert_eq!(view(&out).hdr.seq.0, 1005);
         assert_eq!(&out[8..12], &s[8..12], "ack field untouched");
         assert!(rewrite_seq_ack(b"shrt", 5, 9).is_none());
     }
 
     #[test]
     fn split_preserves_bytes_and_sequence_space() {
-        let s = seg(2000, 900, 0x19, b"helloworld"); // FIN|PSH|ACK
+        let fin_psh_ack = TcpFlags {
+            fin: true,
+            ..TcpFlags::PSH_ACK
+        };
+        let s = seg(2000, 900, fin_psh_ack, b"helloworld");
         let (a, b) = split_segment(&s, false).unwrap();
-        assert_eq!(tcp_seq(&a), Some(2000));
-        assert_eq!(tcp_seq(&b), Some(2005));
-        assert_eq!(&a[TCP_FIXED_LEN..], b"hello");
-        assert_eq!(&b[TCP_FIXED_LEN..], b"world");
-        assert_eq!(a[13] & 0x01, 0, "FIN travels with the tail");
-        assert_eq!(b[13] & 0x01, 1);
+        assert_eq!(view(&a).hdr.seq.0, 2000);
+        assert_eq!(view(&b).hdr.seq.0, 2005);
+        assert_eq!(view(&a).payload, b"hello");
+        assert_eq!(view(&b).payload, b"world");
+        assert!(!view(&a).hdr.flags.fin, "FIN travels with the tail");
+        assert!(view(&b).hdr.flags.fin);
         // Reassembling the halves gives back the original byte stream.
         let merged = coalesce_pair(&a, &b).unwrap();
-        assert_eq!(&merged[TCP_FIXED_LEN..], b"helloworld");
-        assert_eq!(tcp_seq(&merged), Some(2000));
-        assert_eq!(merged[13] & 0x01, 1, "FIN survives the round trip");
+        assert_eq!(view(&merged).payload, b"helloworld");
+        assert_eq!(view(&merged).hdr.seq.0, 2000);
+        assert!(view(&merged).hdr.flags.fin, "FIN survives the round trip");
     }
 
     #[test]
     fn split_rejects_ineligible_segments() {
         assert!(
-            split_segment(&seg(1, 0, 0x02, b"xy"), false).is_none(),
+            split_segment(&seg(1, 0, TcpFlags::SYN, b"xy"), false).is_none(),
             "SYN"
         );
         assert!(
-            split_segment(&seg(1, 0, 0x14, b"xy"), false).is_none(),
+            split_segment(&seg(1, 0, TcpFlags::RST, b"xy"), false).is_none(),
             "RST"
         );
         assert!(
-            split_segment(&seg(1, 0, 0x10, b"x"), false).is_none(),
+            split_segment(&seg(1, 0, TcpFlags::ACK, b"x"), false).is_none(),
             "1 byte"
         );
-        let mut with_opts = seg(1, 0, 0x18, b"abcd");
-        with_opts[12] = 6 << 4;
-        with_opts.splice(TCP_FIXED_LEN..TCP_FIXED_LEN, [1u8, 1, 1, 1]);
+        let mut opts = OptionWriter::new();
+        opts.push(crate::wire::OPT_KIND_MSS, &1400u16.to_be_bytes());
+        let with_opts = seg_with(1, 0, TcpFlags::PSH_ACK, &opts, b"abcd");
         assert!(split_segment(&with_opts, false).is_none(), "options");
+        assert!(
+            split_segment(&MALFORMED_OPTION_AREA, false).is_none(),
+            "malformed option area"
+        );
     }
 
     #[test]
     fn buggy_split_corrupts_the_second_half() {
-        let (a, b) = split_segment(&seg(1, 0, 0x18, b"abcd"), true).unwrap();
-        assert_eq!(data_offset(&a), Some(TCP_FIXED_LEN));
-        assert_eq!(data_offset(&b), None, "second half unparseable");
+        let (a, b) = split_segment(&seg(1, 0, TcpFlags::PSH_ACK, b"abcd"), true).unwrap();
+        assert_eq!(view(&a).header_len(), TCP_HEADER_LEN);
+        assert!(TcpView::parse(&b).is_err(), "second half unparseable");
     }
 
     #[test]
     fn coalesce_requires_contiguity_and_same_flow() {
-        let a = seg(100, 0, 0x10, b"ab");
-        let gap = seg(103, 0, 0x10, b"cd");
+        let a = seg(100, 0, TcpFlags::ACK, b"ab");
+        let gap = seg(103, 0, TcpFlags::ACK, b"cd");
         assert!(coalesce_pair(&a, &gap).is_none(), "gap");
-        let mut other = seg(102, 0, 0x10, b"cd");
+        let mut other = seg(102, 0, TcpFlags::ACK, b"cd");
         other[0] = 0xFF; // different source port
         assert!(coalesce_pair(&a, &other).is_none(), "different flow");
-        let b = seg(102, 77, 0x18, b"cd");
-        let m = coalesce_pair(&a, &b).unwrap();
-        assert_eq!(tcp_payload_len(&m), Some(4));
-        assert_eq!(
-            u32::from_be_bytes([m[8], m[9], m[10], m[11]]),
-            77,
-            "fresher ack wins"
+        assert!(
+            coalesce_pair(&a, &MALFORMED_OPTION_AREA).is_none(),
+            "malformed option area"
         );
-    }
-
-    #[test]
-    fn pure_ack_classifier() {
-        assert!(is_pure_ack(&seg(1, 2, 0x10, b"")));
-        assert!(!is_pure_ack(&seg(1, 2, 0x10, b"x")), "data");
-        assert!(!is_pure_ack(&seg(1, 2, 0x11, b"")), "FIN-ACK");
-        assert!(!is_pure_ack(&seg(1, 2, 0x12, b"")), "SYN-ACK");
-        assert!(!is_pure_ack(b"tiny"));
+        let b = seg(102, 77, TcpFlags::PSH_ACK, b"cd");
+        let m = coalesce_pair(&a, &b).unwrap();
+        assert_eq!(view(&m).payload.len(), 4);
+        assert_eq!(view(&m).hdr.ack.0, 77, "fresher ack wins");
     }
 }

@@ -16,6 +16,7 @@ use crate::hash::{FxHashMap, FxHashSet};
 use crate::node::{IfaceId, Node};
 use crate::packet::{Packet, PROTO_TCP};
 use crate::rewrite;
+use crate::wire::{TcpView, TCP_HEADER_LEN};
 use crate::world::Ctx;
 
 /// One routing-table entry.
@@ -232,11 +233,11 @@ impl Router {
     /// already held for its flow. Returns `false` when the segment is not
     /// coalescible and should be forwarded normally.
     fn coalesce(&mut self, ctx: &mut Ctx<'_>, egress: IfaceId, pkt: &Packet) -> bool {
-        let p = &pkt.payload[..];
-        let eligible = rewrite::has_no_options(p)
-            && rewrite::tcp_payload_len(p).is_some_and(|l| l > 0)
-            && rewrite::tcp_flags(p).is_some_and(|f| f & 0x06 == 0);
-        if !eligible {
+        let Ok(seg) = TcpView::parse(&pkt.payload) else {
+            return false;
+        };
+        let f = seg.hdr.flags;
+        if seg.header_len() != TCP_HEADER_LEN || seg.payload.is_empty() || f.syn || f.rst {
             return false;
         }
         let key = pkt.flow_key();
@@ -258,7 +259,7 @@ impl Router {
                 }
             }
         }
-        if rewrite::tcp_flags(p).is_some_and(|f| f & 0x01 != 0) {
+        if f.fin {
             return false; // never hold a FIN back
         }
         let token = self.next_flush_token;
@@ -297,13 +298,21 @@ impl Node for Router {
                     self.seq_rewritten += 1;
                 }
             }
-            if self.ack_thin > 0 && rewrite::is_pure_ack(&pkt.payload) && self.thin_this_ack(&pkt) {
-                self.acks_thinned += 1;
-                return;
-            }
-            if self.ack_thin > 0 && rewrite::tcp_flags(&pkt.payload).is_some_and(|f| f & 0x01 != 0)
-            {
-                self.fin_seen.insert(pkt.flow_key());
+            if self.ack_thin > 0 {
+                if let Ok(seg) = TcpView::parse(&pkt.payload) {
+                    // A pure ACK: ACK set, no payload, no SYN/FIN/RST.
+                    // Option-bearing ones (MPTCP DSS data-acks) count too:
+                    // TCP and DSS acknowledgements are both cumulative.
+                    let f = seg.hdr.flags;
+                    let pure_ack = f.ack && !(f.syn || f.fin || f.rst) && seg.payload.is_empty();
+                    if pure_ack && self.thin_this_ack(&pkt) {
+                        self.acks_thinned += 1;
+                        return;
+                    }
+                    if f.fin {
+                        self.fin_seen.insert(pkt.flow_key());
+                    }
+                }
             }
         }
         match self.select_egress_cached(&pkt) {
@@ -378,6 +387,7 @@ impl Node for Router {
 mod tests {
     use super::*;
     use crate::addr::Addr;
+    use crate::wire::{encode_parts, OptionWriter, TcpFixed, TcpFlags, OPT_KIND_MPTCP};
     use bytes::Bytes;
 
     fn pkt_with_ports(dst: Addr, sport: u16, dport: u16) -> Packet {
@@ -446,91 +456,40 @@ mod tests {
 
     #[test]
     fn stripping_router_removes_mptcp_options_from_forwarded_tcp() {
-        // Raw TCP header: ports 1/2, data offset 6 words (one 4-byte
-        // option block), option = MPTCP kind 30 len 4.
-        let mut seg = vec![0u8; 24];
-        seg[0..2].copy_from_slice(&1u16.to_be_bytes());
-        seg[2..4].copy_from_slice(&2u16.to_be_bytes());
-        seg[12] = 6 << 4;
-        seg[20..24].copy_from_slice(&[30, 4, 0x20, 0]);
+        // Ports 1/2, one 4-byte option block: MPTCP kind 30 len 4.
+        let hdr = TcpFixed {
+            src_port: 1,
+            dst_port: 2,
+            ..TcpFixed::default()
+        };
+        let mut opts = OptionWriter::new();
+        opts.push(OPT_KIND_MPTCP, &[0x20, 0]);
         let pkt = Packet::tcp(
             Addr::new(10, 0, 0, 1),
             Addr::new(10, 1, 0, 1),
-            Bytes::from(seg),
+            encode_parts(&hdr, &opts, &[]).unwrap(),
         );
-
-        let mut r = Router::new(0);
-        r.strip_mptcp = true;
-        // Drive through a real simulator so the rewrite happens on the
+        // Through a real simulator, so the rewrite happens on the
         // forwarding path, not in isolation.
-        let mut sim = crate::Simulator::new(0);
-        let rid = sim.add_node(Box::new(r));
-        let sink = sim.add_node(Box::new(CollectOne { got: None }));
-        let r_in = sim.add_iface(rid, Addr::new(10, 0, 0, 254), "in");
-        let r_out = sim.add_iface(rid, Addr::new(10, 1, 0, 254), "out");
-        let s_if = sim.add_iface(sink, Addr::new(10, 1, 0, 1), "eth0");
-        let src = sim.add_node(Box::new(SendOnce { pkt: Some(pkt) }));
-        let src_if = sim.add_iface(src, Addr::new(10, 0, 0, 1), "eth0");
-        sim.connect(src_if, r_in, crate::link::LinkCfg::mbps_ms(100, 1));
-        sim.connect(r_out, s_if, crate::link::LinkCfg::mbps_ms(100, 1));
-        sim.node_mut(rid)
-            .as_any_mut()
-            .downcast_mut::<Router>()
-            .unwrap()
-            .add_route("10.1.0.0/16".parse().unwrap(), vec![r_out]);
-        sim.run();
-        let router = sim.node(rid).as_any().downcast_ref::<Router>().unwrap();
+        let (got, router) = forward_through(|r| r.strip_mptcp = true, vec![pkt]);
         assert_eq!(router.options_stripped, 1);
-        let sink = sim
-            .node(sink)
-            .as_any()
-            .downcast_ref::<CollectOne>()
-            .unwrap();
-        let got = sink.got.as_ref().expect("forwarded");
-        assert_eq!((got.payload[12] >> 4) as usize * 4, 20, "options gone");
-        assert_eq!(got.ports(), (1, 2), "ports untouched");
+        assert_eq!((got[0].payload[12] >> 4) as usize * 4, 20, "options gone");
+        assert_eq!(got[0].ports(), (1, 2), "ports untouched");
     }
 
-    /// Emits one canned packet at start.
-    pub(super) struct SendOnce {
-        pub pkt: Option<Packet>,
-    }
-    impl Node for SendOnce {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            let (iface, _) = ctx.my_ifaces().next().unwrap();
-            let pkt = self.pkt.take().unwrap();
-            ctx.send(iface, pkt);
-        }
-        fn on_packet(&mut self, _: &mut Ctx<'_>, _: IfaceId, _: Packet) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
-    /// Stores the first packet it receives.
-    pub(super) struct CollectOne {
-        pub got: Option<Packet>,
-    }
-    impl Node for CollectOne {
-        fn on_packet(&mut self, _: &mut Ctx<'_>, _: IfaceId, pkt: Packet) {
-            self.got.get_or_insert(pkt);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
-    /// Stores every packet it receives.
-    struct CollectAll {
+    /// Sends `out` back to back at start and keeps every packet it
+    /// receives.
+    struct Host {
+        out: Vec<Packet>,
         got: Vec<Packet>,
     }
-    impl Node for CollectAll {
+    impl Node for Host {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let (iface, _) = ctx.my_ifaces().next().unwrap();
+            for pkt in self.out.drain(..) {
+                ctx.send(iface, pkt);
+            }
+        }
         fn on_packet(&mut self, _: &mut Ctx<'_>, _: IfaceId, pkt: Packet) {
             self.got.push(pkt);
         }
@@ -542,40 +501,20 @@ mod tests {
         }
     }
 
-    /// Emits a list of canned packets at start, back to back.
-    struct SendMany {
-        pkts: Vec<Packet>,
-    }
-    impl Node for SendMany {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            let (iface, _) = ctx.my_ifaces().next().unwrap();
-            for pkt in self.pkts.drain(..) {
-                ctx.send(iface, pkt);
-            }
-        }
-        fn on_packet(&mut self, _: &mut Ctx<'_>, _: IfaceId, _: Packet) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
-    /// Option-free data segment from 10.0.0.1 to 10.1.0.1.
-    fn data_seg(seq: u32, flags: u8, payload: &[u8]) -> Packet {
-        let mut b = vec![0u8; 20];
-        b[0..2].copy_from_slice(&40_000u16.to_be_bytes());
-        b[2..4].copy_from_slice(&80u16.to_be_bytes());
-        b[4..8].copy_from_slice(&seq.to_be_bytes());
-        b[8..12].copy_from_slice(&500u32.to_be_bytes());
-        b[12] = 5 << 4;
-        b[13] = flags;
-        b.extend_from_slice(payload);
+    /// Option-free data segment from 10.0.0.1:40000 to 10.1.0.1:80.
+    fn data_seg(seq: u32, flags: TcpFlags, payload: &[u8]) -> Packet {
+        let hdr = TcpFixed {
+            src_port: 40_000,
+            dst_port: 80,
+            seq: seq.into(),
+            ack: 500.into(),
+            flags,
+            window: 0,
+        };
         Packet::tcp(
             Addr::new(10, 0, 0, 1),
             Addr::new(10, 1, 0, 1),
-            Bytes::from(b),
+            encode_parts(&hdr, &OptionWriter::new(), payload).unwrap(),
         )
     }
 
@@ -586,11 +525,17 @@ mod tests {
         cfg(&mut r);
         let mut sim = crate::Simulator::new(0);
         let rid = sim.add_node(Box::new(r));
-        let sink = sim.add_node(Box::new(CollectAll { got: Vec::new() }));
+        let host = |out| {
+            Box::new(Host {
+                out,
+                got: Vec::new(),
+            })
+        };
+        let sink = sim.add_node(host(Vec::new()));
         let r_in = sim.add_iface(rid, Addr::new(10, 0, 0, 254), "in");
         let r_out = sim.add_iface(rid, Addr::new(10, 1, 0, 254), "out");
         let s_if = sim.add_iface(sink, Addr::new(10, 1, 0, 1), "eth0");
-        let src = sim.add_node(Box::new(SendMany { pkts }));
+        let src = sim.add_node(host(pkts));
         let src_if = sim.add_iface(src, Addr::new(10, 0, 0, 1), "eth0");
         sim.connect(src_if, r_in, crate::link::LinkCfg::mbps_ms(100, 1));
         sim.connect(r_out, s_if, crate::link::LinkCfg::mbps_ms(100, 1));
@@ -604,7 +549,7 @@ mod tests {
             &mut sim
                 .node_mut(sink)
                 .as_any_mut()
-                .downcast_mut::<CollectAll>()
+                .downcast_mut::<Host>()
                 .unwrap()
                 .got,
         );
@@ -621,7 +566,7 @@ mod tests {
     fn splitting_router_halves_data_segments_on_the_path() {
         let (got, r) = forward_through(
             |r| r.split_segments = true,
-            vec![data_seg(1000, 0x18, b"abcdefgh")],
+            vec![data_seg(1000, TcpFlags::PSH_ACK, b"abcdefgh")],
         );
         assert_eq!(r.segments_split, 1);
         assert_eq!(got.len(), 2);
@@ -635,7 +580,10 @@ mod tests {
     fn coalescing_router_merges_contiguous_segments() {
         let (got, r) = forward_through(
             |r| r.coalesce_segments = true,
-            vec![data_seg(1000, 0x10, b"abcd"), data_seg(1004, 0x18, b"efgh")],
+            vec![
+                data_seg(1000, TcpFlags::ACK, b"abcd"),
+                data_seg(1004, TcpFlags::PSH_ACK, b"efgh"),
+            ],
         );
         assert_eq!(r.segments_coalesced, 1);
         assert_eq!(got.len(), 1);
@@ -646,7 +594,7 @@ mod tests {
     fn coalescing_router_flushes_a_lone_segment_on_its_timer() {
         let (got, r) = forward_through(
             |r| r.coalesce_segments = true,
-            vec![data_seg(1000, 0x10, b"abcd")],
+            vec![data_seg(1000, TcpFlags::ACK, b"abcd")],
         );
         assert_eq!(r.segments_coalesced, 0);
         assert_eq!(got.len(), 1, "flush timer released the held segment");
@@ -657,7 +605,10 @@ mod tests {
     fn seq_nat_router_shifts_seq_consistently_per_flow() {
         let (got, r) = forward_through(
             |r| r.seq_nat = true,
-            vec![data_seg(1000, 0x10, b"ab"), data_seg(1002, 0x10, b"cd")],
+            vec![
+                data_seg(1000, TcpFlags::ACK, b"ab"),
+                data_seg(1002, TcpFlags::ACK, b"cd"),
+            ],
         );
         assert_eq!(r.seq_rewritten, 2);
         let s0 = u32::from_be_bytes(got[0].payload[4..8].try_into().unwrap());
@@ -668,7 +619,7 @@ mod tests {
 
     #[test]
     fn ack_thinning_drops_every_nth_but_spares_fin_exchanges() {
-        let pure_ack = || data_seg(2000, 0x10, b"");
+        let pure_ack = || data_seg(2000, TcpFlags::ACK, b"");
         let (got, r) = forward_through(
             |r| r.ack_thin = 2,
             vec![pure_ack(), pure_ack(), pure_ack(), pure_ack()],
@@ -679,7 +630,7 @@ mod tests {
         let (got, r) = forward_through(
             |r| r.ack_thin = 2,
             vec![
-                data_seg(3000, 0x11, b"x"), // FIN|ACK with data
+                data_seg(3000, TcpFlags::FIN_ACK, b"x"),
                 pure_ack(),
                 pure_ack(),
                 pure_ack(),
@@ -687,6 +638,33 @@ mod tests {
         );
         assert_eq!(r.acks_thinned, 0, "FIN exchange never thinned");
         assert_eq!(got.len(), 4);
+    }
+
+    /// The ACK thinner's pure-ACK test, through a router that drops every
+    /// one it finds: ACK set, no payload, no SYN/FIN/RST, and a segment
+    /// the shared reader accepts.
+    #[test]
+    fn pure_ack_classifier() {
+        let thinned = |pkt: Packet| {
+            let (_, r) = forward_through(|r| r.ack_thin = 1, vec![pkt]);
+            r.acks_thinned == 1
+        };
+        assert!(thinned(data_seg(1, TcpFlags::ACK, b"")));
+        assert!(!thinned(data_seg(1, TcpFlags::ACK, b"x")), "data");
+        assert!(!thinned(data_seg(1, TcpFlags::FIN_ACK, b"")), "FIN-ACK");
+        assert!(!thinned(data_seg(1, TcpFlags::SYN_ACK, b"")), "SYN-ACK");
+        let tiny = Packet::tcp(
+            Addr::new(10, 0, 0, 1),
+            Addr::new(10, 1, 0, 1),
+            Bytes::from_static(b"tiny"),
+        );
+        assert!(!thinned(tiny));
+        let malformed = Packet::tcp(
+            Addr::new(10, 0, 0, 1),
+            Addr::new(10, 1, 0, 1),
+            Bytes::from_static(&crate::wire::MALFORMED_OPTION_AREA),
+        );
+        assert!(!thinned(malformed), "malformed option area");
     }
 
     #[test]

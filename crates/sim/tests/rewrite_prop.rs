@@ -26,16 +26,14 @@ use std::any::Any;
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use smapp_sim::rewrite::{
-    coalesce_pair, is_pure_ack, rewrite_seq_ack, split_segment, tcp_payload_len, tcp_seq,
-};
+use smapp_sim::rewrite::{coalesce_pair, rewrite_seq_ack, split_segment};
+use smapp_sim::wire::{TcpView, TCP_HEADER_LEN};
 use smapp_sim::{Addr, Ctx, IfaceId, LinkCfg, Node, Packet, Router, Simulator};
 
-const TCP_FIXED_LEN: usize = 20;
-
-/// Build an option-free TCP segment.
+/// Build an option-free TCP segment. By hand, because `flags` is any
+/// byte, reserved bits included, which `TcpFlags` cannot carry.
 fn seg(sport: u16, dport: u16, seq: u32, ack: u32, flags: u8, payload: &[u8]) -> Vec<u8> {
-    let mut b = vec![0u8; TCP_FIXED_LEN];
+    let mut b = vec![0u8; TCP_HEADER_LEN];
     b[0..2].copy_from_slice(&sport.to_be_bytes());
     b[2..4].copy_from_slice(&dport.to_be_bytes());
     b[4..8].copy_from_slice(&seq.to_be_bytes());
@@ -52,8 +50,80 @@ fn seg(sport: u16, dport: u16, seq: u32, ack: u32, flags: u8, payload: &[u8]) ->
 fn with_options(mut s: Vec<u8>, opt_words: u8) -> Vec<u8> {
     let words = 1 + (opt_words % 10) as usize; // 4..=40 option bytes
     s[12] = ((5 + words) as u8) << 4;
-    s.splice(TCP_FIXED_LEN..TCP_FIXED_LEN, vec![1u8; words * 4]);
+    s.splice(TCP_HEADER_LEN..TCP_HEADER_LEN, vec![1u8; words * 4]);
     s
+}
+
+/// [`with_options`], then break the option area behind the valid data
+/// offset: a length below 2, a length past the area, or a last byte that
+/// starts an option with no length octet.
+fn with_malformed_options(s: Vec<u8>, opt_words: u8) -> Vec<u8> {
+    let mut s = with_options(s, opt_words);
+    let end = (s[12] >> 4) as usize * 4;
+    match opt_words / 3 % 3 {
+        0 => s[TCP_HEADER_LEN..TCP_HEADER_LEN + 2].copy_from_slice(&[30, 0]),
+        1 => s[TCP_HEADER_LEN..TCP_HEADER_LEN + 2].copy_from_slice(&[30, 41]),
+        _ => s[end - 1] = 30,
+    }
+    s
+}
+
+/// The fixed header of a segment the rewriters produced.
+fn hdr(s: &[u8]) -> smapp_sim::wire::TcpFixed {
+    TcpView::parse(s).expect("rewriter output parses").hdr
+}
+
+/// Forward `pkts` through a router thinning every `thin`-th pure ACK;
+/// returns what came out, in order, and how many ACKs it dropped.
+fn thin_through_router(thin: u32, pkts: Vec<Packet>) -> (Vec<Packet>, u64) {
+    let mut r = Router::new(0);
+    r.ack_thin = thin;
+    let mut sim = Simulator::new(1);
+    let rid = sim.add_node(Box::new(r));
+    let host = |out| {
+        Box::new(Host {
+            out,
+            got: Vec::new(),
+        })
+    };
+    let sink = sim.add_node(host(Vec::new()));
+    let r_in = sim.add_iface(rid, Addr::new(10, 0, 0, 254), "in");
+    let r_out = sim.add_iface(rid, Addr::new(10, 1, 0, 254), "out");
+    let s_if = sim.add_iface(sink, Addr::new(10, 1, 0, 1), "eth0");
+    let src = sim.add_node(host(pkts));
+    let src_if = sim.add_iface(src, Addr::new(10, 0, 0, 1), "eth0");
+    sim.connect(src_if, r_in, LinkCfg::mbps_ms(100, 1));
+    sim.connect(r_out, s_if, LinkCfg::mbps_ms(100, 1));
+    sim.node_mut(rid)
+        .as_any_mut()
+        .downcast_mut::<Router>()
+        .unwrap()
+        .add_route("10.1.0.0/16".parse().unwrap(), vec![r_out]);
+    sim.run();
+    let thinned = sim
+        .node(rid)
+        .as_any()
+        .downcast_ref::<Router>()
+        .unwrap()
+        .acks_thinned;
+    let got = std::mem::take(
+        &mut sim
+            .node_mut(sink)
+            .as_any_mut()
+            .downcast_mut::<Host>()
+            .unwrap()
+            .got,
+    );
+    (got, thinned)
+}
+
+/// A packet from 10.0.0.1 to 10.1.0.1 carrying `tcp`.
+fn pkt(tcp: Vec<u8>) -> Packet {
+    Packet::tcp(
+        Addr::new(10, 0, 0, 1),
+        Addr::new(10, 1, 0, 1),
+        Bytes::from(tcp),
+    )
 }
 
 /// Data-segment flags the splitter accepts (no SYN, no RST).
@@ -82,12 +152,10 @@ proptest! {
         // Both halves parse, stay option-free, and partition the payload
         // contiguously in sequence space.
         let k = payload.len() / 2;
-        prop_assert_eq!(tcp_seq(&a), Some(seq));
-        prop_assert_eq!(tcp_seq(&b), Some(seq.wrapping_add(k as u32)));
-        prop_assert_eq!(tcp_payload_len(&a), Some(k));
-        prop_assert_eq!(tcp_payload_len(&b), Some(payload.len() - k));
-        prop_assert_eq!(&a[TCP_FIXED_LEN..], &payload[..k]);
-        prop_assert_eq!(&b[TCP_FIXED_LEN..], &payload[k..]);
+        prop_assert_eq!(hdr(&a).seq.0, seq);
+        prop_assert_eq!(hdr(&b).seq.0, seq.wrapping_add(k as u32));
+        prop_assert_eq!(&a[TCP_HEADER_LEN..], &payload[..k]);
+        prop_assert_eq!(&b[TCP_HEADER_LEN..], &payload[k..]);
 
         // FIN and PSH travel with the tail; the head is plain data.
         prop_assert_eq!(a[13] & 0x09, 0);
@@ -136,23 +204,27 @@ proptest! {
         opt_words in any::<u8>(),
         payload in proptest::collection::vec(any::<u8>(), 0..60),
     ) {
-        let s = if opt_words % 2 == 0 {
-            seg(sport, 80, seq, ack, flags, &payload)
-        } else {
-            with_options(seg(sport, 80, seq, ack, flags, &payload), opt_words)
+        let plain = seg(sport, 80, seq, ack, flags, &payload);
+        let malformed = opt_words % 3 == 2;
+        let s = match opt_words % 3 {
+            0 => plain,
+            1 => with_options(plain, opt_words),
+            _ => with_malformed_options(plain, opt_words),
         };
         let ack_flag = flags & 0x10 != 0;
 
         match rewrite_seq_ack(&s, d_seq, d_ack) {
             None => {
-                // Only a no-op rewrite declines an eligible segment.
-                prop_assert!(d_seq == 0 && (!ack_flag || d_ack == 0));
+                // A segment the reader rejects passes through; otherwise
+                // only a no-op rewrite declines.
+                prop_assert!(malformed || (d_seq == 0 && (!ack_flag || d_ack == 0)));
             }
             Some(out) => {
+                prop_assert!(!malformed, "rewrote a malformed option area");
                 // Structural invariants: same length, only seq (and ack,
                 // iff the ACK flag is set) moved.
                 prop_assert_eq!(out.len(), s.len());
-                prop_assert_eq!(tcp_seq(&out), Some(seq.wrapping_add(d_seq)));
+                prop_assert_eq!(hdr(&out).seq.0, seq.wrapping_add(d_seq));
                 prop_assert_eq!(&out[0..4], &s[0..4]);
                 prop_assert_eq!(&out[12..], &s[12..]);
                 if !ack_flag {
@@ -172,20 +244,21 @@ proptest! {
         }
     }
 
-    /// The byte-level guard under the thinner: nothing carrying FIN (or
-    /// SYN/RST, or any payload) classifies as a droppable pure ACK.
+    /// The guard under the thinner, through a router that drops every
+    /// pure ACK it sees: nothing carrying FIN (or SYN/RST, or any payload)
+    /// classifies as a droppable pure ACK.
     #[test]
     fn fin_bearing_segments_never_classify_as_pure_acks(
         flags in any::<u8>(),
         payload in proptest::collection::vec(any::<u8>(), 0..20),
     ) {
-        let s = seg(4321, 80, 1, 2, flags, &payload);
-        if is_pure_ack(&s) {
+        let (_, thinned) = thin_through_router(1, vec![pkt(seg(4321, 80, 1, 2, flags, &payload))]);
+        if thinned > 0 {
             prop_assert_eq!(flags & 0x17, 0x10);
             prop_assert!(payload.is_empty());
         }
         if flags & 0x01 != 0 {
-            prop_assert!(!is_pure_ack(&s), "a FIN is never thinnable");
+            prop_assert!(thinned == 0, "a FIN is never thinnable");
         }
     }
 
@@ -200,13 +273,7 @@ proptest! {
         post_acks in 1usize..8,
     ) {
         let mut pkts = Vec::new();
-        let mk = |flags: u8, n: u32| {
-            Packet::tcp(
-                Addr::new(10, 0, 0, 1),
-                Addr::new(10, 1, 0, 1),
-                Bytes::from(seg(4321, 80, 100 + n, 500, flags, b"")),
-            )
-        };
+        let mk = |flags: u8, n: u32| pkt(seg(4321, 80, 100 + n, 500, flags, b""));
         for i in 0..pre_acks {
             pkts.push(mk(0x10, i as u32));
         }
@@ -216,82 +283,41 @@ proptest! {
             pkts.push(mk(0x10, (pre_acks + 1 + i) as u32));
         }
         let sent = pkts.len();
-
-        let mut r = Router::new(0);
-        r.ack_thin = thin;
-        let mut sim = Simulator::new(1);
-        let rid = sim.add_node(Box::new(r));
-        let sink = sim.add_node(Box::new(CollectAll { got: Vec::new() }));
-        let r_in = sim.add_iface(rid, Addr::new(10, 0, 0, 254), "in");
-        let r_out = sim.add_iface(rid, Addr::new(10, 1, 0, 254), "out");
-        let s_if = sim.add_iface(sink, Addr::new(10, 1, 0, 1), "eth0");
-        let src = sim.add_node(Box::new(SendAll { pkts }));
-        let src_if = sim.add_iface(src, Addr::new(10, 0, 0, 1), "eth0");
-        sim.connect(src_if, r_in, LinkCfg::mbps_ms(100, 1));
-        sim.connect(r_out, s_if, LinkCfg::mbps_ms(100, 1));
-        sim.node_mut(rid)
-            .as_any_mut()
-            .downcast_mut::<Router>()
-            .unwrap()
-            .add_route("10.1.0.0/16".parse().unwrap(), vec![r_out]);
-        sim.run();
-
-        let router = sim.node(rid).as_any().downcast_ref::<Router>().unwrap();
-        let got = &sim
-            .node(sink)
-            .as_any()
-            .downcast_ref::<CollectAll>()
-            .unwrap()
-            .got;
+        let (got, thinned) = thin_through_router(thin, pkts);
 
         // Exactly the pre-FIN thinning quota was dropped, nothing else.
         let expect_thinned = (pre_acks as u32 / thin) as usize;
-        prop_assert_eq!(router.acks_thinned as usize, expect_thinned);
+        prop_assert_eq!(thinned as usize, expect_thinned);
         prop_assert_eq!(got.len(), sent - expect_thinned);
 
         // The FIN arrived, and every post-FIN ACK arrived after it.
         let fin_pos = got
             .iter()
-            .position(|p| p.payload[13] & 0x01 != 0)
+            .position(|p| hdr(&p.payload).flags.fin)
             .expect("the FIN is forwarded");
         prop_assert_eq!(got.len() - fin_pos - 1, post_acks);
         // Sequence numbers confirm those are exactly the packets sent
         // after the FIN, in order.
         for (i, p) in got[fin_pos + 1..].iter().enumerate() {
-            prop_assert_eq!(
-                tcp_seq(&p.payload),
-                Some(100 + (fin_idx + 1 + i) as u32)
-            );
+            prop_assert_eq!(hdr(&p.payload).seq.0, 100 + (fin_idx + 1 + i) as u32);
         }
     }
 }
 
-/// Sends its whole packet list at simulation start (the link preserves
-/// order; the 100-packet default queue fits every generated burst).
-struct SendAll {
-    pkts: Vec<Packet>,
+/// Sends `out` at simulation start (the link preserves order; the
+/// 100-packet default queue fits every generated burst) and keeps every
+/// packet it receives, in arrival order.
+struct Host {
+    out: Vec<Packet>,
+    got: Vec<Packet>,
 }
-impl Node for SendAll {
+impl Node for Host {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let (iface, _) = ctx.my_ifaces().next().unwrap();
-        for pkt in self.pkts.drain(..) {
+        for pkt in self.out.drain(..) {
             ctx.send(iface, pkt);
         }
     }
-    fn on_packet(&mut self, _: &mut Ctx<'_>, _: IfaceId, _: Packet) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// Stores every packet it receives, in arrival order.
-struct CollectAll {
-    got: Vec<Packet>,
-}
-impl Node for CollectAll {
     fn on_packet(&mut self, _: &mut Ctx<'_>, _: IfaceId, pkt: Packet) {
         self.got.push(pkt);
     }

@@ -9,8 +9,9 @@
 //! Modules:
 //!
 //! * [`seq`] — 32-bit wrapping sequence arithmetic and 64-bit unwrapping.
-//! * [`wire`] — byte-exact TCP header/option codec (MPTCP options are
-//!   carried opaquely as option kind 30 and decoded by `smapp-mptcp`).
+//! * [`wire`] — the owned TCP segment, over the byte-exact header codec of
+//!   `smapp_sim::wire` that it re-exports (MPTCP options are carried
+//!   opaquely as option kind 30 and decoded by `smapp-mptcp`).
 //! * [`rtt`] — RFC 6298 smoothed RTT estimation.
 //! * [`rto`] — retransmission-timeout policy: clamping, exponential
 //!   backoff, and the Linux-style give-up after 15 doublings that drives

@@ -1,58 +1,14 @@
 //! 32-bit wrapping sequence-number arithmetic.
 //!
-//! TCP sequence numbers live in a 32-bit circular space. This module
-//! provides the classic serial-number comparisons plus an *unwrapper* that
-//! lifts wire sequence numbers into the flat 64-bit stream-offset space the
-//! rest of the engine works in. Internally everything is a `u64` byte
-//! offset; only the wire codec deals in wrapped 32-bit values.
+//! TCP sequence numbers live in a 32-bit circular space. [`SeqNum`], defined
+//! beside the header codec in `smapp_sim::wire` because the fixed header
+//! holds it, provides the classic serial-number comparisons. This module
+//! adds an *unwrapper* that lifts wire sequence numbers into the flat
+//! 64-bit stream-offset space the rest of the engine works in. Internally
+//! everything is a `u64` byte offset; only the wire codec deals in wrapped
+//! 32-bit values.
 
-use std::fmt;
-
-/// A raw 32-bit TCP sequence number.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct SeqNum(pub u32);
-
-impl SeqNum {
-    /// `self + n` with wraparound.
-    #[allow(clippy::should_implement_trait)]
-    pub fn add(self, n: u32) -> SeqNum {
-        SeqNum(self.0.wrapping_add(n))
-    }
-
-    /// `self - n` with wraparound.
-    #[allow(clippy::should_implement_trait)]
-    pub fn sub(self, n: u32) -> SeqNum {
-        SeqNum(self.0.wrapping_sub(n))
-    }
-
-    /// Serial-number "less than": true if `self` precedes `other` in the
-    /// circular space (distance < 2^31).
-    pub fn lt(self, other: SeqNum) -> bool {
-        (self.0.wrapping_sub(other.0) as i32) < 0
-    }
-
-    /// Serial-number "less than or equal".
-    pub fn leq(self, other: SeqNum) -> bool {
-        self == other || self.lt(other)
-    }
-
-    /// Bytes from `self` forward to `other` (wrapping).
-    pub fn distance_to(self, other: SeqNum) -> u32 {
-        other.0.wrapping_sub(self.0)
-    }
-}
-
-impl fmt::Debug for SeqNum {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "seq({})", self.0)
-    }
-}
-
-impl From<u32> for SeqNum {
-    fn from(v: u32) -> Self {
-        SeqNum(v)
-    }
-}
+pub use smapp_sim::wire::SeqNum;
 
 /// Lift a wrapped 32-bit wire value into 64-bit space, choosing the value
 /// congruent to `wire` (mod 2^32) closest to `expected`.
