@@ -4,8 +4,9 @@
 use super::*;
 
 impl Connection {
-    /// Process an incoming segment for subflow `id`: `seg` read from
-    /// `frame`, which received payload is sliced out of.
+    /// Process an incoming segment for subflow `id`. `seg` is `frame` read
+    /// through `TcpView::parse`; payload the subflow keeps is a zero-copy
+    /// slice of `frame`.
     pub fn on_segment(
         &mut self,
         id: SubflowId,
