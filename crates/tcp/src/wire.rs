@@ -635,6 +635,7 @@ mod tests {
 mod prop {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     /// The flags a header byte carries, bit by bit as RFC 793 lays them out.
     fn flags_of(b: u8) -> TcpFlags {
@@ -754,6 +755,30 @@ mod prop {
         })
     }
 
+    /// [`TcpView::parse`] against the reference model: the same error, or
+    /// the same fixed fields, options and payload.
+    fn view_matches_copying_decode(wire: &[u8]) -> Result<(), TestCaseError> {
+        match (TcpView::parse(wire), copying_decode(wire)) {
+            (Ok(view), Ok(seg)) => {
+                prop_assert_eq!(view.hdr, seg.hdr.fixed());
+                let opts: TcpOptions = view
+                    .options()
+                    .map(|(kind, body)| TcpOption::from_wire(kind, body))
+                    .collect();
+                prop_assert_eq!(opts, seg.hdr.options);
+                prop_assert_eq!(view.payload, &seg.payload[..]);
+            }
+            (Err(e), Err(reference)) => prop_assert_eq!(e, reference),
+            (view, reference) => prop_assert!(
+                false,
+                "parse {:?} but the reference model {:?}",
+                view.map(|v| v.hdr),
+                reference.map(|s| s.hdr.fixed())
+            ),
+        }
+        Ok(())
+    }
+
     proptest! {
         #[test]
         fn encode_decode_roundtrip(seg in arb_segment()) {
@@ -776,10 +801,9 @@ mod prop {
             }
         }
 
-        /// Zero-copy decode agrees byte-for-byte with the old copying
-        /// decoder — on valid encodings *and* on arbitrary byte soup
-        /// (including which error is returned). `decode` is
-        /// `TcpView::parse` plus a collect, so this checks the view too.
+        /// Zero-copy decode and the borrowed view agree byte-for-byte with
+        /// the old copying decoder — on valid encodings *and* on arbitrary
+        /// byte soup (including which error is returned).
         #[test]
         fn zero_copy_decode_matches_copying_decode(
             seg in arb_segment(),
@@ -789,9 +813,11 @@ mod prop {
             if seg.hdr.options.iter().map(|o| o.wire_len()).sum::<usize>() <= 38 {
                 let wire = seg.encode().unwrap();
                 prop_assert_eq!(TcpSegment::decode(&wire), copying_decode(&wire));
+                view_matches_copying_decode(&wire)?;
             }
             let soup = Bytes::from(soup);
             prop_assert_eq!(TcpSegment::decode(&soup), copying_decode(&soup));
+            view_matches_copying_decode(&soup)?;
             // A valid fixed header over option bytes that are mostly small
             // kinds and lengths: the option walk itself meets the byte soup.
             let area = garbled.len().div_ceil(4) * 4;
@@ -802,6 +828,7 @@ mod prop {
             framed.extend_from_slice(b"payload");
             let framed = Bytes::from(framed);
             prop_assert_eq!(TcpSegment::decode(&framed), copying_decode(&framed));
+            view_matches_copying_decode(&framed)?;
         }
 
         /// The writer refuses an options area exactly when it would exceed
