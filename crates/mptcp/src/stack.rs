@@ -300,10 +300,15 @@ impl HostStack {
             return;
         };
         // Find the subflow whose local port matches the original sender's
-        // source port (we sent the packet the ICMP complains about).
-        let found = self.flows.iter().find_map(|(t, &(idx, sub))| {
-            (t.src_port == orig_src_port && t.dst_port == orig_dst_port).then_some((idx, sub))
-        });
+        // source port (we sent the packet the ICMP complains about). Should
+        // two flows match, the oldest wins: a pick that followed the map's
+        // hash order would change whenever the hasher does.
+        let found = self
+            .flows
+            .iter()
+            .filter(|(t, _)| t.src_port == orig_src_port && t.dst_port == orig_dst_port)
+            .map(|(_, &flow)| flow)
+            .min();
         if let Some((idx, sub)) = found {
             if let Some(conn) = self.conns[idx].as_mut() {
                 conn.on_icmp_unreachable(sub, env, &mut self.events);

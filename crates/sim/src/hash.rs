@@ -38,9 +38,14 @@ impl FxHasher {
 }
 
 impl Hasher for FxHasher {
+    /// The multiply leaves a key's entropy in the *high* bits of the
+    /// product, and hashbrown indexes buckets by the *low* bits: keys whose
+    /// low bits agree (tokens with zero low bits, addresses ending `.1`)
+    /// would all start probing at the same bucket. The rotation (rustc-hash
+    /// 2's) moves the well-mixed high bits down.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 
     #[inline]
@@ -110,5 +115,30 @@ mod tests {
             })
             .collect();
         assert_eq!(hashes.len(), 1000);
+    }
+
+    /// Distinct full hashes are not enough: a map picks the bucket from the
+    /// hash's low bits. Keys that differ only in high bits (stack timer
+    /// identities, whose low 28 bits are zero) or share their low byte (the
+    /// fleet's client addresses, all `x.y.z.1`) must still land in many of
+    /// a 1024-bucket table's buckets.
+    #[test]
+    fn aligned_keys_spread_over_low_bucket_bits() {
+        use std::hash::BuildHasher;
+        let buckets = |hashes: &mut dyn Iterator<Item = u64>| {
+            hashes.map(|h| h & 1023).collect::<FxHashSet<u64>>().len()
+        };
+        let fx = BuildHasherDefault::<FxHasher>::default();
+        let shifted = buckets(&mut (0u64..1000).map(|k| fx.hash_one(k << 28)));
+        assert!(shifted > 500, "1000 keys k << 28 use {shifted} buckets");
+        let clients = buckets(&mut (0u32..800).map(|i| {
+            fx.hash_one(crate::Addr::new(
+                10,
+                16 + (i / 200) as u8,
+                (i % 200) as u8,
+                1,
+            ))
+        }));
+        assert!(clients > 400, "800 client addresses use {clients} buckets");
     }
 }
