@@ -303,11 +303,13 @@ fn bench_event_queue(c: &mut Criterion) {
         }
     }
 
-    /// What an ACK clock does to a retransmission timer: every tick cancels
-    /// the pending 200 ms timer and arms a new one.
+    /// What an ACK clock does to a retransmission timer: every tick
+    /// restarts the pending 200 ms timer, either by cancelling it and
+    /// arming a new one or by re-arming it in place.
     struct Rearm {
         rto: Option<TimerHandle>,
         left: u64,
+        in_place: bool,
     }
     impl Node for Rearm {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -317,10 +319,16 @@ fn bench_event_queue(c: &mut Criterion) {
             if token != 1 {
                 return;
             }
-            if let Some(old) = self.rto.take() {
-                ctx.cancel_timer(old);
-            }
-            self.rto = Some(ctx.set_timer_after(Duration::from_millis(200), 0));
+            let rto = Duration::from_millis(200);
+            self.rto = Some(match self.rto.take() {
+                Some(old) if self.in_place => ctx.rearm_timer_after(old, rto, 0),
+                old => {
+                    if let Some(old) = old {
+                        ctx.cancel_timer(old);
+                    }
+                    ctx.set_timer_after(rto, 0)
+                }
+            });
             if self.left > 0 {
                 self.left -= 1;
                 ctx.set_timer_after(Duration::from_micros(100), 1);
@@ -363,14 +371,17 @@ fn bench_event_queue(c: &mut Criterion) {
             })
         });
     }
-    g.bench_function("cancel_and_rearm", |b| {
-        b.iter(|| {
-            run(Rearm {
-                rto: None,
-                left: EVENTS / 2,
+    for (name, in_place) in [("cancel_and_rearm", false), ("rearm_in_place", true)] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                run(Rearm {
+                    rto: None,
+                    left: EVENTS / 2,
+                    in_place,
+                })
             })
-        })
-    });
+        });
+    }
     // World turnover: what a sweep of short worlds pays per world for the
     // queue's fixed tables.
     g.throughput(Throughput::Elements(240));

@@ -30,17 +30,22 @@ pub const FIG2C_SEEDS: [u64; 3] = [100, 101, 102];
 pub struct Fig2cBaseline {
     /// Commit the baseline was measured at.
     pub commit: &'static str,
-    /// `RunSummary.events` per seed, in [`FIG2C_SEEDS`] order.
+    /// `RunSummary.events` (dispatches) per seed, in [`FIG2C_SEEDS`] order.
     pub events: [u64; 3],
     /// Simulated completion time (ns) per seed.
     pub ended_at_ns: [u64; 3],
 }
 
 /// Baseline measurement for the fig2c macro scenario (100 MB, 5 subflows,
-/// refresh controller).
+/// refresh controller). `ended_at_ns` is `524cdc6`'s. `events` counts
+/// dispatches, as `RunSummary::events` has since timers re-arm in place;
+/// `524cdc6` counted every pop, superseded timer entries included, and
+/// recorded 1 011 738, 947 303 and 983 405 — each the dispatch count here
+/// plus the 76 851, 71 917 and 74 623 superseded RTO entries that build
+/// popped.
 pub const FIG2C_BASELINE: Fig2cBaseline = Fig2cBaseline {
     commit: "524cdc6",
-    events: [1_011_738, 947_303, 983_405],
+    events: [934_887, 875_386, 908_782],
     ended_at_ns: [29_079_104_704, 28_335_975_608, 30_288_957_352],
 };
 
@@ -87,8 +92,13 @@ pub struct ScenarioPerf {
     pub runs: usize,
     /// Sum of per-cell wall-clock seconds (single-threaded pass).
     pub wall_s: f64,
-    /// Total simulator events processed.
+    /// Total simulator events dispatched.
     pub events: u64,
+    /// Cancelled timer entries popped without a dispatch.
+    pub stale: u64,
+    /// Timer entries popped at an old deadline and requeued at the one
+    /// they were re-armed to in place.
+    pub requeued: u64,
     /// Events per wall-clock second.
     pub events_per_sec: f64,
     /// Heap allocations per simulated event.
@@ -170,6 +180,8 @@ fn aggregate(matrix: &Matrix, seq: &[SweepResult]) -> Vec<ScenarioPerf> {
         }
         let wall_s: f64 = cells.iter().map(|c| c.wall_s).sum();
         let events: u64 = cells.iter().map(|c| c.run.summary.events).sum();
+        let stale: u64 = cells.iter().map(|c| c.run.summary.stale).sum();
+        let requeued: u64 = cells.iter().map(|c| c.run.summary.requeued).sum();
         let allocs: u64 = cells.iter().map(|c| c.allocs).sum();
         rows.push(ScenarioPerf {
             name: format!("{}/{}", entry.scenario, entry.variant),
@@ -177,6 +189,8 @@ fn aggregate(matrix: &Matrix, seq: &[SweepResult]) -> Vec<ScenarioPerf> {
             runs: cells.len(),
             wall_s,
             events,
+            stale,
+            requeued,
             events_per_sec: events as f64 / wall_s,
             allocs_per_event: allocs as f64 / events.max(1) as f64,
             peak_live_bytes: cells.iter().map(|c| c.peak_live_bytes).max().unwrap_or(0),
@@ -347,13 +361,16 @@ impl PerfReport {
         for (i, p) in self.scenarios.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"name\": \"{}\", \"workload\": \"{}\", \"runs\": {}, \"wall_s\": {:.4}, \
-                 \"events\": {}, \"events_per_sec\": {:.0}, \"allocs_per_event\": {:.2}, \
-                 \"peak_live_bytes\": {}, \"peak_queue\": {}, \"sim_s\": {:.3}}}{}\n",
+                 \"events\": {}, \"stale\": {}, \"requeued\": {}, \"events_per_sec\": {:.0}, \
+                 \"allocs_per_event\": {:.2}, \"peak_live_bytes\": {}, \"peak_queue\": {}, \
+                 \"sim_s\": {:.3}}}{}\n",
                 p.name,
                 p.workload,
                 p.runs,
                 p.wall_s,
                 p.events,
+                p.stale,
+                p.requeued,
                 p.events_per_sec,
                 p.allocs_per_event,
                 p.peak_live_bytes,
@@ -412,15 +429,17 @@ impl PerfReport {
             }
         ));
         s.push_str(
-            "scenario          runs wall_s    events      events/sec  allocs/ev  live_MB  peak_q  sim_s\n",
+            "scenario          runs wall_s    events      stale    requeued  events/sec  allocs/ev  live_MB  peak_q  sim_s\n",
         );
         for p in &self.scenarios {
             s.push_str(&format!(
-                "{:<17} {:<4} {:<9.3} {:<11} {:<11.0} {:<10.2} {:<8.1} {:<7} {:.2}\n",
+                "{:<17} {:<4} {:<9.3} {:<11} {:<8} {:<9} {:<11.0} {:<10.2} {:<8.1} {:<7} {:.2}\n",
                 p.name,
                 p.runs,
                 p.wall_s,
                 p.events,
+                p.stale,
+                p.requeued,
                 p.events_per_sec,
                 p.allocs_per_event,
                 p.peak_live_bytes as f64 / 1e6,
@@ -487,6 +506,15 @@ mod tests {
         assert!(json.contains("\"fig2c_trajectory_parity\": null"));
         assert!(json.contains("\"parallel_parity\": true"));
         assert!(json.contains("\"name\": \"fleet/mixed\""));
+        // Each row carries the pops that were not dispatches beside its
+        // events; the stack re-arms its RTOs in place, so rows requeue.
+        for p in &r.scenarios {
+            assert!(json.contains(&format!(
+                "\"events\": {}, \"stale\": {}, \"requeued\": {},",
+                p.events, p.stale, p.requeued
+            )));
+        }
+        assert!(r.scenarios.iter().any(|p| p.requeued > 0));
         assert!(json.contains(&format!(
             "\"fuzz\": {{\"cases\": 4, \"violations\": 0, \"coverage_bits\": {}, \
              \"baseline_coverage_bits\": {}}}",

@@ -133,7 +133,10 @@ impl Scenario for Fleet {
     // PR 24 (wheel event queue, allocation-free reassembly ring, crypto and
     // netlink lookups): 0.143 -> 0.102 full, 0.350 -> 0.217 smoke;
     // ceiling is 2x the higher one.
-    const ALLOC_CEILING: f64 = 0.44;
+    // Timers re-armed in place, PM events swapped instead of re-grown,
+    // `events` counting dispatches only: 0.217 -> 0.205 smoke, 0.101 -> 0.089 full;
+    // ceiling is 2x the higher one.
+    const ALLOC_CEILING: f64 = 0.42;
     type Params = Params;
     type Results = FleetStats;
 

@@ -24,7 +24,10 @@ impl Scenario for Fuzz {
     // PR 24 (wheel event queue, allocation-free reassembly ring, crypto and
     // netlink lookups): 0.462 -> 0.334 full, 0.522 -> 0.411 smoke;
     // ceiling is 2x the higher one.
-    const ALLOC_CEILING: f64 = 0.83;
+    // Timers re-armed in place, PM events swapped instead of re-grown,
+    // `events` counting dispatches only: 0.357 -> 0.351 smoke, 0.283 -> 0.274 full;
+    // ceiling is 2x the higher one.
+    const ALLOC_CEILING: f64 = 0.71;
     /// A case is derived from its seed alone.
     type Params = ();
     type Results = CaseOutcome;

@@ -330,6 +330,8 @@ mod tests {
                     reason: smapp_sim::StopReason::Idle,
                     ended_at: smapp_sim::SimTime::from_millis(seed),
                     events: seed,
+                    stale: 0,
+                    requeued: 0,
                     peak_queue,
                 },
                 trajectory: format!("seed={seed}"),

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use bytes::Bytes;
-use smapp_sim::{Addr, SimTime};
+use smapp_sim::{Addr, SimTime, TimerHandle};
 use smapp_tcp::{
     lia_alpha, Lia, OptionWriter, Reno, RtoState, StreamTap, TcpFixed, TcpFlags, TcpInfo, TcpView,
     MAX_WINDOW_SCALE, OPT_KIND_MPTCP, OPT_KIND_MSS, OPT_KIND_WINDOW_SCALE,
@@ -187,6 +187,9 @@ pub struct Connection {
     fin_acked: bool,
     meta_fin_gen: u64,
     meta_fin_backoff: u32,
+    /// The host's handle on the simulator timer behind the DATA_FIN
+    /// retransmission timer.
+    meta_fin_timer: Option<TimerHandle>,
 
     // --- meta receive state ---
     meta_recv: smapp_tcp::Reassembly,
@@ -275,6 +278,7 @@ impl Connection {
             fin_acked: false,
             meta_fin_gen: 0,
             meta_fin_backoff: 0,
+            meta_fin_timer: None,
             meta_recv: smapp_tcp::Reassembly::new(),
             peer_fin_off: None,
             eof_delivered: false,
@@ -449,6 +453,24 @@ impl Connection {
         sf.rto_armed = true;
         let t = timer_token(TimerKind::Rto, idx, id, sf.rto_gen);
         env.timers.push((sf.current_rto(), t));
+    }
+
+    /// Where the host keeps the simulator handle of a timer that each arm
+    /// restarts: subflow `id`'s RTO or the DATA_FIN timer. Application
+    /// timers have none — an app may keep any number outstanding.
+    pub(crate) fn timer_handle_mut(
+        &mut self,
+        kind: TimerKind,
+        id: SubflowId,
+    ) -> Option<&mut Option<TimerHandle>> {
+        match kind {
+            TimerKind::Rto => self
+                .subflows
+                .get_mut(id as usize)
+                .map(|sf| &mut sf.rto_timer),
+            TimerKind::MetaFin => Some(&mut self.meta_fin_timer),
+            TimerKind::App => None,
+        }
     }
 
     /// Handle a retransmission-timer firing for subflow `id`.

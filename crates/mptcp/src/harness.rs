@@ -245,11 +245,12 @@ impl Harness {
 
     /// Run the side's path manager over pending stack events until quiet.
     fn run_pm(&mut self, side: Side) {
+        let mut events = Vec::new();
         for _ in 0..8 {
-            let events = match side {
-                Side::A => self.a.take_events(),
-                Side::B => self.b.take_events(),
-            };
+            match side {
+                Side::A => self.a.swap_events(&mut events),
+                Side::B => self.b.swap_events(&mut events),
+            }
             if events.is_empty() {
                 break;
             }

@@ -66,8 +66,6 @@ pub use pm::{
     StackView, SubflowError, SubflowId, EVENT_MASK_ALL,
 };
 pub use scheduler::{LowestRtt, Redundant, RoundRobin, SchedCandidate, Scheduler};
-pub use stack::{
-    parse_timer_token, timer_identity, timer_rearm_supersedes, timer_token, HostStack, TimerKind,
-};
+pub use stack::{parse_timer_token, timer_token, HostStack, TimerKind};
 pub use subflow::{SfState, Subflow};
 pub use token::{idsn_from_key, join_hmac_a, join_hmac_b, token_from_key, Key};

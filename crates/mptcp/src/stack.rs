@@ -6,7 +6,7 @@
 //! `MP_JOIN` SYNs routed by token), applies path-manager actions, and
 //! surfaces [`PmEvent`]s for whatever path manager the host plugged in.
 
-use smapp_sim::{Addr, FxHashMap, FxHashSet, IcmpMsg, Packet, PROTO_ICMP, PROTO_TCP};
+use smapp_sim::{Addr, FxHashMap, FxHashSet, IcmpMsg, Packet, TimerHandle, PROTO_ICMP, PROTO_TCP};
 use smapp_tcp::{OptionWriter, SeqNum, TcpFixed, TcpFlags, TcpInfo, TcpView};
 
 use crate::app::App;
@@ -38,28 +38,6 @@ pub fn timer_token(kind: TimerKind, conn_idx: usize, sub: SubflowId, gen: u64) -
     debug_assert!(conn_idx < (1 << 24), "connection index overflow");
     debug_assert!(gen < (1 << 28), "timer generation overflow");
     (k << 60) | ((conn_idx as u64 & 0xFF_FFFF) << 36) | ((sub as u64) << 28) | (gen & 0x0FFF_FFFF)
-}
-
-/// Low bits of a stack timer token holding its generation counter.
-pub const TIMER_GEN_MASK: u64 = 0x0FFF_FFFF;
-
-/// The token's *identity* — (kind, connection, subflow) with the generation
-/// masked off. Stable across rearms of the same logical timer.
-pub fn timer_identity(t: u64) -> u64 {
-    t & !TIMER_GEN_MASK
-}
-
-/// Whether rearming a timer with this token supersedes every older
-/// generation of the same [`timer_identity`]. True for RTO and MetaFin
-/// (the stack bumps their per-identity generation on each arm and ignores
-/// stale firings), so a host may cancel the superseded simulator timer.
-/// False for App timers: applications choose their own tokens and may keep
-/// any number outstanding.
-pub fn timer_rearm_supersedes(t: u64) -> bool {
-    matches!(
-        parse_timer_token(t),
-        Some((TimerKind::Rto | TimerKind::MetaFin, ..))
-    )
 }
 
 /// Unpack a stack timer token.
@@ -144,9 +122,11 @@ impl HostStack {
             .collect()
     }
 
-    /// Drain pending path-manager events.
-    pub fn take_events(&mut self) -> Vec<PmEvent> {
-        std::mem::take(&mut self.events)
+    /// Move pending path-manager events into `into` (cleared first). The
+    /// two vectors trade places, so both keep their capacity.
+    pub fn swap_events(&mut self, into: &mut Vec<PmEvent>) {
+        into.clear();
+        std::mem::swap(&mut self.events, into);
     }
 
     /// Listen on a port; `factory` builds the per-connection server app.
@@ -335,6 +315,18 @@ impl HostStack {
             TimerKind::MetaFin => conn.on_meta_fin_timer(gen, env, &mut self.events),
         }
         self.post_process(idx, env);
+    }
+
+    /// The slot holding the simulator handle of the timer `token` arms, for
+    /// a host that re-arms it in place: a subflow's RTO or a connection's
+    /// DATA_FIN timer, found by the token's own indices. `None` for
+    /// application timers, which nothing supersedes.
+    pub fn timer_handle_mut(&mut self, token: u64) -> Option<&mut Option<TimerHandle>> {
+        let (kind, idx, sub, _) = parse_timer_token(token)?;
+        self.conns
+            .get_mut(idx)?
+            .as_mut()?
+            .timer_handle_mut(kind, sub)
     }
 
     // ------------------------------------------------------------------

@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use bytes::Bytes;
-use smapp_sim::SimTime;
+use smapp_sim::{SimTime, TimerHandle};
 use smapp_tcp::{
     pacing_rate, CongestionControl, Flight, Reassembly, RtoState, RttEstimator, TcpInfo,
     TcpStateInfo,
@@ -129,6 +129,9 @@ pub struct Subflow {
     pub rto_gen: u64,
     /// Whether a timer is conceptually armed.
     pub rto_armed: bool,
+    /// The host's handle on the simulator timer behind the RTO, re-armed
+    /// in place on the next arm (None under a harness without a simulator).
+    pub(crate) rto_timer: Option<TimerHandle>,
 
     // --- receiver side ---
     /// Peer's initial sequence number (wire).
@@ -210,6 +213,7 @@ impl Subflow {
             fin_wanted: false,
             rto_gen: 0,
             rto_armed: false,
+            rto_timer: None,
             irs: 0,
             reasm: Reassembly::new(),
             recv_maps: VecDeque::new(),

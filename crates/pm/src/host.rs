@@ -23,16 +23,14 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use smapp_mptcp::{
-    timer_identity, timer_rearm_supersedes, App, ConnToken, HostStack, OutPacket, PathManagerHook,
-    PmAction, PmActions, StackConfig, StackEnv,
+    App, ConnToken, HostStack, OutPacket, PathManagerHook, PmAction, PmActions, PmEvent,
+    StackConfig, StackEnv,
 };
 use smapp_netlink::{
     decode, encode_ack, encode_diag_reply, encode_info_reply, DiagConn, LatencyModel, PmNlCommand,
     PmNlMessage, UserCtx, UserProcess,
 };
-use smapp_sim::{
-    Addr, Ctx, FxHashMap, IfaceId, Node, NodeCommand, Packet, SimRng, SimTime, TimerHandle,
-};
+use smapp_sim::{Addr, Ctx, FxHashMap, IfaceId, Node, NodeCommand, Packet, SimRng, SimTime};
 
 use crate::netlink_pm::NetlinkPm;
 
@@ -70,6 +68,9 @@ struct DriveScratch {
     packets: Vec<OutPacket>,
     timers: Vec<(Duration, u64)>,
     connects: Vec<smapp_mptcp::ConnectRequest>,
+    /// Path-manager events of the current stack call, swapped out of the
+    /// stack by [`HostStack::swap_events`].
+    events: Vec<PmEvent>,
 }
 
 /// Record of sockdiag probes taken mid-run, filled by scripted
@@ -97,9 +98,6 @@ pub struct Host {
     /// Boundary latency applied per netlink crossing.
     pub latency: LatencyModel,
     addr_iface: FxHashMap<Addr, IfaceId>,
-    /// Live simulator-timer handle per stack-timer identity (token with the
-    /// generation bits masked off), for cancel-on-rearm.
-    stack_timers: FxHashMap<u64, TimerHandle>,
     pending: FxHashMap<u64, Bytes>,
     next_pending: u64,
     connects: Vec<ScheduledConnect>,
@@ -121,7 +119,6 @@ impl Host {
             user: None,
             latency: LatencyModel::Zero,
             addr_iface: FxHashMap::default(),
-            stack_timers: FxHashMap::default(),
             pending: FxHashMap::default(),
             next_pending: 0,
             connects: Vec::new(),
@@ -207,12 +204,12 @@ impl Host {
         }
         // Kernel path-manager loop: events -> actions -> (more events) ...
         for _ in 0..8 {
-            let events = self.stack.take_events();
-            if events.is_empty() {
+            self.stack.swap_events(&mut self.scratch.events);
+            if self.scratch.events.is_empty() {
                 break;
             }
             let mut actions = PmActions::new();
-            for ev in &events {
+            for ev in &self.scratch.events {
                 self.pm.on_event(ev, &self.stack, &mut actions);
             }
             for a in actions.drain() {
@@ -261,12 +258,17 @@ impl Host {
             }
         }
         for (d, t) in timers.drain(..) {
-            let handle = ctx.set_timer_after(d, t);
-            if timer_rearm_supersedes(t) {
-                // Rearming supersedes any previous generation of the same
-                // timer: cancel it so the queue tracks live work.
-                if let Some(old) = self.stack_timers.insert(timer_identity(t), handle) {
-                    ctx.cancel_timer(old);
+            // A timer the stack restarts on every arm (RTO, DATA_FIN) is
+            // re-armed through the handle it keeps, in place when later.
+            match self.stack.timer_handle_mut(t) {
+                Some(held) => {
+                    *held = Some(match *held {
+                        Some(h) => ctx.rearm_timer_after(h, d, t),
+                        None => ctx.set_timer_after(d, t),
+                    })
+                }
+                None => {
+                    ctx.set_timer_after(d, t);
                 }
             }
         }
@@ -462,11 +464,6 @@ impl Node for Host {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match token >> 60 {
             1..=3 => {
-                if timer_rearm_supersedes(token) {
-                    // This firing is the live generation (older ones were
-                    // cancelled on rearm); drop the bookkeeping entry.
-                    self.stack_timers.remove(&timer_identity(token));
-                }
                 self.drive(ctx, Work::StackTimer(token));
             }
             4 => {

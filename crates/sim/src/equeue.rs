@@ -60,9 +60,8 @@ const NIL: u32 = u32::MAX;
 /// order (`seq`) so the simulation is fully deterministic.
 pub(crate) struct Scheduled<E> {
     pub at: SimTime,
-    /// Insertion-order tie-breaker; the run loop ignores it, the ordering
-    /// tests compare it against the reference model.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Insertion-order tie-breaker; the run loop tells a timer's current
+    /// entry from one it re-armed in place by it.
     pub seq: u64,
     pub ev: E,
 }

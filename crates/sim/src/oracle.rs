@@ -583,6 +583,8 @@ mod tests {
             reason: StopReason::Idle,
             ended_at: SimTime::from_millis(2),
             events: 4,
+            stale: 0,
+            requeued: 0,
             peak_queue: 1,
         });
         assert!(o.is_clean(), "{:?}", o.violations());
@@ -605,6 +607,8 @@ mod tests {
             reason: StopReason::Idle,
             ended_at: SimTime::from_millis(5),
             events: 1,
+            stale: 0,
+            requeued: 0,
             peak_queue: 1,
         });
         assert!(!o.is_clean());
@@ -615,6 +619,8 @@ mod tests {
             reason: StopReason::Horizon,
             ended_at: SimTime::from_millis(5),
             events: 1,
+            stale: 0,
+            requeued: 0,
             peak_queue: 1,
         });
         assert!(o2.is_clean());

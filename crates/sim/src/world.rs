@@ -10,12 +10,30 @@
 //! # Event ordering and timers
 //!
 //! Events execute in strict `(time, insertion order)` order via a timing
-//! wheel (`crate::equeue`). Timers armed through [`Ctx::set_timer_after`]
-//! return a [`TimerHandle`] and can be cancelled with [`Ctx::cancel_timer`];
-//! cancellation is *lazy* — the queue entry stays until its expiry instant
-//! and still counts as one processed event when it pops (so enabling
-//! cancellation never changes a run's event accounting), but the callback
-//! is not invoked and the handle's slot is recycled immediately.
+//! wheel (`crate::equeue`); every scheduled item draws its insertion `seq`
+//! from one counter when it is scheduled. Timers armed through
+//! [`Ctx::set_timer_after`] return a [`TimerHandle`], which
+//! [`Ctx::cancel_timer`] and [`Ctx::rearm_timer_after`] take.
+//!
+//! * **Cancellation is lazy.** The queue entry stays until its instant and
+//!   then pops *stale*: the node is not called, and the handle's slot was
+//!   recycled at cancel time.
+//! * **Re-arming happens in place** when the handle is live and the new
+//!   deadline is not earlier than the instant its queue entry waits for —
+//!   the RTO restarted on every ACK. The timer's slot takes the new
+//!   deadline, a freshly drawn `seq` and the new token, and nothing is
+//!   pushed. When the entry pops at its old instant it is *requeued* under
+//!   the stored `(at, seq)`, which is exactly the key a fresh entry armed
+//!   at re-arm time would have had, so every dispatch happens at the same
+//!   place in the order as with cancel-and-arm. An earlier deadline or a
+//!   stale handle cancels (if live) and arms afresh. A timer cancelled
+//!   after an in-place re-arm pops stale at the instant its entry waited
+//!   for, so an idle run may end earlier than with cancel-and-arm.
+//!
+//! Accounting: [`RunSummary::events`] counts *dispatches* — pops that
+//! reached a node, a link or a script. Stale pops and requeues are counted
+//! apart, in [`RunSummary::stale`] and [`RunSummary::requeued`], and
+//! [`RunSummary::peak_queue`] counts queue entries of either kind.
 
 use std::time::Duration;
 
@@ -36,12 +54,8 @@ use crate::trace::{TraceEvent, TraceKind, TraceSink};
 pub(crate) enum SimEvent {
     /// Deliver `on_start` to a node.
     Start(NodeId),
-    /// A node timer fired.
-    Timer {
-        node: NodeId,
-        token: u64,
-        handle: TimerHandle,
-    },
+    /// A node timer's queue entry; its token lives in the timer's slot.
+    Timer { node: NodeId, handle: TimerHandle },
     /// A packet finished serializing on a link direction.
     TxDone { link: LinkId, dir: Dir, pkt: Packet },
     /// A packet finished propagating and arrives at the far end.
@@ -107,19 +121,26 @@ pub struct RunSummary {
     pub reason: StopReason,
     /// Simulated time at the end of the run.
     pub ended_at: SimTime,
-    /// Number of events processed.
+    /// Events dispatched (queue entries that were not stale or requeued).
     pub events: u64,
+    /// Queue entries of cancelled or re-armed-earlier timers that popped
+    /// without reaching their node.
+    pub stale: u64,
+    /// Queue entries of timers re-armed in place that popped at their old
+    /// instant and moved to the re-armed one.
+    pub requeued: u64,
     /// High-water mark of the event queue over the whole simulation.
     pub peak_queue: usize,
 }
 
 /// A handle to an armed timer, returned by [`Ctx::set_timer_after`] /
-/// [`Ctx::set_timer_at`] and accepted by [`Ctx::cancel_timer`].
+/// [`Ctx::set_timer_at`] / [`Ctx::rearm_timer_after`] and accepted by
+/// [`Ctx::cancel_timer`] and [`Ctx::rearm_timer_after`].
 ///
 /// Handles are generation-tagged: once the timer has fired or been
 /// cancelled, the handle goes stale and cancelling it again is a safe
 /// no-op — even after the underlying slot has been recycled for a newer
-/// timer.
+/// timer. An in-place re-arm keeps the handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimerHandle {
     slot: u32,
@@ -131,6 +152,13 @@ pub struct TimerHandle {
 struct TimerSlot {
     gen: u32,
     armed: bool,
+    /// Queue key of the timer's firing and the token it delivers.
+    at: SimTime,
+    seq: u64,
+    token: u64,
+    /// Instant the timer's one queue entry waits for: `at`, or earlier
+    /// after an in-place re-arm.
+    queued_at: SimTime,
 }
 
 /// Everything in the simulation except the nodes.
@@ -147,6 +175,10 @@ pub struct SimCore {
     timer_slots: Vec<TimerSlot>,
     timer_free: Vec<u32>,
     live_timers: usize,
+    /// Stale and requeued pops since construction; a run reports the
+    /// difference over its own span.
+    stale: u64,
+    requeued: u64,
     trace: Option<Box<dyn TraceSink>>,
     /// Cached `trace.is_some()` so the hot path skips sink dispatch with a
     /// single branch when tracing is off.
@@ -169,6 +201,8 @@ impl SimCore {
             timer_slots: Vec::new(),
             timer_free: Vec::new(),
             live_timers: 0,
+            stale: 0,
+            requeued: 0,
             trace: None,
             tracing_on: false,
             stop_requested: false,
@@ -334,53 +368,93 @@ impl SimCore {
         self.release_timer(handle)
     }
 
-    fn push(&mut self, at: SimTime, ev: SimEvent) {
-        debug_assert!(at >= self.now, "scheduling into the past");
+    fn draw_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    fn push(&mut self, at: SimTime, ev: SimEvent) {
+        debug_assert!(at >= self.now, "scheduling into the past");
+        let seq = self.draw_seq();
         self.queue.push(at, seq, ev);
     }
 
     /// Arm a timer for `node` at `at`, allocating a generation-tagged slot.
     fn arm_timer(&mut self, at: SimTime, node: NodeId, token: u64) -> TimerHandle {
-        let slot = match self.timer_free.pop() {
-            Some(s) => s,
+        debug_assert!(at >= self.now, "scheduling into the past");
+        let seq = self.draw_seq();
+        let armed = |gen| TimerSlot {
+            gen,
+            armed: true,
+            at,
+            seq,
+            token,
+            queued_at: at,
+        };
+        let handle = match self.timer_free.pop() {
+            Some(slot) => {
+                let st = &mut self.timer_slots[slot as usize];
+                *st = armed(st.gen);
+                TimerHandle { slot, gen: st.gen }
+            }
             None => {
-                self.timer_slots.push(TimerSlot {
+                self.timer_slots.push(armed(0));
+                TimerHandle {
+                    slot: (self.timer_slots.len() - 1) as u32,
                     gen: 0,
-                    armed: false,
-                });
-                (self.timer_slots.len() - 1) as u32
+                }
             }
         };
-        let st = &mut self.timer_slots[slot as usize];
-        st.armed = true;
-        let handle = TimerHandle { slot, gen: st.gen };
         self.live_timers += 1;
-        self.push(
-            at,
-            SimEvent::Timer {
-                node,
-                token,
-                handle,
-            },
-        );
+        self.queue.push(at, seq, SimEvent::Timer { node, handle });
         handle
+    }
+
+    /// Move a live timer to `at` with `token`: in place when its queue
+    /// entry is not later than `at`, else by cancelling and arming afresh
+    /// (also the path for a stale handle). Draws one `seq` either way.
+    fn rearm_timer(
+        &mut self,
+        handle: TimerHandle,
+        at: SimTime,
+        node: NodeId,
+        token: u64,
+    ) -> TimerHandle {
+        let seq = self.next_seq;
+        match self.live_timer_mut(handle) {
+            Some(st) if at >= st.queued_at => {
+                st.at = at;
+                st.seq = seq;
+                st.token = token;
+                self.next_seq += 1;
+                handle
+            }
+            _ => {
+                self.release_timer(handle);
+                self.arm_timer(at, node, token)
+            }
+        }
+    }
+
+    /// The slot behind `handle` while the timer is pending.
+    fn live_timer_mut(&mut self, handle: TimerHandle) -> Option<&mut TimerSlot> {
+        self.timer_slots
+            .get_mut(handle.slot as usize)
+            .filter(|st| st.armed && st.gen == handle.gen)
     }
 
     /// Retire a timer slot if `handle` is current. Returns whether the
     /// timer was live. Shared by cancellation and (on firing) dispatch.
     fn release_timer(&mut self, handle: TimerHandle) -> bool {
-        match self.timer_slots.get_mut(handle.slot as usize) {
-            Some(st) if st.armed && st.gen == handle.gen => {
-                st.armed = false;
-                st.gen = st.gen.wrapping_add(1);
-                self.timer_free.push(handle.slot);
-                self.live_timers -= 1;
-                true
-            }
-            _ => false,
-        }
+        let Some(st) = self.live_timer_mut(handle) else {
+            return false;
+        };
+        st.armed = false;
+        st.gen = st.gen.wrapping_add(1);
+        self.timer_free.push(handle.slot);
+        self.live_timers -= 1;
+        true
     }
 
     #[inline]
@@ -553,6 +627,22 @@ impl<'a> Ctx<'a> {
     /// pending; stale handles are a safe no-op.
     pub fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
         self.core.cancel_timer(handle)
+    }
+
+    /// Restart the timer behind `handle` to fire `after` from now with
+    /// `token` — [`Ctx::cancel_timer`] then [`Ctx::set_timer_after`] in one
+    /// step, dispatching identically. A later (or equal) deadline is
+    /// written into the pending timer, which keeps its handle and queue
+    /// entry; an earlier one, or a stale `handle`, arms a new timer and
+    /// returns its handle. `handle` must come from this node.
+    pub fn rearm_timer_after(
+        &mut self,
+        handle: TimerHandle,
+        after: Duration,
+        token: u64,
+    ) -> TimerHandle {
+        let at = self.core.now + after;
+        self.core.rearm_timer(handle, at, self.node, token)
     }
 
     /// Metadata for any interface (commonly this node's own).
@@ -738,41 +828,45 @@ impl Simulator {
                 self.core.push(SimTime::ZERO, SimEvent::Start(NodeId(i)));
             }
         }
-        let mut processed = 0u64;
-        loop {
+        // Pops are counted here; the timer arm of `dispatch` counts the
+        // ones that were not dispatches.
+        let mut popped = 0u64;
+        let start = (self.core.stale, self.core.requeued);
+        let reason = loop {
             if self.core.stop_requested {
-                return self.finish(StopReason::Requested, processed);
+                break StopReason::Requested;
             }
-            if processed >= self.core.event_limit {
-                return self.finish(StopReason::EventLimit, processed);
+            if popped >= self.core.event_limit {
+                break StopReason::EventLimit;
             }
             let Some(head_at) = self.core.queue.peek_time() else {
-                return self.finish(StopReason::Idle, processed);
+                break StopReason::Idle;
             };
             if let Some(h) = horizon {
                 if head_at > h {
                     self.core.now = h;
-                    return self.finish(StopReason::Horizon, processed);
+                    break StopReason::Horizon;
                 }
             }
-            let Scheduled { at, ev, .. } = self.core.queue.pop().unwrap();
+            let Scheduled { at, seq, ev } = self.core.queue.pop().unwrap();
             debug_assert!(at >= self.core.now, "time went backwards");
             self.core.now = at;
-            processed += 1;
-            self.dispatch(ev);
-        }
-    }
-
-    fn finish(&mut self, reason: StopReason, events: u64) -> RunSummary {
+            popped += 1;
+            self.dispatch(seq, ev);
+        };
+        let stale = self.core.stale - start.0;
+        let requeued = self.core.requeued - start.1;
         RunSummary {
             reason,
             ended_at: self.core.now,
-            events,
+            events: popped - stale - requeued,
+            stale,
+            requeued,
             peak_queue: self.core.peak_queue_depth(),
         }
     }
 
-    fn dispatch(&mut self, ev: SimEvent) {
+    fn dispatch(&mut self, seq: u64, ev: SimEvent) {
         match ev {
             SimEvent::Start(node) => {
                 let mut ctx = Ctx {
@@ -781,18 +875,24 @@ impl Simulator {
                 };
                 self.nodes[node.0].on_start(&mut ctx);
             }
-            SimEvent::Timer {
-                node,
-                token,
-                handle,
-            } => {
-                // A stale generation means the timer was cancelled: the
-                // entry still counted as a processed event (identical
-                // accounting to an uncancellable timer firing into a
-                // no-op), but the node is not invoked.
-                if !self.core.release_timer(handle) {
+            SimEvent::Timer { node, handle } => {
+                let Some(st) = self.core.live_timer_mut(handle) else {
+                    // Cancelled, or re-armed to an earlier deadline.
+                    self.core.stale += 1;
+                    return;
+                };
+                if st.seq != seq {
+                    // Re-armed in place: wait for the stored deadline.
+                    st.queued_at = st.at;
+                    let (at, seq) = (st.at, st.seq);
+                    self.core
+                        .queue
+                        .push(at, seq, SimEvent::Timer { node, handle });
+                    self.core.requeued += 1;
                     return;
                 }
+                let token = st.token;
+                self.core.release_timer(handle);
                 let mut ctx = Ctx {
                     core: &mut self.core,
                     node,
@@ -1173,7 +1273,7 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_timers_never_fire_but_still_count_as_events() {
+    fn cancelled_timers_never_fire_and_pop_as_stale() {
         let mut sim = Simulator::new(9);
         let n = sim.add_node(Box::new(Rearm {
             pending: None,
@@ -1185,8 +1285,9 @@ mod tests {
         let node = sim.node(n).as_any().downcast_ref::<Rearm>().unwrap();
         assert_eq!(node.fired, vec![5], "only the live timer fires");
         assert_eq!(node.cancel_results, vec![true; 5]);
-        // Start + 6 timer entries (5 cancelled, 1 live) all count.
-        assert_eq!(summary.events, 7);
+        // Start + the live timer are dispatched; the 5 cancelled entries
+        // pop stale (7 events under the old count-every-pop contract).
+        assert_eq!((summary.events, summary.stale, summary.requeued), (2, 5, 0));
         assert_eq!(sim.core.live_timer_count(), 0);
     }
 
@@ -1228,10 +1329,13 @@ mod tests {
     }
 
     /// Rearm-heavy workload spread over simulated time: the queue must
-    /// track the live window, not the total number of rearms.
+    /// track the live window, not the total number of rearms. `in_place`
+    /// restarts the RTO with [`Ctx::rearm_timer_after`] instead of
+    /// cancel-and-arm.
     struct HeavyRearm {
         pending: Option<TimerHandle>,
         rearms: u64,
+        in_place: bool,
     }
     impl HeavyRearm {
         const RTO: Duration = Duration::from_millis(200);
@@ -1247,10 +1351,15 @@ mod tests {
                 return; // the "RTO" fired (end of workload)
             }
             // Rearm the RTO, as a new ACK would.
-            if let Some(old) = self.pending.take() {
+            let old = self.pending.take().expect("the RTO is always pending");
+            self.pending = Some(if self.in_place {
+                let h = ctx.rearm_timer_after(old, Self::RTO, 0);
+                assert_eq!(h, old, "a later deadline keeps the handle");
+                h
+            } else {
                 ctx.cancel_timer(old);
-            }
-            self.pending = Some(ctx.set_timer_after(Self::RTO, 0));
+                ctx.set_timer_after(Self::RTO, 0)
+            });
             self.rearms += 1;
             if self.rearms < 5_000 {
                 ctx.set_timer_after(Self::TICK, 1);
@@ -1458,14 +1567,20 @@ mod tests {
         assert_eq!(plain, zeroed);
     }
 
-    #[test]
-    fn rearm_heavy_workload_keeps_queue_bounded() {
+    fn run_heavy_rearm(in_place: bool) -> (Simulator, RunSummary) {
         let mut sim = Simulator::new(11);
         sim.add_node(Box::new(HeavyRearm {
             pending: None,
             rearms: 0,
+            in_place,
         }));
         let summary = sim.run();
+        (sim, summary)
+    }
+
+    #[test]
+    fn rearm_heavy_workload_keeps_queue_bounded() {
+        let (sim, summary) = run_heavy_rearm(false);
         // 5000 rearms happened, but the queue never holds more than the
         // ~200 ms window of not-yet-expired cancelled entries plus the two
         // live timers.
@@ -1477,6 +1592,25 @@ mod tests {
              the 5000-rearm history",
             summary.peak_queue
         );
+        assert_eq!(sim.core.live_timer_count(), 0);
+    }
+
+    /// The same 5 000 restarts re-armed in place: the queue holds the two
+    /// live timers' entries and nothing else, and the run dispatches the
+    /// same events.
+    #[test]
+    fn rearm_in_place_heavy_workload_queues_only_live_timers() {
+        let (_, lazy) = run_heavy_rearm(false);
+        let (sim, summary) = run_heavy_rearm(true);
+        assert_eq!(summary.reason, StopReason::Idle);
+        assert!(summary.peak_queue <= 4, "peak queue {}", summary.peak_queue);
+        assert_eq!(summary.events, lazy.events);
+        assert_eq!(summary.ended_at, lazy.ended_at);
+        assert_eq!(summary.stale, 0);
+        // Each pop moves the entry to the deadline the tick before it set,
+        // 199 ms on: 26 moves over the 5 s run.
+        assert_eq!(summary.requeued, 26);
+        assert_eq!(lazy.stale, 5_000);
         assert_eq!(sim.core.live_timer_count(), 0);
     }
 
@@ -1520,8 +1654,10 @@ mod tests {
         sim.add_node(Box::new(Churn { ticks: 0 }));
         let summary = sim.run();
         assert_eq!(summary.reason, StopReason::Idle);
-        // Start + 100 ticks + the 100 + 2 cancelled entries, each once.
-        assert_eq!(summary.events, 1 + 2 * Churn::TICKS + 2);
+        // Start + 100 ticks dispatched; the 100 + 2 cancelled entries pop
+        // stale, each once.
+        assert_eq!(summary.events, 1 + Churn::TICKS);
+        assert_eq!(summary.stale, Churn::TICKS + 2);
         // The queue drains when its last entry — cancelled at t = 0 — expires.
         assert_eq!(summary.ended_at, SimTime::from_secs(2));
         // Inside a tick handler: 49 earlier cancelled 50 ms entries not yet
@@ -1529,5 +1665,278 @@ mod tests {
         assert_eq!(summary.peak_queue, 53);
         assert_eq!(sim.core.queue.slab_len(), summary.peak_queue);
         assert_eq!(sim.core.queue_depth(), 0);
+    }
+
+    /// How [`Schedule`] restarts a pending timer.
+    #[derive(Clone, Copy, PartialEq, Eq)]
+    enum Restart {
+        InPlace,
+        CancelAndArm,
+    }
+
+    /// The kinds of restart the random schedule must have exercised.
+    #[derive(Clone, Copy)]
+    enum Edge {
+        Earlier,
+        Equal,
+        Later,
+        AfterCancel,
+        AfterFire,
+        PastTheWheel,
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Lane {
+        Pending,
+        Cancelled,
+        Fired,
+    }
+
+    /// A seeded random schedule of arms, restarts and cancels over a few
+    /// timer lanes, driven by a tick timer. It records every dispatch; the
+    /// decisions depend only on state both restart styles share, so two
+    /// runs must agree dispatch for dispatch.
+    struct Schedule {
+        how: Restart,
+        rng: SimRng,
+        /// Per lane: the last handle, the deadline it was set for and where
+        /// the timer is; kept after it fires or is cancelled, when the handle
+        /// is stale.
+        lanes: [Option<(TimerHandle, SimTime, Lane)>; 6],
+        ticks_left: u32,
+        serial: u64,
+        fired: Vec<(SimTime, u64)>,
+        edges: [u32; 6],
+    }
+
+    impl Schedule {
+        const TICK: u64 = u64::MAX;
+
+        fn new(how: Restart, seed: u64) -> Self {
+            Schedule {
+                how,
+                rng: SimRng::seed_from_u64(seed),
+                lanes: [None; 6],
+                ticks_left: 3_000,
+                serial: 0,
+                fired: Vec::new(),
+                edges: [0; 6],
+            }
+        }
+
+        fn ms(&mut self, below: u64) -> Duration {
+            Duration::from_nanos(self.rng.next_u64() % (below * 1_000_000))
+        }
+
+        fn step(&mut self, ctx: &mut Ctx<'_>) {
+            let now = ctx.now();
+            let lane = (self.rng.next_u64() % self.lanes.len() as u64) as usize;
+            let state = self.lanes[lane];
+            if let Some((h, at, Lane::Pending)) = state {
+                if self.rng.next_u64() % 6 == 0 {
+                    assert!(ctx.cancel_timer(h));
+                    self.lanes[lane] = Some((h, at, Lane::Cancelled));
+                    return;
+                }
+            }
+            let pending = state.filter(|&(_, at, lane)| lane == Lane::Pending && at > now);
+            let after = match (pending, self.rng.next_u64() % 5) {
+                (_, 0) => {
+                    self.edges[Edge::PastTheWheel as usize] += 1;
+                    Duration::from_millis(1_000) + self.ms(1_500)
+                }
+                (Some((_, at, _)), 1) => {
+                    self.edges[Edge::Earlier as usize] += 1;
+                    let ahead = at.as_nanos() - now.as_nanos();
+                    Duration::from_nanos(self.rng.next_u64() % ahead)
+                }
+                (Some((_, at, _)), 2) => {
+                    self.edges[Edge::Equal as usize] += 1;
+                    Duration::from_nanos(at.as_nanos() - now.as_nanos())
+                }
+                (Some((_, at, _)), _) => {
+                    self.edges[Edge::Later as usize] += 1;
+                    Duration::from_nanos(at.as_nanos() - now.as_nanos()) + self.ms(50)
+                }
+                (None, _) => {
+                    match state.map(|(.., lane)| lane) {
+                        Some(Lane::Cancelled) => self.edges[Edge::AfterCancel as usize] += 1,
+                        Some(Lane::Fired) => self.edges[Edge::AfterFire as usize] += 1,
+                        _ => {}
+                    }
+                    self.ms(300)
+                }
+            };
+            self.serial += 1;
+            let token = (lane as u64) << 32 | self.serial;
+            let h = match (self.how, state) {
+                (Restart::InPlace, Some((h, ..))) => ctx.rearm_timer_after(h, after, token),
+                (Restart::CancelAndArm, Some((h, ..))) => {
+                    ctx.cancel_timer(h);
+                    ctx.set_timer_after(after, token)
+                }
+                (_, None) => ctx.set_timer_after(after, token),
+            };
+            self.lanes[lane] = Some((h, now + after, Lane::Pending));
+        }
+    }
+
+    impl Node for Schedule {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer_after(Duration::ZERO, Self::TICK);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.fired.push((ctx.now(), token));
+            if token != Self::TICK {
+                let lane = self.lanes[(token >> 32) as usize].as_mut().unwrap();
+                assert_eq!(lane.2, Lane::Pending, "only the pending timer fires");
+                lane.2 = Lane::Fired;
+                return;
+            }
+            for _ in 0..1 + self.rng.next_u64() % 3 {
+                self.step(ctx);
+            }
+            if self.ticks_left > 0 {
+                self.ticks_left -= 1;
+                let gap = self.ms(20);
+                ctx.set_timer_after(gap, Self::TICK);
+            }
+        }
+        fn on_packet(&mut self, _: &mut Ctx<'_>, _: IfaceId, _: Packet) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Run a schedule in 37 ms `run_until` slices (so horizons keep falling
+    /// between a timer's old and re-armed deadlines) and sum the slices.
+    fn run_schedule(how: Restart, seed: u64) -> (Schedule, RunSummary) {
+        let mut sim = Simulator::new(0);
+        let n = sim.add_node(Box::new(Schedule::new(how, seed)));
+        let mut total = RunSummary {
+            reason: StopReason::Horizon,
+            ended_at: SimTime::ZERO,
+            events: 0,
+            stale: 0,
+            requeued: 0,
+            peak_queue: 0,
+        };
+        let mut horizon = SimTime::ZERO;
+        while total.reason != StopReason::Idle {
+            horizon += Duration::from_millis(37);
+            let s = sim.run_until(horizon);
+            total = RunSummary {
+                events: total.events + s.events,
+                stale: total.stale + s.stale,
+                requeued: total.requeued + s.requeued,
+                ..s
+            };
+        }
+        assert_eq!(sim.core.live_timer_count(), 0);
+        let node = sim
+            .node_mut(n)
+            .as_any_mut()
+            .downcast_mut::<Schedule>()
+            .unwrap();
+        let node = std::mem::replace(node, Schedule::new(how, 0));
+        (node, total)
+    }
+
+    /// In-place re-arming is cancel-and-arm without the superseded queue
+    /// entries: the same `(time, token)` dispatches and event count on
+    /// random schedules, with no more queue entries or pops.
+    #[test]
+    fn rearm_matches_cancel_and_arm_on_random_schedules() {
+        for seed in 0..6 {
+            let (lazy, lazy_sum) = run_schedule(Restart::CancelAndArm, seed);
+            let (fast, fast_sum) = run_schedule(Restart::InPlace, seed);
+            assert_eq!(fast.fired, lazy.fired, "seed {seed}");
+            assert_eq!(fast_sum.events, lazy_sum.events, "seed {seed}");
+            assert_eq!(fast_sum.events, fast.fired.len() as u64 + 1);
+            assert!(fast_sum.peak_queue <= lazy_sum.peak_queue, "seed {seed}");
+            // A timer cancelled after an in-place re-arm pops stale at the
+            // instant its entry waited for, not at the later deadline, so
+            // an idle end can come earlier, never later.
+            assert!(fast_sum.ended_at <= lazy_sum.ended_at, "seed {seed}");
+            assert!(
+                fast_sum.stale + fast_sum.requeued <= lazy_sum.stale,
+                "seed {seed}: {fast_sum:?} vs {lazy_sum:?}"
+            );
+            assert_eq!(lazy_sum.requeued, 0);
+            assert!(fast_sum.requeued > 0, "seed {seed} re-armed in place");
+            assert!(
+                fast.edges.iter().all(|&n| n > 0),
+                "seed {seed} missed a restart kind: {:?}",
+                fast.edges
+            );
+        }
+    }
+
+    /// The edges one by one: an equal deadline keeps insertion order behind
+    /// a timer armed in between, a horizon between the old and the new
+    /// deadline moves the entry without dispatching it, and a stale handle
+    /// arms afresh.
+    #[test]
+    fn rearm_in_place_edges() {
+        #[derive(Default)]
+        struct Edges {
+            fired: Vec<(SimTime, u64)>,
+            handles: Vec<TimerHandle>,
+        }
+        impl Node for Edges {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                let a = ctx.set_timer_after(Duration::from_millis(10), 1);
+                ctx.set_timer_after(Duration::from_millis(10), 2);
+                // Equal deadline, later seq: fires after timer 2.
+                let a2 = ctx.rearm_timer_after(a, Duration::from_millis(10), 3);
+                let c = ctx.set_timer_after(Duration::from_millis(20), 4);
+                let c2 = ctx.rearm_timer_after(c, Duration::from_millis(50), 5);
+                self.handles = vec![a, a2, c, c2];
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+                self.fired.push((ctx.now(), token));
+                if token == 3 {
+                    // Timer 1/3 has fired: its handle is stale.
+                    let h = ctx.rearm_timer_after(self.handles[0], Duration::from_millis(5), 6);
+                    self.handles.push(h);
+                }
+            }
+            fn on_packet(&mut self, _: &mut Ctx<'_>, _: IfaceId, _: Packet) {}
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut sim = Simulator::new(0);
+        let n = sim.add_node(Box::<Edges>::default());
+        let s = sim.run_until(SimTime::from_millis(30));
+        // Start, timers 2 and 3 at 10 ms and 6 at 15 ms; the entry of
+        // timer 4 popped at 20 ms and moved to 50 ms.
+        assert_eq!((s.events, s.stale, s.requeued), (4, 0, 2));
+        let s = sim.run();
+        assert_eq!(
+            (s.events, s.stale, s.requeued, s.ended_at),
+            (1, 0, 0, SimTime::from_millis(50))
+        );
+        let node = sim.node(n).as_any().downcast_ref::<Edges>().unwrap();
+        let ms = SimTime::from_millis;
+        assert_eq!(
+            node.fired,
+            [(ms(10), 2), (ms(10), 3), (ms(15), 6), (ms(50), 5)]
+        );
+        let h = &node.handles;
+        assert_eq!(
+            (h[1], h[3]),
+            (h[0], h[2]),
+            "later or equal keeps the handle"
+        );
+        assert_ne!(h[4], h[0], "a stale handle arms a new timer");
+        // The three timers' entries; the re-arms pushed none.
+        assert_eq!(sim.core.peak_queue_depth(), 3);
     }
 }

@@ -163,8 +163,8 @@ fn scheduled_loss_transitions_exactly() {
 /// Heavy `TimerHandle` cancel/rearm churn with *exact* expectations on
 /// event accounting and peak queue depth — the regression guard for the
 /// lazy-deletion design of cancellable timers: a cancelled entry stays in
-/// the calendar queue until its expiry instant, still counts as exactly
-/// one processed event when it pops, and never invokes the node.
+/// the calendar queue until its expiry instant, pops exactly once as a
+/// stale entry (not an event), and never invokes the node.
 mod timer_churn {
     use super::*;
     use smapp_sim::{Simulator, StopReason, TimerHandle};
@@ -227,10 +227,12 @@ mod timer_churn {
         // Every cancel hit a live timer: 100 at start + 100 mid-run.
         assert_eq!(node.cancel_ok, 2 * HALF);
 
-        // Event accounting is exact: 1 start + 200 original timer entries
-        // (cancelled ones still pop as one event each) + 100 cancelled
-        // rearm entries.
-        assert_eq!(summary.events, 1 + 2 * HALF + HALF);
+        // Event accounting is exact: 1 start + the 100 even timers are
+        // dispatched; the 100 odd entries and the 100 cancelled rearm
+        // entries pop stale, once each.
+        assert_eq!(summary.events, 1 + HALF);
+        assert_eq!(summary.stale, 2 * HALF);
+        assert_eq!(summary.requeued, 0);
 
         // Peak queue depth is exact: all 200 start-armed entries are the
         // high-water mark. Mid-run rearms never exceed it — each firing
