@@ -437,6 +437,20 @@ impl SimCore {
         }
     }
 
+    /// The entry of a timer re-armed in place popped at its old instant:
+    /// queue it again under the stored deadline. Out of line and cold:
+    /// a queue push inlined into the timer arm of `Simulator::dispatch`
+    /// made a loop of timer events 40-50 % slower.
+    #[cold]
+    #[inline(never)]
+    fn requeue_timer(&mut self, node: NodeId, handle: TimerHandle) {
+        let st = &mut self.timer_slots[handle.slot as usize];
+        st.queued_at = st.at;
+        let (at, seq) = (st.at, st.seq);
+        self.queue.push(at, seq, SimEvent::Timer { node, handle });
+        self.requeued += 1;
+    }
+
     /// The slot behind `handle` while the timer is pending.
     fn live_timer_mut(&mut self, handle: TimerHandle) -> Option<&mut TimerSlot> {
         self.timer_slots
@@ -882,13 +896,7 @@ impl Simulator {
                     return;
                 };
                 if st.seq != seq {
-                    // Re-armed in place: wait for the stored deadline.
-                    st.queued_at = st.at;
-                    let (at, seq) = (st.at, st.seq);
-                    self.core
-                        .queue
-                        .push(at, seq, SimEvent::Timer { node, handle });
-                    self.core.requeued += 1;
+                    self.core.requeue_timer(node, handle);
                     return;
                 }
                 let token = st.token;
