@@ -437,9 +437,31 @@ impl SimCore {
         }
     }
 
+    /// A timer's queue entry `(_, seq)` popped. Returns the token to
+    /// deliver and retires the timer when this is its firing; counts the
+    /// pop as stale (cancelled, or re-armed to an earlier deadline) or
+    /// requeues the entry (re-armed in place) and returns `None` otherwise.
+    #[inline]
+    fn pop_timer(&mut self, node: NodeId, handle: TimerHandle, seq: u64) -> Option<u64> {
+        let Some(st) = self.live_timer_mut(handle) else {
+            self.stale += 1;
+            return None;
+        };
+        if st.seq != seq {
+            self.requeue_timer(node, handle);
+            return None;
+        }
+        st.armed = false;
+        st.gen = st.gen.wrapping_add(1);
+        let token = st.token;
+        self.timer_free.push(handle.slot);
+        self.live_timers -= 1;
+        Some(token)
+    }
+
     /// The entry of a timer re-armed in place popped at its old instant:
-    /// queue it again under the stored deadline. Out of line and cold:
-    /// a queue push inlined into the timer arm of `Simulator::dispatch`
+    /// queue it again under the stored deadline. Out of line and cold: a
+    /// queue push inlined into the timer path of `Simulator::dispatch`
     /// made a loop of timer events 40-50 % slower.
     #[cold]
     #[inline(never)]
@@ -459,7 +481,7 @@ impl SimCore {
     }
 
     /// Retire a timer slot if `handle` is current. Returns whether the
-    /// timer was live. Shared by cancellation and (on firing) dispatch.
+    /// timer was live.
     fn release_timer(&mut self, handle: TimerHandle) -> bool {
         let Some(st) = self.live_timer_mut(handle) else {
             return false;
@@ -890,17 +912,9 @@ impl Simulator {
                 self.nodes[node.0].on_start(&mut ctx);
             }
             SimEvent::Timer { node, handle } => {
-                let Some(st) = self.core.live_timer_mut(handle) else {
-                    // Cancelled, or re-armed to an earlier deadline.
-                    self.core.stale += 1;
+                let Some(token) = self.core.pop_timer(node, handle, seq) else {
                     return;
                 };
-                if st.seq != seq {
-                    self.core.requeue_timer(node, handle);
-                    return;
-                }
-                let token = st.token;
-                self.core.release_timer(handle);
                 let mut ctx = Ctx {
                     core: &mut self.core,
                     node,
