@@ -1,9 +1,9 @@
-//! Criterion micro-benchmarks of the hot paths: wire codecs, the oracle
-//! and the option stripper, stream taps, crypto, the send buffer,
+//! Criterion micro-benchmarks of the hot paths: wire buffers, wire codecs,
+//! the oracle and the option stripper, stream taps, crypto, the send buffer,
 //! reassembly, schedulers, netlink framing, ECMP hashing, the event queue
 //! and the raw simulator event loop.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use smapp_mptcp::crypto::{hmac_sha1, sha1};
 use smapp_mptcp::options::{Dss, DssMapping, MpOption};
@@ -42,6 +42,53 @@ fn dss_segment() -> TcpSegment {
         },
         payload: Bytes::from(vec![0xA5u8; 1400]),
     }
+}
+
+/// A wire buffer's life: a pool hit (take, write one MSS, freeze, drop),
+/// and one header read from each of 16 384 live 1 460-byte buffers in a
+/// fixed pseudo-random order — how `fleet` touches its in-flight packets,
+/// with far more of them live than the caches hold.
+fn bench_bytes(c: &mut Criterion) {
+    const MSS: usize = 1460;
+    const LIVE: usize = 16_384;
+    let mut g = c.benchmark_group("bytes");
+    g.bench_function("freeze_drop_cycle_1460", |b| {
+        let payload = [0xA5u8; MSS];
+        b.iter(|| {
+            let mut m = BytesMut::with_capacity(MSS);
+            m.put_slice(black_box(&payload));
+            drop(black_box(m.freeze()));
+        })
+    });
+    let live: Vec<Bytes> = (0..LIVE as u32)
+        .map(|i| {
+            let mut m = BytesMut::with_capacity(MSS);
+            m.put_u32(i);
+            m.put_bytes(0, MSS - 4);
+            m.freeze()
+        })
+        .collect();
+    // Fisher-Yates with a fixed xorshift64: the same order every run.
+    let mut order: Vec<usize> = (0..LIVE).collect();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for i in (1..LIVE).rev() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        order.swap(i, (x % (i as u64 + 1)) as usize);
+    }
+    // One sample reads every buffer once, so the median over 16 384 is
+    // the time one read takes, with the timer's own cost spread thin.
+    g.throughput(Throughput::Elements(LIVE as u64));
+    g.bench_function("read_header_16k_live_shuffled", |b| {
+        b.iter(|| {
+            order.iter().fold(0u32, |sum, &i| {
+                let buf = &live[i];
+                sum.wrapping_add(u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]))
+            })
+        })
+    });
+    g.finish();
 }
 
 fn bench_tcp_codec(c: &mut Criterion) {
@@ -453,6 +500,7 @@ fn bench_simulator(c: &mut Criterion) {
 
 criterion_group!(
     micro,
+    bench_bytes,
     bench_tcp_codec,
     bench_sim_wire,
     bench_stream_tap,

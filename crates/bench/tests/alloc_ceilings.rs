@@ -21,10 +21,14 @@
 //! `fig3` smoke cell after the first two must stay under a committed
 //! number of allocations, because the stacks recycle connection state.
 //!
-//! All four measurements live in ONE `#[test]` so nothing else in this
+//! The fifth pins the wire-buffer pool's contract: a miss costs exactly
+//! one allocation, a hit none, and buffers retired after a burst serve the
+//! next burst of the same size.
+//!
+//! All five measurements live in ONE `#[test]` so nothing else in this
 //! binary allocates concurrently while a window is being measured.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use smapp_bench::count_alloc::{self, CountingAlloc};
 use smapp_bench::perf::paper_matrix;
 use smapp_bench::scenarios::fig3::{Fig3, Params};
@@ -225,4 +229,37 @@ fn scenarios_stay_under_committed_alloc_ceilings_and_oracle_is_clean() {
             i + 3
         );
     }
+
+    // ---- Part 5: a wire buffer costs one allocation, once. ----
+    // On a thread of its own, so the `Bytes` pool starts empty.
+    let (first, warm, again) = std::thread::spawn(|| {
+        let wire_buffer = || {
+            let mut m = BytesMut::with_capacity(1460);
+            m.put_slice(&[0xA5; 1460]);
+            m.freeze()
+        };
+        let before = count_alloc::allocs();
+        drop(wire_buffer());
+        let first = count_alloc::allocs() - before;
+        let before = count_alloc::allocs();
+        for _ in 0..1000 {
+            drop(wire_buffer());
+        }
+        let warm = count_alloc::allocs() - before;
+        let mut held = Vec::with_capacity(2000);
+        held.extend((0..2000).map(|_| wire_buffer()));
+        held.clear();
+        let before = count_alloc::allocs();
+        held.extend((0..2000).map(|_| wire_buffer()));
+        held.clear();
+        (first, warm, count_alloc::allocs() - before)
+    })
+    .join()
+    .unwrap();
+    assert_eq!(
+        (first, warm, again),
+        (1, 0, 0),
+        "a fresh thread's first wire buffer must cost one allocation, the \
+         next 1 000 none, and 2 000 held at once none the second time"
+    );
 }

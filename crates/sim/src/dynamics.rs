@@ -41,7 +41,7 @@
 
 use std::time::Duration;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use crate::link::{Dir, Eviction, LinkId, LossModel};
 use crate::node::{IfaceId, NodeId};
@@ -312,12 +312,12 @@ pub fn strip_mptcp_options(payload: &[u8]) -> Option<(Bytes, u32)> {
     }
     // The survivors came out of a valid 40-byte area: they fit in one.
     let area = kept.padded().ok()?;
-    let mut out = Vec::with_capacity(TCP_HEADER_LEN + area.len() + seg.payload.len());
+    let mut out = BytesMut::with_capacity(TCP_HEADER_LEN + area.len() + seg.payload.len());
     out.extend_from_slice(&payload[..TCP_HEADER_LEN]);
     out.extend_from_slice(area);
     out.extend_from_slice(seg.payload);
     out[12] = (((TCP_HEADER_LEN + area.len()) / 4) as u8) << 4 | (payload[12] & 0x0F);
-    Some((Bytes::from(out), stripped))
+    Some((out.freeze(), stripped))
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! segments to/from those bytes; routers never parse beyond the first four
 //! payload octets (the transport port pair), exactly like ECMP hardware.
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::addr::{Addr, FlowKey};
 
@@ -189,12 +189,12 @@ impl IcmpMsg {
                 orig_src_port,
                 orig_dst_port,
             } => {
-                let mut v = Vec::with_capacity(6);
-                v.extend_from_slice(&orig_src_port.to_be_bytes());
-                v.extend_from_slice(&orig_dst_port.to_be_bytes());
-                v.push(ICMP_TYPE_UNREACH);
-                v.push(code.to_u8());
-                Bytes::from(v)
+                let mut b = BytesMut::with_capacity(6);
+                b.put_u16(orig_src_port);
+                b.put_u16(orig_dst_port);
+                b.put_u8(ICMP_TYPE_UNREACH);
+                b.put_u8(code.to_u8());
+                b.freeze()
             }
         }
     }
@@ -233,6 +233,13 @@ mod tests {
             Addr::new(10, 0, 0, 2),
             Bytes::copy_from_slice(payload),
         )
+    }
+
+    /// A packet sits in every link queue slot and event: its payload
+    /// handle is 32 bytes, the addresses and header bytes the rest.
+    #[test]
+    fn packet_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<Packet>(), 48);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! normalized a flow — or on a plain-TCP fallback connection — data
 //! segments are option-free and eligible.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use crate::wire::{TcpView, TCP_HEADER_LEN};
 
@@ -43,12 +43,12 @@ pub fn rewrite_seq_ack(p: &[u8], seq_delta: u32, ack_delta: u32) -> Option<Bytes
     if seq_delta == 0 && (!hdr.flags.ack || ack_delta == 0) {
         return None;
     }
-    let mut out = p.to_vec();
+    let mut out = BytesMut::from(p);
     out[4..8].copy_from_slice(&hdr.seq.add(seq_delta).0.to_be_bytes());
     if hdr.flags.ack {
         out[8..12].copy_from_slice(&hdr.ack.sub(ack_delta).0.to_be_bytes());
     }
-    Some(Bytes::from(out))
+    Some(out.freeze())
 }
 
 /// Split one option-free data segment into two contiguous halves, exactly
@@ -72,17 +72,17 @@ pub fn split_segment(p: &[u8], buggy: bool) -> Option<(Bytes, Bytes)> {
     }
     let (off, k) = (TCP_HEADER_LEN, seg.payload.len() / 2);
 
-    let mut first = p[..off + k].to_vec();
+    let mut first = BytesMut::from(&p[..off + k]);
     first[13] &= !0x09; // clear FIN|PSH: they travel with the tail
 
-    let mut second = Vec::with_capacity(p.len() - k);
+    let mut second = BytesMut::with_capacity(p.len() - k);
     second.extend_from_slice(&p[..off]);
     second.extend_from_slice(&p[off + k..]);
     second[4..8].copy_from_slice(&seg.hdr.seq.add(k as u32).0.to_be_bytes());
     if buggy {
         second[12] &= 0x0F; // data offset 0: structurally invalid
     }
-    Some((Bytes::from(first), Bytes::from(second)))
+    Some((first.freeze(), second.freeze()))
 }
 
 /// Merge two contiguous option-free segments of the same flow into one —
@@ -109,12 +109,12 @@ pub fn coalesce_pair(first: &[u8], second: &[u8]) -> Option<Bytes> {
     if a.hdr.seq.add(a.payload.len() as u32) != b.hdr.seq {
         return None; // not contiguous
     }
-    let mut out = Vec::with_capacity(TCP_HEADER_LEN + a.payload.len() + b.payload.len());
+    let mut out = BytesMut::with_capacity(TCP_HEADER_LEN + a.payload.len() + b.payload.len());
     out.extend_from_slice(&second[..TCP_HEADER_LEN]);
     out[4..8].copy_from_slice(&a.hdr.seq.0.to_be_bytes());
     out.extend_from_slice(a.payload);
     out.extend_from_slice(b.payload);
-    Some(Bytes::from(out))
+    Some(out.freeze())
 }
 
 #[cfg(test)]
