@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the hot paths: wire buffers, wire codecs,
 //! the oracle and the option stripper, stream taps, crypto, the send buffer,
-//! reassembly, schedulers, netlink framing, ECMP hashing, the event queue
-//! and the raw simulator event loop.
+//! connection storage across world turnover, reassembly, schedulers,
+//! netlink framing, ECMP hashing, the event queue and the raw simulator
+//! event loop.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -210,6 +211,35 @@ fn bench_send_buffer(c: &mut Criterion) {
     g.bench_function("write_slice_release_static_64kib", |b| {
         let mut sb = SendBuffer::with_capacity(4 << 20);
         b.iter(|| cycle(&mut sb, PATTERN.clone()))
+    });
+    g.finish();
+}
+
+/// World turnover: each iteration builds a two-host harness, moves 64 KiB
+/// each way over one connection, closes it and drops the harness. From the
+/// second iteration on, the connections and subflows start on the storage
+/// the previous iteration's stacks gave back to the thread.
+fn bench_spares(c: &mut Criterion) {
+    use smapp_mptcp::apps::BulkSender;
+    use smapp_mptcp::harness::{Harness, Side};
+    use smapp_mptcp::ConnState;
+    use smapp_sim::SimTime;
+    use std::time::Duration;
+    const BLOCK: u64 = 64 * 1024;
+    let (client, server) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 1, 1));
+    let mut g = c.benchmark_group("spares");
+    g.throughput(Throughput::Bytes(2 * BLOCK));
+    g.bench_function("connection_on_fresh_stack_64kib", |b| {
+        b.iter(|| {
+            let delay = Duration::from_millis(5);
+            let mut h = Harness::new(7, delay, vec![client], vec![server]);
+            let send = || Box::new(BulkSender::new(BLOCK).close_when_done());
+            h.b.listen(80, Box::new(move || send()));
+            h.connect(Side::A, 80, send()).unwrap();
+            h.run_until(SimTime::from_secs(10));
+            let closed = |c: &smapp_mptcp::Connection| c.state == ConnState::Closed;
+            assert!(h.a.connections().chain(h.b.connections()).all(closed));
+        })
     });
     g.finish();
 }
@@ -506,6 +536,7 @@ criterion_group!(
     bench_stream_tap,
     bench_crypto,
     bench_send_buffer,
+    bench_spares,
     bench_reassembly,
     bench_scheduler,
     bench_netlink,

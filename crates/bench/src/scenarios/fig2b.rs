@@ -64,7 +64,7 @@ impl Scenario for Fig2b {
     // PR 24 (wheel event queue, allocation-free reassembly ring, crypto and
     // netlink lookups): 0.041 -> 0.024 full, 0.107 -> 0.064 smoke;
     // ceiling is 2x the higher one.
-    // Connection state recycled through the stacks' spare sets:
+    // Connection state recycled through per-stack spare sets:
     // 0.067 -> 0.059 smoke, 0.032 -> 0.026 full; ceiling is 2x the higher one.
     const ALLOC_CEILING: f64 = 0.12;
     type Params = Params;

@@ -79,7 +79,7 @@ impl Scenario for Fig3 {
     // Timers re-armed in place, PM events swapped instead of re-grown,
     // `events` counting dispatches only: 0.018 -> 0.016 smoke, 0.016 -> 0.014 full;
     // ceiling is 2x the higher one.
-    // Connection state recycled through the stacks' spare sets:
+    // Connection state recycled through per-stack spare sets:
     // 0.0157 -> 0.0056 smoke, 0.0141 -> 0.0028 full; ceiling is 2x the higher one.
     const ALLOC_CEILING: f64 = 0.012;
     type Params = Params;

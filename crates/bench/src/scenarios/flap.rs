@@ -82,7 +82,7 @@ impl Scenario for Flap {
     // PR 24 (wheel event queue, allocation-free reassembly ring, crypto and
     // netlink lookups): 0.017 -> 0.002 full, 0.029 -> 0.008 smoke;
     // ceiling is 2x the higher one.
-    // Connection state recycled through the stacks' spare sets:
+    // Connection state recycled through per-stack spare sets:
     // 0.0076 -> 0.0067 smoke, 0.0020 -> 0.0017 full; ceiling is 2x the higher one.
     const ALLOC_CEILING: f64 = 0.014;
     type Params = Params;

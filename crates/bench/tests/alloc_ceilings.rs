@@ -19,13 +19,17 @@
 //!
 //! The fourth pins what one more connection costs: each chained GET of the
 //! `fig3` smoke cell after the first two must stay under a committed
-//! number of allocations, because the stacks recycle connection state.
+//! number of allocations, because connection state is recycled.
 //!
 //! The fifth pins the wire-buffer pool's contract: a miss costs exactly
 //! one allocation, a hit none, and buffers retired after a burst serve the
 //! next burst of the same size.
 //!
-//! All five measurements live in ONE `#[test]` so nothing else in this
+//! The sixth pins what a world costs once another has run on its thread:
+//! its connections start on the storage the first world's stacks gave
+//! back, including the connections still open when that world ended.
+//!
+//! All six measurements live in ONE `#[test]` so nothing else in this
 //! binary allocates concurrently while a window is being measured.
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -52,10 +56,19 @@ const FLEET_SMOKE_LIVE_CEILING: u64 = 3_340_000;
 
 /// Most heap blocks one more chained GET of the `fig3` smoke cell may
 /// allocate once two have run: the client's and the server's connection
-/// and subflows start on what earlier ones gave up to their stack's
-/// spare sets. Measured 8–13 per connection, against 42–47 before the
-/// spare sets existed; the ceiling is 1.5x the highest.
+/// and subflows start on what earlier ones gave up to the thread's
+/// spares. Measured 8–13 per connection while each stack kept its own
+/// spares, against 42–47 before spares existed; the ceiling is 1.5x the
+/// highest. With one set per thread it measures 8–19: connections 3–6
+/// still grow rings that the client and the server sized differently.
 const FIG3_CONN_ALLOC_CEILING: u64 = 19;
+
+/// Most heap blocks the `fig2c/refresh` smoke cell may allocate when it
+/// runs a second time on one thread. Its connection is still open when
+/// the world ends, and the dropped stacks give its storage to the thread.
+/// Measured 191 (582 the first time), against 205 when each stack kept
+/// its own spares; the ceiling is 1.5x the measured value.
+const FIG2C_SECOND_WORLD_ALLOC_CEILING: u64 = 287;
 
 /// A valid 36-byte TCP header (offset 9 words) with one kind-30 DSS
 /// option carrying a mapping for `payload_len` bytes, followed by that
@@ -261,5 +274,30 @@ fn scenarios_stay_under_committed_alloc_ceilings_and_oracle_is_clean() {
         (1, 0, 0),
         "a fresh thread's first wire buffer must cost one allocation, the \
          next 1 000 none, and 2 000 held at once none the second time"
+    );
+
+    // ---- Part 6: a second world starts on what the first gave back. ----
+    // On a thread of its own, so both runs share one set of spares that
+    // nothing else has touched.
+    let fig2c = REGISTRY.iter().find(|s| s.name == "fig2c").unwrap();
+    let entry = (fig2c.entries)(true).remove(0);
+    assert_eq!(entry.variant, "refresh");
+    let seed = entry.seeds[0];
+    let (first, second) = std::thread::spawn(move || {
+        let run = || {
+            let before = count_alloc::allocs();
+            drop((entry.build)(seed));
+            count_alloc::allocs() - before
+        };
+        (run(), run())
+    })
+    .join()
+    .unwrap();
+    assert!(
+        second <= FIG2C_SECOND_WORLD_ALLOC_CEILING,
+        "fig2c/refresh smoke cell allocated {second} blocks the second time \
+         on its thread ({first} the first), above the committed \
+         {FIG2C_SECOND_WORLD_ALLOC_CEILING} — connection storage no longer \
+         outlives the world"
     );
 }

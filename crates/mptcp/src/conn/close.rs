@@ -129,24 +129,37 @@ impl Connection {
 
     /// The connection is over: tell the path manager and the application.
     /// The object stays for post-run inspection (stats, stream taps, the
-    /// diag dump), its buffers do not: their emptied storage and the
-    /// scheduling scratch are set aside for the stack to take.
+    /// diag dump), its buffers do not (see [`Connection::release_buffers`]).
     fn closed(&mut self, now: SimTime, events: &mut Vec<PmEvent>) {
         self.state = ConnState::Closed;
         self.stats.closed_at = Some(now);
+        self.release_buffers();
+        events.push(PmEvent::ConnClosed { token: self.token });
+        if let Some(app) = self.app.as_mut() {
+            app.on_closed(now);
+        }
+    }
+
+    /// Drop what the connection's buffers and the buffers of its open
+    /// subflows hold, and give their emptied storage and the scheduling
+    /// scratch to the thread's `Spares`. Closing runs it once every
+    /// subflow has closed; a stack dropped with the connection still open
+    /// runs it instead. Either way it runs once.
+    pub(crate) fn release_buffers(&mut self) {
+        for sf in &mut self.subflows {
+            if sf.state != SfState::Closed {
+                sf.release_buffers();
+            }
+        }
         self.sched_scratch.clear();
         self.coupling_scratch.clear();
-        self.spare = Some(ConnSpare {
+        Spares::give_conn(ConnSpare {
             send: self.meta_send.clear(),
             recv: self.meta_recv.clear(),
             sched: std::mem::take(&mut self.sched_scratch),
             coupling: std::mem::take(&mut self.coupling_scratch),
         });
         self.reinject = ReinjectQueue::default();
-        events.push(PmEvent::ConnClosed { token: self.token });
-        if let Some(app) = self.app.as_mut() {
-            app.on_closed(now);
-        }
     }
 
     /// Close one subflow for the given reason (`SubflowError::None` after a

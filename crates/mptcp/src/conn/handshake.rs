@@ -20,8 +20,7 @@ fn peer_wscale(syn: &TcpView<'_>) -> u8 {
 }
 
 impl Connection {
-    /// Create the client side and emit the initial `MP_CAPABLE` SYN. The
-    /// connection and its first subflow start on `spares` when it has any.
+    /// Create the client side and emit the initial `MP_CAPABLE` SYN.
     pub(crate) fn client(
         idx: usize,
         cfg: &StackConfig,
@@ -29,16 +28,14 @@ impl Connection {
         app: Box<dyn App>,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
-        spares: &mut Spares,
     ) -> Connection {
-        let mut conn = Connection::common(idx, cfg, Role::Client, tuple, app, env, events, spares);
-        conn.start_subflow(tuple, false, None, env, spares);
+        let mut conn = Connection::common(idx, cfg, Role::Client, tuple, app, env, events);
+        conn.start_subflow(tuple, false, None, env);
         conn
     }
 
     /// Create the server side from a received `MP_CAPABLE` (or plain) SYN
     /// and emit the SYN/ACK.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn server_from_syn(
         idx: usize,
         cfg: &StackConfig,
@@ -47,11 +44,10 @@ impl Connection {
         app: Box<dyn App>,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
-        spares: &mut Spares,
     ) -> Connection {
-        let mut conn = Connection::common(idx, cfg, Role::Server, tuple, app, env, events, spares);
+        let mut conn = Connection::common(idx, cfg, Role::Server, tuple, app, env, events);
         conn.learn_peer_key(syn);
-        conn.start_subflow(tuple, false, Some((syn, 0)), env, spares);
+        conn.start_subflow(tuple, false, Some((syn, 0)), env);
         conn
     }
 
@@ -62,12 +58,11 @@ impl Connection {
         env: &mut StackEnv<'_>,
         tuple: FourTuple,
         backup: bool,
-        spares: &mut Spares,
     ) -> Option<SubflowId> {
         if self.state != ConnState::Established || self.remote_token.is_none() {
             return None;
         }
-        Some(self.start_subflow(tuple, backup, None, env, spares))
+        Some(self.start_subflow(tuple, backup, None, env))
     }
 
     /// Accept an `MP_JOIN` SYN for this connection; emits the SYN/ACK.
@@ -77,7 +72,6 @@ impl Connection {
         env: &mut StackEnv<'_>,
         tuple: FourTuple,
         syn: &TcpView<'_>,
-        spares: &mut Spares,
     ) -> Option<SubflowId> {
         if self.is_fallback() {
             return None;
@@ -86,7 +80,7 @@ impl Connection {
             Ok(MpOption::JoinSyn { backup, nonce, .. }) => Some((backup, nonce)),
             _ => None,
         })?;
-        Some(self.start_subflow(tuple, backup, Some((syn, nonce_remote)), env, spares))
+        Some(self.start_subflow(tuple, backup, Some((syn, nonce_remote)), env))
     }
 
     /// Adopt the key on the peer's `MP_CAPABLE` SYN or SYN/ACK. Without one
@@ -111,17 +105,15 @@ impl Connection {
         }
     }
 
-    /// Add a subflow, on a spare when there is one, and start its
-    /// handshake: answer `peer`'s SYN (with the nonce it carried) when
-    /// there is one, else send ours. Either is guarded by the
-    /// retransmission timer.
+    /// Add a subflow and start its handshake: answer `peer`'s SYN (with
+    /// the nonce it carried) when there is one, else send ours. Either is
+    /// guarded by the retransmission timer.
     fn start_subflow(
         &mut self,
         tuple: FourTuple,
         backup: bool,
         peer: Option<(&TcpView<'_>, u32)>,
         env: &mut StackEnv<'_>,
-        spares: &mut Spares,
     ) -> SubflowId {
         let id = self.subflows.len() as SubflowId;
         let iss = draw32(env);
@@ -151,7 +143,6 @@ impl Connection {
             RtoState::new(self.cfg.rto.clone()),
             self.cfg.syn_retries,
             env.now,
-            spares.subflows.pop().unwrap_or_default(),
         );
         if let Some((syn, nonce_remote)) = peer {
             sf.irs = syn.hdr.seq.0;

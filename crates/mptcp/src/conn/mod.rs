@@ -155,14 +155,22 @@ enum FallbackCause {
 }
 
 /// The storage a closed connection gives up, emptied: its send buffer and
-/// reassembly rings and its scheduler and coupling scratch. The stack
-/// keeps it for the next connection (see `HostStack`).
+/// reassembly rings and its scheduler and coupling scratch. The thread
+/// keeps it for the next connection (see `Spares`).
 #[derive(Default)]
 pub(crate) struct ConnSpare {
     send: VecDeque<Bytes>,
     recv: ReassemblyRings,
     sched: Vec<SchedCandidate>,
     coupling: Vec<(u64, u64)>,
+}
+
+#[cfg(test)]
+impl ConnSpare {
+    /// True when the rings this crate can see into are empty.
+    pub(crate) fn holds_nothing(&self) -> bool {
+        self.send.is_empty() && self.sched.is_empty() && self.coupling.is_empty()
+    }
 }
 
 /// The meta socket.
@@ -224,8 +232,6 @@ pub struct Connection {
     pub remote_addrs: Vec<(u8, Addr, u16)>,
     /// The original destination (address id 0 in PM terms).
     pub initial_remote: (Addr, u16),
-    /// What closing gave up, until the stack takes it.
-    pub(crate) spare: Option<ConnSpare>,
 }
 
 impl std::fmt::Debug for Connection {
@@ -242,9 +248,8 @@ impl std::fmt::Debug for Connection {
 }
 
 impl Connection {
-    /// A connection object with no subflow yet, on a spare when there is
-    /// one, announced to the path manager.
-    #[allow(clippy::too_many_arguments)]
+    /// A connection object with no subflow yet, on a spare when the thread
+    /// has one, announced to the path manager.
     fn common(
         idx: usize,
         cfg: &StackConfig,
@@ -253,14 +258,13 @@ impl Connection {
         app: Box<dyn App>,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
-        spares: &mut Spares,
     ) -> Connection {
         let ConnSpare {
             send,
             recv,
             sched,
             coupling,
-        } = spares.conns.pop().unwrap_or_default();
+        } = Spares::take_conn();
         let local_key = env.rng.range_u64(1, u64::MAX);
         let token = token_from_key(local_key);
         events.push(PmEvent::ConnCreated {
@@ -312,7 +316,6 @@ impl Connection {
             coupling_scratch: coupling,
             remote_addrs: Vec::new(),
             initial_remote: (tuple.dst, tuple.dst_port),
-            spare: None,
         }
     }
 
@@ -366,8 +369,8 @@ impl Connection {
     }
 
     /// Every subflow ever created, closed ones included, by id.
-    pub(crate) fn subflows_mut(&mut self) -> &mut [Subflow] {
-        &mut self.subflows
+    pub(crate) fn subflows(&self) -> &[Subflow] {
+        &self.subflows
     }
 
     /// `TCP_INFO` of a subflow.
@@ -698,8 +701,7 @@ mod tests {
         let mut env = StackEnv::new(SimTime::ZERO, &mut rng);
         let mut events = Vec::new();
         let app = Box::new(NullApp);
-        let spares = &mut Spares::default();
-        let conn = Connection::client(0, &cfg, tuple, app, &mut env, &mut events, spares);
+        let conn = Connection::client(0, &cfg, tuple, app, &mut env, &mut events);
         check(conn, &env, &events);
     }
 
@@ -768,8 +770,7 @@ mod tests {
             let mut events = Vec::new();
             let cfg = StackConfig::default();
             let app = Box::new(NullApp);
-            let spares = &mut Spares::default();
-            let mut conn = Connection::client(0, &cfg, tuple, app, &mut env, &mut events, spares);
+            let mut conn = Connection::client(0, &cfg, tuple, app, &mut env, &mut events);
             let acked = conn.subflows[0].iss.wrapping_add(1);
             let mut syn_opts = OptionWriter::new();
             syn_opts.push(OPT_KIND_WINDOW_SCALE, &[announced]);

@@ -6,6 +6,8 @@
 //! `MP_JOIN` SYNs routed by token), applies path-manager actions, and
 //! surfaces [`PmEvent`]s for whatever path manager the host plugged in.
 
+use std::cell::RefCell;
+
 use smapp_sim::{Addr, FxHashMap, FxHashSet, IcmpMsg, Packet, TimerHandle, PROTO_ICMP, PROTO_TCP};
 use smapp_tcp::{OptionWriter, SeqNum, TcpFixed, TcpFlags, TcpInfo, TcpView};
 
@@ -65,18 +67,69 @@ pub fn parse_timer_token(t: u64) -> Option<(TimerKind, usize, SubflowId, u64)> {
 /// live and die on the world's one thread.
 pub type AppFactory = Box<dyn FnMut() -> Box<dyn App> + Send>;
 
-/// The stack's object cache, after the slab allocator Linux keeps for
-/// `tcp_sock` (Bonwick, USENIX Summer 1994): the emptied storage of dead
-/// subflows and closed connections, each handed to the next one of its
-/// kind before that one allocates anything. A spare comes from an object
-/// that was live and spares are taken first, so the spares and live
-/// objects of a kind never outnumber the most that were live at once:
-/// no cap is needed. Capacity is not observable, so reuse moves no
-/// trajectory.
-#[derive(Default)]
+/// The thread's object cache, after the per-CPU magazines Linux keeps in
+/// front of its slab caches (Bonwick & Adams, USENIX ATC 2001): the
+/// emptied storage of the dead subflows and closed connections of every
+/// stack on the thread, each handed to the next one of its kind, on any
+/// stack, before that one allocates anything. A spare comes from an
+/// object that was live, and spares are taken first, so the spares and
+/// live objects of a kind never outnumber the most that were live at once
+/// on the thread: no cap is needed. The price is that the thread keeps
+/// that much storage after the stacks are gone, for the next world it
+/// builds. Capacity is not observable, so reuse moves no trajectory.
 pub(crate) struct Spares {
-    pub(crate) subflows: Vec<SubflowSpare>,
-    pub(crate) conns: Vec<ConnSpare>,
+    subflows: Vec<SubflowSpare>,
+    conns: Vec<ConnSpare>,
+}
+
+thread_local! {
+    static SPARES: RefCell<Spares> = const {
+        RefCell::new(Spares {
+            subflows: Vec::new(),
+            conns: Vec::new(),
+        })
+    };
+}
+
+impl Spares {
+    /// The storage the thread last got back from a subflow, or none.
+    pub(crate) fn take_subflow() -> SubflowSpare {
+        SPARES
+            .with(|s| s.borrow_mut().subflows.pop())
+            .unwrap_or_default()
+    }
+
+    /// The storage the thread last got back from a connection, or none.
+    pub(crate) fn take_conn() -> ConnSpare {
+        SPARES
+            .with(|s| s.borrow_mut().conns.pop())
+            .unwrap_or_default()
+    }
+
+    /// Give the thread a dead subflow's emptied storage. `try_with`: a
+    /// stack dropped while its thread exits gives back what it held, and
+    /// the set may already be gone; the storage is then simply freed.
+    pub(crate) fn give_subflow(spare: SubflowSpare) {
+        let _ = SPARES.try_with(|s| s.borrow_mut().subflows.push(spare));
+    }
+
+    /// Give the thread a closed connection's emptied storage (see
+    /// [`Spares::give_subflow`]).
+    pub(crate) fn give_conn(spare: ConnSpare) {
+        let _ = SPARES.try_with(|s| s.borrow_mut().conns.push(spare));
+    }
+
+    /// How many subflow and connection spares the thread holds, after
+    /// checking that none of them still holds anything.
+    #[cfg(test)]
+    pub(crate) fn on_thread() -> (usize, usize) {
+        SPARES.with(|s| {
+            let s = s.borrow();
+            assert!(s.subflows.iter().all(SubflowSpare::holds_nothing));
+            assert!(s.conns.iter().all(ConnSpare::holds_nothing));
+            (s.subflows.len(), s.conns.len())
+        })
+    }
 }
 
 /// The per-host TCP/MPTCP stack.
@@ -95,7 +148,6 @@ pub struct HostStack {
     used_ports: FxHashSet<(Addr, u16)>,
     /// Events awaiting pickup by the host's path manager.
     events: Vec<PmEvent>,
-    spares: Spares,
     /// Count of RSTs sent to unknown flows (diagnostics).
     pub rst_sent: u64,
 }
@@ -112,7 +164,6 @@ impl HostStack {
             local_addrs: Vec::new(),
             used_ports: FxHashSet::default(),
             events: Vec::new(),
-            spares: Spares::default(),
             rst_sent: 0,
         }
     }
@@ -170,7 +221,7 @@ impl HostStack {
         };
         let idx = self.conns.len();
         let events = &mut self.events;
-        let conn = Connection::client(idx, &self.cfg, tuple, app, env, events, &mut self.spares);
+        let conn = Connection::client(idx, &self.cfg, tuple, app, env, events);
         let token = conn.token;
         self.flows.insert(tuple, (idx, 0));
         self.by_token.insert(token, idx);
@@ -229,8 +280,7 @@ impl HostStack {
             if let Some(token) = join_token {
                 if let Some(&idx) = self.by_token.get(&token) {
                     if let Some(conn) = self.conns[idx].as_mut() {
-                        if let Some(sub) = conn.accept_join_syn(env, tuple, &seg, &mut self.spares)
-                        {
+                        if let Some(sub) = conn.accept_join_syn(env, tuple, &seg) {
                             self.flows.insert(tuple, (idx, sub));
                             self.used_ports.insert((tuple.src, tuple.src_port));
                             return;
@@ -253,7 +303,6 @@ impl HostStack {
                     app,
                     env,
                     &mut self.events,
-                    &mut self.spares,
                 );
                 self.flows.insert(tuple, (idx, 0));
                 self.by_token.insert(conn.token, idx);
@@ -429,7 +478,7 @@ impl HostStack {
                         dst_port: *dst_port,
                     };
                     let conn = self.conns[idx].as_mut().unwrap();
-                    match conn.open_subflow(env, tuple, *backup, &mut self.spares) {
+                    match conn.open_subflow(env, tuple, *backup) {
                         Some(sub) => {
                             self.flows.insert(tuple, (idx, sub));
                             true
@@ -459,26 +508,22 @@ impl HostStack {
         ok
     }
 
-    /// House-keeping after any connection activity: drop closed flows from
-    /// the demux tables and release fully closed connections, moving the
-    /// storage each gave up to the spare sets.
+    /// House-keeping after any connection activity: drop closed flows and
+    /// fully closed connections from the demux tables. Their storage went
+    /// to the thread's [`Spares`] as they closed.
     fn post_process(&mut self, idx: usize, _env: &mut StackEnv<'_>) {
-        let Some(conn) = self.conns[idx].as_mut() else {
+        let Some(conn) = self.conns[idx].as_ref() else {
             return;
         };
         // Only this connection's own subflows are walked: the table holds
         // every flow of the host.
-        for sf in conn.subflows_mut() {
-            if sf.state == SfState::Closed {
-                if self.flows.get(&sf.tuple) == Some(&(idx, sf.id)) {
-                    self.flows.remove(&sf.tuple);
-                }
-                self.spares.subflows.extend(sf.spare.take());
+        for sf in conn.subflows() {
+            if sf.state == SfState::Closed && self.flows.get(&sf.tuple) == Some(&(idx, sf.id)) {
+                self.flows.remove(&sf.tuple);
             }
         }
         if conn.state == ConnState::Closed {
             self.by_token.remove(&conn.token);
-            self.spares.conns.extend(conn.spare.take());
             // Keep the connection object for post-run inspection, but it no
             // longer participates in demux.
         }
@@ -509,6 +554,18 @@ impl HostStack {
     /// Connection-level info.
     pub fn conn_info(&self, token: ConnToken) -> Option<ConnInfo> {
         self.conn_by_token(token).map(|c| c.info())
+    }
+}
+
+impl Drop for HostStack {
+    /// World teardown: every connection still open gives its storage, and
+    /// its open subflows', to the thread as closing would have, so the
+    /// next world's stacks start on it.
+    fn drop(&mut self) {
+        let open = self.conns.iter_mut().flatten();
+        for conn in open.filter(|c| c.state != ConnState::Closed) {
+            conn.release_buffers();
+        }
     }
 }
 
@@ -647,6 +704,37 @@ mod tests {
         panic!("harness stalled at {:?}", h.now());
     }
 
+    /// Live subflows and connections on both of `h`'s stacks.
+    fn live(h: &Harness) -> (usize, usize) {
+        let conns = || h.a.connections().chain(h.b.connections());
+        let subflows = conns().map(|c| c.live_subflow_ids().len()).sum();
+        let open = conns().filter(|c| c.state != ConnState::Closed).count();
+        (subflows, open)
+    }
+
+    /// A connection that has just started: nothing in flight, reassembly
+    /// or mappings, nothing tapped, the whole send buffer free.
+    fn assert_fresh(conn: &Connection, send_buf: u64) {
+        let sf = conn.subflow(0).unwrap();
+        assert!(sf.flight.is_empty() && sf.recv_maps.is_empty());
+        assert!(sf.reasm.next_expected() == 0 && !sf.reasm.has_hole());
+        assert_eq!((conn.send_space(), conn.bytes_delivered()), (send_buf, 0));
+        assert_eq!(conn.stats.tap_recvd.count(), 0);
+        assert_eq!(conn.stats.tap_sent.count(), 0);
+    }
+
+    /// Both directions' stream taps agree: every byte sent arrived intact.
+    fn assert_taps_match(client: &Connection, server: &Connection) {
+        let tap = |t: &smapp_tcp::StreamTap| (t.count(), t.digest());
+        assert_eq!(tap(&client.stats.tap_sent), tap(&server.stats.tap_recvd));
+        assert_eq!(tap(&server.stats.tap_sent), tap(&client.stats.tap_recvd));
+    }
+
+    /// The thread's spares after taking one connection and one subflow.
+    fn one_taken((subflows, conns): (usize, usize)) -> (usize, usize) {
+        (subflows - 1, conns - 1)
+    }
+
     #[test]
     fn chained_connections_reuse_spares_without_carrying_anything_over() {
         let (a0, a1, b0) = (
@@ -657,8 +745,9 @@ mod tests {
         let mut h = Harness::new(23, Duration::from_millis(5), vec![a0, a1], vec![b0]);
         h.loss_a2b = 0.02;
         h.loss_b2a = 0.02;
-        // Both ends send, so both stacks' spares carry flight, reassembly
-        // and mapping state; every connection moves its own byte counts.
+        // Both ends send, so the spares carry flight, reassembly and
+        // mapping state from both stacks; every connection moves its own
+        // byte counts.
         let server_size = |i: u64| 30_000 + 1_009 * i;
         let mut accepted = 0;
         h.b.listen(
@@ -669,51 +758,40 @@ mod tests {
             }),
         );
         let send_buf = h.a.cfg.send_buf;
-        // Per stack: the most subflows and connections ever seen live. A
-        // spare comes from a live object and is taken first, so spares
-        // plus live objects never pass that peak.
-        let mut peaks = [(0, 0); 2];
+        // The most subflows and connections ever live on the thread, from
+        // what it held before. A spare comes from a live object and is
+        // taken first, so spares plus live objects never pass that peak.
+        let mut peak = Spares::on_thread();
         let mut check = |h: &Harness| {
-            for (s, peak) in [&h.a, &h.b].into_iter().zip(&mut peaks) {
-                let live_sf: usize = s.connections().map(|c| c.live_subflow_ids().len()).sum();
-                let live_conns = s
-                    .connections()
-                    .filter(|c| c.state != ConnState::Closed)
-                    .count();
-                *peak = (peak.0.max(live_sf), peak.1.max(live_conns));
-                assert!(s.spares.subflows.len() + live_sf <= peak.0);
-                assert!(s.spares.conns.len() + live_conns <= peak.1);
-            }
+            let (live_sf, live_conns) = live(h);
+            peak = (peak.0.max(live_sf), peak.1.max(live_conns));
+            let (spare_sf, spare_conns) = Spares::on_thread();
+            assert!(spare_sf + live_sf <= peak.0);
+            assert!(spare_conns + live_conns <= peak.1);
         };
         let mut clock = SimTime::ZERO;
         let mut reused = [0; 2];
         let mut resets = 0;
         for i in 0..10u64 {
             let size = 60_000 + 7_919 * i;
-            let spare_conns = [h.a.spares.conns.len(), h.b.spares.conns.len()];
-            let spare_sfs = h.a.spares.subflows.len();
+            let before = Spares::on_thread();
             let app = Box::new(BulkSender::new(size).close_when_done());
             let token = h.connect(Side::A, 80, app).unwrap();
-            let conn = h.a.conn_by_token(token).unwrap();
-            let sf = conn.subflow(0).unwrap();
-            if spare_conns[0] > 0 {
-                // Built on the storage of an earlier connection and subflow,
-                // and none of their state came along.
+            let after_client = Spares::on_thread();
+            if before.1 > 0 {
+                // Built on the storage of an earlier connection and
+                // subflow, and none of their state came along.
                 reused[0] += 1;
-                assert_eq!(h.a.spares.conns.len(), spare_conns[0] - 1);
-                assert_eq!(h.a.spares.subflows.len(), spare_sfs - 1);
+                assert_eq!(after_client, one_taken(before));
             }
-            assert!(sf.flight.is_empty() && sf.recv_maps.is_empty());
-            assert!(sf.reasm.next_expected() == 0 && !sf.reasm.has_hole());
-            assert_eq!((conn.send_space(), conn.bytes_delivered()), (send_buf, 0));
-            assert_eq!(conn.stats.tap_recvd.count(), 0);
+            assert_fresh(h.a.conn_by_token(token).unwrap(), send_buf);
 
             let established =
                 |h: &Harness| h.a.conn_by_token(token).unwrap().state != ConnState::Establishing;
             advance(&mut h, &mut clock, &mut check, established);
-            if spare_conns[1] > 0 {
+            if after_client.1 > 0 {
                 reused[1] += 1;
-                assert_eq!(h.b.spares.conns.len(), spare_conns[1] - 1);
+                assert_eq!(Spares::on_thread(), one_taken(after_client));
             }
             if i % 2 == 0 {
                 let open = PmAction::OpenSubflow {
@@ -755,13 +833,89 @@ mod tests {
             let server = h.b.connections().last().unwrap();
             let delivered = (server.bytes_delivered(), client.bytes_delivered());
             assert_eq!(delivered, (size, server_size(i)), "connection {i}");
-            let tap = |t: &smapp_tcp::StreamTap| (t.count(), t.digest());
-            assert_eq!(tap(&client.stats.tap_sent), tap(&server.stats.tap_recvd));
-            assert_eq!(tap(&server.stats.tap_sent), tap(&client.stats.tap_recvd));
+            assert_taps_match(client, server);
         }
         assert_eq!(reused, [9, 9], "every connection after the first");
         assert!(resets > 0, "no subflow died mid-transfer");
-        assert!(peaks.iter().all(|&(sf, conns)| sf >= 2 && conns >= 1));
+        assert!(peak.0 >= 4 && peak.1 >= 2, "both ends of two subflows live");
+    }
+
+    #[test]
+    fn a_dropped_stack_gives_its_open_connections_storage_to_the_thread() {
+        let (a0, a1, b0) = (
+            Addr::new(10, 0, 0, 1),
+            Addr::new(10, 0, 2, 1),
+            Addr::new(10, 0, 1, 1),
+        );
+        let harness = || {
+            let mut h = Harness::new(31, Duration::from_millis(5), vec![a0, a1], vec![b0]);
+            h.loss_a2b = 0.05;
+            h.loss_b2a = 0.05;
+            h.b.listen(
+                80,
+                Box::new(|| Box::new(BulkSender::new(200_000).close_when_done())),
+            );
+            h
+        };
+        let client_app = || Box::new(BulkSender::new(300_000).close_when_done());
+        let mut clock = SimTime::ZERO;
+        let mut h = harness();
+        let send_buf = h.a.cfg.send_buf;
+        let token = h.connect(Side::A, 80, client_app()).unwrap();
+        let established =
+            |h: &Harness| h.a.conn_by_token(token).unwrap().state == ConnState::Established;
+        advance(&mut h, &mut clock, &mut |_: &Harness| {}, established);
+        let open = PmAction::OpenSubflow {
+            token,
+            src: a1,
+            src_port: 0,
+            dst: b0,
+            dst_port: 80,
+            backup: false,
+        };
+        assert!(h.apply(Side::A, &open));
+        // Mid-transfer on both ends: data in flight and a hole in some
+        // subflow's reassembly, so what the drop gives back held data.
+        let busy = |s: &HostStack| {
+            let conn = s.connections().next().unwrap();
+            let sfs = || (0..conn.subflow_count() as u8).filter_map(|id| conn.subflow(id));
+            sfs().any(|sf| !sf.flight.is_empty()) && sfs().any(|sf| sf.reasm.has_hole())
+        };
+        let both_busy = |h: &Harness| {
+            h.a.conn_by_token(token).unwrap().subflow_count() == 2 && busy(&h.a) && busy(&h.b)
+        };
+        advance(&mut h, &mut clock, &mut |_: &Harness| {}, both_busy);
+        let open = live(&h);
+        assert_eq!(open, (4, 2), "two subflows a side, both connections open");
+
+        let before = Spares::on_thread();
+        drop(h);
+        assert_eq!(Spares::on_thread(), (before.0 + open.0, before.1 + open.1));
+
+        // The next world on this thread starts on that storage, fresh.
+        let mut h = harness();
+        let before = Spares::on_thread();
+        let token = h.connect(Side::A, 80, client_app()).unwrap();
+        let after_client = Spares::on_thread();
+        assert_eq!(after_client, one_taken(before));
+        assert_fresh(h.a.conn_by_token(token).unwrap(), send_buf);
+        let mut clock = SimTime::ZERO;
+        let accepted = |h: &Harness| h.b.connections().next().is_some();
+        advance(&mut h, &mut clock, &mut |_: &Harness| {}, accepted);
+        assert_eq!(Spares::on_thread(), one_taken(after_client));
+        assert_fresh(h.b.connections().next().unwrap(), send_buf);
+        let both_closed = |h: &Harness| {
+            h.a.conn_by_token(token).unwrap().state == ConnState::Closed
+                && h.b.connections().all(|c| c.state == ConnState::Closed)
+        };
+        advance(&mut h, &mut clock, &mut |_: &Harness| {}, both_closed);
+        let client = h.a.conn_by_token(token).unwrap();
+        let server = h.b.connections().next().unwrap();
+        assert_eq!(
+            (server.bytes_delivered(), client.bytes_delivered()),
+            (300_000, 200_000)
+        );
+        assert_taps_match(client, server);
     }
 
     #[test]

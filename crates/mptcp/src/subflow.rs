@@ -17,6 +17,7 @@ use smapp_tcp::{
 };
 
 use crate::pm::{FourTuple, SubflowId};
+use crate::stack::Spares;
 
 /// Protocol state of a subflow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,13 +89,21 @@ pub struct SfStats {
 }
 
 /// The storage a dead subflow gives up, emptied: its flight, reassembly
-/// and mapping rings. The stack keeps it for the next subflow, which
-/// starts on it instead of growing its own (see `HostStack`).
+/// and mapping rings. The thread keeps it for the next subflow, which
+/// starts on it instead of growing its own (see `Spares`).
 #[derive(Default)]
 pub(crate) struct SubflowSpare {
     flight: VecDeque<SentSeg<SegTag>>,
     reasm: ReassemblyRings,
     recv_maps: VecDeque<RecvMap>,
+}
+
+#[cfg(test)]
+impl SubflowSpare {
+    /// True when the rings this crate can see into are empty.
+    pub(crate) fn holds_nothing(&self) -> bool {
+        self.flight.is_empty() && self.recv_maps.is_empty()
+    }
 }
 
 /// One subflow.
@@ -171,8 +180,6 @@ pub struct Subflow {
     pub soft_errors: u32,
     /// Counters.
     pub stats: SfStats,
-    /// What [`Subflow::release_buffers`] gave up, until the stack takes it.
-    pub(crate) spare: Option<SubflowSpare>,
 }
 
 impl std::fmt::Debug for Subflow {
@@ -192,7 +199,7 @@ impl std::fmt::Debug for Subflow {
 
 impl Subflow {
     /// Create a subflow object in the given initial state, on the storage
-    /// of a dead one (`SubflowSpare::default()` for none).
+    /// of a dead one when the thread has one.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: SubflowId,
@@ -206,13 +213,12 @@ impl Subflow {
         rto: RtoState,
         syn_retries: u32,
         now: SimTime,
-        spare: SubflowSpare,
     ) -> Self {
         let SubflowSpare {
             flight,
             reasm,
             recv_maps,
-        } = spare;
+        } = Spares::take_subflow();
         Subflow {
             id,
             tuple,
@@ -248,7 +254,6 @@ impl Subflow {
                 created_at: now,
                 ..Default::default()
             },
-            spare: None,
         }
     }
 
@@ -337,12 +342,12 @@ impl Subflow {
     }
 
     /// The subflow is closed and will neither send nor receive again:
-    /// drop what its flight, reassembly and mapping queues hold and set
-    /// their emptied storage aside for the stack to take. The sequence
-    /// state the diag dump reads stays.
+    /// drop what its flight, reassembly and mapping queues hold and give
+    /// their emptied storage to the thread's `Spares`. The sequence state
+    /// the diag dump reads stays.
     pub(crate) fn release_buffers(&mut self) {
         self.recv_maps.clear();
-        self.spare = Some(SubflowSpare {
+        Spares::give_subflow(SubflowSpare {
             flight: self.flight.clear(),
             reasm: self.reasm.clear(),
             recv_maps: std::mem::take(&mut self.recv_maps),
@@ -421,7 +426,6 @@ mod tests {
             RtoState::new(RtoPolicy::default()),
             6,
             SimTime::ZERO,
-            SubflowSpare::default(),
         );
         s.irs = irs;
         s
