@@ -91,8 +91,6 @@ impl Scenario for Fig3 {
             ("userspace", Manager::Userspace),
         ]
         .into_iter()
-        // Smoke runs the kernel row only.
-        .filter(|&(_, manager)| !smoke || manager == Manager::Kernel)
         .map(|(variant, manager)| {
             let params = Params {
                 gets: if smoke { 20 } else { 300 },

@@ -272,6 +272,6 @@ mod tests {
     #[test]
     fn matrix_sizes_are_the_documented_ones() {
         // Tier-1 never runs the full matrix; this at least pins its shape.
-        assert_eq!((cells(true), cells(false)), (14, 38));
+        assert_eq!((cells(true), cells(false)), (15, 38));
     }
 }

@@ -1295,6 +1295,65 @@ mod tests {
         frames
     }
 
+    /// The frames whose bytes are pinned: each event and command, info
+    /// replies with and without connection-level offsets and one with no
+    /// subflows, a failed ack, and a two-connection and an empty diag reply.
+    fn pinned_frames() -> Vec<Bytes> {
+        let mut frames: Vec<Bytes> = events().iter().map(encode_event).collect();
+        frames.extend(commands().iter().map(|c| encode_command(5, c)));
+        frames.push(encode_info_reply(6, 0xABCD, Some((1000, 2000)), &infos()));
+        frames.push(encode_info_reply(7, 0xABCD, None, &infos()));
+        frames.push(encode_info_reply(8, 0xABCD, Some((3, 4)), &[]));
+        frames.push(encode_ack(9, 110));
+        frames.push(encode_diag_reply(10, &diag_conns()));
+        frames.push(encode_diag_reply(11, &[]));
+        frames
+    }
+
+    /// `(length, FNV-1a 64 digest)` of each of [`pinned_frames`], in order.
+    const PINNED: [(usize, u64); 25] = [
+        (76, 0x148c1447960ef678),
+        (68, 0xe2e7fac12177a29e),
+        (28, 0x50aeb9ae92a39ed3),
+        (84, 0x4e5c0861406f34a3),
+        (76, 0x5be6e31419ab5ec6),
+        (52, 0x38f345ab464aa30e),
+        (44, 0xc5e0b06b21c6ca0c),
+        (36, 0x5ae0def3a874af11),
+        (56, 0x0995c194902aa408),
+        (28, 0x01c3e411e47c8e95),
+        (28, 0x5047b60db48595ca),
+        (28, 0xb4a5a167359060d3),
+        (68, 0xa76a0036354139a0),
+        (44, 0x3e24c1382251a70f),
+        (44, 0x36f55895d5f8bf10),
+        (28, 0xd392ef9b827fdc9b),
+        (36, 0xeb2d1e529b6307a6),
+        (44, 0xa0bed6d50c18d804),
+        (36, 0xa8047c6de883d089),
+        (276, 0x3d87413ec714570d),
+        (252, 0xd30ce9d71969b4aa),
+        (52, 0xac6fc7695677b5bc),
+        (28, 0xcae27a74f0c7761b),
+        (468, 0x692bd1a5528ef6d3),
+        (20, 0x5c003f8f0f8c766e),
+    ];
+
+    #[test]
+    fn frames_keep_their_recorded_bytes() {
+        let fnv = |b: &[u8]| {
+            b.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &x| {
+                (h ^ x as u64).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        let got: Vec<(usize, u64)> = pinned_frames().iter().map(|f| (f.len(), fnv(f))).collect();
+        let table: String = got
+            .iter()
+            .map(|(n, d)| format!("    ({n}, {d:#018x}),\n"))
+            .collect();
+        assert_eq!(got, PINNED, "frame bytes moved; new table:\n{table}");
+    }
+
     /// Rewrite `nlmsghdr.len` to the buffer's length, so that a cut or
     /// extended frame passes `Frame::parse` and the damage reaches the
     /// family's attribute decoding.
