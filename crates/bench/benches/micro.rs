@@ -9,7 +9,10 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use smapp_mptcp::crypto::{hmac_sha1, sha1};
 use smapp_mptcp::options::{Dss, DssMapping, MpOption};
 use smapp_mptcp::{LowestRtt, SchedCandidate, Scheduler};
-use smapp_netlink::{decode as nl_decode, encode_event};
+use smapp_netlink::{
+    decode as nl_decode, encode_command, encode_event, encode_reply, DiagConn, PmNlCommand,
+    PmNlMessage,
+};
 use smapp_sim::{Addr, FlowKey};
 use smapp_tcp::{
     encode_parts, OptionWriter, Reassembly, SendBuffer, StreamTap, TcpFlags, TcpHeader, TcpOption,
@@ -323,6 +326,64 @@ fn bench_netlink(c: &mut Criterion) {
     });
     g.bench_function("decode_sub_estab_event", |b| {
         b.iter(|| nl_decode(black_box(&frame)).unwrap())
+    });
+
+    // The command and reply paths: a command, and the nests and TCP_INFO
+    // blobs of the replies.
+    let open = PmNlCommand::Action(smapp_mptcp::PmAction::OpenSubflow {
+        token: 0xDEAD_BEEF,
+        src: Addr::new(10, 0, 2, 1),
+        src_port: 0,
+        dst: Addr::new(10, 0, 9, 1),
+        dst_port: 80,
+        backup: false,
+    });
+    let open_frame = encode_command(7, &open);
+    let info = |srtt_us| smapp_tcp::TcpInfo {
+        state: smapp_tcp::TcpStateInfo::Established,
+        srtt_us,
+        cwnd: 140_000,
+        pacing_rate: 5_000_000,
+        ..Default::default()
+    };
+    let subflows = vec![(0, info(10_000)), (1, info(40_000))];
+    let reply = PmNlMessage::InfoReply {
+        seq: 8,
+        token: 0xDEAD_BEEF,
+        conn: Some((1_000, 2_000)),
+        subflows: subflows.clone(),
+    };
+    let reply_frame = encode_reply(&reply);
+    let diag = PmNlMessage::DiagReply {
+        seq: 9,
+        conns: (0..2)
+            .map(|token| DiagConn {
+                token,
+                state: smapp_mptcp::ConnState::Established,
+                fallback_inferred: false,
+                meta_una: 4_000,
+                meta_snd_nxt: 6_500,
+                tap_sent: (6_500, 0xDEAD),
+                tap_recvd: (1_200, 0xBEEF),
+                reinjections: 2,
+                subflows: subflows.clone(),
+            })
+            .collect(),
+    };
+    g.bench_function("encode_open_subflow_command", |b| {
+        b.iter(|| encode_command(7, black_box(&open)))
+    });
+    g.bench_function("decode_open_subflow_command", |b| {
+        b.iter(|| nl_decode(black_box(&open_frame)).unwrap())
+    });
+    g.bench_function("encode_info_reply_2_subflows", |b| {
+        b.iter(|| encode_reply(black_box(&reply)))
+    });
+    g.bench_function("decode_info_reply_2_subflows", |b| {
+        b.iter(|| nl_decode(black_box(&reply_frame)).unwrap())
+    });
+    g.bench_function("encode_diag_reply_2_conns", |b| {
+        b.iter(|| encode_reply(black_box(&diag)))
     });
     g.finish();
 }

@@ -1,56 +1,22 @@
-//! The userspace path-manager library.
+//! The userspace path-manager library's netlink end.
 //!
 //! This is the Rust equivalent of the paper's 1900-line C library: it hides
-//! netlink framing behind typed calls and parsed events, so a subflow
-//! controller is written against [`ControllerEvent`]s and simple methods —
-//! "we abstract all the complexity of handling Netlink in a library that is
-//! linked with the subflow controller" (§3).
+//! netlink framing, so a subflow controller is written against decoded
+//! [`smapp_netlink::PmNlMessage`]s and the typed calls of
+//! [`crate::ControlApi`] — "we abstract all the complexity of handling
+//! Netlink in a library that is linked with the subflow controller" (§3).
+//! [`PmClient`] numbers and frames the commands, and remembers which info
+//! query each reply answers.
 
-use bytes::Bytes;
-use smapp_mptcp::{ConnToken, PmEvent, SubflowId};
-use smapp_netlink::{
-    decode, encode_command, encode_diag_request, DiagConn, NlError, PmNlCommand, PmNlMessage,
-    UserCtx,
-};
-use smapp_sim::Addr;
-use smapp_tcp::TcpInfo;
+use smapp_netlink::{encode_command, PmNlCommand, UserCtx};
 
-/// A parsed message from the kernel, ready for a controller.
-#[derive(Clone, Debug)]
-pub enum ControllerEvent {
-    /// A path-manager event (the §3 event list).
-    Event(PmEvent),
-    /// Reply to a [`PmClient::get_info`] query.
-    Info {
-        /// The tag passed to `get_info`.
-        tag: u64,
-        /// Connection token.
-        token: ConnToken,
-        /// Connection-level `(snd_una, snd_nxt)` data offsets.
-        conn: Option<(u64, u64)>,
-        /// Per-subflow snapshots.
-        subflows: Vec<(SubflowId, TcpInfo)>,
-    },
-    /// Reply to a [`PmClient::diag`] dump request.
-    Diag {
-        /// Echoed sequence number.
-        seq: u32,
-        /// Per-connection sockdiag snapshots, in creation order.
-        conns: Vec<DiagConn>,
-    },
-    /// A command was rejected by the kernel (errno != 0).
-    CommandFailed {
-        /// errno-style code.
-        errno: u16,
-    },
-}
-
-/// Typed client over the netlink boundary.
+/// Sequence numbers and pending queries of one controller's netlink
+/// socket.
 #[derive(Debug, Default)]
 pub struct PmClient {
     seq: u32,
     /// seq -> user tag for outstanding info queries.
-    pending_info: Vec<(u32, u64)>,
+    pub(crate) pending_info: Vec<(u32, u64)>,
     /// Commands sent (diagnostics).
     pub commands_sent: u64,
     /// Frames that failed to parse (diagnostics).
@@ -63,234 +29,22 @@ impl PmClient {
         Self::default()
     }
 
-    fn next_seq(&mut self) -> u32 {
+    /// Frame `cmd` under the next sequence number and send it; returns
+    /// that number, which the kernel echoes in its reply.
+    pub(crate) fn send(&mut self, ctx: &mut UserCtx<'_>, cmd: &PmNlCommand) -> u32 {
         self.seq = self.seq.wrapping_add(1);
+        self.commands_sent += 1;
+        ctx.send(encode_command(self.seq, cmd));
         self.seq
     }
 
-    fn send(&mut self, ctx: &mut UserCtx<'_>, cmd: &PmNlCommand) -> u32 {
-        let seq = self.next_seq();
-        self.commands_sent += 1;
-        ctx.send(encode_command(seq, cmd));
-        seq
-    }
-
-    /// Subscribe to the events in `mask` (bits from [`PmEvent::mask_bit`]).
-    pub fn subscribe(&mut self, ctx: &mut UserCtx<'_>, mask: u32) {
-        self.send(ctx, &PmNlCommand::Subscribe { mask });
-    }
-
-    /// Ask the kernel to open a subflow (src port 0 = ephemeral).
-    #[allow(clippy::too_many_arguments)]
-    pub fn open_subflow(
-        &mut self,
-        ctx: &mut UserCtx<'_>,
-        token: ConnToken,
-        src: Addr,
-        src_port: u16,
-        dst: Addr,
-        dst_port: u16,
-        backup: bool,
-    ) {
-        self.send(
-            ctx,
-            &PmNlCommand::SubflowCreate {
-                token,
-                src,
-                src_port,
-                dst,
-                dst_port,
-                backup,
-            },
-        );
-    }
-
-    /// Ask the kernel to close a subflow.
-    pub fn close_subflow(
-        &mut self,
-        ctx: &mut UserCtx<'_>,
-        token: ConnToken,
-        id: SubflowId,
-        reset: bool,
-    ) {
-        self.send(ctx, &PmNlCommand::SubflowClose { token, id, reset });
-    }
-
-    /// Flip a subflow's backup priority.
-    pub fn set_backup(
-        &mut self,
-        ctx: &mut UserCtx<'_>,
-        token: ConnToken,
-        id: SubflowId,
-        backup: bool,
-    ) {
-        self.send(ctx, &PmNlCommand::SetBackup { token, id, backup });
-    }
-
-    /// Query state. The answer arrives later as [`ControllerEvent::Info`]
-    /// carrying `tag`.
-    pub fn get_info(
-        &mut self,
-        ctx: &mut UserCtx<'_>,
-        token: ConnToken,
-        id: Option<SubflowId>,
-        tag: u64,
-    ) {
-        let seq = self.send(ctx, &PmNlCommand::GetInfo { token, id });
-        self.pending_info.push((seq, tag));
-    }
-
-    /// Announce a local address.
-    pub fn announce_addr(
-        &mut self,
-        ctx: &mut UserCtx<'_>,
-        token: ConnToken,
-        addr_id: u8,
-        addr: Addr,
-    ) {
-        self.send(
-            ctx,
-            &PmNlCommand::AnnounceAddr {
-                token,
-                addr_id,
-                addr,
-            },
-        );
-    }
-
-    /// Withdraw a local address.
-    pub fn withdraw_addr(&mut self, ctx: &mut UserCtx<'_>, token: ConnToken, addr_id: u8) {
-        self.send(ctx, &PmNlCommand::WithdrawAddr { token, addr_id });
-    }
-
-    /// Sockdiag dump: ask the kernel for the live state of one connection
-    /// (`Some(token)`) or every connection (`None`). The answer arrives
-    /// later as [`ControllerEvent::Diag`]; returns the sequence number
-    /// echoed in that reply.
-    pub fn diag(&mut self, ctx: &mut UserCtx<'_>, token: Option<ConnToken>) -> u32 {
-        let seq = self.next_seq();
-        self.commands_sent += 1;
-        ctx.send(encode_diag_request(seq, token));
-        seq
-    }
-
-    /// Parse a frame from the kernel into a controller event. Successful
-    /// command acks are swallowed (returns `None`); failures surface as
-    /// [`ControllerEvent::CommandFailed`].
-    pub fn parse(&mut self, frame: &Bytes) -> Option<ControllerEvent> {
-        match decode(frame) {
-            Ok(PmNlMessage::Event(ev)) => Some(ControllerEvent::Event(ev)),
-            Ok(PmNlMessage::InfoReply {
-                seq,
-                token,
-                conn,
-                subflows,
-            }) => {
-                let tag = self
-                    .pending_info
-                    .iter()
-                    .position(|(s, _)| *s == seq)
-                    .map(|i| self.pending_info.remove(i).1)
-                    .unwrap_or(0);
-                Some(ControllerEvent::Info {
-                    tag,
-                    token,
-                    conn,
-                    subflows,
-                })
-            }
-            Ok(PmNlMessage::DiagReply { seq, conns }) => Some(ControllerEvent::Diag { seq, conns }),
-            Ok(PmNlMessage::Ack { errno: 0, .. }) => None,
-            Ok(PmNlMessage::Ack { errno, .. }) => Some(ControllerEvent::CommandFailed { errno }),
-            Ok(PmNlMessage::Command { .. }) | Ok(PmNlMessage::DiagRequest { .. }) | Err(_) => {
-                self.parse_errors += 1;
-                let _: Result<(), NlError> = Ok(());
-                None
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use smapp_netlink::{encode_ack, encode_event, encode_info_reply};
-    use smapp_sim::{SimRng, SimTime};
-
-    fn ctx(rng: &mut SimRng) -> UserCtx<'_> {
-        UserCtx::new(SimTime::ZERO, rng)
-    }
-
-    #[test]
-    fn commands_frame_correctly() {
-        let mut rng = SimRng::seed_from_u64(1);
-        let mut c = PmClient::new();
-        let mut uc = ctx(&mut rng);
-        c.subscribe(&mut uc, 0xFF);
-        c.open_subflow(
-            &mut uc,
-            7,
-            Addr::new(10, 0, 2, 1),
-            0,
-            Addr::new(10, 0, 9, 1),
-            80,
-            false,
-        );
-        c.close_subflow(&mut uc, 7, 1, true);
-        assert_eq!(uc.to_kernel.len(), 3);
-        assert_eq!(c.commands_sent, 3);
-        // Every frame decodes as a command.
-        for f in &uc.to_kernel {
-            assert!(matches!(decode(f).unwrap(), PmNlMessage::Command { .. }));
-        }
-    }
-
-    #[test]
-    fn events_parse() {
-        let mut c = PmClient::new();
-        let ev = PmEvent::ConnClosed { token: 3 };
-        let frame = encode_event(&ev);
-        match c.parse(&frame) {
-            Some(ControllerEvent::Event(got)) => assert_eq!(got, ev),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn info_reply_matches_tag() {
-        let mut rng = SimRng::seed_from_u64(2);
-        let mut c = PmClient::new();
-        let mut uc = ctx(&mut rng);
-        c.get_info(&mut uc, 9, None, 1234);
-        // The kernel echoes the seq of the query (1).
-        let frame = encode_info_reply(1, 9, Some((10, 20)), &[]);
-        match c.parse(&frame) {
-            Some(ControllerEvent::Info {
-                tag, token, conn, ..
-            }) => {
-                assert_eq!(tag, 1234);
-                assert_eq!(token, 9);
-                assert_eq!(conn, Some((10, 20)));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(c.pending_info.is_empty());
-    }
-
-    #[test]
-    fn acks_swallowed_errors_surfaced() {
-        let mut c = PmClient::new();
-        assert!(c.parse(&encode_ack(1, 0)).is_none());
-        match c.parse(&encode_ack(2, 2)) {
-            Some(ControllerEvent::CommandFailed { errno: 2 }) => {}
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn garbage_counted() {
-        let mut c = PmClient::new();
-        assert!(c.parse(&Bytes::from_static(b"nonsense")).is_none());
-        assert_eq!(c.parse_errors, 1);
+    /// The tag of the info query that reply `seq` answers (0 when none is
+    /// pending); the query is no longer pending afterwards.
+    pub(crate) fn take_tag(&mut self, seq: u32) -> u64 {
+        self.pending_info
+            .iter()
+            .position(|(s, _)| *s == seq)
+            .map(|i| self.pending_info.remove(i).1)
+            .unwrap_or(0)
     }
 }

@@ -9,12 +9,12 @@
 use std::time::Duration;
 
 use bytes::Bytes;
-use smapp_mptcp::{ConnToken, PmEvent, SubflowId, EVENT_MASK_ALL};
-use smapp_netlink::{UserCtx, UserProcess};
+use smapp_mptcp::{ConnToken, PmAction, PmEvent, SubflowId, EVENT_MASK_ALL};
+use smapp_netlink::{decode, PmNlCommand, PmNlMessage, UserCtx, UserProcess};
 use smapp_sim::{Addr, SimRng, SimTime};
 use smapp_tcp::TcpInfo;
 
-use crate::client::{ControllerEvent, PmClient};
+use crate::client::PmClient;
 
 /// What a controller can do during a callback.
 pub struct ControlApi<'a, 'b> {
@@ -33,6 +33,12 @@ impl ControlApi<'_, '_> {
         self.ctx.rng
     }
 
+    /// Have the kernel path manager act; a rejection comes back through
+    /// [`SubflowController::on_command_failed`].
+    fn act(&mut self, action: PmAction) {
+        self.client.send(self.ctx, &PmNlCommand::Action(action));
+    }
+
     /// Open a subflow on `token` from an arbitrary 4-tuple.
     #[allow(clippy::too_many_arguments)]
     pub fn open_subflow(
@@ -44,34 +50,41 @@ impl ControlApi<'_, '_> {
         dst_port: u16,
         backup: bool,
     ) {
-        self.client
-            .open_subflow(self.ctx, token, src, src_port, dst, dst_port, backup);
+        self.act(PmAction::OpenSubflow {
+            token,
+            src,
+            src_port,
+            dst,
+            dst_port,
+            backup,
+        });
     }
 
     /// Close a subflow (RST when `reset`).
     pub fn close_subflow(&mut self, token: ConnToken, id: SubflowId, reset: bool) {
-        self.client.close_subflow(self.ctx, token, id, reset);
+        self.act(PmAction::CloseSubflow { token, id, reset });
     }
 
     /// Change a subflow's backup priority.
     pub fn set_backup(&mut self, token: ConnToken, id: SubflowId, backup: bool) {
-        self.client.set_backup(self.ctx, token, id, backup);
+        self.act(PmAction::SetBackup { token, id, backup });
     }
 
     /// Query state; answered via [`SubflowController::on_info`] with `tag`.
     pub fn get_info(&mut self, token: ConnToken, id: Option<SubflowId>, tag: u64) {
-        self.client.get_info(self.ctx, token, id, tag);
-    }
-
-    /// Sockdiag dump of one connection (`Some(token)`) or the whole host
-    /// (`None`); answered via [`SubflowController::on_diag`].
-    pub fn diag(&mut self, token: Option<ConnToken>) -> u32 {
-        self.client.diag(self.ctx, token)
+        let seq = self
+            .client
+            .send(self.ctx, &PmNlCommand::GetInfo { token, id });
+        self.client.pending_info.push((seq, tag));
     }
 
     /// Announce a local address on a connection.
     pub fn announce_addr(&mut self, token: ConnToken, addr_id: u8, addr: Addr) {
-        self.client.announce_addr(self.ctx, token, addr_id, addr);
+        self.act(PmAction::AnnounceAddr {
+            token,
+            addr_id,
+            addr,
+        });
     }
 
     /// Arm a controller timer.
@@ -109,15 +122,6 @@ pub trait SubflowController: Send {
         subflows: &[(SubflowId, TcpInfo)],
     ) {
         let _ = (api, tag, token, conn, subflows);
-    }
-    /// A sockdiag dump completed.
-    fn on_diag(
-        &mut self,
-        api: &mut ControlApi<'_, '_>,
-        seq: u32,
-        conns: &[smapp_netlink::DiagConn],
-    ) {
-        let _ = (api, seq, conns);
     }
     /// A controller timer fired.
     fn on_timer(&mut self, api: &mut ControlApi<'_, '_>, token: u64) {
@@ -159,7 +163,8 @@ impl<C: SubflowController> ControllerRuntime<C> {
 
 impl<C: SubflowController + 'static> UserProcess for ControllerRuntime<C> {
     fn on_start(&mut self, ctx: &mut UserCtx<'_>) {
-        self.client.subscribe(ctx, self.controller.subscription());
+        let mask = self.controller.subscription();
+        self.client.send(ctx, &PmNlCommand::Subscribe { mask });
         let mut api = ControlApi {
             client: &mut self.client,
             ctx,
@@ -167,27 +172,33 @@ impl<C: SubflowController + 'static> UserProcess for ControllerRuntime<C> {
         self.controller.on_start(&mut api);
     }
 
+    /// Decode a frame from the kernel and dispatch it. Successful command
+    /// acks are swallowed; frames that are not kernel → user messages
+    /// count as parse errors.
     fn on_message(&mut self, ctx: &mut UserCtx<'_>, frame: Bytes) {
-        let Some(ev) = self.client.parse(&frame) else {
-            return;
-        };
+        let msg = decode(&frame);
         let mut api = ControlApi {
             client: &mut self.client,
             ctx,
         };
-        match ev {
-            ControllerEvent::Event(ev) => self.controller.on_event(&mut api, &ev),
-            ControllerEvent::Info {
-                tag,
+        match msg {
+            Ok(PmNlMessage::Event(ev)) => self.controller.on_event(&mut api, &ev),
+            Ok(PmNlMessage::InfoReply {
+                seq,
                 token,
                 conn,
                 subflows,
-            } => self
-                .controller
-                .on_info(&mut api, tag, token, conn, &subflows),
-            ControllerEvent::Diag { seq, conns } => self.controller.on_diag(&mut api, seq, &conns),
-            ControllerEvent::CommandFailed { errno } => {
+            }) => {
+                let tag = api.client.take_tag(seq);
+                self.controller
+                    .on_info(&mut api, tag, token, conn, &subflows);
+            }
+            Ok(PmNlMessage::Ack { errno: 0, .. }) => {}
+            Ok(PmNlMessage::Ack { errno, .. }) => {
                 self.controller.on_command_failed(&mut api, errno)
+            }
+            Ok(PmNlMessage::Command { .. } | PmNlMessage::DiagReply { .. }) | Err(_) => {
+                api.client.parse_errors += 1;
             }
         }
     }
@@ -217,27 +228,61 @@ pub fn controller_of<C: SubflowController + 'static>(host: &smapp_pm::Host) -> O
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smapp_netlink::{decode, encode_event, PmNlMessage};
+    use smapp_netlink::encode_event;
+    use smapp_netlink::encode_reply;
 
-    /// Counts callbacks; opens a subflow on every establish event.
+    /// `(tag, token, conn)` of one info reply.
+    type Info = (u64, ConnToken, Option<(u64, u64)>);
+
+    /// Records callbacks; opens a subflow on every establish event.
     #[derive(Default)]
     struct Probe {
-        events: u32,
+        events: Vec<PmEvent>,
         timers: u32,
+        infos: Vec<Info>,
+        failed: Vec<u16>,
     }
     impl SubflowController for Probe {
         fn on_event(&mut self, api: &mut ControlApi<'_, '_>, ev: &PmEvent) {
-            self.events += 1;
+            self.events.push(ev.clone());
             if let PmEvent::ConnEstablished { token, tuple, .. } = ev {
                 api.open_subflow(*token, tuple.src, 0, tuple.dst, tuple.dst_port, false);
             }
+        }
+        fn on_info(
+            &mut self,
+            _api: &mut ControlApi<'_, '_>,
+            tag: u64,
+            token: ConnToken,
+            conn: Option<(u64, u64)>,
+            _subflows: &[(SubflowId, TcpInfo)],
+        ) {
+            self.infos.push((tag, token, conn));
         }
         fn on_timer(&mut self, api: &mut ControlApi<'_, '_>, _token: u64) {
             self.timers += 1;
             api.set_timer(Duration::from_secs(1), 1);
         }
+        fn on_command_failed(&mut self, _api: &mut ControlApi<'_, '_>, errno: u16) {
+            self.failed.push(errno);
+        }
         fn name(&self) -> &'static str {
             "probe"
+        }
+    }
+
+    /// Hand `msg` to the runtime as the kernel would.
+    fn deliver(rt: &mut ControllerRuntime<Probe>, rng: &mut SimRng, msg: &PmNlMessage) {
+        let mut ctx = UserCtx::new(SimTime::ZERO, rng);
+        rt.on_message(&mut ctx, encode_reply(msg));
+    }
+
+    fn info_reply(seq: u32, token: ConnToken) -> PmNlMessage {
+        PmNlMessage::InfoReply {
+            seq,
+            token,
+            conn: Some((10, 20)),
+            subflows: vec![],
         }
     }
 
@@ -251,7 +296,7 @@ mod tests {
         assert!(matches!(
             decode(&ctx.to_kernel[0]).unwrap(),
             PmNlMessage::Command {
-                cmd: smapp_netlink::PmNlCommand::Subscribe {
+                cmd: PmNlCommand::Subscribe {
                     mask: EVENT_MASK_ALL
                 },
                 ..
@@ -271,7 +316,7 @@ mod tests {
         };
         let mut ctx = UserCtx::new(SimTime::ZERO, &mut rng);
         rt.on_message(&mut ctx, encode_event(&ev));
-        assert_eq!(rt.controller.events, 1);
+        assert_eq!(rt.controller.events, [ev]);
         assert_eq!(ctx.to_kernel.len(), 1, "open-subflow command sent");
 
         // Timers dispatch and can rearm.
@@ -279,5 +324,98 @@ mod tests {
         rt.on_timer(&mut ctx, 1);
         assert_eq!(rt.controller.timers, 1);
         assert_eq!(ctx.timers.len(), 1);
+    }
+
+    #[test]
+    fn commands_frame_correctly() {
+        let mut rng = SimRng::seed_from_u64(1);
+        let mut rt = ControllerRuntime::new(Probe::default());
+        let mut uc = UserCtx::new(SimTime::ZERO, &mut rng);
+        rt.on_start(&mut uc);
+        let mut api = ControlApi {
+            client: &mut rt.client,
+            ctx: &mut uc,
+        };
+        api.open_subflow(
+            7,
+            Addr::new(10, 0, 2, 1),
+            0,
+            Addr::new(10, 0, 9, 1),
+            80,
+            false,
+        );
+        api.close_subflow(7, 1, true);
+        assert_eq!(uc.to_kernel.len(), 3);
+        assert_eq!(rt.client.commands_sent, 3);
+        // Every frame decodes as a command, numbered in sending order.
+        for (f, want) in uc.to_kernel.iter().zip(1..) {
+            assert!(matches!(decode(f).unwrap(), PmNlMessage::Command { seq, .. } if seq == want));
+        }
+    }
+
+    #[test]
+    fn events_parse() {
+        let mut rng = SimRng::seed_from_u64(1);
+        let mut rt = ControllerRuntime::new(Probe::default());
+        let ev = PmEvent::ConnClosed { token: 3 };
+        deliver(&mut rt, &mut rng, &PmNlMessage::Event(ev.clone()));
+        assert_eq!(rt.controller.events, [ev]);
+    }
+
+    #[test]
+    fn info_reply_matches_tag() {
+        let mut rng = SimRng::seed_from_u64(2);
+        let mut rt = ControllerRuntime::new(Probe::default());
+        let mut uc = UserCtx::new(SimTime::ZERO, &mut rng);
+        ControlApi {
+            client: &mut rt.client,
+            ctx: &mut uc,
+        }
+        .get_info(9, None, 1234);
+        // The kernel echoes the seq of the query (1).
+        deliver(&mut rt, &mut rng, &info_reply(1, 9));
+        assert_eq!(rt.controller.infos, [(1234, 9, Some((10, 20)))]);
+        assert!(rt.client.pending_info.is_empty());
+    }
+
+    /// Two queries outstanding, answered in reverse order: each reply
+    /// still reaches `on_info` with the tag of its own query.
+    #[test]
+    fn replies_out_of_order_keep_their_tags() {
+        let mut rng = SimRng::seed_from_u64(3);
+        let mut rt = ControllerRuntime::new(Probe::default());
+        let mut uc = UserCtx::new(SimTime::ZERO, &mut rng);
+        let mut api = ControlApi {
+            client: &mut rt.client,
+            ctx: &mut uc,
+        };
+        api.get_info(9, None, 111);
+        api.get_info(8, Some(2), 222);
+        deliver(&mut rt, &mut rng, &info_reply(2, 8));
+        deliver(&mut rt, &mut rng, &info_reply(1, 9));
+        let tags: Vec<(u64, ConnToken)> = rt.controller.infos.iter().map(|i| (i.0, i.1)).collect();
+        assert_eq!(tags, [(222, 8), (111, 9)]);
+        assert!(rt.client.pending_info.is_empty());
+    }
+
+    #[test]
+    fn acks_swallowed_errors_surfaced() {
+        let mut rng = SimRng::seed_from_u64(4);
+        let mut rt = ControllerRuntime::new(Probe::default());
+        deliver(&mut rt, &mut rng, &PmNlMessage::Ack { seq: 1, errno: 0 });
+        assert!(rt.controller.failed.is_empty());
+        deliver(&mut rt, &mut rng, &PmNlMessage::Ack { seq: 2, errno: 2 });
+        assert_eq!(rt.controller.failed, [2]);
+        assert_eq!(rt.client.parse_errors, 0);
+    }
+
+    #[test]
+    fn garbage_counted() {
+        let mut rng = SimRng::seed_from_u64(5);
+        let mut rt = ControllerRuntime::new(Probe::default());
+        let mut ctx = UserCtx::new(SimTime::ZERO, &mut rng);
+        rt.on_message(&mut ctx, Bytes::from_static(b"nonsense"));
+        assert_eq!(rt.client.parse_errors, 1);
+        assert!(rt.controller.events.is_empty() && rt.controller.failed.is_empty());
     }
 }

@@ -252,7 +252,7 @@ impl SubflowController for FullMeshController {
 mod tests {
     use super::*;
     use crate::ControllerRuntime;
-    use smapp_mptcp::FourTuple;
+    use smapp_mptcp::{FourTuple, PmAction};
     use smapp_netlink::{decode, encode_event, PmNlCommand, PmNlMessage, UserCtx, UserProcess};
     use smapp_sim::{SimRng, SimTime};
 
@@ -283,7 +283,7 @@ mod tests {
             feed(PmEvent::LocalAddrUp { addr: l3 });
             let opened = ctx.to_kernel.iter().map(|f| match decode(f).unwrap() {
                 PmNlMessage::Command {
-                    cmd: PmNlCommand::SubflowCreate { token, src, .. },
+                    cmd: PmNlCommand::Action(PmAction::OpenSubflow { token, src, .. }),
                     ..
                 } => (token, src),
                 other => panic!("unexpected {other:?}"),

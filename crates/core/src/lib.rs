@@ -9,10 +9,10 @@
 //!
 //! This crate is the userspace side plus the paper's four controllers:
 //!
-//! * [`PmClient`] — the netlink library: typed commands and parsed events
-//!   (the paper's 1900-line C library).
-//! * [`SubflowController`] / [`ControllerRuntime`] — write your own
-//!   controller against typed events; the runtime speaks netlink for you.
+//! * [`SubflowController`] / [`ControllerRuntime`] / [`ControlApi`] — the
+//!   netlink library (the paper's 1900-line C library): write your own
+//!   controller against decoded events and typed commands; the runtime
+//!   speaks netlink for you, numbering commands through its [`PmClient`].
 //! * [`controllers`] — the §4 use cases: userspace full-mesh with
 //!   re-establishment, break-before-make backup, smart streaming, and the
 //!   ECMP refresh controller.
@@ -55,7 +55,7 @@ pub mod client;
 pub mod controller;
 pub mod controllers;
 
-pub use client::{ControllerEvent, PmClient};
+pub use client::PmClient;
 pub use controller::{controller_of, ControlApi, ControllerRuntime, SubflowController};
 pub use controllers::{
     BackupConfig, BackupController, FullMeshConfig, FullMeshController, NdiffportsController,
@@ -65,7 +65,7 @@ pub use controllers::{
 
 /// Convenient glob import for examples and experiments.
 pub mod prelude {
-    pub use crate::client::{ControllerEvent, PmClient};
+    pub use crate::client::PmClient;
     pub use crate::controller::{controller_of, ControlApi, ControllerRuntime, SubflowController};
     pub use crate::controllers::{
         BackupConfig, BackupController, FullMeshConfig, FullMeshController, NdiffportsController,

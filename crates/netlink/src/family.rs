@@ -11,6 +11,14 @@
 //! [`crate::wire`] — so the user/kernel boundary in the simulation carries
 //! actual bytes, exactly like the paper's 1100-line kernel module +
 //! 1900-line library pair.
+//!
+//! Each message is listed once, in wire order: its command number and one
+//! `field: ATTRIBUTE` pair per field (the `listing!` invocations below).
+//! Encoding and decoding are both generated from that listing; the private
+//! `Field` trait knows how each kind of field rides in attributes.
+
+use std::marker::PhantomData;
+use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use smapp_mptcp::{ConnState, ConnToken, FourTuple, PmAction, PmEvent, SubflowError, SubflowId};
@@ -18,7 +26,8 @@ use smapp_sim::Addr;
 use smapp_tcp::{TcpInfo, TcpStateInfo};
 
 use crate::wire::{
-    attr_map, find_attr, find_attr_opt, Frame, FrameBuilder, GenlMsgHdr, NlError, NLM_F_REQUEST,
+    attr_map, find_attr, find_attr_opt, Attrs, Frame, FrameBuilder, GenlMsgHdr, NlError,
+    NLM_F_REQUEST,
 };
 
 /// Generic-netlink family id for `mptcp_pm` (fixed in the simulation; real
@@ -31,118 +40,48 @@ pub const KERNEL_PID: u32 = 0;
 /// Port id used for the subflow-controller process.
 pub const CONTROLLER_PID: u32 = 1001;
 
-/// Family command numbers.
-pub mod cmd {
-    /// Event: connection created.
-    pub const EV_CREATED: u8 = 1;
-    /// Event: connection established.
-    pub const EV_ESTAB: u8 = 2;
-    /// Event: connection closed.
-    pub const EV_CLOSED: u8 = 3;
-    /// Event: subflow established.
-    pub const EV_SUB_ESTAB: u8 = 4;
-    /// Event: subflow closed.
-    pub const EV_SUB_CLOSED: u8 = 5;
-    /// Event: remote ADD_ADDR received.
-    pub const EV_ADD_ADDR: u8 = 6;
-    /// Event: remote REMOVE_ADDR received.
-    pub const EV_REM_ADDR: u8 = 7;
-    /// Event: retransmission timer expired.
-    pub const EV_TIMEOUT: u8 = 8;
-    /// Event: local address became available.
-    pub const EV_NEW_LOCAL_ADDR: u8 = 9;
-    /// Event: local address went away.
-    pub const EV_DEL_LOCAL_ADDR: u8 = 10;
-    /// Command: set the event subscription mask.
-    pub const CMD_SUBSCRIBE: u8 = 32;
-    /// Command: create a subflow from an arbitrary 4-tuple.
-    pub const CMD_SUB_CREATE: u8 = 33;
-    /// Command: close a subflow.
-    pub const CMD_SUB_CLOSE: u8 = 34;
-    /// Command: change a subflow's backup priority.
-    pub const CMD_SET_BACKUP: u8 = 35;
-    /// Command: query connection/subflow state.
-    pub const CMD_GET_INFO: u8 = 36;
-    /// Command: announce a local address via ADD_ADDR.
-    pub const CMD_ANNOUNCE_ADDR: u8 = 37;
-    /// Command: withdraw a local address via REMOVE_ADDR.
-    pub const CMD_WITHDRAW_ADDR: u8 = 38;
-    /// Command: sockdiag-style dump of live connection state (one
-    /// connection by token, or every connection of the host).
-    pub const CMD_DIAG: u8 = 39;
-    /// Reply to `CMD_GET_INFO`.
-    pub const REPLY_INFO: u8 = 64;
-    /// Generic acknowledgment / error reply.
-    pub const REPLY_ACK: u8 = 65;
-    /// Reply to `CMD_DIAG`.
-    pub const REPLY_DIAG: u8 = 66;
+attrs! {
+    TOKEN = 1: "Connection token (u32).",
+    SUBFLOW_ID = 2: "Subflow id (u8).",
+    SADDR = 3: "Source address (u32).",
+    SPORT = 4: "Source port (u16).",
+    DADDR = 5: "Destination address (u32).",
+    DPORT = 6: "Destination port (u16).",
+    BACKUP = 7: "Backup flag (u8).",
+    ERROR = 8: "errno-style error code (u16).",
+    RTO_US = 9: "Retransmission timeout in microseconds (u64).",
+    BACKOFFS = 10: "Consecutive backoffs (u32).",
+    ADDR = 11: "A bare address (u32).",
+    ADDR_ID = 12: "MPTCP address id (u8).",
+    PORT = 13: "A port (u16).",
+    MASK = 14: "Event subscription mask (u32).",
+    IS_CLIENT = 15: "Client-side flag (u8).",
+    INITIATED = 16: "Locally-initiated flag (u8).",
+    RESET = 17: "Reset-vs-graceful flag (u8).",
+    TCP_INFO = 18: "`TcpInfo` blob: a version byte, then fixed-width little-endian fields.",
+    SUBFLOW_NEST = 19: "Nested per-subflow container.",
+    DATA_SND_UNA = 20: "Connection-level first unacknowledged data offset, `snd_una` (u64).",
+    DATA_SND_NXT = 21: "Connection-level next data offset to send (u64).",
+    CONN_NEST = 22: "Nested per-connection container of a diag reply.",
+    CONN_STATE = 23: "Coarse connection state (u8: 1 establishing, 2 established, 3 closed).",
+    FALLBACK = 24: "Plain-TCP fallback inferred flag (u8).",
+    TAP_SENT_BYTES = 25: "Bytes pushed through the send-side stream tap (u64).",
+    TAP_SENT_DIGEST = 26: "Running `StreamTap` digest of the sent stream (u64).",
+    TAP_RECVD_BYTES = 27: "Bytes pushed through the receive-side stream tap (u64).",
+    TAP_RECVD_DIGEST = 28: "Running `StreamTap` digest of the received stream (u64).",
+    REINJECTIONS = 29: "Connection-level reinjections performed (u64).",
 }
 
-/// Attribute type numbers.
-pub mod attr {
-    /// Connection token (u32).
-    pub const TOKEN: u16 = 1;
-    /// Subflow id (u8).
-    pub const SUBFLOW_ID: u16 = 2;
-    /// Source address (u32).
-    pub const SADDR: u16 = 3;
-    /// Source port (u16).
-    pub const SPORT: u16 = 4;
-    /// Destination address (u32).
-    pub const DADDR: u16 = 5;
-    /// Destination port (u16).
-    pub const DPORT: u16 = 6;
-    /// Backup flag (u8).
-    pub const BACKUP: u16 = 7;
-    /// errno-style error code (u16).
-    pub const ERROR: u16 = 8;
-    /// Retransmission timeout in microseconds (u64).
-    pub const RTO_US: u16 = 9;
-    /// Consecutive backoffs (u32).
-    pub const BACKOFFS: u16 = 10;
-    /// A bare address (u32).
-    pub const ADDR: u16 = 11;
-    /// MPTCP address id (u8).
-    pub const ADDR_ID: u16 = 12;
-    /// A port (u16).
-    pub const PORT: u16 = 13;
-    /// Event subscription mask (u32).
-    pub const MASK: u16 = 14;
-    /// Client-side flag (u8).
-    pub const IS_CLIENT: u16 = 15;
-    /// Locally-initiated flag (u8).
-    pub const INITIATED: u16 = 16;
-    /// Reset-vs-graceful flag (u8).
-    pub const RESET: u16 = 17;
-    /// `TcpInfo` binary blob (see [`crate::family::encode_tcp_info`]).
-    pub const TCP_INFO: u16 = 18;
-    /// Nested per-subflow container.
-    pub const SUBFLOW_NEST: u16 = 19;
-    /// Connection-level first unacknowledged data offset (u64) — the
-    /// paper's `snd_una` signal polled by the smart-streaming controller.
-    pub const DATA_SND_UNA: u16 = 20;
-    /// Connection-level next data offset to send (u64).
-    pub const DATA_SND_NXT: u16 = 21;
-    /// Nested per-connection container in a diag reply; holds `TOKEN`,
-    /// `CONN_STATE`, `FALLBACK`, data-level offsets, tap counters and one
-    /// `SUBFLOW_NEST` per live subflow.
-    pub const CONN_NEST: u16 = 22;
-    /// Coarse connection state (u8; see
-    /// [`crate::family::conn_state_to_u8`]).
-    pub const CONN_STATE: u16 = 23;
-    /// Plain-TCP fallback inferred flag (u8).
-    pub const FALLBACK: u16 = 24;
-    /// Bytes pushed through the send-side stream tap (u64).
-    pub const TAP_SENT_BYTES: u16 = 25;
-    /// Running `StreamTap` digest of the sent stream (u64).
-    pub const TAP_SENT_DIGEST: u16 = 26;
-    /// Bytes pushed through the receive-side stream tap (u64).
-    pub const TAP_RECVD_BYTES: u16 = 27;
-    /// Running `StreamTap` digest of the received stream (u64).
-    pub const TAP_RECVD_DIGEST: u16 = 28;
-    /// Connection-level reinjections performed (u64).
-    pub const REINJECTIONS: u16 = 29;
-}
+// The multi-attribute kinds (`FourTuple`, `(u64, u64)`) take consecutive
+// attribute numbers from the one their listing names.
+const _: () = assert!(
+    attr::SPORT == attr::SADDR + 1
+        && attr::DADDR == attr::SADDR + 2
+        && attr::DPORT == attr::SADDR + 3
+        && attr::DATA_SND_NXT == attr::DATA_SND_UNA + 1
+        && attr::TAP_SENT_DIGEST == attr::TAP_SENT_BYTES + 1
+        && attr::TAP_RECVD_DIGEST == attr::TAP_RECVD_BYTES + 1
+);
 
 /// Commands userspace sends to the kernel path manager.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -153,40 +92,6 @@ pub enum PmNlCommand {
         /// The mask.
         mask: u32,
     },
-    /// Create a subflow on `token` from an arbitrary 4-tuple (source port
-    /// 0 = kernel picks an ephemeral port).
-    SubflowCreate {
-        /// Target connection.
-        token: ConnToken,
-        /// Local address.
-        src: Addr,
-        /// Local port (0 = ephemeral).
-        src_port: u16,
-        /// Remote address.
-        dst: Addr,
-        /// Remote port.
-        dst_port: u16,
-        /// Backup priority.
-        backup: bool,
-    },
-    /// Close a subflow.
-    SubflowClose {
-        /// Target connection.
-        token: ConnToken,
-        /// Subflow id.
-        id: SubflowId,
-        /// RST instead of FIN.
-        reset: bool,
-    },
-    /// Flip a subflow's backup priority (MP_PRIO).
-    SetBackup {
-        /// Target connection.
-        token: ConnToken,
-        /// Subflow id.
-        id: SubflowId,
-        /// New priority.
-        backup: bool,
-    },
     /// Query state; the kernel replies with [`PmNlMessage::InfoReply`].
     GetInfo {
         /// Target connection.
@@ -194,65 +99,9 @@ pub enum PmNlCommand {
         /// Restrict to one subflow (None = all).
         id: Option<SubflowId>,
     },
-    /// Announce a local address to the peer.
-    AnnounceAddr {
-        /// Target connection.
-        token: ConnToken,
-        /// Our address id.
-        addr_id: u8,
-        /// The address.
-        addr: Addr,
-    },
-    /// Withdraw a previously announced address.
-    WithdrawAddr {
-        /// Target connection.
-        token: ConnToken,
-        /// The address id.
-        addr_id: u8,
-    },
-}
-
-impl PmNlCommand {
-    /// Convert to the in-kernel action, when one exists (`Subscribe` and
-    /// `GetInfo` are handled at the netlink layer itself).
-    pub fn to_action(&self) -> Option<PmAction> {
-        Some(match *self {
-            PmNlCommand::SubflowCreate {
-                token,
-                src,
-                src_port,
-                dst,
-                dst_port,
-                backup,
-            } => PmAction::OpenSubflow {
-                token,
-                src,
-                src_port,
-                dst,
-                dst_port,
-                backup,
-            },
-            PmNlCommand::SubflowClose { token, id, reset } => {
-                PmAction::CloseSubflow { token, id, reset }
-            }
-            PmNlCommand::SetBackup { token, id, backup } => {
-                PmAction::SetBackup { token, id, backup }
-            }
-            PmNlCommand::AnnounceAddr {
-                token,
-                addr_id,
-                addr,
-            } => PmAction::AnnounceAddr {
-                token,
-                addr_id,
-                addr,
-            },
-            PmNlCommand::WithdrawAddr { token, addr_id } => {
-                PmAction::WithdrawAddr { token, addr_id }
-            }
-            PmNlCommand::Subscribe { .. } | PmNlCommand::GetInfo { .. } => return None,
-        })
-    }
+    /// Have the kernel path manager act on a connection; it replies with
+    /// [`PmNlMessage::Ack`].
+    Action(PmAction),
 }
 
 /// Any message of the family, decoded.
@@ -285,18 +134,10 @@ pub enum PmNlMessage {
         /// errno-style code, 0 on success.
         errno: u16,
     },
-    /// User → kernel sockdiag-style dump request.
-    DiagRequest {
-        /// Sequence number (echoed in the reply).
-        seq: u32,
-        /// Restrict the dump to one connection (None = every connection
-        /// on the host).
-        token: Option<ConnToken>,
-    },
-    /// Kernel → user sockdiag-style dump reply: one [`DiagConn`] per
-    /// matched connection, in creation order.
+    /// Sockdiag-style dump: one [`DiagConn`] per matched connection, in
+    /// creation order.
     DiagReply {
-        /// Echoed sequence number.
+        /// Sequence number (the probe's index on its host).
         seq: u32,
         /// Per-connection snapshots.
         conns: Vec<DiagConn>,
@@ -329,586 +170,475 @@ pub struct DiagConn {
     pub subflows: Vec<(SubflowId, TcpInfo)>,
 }
 
-/// Encode a [`ConnState`] as the u8 carried in [`attr::CONN_STATE`].
-pub fn conn_state_to_u8(s: ConnState) -> u8 {
-    match s {
-        ConnState::Establishing => 1,
-        ConnState::Established => 2,
-        ConnState::Closed => 3,
-    }
-}
-
-/// Decode the u8 written by [`conn_state_to_u8`].
-pub fn conn_state_from_u8(v: u8) -> ConnState {
-    match v {
-        1 => ConnState::Establishing,
-        2 => ConnState::Established,
-        _ => ConnState::Closed,
-    }
-}
-
-// ---------------------------------------------------------------------
-// TcpInfo blob codec (Linux ships `struct tcp_info` as a binary blob).
-// ---------------------------------------------------------------------
-
-/// Version byte of the blob layout.
-const TCP_INFO_BLOB_VERSION: u8 = 1;
-/// Size of the encoded blob: four header bytes, ten `u64`s, `backoffs`
-/// (`u32`) and `retrans` (`u64`).
-pub const TCP_INFO_BLOB_LEN: usize = 4 + 8 * 10 + 4 + 8;
-
-fn state_to_u8(s: TcpStateInfo) -> u8 {
-    match s {
-        TcpStateInfo::SynSent => 1,
-        TcpStateInfo::SynReceived => 2,
-        TcpStateInfo::Established => 3,
-        TcpStateInfo::Closing => 4,
-        TcpStateInfo::Closed => 5,
-    }
-}
-
-fn state_from_u8(v: u8) -> TcpStateInfo {
-    match v {
-        1 => TcpStateInfo::SynSent,
-        2 => TcpStateInfo::SynReceived,
-        3 => TcpStateInfo::Established,
-        4 => TcpStateInfo::Closing,
-        _ => TcpStateInfo::Closed,
-    }
-}
-
-/// Encode a [`TcpInfo`] as the fixed binary blob carried in
-/// [`attr::TCP_INFO`].
-pub fn encode_tcp_info(i: &TcpInfo) -> Bytes {
-    let mut b = BytesMut::with_capacity(TCP_INFO_BLOB_LEN);
-    b.put_u8(TCP_INFO_BLOB_VERSION);
-    b.put_u8(state_to_u8(i.state));
-    b.put_u8(i.backup as u8);
-    b.put_u8(0);
-    b.put_u64_le(i.srtt_us);
-    b.put_u64_le(i.rttvar_us);
-    b.put_u64_le(i.rto_us);
-    b.put_u64_le(i.cwnd);
-    b.put_u64_le(i.ssthresh);
-    b.put_u64_le(i.pacing_rate);
-    b.put_u64_le(i.snd_una);
-    b.put_u64_le(i.snd_nxt);
-    b.put_u64_le(i.in_flight);
-    b.put_u64_le(i.bytes_acked);
-    b.put_u32_le(i.backoffs);
-    b.put_u64_le(i.retrans);
-    b.freeze()
-}
-
-/// Decode the blob produced by [`encode_tcp_info`].
-pub fn decode_tcp_info(b: &[u8]) -> Result<TcpInfo, NlError> {
-    if b.len() < TCP_INFO_BLOB_LEN || b[0] != TCP_INFO_BLOB_VERSION {
-        return Err(NlError::BadAttrLen {
-            ty: attr::TCP_INFO,
-            len: b.len(),
-        });
-    }
-    let u64_at = |off: usize| u64::from_le_bytes(b[off..off + 8].try_into().unwrap());
-    Ok(TcpInfo {
-        state: state_from_u8(b[1]),
-        backup: b[2] != 0,
-        srtt_us: u64_at(4),
-        rttvar_us: u64_at(12),
-        rto_us: u64_at(20),
-        cwnd: u64_at(28),
-        ssthresh: u64_at(36),
-        pacing_rate: u64_at(44),
-        snd_una: u64_at(52),
-        snd_nxt: u64_at(60),
-        in_flight: u64_at(68),
-        bytes_acked: u64_at(76),
-        backoffs: u32::from_le_bytes(b[84..88].try_into().unwrap()),
-        retrans: u64_at(88),
-    })
-}
-
-// ---------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------
-
-fn fb(cmd_byte: u8, flags: u16, seq: u32, pid: u32) -> FrameBuilder {
-    FrameBuilder::new(
-        FAMILY_ID,
-        flags,
-        seq,
-        pid,
-        GenlMsgHdr {
-            cmd: cmd_byte,
-            version: FAMILY_VERSION,
+listing! {
+    PmEvent {
+        EV_CREATED = 1 => ConnCreated {
+            token: TOKEN, initial_subflow: SUBFLOW_ID, is_client: IS_CLIENT, tuple: SADDR,
         },
-    )
+        EV_ESTAB = 2 => ConnEstablished { token: TOKEN, is_client: IS_CLIENT, tuple: SADDR },
+        EV_CLOSED = 3 => ConnClosed { token: TOKEN },
+        EV_SUB_ESTAB = 4 => SubflowEstablished {
+            token: TOKEN, id: SUBFLOW_ID, backup: BACKUP, initiated_here: INITIATED, tuple: SADDR,
+        },
+        EV_SUB_CLOSED = 5 => SubflowClosed {
+            token: TOKEN, id: SUBFLOW_ID, error: ERROR, tuple: SADDR,
+        },
+        EV_ADD_ADDR = 6 => AddAddrReceived {
+            token: TOKEN, addr_id: ADDR_ID, addr: ADDR, port: PORT,
+        },
+        EV_REM_ADDR = 7 => RemAddrReceived { token: TOKEN, addr_id: ADDR_ID },
+        EV_TIMEOUT = 8 => RtoExpired {
+            token: TOKEN, id: SUBFLOW_ID, current_rto: RTO_US, backoffs: BACKOFFS,
+        },
+        EV_NEW_LOCAL_ADDR = 9 => LocalAddrUp { addr: ADDR },
+        EV_DEL_LOCAL_ADDR = 10 => LocalAddrDown { addr: ADDR },
+    };
+    PmAction {
+        CMD_SUB_CREATE = 33 => OpenSubflow {
+            token: TOKEN, src: SADDR, src_port: SPORT, dst: DADDR, dst_port: DPORT, backup: BACKUP,
+        },
+        CMD_SUB_CLOSE = 34 => CloseSubflow { token: TOKEN, id: SUBFLOW_ID, reset: RESET },
+        CMD_SET_BACKUP = 35 => SetBackup { token: TOKEN, id: SUBFLOW_ID, backup: BACKUP },
+        CMD_ANNOUNCE_ADDR = 37 => AnnounceAddr { token: TOKEN, addr_id: ADDR_ID, addr: ADDR },
+        CMD_WITHDRAW_ADDR = 38 => WithdrawAddr { token: TOKEN, addr_id: ADDR_ID },
+    };
+    PmNlCommand {
+        CMD_SUBSCRIBE = 32 => Subscribe { mask: MASK },
+        CMD_GET_INFO = 36 => GetInfo { token: TOKEN, id: SUBFLOW_ID },
+    } wraps { Action { 0: PmAction }, };
+    PmNlMessage {
+        REPLY_INFO = 64 => InfoReply(seq) {
+            token: TOKEN, conn: DATA_SND_UNA, subflows: SUBFLOW_NEST,
+        },
+        REPLY_ACK = 65 => Ack(seq) { errno: ERROR },
+        REPLY_DIAG = 66 => DiagReply(seq) { conns: CONN_NEST },
+    } wraps { Event { 0: PmEvent }, Command(seq) { cmd: PmNlCommand }, };
 }
 
-fn put_tuple(b: &mut FrameBuilder, t: &FourTuple) {
-    b.attr_u32(attr::SADDR, t.src.0)
-        .attr_u16(attr::SPORT, t.src_port)
-        .attr_u32(attr::DADDR, t.dst.0)
-        .attr_u16(attr::DPORT, t.dst_port);
+nest! { DiagConn {
+    token: TOKEN, state: CONN_STATE, fallback_inferred: FALLBACK, meta_una: DATA_SND_UNA,
+    meta_snd_nxt: DATA_SND_NXT, tap_sent: TAP_SENT_BYTES, tap_recvd: TAP_RECVD_BYTES,
+    reinjections: REINJECTIONS, subflows: SUBFLOW_NEST,
+} }
+
+nest! { (id: SUBFLOW_ID, info: TCP_INFO): (SubflowId, TcpInfo) }
+
+tcp_info_blob! {
+    version 1;
+    state: TcpStateInfo, backup: Padded<bool>, srtt_us: u64, rttvar_us: u64, rto_us: u64,
+    cwnd: u64, ssthresh: u64, pacing_rate: u64, snd_una: u64, snd_nxt: u64, in_flight: u64,
+    bytes_acked: u64, backoffs: u32, retrans: u64,
+}
+
+fn frame(m: &impl Listed, flags: u16, seq: u32, pid: u32) -> Bytes {
+    let genl = GenlMsgHdr {
+        cmd: m.cmd(),
+        version: FAMILY_VERSION,
+    };
+    let mut b = FrameBuilder::new(FAMILY_ID, flags, seq, pid, genl);
+    m.put_attrs(&mut b);
+    b.finish()
 }
 
 /// Encode a kernel event as a netlink frame.
 pub fn encode_event(ev: &PmEvent) -> Bytes {
-    match ev {
-        PmEvent::ConnCreated {
-            token,
-            tuple,
-            initial_subflow,
-            is_client,
-        } => {
-            let mut b = fb(cmd::EV_CREATED, 0, 0, KERNEL_PID);
-            b.attr_u32(attr::TOKEN, *token)
-                .attr_u8(attr::SUBFLOW_ID, *initial_subflow)
-                .attr_u8(attr::IS_CLIENT, *is_client as u8);
-            put_tuple(&mut b, tuple);
-            b.finish()
-        }
-        PmEvent::ConnEstablished {
-            token,
-            tuple,
-            is_client,
-        } => {
-            let mut b = fb(cmd::EV_ESTAB, 0, 0, KERNEL_PID);
-            b.attr_u32(attr::TOKEN, *token)
-                .attr_u8(attr::IS_CLIENT, *is_client as u8);
-            put_tuple(&mut b, tuple);
-            b.finish()
-        }
-        PmEvent::ConnClosed { token } => {
-            let mut b = fb(cmd::EV_CLOSED, 0, 0, KERNEL_PID);
-            b.attr_u32(attr::TOKEN, *token);
-            b.finish()
-        }
-        PmEvent::SubflowEstablished {
-            token,
-            id,
-            tuple,
-            backup,
-            initiated_here,
-        } => {
-            let mut b = fb(cmd::EV_SUB_ESTAB, 0, 0, KERNEL_PID);
-            b.attr_u32(attr::TOKEN, *token)
-                .attr_u8(attr::SUBFLOW_ID, *id)
-                .attr_u8(attr::BACKUP, *backup as u8)
-                .attr_u8(attr::INITIATED, *initiated_here as u8);
-            put_tuple(&mut b, tuple);
-            b.finish()
-        }
-        PmEvent::SubflowClosed {
-            token,
-            id,
-            tuple,
-            error,
-        } => {
-            let mut b = fb(cmd::EV_SUB_CLOSED, 0, 0, KERNEL_PID);
-            b.attr_u32(attr::TOKEN, *token)
-                .attr_u8(attr::SUBFLOW_ID, *id)
-                .attr_u16(attr::ERROR, error.errno());
-            put_tuple(&mut b, tuple);
-            b.finish()
-        }
-        PmEvent::AddAddrReceived {
-            token,
-            addr_id,
-            addr,
-            port,
-        } => {
-            let mut b = fb(cmd::EV_ADD_ADDR, 0, 0, KERNEL_PID);
-            b.attr_u32(attr::TOKEN, *token)
-                .attr_u8(attr::ADDR_ID, *addr_id)
-                .attr_u32(attr::ADDR, addr.0);
-            if let Some(p) = port {
-                b.attr_u16(attr::PORT, *p);
-            }
-            b.finish()
-        }
-        PmEvent::RemAddrReceived { token, addr_id } => {
-            let mut b = fb(cmd::EV_REM_ADDR, 0, 0, KERNEL_PID);
-            b.attr_u32(attr::TOKEN, *token)
-                .attr_u8(attr::ADDR_ID, *addr_id);
-            b.finish()
-        }
-        PmEvent::RtoExpired {
-            token,
-            id,
-            current_rto,
-            backoffs,
-        } => {
-            let mut b = fb(cmd::EV_TIMEOUT, 0, 0, KERNEL_PID);
-            b.attr_u32(attr::TOKEN, *token)
-                .attr_u8(attr::SUBFLOW_ID, *id)
-                .attr_u64(attr::RTO_US, current_rto.as_micros() as u64)
-                .attr_u32(attr::BACKOFFS, *backoffs);
-            b.finish()
-        }
-        PmEvent::LocalAddrUp { addr } => {
-            let mut b = fb(cmd::EV_NEW_LOCAL_ADDR, 0, 0, KERNEL_PID);
-            b.attr_u32(attr::ADDR, addr.0);
-            b.finish()
-        }
-        PmEvent::LocalAddrDown { addr } => {
-            let mut b = fb(cmd::EV_DEL_LOCAL_ADDR, 0, 0, KERNEL_PID);
-            b.attr_u32(attr::ADDR, addr.0);
-            b.finish()
-        }
-    }
+    frame(ev, 0, 0, KERNEL_PID)
 }
 
 /// Encode a userspace command.
 pub fn encode_command(seq: u32, c: &PmNlCommand) -> Bytes {
-    match c {
-        PmNlCommand::Subscribe { mask } => {
-            let mut b = fb(cmd::CMD_SUBSCRIBE, NLM_F_REQUEST, seq, CONTROLLER_PID);
-            b.attr_u32(attr::MASK, *mask);
-            b.finish()
-        }
-        PmNlCommand::SubflowCreate {
-            token,
-            src,
-            src_port,
-            dst,
-            dst_port,
-            backup,
-        } => {
-            let mut b = fb(cmd::CMD_SUB_CREATE, NLM_F_REQUEST, seq, CONTROLLER_PID);
-            b.attr_u32(attr::TOKEN, *token)
-                .attr_u32(attr::SADDR, src.0)
-                .attr_u16(attr::SPORT, *src_port)
-                .attr_u32(attr::DADDR, dst.0)
-                .attr_u16(attr::DPORT, *dst_port)
-                .attr_u8(attr::BACKUP, *backup as u8);
-            b.finish()
-        }
-        PmNlCommand::SubflowClose { token, id, reset } => {
-            let mut b = fb(cmd::CMD_SUB_CLOSE, NLM_F_REQUEST, seq, CONTROLLER_PID);
-            b.attr_u32(attr::TOKEN, *token)
-                .attr_u8(attr::SUBFLOW_ID, *id)
-                .attr_u8(attr::RESET, *reset as u8);
-            b.finish()
-        }
-        PmNlCommand::SetBackup { token, id, backup } => {
-            let mut b = fb(cmd::CMD_SET_BACKUP, NLM_F_REQUEST, seq, CONTROLLER_PID);
-            b.attr_u32(attr::TOKEN, *token)
-                .attr_u8(attr::SUBFLOW_ID, *id)
-                .attr_u8(attr::BACKUP, *backup as u8);
-            b.finish()
-        }
-        PmNlCommand::GetInfo { token, id } => {
-            let mut b = fb(cmd::CMD_GET_INFO, NLM_F_REQUEST, seq, CONTROLLER_PID);
-            b.attr_u32(attr::TOKEN, *token);
-            if let Some(id) = id {
-                b.attr_u8(attr::SUBFLOW_ID, *id);
-            }
-            b.finish()
-        }
-        PmNlCommand::AnnounceAddr {
-            token,
-            addr_id,
-            addr,
-        } => {
-            let mut b = fb(cmd::CMD_ANNOUNCE_ADDR, NLM_F_REQUEST, seq, CONTROLLER_PID);
-            b.attr_u32(attr::TOKEN, *token)
-                .attr_u8(attr::ADDR_ID, *addr_id)
-                .attr_u32(attr::ADDR, addr.0);
-            b.finish()
-        }
-        PmNlCommand::WithdrawAddr { token, addr_id } => {
-            let mut b = fb(cmd::CMD_WITHDRAW_ADDR, NLM_F_REQUEST, seq, CONTROLLER_PID);
-            b.attr_u32(attr::TOKEN, *token)
-                .attr_u8(attr::ADDR_ID, *addr_id);
-            b.finish()
-        }
-    }
+    frame(c, NLM_F_REQUEST, seq, CONTROLLER_PID)
 }
 
-/// Encode the reply to `GetInfo`.
-pub fn encode_info_reply(
-    seq: u32,
-    token: ConnToken,
-    conn: Option<(u64, u64)>,
-    subflows: &[(SubflowId, TcpInfo)],
-) -> Bytes {
-    let mut b = fb(cmd::REPLY_INFO, 0, seq, KERNEL_PID);
-    b.attr_u32(attr::TOKEN, token);
-    if let Some((una, nxt)) = conn {
-        b.attr_u64(attr::DATA_SND_UNA, una);
-        b.attr_u64(attr::DATA_SND_NXT, nxt);
+/// Encode a kernel reply (`InfoReply`, `Ack`, `DiagReply`), or any other
+/// message of the family, framed as [`encode_event`] or [`encode_command`] would.
+pub fn encode_reply(m: &PmNlMessage) -> Bytes {
+    match m {
+        PmNlMessage::Event(ev) => encode_event(ev),
+        PmNlMessage::Command { seq, cmd } => encode_command(*seq, cmd),
+        PmNlMessage::InfoReply { seq, .. }
+        | PmNlMessage::Ack { seq, .. }
+        | PmNlMessage::DiagReply { seq, .. } => frame(m, 0, *seq, KERNEL_PID),
     }
-    for (id, info) in subflows {
-        let id = *id;
-        let blob = encode_tcp_info(info);
-        b.attr_nested(attr::SUBFLOW_NEST, |inner| {
-            inner.attr_u8(attr::SUBFLOW_ID, id);
-            inner.attr_bytes(attr::TCP_INFO, &blob);
-        });
-    }
-    b.finish()
 }
-
-/// Encode a command acknowledgment.
-pub fn encode_ack(seq: u32, errno: u16) -> Bytes {
-    let mut b = fb(cmd::REPLY_ACK, 0, seq, KERNEL_PID);
-    b.attr_u16(attr::ERROR, errno);
-    b.finish()
-}
-
-/// Encode a sockdiag dump request (`token` = None dumps every
-/// connection).
-pub fn encode_diag_request(seq: u32, token: Option<ConnToken>) -> Bytes {
-    let mut b = fb(cmd::CMD_DIAG, NLM_F_REQUEST, seq, CONTROLLER_PID);
-    if let Some(t) = token {
-        b.attr_u32(attr::TOKEN, t);
-    }
-    b.finish()
-}
-
-/// Encode the reply to `CMD_DIAG`: one `CONN_NEST` per connection, each
-/// nesting its own `SUBFLOW_NEST` entries.
-pub fn encode_diag_reply(seq: u32, conns: &[DiagConn]) -> Bytes {
-    let mut b = fb(cmd::REPLY_DIAG, 0, seq, KERNEL_PID);
-    for c in conns {
-        b.attr_nested(attr::CONN_NEST, |inner| {
-            inner.attr_u32(attr::TOKEN, c.token);
-            inner.attr_u8(attr::CONN_STATE, conn_state_to_u8(c.state));
-            inner.attr_u8(attr::FALLBACK, c.fallback_inferred as u8);
-            inner.attr_u64(attr::DATA_SND_UNA, c.meta_una);
-            inner.attr_u64(attr::DATA_SND_NXT, c.meta_snd_nxt);
-            inner.attr_u64(attr::TAP_SENT_BYTES, c.tap_sent.0);
-            inner.attr_u64(attr::TAP_SENT_DIGEST, c.tap_sent.1);
-            inner.attr_u64(attr::TAP_RECVD_BYTES, c.tap_recvd.0);
-            inner.attr_u64(attr::TAP_RECVD_DIGEST, c.tap_recvd.1);
-            inner.attr_u64(attr::REINJECTIONS, c.reinjections);
-            for (id, info) in &c.subflows {
-                let id = *id;
-                let blob = encode_tcp_info(info);
-                inner.attr_nested(attr::SUBFLOW_NEST, |sf| {
-                    sf.attr_u8(attr::SUBFLOW_ID, id);
-                    sf.attr_bytes(attr::TCP_INFO, &blob);
-                });
-            }
-        });
-    }
-    b.finish()
-}
-
-fn decode_diag_conn(nest: &crate::wire::Attr<'_>) -> Result<DiagConn, NlError> {
-    let attrs = attr_map(nest.nested_attrs())?;
-    let u64_of = |ty: u16| -> Result<u64, NlError> { find_attr(&attrs, ty)?.as_u64() };
-    let mut subflows = Vec::new();
-    for a in attrs.iter() {
-        if a.ty == attr::SUBFLOW_NEST {
-            let inner = attr_map(a.nested_attrs())?;
-            let id = find_attr(&inner, attr::SUBFLOW_ID)?.as_u8()?;
-            let info = decode_tcp_info(find_attr(&inner, attr::TCP_INFO)?.payload)?;
-            subflows.push((id, info));
-        }
-    }
-    Ok(DiagConn {
-        token: find_attr(&attrs, attr::TOKEN)?.as_u32()?,
-        state: conn_state_from_u8(find_attr(&attrs, attr::CONN_STATE)?.as_u8()?),
-        fallback_inferred: find_attr(&attrs, attr::FALLBACK)?.as_u8()? != 0,
-        meta_una: u64_of(attr::DATA_SND_UNA)?,
-        meta_snd_nxt: u64_of(attr::DATA_SND_NXT)?,
-        tap_sent: (
-            u64_of(attr::TAP_SENT_BYTES)?,
-            u64_of(attr::TAP_SENT_DIGEST)?,
-        ),
-        tap_recvd: (
-            u64_of(attr::TAP_RECVD_BYTES)?,
-            u64_of(attr::TAP_RECVD_DIGEST)?,
-        ),
-        reinjections: u64_of(attr::REINJECTIONS)?,
-        subflows,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------
 
 /// Decode any frame of the family.
 pub fn decode(bytes: &[u8]) -> Result<PmNlMessage, NlError> {
     let f = Frame::parse(bytes)?;
     let attrs = attr_map(f.attrs())?;
-    let token = || find_attr(&attrs, attr::TOKEN)?.as_u32();
-    let tuple = || -> Result<FourTuple, NlError> {
-        Ok(FourTuple {
-            src: Addr(find_attr(&attrs, attr::SADDR)?.as_u32()?),
-            src_port: find_attr(&attrs, attr::SPORT)?.as_u16()?,
-            dst: Addr(find_attr(&attrs, attr::DADDR)?.as_u32()?),
-            dst_port: find_attr(&attrs, attr::DPORT)?.as_u16()?,
-        })
-    };
-    let sub_id = || find_attr(&attrs, attr::SUBFLOW_ID)?.as_u8();
-    let seq = f.hdr.seq;
+    PmNlMessage::get_attrs(f.genl.cmd, f.hdr.seq, &attrs)?.ok_or(NlError::UnknownCmd(f.genl.cmd))
+}
 
-    let msg = match f.genl.cmd {
-        cmd::EV_CREATED => PmNlMessage::Event(PmEvent::ConnCreated {
-            token: token()?,
-            tuple: tuple()?,
-            initial_subflow: sub_id()?,
-            is_client: find_attr(&attrs, attr::IS_CLIENT)?.as_u8()? != 0,
-        }),
-        cmd::EV_ESTAB => PmNlMessage::Event(PmEvent::ConnEstablished {
-            token: token()?,
-            tuple: tuple()?,
-            is_client: find_attr(&attrs, attr::IS_CLIENT)?.as_u8()? != 0,
-        }),
-        cmd::EV_CLOSED => PmNlMessage::Event(PmEvent::ConnClosed { token: token()? }),
-        cmd::EV_SUB_ESTAB => PmNlMessage::Event(PmEvent::SubflowEstablished {
-            token: token()?,
-            id: sub_id()?,
-            tuple: tuple()?,
-            backup: find_attr(&attrs, attr::BACKUP)?.as_u8()? != 0,
-            initiated_here: find_attr(&attrs, attr::INITIATED)?.as_u8()? != 0,
-        }),
-        cmd::EV_SUB_CLOSED => PmNlMessage::Event(PmEvent::SubflowClosed {
-            token: token()?,
-            id: sub_id()?,
-            tuple: tuple()?,
-            error: SubflowError::from_errno(find_attr(&attrs, attr::ERROR)?.as_u16()?),
-        }),
-        cmd::EV_ADD_ADDR => PmNlMessage::Event(PmEvent::AddAddrReceived {
-            token: token()?,
-            addr_id: find_attr(&attrs, attr::ADDR_ID)?.as_u8()?,
-            addr: Addr(find_attr(&attrs, attr::ADDR)?.as_u32()?),
-            port: match find_attr_opt(&attrs, attr::PORT) {
-                Some(a) => Some(a.as_u16()?),
-                None => None,
-            },
-        }),
-        cmd::EV_REM_ADDR => PmNlMessage::Event(PmEvent::RemAddrReceived {
-            token: token()?,
-            addr_id: find_attr(&attrs, attr::ADDR_ID)?.as_u8()?,
-        }),
-        cmd::EV_TIMEOUT => PmNlMessage::Event(PmEvent::RtoExpired {
-            token: token()?,
-            id: sub_id()?,
-            current_rto: std::time::Duration::from_micros(
-                find_attr(&attrs, attr::RTO_US)?.as_u64()?,
-            ),
-            backoffs: find_attr(&attrs, attr::BACKOFFS)?.as_u32()?,
-        }),
-        cmd::EV_NEW_LOCAL_ADDR => PmNlMessage::Event(PmEvent::LocalAddrUp {
-            addr: Addr(find_attr(&attrs, attr::ADDR)?.as_u32()?),
-        }),
-        cmd::EV_DEL_LOCAL_ADDR => PmNlMessage::Event(PmEvent::LocalAddrDown {
-            addr: Addr(find_attr(&attrs, attr::ADDR)?.as_u32()?),
-        }),
-        cmd::CMD_SUBSCRIBE => PmNlMessage::Command {
-            seq,
-            cmd: PmNlCommand::Subscribe {
-                mask: find_attr(&attrs, attr::MASK)?.as_u32()?,
-            },
-        },
-        cmd::CMD_SUB_CREATE => PmNlMessage::Command {
-            seq,
-            cmd: PmNlCommand::SubflowCreate {
-                token: token()?,
-                src: Addr(find_attr(&attrs, attr::SADDR)?.as_u32()?),
-                src_port: find_attr(&attrs, attr::SPORT)?.as_u16()?,
-                dst: Addr(find_attr(&attrs, attr::DADDR)?.as_u32()?),
-                dst_port: find_attr(&attrs, attr::DPORT)?.as_u16()?,
-                backup: find_attr(&attrs, attr::BACKUP)?.as_u8()? != 0,
-            },
-        },
-        cmd::CMD_SUB_CLOSE => PmNlMessage::Command {
-            seq,
-            cmd: PmNlCommand::SubflowClose {
-                token: token()?,
-                id: sub_id()?,
-                reset: find_attr(&attrs, attr::RESET)?.as_u8()? != 0,
-            },
-        },
-        cmd::CMD_SET_BACKUP => PmNlMessage::Command {
-            seq,
-            cmd: PmNlCommand::SetBackup {
-                token: token()?,
-                id: sub_id()?,
-                backup: find_attr(&attrs, attr::BACKUP)?.as_u8()? != 0,
-            },
-        },
-        cmd::CMD_GET_INFO => PmNlMessage::Command {
-            seq,
-            cmd: PmNlCommand::GetInfo {
-                token: token()?,
-                id: match find_attr_opt(&attrs, attr::SUBFLOW_ID) {
-                    Some(a) => Some(a.as_u8()?),
-                    None => None,
-                },
-            },
-        },
-        cmd::CMD_ANNOUNCE_ADDR => PmNlMessage::Command {
-            seq,
-            cmd: PmNlCommand::AnnounceAddr {
-                token: token()?,
-                addr_id: find_attr(&attrs, attr::ADDR_ID)?.as_u8()?,
-                addr: Addr(find_attr(&attrs, attr::ADDR)?.as_u32()?),
-            },
-        },
-        cmd::CMD_WITHDRAW_ADDR => PmNlMessage::Command {
-            seq,
-            cmd: PmNlCommand::WithdrawAddr {
-                token: token()?,
-                addr_id: find_attr(&attrs, attr::ADDR_ID)?.as_u8()?,
-            },
-        },
-        cmd::REPLY_INFO => {
-            let mut subflows = Vec::new();
-            for a in attrs.iter() {
-                if a.ty == attr::SUBFLOW_NEST {
-                    let inner = attr_map(a.nested_attrs())?;
-                    let id = find_attr(&inner, attr::SUBFLOW_ID)?.as_u8()?;
-                    let info = decode_tcp_info(find_attr(&inner, attr::TCP_INFO)?.payload)?;
-                    subflows.push((id, info));
-                }
-            }
-            let conn = match (
-                find_attr_opt(&attrs, attr::DATA_SND_UNA),
-                find_attr_opt(&attrs, attr::DATA_SND_NXT),
-            ) {
-                (Some(u), Some(n)) => Some((u.as_u64()?, n.as_u64()?)),
-                _ => None,
-            };
-            PmNlMessage::InfoReply {
-                seq,
-                token: token()?,
-                conn,
-                subflows,
-            }
+/// Defines the `attr` module: each attribute type number with its doc.
+macro_rules! attrs {
+    ($($name:ident = $num:literal: $doc:literal,)*) => {
+        /// Attribute type numbers.
+        pub mod attr {
+            $(#[doc = $doc] pub const $name: u16 = $num;)*
         }
-        cmd::REPLY_ACK => PmNlMessage::Ack {
-            seq,
-            errno: find_attr(&attrs, attr::ERROR)?.as_u16()?,
-        },
-        cmd::CMD_DIAG => PmNlMessage::DiagRequest {
-            seq,
-            token: match find_attr_opt(&attrs, attr::TOKEN) {
-                Some(a) => Some(a.as_u32()?),
-                None => None,
-            },
-        },
-        cmd::REPLY_DIAG => {
-            let mut conns = Vec::new();
-            for a in attrs.iter() {
-                if a.ty == attr::CONN_NEST {
-                    conns.push(decode_diag_conn(&a)?);
-                }
-            }
-            PmNlMessage::DiagReply { seq, conns }
-        }
-        other => return Err(NlError::UnknownCmd(other)),
     };
-    Ok(msg)
+}
+use attrs;
+
+/// An enum of the family: each variant has a command number and a listing.
+trait Listed: Sized {
+    /// The command number of this value's variant.
+    fn cmd(&self) -> u8;
+    /// Append this value's attributes.
+    fn put_attrs(&self, b: &mut FrameBuilder);
+    /// Read the variant numbered `cmd` (`seq` from the netlink header);
+    /// `None` when no variant has that number.
+    fn get_attrs(cmd: u8, seq: u32, a: &Attrs<'_>) -> Result<Option<Self>, NlError>;
+}
+
+/// Implements [`Listed`] for each enum from one line per variant, in wire
+/// order: `CMD = number => Variant { field: ATTR, … }`, where
+/// `Variant(seq)` also fills the field `seq` from the netlink header. The
+/// variants after `wraps` each carry a message of another listed enum in
+/// one field. Also defines the `cmd` module of command numbers.
+macro_rules! listing {
+    ($($ty:ident {
+        $($cmd:ident = $num:literal => $var:ident $(($hdr:ident))? {
+            $($f:ident: $attr:ident),* $(,)?
+        },)*
+    } $(wraps { $($wvar:ident $(($whdr:ident))? { $wf:tt: $wty:ty },)* })?;)*) => {
+        /// Family command numbers.
+        pub mod cmd {
+            $($(
+                #[doc = concat!("`", stringify!($ty), "::", stringify!($var), "`.")]
+                pub const $cmd: u8 = $num;
+            )*)*
+        }
+
+        $(impl Listed for $ty {
+            fn cmd(&self) -> u8 {
+                match self {
+                    $($ty::$var { .. } => cmd::$cmd,)*
+                    $($($ty::$wvar { $wf: inner, .. } => inner.cmd(),)*)?
+                }
+            }
+
+            fn put_attrs(&self, b: &mut FrameBuilder) {
+                match self {
+                    $($ty::$var { $($f,)* .. } => { $(Field::put($f, b, attr::$attr);)* })*
+                    $($($ty::$wvar { $wf: inner, .. } => inner.put_attrs(b),)*)?
+                }
+            }
+
+            fn get_attrs(c: u8, seq: u32, a: &Attrs<'_>) -> Result<Option<Self>, NlError> {
+                let _ = seq;
+                Ok(Some(match c {
+                    $(cmd::$cmd => $ty::$var {
+                        $($hdr: seq,)?
+                        $($f: Field::get(a, attr::$attr)?,)*
+                    },)*
+                    _ => {
+                        $($(if let Some(inner) = <$wty>::get_attrs(c, seq, a)? {
+                            return Ok(Some($ty::$wvar { $($whdr: seq,)? $wf: inner }));
+                        })*)?
+                        return Ok(None);
+                    }
+                }))
+            }
+        })*
+    };
+}
+use listing;
+
+/// The attributes inside one nested attribute; a `Vec` of them is a
+/// repeated nest.
+trait Nest: Sized {
+    fn put_attrs(&self, b: &mut FrameBuilder);
+    fn get_attrs(a: &Attrs<'_>) -> Result<Self, NlError>;
+}
+
+/// Implements [`Nest`] from one listing in wire order, for a struct
+/// (`Type { field: ATTR, … }`) or a tuple (`(name: ATTR, …): Type`).
+macro_rules! nest {
+    ($ty:ident { $($f:ident: $attr:ident,)* }) => {
+        impl Nest for $ty {
+            fn put_attrs(&self, b: &mut FrameBuilder) {
+                $(Field::put(&self.$f, b, attr::$attr);)*
+            }
+            fn get_attrs(a: &Attrs<'_>) -> Result<Self, NlError> {
+                Ok($ty { $($f: Field::get(a, attr::$attr)?,)* })
+            }
+        }
+    };
+    (($($f:ident: $attr:ident),*): $ty:ty) => {
+        impl Nest for $ty {
+            fn put_attrs(&self, b: &mut FrameBuilder) {
+                let ($($f),*) = self;
+                $(Field::put($f, b, attr::$attr);)*
+            }
+            fn get_attrs(a: &Attrs<'_>) -> Result<Self, NlError> {
+                Ok(($(Field::get(a, attr::$attr)?),*))
+            }
+        }
+    };
+}
+use nest;
+
+/// Defines the `TCP_INFO` blob (Linux ships `struct tcp_info` as one
+/// binary attribute) from its version byte and its fields in order, each
+/// with the kind that gives its width; the length is the sum.
+macro_rules! tcp_info_blob {
+    (version $v:literal; $($f:ident: $k:ty,)*) => {
+        const TCP_INFO_BLOB_VERSION: u8 = $v;
+        const TCP_INFO_BLOB_LEN: usize = 1 $(+ <$k as Blob>::WIDTH)*;
+
+        fn put_tcp_info(i: &TcpInfo, b: &mut BytesMut) {
+            b.put_u8(TCP_INFO_BLOB_VERSION);
+            $(<$k as Blob>::put(i.$f, b);)*
+        }
+
+        /// `None` when the blob is short or of another version.
+        fn take_tcp_info(blob: &[u8]) -> Option<TcpInfo> {
+            let Some((&TCP_INFO_BLOB_VERSION, mut rest)) = blob.split_first() else {
+                return None;
+            };
+            Some(TcpInfo { $($f: <$k as Blob>::take(&mut rest)?,)* })
+        }
+    };
+}
+use tcp_info_blob;
+
+/// How one kind of field rides in attributes: appended under attribute
+/// `ty`, found again in a checked region.
+trait Field: Sized {
+    fn put(&self, b: &mut FrameBuilder, ty: u16);
+    fn get(a: &Attrs<'_>, ty: u16) -> Result<Self, NlError>;
+    /// Whether the field is on the wire at all; `Option` reads it only then.
+    fn present(a: &Attrs<'_>, ty: u16) -> bool {
+        find_attr_opt(a, ty).is_some()
+    }
+}
+
+macro_rules! scalar_field {
+    ($($t:ty: $put:ident, $as:ident;)*) => {$(
+        impl Field for $t {
+            fn put(&self, b: &mut FrameBuilder, ty: u16) {
+                b.$put(ty, *self);
+            }
+            fn get(a: &Attrs<'_>, ty: u16) -> Result<Self, NlError> {
+                find_attr(a, ty)?.$as()
+            }
+        }
+    )*};
+}
+
+scalar_field! {
+    u8: attr_u8, as_u8;
+    u16: attr_u16, as_u16;
+    u32: attr_u32, as_u32;
+    u64: attr_u64, as_u64;
+}
+
+/// A value carried as another kind (`Raw`), in an attribute or the blob.
+trait Via: Copy {
+    type Raw;
+    fn raw(self) -> Self::Raw;
+    fn cook(raw: Self::Raw) -> Self;
+}
+
+macro_rules! via {
+    ($($t:ty => $raw:ty: $to:expr, $from:expr;)*) => {$(
+        impl Via for $t {
+            type Raw = $raw;
+            fn raw(self) -> $raw {
+                let to: fn($t) -> $raw = $to;
+                to(self)
+            }
+            fn cook(raw: $raw) -> Self {
+                let from: fn($raw) -> $t = $from;
+                from(raw)
+            }
+        }
+    )*};
+}
+
+via! {
+    bool => u8: |v| v as u8, |raw| raw != 0;
+    Addr => u32: |a| a.0, Addr;
+    Duration => u64: |d| d.as_micros() as u64, Duration::from_micros;
+    SubflowError => u16: SubflowError::errno, SubflowError::from_errno;
+    ConnState => u8: |s| state_to_u8(&CONN_STATES, s), |v| state_from_u8(&CONN_STATES, v);
+    TcpStateInfo => u8: |s| state_to_u8(&TCP_STATES, s), |v| state_from_u8(&TCP_STATES, v);
+}
+
+impl<T: Via<Raw: Field>> Field for T {
+    fn put(&self, b: &mut FrameBuilder, ty: u16) {
+        self.raw().put(b, ty);
+    }
+    fn get(a: &Attrs<'_>, ty: u16) -> Result<Self, NlError> {
+        T::Raw::get(a, ty).map(T::cook)
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn put(&self, b: &mut FrameBuilder, ty: u16) {
+        if let Some(v) = self {
+            v.put(b, ty);
+        }
+    }
+    fn get(a: &Attrs<'_>, ty: u16) -> Result<Self, NlError> {
+        T::present(a, ty).then(|| T::get(a, ty)).transpose()
+    }
+}
+
+/// Two `u64` attributes, `ty` and `ty + 1`; present only as a pair.
+impl Field for (u64, u64) {
+    fn put(&self, b: &mut FrameBuilder, ty: u16) {
+        self.0.put(b, ty);
+        self.1.put(b, ty + 1);
+    }
+    fn get(a: &Attrs<'_>, ty: u16) -> Result<Self, NlError> {
+        Ok((u64::get(a, ty)?, u64::get(a, ty + 1)?))
+    }
+    fn present(a: &Attrs<'_>, ty: u16) -> bool {
+        u64::present(a, ty) && u64::present(a, ty + 1)
+    }
+}
+
+/// Four attributes from `ty` (`SADDR`): source address and port, destination's.
+impl Field for FourTuple {
+    fn put(&self, b: &mut FrameBuilder, ty: u16) {
+        self.src.put(b, ty);
+        self.src_port.put(b, ty + 1);
+        self.dst.put(b, ty + 2);
+        self.dst_port.put(b, ty + 3);
+    }
+    fn get(a: &Attrs<'_>, ty: u16) -> Result<Self, NlError> {
+        Ok(FourTuple {
+            src: Field::get(a, ty)?,
+            src_port: Field::get(a, ty + 1)?,
+            dst: Field::get(a, ty + 2)?,
+            dst_port: Field::get(a, ty + 3)?,
+        })
+    }
+}
+
+/// The blob, written straight into the frame.
+impl Field for TcpInfo {
+    fn put(&self, b: &mut FrameBuilder, ty: u16) {
+        b.attr_with(ty, TCP_INFO_BLOB_LEN, |buf| put_tcp_info(self, buf));
+    }
+    fn get(a: &Attrs<'_>, ty: u16) -> Result<Self, NlError> {
+        let blob = find_attr(a, ty)?.payload;
+        take_tcp_info(blob).ok_or(NlError::BadAttrLen {
+            ty,
+            len: blob.len(),
+        })
+    }
+}
+
+/// A repeated nest: one nested attribute `ty` per element.
+impl<T: Nest> Field for Vec<T> {
+    fn put(&self, b: &mut FrameBuilder, ty: u16) {
+        for item in self {
+            b.attr_nested(ty, |inner| item.put_attrs(inner));
+        }
+    }
+    fn get(a: &Attrs<'_>, ty: u16) -> Result<Self, NlError> {
+        a.iter()
+            .filter(|n| n.ty == ty)
+            .map(|n| T::get_attrs(&attr_map(n.nested_attrs())?))
+            .collect()
+    }
+}
+
+/// The kind of one value inside the blob: its width and little-endian
+/// bytes.
+trait Blob {
+    type Value;
+    const WIDTH: usize;
+    fn put(v: Self::Value, b: &mut BytesMut);
+    fn take(rest: &mut &[u8]) -> Option<Self::Value>;
+}
+
+macro_rules! int_blob {
+    ($($t:ty),*) => {$(
+        impl Blob for $t {
+            type Value = $t;
+            const WIDTH: usize = std::mem::size_of::<$t>();
+            fn put(v: $t, b: &mut BytesMut) {
+                b.put_slice(&v.to_le_bytes());
+            }
+            fn take(rest: &mut &[u8]) -> Option<$t> {
+                let (v, tail) = rest.split_first_chunk()?;
+                *rest = tail;
+                Some(<$t>::from_le_bytes(*v))
+            }
+        }
+    )*};
+}
+
+int_blob!(u8, u32, u64);
+
+impl<T: Via<Raw: Blob<Value = T::Raw>>> Blob for T {
+    type Value = T;
+    const WIDTH: usize = T::Raw::WIDTH;
+    fn put(v: T, b: &mut BytesMut) {
+        T::Raw::put(v.raw(), b);
+    }
+    fn take(rest: &mut &[u8]) -> Option<T> {
+        T::Raw::take(rest).map(T::cook)
+    }
+}
+
+/// Kind `K` followed by one zero pad byte, which reads back as anything.
+struct Padded<K>(PhantomData<K>);
+
+impl<K: Blob> Blob for Padded<K> {
+    type Value = K::Value;
+    const WIDTH: usize = K::WIDTH + 1;
+    fn put(v: K::Value, b: &mut BytesMut) {
+        K::put(v, b);
+        b.put_u8(0);
+    }
+    fn take(rest: &mut &[u8]) -> Option<K::Value> {
+        let v = K::take(rest)?;
+        *rest = rest.get(1..)?;
+        Some(v)
+    }
+}
+
+/// The states a `u8` attribute or blob byte numbers 1, 2, …; any other
+/// number reads as the last.
+const CONN_STATES: [ConnState; 3] = [
+    ConnState::Establishing,
+    ConnState::Established,
+    ConnState::Closed,
+];
+const TCP_STATES: [TcpStateInfo; 5] = [
+    TcpStateInfo::SynSent,
+    TcpStateInfo::SynReceived,
+    TcpStateInfo::Established,
+    TcpStateInfo::Closing,
+    TcpStateInfo::Closed,
+];
+
+fn state_to_u8<T: PartialEq>(states: &[T], s: T) -> u8 {
+    states
+        .iter()
+        .position(|x| *x == s)
+        .map_or(0, |i| i as u8 + 1)
+}
+
+fn state_from_u8<T: Copy>(states: &[T], v: u8) -> T {
+    let last = states[states.len() - 1];
+    states
+        .get(usize::from(v).wrapping_sub(1))
+        .copied()
+        .unwrap_or(last)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::strategy::{BoxedStrategy, Union, ValueTree};
+    use proptest::test_runner::TestRunner;
     use std::time::Duration;
 
     fn tuple() -> FourTuple {
@@ -991,38 +721,38 @@ mod tests {
     fn commands() -> Vec<PmNlCommand> {
         vec![
             PmNlCommand::Subscribe { mask: 0x3FF },
-            PmNlCommand::SubflowCreate {
+            PmNlCommand::Action(PmAction::OpenSubflow {
                 token: 9,
                 src: Addr::new(10, 0, 2, 1),
                 src_port: 0,
                 dst: Addr::new(10, 0, 1, 1),
                 dst_port: 80,
                 backup: true,
-            },
-            PmNlCommand::SubflowClose {
+            }),
+            PmNlCommand::Action(PmAction::CloseSubflow {
                 token: 9,
                 id: 4,
                 reset: true,
-            },
-            PmNlCommand::SetBackup {
+            }),
+            PmNlCommand::Action(PmAction::SetBackup {
                 token: 9,
                 id: 1,
                 backup: false,
-            },
+            }),
             PmNlCommand::GetInfo { token: 9, id: None },
             PmNlCommand::GetInfo {
                 token: 9,
                 id: Some(2),
             },
-            PmNlCommand::AnnounceAddr {
+            PmNlCommand::Action(PmAction::AnnounceAddr {
                 token: 9,
                 addr_id: 5,
                 addr: Addr::new(172, 16, 0, 1),
-            },
-            PmNlCommand::WithdrawAddr {
+            }),
+            PmNlCommand::Action(PmAction::WithdrawAddr {
                 token: 9,
                 addr_id: 5,
-            },
+            }),
         ]
     }
 
@@ -1037,6 +767,16 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
+    }
+
+    /// Put `info` in a frame as the `TCP_INFO` attribute and read it back.
+    fn blob_roundtrip(info: &TcpInfo) -> Result<TcpInfo, NlError> {
+        let genl = GenlMsgHdr { cmd: 0, version: 0 };
+        let mut b = FrameBuilder::new(FAMILY_ID, 0, 0, 0, genl);
+        info.put(&mut b, attr::TCP_INFO);
+        let bytes = b.finish();
+        let f = Frame::parse(&bytes)?;
+        TcpInfo::get(&attr_map(f.attrs())?, attr::TCP_INFO)
     }
 
     #[test]
@@ -1057,17 +797,17 @@ mod tests {
             retrans: 7,
             backup: true,
         };
-        let blob = encode_tcp_info(&info);
-        assert_eq!(decode_tcp_info(&blob).unwrap(), info);
+        assert_eq!(blob_roundtrip(&info).unwrap(), info);
     }
 
     #[test]
     fn tcp_info_blob_rejects_bad() {
-        assert!(decode_tcp_info(&[]).is_err());
-        let mut blob = encode_tcp_info(&TcpInfo::default()).to_vec();
+        assert!(take_tcp_info(&[]).is_none());
+        let mut blob = BytesMut::new();
+        put_tcp_info(&TcpInfo::default(), &mut blob);
         assert_eq!(blob.len(), TCP_INFO_BLOB_LEN);
         blob[0] = 99; // wrong version
-        assert!(decode_tcp_info(&blob).is_err());
+        assert!(take_tcp_info(&blob).is_none());
     }
 
     /// Found by `decode_never_panics_on_hostile_bodies`: the length check
@@ -1076,7 +816,7 @@ mod tests {
     /// length 100 into 97: a 93-byte blob inside an otherwise valid frame.
     #[test]
     fn short_tcp_info_blob_in_a_frame_is_an_error() {
-        let frame = encode_info_reply(6, 0xABCD, None, &infos()[..1]);
+        let frame = encode_reply(&info_reply(6, None, infos()[..1].to_vec()));
         let len_at = frame.len() - 4 - TCP_INFO_BLOB_LEN;
         assert_eq!(frame[len_at], (4 + TCP_INFO_BLOB_LEN) as u8);
         let mut v = frame.to_vec();
@@ -1088,8 +828,10 @@ mod tests {
                 len: 93
             })
         );
+        let mut blob = BytesMut::new();
+        put_tcp_info(&TcpInfo::default(), &mut blob);
         for len in 88..TCP_INFO_BLOB_LEN {
-            assert!(decode_tcp_info(&encode_tcp_info(&TcpInfo::default())[..len]).is_err());
+            assert!(take_tcp_info(&blob[..len]).is_none());
         }
     }
 
@@ -1116,62 +858,33 @@ mod tests {
         ]
     }
 
+    /// An info reply for connection 0xABCD.
+    fn info_reply(
+        seq: u32,
+        conn: Option<(u64, u64)>,
+        subflows: Vec<(SubflowId, TcpInfo)>,
+    ) -> PmNlMessage {
+        PmNlMessage::InfoReply {
+            seq,
+            token: 0xABCD,
+            conn,
+            subflows,
+        }
+    }
+
     #[test]
     fn info_reply_roundtrip() {
-        let infos = infos();
-        let bytes = encode_info_reply(42, 0xABCD, Some((1000, 2000)), &infos);
-        match decode(&bytes).unwrap() {
-            PmNlMessage::InfoReply {
-                seq,
-                token,
-                conn,
-                subflows,
-            } => {
-                assert_eq!(seq, 42);
-                assert_eq!(token, 0xABCD);
-                assert_eq!(conn, Some((1000, 2000)));
-                assert_eq!(subflows, infos);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let reply = info_reply(42, Some((1000, 2000)), infos());
+        assert_eq!(decode(&encode_reply(&reply)).unwrap(), reply);
         // Without conn-level info.
-        let bytes = encode_info_reply(43, 0xABCD, None, &[]);
-        match decode(&bytes).unwrap() {
-            PmNlMessage::InfoReply { conn, subflows, .. } => {
-                assert_eq!(conn, None);
-                assert!(subflows.is_empty());
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let reply = info_reply(43, None, vec![]);
+        assert_eq!(decode(&encode_reply(&reply)).unwrap(), reply);
     }
 
     #[test]
     fn ack_roundtrip() {
-        let bytes = encode_ack(7, 110);
-        assert_eq!(
-            decode(&bytes).unwrap(),
-            PmNlMessage::Ack { seq: 7, errno: 110 }
-        );
-    }
-
-    #[test]
-    fn diag_request_roundtrip() {
-        let bytes = encode_diag_request(11, Some(0xFEED));
-        assert_eq!(
-            decode(&bytes).unwrap(),
-            PmNlMessage::DiagRequest {
-                seq: 11,
-                token: Some(0xFEED),
-            }
-        );
-        let bytes = encode_diag_request(12, None);
-        assert_eq!(
-            decode(&bytes).unwrap(),
-            PmNlMessage::DiagRequest {
-                seq: 12,
-                token: None,
-            }
-        );
+        let ack = PmNlMessage::Ack { seq: 7, errno: 110 };
+        assert_eq!(decode(&encode_reply(&ack)).unwrap(), ack);
     }
 
     /// A live two-subflow connection and a closed fallback one.
@@ -1221,24 +934,17 @@ mod tests {
 
     #[test]
     fn diag_reply_roundtrip() {
-        let conns = diag_conns();
-        let bytes = encode_diag_reply(21, &conns);
-        match decode(&bytes).unwrap() {
-            PmNlMessage::DiagReply { seq, conns: got } => {
-                assert_eq!(seq, 21);
-                assert_eq!(got, conns);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let reply = PmNlMessage::DiagReply {
+            seq: 21,
+            conns: diag_conns(),
+        };
+        assert_eq!(decode(&encode_reply(&reply)).unwrap(), reply);
         // An empty dump still decodes.
-        let bytes = encode_diag_reply(22, &[]);
-        assert_eq!(
-            decode(&bytes).unwrap(),
-            PmNlMessage::DiagReply {
-                seq: 22,
-                conns: vec![],
-            }
-        );
+        let empty = PmNlMessage::DiagReply {
+            seq: 22,
+            conns: vec![],
+        };
+        assert_eq!(decode(&encode_reply(&empty)).unwrap(), empty);
     }
 
     #[test]
@@ -1248,66 +954,47 @@ mod tests {
             ConnState::Established,
             ConnState::Closed,
         ] {
-            assert_eq!(conn_state_from_u8(conn_state_to_u8(s)), s);
+            assert_eq!(ConnState::cook(s.raw()), s);
         }
     }
 
     #[test]
     fn unknown_cmd_rejected() {
-        let mut b = fb(200, 0, 0, 0);
-        b.attr_u32(attr::TOKEN, 1);
-        let bytes = b.finish();
-        assert!(matches!(decode(&bytes), Err(NlError::UnknownCmd(200))));
-    }
-
-    #[test]
-    fn command_to_action_mapping() {
-        assert!(PmNlCommand::Subscribe { mask: 1 }.to_action().is_none());
-        assert!(PmNlCommand::GetInfo { token: 1, id: None }
-            .to_action()
-            .is_none());
-        let c = PmNlCommand::SubflowCreate {
-            token: 1,
-            src: Addr::new(1, 1, 1, 1),
-            src_port: 0,
-            dst: Addr::new(2, 2, 2, 2),
-            dst_port: 80,
-            backup: false,
-        };
-        assert!(matches!(
-            c.to_action(),
-            Some(PmAction::OpenSubflow { token: 1, .. })
-        ));
-    }
-
-    /// One frame from every encoder: each event and command, info replies
-    /// with and without connection-level offsets, an ack, both diag request
-    /// shapes and a diag reply.
-    fn every_frame() -> Vec<Bytes> {
-        let mut frames: Vec<Bytes> = events().iter().map(encode_event).collect();
-        frames.extend(commands().iter().map(|c| encode_command(5, c)));
-        frames.push(encode_info_reply(6, 0xABCD, Some((1000, 2000)), &infos()));
-        frames.push(encode_info_reply(7, 0xABCD, None, &infos()));
-        frames.push(encode_ack(8, 110));
-        frames.push(encode_diag_request(9, Some(0xFEED)));
-        frames.push(encode_diag_request(10, None));
-        frames.push(encode_diag_reply(11, &diag_conns()));
-        frames
+        // 39 is no command: the family has no userspace dump request.
+        for cmd in [39, 200] {
+            let genl = GenlMsgHdr { cmd, version: 1 };
+            let mut b = FrameBuilder::new(FAMILY_ID, 0, 0, 0, genl);
+            b.attr_u32(attr::TOKEN, 1);
+            let bytes = b.finish();
+            assert_eq!(decode(&bytes), Err(NlError::UnknownCmd(cmd)));
+        }
     }
 
     /// The frames whose bytes are pinned: each event and command, info
     /// replies with and without connection-level offsets and one with no
     /// subflows, a failed ack, and a two-connection and an empty diag reply.
     fn pinned_frames() -> Vec<Bytes> {
-        let mut frames: Vec<Bytes> = events().iter().map(encode_event).collect();
-        frames.extend(commands().iter().map(|c| encode_command(5, c)));
-        frames.push(encode_info_reply(6, 0xABCD, Some((1000, 2000)), &infos()));
-        frames.push(encode_info_reply(7, 0xABCD, None, &infos()));
-        frames.push(encode_info_reply(8, 0xABCD, Some((3, 4)), &[]));
-        frames.push(encode_ack(9, 110));
-        frames.push(encode_diag_reply(10, &diag_conns()));
-        frames.push(encode_diag_reply(11, &[]));
-        frames
+        let mut msgs: Vec<PmNlMessage> = events().into_iter().map(PmNlMessage::Event).collect();
+        msgs.extend(
+            commands()
+                .into_iter()
+                .map(|cmd| PmNlMessage::Command { seq: 5, cmd }),
+        );
+        msgs.extend([
+            info_reply(6, Some((1000, 2000)), infos()),
+            info_reply(7, None, infos()),
+            info_reply(8, Some((3, 4)), vec![]),
+            PmNlMessage::Ack { seq: 9, errno: 110 },
+            PmNlMessage::DiagReply {
+                seq: 10,
+                conns: diag_conns(),
+            },
+            PmNlMessage::DiagReply {
+                seq: 11,
+                conns: vec![],
+            },
+        ]);
+        msgs.iter().map(encode_reply).collect()
     }
 
     /// `(length, FNV-1a 64 digest)` of each of [`pinned_frames`], in order.
@@ -1352,6 +1039,277 @@ mod tests {
             .map(|(n, d)| format!("    ({n}, {d:#018x}),\n"))
             .collect();
         assert_eq!(got, PINNED, "frame bytes moved; new table:\n{table}");
+    }
+
+    fn addr() -> impl Strategy<Value = Addr> {
+        any::<u32>().prop_map(Addr)
+    }
+
+    fn four_tuple() -> impl Strategy<Value = FourTuple> {
+        (addr(), any::<u16>(), addr(), any::<u16>()).prop_map(|(src, src_port, dst, dst_port)| {
+            FourTuple {
+                src,
+                src_port,
+                dst,
+                dst_port,
+            }
+        })
+    }
+
+    fn subflow_error() -> impl Strategy<Value = SubflowError> {
+        (0usize..7).prop_map(|i| {
+            [
+                SubflowError::None,
+                SubflowError::Timeout,
+                SubflowError::Reset,
+                SubflowError::Refused,
+                SubflowError::NetUnreachable,
+                SubflowError::IfaceDown,
+                SubflowError::PmRequested,
+            ][i]
+        })
+    }
+
+    fn tcp_info() -> impl Strategy<Value = TcpInfo> {
+        let head = (
+            (0..TCP_STATES.len()).prop_map(|i| TCP_STATES[i]),
+            any::<bool>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+        );
+        let tail = (
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u32>(),
+            any::<u64>(),
+        );
+        (head, tail).prop_map(
+            |(
+                (state, backup, srtt_us, rttvar_us, rto_us, cwnd, ssthresh),
+                (pacing_rate, snd_una, snd_nxt, in_flight, bytes_acked, backoffs, retrans),
+            )| TcpInfo {
+                state,
+                srtt_us,
+                rttvar_us,
+                rto_us,
+                backoffs,
+                cwnd,
+                ssthresh,
+                pacing_rate,
+                snd_una,
+                snd_nxt,
+                in_flight,
+                bytes_acked,
+                retrans,
+                backup,
+            },
+        )
+    }
+
+    /// Up to `max` subflow snapshots.
+    fn subflows(max: usize) -> impl Strategy<Value = Vec<(SubflowId, TcpInfo)>> {
+        proptest::collection::vec((any::<u8>(), tcp_info()), 0..max + 1)
+    }
+
+    fn diag_conn() -> impl Strategy<Value = DiagConn> {
+        let head = (
+            any::<u32>(),
+            (0..CONN_STATES.len()).prop_map(|i| CONN_STATES[i]),
+            any::<bool>(),
+            any::<u64>(),
+            any::<u64>(),
+        );
+        let tail = (
+            (any::<u64>(), any::<u64>()),
+            (any::<u64>(), any::<u64>()),
+            any::<u64>(),
+            subflows(2),
+        );
+        (head, tail).prop_map(
+            |(
+                (token, state, fallback_inferred, meta_una, meta_snd_nxt),
+                (tap_sent, tap_recvd, reinjections, subflows),
+            )| DiagConn {
+                token,
+                state,
+                fallback_inferred,
+                meta_una,
+                meta_snd_nxt,
+                tap_sent,
+                tap_recvd,
+                reinjections,
+                subflows,
+            },
+        )
+    }
+
+    fn event(s: impl Strategy<Value = PmEvent> + 'static) -> BoxedStrategy<PmNlMessage> {
+        s.prop_map(PmNlMessage::Event).boxed()
+    }
+
+    fn command(s: impl Strategy<Value = PmNlCommand> + 'static) -> BoxedStrategy<PmNlMessage> {
+        (any::<u32>(), s)
+            .prop_map(|(seq, cmd)| PmNlMessage::Command { seq, cmd })
+            .boxed()
+    }
+
+    fn action(s: impl Strategy<Value = PmAction> + 'static) -> BoxedStrategy<PmNlMessage> {
+        command(s.prop_map(PmNlCommand::Action))
+    }
+
+    /// One generator per message kind, every field drawn at random.
+    fn kinds() -> Vec<BoxedStrategy<PmNlMessage>> {
+        let token = any::<u32>;
+        let id = any::<u8>;
+        vec![
+            event((token(), four_tuple(), id(), any::<bool>()).prop_map(
+                |(token, tuple, initial_subflow, is_client)| PmEvent::ConnCreated {
+                    token,
+                    tuple,
+                    initial_subflow,
+                    is_client,
+                },
+            )),
+            event(
+                (token(), four_tuple(), any::<bool>()).prop_map(|(token, tuple, is_client)| {
+                    PmEvent::ConnEstablished {
+                        token,
+                        tuple,
+                        is_client,
+                    }
+                }),
+            ),
+            event(token().prop_map(|token| PmEvent::ConnClosed { token })),
+            event(
+                (token(), id(), four_tuple(), any::<bool>(), any::<bool>()).prop_map(
+                    |(token, id, tuple, backup, initiated_here)| PmEvent::SubflowEstablished {
+                        token,
+                        id,
+                        tuple,
+                        backup,
+                        initiated_here,
+                    },
+                ),
+            ),
+            event((token(), id(), four_tuple(), subflow_error()).prop_map(
+                |(token, id, tuple, error)| PmEvent::SubflowClosed {
+                    token,
+                    id,
+                    tuple,
+                    error,
+                },
+            )),
+            event(
+                (token(), id(), addr(), proptest::option::of(any::<u16>())).prop_map(
+                    |(token, addr_id, addr, port)| PmEvent::AddAddrReceived {
+                        token,
+                        addr_id,
+                        addr,
+                        port,
+                    },
+                ),
+            ),
+            event(
+                (token(), id())
+                    .prop_map(|(token, addr_id)| PmEvent::RemAddrReceived { token, addr_id }),
+            ),
+            event((token(), id(), any::<u64>(), any::<u32>()).prop_map(
+                |(token, id, us, backoffs)| PmEvent::RtoExpired {
+                    token,
+                    id,
+                    current_rto: Duration::from_micros(us),
+                    backoffs,
+                },
+            )),
+            event(addr().prop_map(|addr| PmEvent::LocalAddrUp { addr })),
+            event(addr().prop_map(|addr| PmEvent::LocalAddrDown { addr })),
+            command(any::<u32>().prop_map(|mask| PmNlCommand::Subscribe { mask })),
+            command(
+                (token(), proptest::option::of(id()))
+                    .prop_map(|(token, id)| PmNlCommand::GetInfo { token, id }),
+            ),
+            action(
+                (
+                    token(),
+                    addr(),
+                    any::<u16>(),
+                    addr(),
+                    any::<u16>(),
+                    any::<bool>(),
+                )
+                    .prop_map(|(token, src, src_port, dst, dst_port, backup)| {
+                        PmAction::OpenSubflow {
+                            token,
+                            src,
+                            src_port,
+                            dst,
+                            dst_port,
+                            backup,
+                        }
+                    }),
+            ),
+            action(
+                (token(), id(), any::<bool>())
+                    .prop_map(|(token, id, reset)| PmAction::CloseSubflow { token, id, reset }),
+            ),
+            action(
+                (token(), id(), any::<bool>())
+                    .prop_map(|(token, id, backup)| PmAction::SetBackup { token, id, backup }),
+            ),
+            action((token(), id(), addr()).prop_map(|(token, addr_id, addr)| {
+                PmAction::AnnounceAddr {
+                    token,
+                    addr_id,
+                    addr,
+                }
+            })),
+            action(
+                (token(), id())
+                    .prop_map(|(token, addr_id)| PmAction::WithdrawAddr { token, addr_id }),
+            ),
+            (
+                any::<u32>(),
+                token(),
+                proptest::option::of((any::<u64>(), any::<u64>())),
+                subflows(3),
+            )
+                .prop_map(|(seq, token, conn, subflows)| PmNlMessage::InfoReply {
+                    seq,
+                    token,
+                    conn,
+                    subflows,
+                })
+                .boxed(),
+            (any::<u32>(), any::<u16>())
+                .prop_map(|(seq, errno)| PmNlMessage::Ack { seq, errno })
+                .boxed(),
+            (any::<u32>(), proptest::collection::vec(diag_conn(), 0..3))
+                .prop_map(|(seq, conns)| PmNlMessage::DiagReply { seq, conns })
+                .boxed(),
+        ]
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn every_message_roundtrips(m in Union::new(kinds())) {
+            prop_assert_eq!(decode(&encode_reply(&m)), Ok(m));
+        }
+    }
+
+    /// Two frames of every message kind, drawn from [`kinds`].
+    fn every_frame() -> Vec<Bytes> {
+        let mut runner = TestRunner::deterministic();
+        let kinds = kinds();
+        (0..2)
+            .flat_map(|_| &kinds)
+            .map(|k| encode_reply(&k.new_tree(&mut runner).unwrap().current()))
+            .collect()
     }
 
     /// Rewrite `nlmsghdr.len` to the buffer's length, so that a cut or

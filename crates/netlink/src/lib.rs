@@ -8,7 +8,9 @@
 //! * [`wire`] — byte-level `nlmsghdr` / `genlmsghdr` / TLV attribute
 //!   framing (RFC 3549 shapes, Linux alignment rules);
 //! * [`family`] — the `mptcp_pm` family: every §3 event and command of the
-//!   paper encoded to and from real netlink frames;
+//!   paper, and the kernel's replies, each listed once (command number and
+//!   attributes in wire order) and encoded to and decoded from real
+//!   netlink frames from that listing;
 //! * [`channel`] — the user/kernel boundary cost model ([`LatencyModel`])
 //!   and the [`UserProcess`] trait that subflow controllers implement.
 //!
@@ -23,9 +25,7 @@ pub mod wire;
 
 pub use channel::{LatencyModel, UserCtx, UserProcess};
 pub use family::{
-    attr, cmd, conn_state_from_u8, conn_state_to_u8, decode, decode_tcp_info, encode_ack,
-    encode_command, encode_diag_reply, encode_diag_request, encode_event, encode_info_reply,
-    encode_tcp_info, DiagConn, PmNlCommand, PmNlMessage, CONTROLLER_PID, FAMILY_ID, FAMILY_VERSION,
-    KERNEL_PID,
+    attr, cmd, decode, encode_command, encode_event, encode_reply, DiagConn, PmNlCommand,
+    PmNlMessage, CONTROLLER_PID, FAMILY_ID, FAMILY_VERSION, KERNEL_PID,
 };
 pub use wire::{Attr, AttrIter, Frame, FrameBuilder, GenlMsgHdr, NlError, NlMsgHdr};

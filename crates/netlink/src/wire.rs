@@ -165,6 +165,22 @@ impl FrameBuilder {
         self
     }
 
+    /// Append an attribute of `len` payload bytes that `f` writes in place.
+    pub(crate) fn attr_with(
+        &mut self,
+        ty: u16,
+        len: usize,
+        f: impl FnOnce(&mut BytesMut),
+    ) -> &mut Self {
+        self.attr_hdr(ty, len);
+        self.buf.reserve(len);
+        let start = self.buf.len();
+        f(&mut self.buf);
+        debug_assert_eq!(self.buf.len() - start, len, "attribute {ty} length");
+        self.pad();
+        self
+    }
+
     /// Append a nested attribute built by `f`.
     pub fn attr_nested(&mut self, ty: u16, f: impl FnOnce(&mut FrameBuilder)) -> &mut Self {
         let start = self.buf.len();

@@ -27,8 +27,7 @@ use smapp_mptcp::{
     StackConfig, StackEnv,
 };
 use smapp_netlink::{
-    decode, encode_ack, encode_diag_reply, encode_info_reply, DiagConn, LatencyModel, PmNlCommand,
-    PmNlMessage, UserCtx, UserProcess,
+    decode, encode_reply, DiagConn, LatencyModel, PmNlCommand, PmNlMessage, UserCtx, UserProcess,
 };
 use smapp_sim::{Addr, Ctx, FxHashMap, IfaceId, Node, NodeCommand, Packet, SimRng, SimTime};
 
@@ -350,30 +349,15 @@ impl Host {
 
     /// A frame crossed into the kernel: decode and execute.
     fn kernel_receive(&mut self, ctx: &mut Ctx<'_>, frame: Bytes) {
-        let msg = match decode(&frame) {
-            Ok(m) => m,
-            Err(_) => {
-                self.malformed_commands += 1;
-                return;
-            }
-        };
-        let (seq, cmd) = match msg {
-            PmNlMessage::Command { seq, cmd } => (seq, cmd),
-            PmNlMessage::DiagRequest { seq, token } => {
-                let reply = encode_diag_reply(seq, &self.diag_dump(token));
-                self.schedule_boundary(ctx, reply, D_TO_USER);
-                return;
-            }
-            _ => {
-                self.malformed_commands += 1;
-                return;
-            }
+        let Ok(PmNlMessage::Command { seq, cmd }) = decode(&frame) else {
+            self.malformed_commands += 1;
+            return;
         };
         match cmd {
             PmNlCommand::Subscribe { mask } => {
                 if let Some(nl) = self.pm.as_any_mut().downcast_mut::<NetlinkPm>() {
                     nl.mask = mask;
-                    let ack = encode_ack(seq, 0);
+                    let ack = encode_reply(&PmNlMessage::Ack { seq, errno: 0 });
                     self.schedule_boundary(ctx, ack, D_TO_USER);
                     // Netlink dump semantics: a fresh subscriber learns the
                     // current local addresses immediately (real controllers
@@ -392,34 +376,29 @@ impl Host {
                 }
             }
             PmNlCommand::GetInfo { token, id } => {
-                let reply = self.build_info_reply(seq, token, id);
+                let reply = encode_reply(&self.info_reply(seq, token, id));
                 self.schedule_boundary(ctx, reply, D_TO_USER);
             }
-            other => {
-                let action = other
-                    .to_action()
-                    .expect("remaining commands map to actions");
+            PmNlCommand::Action(action) => {
                 let ok = self.drive(ctx, Work::Action(action));
-                let ack = encode_ack(
-                    seq,
-                    if ok {
-                        0
-                    } else {
-                        2 /* ENOENT */
-                    },
-                );
+                let errno = if ok {
+                    0
+                } else {
+                    2 /* ENOENT */
+                };
+                let ack = encode_reply(&PmNlMessage::Ack { seq, errno });
                 self.schedule_boundary(ctx, ack, D_TO_USER);
             }
         }
     }
 
-    fn build_info_reply(&self, seq: u32, token: ConnToken, id: Option<u8>) -> Bytes {
+    fn info_reply(&self, seq: u32, token: ConnToken, id: Option<u8>) -> PmNlMessage {
         use smapp_mptcp::StackView;
         let ids = match id {
             Some(one) => vec![one],
             None => self.stack.subflow_ids(token),
         };
-        let infos: Vec<(u8, smapp_tcp::TcpInfo)> = ids
+        let subflows = ids
             .into_iter()
             .filter_map(|sid| self.stack.subflow_info(token, sid).map(|i| (sid, i)))
             .collect();
@@ -427,16 +406,20 @@ impl Host {
             .stack
             .conn_info(token)
             .map(|ci| (ci.meta_una, ci.meta_snd_nxt));
-        encode_info_reply(seq, token, conn, &infos)
+        PmNlMessage::InfoReply {
+            seq,
+            token,
+            conn,
+            subflows,
+        }
     }
 
-    /// Sockdiag dump: live state of every connection on this host (or one
-    /// connection by `token`), in creation order. Read-only — safe to call
-    /// mid-run from scenario code without perturbing the trajectory.
-    pub fn diag_dump(&self, token: Option<ConnToken>) -> Vec<DiagConn> {
+    /// Sockdiag dump: live state of every connection on this host, in
+    /// creation order. Read-only — safe to call mid-run from scenario code
+    /// without perturbing the trajectory.
+    pub fn diag_dump(&self) -> Vec<DiagConn> {
         self.stack
             .connections()
-            .filter(|c| token.is_none_or(|t| c.token == t))
             .map(|c| {
                 let info = c.info();
                 let subflows = c
@@ -524,7 +507,8 @@ impl Node for Host {
             // Read-only snapshot: no RNG draws, no sends, no timers.
             let seq = self.diag.probes as u32;
             self.diag.probes += 1;
-            let reply = encode_diag_reply(seq, &self.diag_dump(None));
+            let conns = self.diag_dump();
+            let reply = encode_reply(&PmNlMessage::DiagReply { seq, conns });
             self.diag.replies.push(reply);
         }
     }

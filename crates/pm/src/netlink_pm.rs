@@ -38,11 +38,6 @@ impl NetlinkPm {
         into.clear();
         std::mem::swap(&mut self.outbox, into);
     }
-
-    /// True when frames are pending.
-    pub fn has_pending(&self) -> bool {
-        !self.outbox.is_empty()
-    }
 }
 
 impl PathManagerHook for NetlinkPm {
@@ -93,7 +88,9 @@ mod tests {
         let mut pm = NetlinkPm::new();
         let mut actions = PmActions::new();
         pm.on_event(&PmEvent::ConnClosed { token: 1 }, &NullView, &mut actions);
-        assert!(!pm.has_pending());
+        let mut frames = Vec::new();
+        pm.swap_outbox(&mut frames);
+        assert!(frames.is_empty());
         assert_eq!(pm.suppressed, 1);
     }
 
@@ -108,7 +105,9 @@ mod tests {
         pm.swap_outbox(&mut frames);
         assert_eq!(frames.len(), 1);
         assert_eq!(decode(&frames[0]).unwrap(), PmNlMessage::Event(ev));
-        assert!(!pm.has_pending());
+        let mut again = Vec::new();
+        pm.swap_outbox(&mut again);
+        assert!(again.is_empty());
         assert!(actions.is_empty(), "netlink pm never acts by itself");
     }
 

@@ -192,14 +192,14 @@ impl UserProcess for MiniController {
                 self.seq += 1;
                 ctx.send(encode_command(
                     self.seq,
-                    &PmNlCommand::SubflowCreate {
+                    &PmNlCommand::Action(smapp_mptcp::PmAction::OpenSubflow {
                         token,
                         src: CLIENT_ADDR2,
                         src_port: 0,
                         dst: tuple.dst,
                         dst_port: tuple.dst_port,
                         backup: false,
-                    },
+                    }),
                 ));
             }
             Ok(PmNlMessage::Ack { errno, .. }) => {
