@@ -8,6 +8,7 @@
 //! [`PmClient`] numbers and frames the commands, and remembers which info
 //! query each reply answers.
 
+use smapp_mptcp::{ConnToken, SubflowId};
 use smapp_netlink::{encode_command, PmNlCommand, UserCtx};
 
 /// Sequence numbers and pending queries of one controller's netlink
@@ -16,7 +17,7 @@ use smapp_netlink::{encode_command, PmNlCommand, UserCtx};
 pub struct PmClient {
     seq: u32,
     /// seq -> user tag for outstanding info queries.
-    pub(crate) pending_info: Vec<(u32, u64)>,
+    pending_info: Vec<(u32, u64)>,
     /// Commands sent (diagnostics).
     pub commands_sent: u64,
     /// Frames that failed to parse (diagnostics).
@@ -36,6 +37,24 @@ impl PmClient {
         self.commands_sent += 1;
         ctx.send(encode_command(self.seq, cmd));
         self.seq
+    }
+
+    /// Send a `GetInfo` query and remember `tag` for its reply.
+    pub(crate) fn query(
+        &mut self,
+        ctx: &mut UserCtx<'_>,
+        token: ConnToken,
+        id: Option<SubflowId>,
+        tag: u64,
+    ) {
+        let seq = self.send(ctx, &PmNlCommand::GetInfo { token, id });
+        self.pending_info.push((seq, tag));
+    }
+
+    /// Info queries still waiting for their reply.
+    #[cfg(test)]
+    pub(crate) fn pending_queries(&self) -> usize {
+        self.pending_info.len()
     }
 
     /// The tag of the info query that reply `seq` answers (0 when none is

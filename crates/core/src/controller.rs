@@ -72,10 +72,7 @@ impl ControlApi<'_, '_> {
 
     /// Query state; answered via [`SubflowController::on_info`] with `tag`.
     pub fn get_info(&mut self, token: ConnToken, id: Option<SubflowId>, tag: u64) {
-        let seq = self
-            .client
-            .send(self.ctx, &PmNlCommand::GetInfo { token, id });
-        self.client.pending_info.push((seq, tag));
+        self.client.query(self.ctx, token, id, tag);
     }
 
     /// Announce a local address on a connection.
@@ -375,7 +372,7 @@ mod tests {
         // The kernel echoes the seq of the query (1).
         deliver(&mut rt, &mut rng, &info_reply(1, 9));
         assert_eq!(rt.controller.infos, [(1234, 9, Some((10, 20)))]);
-        assert!(rt.client.pending_info.is_empty());
+        assert_eq!(rt.client.pending_queries(), 0);
     }
 
     /// Two queries outstanding, answered in reverse order: each reply
@@ -395,7 +392,7 @@ mod tests {
         deliver(&mut rt, &mut rng, &info_reply(1, 9));
         let tags: Vec<(u64, ConnToken)> = rt.controller.infos.iter().map(|i| (i.0, i.1)).collect();
         assert_eq!(tags, [(222, 8), (111, 9)]);
-        assert!(rt.client.pending_info.is_empty());
+        assert_eq!(rt.client.pending_queries(), 0);
     }
 
     #[test]

@@ -40,36 +40,37 @@ pub const KERNEL_PID: u32 = 0;
 /// Port id used for the subflow-controller process.
 pub const CONTROLLER_PID: u32 = 1001;
 
-attrs! {
-    TOKEN = 1: "Connection token (u32).",
-    SUBFLOW_ID = 2: "Subflow id (u8).",
-    SADDR = 3: "Source address (u32).",
-    SPORT = 4: "Source port (u16).",
-    DADDR = 5: "Destination address (u32).",
-    DPORT = 6: "Destination port (u16).",
-    BACKUP = 7: "Backup flag (u8).",
-    ERROR = 8: "errno-style error code (u16).",
-    RTO_US = 9: "Retransmission timeout in microseconds (u64).",
-    BACKOFFS = 10: "Consecutive backoffs (u32).",
-    ADDR = 11: "A bare address (u32).",
-    ADDR_ID = 12: "MPTCP address id (u8).",
-    PORT = 13: "A port (u16).",
-    MASK = 14: "Event subscription mask (u32).",
-    IS_CLIENT = 15: "Client-side flag (u8).",
-    INITIATED = 16: "Locally-initiated flag (u8).",
-    RESET = 17: "Reset-vs-graceful flag (u8).",
-    TCP_INFO = 18: "`TcpInfo` blob: a version byte, then fixed-width little-endian fields.",
-    SUBFLOW_NEST = 19: "Nested per-subflow container.",
-    DATA_SND_UNA = 20: "Connection-level first unacknowledged data offset, `snd_una` (u64).",
-    DATA_SND_NXT = 21: "Connection-level next data offset to send (u64).",
-    CONN_NEST = 22: "Nested per-connection container of a diag reply.",
-    CONN_STATE = 23: "Coarse connection state (u8: 1 establishing, 2 established, 3 closed).",
-    FALLBACK = 24: "Plain-TCP fallback inferred flag (u8).",
-    TAP_SENT_BYTES = 25: "Bytes pushed through the send-side stream tap (u64).",
-    TAP_SENT_DIGEST = 26: "Running `StreamTap` digest of the sent stream (u64).",
-    TAP_RECVD_BYTES = 27: "Bytes pushed through the receive-side stream tap (u64).",
-    TAP_RECVD_DIGEST = 28: "Running `StreamTap` digest of the received stream (u64).",
-    REINJECTIONS = 29: "Connection-level reinjections performed (u64).",
+/// Attribute type numbers (the listings name them).
+mod attr {
+    pub const TOKEN: u16 = 1; // connection token (u32)
+    pub const SUBFLOW_ID: u16 = 2; // subflow id (u8)
+    pub const SADDR: u16 = 3; // source address (u32)
+    pub const SPORT: u16 = 4; // source port (u16)
+    pub const DADDR: u16 = 5; // destination address (u32)
+    pub const DPORT: u16 = 6; // destination port (u16)
+    pub const BACKUP: u16 = 7; // backup flag (u8)
+    pub const ERROR: u16 = 8; // errno-style error code (u16)
+    pub const RTO_US: u16 = 9; // retransmission timeout in microseconds (u64)
+    pub const BACKOFFS: u16 = 10; // consecutive backoffs (u32)
+    pub const ADDR: u16 = 11; // a bare address (u32)
+    pub const ADDR_ID: u16 = 12; // MPTCP address id (u8)
+    pub const PORT: u16 = 13; // a port (u16)
+    pub const MASK: u16 = 14; // event subscription mask (u32)
+    pub const IS_CLIENT: u16 = 15; // client-side flag (u8)
+    pub const INITIATED: u16 = 16; // locally-initiated flag (u8)
+    pub const RESET: u16 = 17; // reset-vs-graceful flag (u8)
+    pub const TCP_INFO: u16 = 18; // `TcpInfo` blob: version byte, then fixed-width LE fields
+    pub const SUBFLOW_NEST: u16 = 19; // nested per-subflow container
+    pub const DATA_SND_UNA: u16 = 20; // connection-level `snd_una` data offset (u64)
+    pub const DATA_SND_NXT: u16 = 21; // connection-level `snd_nxt` data offset (u64)
+    pub const CONN_NEST: u16 = 22; // nested per-connection container of a diag reply
+    pub const CONN_STATE: u16 = 23; // connection state (u8: 1 establishing, 2 estab, 3 closed)
+    pub const FALLBACK: u16 = 24; // plain-TCP fallback inferred flag (u8)
+    pub const TAP_SENT_BYTES: u16 = 25; // bytes pushed through the send-side stream tap (u64)
+    pub const TAP_SENT_DIGEST: u16 = 26; // running `StreamTap` digest of the sent stream (u64)
+    pub const TAP_RECVD_BYTES: u16 = 27; // bytes pushed through the receive-side stream tap (u64)
+    pub const TAP_RECVD_DIGEST: u16 = 28; // running `StreamTap` digest of the received stream (u64)
+    pub const REINJECTIONS: u16 = 29; // connection-level reinjections performed (u64)
 }
 
 // The multi-attribute kinds (`FourTuple`, `(u64, u64)`) take consecutive
@@ -268,17 +269,6 @@ pub fn decode(bytes: &[u8]) -> Result<PmNlMessage, NlError> {
     let attrs = attr_map(f.attrs())?;
     PmNlMessage::get_attrs(f.genl.cmd, f.hdr.seq, &attrs)?.ok_or(NlError::UnknownCmd(f.genl.cmd))
 }
-
-/// Defines the `attr` module: each attribute type number with its doc.
-macro_rules! attrs {
-    ($($name:ident = $num:literal: $doc:literal,)*) => {
-        /// Attribute type numbers.
-        pub mod attr {
-            $(#[doc = $doc] pub const $name: u16 = $num;)*
-        }
-    };
-}
-use attrs;
 
 /// An enum of the family: each variant has a command number and a listing.
 trait Listed: Sized {
@@ -1302,14 +1292,16 @@ mod tests {
         }
     }
 
-    /// Two frames of every message kind, drawn from [`kinds`].
+    /// The [`pinned_frames`], whose replies always carry `TCP_INFO` blobs
+    /// and nests, then two frames of every message kind, drawn from
+    /// [`kinds`].
     fn every_frame() -> Vec<Bytes> {
         let mut runner = TestRunner::deterministic();
         let kinds = kinds();
-        (0..2)
+        let drawn = (0..2)
             .flat_map(|_| &kinds)
-            .map(|k| encode_reply(&k.new_tree(&mut runner).unwrap().current()))
-            .collect()
+            .map(|k| encode_reply(&k.new_tree(&mut runner).unwrap().current()));
+        pinned_frames().into_iter().chain(drawn).collect()
     }
 
     /// Rewrite `nlmsghdr.len` to the buffer's length, so that a cut or

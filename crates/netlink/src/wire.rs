@@ -157,21 +157,8 @@ impl FrameBuilder {
         self
     }
 
-    /// Append a raw byte attribute.
-    pub fn attr_bytes(&mut self, ty: u16, v: &[u8]) -> &mut Self {
-        self.attr_hdr(ty, v.len());
-        self.buf.put_slice(v);
-        self.pad();
-        self
-    }
-
     /// Append an attribute of `len` payload bytes that `f` writes in place.
-    pub(crate) fn attr_with(
-        &mut self,
-        ty: u16,
-        len: usize,
-        f: impl FnOnce(&mut BytesMut),
-    ) -> &mut Self {
+    pub fn attr_with(&mut self, ty: u16, len: usize, f: impl FnOnce(&mut BytesMut)) -> &mut Self {
         self.attr_hdr(ty, len);
         self.buf.reserve(len);
         let start = self.buf.len();
@@ -396,7 +383,7 @@ mod tests {
             .attr_u16(2, 0xBEEF)
             .attr_u32(3, 0xDEAD_BEEF)
             .attr_u64(4, 0x0102_0304_0506_0708)
-            .attr_bytes(5, b"hello");
+            .attr_with(5, 5, |b| b.put_slice(b"hello"));
         let bytes = fb.finish();
         assert_eq!(bytes.len() % 4, (bytes.len() % 4)); // header not padded overall
         let f = Frame::parse(&bytes).unwrap();

@@ -415,9 +415,9 @@ impl Host {
     }
 
     /// Sockdiag dump: live state of every connection on this host, in
-    /// creation order. Read-only — safe to call mid-run from scenario code
-    /// without perturbing the trajectory.
-    pub fn diag_dump(&self) -> Vec<DiagConn> {
+    /// creation order. Read-only, so a probe does not perturb the
+    /// trajectory.
+    fn diag_dump(&self) -> Vec<DiagConn> {
         self.stack
             .connections()
             .map(|c| {
