@@ -29,7 +29,11 @@
 //! its connections start on the storage the first world's stacks gave
 //! back, including the connections still open when that world ended.
 //!
-//! All six measurements live in ONE `#[test]` so nothing else in this
+//! The seventh pins the per-thread drive scratch: hosts driven one after
+//! another on one thread grow it once, not once per host, and their lines,
+//! which never queue, allocate no queue ring.
+//!
+//! All seven measurements live in ONE `#[test]` so nothing else in this
 //! binary allocates concurrently while a window is being measured.
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -38,21 +42,22 @@ use smapp_bench::perf::paper_matrix;
 use smapp_bench::scenarios::fig3::{Fig3, Params};
 use smapp_bench::scenarios::{Scenario, REGISTRY};
 use smapp_bench::sweep::Matrix;
+use smapp_mptcp::StackConfig;
+use smapp_pm::Host;
 use smapp_sim::trace::{TraceEvent, TraceKind, TraceSink};
 use smapp_sim::wire::{encode_parts, OptionWriter, TcpFixed, TcpFlags, OPT_KIND_MPTCP};
-use smapp_sim::{Addr, Dir, IfaceId, LinkId, NodeId, Oracle, Packet, SimTime};
+use smapp_sim::{Addr, Dir, IfaceId, LinkCfg, LinkId, NodeId, Oracle, Packet, SimTime, Simulator};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Most heap the `fleet` smoke cell (60 clients, one 32 KiB GET each) may
 /// hold at once, in bytes above what was live when it started. Measured
-/// 2 222 689 at PR 24 — the event queue's fixed tables (66 KiB a world)
-/// included, the flight rings of closed connections no longer; 2 482 013
-/// at PR 20, where the servers' send buffers stopped holding heap copies of
-/// the response block; 4 398 009 at its parent. The ceiling is 1.5x the
-/// first.
-const FLEET_SMOKE_LIVE_CEILING: u64 = 3_340_000;
+/// 1 529 197 once drive scratch was per thread, connection and subflow
+/// storage sized to use, idle lines ringless and flight entries 64 bytes,
+/// against 1 963 777 before — the event queue's fixed tables (66 KiB a
+/// world) included. The ceiling is 1.5x that measurement.
+const FLEET_SMOKE_LIVE_CEILING: u64 = 2_290_000;
 
 /// Most heap blocks one more chained GET of the `fig3` smoke cell may
 /// allocate once two have run: the client's and the server's connection
@@ -299,5 +304,57 @@ fn scenarios_stay_under_committed_alloc_ceilings_and_oracle_is_clean() {
          on its thread ({first} the first), above the committed \
          {FIG2C_SECOND_WORLD_ALLOC_CEILING} — connection storage no longer \
          outlives the world"
+    );
+
+    // ---- Part 7: the drive scratch is the thread's, not each host's. ----
+    // One sender and 40 hosts, each on a line of its own. Each host in turn
+    // gets a stray ACK, 10 ms after the one before, and answers it with a
+    // RST. The first host's turn grows the thread's drive scratch; every
+    // later host is driven for the first time on that same scratch.
+    let (later, rsts) = std::thread::spawn(|| {
+        let mut sim = Simulator::new(1);
+        let cfg = StackConfig::default;
+        let sender = sim.add_node(Box::new(Host::new("sender", cfg())));
+        let ack = TcpFixed {
+            src_port: 80,
+            dst_port: 4000,
+            flags: TcpFlags::ACK,
+            ..TcpFixed::default()
+        };
+        let stray = encode_parts(&ack, &OptionWriter::new(), &[]).unwrap();
+        let mut hosts = Vec::new();
+        for i in 0..40u8 {
+            let host = sim.add_node(Box::new(Host::new(format!("h{i}"), cfg())));
+            let (addr, peer) = (Addr::new(10, 1, i, 1), Addr::new(10, 2, i, 1));
+            let line = sim.add_iface(host, addr, "eth0");
+            let out = sim.add_iface(sender, peer, format!("eth{i}"));
+            sim.connect(line, out, LinkCfg::mbps_ms(100, 1));
+            let seg = stray.clone();
+            let at = SimTime::from_millis(10 * (u64::from(i) + 1));
+            sim.at(at, move |core| {
+                core.send_from(out, Packet::tcp(peer, addr, seg.clone()))
+            });
+            hosts.push(host);
+        }
+        // Every host's start, then the first host's turn.
+        sim.run_until(SimTime::from_millis(15));
+        let before = count_alloc::allocs();
+        sim.run();
+        let later = count_alloc::allocs() - before;
+        let rsts: Vec<u64> = hosts
+            .iter()
+            .map(|&h| sim.node(h).as_any().downcast_ref::<Host>().unwrap())
+            .map(|h| h.stack.rst_sent)
+            .collect();
+        (later, rsts)
+    })
+    .join()
+    .unwrap();
+    assert_eq!(rsts, vec![1; 40], "every host answers its stray ACK");
+    assert_eq!(
+        later, 0,
+        "39 hosts driven for the first time after one other allocated \
+         {later} blocks — drive scratch is kept per host again, or an idle \
+         line allocates a queue ring"
     );
 }

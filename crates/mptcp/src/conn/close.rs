@@ -151,13 +151,9 @@ impl Connection {
                 sf.release_buffers();
             }
         }
-        self.sched_scratch.clear();
-        self.coupling_scratch.clear();
         Spares::give_conn(ConnSpare {
             send: self.meta_send.clear(),
             recv: self.meta_recv.clear(),
-            sched: std::mem::take(&mut self.sched_scratch),
-            coupling: std::mem::take(&mut self.coupling_scratch),
         });
         self.reinject = ReinjectQueue::default();
     }

@@ -155,21 +155,19 @@ enum FallbackCause {
 }
 
 /// The storage a closed connection gives up, emptied: its send buffer and
-/// reassembly rings and its scheduler and coupling scratch. The thread
-/// keeps it for the next connection (see `Spares`).
+/// reassembly rings. The thread keeps it for the next connection (see
+/// `Spares`).
 #[derive(Default)]
 pub(crate) struct ConnSpare {
     send: VecDeque<Bytes>,
     recv: ReassemblyRings,
-    sched: Vec<SchedCandidate>,
-    coupling: Vec<(u64, u64)>,
 }
 
 #[cfg(test)]
 impl ConnSpare {
     /// True when the rings this crate can see into are empty.
     pub(crate) fn holds_nothing(&self) -> bool {
-        self.send.is_empty() && self.sched.is_empty() && self.coupling.is_empty()
+        self.send.is_empty()
     }
 }
 
@@ -221,11 +219,6 @@ pub struct Connection {
     scheduler: Box<dyn Scheduler>,
     reinject: ReinjectQueue,
     peer_window: u64,
-    /// Scratch for [`Connection::pump`]'s candidate list; capacity is
-    /// retained across events so the pump loop does not allocate.
-    sched_scratch: Vec<SchedCandidate>,
-    /// Scratch for [`Connection::update_coupling`]'s per-subflow inputs.
-    coupling_scratch: Vec<(u64, u64)>,
 
     // --- addresses ---
     /// Remote addresses learned from ADD_ADDR: (id, addr, port).
@@ -259,12 +252,7 @@ impl Connection {
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) -> Connection {
-        let ConnSpare {
-            send,
-            recv,
-            sched,
-            coupling,
-        } = Spares::take_conn();
+        let ConnSpare { send, recv } = Spares::take_conn();
         let local_key = env.rng.range_u64(1, u64::MAX);
         let token = token_from_key(local_key);
         events.push(PmEvent::ConnCreated {
@@ -308,12 +296,12 @@ impl Connection {
             meta_recv: smapp_tcp::Reassembly::reusing(0, recv),
             peer_fin_off: None,
             eof_delivered: false,
-            subflows: Vec::new(),
+            // Two slots, where `Vec` would reserve four on the first push:
+            // most connections run two subflows, one per path.
+            subflows: Vec::with_capacity(2),
             scheduler: by_name(cfg.scheduler).expect("unknown scheduler in config"),
             reinject: ReinjectQueue::default(),
             peer_window: 64 * 1024,
-            sched_scratch: sched,
-            coupling_scratch: coupling,
             remote_addrs: Vec::new(),
             initial_remote: (tuple.dst, tuple.dst_port),
         }

@@ -1,7 +1,16 @@
 //! Send side: the transmission pump, retransmission, connection-level
 //! reinjection and the path manager's signalling requests.
 
+use std::cell::Cell;
+
 use super::*;
+
+thread_local! {
+    /// The scheduler's candidate list for one [`Connection::pump`]. One per
+    /// thread, shared by every connection on it: taken at entry and given
+    /// back empty with its capacity, so the pump loop does not allocate.
+    static SCHED_CANDS: Cell<Vec<SchedCandidate>> = Cell::default();
+}
 
 const PSH_ACK: TcpFlags = TcpFlags {
     psh: true,
@@ -71,11 +80,8 @@ impl Connection {
         let payload = self.meta_send.slice(range.off, range.len);
         let sf = &mut self.subflows[id as usize];
         let ssn_off = sf.snd_off;
-        let tag = SegTag {
-            map: Some(range),
-            payload: payload.clone(),
-            data_fin,
-        };
+        debug_assert_eq!(payload.len(), range.len as usize);
+        let tag = SegTag::new(range.off, payload.clone(), data_fin);
         sf.flight.on_send(ssn_off, range.len, env.now, tag);
         sf.snd_off += range.len as u64;
         let need_arm = !sf.rto_armed;
@@ -120,11 +126,11 @@ impl Connection {
         // the trimmed offset would shift the byte stream and write past
         // its end.
         let skip = tag.payload.len() - len as usize;
-        let (payload, map, data_fin) = (tag.payload.slice(skip..), tag.map, tag.data_fin);
-        let mapping = map.map(|m| DssMapping {
-            dsn: self.wire_dsn(m.off + skip as u64),
+        let (payload, map, data_fin) = (tag.payload.slice(skip..), tag.map(), tag.data_fin());
+        let mapping = Some(DssMapping {
+            dsn: self.wire_dsn(map.off + skip as u64),
             ssn: (off as u32).wrapping_add(1),
-            len: (m.len - skip as u32) as u16,
+            len: (map.len - skip as u32) as u16,
         });
         let what = Seg {
             flags: PSH_ACK,
@@ -188,7 +194,7 @@ impl Connection {
             return;
         }
         let flight = &self.subflows[id as usize].flight;
-        for r in flight.iter().filter_map(|s| s.tag.map) {
+        for r in flight.iter().map(|s| s.tag.map()) {
             self.reinject.add(r, self.meta_una);
         }
     }
@@ -224,7 +230,8 @@ impl Connection {
             return;
         }
         let mss = self.cfg.mss as u32;
-        let mut cands = std::mem::take(&mut self.sched_scratch);
+        // Taken, not borrowed: a nested pump would get an empty list.
+        let mut cands = SCHED_CANDS.take();
         loop {
             self.fill_sched_candidates(&mut cands);
             if cands.is_empty() {
@@ -310,7 +317,8 @@ impl Connection {
             }
             break;
         }
-        self.sched_scratch = cands;
+        cands.clear();
+        SCHED_CANDS.set(cands);
         self.update_coupling();
         self.maybe_close_subflows(env);
     }
@@ -320,29 +328,24 @@ impl Connection {
         if self.cfg.cc != CcAlgo::Lia {
             return;
         }
-        let mut inputs = std::mem::take(&mut self.coupling_scratch);
-        inputs.clear();
-        inputs.extend(
-            self.subflows
-                .iter()
-                .filter(|s| s.state == SfState::Established)
-                .map(|s| {
-                    (
-                        s.cc.cwnd(),
-                        s.rtt.srtt().map_or(100_000, |d| d.as_micros() as u64),
-                    )
-                }),
-        );
-        if inputs.len() >= 2 {
-            let alpha = lia_alpha(&inputs);
-            let total: u64 = inputs.iter().map(|(c, _)| c).sum();
-            for s in &mut self.subflows {
-                if s.state == SfState::Established {
-                    s.cc.set_coupling(alpha, total);
-                }
+        let inputs = self
+            .subflows
+            .iter()
+            .filter(|s| s.state == SfState::Established)
+            .map(|s| {
+                let rtt = s.rtt.srtt().map_or(100_000, |d| d.as_micros() as u64);
+                (s.cc.cwnd(), rtt)
+            });
+        if inputs.clone().nth(1).is_none() {
+            return; // fewer than two: nothing to couple
+        }
+        let alpha = lia_alpha(inputs.clone());
+        let total: u64 = inputs.map(|(c, _)| c).sum();
+        for s in &mut self.subflows {
+            if s.state == SfState::Established {
+                s.cc.set_coupling(alpha, total);
             }
         }
-        self.coupling_scratch = inputs;
     }
 
     fn best_live_subflow(&self) -> Option<SubflowId> {

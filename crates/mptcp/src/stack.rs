@@ -219,14 +219,22 @@ impl HostStack {
             dst,
             dst_port,
         };
-        let idx = self.conns.len();
         let events = &mut self.events;
-        let conn = Connection::client(idx, &self.cfg, tuple, app, env, events);
-        let token = conn.token;
+        let conn = Connection::client(self.conns.len(), &self.cfg, tuple, app, env, events);
+        Some(self.add_conn(tuple, conn))
+    }
+
+    /// Enter a new connection in the demux tables and a slot. Slots start
+    /// at one, not `Vec`'s four: most hosts hold one connection.
+    fn add_conn(&mut self, tuple: FourTuple, conn: Connection) -> ConnToken {
+        if self.conns.capacity() == 0 {
+            self.conns.reserve_exact(1);
+        }
+        let (idx, token) = (self.conns.len(), conn.token);
         self.flows.insert(tuple, (idx, 0));
         self.by_token.insert(token, idx);
         self.conns.push(Some(conn));
-        Some(token)
+        token
     }
 
     fn alloc_port(&mut self, env: &mut StackEnv<'_>, addr: Addr) -> Option<u16> {
@@ -304,10 +312,8 @@ impl HostStack {
                     env,
                     &mut self.events,
                 );
-                self.flows.insert(tuple, (idx, 0));
-                self.by_token.insert(conn.token, idx);
                 self.used_ports.insert((tuple.src, tuple.src_port));
-                self.conns.push(Some(conn));
+                self.add_conn(tuple, conn);
                 return;
             }
             self.send_rst(env, &tuple, &seg);

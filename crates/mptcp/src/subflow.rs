@@ -52,15 +52,38 @@ impl MetaRange {
 /// exact segment for retransmission and to reinject its meta range
 /// elsewhere. Subflow-level retransmission must not depend on the meta send
 /// buffer (the data may already be data-acked via another subflow), so the
-/// payload bytes ride along (cheap: `Bytes` is reference-counted).
+/// payload bytes ride along (cheap: `Bytes` is reference-counted). The
+/// mapping's length is the payload's, and the DATA_FIN flag rides in the
+/// top bit of its offset, so a flight entry fits in 64 bytes.
 #[derive(Clone, Debug)]
 pub struct SegTag {
-    /// Meta range this segment's payload maps to (None for a bare FIN).
-    pub map: Option<MetaRange>,
+    /// Meta offset of the payload's first byte, or'd with `DATA_FIN`.
+    meta: u64,
     /// The payload bytes as originally sent.
     pub payload: Bytes,
-    /// Whether this segment carried a DATA_FIN signal.
-    pub data_fin: bool,
+}
+
+impl SegTag {
+    /// Set in `meta` when the segment carried a DATA_FIN signal.
+    const DATA_FIN: u64 = 1 << 63;
+
+    /// The tag of `payload`, sent at meta offset `off`.
+    pub(crate) fn new(off: u64, payload: Bytes, data_fin: bool) -> Self {
+        debug_assert!(off < Self::DATA_FIN, "meta offset overflow");
+        let meta = off | u64::from(data_fin) << 63;
+        SegTag { meta, payload }
+    }
+
+    /// The meta range the payload maps to.
+    pub(crate) fn map(&self) -> MetaRange {
+        let (off, len) = (self.meta & !Self::DATA_FIN, self.payload.len() as u32);
+        MetaRange { off, len }
+    }
+
+    /// Whether the segment carried a DATA_FIN signal.
+    pub(crate) fn data_fin(&self) -> bool {
+        self.meta & Self::DATA_FIN != 0
+    }
 }
 
 /// Mapping from subflow stream offsets to meta stream offsets, learned from
@@ -516,6 +539,18 @@ mod tests {
     }
 
     #[test]
+    fn a_flight_entry_fits_in_64_bytes() {
+        assert!(std::mem::size_of::<SentSeg<SegTag>>() <= 64);
+        let tag = SegTag::new(1 << 40, Bytes::from_static(b"abc"), true);
+        let map = MetaRange {
+            off: 1 << 40,
+            len: 3,
+        };
+        assert_eq!((tag.map(), tag.data_fin()), (map, true));
+        assert!(!SegTag::new(7, Bytes::new(), false).data_fin());
+    }
+
+    #[test]
     fn cwnd_space_and_data_eligibility() {
         let mut s = mk(0, 0);
         assert_eq!(s.cwnd_space(), 14_000);
@@ -524,11 +559,7 @@ mod tests {
             0,
             14_000,
             SimTime::ZERO,
-            SegTag {
-                map: None,
-                payload: Bytes::new(),
-                data_fin: false,
-            },
+            SegTag::new(0, Bytes::new(), false),
         );
         assert_eq!(s.cwnd_space(), 0);
         s.fin_wanted = true;

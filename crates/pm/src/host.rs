@@ -18,6 +18,7 @@
 //! frames cross the user/kernel boundary with sampled latency — the cost
 //! Fig. 3 measures.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -29,7 +30,7 @@ use smapp_mptcp::{
 use smapp_netlink::{
     decode, encode_reply, DiagConn, LatencyModel, PmNlCommand, PmNlMessage, UserCtx, UserProcess,
 };
-use smapp_sim::{Addr, Ctx, FxHashMap, IfaceId, Node, NodeCommand, Packet, SimRng, SimTime};
+use smapp_sim::{Addr, Ctx, FxHashMap, IfaceId, Node, NodeCommand, Packet, SimTime};
 
 use crate::netlink_pm::NetlinkPm;
 
@@ -60,8 +61,11 @@ type ScheduledConnect = (SimTime, Option<Addr>, Addr, u16, Option<Box<dyn App>>)
 
 /// Reusable buffers for [`Host::drive`] and the netlink boundary, so the
 /// per-event hot path does not re-allocate its scratch vectors for every
-/// packet/timer/callback (they are taken at entry and put back, empty and
-/// with their capacity, on exit).
+/// packet/timer/callback. One set per thread, shared by every host on it:
+/// a callback takes it at entry and gives it back on exit, emptied and
+/// with its capacity, so between callbacks it is empty and its capacity
+/// is the most any callback on the thread needed. Capacity is not
+/// observable, so sharing moves no trajectory.
 #[derive(Default)]
 struct DriveScratch {
     work: VecDeque<Work>,
@@ -79,6 +83,12 @@ struct DriveScratch {
     /// [`UserCtx::timers`].
     to_kernel: Vec<Bytes>,
     user_timers: Vec<(Duration, u64)>,
+}
+
+thread_local! {
+    /// The thread's set. Callbacks do not nest, so it is always there when
+    /// one takes it (a nested take would get an empty set of its own).
+    static SCRATCH: Cell<DriveScratch> = Cell::default();
 }
 
 /// Record of sockdiag probes taken mid-run, filled by scripted
@@ -105,11 +115,9 @@ pub struct Host {
     pub user: Option<Box<dyn UserProcess>>,
     /// Boundary latency applied per netlink crossing.
     pub latency: LatencyModel,
-    addr_iface: FxHashMap<Addr, IfaceId>,
     pending: FxHashMap<u64, Bytes>,
     next_pending: u64,
     connects: Vec<ScheduledConnect>,
-    scratch: DriveScratch,
     /// Netlink frames that failed to decode at the kernel (diagnostics).
     pub malformed_commands: u64,
     /// Sockdiag snapshots taken by scripted `Probe` commands.
@@ -126,11 +134,9 @@ impl Host {
             pm: Box::new(smapp_mptcp::NoopPm),
             user: None,
             latency: LatencyModel::Zero,
-            addr_iface: FxHashMap::default(),
             pending: FxHashMap::default(),
             next_pending: 0,
             connects: Vec::new(),
-            scratch: DriveScratch::default(),
             malformed_commands: 0,
             diag: DiagLog::default(),
         }
@@ -174,23 +180,15 @@ impl Host {
     }
 
     /// Run one work item through the stack, then the kernel-PM loop.
-    /// Outputs are *appended* to the buffers handed in (which become the
+    /// Outputs are *appended* to the scratch buffers (which become the
     /// stack env's), preserving emission order across batched work items.
-    fn run_stack(
-        &mut self,
-        rng: &mut SimRng,
-        now: SimTime,
-        work: Work,
-        packets: &mut Vec<OutPacket>,
-        timers: &mut Vec<(Duration, u64)>,
-        connects: &mut Vec<smapp_mptcp::ConnectRequest>,
-    ) -> (bool, bool) {
+    fn run_stack(&mut self, ctx: &mut Ctx<'_>, work: Work, s: &mut DriveScratch) -> (bool, bool) {
         let mut env = StackEnv {
-            now,
-            rng,
-            out: std::mem::take(packets),
-            timers: std::mem::take(timers),
-            connects: std::mem::take(connects),
+            now: ctx.now(),
+            rng: ctx.rng(),
+            out: std::mem::take(&mut s.packets),
+            timers: std::mem::take(&mut s.timers),
+            connects: std::mem::take(&mut s.connects),
             stop: false,
         };
         let mut action_ok = true;
@@ -212,20 +210,20 @@ impl Host {
         }
         // Kernel path-manager loop: events -> actions -> (more events) ...
         for _ in 0..8 {
-            self.stack.swap_events(&mut self.scratch.events);
-            if self.scratch.events.is_empty() {
+            self.stack.swap_events(&mut s.events);
+            if s.events.is_empty() {
                 break;
             }
-            for ev in &self.scratch.events {
-                self.pm.on_event(ev, &self.stack, &mut self.scratch.actions);
+            for ev in &s.events {
+                self.pm.on_event(ev, &self.stack, &mut s.actions);
             }
-            for a in self.scratch.actions.drain() {
+            for a in s.actions.drain() {
                 self.stack.apply_action(&mut env, &a);
             }
         }
-        *packets = env.out;
-        *timers = env.timers;
-        *connects = env.connects;
+        s.packets = env.out;
+        s.timers = env.timers;
+        s.connects = env.connects;
         (env.stop, action_ok)
     }
 
@@ -233,38 +231,28 @@ impl Host {
     /// then flush packets/timers into the simulator and drain the netlink
     /// outbox toward userspace.
     fn drive(&mut self, ctx: &mut Ctx<'_>, work: Work) -> bool {
-        let now = ctx.now();
-        let mut queue = std::mem::take(&mut self.scratch.work);
-        let mut packets = std::mem::take(&mut self.scratch.packets);
-        let mut timers = std::mem::take(&mut self.scratch.timers);
-        let mut connects = std::mem::take(&mut self.scratch.connects);
-        queue.push_back(work);
-        let mut stop = false;
-        let mut first_action_ok = true;
-        let mut first = true;
-        while let Some(w) = queue.pop_front() {
-            let (s, action_ok) =
-                self.run_stack(ctx.rng(), now, w, &mut packets, &mut timers, &mut connects);
-            if first {
-                first_action_ok = action_ok;
-                first = false;
-            }
-            stop |= s;
-            for c in connects.drain(..) {
-                queue.push_back(Work::Connect {
+        let mut s = SCRATCH.take();
+        let (mut stop, first_action_ok) = self.run_stack(ctx, work, &mut s);
+        loop {
+            for c in s.connects.drain(..) {
+                s.work.push_back(Work::Connect {
                     src: c.src,
                     dst: c.dst,
                     dst_port: c.dst_port,
                     app: c.app,
                 });
             }
+            let Some(w) = s.work.pop_front() else {
+                break;
+            };
+            stop |= self.run_stack(ctx, w, &mut s).0;
         }
-        for p in packets.drain(..) {
-            if let Some(&iface) = self.addr_iface.get(&p.src) {
+        for p in s.packets.drain(..) {
+            if let Some(iface) = ctx.my_iface_by_addr(p.src) {
                 ctx.send(iface, Packet::tcp(p.src, p.dst, p.seg));
             }
         }
-        for (d, t) in timers.drain(..) {
+        for (d, t) in s.timers.drain(..) {
             // A timer the stack restarts on every arm (RTO, DATA_FIN) is
             // re-armed through the handle it keeps, in place when later.
             match self.stack.timer_handle_mut(t) {
@@ -279,32 +267,29 @@ impl Host {
                 }
             }
         }
-        self.scratch.work = queue;
-        self.scratch.packets = packets;
-        self.scratch.timers = timers;
-        self.scratch.connects = connects;
         if stop {
             ctx.stop();
         }
-        self.flush_netlink_outbox(ctx);
+        self.flush_netlink_outbox(ctx, &mut s.to_user);
+        // A run of eight path-manager rounds may leave its last events.
+        s.events.clear();
+        SCRATCH.set(s);
         first_action_ok
     }
 
     /// Move frames queued by the NetlinkPm across the boundary (adds one
     /// latency sample each).
-    fn flush_netlink_outbox(&mut self, ctx: &mut Ctx<'_>) {
+    fn flush_netlink_outbox(&mut self, ctx: &mut Ctx<'_>, frames: &mut Vec<Bytes>) {
         if self.user.is_none() {
             return;
         }
         let Some(nl) = self.pm.as_any_mut().downcast_mut::<NetlinkPm>() else {
             return;
         };
-        let mut frames = std::mem::take(&mut self.scratch.to_user);
-        nl.swap_outbox(&mut frames);
+        nl.swap_outbox(frames);
         for f in frames.drain(..) {
             self.schedule_boundary(ctx, f, D_TO_USER);
         }
-        self.scratch.to_user = frames;
     }
 
     fn schedule_boundary(&mut self, ctx: &mut Ctx<'_>, frame: Bytes, domain: u64) {
@@ -325,26 +310,24 @@ impl Host {
             return;
         };
         let now = ctx.now();
-        let (mut to_kernel, mut timers) = {
-            // Every callback starts on empty vectors, the host's own.
-            let mut uctx = UserCtx {
-                now,
-                rng: ctx.rng(),
-                to_kernel: std::mem::take(&mut self.scratch.to_kernel),
-                timers: std::mem::take(&mut self.scratch.user_timers),
-            };
-            f(user.as_mut(), &mut uctx);
-            (uctx.to_kernel, uctx.timers)
+        let mut s = SCRATCH.take();
+        // Every callback starts on empty vectors, the thread's own.
+        let mut uctx = UserCtx {
+            now,
+            rng: ctx.rng(),
+            to_kernel: std::mem::take(&mut s.to_kernel),
+            timers: std::mem::take(&mut s.user_timers),
         };
-        for frame in to_kernel.drain(..) {
+        f(user.as_mut(), &mut uctx);
+        (s.to_kernel, s.user_timers) = (uctx.to_kernel, uctx.timers);
+        for frame in s.to_kernel.drain(..) {
             self.schedule_boundary(ctx, frame, D_TO_KERNEL);
         }
-        for (d, tok) in timers.drain(..) {
+        for (d, tok) in s.user_timers.drain(..) {
             debug_assert!(tok <= PAYLOAD, "user timer token too large");
             ctx.set_timer_after(d, D_USER_TIMER | (tok & PAYLOAD));
         }
-        self.scratch.to_kernel = to_kernel;
-        self.scratch.user_timers = timers;
+        SCRATCH.set(s);
     }
 
     /// A frame crossed into the kernel: decode and execute.
@@ -446,8 +429,7 @@ impl Host {
 impl Node for Host {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         // Wire up interfaces.
-        for (id, iface) in ctx.my_ifaces() {
-            self.addr_iface.insert(iface.addr, id);
+        for (_, iface) in ctx.my_ifaces() {
             self.stack.set_local_addr(iface.addr, iface.up);
         }
         // Give the controller a chance to subscribe.
@@ -515,7 +497,6 @@ impl Node for Host {
 
     fn on_iface_admin(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, up: bool) {
         let addr = ctx.iface(iface).addr;
-        self.addr_iface.insert(addr, iface);
         self.drive(ctx, Work::LocalAddr(addr, up));
     }
 

@@ -203,7 +203,8 @@ pub struct LinkDirState {
     pub cfg: LinkCfg,
     /// Queued packets awaiting serialization.
     pub queue: VecDeque<Packet>,
-    /// Whether the serializer is currently transmitting a packet.
+    /// Whether the serializer is currently transmitting a packet. Only a
+    /// busy line has packets queued.
     pub busy: bool,
     /// Cumulative counters for reporting.
     pub stats: LinkDirStats,
@@ -212,7 +213,7 @@ pub struct LinkDirState {
 /// Counters kept per link direction.
 #[derive(Debug, Default, Clone)]
 pub struct LinkDirStats {
-    /// Packets accepted into the queue.
+    /// Packets admitted: queued, or put straight on an idle serializer.
     pub enqueued: u64,
     /// Packets fully delivered to the far end.
     pub delivered: u64,
@@ -242,38 +243,36 @@ impl LinkDirState {
         }
     }
 
-    /// True when the drop-tail queue can accept another packet. The
-    /// admission policy lives in this module: callers that need to act
-    /// between the check and the push (e.g. trace the packet before moving
-    /// it) pair this with [`LinkDirState::admit`] /
+    /// Free slots in the drop-tail queue: how many more packets it takes
+    /// now. The admission policy lives in this module: callers that need
+    /// to act between the check and the push (e.g. trace the packet before
+    /// moving it) pair this with [`LinkDirState::admit`] /
     /// [`LinkDirState::count_queue_drop`].
-    pub fn has_room(&self) -> bool {
-        self.queue.len() < self.cfg.queue_pkts
+    pub fn room(&self) -> usize {
+        self.cfg.queue_pkts.saturating_sub(self.queue.len())
     }
 
-    /// Record a drop-tail rejection (call when [`LinkDirState::has_room`]
-    /// said no).
+    /// Record a drop-tail rejection (call when [`LinkDirState::room`] was
+    /// 0).
     pub fn count_queue_drop(&mut self) {
         self.stats.dropped_queue += 1;
     }
 
-    /// Accept a packet the caller already checked room for.
-    pub fn admit(&mut self, pkt: Packet) {
-        debug_assert!(self.has_room(), "admit() without has_room()");
+    /// Accept a packet the caller already checked room for. A busy line
+    /// queues it at the tail. An idle line has nothing queued: it is
+    /// marked busy and hands the packet back to start serializing at once,
+    /// so it never passes through the ring, and a line that never queues
+    /// never allocates one. Either way it counts as enqueued.
+    pub fn admit(&mut self, pkt: Packet) -> Option<Packet> {
+        debug_assert!(self.room() > 0, "admit() without room()");
         self.stats.enqueued += 1;
-        self.queue.push_back(pkt);
-    }
-
-    /// Try to accept a packet into the queue. Returns false (and counts the
-    /// drop) when the queue is full.
-    pub fn enqueue(&mut self, pkt: Packet) -> bool {
-        if self.has_room() {
-            self.admit(pkt);
-            true
-        } else {
-            self.count_queue_drop();
-            false
+        if self.busy {
+            self.queue.push_back(pkt);
+            return None;
         }
+        debug_assert!(self.queue.is_empty(), "an idle line has nothing queued");
+        self.busy = true;
+        Some(pkt)
     }
 }
 
@@ -309,10 +308,16 @@ mod tests {
     #[test]
     fn queue_drop_tail() {
         let mut d = LinkDirState::new(LinkCfg::mbps_ms(10, 5).queue(2));
-        assert!(d.enqueue(pkt()));
-        assert!(d.enqueue(pkt()));
-        assert!(!d.enqueue(pkt()));
-        assert_eq!(d.stats.enqueued, 2);
+        assert_eq!(d.room(), 2);
+        // The first packet of an idle line goes to the serializer, not the
+        // queue.
+        assert!(d.admit(pkt()).is_some());
+        assert!(d.busy && d.queue.capacity() == 0);
+        assert!(d.admit(pkt()).is_none());
+        assert!(d.admit(pkt()).is_none());
+        assert_eq!(d.room(), 0);
+        d.count_queue_drop();
+        assert_eq!(d.stats.enqueued, 3);
         assert_eq!(d.stats.dropped_queue, 1);
         assert_eq!(d.queue.len(), 2);
     }

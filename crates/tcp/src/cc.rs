@@ -300,20 +300,20 @@ impl CongestionControl for Cc {
 /// ```
 ///
 /// Subflows with no RTT estimate yet should be passed with a conservative
-/// RTT guess rather than omitted.
-pub fn lia_alpha(subflows: &[(u64, u64)]) -> u64 {
-    if subflows.is_empty() {
-        return ALPHA_SCALE;
-    }
-    let total: f64 = subflows.iter().map(|(c, _)| *c as f64).sum();
+/// RTT guess rather than omitted. The pairs are walked three times, so a
+/// caller can pass them as a lazy iterator instead of collecting them.
+pub fn lia_alpha<I>(subflows: I) -> u64
+where
+    I: IntoIterator<Item = (u64, u64)>,
+    I::IntoIter: Clone,
+{
+    let subflows = subflows.into_iter();
+    let total: f64 = subflows.clone().map(|(c, _)| c as f64).sum();
     let max_term = subflows
-        .iter()
-        .map(|&(c, rtt)| c as f64 / ((rtt.max(1) as f64) * (rtt.max(1) as f64)))
+        .clone()
+        .map(|(c, rtt)| c as f64 / ((rtt.max(1) as f64) * (rtt.max(1) as f64)))
         .fold(0.0f64, f64::max);
-    let sum_term: f64 = subflows
-        .iter()
-        .map(|&(c, rtt)| c as f64 / rtt.max(1) as f64)
-        .sum();
+    let sum_term: f64 = subflows.map(|(c, rtt)| c as f64 / rtt.max(1) as f64).sum();
     if sum_term <= 0.0 || total <= 0.0 {
         return ALPHA_SCALE;
     }
@@ -450,14 +450,14 @@ mod tests {
 
     #[test]
     fn alpha_single_flow_is_one() {
-        let a = lia_alpha(&[(100_000, 50_000)]);
+        let a = lia_alpha([(100_000, 50_000)]);
         let ratio = a as f64 / ALPHA_SCALE as f64;
         assert!((0.99..1.01).contains(&ratio), "alpha={ratio}");
     }
 
     #[test]
     fn alpha_two_equal_flows_is_half() {
-        let a = lia_alpha(&[(100_000, 50_000), (100_000, 50_000)]);
+        let a = lia_alpha([(100_000, 50_000), (100_000, 50_000)]);
         let ratio = a as f64 / ALPHA_SCALE as f64;
         assert!((0.49..0.51).contains(&ratio), "alpha={ratio}");
     }
@@ -466,15 +466,15 @@ mod tests {
     fn alpha_favors_short_rtt_flow() {
         // A short-RTT subflow dominates max(cwnd/rtt^2); alpha reflects
         // the aggressiveness needed to match a single TCP on the best path.
-        let short = lia_alpha(&[(100_000, 10_000), (100_000, 100_000)]);
-        let long = lia_alpha(&[(100_000, 100_000), (100_000, 100_000)]);
+        let short = lia_alpha([(100_000, 10_000), (100_000, 100_000)]);
+        let long = lia_alpha([(100_000, 100_000), (100_000, 100_000)]);
         assert!(short > long);
     }
 
     #[test]
     fn alpha_empty_and_degenerate() {
-        assert_eq!(lia_alpha(&[]), ALPHA_SCALE);
-        assert!(lia_alpha(&[(1000, 0)]) > 0);
-        assert_eq!(lia_alpha(&[(0, 1000)]), ALPHA_SCALE);
+        assert_eq!(lia_alpha([]), ALPHA_SCALE);
+        assert!(lia_alpha([(1000, 0)]) > 0);
+        assert_eq!(lia_alpha([(0, 1000)]), ALPHA_SCALE);
     }
 }
