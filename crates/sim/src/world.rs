@@ -588,11 +588,10 @@ impl SimCore {
     /// Count and trace a drop-tail rejection of `pkt`.
     fn queue_full(&mut self, link: LinkId, dir: Dir, pkt: &Packet) {
         self.links[link.0].dir_mut(dir).count_queue_drop();
-        let reason = DropReason::QueueFull;
         self.trace_event(
             TraceKind::Drop {
                 link: Some(link),
-                reason,
+                reason: DropReason::QueueFull,
             },
             pkt,
         );
