@@ -35,7 +35,7 @@ impl ControlApi<'_, '_> {
 
     /// Have the kernel path manager act; a rejection comes back through
     /// [`SubflowController::on_command_failed`].
-    fn act(&mut self, action: PmAction) {
+    pub fn act(&mut self, action: PmAction) {
         self.client.send(self.ctx, &PmNlCommand::Action(action));
     }
 
@@ -65,23 +65,9 @@ impl ControlApi<'_, '_> {
         self.act(PmAction::CloseSubflow { token, id, reset });
     }
 
-    /// Change a subflow's backup priority.
-    pub fn set_backup(&mut self, token: ConnToken, id: SubflowId, backup: bool) {
-        self.act(PmAction::SetBackup { token, id, backup });
-    }
-
     /// Query state; answered via [`SubflowController::on_info`] with `tag`.
     pub fn get_info(&mut self, token: ConnToken, id: Option<SubflowId>, tag: u64) {
         self.client.query(self.ctx, token, id, tag);
-    }
-
-    /// Announce a local address on a connection.
-    pub fn announce_addr(&mut self, token: ConnToken, addr_id: u8, addr: Addr) {
-        self.act(PmAction::AnnounceAddr {
-            token,
-            addr_id,
-            addr,
-        });
     }
 
     /// Arm a controller timer.
@@ -128,8 +114,6 @@ pub trait SubflowController: Send {
     fn on_command_failed(&mut self, api: &mut ControlApi<'_, '_>, errno: u16) {
         let _ = (api, errno);
     }
-    /// Name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Adapts a [`SubflowController`] to the netlink [`UserProcess`] boundary.
@@ -262,9 +246,6 @@ mod tests {
         }
         fn on_command_failed(&mut self, _api: &mut ControlApi<'_, '_>, errno: u16) {
             self.failed.push(errno);
-        }
-        fn name(&self) -> &'static str {
-            "probe"
         }
     }
 

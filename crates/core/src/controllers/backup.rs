@@ -156,8 +156,4 @@ impl SubflowController for BackupController {
             _ => {}
         }
     }
-
-    fn name(&self) -> &'static str {
-        "smart-backup"
-    }
 }

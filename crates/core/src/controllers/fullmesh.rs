@@ -27,12 +27,17 @@
 //! let user_process = ControllerRuntime::boxed(ctl);
 //! # let _ = (dflt, user_process);
 //! ```
+//!
+//! The mesh itself is the kernel's [`FullMeshPm`] under [`InUserspace`];
+//! this module adds only the re-establishment layer.
 
 use std::time::Duration;
 
-use smapp_mptcp::{ConnToken, PmEvent, SubflowError};
-use smapp_sim::{Addr, FxHashMap, FxHashSet};
+use smapp_mptcp::{ConnToken, FourTuple, PmEvent, SubflowError};
+use smapp_pm::FullMeshPm;
+use smapp_sim::FxHashMap;
 
+use super::InUserspace;
 use crate::controller::{ControlApi, SubflowController};
 
 /// Re-establishment backoffs per error class.
@@ -58,41 +63,16 @@ impl Default for FullMeshConfig {
     }
 }
 
-#[derive(Debug, Default)]
-struct ConnRec {
-    /// Creation rank: interface events walk the connections in this order,
-    /// so the open commands they send — each making the kernel draw a port
-    /// and an ISS from the world RNG — come out the same in every process.
-    seq: u64,
-    is_client: bool,
-    /// Remote addresses (initial + ADD_ADDR), with ports.
-    remotes: Vec<(Addr, u16)>,
-    /// (src, dst) pairs believed to have a subflow (or one in progress).
-    pairs: FxHashSet<(Addr, Addr)>,
-}
-
-/// A pending re-establishment attempt.
-#[derive(Debug, Clone)]
-struct Retry {
-    token: ConnToken,
-    src: Addr,
-    dst: Addr,
-    dst_port: u16,
-}
-
-/// The §4.1 controller.
+/// The §4.1 controller: the kernel [`FullMeshPm`] run in userspace, plus
+/// the re-establishment of failed subflows.
 #[derive(Debug, Default)]
 pub struct FullMeshController {
     cfg: FullMeshConfig,
-    conns: FxHashMap<ConnToken, ConnRec>,
-    conns_created: u64,
-    /// Local addresses currently up, in arrival order (learned from
-    /// `new_local_addr` / `del_local_addr`; the kernel dumps existing
-    /// addresses at subscription time).
-    locals: Vec<Addr>,
-    retries: Vec<Retry>,
-    /// Subflows opened (diagnostics).
-    pub subflows_opened: u64,
+    mesh: InUserspace<FullMeshPm>,
+    /// The failed subflows whose retry timer has not fired, by timer
+    /// token.
+    retries: FxHashMap<u64, (ConnToken, FourTuple)>,
+    next_retry: u64,
     /// Re-establishment attempts made (diagnostics).
     pub reestablishments: u64,
 }
@@ -122,129 +102,41 @@ impl FullMeshController {
             SubflowError::None | SubflowError::PmRequested => None,
         }
     }
-
-    fn mesh(&mut self, api: &mut ControlApi<'_, '_>, token: ConnToken) {
-        let Some(rec) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if !rec.is_client {
-            return;
-        }
-        for &local in &self.locals {
-            for &(remote, port) in &rec.remotes {
-                if rec.pairs.insert((local, remote)) {
-                    self.subflows_opened += 1;
-                    api.open_subflow(token, local, 0, remote, port, false);
-                }
-            }
-        }
-    }
 }
 
 impl SubflowController for FullMeshController {
+    fn subscription(&self) -> u32 {
+        self.mesh.subscription()
+    }
+
     fn on_event(&mut self, api: &mut ControlApi<'_, '_>, ev: &PmEvent) {
-        match ev {
-            PmEvent::ConnCreated {
-                token,
-                tuple,
-                is_client,
-                ..
-            } => {
-                let seq = self.conns_created;
-                self.conns_created += 1;
-                let rec = self.conns.entry(*token).or_insert_with(|| ConnRec {
-                    seq,
-                    ..Default::default()
-                });
-                rec.is_client = *is_client;
-                rec.remotes.push((tuple.dst, tuple.dst_port));
-                rec.pairs.insert((tuple.src, tuple.dst));
+        self.mesh.on_event(api, ev);
+        if let PmEvent::SubflowClosed {
+            token,
+            tuple,
+            error,
+            ..
+        } = *ev
+        {
+            if let Some(delay) = self.retry_delay(error) {
+                self.retries.insert(self.next_retry, (token, tuple));
+                api.set_timer(delay, self.next_retry);
+                self.next_retry += 1;
             }
-            PmEvent::ConnEstablished { token, .. } => self.mesh(api, *token),
-            PmEvent::ConnClosed { token } => {
-                self.conns.remove(token);
-            }
-            PmEvent::SubflowEstablished { token, tuple, .. } => {
-                if let Some(rec) = self.conns.get_mut(token) {
-                    rec.pairs.insert((tuple.src, tuple.dst));
-                }
-            }
-            PmEvent::SubflowClosed {
-                token,
-                tuple,
-                error,
-                ..
-            } => {
-                let Some(rec) = self.conns.get_mut(token) else {
-                    return;
-                };
-                rec.pairs.remove(&(tuple.src, tuple.dst));
-                if let Some(delay) = self.retry_delay(*error) {
-                    let idx = self.retries.len() as u64;
-                    self.retries.push(Retry {
-                        token: *token,
-                        src: tuple.src,
-                        dst: tuple.dst,
-                        dst_port: tuple.dst_port,
-                    });
-                    api.set_timer(delay, idx);
-                }
-            }
-            PmEvent::AddAddrReceived {
-                token, addr, port, ..
-            } => {
-                if let Some(rec) = self.conns.get_mut(token) {
-                    let port =
-                        port.unwrap_or_else(|| rec.remotes.first().map(|(_, p)| *p).unwrap_or(0));
-                    if !rec.remotes.iter().any(|(a, _)| a == addr) {
-                        rec.remotes.push((*addr, port));
-                    }
-                }
-                self.mesh(api, *token);
-            }
-            PmEvent::RemAddrReceived { .. } => {
-                // Subflows to the removed address will fail and not be
-                // retried once the remote list is updated; conservative.
-            }
-            PmEvent::LocalAddrUp { addr } => {
-                if !self.locals.contains(addr) {
-                    self.locals.push(*addr);
-                }
-                let mut tokens: Vec<(u64, ConnToken)> =
-                    self.conns.iter().map(|(t, rec)| (rec.seq, *t)).collect();
-                tokens.sort_unstable();
-                for (_, t) in tokens {
-                    self.mesh(api, t);
-                }
-            }
-            PmEvent::LocalAddrDown { addr } => {
-                self.locals.retain(|l| l != addr);
-                for rec in self.conns.values_mut() {
-                    rec.pairs.retain(|(l, _)| l != addr);
-                }
-            }
-            PmEvent::RtoExpired { .. } => {}
         }
     }
 
     fn on_timer(&mut self, api: &mut ControlApi<'_, '_>, token: u64) {
-        let Some(r) = self.retries.get(token as usize).cloned() else {
+        let Some((conn, tuple)) = self.retries.remove(&token) else {
             return;
         };
-        let Some(rec) = self.conns.get_mut(&r.token) else {
-            return; // connection is gone
-        };
-        if !self.locals.contains(&r.src) {
-            return; // interface still down; new_local_addr will re-mesh
-        }
-        if rec.pairs.insert((r.src, r.dst)) {
+        // The connection may be gone, an address down or withdrawn, or the
+        // mesh may have re-opened the pair itself.
+        let InUserspace { policy, view, .. } = &mut self.mesh;
+        if policy.claim(conn, tuple.src, tuple.dst, view) {
             self.reestablishments += 1;
-            api.open_subflow(r.token, r.src, 0, r.dst, r.dst_port, false);
+            api.open_subflow(conn, tuple.src, 0, tuple.dst, tuple.dst_port, false);
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "fullmesh-user"
     }
 }
 
@@ -252,9 +144,9 @@ impl SubflowController for FullMeshController {
 mod tests {
     use super::*;
     use crate::ControllerRuntime;
-    use smapp_mptcp::{FourTuple, PmAction};
+    use smapp_mptcp::PmAction;
     use smapp_netlink::{decode, encode_event, PmNlCommand, PmNlMessage, UserCtx, UserProcess};
-    use smapp_sim::{SimRng, SimTime};
+    use smapp_sim::{Addr, SimRng, SimTime};
 
     #[test]
     fn mesh_commands_follow_connection_creation_and_address_arrival_order() {
@@ -295,5 +187,75 @@ mod tests {
         let expect: Vec<_> = CREATED.iter().flat_map(|&t| [(t, l2), (t, l3)]).collect();
         assert_eq!(commands(), expect);
         assert_eq!(commands(), expect);
+    }
+
+    /// Every failed subflow takes one entry in the retry table, and its
+    /// timer gives it back, whether it re-opens the subflow or finds the
+    /// connection gone.
+    #[test]
+    fn retry_table_is_empty_once_the_timers_have_fired() {
+        let [l1, l2, r1] = [1, 2, 9].map(|n| Addr::new(10, 0, n, 1));
+        let subflow = |token, src| FourTuple {
+            src,
+            src_port: 40_000 + token as u16,
+            dst: r1,
+            dst_port: 80,
+        };
+        let mut rng = SimRng::seed_from_u64(1);
+        let mut ctx = UserCtx::new(SimTime::ZERO, &mut rng);
+        let mut rt = ControllerRuntime::new(FullMeshController::new());
+        let mut feed = |ctx: &mut UserCtx<'_>, ev: PmEvent| rt.on_message(ctx, encode_event(&ev));
+        for addr in [l1, l2] {
+            feed(&mut ctx, PmEvent::LocalAddrUp { addr });
+        }
+        for token in [1, 2] {
+            let tuple = subflow(token, l1);
+            let (initial_subflow, is_client) = (0, true);
+            feed(
+                &mut ctx,
+                PmEvent::ConnCreated {
+                    token,
+                    tuple,
+                    initial_subflow,
+                    is_client,
+                },
+            );
+            feed(
+                &mut ctx,
+                PmEvent::ConnEstablished {
+                    token,
+                    tuple,
+                    is_client,
+                },
+            );
+            // The join from l2 fails.
+            let (tuple, error) = (subflow(token, l2), SubflowError::Reset);
+            feed(
+                &mut ctx,
+                PmEvent::SubflowClosed {
+                    token,
+                    id: 1,
+                    tuple,
+                    error,
+                },
+            );
+        }
+        feed(&mut ctx, PmEvent::ConnClosed { token: 2 });
+        assert_eq!(rt.controller.retries.len(), 2);
+        let timers: Vec<u64> = ctx.timers.drain(..).map(|(_, t)| t).collect();
+        ctx.to_kernel.clear();
+        for t in timers {
+            rt.on_timer(&mut ctx, t);
+        }
+        assert!(rt.controller.retries.is_empty());
+        assert_eq!(rt.controller.reestablishments, 1, "connection 2 is gone");
+        let reopened = decode(&ctx.to_kernel[0]).unwrap();
+        assert!(matches!(
+            reopened,
+            PmNlMessage::Command {
+                cmd: PmNlCommand::Action(PmAction::OpenSubflow { token: 1, src, .. }),
+                ..
+            } if src == l2
+        ));
     }
 }

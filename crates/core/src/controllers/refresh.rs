@@ -158,8 +158,4 @@ impl SubflowController for RefreshController {
         api.open_subflow(token, rec.src, 0, rec.dst, rec.dst_port, false);
         self.refreshes.push((api.now(), victim, rate));
     }
-
-    fn name(&self) -> &'static str {
-        "refresh"
-    }
 }

@@ -85,8 +85,4 @@ impl SubflowController for ServerLimitController {
             _ => {}
         }
     }
-
-    fn name(&self) -> &'static str {
-        "server-limit"
-    }
 }

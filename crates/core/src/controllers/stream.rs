@@ -241,8 +241,4 @@ impl SubflowController for StreamController {
             self.interventions.push(now);
         }
     }
-
-    fn name(&self) -> &'static str {
-        "smart-stream"
-    }
 }

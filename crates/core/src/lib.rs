@@ -16,6 +16,11 @@
 //! * [`controllers`] — the §4 use cases: userspace full-mesh with
 //!   re-establishment, break-before-make backup, smart streaming, and the
 //!   ECMP refresh controller.
+//! * [`InUserspace`] — runs a kernel path manager from `smapp-pm`
+//!   unchanged as a controller, so a policy is written once: the §4.5
+//!   [`NdiffportsController`] is the kernel ndiffports behind netlink,
+//!   and [`FullMeshController`] is the kernel full mesh plus §4.1's
+//!   re-establishment.
 //!
 //! Everything below the netlink boundary lives in the sibling crates:
 //! `smapp-mptcp` (the MPTCP engine), `smapp-pm` (kernel path managers and
@@ -58,9 +63,9 @@ pub mod controllers;
 pub use client::PmClient;
 pub use controller::{controller_of, ControlApi, ControllerRuntime, SubflowController};
 pub use controllers::{
-    BackupConfig, BackupController, FullMeshConfig, FullMeshController, NdiffportsController,
-    RefreshConfig, RefreshController, ServerLimitConfig, ServerLimitController, StreamConfig,
-    StreamController,
+    BackupConfig, BackupController, FullMeshConfig, FullMeshController, InUserspace,
+    NdiffportsController, RefreshConfig, RefreshController, ServerLimitConfig,
+    ServerLimitController, StreamConfig, StreamController,
 };
 
 /// Convenient glob import for examples and experiments.
@@ -68,9 +73,9 @@ pub mod prelude {
     pub use crate::client::PmClient;
     pub use crate::controller::{controller_of, ControlApi, ControllerRuntime, SubflowController};
     pub use crate::controllers::{
-        BackupConfig, BackupController, FullMeshConfig, FullMeshController, NdiffportsController,
-        RefreshConfig, RefreshController, ServerLimitConfig, ServerLimitController, StreamConfig,
-        StreamController,
+        BackupConfig, BackupController, FullMeshConfig, FullMeshController, InUserspace,
+        NdiffportsController, RefreshConfig, RefreshController, ServerLimitConfig,
+        ServerLimitController, StreamConfig, StreamController,
     };
     pub use smapp_mptcp::{ConnToken, PmEvent, StackConfig, SubflowError, SubflowId};
     pub use smapp_netlink::{DiagConn, LatencyModel};

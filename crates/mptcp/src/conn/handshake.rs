@@ -52,28 +52,30 @@ impl Connection {
     }
 
     /// Open an additional subflow via `MP_JOIN`. Fails (returns `None`)
-    /// when the connection is not established or the remote key is unknown.
+    /// when the connection is not established, the remote key is unknown
+    /// or every subflow id is taken.
     pub(crate) fn open_subflow(
         &mut self,
         env: &mut StackEnv<'_>,
         tuple: FourTuple,
         backup: bool,
     ) -> Option<SubflowId> {
-        if self.state != ConnState::Established || self.remote_token.is_none() {
+        if self.state != ConnState::Established || self.remote_token.is_none() || self.ids_full() {
             return None;
         }
         Some(self.start_subflow(tuple, backup, None, env))
     }
 
     /// Accept an `MP_JOIN` SYN for this connection; emits the SYN/ACK.
-    /// Refused (`None`) in fallback: there are no keys to authenticate with.
+    /// Refused (`None`) in fallback, where there are no keys to
+    /// authenticate with, and once every subflow id is taken.
     pub(crate) fn accept_join_syn(
         &mut self,
         env: &mut StackEnv<'_>,
         tuple: FourTuple,
         syn: &TcpView<'_>,
     ) -> Option<SubflowId> {
-        if self.is_fallback() {
+        if self.is_fallback() || self.ids_full() {
             return None;
         }
         let (backup, nonce_remote) = syn.mptcp_opts().find_map(|o| match MpOption::decode(o) {
@@ -103,6 +105,13 @@ impl Connection {
             }
             None => self.fall_back(FallbackCause::Handshake),
         }
+    }
+
+    /// True when the connection holds a subflow for every [`SubflowId`]:
+    /// ids are indices into `subflows` and never reused, so one more would
+    /// wrap onto id 0.
+    fn ids_full(&self) -> bool {
+        self.subflows.len() > SubflowId::MAX as usize
     }
 
     /// Add a subflow and start its handshake: answer `peer`'s SYN (with

@@ -21,7 +21,7 @@ pub type ConnToken = u32;
 pub type SubflowId = u8;
 
 /// The four-tuple of a subflow.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct FourTuple {
     /// Local address.
     pub src: Addr,

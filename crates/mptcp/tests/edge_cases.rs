@@ -307,3 +307,65 @@ fn open_subflow_from_down_iface_refused() {
         },
     ));
 }
+
+/// Opening from `A2` toward `B1:80` on `token`.
+fn open_from_a2(token: u32) -> PmAction {
+    PmAction::OpenSubflow {
+        token,
+        src: A2,
+        src_port: 0,
+        dst: B1,
+        dst_port: 80,
+        backup: false,
+    }
+}
+
+/// A connection numbers its subflows with a `u8` and never reuses one, so
+/// once all 256 ids are taken a path-manager open is refused instead of
+/// wrapping onto id 0.
+#[test]
+fn open_subflow_refused_once_every_id_is_taken() {
+    let mut h = harness_with(10, StackConfig::default(), StackConfig::default());
+    let token = h.connect(Side::A, 80, Box::new(NullApp)).unwrap();
+    h.run_until(SimTime::from_millis(100));
+    for _ in 1..256 {
+        assert!(h.apply(Side::A, &open_from_a2(token)));
+    }
+    assert!(!h.apply(Side::A, &open_from_a2(token)));
+    let conn = h.a.conn_by_token(token).unwrap();
+    assert_eq!(conn.subflow_count(), 256);
+    assert_eq!(conn.subflow(255).unwrap().id, 255);
+}
+
+/// The peer can ask for a 257th subflow from the wire: an `MP_JOIN` SYN
+/// carrying the connection's token reaches a connection whose 256 ids are
+/// taken. It is refused with a RST, and no subflow is added.
+#[test]
+fn join_syn_refused_once_every_id_is_taken() {
+    let mut h = harness_with(11, StackConfig::default(), StackConfig::default());
+    let token = h.connect(Side::A, 80, Box::new(NullApp)).unwrap();
+    h.run_until(SimTime::from_millis(100));
+    // The server fills its ids with joins of its own whose SYNs are lost,
+    // so only its side holds them.
+    let server_token = h.b.connections().next().unwrap().token;
+    h.loss_b2a = 1.0;
+    for _ in 1..256 {
+        let open = PmAction::OpenSubflow {
+            token: server_token,
+            src: B1,
+            src_port: 0,
+            dst: A1,
+            dst_port: 80,
+            backup: false,
+        };
+        assert!(h.apply(Side::B, &open));
+    }
+    let rst_before = h.b.rst_sent;
+    assert!(h.apply(Side::A, &open_from_a2(token)));
+    h.run_until(h.now() + Duration::from_millis(15));
+    assert_eq!(h.b.rst_sent, rst_before + 1, "the join is refused");
+    assert_eq!(
+        h.b.conn_by_token(server_token).unwrap().subflow_count(),
+        256
+    );
+}

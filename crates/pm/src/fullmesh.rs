@@ -66,6 +66,16 @@ impl FullMeshPm {
         }
     }
 
+    /// Take the pair `(src, dst)` of client connection `token` for a
+    /// subflow about to be re-opened, if the mesh would open it: both
+    /// addresses are in `view` and no subflow holds the pair.
+    pub fn claim(&mut self, token: ConnToken, src: Addr, dst: Addr, view: &dyn StackView) -> bool {
+        let known = view.local_addrs().contains(&src)
+            && view.remote_addrs(token).iter().any(|&(_, a, _)| a == dst);
+        let rec = self.conns.get_mut(&token).filter(|rec| rec.is_client);
+        known && rec.is_some_and(|rec| rec.pairs.insert((src, dst)))
+    }
+
     /// Server side: announce local addresses the peer cannot see.
     fn announce(&mut self, token: ConnToken, view: &dyn StackView, actions: &mut PmActions) {
         let Some(rec) = self.conns.get_mut(&token) else {

@@ -2,7 +2,7 @@
 //!
 //! The path-manager layer of the SMAPP reproduction:
 //!
-//! * [`fullmesh`] / [`ndiffports`] — the two in-kernel strategies that
+//! * [`FullMeshPm`] / [`NdiffportsPm`] — the two in-kernel strategies that
 //!   shipped with the Linux MPTCP kernel, used as baselines throughout the
 //!   paper's evaluation;
 //! * [`netlink_pm`] — the paper's contribution on the kernel side: a path
@@ -18,9 +18,9 @@
 
 #![warn(missing_docs)]
 
-pub mod fullmesh;
+mod fullmesh;
 pub mod host;
-pub mod ndiffports;
+mod ndiffports;
 pub mod netlink_pm;
 pub mod topo;
 pub mod verify;

@@ -80,10 +80,6 @@ impl SubflowController for LatencyCeiling {
             api.open_subflow(token, src, 0, dst, dst_port, false);
         }
     }
-
-    fn name(&self) -> &'static str {
-        "latency-ceiling"
-    }
 }
 
 fn main() {
