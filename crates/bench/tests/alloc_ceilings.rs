@@ -33,20 +33,31 @@
 //! another on one thread grow it once, not once per host, and their lines,
 //! which never queue, allocate no queue ring.
 //!
-//! All seven measurements live in ONE `#[test]` so nothing else in this
+//! The eighth pins the control path: a controller's round trip (timer,
+//! `GET_INFO` down, the reply up, `on_info`, a command down and its ack)
+//! allocates nothing once one has run.
+//!
+//! All eight measurements live in ONE `#[test]` so nothing else in this
 //! binary allocates concurrently while a window is being measured.
 
+use std::time::Duration;
+
 use bytes::{BufMut, Bytes, BytesMut};
+use smapp::{controller_of, ControlApi, ControllerRuntime, SubflowController};
 use smapp_bench::count_alloc::{self, CountingAlloc};
 use smapp_bench::perf::paper_matrix;
 use smapp_bench::scenarios::fig3::{Fig3, Params};
 use smapp_bench::scenarios::{Scenario, REGISTRY};
 use smapp_bench::sweep::Matrix;
-use smapp_mptcp::StackConfig;
+use smapp_mptcp::apps::{BulkSender, Sink};
+use smapp_mptcp::{ConnToken, PmAction, PmEvent, StackConfig, SubflowId};
+use smapp_netlink::LatencyModel;
+use smapp_pm::topo::{self, CLIENT_ADDR2, SERVER_ADDR};
 use smapp_pm::Host;
 use smapp_sim::trace::{TraceEvent, TraceKind, TraceSink};
 use smapp_sim::wire::{encode_parts, OptionWriter, TcpFixed, TcpFlags, OPT_KIND_MPTCP};
 use smapp_sim::{Addr, Dir, IfaceId, LinkCfg, LinkId, NodeId, Oracle, Packet, SimTime, Simulator};
+use smapp_tcp::TcpInfo;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -126,6 +137,50 @@ fn record_clean_hop(oracle: &mut Oracle, pkt: &Packet, t_us: u64) {
             kind,
             pkt,
         });
+    }
+}
+
+/// Opens a second subflow once its connection is established, then every
+/// 10 ms queries both and answers each reply with a command: the second
+/// subflow stays a regular one.
+#[derive(Default)]
+struct Poller {
+    token: Option<ConnToken>,
+    /// Replies seen, and `(connection-level info present, subflows)` of
+    /// the last one.
+    replies: u64,
+    last: (bool, usize),
+}
+
+impl SubflowController for Poller {
+    fn on_event(&mut self, api: &mut ControlApi<'_, '_>, ev: &PmEvent) {
+        if let PmEvent::ConnEstablished {
+            token,
+            tuple,
+            is_client: true,
+        } = *ev
+        {
+            api.open_subflow(token, CLIENT_ADDR2, 0, tuple.dst, tuple.dst_port, false);
+            self.token = Some(token);
+            api.set_timer(Duration::from_millis(10), 0);
+        }
+    }
+    fn on_timer(&mut self, api: &mut ControlApi<'_, '_>, _: u64) {
+        api.get_info(self.token.unwrap(), None, 0);
+        api.set_timer(Duration::from_millis(10), 0);
+    }
+    fn on_info(
+        &mut self,
+        api: &mut ControlApi<'_, '_>,
+        _: u64,
+        token: ConnToken,
+        conn: Option<(u64, u64)>,
+        subflows: &[(SubflowId, TcpInfo)],
+    ) {
+        self.replies += 1;
+        self.last = (conn.is_some(), subflows.len());
+        let (id, backup) = (1, false);
+        api.act(PmAction::SetBackup { token, id, backup });
     }
 }
 
@@ -356,5 +411,56 @@ fn scenarios_stay_under_committed_alloc_ceilings_and_oracle_is_clean() {
         "39 hosts driven for the first time after one other allocated \
          {later} blocks — drive scratch is kept per host again, or an idle \
          line allocates a queue ring"
+    );
+
+    // ---- Part 8: a warm controller round trip allocates nothing. ----
+    // A two-subflow connection whose 20 kB transfer is over by 1 s, its
+    // controller polling every 10 ms behind sampled netlink latency; the
+    // third simulated second holds 100 round trips and nothing else. (The
+    // second would hold one allocation: the simulator's timer free list
+    // growing once, at 1.023 s, not the control path.)
+    let (replies, last, allocs) = std::thread::spawn(|| {
+        let ctl = ControllerRuntime::boxed(Poller::default());
+        let mut client =
+            Host::new("client", StackConfig::default()).with_user(ctl, LatencyModel::idle_host());
+        let app = BulkSender::new(20_000);
+        client.connect_at(
+            SimTime::from_millis(10),
+            None,
+            SERVER_ADDR,
+            80,
+            Box::new(app),
+        );
+        let mut server = Host::new("server", StackConfig::default());
+        server.listen(80, Box::new(|| Box::new(Sink::default())));
+        let path = LinkCfg::mbps_ms(5, 10);
+        let net = topo::two_path(1, client, server, path.clone(), path);
+        let mut sim = net.sim;
+        let poller = |sim: &Simulator| {
+            let host = topo::host(sim, net.client);
+            let p = controller_of::<Poller>(host).unwrap();
+            (p.replies, p.last)
+        };
+        sim.run_until(SimTime::from_secs(2));
+        let (warm, _) = poller(&sim);
+        let before = count_alloc::allocs();
+        sim.run_until(SimTime::from_secs(3));
+        let allocs = count_alloc::allocs() - before;
+        let (replies, last) = poller(&sim);
+        assert!(warm > 0, "the controller polled before the window");
+        (replies - warm, last, allocs)
+    })
+    .join()
+    .unwrap();
+    assert_eq!(
+        (replies, last),
+        (100, (true, 2)),
+        "100 replies in the window, each with the connection and both subflows"
+    );
+    assert_eq!(
+        allocs, 0,
+        "100 warm controller round trips (timer, GET_INFO, reply, on_info, \
+         command, ack) allocated {allocs} blocks — the control path \
+         allocates again"
     );
 }

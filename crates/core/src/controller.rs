@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use smapp_mptcp::{ConnToken, PmAction, PmEvent, SubflowId, EVENT_MASK_ALL};
-use smapp_netlink::{decode, PmNlCommand, PmNlMessage, UserCtx, UserProcess};
+use smapp_netlink::{cmd, decode_into, Frame, PmNlCommand, PmNlMessage, UserCtx, UserProcess};
 use smapp_sim::{Addr, SimRng, SimTime};
 use smapp_tcp::TcpInfo;
 
@@ -122,6 +122,10 @@ pub struct ControllerRuntime<C> {
     pub client: PmClient,
     /// The controller logic.
     pub controller: C,
+    /// The last info reply from the kernel. The next is read into it, and
+    /// so into its subflow vector; other frames hold no vector and are
+    /// read into a message of their own, which would drop it.
+    reply: PmNlMessage,
 }
 
 impl<C: SubflowController> ControllerRuntime<C> {
@@ -130,6 +134,7 @@ impl<C: SubflowController> ControllerRuntime<C> {
         ControllerRuntime {
             client: PmClient::new(),
             controller,
+            reply: PmNlMessage::Ack { seq: 0, errno: 0 },
         }
     }
 
@@ -157,26 +162,31 @@ impl<C: SubflowController + 'static> UserProcess for ControllerRuntime<C> {
     /// acks are swallowed; frames that are not kernel → user messages
     /// count as parse errors.
     fn on_message(&mut self, ctx: &mut UserCtx<'_>, frame: Bytes) {
-        let msg = decode(&frame);
+        let mut other = PmNlMessage::Ack { seq: 0, errno: 0 };
+        let target = match Frame::parse(&frame) {
+            Ok(f) if f.genl.cmd == cmd::REPLY_INFO => &mut self.reply,
+            _ => &mut other,
+        };
+        let msg = decode_into(&frame, target).map(|()| &*target);
         let mut api = ControlApi {
             client: &mut self.client,
             ctx,
         };
         match msg {
-            Ok(PmNlMessage::Event(ev)) => self.controller.on_event(&mut api, &ev),
+            Ok(PmNlMessage::Event(ev)) => self.controller.on_event(&mut api, ev),
             Ok(PmNlMessage::InfoReply {
                 seq,
                 token,
                 conn,
                 subflows,
             }) => {
-                let tag = api.client.take_tag(seq);
+                let tag = api.client.take_tag(*seq);
                 self.controller
-                    .on_info(&mut api, tag, token, conn, &subflows);
+                    .on_info(&mut api, tag, *token, *conn, subflows);
             }
             Ok(PmNlMessage::Ack { errno: 0, .. }) => {}
             Ok(PmNlMessage::Ack { errno, .. }) => {
-                self.controller.on_command_failed(&mut api, errno)
+                self.controller.on_command_failed(&mut api, *errno)
             }
             Ok(PmNlMessage::Command { .. } | PmNlMessage::DiagReply { .. }) | Err(_) => {
                 api.client.parse_errors += 1;
@@ -209,8 +219,7 @@ pub fn controller_of<C: SubflowController + 'static>(host: &smapp_pm::Host) -> O
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smapp_netlink::encode_event;
-    use smapp_netlink::encode_reply;
+    use smapp_netlink::{decode, encode_event, encode_reply};
 
     /// `(tag, token, conn)` of one info reply.
     type Info = (u64, ConnToken, Option<(u64, u64)>);

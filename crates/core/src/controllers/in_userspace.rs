@@ -12,11 +12,10 @@
 //! netlink crossings (event up, command down) before the `MP_JOIN` SYN.
 
 use smapp_mptcp::{
-    ConnToken, FourTuple, PathManagerHook, PmActions, PmEvent, StackView, SubflowId, EVENT_MASK_ALL,
+    ConnToken, FourTuple, PathManagerHook, PmActions, PmEvent, StackView, EVENT_MASK_ALL,
 };
 use smapp_pm::{FullMeshPm, NdiffportsPm};
 use smapp_sim::{Addr, FxHashMap};
-use smapp_tcp::TcpInfo;
 
 use crate::controller::{ControlApi, SubflowController};
 
@@ -139,15 +138,6 @@ impl EventView {
 }
 
 impl StackView for EventView {
-    /// Unknown: subflow state takes a `GET_INFO` round trip, which a
-    /// kernel policy cannot wait for.
-    fn subflow_info(&self, _: ConnToken, _: SubflowId) -> Option<TcpInfo> {
-        None
-    }
-    /// Unknown, as [`Self::subflow_info`].
-    fn subflow_ids(&self, _: ConnToken) -> Vec<SubflowId> {
-        Vec::new()
-    }
     fn local_addrs(&self) -> Vec<Addr> {
         let up = self.locals.iter().filter(|(_, up)| *up);
         up.map(|&(a, _)| a).collect()

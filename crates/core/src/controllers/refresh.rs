@@ -139,19 +139,19 @@ impl SubflowController for RefreshController {
             return;
         };
         // Judge only subflows that are established and have an RTT sample
-        // (pacing_rate 0 means "too young to have carried anything").
-        let judged: Vec<(SubflowId, u64)> = subflows
-            .iter()
-            .filter(|(_, i)| i.state == TcpStateInfo::Established && i.pacing_rate > 0)
-            .map(|(id, i)| (*id, i.pacing_rate))
-            .collect();
-        if judged.len() < self.cfg.min_established {
-            return;
+        // (pacing_rate 0 means "too young to have carried anything"): count
+        // them, and find the slowest, the lowest id among equals.
+        let (mut judged, mut slowest) = (0, None);
+        for (id, i) in subflows {
+            if i.state == TcpStateInfo::Established && i.pacing_rate > 0 {
+                judged += 1;
+                let key = (i.pacing_rate, *id);
+                slowest = Some(slowest.map_or(key, |s: (u64, SubflowId)| s.min(key)));
+            }
         }
-        let &(victim, rate) = judged
-            .iter()
-            .min_by_key(|(id, rate)| (*rate, *id))
-            .expect("non-empty");
+        let Some((rate, victim)) = slowest.filter(|_| judged >= self.cfg.min_established) else {
+            return;
+        };
         // Remove the slowest …
         api.close_subflow(token, victim, true);
         // … and immediately create a replacement with a fresh random port.

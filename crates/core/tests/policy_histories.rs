@@ -24,7 +24,6 @@ use smapp_mptcp::{
 use smapp_netlink::{decode, encode_event, PmNlCommand, PmNlMessage, UserCtx, UserProcess};
 use smapp_pm::{FullMeshPm, NdiffportsPm};
 use smapp_sim::{Addr, SimRng, SimTime};
-use smapp_tcp::TcpInfo;
 
 const LOCALS: [Addr; 3] = [
     Addr::new(10, 0, 1, 1),
@@ -101,12 +100,6 @@ impl RefStack {
 }
 
 impl StackView for RefStack {
-    fn subflow_info(&self, _: ConnToken, _: SubflowId) -> Option<TcpInfo> {
-        None
-    }
-    fn subflow_ids(&self, _: ConnToken) -> Vec<SubflowId> {
-        Vec::new()
-    }
     fn local_addrs(&self) -> Vec<Addr> {
         let up = self.locals.iter().filter(|l| l.1);
         up.map(|l| l.0).collect()

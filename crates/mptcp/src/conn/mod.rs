@@ -56,9 +56,10 @@ pub enum Role {
 }
 
 /// Coarse connection state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ConnState {
     /// Initial handshake in progress.
+    #[default]
     Establishing,
     /// Data may flow.
     Established,
@@ -112,8 +113,6 @@ pub struct ConnInfo {
     pub token: ConnToken,
     /// Coarse state.
     pub state: ConnState,
-    /// Live subflow ids.
-    pub subflows: Vec<SubflowId>,
     /// First un-data-acked meta offset (the paper's `snd_una` signal used
     /// by the smart-streaming controller).
     pub meta_una: u64,
@@ -336,13 +335,14 @@ impl Connection {
     // Accessors
     // ------------------------------------------------------------------
 
+    /// The subflows currently alive (not closed), in id order.
+    pub fn live_subflows(&self) -> impl Iterator<Item = &Subflow> {
+        self.subflows.iter().filter(|s| s.state != SfState::Closed)
+    }
+
     /// Subflow ids currently alive (not closed).
     pub fn live_subflow_ids(&self) -> Vec<SubflowId> {
-        self.subflows
-            .iter()
-            .filter(|s| s.state != SfState::Closed)
-            .map(|s| s.id)
-            .collect()
+        self.live_subflows().map(|s| s.id).collect()
     }
 
     /// Total subflows ever created on this connection (live and closed) —
@@ -371,7 +371,6 @@ impl Connection {
         ConnInfo {
             token: self.token,
             state: self.state,
-            subflows: self.live_subflow_ids(),
             meta_una: self.meta_una,
             meta_snd_nxt: self.meta_snd_nxt,
             bytes_received: self.stats.bytes_received,

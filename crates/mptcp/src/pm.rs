@@ -11,7 +11,6 @@
 use std::time::Duration;
 
 use smapp_sim::Addr;
-use smapp_tcp::TcpInfo;
 
 /// Identifies a connection toward path managers: the local token
 /// (RFC 6824 §3.1), as the paper's netlink PM does.
@@ -45,9 +44,10 @@ impl std::fmt::Display for FourTuple {
 
 /// Why a subflow was closed — the errno-style codes the paper attaches to
 /// `sub_closed` events so controllers can react per error class.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SubflowError {
     /// Normal FIN close.
+    #[default]
     None,
     /// Excessive retransmission timeouts (`ETIMEDOUT`).
     Timeout,
@@ -317,10 +317,6 @@ impl PmActions {
 /// Read-only view of stack state offered to path managers during event
 /// handling (the in-kernel PMs can inspect any control block, as in Linux).
 pub trait StackView {
-    /// `TCP_INFO`-style snapshot of one subflow.
-    fn subflow_info(&self, token: ConnToken, id: SubflowId) -> Option<TcpInfo>;
-    /// Ids of the live (not closed) subflows of a connection.
-    fn subflow_ids(&self, token: ConnToken) -> Vec<SubflowId>;
     /// Local addresses currently usable (interfaces that are up).
     fn local_addrs(&self) -> Vec<Addr>;
     /// Remote addresses known for a connection (initial + ADD_ADDR learned),

@@ -9,11 +9,11 @@
 use std::cell::RefCell;
 
 use smapp_sim::{Addr, FxHashMap, FxHashSet, IcmpMsg, Packet, TimerHandle, PROTO_ICMP, PROTO_TCP};
-use smapp_tcp::{OptionWriter, SeqNum, TcpFixed, TcpFlags, TcpInfo, TcpView};
+use smapp_tcp::{OptionWriter, SeqNum, TcpFixed, TcpFlags, TcpView};
 
 use crate::app::App;
 use crate::config::StackConfig;
-use crate::conn::{ConnInfo, ConnSpare, ConnState, Connection};
+use crate::conn::{ConnSpare, ConnState, Connection};
 use crate::env::StackEnv;
 use crate::options::MpOption;
 use crate::pm::{ConnToken, FourTuple, PmAction, PmEvent, StackView, SubflowError, SubflowId};
@@ -556,11 +556,6 @@ impl HostStack {
     pub fn connections(&self) -> impl Iterator<Item = &Connection> {
         self.conns.iter().flatten()
     }
-
-    /// Connection-level info.
-    pub fn conn_info(&self, token: ConnToken) -> Option<ConnInfo> {
-        self.conn_by_token(token).map(|c| c.info())
-    }
 }
 
 impl Drop for HostStack {
@@ -576,14 +571,6 @@ impl Drop for HostStack {
 }
 
 impl StackView for HostStack {
-    fn subflow_info(&self, token: ConnToken, id: SubflowId) -> Option<TcpInfo> {
-        self.conn_by_token(token)?.subflow_info(id)
-    }
-    fn subflow_ids(&self, token: ConnToken) -> Vec<SubflowId> {
-        self.conn_by_token(token)
-            .map(|c| c.live_subflow_ids())
-            .unwrap_or_default()
-    }
     fn local_addrs(&self) -> Vec<Addr> {
         self.local_addrs_up()
     }
@@ -713,7 +700,7 @@ mod tests {
     /// Live subflows and connections on both of `h`'s stacks.
     fn live(h: &Harness) -> (usize, usize) {
         let conns = || h.a.connections().chain(h.b.connections());
-        let subflows = conns().map(|c| c.live_subflow_ids().len()).sum();
+        let subflows = conns().map(|c| c.live_subflows().count()).sum();
         let open = conns().filter(|c| c.state != ConnState::Closed).count();
         (subflows, open)
     }

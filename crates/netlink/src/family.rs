@@ -15,7 +15,10 @@
 //! Each message is listed once, in wire order: its command number and one
 //! `field: ATTRIBUTE` pair per field (the `listing!` invocations below).
 //! Encoding and decoding are both generated from that listing; the private
-//! `Field` trait knows how each kind of field rides in attributes.
+//! `Field` trait knows how each kind of field rides in attributes. The one
+//! reader reads in place ([`decode_into`]), so a message kept between
+//! frames keeps the capacity of its vectors; [`decode`] reads into a fresh
+//! message.
 
 use std::marker::PhantomData;
 use std::time::Duration;
@@ -148,7 +151,7 @@ pub enum PmNlMessage {
 /// One connection's worth of live state in a [`PmNlMessage::DiagReply`] —
 /// the simulation's `ss`/sockdiag equivalent. Everything here is read
 /// straight off the running stack without perturbing it.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct DiagConn {
     /// Connection token.
     pub token: ConnToken,
@@ -265,9 +268,19 @@ pub fn encode_reply(m: &PmNlMessage) -> Bytes {
 
 /// Decode any frame of the family.
 pub fn decode(bytes: &[u8]) -> Result<PmNlMessage, NlError> {
+    let mut m = PmNlMessage::Ack { seq: 0, errno: 0 };
+    decode_into(bytes, &mut m).map(|()| m)
+}
+
+/// Decode any frame of the family into `m`: afterwards `m` equals what
+/// [`decode`] returns. A frame of the kind `m` holds reuses the capacity
+/// of its vectors, so a reply read into the previous reply of its kind
+/// allocates nothing. On an error `m` holds some message of the family.
+pub fn decode_into(bytes: &[u8], m: &mut PmNlMessage) -> Result<(), NlError> {
     let f = Frame::parse(bytes)?;
     let attrs = attr_map(f.attrs())?;
-    PmNlMessage::get_attrs(f.genl.cmd, f.hdr.seq, &attrs)?.ok_or(NlError::UnknownCmd(f.genl.cmd))
+    let known = m.read_attrs(f.genl.cmd, f.hdr.seq, &attrs)?;
+    known.then_some(()).ok_or(NlError::UnknownCmd(f.genl.cmd))
 }
 
 /// An enum of the family: each variant has a command number and a listing.
@@ -276,9 +289,13 @@ trait Listed: Sized {
     fn cmd(&self) -> u8;
     /// Append this value's attributes.
     fn put_attrs(&self, b: &mut FrameBuilder);
-    /// Read the variant numbered `cmd` (`seq` from the netlink header);
-    /// `None` when no variant has that number.
-    fn get_attrs(cmd: u8, seq: u32, a: &Attrs<'_>) -> Result<Option<Self>, NlError>;
+    /// The variant numbered `cmd`, every field at its default; `None` when
+    /// no variant has that number.
+    fn blank(cmd: u8) -> Option<Self>;
+    /// Read the variant numbered `cmd` into `self` (`seq` from the netlink
+    /// header), in the fields `self` has when it is that variant already;
+    /// `false` when no variant has that number.
+    fn read_attrs(&mut self, cmd: u8, seq: u32, a: &Attrs<'_>) -> Result<bool, NlError>;
 }
 
 /// Implements [`Listed`] for each enum from one line per variant, in wire
@@ -315,20 +332,40 @@ macro_rules! listing {
                 }
             }
 
-            fn get_attrs(c: u8, seq: u32, a: &Attrs<'_>) -> Result<Option<Self>, NlError> {
-                let _ = seq;
-                Ok(Some(match c {
+            fn blank(c: u8) -> Option<Self> {
+                Some(match c {
                     $(cmd::$cmd => $ty::$var {
-                        $($hdr: seq,)?
-                        $($f: Field::get(a, attr::$attr)?,)*
+                        $($hdr: 0,)?
+                        $($f: Default::default(),)*
                     },)*
                     _ => {
-                        $($(if let Some(inner) = <$wty>::get_attrs(c, seq, a)? {
-                            return Ok(Some($ty::$wvar { $($whdr: seq,)? $wf: inner }));
+                        $($(if let Some(inner) = <$wty>::blank(c) {
+                            return Some($ty::$wvar { $($whdr: 0,)? $wf: inner });
                         })*)?
-                        return Ok(None);
+                        return None;
                     }
-                }))
+                })
+            }
+
+            fn read_attrs(&mut self, c: u8, seq: u32, a: &Attrs<'_>) -> Result<bool, NlError> {
+                if self.cmd() != c {
+                    let Some(blank) = Self::blank(c) else {
+                        return Ok(false);
+                    };
+                    *self = blank;
+                }
+                let _ = seq;
+                match self {
+                    $($ty::$var { $($hdr,)? $($f,)* } => {
+                        $(*$hdr = seq;)?
+                        $(Field::read($f, a, attr::$attr)?;)*
+                    })*
+                    $($($ty::$wvar { $($whdr,)? $wf: inner } => {
+                        $(*$whdr = seq;)?
+                        inner.read_attrs(c, seq, a)?;
+                    })*)?
+                }
+                Ok(true)
             }
         })*
     };
@@ -337,9 +374,9 @@ use listing;
 
 /// The attributes inside one nested attribute; a `Vec` of them is a
 /// repeated nest.
-trait Nest: Sized {
+trait Nest: Default {
     fn put_attrs(&self, b: &mut FrameBuilder);
-    fn get_attrs(a: &Attrs<'_>) -> Result<Self, NlError>;
+    fn read_attrs(&mut self, a: &Attrs<'_>) -> Result<(), NlError>;
 }
 
 /// Implements [`Nest`] from one listing in wire order, for a struct
@@ -350,8 +387,9 @@ macro_rules! nest {
             fn put_attrs(&self, b: &mut FrameBuilder) {
                 $(Field::put(&self.$f, b, attr::$attr);)*
             }
-            fn get_attrs(a: &Attrs<'_>) -> Result<Self, NlError> {
-                Ok($ty { $($f: Field::get(a, attr::$attr)?,)* })
+            fn read_attrs(&mut self, a: &Attrs<'_>) -> Result<(), NlError> {
+                $(Field::read(&mut self.$f, a, attr::$attr)?;)*
+                Ok(())
             }
         }
     };
@@ -361,8 +399,10 @@ macro_rules! nest {
                 let ($($f),*) = self;
                 $(Field::put($f, b, attr::$attr);)*
             }
-            fn get_attrs(a: &Attrs<'_>) -> Result<Self, NlError> {
-                Ok(($(Field::get(a, attr::$attr)?),*))
+            fn read_attrs(&mut self, a: &Attrs<'_>) -> Result<(), NlError> {
+                let ($($f),*) = self;
+                $(Field::read($f, a, attr::$attr)?;)*
+                Ok(())
             }
         }
     };
@@ -394,10 +434,10 @@ macro_rules! tcp_info_blob {
 use tcp_info_blob;
 
 /// How one kind of field rides in attributes: appended under attribute
-/// `ty`, found again in a checked region.
-trait Field: Sized {
+/// `ty`, found again in a checked region and read over the value held.
+trait Field: Default {
     fn put(&self, b: &mut FrameBuilder, ty: u16);
-    fn get(a: &Attrs<'_>, ty: u16) -> Result<Self, NlError>;
+    fn read(&mut self, a: &Attrs<'_>, ty: u16) -> Result<(), NlError>;
     /// Whether the field is on the wire at all; `Option` reads it only then.
     fn present(a: &Attrs<'_>, ty: u16) -> bool {
         find_attr_opt(a, ty).is_some()
@@ -410,8 +450,9 @@ macro_rules! scalar_field {
             fn put(&self, b: &mut FrameBuilder, ty: u16) {
                 b.$put(ty, *self);
             }
-            fn get(a: &Attrs<'_>, ty: u16) -> Result<Self, NlError> {
-                find_attr(a, ty)?.$as()
+            fn read(&mut self, a: &Attrs<'_>, ty: u16) -> Result<(), NlError> {
+                *self = find_attr(a, ty)?.$as()?;
+                Ok(())
             }
         }
     )*};
@@ -425,7 +466,7 @@ scalar_field! {
 }
 
 /// A value carried as another kind (`Raw`), in an attribute or the blob.
-trait Via: Copy {
+trait Via: Copy + Default {
     type Raw;
     fn raw(self) -> Self::Raw;
     fn cook(raw: Self::Raw) -> Self;
@@ -460,8 +501,11 @@ impl<T: Via<Raw: Field>> Field for T {
     fn put(&self, b: &mut FrameBuilder, ty: u16) {
         self.raw().put(b, ty);
     }
-    fn get(a: &Attrs<'_>, ty: u16) -> Result<Self, NlError> {
-        T::Raw::get(a, ty).map(T::cook)
+    fn read(&mut self, a: &Attrs<'_>, ty: u16) -> Result<(), NlError> {
+        let mut raw = T::Raw::default();
+        raw.read(a, ty)?;
+        *self = T::cook(raw);
+        Ok(())
     }
 }
 
@@ -471,8 +515,12 @@ impl<T: Field> Field for Option<T> {
             v.put(b, ty);
         }
     }
-    fn get(a: &Attrs<'_>, ty: u16) -> Result<Self, NlError> {
-        T::present(a, ty).then(|| T::get(a, ty)).transpose()
+    fn read(&mut self, a: &Attrs<'_>, ty: u16) -> Result<(), NlError> {
+        if !T::present(a, ty) {
+            *self = None;
+            return Ok(());
+        }
+        self.get_or_insert_with(T::default).read(a, ty)
     }
 }
 
@@ -482,8 +530,9 @@ impl Field for (u64, u64) {
         self.0.put(b, ty);
         self.1.put(b, ty + 1);
     }
-    fn get(a: &Attrs<'_>, ty: u16) -> Result<Self, NlError> {
-        Ok((u64::get(a, ty)?, u64::get(a, ty + 1)?))
+    fn read(&mut self, a: &Attrs<'_>, ty: u16) -> Result<(), NlError> {
+        self.0.read(a, ty)?;
+        self.1.read(a, ty + 1)
     }
     fn present(a: &Attrs<'_>, ty: u16) -> bool {
         u64::present(a, ty) && u64::present(a, ty + 1)
@@ -498,13 +547,11 @@ impl Field for FourTuple {
         self.dst.put(b, ty + 2);
         self.dst_port.put(b, ty + 3);
     }
-    fn get(a: &Attrs<'_>, ty: u16) -> Result<Self, NlError> {
-        Ok(FourTuple {
-            src: Field::get(a, ty)?,
-            src_port: Field::get(a, ty + 1)?,
-            dst: Field::get(a, ty + 2)?,
-            dst_port: Field::get(a, ty + 3)?,
-        })
+    fn read(&mut self, a: &Attrs<'_>, ty: u16) -> Result<(), NlError> {
+        self.src.read(a, ty)?;
+        self.src_port.read(a, ty + 1)?;
+        self.dst.read(a, ty + 2)?;
+        self.dst_port.read(a, ty + 3)
     }
 }
 
@@ -513,27 +560,35 @@ impl Field for TcpInfo {
     fn put(&self, b: &mut FrameBuilder, ty: u16) {
         b.attr_with(ty, TCP_INFO_BLOB_LEN, |buf| put_tcp_info(self, buf));
     }
-    fn get(a: &Attrs<'_>, ty: u16) -> Result<Self, NlError> {
+    fn read(&mut self, a: &Attrs<'_>, ty: u16) -> Result<(), NlError> {
         let blob = find_attr(a, ty)?.payload;
-        take_tcp_info(blob).ok_or(NlError::BadAttrLen {
+        *self = take_tcp_info(blob).ok_or(NlError::BadAttrLen {
             ty,
             len: blob.len(),
-        })
+        })?;
+        Ok(())
     }
 }
 
-/// A repeated nest: one nested attribute `ty` per element.
+/// A repeated nest: one nested attribute `ty` per element, read over the
+/// elements held.
 impl<T: Nest> Field for Vec<T> {
     fn put(&self, b: &mut FrameBuilder, ty: u16) {
         for item in self {
             b.attr_nested(ty, |inner| item.put_attrs(inner));
         }
     }
-    fn get(a: &Attrs<'_>, ty: u16) -> Result<Self, NlError> {
-        a.iter()
-            .filter(|n| n.ty == ty)
-            .map(|n| T::get_attrs(&attr_map(n.nested_attrs())?))
-            .collect()
+    fn read(&mut self, a: &Attrs<'_>, ty: u16) -> Result<(), NlError> {
+        let mut n = 0;
+        for nest in a.iter().filter(|x| x.ty == ty) {
+            if n == self.len() {
+                self.push(T::default());
+            }
+            self[n].read_attrs(&attr_map(nest.nested_attrs())?)?;
+            n += 1;
+        }
+        self.truncate(n);
+        Ok(())
     }
 }
 
@@ -766,7 +821,9 @@ mod tests {
         info.put(&mut b, attr::TCP_INFO);
         let bytes = b.finish();
         let f = Frame::parse(&bytes)?;
-        TcpInfo::get(&attr_map(f.attrs())?, attr::TCP_INFO)
+        let mut got = TcpInfo::default();
+        got.read(&attr_map(f.attrs())?, attr::TCP_INFO)?;
+        Ok(got)
     }
 
     #[test]
@@ -1302,6 +1359,32 @@ mod tests {
             .flat_map(|_| &kinds)
             .map(|k| encode_reply(&k.new_tree(&mut runner).unwrap().current()));
         pinned_frames().into_iter().chain(drawn).collect()
+    }
+
+    /// Each of [`every_frame`] read into each message of the family
+    /// decodes to, one after another into one message, and into a fresh
+    /// copy of each: the same result as [`decode`], whatever the target
+    /// held — another kind, or the same kind with more or fewer subflows
+    /// and connections. Frames cut short by one attribute's worth, with
+    /// the header length agreeing, bring in the errors and what a failed
+    /// read leaves behind.
+    #[test]
+    fn decode_into_agrees_with_decode_whatever_the_target_held() {
+        let frames = every_frame();
+        let targets: Vec<PmNlMessage> = frames.iter().map(|f| decode(f).unwrap()).collect();
+        let cut = frames.iter().map(|f| relength(f[..f.len() - 4].to_vec()));
+        let inputs: Vec<Vec<u8>> = frames.iter().map(|f| f.to_vec()).chain(cut).collect();
+        assert!(inputs.iter().any(|i| decode(i).is_err()));
+        let mut kept = PmNlMessage::Ack { seq: 0, errno: 0 };
+        for target in &targets {
+            for input in &inputs {
+                let want = decode(input);
+                let mut m = target.clone();
+                assert_eq!(decode_into(input, &mut m).map(|()| m), want);
+                let got = decode_into(input, &mut kept);
+                assert_eq!(got.map(|()| kept.clone()), want);
+            }
+        }
     }
 
     /// Rewrite `nlmsghdr.len` to the buffer's length, so that a cut or

@@ -25,7 +25,7 @@ pub mod wire;
 
 pub use channel::{LatencyModel, UserCtx, UserProcess};
 pub use family::{
-    cmd, decode, encode_command, encode_event, encode_reply, DiagConn, PmNlCommand, PmNlMessage,
-    CONTROLLER_PID, FAMILY_ID, FAMILY_VERSION, KERNEL_PID,
+    cmd, decode, decode_into, encode_command, encode_event, encode_reply, DiagConn, PmNlCommand,
+    PmNlMessage, CONTROLLER_PID, FAMILY_ID, FAMILY_VERSION, KERNEL_PID,
 };
 pub use wire::{Attr, AttrIter, Frame, FrameBuilder, GenlMsgHdr, NlError, NlMsgHdr};

@@ -177,7 +177,6 @@ impl PathManagerHook for FullMeshPm {
 mod tests {
     use super::*;
     use smapp_mptcp::FourTuple;
-    use smapp_tcp::TcpInfo;
 
     /// A canned view for unit tests.
     struct FakeView {
@@ -185,12 +184,6 @@ mod tests {
         remotes: Vec<(u8, Addr, u16)>,
     }
     impl StackView for FakeView {
-        fn subflow_info(&self, _: ConnToken, _: u8) -> Option<TcpInfo> {
-            None
-        }
-        fn subflow_ids(&self, _: ConnToken) -> Vec<u8> {
-            vec![]
-        }
         fn local_addrs(&self) -> Vec<Addr> {
             self.locals.clone()
         }

@@ -25,12 +25,13 @@ use std::time::Duration;
 use bytes::Bytes;
 use smapp_mptcp::{
     App, ConnToken, HostStack, OutPacket, PathManagerHook, PmAction, PmActions, PmEvent,
-    StackConfig, StackEnv,
+    StackConfig, StackEnv, SubflowId,
 };
 use smapp_netlink::{
     decode, encode_reply, DiagConn, LatencyModel, PmNlCommand, PmNlMessage, UserCtx, UserProcess,
 };
 use smapp_sim::{Addr, Ctx, FxHashMap, IfaceId, Node, NodeCommand, Packet, SimTime};
+use smapp_tcp::TcpInfo;
 
 use crate::netlink_pm::NetlinkPm;
 
@@ -61,11 +62,12 @@ type ScheduledConnect = (SimTime, Option<Addr>, Addr, u16, Option<Box<dyn App>>)
 
 /// Reusable buffers for [`Host::drive`] and the netlink boundary, so the
 /// per-event hot path does not re-allocate its scratch vectors for every
-/// packet/timer/callback. One set per thread, shared by every host on it:
-/// a callback takes it at entry and gives it back on exit, emptied and
-/// with its capacity, so between callbacks it is empty and its capacity
-/// is the most any callback on the thread needed. Capacity is not
-/// observable, so sharing moves no trajectory.
+/// packet/timer/callback/reply. One set per thread, shared by every host
+/// on it: a callback takes it at entry and gives it back on exit, emptied
+/// and with its capacity, so between callbacks it holds no element but
+/// the spare `infos` vectors, themselves empty, and its capacity is the
+/// most any callback on the thread needed. Capacity is not observable, so
+/// sharing moves no trajectory.
 #[derive(Default)]
 struct DriveScratch {
     work: VecDeque<Work>,
@@ -83,6 +85,39 @@ struct DriveScratch {
     /// [`UserCtx::timers`].
     to_kernel: Vec<Bytes>,
     user_timers: Vec<(Duration, u64)>,
+    /// Spare subflow-snapshot vectors, empty: a `GetInfo` reply takes one,
+    /// a sockdiag dump one per connection, and each comes back once the
+    /// reply is encoded.
+    infos: Vec<Vec<(SubflowId, TcpInfo)>>,
+    /// The connections of a sockdiag dump.
+    diag: Vec<DiagConn>,
+}
+
+impl DriveScratch {
+    /// Encode the reply `build` makes from the scratch, then take back the
+    /// vectors it holds.
+    fn encode(build: impl FnOnce(&mut DriveScratch) -> PmNlMessage) -> Bytes {
+        let mut s = SCRATCH.take();
+        let msg = build(&mut s);
+        let frame = encode_reply(&msg);
+        match msg {
+            PmNlMessage::InfoReply { subflows, .. } => s.give_back(subflows),
+            PmNlMessage::DiagReply { mut conns, .. } => {
+                for c in conns.drain(..) {
+                    s.give_back(c.subflows);
+                }
+                s.diag = conns;
+            }
+            _ => {}
+        }
+        SCRATCH.set(s);
+        frame
+    }
+
+    fn give_back(&mut self, mut infos: Vec<(SubflowId, TcpInfo)>) {
+        infos.clear();
+        self.infos.push(infos);
+    }
 }
 
 thread_local! {
@@ -359,7 +394,7 @@ impl Host {
                 }
             }
             PmNlCommand::GetInfo { token, id } => {
-                let reply = encode_reply(&self.info_reply(seq, token, id));
+                let reply = DriveScratch::encode(|s| self.info_reply(seq, token, id, s));
                 self.schedule_boundary(ctx, reply, D_TO_USER);
             }
             PmNlCommand::Action(action) => {
@@ -375,54 +410,53 @@ impl Host {
         }
     }
 
-    fn info_reply(&self, seq: u32, token: ConnToken, id: Option<u8>) -> PmNlMessage {
-        use smapp_mptcp::StackView;
-        let ids = match id {
-            Some(one) => vec![one],
-            None => self.stack.subflow_ids(token),
-        };
-        let subflows = ids
-            .into_iter()
-            .filter_map(|sid| self.stack.subflow_info(token, sid).map(|i| (sid, i)))
-            .collect();
-        let conn = self
-            .stack
-            .conn_info(token)
-            .map(|ci| (ci.meta_una, ci.meta_snd_nxt));
+    /// The reply to `GetInfo`, built in the scratch `s`: the one subflow
+    /// `id` names, closed or not, or else every live one in id order.
+    fn info_reply(
+        &self,
+        seq: u32,
+        token: ConnToken,
+        id: Option<SubflowId>,
+        s: &mut DriveScratch,
+    ) -> PmNlMessage {
+        let mut subflows = s.infos.pop().unwrap_or_default();
+        let conn = self.stack.conn_by_token(token);
+        if let Some(c) = conn {
+            match id {
+                Some(one) => subflows.extend(c.subflow_info(one).map(|i| (one, i))),
+                None => subflows.extend(c.live_subflows().map(|sf| (sf.id, sf.info()))),
+            }
+        }
         PmNlMessage::InfoReply {
             seq,
             token,
-            conn,
+            conn: conn.map(|c| c.info()).map(|i| (i.meta_una, i.meta_snd_nxt)),
             subflows,
         }
     }
 
     /// Sockdiag dump: live state of every connection on this host, in
-    /// creation order. Read-only, so a probe does not perturb the
-    /// trajectory.
-    fn diag_dump(&self) -> Vec<DiagConn> {
-        self.stack
-            .connections()
-            .map(|c| {
-                let info = c.info();
-                let subflows = c
-                    .live_subflow_ids()
-                    .into_iter()
-                    .filter_map(|sid| c.subflow_info(sid).map(|i| (sid, i)))
-                    .collect();
-                DiagConn {
-                    token: c.token,
-                    state: info.state,
-                    fallback_inferred: c.stats.fallback_inferred,
-                    meta_una: info.meta_una,
-                    meta_snd_nxt: info.meta_snd_nxt,
-                    tap_sent: (c.stats.tap_sent.count(), c.stats.tap_sent.digest()),
-                    tap_recvd: (c.stats.tap_recvd.count(), c.stats.tap_recvd.digest()),
-                    reinjections: c.stats.reinjections,
-                    subflows,
-                }
-            })
-            .collect()
+    /// creation order, built in the scratch `s`. Read-only, so a probe does
+    /// not perturb the trajectory.
+    fn diag_dump(&self, s: &mut DriveScratch) -> Vec<DiagConn> {
+        let mut conns = std::mem::take(&mut s.diag);
+        conns.extend(self.stack.connections().map(|c| {
+            let info = c.info();
+            let mut subflows = s.infos.pop().unwrap_or_default();
+            subflows.extend(c.live_subflows().map(|sf| (sf.id, sf.info())));
+            DiagConn {
+                token: c.token,
+                state: info.state,
+                fallback_inferred: c.stats.fallback_inferred,
+                meta_una: info.meta_una,
+                meta_snd_nxt: info.meta_snd_nxt,
+                tap_sent: (c.stats.tap_sent.count(), c.stats.tap_sent.digest()),
+                tap_recvd: (c.stats.tap_recvd.count(), c.stats.tap_recvd.digest()),
+                reinjections: c.stats.reinjections,
+                subflows,
+            }
+        }));
+        conns
     }
 }
 
@@ -489,8 +523,10 @@ impl Node for Host {
             // Read-only snapshot: no RNG draws, no sends, no timers.
             let seq = self.diag.probes as u32;
             self.diag.probes += 1;
-            let conns = self.diag_dump();
-            let reply = encode_reply(&PmNlMessage::DiagReply { seq, conns });
+            let reply = DriveScratch::encode(|s| PmNlMessage::DiagReply {
+                seq,
+                conns: self.diag_dump(s),
+            });
             self.diag.replies.push(reply);
         }
     }

@@ -67,16 +67,9 @@ mod tests {
     use super::*;
     use smapp_mptcp::{ConnToken, FourTuple};
     use smapp_sim::Addr;
-    use smapp_tcp::TcpInfo;
 
     struct NullView;
     impl StackView for NullView {
-        fn subflow_info(&self, _: ConnToken, _: u8) -> Option<TcpInfo> {
-            None
-        }
-        fn subflow_ids(&self, _: ConnToken) -> Vec<u8> {
-            vec![]
-        }
         fn local_addrs(&self) -> Vec<Addr> {
             vec![]
         }

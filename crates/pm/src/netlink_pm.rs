@@ -65,16 +65,9 @@ mod tests {
     use smapp_mptcp::{ConnToken, EVENT_MASK_ALL};
     use smapp_netlink::{decode, PmNlMessage};
     use smapp_sim::Addr;
-    use smapp_tcp::TcpInfo;
 
     struct NullView;
     impl StackView for NullView {
-        fn subflow_info(&self, _: ConnToken, _: u8) -> Option<TcpInfo> {
-            None
-        }
-        fn subflow_ids(&self, _: ConnToken) -> Vec<u8> {
-            vec![]
-        }
         fn local_addrs(&self) -> Vec<Addr> {
             vec![]
         }

@@ -389,3 +389,142 @@ fn sockdiag_dumps_are_byte_identical_per_seed_and_see_live_state() {
         );
     }
 }
+
+/// Opens two more subflows when the connection establishes, closes the
+/// second one 300 ms later and, 300 ms after that, sends three `GetInfo`
+/// queries: every subflow, the closed one alone, and an unknown token.
+#[derive(Default)]
+struct InfoQuerier {
+    token: Option<smapp_mptcp::ConnToken>,
+    seq: u32,
+    /// The `InfoReply` messages, in arrival order.
+    replies: Vec<PmNlMessage>,
+}
+
+/// A token no connection of the test world carries.
+const UNKNOWN_TOKEN: smapp_mptcp::ConnToken = 0x0BAD_F00D;
+
+impl InfoQuerier {
+    fn command(&mut self, ctx: &mut UserCtx<'_>, cmd: PmNlCommand) {
+        self.seq += 1;
+        ctx.send(encode_command(self.seq, &cmd));
+    }
+}
+
+impl UserProcess for InfoQuerier {
+    fn on_start(&mut self, ctx: &mut UserCtx<'_>) {
+        let mask = smapp_mptcp::EVENT_MASK_ALL;
+        self.command(ctx, PmNlCommand::Subscribe { mask });
+    }
+    fn on_message(&mut self, ctx: &mut UserCtx<'_>, frame: Bytes) {
+        match decode(&frame).unwrap() {
+            PmNlMessage::Event(smapp_mptcp::PmEvent::ConnEstablished {
+                token,
+                tuple,
+                is_client: true,
+            }) => {
+                self.token = Some(token);
+                for src in [CLIENT_ADDR2, tuple.src] {
+                    let open = smapp_mptcp::PmAction::OpenSubflow {
+                        token,
+                        src,
+                        src_port: 0,
+                        dst: tuple.dst,
+                        dst_port: tuple.dst_port,
+                        backup: false,
+                    };
+                    self.command(ctx, PmNlCommand::Action(open));
+                }
+                ctx.set_timer(Duration::from_millis(300), 1);
+            }
+            reply @ PmNlMessage::InfoReply { .. } => self.replies.push(reply),
+            _ => {}
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut UserCtx<'_>, tok: u64) {
+        let token = self.token.unwrap();
+        if tok == 1 {
+            let close = smapp_mptcp::PmAction::CloseSubflow {
+                token,
+                id: 1,
+                reset: true,
+            };
+            self.command(ctx, PmNlCommand::Action(close));
+            ctx.set_timer(Duration::from_millis(300), 2);
+            return;
+        }
+        for (token, id) in [(token, None), (token, Some(1)), (UNKNOWN_TOKEN, None)] {
+            self.command(ctx, PmNlCommand::GetInfo { token, id });
+        }
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// What an info reply carries: the live subflows in id order with
+/// `(meta_una, meta_snd_nxt)` for a query of every subflow, the named
+/// subflow even once closed for a query of one, and nothing for a token
+/// the host does not know. The transfer is over before the queries, so
+/// the stack read after the run is the stack the replies saw.
+#[test]
+fn info_replies_carry_live_subflows_closed_ones_on_request_and_nothing_unknown() {
+    let mut client = client_host().with_user(Box::new(InfoQuerier::default()), LatencyModel::Zero);
+    client.connect_at(
+        SimTime::from_millis(10),
+        None,
+        SERVER_ADDR,
+        80,
+        Box::new(BulkSender::new(50_000)),
+    );
+    let net = topo::two_path(
+        6,
+        client,
+        server_host(),
+        LinkCfg::mbps_ms(5, 10),
+        LinkCfg::mbps_ms(5, 10),
+    );
+    let mut sim = net.sim;
+    sim.run_until(SimTime::from_secs(2));
+
+    let client = topo::host(&sim, net.client);
+    let q = client.user_as::<InfoQuerier>().unwrap();
+    let token = q.token.expect("connection established");
+    let conn = client.stack.conn_by_token(token).unwrap();
+    assert_eq!(conn.state, ConnState::Established);
+    assert_eq!(conn.subflow_count(), 3);
+    assert_eq!(conn.live_subflow_ids(), vec![0, 2], "subflow 1 is closed");
+    assert_eq!(sink_bytes(&sim, net.server), 50_000, "transfer over");
+    let info = conn.info();
+    let snapshot = |id: u8| (id, conn.subflow_info(id).unwrap());
+    assert_eq!(snapshot(1).1.state, smapp_tcp::TcpStateInfo::Closed);
+
+    // The three queries were the last commands sent.
+    let query_seq = q.seq - 2;
+    assert_eq!(
+        q.replies,
+        [
+            PmNlMessage::InfoReply {
+                seq: query_seq,
+                token,
+                conn: Some((info.meta_una, info.meta_snd_nxt)),
+                subflows: vec![snapshot(0), snapshot(2)],
+            },
+            PmNlMessage::InfoReply {
+                seq: query_seq + 1,
+                token,
+                conn: Some((info.meta_una, info.meta_snd_nxt)),
+                subflows: vec![snapshot(1)],
+            },
+            PmNlMessage::InfoReply {
+                seq: query_seq + 2,
+                token: UNKNOWN_TOKEN,
+                conn: None,
+                subflows: vec![],
+            },
+        ]
+    );
+}
