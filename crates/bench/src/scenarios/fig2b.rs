@@ -68,7 +68,9 @@ impl Scenario for Fig2b {
     // 0.067 -> 0.059 smoke, 0.032 -> 0.026 full; ceiling is 2x the higher one.
     // Info replies built in per-thread scratch and decoded in place:
     // 0.0511 -> 0.0434 smoke, 0.0212 -> 0.0115 full; ceiling is 1.5x the higher one.
-    const ALLOC_CEILING: f64 = 0.066;
+    // World storage (simulator, oracle, host tables) spared per thread:
+    // 0.0434 -> 0.0304 smoke, 0.0125 -> 0.0060 full; ceiling is 1.5x the higher one.
+    const ALLOC_CEILING: f64 = 0.0456;
     type Params = Params;
     type Results = Vec<f64>;
 

@@ -70,7 +70,9 @@ impl Scenario for Middlebox {
     // ceiling is 2x the higher one.
     // Connection storage spared per thread, given back when a world ends:
     // 0.035 -> 0.030 smoke, 0.0094 -> 0.0078 full; ceiling is 2x the higher one.
-    const ALLOC_CEILING: f64 = 0.06;
+    // World storage (simulator, oracle, host tables) spared per thread:
+    // 0.0252 -> 0.0086 smoke, 0.0068 -> 0.0019 full; ceiling is 1.5x the higher one.
+    const ALLOC_CEILING: f64 = 0.013;
     type Params = Params;
     type Results = Results;
 

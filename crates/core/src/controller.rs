@@ -6,12 +6,13 @@
 //! adapts a controller to the host's [`UserProcess`] boundary (netlink
 //! frames + latency).
 
+use std::cell::RefCell;
 use std::time::Duration;
 
 use bytes::Bytes;
 use smapp_mptcp::{ConnToken, PmAction, PmEvent, SubflowId, EVENT_MASK_ALL};
 use smapp_netlink::{cmd, decode_into, Frame, PmNlCommand, PmNlMessage, UserCtx, UserProcess};
-use smapp_sim::{Addr, SimRng, SimTime};
+use smapp_sim::{Addr, SimRng, SimTime, SpareList};
 use smapp_tcp::TcpInfo;
 
 use crate::client::PmClient;
@@ -116,6 +117,16 @@ pub trait SubflowController: Send {
     }
 }
 
+/// An info reply's subflow snapshots.
+type Subflows = Vec<(SubflowId, TcpInfo)>;
+
+thread_local! {
+    /// Emptied subflow vectors of dropped runtimes' kept replies, for the
+    /// next runtime on the thread: a new world's controller reads its
+    /// first reply into one instead of growing its own.
+    static REPLY_SPARES: RefCell<SpareList<Subflows>> = const { RefCell::new(SpareList::new()) };
+}
+
 /// Adapts a [`SubflowController`] to the netlink [`UserProcess`] boundary.
 pub struct ControllerRuntime<C> {
     /// The typed netlink client.
@@ -124,8 +135,20 @@ pub struct ControllerRuntime<C> {
     pub controller: C,
     /// The last info reply from the kernel. The next is read into it, and
     /// so into its subflow vector; other frames hold no vector and are
-    /// read into a message of their own, which would drop it.
+    /// read into a message of their own, which would drop it. Until the
+    /// first reply it is an empty reply on a spare vector.
     reply: PmNlMessage,
+}
+
+impl<C> Drop for ControllerRuntime<C> {
+    /// Give the kept reply's subflow vector, emptied, to the thread.
+    fn drop(&mut self) {
+        if let PmNlMessage::InfoReply { subflows, .. } = &mut self.reply {
+            let mut spare = std::mem::take(subflows);
+            spare.clear();
+            let _ = REPLY_SPARES.try_with(|s| s.borrow_mut().give(spare));
+        }
+    }
 }
 
 impl<C: SubflowController> ControllerRuntime<C> {
@@ -134,7 +157,14 @@ impl<C: SubflowController> ControllerRuntime<C> {
         ControllerRuntime {
             client: PmClient::new(),
             controller,
-            reply: PmNlMessage::Ack { seq: 0, errno: 0 },
+            reply: PmNlMessage::InfoReply {
+                seq: 0,
+                token: 0,
+                conn: None,
+                subflows: REPLY_SPARES
+                    .with(|s| s.borrow_mut().take())
+                    .unwrap_or_default(),
+            },
         }
     }
 
@@ -363,6 +393,41 @@ mod tests {
         deliver(&mut rt, &mut rng, &info_reply(1, 9));
         assert_eq!(rt.controller.infos, [(1234, 9, Some((10, 20)))]);
         assert_eq!(rt.client.pending_queries(), 0);
+    }
+
+    /// A dropped runtime gives its kept reply's subflow vector, emptied,
+    /// to the thread; the next runtime reads its first reply into it.
+    #[test]
+    fn a_new_runtime_reads_into_the_vector_a_dropped_one_gave_back() {
+        std::thread::spawn(|| {
+            let mut rng = SimRng::seed_from_u64(5);
+            let reply = |subflows| PmNlMessage::InfoReply {
+                seq: 1,
+                token: 9,
+                conn: Some((10, 20)),
+                subflows,
+            };
+            let two = vec![(0, TcpInfo::default()), (1, TcpInfo::default())];
+            let mut rt = ControllerRuntime::new(Probe::default());
+            deliver(&mut rt, &mut rng, &reply(two));
+            let kept = |rt: &ControllerRuntime<Probe>| match &rt.reply {
+                PmNlMessage::InfoReply { subflows, .. } => (subflows.len(), subflows.capacity()),
+                _ => panic!("the runtime keeps an info reply"),
+            };
+            let (len, cap) = kept(&rt);
+            assert!(len == 2 && cap >= 2);
+            drop(rt);
+            let spares =
+                || REPLY_SPARES.with(|s| s.borrow().iter().map(Vec::len).collect::<Vec<_>>());
+            assert_eq!(spares(), vec![0]);
+            let mut rt = ControllerRuntime::new(Probe::default());
+            assert!(spares().is_empty());
+            assert_eq!(kept(&rt), (0, cap), "an empty reply on the spare");
+            deliver(&mut rt, &mut rng, &reply(vec![]));
+            assert_eq!(rt.controller.infos, [(0, 9, Some((10, 20)))]);
+        })
+        .join()
+        .unwrap();
     }
 
     /// Two queries outstanding, answered in reverse order: each reply

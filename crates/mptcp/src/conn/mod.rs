@@ -252,6 +252,7 @@ impl Connection {
         events: &mut Vec<PmEvent>,
     ) -> Connection {
         let ConnSpare { send, recv } = Spares::take_conn();
+        let tap = || StreamTap::reusing(Spares::take_snaps());
         let local_key = env.rng.range_u64(1, u64::MAX);
         let token = token_from_key(local_key);
         events.push(PmEvent::ConnCreated {
@@ -267,6 +268,8 @@ impl Connection {
             state: ConnState::Establishing,
             stats: ConnStats {
                 created_at: env.now,
+                tap_sent: tap(),
+                tap_recvd: tap(),
                 ..Default::default()
             },
             cfg: cfg.clone(),

@@ -8,8 +8,10 @@
 
 use std::cell::RefCell;
 
-use smapp_sim::{Addr, FxHashMap, FxHashSet, IcmpMsg, Packet, TimerHandle, PROTO_ICMP, PROTO_TCP};
-use smapp_tcp::{OptionWriter, SeqNum, TcpFixed, TcpFlags, TcpView};
+use smapp_sim::{
+    Addr, FxHashMap, FxHashSet, IcmpMsg, Packet, SpareList, TimerHandle, PROTO_ICMP, PROTO_TCP,
+};
+use smapp_tcp::{OptionWriter, SeqNum, StreamTap, TcpFixed, TcpFlags, TcpView};
 
 use crate::app::App;
 use crate::config::StackConfig;
@@ -77,9 +79,28 @@ pub type AppFactory = Box<dyn FnMut() -> Box<dyn App> + Send>;
 /// on the thread: no cap is needed. The price is that the thread keeps
 /// that much storage after the stacks are gone, for the next world it
 /// builds. Capacity is not observable, so reuse moves no trajectory.
+///
+/// Two kinds outlive a connection's close and are given back when its
+/// stack is dropped instead: the snapshot storage of its stream taps,
+/// which post-run checks read, and the stack's own tables.
 pub(crate) struct Spares {
     subflows: Vec<SubflowSpare>,
     conns: Vec<ConnSpare>,
+    taps: SpareList<Vec<u64>>,
+    stacks: SpareList<StackSpare>,
+}
+
+/// The tables of a dropped [`HostStack`], emptied. The hash tables are
+/// only probed, never iterated, so their capacity reaches no trajectory.
+#[derive(Default)]
+struct StackSpare {
+    conns: Vec<Option<Connection>>,
+    flows: FxHashMap<FourTuple, (usize, SubflowId)>,
+    by_token: FxHashMap<ConnToken, usize>,
+    listeners: FxHashMap<u16, AppFactory>,
+    local_addrs: Vec<(Addr, bool)>,
+    used_ports: FxHashSet<(Addr, u16)>,
+    events: Vec<PmEvent>,
 }
 
 thread_local! {
@@ -87,6 +108,8 @@ thread_local! {
         RefCell::new(Spares {
             subflows: Vec::new(),
             conns: Vec::new(),
+            taps: SpareList::new(),
+            stacks: SpareList::new(),
         })
     };
 }
@@ -106,6 +129,21 @@ impl Spares {
             .unwrap_or_default()
     }
 
+    /// The snapshot storage the thread last got back from a stream tap,
+    /// or none.
+    pub(crate) fn take_snaps() -> Vec<u64> {
+        SPARES
+            .with(|s| s.borrow_mut().taps.take())
+            .unwrap_or_default()
+    }
+
+    /// The tables the thread last got back from a stack, or none.
+    fn take_stack() -> StackSpare {
+        SPARES
+            .with(|s| s.borrow_mut().stacks.take())
+            .unwrap_or_default()
+    }
+
     /// Give the thread a dead subflow's emptied storage. `try_with`: a
     /// stack dropped while its thread exits gives back what it held, and
     /// the set may already be gone; the storage is then simply freed.
@@ -117,6 +155,21 @@ impl Spares {
     /// [`Spares::give_subflow`]).
     pub(crate) fn give_conn(spare: ConnSpare) {
         let _ = SPARES.try_with(|s| s.borrow_mut().conns.push(spare));
+    }
+
+    /// Give the thread a dropped connection's tap snapshot storage, emptied
+    /// (see [`Spares::give_subflow`]).
+    fn give_taps(snaps: [Vec<u64>; 2]) {
+        let _ = SPARES.try_with(|s| {
+            let taps = &mut s.borrow_mut().taps;
+            snaps.into_iter().for_each(|t| taps.give(t));
+        });
+    }
+
+    /// Give the thread a dropped stack's emptied tables (see
+    /// [`Spares::give_subflow`]).
+    fn give_stack(stack: StackSpare) {
+        let _ = SPARES.try_with(|s| s.borrow_mut().stacks.give(stack));
     }
 
     /// How many subflow and connection spares the thread holds, after
@@ -153,17 +206,27 @@ pub struct HostStack {
 }
 
 impl HostStack {
-    /// A stack with the given configuration.
+    /// A stack with the given configuration, on the tables the last stack
+    /// dropped on this thread gave back.
     pub fn new(cfg: StackConfig) -> Self {
+        let StackSpare {
+            conns,
+            flows,
+            by_token,
+            listeners,
+            local_addrs,
+            used_ports,
+            events,
+        } = Spares::take_stack();
         HostStack {
             cfg,
-            conns: Vec::new(),
-            flows: FxHashMap::default(),
-            by_token: FxHashMap::default(),
-            listeners: FxHashMap::default(),
-            local_addrs: Vec::new(),
-            used_ports: FxHashSet::default(),
-            events: Vec::new(),
+            conns,
+            flows,
+            by_token,
+            listeners,
+            local_addrs,
+            used_ports,
+            events,
             rst_sent: 0,
         }
     }
@@ -556,17 +619,43 @@ impl HostStack {
     pub fn connections(&self) -> impl Iterator<Item = &Connection> {
         self.conns.iter().flatten()
     }
+
+    /// The connection in slot `idx` ([`Connection::idx`]), open or closed.
+    pub fn connection(&self, idx: usize) -> Option<&Connection> {
+        self.conns.get(idx)?.as_ref()
+    }
 }
 
 impl Drop for HostStack {
     /// World teardown: every connection still open gives its storage, and
-    /// its open subflows', to the thread as closing would have, so the
-    /// next world's stacks start on it.
+    /// its open subflows', to the thread as closing would have; then the
+    /// connections' stream taps and the stack's emptied tables follow, so
+    /// the next world's stacks start on all of it.
     fn drop(&mut self) {
         let open = self.conns.iter_mut().flatten();
         for conn in open.filter(|c| c.state != ConnState::Closed) {
             conn.release_buffers();
         }
+        for conn in self.conns.drain(..).flatten() {
+            let taps = [conn.stats.tap_sent, conn.stats.tap_recvd];
+            Spares::give_taps(taps.map(StreamTap::into_spare));
+        }
+        self.flows.clear();
+        self.by_token.clear();
+        self.listeners.clear();
+        self.local_addrs.clear();
+        self.used_ports.clear();
+        self.events.clear();
+        let stack = StackSpare {
+            conns: std::mem::take(&mut self.conns),
+            flows: std::mem::take(&mut self.flows),
+            by_token: std::mem::take(&mut self.by_token),
+            listeners: std::mem::take(&mut self.listeners),
+            local_addrs: std::mem::take(&mut self.local_addrs),
+            used_ports: std::mem::take(&mut self.used_ports),
+            events: std::mem::take(&mut self.events),
+        };
+        Spares::give_stack(stack);
     }
 }
 
@@ -677,6 +766,50 @@ mod tests {
         assert_eq!(h.b.by_token.len(), 3);
         assert_eq!(tuples(&h.a), expect);
         assert_eq!(h.b.flows.len(), 5);
+    }
+
+    /// A dropped stack gives its emptied tables, and the snapshot storage
+    /// of its connections' taps, to the thread; stacks built on them run
+    /// exactly as stacks built on nothing.
+    #[test]
+    fn dropped_stacks_give_back_tables_and_taps() {
+        let run = || {
+            let (a0, b0) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 1, 1));
+            let mut h = Harness::new(5, Duration::from_millis(5), vec![a0], vec![b0]);
+            h.loss_a2b = 0.02;
+            h.b.listen(80, Box::new(|| Box::new(Sink::default())));
+            let app = Box::new(BulkSender::new(300_000).close_when_done());
+            let token = h.connect(Side::A, 80, app).unwrap();
+            h.run_until(SimTime::from_secs(30));
+            let conn = h.a.conn_by_token(token).unwrap();
+            let tap = |t: &smapp_tcp::StreamTap| (t.count(), t.digest());
+            let tuple = conn.subflow(0).unwrap().tuple;
+            (token, tuple, tap(&conn.stats.tap_sent), h.now())
+        };
+        std::thread::spawn(move || {
+            let fresh = run();
+            fn on_thread<R>(f: impl FnOnce(&Spares) -> R) -> R {
+                SPARES.with(|s| f(&s.borrow()))
+            }
+            assert_eq!(on_thread(|s| s.stacks.len()), 2);
+            assert_eq!(on_thread(|s| s.taps.len()), 4, "two taps per connection");
+            let grown = on_thread(|s| s.taps.iter().filter(|t| t.capacity() > 0).count());
+            assert_eq!(grown, 2, "the two taps that saw 300 kB");
+            let emptied = |t: &StackSpare| {
+                t.conns.is_empty()
+                    && t.flows.is_empty()
+                    && t.by_token.is_empty()
+                    && t.listeners.is_empty()
+                    && t.local_addrs.is_empty()
+                    && t.used_ports.is_empty()
+                    && t.events.is_empty()
+            };
+            assert!(on_thread(|s| s.stacks.iter().all(emptied)));
+            assert!(on_thread(|s| s.taps.iter().all(Vec::is_empty)));
+            assert_eq!(run(), fresh);
+        })
+        .join()
+        .unwrap();
     }
 
     /// Run `h` in 1 ms slices, calling `check` after each, until `done`.

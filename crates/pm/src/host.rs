@@ -18,7 +18,7 @@
 //! frames cross the user/kernel boundary with sampled latency — the cost
 //! Fig. 3 measures.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -30,7 +30,7 @@ use smapp_mptcp::{
 use smapp_netlink::{
     decode, encode_reply, DiagConn, LatencyModel, PmNlCommand, PmNlMessage, UserCtx, UserProcess,
 };
-use smapp_sim::{Addr, Ctx, FxHashMap, IfaceId, Node, NodeCommand, Packet, SimTime};
+use smapp_sim::{Addr, Ctx, FxHashMap, IfaceId, Node, NodeCommand, Packet, SimTime, SpareList};
 use smapp_tcp::TcpInfo;
 
 use crate::netlink_pm::NetlinkPm;
@@ -126,6 +126,16 @@ thread_local! {
     static SCRATCH: Cell<DriveScratch> = Cell::default();
 }
 
+/// Frames in flight across the netlink boundary, by crossing id.
+type Pending = FxHashMap<u64, Bytes>;
+
+thread_local! {
+    /// Emptied `pending` tables of dropped hosts, for the next
+    /// [`Host::new`] on the thread. The table is only probed, never
+    /// iterated, so its capacity reaches no trajectory.
+    static PENDING_SPARES: RefCell<SpareList<Pending>> = const { RefCell::new(SpareList::new()) };
+}
+
 /// Record of sockdiag probes taken mid-run, filled by scripted
 /// [`NodeCommand::Probe`] actions. Probing is read-only: it draws no
 /// randomness, sends nothing and arms no timers, so a probed run's
@@ -150,7 +160,7 @@ pub struct Host {
     pub user: Option<Box<dyn UserProcess>>,
     /// Boundary latency applied per netlink crossing.
     pub latency: LatencyModel,
-    pending: FxHashMap<u64, Bytes>,
+    pending: Pending,
     next_pending: u64,
     connects: Vec<ScheduledConnect>,
     /// Netlink frames that failed to decode at the kernel (diagnostics).
@@ -169,7 +179,9 @@ impl Host {
             pm: Box::new(smapp_mptcp::NoopPm),
             user: None,
             latency: LatencyModel::Zero,
-            pending: FxHashMap::default(),
+            pending: PENDING_SPARES
+                .with(|s| s.borrow_mut().take())
+                .unwrap_or_default(),
             next_pending: 0,
             connects: Vec::new(),
             malformed_commands: 0,
@@ -457,6 +469,16 @@ impl Host {
             }
         }));
         conns
+    }
+}
+
+impl Drop for Host {
+    /// Give the emptied crossing table to the thread (the stack gives its
+    /// own tables back as it drops).
+    fn drop(&mut self) {
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.clear();
+        let _ = PENDING_SPARES.try_with(|s| s.borrow_mut().give(pending));
     }
 }
 

@@ -13,8 +13,11 @@
 //! pair; wire violations additionally carry their simulated time, so a
 //! report line is a complete replay recipe.
 
-use smapp_mptcp::FourTuple;
-use smapp_sim::{oracle, RunSummary, Simulator, TraceSink};
+use std::cell::RefCell;
+use std::fmt;
+
+use smapp_mptcp::{Connection, FourTuple};
+use smapp_sim::{oracle, FxHashMap, NodeId, RunSummary, Simulator, TraceSink};
 
 use crate::host::Host;
 
@@ -58,14 +61,25 @@ impl RunVerdict {
     }
 }
 
-/// One direction of one connection's stream taps, keyed by the initial
-/// subflow's four-tuple (local perspective).
-struct Endpoint<'a> {
-    host: &'a str,
-    token: u32,
-    tuple: FourTuple,
-    sent: &'a smapp_tcp::StreamTap,
-    recvd: &'a smapp_tcp::StreamTap,
+thread_local! {
+    /// Stream endpoints by initial-subflow four-tuple (local perspective):
+    /// the host's node and the connection's slot. Emptied after every
+    /// run and kept for the next one on the thread; only probed, so its
+    /// capacity reaches no verdict.
+    static ENDPOINTS: RefCell<FxHashMap<FourTuple, (NodeId, usize)>> =
+        RefCell::new(FxHashMap::default());
+}
+
+/// Every connection with an initial subflow, in node then creation order,
+/// with its host and initial-subflow four-tuple.
+fn endpoints(sim: &Simulator) -> impl Iterator<Item = (NodeId, &Host, &Connection, FourTuple)> {
+    sim.node_ids().flat_map(move |id| {
+        let host = sim.node(id).as_any().downcast_ref::<Host>();
+        host.into_iter().flat_map(move |host| {
+            let conns = host.stack.connections();
+            conns.filter_map(move |c| Some((id, host, c, c.subflow(0)?.tuple)))
+        })
+    })
 }
 
 fn reversed(t: &FourTuple) -> FourTuple {
@@ -85,8 +99,12 @@ pub fn conclude(
     scenario: &str,
     seed: u64,
 ) -> RunVerdict {
-    let prefix = format!("[{scenario} seed={seed}]");
     let mut violations = Vec::new();
+    // Every line leads with the replayable pair, formatted only for a
+    // violation: a clean run allocates no report.
+    let mut report = |what: fmt::Arguments<'_>| {
+        violations.push(format!("[{scenario} seed={seed}] {what}"));
+    };
 
     // Wire level. A run concluded here is *supposed* to have the oracle
     // installed; a missing one would silently skip every wire invariant,
@@ -94,42 +112,31 @@ pub fn conclude(
     // `sim.core.set_trace(Box::new(Oracle::new()))` or `Oracle::wrapping`).
     let wire = oracle::conclude(&mut sim.core, summary);
     if !wire.checked {
-        violations.push(format!(
-            "{prefix} wire oracle was not installed — wire invariants unchecked"
+        report(format_args!(
+            "wire oracle was not installed — wire invariants unchecked"
         ));
     }
     for v in &wire.violations {
-        violations.push(format!("{prefix} wire {v}"));
+        report(format_args!("wire {v}"));
     }
     if wire.suppressed > 0 {
-        violations.push(format!(
-            "{prefix} wire ... and {} more violations suppressed",
+        report(format_args!(
+            "wire ... and {} more violations suppressed",
             wire.suppressed
         ));
     }
 
-    // Host level: per-connection taps, plus the endpoint table for stream
-    // pairing.
-    let mut endpoints: Vec<Endpoint> = Vec::new();
+    // Host level: per-connection taps.
     for id in sim.node_ids() {
         let Some(host) = sim.node(id).as_any().downcast_ref::<Host>() else {
             continue;
         };
         for conn in host.stack.connections() {
             for v in &conn.stats.integrity_violations {
-                violations.push(format!(
-                    "{prefix} host={} conn={:08x} {v}",
+                report(format_args!(
+                    "host={} conn={:08x} {v}",
                     host.name, conn.token
                 ));
-            }
-            if let Some(sf0) = conn.subflow(0) {
-                endpoints.push(Endpoint {
-                    host: &host.name,
-                    token: conn.token,
-                    tuple: sf0.tuple,
-                    sent: &conn.stats.tap_sent,
-                    recvd: &conn.stats.tap_recvd,
-                });
             }
         }
     }
@@ -138,24 +145,29 @@ pub fn conclude(
     // whose initial-subflow tuple is the mirror image (NATted topologies
     // simply produce no match and are covered by the per-host taps alone).
     // Indexed by tuple so a many-client world (fleet: ~1600 endpoints)
-    // pairs in linear time.
-    let by_tuple: smapp_sim::FxHashMap<FourTuple, usize> = endpoints
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (e.tuple, i))
-        .collect();
-    for a in &endpoints {
-        let Some(&bi) = by_tuple.get(&reversed(&a.tuple)) else {
+    // pairs in linear time; a tuple seen twice keeps its last endpoint.
+    let mut by_tuple = ENDPOINTS.take();
+    for (id, _, conn, tuple) in endpoints(sim) {
+        by_tuple.insert(tuple, (id, conn.idx));
+    }
+    for (_, a_host, a, tuple) in endpoints(sim) {
+        let Some(&(b_id, b_idx)) = by_tuple.get(&reversed(&tuple)) else {
             continue;
         };
-        let b = &endpoints[bi];
-        if let Some(err) = a.sent.check_against_receiver(b.recvd) {
-            violations.push(format!(
-                "{prefix} stream {}:{:08x} -> {}:{:08x}: {err}",
-                a.host, a.token, b.host, b.token
+        let b_host = crate::topo::host(sim, b_id);
+        let b = b_host
+            .stack
+            .connection(b_idx)
+            .expect("an endpoint's slot holds its connection");
+        if let Some(err) = a.stats.tap_sent.check_against_receiver(&b.stats.tap_recvd) {
+            report(format_args!(
+                "stream {}:{:08x} -> {}:{:08x}: {err}",
+                a_host.name, a.token, b_host.name, b.token
             ));
         }
     }
+    by_tuple.clear();
+    ENDPOINTS.set(by_tuple);
 
     RunVerdict {
         scenario: scenario.to_string(),
@@ -240,13 +252,9 @@ mod tests {
         let summary = sim.run_until(SimTime::from_secs(30));
         let verdict = conclude(&mut sim, &summary, "verify-test", 3);
         assert!(!verdict.wire_checked);
-        assert!(
-            verdict
-                .violations
-                .iter()
-                .any(|v| v.contains("oracle was not installed")),
-            "{:?}",
-            verdict.violations
+        assert_eq!(
+            verdict.violations,
+            ["[verify-test seed=3] wire oracle was not installed — wire invariants unchecked"]
         );
     }
 

@@ -24,7 +24,10 @@
 //!
 //! The slab's free slots are chained through the same `next` field, so the
 //! queue's only growable storage is the slab, `current` and (rarely) `far`;
-//! its fixed tables are 66 KiB (`heads` 64 KiB, the bitmap 2 KiB).
+//! its fixed tables are 66 KiB (`heads` 64 KiB, the bitmap 2 KiB). A
+//! dropped world hands all four to the next one on its thread as a
+//! [`QueueSpare`]: emptied, with `heads` all `NIL` again, so a warm queue
+//! allocates nothing until it outgrows the one before it.
 //!
 //! What it costs instead: a bucket is sorted when it opens and an insertion
 //! into the open one moves the keys behind it, so the price per event grows
@@ -114,8 +117,10 @@ pub(crate) struct EventQueue<E> {
     /// First free slab slot, or `NIL`.
     free: u32,
     /// `heads[t % N]` is the first slot of the bucket for tick `t` in
-    /// `[next_tick, next_tick + N)`, or `NIL`.
-    heads: Box<[u32; WHEEL_SLOTS]>,
+    /// `[next_tick, next_tick + N)`, or `NIL`. Always `N` long; a slice
+    /// rather than an array so that it can be moved out without putting
+    /// another 64 KiB in its place.
+    heads: Box<[u32]>,
     /// Bit `b` is set iff `heads[b] != NIL`.
     occupied: [u64; WORDS],
     /// First tick that has not been opened; everything before it is in
@@ -131,43 +136,104 @@ pub(crate) struct EventQueue<E> {
     peak_len: usize,
 }
 
-impl<E> EventQueue<E> {
-    pub fn new() -> Self {
-        EventQueue {
+/// The growable storage of an [`EventQueue`], emptied: what
+/// [`EventQueue::recycle`] gives back and [`EventQueue::reusing`] takes.
+/// `heads` is either empty (nothing to reuse) or `N` entries of `NIL`.
+pub(crate) struct QueueSpare<E> {
+    slab: Vec<Slot<E>>,
+    heads: Box<[u32]>,
+    current: Vec<Key>,
+    far: BinaryHeap<Reverse<Key>>,
+}
+
+impl<E> Default for QueueSpare<E> {
+    fn default() -> Self {
+        QueueSpare {
             slab: Vec::new(),
+            heads: Box::default(),
+            current: Vec::new(),
+            far: BinaryHeap::new(),
+        }
+    }
+}
+
+impl<E> EventQueue<E> {
+    #[cfg(test)]
+    pub(crate) fn new() -> Self {
+        Self::reusing(QueueSpare::default())
+    }
+
+    /// An empty queue on `spare`'s storage; allocates the bucket table
+    /// only when the spare has none.
+    pub(crate) fn reusing(spare: QueueSpare<E>) -> Self {
+        let QueueSpare {
+            slab,
+            mut heads,
+            current,
+            far,
+        } = spare;
+        if heads.is_empty() {
+            heads = vec![NIL; WHEEL_SLOTS].into_boxed_slice();
+        }
+        debug_assert!(heads.len() == WHEEL_SLOTS && heads.iter().all(|&h| h == NIL));
+        debug_assert!(slab.is_empty() && current.is_empty() && far.is_empty());
+        EventQueue {
+            slab,
             free: NIL,
-            heads: vec![NIL; WHEEL_SLOTS]
-                .into_boxed_slice()
-                .try_into()
-                .expect("the vector has WHEEL_SLOTS elements"),
+            heads,
             occupied: [0; WORDS],
             next_tick: 0,
-            current: Vec::new(),
+            current,
             cursor: 0,
-            far: BinaryHeap::new(),
+            far,
             len: 0,
             peak_len: 0,
         }
     }
 
+    /// Drop every queued event and hand back the storage, emptied. Only
+    /// the buckets the bitmap marks are reset, so this costs the events
+    /// still queued, not the table. The queue is left without a bucket
+    /// table: the caller drops it.
+    pub(crate) fn recycle(&mut self) -> QueueSpare<E> {
+        for (w, word) in self.occupied.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                self.heads[w * 64 + bits.trailing_zeros() as usize] = NIL;
+                bits &= bits - 1;
+            }
+        }
+        self.slab.clear();
+        self.current.clear();
+        self.far.clear();
+        self.free = NIL;
+        self.len = 0;
+        QueueSpare {
+            slab: std::mem::take(&mut self.slab),
+            heads: std::mem::take(&mut self.heads),
+            current: std::mem::take(&mut self.current),
+            far: std::mem::take(&mut self.far),
+        }
+    }
+
     /// Entries currently queued (live and lazily-cancelled alike).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// High-water mark of [`EventQueue::len`] since construction.
-    pub fn peak_len(&self) -> usize {
+    pub(crate) fn peak_len(&self) -> usize {
         self.peak_len
     }
 
     /// Slab slots ever created; equals [`EventQueue::peak_len`] as long as
     /// freed slots are reused before the slab grows.
     #[cfg(test)]
-    pub fn slab_len(&self) -> usize {
+    pub(crate) fn slab_len(&self) -> usize {
         self.slab.len()
     }
 
-    pub fn push(&mut self, at: SimTime, seq: u64, ev: E) {
+    pub(crate) fn push(&mut self, at: SimTime, seq: u64, ev: E) {
         let entry = Slot {
             at,
             seq,
@@ -199,7 +265,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Time of the earliest entry, advancing the wheel as needed.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         if self.cursor == self.current.len() {
             self.advance();
         }
@@ -207,7 +273,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Remove and return the earliest entry (exact `(at, seq)` order).
-    pub fn pop(&mut self) -> Option<Scheduled<E>> {
+    pub(crate) fn pop(&mut self) -> Option<Scheduled<E>> {
         if self.cursor == self.current.len() {
             self.advance();
         }
@@ -458,6 +524,35 @@ mod tests {
                     break;
                 }
             }
+        }
+    }
+
+    /// A queue given back with entries in every structure — the open
+    /// window, wheel buckets and `far` — comes back empty, every bucket
+    /// head reset, and orders the next run's events like a fresh queue.
+    #[test]
+    fn recycled_queue_orders_like_a_fresh_one() {
+        let mut q = EventQueue::new();
+        for (seq, ms) in [1u64, 1, 5, 700, 3_000, 9_000].into_iter().enumerate() {
+            q.push(SimTime::from_millis(ms), seq as u64, seq as u32);
+        }
+        assert_eq!(q.pop().map(|s| s.ev), Some(0), "the first bucket is open");
+        let spare = q.recycle();
+        assert!(spare.heads.iter().all(|&h| h == NIL));
+        assert!(spare.slab.is_empty() && spare.current.is_empty() && spare.far.is_empty());
+        let mut q = EventQueue::reusing(spare);
+        assert_eq!((q.len(), q.peak_len(), q.peek_time()), (0, 0, None));
+        let mut r = Reference {
+            heap: BinaryHeap::new(),
+        };
+        let mut rng = SimRng::seed_from_u64(3);
+        for seq in 0..500u64 {
+            let at = SimTime::from_nanos(rng.next_u64() % 3_000_000_000);
+            q.push(at, seq, seq as u32);
+            r.push(at, seq, seq as u32);
+        }
+        for _ in 0..=500 {
+            assert_eq!(q.pop().map(|s| (s.at, s.seq, s.ev)), r.pop());
         }
     }
 

@@ -80,6 +80,7 @@ pub mod packet;
 pub mod rewrite;
 pub mod rng;
 pub mod router;
+pub mod spare;
 pub mod time;
 pub mod trace;
 pub mod wire;
@@ -98,6 +99,7 @@ pub use oracle::{Oracle, OracleOutcome, Violation};
 pub use packet::{IcmpMsg, Packet, PktSummary, UnreachCode, IP_HEADER_LEN, PROTO_ICMP, PROTO_TCP};
 pub use rng::SimRng;
 pub use router::{Route, Router};
+pub use spare::SpareList;
 pub use time::{tx_time, SimTime};
 pub use trace::{CollectorSink, TraceEvent, TraceKind, TraceSink};
 pub use world::{Ctx, InstallPolicy, RunSummary, SimCore, Simulator, StopReason, TimerHandle};

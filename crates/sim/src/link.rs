@@ -235,9 +235,16 @@ pub struct LinkDirStats {
 impl LinkDirState {
     /// New idle direction with the given configuration.
     pub fn new(cfg: LinkCfg) -> Self {
+        Self::reusing(cfg, VecDeque::new())
+    }
+
+    /// New idle direction queueing into `ring`, an emptied ring another
+    /// link gave up.
+    pub(crate) fn reusing(cfg: LinkCfg, ring: VecDeque<Packet>) -> Self {
+        debug_assert!(ring.is_empty(), "a spare ring holds no packet");
         LinkDirState {
             cfg,
-            queue: VecDeque::new(),
+            queue: ring,
             busy: false,
             stats: LinkDirStats::default(),
         }

@@ -7,6 +7,7 @@
 //! which the node sends packets and arms timers.
 
 use std::any::Any;
+use std::borrow::Cow;
 
 use crate::addr::Addr;
 use crate::link::{Dir, LinkId};
@@ -34,8 +35,9 @@ pub struct Iface {
     /// Administrative + operational state. A down interface neither sends
     /// nor receives; deliveries to it are dropped.
     pub up: bool,
-    /// Human-readable name for traces (e.g. `"wlan0"`, `"lte0"`).
-    pub name: String,
+    /// Human-readable name for traces (e.g. `"wlan0"`, `"lte0"`); a
+    /// literal costs no allocation.
+    pub name: Cow<'static, str>,
 }
 
 /// Behaviour of a simulated network element.

@@ -34,9 +34,12 @@
 //! buffer/window bounds) live in the `smapp-mptcp` connection taps; this
 //! module checks everything observable on the wire.
 
+use std::cell::RefCell;
+
 use crate::coverage::{wire, Coverage};
 use crate::hash::FxHashMap;
 use crate::packet::{Packet, PROTO_ICMP, PROTO_TCP};
+use crate::spare::SpareList;
 use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceKind, TraceSink};
 use crate::wire::{TcpView, TCP_HEADER_LEN};
@@ -82,6 +85,18 @@ struct LinkFlow {
 /// and the first few are what matter.
 const MAX_VIOLATIONS: usize = 64;
 
+/// The MP_CAPABLE key table: key → the flow that introduced it.
+type CapableKeys = FxHashMap<u64, (u32, u32, u16, u16)>;
+
+thread_local! {
+    /// Emptied ledgers and key tables of dropped oracles, for the next
+    /// [`Oracle::new`] on the thread (the world storage contract: one
+    /// release path, capacity kept, nothing carried over). The key table
+    /// is only probed, never iterated, so its capacity reaches no verdict.
+    static ORACLE_SPARES: RefCell<SpareList<(Vec<LinkFlow>, CapableKeys)>> =
+        const { RefCell::new(SpareList::new()) };
+}
+
 /// The wire-level invariant checker. See the module docs.
 pub struct Oracle {
     inner: Option<Box<dyn TraceSink>>,
@@ -90,7 +105,7 @@ pub struct Oracle {
     /// MP_CAPABLE sender keys seen on initial SYNs, with the flow that
     /// introduced each: `(src, dst, src_port, dst_port)` packed to a u64
     /// pair for cheap equality.
-    capable_keys: FxHashMap<u64, (u32, u32, u16, u16)>,
+    capable_keys: CapableKeys,
     violations: Vec<Violation>,
     /// Violations beyond the storage cap (counted, not stored).
     pub suppressed: u64,
@@ -104,13 +119,18 @@ pub struct Oracle {
 }
 
 impl Oracle {
-    /// A standalone oracle (no inner sink).
+    /// A standalone oracle (no inner sink), on the tables the last oracle
+    /// dropped on this thread gave back.
     pub fn new() -> Self {
+        let (links, capable_keys) = ORACLE_SPARES
+            .with(|s| s.borrow_mut().take())
+            .unwrap_or_default();
+        debug_assert!(links.is_empty() && capable_keys.is_empty());
         Oracle {
             inner: None,
             last_at: SimTime::ZERO,
-            links: Vec::new(),
-            capable_keys: FxHashMap::default(),
+            links,
+            capable_keys,
             violations: Vec::new(),
             suppressed: 0,
             events_seen: 0,
@@ -284,6 +304,17 @@ impl Oracle {
 impl Default for Oracle {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl Drop for Oracle {
+    /// Give the emptied ledger and key table to the thread.
+    fn drop(&mut self) {
+        let mut links = std::mem::take(&mut self.links);
+        let mut keys = std::mem::take(&mut self.capable_keys);
+        links.clear();
+        keys.clear();
+        let _ = ORACLE_SPARES.try_with(|s| s.borrow_mut().give((links, keys)));
     }
 }
 

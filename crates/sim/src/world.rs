@@ -35,17 +35,21 @@
 //! apart, in [`RunSummary::stale`] and [`RunSummary::requeued`], and
 //! [`RunSummary::peak_queue`] counts queue entries of either kind.
 
+use std::borrow::Cow;
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use crate::addr::Addr;
 use crate::dynamics::{DynAction, DynamicsScript, OutOfOrderError};
-use crate::equeue::{EventQueue, Scheduled};
+use crate::equeue::{EventQueue, QueueSpare, Scheduled};
 use crate::link::{
     Dir, DropReason, Eviction, LinkCfg, LinkDirState, LinkDirStats, LinkId, LossModel, ReorderModel,
 };
 use crate::node::{Iface, IfaceId, Node, NodeId};
 use crate::packet::Packet;
 use crate::rng::SimRng;
+use crate::spare::SpareList;
 use crate::time::{tx_time, SimTime};
 use crate::trace::{TraceEvent, TraceKind, TraceSink};
 
@@ -168,11 +172,18 @@ pub struct SimCore {
     next_seq: u64,
     rng: SimRng,
     links: Vec<LinkState>,
+    /// Emptied queue rings no link of this world has taken yet.
+    rings: Vec<VecDeque<Packet>>,
     ifaces: Vec<Iface>,
-    /// Per-node interface index: `node_ifaces[n]` lists node `n`'s
-    /// interfaces in creation order (O(1) topology lookups).
-    node_ifaces: Vec<Vec<IfaceId>>,
+    /// Per-node interface lists, threaded through `iface_next` so that a
+    /// node costs no list of its own: node `n`'s interfaces, in creation
+    /// order, start at `node_ifaces[n].0` and follow `iface_next` to
+    /// `NO_IFACE`; `.1` is the last, where the next one is appended.
+    node_ifaces: Vec<(u32, u32)>,
+    iface_next: Vec<u32>,
     timer_slots: Vec<TimerSlot>,
+    /// Free timer slots. Its capacity is kept at least the slot table's,
+    /// so retiring a timer never grows it.
     timer_free: Vec<u32>,
     live_timers: usize,
     /// Stale and requeued pops since construction; a run reports the
@@ -188,18 +199,34 @@ pub struct SimCore {
     pub event_limit: u64,
 }
 
+/// "No interface": the end of a node's interface list.
+const NO_IFACE: u32 = u32::MAX;
+
 impl SimCore {
-    fn new(seed: u64) -> Self {
+    /// A core at time zero on the emptied storage in `spare`.
+    fn new(seed: u64, spare: CoreSpare) -> Self {
+        let CoreSpare {
+            queue,
+            links,
+            rings,
+            ifaces,
+            node_ifaces,
+            iface_next,
+            timer_slots,
+            timer_free,
+        } = spare;
         SimCore {
             now: SimTime::ZERO,
-            queue: EventQueue::new(),
+            queue: EventQueue::reusing(queue),
             next_seq: 0,
             rng: SimRng::seed_from_u64(seed),
-            links: Vec::new(),
-            ifaces: Vec::new(),
-            node_ifaces: Vec::new(),
-            timer_slots: Vec::new(),
-            timer_free: Vec::new(),
+            links,
+            rings,
+            ifaces,
+            node_ifaces,
+            iface_next,
+            timer_slots,
+            timer_free,
             live_timers: 0,
             stale: 0,
             requeued: 0,
@@ -245,11 +272,12 @@ impl SimCore {
 
     /// All interfaces belonging to `node`, in creation order.
     pub fn ifaces_of(&self, node: NodeId) -> impl Iterator<Item = (IfaceId, &Iface)> {
-        self.node_ifaces
-            .get(node.0)
-            .into_iter()
-            .flatten()
-            .map(move |&id| (id, &self.ifaces[id.0]))
+        let mut at = self.node_ifaces.get(node.0).map_or(NO_IFACE, |&(f, _)| f);
+        std::iter::from_fn(move || {
+            let i = (at != NO_IFACE).then_some(at as usize)?;
+            at = self.iface_next[i];
+            Some((IfaceId(i), &self.ifaces[i]))
+        })
     }
 
     /// Find the interface of `node` carrying address `addr`.
@@ -399,6 +427,11 @@ impl SimCore {
                 TimerHandle { slot, gen: st.gen }
             }
             None => {
+                if self.timer_slots.len() == self.timer_slots.capacity() {
+                    self.timer_slots.reserve(1);
+                    let room = self.timer_slots.capacity() - self.timer_free.len();
+                    self.timer_free.reserve_exact(room);
+                }
                 self.timer_slots.push(armed(0));
                 TimerHandle {
                     slot: (self.timer_slots.len() - 1) as u32,
@@ -597,6 +630,34 @@ impl SimCore {
         );
     }
 
+    /// Drop everything the world still holds in its tables and hand the
+    /// storage back, emptied. The queue rings of the links join the spare
+    /// ones; the trace sink is not storage and stays.
+    fn recycle(&mut self) -> CoreSpare {
+        let mut rings = std::mem::take(&mut self.rings);
+        for link in self.links.drain(..) {
+            for mut dir in link.dirs {
+                dir.queue.clear();
+                rings.push(dir.queue);
+            }
+        }
+        self.ifaces.clear();
+        self.node_ifaces.clear();
+        self.iface_next.clear();
+        self.timer_slots.clear();
+        self.timer_free.clear();
+        CoreSpare {
+            queue: self.queue.recycle(),
+            links: std::mem::take(&mut self.links),
+            rings,
+            ifaces: std::mem::take(&mut self.ifaces),
+            node_ifaces: std::mem::take(&mut self.node_ifaces),
+            iface_next: std::mem::take(&mut self.iface_next),
+            timer_slots: std::mem::take(&mut self.timer_slots),
+            timer_free: std::mem::take(&mut self.timer_free),
+        }
+    }
+
     /// Serialize `pkt` on a line that [`LinkDirState::admit`] has marked
     /// busy: the packet an idle line admitted, or the head of its queue
     /// when the one before it is done.
@@ -717,6 +778,60 @@ pub enum InstallPolicy {
     Strict,
 }
 
+/// The growable storage of a [`SimCore`], emptied.
+#[derive(Default)]
+struct CoreSpare {
+    queue: QueueSpare<SimEvent>,
+    links: Vec<LinkState>,
+    rings: Vec<VecDeque<Packet>>,
+    ifaces: Vec<Iface>,
+    node_ifaces: Vec<(u32, u32)>,
+    iface_next: Vec<u32>,
+    timer_slots: Vec<TimerSlot>,
+    timer_free: Vec<u32>,
+}
+
+/// The storage a dropped [`Simulator`] gives up: every table of its core,
+/// the queue rings of its links, and its node, script and dynamics lists,
+/// each emptied with its capacity kept. The thread keeps it for the next
+/// [`Simulator::new`], so a world built after another one on the same
+/// thread starts on the tables that one grew. Worlds alive at once each
+/// hold a set and give it back, so the thread never keeps more than the
+/// most it had live at once. Capacity is not observable, so reuse moves
+/// no trajectory.
+#[derive(Default)]
+struct WorldSpare {
+    core: CoreSpare,
+    nodes: Vec<Box<dyn Node>>,
+    scripts: Vec<ScriptFn>,
+    dynamics: Vec<Option<DynAction>>,
+}
+
+thread_local! {
+    static WORLD_SPARES: RefCell<SpareList<WorldSpare>> = const { RefCell::new(SpareList::new()) };
+}
+
+impl WorldSpare {
+    /// The storage the thread last got back from a world, or none.
+    fn take() -> WorldSpare {
+        WORLD_SPARES
+            .with(|s| s.borrow_mut().take())
+            .unwrap_or_default()
+    }
+
+    /// Give the thread a dropped world's emptied storage. `try_with`: a
+    /// world dropped while its thread exits simply frees it.
+    fn give(spare: WorldSpare) {
+        let _ = WORLD_SPARES.try_with(|s| s.borrow_mut().give(spare));
+    }
+
+    /// How many spare sets the thread holds.
+    #[cfg(test)]
+    fn on_thread() -> usize {
+        WORLD_SPARES.with(|s| s.borrow().len())
+    }
+}
+
 /// The complete simulation.
 pub struct Simulator {
     /// The shared core (public so scenario code can inspect links/stats
@@ -732,13 +847,21 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Create an empty simulation with the given RNG seed.
+    /// Create an empty simulation with the given RNG seed, on the storage
+    /// the last world dropped on this thread gave back (see the
+    /// ARCHITECTURE contract on world storage).
     pub fn new(seed: u64) -> Self {
+        let WorldSpare {
+            core,
+            nodes,
+            scripts,
+            dynamics,
+        } = WorldSpare::take();
         Simulator {
-            core: SimCore::new(seed),
-            nodes: Vec::new(),
-            scripts: Vec::new(),
-            dynamics: Vec::new(),
+            core: SimCore::new(seed, core),
+            nodes,
+            scripts,
+            dynamics,
             started: false,
         }
     }
@@ -747,24 +870,40 @@ impl Simulator {
     pub fn add_node(&mut self, node: Box<dyn Node>) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(node);
-        self.core.node_ifaces.push(Vec::new());
+        self.core.node_ifaces.push((NO_IFACE, NO_IFACE));
         id
     }
 
     /// Add an interface to `node` with address `addr`. The interface starts
     /// up but unplugged; connect it with [`Simulator::connect`].
-    pub fn add_iface(&mut self, node: NodeId, addr: Addr, name: impl Into<String>) -> IfaceId {
+    pub fn add_iface(
+        &mut self,
+        node: NodeId,
+        addr: Addr,
+        name: impl Into<Cow<'static, str>>,
+    ) -> IfaceId {
         assert!(node.0 < self.nodes.len(), "no such node");
-        let id = IfaceId(self.core.ifaces.len());
-        self.core.ifaces.push(Iface {
+        let core = &mut self.core;
+        let id = u32::try_from(core.ifaces.len())
+            .ok()
+            .filter(|&i| i != NO_IFACE)
+            .expect("fewer than 2^32 - 1 interfaces");
+        core.ifaces.push(Iface {
             node,
             addr,
             link: None,
             up: true,
             name: name.into(),
         });
-        self.core.node_ifaces[node.0].push(id);
-        id
+        core.iface_next.push(NO_IFACE);
+        let (first, last) = &mut core.node_ifaces[node.0];
+        if *first == NO_IFACE {
+            *first = id;
+        } else {
+            core.iface_next[*last as usize] = id;
+        }
+        *last = id;
+        IfaceId(id as usize)
     }
 
     /// Create a link between two interfaces with symmetric configuration.
@@ -779,11 +918,15 @@ impl Simulator {
             "interface already connected"
         );
         let id = LinkId(self.core.links.len());
-        self.core.links.push(LinkState {
-            a,
-            b,
-            dirs: [LinkDirState::new(ab), LinkDirState::new(ba)],
-        });
+        // Room for every link's two rings to come back at teardown.
+        let rings = &mut self.core.rings;
+        rings.reserve((2 * id.0 + 2).saturating_sub(rings.len()));
+        let mut ring = || self.core.rings.pop().unwrap_or_default();
+        let dirs = [
+            LinkDirState::reusing(ab, ring()),
+            LinkDirState::reusing(ba, ring()),
+        ];
+        self.core.links.push(LinkState { a, b, dirs });
         self.core.ifaces[a.0].link = Some((id, Dir::AtoB));
         self.core.ifaces[b.0].link = Some((id, Dir::BtoA));
         id
@@ -1085,6 +1228,24 @@ impl Simulator {
             }
             DynAction::Stop => self.core.request_stop(),
         }
+    }
+}
+
+impl Drop for Simulator {
+    /// World teardown: the queued events, links and nodes are dropped,
+    /// and the emptied storage that held them goes to the thread for the
+    /// next world. This is the one way world storage is released.
+    fn drop(&mut self) {
+        let core = self.core.recycle();
+        self.nodes.clear();
+        self.scripts.clear();
+        self.dynamics.clear();
+        WorldSpare::give(WorldSpare {
+            core,
+            nodes: std::mem::take(&mut self.nodes),
+            scripts: std::mem::take(&mut self.scripts),
+            dynamics: std::mem::take(&mut self.dynamics),
+        });
     }
 }
 
@@ -2082,5 +2243,80 @@ mod tests {
         assert_ne!(h[4], h[0], "a stale handle arms a new timer");
         // The three timers' entries; the re-arms pushed none.
         assert_eq!(sim.core.peak_queue_depth(), 3);
+    }
+
+    /// A dropped world's storage goes to the thread and the next world
+    /// takes it: two worlds alive at once leave two sets, and a world
+    /// built on one follows the trajectory of a world built on none.
+    #[test]
+    fn worlds_start_on_what_dropped_worlds_gave_back() {
+        let run = |seed| {
+            let cfg = LinkCfg::mbps_ms(10, 5).loss(LossModel::Bernoulli(0.3));
+            let (mut sim, a, _b) = two_hosts(seed, cfg);
+            let s = sim.run();
+            let ping = sim.node(a).as_any().downcast_ref::<Pinger>().unwrap();
+            (s, ping.got, ping.timer_fired.clone())
+        };
+        let (fresh, warm, spares) = std::thread::spawn(move || {
+            let fresh = run(7);
+            assert_eq!(WorldSpare::on_thread(), 1);
+            let both = (Simulator::new(1), Simulator::new(2));
+            assert_eq!(WorldSpare::on_thread(), 0);
+            drop(both);
+            (fresh, run(7), WorldSpare::on_thread())
+        })
+        .join()
+        .unwrap();
+        assert_eq!(warm, fresh);
+        assert_eq!(spares, 2, "one set per world that was alive at once");
+    }
+
+    /// Interfaces added to nodes in turn are listed per node in creation
+    /// order, and a node without any lists none.
+    #[test]
+    fn interfaces_list_per_node_in_creation_order() {
+        let mut sim = Simulator::new(0);
+        let [a, b, c] = [(); 3].map(|_| sim.add_node(Box::new(Echo { seen: 0 })));
+        let mut want = [vec![], vec![], vec![]];
+        for i in 0..7u8 {
+            let node = if i % 3 == 1 { b } else { a };
+            let id = sim.add_iface(node, Addr::new(10, 0, 0, i), "eth");
+            want[node.0].push((id, Addr::new(10, 0, 0, i)));
+        }
+        for n in [a, b, c] {
+            let got: Vec<_> = sim.core.ifaces_of(n).map(|(id, i)| (id, i.addr)).collect();
+            assert_eq!(got, want[n.0]);
+        }
+        assert_eq!(
+            sim.core.iface_by_addr(b, Addr::new(10, 0, 0, 4)),
+            Some(IfaceId(4))
+        );
+        assert_eq!(sim.core.iface_by_addr(a, Addr::new(10, 0, 0, 4)), None);
+        assert_eq!(sim.core.ifaces_of(NodeId(9)).count(), 0);
+    }
+
+    /// Retiring timers never grows the free list: it is reserved to the
+    /// slot table's capacity whenever the table grows.
+    #[test]
+    fn timer_free_list_is_reserved_with_the_slot_table() {
+        let mut sim = Simulator::new(0);
+        let n = sim.add_node(Box::new(Echo { seen: 0 }));
+        let mut ctx = Ctx {
+            core: &mut sim.core,
+            node: n,
+        };
+        let handles: Vec<_> = (0..100)
+            .map(|i| ctx.set_timer_after(Duration::from_millis(i), i))
+            .collect();
+        let core = &mut sim.core;
+        assert!(core.timer_free.capacity() >= core.timer_slots.capacity());
+        let cap = core.timer_free.capacity();
+        for h in handles {
+            assert!(core.cancel_timer(h));
+        }
+        assert_eq!(
+            (core.timer_free.len(), core.timer_free.capacity()),
+            (100, cap)
+        );
     }
 }

@@ -105,6 +105,23 @@ impl StreamTap {
         Self::default()
     }
 
+    /// A fresh tap that records its snapshots into `snaps`, the emptied
+    /// storage of a tap that is gone ([`StreamTap::into_spare`]).
+    pub fn reusing(mut snaps: Vec<u64>) -> Self {
+        snaps.clear();
+        StreamTap {
+            snaps,
+            ..Self::default()
+        }
+    }
+
+    /// The tap's snapshot storage, emptied, for [`StreamTap::reusing`].
+    pub fn into_spare(self) -> Vec<u64> {
+        let mut snaps = self.snaps;
+        snaps.clear();
+        snaps
+    }
+
     /// Bytes observed so far.
     pub fn count(&self) -> u64 {
         self.count
@@ -205,6 +222,23 @@ mod tests {
         let mut t = StreamTap::new();
         t.update(data);
         t
+    }
+
+    /// A tap on another tap's storage digests and snapshots like a fresh
+    /// one.
+    #[test]
+    fn a_tap_on_spare_storage_is_a_fresh_tap() {
+        let data = stream(9, 3 * SNAP + 17);
+        let spare = tap_of(&stream(8, 5 * SNAP)).into_spare();
+        assert!(spare.is_empty() && spare.capacity() >= 5);
+        let mut reused = StreamTap::reusing(spare);
+        reused.update(&data);
+        let fresh = tap_of(&data);
+        assert_eq!(
+            (reused.count(), reused.digest()),
+            (fresh.count(), fresh.digest())
+        );
+        assert_eq!(reused.snaps, fresh.snaps);
     }
 
     /// `len` pseudo-random bytes, cheap enough to draw several snapshot
