@@ -38,9 +38,9 @@
 //! allocates nothing once one has run.
 //!
 //! The ninth pins world turnover: a world built after another one on its
-//! thread starts on the simulator, oracle, host and controller storage
-//! that one gave back, and follows the trajectory it follows on a thread
-//! of its own.
+//! thread starts on the simulator, oracle, stack, connection, host, path
+//! manager and controller storage that one gave back, and follows the
+//! trajectory it follows on a thread of its own.
 //!
 //! All nine measurements live in ONE `#[test]` so nothing else in this
 //! binary allocates concurrently while a window is being measured.
@@ -95,18 +95,21 @@ const FIG3_CONN_ALLOC_CEILING: u64 = 19;
 /// the world ends, and the dropped stacks give its storage to the thread;
 /// the dropped simulator, oracle and hosts give theirs. Measured 98 (564
 /// the first time) with world storage spared, against 175 (573) with
-/// connection storage alone and 205 when each stack kept its own spares;
-/// the ceiling is 1.5x the measured value.
-const FIG2C_SECOND_WORLD_ALLOC_CEILING: u64 = 147;
+/// connection storage alone and 205 when each stack kept its own spares,
+/// and 89 (570) once subflow tables, reinjection rings and controller
+/// tables were spared too; the ceiling is 1.5x the measured value.
+const FIG2C_SECOND_WORLD_ALLOC_CEILING: u64 = 133;
 
 /// Most heap blocks a handover-shaped and a stream-shaped `two_path`
 /// world (part 9) may each allocate, build to teardown, when the same
 /// pair has run on the thread before: the simulator, the oracle, the
-/// stacks, the hosts and the controller start on the storage the first
-/// pair gave back. Measured `[42, 43]` (`[175, 74]` for the first pair,
-/// whose stream world already follows a handover one); the ceilings are
-/// 1.5x the warm pair.
-const WARM_WORLD_ALLOC_CEILING: [u64; 2] = [63, 65];
+/// stacks and their connections, the hosts, the path managers and the
+/// controller start on the storage the first pair gave back, and a
+/// one-action netem clause allocates nothing. Measured `[41, 37]`
+/// (`[187, 88]` for the first pair, whose stream world already follows a
+/// handover one), against `[51, 48]` with world storage alone; the
+/// ceilings are 1.5x the warm pair.
+const WARM_WORLD_ALLOC_CEILING: [u64; 2] = [61, 55];
 
 /// A valid 36-byte TCP header (offset 9 words) with one kind-30 DSS
 /// option carrying a mapping for `payload_len` bytes, followed by that
@@ -287,6 +290,7 @@ fn turnover_world(shape: Shape, seed: u64) -> (u64, Trajectory) {
                         SimTime::from_secs(1),
                         Netem::on(net.link1).loss(LossPct::ratio(0.30)),
                     )
+                    .at(SimTime::from_secs(2), Netem::peer(net.client).probe())
                     .at(SimTime::from_secs(5), Netem::iface(net.client_if1).down())
             };
             (client, loss as fn(&topo::TwoPathNet) -> NetemScript)
@@ -311,11 +315,18 @@ fn turnover_world(shape: Shape, seed: u64) -> (u64, Trajectory) {
             );
             let loss = |net: &topo::TwoPathNet| {
                 let lossy = Netem::on(net.link1).loss(LossPct::ratio(0.30));
-                NetemScript::new().at(SimTime::from_millis(200), lossy)
+                NetemScript::new()
+                    .at(SimTime::from_millis(200), lossy)
+                    .at(SimTime::from_secs(2), Netem::peer(net.client).probe())
             };
             (client, loss as fn(&topo::TwoPathNet) -> NetemScript)
         }
     };
+    // The server connects too, to a port the client does not listen on:
+    // a connection refused at once, so each host queues a connect.
+    let refused = Box::new(BulkSender::new(1_000));
+    let at = SimTime::from_millis(20);
+    server.connect_at(at, None, CLIENT_ADDR1, 9, refused);
     let (wifi, lte) = (LinkCfg::mbps_ms(5, 10), LinkCfg::mbps_ms(5, 40));
     let net = topo::two_path(seed, client, server, wifi, lte);
     let script = script(&net);
@@ -614,7 +625,8 @@ fn scenarios_stay_under_committed_alloc_ceilings_and_oracle_is_clean() {
     );
 
     // ---- Part 9: a world starts on the storage the last one gave back. ----
-    // A handover and a stream world run on a fresh thread, then the same
+    // A handover and a stream world, each with a sockdiag probe and a
+    // connect queued on both hosts, run on a fresh thread, then the same
     // pair again: the second pair is pinned. Each of its trajectories
     // must be the one its world follows first on a thread of its own, so
     // recycled capacity moves nothing.

@@ -17,7 +17,7 @@ use smapp_netlink::{encode_command, PmNlCommand, UserCtx};
 pub struct PmClient {
     seq: u32,
     /// seq -> user tag for outstanding info queries.
-    pending_info: Vec<(u32, u64)>,
+    pub(crate) pending_info: Vec<(u32, u64)>,
     /// Commands sent (diagnostics).
     pub commands_sent: u64,
     /// Frames that failed to parse (diagnostics).

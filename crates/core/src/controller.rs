@@ -120,11 +120,20 @@ pub trait SubflowController: Send {
 /// An info reply's subflow snapshots.
 type Subflows = Vec<(SubflowId, TcpInfo)>;
 
+/// What a dropped runtime gives back, emptied: its kept reply's subflow
+/// vector and its client's table of outstanding queries.
+#[derive(Default)]
+struct RuntimeSpare {
+    subflows: Subflows,
+    queries: Vec<(u32, u64)>,
+}
+
 thread_local! {
-    /// Emptied subflow vectors of dropped runtimes' kept replies, for the
-    /// next runtime on the thread: a new world's controller reads its
-    /// first reply into one instead of growing its own.
-    static REPLY_SPARES: RefCell<SpareList<Subflows>> = const { RefCell::new(SpareList::new()) };
+    /// Emptied tables of dropped runtimes, for the next runtime on the
+    /// thread: a new world's controller reads its first reply into them
+    /// and queues its first query in them instead of growing its own.
+    static RUNTIME_SPARES: RefCell<SpareList<RuntimeSpare>> =
+        const { RefCell::new(SpareList::new()) };
 }
 
 /// Adapts a [`SubflowController`] to the netlink [`UserProcess`] boundary.
@@ -141,29 +150,38 @@ pub struct ControllerRuntime<C> {
 }
 
 impl<C> Drop for ControllerRuntime<C> {
-    /// Give the kept reply's subflow vector, emptied, to the thread.
+    /// Give the kept reply's subflow vector and the client's query table,
+    /// emptied, to the thread.
     fn drop(&mut self) {
+        let mut spare = RuntimeSpare {
+            queries: std::mem::take(&mut self.client.pending_info),
+            ..Default::default()
+        };
+        spare.queries.clear();
         if let PmNlMessage::InfoReply { subflows, .. } = &mut self.reply {
-            let mut spare = std::mem::take(subflows);
-            spare.clear();
-            let _ = REPLY_SPARES.try_with(|s| s.borrow_mut().give(spare));
+            spare.subflows = std::mem::take(subflows);
+            spare.subflows.clear();
         }
+        let _ = RUNTIME_SPARES.try_with(|s| s.borrow_mut().give(spare));
     }
 }
 
 impl<C: SubflowController> ControllerRuntime<C> {
     /// Wrap a controller.
     pub fn new(controller: C) -> Self {
+        let RuntimeSpare { subflows, queries } = RUNTIME_SPARES
+            .with(|s| s.borrow_mut().take())
+            .unwrap_or_default();
+        let mut client = PmClient::new();
+        client.pending_info = queries;
         ControllerRuntime {
-            client: PmClient::new(),
+            client,
             controller,
             reply: PmNlMessage::InfoReply {
                 seq: 0,
                 token: 0,
                 conn: None,
-                subflows: REPLY_SPARES
-                    .with(|s| s.borrow_mut().take())
-                    .unwrap_or_default(),
+                subflows,
             },
         }
     }
@@ -417,8 +435,14 @@ mod tests {
             let (len, cap) = kept(&rt);
             assert!(len == 2 && cap >= 2);
             drop(rt);
-            let spares =
-                || REPLY_SPARES.with(|s| s.borrow().iter().map(Vec::len).collect::<Vec<_>>());
+            let spares = || {
+                RUNTIME_SPARES.with(|s| {
+                    s.borrow()
+                        .iter()
+                        .map(|s| s.subflows.len())
+                        .collect::<Vec<_>>()
+                })
+            };
             assert_eq!(spares(), vec![0]);
             let mut rt = ControllerRuntime::new(Probe::default());
             assert!(spares().is_empty());

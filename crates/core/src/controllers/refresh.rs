@@ -25,10 +25,11 @@
 //! # let _ = user_process;
 //! ```
 
+use std::cell::RefCell;
 use std::time::Duration;
 
 use smapp_mptcp::{ConnToken, PmEvent, SubflowId};
-use smapp_sim::{Addr, FxHashMap, SimTime};
+use smapp_sim::{Addr, FxHashMap, SimTime, SpareList};
 use smapp_tcp::{TcpInfo, TcpStateInfo};
 
 use crate::controller::{ControlApi, SubflowController};
@@ -72,15 +73,52 @@ pub struct RefreshController {
     pub refreshes: Vec<(SimTime, SubflowId, u64)>,
 }
 
+/// The tables a dropped [`RefreshController`] gives back, emptied.
+#[derive(Default)]
+struct Tables {
+    reg: Vec<ConnToken>,
+    conns: FxHashMap<ConnToken, ConnRec>,
+    refreshes: Vec<(SimTime, SubflowId, u64)>,
+}
+
+thread_local! {
+    /// Emptied tables of dropped controllers, for the next
+    /// [`RefreshController::new`] on the thread. `conns` is only probed,
+    /// never iterated, and the vectors are indexed by their own pushes, so
+    /// their capacity reaches no trajectory.
+    static SPARES: RefCell<SpareList<Tables>> = const { RefCell::new(SpareList::new()) };
+}
+
 impl RefreshController {
-    /// New controller.
+    /// New controller, on the tables the last one dropped on this thread
+    /// gave back.
     pub fn new(cfg: RefreshConfig) -> Self {
+        let Tables {
+            reg,
+            conns,
+            refreshes,
+        } = SPARES.with(|s| s.borrow_mut().take()).unwrap_or_default();
         RefreshController {
             cfg,
-            reg: Vec::new(),
-            conns: FxHashMap::default(),
-            refreshes: Vec::new(),
+            reg,
+            conns,
+            refreshes,
         }
+    }
+}
+
+impl Drop for RefreshController {
+    /// Give the emptied tables to the thread.
+    fn drop(&mut self) {
+        let mut spare = Tables {
+            reg: std::mem::take(&mut self.reg),
+            conns: std::mem::take(&mut self.conns),
+            refreshes: std::mem::take(&mut self.refreshes),
+        };
+        spare.reg.clear();
+        spare.conns.clear();
+        spare.refreshes.clear();
+        let _ = SPARES.try_with(|s| s.borrow_mut().give(spare));
     }
 }
 
@@ -157,5 +195,40 @@ impl SubflowController for RefreshController {
         // … and immediately create a replacement with a fresh random port.
         api.open_subflow(token, rec.src, 0, rec.dst, rec.dst_port, false);
         self.refreshes.push((api.now(), victim, rate));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A dropped controller gives its tables, emptied, to the thread; the
+    /// next one starts on them.
+    #[test]
+    fn a_new_controller_starts_on_the_tables_a_dropped_one_gave_back() {
+        std::thread::spawn(|| {
+            let mut ctl = RefreshController::new(RefreshConfig::default());
+            let rec = || ConnRec {
+                src: Addr::new(10, 0, 0, 1),
+                dst: Addr::new(10, 0, 0, 2),
+                dst_port: 80,
+            };
+            for token in 0..3 {
+                ctl.reg.push(token);
+                ctl.conns.insert(token, rec());
+                ctl.refreshes.push((SimTime::ZERO, 1, 10));
+            }
+            let caps = |c: &RefreshController| {
+                let lens = (c.reg.len(), c.conns.len(), c.refreshes.len());
+                let caps = (c.reg.capacity(), c.conns.capacity(), c.refreshes.capacity());
+                (lens, caps)
+            };
+            let (_, held) = caps(&ctl);
+            drop(ctl);
+            let ctl = RefreshController::new(RefreshConfig::default());
+            assert_eq!(caps(&ctl), ((0, 0, 0), held));
+        })
+        .join()
+        .unwrap();
     }
 }

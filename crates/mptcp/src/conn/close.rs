@@ -154,8 +154,37 @@ impl Connection {
         Spares::give_conn(ConnSpare {
             send: self.meta_send.clear(),
             recv: self.meta_recv.clear(),
+            reinject: self.reinject.take_storage(),
         });
-        self.reinject = ReinjectQueue::default();
+    }
+
+    /// The stack is dropped: give the thread what stayed past the close
+    /// for post-run inspection, emptied — the stream taps' snapshot
+    /// storage and the subflow table. Every subflow gave its buffers back
+    /// when it closed, or in [`Connection::release_buffers`].
+    pub(crate) fn retire(self) {
+        let Connection {
+            stats,
+            mut subflows,
+            ..
+        } = self;
+        subflows.clear();
+        Spares::give_retired(Retired {
+            taps: [stats.tap_sent, stats.tap_recvd].map(StreamTap::into_spare),
+            subflows,
+        });
+    }
+
+    /// The subflows closed since the last call, each once: the stack
+    /// drops them from its demux table.
+    pub(crate) fn reap_closed(&mut self) -> impl Iterator<Item = (SubflowId, FourTuple)> + '_ {
+        self.subflows
+            .iter_mut()
+            .filter(|sf| sf.state == SfState::Closed && !sf.reaped)
+            .map(|sf| {
+                sf.reaped = true;
+                (sf.id, sf.tuple)
+            })
     }
 
     /// Close one subflow for the given reason (`SubflowError::None` after a

@@ -117,7 +117,7 @@ impl Connection {
     /// Add a subflow and start its handshake: answer `peer`'s SYN (with
     /// the nonce it carried) when there is one, else send ours. Either is
     /// guarded by the retransmission timer.
-    fn start_subflow(
+    pub(super) fn start_subflow(
         &mut self,
         tuple: FourTuple,
         backup: bool,

@@ -20,7 +20,7 @@
 //! All of them raise the path-manager event stream (`PmEvent`) the SMAPP
 //! architecture builds on.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -37,7 +37,7 @@ use crate::env::StackEnv;
 use crate::options::{Dss, DssMapping, MpOption, CAPABLE_FLAG_HMAC_SHA1, MPTCP_VERSION};
 use crate::pm::{ConnToken, FourTuple, PmEvent, SubflowError, SubflowId};
 use crate::scheduler::{by_name, SchedCandidate, Scheduler};
-use crate::stack::{timer_token, Spares, TimerKind};
+use crate::stack::{timer_token, Retired, Spares, TimerKind};
 use crate::subflow::{MetaRange, RecvMap, SegTag, SfState, Subflow};
 use crate::token::{idsn_from_key, join_hmac_a, join_hmac_b, token_from_key, Key};
 
@@ -153,20 +153,21 @@ enum FallbackCause {
     Inferred,
 }
 
-/// The storage a closed connection gives up, emptied: its send buffer and
-/// reassembly rings. The thread keeps it for the next connection (see
-/// `Spares`).
+/// The storage a closed connection gives up, emptied: its send buffer,
+/// reassembly rings and reinjection ring. The thread keeps it for the
+/// next connection (see `Spares`).
 #[derive(Default)]
 pub(crate) struct ConnSpare {
     send: VecDeque<Bytes>,
     recv: ReassemblyRings,
+    reinject: VecDeque<(u64, u64)>,
 }
 
 #[cfg(test)]
 impl ConnSpare {
     /// True when the rings this crate can see into are empty.
     pub(crate) fn holds_nothing(&self) -> bool {
-        self.send.is_empty()
+        self.send.is_empty() && self.reinject.is_empty()
     }
 }
 
@@ -251,8 +252,18 @@ impl Connection {
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) -> Connection {
-        let ConnSpare { send, recv } = Spares::take_conn();
-        let tap = || StreamTap::reusing(Spares::take_snaps());
+        let ConnSpare {
+            send,
+            recv,
+            reinject,
+        } = Spares::take_conn();
+        // The send tap grows on the storage of the retired connection's
+        // receive tap and the other way round: the pairing the thread kept
+        // when it held taps one by one, last given first taken.
+        let Retired {
+            taps: [recvd, sent],
+            subflows,
+        } = Spares::take_retired();
         let local_key = env.rng.range_u64(1, u64::MAX);
         let token = token_from_key(local_key);
         events.push(PmEvent::ConnCreated {
@@ -268,8 +279,8 @@ impl Connection {
             state: ConnState::Establishing,
             stats: ConnStats {
                 created_at: env.now,
-                tap_sent: tap(),
-                tap_recvd: tap(),
+                tap_sent: StreamTap::reusing(sent),
+                tap_recvd: StreamTap::reusing(recvd),
                 ..Default::default()
             },
             cfg: cfg.clone(),
@@ -298,11 +309,9 @@ impl Connection {
             meta_recv: smapp_tcp::Reassembly::reusing(0, recv),
             peer_fin_off: None,
             eof_delivered: false,
-            // Two slots, where `Vec` would reserve four on the first push:
-            // most connections run two subflows, one per path.
-            subflows: Vec::with_capacity(2),
+            subflows,
             scheduler: by_name(cfg.scheduler).expect("unknown scheduler in config"),
-            reinject: ReinjectQueue::default(),
+            reinject: ReinjectQueue(reinject),
             peer_window: 64 * 1024,
             remote_addrs: Vec::new(),
             initial_remote: (tuple.dst, tuple.dst_port),
@@ -357,11 +366,6 @@ impl Connection {
     /// A subflow by id.
     pub fn subflow(&self, id: SubflowId) -> Option<&Subflow> {
         self.subflows.get(id as usize)
-    }
-
-    /// Every subflow ever created, closed ones included, by id.
-    pub(crate) fn subflows(&self) -> &[Subflow] {
-        &self.subflows
     }
 
     /// `TCP_INFO` of a subflow.
@@ -556,10 +560,12 @@ struct Seg {
     payload: Bytes,
 }
 
-/// Meta ranges awaiting reinjection on another subflow: disjoint, coalesced,
-/// start -> end.
+/// Meta ranges awaiting reinjection on another subflow: disjoint and
+/// coalesced `(start, end)` pairs in a ring sorted by start, so the lowest
+/// is taken from the front. The ring comes from the thread's spares and
+/// goes back with the connection's other buffers.
 #[derive(Default)]
-struct ReinjectQueue(BTreeMap<u64, u64>);
+struct ReinjectQueue(VecDeque<(u64, u64)>);
 
 impl ReinjectQueue {
     /// Queue the part of `r` at or above `una`, merging with neighbours.
@@ -569,31 +575,34 @@ impl ReinjectQueue {
         if start >= end {
             return;
         }
-        // Predecessor overlapping or touching.
-        if let Some((&ps, &pe)) = self.0.range(..=start).next_back() {
-            if pe >= start {
-                start = ps;
-                end = end.max(pe);
-                self.0.remove(&ps);
-            }
+        let q = &mut self.0;
+        // The first range starting above `start`; the one before it is
+        // merged when it overlaps or touches.
+        let mut first = q.partition_point(|&(s, _)| s <= start);
+        if first > 0 && q[first - 1].1 >= start {
+            first -= 1;
+            start = q[first].0;
         }
-        // Successors covered.
-        while let Some((&ns, &ne)) = self.0.range(start..).next() {
-            if ns > end {
-                break;
-            }
-            end = end.max(ne);
-            self.0.remove(&ns);
+        // Every range from there that starts at or before `end` is covered.
+        let mut last = first;
+        while let Some(&(_, e)) = q.get(last).filter(|&&(s, _)| s <= end) {
+            end = end.max(e);
+            last += 1;
         }
-        self.0.insert(start, end);
+        if first == last {
+            q.insert(first, (start, end));
+        } else {
+            q[first] = (start, end);
+            q.drain(first + 1..last);
+        }
     }
 
     /// Forget everything below `una`.
     fn gc(&mut self, una: u64) {
-        while let Some((&s, &e)) = self.0.first_key_value().filter(|(&s, _)| s < una) {
-            self.0.remove(&s);
+        while let Some((_, e)) = self.0.front().copied().filter(|&(s, _)| s < una) {
+            self.0.pop_front();
             if e > una {
-                self.0.insert(una, e);
+                self.0.push_front((una, e));
             }
         }
     }
@@ -601,18 +610,24 @@ impl ReinjectQueue {
     /// Take the lowest chunk at or above `una`, at most `max_len` bytes.
     fn take_chunk(&mut self, max_len: u32, una: u64) -> Option<MetaRange> {
         loop {
-            let (&start, &end) = self.0.iter().next()?;
-            self.0.remove(&start);
+            let (start, end) = self.0.pop_front()?;
             let start = start.max(una);
             if start >= end {
                 continue;
             }
             let len = ((end - start) as u32).min(max_len);
             if start + (len as u64) < end {
-                self.0.insert(start + len as u64, end);
+                self.0.push_front((start + len as u64, end));
             }
             return Some(MetaRange { off: start, len });
         }
+    }
+
+    /// The emptied ring, for the thread's spares.
+    fn take_storage(&mut self) -> VecDeque<(u64, u64)> {
+        let mut ring = std::mem::take(&mut self.0);
+        ring.clear();
+        ring
     }
 }
 
@@ -789,7 +804,7 @@ mod tests {
             conn.reinject.add(MetaRange { off: 0, len: 100 }, una);
             conn.reinject.add(MetaRange { off: 100, len: 100 }, una);
             conn.reinject.add(MetaRange { off: 50, len: 20 }, una);
-            assert_eq!(conn.reinject.0, BTreeMap::from([(0, 200)]));
+            assert_eq!(conn.reinject.0, [(0, 200)]);
             conn.reinject.add(MetaRange { off: 500, len: 10 }, una);
             assert_eq!(conn.reinject.0.len(), 2);
             // Chunks come out in offset order, clipped to max_len.
@@ -813,11 +828,95 @@ mod tests {
             conn.reinject.add(MetaRange { off: 0, len: 50 }, 0);
             conn.reinject.add(MetaRange { off: 90, len: 20 }, 0);
             conn.reinject.gc(100);
-            assert_eq!(
-                conn.reinject.0.into_iter().collect::<Vec<_>>(),
-                [(100, 110)]
-            );
+            assert_eq!(conn.reinject.0, [(100, 110)]);
         });
+    }
+
+    /// The reinjection queue as a sorted map, the way it was kept before
+    /// it became a ring: the reference the ring is run against.
+    #[derive(Default)]
+    struct MapQueue(std::collections::BTreeMap<u64, u64>);
+
+    impl MapQueue {
+        fn add(&mut self, r: MetaRange, una: u64) {
+            let mut start = r.off.max(una);
+            let mut end = r.end();
+            if start >= end {
+                return;
+            }
+            if let Some((&ps, &pe)) = self.0.range(..=start).next_back() {
+                if pe >= start {
+                    start = ps;
+                    end = end.max(pe);
+                    self.0.remove(&ps);
+                }
+            }
+            while let Some((&ns, &ne)) = self.0.range(start..).next() {
+                if ns > end {
+                    break;
+                }
+                end = end.max(ne);
+                self.0.remove(&ns);
+            }
+            self.0.insert(start, end);
+        }
+
+        fn gc(&mut self, una: u64) {
+            while let Some((&s, &e)) = self.0.first_key_value().filter(|(&s, _)| s < una) {
+                self.0.remove(&s);
+                if e > una {
+                    self.0.insert(una, e);
+                }
+            }
+        }
+
+        fn take_chunk(&mut self, max_len: u32, una: u64) -> Option<MetaRange> {
+            loop {
+                let (&start, &end) = self.0.iter().next()?;
+                self.0.remove(&start);
+                let start = start.max(una);
+                if start >= end {
+                    continue;
+                }
+                let len = ((end - start) as u32).min(max_len);
+                if start + (len as u64) < end {
+                    self.0.insert(start + len as u64, end);
+                }
+                return Some(MetaRange { off: start, len });
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The ring and the map, run through the same random history of
+        /// adds, collections and takes over a small offset space (so that
+        /// ranges overlap, touch and swallow each other), hold the same
+        /// ranges in the same order after every step and hand out the
+        /// same chunks.
+        #[test]
+        fn reinjection_ring_matches_the_map(
+            steps in proptest::collection::vec((0u8..4, 0u64..300, 0u32..80, 0u64..300), 1..150),
+        ) {
+            let (mut ring, mut map) = (ReinjectQueue::default(), MapQueue::default());
+            for (kind, off, len, una) in steps {
+                match kind {
+                    0 | 1 => {
+                        ring.add(MetaRange { off, len }, una / 4);
+                        map.add(MetaRange { off, len }, una / 4);
+                    }
+                    2 => {
+                        ring.gc(una);
+                        map.gc(una);
+                    }
+                    _ => proptest::prop_assert_eq!(
+                        ring.take_chunk(len + 1, una / 2),
+                        map.take_chunk(len + 1, una / 2)
+                    ),
+                }
+                let held: Vec<(u64, u64)> = map.0.iter().map(|(&s, &e)| (s, e)).collect();
+                proptest::prop_assert_eq!(&ring.0, &held);
+            }
+        }
     }
 
     #[test]

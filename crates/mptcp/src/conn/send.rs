@@ -324,18 +324,26 @@ impl Connection {
     }
 
     /// LIA coupling: recompute alpha across subflows and push it down.
+    /// The coupling is a function of each subflow's input alone — cwnd and
+    /// srtt while established, nothing otherwise — so it is recomputed
+    /// only when some subflow's input differs from the one it last gave.
     fn update_coupling(&mut self) {
         if self.cfg.cc != CcAlgo::Lia {
             return;
         }
-        let inputs = self
-            .subflows
-            .iter()
-            .filter(|s| s.state == SfState::Established)
-            .map(|s| {
+        let mut moved = false;
+        for s in &mut self.subflows {
+            let input = (s.state == SfState::Established).then(|| {
                 let rtt = s.rtt.srtt().map_or(100_000, |d| d.as_micros() as u64);
                 (s.cc.cwnd(), rtt)
             });
+            moved |= s.coupled != input;
+            s.coupled = input;
+        }
+        if !moved {
+            return;
+        }
+        let inputs = self.subflows.iter().filter_map(|s| s.coupled);
         if inputs.clone().nth(1).is_none() {
             return; // fewer than two: nothing to couple
         }
@@ -389,6 +397,103 @@ impl Connection {
                 addr_ids: vec![addr_id],
             };
             self.send_ack(id, Some(remove_addr), env);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::app::NullApp;
+    use proptest::prelude::*;
+    use smapp_sim::SimRng;
+
+    /// The coupling as computed before it was memoized: from scratch on
+    /// every pump.
+    fn couple_from_scratch(conn: &mut Connection) {
+        let inputs = conn
+            .subflows
+            .iter()
+            .filter(|s| s.state == SfState::Established)
+            .map(|s| {
+                let rtt = s.rtt.srtt().map_or(100_000, |d| d.as_micros() as u64);
+                (s.cc.cwnd(), rtt)
+            });
+        if inputs.clone().nth(1).is_none() {
+            return;
+        }
+        let alpha = lia_alpha(inputs.clone());
+        let total: u64 = inputs.map(|(c, _)| c).sum();
+        for s in &mut conn.subflows {
+            if s.state == SfState::Established {
+                s.cc.set_coupling(alpha, total);
+            }
+        }
+    }
+
+    /// A client connection with `n` subflows, all in SYN_SENT.
+    fn with_subflows(n: u8) -> Connection {
+        let tuple = |port| FourTuple {
+            src: Addr::new(10, 0, 0, 1),
+            src_port: port,
+            dst: Addr::new(10, 0, 0, 2),
+            dst_port: 80,
+        };
+        let cfg = StackConfig::default();
+        assert_eq!(cfg.cc, CcAlgo::Lia);
+        let mut rng = SimRng::seed_from_u64(1);
+        let mut env = StackEnv::new(SimTime::ZERO, &mut rng);
+        let app = Box::new(NullApp);
+        let mut conn = Connection::client(0, &cfg, tuple(40_000), app, &mut env, &mut Vec::new());
+        for id in 1..n {
+            conn.start_subflow(tuple(40_000 + u16::from(id)), false, None, &mut env);
+        }
+        conn
+    }
+
+    /// One step of a subflow history: `(kind, subflow, amount)`.
+    type Step = (u8, u8, u32);
+
+    /// Apply `step` to subflow `id`: a state change, an ACK, a loss, a
+    /// timeout, an RTT sample, or nothing at all.
+    fn apply(conn: &mut Connection, (kind, id, amount): Step) {
+        let sf = &mut conn.subflows[id as usize];
+        let amount = u64::from(amount);
+        match kind {
+            0 => sf.state = SfState::Established,
+            1 => sf.state = SfState::Closed,
+            2 => sf.cc.on_ack(amount * 100),
+            3 => {
+                sf.cc.on_enter_recovery(amount * 1_000);
+                sf.cc.on_exit_recovery();
+            }
+            4 => sf.cc.on_retransmit_timeout(amount * 1_000),
+            5 => sf.rtt.on_sample(Duration::from_micros(1 + amount * 50)),
+            _ => {}
+        }
+    }
+
+    proptest! {
+        /// The memoized coupling and the one computed from scratch, run
+        /// through the same random history of subflow states, windows and
+        /// RTTs, leave every subflow's controller equal after every pump,
+        /// coupling included.
+        #[test]
+        fn memoized_coupling_matches_recomputing_on_every_pump(
+            n in 1u8..=4,
+            steps in proptest::collection::vec((0u8..7, 0u8..4, 0u32..200), 1..120),
+        ) {
+            let (mut memo, mut scratch) = (with_subflows(n), with_subflows(n));
+            for (kind, id, amount) in steps {
+                let step = (kind, id % n, amount);
+                apply(&mut memo, step);
+                apply(&mut scratch, step);
+                memo.update_coupling();
+                couple_from_scratch(&mut scratch);
+                for (a, b) in memo.subflows.iter().zip(&scratch.subflows) {
+                    prop_assert_eq!(&a.cc, &b.cc);
+                }
+            }
         }
     }
 }

@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use smapp_sim::{
     Addr, FxHashMap, FxHashSet, IcmpMsg, Packet, SpareList, TimerHandle, PROTO_ICMP, PROTO_TCP,
 };
-use smapp_tcp::{OptionWriter, SeqNum, StreamTap, TcpFixed, TcpFlags, TcpView};
+use smapp_tcp::{OptionWriter, SeqNum, TcpFixed, TcpFlags, TcpView};
 
 use crate::app::App;
 use crate::config::StackConfig;
@@ -19,7 +19,7 @@ use crate::conn::{ConnSpare, ConnState, Connection};
 use crate::env::StackEnv;
 use crate::options::MpOption;
 use crate::pm::{ConnToken, FourTuple, PmAction, PmEvent, StackView, SubflowError, SubflowId};
-use crate::subflow::{SfState, SubflowSpare};
+use crate::subflow::{Subflow, SubflowSpare};
 
 /// Timer classes multiplexed into the stack's `u64` timer tokens.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,26 +81,62 @@ pub type AppFactory = Box<dyn FnMut() -> Box<dyn App> + Send>;
 /// builds. Capacity is not observable, so reuse moves no trajectory.
 ///
 /// Two kinds outlive a connection's close and are given back when its
-/// stack is dropped instead: the snapshot storage of its stream taps,
-/// which post-run checks read, and the stack's own tables.
+/// stack is dropped instead: what post-run checks read of a connection
+/// (its [`Retired`] storage), and the stack's own tables.
 pub(crate) struct Spares {
     subflows: Vec<SubflowSpare>,
     conns: Vec<ConnSpare>,
-    taps: SpareList<Vec<u64>>,
-    stacks: SpareList<StackSpare>,
+    retired: SpareList<Retired>,
+    stacks: SpareList<Box<Tables>>,
 }
 
-/// The tables of a dropped [`HostStack`], emptied. The hash tables are
-/// only probed, never iterated, so their capacity reaches no trajectory.
+/// What a connection keeps past its close for post-run inspection, given
+/// back emptied when its stack drops: the snapshot storage of its two
+/// stream taps and its subflow table.
+pub(crate) struct Retired {
+    pub(crate) taps: [Vec<u64>; 2],
+    pub(crate) subflows: Vec<Subflow>,
+}
+
+/// A stack's tables, in one box that the thread recycles whole: a spare
+/// costs its list one pointer. The hash tables are only probed, never
+/// iterated, so their capacity reaches no trajectory.
 #[derive(Default)]
-struct StackSpare {
+struct Tables {
     conns: Vec<Option<Connection>>,
+    /// Demux: four-tuple (local perspective) -> (conn slot, subflow id).
+    /// Fx-hashed: hit once per received packet.
     flows: FxHashMap<FourTuple, (usize, SubflowId)>,
+    /// Demux: our token -> conn slot (for MP_JOIN and PM commands).
     by_token: FxHashMap<ConnToken, usize>,
     listeners: FxHashMap<u16, AppFactory>,
+    /// Local addresses and their up/down state (host keeps this current).
     local_addrs: Vec<(Addr, bool)>,
     used_ports: FxHashSet<(Addr, u16)>,
+    /// Events awaiting pickup by the host's path manager.
     events: Vec<PmEvent>,
+}
+
+/// The box a [`HostStack`] keeps its [`Tables`] in. It is empty only once
+/// the stack's `Drop` has given the box to the thread, so that taking it
+/// leaves no allocation behind.
+struct TablesBox(Option<Box<Tables>>);
+
+impl std::ops::Deref for TablesBox {
+    type Target = Tables;
+    fn deref(&self) -> &Tables {
+        self.0
+            .as_deref()
+            .expect("a stack holds its tables until it drops")
+    }
+}
+
+impl std::ops::DerefMut for TablesBox {
+    fn deref_mut(&mut self) -> &mut Tables {
+        self.0
+            .as_deref_mut()
+            .expect("a stack holds its tables until it drops")
+    }
 }
 
 thread_local! {
@@ -108,7 +144,7 @@ thread_local! {
         RefCell::new(Spares {
             subflows: Vec::new(),
             conns: Vec::new(),
-            taps: SpareList::new(),
+            retired: SpareList::new(),
             stacks: SpareList::new(),
         })
     };
@@ -129,16 +165,21 @@ impl Spares {
             .unwrap_or_default()
     }
 
-    /// The snapshot storage the thread last got back from a stream tap,
-    /// or none.
-    pub(crate) fn take_snaps() -> Vec<u64> {
+    /// The storage the thread last got back from a retired connection,
+    /// or none: then a subflow table with two slots, where `Vec` would
+    /// reserve four on the first push, as most connections run two
+    /// subflows, one per path.
+    pub(crate) fn take_retired() -> Retired {
         SPARES
-            .with(|s| s.borrow_mut().taps.take())
-            .unwrap_or_default()
+            .with(|s| s.borrow_mut().retired.take())
+            .unwrap_or_else(|| Retired {
+                taps: Default::default(),
+                subflows: Vec::with_capacity(2),
+            })
     }
 
     /// The tables the thread last got back from a stack, or none.
-    fn take_stack() -> StackSpare {
+    fn take_stack() -> Box<Tables> {
         SPARES
             .with(|s| s.borrow_mut().stacks.take())
             .unwrap_or_default()
@@ -157,18 +198,15 @@ impl Spares {
         let _ = SPARES.try_with(|s| s.borrow_mut().conns.push(spare));
     }
 
-    /// Give the thread a dropped connection's tap snapshot storage, emptied
+    /// Give the thread a dropped connection's retired storage, emptied
     /// (see [`Spares::give_subflow`]).
-    fn give_taps(snaps: [Vec<u64>; 2]) {
-        let _ = SPARES.try_with(|s| {
-            let taps = &mut s.borrow_mut().taps;
-            snaps.into_iter().for_each(|t| taps.give(t));
-        });
+    pub(crate) fn give_retired(retired: Retired) {
+        let _ = SPARES.try_with(|s| s.borrow_mut().retired.give(retired));
     }
 
     /// Give the thread a dropped stack's emptied tables (see
     /// [`Spares::give_subflow`]).
-    fn give_stack(stack: StackSpare) {
+    fn give_stack(stack: Box<Tables>) {
         let _ = SPARES.try_with(|s| s.borrow_mut().stacks.give(stack));
     }
 
@@ -189,18 +227,7 @@ impl Spares {
 pub struct HostStack {
     /// Configuration shared by all connections.
     pub cfg: StackConfig,
-    conns: Vec<Option<Connection>>,
-    /// Demux: four-tuple (local perspective) -> (conn slot, subflow id).
-    /// Fx-hashed: hit once per received packet.
-    flows: FxHashMap<FourTuple, (usize, SubflowId)>,
-    /// Demux: our token -> conn slot (for MP_JOIN and PM commands).
-    by_token: FxHashMap<ConnToken, usize>,
-    listeners: FxHashMap<u16, AppFactory>,
-    /// Local addresses and their up/down state (host keeps this current).
-    local_addrs: Vec<(Addr, bool)>,
-    used_ports: FxHashSet<(Addr, u16)>,
-    /// Events awaiting pickup by the host's path manager.
-    events: Vec<PmEvent>,
+    t: TablesBox,
     /// Count of RSTs sent to unknown flows (diagnostics).
     pub rst_sent: u64,
 }
@@ -209,24 +236,9 @@ impl HostStack {
     /// A stack with the given configuration, on the tables the last stack
     /// dropped on this thread gave back.
     pub fn new(cfg: StackConfig) -> Self {
-        let StackSpare {
-            conns,
-            flows,
-            by_token,
-            listeners,
-            local_addrs,
-            used_ports,
-            events,
-        } = Spares::take_stack();
         HostStack {
             cfg,
-            conns,
-            flows,
-            by_token,
-            listeners,
-            local_addrs,
-            used_ports,
-            events,
+            t: TablesBox(Some(Spares::take_stack())),
             rst_sent: 0,
         }
     }
@@ -237,31 +249,28 @@ impl HostStack {
 
     /// Register the host's local addresses (call at start and on change).
     pub fn set_local_addr(&mut self, addr: Addr, up: bool) {
-        match self.local_addrs.iter_mut().find(|(a, _)| *a == addr) {
+        match self.t.local_addrs.iter_mut().find(|(a, _)| *a == addr) {
             Some(slot) => slot.1 = up,
-            None => self.local_addrs.push((addr, up)),
+            None => self.t.local_addrs.push((addr, up)),
         }
     }
 
-    /// Local addresses currently up.
-    pub fn local_addrs_up(&self) -> Vec<Addr> {
-        self.local_addrs
-            .iter()
-            .filter(|(_, up)| *up)
-            .map(|(a, _)| *a)
-            .collect()
+    /// Local addresses currently up, in the order they were first seen.
+    pub fn local_addrs_up(&self) -> impl Iterator<Item = Addr> + '_ {
+        let up = self.t.local_addrs.iter().filter(|(_, up)| *up);
+        up.map(|&(a, _)| a)
     }
 
     /// Move pending path-manager events into `into` (cleared first). The
     /// two vectors trade places, so both keep their capacity.
     pub fn swap_events(&mut self, into: &mut Vec<PmEvent>) {
         into.clear();
-        std::mem::swap(&mut self.events, into);
+        std::mem::swap(&mut self.t.events, into);
     }
 
     /// Listen on a port; `factory` builds the per-connection server app.
     pub fn listen(&mut self, port: u16, factory: AppFactory) {
-        self.listeners.insert(port, factory);
+        self.t.listeners.insert(port, factory);
     }
 
     /// Open a client connection toward `dst:dst_port`. Returns the token.
@@ -273,7 +282,7 @@ impl HostStack {
         dst_port: u16,
         app: Box<dyn App>,
     ) -> Option<ConnToken> {
-        let first_up = self.local_addrs.iter().find(|(_, up)| *up);
+        let first_up = self.t.local_addrs.iter().find(|(_, up)| *up);
         let src = src.or(first_up.map(|&(a, _)| a))?;
         let src_port = self.alloc_port(env, src)?;
         let tuple = FourTuple {
@@ -282,28 +291,28 @@ impl HostStack {
             dst,
             dst_port,
         };
-        let events = &mut self.events;
-        let conn = Connection::client(self.conns.len(), &self.cfg, tuple, app, env, events);
+        let t = &mut *self.t;
+        let conn = Connection::client(t.conns.len(), &self.cfg, tuple, app, env, &mut t.events);
         Some(self.add_conn(tuple, conn))
     }
 
     /// Enter a new connection in the demux tables and a slot. Slots start
     /// at one, not `Vec`'s four: most hosts hold one connection.
     fn add_conn(&mut self, tuple: FourTuple, conn: Connection) -> ConnToken {
-        if self.conns.capacity() == 0 {
-            self.conns.reserve_exact(1);
+        if self.t.conns.capacity() == 0 {
+            self.t.conns.reserve_exact(1);
         }
-        let (idx, token) = (self.conns.len(), conn.token);
-        self.flows.insert(tuple, (idx, 0));
-        self.by_token.insert(token, idx);
-        self.conns.push(Some(conn));
+        let (idx, token) = (self.t.conns.len(), conn.token);
+        self.t.flows.insert(tuple, (idx, 0));
+        self.t.by_token.insert(token, idx);
+        self.t.conns.push(Some(conn));
         token
     }
 
     fn alloc_port(&mut self, env: &mut StackEnv<'_>, addr: Addr) -> Option<u16> {
         for _ in 0..64 {
             let p = env.rng.ephemeral_port();
-            if self.used_ports.insert((addr, p)) {
+            if self.t.used_ports.insert((addr, p)) {
                 return Some(p);
             }
         }
@@ -334,9 +343,10 @@ impl HostStack {
             dst_port: seg.hdr.src_port,
         };
         // 1. Existing subflow?
-        if let Some(&(idx, sub)) = self.flows.get(&tuple) {
-            if let Some(conn) = self.conns[idx].as_mut() {
-                conn.on_segment(sub, &seg, &pkt.payload, env, &mut self.events);
+        if let Some(&(idx, sub)) = self.t.flows.get(&tuple) {
+            let t = &mut *self.t;
+            if let Some(conn) = t.conns[idx].as_mut() {
+                conn.on_segment(sub, &seg, &pkt.payload, env, &mut t.events);
                 self.post_process(idx, env);
                 return;
             }
@@ -349,11 +359,11 @@ impl HostStack {
                 _ => None,
             });
             if let Some(token) = join_token {
-                if let Some(&idx) = self.by_token.get(&token) {
-                    if let Some(conn) = self.conns[idx].as_mut() {
+                if let Some(&idx) = self.t.by_token.get(&token) {
+                    if let Some(conn) = self.t.conns[idx].as_mut() {
                         if let Some(sub) = conn.accept_join_syn(env, tuple, &seg) {
-                            self.flows.insert(tuple, (idx, sub));
-                            self.used_ports.insert((tuple.src, tuple.src_port));
+                            self.t.flows.insert(tuple, (idx, sub));
+                            self.t.used_ports.insert((tuple.src, tuple.src_port));
                             return;
                         }
                     }
@@ -363,9 +373,9 @@ impl HostStack {
                 return;
             }
             // MP_CAPABLE or plain SYN: needs a listener.
-            if self.listeners.contains_key(&tuple.src_port) {
-                let app = (self.listeners.get_mut(&tuple.src_port).unwrap())();
-                let idx = self.conns.len();
+            if self.t.listeners.contains_key(&tuple.src_port) {
+                let app = (self.t.listeners.get_mut(&tuple.src_port).unwrap())();
+                let idx = self.t.conns.len();
                 let conn = Connection::server_from_syn(
                     idx,
                     &self.cfg,
@@ -373,9 +383,9 @@ impl HostStack {
                     &seg,
                     app,
                     env,
-                    &mut self.events,
+                    &mut self.t.events,
                 );
-                self.used_ports.insert((tuple.src, tuple.src_port));
+                self.t.used_ports.insert((tuple.src, tuple.src_port));
                 self.add_conn(tuple, conn);
                 return;
             }
@@ -422,14 +432,16 @@ impl HostStack {
         // two flows match, the oldest wins: a pick that followed the map's
         // hash order would change whenever the hasher does.
         let found = self
+            .t
             .flows
             .iter()
             .filter(|(t, _)| t.src_port == orig_src_port && t.dst_port == orig_dst_port)
             .map(|(_, &flow)| flow)
             .min();
         if let Some((idx, sub)) = found {
-            if let Some(conn) = self.conns[idx].as_mut() {
-                conn.on_icmp_unreachable(sub, env, &mut self.events);
+            let t = &mut *self.t;
+            if let Some(conn) = t.conns[idx].as_mut() {
+                conn.on_icmp_unreachable(sub, env, &mut t.events);
             }
             self.post_process(idx, env);
         }
@@ -444,13 +456,14 @@ impl HostStack {
         let Some((kind, idx, sub, gen)) = parse_timer_token(token) else {
             return;
         };
-        let Some(Some(conn)) = self.conns.get_mut(idx) else {
+        let t = &mut *self.t;
+        let Some(Some(conn)) = t.conns.get_mut(idx) else {
             return;
         };
         match kind {
-            TimerKind::Rto => conn.on_rto_timer(sub, gen, env, &mut self.events),
+            TimerKind::Rto => conn.on_rto_timer(sub, gen, env, &mut t.events),
             TimerKind::App => conn.on_app_timer(gen, env),
-            TimerKind::MetaFin => conn.on_meta_fin_timer(gen, env, &mut self.events),
+            TimerKind::MetaFin => conn.on_meta_fin_timer(gen, env, &mut t.events),
         }
         self.post_process(idx, env);
     }
@@ -461,7 +474,8 @@ impl HostStack {
     /// application timers, which nothing supersedes.
     pub fn timer_handle_mut(&mut self, token: u64) -> Option<&mut Option<TimerHandle>> {
         let (kind, idx, sub, _) = parse_timer_token(token)?;
-        self.conns
+        self.t
+            .conns
             .get_mut(idx)?
             .as_mut()?
             .timer_handle_mut(kind, sub)
@@ -476,14 +490,15 @@ impl HostStack {
     /// address (the NIC is gone — Linux errors them out the same way).
     pub fn on_local_addr(&mut self, env: &mut StackEnv<'_>, addr: Addr, up: bool) {
         self.set_local_addr(addr, up);
-        self.events.push(if up {
+        self.t.events.push(if up {
             PmEvent::LocalAddrUp { addr }
         } else {
             PmEvent::LocalAddrDown { addr }
         });
         if !up {
-            for idx in 0..self.conns.len() {
-                let Some(conn) = self.conns[idx].as_mut() else {
+            for idx in 0..self.t.conns.len() {
+                let t = &mut *self.t;
+                let Some(conn) = t.conns[idx].as_mut() else {
                     continue;
                 };
                 let victims: Vec<SubflowId> = conn
@@ -492,7 +507,7 @@ impl HostStack {
                     .filter(|&id| conn.subflow(id).is_some_and(|s| s.tuple.src == addr))
                     .collect();
                 for id in victims {
-                    conn.kill_subflow(id, SubflowError::IfaceDown, &mut self.events);
+                    conn.kill_subflow(id, SubflowError::IfaceDown, &mut t.events);
                 }
                 self.post_process(idx, env);
             }
@@ -513,10 +528,11 @@ impl HostStack {
             | PmAction::AnnounceAddr { token, .. }
             | PmAction::WithdrawAddr { token, .. } => *token,
         };
-        let Some(&idx) = self.by_token.get(&token) else {
+        let Some(&idx) = self.t.by_token.get(&token) else {
             return false;
         };
-        let Some(conn) = self.conns[idx].as_mut() else {
+        let t = &mut *self.t;
+        let Some(conn) = t.conns[idx].as_mut() else {
             return false;
         };
         let ok = match action {
@@ -529,7 +545,7 @@ impl HostStack {
                 ..
             } => {
                 // The address must be local and up.
-                if !self.local_addrs.iter().any(|(a, up)| a == src && *up) {
+                if !self.t.local_addrs.iter().any(|(a, up)| a == src && *up) {
                     false
                 } else {
                     let src_port = if *src_port == 0 {
@@ -546,10 +562,10 @@ impl HostStack {
                         dst: *dst,
                         dst_port: *dst_port,
                     };
-                    let conn = self.conns[idx].as_mut().unwrap();
+                    let conn = self.t.conns[idx].as_mut().unwrap();
                     match conn.open_subflow(env, tuple, *backup) {
                         Some(sub) => {
-                            self.flows.insert(tuple, (idx, sub));
+                            self.t.flows.insert(tuple, (idx, sub));
                             true
                         }
                         None => false,
@@ -557,7 +573,7 @@ impl HostStack {
                 }
             }
             PmAction::CloseSubflow { id, reset, .. } => {
-                conn.pm_close_subflow(*id, *reset, env, &mut self.events);
+                conn.pm_close_subflow(*id, *reset, env, &mut t.events);
                 true
             }
             PmAction::SetBackup { id, backup, .. } => {
@@ -577,22 +593,23 @@ impl HostStack {
         ok
     }
 
-    /// House-keeping after any connection activity: drop closed flows and
-    /// fully closed connections from the demux tables. Their storage went
-    /// to the thread's [`Spares`] as they closed.
+    /// House-keeping after any connection activity: drop newly closed
+    /// flows and fully closed connections from the demux tables. Their
+    /// storage went to the thread's [`Spares`] as they closed.
     fn post_process(&mut self, idx: usize, _env: &mut StackEnv<'_>) {
-        let Some(conn) = self.conns[idx].as_ref() else {
+        let t = &mut *self.t;
+        let Some(conn) = t.conns[idx].as_mut() else {
             return;
         };
-        // Only this connection's own subflows are walked: the table holds
-        // every flow of the host.
-        for sf in conn.subflows() {
-            if sf.state == SfState::Closed && self.flows.get(&sf.tuple) == Some(&(idx, sf.id)) {
-                self.flows.remove(&sf.tuple);
+        // Only this connection's own subflows are walked, and each closed
+        // one is looked up once: the table holds every flow of the host.
+        for (id, tuple) in conn.reap_closed() {
+            if t.flows.get(&tuple) == Some(&(idx, id)) {
+                t.flows.remove(&tuple);
             }
         }
         if conn.state == ConnState::Closed {
-            self.by_token.remove(&conn.token);
+            t.by_token.remove(&conn.token);
             // Keep the connection object for post-run inspection, but it no
             // longer participates in demux.
         }
@@ -604,64 +621,56 @@ impl HostStack {
 
     /// Tokens of all connections (including closed ones, for reporting).
     pub fn tokens(&self) -> Vec<ConnToken> {
-        self.conns.iter().flatten().map(|c| c.token).collect()
+        self.t.conns.iter().flatten().map(|c| c.token).collect()
     }
 
     /// A connection by token (live) or by scanning (closed).
     pub fn conn_by_token(&self, token: ConnToken) -> Option<&Connection> {
-        if let Some(&idx) = self.by_token.get(&token) {
-            return self.conns[idx].as_ref();
+        if let Some(&idx) = self.t.by_token.get(&token) {
+            return self.t.conns[idx].as_ref();
         }
-        self.conns.iter().flatten().find(|c| c.token == token)
+        self.t.conns.iter().flatten().find(|c| c.token == token)
     }
 
     /// All connections, in creation order.
     pub fn connections(&self) -> impl Iterator<Item = &Connection> {
-        self.conns.iter().flatten()
+        self.t.conns.iter().flatten()
     }
 
     /// The connection in slot `idx` ([`Connection::idx`]), open or closed.
     pub fn connection(&self, idx: usize) -> Option<&Connection> {
-        self.conns.get(idx)?.as_ref()
+        self.t.conns.get(idx)?.as_ref()
     }
 }
 
 impl Drop for HostStack {
     /// World teardown: every connection still open gives its storage, and
     /// its open subflows', to the thread as closing would have; then the
-    /// connections' stream taps and the stack's emptied tables follow, so
-    /// the next world's stacks start on all of it.
+    /// connections' stream taps and subflow tables and the stack's
+    /// emptied tables follow, so the next world's stacks start on all of
+    /// it.
     fn drop(&mut self) {
-        let open = self.conns.iter_mut().flatten();
+        let Some(mut t) = self.t.0.take() else {
+            return;
+        };
+        let open = t.conns.iter_mut().flatten();
         for conn in open.filter(|c| c.state != ConnState::Closed) {
             conn.release_buffers();
         }
-        for conn in self.conns.drain(..).flatten() {
-            let taps = [conn.stats.tap_sent, conn.stats.tap_recvd];
-            Spares::give_taps(taps.map(StreamTap::into_spare));
-        }
-        self.flows.clear();
-        self.by_token.clear();
-        self.listeners.clear();
-        self.local_addrs.clear();
-        self.used_ports.clear();
-        self.events.clear();
-        let stack = StackSpare {
-            conns: std::mem::take(&mut self.conns),
-            flows: std::mem::take(&mut self.flows),
-            by_token: std::mem::take(&mut self.by_token),
-            listeners: std::mem::take(&mut self.listeners),
-            local_addrs: std::mem::take(&mut self.local_addrs),
-            used_ports: std::mem::take(&mut self.used_ports),
-            events: std::mem::take(&mut self.events),
-        };
-        Spares::give_stack(stack);
+        t.conns.drain(..).flatten().for_each(Connection::retire);
+        t.flows.clear();
+        t.by_token.clear();
+        t.listeners.clear();
+        t.local_addrs.clear();
+        t.used_ports.clear();
+        t.events.clear();
+        Spares::give_stack(t);
     }
 }
 
 impl StackView for HostStack {
     fn local_addrs(&self) -> Vec<Addr> {
-        self.local_addrs_up()
+        self.local_addrs_up().collect()
     }
     fn remote_addrs(&self, token: ConnToken) -> Vec<(u8, Addr, u16)> {
         self.conn_by_token(token)
@@ -680,6 +689,7 @@ mod tests {
     use crate::app::NullApp;
     use crate::apps::{BulkSender, Sink};
     use crate::harness::{Harness, Side};
+    use crate::subflow::SfState;
     use smapp_sim::SimTime;
     use std::time::Duration;
 
@@ -701,7 +711,7 @@ mod tests {
                 })
             }),
         );
-        let tuples = |s: &HostStack| s.flows.keys().copied().collect::<FxHashSet<FourTuple>>();
+        let tuples = |s: &HostStack| s.t.flows.keys().copied().collect::<FxHashSet<FourTuple>>();
 
         // Three established connections with two subflows each.
         let tokens: Vec<ConnToken> = (0..3)
@@ -722,8 +732,8 @@ mod tests {
             ));
         }
         h.run_until(SimTime::from_secs(2));
-        assert_eq!(h.a.flows.len(), 6);
-        assert_eq!(h.b.flows.len(), 6);
+        assert_eq!(h.a.t.flows.len(), 6);
+        assert_eq!(h.b.t.flows.len(), 6);
 
         // Reset one subflow of the middle connection: exactly its tuple
         // leaves the demux table, on both hosts.
@@ -745,9 +755,9 @@ mod tests {
         h.run_until(SimTime::from_secs(3));
         assert!(expect.remove(&victim));
         assert_eq!(tuples(&h.a), expect);
-        assert_eq!(h.b.flows.len(), 5);
-        assert_eq!(h.a.by_token.len(), 3, "no connection closed yet");
-        assert_eq!(h.b.by_token.len(), 3);
+        assert_eq!(h.b.t.flows.len(), 5);
+        assert_eq!(h.a.t.by_token.len(), 3, "no connection closed yet");
+        assert_eq!(h.b.t.by_token.len(), 3);
 
         // A fourth connection that closes completely takes its own flow
         // and token with it and nothing else.
@@ -758,14 +768,14 @@ mod tests {
                 Box::new(BulkSender::new(10_000).close_when_done()),
             )
             .unwrap();
-        assert_eq!(h.a.by_token.len(), 4);
+        assert_eq!(h.a.t.by_token.len(), 4);
         h.run_until(SimTime::from_secs(10));
         assert_eq!(h.a.conn_by_token(short).unwrap().state, ConnState::Closed);
-        assert!(!h.a.by_token.contains_key(&short));
-        assert_eq!(h.a.by_token.len(), 3);
-        assert_eq!(h.b.by_token.len(), 3);
+        assert!(!h.a.t.by_token.contains_key(&short));
+        assert_eq!(h.a.t.by_token.len(), 3);
+        assert_eq!(h.b.t.by_token.len(), 3);
         assert_eq!(tuples(&h.a), expect);
-        assert_eq!(h.b.flows.len(), 5);
+        assert_eq!(h.b.t.flows.len(), 5);
     }
 
     /// A dropped stack gives its emptied tables, and the snapshot storage
@@ -792,10 +802,13 @@ mod tests {
                 SPARES.with(|s| f(&s.borrow()))
             }
             assert_eq!(on_thread(|s| s.stacks.len()), 2);
-            assert_eq!(on_thread(|s| s.taps.len()), 4, "two taps per connection");
-            let grown = on_thread(|s| s.taps.iter().filter(|t| t.capacity() > 0).count());
+            assert_eq!(on_thread(|s| s.retired.len()), 2, "one per connection");
+            let taps = |r: &Retired| r.taps.iter().filter(|t| t.capacity() > 0).count();
+            let grown = on_thread(|s| s.retired.iter().map(taps).sum::<usize>());
             assert_eq!(grown, 2, "the two taps that saw 300 kB");
-            let emptied = |t: &StackSpare| {
+            let tables = on_thread(|s| s.retired.iter().map(|r| r.subflows.capacity()).min());
+            assert!(tables >= Some(1), "the subflow tables come back too");
+            let emptied = |t: &Tables| {
                 t.conns.is_empty()
                     && t.flows.is_empty()
                     && t.by_token.is_empty()
@@ -804,8 +817,9 @@ mod tests {
                     && t.used_ports.is_empty()
                     && t.events.is_empty()
             };
-            assert!(on_thread(|s| s.stacks.iter().all(emptied)));
-            assert!(on_thread(|s| s.taps.iter().all(Vec::is_empty)));
+            assert!(on_thread(|s| s.stacks.iter().all(|t| emptied(t))));
+            let emptied = |r: &Retired| r.taps.iter().all(Vec::is_empty) && r.subflows.is_empty();
+            assert!(on_thread(|s| s.retired.iter().all(emptied)));
             assert_eq!(run(), fresh);
         })
         .join()

@@ -203,6 +203,12 @@ pub struct Subflow {
     pub soft_errors: u32,
     /// Counters.
     pub stats: SfStats,
+    /// The `(cwnd, srtt µs)` this subflow gave the connection's LIA
+    /// coupling when it was last computed, `None` when it was not
+    /// established then.
+    pub(crate) coupled: Option<(u64, u64)>,
+    /// Closed and dropped from the stack's demux table.
+    pub(crate) reaped: bool,
 }
 
 impl std::fmt::Debug for Subflow {
@@ -277,6 +283,8 @@ impl Subflow {
                 created_at: now,
                 ..Default::default()
             },
+            coupled: None,
+            reaped: false,
         }
     }
 

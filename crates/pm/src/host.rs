@@ -18,7 +18,7 @@
 //! frames cross the user/kernel boundary with sampled latency — the cost
 //! Fig. 3 measures.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -28,7 +28,8 @@ use smapp_mptcp::{
     StackConfig, StackEnv, SubflowId,
 };
 use smapp_netlink::{
-    decode, encode_reply, DiagConn, LatencyModel, PmNlCommand, PmNlMessage, UserCtx, UserProcess,
+    decode, encode_event, encode_reply, DiagConn, LatencyModel, PmNlCommand, PmNlMessage, UserCtx,
+    UserProcess,
 };
 use smapp_sim::{Addr, Ctx, FxHashMap, IfaceId, Node, NodeCommand, Packet, SimTime, SpareList};
 use smapp_tcp::TcpInfo;
@@ -63,8 +64,8 @@ type ScheduledConnect = (SimTime, Option<Addr>, Addr, u16, Option<Box<dyn App>>)
 /// Reusable buffers for [`Host::drive`] and the netlink boundary, so the
 /// per-event hot path does not re-allocate its scratch vectors for every
 /// packet/timer/callback/reply. One set per thread, shared by every host
-/// on it: a callback takes it at entry and gives it back on exit, emptied
-/// and with its capacity, so between callbacks it holds no element but
+/// on it: a callback borrows it in place and leaves it emptied, with its
+/// capacity, so between callbacks it holds no element but
 /// the spare `infos` vectors, themselves empty, and its capacity is the
 /// most any callback on the thread needed. Capacity is not observable, so
 /// sharing moves no trajectory.
@@ -97,21 +98,21 @@ impl DriveScratch {
     /// Encode the reply `build` makes from the scratch, then take back the
     /// vectors it holds.
     fn encode(build: impl FnOnce(&mut DriveScratch) -> PmNlMessage) -> Bytes {
-        let mut s = SCRATCH.take();
-        let msg = build(&mut s);
-        let frame = encode_reply(&msg);
-        match msg {
-            PmNlMessage::InfoReply { subflows, .. } => s.give_back(subflows),
-            PmNlMessage::DiagReply { mut conns, .. } => {
-                for c in conns.drain(..) {
-                    s.give_back(c.subflows);
+        SCRATCH.with_borrow_mut(|s| {
+            let msg = build(s);
+            let frame = encode_reply(&msg);
+            match msg {
+                PmNlMessage::InfoReply { subflows, .. } => s.give_back(subflows),
+                PmNlMessage::DiagReply { mut conns, .. } => {
+                    for c in conns.drain(..) {
+                        s.give_back(c.subflows);
+                    }
+                    s.diag = conns;
                 }
-                s.diag = conns;
+                _ => {}
             }
-            _ => {}
-        }
-        SCRATCH.set(s);
-        frame
+            frame
+        })
     }
 
     fn give_back(&mut self, mut infos: Vec<(SubflowId, TcpInfo)>) {
@@ -121,19 +122,30 @@ impl DriveScratch {
 }
 
 thread_local! {
-    /// The thread's set. Callbacks do not nest, so it is always there when
-    /// one takes it (a nested take would get an empty set of its own).
-    static SCRATCH: Cell<DriveScratch> = Cell::default();
+    /// The thread's set, borrowed in place by each callback. Callbacks do
+    /// not nest, so it is always free when one borrows it; a nested
+    /// borrow would panic.
+    static SCRATCH: RefCell<DriveScratch> = RefCell::default();
 }
 
 /// Frames in flight across the netlink boundary, by crossing id.
 type Pending = FxHashMap<u64, Bytes>;
 
+/// The tables a dropped [`Host`] gives back, emptied: its crossing table,
+/// its connect queue and its sockdiag reply list.
+#[derive(Default)]
+struct HostSpare {
+    pending: Pending,
+    connects: Vec<ScheduledConnect>,
+    replies: Vec<Bytes>,
+}
+
 thread_local! {
-    /// Emptied `pending` tables of dropped hosts, for the next
-    /// [`Host::new`] on the thread. The table is only probed, never
-    /// iterated, so its capacity reaches no trajectory.
-    static PENDING_SPARES: RefCell<SpareList<Pending>> = const { RefCell::new(SpareList::new()) };
+    /// Emptied tables of dropped hosts, for the next [`Host::new`] on the
+    /// thread. The crossing table is only probed, never iterated, and the
+    /// two lists are indexed by their own pushes, so their capacity
+    /// reaches no trajectory.
+    static HOST_SPARES: RefCell<SpareList<HostSpare>> = const { RefCell::new(SpareList::new()) };
 }
 
 /// Record of sockdiag probes taken mid-run, filled by scripted
@@ -173,19 +185,24 @@ impl Host {
     /// A host with the given stack config, no path manager (`NoopPm`) and
     /// no userspace process.
     pub fn new(name: impl Into<String>, cfg: StackConfig) -> Self {
+        let HostSpare {
+            pending,
+            connects,
+            replies,
+        } = HOST_SPARES
+            .with(|s| s.borrow_mut().take())
+            .unwrap_or_default();
         Host {
             name: name.into(),
             stack: HostStack::new(cfg),
             pm: Box::new(smapp_mptcp::NoopPm),
             user: None,
             latency: LatencyModel::Zero,
-            pending: PENDING_SPARES
-                .with(|s| s.borrow_mut().take())
-                .unwrap_or_default(),
+            pending,
             next_pending: 0,
-            connects: Vec::new(),
+            connects,
             malformed_commands: 0,
-            diag: DiagLog::default(),
+            diag: DiagLog { probes: 0, replies },
         }
     }
 
@@ -278,50 +295,50 @@ impl Host {
     /// then flush packets/timers into the simulator and drain the netlink
     /// outbox toward userspace.
     fn drive(&mut self, ctx: &mut Ctx<'_>, work: Work) -> bool {
-        let mut s = SCRATCH.take();
-        let (mut stop, first_action_ok) = self.run_stack(ctx, work, &mut s);
-        loop {
-            for c in s.connects.drain(..) {
-                s.work.push_back(Work::Connect {
-                    src: c.src,
-                    dst: c.dst,
-                    dst_port: c.dst_port,
-                    app: c.app,
-                });
-            }
-            let Some(w) = s.work.pop_front() else {
-                break;
-            };
-            stop |= self.run_stack(ctx, w, &mut s).0;
-        }
-        for p in s.packets.drain(..) {
-            if let Some(iface) = ctx.my_iface_by_addr(p.src) {
-                ctx.send(iface, Packet::tcp(p.src, p.dst, p.seg));
-            }
-        }
-        for (d, t) in s.timers.drain(..) {
-            // A timer the stack restarts on every arm (RTO, DATA_FIN) is
-            // re-armed through the handle it keeps, in place when later.
-            match self.stack.timer_handle_mut(t) {
-                Some(held) => {
-                    *held = Some(match *held {
-                        Some(h) => ctx.rearm_timer_after(h, d, t),
-                        None => ctx.set_timer_after(d, t),
-                    })
+        SCRATCH.with_borrow_mut(|s| {
+            let (mut stop, first_action_ok) = self.run_stack(ctx, work, s);
+            loop {
+                for c in s.connects.drain(..) {
+                    s.work.push_back(Work::Connect {
+                        src: c.src,
+                        dst: c.dst,
+                        dst_port: c.dst_port,
+                        app: c.app,
+                    });
                 }
-                None => {
-                    ctx.set_timer_after(d, t);
+                let Some(w) = s.work.pop_front() else {
+                    break;
+                };
+                stop |= self.run_stack(ctx, w, s).0;
+            }
+            for p in s.packets.drain(..) {
+                if let Some(iface) = ctx.my_iface_by_addr(p.src) {
+                    ctx.send(iface, Packet::tcp(p.src, p.dst, p.seg));
                 }
             }
-        }
-        if stop {
-            ctx.stop();
-        }
-        self.flush_netlink_outbox(ctx, &mut s.to_user);
-        // A run of eight path-manager rounds may leave its last events.
-        s.events.clear();
-        SCRATCH.set(s);
-        first_action_ok
+            for (d, t) in s.timers.drain(..) {
+                // A timer the stack restarts on every arm (RTO, DATA_FIN) is
+                // re-armed through the handle it keeps, in place when later.
+                match self.stack.timer_handle_mut(t) {
+                    Some(held) => {
+                        *held = Some(match *held {
+                            Some(h) => ctx.rearm_timer_after(h, d, t),
+                            None => ctx.set_timer_after(d, t),
+                        })
+                    }
+                    None => {
+                        ctx.set_timer_after(d, t);
+                    }
+                }
+            }
+            if stop {
+                ctx.stop();
+            }
+            self.flush_netlink_outbox(ctx, &mut s.to_user);
+            // A run of eight path-manager rounds may leave its last events.
+            s.events.clear();
+            first_action_ok
+        })
     }
 
     /// Move frames queued by the NetlinkPm across the boundary (adds one
@@ -353,28 +370,30 @@ impl Host {
         ctx: &mut Ctx<'_>,
         f: impl FnOnce(&mut dyn UserProcess, &mut UserCtx<'_>),
     ) {
-        let Some(user) = self.user.as_mut() else {
+        if self.user.is_none() {
             return;
-        };
+        }
         let now = ctx.now();
-        let mut s = SCRATCH.take();
-        // Every callback starts on empty vectors, the thread's own.
-        let mut uctx = UserCtx {
-            now,
-            rng: ctx.rng(),
-            to_kernel: std::mem::take(&mut s.to_kernel),
-            timers: std::mem::take(&mut s.user_timers),
-        };
-        f(user.as_mut(), &mut uctx);
-        (s.to_kernel, s.user_timers) = (uctx.to_kernel, uctx.timers);
-        for frame in s.to_kernel.drain(..) {
-            self.schedule_boundary(ctx, frame, D_TO_KERNEL);
-        }
-        for (d, tok) in s.user_timers.drain(..) {
-            debug_assert!(tok <= PAYLOAD, "user timer token too large");
-            ctx.set_timer_after(d, D_USER_TIMER | (tok & PAYLOAD));
-        }
-        SCRATCH.set(s);
+        SCRATCH.with_borrow_mut(|s| {
+            // Every callback starts on empty vectors, the thread's own.
+            let mut uctx = UserCtx {
+                now,
+                rng: ctx.rng(),
+                to_kernel: std::mem::take(&mut s.to_kernel),
+                timers: std::mem::take(&mut s.user_timers),
+            };
+            if let Some(user) = self.user.as_mut() {
+                f(user.as_mut(), &mut uctx);
+            }
+            (s.to_kernel, s.user_timers) = (uctx.to_kernel, uctx.timers);
+            for frame in s.to_kernel.drain(..) {
+                self.schedule_boundary(ctx, frame, D_TO_KERNEL);
+            }
+            for (d, tok) in s.user_timers.drain(..) {
+                debug_assert!(tok <= PAYLOAD, "user timer token too large");
+                ctx.set_timer_after(d, D_USER_TIMER | (tok & PAYLOAD));
+            }
+        })
     }
 
     /// A frame crossed into the kernel: decode and execute.
@@ -397,11 +416,16 @@ impl Host {
                     }
                     .mask_bit();
                     if mask & up_bit != 0 {
-                        for addr in self.stack.local_addrs_up() {
-                            let ev = smapp_mptcp::PmEvent::LocalAddrUp { addr };
-                            let frame = smapp_netlink::encode_event(&ev);
-                            self.schedule_boundary(ctx, frame, D_TO_USER);
-                        }
+                        // Encoded into the scratch first: scheduling a
+                        // crossing needs the host, and so the stack, whole.
+                        SCRATCH.with_borrow_mut(|s| {
+                            let up = |addr| PmEvent::LocalAddrUp { addr };
+                            let frames = self.stack.local_addrs_up().map(up);
+                            s.to_user.extend(frames.map(|ev| encode_event(&ev)));
+                            for frame in s.to_user.drain(..) {
+                                self.schedule_boundary(ctx, frame, D_TO_USER);
+                            }
+                        });
                     }
                 }
             }
@@ -473,12 +497,18 @@ impl Host {
 }
 
 impl Drop for Host {
-    /// Give the emptied crossing table to the thread (the stack gives its
-    /// own tables back as it drops).
+    /// Give the emptied crossing table, connect queue and reply list to
+    /// the thread (the stack gives its own tables back as it drops).
     fn drop(&mut self) {
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.clear();
-        let _ = PENDING_SPARES.try_with(|s| s.borrow_mut().give(pending));
+        let mut spare = HostSpare {
+            pending: std::mem::take(&mut self.pending),
+            connects: std::mem::take(&mut self.connects),
+            replies: std::mem::take(&mut self.diag.replies),
+        };
+        spare.pending.clear();
+        spare.connects.clear();
+        spare.replies.clear();
+        let _ = HOST_SPARES.try_with(|s| s.borrow_mut().give(spare));
     }
 }
 
@@ -563,5 +593,36 @@ impl Node for Host {
     }
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smapp_mptcp::NullApp;
+
+    /// A dropped host gives its connect queue and its sockdiag reply list,
+    /// emptied, to the thread; the next host starts on them.
+    #[test]
+    fn a_new_host_starts_on_the_tables_a_dropped_one_gave_back() {
+        std::thread::spawn(|| {
+            let mut host = Host::new("h", StackConfig::default());
+            let dst = Addr::new(10, 0, 0, 2);
+            for ms in 0..3 {
+                let at = SimTime::from_millis(ms);
+                host.connect_at(at, None, dst, 80, Box::new(NullApp));
+                host.diag.replies.push(Bytes::from_static(b"reply"));
+            }
+            let tables = |h: &Host| {
+                let lens = (h.connects.len(), h.diag.replies.len());
+                (lens, (h.connects.capacity(), h.diag.replies.capacity()))
+            };
+            let (_, held) = tables(&host);
+            drop(host);
+            let host = Host::new("h", StackConfig::default());
+            assert_eq!(tables(&host), ((0, 0), held));
+        })
+        .join()
+        .unwrap();
     }
 }

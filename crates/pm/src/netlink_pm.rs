@@ -8,12 +8,21 @@
 //! host). "The subflow controller receives only notifications for events
 //! it registered to" — enforced here with the subscription mask.
 
+use std::cell::RefCell;
+
 use bytes::Bytes;
 use smapp_mptcp::{PathManagerHook, PmActions, PmEvent, StackView};
 use smapp_netlink::encode_event;
+use smapp_sim::SpareList;
+
+thread_local! {
+    /// Emptied outboxes of dropped path managers, for the next
+    /// [`NetlinkPm::new`] on the thread.
+    static OUTBOX_SPARES: RefCell<SpareList<Vec<Bytes>>> = const { RefCell::new(SpareList::new()) };
+}
 
 /// The kernel side of the SMAPP architecture.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct NetlinkPm {
     /// Subscription mask (bits = [`PmEvent::mask_bit`]); 0 until the
     /// controller subscribes.
@@ -27,9 +36,17 @@ pub struct NetlinkPm {
 }
 
 impl NetlinkPm {
-    /// Fresh instance with an empty subscription.
+    /// Fresh instance with an empty subscription, on the outbox the last
+    /// one dropped on this thread gave back.
     pub fn new() -> Self {
-        Self::default()
+        NetlinkPm {
+            mask: 0,
+            outbox: OUTBOX_SPARES
+                .with(|s| s.borrow_mut().take())
+                .unwrap_or_default(),
+            suppressed: 0,
+            queued: 0,
+        }
     }
 
     /// Move the frames queued toward userspace into `into` (cleared
@@ -37,6 +54,23 @@ impl NetlinkPm {
     pub fn swap_outbox(&mut self, into: &mut Vec<Bytes>) {
         into.clear();
         std::mem::swap(&mut self.outbox, into);
+    }
+}
+
+impl Default for NetlinkPm {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Drop for NetlinkPm {
+    /// Give the emptied outbox to the thread. It may be a vector the host
+    /// traded for it (see [`NetlinkPm::swap_outbox`]): the host's own
+    /// goes on serving the next one.
+    fn drop(&mut self) {
+        let mut outbox = std::mem::take(&mut self.outbox);
+        outbox.clear();
+        let _ = OUTBOX_SPARES.try_with(|s| s.borrow_mut().give(outbox));
     }
 }
 
@@ -102,6 +136,27 @@ mod tests {
         pm.swap_outbox(&mut again);
         assert!(again.is_empty());
         assert!(actions.is_empty(), "netlink pm never acts by itself");
+    }
+
+    /// A dropped path manager gives its outbox, emptied, to the thread;
+    /// the next one queues into it.
+    #[test]
+    fn a_new_pm_queues_into_the_outbox_a_dropped_one_gave_back() {
+        std::thread::spawn(|| {
+            let mut pm = NetlinkPm::new();
+            pm.mask = EVENT_MASK_ALL;
+            let mut actions = PmActions::new();
+            for token in 0..3 {
+                pm.on_event(&PmEvent::ConnClosed { token }, &NullView, &mut actions);
+            }
+            let cap = pm.outbox.capacity();
+            assert!(cap >= 3);
+            drop(pm);
+            let pm = NetlinkPm::new();
+            assert_eq!((pm.outbox.len(), pm.outbox.capacity()), (0, cap));
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -193,7 +193,39 @@ enum Target {
 pub struct Netem {
     target: Target,
     dir: Option<Dir>,
-    actions: Vec<DynAction>,
+    actions: Actions,
+}
+
+/// A clause's compiled actions. The first is held inline, so a
+/// one-action clause (a probe, an interface flip) allocates nothing; a
+/// second call moves both to the heap.
+#[derive(Clone, Debug, Default)]
+enum Actions {
+    #[default]
+    Empty,
+    One(DynAction),
+    Many(Vec<DynAction>),
+}
+
+impl Actions {
+    fn push(&mut self, action: DynAction) {
+        *self = match std::mem::take(self) {
+            Actions::Empty => Actions::One(action),
+            Actions::One(first) => Actions::Many(vec![first, action]),
+            Actions::Many(mut all) => {
+                all.push(action);
+                Actions::Many(all)
+            }
+        };
+    }
+
+    fn as_slice(&self) -> &[DynAction] {
+        match self {
+            Actions::Empty => &[],
+            Actions::One(first) => std::slice::from_ref(first),
+            Actions::Many(all) => all,
+        }
+    }
 }
 
 impl Netem {
@@ -201,7 +233,7 @@ impl Netem {
         Netem {
             target,
             dir: None,
-            actions: Vec::new(),
+            actions: Actions::Empty,
         }
     }
 
@@ -438,7 +470,7 @@ impl Netem {
 
     /// The compiled actions, in call order (one per builder call).
     pub fn actions(&self) -> &[DynAction] {
-        &self.actions
+        self.actions.as_slice()
     }
 }
 
@@ -466,8 +498,10 @@ impl NetemScript {
 
     /// Add a clause at `at`, returning its [`Handle`].
     pub fn add(&mut self, at: SimTime, clause: Netem) -> Handle {
-        for action in clause.actions {
-            self.script.push(at, action);
+        match clause.actions {
+            Actions::Empty => {}
+            Actions::One(action) => self.script.push(at, action),
+            Actions::Many(all) => all.into_iter().for_each(|a| self.script.push(at, a)),
         }
         let h = Handle(self.clauses);
         self.clauses += 1;
@@ -595,6 +629,42 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert!(d.validate().is_ok());
         assert_eq!(d.entries()[0].at, SimTime::from_secs(1));
+    }
+
+    /// One-, two- and three-action clauses reach the script whole and in
+    /// call order, whether their actions were held inline or not.
+    #[test]
+    fn clauses_of_any_length_compile_in_order() {
+        let mut s = NetemScript::new();
+        let t = SimTime::from_secs;
+        s.add(t(1), Netem::peer(NodeId(1)).probe());
+        s.add(t(2), Netem::on(LinkId(0)).down().up());
+        let c = Netem::peer(NodeId(2))
+            .strip_mptcp(true)
+            .seq_nat(true)
+            .probe();
+        assert_eq!(c.clone().actions().len(), 3);
+        s.add(t(3), c);
+        let d: DynamicsScript = s.into();
+        let cmd = |node, cmd| DynAction::Command { node, cmd };
+        let link = |up| DynAction::LinkAdmin {
+            link: LinkId(0),
+            up,
+        };
+        let expect = [
+            (t(1), cmd(NodeId(1), NodeCommand::Probe)),
+            (t(2), link(false)),
+            (t(2), link(true)),
+            (t(3), cmd(NodeId(2), NodeCommand::StripMptcp(true))),
+            (t(3), cmd(NodeId(2), NodeCommand::SeqNat(true))),
+            (t(3), cmd(NodeId(2), NodeCommand::Probe)),
+        ];
+        let got: Vec<_> = d
+            .entries()
+            .iter()
+            .map(|e| (e.at, e.action.clone()))
+            .collect();
+        assert_eq!(got, expect);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub trait CongestionControl: Debug {
 }
 
 /// Window bookkeeping shared by both controllers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Core {
     mss: u64,
     cwnd: u64,
@@ -98,7 +98,7 @@ impl Core {
 }
 
 /// NewReno congestion control.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Reno {
     core: Core,
 }
@@ -153,7 +153,7 @@ impl CongestionControl for Reno {
 }
 
 /// Coupled Linked-Increases Algorithm (RFC 6356), Linux integer form.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lia {
     core: Core,
     /// Connection-wide alpha, scaled by [`ALPHA_SCALE`]. Defaults to the
@@ -227,7 +227,7 @@ impl CongestionControl for Lia {
 /// Either controller, held inline and dispatched by `match`: what a
 /// subflow owns, so creating one allocates nothing and every call on it
 /// is static.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Cc {
     /// Uncoupled NewReno.
     Reno(Reno),
