@@ -42,7 +42,11 @@
 //! manager and controller storage that one gave back, and follows the
 //! trajectory it follows on a thread of its own.
 //!
-//! All nine measurements live in ONE `#[test]` so nothing else in this
+//! The tenth pins a repeated world's run phase: when the `fleet` smoke
+//! cell runs again on its thread, each connection starts on the storage
+//! it had the first time, so its rings do not grow again.
+//!
+//! All ten measurements live in ONE `#[test]` so nothing else in this
 //! binary allocates concurrently while a window is being measured.
 
 use std::time::Duration;
@@ -85,9 +89,13 @@ const FLEET_SMOKE_LIVE_CEILING: u64 = 2_290_000;
 /// allocate once two have run: the client's and the server's connection
 /// and subflows start on what earlier ones gave up to the thread's
 /// spares. Measured 8–13 per connection while each stack kept its own
-/// spares, against 42–47 before spares existed; the ceiling is 1.5x the
-/// highest. With one set per thread it measures 8–19: connections 3–6
-/// still grow rings that the client and the server sized differently.
+/// spares, against 42–47 before spares existed; the ceiling was 1.5x the
+/// highest. With one set per thread it measured 8–19, connections 3–6
+/// growing rings that the other role had sized. With spares kept per
+/// role it measures 10–16: no connection grows the other role's rings,
+/// and each connection's retired storage is one box more in a world with
+/// no spare for it (every world here runs on a fresh thread). 1.5x the
+/// highest is above 19, so the ceiling stays.
 const FIG3_CONN_ALLOC_CEILING: u64 = 19;
 
 /// Most heap blocks the `fig2c/refresh` smoke cell may allocate when it
@@ -110,6 +118,15 @@ const FIG2C_SECOND_WORLD_ALLOC_CEILING: u64 = 133;
 /// handover one), against `[51, 48]` with world storage alone; the
 /// ceilings are 1.5x the warm pair.
 const WARM_WORLD_ALLOC_CEILING: [u64; 2] = [61, 55];
+
+/// Most heap blocks the `fleet` smoke cell's `run_until` may allocate
+/// when the cell runs a second time on one thread (part 10). Measured 95
+/// (2 784 the first time; 60 from the third run on, the server app the
+/// scenario's listener boxes per connection) with connection and subflow
+/// storage kept per role and handed back to the same connections,
+/// against 467 (2 648) when one list served both roles in the order
+/// storage came back. The ceiling is 1.5x the measured value.
+const FLEET_WARM_RUN_ALLOC_CEILING: u64 = 142;
 
 /// A valid 36-byte TCP header (offset 9 words) with one kind-30 DSS
 /// option carrying a mapping for `payload_len` bytes, followed by that
@@ -657,4 +674,28 @@ fn scenarios_stay_under_committed_alloc_ceilings_and_oracle_is_clean() {
             cold[i].0
         );
     }
+
+    // ---- Part 10: a warm fleet's run phase. ----
+    // The fleet smoke cell twice on a fresh thread: the second run's
+    // connections start on the storage the same connections held the
+    // first time, so the run phase allocates only what the scenario's own
+    // code hands the stacks (one server app per accepted connection).
+    let entry = (fleet.entries)(true).remove(0);
+    let seed = entry.seeds[0];
+    let (cold, warm) = std::thread::spawn(move || {
+        let run = || {
+            drop((entry.build)(seed));
+            count_alloc::last_run_phase()
+        };
+        (run(), run())
+    })
+    .join()
+    .unwrap();
+    assert!(
+        warm <= FLEET_WARM_RUN_ALLOC_CEILING,
+        "the fleet smoke cell's run_until allocated {warm} blocks the second \
+         time on its thread ({cold} the first), above the committed \
+         {FLEET_WARM_RUN_ALLOC_CEILING} — connections no longer start on the \
+         rings the same connections grew"
+    );
 }

@@ -18,6 +18,7 @@ use bytes::Bytes;
 use smapp_sim::SimTime;
 
 use crate::app::{App, AppCtx};
+use crate::stack::Spares;
 
 // Payload pattern blocks, one per sending app. `on_send_space` fires for
 // every MSS the peer acknowledges, and a send buffer holds up to 4 MiB per
@@ -252,8 +253,19 @@ impl App for StreamSender {
 pub struct GetProgress {
     /// Completed request/response cycles.
     pub completed: u32,
-    /// Completion time of each cycle.
+    /// Completion time of each cycle. The first entry puts the log on
+    /// storage an earlier record gave back to the thread.
     pub completions: Vec<SimTime>,
+}
+
+impl Drop for GetProgress {
+    /// Give the completion log's storage, emptied, to the thread for the
+    /// next chain's log.
+    fn drop(&mut self) {
+        if self.completions.capacity() > 0 {
+            Spares::give_completions(std::mem::take(&mut self.completions));
+        }
+    }
 }
 
 /// HTTP/1.0-style client: sends a small request, reads the response until
@@ -290,6 +302,9 @@ impl App for GetClient {
         {
             let mut p = self.progress.borrow_mut();
             p.completed += 1;
+            if p.completions.capacity() == 0 {
+                p.completions = Spares::take_completions();
+            }
             p.completions.push(ctx.now());
         }
         ctx.close();
@@ -464,6 +479,54 @@ mod tests {
                 .unwrap();
         assert_eq!(sink.received, 5 * 64 * 1024);
         assert_eq!(sink.block_completions.len(), 5);
+    }
+
+    /// Run a chain of five GETs and hand back its progress record.
+    fn get_chain() -> Rc<RefCell<GetProgress>> {
+        let mut h = Harness::new(
+            3,
+            Duration::from_millis(2),
+            vec![Addr::new(10, 0, 0, 1)],
+            vec![Addr::new(10, 0, 1, 1)],
+        );
+        h.b.listen(80, Box::new(|| Box::new(GetServer::new(100_000))));
+        let progress = Rc::new(RefCell::new(GetProgress::default()));
+        h.connect(
+            Side::A,
+            80,
+            Box::new(GetClient {
+                remaining: 4,
+                request_size: 100,
+                dst: Addr::new(10, 0, 1, 1),
+                dst_port: 80,
+                progress: Rc::clone(&progress),
+                stop_when_done: false,
+            }),
+        )
+        .unwrap();
+        h.run_until(SimTime::from_secs(60));
+        progress
+    }
+
+    /// A dropped progress record gives its completion log's storage to
+    /// the thread; the next chain's log starts on it and logs the same.
+    #[test]
+    fn a_new_completion_log_starts_on_the_storage_a_dropped_one_gave_back() {
+        std::thread::spawn(|| {
+            let log = |p: Rc<RefCell<GetProgress>>| {
+                let p = p.borrow();
+                (p.completions.clone(), p.completions.capacity())
+            };
+            let (first, _) = log(get_chain());
+            assert_eq!(first.len(), 5);
+            drop(GetProgress {
+                completed: 0,
+                completions: Vec::with_capacity(64),
+            });
+            assert_eq!(log(get_chain()), (first, 64));
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

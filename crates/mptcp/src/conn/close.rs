@@ -40,7 +40,7 @@ impl Connection {
         // Re-send a standalone DATA_FIN on every live subflow: one of them
         // may be a zombie (the peer's side died behind a NAT and its RST
         // never reached us), and the data level deduplicates the signal.
-        for sf in &self.subflows {
+        for sf in self.subflows.iter() {
             if sf.state == SfState::Established {
                 self.send_standalone_datafin(sf.id, fin_off, env);
             }
@@ -146,16 +146,21 @@ impl Connection {
     /// subflow has closed; a stack dropped with the connection still open
     /// runs it instead. Either way it runs once.
     pub(crate) fn release_buffers(&mut self) {
-        for sf in &mut self.subflows {
+        let role = self.role;
+        for sf in self.subflows.iter_mut() {
             if sf.state != SfState::Closed {
-                sf.release_buffers();
+                sf.release_buffers(role);
             }
         }
-        Spares::give_conn(ConnSpare {
-            send: self.meta_send.clear(),
-            recv: self.meta_recv.clear(),
-            reinject: self.reinject.take_storage(),
-        });
+        Spares::give_conn(
+            role,
+            self.spare_tag,
+            ConnSpare {
+                send: self.meta_send.clear(),
+                recv: self.meta_recv.clear(),
+                reinject: self.reinject.take_storage(),
+            },
+        );
     }
 
     /// The stack is dropped: give the thread what stayed past the close
@@ -164,15 +169,14 @@ impl Connection {
     /// when it closed, or in [`Connection::release_buffers`].
     pub(crate) fn retire(self) {
         let Connection {
+            role,
             stats,
-            mut subflows,
+            subflows: SubflowTable(mut kept),
             ..
         } = self;
-        subflows.clear();
-        Spares::give_retired(Retired {
-            taps: [stats.tap_sent, stats.tap_recvd].map(StreamTap::into_spare),
-            subflows,
-        });
+        kept.subflows.clear();
+        kept.taps = [stats.tap_sent, stats.tap_recvd].map(StreamTap::into_spare);
+        Spares::give_retired(role, kept);
     }
 
     /// The subflows closed since the last call, each once: the stack
@@ -202,7 +206,7 @@ impl Connection {
         let tuple = sf.tuple;
         self.stats.sf_close_reasons |= error.coverage_bit();
         self.reinject_flight(id);
-        self.subflows[id as usize].release_buffers();
+        self.subflows[id as usize].release_buffers(self.role);
         events.push(PmEvent::SubflowClosed {
             token: self.token,
             id,

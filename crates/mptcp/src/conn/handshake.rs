@@ -152,6 +152,7 @@ impl Connection {
             RtoState::new(self.cfg.rto.clone()),
             self.cfg.syn_retries,
             env.now,
+            self.role,
         );
         if let Some((syn, nonce_remote)) = peer {
             sf.irs = syn.hdr.seq.0;

@@ -155,7 +155,7 @@ enum FallbackCause {
 
 /// The storage a closed connection gives up, emptied: its send buffer,
 /// reassembly rings and reinjection ring. The thread keeps it for the
-/// next connection (see `Spares`).
+/// next connection of the same role (see `Spares`).
 #[derive(Default)]
 pub(crate) struct ConnSpare {
     send: VecDeque<Bytes>,
@@ -168,6 +168,23 @@ impl ConnSpare {
     /// True when the rings this crate can see into are empty.
     pub(crate) fn holds_nothing(&self) -> bool {
         self.send.is_empty() && self.reinject.is_empty()
+    }
+}
+
+/// A connection's subflow table, kept in the box its [`Retired`] storage
+/// goes back to the thread in (see `Spares`).
+struct SubflowTable(Box<Retired>);
+
+impl std::ops::Deref for SubflowTable {
+    type Target = Vec<Subflow>;
+    fn deref(&self) -> &Vec<Subflow> {
+        &self.0.subflows
+    }
+}
+
+impl std::ops::DerefMut for SubflowTable {
+    fn deref_mut(&mut self) -> &mut Vec<Subflow> {
+        &mut self.0.subflows
     }
 }
 
@@ -215,7 +232,7 @@ pub struct Connection {
     eof_delivered: bool,
 
     // --- subflows & scheduling ---
-    subflows: Vec<Subflow>,
+    subflows: SubflowTable,
     scheduler: Box<dyn Scheduler>,
     reinject: ReinjectQueue,
     peer_window: u64,
@@ -225,6 +242,8 @@ pub struct Connection {
     pub remote_addrs: Vec<(u8, Addr, u16)>,
     /// The original destination (address id 0 in PM terms).
     pub initial_remote: (Addr, u16),
+    /// The tag its storage goes back to the thread's spares with.
+    spare_tag: usize,
 }
 
 impl std::fmt::Debug for Connection {
@@ -252,18 +271,16 @@ impl Connection {
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) -> Connection {
-        let ConnSpare {
-            send,
-            recv,
-            reinject,
-        } = Spares::take_conn();
-        // The send tap grows on the storage of the retired connection's
-        // receive tap and the other way round: the pairing the thread kept
-        // when it held taps one by one, last given first taken.
-        let Retired {
-            taps: [recvd, sent],
-            subflows,
-        } = Spares::take_retired();
+        let (
+            spare_tag,
+            ConnSpare {
+                send,
+                recv,
+                reinject,
+            },
+        ) = Spares::take_conn(role);
+        let mut kept = Spares::take_retired(role);
+        let [sent, recvd] = std::mem::take(&mut kept.taps);
         let local_key = env.rng.range_u64(1, u64::MAX);
         let token = token_from_key(local_key);
         events.push(PmEvent::ConnCreated {
@@ -309,12 +326,13 @@ impl Connection {
             meta_recv: smapp_tcp::Reassembly::reusing(0, recv),
             peer_fin_off: None,
             eof_delivered: false,
-            subflows,
+            subflows: SubflowTable(kept),
             scheduler: by_name(cfg.scheduler).expect("unknown scheduler in config"),
             reinject: ReinjectQueue(reinject),
             peer_window: 64 * 1024,
             remote_addrs: Vec::new(),
             initial_remote: (tuple.dst, tuple.dst_port),
+            spare_tag,
         }
     }
 

@@ -21,14 +21,14 @@ pub const CAPABLE_FLAG_HMAC_SHA1: u8 = 0x01;
 
 /// Subtype numbers.
 mod subtype {
-    pub const MP_CAPABLE: u8 = 0x0;
-    pub const MP_JOIN: u8 = 0x1;
-    pub const DSS: u8 = 0x2;
-    pub const ADD_ADDR: u8 = 0x3;
-    pub const REMOVE_ADDR: u8 = 0x4;
-    pub const MP_PRIO: u8 = 0x5;
-    pub const MP_FAIL: u8 = 0x6;
-    pub const MP_FASTCLOSE: u8 = 0x7;
+    pub(crate) const MP_CAPABLE: u8 = 0x0;
+    pub(crate) const MP_JOIN: u8 = 0x1;
+    pub(crate) const DSS: u8 = 0x2;
+    pub(crate) const ADD_ADDR: u8 = 0x3;
+    pub(crate) const REMOVE_ADDR: u8 = 0x4;
+    pub(crate) const MP_PRIO: u8 = 0x5;
+    pub(crate) const MP_FAIL: u8 = 0x6;
+    pub(crate) const MP_FASTCLOSE: u8 = 0x7;
 }
 
 /// The data-sequence-signal option body.

@@ -9,13 +9,14 @@
 use std::cell::RefCell;
 
 use smapp_sim::{
-    Addr, FxHashMap, FxHashSet, IcmpMsg, Packet, SpareList, TimerHandle, PROTO_ICMP, PROTO_TCP,
+    Addr, FxHashMap, FxHashSet, IcmpMsg, Packet, ReplayList, SimTime, SpareBox, SpareList,
+    TimerHandle, PROTO_ICMP, PROTO_TCP,
 };
 use smapp_tcp::{OptionWriter, SeqNum, TcpFixed, TcpFlags, TcpView};
 
 use crate::app::App;
 use crate::config::StackConfig;
-use crate::conn::{ConnSpare, ConnState, Connection};
+use crate::conn::{ConnSpare, ConnState, Connection, Role};
 use crate::env::StackEnv;
 use crate::options::MpOption;
 use crate::pm::{ConnToken, FourTuple, PmAction, PmEvent, StackView, SubflowError, SubflowId};
@@ -80,19 +81,38 @@ pub type AppFactory = Box<dyn FnMut() -> Box<dyn App> + Send>;
 /// that much storage after the stacks are gone, for the next world it
 /// builds. Capacity is not observable, so reuse moves no trajectory.
 ///
+/// Connection and subflow storage is kept by [`Role`]: a client's rings
+/// grew for the traffic a client carries (a request out, a response in)
+/// and a server's for the other direction, so a connection that starts on
+/// a spare of its own role finds its rings already the size its job takes,
+/// where one of the other role would grow the rings the spare lacks and
+/// give back both. Within a role, each [`ReplayList`] hands a world built
+/// again each connection's and subflow's storage from the last time, as
+/// soon as every stack of the world before is gone: the same connection
+/// does the same job, so its rings grow only the first time.
+///
 /// Two kinds outlive a connection's close and are given back when its
 /// stack is dropped instead: what post-run checks read of a connection
 /// (its [`Retired`] storage), and the stack's own tables.
 pub(crate) struct Spares {
-    subflows: Vec<SubflowSpare>,
-    conns: Vec<ConnSpare>,
-    retired: SpareList<Retired>,
+    subflows: [ReplayList<SubflowSpare>; 2],
+    conns: [ReplayList<ConnSpare>; 2],
+    retired: [SpareList<Box<Retired>>; 2],
     stacks: SpareList<Box<Tables>>,
+    /// Stacks built on the thread and not dropped yet: when the last one
+    /// drops, a world is over and the connection and subflow lists start
+    /// a new epoch.
+    live_stacks: usize,
+    /// The completion logs of dropped [`GetProgress`](crate::apps::GetProgress)
+    /// records.
+    completions: SpareList<Vec<SimTime>>,
 }
 
 /// What a connection keeps past its close for post-run inspection, given
 /// back emptied when its stack drops: the snapshot storage of its two
-/// stream taps and its subflow table.
+/// stream taps (sent, received) and its subflow table. A connection keeps
+/// its subflow table in this box while it lives, so the thread recycles
+/// the box whole and a spare costs its list one pointer.
 pub(crate) struct Retired {
     pub(crate) taps: [Vec<u64>; 2],
     pub(crate) subflows: Vec<Subflow>,
@@ -117,108 +137,130 @@ struct Tables {
     events: Vec<PmEvent>,
 }
 
-/// The box a [`HostStack`] keeps its [`Tables`] in. It is empty only once
-/// the stack's `Drop` has given the box to the thread, so that taking it
-/// leaves no allocation behind.
-struct TablesBox(Option<Box<Tables>>);
-
-impl std::ops::Deref for TablesBox {
-    type Target = Tables;
-    fn deref(&self) -> &Tables {
-        self.0
-            .as_deref()
-            .expect("a stack holds its tables until it drops")
-    }
-}
-
-impl std::ops::DerefMut for TablesBox {
-    fn deref_mut(&mut self) -> &mut Tables {
-        self.0
-            .as_deref_mut()
-            .expect("a stack holds its tables until it drops")
-    }
-}
-
 thread_local! {
     static SPARES: RefCell<Spares> = const {
         RefCell::new(Spares {
-            subflows: Vec::new(),
-            conns: Vec::new(),
-            retired: SpareList::new(),
+            subflows: [ReplayList::new(), ReplayList::new()],
+            conns: [ReplayList::new(), ReplayList::new()],
+            retired: [SpareList::new(), SpareList::new()],
             stacks: SpareList::new(),
+            live_stacks: 0,
+            completions: SpareList::new(),
         })
     };
 }
 
 impl Spares {
-    /// The storage the thread last got back from a subflow, or none.
-    pub(crate) fn take_subflow() -> SubflowSpare {
-        SPARES
-            .with(|s| s.borrow_mut().subflows.pop())
-            .unwrap_or_default()
+    /// Storage a subflow of a `role` connection gave back, or none, and
+    /// the tag to give it back with (see [`ReplayList::take`]).
+    pub(crate) fn take_subflow(role: Role) -> (usize, SubflowSpare) {
+        let (tag, spare) = SPARES.with(|s| s.borrow_mut().subflows[role as usize].take());
+        (tag, spare.unwrap_or_default())
     }
 
-    /// The storage the thread last got back from a connection, or none.
-    pub(crate) fn take_conn() -> ConnSpare {
-        SPARES
-            .with(|s| s.borrow_mut().conns.pop())
-            .unwrap_or_default()
+    /// Storage a `role` connection gave back, or none, and the tag to give
+    /// it back with.
+    pub(crate) fn take_conn(role: Role) -> (usize, ConnSpare) {
+        let (tag, spare) = SPARES.with(|s| s.borrow_mut().conns[role as usize].take());
+        (tag, spare.unwrap_or_default())
     }
 
-    /// The storage the thread last got back from a retired connection,
-    /// or none: then a subflow table with two slots, where `Vec` would
-    /// reserve four on the first push, as most connections run two
-    /// subflows, one per path.
-    pub(crate) fn take_retired() -> Retired {
+    /// The storage the thread last got back from a retired `role`
+    /// connection, or none: then a subflow table with two slots, where
+    /// `Vec` would reserve four on the first push, as most connections run
+    /// two subflows, one per path.
+    pub(crate) fn take_retired(role: Role) -> Box<Retired> {
         SPARES
-            .with(|s| s.borrow_mut().retired.take())
-            .unwrap_or_else(|| Retired {
-                taps: Default::default(),
-                subflows: Vec::with_capacity(2),
+            .with(|s| s.borrow_mut().retired[role as usize].take())
+            .unwrap_or_else(|| {
+                Box::new(Retired {
+                    taps: Default::default(),
+                    subflows: Vec::with_capacity(2),
+                })
             })
     }
 
     /// The tables the thread last got back from a stack, or none.
     fn take_stack() -> Box<Tables> {
+        let tables = SPARES.with(|s| {
+            let mut s = s.borrow_mut();
+            s.live_stacks += 1;
+            s.stacks.take()
+        });
+        tables.unwrap_or_default()
+    }
+
+    /// The storage of the completion log the thread last got back, or
+    /// none.
+    pub(crate) fn take_completions() -> Vec<SimTime> {
         SPARES
-            .with(|s| s.borrow_mut().stacks.take())
+            .with(|s| s.borrow_mut().completions.take())
             .unwrap_or_default()
     }
 
     /// Give the thread a dead subflow's emptied storage. `try_with`: a
     /// stack dropped while its thread exits gives back what it held, and
     /// the set may already be gone; the storage is then simply freed.
-    pub(crate) fn give_subflow(spare: SubflowSpare) {
-        let _ = SPARES.try_with(|s| s.borrow_mut().subflows.push(spare));
+    pub(crate) fn give_subflow(role: Role, tag: usize, spare: SubflowSpare) {
+        let _ = SPARES.try_with(|s| s.borrow_mut().subflows[role as usize].give(tag, spare));
     }
 
     /// Give the thread a closed connection's emptied storage (see
     /// [`Spares::give_subflow`]).
-    pub(crate) fn give_conn(spare: ConnSpare) {
-        let _ = SPARES.try_with(|s| s.borrow_mut().conns.push(spare));
+    pub(crate) fn give_conn(role: Role, tag: usize, spare: ConnSpare) {
+        let _ = SPARES.try_with(|s| s.borrow_mut().conns[role as usize].give(tag, spare));
     }
 
     /// Give the thread a dropped connection's retired storage, emptied
     /// (see [`Spares::give_subflow`]).
-    pub(crate) fn give_retired(retired: Retired) {
-        let _ = SPARES.try_with(|s| s.borrow_mut().retired.give(retired));
+    pub(crate) fn give_retired(role: Role, retired: Box<Retired>) {
+        let _ = SPARES.try_with(|s| s.borrow_mut().retired[role as usize].give(retired));
     }
 
     /// Give the thread a dropped stack's emptied tables (see
-    /// [`Spares::give_subflow`]).
+    /// [`Spares::give_subflow`]). The last stack of the thread ends the
+    /// connection and subflow lists' epoch.
     fn give_stack(stack: Box<Tables>) {
-        let _ = SPARES.try_with(|s| s.borrow_mut().stacks.give(stack));
+        let _ = SPARES.try_with(|s| {
+            let mut s = s.borrow_mut();
+            s.stacks.give(stack);
+            s.live_stacks = s.live_stacks.saturating_sub(1);
+            if s.live_stacks == 0 {
+                s.subflows.iter_mut().for_each(ReplayList::end_epoch);
+                s.conns.iter_mut().for_each(ReplayList::end_epoch);
+            }
+        });
     }
 
-    /// How many subflow and connection spares the thread holds, after
-    /// checking that none of them still holds anything.
+    /// Give the thread a dropped completion log's storage, emptied (see
+    /// [`Spares::give_subflow`]).
+    pub(crate) fn give_completions(mut log: Vec<SimTime>) {
+        log.clear();
+        let _ = SPARES.try_with(|s| s.borrow_mut().completions.give(log));
+    }
+
+    /// How many subflow and connection spares the thread holds for `role`
+    /// connections, after checking that none of them still holds
+    /// anything.
     #[cfg(test)]
-    pub(crate) fn on_thread() -> (usize, usize) {
+    pub(crate) fn on_thread(role: Role) -> (usize, usize) {
         SPARES.with(|s| {
             let s = s.borrow();
-            assert!(s.subflows.iter().all(SubflowSpare::holds_nothing));
-            assert!(s.conns.iter().all(ConnSpare::holds_nothing));
-            (s.subflows.len(), s.conns.len())
+            let (subflows, conns) = (&s.subflows[role as usize], &s.conns[role as usize]);
+            assert!(subflows.iter().all(SubflowSpare::holds_nothing));
+            assert!(conns.iter().all(ConnSpare::holds_nothing));
+            (subflows.len(), conns.len())
+        })
+    }
+
+    /// The flight and mapping ring capacities of each subflow spare the
+    /// thread holds for `role` connections.
+    #[cfg(test)]
+    pub(crate) fn subflow_rings(role: Role) -> Vec<(usize, usize)> {
+        SPARES.with(|s| {
+            let spares = s.borrow();
+            let spares = spares.subflows[role as usize].iter();
+            spares.map(SubflowSpare::ring_capacities).collect()
         })
     }
 }
@@ -227,7 +269,7 @@ impl Spares {
 pub struct HostStack {
     /// Configuration shared by all connections.
     pub cfg: StackConfig,
-    t: TablesBox,
+    t: SpareBox<Tables>,
     /// Count of RSTs sent to unknown flows (diagnostics).
     pub rst_sent: u64,
 }
@@ -238,7 +280,7 @@ impl HostStack {
     pub fn new(cfg: StackConfig) -> Self {
         HostStack {
             cfg,
-            t: TablesBox(Some(Spares::take_stack())),
+            t: SpareBox::new(Spares::take_stack()),
             rst_sent: 0,
         }
     }
@@ -650,7 +692,7 @@ impl Drop for HostStack {
     /// emptied tables follow, so the next world's stacks start on all of
     /// it.
     fn drop(&mut self) {
-        let Some(mut t) = self.t.0.take() else {
+        let Some(mut t) = self.t.take() else {
             return;
         };
         let open = t.conns.iter_mut().flatten();
@@ -687,10 +729,9 @@ impl StackView for HostStack {
 mod tests {
     use super::*;
     use crate::app::NullApp;
-    use crate::apps::{BulkSender, Sink};
+    use crate::apps::{BulkSender, GetClient, GetServer, Sink};
     use crate::harness::{Harness, Side};
     use crate::subflow::SfState;
-    use smapp_sim::SimTime;
     use std::time::Duration;
 
     #[test]
@@ -802,11 +843,21 @@ mod tests {
                 SPARES.with(|s| f(&s.borrow()))
             }
             assert_eq!(on_thread(|s| s.stacks.len()), 2);
-            assert_eq!(on_thread(|s| s.retired.len()), 2, "one per connection");
-            let taps = |r: &Retired| r.taps.iter().filter(|t| t.capacity() > 0).count();
-            let grown = on_thread(|s| s.retired.iter().map(taps).sum::<usize>());
-            assert_eq!(grown, 2, "the two taps that saw 300 kB");
-            let tables = on_thread(|s| s.retired.iter().map(|r| r.subflows.capacity()).min());
+            let retired = on_thread(|s| s.retired.each_ref().map(SpareList::len));
+            assert_eq!(retired, [1, 1], "one per connection, by role");
+            // The client sent the 300 kB and the server received them: each
+            // kept the one tap that grew, in its own slot.
+            let grown = |r: &Retired| r.taps.each_ref().map(|t| t.capacity() > 0);
+            let grown = on_thread(|s| {
+                s.retired
+                    .each_ref()
+                    .map(|l| grown(l.iter().next().unwrap()))
+            });
+            assert_eq!(grown, [[true, false], [false, true]]);
+            fn each(s: &Spares) -> impl Iterator<Item = &Retired> {
+                s.retired.iter().flat_map(SpareList::iter).map(|r| &**r)
+            }
+            let tables = on_thread(|s| each(s).map(|r| r.subflows.capacity()).min());
             assert!(tables >= Some(1), "the subflow tables come back too");
             let emptied = |t: &Tables| {
                 t.conns.is_empty()
@@ -819,7 +870,7 @@ mod tests {
             };
             assert!(on_thread(|s| s.stacks.iter().all(|t| emptied(t))));
             let emptied = |r: &Retired| r.taps.iter().all(Vec::is_empty) && r.subflows.is_empty();
-            assert!(on_thread(|s| s.retired.iter().all(emptied)));
+            assert!(on_thread(|s| each(s).all(emptied)));
             assert_eq!(run(), fresh);
         })
         .join()
@@ -844,12 +895,19 @@ mod tests {
         panic!("harness stalled at {:?}", h.now());
     }
 
-    /// Live subflows and connections on both of `h`'s stacks.
-    fn live(h: &Harness) -> (usize, usize) {
-        let conns = || h.a.connections().chain(h.b.connections());
-        let subflows = conns().map(|c| c.live_subflows().count()).sum();
-        let open = conns().filter(|c| c.state != ConnState::Closed).count();
-        (subflows, open)
+    const ROLES: [Role; 2] = [Role::Client, Role::Server];
+
+    /// Live subflows and open connections of `role` on `h`: the harness's
+    /// side A opens every connection, so its stack holds the clients and
+    /// side B's the servers.
+    fn live(h: &Harness, role: Role) -> (usize, usize) {
+        let stack = match role {
+            Role::Client => &h.a,
+            Role::Server => &h.b,
+        };
+        let subflows = stack.connections().map(|c| c.live_subflows().count());
+        let open = stack.connections().filter(|c| c.state != ConnState::Closed);
+        (subflows.sum(), open.count())
     }
 
     /// A connection that has just started: nothing in flight, reassembly
@@ -898,40 +956,43 @@ mod tests {
             }),
         );
         let send_buf = h.a.cfg.send_buf;
-        // The most subflows and connections ever live on the thread, from
-        // what it held before. A spare comes from a live object and is
-        // taken first, so spares plus live objects never pass that peak.
-        let mut peak = Spares::on_thread();
+        // The most subflows and connections of each role ever live on the
+        // thread, from what it held before. A spare comes from a live
+        // object of its role and is taken first, so spares plus live
+        // objects never pass that peak.
+        let mut peak = ROLES.map(Spares::on_thread);
         let mut check = |h: &Harness| {
-            let (live_sf, live_conns) = live(h);
-            peak = (peak.0.max(live_sf), peak.1.max(live_conns));
-            let (spare_sf, spare_conns) = Spares::on_thread();
-            assert!(spare_sf + live_sf <= peak.0);
-            assert!(spare_conns + live_conns <= peak.1);
+            for (role, peak) in ROLES.into_iter().zip(&mut peak) {
+                let (live_sf, live_conns) = live(h, role);
+                *peak = (peak.0.max(live_sf), peak.1.max(live_conns));
+                let (spare_sf, spare_conns) = Spares::on_thread(role);
+                assert!(spare_sf + live_sf <= peak.0);
+                assert!(spare_conns + live_conns <= peak.1);
+            }
         };
         let mut clock = SimTime::ZERO;
         let mut reused = [0; 2];
         let mut resets = 0;
         for i in 0..10u64 {
             let size = 60_000 + 7_919 * i;
-            let before = Spares::on_thread();
+            let before = Spares::on_thread(Role::Client);
             let app = Box::new(BulkSender::new(size).close_when_done());
             let token = h.connect(Side::A, 80, app).unwrap();
-            let after_client = Spares::on_thread();
             if before.1 > 0 {
-                // Built on the storage of an earlier connection and
+                // Built on the storage of an earlier client connection and
                 // subflow, and none of their state came along.
                 reused[0] += 1;
-                assert_eq!(after_client, one_taken(before));
+                assert_eq!(Spares::on_thread(Role::Client), one_taken(before));
             }
             assert_fresh(h.a.conn_by_token(token).unwrap(), send_buf);
 
+            let before = Spares::on_thread(Role::Server);
             let established =
                 |h: &Harness| h.a.conn_by_token(token).unwrap().state != ConnState::Establishing;
             advance(&mut h, &mut clock, &mut check, established);
-            if after_client.1 > 0 {
+            if before.1 > 0 {
                 reused[1] += 1;
-                assert_eq!(Spares::on_thread(), one_taken(after_client));
+                assert_eq!(Spares::on_thread(Role::Server), one_taken(before));
             }
             if i % 2 == 0 {
                 let open = PmAction::OpenSubflow {
@@ -977,7 +1038,10 @@ mod tests {
         }
         assert_eq!(reused, [9, 9], "every connection after the first");
         assert!(resets > 0, "no subflow died mid-transfer");
-        assert!(peak.0 >= 4 && peak.1 >= 2, "both ends of two subflows live");
+        assert!(
+            peak.iter().all(|p| p.0 >= 2 && p.1 >= 1),
+            "both ends of two subflows live"
+        );
     }
 
     #[test]
@@ -1025,24 +1089,33 @@ mod tests {
             h.a.conn_by_token(token).unwrap().subflow_count() == 2 && busy(&h.a) && busy(&h.b)
         };
         advance(&mut h, &mut clock, &mut |_: &Harness| {}, both_busy);
-        let open = live(&h);
-        assert_eq!(open, (4, 2), "two subflows a side, both connections open");
+        let open = ROLES.map(|role| live(&h, role));
+        assert_eq!(
+            open,
+            [(2, 1); 2],
+            "two subflows a side, both connections open"
+        );
 
-        let before = Spares::on_thread();
+        let before = ROLES.map(Spares::on_thread);
         drop(h);
-        assert_eq!(Spares::on_thread(), (before.0 + open.0, before.1 + open.1));
+        for (i, role) in ROLES.into_iter().enumerate() {
+            let (before, open) = (before[i], open[i]);
+            assert_eq!(
+                Spares::on_thread(role),
+                (before.0 + open.0, before.1 + open.1)
+            );
+        }
 
         // The next world on this thread starts on that storage, fresh.
         let mut h = harness();
-        let before = Spares::on_thread();
+        let before = ROLES.map(Spares::on_thread);
         let token = h.connect(Side::A, 80, client_app()).unwrap();
-        let after_client = Spares::on_thread();
-        assert_eq!(after_client, one_taken(before));
+        assert_eq!(Spares::on_thread(Role::Client), one_taken(before[0]));
         assert_fresh(h.a.conn_by_token(token).unwrap(), send_buf);
         let mut clock = SimTime::ZERO;
         let accepted = |h: &Harness| h.b.connections().next().is_some();
         advance(&mut h, &mut clock, &mut |_: &Harness| {}, accepted);
-        assert_eq!(Spares::on_thread(), one_taken(after_client));
+        assert_eq!(Spares::on_thread(Role::Server), one_taken(before[1]));
         assert_fresh(h.b.connections().next().unwrap(), send_buf);
         let both_closed = |h: &Harness| {
             h.a.conn_by_token(token).unwrap().state == ConnState::Closed
@@ -1056,6 +1129,53 @@ mod tests {
             (300_000, 200_000)
         );
         assert_taps_match(client, server);
+    }
+
+    /// A GET's client receives and its server sends, so each grows
+    /// different rings. Once both have closed, the next client connection
+    /// on the thread starts on the client's rings, and the server's stay
+    /// for the next server connection.
+    #[test]
+    fn a_new_client_connection_starts_on_the_rings_a_client_grew() {
+        std::thread::spawn(|| {
+            let (a0, b0) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 1, 1));
+            let mut h = Harness::new(7, Duration::from_millis(5), vec![a0], vec![b0]);
+            h.b.listen(80, Box::new(|| Box::new(GetServer::new(200_000))));
+            let get = || {
+                Box::new(GetClient {
+                    remaining: 0,
+                    request_size: 100,
+                    dst: b0,
+                    dst_port: 80,
+                    progress: Default::default(),
+                    stop_when_done: false,
+                })
+            };
+            let token = h.connect(Side::A, 80, get()).unwrap();
+            let mut clock = SimTime::ZERO;
+            let both_closed = |h: &Harness| {
+                h.a.conn_by_token(token).unwrap().state == ConnState::Closed
+                    && h.b.connections().all(|c| c.state == ConnState::Closed)
+            };
+            advance(&mut h, &mut clock, &mut |_: &Harness| {}, both_closed);
+            assert_eq!(h.a.conn_by_token(token).unwrap().bytes_delivered(), 200_000);
+
+            // One subflow spare per role; the server's flight ring grew with
+            // the response, the client's held one request.
+            let rings = ROLES.map(Spares::subflow_rings);
+            let [[client], [server]] = rings.map(|r| <[_; 1]>::try_from(r).unwrap());
+            assert!(server.0 > client.0, "flight rings {client:?} {server:?}");
+
+            h.connect(Side::A, 80, get()).unwrap();
+            assert_eq!(
+                Spares::on_thread(Role::Client),
+                (0, 0),
+                "the client's rings"
+            );
+            assert_eq!(Spares::subflow_rings(Role::Server), [server]);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -16,6 +16,7 @@ use smapp_tcp::{
     RttEstimator, SentSeg, TcpInfo, TcpStateInfo,
 };
 
+use crate::conn::Role;
 use crate::pm::{FourTuple, SubflowId};
 use crate::stack::Spares;
 
@@ -112,8 +113,9 @@ pub struct SfStats {
 }
 
 /// The storage a dead subflow gives up, emptied: its flight, reassembly
-/// and mapping rings. The thread keeps it for the next subflow, which
-/// starts on it instead of growing its own (see `Spares`).
+/// and mapping rings. The thread keeps it for the next subflow of a
+/// connection of the same role, which starts on it instead of growing its
+/// own (see `Spares`).
 #[derive(Default)]
 pub(crate) struct SubflowSpare {
     flight: VecDeque<SentSeg<SegTag>>,
@@ -126,6 +128,11 @@ impl SubflowSpare {
     /// True when the rings this crate can see into are empty.
     pub(crate) fn holds_nothing(&self) -> bool {
         self.flight.is_empty() && self.recv_maps.is_empty()
+    }
+
+    /// The capacity of its flight and mapping rings.
+    pub(crate) fn ring_capacities(&self) -> (usize, usize) {
+        (self.flight.capacity(), self.recv_maps.capacity())
     }
 }
 
@@ -209,6 +216,8 @@ pub struct Subflow {
     pub(crate) coupled: Option<(u64, u64)>,
     /// Closed and dropped from the stack's demux table.
     pub(crate) reaped: bool,
+    /// The tag its storage goes back to the thread's spares with.
+    spare_tag: usize,
 }
 
 impl std::fmt::Debug for Subflow {
@@ -242,12 +251,16 @@ impl Subflow {
         rto: RtoState,
         syn_retries: u32,
         now: SimTime,
+        role: Role,
     ) -> Self {
-        let SubflowSpare {
-            flight,
-            reasm,
-            recv_maps,
-        } = Spares::take_subflow();
+        let (
+            spare_tag,
+            SubflowSpare {
+                flight,
+                reasm,
+                recv_maps,
+            },
+        ) = Spares::take_subflow(role);
         Subflow {
             id,
             tuple,
@@ -285,6 +298,7 @@ impl Subflow {
             },
             coupled: None,
             reaped: false,
+            spare_tag,
         }
     }
 
@@ -374,15 +388,20 @@ impl Subflow {
 
     /// The subflow is closed and will neither send nor receive again:
     /// drop what its flight, reassembly and mapping queues hold and give
-    /// their emptied storage to the thread's `Spares`. The sequence state
-    /// the diag dump reads stays.
-    pub(crate) fn release_buffers(&mut self) {
+    /// their emptied storage to the thread's `Spares`, kept for the next
+    /// subflow of a `role` connection. The sequence state the diag dump
+    /// reads stays.
+    pub(crate) fn release_buffers(&mut self, role: Role) {
         self.recv_maps.clear();
-        Spares::give_subflow(SubflowSpare {
-            flight: self.flight.clear(),
-            reasm: self.reasm.clear(),
-            recv_maps: std::mem::take(&mut self.recv_maps),
-        });
+        Spares::give_subflow(
+            role,
+            self.spare_tag,
+            SubflowSpare {
+                flight: self.flight.clear(),
+                reasm: self.reasm.clear(),
+                recv_maps: std::mem::take(&mut self.recv_maps),
+            },
+        );
     }
 
     /// Current (backed-off) retransmission timeout.
@@ -457,6 +476,7 @@ mod tests {
             RtoState::new(RtoPolicy::default()),
             6,
             SimTime::ZERO,
+            Role::Client,
         );
         s.irs = irs;
         s

@@ -45,35 +45,35 @@ pub const CONTROLLER_PID: u32 = 1001;
 
 /// Attribute type numbers (the listings name them).
 mod attr {
-    pub const TOKEN: u16 = 1; // connection token (u32)
-    pub const SUBFLOW_ID: u16 = 2; // subflow id (u8)
-    pub const SADDR: u16 = 3; // source address (u32)
-    pub const SPORT: u16 = 4; // source port (u16)
-    pub const DADDR: u16 = 5; // destination address (u32)
-    pub const DPORT: u16 = 6; // destination port (u16)
-    pub const BACKUP: u16 = 7; // backup flag (u8)
-    pub const ERROR: u16 = 8; // errno-style error code (u16)
-    pub const RTO_US: u16 = 9; // retransmission timeout in microseconds (u64)
-    pub const BACKOFFS: u16 = 10; // consecutive backoffs (u32)
-    pub const ADDR: u16 = 11; // a bare address (u32)
-    pub const ADDR_ID: u16 = 12; // MPTCP address id (u8)
-    pub const PORT: u16 = 13; // a port (u16)
-    pub const MASK: u16 = 14; // event subscription mask (u32)
-    pub const IS_CLIENT: u16 = 15; // client-side flag (u8)
-    pub const INITIATED: u16 = 16; // locally-initiated flag (u8)
-    pub const RESET: u16 = 17; // reset-vs-graceful flag (u8)
-    pub const TCP_INFO: u16 = 18; // `TcpInfo` blob: version byte, then fixed-width LE fields
-    pub const SUBFLOW_NEST: u16 = 19; // nested per-subflow container
-    pub const DATA_SND_UNA: u16 = 20; // connection-level `snd_una` data offset (u64)
-    pub const DATA_SND_NXT: u16 = 21; // connection-level `snd_nxt` data offset (u64)
-    pub const CONN_NEST: u16 = 22; // nested per-connection container of a diag reply
-    pub const CONN_STATE: u16 = 23; // connection state (u8: 1 establishing, 2 estab, 3 closed)
-    pub const FALLBACK: u16 = 24; // plain-TCP fallback inferred flag (u8)
-    pub const TAP_SENT_BYTES: u16 = 25; // bytes pushed through the send-side stream tap (u64)
-    pub const TAP_SENT_DIGEST: u16 = 26; // running `StreamTap` digest of the sent stream (u64)
-    pub const TAP_RECVD_BYTES: u16 = 27; // bytes pushed through the receive-side stream tap (u64)
-    pub const TAP_RECVD_DIGEST: u16 = 28; // running `StreamTap` digest of the received stream (u64)
-    pub const REINJECTIONS: u16 = 29; // connection-level reinjections performed (u64)
+    pub(crate) const TOKEN: u16 = 1; // connection token (u32)
+    pub(crate) const SUBFLOW_ID: u16 = 2; // subflow id (u8)
+    pub(crate) const SADDR: u16 = 3; // source address (u32)
+    pub(crate) const SPORT: u16 = 4; // source port (u16)
+    pub(crate) const DADDR: u16 = 5; // destination address (u32)
+    pub(crate) const DPORT: u16 = 6; // destination port (u16)
+    pub(crate) const BACKUP: u16 = 7; // backup flag (u8)
+    pub(crate) const ERROR: u16 = 8; // errno-style error code (u16)
+    pub(crate) const RTO_US: u16 = 9; // retransmission timeout in microseconds (u64)
+    pub(crate) const BACKOFFS: u16 = 10; // consecutive backoffs (u32)
+    pub(crate) const ADDR: u16 = 11; // a bare address (u32)
+    pub(crate) const ADDR_ID: u16 = 12; // MPTCP address id (u8)
+    pub(crate) const PORT: u16 = 13; // a port (u16)
+    pub(crate) const MASK: u16 = 14; // event subscription mask (u32)
+    pub(crate) const IS_CLIENT: u16 = 15; // client-side flag (u8)
+    pub(crate) const INITIATED: u16 = 16; // locally-initiated flag (u8)
+    pub(crate) const RESET: u16 = 17; // reset-vs-graceful flag (u8)
+    pub(crate) const TCP_INFO: u16 = 18; // `TcpInfo` blob: version byte, then fixed-width LE fields
+    pub(crate) const SUBFLOW_NEST: u16 = 19; // nested per-subflow container
+    pub(crate) const DATA_SND_UNA: u16 = 20; // connection-level `snd_una` data offset (u64)
+    pub(crate) const DATA_SND_NXT: u16 = 21; // connection-level `snd_nxt` data offset (u64)
+    pub(crate) const CONN_NEST: u16 = 22; // nested per-connection container of a diag reply
+    pub(crate) const CONN_STATE: u16 = 23; // connection state (u8: 1 establishing, 2 estab, 3 closed)
+    pub(crate) const FALLBACK: u16 = 24; // plain-TCP fallback inferred flag (u8)
+    pub(crate) const TAP_SENT_BYTES: u16 = 25; // bytes pushed through the send-side stream tap (u64)
+    pub(crate) const TAP_SENT_DIGEST: u16 = 26; // running `StreamTap` digest of the sent stream (u64)
+    pub(crate) const TAP_RECVD_BYTES: u16 = 27; // bytes pushed through the receive-side stream tap (u64)
+    pub(crate) const TAP_RECVD_DIGEST: u16 = 28; // running `StreamTap` digest of the received stream (u64)
+    pub(crate) const REINJECTIONS: u16 = 29; // connection-level reinjections performed (u64)
 }
 
 // The multi-attribute kinds (`FourTuple`, `(u64, u64)`) take consecutive

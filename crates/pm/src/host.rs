@@ -31,7 +31,9 @@ use smapp_netlink::{
     decode, encode_event, encode_reply, DiagConn, LatencyModel, PmNlCommand, PmNlMessage, UserCtx,
     UserProcess,
 };
-use smapp_sim::{Addr, Ctx, FxHashMap, IfaceId, Node, NodeCommand, Packet, SimTime, SpareList};
+use smapp_sim::{
+    Addr, Ctx, FxHashMap, IfaceId, Node, NodeCommand, Packet, SimTime, SpareBox, SpareList,
+};
 use smapp_tcp::TcpInfo;
 
 use crate::netlink_pm::NetlinkPm;
@@ -131,10 +133,11 @@ thread_local! {
 /// Frames in flight across the netlink boundary, by crossing id.
 type Pending = FxHashMap<u64, Bytes>;
 
-/// The tables a dropped [`Host`] gives back, emptied: its crossing table,
-/// its connect queue and its sockdiag reply list.
+/// A [`Host`]'s tables, in one box that the thread recycles whole: its
+/// crossing table and connect queue, and the storage of its sockdiag reply
+/// list, which the host holds as `diag.replies` while it lives.
 #[derive(Default)]
-struct HostSpare {
+struct HostTables {
     pending: Pending,
     connects: Vec<ScheduledConnect>,
     replies: Vec<Bytes>,
@@ -145,7 +148,8 @@ thread_local! {
     /// thread. The crossing table is only probed, never iterated, and the
     /// two lists are indexed by their own pushes, so their capacity
     /// reaches no trajectory.
-    static HOST_SPARES: RefCell<SpareList<HostSpare>> = const { RefCell::new(SpareList::new()) };
+    static HOST_SPARES: RefCell<SpareList<Box<HostTables>>> =
+        const { RefCell::new(SpareList::new()) };
 }
 
 /// Record of sockdiag probes taken mid-run, filled by scripted
@@ -172,9 +176,8 @@ pub struct Host {
     pub user: Option<Box<dyn UserProcess>>,
     /// Boundary latency applied per netlink crossing.
     pub latency: LatencyModel,
-    pending: Pending,
+    t: SpareBox<HostTables>,
     next_pending: u64,
-    connects: Vec<ScheduledConnect>,
     /// Netlink frames that failed to decode at the kernel (diagnostics).
     pub malformed_commands: u64,
     /// Sockdiag snapshots taken by scripted `Probe` commands.
@@ -185,22 +188,18 @@ impl Host {
     /// A host with the given stack config, no path manager (`NoopPm`) and
     /// no userspace process.
     pub fn new(name: impl Into<String>, cfg: StackConfig) -> Self {
-        let HostSpare {
-            pending,
-            connects,
-            replies,
-        } = HOST_SPARES
+        let mut t = HOST_SPARES
             .with(|s| s.borrow_mut().take())
             .unwrap_or_default();
+        let replies = std::mem::take(&mut t.replies);
         Host {
             name: name.into(),
             stack: HostStack::new(cfg),
             pm: Box::new(smapp_mptcp::NoopPm),
             user: None,
             latency: LatencyModel::Zero,
-            pending,
+            t: SpareBox::new(t),
             next_pending: 0,
-            connects,
             malformed_commands: 0,
             diag: DiagLog { probes: 0, replies },
         }
@@ -235,7 +234,7 @@ impl Host {
         dst_port: u16,
         app: Box<dyn App>,
     ) {
-        self.connects.push((at, src, dst, dst_port, Some(app)));
+        self.t.connects.push((at, src, dst, dst_port, Some(app)));
     }
 
     /// Downcast the userspace process.
@@ -359,7 +358,7 @@ impl Host {
     fn schedule_boundary(&mut self, ctx: &mut Ctx<'_>, frame: Bytes, domain: u64) {
         let id = self.next_pending;
         self.next_pending += 1;
-        self.pending.insert(id, frame);
+        self.t.pending.insert(id, frame);
         let d = self.latency.sample(ctx.rng());
         ctx.set_timer_after(d, domain | (id & PAYLOAD));
     }
@@ -500,15 +499,14 @@ impl Drop for Host {
     /// Give the emptied crossing table, connect queue and reply list to
     /// the thread (the stack gives its own tables back as it drops).
     fn drop(&mut self) {
-        let mut spare = HostSpare {
-            pending: std::mem::take(&mut self.pending),
-            connects: std::mem::take(&mut self.connects),
-            replies: std::mem::take(&mut self.diag.replies),
+        let Some(mut t) = self.t.take() else {
+            return;
         };
-        spare.pending.clear();
-        spare.connects.clear();
-        spare.replies.clear();
-        let _ = HOST_SPARES.try_with(|s| s.borrow_mut().give(spare));
+        t.pending.clear();
+        t.connects.clear();
+        t.replies = std::mem::take(&mut self.diag.replies);
+        t.replies.clear();
+        let _ = HOST_SPARES.try_with(|s| s.borrow_mut().give(t));
     }
 }
 
@@ -521,7 +519,7 @@ impl Node for Host {
         // Give the controller a chance to subscribe.
         self.run_user(ctx, |u, uctx| u.on_start(uctx));
         // Schedule the workload.
-        for (i, (at, ..)) in self.connects.iter().enumerate() {
+        for (i, (at, ..)) in self.t.connects.iter().enumerate() {
             ctx.set_timer_at(*at, D_CONNECT | i as u64);
         }
     }
@@ -540,18 +538,18 @@ impl Node for Host {
                 self.run_user(ctx, |u, uctx| u.on_timer(uctx, tok));
             }
             5 => {
-                if let Some(frame) = self.pending.remove(&(token & PAYLOAD)) {
+                if let Some(frame) = self.t.pending.remove(&(token & PAYLOAD)) {
                     self.run_user(ctx, |u, uctx| u.on_message(uctx, frame));
                 }
             }
             6 => {
-                if let Some(frame) = self.pending.remove(&(token & PAYLOAD)) {
+                if let Some(frame) = self.t.pending.remove(&(token & PAYLOAD)) {
                     self.kernel_receive(ctx, frame);
                 }
             }
             7 => {
                 let idx = (token & PAYLOAD) as usize;
-                if let Some((_, src, dst, port, app)) = self.connects.get_mut(idx) {
+                if let Some((_, src, dst, port, app)) = self.t.connects.get_mut(idx) {
                     if let Some(app) = app.take() {
                         let (src, dst, port) = (*src, *dst, *port);
                         self.drive(
@@ -614,8 +612,8 @@ mod tests {
                 host.diag.replies.push(Bytes::from_static(b"reply"));
             }
             let tables = |h: &Host| {
-                let lens = (h.connects.len(), h.diag.replies.len());
-                (lens, (h.connects.capacity(), h.diag.replies.capacity()))
+                let lens = (h.t.connects.len(), h.diag.replies.len());
+                (lens, (h.t.connects.capacity(), h.diag.replies.capacity()))
             };
             let (_, held) = tables(&host);
             drop(host);

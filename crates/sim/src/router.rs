@@ -9,6 +9,7 @@
 //! correlated choices.
 
 use std::any::Any;
+use std::cell::RefCell;
 
 use crate::addr::{Addr, AddrPrefix, FlowKey};
 use crate::dynamics::{strip_mptcp_options, NodeCommand};
@@ -16,6 +17,7 @@ use crate::hash::{FxHashMap, FxHashSet};
 use crate::node::{IfaceId, Node};
 use crate::packet::{Packet, PROTO_TCP};
 use crate::rewrite;
+use crate::spare::SpareList;
 use crate::wire::{TcpView, TCP_HEADER_LEN};
 use crate::world::Ctx;
 
@@ -26,6 +28,17 @@ pub struct Route {
     pub prefix: AddrPrefix,
     /// Candidate egress interfaces; >1 means ECMP across them.
     pub egress: Vec<IfaceId>,
+}
+
+/// The tables a dropped [`Router`] gives back, emptied: its routing table
+/// and its lookup cache.
+type RouterSpare = (Vec<Route>, FxHashMap<Addr, Option<usize>>);
+
+thread_local! {
+    /// Emptied tables of dropped routers, for the next [`Router::new`] on
+    /// the thread. The cache is only probed, never iterated, so its
+    /// capacity reaches no trajectory.
+    static ROUTER_SPARES: RefCell<SpareList<RouterSpare>> = const { RefCell::new(SpareList::new()) };
 }
 
 /// A router node.
@@ -113,11 +126,15 @@ const COALESCE_FLUSH: std::time::Duration = std::time::Duration::from_micros(200
 const SEQNAT_SALT: u64 = 0x5EA9_0A7D_EC0D_E5A1;
 
 impl Router {
-    /// A router with the given ECMP hash salt (use the router's index).
+    /// A router with the given ECMP hash salt (use the router's index),
+    /// on the tables the last router dropped on this thread gave back.
     pub fn new(salt: u64) -> Self {
+        let (routes, lpm_cache) = ROUTER_SPARES
+            .with(|s| s.borrow_mut().take())
+            .unwrap_or_default();
         Router {
-            routes: Vec::new(),
-            lpm_cache: FxHashMap::default(),
+            routes,
+            lpm_cache,
             salt,
             strip_mptcp: false,
             seq_nat: false,
@@ -277,6 +294,20 @@ impl Router {
     }
 }
 
+impl Drop for Router {
+    /// Give the emptied routing table and lookup cache to the thread.
+    /// `try_with`: a router dropped while its thread exits frees them.
+    fn drop(&mut self) {
+        let (mut routes, mut cache) = (
+            std::mem::take(&mut self.routes),
+            std::mem::take(&mut self.lpm_cache),
+        );
+        routes.clear();
+        cache.clear();
+        let _ = ROUTER_SPARES.try_with(|s| s.borrow_mut().give((routes, cache)));
+    }
+}
+
 impl Node for Router {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, in_iface: IfaceId, mut pkt: Packet) {
         if pkt.ttl <= 1 {
@@ -433,6 +464,34 @@ mod tests {
             seen.insert(first);
         }
         assert_eq!(seen.len(), 4, "64 flows should cover all 4 paths");
+    }
+
+    /// A dropped router gives its routing table and lookup cache to the
+    /// thread, emptied; the next router starts on them and routes as a
+    /// router built on nothing does.
+    #[test]
+    fn a_new_router_starts_on_the_tables_a_dropped_one_gave_back() {
+        std::thread::spawn(|| {
+            let lookups = |r: &mut Router| {
+                r.add_route("10.0.0.0/8".parse().unwrap(), vec![IfaceId(1)]);
+                r.add_route("10.1.0.0/16".parse().unwrap(), vec![IfaceId(2)]);
+                let dsts = (0..64).map(|i| Addr::new(10, i % 3, i, 1));
+                let pkts: Vec<Packet> = dsts.map(|d| pkt_with_ports(d, 1, 2)).collect();
+                pkts.iter()
+                    .map(|p| r.select_egress_cached(p))
+                    .collect::<Vec<_>>()
+            };
+            let mut first = Router::new(5);
+            let fresh = lookups(&mut first);
+            let held = (first.routes.capacity(), first.lpm_cache.capacity());
+            drop(first);
+            let mut next = Router::new(5);
+            assert!(next.routes.is_empty() && next.lpm_cache.is_empty());
+            assert_eq!((next.routes.capacity(), next.lpm_cache.capacity()), held);
+            assert_eq!(lookups(&mut next), fresh);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]
