@@ -13,16 +13,13 @@
 //! Beside the call counter it tracks the bytes currently allocated and
 //! their high-water mark ([`live_bytes`], [`peak_live_bytes`],
 //! [`reset_peak`]): what a run holds at its worst moment, without reading
-//! a clock or `/proc`. Every scenario's `run_until` goes through
-//! [`run_phase`], so [`last_run_phase`] gives a world's run-phase
-//! allocations apart from its build and teardown.
+//! a clock or `/proc`.
 //!
 //! The counters are process-wide relaxed atomics: exact in the `--jobs 1`
 //! measurement pass (one cell at a time on one thread), and deliberately
 //! not reported for parallel passes where concurrent cells would share them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -82,26 +79,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
         }
         new_ptr
     }
-}
-
-thread_local! {
-    /// Allocations inside the last [`run_phase`] on this thread.
-    static RUN_PHASE_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Run `run` (a world's `run_until`) and record the [`allocs`] it made,
-/// for [`last_run_phase`].
-pub fn run_phase<R>(run: impl FnOnce() -> R) -> R {
-    let before = allocs();
-    let out = run();
-    RUN_PHASE_ALLOCS.set(allocs() - before);
-    out
-}
-
-/// The allocations of the last [`run_phase`] on this thread: exact when
-/// nothing else allocates meanwhile, like every figure here.
-pub fn last_run_phase() -> u64 {
-    RUN_PHASE_ALLOCS.get()
 }
 
 /// Heap allocations (alloc + alloc_zeroed + realloc calls) since process

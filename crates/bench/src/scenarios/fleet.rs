@@ -27,7 +27,8 @@ use smapp_netlink::{decode, LatencyModel, PmNlMessage};
 use smapp_pm::topo::{self, SERVER_ADDR};
 use smapp_pm::{Host, NdiffportsPm};
 use smapp_sim::{
-    Addr, AddrPrefix, InstallPolicy, LinkCfg, Netem, NetemScript, Router, SimTime, Simulator,
+    Addr, AddrPrefix, InstallPolicy, LinkCfg, Netem, NetemScript, NodeId, Router, SimTime,
+    Simulator,
 };
 
 use super::{checked_run, Row, Run, Scenario};
@@ -125,60 +126,23 @@ pub struct FleetStats {
     pub diag_digest: u64,
 }
 
+/// A fleet world before its run: the simulator, each client's progress
+/// record and node, in client order.
+pub struct FleetWorld {
+    /// The world; `run_until` its horizon to run it.
+    pub sim: Simulator,
+    /// Each client's GET chain progress.
+    pub progress: Vec<Rc<RefCell<GetProgress>>>,
+    /// Each client's node.
+    pub clients: Vec<NodeId>,
+}
+
 /// The many-client fleet scenario.
 pub struct Fleet;
 
-impl Scenario for Fleet {
-    const NAME: &'static str = "fleet";
-    // PR 24 (wheel event queue, allocation-free reassembly ring, crypto and
-    // netlink lookups): 0.143 -> 0.102 full, 0.350 -> 0.217 smoke;
-    // ceiling is 2x the higher one.
-    // Timers re-armed in place, PM events swapped instead of re-grown,
-    // `events` counting dispatches only: 0.217 -> 0.205 smoke, 0.101 -> 0.089 full;
-    // ceiling is 2x the higher one.
-    // Connection state recycled through per-stack spare sets:
-    // 0.205 -> 0.192 smoke, 0.089 -> 0.082 full; ceiling is 2x the higher one.
-    // Wire buffers in one allocation, pooled per size class:
-    // 0.192 -> 0.188 smoke, 0.082 -> 0.068 full; ceiling is 2x the higher one.
-    // Connection storage spared per thread, given back when a world ends:
-    // 0.188 -> 0.180 smoke, 0.068 -> 0.066 full; ceiling is 2x the higher one.
-    // Info replies and sockdiag dumps built in per-thread scratch, decoded
-    // in place: 0.1546 -> 0.1424 smoke, 0.0588 -> 0.0541 full; ceiling is
-    // 1.5x the higher one.
-    // World storage (simulator, oracle, host tables) spared per thread:
-    // 0.1424 -> 0.1318 smoke, 0.0550 -> 0.0526 full; ceiling is 1.5x the higher one.
-    // Netem clauses, connect queues, subflow tables, reinjection queues and
-    // controller tables spared too: 0.1318 -> 0.1278 smoke, 0.05 full;
-    // ceiling is 1.5x the higher one.
-    const ALLOC_CEILING: f64 = 0.192;
-    type Params = Params;
-    type Results = FleetStats;
-
-    fn rows(smoke: bool) -> Vec<Row<Params>> {
-        let params = if smoke {
-            Params {
-                clients: 60,
-                response: 32 * 1024,
-                ..Default::default()
-            }
-        } else {
-            Params::default()
-        };
-        vec![Row {
-            variant: "mixed",
-            seeds: vec![1],
-            workload: format!(
-                "{} clients x {} GET(s) of {} B, {} ECMP bottleneck paths, mixed kernel/refresh",
-                params.clients,
-                params.gets,
-                params.response,
-                params.paths.len()
-            ),
-            params,
-        }]
-    }
-
-    fn run(p: &Params, seed: u64) -> Run<FleetStats> {
+impl Fleet {
+    /// The world [`Scenario::run`] runs, built and not run yet.
+    pub fn world(p: &Params, seed: u64) -> FleetWorld {
         assert!(p.clients > 0 && p.gets > 0 && !p.paths.is_empty());
         assert!(
             p.clients <= MAX_CLIENTS,
@@ -212,7 +176,7 @@ impl Scenario for Fleet {
         // Clients: even indices run the in-kernel ndiffports PM, odd indices
         // the userspace refresh controller — the fleet is heterogeneous.
         let mut progress: Vec<Rc<RefCell<GetProgress>>> = Vec::with_capacity(p.clients);
-        let mut client_ids: Vec<smapp_sim::NodeId> = Vec::with_capacity(p.clients);
+        let mut client_ids: Vec<NodeId> = Vec::with_capacity(p.clients);
         let mut client_routes: Vec<(AddrPrefix, smapp_sim::IfaceId)> = Vec::with_capacity(p.clients);
         for i in 0..p.clients {
             let mut client = if i % 2 == 0 {
@@ -309,7 +273,71 @@ impl Scenario for Fleet {
                 }
             });
         }
+        FleetWorld {
+            sim,
+            progress,
+            clients: client_ids,
+        }
+    }
+}
 
+impl Scenario for Fleet {
+    const NAME: &'static str = "fleet";
+    // PR 24 (wheel event queue, allocation-free reassembly ring, crypto and
+    // netlink lookups): 0.143 -> 0.102 full, 0.350 -> 0.217 smoke;
+    // ceiling is 2x the higher one.
+    // Timers re-armed in place, PM events swapped instead of re-grown,
+    // `events` counting dispatches only: 0.217 -> 0.205 smoke, 0.101 -> 0.089 full;
+    // ceiling is 2x the higher one.
+    // Connection state recycled through per-stack spare sets:
+    // 0.205 -> 0.192 smoke, 0.089 -> 0.082 full; ceiling is 2x the higher one.
+    // Wire buffers in one allocation, pooled per size class:
+    // 0.192 -> 0.188 smoke, 0.082 -> 0.068 full; ceiling is 2x the higher one.
+    // Connection storage spared per thread, given back when a world ends:
+    // 0.188 -> 0.180 smoke, 0.068 -> 0.066 full; ceiling is 2x the higher one.
+    // Info replies and sockdiag dumps built in per-thread scratch, decoded
+    // in place: 0.1546 -> 0.1424 smoke, 0.0588 -> 0.0541 full; ceiling is
+    // 1.5x the higher one.
+    // World storage (simulator, oracle, host tables) spared per thread:
+    // 0.1424 -> 0.1318 smoke, 0.0550 -> 0.0526 full; ceiling is 1.5x the higher one.
+    // Netem clauses, connect queues, subflow tables, reinjection queues and
+    // controller tables spared too: 0.1318 -> 0.1278 smoke, 0.05 full;
+    // ceiling is 1.5x the higher one.
+    const ALLOC_CEILING: f64 = 0.192;
+    type Params = Params;
+    type Results = FleetStats;
+
+    fn rows(smoke: bool) -> Vec<Row<Params>> {
+        let params = if smoke {
+            Params {
+                clients: 60,
+                response: 32 * 1024,
+                ..Default::default()
+            }
+        } else {
+            Params::default()
+        };
+        vec![Row {
+            variant: "mixed",
+            seeds: vec![1],
+            workload: format!(
+                "{} clients x {} GET(s) of {} B, {} ECMP bottleneck paths, mixed kernel/refresh",
+                params.clients,
+                params.gets,
+                params.response,
+                params.paths.len()
+            ),
+            params,
+        }]
+    }
+
+    fn run(p: &Params, seed: u64) -> Run<FleetStats> {
+        let FleetWorld {
+            mut sim,
+            progress,
+            clients: client_ids,
+        } = Fleet::world(p, seed);
+        let expected = p.clients as u64 * p.gets as u64;
         let (summary, _) = checked_run(&mut sim, None, p.horizon, Self::NAME, seed);
 
         // Fold every client's completion series into the stats.

@@ -19,7 +19,6 @@ use smapp_pm::topo::{self, SERVER_ADDR};
 use smapp_pm::Host;
 use smapp_sim::{Addr, Dir, LinkId, NodeId, Oracle, RunSummary, SimTime, Simulator, TraceSink};
 
-use crate::count_alloc;
 use crate::sweep::{MatrixEntry, ScenarioRun};
 
 /// One finished run: the simulator's summary plus the scenario's own
@@ -133,7 +132,7 @@ pub(crate) fn checked_run(
         Some(inner) => Oracle::wrapping(inner),
         None => Box::new(Oracle::new()),
     });
-    let summary = count_alloc::run_phase(|| sim.run_until(horizon));
+    let summary = sim.run_until(horizon);
     let verdict = smapp_pm::verify::conclude(sim, &summary, scenario, seed);
     verdict.expect_clean();
     (summary, verdict.inner)

@@ -43,8 +43,8 @@
 //! trajectory it follows on a thread of its own.
 //!
 //! The tenth pins a repeated world's run phase: when the `fleet` smoke
-//! cell runs again on its thread, each connection starts on the storage
-//! it had the first time, so its rings do not grow again.
+//! world runs again on its thread, each connection starts on storage a
+//! connection of its own role grew, so its `run_until` grows few rings.
 //!
 //! All ten measurements live in ONE `#[test]` so nothing else in this
 //! binary allocates concurrently while a window is being measured.
@@ -59,6 +59,7 @@ use smapp::{
 use smapp_bench::count_alloc::{self, CountingAlloc};
 use smapp_bench::perf::paper_matrix;
 use smapp_bench::scenarios::fig3::{Fig3, Params};
+use smapp_bench::scenarios::fleet::Fleet;
 use smapp_bench::scenarios::{Scenario, REGISTRY};
 use smapp_bench::sweep::Matrix;
 use smapp_mptcp::apps::{BulkSender, Sink, StreamSender};
@@ -93,8 +94,9 @@ const FLEET_SMOKE_LIVE_CEILING: u64 = 2_290_000;
 /// highest. With one set per thread it measured 8–19, connections 3–6
 /// growing rings that the other role had sized. With spares kept per
 /// role it measures 10–16: no connection grows the other role's rings,
-/// and each connection's retired storage is one box more in a world with
-/// no spare for it (every world here runs on a fresh thread). 1.5x the
+/// but the client's and the server's retired storage (taps and subflow
+/// table) is a box each that only comes back when the stack drops, so
+/// every connection of a world on a fresh thread allocates one. 1.5x the
 /// highest is above 19, so the ceiling stays.
 const FIG3_CONN_ALLOC_CEILING: u64 = 19;
 
@@ -119,14 +121,13 @@ const FIG2C_SECOND_WORLD_ALLOC_CEILING: u64 = 133;
 /// ceilings are 1.5x the warm pair.
 const WARM_WORLD_ALLOC_CEILING: [u64; 2] = [61, 55];
 
-/// Most heap blocks the `fleet` smoke cell's `run_until` may allocate
-/// when the cell runs a second time on one thread (part 10). Measured 95
-/// (2 784 the first time; 60 from the third run on, the server app the
-/// scenario's listener boxes per connection) with connection and subflow
-/// storage kept per role and handed back to the same connections,
-/// against 467 (2 648) when one list served both roles in the order
-/// storage came back. The ceiling is 1.5x the measured value.
-const FLEET_WARM_RUN_ALLOC_CEILING: u64 = 142;
+/// Most heap blocks the `fleet` smoke world's `run_until` may allocate
+/// when the world runs a second time on one thread (part 10). Measured
+/// 292 (2 784 the first time) with connection and subflow storage kept
+/// per role, against 467 (2 648) when one list served both roles and a
+/// client started on a server's rings or the other way round. The
+/// ceiling is 1.5x the measured value.
+const FLEET_WARM_RUN_ALLOC_CEILING: u64 = 438;
 
 /// A valid 36-byte TCP header (offset 9 words) with one kind-30 DSS
 /// option carrying a mapping for `payload_len` bytes, followed by that
@@ -676,16 +677,18 @@ fn scenarios_stay_under_committed_alloc_ceilings_and_oracle_is_clean() {
     }
 
     // ---- Part 10: a warm fleet's run phase. ----
-    // The fleet smoke cell twice on a fresh thread: the second run's
-    // connections start on the storage the same connections held the
-    // first time, so the run phase allocates only what the scenario's own
-    // code hands the stacks (one server app per accepted connection).
-    let entry = (fleet.entries)(true).remove(0);
-    let seed = entry.seeds[0];
+    // The fleet smoke world, built, run under the oracle and dropped twice
+    // on a fresh thread: the second run's connections and subflows start
+    // on storage that connections of their own role grew the first time.
+    let row = Fleet::rows(true).remove(0);
+    let (params, seed) = (row.params, row.seeds[0]);
     let (cold, warm) = std::thread::spawn(move || {
         let run = || {
-            drop((entry.build)(seed));
-            count_alloc::last_run_phase()
+            let mut world = Fleet::world(&params, seed);
+            world.sim.core.set_trace(Box::new(Oracle::new()));
+            let before = count_alloc::allocs();
+            world.sim.run_until(params.horizon);
+            count_alloc::allocs() - before
         };
         (run(), run())
     })
@@ -693,9 +696,9 @@ fn scenarios_stay_under_committed_alloc_ceilings_and_oracle_is_clean() {
     .unwrap();
     assert!(
         warm <= FLEET_WARM_RUN_ALLOC_CEILING,
-        "the fleet smoke cell's run_until allocated {warm} blocks the second \
+        "the fleet smoke world's run_until allocated {warm} blocks the second \
          time on its thread ({cold} the first), above the committed \
-         {FLEET_WARM_RUN_ALLOC_CEILING} — connections no longer start on the \
-         rings the same connections grew"
+         {FLEET_WARM_RUN_ALLOC_CEILING} — connections no longer start on \
+         rings their own role grew"
     );
 }

@@ -40,7 +40,7 @@ impl Connection {
         // Re-send a standalone DATA_FIN on every live subflow: one of them
         // may be a zombie (the peer's side died behind a NAT and its RST
         // never reached us), and the data level deduplicates the signal.
-        for sf in self.subflows.iter() {
+        for sf in &self.subflows {
             if sf.state == SfState::Established {
                 self.send_standalone_datafin(sf.id, fin_off, env);
             }
@@ -147,14 +147,13 @@ impl Connection {
     /// runs it instead. Either way it runs once.
     pub(crate) fn release_buffers(&mut self) {
         let role = self.role;
-        for sf in self.subflows.iter_mut() {
+        for sf in &mut self.subflows {
             if sf.state != SfState::Closed {
                 sf.release_buffers(role);
             }
         }
         Spares::give_conn(
             role,
-            self.spare_tag,
             ConnSpare {
                 send: self.meta_send.clear(),
                 recv: self.meta_recv.clear(),
@@ -171,12 +170,14 @@ impl Connection {
         let Connection {
             role,
             stats,
-            subflows: SubflowTable(mut kept),
+            mut subflows,
+            mut retired,
             ..
         } = self;
-        kept.subflows.clear();
-        kept.taps = [stats.tap_sent, stats.tap_recvd].map(StreamTap::into_spare);
-        Spares::give_retired(role, kept);
+        subflows.clear();
+        retired.subflows = subflows;
+        retired.taps = [stats.tap_sent, stats.tap_recvd].map(StreamTap::into_spare);
+        Spares::give_retired(role, retired);
     }
 
     /// The subflows closed since the last call, each once: the stack

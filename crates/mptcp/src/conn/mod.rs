@@ -171,23 +171,6 @@ impl ConnSpare {
     }
 }
 
-/// A connection's subflow table, kept in the box its [`Retired`] storage
-/// goes back to the thread in (see `Spares`).
-struct SubflowTable(Box<Retired>);
-
-impl std::ops::Deref for SubflowTable {
-    type Target = Vec<Subflow>;
-    fn deref(&self) -> &Vec<Subflow> {
-        &self.0.subflows
-    }
-}
-
-impl std::ops::DerefMut for SubflowTable {
-    fn deref_mut(&mut self) -> &mut Vec<Subflow> {
-        &mut self.0.subflows
-    }
-}
-
 /// The meta socket.
 pub struct Connection {
     /// Slot index within the stack (stable; slots are never reused).
@@ -232,7 +215,11 @@ pub struct Connection {
     eof_delivered: bool,
 
     // --- subflows & scheduling ---
-    subflows: SubflowTable,
+    subflows: Vec<Subflow>,
+    /// The box the subflow table and the taps' storage go back to the
+    /// thread in when the stack drops (see `Spares`), emptied while the
+    /// connection holds them.
+    retired: Box<Retired>,
     scheduler: Box<dyn Scheduler>,
     reinject: ReinjectQueue,
     peer_window: u64,
@@ -242,8 +229,6 @@ pub struct Connection {
     pub remote_addrs: Vec<(u8, Addr, u16)>,
     /// The original destination (address id 0 in PM terms).
     pub initial_remote: (Addr, u16),
-    /// The tag its storage goes back to the thread's spares with.
-    spare_tag: usize,
 }
 
 impl std::fmt::Debug for Connection {
@@ -271,16 +256,14 @@ impl Connection {
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) -> Connection {
-        let (
-            spare_tag,
-            ConnSpare {
-                send,
-                recv,
-                reinject,
-            },
-        ) = Spares::take_conn(role);
-        let mut kept = Spares::take_retired(role);
-        let [sent, recvd] = std::mem::take(&mut kept.taps);
+        let ConnSpare {
+            send,
+            recv,
+            reinject,
+        } = Spares::take_conn(role);
+        let mut retired = Spares::take_retired(role);
+        let [sent, recvd] = std::mem::take(&mut retired.taps);
+        let subflows = std::mem::take(&mut retired.subflows);
         let local_key = env.rng.range_u64(1, u64::MAX);
         let token = token_from_key(local_key);
         events.push(PmEvent::ConnCreated {
@@ -326,13 +309,13 @@ impl Connection {
             meta_recv: smapp_tcp::Reassembly::reusing(0, recv),
             peer_fin_off: None,
             eof_delivered: false,
-            subflows: SubflowTable(kept),
+            subflows,
+            retired,
             scheduler: by_name(cfg.scheduler).expect("unknown scheduler in config"),
             reinject: ReinjectQueue(reinject),
             peer_window: 64 * 1024,
             remote_addrs: Vec::new(),
             initial_remote: (tuple.dst, tuple.dst_port),
-            spare_tag,
         }
     }
 

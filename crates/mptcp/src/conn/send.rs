@@ -332,7 +332,7 @@ impl Connection {
             return;
         }
         let mut moved = false;
-        for s in self.subflows.iter_mut() {
+        for s in &mut self.subflows {
             let input = (s.state == SfState::Established).then(|| {
                 let rtt = s.rtt.srtt().map_or(100_000, |d| d.as_micros() as u64);
                 (s.cc.cwnd(), rtt)
@@ -349,7 +349,7 @@ impl Connection {
         }
         let alpha = lia_alpha(inputs.clone());
         let total: u64 = inputs.map(|(c, _)| c).sum();
-        for s in self.subflows.iter_mut() {
+        for s in &mut self.subflows {
             if s.state == SfState::Established {
                 s.cc.set_coupling(alpha, total);
             }
@@ -424,7 +424,7 @@ mod tests {
         }
         let alpha = lia_alpha(inputs.clone());
         let total: u64 = inputs.map(|(c, _)| c).sum();
-        for s in conn.subflows.iter_mut() {
+        for s in &mut conn.subflows {
             if s.state == SfState::Established {
                 s.cc.set_coupling(alpha, total);
             }
@@ -490,7 +490,7 @@ mod tests {
                 apply(&mut scratch, step);
                 memo.update_coupling();
                 couple_from_scratch(&mut scratch);
-                for (a, b) in memo.subflows.iter().zip(scratch.subflows.iter()) {
+                for (a, b) in memo.subflows.iter().zip(&scratch.subflows) {
                     prop_assert_eq!(&a.cc, &b.cc);
                 }
             }

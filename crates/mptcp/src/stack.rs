@@ -9,8 +9,8 @@
 use std::cell::RefCell;
 
 use smapp_sim::{
-    Addr, FxHashMap, FxHashSet, IcmpMsg, Packet, ReplayList, SimTime, SpareBox, SpareList,
-    TimerHandle, PROTO_ICMP, PROTO_TCP,
+    Addr, FxHashMap, FxHashSet, IcmpMsg, Packet, SimTime, SpareBox, SpareList, TimerHandle,
+    PROTO_ICMP, PROTO_TCP,
 };
 use smapp_tcp::{OptionWriter, SeqNum, TcpFixed, TcpFlags, TcpView};
 
@@ -86,23 +86,16 @@ pub type AppFactory = Box<dyn FnMut() -> Box<dyn App> + Send>;
 /// and a server's for the other direction, so a connection that starts on
 /// a spare of its own role finds its rings already the size its job takes,
 /// where one of the other role would grow the rings the spare lacks and
-/// give back both. Within a role, each [`ReplayList`] hands a world built
-/// again each connection's and subflow's storage from the last time, as
-/// soon as every stack of the world before is gone: the same connection
-/// does the same job, so its rings grow only the first time.
+/// give back both.
 ///
 /// Two kinds outlive a connection's close and are given back when its
 /// stack is dropped instead: what post-run checks read of a connection
 /// (its [`Retired`] storage), and the stack's own tables.
 pub(crate) struct Spares {
-    subflows: [ReplayList<SubflowSpare>; 2],
-    conns: [ReplayList<ConnSpare>; 2],
+    subflows: [SpareList<SubflowSpare>; 2],
+    conns: [SpareList<ConnSpare>; 2],
     retired: [SpareList<Box<Retired>>; 2],
     stacks: SpareList<Box<Tables>>,
-    /// Stacks built on the thread and not dropped yet: when the last one
-    /// drops, a world is over and the connection and subflow lists start
-    /// a new epoch.
-    live_stacks: usize,
     /// The completion logs of dropped [`GetProgress`](crate::apps::GetProgress)
     /// records.
     completions: SpareList<Vec<SimTime>>,
@@ -110,9 +103,10 @@ pub(crate) struct Spares {
 
 /// What a connection keeps past its close for post-run inspection, given
 /// back emptied when its stack drops: the snapshot storage of its two
-/// stream taps (sent, received) and its subflow table. A connection keeps
-/// its subflow table in this box while it lives, so the thread recycles
-/// the box whole and a spare costs its list one pointer.
+/// stream taps (sent, received) and its subflow table, in one box that
+/// the thread recycles whole, so a spare costs its list one pointer. A
+/// live connection holds the box beside its subflow table and moves the
+/// table back in when it retires.
 pub(crate) struct Retired {
     pub(crate) taps: [Vec<u64>; 2],
     pub(crate) subflows: Vec<Subflow>,
@@ -140,29 +134,30 @@ struct Tables {
 thread_local! {
     static SPARES: RefCell<Spares> = const {
         RefCell::new(Spares {
-            subflows: [ReplayList::new(), ReplayList::new()],
-            conns: [ReplayList::new(), ReplayList::new()],
+            subflows: [SpareList::new(), SpareList::new()],
+            conns: [SpareList::new(), SpareList::new()],
             retired: [SpareList::new(), SpareList::new()],
             stacks: SpareList::new(),
-            live_stacks: 0,
             completions: SpareList::new(),
         })
     };
 }
 
 impl Spares {
-    /// Storage a subflow of a `role` connection gave back, or none, and
-    /// the tag to give it back with (see [`ReplayList::take`]).
-    pub(crate) fn take_subflow(role: Role) -> (usize, SubflowSpare) {
-        let (tag, spare) = SPARES.with(|s| s.borrow_mut().subflows[role as usize].take());
-        (tag, spare.unwrap_or_default())
+    /// The storage the thread last got back from a subflow of a `role`
+    /// connection, or none.
+    pub(crate) fn take_subflow(role: Role) -> SubflowSpare {
+        SPARES
+            .with(|s| s.borrow_mut().subflows[role as usize].take())
+            .unwrap_or_default()
     }
 
-    /// Storage a `role` connection gave back, or none, and the tag to give
-    /// it back with.
-    pub(crate) fn take_conn(role: Role) -> (usize, ConnSpare) {
-        let (tag, spare) = SPARES.with(|s| s.borrow_mut().conns[role as usize].take());
-        (tag, spare.unwrap_or_default())
+    /// The storage the thread last got back from a `role` connection, or
+    /// none.
+    pub(crate) fn take_conn(role: Role) -> ConnSpare {
+        SPARES
+            .with(|s| s.borrow_mut().conns[role as usize].take())
+            .unwrap_or_default()
     }
 
     /// The storage the thread last got back from a retired `role`
@@ -182,12 +177,9 @@ impl Spares {
 
     /// The tables the thread last got back from a stack, or none.
     fn take_stack() -> Box<Tables> {
-        let tables = SPARES.with(|s| {
-            let mut s = s.borrow_mut();
-            s.live_stacks += 1;
-            s.stacks.take()
-        });
-        tables.unwrap_or_default()
+        SPARES
+            .with(|s| s.borrow_mut().stacks.take())
+            .unwrap_or_default()
     }
 
     /// The storage of the completion log the thread last got back, or
@@ -198,38 +190,30 @@ impl Spares {
             .unwrap_or_default()
     }
 
-    /// Give the thread a dead subflow's emptied storage. `try_with`: a
-    /// stack dropped while its thread exits gives back what it held, and
-    /// the set may already be gone; the storage is then simply freed.
-    pub(crate) fn give_subflow(role: Role, tag: usize, spare: SubflowSpare) {
-        let _ = SPARES.try_with(|s| s.borrow_mut().subflows[role as usize].give(tag, spare));
+    /// Give the thread a dead subflow's emptied storage, kept for the
+    /// next subflow of a `role` connection. `try_with`: a stack dropped
+    /// while its thread exits gives back what it held, and the set may
+    /// already be gone; the storage is then simply freed.
+    pub(crate) fn give_subflow(role: Role, spare: SubflowSpare) {
+        let _ = SPARES.try_with(|s| s.borrow_mut().subflows[role as usize].give(spare));
     }
 
-    /// Give the thread a closed connection's emptied storage (see
+    /// Give the thread a closed `role` connection's emptied storage (see
     /// [`Spares::give_subflow`]).
-    pub(crate) fn give_conn(role: Role, tag: usize, spare: ConnSpare) {
-        let _ = SPARES.try_with(|s| s.borrow_mut().conns[role as usize].give(tag, spare));
+    pub(crate) fn give_conn(role: Role, spare: ConnSpare) {
+        let _ = SPARES.try_with(|s| s.borrow_mut().conns[role as usize].give(spare));
     }
 
-    /// Give the thread a dropped connection's retired storage, emptied
-    /// (see [`Spares::give_subflow`]).
+    /// Give the thread a dropped `role` connection's retired storage,
+    /// emptied (see [`Spares::give_subflow`]).
     pub(crate) fn give_retired(role: Role, retired: Box<Retired>) {
         let _ = SPARES.try_with(|s| s.borrow_mut().retired[role as usize].give(retired));
     }
 
     /// Give the thread a dropped stack's emptied tables (see
-    /// [`Spares::give_subflow`]). The last stack of the thread ends the
-    /// connection and subflow lists' epoch.
+    /// [`Spares::give_subflow`]).
     fn give_stack(stack: Box<Tables>) {
-        let _ = SPARES.try_with(|s| {
-            let mut s = s.borrow_mut();
-            s.stacks.give(stack);
-            s.live_stacks = s.live_stacks.saturating_sub(1);
-            if s.live_stacks == 0 {
-                s.subflows.iter_mut().for_each(ReplayList::end_epoch);
-                s.conns.iter_mut().for_each(ReplayList::end_epoch);
-            }
-        });
+        let _ = SPARES.try_with(|s| s.borrow_mut().stacks.give(stack));
     }
 
     /// Give the thread a dropped completion log's storage, emptied (see

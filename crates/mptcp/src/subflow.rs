@@ -216,8 +216,6 @@ pub struct Subflow {
     pub(crate) coupled: Option<(u64, u64)>,
     /// Closed and dropped from the stack's demux table.
     pub(crate) reaped: bool,
-    /// The tag its storage goes back to the thread's spares with.
-    spare_tag: usize,
 }
 
 impl std::fmt::Debug for Subflow {
@@ -253,14 +251,11 @@ impl Subflow {
         now: SimTime,
         role: Role,
     ) -> Self {
-        let (
-            spare_tag,
-            SubflowSpare {
-                flight,
-                reasm,
-                recv_maps,
-            },
-        ) = Spares::take_subflow(role);
+        let SubflowSpare {
+            flight,
+            reasm,
+            recv_maps,
+        } = Spares::take_subflow(role);
         Subflow {
             id,
             tuple,
@@ -298,7 +293,6 @@ impl Subflow {
             },
             coupled: None,
             reaped: false,
-            spare_tag,
         }
     }
 
@@ -395,7 +389,6 @@ impl Subflow {
         self.recv_maps.clear();
         Spares::give_subflow(
             role,
-            self.spare_tag,
             SubflowSpare {
                 flight: self.flight.clear(),
                 reasm: self.reasm.clear(),

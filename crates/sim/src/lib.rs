@@ -99,7 +99,7 @@ pub use oracle::{Oracle, OracleOutcome, Violation};
 pub use packet::{IcmpMsg, Packet, PktSummary, UnreachCode, IP_HEADER_LEN, PROTO_ICMP, PROTO_TCP};
 pub use rng::SimRng;
 pub use router::{Route, Router};
-pub use spare::{ReplayList, SpareBox, SpareList};
+pub use spare::{SpareBox, SpareList};
 pub use time::{tx_time, SimTime};
 pub use trace::{CollectorSink, TraceEvent, TraceKind, TraceSink};
 pub use world::{Ctx, InstallPolicy, RunSummary, SimCore, Simulator, StopReason, TimerHandle};

@@ -3,10 +3,7 @@
 //! A dropped world gives its emptied storage — the simulator's tables,
 //! the oracle's, each host's — to its thread, and the next world built
 //! there starts on it (see ARCHITECTURE, "World storage"). Each kind of
-//! storage is kept in a thread-local [`SpareList`], or a [`ReplayList`]
-//! where the objects that take it grow it by what they carry.
-
-use std::collections::VecDeque;
+//! storage is kept in a thread-local [`SpareList`].
 
 /// Emptied storage of one kind, given back by dropped objects for the
 /// next objects of that kind on the thread, last given first taken.
@@ -56,101 +53,6 @@ impl<T> SpareList<T> {
     /// The spares on hand.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter()
-    }
-
-    /// How many spares are on hand.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when no spare is on hand.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-}
-
-/// Emptied storage of one kind for objects that grow it by what they
-/// carry, handed out so that a world built again takes back, object by
-/// object, the storage the same objects held the last time.
-///
-/// Time is cut into epochs (one world, say) by [`ReplayList::end_epoch`].
-/// Within one, the list counts its takes, and each spare is tagged with
-/// the number of the take that first took it. A take gets the spare given
-/// back last this epoch, else the spare carried over with the lowest tag,
-/// else none; the epoch's end orders the spares by tag. When an epoch
-/// asks and gives in the order the last one did, each take then gets the
-/// very spare it got the last time, already grown to what its object
-/// carries: a take that found a spare given back in this epoch finds the
-/// same one again, and the others take, in their order, the spares they
-/// first took. A list that handed out the last given spare first across
-/// epochs too would instead pass each spare on along a cycle of objects,
-/// and the spare would grow again whenever it met one that carries more.
-///
-/// Unlike a [`SpareList`], it makes no room when a spare is taken: its
-/// kinds come back mostly while a world runs, as objects close, and room
-/// made at the take would be held through the world's busiest moment.
-/// The list grows as the first world gives spares back, then not again.
-#[derive(Debug)]
-pub struct ReplayList<T> {
-    /// Front: given back this epoch, the last at the very front. Back:
-    /// carried over, the lowest tag at the very back.
-    items: VecDeque<(usize, T)>,
-    /// How many spares at the front were given back this epoch.
-    recent: usize,
-    /// Takes this epoch.
-    takes: usize,
-}
-
-impl<T> Default for ReplayList<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> ReplayList<T> {
-    /// An empty list (usable in a `const` thread-local initializer).
-    pub const fn new() -> Self {
-        ReplayList {
-            items: VecDeque::new(),
-            recent: 0,
-            takes: 0,
-        }
-    }
-
-    /// The spare for this epoch's next take, or `None`, and the tag to
-    /// give it back with.
-    pub fn take(&mut self) -> (usize, Option<T>) {
-        let number = self.takes;
-        self.takes += 1;
-        if self.recent > 0 {
-            self.recent -= 1;
-            if let Some((tag, spare)) = self.items.pop_front() {
-                return (tag, Some(spare));
-            }
-        }
-        (number, self.items.pop_back().map(|(_, spare)| spare))
-    }
-
-    /// Keep `spare`, emptied, with the tag its [`ReplayList::take`] gave.
-    pub fn give(&mut self, tag: usize, spare: T) {
-        self.items.push_front((tag, spare));
-        self.recent += 1;
-    }
-
-    /// End the epoch: the spares nobody took in it go last, the others
-    /// in the order of the takes that first took them.
-    pub fn end_epoch(&mut self) {
-        for (tag, _) in self.items.range_mut(self.recent..) {
-            *tag = usize::MAX;
-        }
-        let items = self.items.make_contiguous();
-        items.sort_unstable_by_key(|&(tag, _)| std::cmp::Reverse(tag));
-        (self.recent, self.takes) = (0, 0);
-    }
-
-    /// The spares on hand.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter().map(|(_, spare)| spare)
     }
 
     /// How many spares are on hand.
@@ -222,59 +124,5 @@ mod tests {
         assert_eq!(list.take(), Some(vec![8]));
         list.give(vec![8]);
         assert_eq!((list.len(), list.items.capacity()), (9, cap));
-    }
-
-    /// One epoch of a world with five objects of one kind: each object
-    /// takes a spare, fills it with its number up to its size and gives it
-    /// back; the first two give theirs back before the last two take one.
-    /// Each take's spare, as the number its last user wrote and its
-    /// capacity.
-    fn epoch(list: &mut ReplayList<Vec<u8>>, sizes: [usize; 5]) -> Vec<Option<(u8, usize)>> {
-        let mut got = Vec::new();
-        let mut held = Vec::new();
-        let mut run = |list: &mut ReplayList<Vec<u8>>, i: usize| {
-            let (tag, spare) = list.take();
-            got.push(spare.as_ref().map(|s: &Vec<u8>| (s[0], s.capacity())));
-            let mut spare = spare.unwrap_or_default();
-            spare.clear();
-            spare.resize(sizes[i], i as u8);
-            (tag, spare)
-        };
-        for i in 0..3 {
-            held.push(run(list, i));
-        }
-        for (tag, spare) in held.drain(..2) {
-            list.give(tag, spare);
-        }
-        for i in 3..5 {
-            held.push(run(list, i));
-        }
-        for (tag, spare) in held {
-            list.give(tag, spare);
-        }
-        list.end_epoch();
-        got
-    }
-
-    /// An epoch that asks and gives as the last one did hands each object
-    /// the spare it got the last time, already big enough; once the first
-    /// epoch is over, giving back never grows the list.
-    #[test]
-    fn a_repeated_epoch_hands_each_object_its_own_spare() {
-        let mut list = ReplayList::new();
-        let sizes = [5, 1, 4, 2, 3];
-        let first = epoch(&mut list, sizes);
-        assert_eq!(first.iter().filter(|s| s.is_none()).count(), 3, "peak live");
-        let cap = list.items.capacity();
-        for _ in 0..3 {
-            let got: Vec<(u8, usize)> = epoch(&mut list, sizes).into_iter().flatten().collect();
-            // Each spare still holds what its last user wrote: 0 and 1
-            // get the spares 4 and 3 finished with, which 4 and 3 get
-            // again once 0 and 1 are done.
-            let last_users = got.iter().map(|s| s.0).collect::<Vec<_>>();
-            assert_eq!(last_users, [4, 3, 2, 1, 0]);
-            assert!(got.iter().zip(sizes).all(|(s, size)| s.1 >= size));
-            assert_eq!((list.len(), list.items.capacity()), (3, cap));
-        }
     }
 }
