@@ -10,14 +10,16 @@
 
 use smapp_mptcp::{ConnToken, SubflowId};
 use smapp_netlink::{encode_command, PmNlCommand, UserCtx};
+use smapp_sim::Spare;
 
 /// Sequence numbers and pending queries of one controller's netlink
 /// socket.
 #[derive(Debug, Default)]
 pub struct PmClient {
     seq: u32,
-    /// seq -> user tag for outstanding info queries.
-    pub(crate) pending_info: Vec<(u32, u64)>,
+    /// seq -> user tag for outstanding info queries, on the table the last
+    /// client dropped on this thread gave back.
+    pending_info: Spare<Vec<(u32, u64)>>,
     /// Commands sent (diagnostics).
     pub commands_sent: u64,
     /// Frames that failed to parse (diagnostics).

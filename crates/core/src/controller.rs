@@ -6,13 +6,12 @@
 //! adapts a controller to the host's [`UserProcess`] boundary (netlink
 //! frames + latency).
 
-use std::cell::RefCell;
 use std::time::Duration;
 
 use bytes::Bytes;
 use smapp_mptcp::{ConnToken, PmAction, PmEvent, SubflowId, EVENT_MASK_ALL};
 use smapp_netlink::{cmd, decode_into, Frame, PmNlCommand, PmNlMessage, UserCtx, UserProcess};
-use smapp_sim::{Addr, SimRng, SimTime, SpareList};
+use smapp_sim::{Addr, Recycle, SimRng, SimTime, Spare};
 use smapp_tcp::TcpInfo;
 
 use crate::client::PmClient;
@@ -117,23 +116,40 @@ pub trait SubflowController: Send {
     }
 }
 
-/// An info reply's subflow snapshots.
-type Subflows = Vec<(SubflowId, TcpInfo)>;
+/// The info reply a runtime keeps (see [`ControllerRuntime`]), given back
+/// as an empty reply on its subflow vector, emptied: a new world's
+/// controller reads its first reply into that vector instead of growing
+/// its own.
+struct KeptReply(PmNlMessage);
 
-/// What a dropped runtime gives back, emptied: its kept reply's subflow
-/// vector and its client's table of outstanding queries.
-#[derive(Default)]
-struct RuntimeSpare {
-    subflows: Subflows,
-    queries: Vec<(u32, u64)>,
+impl Default for KeptReply {
+    fn default() -> Self {
+        KeptReply(PmNlMessage::InfoReply {
+            seq: 0,
+            token: 0,
+            conn: None,
+            subflows: Vec::new(),
+        })
+    }
 }
 
-thread_local! {
-    /// Emptied tables of dropped runtimes, for the next runtime on the
-    /// thread: a new world's controller reads its first reply into them
-    /// and queues its first query in them instead of growing its own.
-    static RUNTIME_SPARES: RefCell<SpareList<RuntimeSpare>> =
-        const { RefCell::new(SpareList::new()) };
+impl Recycle for KeptReply {
+    fn reset(&mut self) {
+        let mut subflows = match &mut self.0 {
+            PmNlMessage::InfoReply { subflows, .. } => std::mem::take(subflows),
+            _ => Vec::new(),
+        };
+        subflows.clear();
+        *self = KeptReply(PmNlMessage::InfoReply {
+            seq: 0,
+            token: 0,
+            conn: None,
+            subflows,
+        });
+    }
+    fn is_empty(&self) -> bool {
+        matches!(&self.0, PmNlMessage::InfoReply { subflows, .. } if subflows.is_empty())
+    }
 }
 
 /// Adapts a [`SubflowController`] to the netlink [`UserProcess`] boundary.
@@ -146,43 +162,16 @@ pub struct ControllerRuntime<C> {
     /// so into its subflow vector; other frames hold no vector and are
     /// read into a message of their own, which would drop it. Until the
     /// first reply it is an empty reply on a spare vector.
-    reply: PmNlMessage,
-}
-
-impl<C> Drop for ControllerRuntime<C> {
-    /// Give the kept reply's subflow vector and the client's query table,
-    /// emptied, to the thread.
-    fn drop(&mut self) {
-        let mut spare = RuntimeSpare {
-            queries: std::mem::take(&mut self.client.pending_info),
-            ..Default::default()
-        };
-        spare.queries.clear();
-        if let PmNlMessage::InfoReply { subflows, .. } = &mut self.reply {
-            spare.subflows = std::mem::take(subflows);
-            spare.subflows.clear();
-        }
-        let _ = RUNTIME_SPARES.try_with(|s| s.borrow_mut().give(spare));
-    }
+    reply: Spare<KeptReply>,
 }
 
 impl<C: SubflowController> ControllerRuntime<C> {
     /// Wrap a controller.
     pub fn new(controller: C) -> Self {
-        let RuntimeSpare { subflows, queries } = RUNTIME_SPARES
-            .with(|s| s.borrow_mut().take())
-            .unwrap_or_default();
-        let mut client = PmClient::new();
-        client.pending_info = queries;
         ControllerRuntime {
-            client,
+            client: PmClient::new(),
             controller,
-            reply: PmNlMessage::InfoReply {
-                seq: 0,
-                token: 0,
-                conn: None,
-                subflows,
-            },
+            reply: Spare::default(),
         }
     }
 
@@ -212,7 +201,7 @@ impl<C: SubflowController + 'static> UserProcess for ControllerRuntime<C> {
     fn on_message(&mut self, ctx: &mut UserCtx<'_>, frame: Bytes) {
         let mut other = PmNlMessage::Ack { seq: 0, errno: 0 };
         let target = match Frame::parse(&frame) {
-            Ok(f) if f.genl.cmd == cmd::REPLY_INFO => &mut self.reply,
+            Ok(f) if f.genl.cmd == cmd::REPLY_INFO => &mut self.reply.0,
             _ => &mut other,
         };
         let msg = decode_into(&frame, target).map(|()| &*target);
@@ -428,24 +417,17 @@ mod tests {
             let two = vec![(0, TcpInfo::default()), (1, TcpInfo::default())];
             let mut rt = ControllerRuntime::new(Probe::default());
             deliver(&mut rt, &mut rng, &reply(two));
-            let kept = |rt: &ControllerRuntime<Probe>| match &rt.reply {
+            let kept = |rt: &ControllerRuntime<Probe>| match &rt.reply.0 {
                 PmNlMessage::InfoReply { subflows, .. } => (subflows.len(), subflows.capacity()),
                 _ => panic!("the runtime keeps an info reply"),
             };
             let (len, cap) = kept(&rt);
             assert!(len == 2 && cap >= 2);
             drop(rt);
-            let spares = || {
-                RUNTIME_SPARES.with(|s| {
-                    s.borrow()
-                        .iter()
-                        .map(|s| s.subflows.len())
-                        .collect::<Vec<_>>()
-                })
-            };
-            assert_eq!(spares(), vec![0]);
+            let spares = || smapp_sim::spare::on_hand(0, |s: &[KeptReply]| s.len());
+            assert_eq!(spares(), 1);
             let mut rt = ControllerRuntime::new(Probe::default());
-            assert!(spares().is_empty());
+            assert_eq!(spares(), 0);
             assert_eq!(kept(&rt), (0, cap), "an empty reply on the spare");
             deliver(&mut rt, &mut rng, &reply(vec![]));
             assert_eq!(rt.controller.infos, [(0, 9, Some((10, 20)))]);

@@ -25,11 +25,10 @@
 //! # let _ = user_process;
 //! ```
 
-use std::cell::RefCell;
 use std::time::Duration;
 
 use smapp_mptcp::{ConnToken, PmEvent, SubflowId};
-use smapp_sim::{Addr, FxHashMap, SimTime, SpareList};
+use smapp_sim::{Addr, FxHashMap, Recycle, SimTime, Spare};
 use smapp_tcp::{TcpInfo, TcpStateInfo};
 
 use crate::controller::{ControlApi, SubflowController};
@@ -67,58 +66,39 @@ struct ConnRec {
 #[derive(Debug)]
 pub struct RefreshController {
     cfg: RefreshConfig,
-    reg: Vec<ConnToken>,
-    conns: FxHashMap<ConnToken, ConnRec>,
+    t: Spare<Tables>,
     /// `(time, killed subflow, its pacing rate)` per refresh (diagnostics).
-    pub refreshes: Vec<(SimTime, SubflowId, u64)>,
+    pub refreshes: Spare<Vec<(SimTime, SubflowId, u64)>>,
 }
 
-/// The tables a dropped [`RefreshController`] gives back, emptied.
-#[derive(Default)]
+/// The controller's connection tables. `conns` is only probed, never
+/// iterated, and `reg` is indexed by its own pushes, so their capacity
+/// reaches no trajectory.
+#[derive(Debug, Default)]
 struct Tables {
     reg: Vec<ConnToken>,
     conns: FxHashMap<ConnToken, ConnRec>,
-    refreshes: Vec<(SimTime, SubflowId, u64)>,
 }
 
-thread_local! {
-    /// Emptied tables of dropped controllers, for the next
-    /// [`RefreshController::new`] on the thread. `conns` is only probed,
-    /// never iterated, and the vectors are indexed by their own pushes, so
-    /// their capacity reaches no trajectory.
-    static SPARES: RefCell<SpareList<Tables>> = const { RefCell::new(SpareList::new()) };
+impl Recycle for Tables {
+    fn reset(&mut self) {
+        self.reg.clear();
+        self.conns.clear();
+    }
+    fn is_empty(&self) -> bool {
+        self.reg.is_empty() && self.conns.is_empty()
+    }
 }
 
 impl RefreshController {
     /// New controller, on the tables the last one dropped on this thread
     /// gave back.
     pub fn new(cfg: RefreshConfig) -> Self {
-        let Tables {
-            reg,
-            conns,
-            refreshes,
-        } = SPARES.with(|s| s.borrow_mut().take()).unwrap_or_default();
         RefreshController {
             cfg,
-            reg,
-            conns,
-            refreshes,
+            t: Spare::default(),
+            refreshes: Spare::default(),
         }
-    }
-}
-
-impl Drop for RefreshController {
-    /// Give the emptied tables to the thread.
-    fn drop(&mut self) {
-        let mut spare = Tables {
-            reg: std::mem::take(&mut self.reg),
-            conns: std::mem::take(&mut self.conns),
-            refreshes: std::mem::take(&mut self.refreshes),
-        };
-        spare.reg.clear();
-        spare.conns.clear();
-        spare.refreshes.clear();
-        let _ = SPARES.try_with(|s| s.borrow_mut().give(spare));
     }
 }
 
@@ -130,7 +110,7 @@ impl SubflowController for RefreshController {
                 tuple,
                 is_client: true,
             } => {
-                self.conns.insert(
+                self.t.conns.insert(
                     *token,
                     ConnRec {
                         src: tuple.src,
@@ -143,22 +123,22 @@ impl SubflowController for RefreshController {
                 for _ in 1..self.cfg.n {
                     api.open_subflow(*token, tuple.src, 0, tuple.dst, tuple.dst_port, false);
                 }
-                let idx = self.reg.len() as u64;
-                self.reg.push(*token);
+                let idx = self.t.reg.len() as u64;
+                self.t.reg.push(*token);
                 api.set_timer(self.cfg.poll_interval, idx);
             }
             PmEvent::ConnClosed { token } => {
-                self.conns.remove(token);
+                self.t.conns.remove(token);
             }
             _ => {}
         }
     }
 
     fn on_timer(&mut self, api: &mut ControlApi<'_, '_>, token: u64) {
-        let Some(conn_token) = self.reg.get(token as usize).copied() else {
+        let Some(conn_token) = self.t.reg.get(token as usize).copied() else {
             return;
         };
-        if !self.conns.contains_key(&conn_token) {
+        if !self.t.conns.contains_key(&conn_token) {
             return; // connection done: stop polling
         }
         api.get_info(conn_token, None, token);
@@ -173,7 +153,7 @@ impl SubflowController for RefreshController {
         _conn: Option<(u64, u64)>,
         subflows: &[(SubflowId, TcpInfo)],
     ) {
-        let Some(rec) = self.conns.get(&token) else {
+        let Some(rec) = self.t.conns.get(&token) else {
             return;
         };
         // Judge only subflows that are established and have an RTT sample
@@ -214,13 +194,17 @@ mod tests {
                 dst_port: 80,
             };
             for token in 0..3 {
-                ctl.reg.push(token);
-                ctl.conns.insert(token, rec());
+                ctl.t.reg.push(token);
+                ctl.t.conns.insert(token, rec());
                 ctl.refreshes.push((SimTime::ZERO, 1, 10));
             }
             let caps = |c: &RefreshController| {
-                let lens = (c.reg.len(), c.conns.len(), c.refreshes.len());
-                let caps = (c.reg.capacity(), c.conns.capacity(), c.refreshes.capacity());
+                let lens = (c.t.reg.len(), c.t.conns.len(), c.refreshes.len());
+                let caps = (
+                    c.t.reg.capacity(),
+                    c.t.conns.capacity(),
+                    c.refreshes.capacity(),
+                );
                 (lens, caps)
             };
             let (_, held) = caps(&ctl);

@@ -15,10 +15,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use smapp_sim::SimTime;
+use smapp_sim::{SimTime, Spare};
 
 use crate::app::{App, AppCtx};
-use crate::stack::Spares;
 
 // Payload pattern blocks, one per sending app. `on_send_space` fires for
 // every MSS the peer acknowledges, and a send buffer holds up to 4 MiB per
@@ -253,19 +252,9 @@ impl App for StreamSender {
 pub struct GetProgress {
     /// Completed request/response cycles.
     pub completed: u32,
-    /// Completion time of each cycle. The first entry puts the log on
-    /// storage an earlier record gave back to the thread.
-    pub completions: Vec<SimTime>,
-}
-
-impl Drop for GetProgress {
-    /// Give the completion log's storage, emptied, to the thread for the
-    /// next chain's log.
-    fn drop(&mut self) {
-        if self.completions.capacity() > 0 {
-            Spares::give_completions(std::mem::take(&mut self.completions));
-        }
-    }
+    /// Completion time of each cycle, logged on storage an earlier record
+    /// gave back to the thread.
+    pub completions: Spare<Vec<SimTime>>,
 }
 
 /// HTTP/1.0-style client: sends a small request, reads the response until
@@ -302,9 +291,6 @@ impl App for GetClient {
         {
             let mut p = self.progress.borrow_mut();
             p.completed += 1;
-            if p.completions.capacity() == 0 {
-                p.completions = Spares::take_completions();
-            }
             p.completions.push(ctx.now());
         }
         ctx.close();
@@ -519,10 +505,9 @@ mod tests {
             };
             let (first, _) = log(get_chain());
             assert_eq!(first.len(), 5);
-            drop(GetProgress {
-                completed: 0,
-                completions: Vec::with_capacity(64),
-            });
+            let mut grown = GetProgress::default();
+            grown.completions.reserve_exact(64);
+            drop(grown);
             assert_eq!(log(get_chain()), (first, 64));
         })
         .join()

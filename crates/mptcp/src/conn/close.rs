@@ -142,7 +142,7 @@ impl Connection {
 
     /// Drop what the connection's buffers and the buffers of its open
     /// subflows hold, and give their emptied storage and the scheduling
-    /// scratch to the thread's `Spares`. Closing runs it once every
+    /// scratch to the thread's store. Closing runs it once every
     /// subflow has closed; a stack dropped with the connection still open
     /// runs it instead. Either way it runs once.
     pub(crate) fn release_buffers(&mut self) {
@@ -152,8 +152,8 @@ impl Connection {
                 sf.release_buffers(role);
             }
         }
-        Spares::give_conn(
-            role,
+        spare::give(
+            role as u8,
             ConnSpare {
                 send: self.meta_send.clear(),
                 recv: self.meta_recv.clear(),
@@ -177,7 +177,7 @@ impl Connection {
         subflows.clear();
         retired.subflows = subflows;
         retired.taps = [stats.tap_sent, stats.tap_recvd].map(StreamTap::into_spare);
-        Spares::give_retired(role, retired);
+        spare::give(role as u8, retired);
     }
 
     /// The subflows closed since the last call, each once: the stack

@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use bytes::Bytes;
-use smapp_sim::{Addr, SimTime, TimerHandle};
+use smapp_sim::{spare, Addr, Recycle, SimTime, TimerHandle};
 use smapp_tcp::{
     lia_alpha, Cc, CongestionControl, Lia, OptionWriter, ReassemblyRings, Reno, RtoState,
     StreamTap, TcpFixed, TcpFlags, TcpInfo, TcpView, MAX_WINDOW_SCALE, OPT_KIND_MPTCP,
@@ -37,7 +37,7 @@ use crate::env::StackEnv;
 use crate::options::{Dss, DssMapping, MpOption, CAPABLE_FLAG_HMAC_SHA1, MPTCP_VERSION};
 use crate::pm::{ConnToken, FourTuple, PmEvent, SubflowError, SubflowId};
 use crate::scheduler::{by_name, SchedCandidate, Scheduler};
-use crate::stack::{timer_token, Retired, Spares, TimerKind};
+use crate::stack::{timer_token, Retired, TimerKind};
 use crate::subflow::{MetaRange, RecvMap, SegTag, SfState, Subflow};
 use crate::token::{idsn_from_key, join_hmac_a, join_hmac_b, token_from_key, Key};
 
@@ -155,7 +155,10 @@ enum FallbackCause {
 
 /// The storage a closed connection gives up, emptied: its send buffer,
 /// reassembly rings and reinjection ring. The thread keeps it for the
-/// next connection of the same role (see `Spares`).
+/// next connection of the same role: a client's rings grew for the
+/// traffic a client carries (a request out, a response in) and a
+/// server's for the other direction, so a connection that starts on a
+/// spare of its own role finds its rings already the size its job takes.
 #[derive(Default)]
 pub(crate) struct ConnSpare {
     send: VecDeque<Bytes>,
@@ -163,11 +166,14 @@ pub(crate) struct ConnSpare {
     reinject: VecDeque<(u64, u64)>,
 }
 
-#[cfg(test)]
-impl ConnSpare {
-    /// True when the rings this crate can see into are empty.
-    pub(crate) fn holds_nothing(&self) -> bool {
-        self.send.is_empty() && self.reinject.is_empty()
+impl Recycle for ConnSpare {
+    fn reset(&mut self) {
+        self.send.clear();
+        self.recv.reset();
+        self.reinject.clear();
+    }
+    fn is_empty(&self) -> bool {
+        self.send.is_empty() && self.recv.is_empty() && self.reinject.is_empty()
     }
 }
 
@@ -217,7 +223,7 @@ pub struct Connection {
     // --- subflows & scheduling ---
     subflows: Vec<Subflow>,
     /// The box the subflow table and the taps' storage go back to the
-    /// thread in when the stack drops (see `Spares`), emptied while the
+    /// thread in when the stack drops (see `Retired`), emptied while the
     /// connection holds them.
     retired: Box<Retired>,
     scheduler: Box<dyn Scheduler>,
@@ -260,8 +266,8 @@ impl Connection {
             send,
             recv,
             reinject,
-        } = Spares::take_conn(role);
-        let mut retired = Spares::take_retired(role);
+        } = spare::take(role as u8);
+        let mut retired: Box<Retired> = spare::take(role as u8);
         let [sent, recvd] = std::mem::take(&mut retired.taps);
         let subflows = std::mem::take(&mut retired.subflows);
         let local_key = env.rng.range_u64(1, u64::MAX);

@@ -6,21 +6,18 @@
 //! `MP_JOIN` SYNs routed by token), applies path-manager actions, and
 //! surfaces [`PmEvent`]s for whatever path manager the host plugged in.
 
-use std::cell::RefCell;
-
 use smapp_sim::{
-    Addr, FxHashMap, FxHashSet, IcmpMsg, Packet, SimTime, SpareBox, SpareList, TimerHandle,
-    PROTO_ICMP, PROTO_TCP,
+    Addr, FxHashMap, FxHashSet, IcmpMsg, Packet, Recycle, Spare, TimerHandle, PROTO_ICMP, PROTO_TCP,
 };
 use smapp_tcp::{OptionWriter, SeqNum, TcpFixed, TcpFlags, TcpView};
 
 use crate::app::App;
 use crate::config::StackConfig;
-use crate::conn::{ConnSpare, ConnState, Connection, Role};
+use crate::conn::{ConnState, Connection};
 use crate::env::StackEnv;
 use crate::options::MpOption;
 use crate::pm::{ConnToken, FourTuple, PmAction, PmEvent, StackView, SubflowError, SubflowId};
-use crate::subflow::{Subflow, SubflowSpare};
+use crate::subflow::Subflow;
 
 /// Timer classes multiplexed into the stack's `u64` timer tokens.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,51 +67,43 @@ pub fn parse_timer_token(t: u64) -> Option<(TimerKind, usize, SubflowId, u64)> {
 /// live and die on the world's one thread.
 pub type AppFactory = Box<dyn FnMut() -> Box<dyn App> + Send>;
 
-/// The thread's object cache, after the per-CPU magazines Linux keeps in
-/// front of its slab caches (Bonwick & Adams, USENIX ATC 2001): the
-/// emptied storage of the dead subflows and closed connections of every
-/// stack on the thread, each handed to the next one of its kind, on any
-/// stack, before that one allocates anything. A spare comes from an
-/// object that was live, and spares are taken first, so the spares and
-/// live objects of a kind never outnumber the most that were live at once
-/// on the thread: no cap is needed. The price is that the thread keeps
-/// that much storage after the stacks are gone, for the next world it
-/// builds. Capacity is not observable, so reuse moves no trajectory.
-///
-/// Connection and subflow storage is kept by [`Role`]: a client's rings
-/// grew for the traffic a client carries (a request out, a response in)
-/// and a server's for the other direction, so a connection that starts on
-/// a spare of its own role finds its rings already the size its job takes,
-/// where one of the other role would grow the rings the spare lacks and
-/// give back both.
-///
-/// Two kinds outlive a connection's close and are given back when its
-/// stack is dropped instead: what post-run checks read of a connection
-/// (its [`Retired`] storage), and the stack's own tables.
-pub(crate) struct Spares {
-    subflows: [SpareList<SubflowSpare>; 2],
-    conns: [SpareList<ConnSpare>; 2],
-    retired: [SpareList<Box<Retired>>; 2],
-    stacks: SpareList<Box<Tables>>,
-    /// The completion logs of dropped [`GetProgress`](crate::apps::GetProgress)
-    /// records.
-    completions: SpareList<Vec<SimTime>>,
-}
-
 /// What a connection keeps past its close for post-run inspection, given
 /// back emptied when its stack drops: the snapshot storage of its two
 /// stream taps (sent, received) and its subflow table, in one box that
 /// the thread recycles whole, so a spare costs its list one pointer. A
 /// live connection holds the box beside its subflow table and moves the
-/// table back in when it retires.
+/// table back in when it retires. Kept by [`Role`](crate::Role), like the rings of a
+/// connection, so each tap slot comes back sized for its direction.
 pub(crate) struct Retired {
     pub(crate) taps: [Vec<u64>; 2],
     pub(crate) subflows: Vec<Subflow>,
 }
 
-/// A stack's tables, in one box that the thread recycles whole: a spare
-/// costs its list one pointer. The hash tables are only probed, never
-/// iterated, so their capacity reaches no trajectory.
+impl Default for Retired {
+    /// Nothing to reuse: a subflow table with two slots, where `Vec`
+    /// would reserve one slot per push for elements this large, as most
+    /// connections run two subflows, one per path.
+    fn default() -> Self {
+        Retired {
+            taps: Default::default(),
+            subflows: Vec::with_capacity(2),
+        }
+    }
+}
+
+impl Recycle for Retired {
+    fn reset(&mut self) {
+        self.taps.iter_mut().for_each(Vec::clear);
+        self.subflows.clear();
+    }
+    fn is_empty(&self) -> bool {
+        self.taps.iter().all(Vec::is_empty) && self.subflows.is_empty()
+    }
+}
+
+/// A stack's tables, in one box that the thread recycles whole. The hash
+/// tables are only probed, never iterated, so their capacity reaches no
+/// trajectory.
 #[derive(Default)]
 struct Tables {
     conns: Vec<Option<Connection>>,
@@ -131,121 +120,33 @@ struct Tables {
     events: Vec<PmEvent>,
 }
 
-thread_local! {
-    static SPARES: RefCell<Spares> = const {
-        RefCell::new(Spares {
-            subflows: [SpareList::new(), SpareList::new()],
-            conns: [SpareList::new(), SpareList::new()],
-            retired: [SpareList::new(), SpareList::new()],
-            stacks: SpareList::new(),
-            completions: SpareList::new(),
-        })
-    };
-}
-
-impl Spares {
-    /// The storage the thread last got back from a subflow of a `role`
-    /// connection, or none.
-    pub(crate) fn take_subflow(role: Role) -> SubflowSpare {
-        SPARES
-            .with(|s| s.borrow_mut().subflows[role as usize].take())
-            .unwrap_or_default()
+impl Recycle for Tables {
+    /// World teardown: every connection still open gives its storage, and
+    /// its open subflows', to the thread as closing would have; then the
+    /// connections' stream taps and subflow tables follow, so the next
+    /// world's stacks start on all of it.
+    fn reset(&mut self) {
+        let open = self.conns.iter_mut().flatten();
+        for conn in open.filter(|c| c.state != ConnState::Closed) {
+            conn.release_buffers();
+        }
+        self.conns.drain(..).flatten().for_each(Connection::retire);
+        self.flows.clear();
+        self.by_token.clear();
+        self.listeners.clear();
+        self.local_addrs.clear();
+        self.used_ports.clear();
+        self.events.clear();
     }
 
-    /// The storage the thread last got back from a `role` connection, or
-    /// none.
-    pub(crate) fn take_conn(role: Role) -> ConnSpare {
-        SPARES
-            .with(|s| s.borrow_mut().conns[role as usize].take())
-            .unwrap_or_default()
-    }
-
-    /// The storage the thread last got back from a retired `role`
-    /// connection, or none: then a subflow table with two slots, where
-    /// `Vec` would reserve four on the first push, as most connections run
-    /// two subflows, one per path.
-    pub(crate) fn take_retired(role: Role) -> Box<Retired> {
-        SPARES
-            .with(|s| s.borrow_mut().retired[role as usize].take())
-            .unwrap_or_else(|| {
-                Box::new(Retired {
-                    taps: Default::default(),
-                    subflows: Vec::with_capacity(2),
-                })
-            })
-    }
-
-    /// The tables the thread last got back from a stack, or none.
-    fn take_stack() -> Box<Tables> {
-        SPARES
-            .with(|s| s.borrow_mut().stacks.take())
-            .unwrap_or_default()
-    }
-
-    /// The storage of the completion log the thread last got back, or
-    /// none.
-    pub(crate) fn take_completions() -> Vec<SimTime> {
-        SPARES
-            .with(|s| s.borrow_mut().completions.take())
-            .unwrap_or_default()
-    }
-
-    /// Give the thread a dead subflow's emptied storage, kept for the
-    /// next subflow of a `role` connection. `try_with`: a stack dropped
-    /// while its thread exits gives back what it held, and the set may
-    /// already be gone; the storage is then simply freed.
-    pub(crate) fn give_subflow(role: Role, spare: SubflowSpare) {
-        let _ = SPARES.try_with(|s| s.borrow_mut().subflows[role as usize].give(spare));
-    }
-
-    /// Give the thread a closed `role` connection's emptied storage (see
-    /// [`Spares::give_subflow`]).
-    pub(crate) fn give_conn(role: Role, spare: ConnSpare) {
-        let _ = SPARES.try_with(|s| s.borrow_mut().conns[role as usize].give(spare));
-    }
-
-    /// Give the thread a dropped `role` connection's retired storage,
-    /// emptied (see [`Spares::give_subflow`]).
-    pub(crate) fn give_retired(role: Role, retired: Box<Retired>) {
-        let _ = SPARES.try_with(|s| s.borrow_mut().retired[role as usize].give(retired));
-    }
-
-    /// Give the thread a dropped stack's emptied tables (see
-    /// [`Spares::give_subflow`]).
-    fn give_stack(stack: Box<Tables>) {
-        let _ = SPARES.try_with(|s| s.borrow_mut().stacks.give(stack));
-    }
-
-    /// Give the thread a dropped completion log's storage, emptied (see
-    /// [`Spares::give_subflow`]).
-    pub(crate) fn give_completions(mut log: Vec<SimTime>) {
-        log.clear();
-        let _ = SPARES.try_with(|s| s.borrow_mut().completions.give(log));
-    }
-
-    /// How many subflow and connection spares the thread holds for `role`
-    /// connections, after checking that none of them still holds
-    /// anything.
-    #[cfg(test)]
-    pub(crate) fn on_thread(role: Role) -> (usize, usize) {
-        SPARES.with(|s| {
-            let s = s.borrow();
-            let (subflows, conns) = (&s.subflows[role as usize], &s.conns[role as usize]);
-            assert!(subflows.iter().all(SubflowSpare::holds_nothing));
-            assert!(conns.iter().all(ConnSpare::holds_nothing));
-            (subflows.len(), conns.len())
-        })
-    }
-
-    /// The flight and mapping ring capacities of each subflow spare the
-    /// thread holds for `role` connections.
-    #[cfg(test)]
-    pub(crate) fn subflow_rings(role: Role) -> Vec<(usize, usize)> {
-        SPARES.with(|s| {
-            let spares = s.borrow();
-            let spares = spares.subflows[role as usize].iter();
-            spares.map(SubflowSpare::ring_capacities).collect()
-        })
+    fn is_empty(&self) -> bool {
+        self.conns.is_empty()
+            && self.flows.is_empty()
+            && self.by_token.is_empty()
+            && self.listeners.is_empty()
+            && self.local_addrs.is_empty()
+            && self.used_ports.is_empty()
+            && self.events.is_empty()
     }
 }
 
@@ -253,7 +154,7 @@ impl Spares {
 pub struct HostStack {
     /// Configuration shared by all connections.
     pub cfg: StackConfig,
-    t: SpareBox<Tables>,
+    t: Spare<Box<Tables>>,
     /// Count of RSTs sent to unknown flows (diagnostics).
     pub rst_sent: u64,
 }
@@ -264,7 +165,7 @@ impl HostStack {
     pub fn new(cfg: StackConfig) -> Self {
         HostStack {
             cfg,
-            t: SpareBox::new(Spares::take_stack()),
+            t: Spare::default(),
             rst_sent: 0,
         }
     }
@@ -621,7 +522,7 @@ impl HostStack {
 
     /// House-keeping after any connection activity: drop newly closed
     /// flows and fully closed connections from the demux tables. Their
-    /// storage went to the thread's [`Spares`] as they closed.
+    /// storage went to the thread's store as they closed.
     fn post_process(&mut self, idx: usize, _env: &mut StackEnv<'_>) {
         let t = &mut *self.t;
         let Some(conn) = t.conns[idx].as_mut() else {
@@ -669,31 +570,6 @@ impl HostStack {
     }
 }
 
-impl Drop for HostStack {
-    /// World teardown: every connection still open gives its storage, and
-    /// its open subflows', to the thread as closing would have; then the
-    /// connections' stream taps and subflow tables and the stack's
-    /// emptied tables follow, so the next world's stacks start on all of
-    /// it.
-    fn drop(&mut self) {
-        let Some(mut t) = self.t.take() else {
-            return;
-        };
-        let open = t.conns.iter_mut().flatten();
-        for conn in open.filter(|c| c.state != ConnState::Closed) {
-            conn.release_buffers();
-        }
-        t.conns.drain(..).flatten().for_each(Connection::retire);
-        t.flows.clear();
-        t.by_token.clear();
-        t.listeners.clear();
-        t.local_addrs.clear();
-        t.used_ports.clear();
-        t.events.clear();
-        Spares::give_stack(t);
-    }
-}
-
 impl StackView for HostStack {
     fn local_addrs(&self) -> Vec<Addr> {
         self.local_addrs_up().collect()
@@ -714,8 +590,11 @@ mod tests {
     use super::*;
     use crate::app::NullApp;
     use crate::apps::{BulkSender, GetClient, GetServer, Sink};
+    use crate::conn::{ConnSpare, Role};
     use crate::harness::{Harness, Side};
     use crate::subflow::SfState;
+    use crate::subflow::SubflowSpare;
+    use smapp_sim::{spare, SimTime};
     use std::time::Duration;
 
     #[test]
@@ -823,38 +702,26 @@ mod tests {
         };
         std::thread::spawn(move || {
             let fresh = run();
-            fn on_thread<R>(f: impl FnOnce(&Spares) -> R) -> R {
-                SPARES.with(|s| f(&s.borrow()))
-            }
-            assert_eq!(on_thread(|s| s.stacks.len()), 2);
-            let retired = on_thread(|s| s.retired.each_ref().map(SpareList::len));
-            assert_eq!(retired, [1, 1], "one per connection, by role");
-            // The client sent the 300 kB and the server received them: each
-            // kept the one tap that grew, in its own slot.
-            let grown = |r: &Retired| r.taps.each_ref().map(|t| t.capacity() > 0);
-            let grown = on_thread(|s| {
-                s.retired
-                    .each_ref()
-                    .map(|l| grown(l.iter().next().unwrap()))
+            let stacks = spare::on_hand(0, |s: &[Box<Tables>]| {
+                (s.len(), s.iter().all(|t| t.is_empty()))
             });
-            assert_eq!(grown, [[true, false], [false, true]]);
-            fn each(s: &Spares) -> impl Iterator<Item = &Retired> {
-                s.retired.iter().flat_map(SpareList::iter).map(|r| &**r)
-            }
-            let tables = on_thread(|s| each(s).map(|r| r.subflows.capacity()).min());
-            assert!(tables >= Some(1), "the subflow tables come back too");
-            let emptied = |t: &Tables| {
-                t.conns.is_empty()
-                    && t.flows.is_empty()
-                    && t.by_token.is_empty()
-                    && t.listeners.is_empty()
-                    && t.local_addrs.is_empty()
-                    && t.used_ports.is_empty()
-                    && t.events.is_empty()
+            assert_eq!(stacks, (2, true));
+            let retired = |role: Role| {
+                spare::on_hand(role as u8, |s: &[Box<Retired>]| {
+                    assert!(s.iter().all(|r| r.is_empty()));
+                    // (taps that grew, subflow table capacity) per spare
+                    let grown = |r: &Box<Retired>| r.taps.each_ref().map(|t| t.capacity() > 0);
+                    s.iter()
+                        .map(|r| (grown(r), r.subflows.capacity()))
+                        .collect::<Vec<_>>()
+                })
             };
-            assert!(on_thread(|s| s.stacks.iter().all(|t| emptied(t))));
-            let emptied = |r: &Retired| r.taps.iter().all(Vec::is_empty) && r.subflows.is_empty();
-            assert!(on_thread(|s| each(s).all(emptied)));
+            // One per connection, by role. The client sent the 300 kB and
+            // the server received them: each kept the one tap that grew, in
+            // its own slot, and the subflow tables came back too.
+            let [client, server] = ROLES.map(retired).map(|r| <[_; 1]>::try_from(r).unwrap());
+            assert_eq!((client[0].0, server[0].0), ([true, false], [false, true]));
+            assert!(client[0].1 >= 1 && server[0].1 >= 1);
             assert_eq!(run(), fresh);
         })
         .join()
@@ -912,6 +779,27 @@ mod tests {
         assert_eq!(tap(&server.stats.tap_sent), tap(&client.stats.tap_recvd));
     }
 
+    /// How many subflow and connection spares the thread holds for `role`
+    /// connections, after checking that none of them still holds
+    /// anything.
+    fn on_thread(role: Role) -> (usize, usize) {
+        fn count<T: Recycle>(role: Role) -> usize {
+            spare::on_hand(role as u8, |s: &[T]| {
+                assert!(s.iter().all(T::is_empty));
+                s.len()
+            })
+        }
+        (count::<SubflowSpare>(role), count::<ConnSpare>(role))
+    }
+
+    /// The flight and mapping ring capacities of each subflow spare the
+    /// thread holds for `role` connections.
+    fn subflow_rings(role: Role) -> Vec<(usize, usize)> {
+        spare::on_hand(role as u8, |s: &[SubflowSpare]| {
+            s.iter().map(SubflowSpare::ring_capacities).collect()
+        })
+    }
+
     /// The thread's spares after taking one connection and one subflow.
     fn one_taken((subflows, conns): (usize, usize)) -> (usize, usize) {
         (subflows - 1, conns - 1)
@@ -944,12 +832,12 @@ mod tests {
         // thread, from what it held before. A spare comes from a live
         // object of its role and is taken first, so spares plus live
         // objects never pass that peak.
-        let mut peak = ROLES.map(Spares::on_thread);
+        let mut peak = ROLES.map(on_thread);
         let mut check = |h: &Harness| {
             for (role, peak) in ROLES.into_iter().zip(&mut peak) {
                 let (live_sf, live_conns) = live(h, role);
                 *peak = (peak.0.max(live_sf), peak.1.max(live_conns));
-                let (spare_sf, spare_conns) = Spares::on_thread(role);
+                let (spare_sf, spare_conns) = on_thread(role);
                 assert!(spare_sf + live_sf <= peak.0);
                 assert!(spare_conns + live_conns <= peak.1);
             }
@@ -959,24 +847,24 @@ mod tests {
         let mut resets = 0;
         for i in 0..10u64 {
             let size = 60_000 + 7_919 * i;
-            let before = Spares::on_thread(Role::Client);
+            let before = on_thread(Role::Client);
             let app = Box::new(BulkSender::new(size).close_when_done());
             let token = h.connect(Side::A, 80, app).unwrap();
             if before.1 > 0 {
                 // Built on the storage of an earlier client connection and
                 // subflow, and none of their state came along.
                 reused[0] += 1;
-                assert_eq!(Spares::on_thread(Role::Client), one_taken(before));
+                assert_eq!(on_thread(Role::Client), one_taken(before));
             }
             assert_fresh(h.a.conn_by_token(token).unwrap(), send_buf);
 
-            let before = Spares::on_thread(Role::Server);
+            let before = on_thread(Role::Server);
             let established =
                 |h: &Harness| h.a.conn_by_token(token).unwrap().state != ConnState::Establishing;
             advance(&mut h, &mut clock, &mut check, established);
             if before.1 > 0 {
                 reused[1] += 1;
-                assert_eq!(Spares::on_thread(Role::Server), one_taken(before));
+                assert_eq!(on_thread(Role::Server), one_taken(before));
             }
             if i % 2 == 0 {
                 let open = PmAction::OpenSubflow {
@@ -1080,26 +968,23 @@ mod tests {
             "two subflows a side, both connections open"
         );
 
-        let before = ROLES.map(Spares::on_thread);
+        let before = ROLES.map(on_thread);
         drop(h);
         for (i, role) in ROLES.into_iter().enumerate() {
             let (before, open) = (before[i], open[i]);
-            assert_eq!(
-                Spares::on_thread(role),
-                (before.0 + open.0, before.1 + open.1)
-            );
+            assert_eq!(on_thread(role), (before.0 + open.0, before.1 + open.1));
         }
 
         // The next world on this thread starts on that storage, fresh.
         let mut h = harness();
-        let before = ROLES.map(Spares::on_thread);
+        let before = ROLES.map(on_thread);
         let token = h.connect(Side::A, 80, client_app()).unwrap();
-        assert_eq!(Spares::on_thread(Role::Client), one_taken(before[0]));
+        assert_eq!(on_thread(Role::Client), one_taken(before[0]));
         assert_fresh(h.a.conn_by_token(token).unwrap(), send_buf);
         let mut clock = SimTime::ZERO;
         let accepted = |h: &Harness| h.b.connections().next().is_some();
         advance(&mut h, &mut clock, &mut |_: &Harness| {}, accepted);
-        assert_eq!(Spares::on_thread(Role::Server), one_taken(before[1]));
+        assert_eq!(on_thread(Role::Server), one_taken(before[1]));
         assert_fresh(h.b.connections().next().unwrap(), send_buf);
         let both_closed = |h: &Harness| {
             h.a.conn_by_token(token).unwrap().state == ConnState::Closed
@@ -1146,17 +1031,13 @@ mod tests {
 
             // One subflow spare per role; the server's flight ring grew with
             // the response, the client's held one request.
-            let rings = ROLES.map(Spares::subflow_rings);
+            let rings = ROLES.map(subflow_rings);
             let [[client], [server]] = rings.map(|r| <[_; 1]>::try_from(r).unwrap());
             assert!(server.0 > client.0, "flight rings {client:?} {server:?}");
 
             h.connect(Side::A, 80, get()).unwrap();
-            assert_eq!(
-                Spares::on_thread(Role::Client),
-                (0, 0),
-                "the client's rings"
-            );
-            assert_eq!(Spares::subflow_rings(Role::Server), [server]);
+            assert_eq!(on_thread(Role::Client), (0, 0), "the client's rings");
+            assert_eq!(subflow_rings(Role::Server), [server]);
         })
         .join()
         .unwrap();

@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use bytes::Bytes;
-use smapp_sim::{SimTime, TimerHandle};
+use smapp_sim::{spare, Recycle, SimTime, TimerHandle};
 use smapp_tcp::{
     pacing_rate, Cc, CongestionControl, Flight, Reassembly, ReassemblyRings, RtoState,
     RttEstimator, SentSeg, TcpInfo, TcpStateInfo,
@@ -18,7 +18,6 @@ use smapp_tcp::{
 
 use crate::conn::Role;
 use crate::pm::{FourTuple, SubflowId};
-use crate::stack::Spares;
 
 /// Protocol state of a subflow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,7 +114,7 @@ pub struct SfStats {
 /// The storage a dead subflow gives up, emptied: its flight, reassembly
 /// and mapping rings. The thread keeps it for the next subflow of a
 /// connection of the same role, which starts on it instead of growing its
-/// own (see `Spares`).
+/// own (see [`ConnSpare`](crate::conn::ConnSpare)).
 #[derive(Default)]
 pub(crate) struct SubflowSpare {
     flight: VecDeque<SentSeg<SegTag>>,
@@ -123,13 +122,19 @@ pub(crate) struct SubflowSpare {
     recv_maps: VecDeque<RecvMap>,
 }
 
+impl Recycle for SubflowSpare {
+    fn reset(&mut self) {
+        self.flight.clear();
+        self.reasm.reset();
+        self.recv_maps.clear();
+    }
+    fn is_empty(&self) -> bool {
+        self.flight.is_empty() && self.reasm.is_empty() && self.recv_maps.is_empty()
+    }
+}
+
 #[cfg(test)]
 impl SubflowSpare {
-    /// True when the rings this crate can see into are empty.
-    pub(crate) fn holds_nothing(&self) -> bool {
-        self.flight.is_empty() && self.recv_maps.is_empty()
-    }
-
     /// The capacity of its flight and mapping rings.
     pub(crate) fn ring_capacities(&self) -> (usize, usize) {
         (self.flight.capacity(), self.recv_maps.capacity())
@@ -255,7 +260,7 @@ impl Subflow {
             flight,
             reasm,
             recv_maps,
-        } = Spares::take_subflow(role);
+        } = spare::take(role as u8);
         Subflow {
             id,
             tuple,
@@ -382,13 +387,13 @@ impl Subflow {
 
     /// The subflow is closed and will neither send nor receive again:
     /// drop what its flight, reassembly and mapping queues hold and give
-    /// their emptied storage to the thread's `Spares`, kept for the next
+    /// their emptied storage to the thread's store, kept for the next
     /// subflow of a `role` connection. The sequence state the diag dump
     /// reads stays.
     pub(crate) fn release_buffers(&mut self, role: Role) {
         self.recv_maps.clear();
-        Spares::give_subflow(
-            role,
+        spare::give(
+            role as u8,
             SubflowSpare {
                 flight: self.flight.clear(),
                 reasm: self.reasm.clear(),

@@ -32,7 +32,7 @@ use smapp_netlink::{
     UserProcess,
 };
 use smapp_sim::{
-    Addr, Ctx, FxHashMap, IfaceId, Node, NodeCommand, Packet, SimTime, SpareBox, SpareList,
+    Addr, Ctx, FxHashMap, IfaceId, Node, NodeCommand, Packet, Recycle, SimTime, Spare,
 };
 use smapp_tcp::TcpInfo;
 
@@ -134,22 +134,23 @@ thread_local! {
 type Pending = FxHashMap<u64, Bytes>;
 
 /// A [`Host`]'s tables, in one box that the thread recycles whole: its
-/// crossing table and connect queue, and the storage of its sockdiag reply
-/// list, which the host holds as `diag.replies` while it lives.
+/// crossing table and connect queue. The crossing table is only probed,
+/// never iterated, and the queue is indexed by its own pushes, so their
+/// capacity reaches no trajectory.
 #[derive(Default)]
 struct HostTables {
     pending: Pending,
     connects: Vec<ScheduledConnect>,
-    replies: Vec<Bytes>,
 }
 
-thread_local! {
-    /// Emptied tables of dropped hosts, for the next [`Host::new`] on the
-    /// thread. The crossing table is only probed, never iterated, and the
-    /// two lists are indexed by their own pushes, so their capacity
-    /// reaches no trajectory.
-    static HOST_SPARES: RefCell<SpareList<Box<HostTables>>> =
-        const { RefCell::new(SpareList::new()) };
+impl Recycle for HostTables {
+    fn reset(&mut self) {
+        self.pending.clear();
+        self.connects.clear();
+    }
+    fn is_empty(&self) -> bool {
+        self.pending.is_empty() && self.connects.is_empty()
+    }
 }
 
 /// Record of sockdiag probes taken mid-run, filled by scripted
@@ -164,6 +165,16 @@ pub struct DiagLog {
     pub replies: Vec<Bytes>,
 }
 
+impl Recycle for DiagLog {
+    fn reset(&mut self) {
+        self.probes = 0;
+        self.replies.clear();
+    }
+    fn is_empty(&self) -> bool {
+        self.probes == 0 && self.replies.is_empty()
+    }
+}
+
 /// One simulated multihomed endpoint.
 pub struct Host {
     /// Human-readable name for reports.
@@ -176,32 +187,29 @@ pub struct Host {
     pub user: Option<Box<dyn UserProcess>>,
     /// Boundary latency applied per netlink crossing.
     pub latency: LatencyModel,
-    t: SpareBox<HostTables>,
+    t: Spare<Box<HostTables>>,
     next_pending: u64,
     /// Netlink frames that failed to decode at the kernel (diagnostics).
     pub malformed_commands: u64,
     /// Sockdiag snapshots taken by scripted `Probe` commands.
-    pub diag: DiagLog,
+    pub diag: Spare<DiagLog>,
 }
 
 impl Host {
     /// A host with the given stack config, no path manager (`NoopPm`) and
-    /// no userspace process.
+    /// no userspace process, on the tables the last host dropped on this
+    /// thread gave back.
     pub fn new(name: impl Into<String>, cfg: StackConfig) -> Self {
-        let mut t = HOST_SPARES
-            .with(|s| s.borrow_mut().take())
-            .unwrap_or_default();
-        let replies = std::mem::take(&mut t.replies);
         Host {
             name: name.into(),
             stack: HostStack::new(cfg),
             pm: Box::new(smapp_mptcp::NoopPm),
             user: None,
             latency: LatencyModel::Zero,
-            t: SpareBox::new(t),
+            t: Spare::default(),
             next_pending: 0,
             malformed_commands: 0,
-            diag: DiagLog { probes: 0, replies },
+            diag: Spare::default(),
         }
     }
 
@@ -492,21 +500,6 @@ impl Host {
             }
         }));
         conns
-    }
-}
-
-impl Drop for Host {
-    /// Give the emptied crossing table, connect queue and reply list to
-    /// the thread (the stack gives its own tables back as it drops).
-    fn drop(&mut self) {
-        let Some(mut t) = self.t.take() else {
-            return;
-        };
-        t.pending.clear();
-        t.connects.clear();
-        t.replies = std::mem::take(&mut self.diag.replies);
-        t.replies.clear();
-        let _ = HOST_SPARES.try_with(|s| s.borrow_mut().give(t));
     }
 }
 

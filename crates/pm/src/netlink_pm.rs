@@ -8,18 +8,10 @@
 //! host). "The subflow controller receives only notifications for events
 //! it registered to" — enforced here with the subscription mask.
 
-use std::cell::RefCell;
-
 use bytes::Bytes;
 use smapp_mptcp::{PathManagerHook, PmActions, PmEvent, StackView};
 use smapp_netlink::encode_event;
-use smapp_sim::SpareList;
-
-thread_local! {
-    /// Emptied outboxes of dropped path managers, for the next
-    /// [`NetlinkPm::new`] on the thread.
-    static OUTBOX_SPARES: RefCell<SpareList<Vec<Bytes>>> = const { RefCell::new(SpareList::new()) };
-}
+use smapp_sim::Spare;
 
 /// The kernel side of the SMAPP architecture.
 #[derive(Debug)]
@@ -27,8 +19,11 @@ pub struct NetlinkPm {
     /// Subscription mask (bits = [`PmEvent::mask_bit`]); 0 until the
     /// controller subscribes.
     pub mask: u32,
-    /// Encoded frames waiting for delivery to userspace.
-    outbox: Vec<Bytes>,
+    /// Encoded frames waiting for delivery to userspace. When dropped, it
+    /// gives back whichever vector it holds: it may be one the host traded
+    /// for it (see [`NetlinkPm::swap_outbox`]), and the host's own goes on
+    /// serving the next one.
+    outbox: Spare<Vec<Bytes>>,
     /// Events suppressed by the mask (diagnostics).
     pub suppressed: u64,
     /// Events queued (diagnostics).
@@ -41,9 +36,7 @@ impl NetlinkPm {
     pub fn new() -> Self {
         NetlinkPm {
             mask: 0,
-            outbox: OUTBOX_SPARES
-                .with(|s| s.borrow_mut().take())
-                .unwrap_or_default(),
+            outbox: Spare::default(),
             suppressed: 0,
             queued: 0,
         }
@@ -53,24 +46,13 @@ impl NetlinkPm {
     /// first). The two vectors trade places, so both keep their capacity.
     pub fn swap_outbox(&mut self, into: &mut Vec<Bytes>) {
         into.clear();
-        std::mem::swap(&mut self.outbox, into);
+        std::mem::swap(&mut *self.outbox, into);
     }
 }
 
 impl Default for NetlinkPm {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Drop for NetlinkPm {
-    /// Give the emptied outbox to the thread. It may be a vector the host
-    /// traded for it (see [`NetlinkPm::swap_outbox`]): the host's own
-    /// goes on serving the next one.
-    fn drop(&mut self) {
-        let mut outbox = std::mem::take(&mut self.outbox);
-        outbox.clear();
-        let _ = OUTBOX_SPARES.try_with(|s| s.borrow_mut().give(outbox));
     }
 }
 

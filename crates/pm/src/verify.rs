@@ -13,11 +13,10 @@
 //! pair; wire violations additionally carry their simulated time, so a
 //! report line is a complete replay recipe.
 
-use std::cell::RefCell;
 use std::fmt;
 
 use smapp_mptcp::{Connection, FourTuple};
-use smapp_sim::{oracle, FxHashMap, NodeId, RunSummary, Simulator, TraceSink};
+use smapp_sim::{oracle, FxHashMap, NodeId, RunSummary, Simulator, Spare, TraceSink};
 
 use crate::host::Host;
 
@@ -59,15 +58,6 @@ impl RunVerdict {
             self.violations.join("\n")
         );
     }
-}
-
-thread_local! {
-    /// Stream endpoints by initial-subflow four-tuple (local perspective):
-    /// the host's node and the connection's slot. Emptied after every
-    /// run and kept for the next one on the thread; only probed, so its
-    /// capacity reaches no verdict.
-    static ENDPOINTS: RefCell<FxHashMap<FourTuple, (NodeId, usize)>> =
-        RefCell::new(FxHashMap::default());
 }
 
 /// Every connection with an initial subflow, in node then creation order,
@@ -146,7 +136,10 @@ pub fn conclude(
     // simply produce no match and are covered by the per-host taps alone).
     // Indexed by tuple so a many-client world (fleet: ~1600 endpoints)
     // pairs in linear time; a tuple seen twice keeps its last endpoint.
-    let mut by_tuple = ENDPOINTS.take();
+    // The index (the host's node and the connection's slot per tuple) is
+    // kept for the next run on the thread; it is only probed, so its
+    // capacity reaches no verdict.
+    let mut by_tuple: Spare<FxHashMap<FourTuple, (NodeId, usize)>> = Spare::default();
     for (id, _, conn, tuple) in endpoints(sim) {
         by_tuple.insert(tuple, (id, conn.idx));
     }
@@ -166,8 +159,6 @@ pub fn conclude(
             ));
         }
     }
-    by_tuple.clear();
-    ENDPOINTS.set(by_tuple);
 
     RunVerdict {
         scenario: scenario.to_string(),

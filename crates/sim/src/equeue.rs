@@ -25,9 +25,9 @@
 //! The slab's free slots are chained through the same `next` field, so the
 //! queue's only growable storage is the slab, `current` and (rarely) `far`;
 //! its fixed tables are 66 KiB (`heads` 64 KiB, the bitmap 2 KiB). A
-//! dropped world hands all four to the next one on its thread as a
-//! [`QueueSpare`]: emptied, with `heads` all `NIL` again, so a warm queue
-//! allocates nothing until it outgrows the one before it.
+//! dropped world hands the queue to the next one on its thread
+//! ([`EventQueue::clear`]: emptied, with `heads` all `NIL` again), so a
+//! warm queue allocates nothing until it outgrows the one before it.
 //!
 //! What it costs instead: a bucket is sorted when it opens and an insertion
 //! into the open one moves the keys behind it, so the price per event grows
@@ -136,23 +136,21 @@ pub(crate) struct EventQueue<E> {
     peak_len: usize,
 }
 
-/// The growable storage of an [`EventQueue`], emptied: what
-/// [`EventQueue::recycle`] gives back and [`EventQueue::reusing`] takes.
-/// `heads` is either empty (nothing to reuse) or `N` entries of `NIL`.
-pub(crate) struct QueueSpare<E> {
-    slab: Vec<Slot<E>>,
-    heads: Box<[u32]>,
-    current: Vec<Key>,
-    far: BinaryHeap<Reverse<Key>>,
-}
-
-impl<E> Default for QueueSpare<E> {
+impl<E> Default for EventQueue<E> {
+    /// An empty queue without its bucket table: [`EventQueue::ensure_wheel`]
+    /// allocates that before the first push.
     fn default() -> Self {
-        QueueSpare {
+        EventQueue {
             slab: Vec::new(),
+            free: NIL,
             heads: Box::default(),
+            occupied: [0; WORDS],
+            next_tick: 0,
             current: Vec::new(),
+            cursor: 0,
             far: BinaryHeap::new(),
+            len: 0,
+            peak_len: 0,
         }
     }
 }
@@ -160,42 +158,23 @@ impl<E> Default for QueueSpare<E> {
 impl<E> EventQueue<E> {
     #[cfg(test)]
     pub(crate) fn new() -> Self {
-        Self::reusing(QueueSpare::default())
+        let mut q = Self::default();
+        q.ensure_wheel();
+        q
     }
 
-    /// An empty queue on `spare`'s storage; allocates the bucket table
-    /// only when the spare has none.
-    pub(crate) fn reusing(spare: QueueSpare<E>) -> Self {
-        let QueueSpare {
-            slab,
-            mut heads,
-            current,
-            far,
-        } = spare;
-        if heads.is_empty() {
-            heads = vec![NIL; WHEEL_SLOTS].into_boxed_slice();
+    /// Allocate the bucket table unless the queue has one.
+    pub(crate) fn ensure_wheel(&mut self) {
+        if self.heads.is_empty() {
+            self.heads = vec![NIL; WHEEL_SLOTS].into_boxed_slice();
         }
-        debug_assert!(heads.len() == WHEEL_SLOTS && heads.iter().all(|&h| h == NIL));
-        debug_assert!(slab.is_empty() && current.is_empty() && far.is_empty());
-        EventQueue {
-            slab,
-            free: NIL,
-            heads,
-            occupied: [0; WORDS],
-            next_tick: 0,
-            current,
-            cursor: 0,
-            far,
-            len: 0,
-            peak_len: 0,
-        }
+        debug_assert!(self.heads.iter().all(|&h| h == NIL));
     }
 
-    /// Drop every queued event and hand back the storage, emptied. Only
-    /// the buckets the bitmap marks are reset, so this costs the events
-    /// still queued, not the table. The queue is left without a bucket
-    /// table: the caller drops it.
-    pub(crate) fn recycle(&mut self) -> QueueSpare<E> {
+    /// Drop every queued event and start again at time zero on the same
+    /// storage. Only the buckets the bitmap marks are reset, so this costs
+    /// the events still queued, not the table.
+    pub(crate) fn clear(&mut self) {
         for (w, word) in self.occupied.iter_mut().enumerate() {
             let mut bits = std::mem::take(word);
             while bits != 0 {
@@ -207,13 +186,10 @@ impl<E> EventQueue<E> {
         self.current.clear();
         self.far.clear();
         self.free = NIL;
+        self.next_tick = 0;
+        self.cursor = 0;
         self.len = 0;
-        QueueSpare {
-            slab: std::mem::take(&mut self.slab),
-            heads: std::mem::take(&mut self.heads),
-            current: std::mem::take(&mut self.current),
-            far: std::mem::take(&mut self.far),
-        }
+        self.peak_len = 0;
     }
 
     /// Entries currently queued (live and lazily-cancelled alike).
@@ -527,7 +503,7 @@ mod tests {
         }
     }
 
-    /// A queue given back with entries in every structure — the open
+    /// A queue cleared with entries in every structure — the open
     /// window, wheel buckets and `far` — comes back empty, every bucket
     /// head reset, and orders the next run's events like a fresh queue.
     #[test]
@@ -537,10 +513,10 @@ mod tests {
             q.push(SimTime::from_millis(ms), seq as u64, seq as u32);
         }
         assert_eq!(q.pop().map(|s| s.ev), Some(0), "the first bucket is open");
-        let spare = q.recycle();
-        assert!(spare.heads.iter().all(|&h| h == NIL));
-        assert!(spare.slab.is_empty() && spare.current.is_empty() && spare.far.is_empty());
-        let mut q = EventQueue::reusing(spare);
+        q.clear();
+        assert!(q.heads.iter().all(|&h| h == NIL));
+        assert!(q.slab.is_empty() && q.current.is_empty() && q.far.is_empty());
+        q.ensure_wheel();
         assert_eq!((q.len(), q.peak_len(), q.peek_time()), (0, 0, None));
         let mut r = Reference {
             heap: BinaryHeap::new(),

@@ -9,7 +9,6 @@
 //! correlated choices.
 
 use std::any::Any;
-use std::cell::RefCell;
 
 use crate::addr::{Addr, AddrPrefix, FlowKey};
 use crate::dynamics::{strip_mptcp_options, NodeCommand};
@@ -17,7 +16,7 @@ use crate::hash::{FxHashMap, FxHashSet};
 use crate::node::{IfaceId, Node};
 use crate::packet::{Packet, PROTO_TCP};
 use crate::rewrite;
-use crate::spare::SpareList;
+use crate::spare::Spare;
 use crate::wire::{TcpView, TCP_HEADER_LEN};
 use crate::world::Ctx;
 
@@ -30,27 +29,16 @@ pub struct Route {
     pub egress: Vec<IfaceId>,
 }
 
-/// The tables a dropped [`Router`] gives back, emptied: its routing table
-/// and its lookup cache.
-type RouterSpare = (Vec<Route>, FxHashMap<Addr, Option<usize>>);
-
-thread_local! {
-    /// Emptied tables of dropped routers, for the next [`Router::new`] on
-    /// the thread. The cache is only probed, never iterated, so its
-    /// capacity reaches no trajectory.
-    static ROUTER_SPARES: RefCell<SpareList<RouterSpare>> = const { RefCell::new(SpareList::new()) };
-}
-
 /// A router node.
 #[derive(Debug)]
 pub struct Router {
-    routes: Vec<Route>,
+    routes: Spare<Vec<Route>>,
     /// Memoized longest-prefix-match result per destination address. With
     /// per-client routes (the fleet workload installs one /24 per client)
     /// the linear LPM scan would otherwise be an O(routes) cost on every
     /// forwarded packet. Purely a cache: it never changes which route wins,
     /// so trajectories are identical with or without it.
-    lpm_cache: FxHashMap<Addr, Option<usize>>,
+    lpm_cache: Spare<FxHashMap<Addr, Option<usize>>>,
     salt: u64,
     /// When set, forwarded TCP segments have their MPTCP options (kind 30)
     /// removed — the protocol-normalizing middlebox interference that
@@ -128,13 +116,12 @@ const SEQNAT_SALT: u64 = 0x5EA9_0A7D_EC0D_E5A1;
 impl Router {
     /// A router with the given ECMP hash salt (use the router's index),
     /// on the tables the last router dropped on this thread gave back.
+    /// The cache is only probed, never iterated, so its capacity reaches
+    /// no trajectory.
     pub fn new(salt: u64) -> Self {
-        let (routes, lpm_cache) = ROUTER_SPARES
-            .with(|s| s.borrow_mut().take())
-            .unwrap_or_default();
         Router {
-            routes,
-            lpm_cache,
+            routes: Spare::default(),
+            lpm_cache: Spare::default(),
             salt,
             strip_mptcp: false,
             seq_nat: false,
@@ -291,20 +278,6 @@ impl Router {
         ));
         ctx.set_timer_after(COALESCE_FLUSH, token);
         true
-    }
-}
-
-impl Drop for Router {
-    /// Give the emptied routing table and lookup cache to the thread.
-    /// `try_with`: a router dropped while its thread exits frees them.
-    fn drop(&mut self) {
-        let (mut routes, mut cache) = (
-            std::mem::take(&mut self.routes),
-            std::mem::take(&mut self.lpm_cache),
-        );
-        routes.clear();
-        cache.clear();
-        let _ = ROUTER_SPARES.try_with(|s| s.borrow_mut().give((routes, cache)));
     }
 }
 

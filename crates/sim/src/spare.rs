@@ -1,105 +1,252 @@
 //! Per-thread spare storage: how a world's storage outlives the world.
 //!
-//! A dropped world gives its emptied storage — the simulator's tables,
-//! the oracle's, each host's — to its thread, and the next world built
-//! there starts on it (see ARCHITECTURE, "World storage"). Each kind of
-//! storage is kept in a thread-local [`SpareList`].
+//! A dropped owner — a world, a host, a stack, a controller — gives its
+//! emptied storage to its thread, and the next owner of that kind built
+//! there starts on it (see ARCHITECTURE, "Recycled storage"). The thread
+//! keeps one store with one list of spares per storage type and key;
+//! the key tells apart storage of one type that different owners grow to
+//! different sizes (a connection's client and server roles).
+//!
+//! An owner that holds its storage for its whole life holds a [`Spare`]:
+//! built from the store, given back when it drops. Storage taken apart
+//! into live fields and given back before its owner drops (a connection's
+//! rings, at close) goes through [`take`] and [`give`].
 
-/// Emptied storage of one kind, given back by dropped objects for the
-/// next objects of that kind on the thread, last given first taken.
+use std::any::{Any, TypeId};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::fmt;
+use std::hash::{BuildHasher, Hash};
+use std::ops::{Deref, DerefMut};
+
+/// A kind of storage the thread recycles.
 ///
-/// A spare comes from an object that was live and spares are taken
-/// first, so spares and live objects never outnumber the most that were
-/// live at once: no cap is needed. Taking one makes room to give it back,
-/// so the list grows while objects are built and never while they are
-/// torn down, when a world's storage is all still live.
-#[derive(Debug)]
-pub struct SpareList<T> {
-    items: Vec<T>,
+/// `Default` is the empty storage and must allocate nothing: a dropped
+/// [`Spare`] leaves one behind. Capacity is never observable, so a spare
+/// that arrives with capacity moves no trajectory.
+pub trait Recycle: Default + 'static {
+    /// Drop everything held, keeping the capacity.
+    fn reset(&mut self);
+
+    /// True when nothing is held.
+    fn is_empty(&self) -> bool;
+}
+
+impl<T: 'static> Recycle for Vec<T> {
+    fn reset(&mut self) {
+        self.clear();
+    }
+    fn is_empty(&self) -> bool {
+        self.is_empty()
+    }
+}
+
+impl<T: Recycle> Recycle for Box<T> {
+    fn reset(&mut self) {
+        T::reset(self);
+    }
+    fn is_empty(&self) -> bool {
+        T::is_empty(self)
+    }
+}
+
+impl<K: 'static, V: 'static, S: BuildHasher + Default + 'static> Recycle for HashMap<K, V, S>
+where
+    K: Eq + Hash,
+{
+    fn reset(&mut self) {
+        self.clear();
+    }
+    fn is_empty(&self) -> bool {
+        self.is_empty()
+    }
+}
+
+/// The spares of one kind under one key, last given first taken.
+///
+/// A spare comes from an owner that was live and spares are taken first,
+/// so spares and live owners never outnumber the most that were live at
+/// once: no cap is needed. Taking one makes room to give it back, so the
+/// list grows while owners are built and never while they are torn down,
+/// when a world's storage is all still live.
+struct Shelf<T> {
+    spares: Vec<T>,
     /// Spares handed out and not given back yet.
     out: usize,
 }
 
-impl<T> Default for SpareList<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> SpareList<T> {
-    /// An empty list (usable in a `const` thread-local initializer).
-    pub const fn new() -> Self {
-        SpareList {
-            items: Vec::new(),
-            out: 0,
-        }
-    }
-
-    /// The spare given back last, or `None` when there is none; either
-    /// way the list keeps room for one more to come back.
-    pub fn take(&mut self) -> Option<T> {
-        let spare = self.items.pop();
+impl<T> Shelf<T> {
+    fn take(&mut self) -> Option<T> {
+        let spare = self.spares.pop();
         self.out += 1;
-        self.items.reserve(self.out);
+        self.spares.reserve(self.out);
         spare
     }
 
-    /// Keep `spare`, emptied, for the next [`SpareList::take`].
-    pub fn give(&mut self, spare: T) {
+    fn give(&mut self, spare: T) {
         self.out = self.out.saturating_sub(1);
-        self.items.push(spare);
-    }
-
-    /// The spares on hand.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
-    }
-
-    /// How many spares are on hand.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when no spare is on hand.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.spares.push(spare);
     }
 }
 
-/// An owner's storage in one box that the thread recycles whole, so a
-/// spare costs its [`SpareList`] one pointer. It is empty only once the
-/// owner's `Drop` has taken the box out to give it back, which leaves no
-/// allocation behind.
-pub struct SpareBox<T>(Option<Box<T>>);
+/// A shelf of any kind, as the store keeps it.
+trait AnyShelf: Any {
+    fn stock(&self) -> Stock;
+}
 
-impl<T> SpareBox<T> {
-    /// Hold `storage` for an owner.
-    pub fn new(storage: Box<T>) -> Self {
-        SpareBox(Some(storage))
-    }
-
-    /// The box, for the owner's `Drop` to give back; `None` the second
-    /// time.
-    pub fn take(&mut self) -> Option<Box<T>> {
-        self.0.take()
+impl<T: Recycle> AnyShelf for Shelf<T> {
+    fn stock(&self) -> Stock {
+        Stock {
+            kind: std::any::type_name::<T>(),
+            key: 0,
+            on_hand: self.spares.len(),
+            out: self.out,
+            holding: self.spares.iter().filter(|s| !s.is_empty()).count(),
+        }
     }
 }
 
-impl<T> std::ops::Deref for SpareBox<T> {
+struct Entry {
+    kind: TypeId,
+    key: u8,
+    shelf: Box<dyn AnyShelf>,
+}
+
+thread_local! {
+    /// The thread's store: one shelf per kind and key, in first-use order.
+    static STORE: RefCell<Vec<Entry>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on the thread's shelf of kind `T` under `key`, made on first
+/// use. `None` once the thread is exiting and its store is gone.
+fn with_shelf<T: Recycle, R>(key: u8, f: impl FnOnce(&mut Shelf<T>) -> R) -> Option<R> {
+    let kind = TypeId::of::<T>();
+    STORE
+        .try_with(|store| {
+            let mut store = store.borrow_mut();
+            if !store.iter().any(|e| e.kind == kind && e.key == key) {
+                let shelf = Box::new(Shelf::<T> {
+                    spares: Vec::new(),
+                    out: 0,
+                });
+                store.push(Entry { kind, key, shelf });
+            }
+            let entry = store.iter_mut().find(|e| e.kind == kind && e.key == key)?;
+            let shelf: &mut dyn Any = &mut *entry.shelf;
+            shelf.downcast_mut::<Shelf<T>>().map(f)
+        })
+        .ok()
+        .flatten()
+}
+
+/// The spare of kind `T` given back last under `key`, or empty storage
+/// when there is none; either way the store keeps room for it to come
+/// back.
+pub fn take<T: Recycle>(key: u8) -> T {
+    with_shelf(key, Shelf::take).flatten().unwrap_or_default()
+}
+
+/// Empty `spare` and keep it under `key` for the next [`take`] of its
+/// kind. A spare given back while its thread exits is simply freed.
+pub fn give<T: Recycle>(key: u8, mut spare: T) {
+    spare.reset();
+    with_shelf(key, |shelf| shelf.give(spare));
+}
+
+/// Storage an owner holds for its whole life: taken from the thread's
+/// store when built, given back emptied when dropped. Owners reach the
+/// storage through `Deref`.
+///
+/// Storage that many owners hold at once is boxed (`Spare<Box<T>>`), so
+/// that a spare costs its list one pointer. The storage is `None` only
+/// once `drop` has given it back, which leaves no allocation behind;
+/// nothing reads it after that.
+pub struct Spare<T: Recycle>(Option<T>);
+
+impl<T: Recycle> Default for Spare<T> {
+    fn default() -> Self {
+        Spare(Some(take(0)))
+    }
+}
+
+impl<T: Recycle> Drop for Spare<T> {
+    fn drop(&mut self) {
+        if let Some(storage) = self.0.take() {
+            give(0, storage);
+        }
+    }
+}
+
+impl<T: Recycle> Deref for Spare<T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.0
-            .as_deref()
-            .expect("an owner holds its storage until it drops")
+        match &self.0 {
+            Some(storage) => storage,
+            // Never taken: only `drop` empties a spare.
+            None => Box::leak(Box::default()),
+        }
     }
 }
 
-impl<T> std::ops::DerefMut for SpareBox<T> {
+impl<T: Recycle> DerefMut for Spare<T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.0
-            .as_deref_mut()
-            .expect("an owner holds its storage until it drops")
+        self.0.get_or_insert_with(T::default)
     }
+}
+
+impl<T: Recycle + fmt::Debug> fmt::Debug for Spare<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl<'a, T: Recycle> IntoIterator for &'a Spare<T>
+where
+    &'a T: IntoIterator,
+{
+    type Item = <&'a T as IntoIterator>::Item;
+    type IntoIter = <&'a T as IntoIterator>::IntoIter;
+    fn into_iter(self) -> Self::IntoIter {
+        (**self).into_iter()
+    }
+}
+
+/// What the thread's store holds of one kind under one key.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Stock {
+    /// The storage type.
+    pub kind: &'static str,
+    /// The key it is kept under.
+    pub key: u8,
+    /// Spares on hand.
+    pub on_hand: usize,
+    /// Spares taken and not given back yet.
+    pub out: usize,
+    /// Spares on hand that still hold something: a reset that forgot a
+    /// field.
+    pub holding: usize,
+}
+
+/// Read the spares of kind `T` the thread holds under `key`, the next one
+/// [`take`] hands out last.
+pub fn on_hand<T: Recycle, R>(key: u8, f: impl FnOnce(&[T]) -> R) -> R {
+    let kind = TypeId::of::<T>();
+    STORE.with_borrow(|store| {
+        let entry = store.iter().find(|e| e.kind == kind && e.key == key);
+        let shelf = entry.and_then(|e| (&*e.shelf as &dyn Any).downcast_ref::<Shelf<T>>());
+        f(shelf.map_or(&[], |s| &s.spares))
+    })
+}
+
+/// The thread's store, one entry per kind and key in first-use order.
+pub fn stock() -> Vec<Stock> {
+    STORE.with_borrow(|store| {
+        let stock = store.iter().map(|e| Stock {
+            key: e.key,
+            ..e.shelf.stock()
+        });
+        stock.collect()
+    })
 }
 
 #[cfg(test)]
@@ -110,19 +257,32 @@ mod tests {
     /// things come back in.
     #[test]
     fn giving_back_never_grows_the_list() {
-        let mut list = SpareList::new();
-        let taken: Vec<Option<Vec<u8>>> = (0..9).map(|_| list.take()).collect();
-        assert!(taken.iter().all(Option::is_none));
-        let cap = list.items.capacity();
+        let capacity = || with_shelf::<Vec<u8>, _>(7, |s| (s.spares.len(), s.spares.capacity()));
+        let taken: Vec<Vec<u8>> = (0..9).map(|_| take(7)).collect();
+        assert!(taken.iter().all(|v| v.capacity() == 0));
+        let (_, cap) = capacity().unwrap();
         assert!(cap >= 9);
         for i in 0..9u8 {
-            list.give(vec![i]);
+            give(7, Vec::<u8>::with_capacity(usize::from(i) + 1));
         }
-        assert_eq!((list.len(), list.items.capacity()), (9, cap));
-        // Last given, first taken; a spare taken from a full list costs
-        // no room.
-        assert_eq!(list.take(), Some(vec![8]));
-        list.give(vec![8]);
-        assert_eq!((list.len(), list.items.capacity()), (9, cap));
+        assert_eq!(capacity(), Some((9, cap)));
+        // Last given, first taken, and emptied; a spare taken from a full
+        // list costs no room.
+        let last: Vec<u8> = take(7);
+        assert_eq!((last.len(), last.capacity()), (0, 9));
+        give(7, last);
+        assert_eq!(capacity(), Some((9, cap)));
+        let mine = stock().into_iter().find(|s| s.key == 7).unwrap();
+        assert_eq!((mine.on_hand, mine.out, mine.holding), (9, 0, 0));
+    }
+
+    /// A [`Spare`] gives its storage back, emptied, when it drops.
+    #[test]
+    fn a_dropped_spare_gives_its_storage_back() {
+        let mut first: Spare<Vec<u16>> = Spare::default();
+        first.extend([1, 2, 3]);
+        drop(first);
+        let next: Spare<Vec<u16>> = Spare::default();
+        assert!(next.is_empty() && next.capacity() >= 3);
     }
 }

@@ -36,20 +36,19 @@
 //! [`RunSummary::peak_queue`] counts queue entries of either kind.
 
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::time::Duration;
 
 use crate::addr::Addr;
 use crate::dynamics::{DynAction, DynamicsScript, OutOfOrderError};
-use crate::equeue::{EventQueue, QueueSpare, Scheduled};
+use crate::equeue::{EventQueue, Scheduled};
 use crate::link::{
     Dir, DropReason, Eviction, LinkCfg, LinkDirState, LinkDirStats, LinkId, LossModel, ReorderModel,
 };
 use crate::node::{Iface, IfaceId, Node, NodeId};
 use crate::packet::Packet;
 use crate::rng::SimRng;
-use crate::spare::SpareList;
+use crate::spare::{Recycle, Spare};
 use crate::time::{tx_time, SimTime};
 use crate::trace::{TraceEvent, TraceKind, TraceSink};
 
@@ -202,31 +201,22 @@ pub struct SimCore {
 /// "No interface": the end of a node's interface list.
 const NO_IFACE: u32 = u32::MAX;
 
-impl SimCore {
-    /// A core at time zero on the emptied storage in `spare`.
-    fn new(seed: u64, spare: CoreSpare) -> Self {
-        let CoreSpare {
-            queue,
-            links,
-            rings,
-            ifaces,
-            node_ifaces,
-            iface_next,
-            timer_slots,
-            timer_free,
-        } = spare;
+impl Default for SimCore {
+    /// A core at time zero with empty tables, no bucket table and no
+    /// trace sink.
+    fn default() -> Self {
         SimCore {
             now: SimTime::ZERO,
-            queue: EventQueue::reusing(queue),
+            queue: EventQueue::default(),
             next_seq: 0,
-            rng: SimRng::seed_from_u64(seed),
-            links,
-            rings,
-            ifaces,
-            node_ifaces,
-            iface_next,
-            timer_slots,
-            timer_free,
+            rng: SimRng::seed_from_u64(0),
+            links: Vec::new(),
+            rings: Vec::new(),
+            ifaces: Vec::new(),
+            node_ifaces: Vec::new(),
+            iface_next: Vec::new(),
+            timer_slots: Vec::new(),
+            timer_free: Vec::new(),
             live_timers: 0,
             stale: 0,
             requeued: 0,
@@ -235,6 +225,60 @@ impl SimCore {
             stop_requested: false,
             event_limit: 500_000_000,
         }
+    }
+}
+
+impl Recycle for SimCore {
+    /// Drop everything the world still holds — queued events, links,
+    /// interfaces, timers, the trace sink — and go back to time zero on
+    /// the same storage. The queue rings of the links join the spare ones.
+    fn reset(&mut self) {
+        let mut rings = std::mem::take(&mut self.rings);
+        for link in self.links.drain(..) {
+            for mut dir in link.dirs {
+                dir.queue.clear();
+                rings.push(dir.queue);
+            }
+        }
+        self.queue.clear();
+        self.ifaces.clear();
+        self.node_ifaces.clear();
+        self.iface_next.clear();
+        self.timer_slots.clear();
+        self.timer_free.clear();
+        *self = SimCore {
+            queue: std::mem::take(&mut self.queue),
+            links: std::mem::take(&mut self.links),
+            rings,
+            ifaces: std::mem::take(&mut self.ifaces),
+            node_ifaces: std::mem::take(&mut self.node_ifaces),
+            iface_next: std::mem::take(&mut self.iface_next),
+            timer_slots: std::mem::take(&mut self.timer_slots),
+            timer_free: std::mem::take(&mut self.timer_free),
+            ..SimCore::default()
+        };
+    }
+
+    fn is_empty(&self) -> bool {
+        self.queue.len() == 0
+            && self.links.is_empty()
+            && self.rings.iter().all(VecDeque::is_empty)
+            && self.ifaces.is_empty()
+            && self.node_ifaces.is_empty()
+            && self.iface_next.is_empty()
+            && self.timer_slots.is_empty()
+            && self.timer_free.is_empty()
+            && self.trace.is_none()
+    }
+}
+
+impl SimCore {
+    /// Start the simulation RNG from `seed` and make sure the event
+    /// queue has its bucket table: what a core taken from the thread's
+    /// store lacks to begin a world.
+    fn start(&mut self, seed: u64) {
+        self.rng = SimRng::seed_from_u64(seed);
+        self.queue.ensure_wheel();
     }
 
     /// Current simulated time.
@@ -630,34 +674,6 @@ impl SimCore {
         );
     }
 
-    /// Drop everything the world still holds in its tables and hand the
-    /// storage back, emptied. The queue rings of the links join the spare
-    /// ones; the trace sink is not storage and stays.
-    fn recycle(&mut self) -> CoreSpare {
-        let mut rings = std::mem::take(&mut self.rings);
-        for link in self.links.drain(..) {
-            for mut dir in link.dirs {
-                dir.queue.clear();
-                rings.push(dir.queue);
-            }
-        }
-        self.ifaces.clear();
-        self.node_ifaces.clear();
-        self.iface_next.clear();
-        self.timer_slots.clear();
-        self.timer_free.clear();
-        CoreSpare {
-            queue: self.queue.recycle(),
-            links: std::mem::take(&mut self.links),
-            rings,
-            ifaces: std::mem::take(&mut self.ifaces),
-            node_ifaces: std::mem::take(&mut self.node_ifaces),
-            iface_next: std::mem::take(&mut self.iface_next),
-            timer_slots: std::mem::take(&mut self.timer_slots),
-            timer_free: std::mem::take(&mut self.timer_free),
-        }
-    }
-
     /// Serialize `pkt` on a line that [`LinkDirState::admit`] has marked
     /// busy: the packet an idle line admitted, or the head of its queue
     /// when the one before it is done.
@@ -778,90 +794,37 @@ pub enum InstallPolicy {
     Strict,
 }
 
-/// The growable storage of a [`SimCore`], emptied.
-#[derive(Default)]
-struct CoreSpare {
-    queue: QueueSpare<SimEvent>,
-    links: Vec<LinkState>,
-    rings: Vec<VecDeque<Packet>>,
-    ifaces: Vec<Iface>,
-    node_ifaces: Vec<(u32, u32)>,
-    iface_next: Vec<u32>,
-    timer_slots: Vec<TimerSlot>,
-    timer_free: Vec<u32>,
-}
-
-/// The storage a dropped [`Simulator`] gives up: every table of its core,
-/// the queue rings of its links, and its node, script and dynamics lists,
-/// each emptied with its capacity kept. The thread keeps it for the next
-/// [`Simulator::new`], so a world built after another one on the same
-/// thread starts on the tables that one grew. Worlds alive at once each
-/// hold a set and give it back, so the thread never keeps more than the
-/// most it had live at once. Capacity is not observable, so reuse moves
-/// no trajectory.
-#[derive(Default)]
-struct WorldSpare {
-    core: CoreSpare,
-    nodes: Vec<Box<dyn Node>>,
-    scripts: Vec<ScriptFn>,
-    dynamics: Vec<Option<DynAction>>,
-}
-
-thread_local! {
-    static WORLD_SPARES: RefCell<SpareList<WorldSpare>> = const { RefCell::new(SpareList::new()) };
-}
-
-impl WorldSpare {
-    /// The storage the thread last got back from a world, or none.
-    fn take() -> WorldSpare {
-        WORLD_SPARES
-            .with(|s| s.borrow_mut().take())
-            .unwrap_or_default()
-    }
-
-    /// Give the thread a dropped world's emptied storage. `try_with`: a
-    /// world dropped while its thread exits simply frees it.
-    fn give(spare: WorldSpare) {
-        let _ = WORLD_SPARES.try_with(|s| s.borrow_mut().give(spare));
-    }
-
-    /// How many spare sets the thread holds.
-    #[cfg(test)]
-    fn on_thread() -> usize {
-        WORLD_SPARES.with(|s| s.borrow().len())
-    }
-}
-
 /// The complete simulation.
+///
+/// Its storage — the core's tables and event queue, and the node, script
+/// and dynamics lists — comes from the thread's store and goes back to
+/// it, emptied, when the simulator drops, so a world built after another
+/// one on the same thread starts on the tables that one grew (see the
+/// ARCHITECTURE contract on recycled storage).
 pub struct Simulator {
     /// The shared core (public so scenario code can inspect links/stats
     /// between runs).
-    pub core: SimCore,
-    nodes: Vec<Box<dyn Node>>,
-    scripts: Vec<ScriptFn>,
+    pub core: Spare<SimCore>,
+    nodes: Spare<Vec<Box<dyn Node>>>,
+    scripts: Spare<Vec<ScriptFn>>,
     /// Installed dynamics actions, indexed by [`SimEvent::Dyn`]. Each
     /// entry fires exactly once, so dispatch *takes* the action out of its
     /// slot instead of cloning it.
-    dynamics: Vec<Option<DynAction>>,
+    dynamics: Spare<Vec<Option<DynAction>>>,
     started: bool,
 }
 
 impl Simulator {
     /// Create an empty simulation with the given RNG seed, on the storage
-    /// the last world dropped on this thread gave back (see the
-    /// ARCHITECTURE contract on world storage).
+    /// the last world dropped on this thread gave back.
     pub fn new(seed: u64) -> Self {
-        let WorldSpare {
-            core,
-            nodes,
-            scripts,
-            dynamics,
-        } = WorldSpare::take();
+        let mut core: Spare<SimCore> = Spare::default();
+        core.start(seed);
         Simulator {
-            core: SimCore::new(seed, core),
-            nodes,
-            scripts,
-            dynamics,
+            core,
+            nodes: Spare::default(),
+            scripts: Spare::default(),
+            dynamics: Spare::default(),
             started: false,
         }
     }
@@ -883,7 +846,7 @@ impl Simulator {
         name: impl Into<Cow<'static, str>>,
     ) -> IfaceId {
         assert!(node.0 < self.nodes.len(), "no such node");
-        let core = &mut self.core;
+        let core = &mut *self.core;
         let id = u32::try_from(core.ifaces.len())
             .ok()
             .filter(|&i| i != NO_IFACE)
@@ -1228,24 +1191,6 @@ impl Simulator {
             }
             DynAction::Stop => self.core.request_stop(),
         }
-    }
-}
-
-impl Drop for Simulator {
-    /// World teardown: the queued events, links and nodes are dropped,
-    /// and the emptied storage that held them goes to the thread for the
-    /// next world. This is the one way world storage is released.
-    fn drop(&mut self) {
-        let core = self.core.recycle();
-        self.nodes.clear();
-        self.scripts.clear();
-        self.dynamics.clear();
-        WorldSpare::give(WorldSpare {
-            core,
-            nodes: std::mem::take(&mut self.nodes),
-            scripts: std::mem::take(&mut self.scripts),
-            dynamics: std::mem::take(&mut self.dynamics),
-        });
     }
 }
 
@@ -2257,13 +2202,18 @@ mod tests {
             let ping = sim.node(a).as_any().downcast_ref::<Pinger>().unwrap();
             (s, ping.got, ping.timer_fired.clone())
         };
+        let cores = || {
+            let stock = crate::spare::stock().into_iter();
+            let mut cores = stock.filter(|s| s.kind == std::any::type_name::<SimCore>());
+            cores.next().map_or(0, |s| s.on_hand)
+        };
         let (fresh, warm, spares) = std::thread::spawn(move || {
             let fresh = run(7);
-            assert_eq!(WorldSpare::on_thread(), 1);
+            assert_eq!(cores(), 1);
             let both = (Simulator::new(1), Simulator::new(2));
-            assert_eq!(WorldSpare::on_thread(), 0);
+            assert_eq!(cores(), 0);
             drop(both);
-            (fresh, run(7), WorldSpare::on_thread())
+            (fresh, run(7), cores())
         })
         .join()
         .unwrap();

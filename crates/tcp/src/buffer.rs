@@ -212,6 +212,16 @@ pub struct ReassemblyRings {
     segs: VecDeque<(u64, Bytes)>,
 }
 
+impl smapp_sim::Recycle for ReassemblyRings {
+    fn reset(&mut self) {
+        self.ready.clear();
+        self.segs.clear();
+    }
+    fn is_empty(&self) -> bool {
+        self.ready.is_empty() && self.segs.is_empty()
+    }
+}
+
 impl Reassembly {
     /// A reassembly queue expecting offset 0 first.
     pub fn new() -> Self {
