@@ -53,12 +53,6 @@ impl PmClient {
         self.pending_info.push((seq, tag));
     }
 
-    /// Info queries still waiting for their reply.
-    #[cfg(test)]
-    pub(crate) fn pending_queries(&self) -> usize {
-        self.pending_info.len()
-    }
-
     /// The tag of the info query that reply `seq` answers (0 when none is
     /// pending); the query is no longer pending afterwards.
     pub(crate) fn take_tag(&mut self, seq: u32) -> u64 {
@@ -67,5 +61,13 @@ impl PmClient {
             .position(|(s, _)| *s == seq)
             .map(|i| self.pending_info.remove(i).1)
             .unwrap_or(0)
+    }
+}
+
+#[cfg(test)]
+impl PmClient {
+    /// Info queries still waiting for their reply.
+    pub(crate) fn pending_queries(&self) -> usize {
+        self.pending_info.len()
     }
 }

@@ -134,18 +134,13 @@ impl Default for KeptReply {
 }
 
 impl Recycle for KeptReply {
+    /// Only the subflow vector needs emptying: the next reply read into it
+    /// overwrites every other field.
     fn reset(&mut self) {
-        let mut subflows = match &mut self.0 {
-            PmNlMessage::InfoReply { subflows, .. } => std::mem::take(subflows),
-            _ => Vec::new(),
-        };
-        subflows.clear();
-        *self = KeptReply(PmNlMessage::InfoReply {
-            seq: 0,
-            token: 0,
-            conn: None,
-            subflows,
-        });
+        match &mut self.0 {
+            PmNlMessage::InfoReply { subflows, .. } => subflows.clear(),
+            other => *other = KeptReply::default().0,
+        }
     }
     fn is_empty(&self) -> bool {
         matches!(&self.0, PmNlMessage::InfoReply { subflows, .. } if subflows.is_empty())

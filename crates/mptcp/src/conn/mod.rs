@@ -434,12 +434,6 @@ impl Connection {
         self.app_closed = true;
     }
 
-    /// The connection-level send buffer, for tests of what it retains.
-    #[cfg(test)]
-    pub(crate) fn send_buffer(&self) -> &smapp_tcp::SendBuffer {
-        &self.meta_send
-    }
-
     /// Run one application callback. The app is taken out for the call so
     /// the callback can reach the connection through its [`AppCtx`].
     fn with_app(
@@ -687,6 +681,14 @@ impl Connection {
             window: window.min(u16::MAX as u64) as u16,
         };
         env.send_segment(sf.tuple.src, sf.tuple.dst, &hdr, &opts, &what.payload);
+    }
+}
+
+#[cfg(test)]
+impl Connection {
+    /// The connection-level send buffer, for tests of what it retains.
+    pub(crate) fn send_buffer(&self) -> &smapp_tcp::SendBuffer {
+        &self.meta_send
     }
 }
 

@@ -133,14 +133,6 @@ impl Recycle for SubflowSpare {
     }
 }
 
-#[cfg(test)]
-impl SubflowSpare {
-    /// The capacity of its flight and mapping rings.
-    pub(crate) fn ring_capacities(&self) -> (usize, usize) {
-        (self.flight.capacity(), self.recv_maps.capacity())
-    }
-}
-
 /// One subflow.
 pub struct Subflow {
     /// Dense per-connection id (also used as the MPTCP address id).
@@ -447,6 +439,14 @@ impl Subflow {
             retrans: self.stats.retrans,
             backup: self.backup,
         }
+    }
+}
+
+#[cfg(test)]
+impl SubflowSpare {
+    /// The capacity of its flight and mapping rings.
+    pub(crate) fn ring_capacities(&self) -> (usize, usize) {
+        (self.flight.capacity(), self.recv_maps.capacity())
     }
 }
 

@@ -156,13 +156,6 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    #[cfg(test)]
-    pub(crate) fn new() -> Self {
-        let mut q = Self::default();
-        q.ensure_wheel();
-        q
-    }
-
     /// Allocate the bucket table unless the queue has one.
     pub(crate) fn ensure_wheel(&mut self) {
         if self.heads.is_empty() {
@@ -200,13 +193,6 @@ impl<E> EventQueue<E> {
     /// High-water mark of [`EventQueue::len`] since construction.
     pub(crate) fn peak_len(&self) -> usize {
         self.peak_len
-    }
-
-    /// Slab slots ever created; equals [`EventQueue::peak_len`] as long as
-    /// freed slots are reused before the slab grows.
-    #[cfg(test)]
-    pub(crate) fn slab_len(&self) -> usize {
-        self.slab.len()
     }
 
     pub(crate) fn push(&mut self, at: SimTime, seq: u64, ev: E) {
@@ -368,6 +354,21 @@ impl<E> EventQueue<E> {
             self.far.pop();
             self.link(tick, slot);
         }
+    }
+}
+
+#[cfg(test)]
+impl<E> EventQueue<E> {
+    pub(crate) fn new() -> Self {
+        let mut q = Self::default();
+        q.ensure_wheel();
+        q
+    }
+
+    /// Slab slots ever created; equals [`EventQueue::peak_len`] as long as
+    /// freed slots are reused before the slab grows.
+    pub(crate) fn slab_len(&self) -> usize {
+        self.slab.len()
     }
 }
 

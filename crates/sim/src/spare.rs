@@ -14,16 +14,15 @@
 
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasher, Hash};
+use std::hash::Hash;
 use std::ops::{Deref, DerefMut};
 
-/// A kind of storage the thread recycles.
-///
-/// `Default` is the empty storage and must allocate nothing: a dropped
-/// [`Spare`] leaves one behind. Capacity is never observable, so a spare
-/// that arrives with capacity moves no trajectory.
+use crate::hash::FxHashMap;
+
+/// A kind of storage the thread recycles. `Default` is the storage an
+/// owner starts on when the store has no spare. Capacity is never
+/// observable, so a spare that arrives with capacity moves no trajectory.
 pub trait Recycle: Default + 'static {
     /// Drop everything held, keeping the capacity.
     fn reset(&mut self);
@@ -50,10 +49,7 @@ impl<T: Recycle> Recycle for Box<T> {
     }
 }
 
-impl<K: 'static, V: 'static, S: BuildHasher + Default + 'static> Recycle for HashMap<K, V, S>
-where
-    K: Eq + Hash,
-{
+impl<K: Eq + Hash + 'static, V: 'static> Recycle for FxHashMap<K, V> {
     fn reset(&mut self) {
         self.clear();
     }
@@ -69,6 +65,7 @@ where
 /// once: no cap is needed. Taking one makes room to give it back, so the
 /// list grows while owners are built and never while they are torn down,
 /// when a world's storage is all still live.
+#[derive(Default)]
 struct Shelf<T> {
     spares: Vec<T>,
     /// Spares handed out and not given back yet.
@@ -91,14 +88,14 @@ impl<T> Shelf<T> {
 
 /// A shelf of any kind, as the store keeps it.
 trait AnyShelf: Any {
-    fn stock(&self) -> Stock;
+    fn stock(&self, key: u8) -> Stock;
 }
 
 impl<T: Recycle> AnyShelf for Shelf<T> {
-    fn stock(&self) -> Stock {
+    fn stock(&self, key: u8) -> Stock {
         Stock {
             kind: std::any::type_name::<T>(),
-            key: 0,
+            key,
             on_hand: self.spares.len(),
             out: self.out,
             holding: self.spares.iter().filter(|s| !s.is_empty()).count(),
@@ -125,10 +122,7 @@ fn with_shelf<T: Recycle, R>(key: u8, f: impl FnOnce(&mut Shelf<T>) -> R) -> Opt
         .try_with(|store| {
             let mut store = store.borrow_mut();
             if !store.iter().any(|e| e.kind == kind && e.key == key) {
-                let shelf = Box::new(Shelf::<T> {
-                    spares: Vec::new(),
-                    out: 0,
-                });
+                let shelf = Box::new(Shelf::<T>::default());
                 store.push(Entry { kind, key, shelf });
             }
             let entry = store.iter_mut().find(|e| e.kind == kind && e.key == key)?;
@@ -240,13 +234,7 @@ pub fn on_hand<T: Recycle, R>(key: u8, f: impl FnOnce(&[T]) -> R) -> R {
 
 /// The thread's store, one entry per kind and key in first-use order.
 pub fn stock() -> Vec<Stock> {
-    STORE.with_borrow(|store| {
-        let stock = store.iter().map(|e| Stock {
-            key: e.key,
-            ..e.shelf.stock()
-        });
-        stock.collect()
-    })
+    STORE.with_borrow(|store| store.iter().map(|e| e.shelf.stock(e.key)).collect())
 }
 
 #[cfg(test)]
@@ -260,8 +248,9 @@ mod tests {
         let capacity = || with_shelf::<Vec<u8>, _>(7, |s| (s.spares.len(), s.spares.capacity()));
         let taken: Vec<Vec<u8>> = (0..9).map(|_| take(7)).collect();
         assert!(taken.iter().all(|v| v.capacity() == 0));
-        let (_, cap) = capacity().unwrap();
-        assert!(cap >= 9);
+        let Some((0, cap)) = capacity().filter(|&(_, cap)| cap >= 9) else {
+            panic!("taking nine spares makes room for nine");
+        };
         for i in 0..9u8 {
             give(7, Vec::<u8>::with_capacity(usize::from(i) + 1));
         }
@@ -272,8 +261,8 @@ mod tests {
         assert_eq!((last.len(), last.capacity()), (0, 9));
         give(7, last);
         assert_eq!(capacity(), Some((9, cap)));
-        let mine = stock().into_iter().find(|s| s.key == 7).unwrap();
-        assert_eq!((mine.on_hand, mine.out, mine.holding), (9, 0, 0));
+        let mine = stock().into_iter().find(|s| s.key == 7);
+        assert_eq!(mine.map(|s| (s.on_hand, s.out, s.holding)), Some((9, 0, 0)));
     }
 
     /// A [`Spare`] gives its storage back, emptied, when it drops.

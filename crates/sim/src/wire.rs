@@ -128,13 +128,6 @@ impl TcpFlags {
     }
 }
 
-/// Flag sets the simulator's own tests build segments with.
-#[cfg(test)]
-impl TcpFlags {
-    pub(crate) const PSH_ACK: TcpFlags = TcpFlags::from_byte(0x18);
-    pub(crate) const FIN_ACK: TcpFlags = TcpFlags::from_byte(0x11);
-}
-
 impl fmt::Debug for TcpFlags {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let marks = [
@@ -394,6 +387,13 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// Flag sets the simulator's own tests build segments with.
+#[cfg(test)]
+impl TcpFlags {
+    pub(crate) const PSH_ACK: TcpFlags = TcpFlags::from_byte(0x18);
+    pub(crate) const FIN_ACK: TcpFlags = TcpFlags::from_byte(0x11);
+}
 
 /// A pure ACK from port 40000 to 80 whose data offset is valid but whose
 /// option area is not: a kind-30 option claiming length 0. Every reader

@@ -794,13 +794,8 @@ pub enum InstallPolicy {
     Strict,
 }
 
-/// The complete simulation.
-///
-/// Its storage — the core's tables and event queue, and the node, script
-/// and dynamics lists — comes from the thread's store and goes back to
-/// it, emptied, when the simulator drops, so a world built after another
-/// one on the same thread starts on the tables that one grew (see the
-/// ARCHITECTURE contract on recycled storage).
+/// The complete simulation. Its core and its node, script and dynamics
+/// lists come from the thread's store and go back to it when it drops.
 pub struct Simulator {
     /// The shared core (public so scenario code can inspect links/stats
     /// between runs).
