@@ -419,7 +419,11 @@ mod tests {
             let (len, cap) = kept(&rt);
             assert!(len == 2 && cap >= 2);
             drop(rt);
-            let spares = || smapp_sim::spare::on_hand(0, |s: &[KeptReply]| s.len());
+            let spares = || {
+                let kind = std::any::type_name::<KeptReply>();
+                let mut stock = smapp_sim::spare::stock().into_iter();
+                stock.find(|s| s.kind == kind).map_or(0, |s| s.on_hand)
+            };
             assert_eq!(spares(), 1);
             let mut rt = ControllerRuntime::new(Probe::default());
             assert_eq!(spares(), 0);

@@ -72,8 +72,9 @@ pub type AppFactory = Box<dyn FnMut() -> Box<dyn App> + Send>;
 /// stream taps (sent, received) and its subflow table, in one box that
 /// the thread recycles whole, so a spare costs its list one pointer. A
 /// live connection holds the box beside its subflow table and moves the
-/// table back in when it retires. Kept by [`Role`](crate::Role), like the rings of a
-/// connection, so each tap slot comes back sized for its direction.
+/// table back in when it retires. Kept by [`Role`](crate::Role), like
+/// a connection's rings, so each tap slot comes back sized for its
+/// direction.
 pub(crate) struct Retired {
     pub(crate) taps: [Vec<u64>; 2],
     pub(crate) subflows: Vec<Subflow>,
@@ -81,8 +82,8 @@ pub(crate) struct Retired {
 
 impl Default for Retired {
     /// Nothing to reuse: a subflow table with two slots, where `Vec`
-    /// would reserve one slot per push for elements this large, as most
-    /// connections run two subflows, one per path.
+    /// would reserve four on the first push, as most connections run two
+    /// subflows, one per path.
     fn default() -> Self {
         Retired {
             taps: Default::default(),
@@ -702,7 +703,7 @@ mod tests {
         };
         std::thread::spawn(move || {
             let fresh = run();
-            let stacks = spare::on_hand(0, |s: &[Box<Tables>]| {
+            let stacks = on_hand(0, |s: &[Box<Tables>]| {
                 (s.len(), s.iter().all(|t| t.is_empty()))
             });
             assert_eq!(stacks, (2, true));
@@ -710,7 +711,7 @@ mod tests {
             // the 300 kB and the server received them: each kept the one
             // tap that grew, in its own slot, and the subflow table too.
             let retired = |role: Role| {
-                spare::on_hand(role as u8, |s: &[Box<Retired>]| {
+                on_hand(role as u8, |s: &[Box<Retired>]| {
                     let grown = |r: &Retired| r.taps.each_ref().map(|t| t.capacity() > 0);
                     let seen = s
                         .iter()
@@ -777,12 +778,27 @@ mod tests {
         assert_eq!(tap(&server.stats.tap_sent), tap(&client.stats.tap_recvd));
     }
 
+    /// Read the spares of kind `T` the thread holds under `key`, in the
+    /// order they were given back: they are taken out of the store for
+    /// `f` and given back in the same order.
+    fn on_hand<T: Recycle, R>(key: u8, f: impl FnOnce(&[T]) -> R) -> R {
+        let kind = std::any::type_name::<T>();
+        let mut stock = spare::stock().into_iter();
+        let n = stock.find(|s| s.kind == kind && s.key == key);
+        let n = n.map_or(0, |s| s.on_hand);
+        let mut spares: Vec<T> = (0..n).map(|_| spare::take(key)).collect();
+        spares.reverse();
+        let read = f(&spares);
+        spares.into_iter().for_each(|s| spare::give(key, s));
+        read
+    }
+
     /// How many subflow and connection spares the thread holds for `role`
     /// connections, after checking that none of them still holds
     /// anything.
     fn on_thread(role: Role) -> (usize, usize) {
         fn count<T: Recycle>(role: Role) -> usize {
-            spare::on_hand(role as u8, |s: &[T]| {
+            on_hand(role as u8, |s: &[T]| {
                 assert!(s.iter().all(T::is_empty));
                 s.len()
             })
@@ -793,7 +809,7 @@ mod tests {
     /// The flight and mapping ring capacities of each subflow spare the
     /// thread holds for `role` connections.
     fn subflow_rings(role: Role) -> Vec<(usize, usize)> {
-        spare::on_hand(role as u8, |s: &[SubflowSpare]| {
+        on_hand(role as u8, |s: &[SubflowSpare]| {
             s.iter().map(SubflowSpare::ring_capacities).collect()
         })
     }

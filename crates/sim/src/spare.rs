@@ -117,20 +117,38 @@ thread_local! {
 /// Run `f` on the thread's shelf of kind `T` under `key`, made on first
 /// use. `None` once the thread is exiting and its store is gone.
 fn with_shelf<T: Recycle, R>(key: u8, f: impl FnOnce(&mut Shelf<T>) -> R) -> Option<R> {
-    let kind = TypeId::of::<T>();
     STORE
         .try_with(|store| {
             let mut store = store.borrow_mut();
-            if !store.iter().any(|e| e.kind == kind && e.key == key) {
-                let shelf = Box::new(Shelf::<T>::default());
-                store.push(Entry { kind, key, shelf });
-            }
-            let entry = store.iter_mut().find(|e| e.kind == kind && e.key == key)?;
-            let shelf: &mut dyn Any = &mut *entry.shelf;
+            let shelf: &mut dyn Any = shelf(&mut store, TypeId::of::<T>(), key, new_shelf::<T>);
             shelf.downcast_mut::<Shelf<T>>().map(f)
         })
         .ok()
         .flatten()
+}
+
+/// The store's shelf of `kind` under `key`, made by `new` on first use.
+/// Not generic, so each kind adds only its own pushes and pops.
+fn shelf(
+    store: &mut Vec<Entry>,
+    kind: TypeId,
+    key: u8,
+    new: fn() -> Box<dyn AnyShelf>,
+) -> &mut dyn AnyShelf {
+    let at = store.iter().position(|e| e.kind == kind && e.key == key);
+    let at = at.unwrap_or_else(|| {
+        store.push(Entry {
+            kind,
+            key,
+            shelf: new(),
+        });
+        store.len() - 1
+    });
+    &mut *store[at].shelf
+}
+
+fn new_shelf<T: Recycle>() -> Box<dyn AnyShelf> {
+    Box::new(Shelf::<T>::default())
 }
 
 /// The spare of kind `T` given back last under `key`, or empty storage
@@ -176,16 +194,27 @@ impl<T: Recycle> Deref for Spare<T> {
     fn deref(&self) -> &T {
         match &self.0 {
             Some(storage) => storage,
-            // Never taken: only `drop` empties a spare.
-            None => Box::leak(Box::default()),
+            None => given_back(),
         }
     }
 }
 
 impl<T: Recycle> DerefMut for Spare<T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.0.get_or_insert_with(T::default)
+        match &mut self.0 {
+            Some(storage) => storage,
+            None => given_back(),
+        }
     }
+}
+
+/// What a spare reads as once `drop` has given its storage back: empty
+/// storage of its kind. Nothing reads a spare then, so this never runs;
+/// it is out of line to keep every read of a spare one test and a jump.
+#[cold]
+#[inline(never)]
+fn given_back<T: Recycle>() -> &'static mut T {
+    Box::leak(Box::default())
 }
 
 impl<T: Recycle + fmt::Debug> fmt::Debug for Spare<T> {
@@ -219,17 +248,6 @@ pub struct Stock {
     /// Spares on hand that still hold something: a reset that forgot a
     /// field.
     pub holding: usize,
-}
-
-/// Read the spares of kind `T` the thread holds under `key`, the next one
-/// [`take`] hands out last.
-pub fn on_hand<T: Recycle, R>(key: u8, f: impl FnOnce(&[T]) -> R) -> R {
-    let kind = TypeId::of::<T>();
-    STORE.with_borrow(|store| {
-        let entry = store.iter().find(|e| e.kind == kind && e.key == key);
-        let shelf = entry.and_then(|e| (&*e.shelf as &dyn Any).downcast_ref::<Shelf<T>>());
-        f(shelf.map_or(&[], |s| &s.spares))
-    })
 }
 
 /// The thread's store, one entry per kind and key in first-use order.
