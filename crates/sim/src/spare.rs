@@ -103,9 +103,9 @@ impl<T: Recycle> AnyShelf for Shelf<T> {
     }
 }
 
+/// A shelf, by kind and key.
 struct Entry {
-    kind: TypeId,
-    key: u8,
+    kind: (TypeId, u8),
     shelf: Box<dyn AnyShelf>,
 }
 
@@ -120,35 +120,27 @@ fn with_shelf<T: Recycle, R>(key: u8, f: impl FnOnce(&mut Shelf<T>) -> R) -> Opt
     STORE
         .try_with(|store| {
             let mut store = store.borrow_mut();
-            let shelf: &mut dyn Any = shelf(&mut store, TypeId::of::<T>(), key, new_shelf::<T>);
+            let new = || -> Box<dyn AnyShelf> { Box::new(Shelf::<T>::default()) };
+            let shelf: &mut dyn Any = shelf(&mut store, (TypeId::of::<T>(), key), new);
             shelf.downcast_mut::<Shelf<T>>().map(f)
         })
         .ok()
         .flatten()
 }
 
-/// The store's shelf of `kind` under `key`, made by `new` on first use.
-/// Not generic, so each kind adds only its own pushes and pops.
+/// The store's shelf of `kind` (type and key), made by `new` on first
+/// use. Not generic, so each kind adds only its own pushes and pops.
 fn shelf(
     store: &mut Vec<Entry>,
-    kind: TypeId,
-    key: u8,
+    kind: (TypeId, u8),
     new: fn() -> Box<dyn AnyShelf>,
 ) -> &mut dyn AnyShelf {
-    let at = store.iter().position(|e| e.kind == kind && e.key == key);
+    let at = store.iter().position(|e| e.kind == kind);
     let at = at.unwrap_or_else(|| {
-        store.push(Entry {
-            kind,
-            key,
-            shelf: new(),
-        });
+        store.push(Entry { kind, shelf: new() });
         store.len() - 1
     });
     &mut *store[at].shelf
-}
-
-fn new_shelf<T: Recycle>() -> Box<dyn AnyShelf> {
-    Box::new(Shelf::<T>::default())
 }
 
 /// The spare of kind `T` given back last under `key`, or empty storage
@@ -252,7 +244,7 @@ pub struct Stock {
 
 /// The thread's store, one entry per kind and key in first-use order.
 pub fn stock() -> Vec<Stock> {
-    STORE.with_borrow(|store| store.iter().map(|e| e.shelf.stock(e.key)).collect())
+    STORE.with_borrow(|store| store.iter().map(|e| e.shelf.stock(e.kind.1)).collect())
 }
 
 #[cfg(test)]

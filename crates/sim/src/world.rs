@@ -273,14 +273,6 @@ impl Recycle for SimCore {
 }
 
 impl SimCore {
-    /// Start the simulation RNG from `seed` and make sure the event
-    /// queue has its bucket table: what a core taken from the thread's
-    /// store lacks to begin a world.
-    fn start(&mut self, seed: u64) {
-        self.rng = SimRng::seed_from_u64(seed);
-        self.queue.ensure_wheel();
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -814,7 +806,8 @@ impl Simulator {
     /// the last world dropped on this thread gave back.
     pub fn new(seed: u64) -> Self {
         let mut core: Spare<SimCore> = Spare::default();
-        core.start(seed);
+        core.rng = SimRng::seed_from_u64(seed);
+        core.queue.ensure_wheel();
         Simulator {
             core,
             nodes: Spare::default(),
