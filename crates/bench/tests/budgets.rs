@@ -34,7 +34,7 @@ const NON_TEST_LINES: [(&str, usize); 7] = [
     ("mptcp", 5401),
     ("netlink", 1214),
     ("pm", 1344),
-    ("sim", 6074),
+    ("sim", 6073),
     ("tcp", 1913),
 ];
 const UNWRAP_EXPECT: [(&str, usize); 6] = [

@@ -962,24 +962,27 @@ impl Simulator {
         let mut popped = 0u64;
         let start = (self.core.stale, self.core.requeued);
         let reason = loop {
-            if self.core.stop_requested {
+            // The core is read through its spare once per event here and
+            // once in `dispatch`, not once per field.
+            let core = &mut *self.core;
+            if core.stop_requested {
                 break StopReason::Requested;
             }
-            if popped >= self.core.event_limit {
+            if popped >= core.event_limit {
                 break StopReason::EventLimit;
             }
-            let Some(head_at) = self.core.queue.peek_time() else {
+            let Some(head_at) = core.queue.peek_time() else {
                 break StopReason::Idle;
             };
             if let Some(h) = horizon {
                 if head_at > h {
-                    self.core.now = h;
+                    core.now = h;
                     break StopReason::Horizon;
                 }
             }
-            let Scheduled { at, seq, ev } = self.core.queue.pop().unwrap();
-            debug_assert!(at >= self.core.now, "time went backwards");
-            self.core.now = at;
+            let Scheduled { at, seq, ev } = core.queue.pop().unwrap();
+            debug_assert!(at >= core.now, "time went backwards");
+            core.now = at;
             popped += 1;
             self.dispatch(seq, ev);
         };
@@ -1005,29 +1008,28 @@ impl Simulator {
                 self.nodes[node.0].on_start(&mut ctx);
             }
             SimEvent::Timer { node, handle } => {
-                let Some(token) = self.core.pop_timer(node, handle, seq) else {
+                let core = &mut *self.core;
+                let Some(token) = core.pop_timer(node, handle, seq) else {
                     return;
                 };
-                let mut ctx = Ctx {
-                    core: &mut self.core,
-                    node,
-                };
+                let mut ctx = Ctx { core, node };
                 self.nodes[node.0].on_timer(&mut ctx, token);
             }
             SimEvent::TxDone { link, dir, pkt } => {
+                let core = &mut *self.core;
                 // The packet has left the serializer; decide its fate.
-                let now = self.core.now;
+                let now = core.now;
                 let (p, delay, reorder) = {
-                    let st = self.core.links[link.0].dir_ref(dir);
+                    let st = core.links[link.0].dir_ref(dir);
                     (st.cfg.loss.ratio_at(now), st.cfg.delay, st.cfg.reorder)
                 };
                 // Impairment trials run loss → reorder; each is guarded so
                 // a disabled impairment performs no RNG draw (existing
                 // per-seed trajectories stay bit-identical).
-                let lost = p > 0.0 && self.core.rng.chance(p);
+                let lost = p > 0.0 && core.rng.chance(p);
                 if lost {
-                    self.core.links[link.0].dir_mut(dir).stats.dropped_random += 1;
-                    self.core.trace_event(
+                    core.links[link.0].dir_mut(dir).stats.dropped_random += 1;
+                    core.trace_event(
                         TraceKind::Drop {
                             link: Some(link),
                             reason: DropReason::Random,
@@ -1035,28 +1037,28 @@ impl Simulator {
                         &pkt,
                     );
                 } else {
-                    let held = reorder.pct > 0.0 && self.core.rng.chance(reorder.pct);
+                    let held = reorder.pct > 0.0 && core.rng.chance(reorder.pct);
                     let prop = if held {
-                        self.core.links[link.0].dir_mut(dir).stats.reordered += 1;
+                        core.links[link.0].dir_mut(dir).stats.reordered += 1;
                         delay + reorder.hold
                     } else {
                         delay
                     };
-                    self.core
-                        .push(now + prop, SimEvent::Deliver { link, dir, pkt });
+                    core.push(now + prop, SimEvent::Deliver { link, dir, pkt });
                 }
-                let st = self.core.links[link.0].dir_mut(dir);
+                let st = core.links[link.0].dir_mut(dir);
                 match st.queue.pop_front() {
-                    Some(next) => self.core.start_tx(link, dir, next),
+                    Some(next) => core.start_tx(link, dir, next),
                     None => st.busy = false,
                 }
             }
             SimEvent::Deliver { link, dir, pkt } => {
-                let iface_id = self.core.links[link.0].sink_iface(dir);
-                let iface = &self.core.ifaces[iface_id.0];
+                let core = &mut *self.core;
+                let iface_id = core.links[link.0].sink_iface(dir);
+                let iface = &core.ifaces[iface_id.0];
                 let node = iface.node;
                 if !iface.up {
-                    self.core.trace_event(
+                    core.trace_event(
                         TraceKind::Drop {
                             link: Some(link),
                             reason: DropReason::IfaceDown,
@@ -1066,11 +1068,11 @@ impl Simulator {
                     return;
                 }
                 {
-                    let st = self.core.links[link.0].dir_mut(dir);
+                    let st = core.links[link.0].dir_mut(dir);
                     st.stats.delivered += 1;
                     st.stats.bytes_delivered += pkt.wire_len() as u64;
                 }
-                self.core.trace_event(
+                core.trace_event(
                     TraceKind::Deliver {
                         link,
                         iface: iface_id,
@@ -1078,10 +1080,7 @@ impl Simulator {
                     },
                     &pkt,
                 );
-                let mut ctx = Ctx {
-                    core: &mut self.core,
-                    node,
-                };
+                let mut ctx = Ctx { core, node };
                 self.nodes[node.0].on_packet(&mut ctx, iface_id, pkt);
             }
             SimEvent::IfaceAdmin { iface, up } => {
