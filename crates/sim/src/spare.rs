@@ -72,26 +72,34 @@ struct Shelf<T> {
     out: usize,
 }
 
-impl<T> Shelf<T> {
-    fn take(&mut self) -> Option<T> {
-        let spare = self.spares.pop();
-        self.out += 1;
-        self.spares.reserve(self.out);
-        spare
-    }
-
-    fn give(&mut self, spare: T) {
-        self.out = self.out.saturating_sub(1);
-        self.spares.push(spare);
-    }
-}
-
 /// A shelf of any kind, as the store keeps it.
 trait AnyShelf: Any {
+    /// Give the spare in `slot`, an `Option` of the shelf's kind, to the
+    /// shelf; or, when `slot` is empty, take the spare given back last
+    /// into it, making room for it to come back.
+    fn trade(&mut self, slot: &mut dyn Any);
+
     fn stock(&self, key: u8) -> Stock;
 }
 
 impl<T: Recycle> AnyShelf for Shelf<T> {
+    fn trade(&mut self, slot: &mut dyn Any) {
+        let Some(slot) = slot.downcast_mut::<Option<T>>() else {
+            return;
+        };
+        match slot.take() {
+            Some(spare) => {
+                self.out = self.out.saturating_sub(1);
+                self.spares.push(spare);
+            }
+            None => {
+                *slot = self.spares.pop();
+                self.out += 1;
+                self.spares.reserve(self.out);
+            }
+        }
+    }
+
     fn stock(&self, key: u8) -> Stock {
         Stock {
             kind: std::any::type_name::<T>(),
@@ -114,47 +122,39 @@ thread_local! {
     static STORE: RefCell<Vec<Entry>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Run `f` on the thread's shelf of kind `T` under `key`, made on first
-/// use. `None` once the thread is exiting and its store is gone.
-fn with_shelf<T: Recycle, R>(key: u8, f: impl FnOnce(&mut Shelf<T>) -> R) -> Option<R> {
-    STORE
-        .try_with(|store| {
-            let mut store = store.borrow_mut();
-            let new = || -> Box<dyn AnyShelf> { Box::new(Shelf::<T>::default()) };
-            let shelf: &mut dyn Any = shelf(&mut store, (TypeId::of::<T>(), key), new);
-            shelf.downcast_mut::<Shelf<T>>().map(f)
-        })
-        .ok()
-        .flatten()
+/// Trade `slot` with the thread's shelf of `kind` (type and key), made by
+/// `new` on first use; nothing happens once the thread is exiting and its
+/// store is gone. Not generic, so a kind adds only its own trades.
+fn trade(kind: (TypeId, u8), new: fn() -> Box<dyn AnyShelf>, slot: &mut dyn Any) {
+    let _ = STORE.try_with(|store| {
+        let mut store = store.borrow_mut();
+        let at = store.iter().position(|e| e.kind == kind);
+        let at = at.unwrap_or_else(|| {
+            store.push(Entry { kind, shelf: new() });
+            store.len() - 1
+        });
+        store[at].shelf.trade(slot);
+    });
 }
 
-/// The store's shelf of `kind` (type and key), made by `new` on first
-/// use. Not generic, so each kind adds only its own pushes and pops.
-fn shelf(
-    store: &mut Vec<Entry>,
-    kind: (TypeId, u8),
-    new: fn() -> Box<dyn AnyShelf>,
-) -> &mut dyn AnyShelf {
-    let at = store.iter().position(|e| e.kind == kind);
-    let at = at.unwrap_or_else(|| {
-        store.push(Entry { kind, shelf: new() });
-        store.len() - 1
-    });
-    &mut *store[at].shelf
+fn new_shelf<T: Recycle>() -> Box<dyn AnyShelf> {
+    Box::new(Shelf::<T>::default())
 }
 
 /// The spare of kind `T` given back last under `key`, or empty storage
 /// when there is none; either way the store keeps room for it to come
 /// back.
 pub fn take<T: Recycle>(key: u8) -> T {
-    with_shelf(key, Shelf::take).flatten().unwrap_or_default()
+    let mut slot = None::<T>;
+    trade((TypeId::of::<T>(), key), new_shelf::<T>, &mut slot);
+    slot.unwrap_or_default()
 }
 
 /// Empty `spare` and keep it under `key` for the next [`take`] of its
 /// kind. A spare given back while its thread exits is simply freed.
 pub fn give<T: Recycle>(key: u8, mut spare: T) {
     spare.reset();
-    with_shelf(key, |shelf| shelf.give(spare));
+    trade((TypeId::of::<T>(), key), new_shelf::<T>, &mut Some(spare));
 }
 
 /// Storage an owner holds for its whole life: taken from the thread's
@@ -255,7 +255,15 @@ mod tests {
     /// things come back in.
     #[test]
     fn giving_back_never_grows_the_list() {
-        let capacity = || with_shelf::<Vec<u8>, _>(7, |s| (s.spares.len(), s.spares.capacity()));
+        let capacity = || {
+            STORE.with_borrow(|store| {
+                let entry = store
+                    .iter()
+                    .find(|e| e.kind == (TypeId::of::<Vec<u8>>(), 7))?;
+                let shelf = (&*entry.shelf as &dyn Any).downcast_ref::<Shelf<Vec<u8>>>()?;
+                Some((shelf.spares.len(), shelf.spares.capacity()))
+            })
+        };
         let taken: Vec<Vec<u8>> = (0..9).map(|_| take(7)).collect();
         assert!(taken.iter().all(|v| v.capacity() == 0));
         let Some((0, cap)) = capacity().filter(|&(_, cap)| cap >= 9) else {
