@@ -12,12 +12,13 @@ use smapp_sim::spare;
 
 /// Kinds (storage type and key) the smoke matrix takes from the store: the
 /// simulator's core and its node, script and dynamics lists; the oracle's
-/// ledger and key table; the router's table and cache; the host's tables,
-/// sockdiag log and the path manager's outbox; the verifier's endpoint
-/// index; the controller runtime's kept reply and query table; the
-/// refresh controller's tables and log; the stack's tables; connection,
-/// subflow and retired storage for each of the two roles; completion logs.
-const KINDS: usize = 24;
+/// ledger and key table; the router's table and cache; the host's
+/// crossing table, sockdiag log and the path manager's outbox; the stack
+/// node's connect queue; the verifier's endpoint index; the controller
+/// runtime's kept reply and query table; the refresh controller's tables
+/// and log; the stack's tables; connection, subflow and retired storage
+/// for each of the two roles; completion logs.
+const KINDS: usize = 25;
 
 #[test]
 fn every_spare_comes_back_emptied_after_each_smoke_cell() {

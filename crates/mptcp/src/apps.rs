@@ -377,19 +377,20 @@ impl App for GetServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{Harness, Side};
+    use crate::world::{Side, World};
     use smapp_sim::Addr;
     use std::time::Duration;
 
     #[test]
     fn bulk_sender_completion_and_block_tracking() {
-        let mut h = Harness::new(
+        let mut h = World::new(
             1,
             Duration::from_millis(5),
-            vec![Addr::new(10, 0, 0, 1)],
-            vec![Addr::new(10, 0, 1, 1)],
+            &[Addr::new(10, 0, 0, 1)],
+            &[Addr::new(10, 0, 1, 1)],
         );
-        h.b.listen(
+        h.listen(
+            Side::B,
             80,
             Box::new(|| {
                 Box::new(Sink {
@@ -406,38 +407,44 @@ mod tests {
             )
             .unwrap();
         h.run_until(SimTime::from_secs(20));
-        let sink =
-            h.b.connections()
-                .next()
-                .unwrap()
-                .app()
-                .unwrap()
-                .as_any()
-                .downcast_ref::<Sink>()
-                .unwrap();
+        let sink = h
+            .b()
+            .connections()
+            .next()
+            .unwrap()
+            .app()
+            .unwrap()
+            .as_any()
+            .downcast_ref::<Sink>()
+            .unwrap();
         assert_eq!(sink.received, 256 * 1024);
         assert_eq!(sink.block_completions.len(), 4);
         assert!(sink.block_completions.windows(2).all(|w| w[0] <= w[1]));
-        let bulk =
-            h.a.conn_by_token(token)
-                .unwrap()
-                .app()
-                .unwrap()
-                .as_any()
-                .downcast_ref::<BulkSender>()
-                .unwrap();
+        let bulk = h
+            .a()
+            .conn_by_token(token)
+            .unwrap()
+            .app()
+            .unwrap()
+            .as_any()
+            .downcast_ref::<BulkSender>()
+            .unwrap();
         assert!(bulk.acked_at.is_some());
     }
 
     #[test]
     fn stream_sender_paces_blocks() {
-        let mut h = Harness::new(
+        let mut h = World::new(
             2,
             Duration::from_millis(5),
-            vec![Addr::new(10, 0, 0, 1)],
-            vec![Addr::new(10, 0, 1, 1)],
+            &[Addr::new(10, 0, 0, 1)],
+            &[Addr::new(10, 0, 1, 1)],
         );
-        h.b.listen(80, Box::new(|| Box::new(Sink::with_blocks(64 * 1024))));
+        h.listen(
+            Side::B,
+            80,
+            Box::new(|| Box::new(Sink::with_blocks(64 * 1024))),
+        );
         let token = h
             .connect(
                 Side::A,
@@ -446,7 +453,7 @@ mod tests {
             )
             .unwrap();
         h.run_until(SimTime::from_secs(30));
-        let app = h.a.conn_by_token(token).unwrap().app().unwrap();
+        let app = h.a().conn_by_token(token).unwrap().app().unwrap();
         let s = app.as_any().downcast_ref::<StreamSender>().unwrap();
         assert_eq!(s.sent, 5);
         assert_eq!(s.block_starts.len(), 5);
@@ -454,28 +461,29 @@ mod tests {
         for w in s.block_starts.windows(2) {
             assert_eq!((w[1] - w[0]).as_millis(), 1000);
         }
-        let sink =
-            h.b.connections()
-                .next()
-                .unwrap()
-                .app()
-                .unwrap()
-                .as_any()
-                .downcast_ref::<Sink>()
-                .unwrap();
+        let sink = h
+            .b()
+            .connections()
+            .next()
+            .unwrap()
+            .app()
+            .unwrap()
+            .as_any()
+            .downcast_ref::<Sink>()
+            .unwrap();
         assert_eq!(sink.received, 5 * 64 * 1024);
         assert_eq!(sink.block_completions.len(), 5);
     }
 
     /// Run a chain of five GETs and hand back its progress record.
     fn get_chain() -> Rc<RefCell<GetProgress>> {
-        let mut h = Harness::new(
+        let mut h = World::new(
             3,
             Duration::from_millis(2),
-            vec![Addr::new(10, 0, 0, 1)],
-            vec![Addr::new(10, 0, 1, 1)],
+            &[Addr::new(10, 0, 0, 1)],
+            &[Addr::new(10, 0, 1, 1)],
         );
-        h.b.listen(80, Box::new(|| Box::new(GetServer::new(100_000))));
+        h.listen(Side::B, 80, Box::new(|| Box::new(GetServer::new(100_000))));
         let progress = Rc::new(RefCell::new(GetProgress::default()));
         h.connect(
             Side::A,
@@ -516,13 +524,13 @@ mod tests {
 
     #[test]
     fn get_chain_runs_n_cycles() {
-        let mut h = Harness::new(
+        let mut h = World::new(
             3,
             Duration::from_millis(2),
-            vec![Addr::new(10, 0, 0, 1)],
-            vec![Addr::new(10, 0, 1, 1)],
+            &[Addr::new(10, 0, 0, 1)],
+            &[Addr::new(10, 0, 1, 1)],
         );
-        h.b.listen(80, Box::new(|| Box::new(GetServer::new(100_000))));
+        h.listen(Side::B, 80, Box::new(|| Box::new(GetServer::new(100_000))));
         let progress = Rc::new(RefCell::new(GetProgress::default()));
         h.connect(
             Side::A,
@@ -540,7 +548,7 @@ mod tests {
         h.run_until(SimTime::from_secs(60));
         assert_eq!(progress.borrow().completed, 5);
         // Five distinct connections were created on the server.
-        assert_eq!(h.b.connections().count(), 5);
+        assert_eq!(h.b().connections().count(), 5);
         let times = &progress.borrow().completions;
         assert!(times.windows(2).all(|w| w[0] < w[1]));
     }
@@ -556,16 +564,20 @@ mod tests {
 
     #[test]
     fn senders_buffer_their_static_blocks_not_copies() {
-        let mut h = Harness::new(
+        let mut h = World::new(
             4,
             Duration::from_millis(5),
-            vec![Addr::new(10, 0, 0, 1)],
-            vec![Addr::new(10, 0, 1, 1)],
+            &[Addr::new(10, 0, 0, 1)],
+            &[Addr::new(10, 0, 1, 1)],
         );
-        h.rate_a2b = Some(1_000_000);
-        h.rate_b2a = Some(1_000_000);
-        h.b.listen(80, Box::new(|| Box::new(Sink::default())));
-        h.b.listen(81, Box::new(|| Box::new(GetServer::new(512 * 1024))));
+        h.set_rate(Side::A, 1_000_000);
+        h.set_rate(Side::B, 1_000_000);
+        h.listen(Side::B, 80, Box::new(|| Box::new(Sink::default())));
+        h.listen(
+            Side::B,
+            81,
+            Box::new(|| Box::new(GetServer::new(512 * 1024))),
+        );
         let bulk = h
             .connect(Side::A, 80, Box::new(BulkSender::new(1 << 20)))
             .unwrap();
@@ -580,8 +592,11 @@ mod tests {
         h.connect(Side::A, 81, Box::new(get)).unwrap();
         // Long enough for both senders to fill, far too short to drain.
         h.run_until(SimTime::from_millis(200));
-        assert!(buffers_from(h.a.conn_by_token(bulk).unwrap(), &BULK_CHUNK));
-        let serving = h.b.connections().find(|c| !c.send_buffer().is_empty());
+        assert!(buffers_from(
+            h.a().conn_by_token(bulk).unwrap(),
+            &BULK_CHUNK
+        ));
+        let serving = h.b().connections().find(|c| !c.send_buffer().is_empty());
         assert!(buffers_from(serving.unwrap(), &RESPONSE_CHUNK));
     }
 }

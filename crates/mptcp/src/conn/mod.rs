@@ -161,7 +161,7 @@ enum FallbackCause {
 /// spare of its own role finds its rings already the size its job takes.
 #[derive(Default)]
 pub(crate) struct ConnSpare {
-    send: VecDeque<Bytes>,
+    send: VecDeque<(u64, Bytes)>,
     recv: ReassemblyRings,
     reinject: VecDeque<(u64, u64)>,
 }

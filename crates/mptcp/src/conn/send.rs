@@ -1,16 +1,7 @@
 //! Send side: the transmission pump, retransmission, connection-level
 //! reinjection and the path manager's signalling requests.
 
-use std::cell::Cell;
-
 use super::*;
-
-thread_local! {
-    /// The scheduler's candidate list for one [`Connection::pump`]. One per
-    /// thread, shared by every connection on it: taken at entry and given
-    /// back empty with its capacity, so the pump loop does not allocate.
-    static SCHED_CANDS: Cell<Vec<SchedCandidate>> = Cell::default();
-}
 
 const PSH_ACK: TcpFlags = TcpFlags {
     psh: true,
@@ -230,8 +221,9 @@ impl Connection {
             return;
         }
         let mss = self.cfg.mss as u32;
-        // Taken, not borrowed: a nested pump would get an empty list.
-        let mut cands = SCHED_CANDS.take();
+        // The drive's list, taken, not borrowed: a nested pump would get
+        // an empty one. Given back empty, so the pump does not allocate.
+        let mut cands = std::mem::take(&mut env.cands);
         loop {
             self.fill_sched_candidates(&mut cands);
             if cands.is_empty() {
@@ -318,7 +310,7 @@ impl Connection {
             break;
         }
         cands.clear();
-        SCHED_CANDS.set(cands);
+        env.cands = cands;
         self.update_coupling();
         self.maybe_close_subflows(env);
     }

@@ -2,7 +2,7 @@
 //!
 //! Stack entry points collect their outputs — packets to transmit, timers
 //! to arm, connect requests from applications, a stop request — in a
-//! [`StackEnv`] provided by the caller (the host node, or a test harness).
+//! [`StackEnv`] provided by the caller ([`crate::node::StackNode::drive`]).
 //! This keeps the protocol machinery free of any direct dependency on the
 //! simulator's node/context machinery and makes every state transition
 //! unit-testable.
@@ -12,6 +12,7 @@ use smapp_sim::{Addr, SimRng, SimTime};
 use smapp_tcp::{encode_parts, OptionWriter, TcpFixed};
 
 use crate::app::App;
+use crate::scheduler::SchedCandidate;
 
 /// A packet the stack wants transmitted.
 #[derive(Debug)]
@@ -56,6 +57,9 @@ pub struct StackEnv<'a> {
     pub connects: Vec<ConnectRequest>,
     /// Set when an application asks the whole simulation to stop.
     pub stop: bool,
+    /// The scheduler's candidate list, lent to each pump and given back
+    /// empty with its capacity.
+    pub(crate) cands: Vec<SchedCandidate>,
 }
 
 impl<'a> StackEnv<'a> {
@@ -68,6 +72,7 @@ impl<'a> StackEnv<'a> {
             timers: Vec::new(),
             connects: Vec::new(),
             stop: false,
+            cands: Vec::new(),
         }
     }
 

@@ -592,9 +592,9 @@ mod tests {
     use crate::app::NullApp;
     use crate::apps::{BulkSender, GetClient, GetServer, Sink};
     use crate::conn::{ConnSpare, Role};
-    use crate::harness::{Harness, Side};
     use crate::subflow::SfState;
     use crate::subflow::SubflowSpare;
+    use crate::world::{Side, World};
     use smapp_sim::{spare, SimTime};
     use std::time::Duration;
 
@@ -605,9 +605,10 @@ mod tests {
             Addr::new(10, 0, 2, 1),
             Addr::new(10, 0, 1, 1),
         );
-        let mut h = Harness::new(11, Duration::from_millis(5), vec![a0, a1], vec![b0]);
-        h.b.listen(80, Box::new(|| Box::new(NullApp)));
-        h.b.listen(
+        let mut h = World::new(11, Duration::from_millis(5), &[a0, a1], &[b0]);
+        h.listen(Side::B, 80, Box::new(|| Box::new(NullApp)));
+        h.listen(
+            Side::B,
             81,
             Box::new(|| {
                 Box::new(Sink {
@@ -637,18 +638,19 @@ mod tests {
             ));
         }
         h.run_until(SimTime::from_secs(2));
-        assert_eq!(h.a.t.flows.len(), 6);
-        assert_eq!(h.b.t.flows.len(), 6);
+        assert_eq!(h.a().t.flows.len(), 6);
+        assert_eq!(h.b().t.flows.len(), 6);
 
         // Reset one subflow of the middle connection: exactly its tuple
         // leaves the demux table, on both hosts.
-        let victim =
-            h.a.conn_by_token(tokens[1])
-                .unwrap()
-                .subflow(1)
-                .unwrap()
-                .tuple;
-        let mut expect = tuples(&h.a);
+        let victim = h
+            .a()
+            .conn_by_token(tokens[1])
+            .unwrap()
+            .subflow(1)
+            .unwrap()
+            .tuple;
+        let mut expect = tuples(h.a());
         h.apply(
             Side::A,
             &PmAction::CloseSubflow {
@@ -659,10 +661,10 @@ mod tests {
         );
         h.run_until(SimTime::from_secs(3));
         assert!(expect.remove(&victim));
-        assert_eq!(tuples(&h.a), expect);
-        assert_eq!(h.b.t.flows.len(), 5);
-        assert_eq!(h.a.t.by_token.len(), 3, "no connection closed yet");
-        assert_eq!(h.b.t.by_token.len(), 3);
+        assert_eq!(tuples(h.a()), expect);
+        assert_eq!(h.b().t.flows.len(), 5);
+        assert_eq!(h.a().t.by_token.len(), 3, "no connection closed yet");
+        assert_eq!(h.b().t.by_token.len(), 3);
 
         // A fourth connection that closes completely takes its own flow
         // and token with it and nothing else.
@@ -673,14 +675,14 @@ mod tests {
                 Box::new(BulkSender::new(10_000).close_when_done()),
             )
             .unwrap();
-        assert_eq!(h.a.t.by_token.len(), 4);
+        assert_eq!(h.a().t.by_token.len(), 4);
         h.run_until(SimTime::from_secs(10));
-        assert_eq!(h.a.conn_by_token(short).unwrap().state, ConnState::Closed);
-        assert!(!h.a.t.by_token.contains_key(&short));
-        assert_eq!(h.a.t.by_token.len(), 3);
-        assert_eq!(h.b.t.by_token.len(), 3);
-        assert_eq!(tuples(&h.a), expect);
-        assert_eq!(h.b.t.flows.len(), 5);
+        assert_eq!(h.a().conn_by_token(short).unwrap().state, ConnState::Closed);
+        assert!(!h.a().t.by_token.contains_key(&short));
+        assert_eq!(h.a().t.by_token.len(), 3);
+        assert_eq!(h.b().t.by_token.len(), 3);
+        assert_eq!(tuples(h.a()), expect);
+        assert_eq!(h.b().t.flows.len(), 5);
     }
 
     /// A dropped stack gives its emptied tables, and the snapshot storage
@@ -690,13 +692,13 @@ mod tests {
     fn dropped_stacks_give_back_tables_and_taps() {
         let run = || {
             let (a0, b0) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 1, 1));
-            let mut h = Harness::new(5, Duration::from_millis(5), vec![a0], vec![b0]);
-            h.loss_a2b = 0.02;
-            h.b.listen(80, Box::new(|| Box::new(Sink::default())));
+            let mut h = World::new(5, Duration::from_millis(5), &[a0], &[b0]);
+            h.set_loss(Side::A, 0.02);
+            h.listen(Side::B, 80, Box::new(|| Box::new(Sink::default())));
             let app = Box::new(BulkSender::new(300_000).close_when_done());
             let token = h.connect(Side::A, 80, app).unwrap();
             h.run_until(SimTime::from_secs(30));
-            let conn = h.a.conn_by_token(token).unwrap();
+            let conn = h.a().conn_by_token(token).unwrap();
             let tap = |t: &smapp_tcp::StreamTap| (t.count(), t.digest());
             let tuple = conn.subflow(0).unwrap().tuple;
             (token, tuple, tap(&conn.stats.tap_sent), h.now())
@@ -729,10 +731,10 @@ mod tests {
 
     /// Run `h` in 1 ms slices, calling `check` after each, until `done`.
     fn advance(
-        h: &mut Harness,
+        h: &mut World,
         clock: &mut SimTime,
-        check: &mut impl FnMut(&Harness),
-        done: impl Fn(&Harness) -> bool,
+        check: &mut impl FnMut(&World),
+        done: impl Fn(&World) -> bool,
     ) {
         for _ in 0..100_000 {
             if done(h) {
@@ -742,18 +744,18 @@ mod tests {
             h.run_until(*clock);
             check(h);
         }
-        panic!("harness stalled at {:?}", h.now());
+        panic!("world stalled at {:?}", h.now());
     }
 
     const ROLES: [Role; 2] = [Role::Client, Role::Server];
 
-    /// Live subflows and open connections of `role` on `h`: the harness's
+    /// Live subflows and open connections of `role` on `h`: the world's
     /// side A opens every connection, so its stack holds the clients and
     /// side B's the servers.
-    fn live(h: &Harness, role: Role) -> (usize, usize) {
+    fn live(h: &World, role: Role) -> (usize, usize) {
         let stack = match role {
-            Role::Client => &h.a,
-            Role::Server => &h.b,
+            Role::Client => h.a(),
+            Role::Server => h.b(),
         };
         let subflows = stack.connections().map(|c| c.live_subflows().count());
         let open = stack.connections().filter(|c| c.state != ConnState::Closed);
@@ -826,28 +828,29 @@ mod tests {
             Addr::new(10, 0, 2, 1),
             Addr::new(10, 0, 1, 1),
         );
-        let mut h = Harness::new(23, Duration::from_millis(5), vec![a0, a1], vec![b0]);
-        h.loss_a2b = 0.02;
-        h.loss_b2a = 0.02;
+        let mut h = World::new(23, Duration::from_millis(5), &[a0, a1], &[b0]);
+        h.set_loss(Side::A, 0.02);
+        h.set_loss(Side::B, 0.02);
         // Both ends send, so the spares carry flight, reassembly and
         // mapping state from both stacks; every connection moves its own
         // byte counts.
         let server_size = |i: u64| 30_000 + 1_009 * i;
         let mut accepted = 0;
-        h.b.listen(
+        h.listen(
+            Side::B,
             80,
             Box::new(move || {
                 accepted += 1;
                 Box::new(BulkSender::new(server_size(accepted - 1)).close_when_done())
             }),
         );
-        let send_buf = h.a.cfg.send_buf;
+        let send_buf = h.a().cfg.send_buf;
         // The most subflows and connections of each role ever live on the
         // thread, from what it held before. A spare comes from a live
         // object of its role and is taken first, so spares plus live
         // objects never pass that peak.
         let mut peak = ROLES.map(on_thread);
-        let mut check = |h: &Harness| {
+        let mut check = |h: &World| {
             for (role, peak) in ROLES.into_iter().zip(&mut peak) {
                 let (live_sf, live_conns) = live(h, role);
                 *peak = (peak.0.max(live_sf), peak.1.max(live_conns));
@@ -870,11 +873,11 @@ mod tests {
                 reused[0] += 1;
                 assert_eq!(on_thread(Role::Client), one_taken(before));
             }
-            assert_fresh(h.a.conn_by_token(token).unwrap(), send_buf);
+            assert_fresh(h.a().conn_by_token(token).unwrap(), send_buf);
 
             let before = on_thread(Role::Server);
             let established =
-                |h: &Harness| h.a.conn_by_token(token).unwrap().state != ConnState::Establishing;
+                |h: &World| h.a().conn_by_token(token).unwrap().state != ConnState::Establishing;
             advance(&mut h, &mut clock, &mut check, established);
             if before.1 > 0 {
                 reused[1] += 1;
@@ -893,12 +896,12 @@ mod tests {
                 if i % 4 == 0 {
                     // Kill the second subflow mid-transfer, flight and all,
                     // unless it ends before carrying anything.
-                    let carrying_or_done = |h: &Harness| {
-                        let sf = h.a.conn_by_token(token).unwrap().subflow(1).unwrap();
+                    let carrying_or_done = |h: &World| {
+                        let sf = h.a().conn_by_token(token).unwrap().subflow(1).unwrap();
                         sf.state == SfState::Closed || !sf.flight.is_empty()
                     };
                     advance(&mut h, &mut clock, &mut check, carrying_or_done);
-                    let conn = h.a.conn_by_token(token).unwrap();
+                    let conn = h.a().conn_by_token(token).unwrap();
                     if conn.subflow(1).unwrap().state == SfState::Established {
                         resets += 1;
                         let reset = PmAction::CloseSubflow {
@@ -910,14 +913,14 @@ mod tests {
                     }
                 }
             }
-            let both_closed = |h: &Harness| {
-                h.a.conn_by_token(token).unwrap().state == ConnState::Closed
-                    && h.b.connections().all(|c| c.state == ConnState::Closed)
+            let both_closed = |h: &World| {
+                h.a().conn_by_token(token).unwrap().state == ConnState::Closed
+                    && h.b().connections().all(|c| c.state == ConnState::Closed)
             };
             advance(&mut h, &mut clock, &mut check, both_closed);
 
-            let client = h.a.conn_by_token(token).unwrap();
-            let server = h.b.connections().last().unwrap();
+            let client = h.a().conn_by_token(token).unwrap();
+            let server = h.b().connections().last().unwrap();
             let delivered = (server.bytes_delivered(), client.bytes_delivered());
             assert_eq!(delivered, (size, server_size(i)), "connection {i}");
             assert_taps_match(client, server);
@@ -937,11 +940,12 @@ mod tests {
             Addr::new(10, 0, 2, 1),
             Addr::new(10, 0, 1, 1),
         );
-        let harness = || {
-            let mut h = Harness::new(31, Duration::from_millis(5), vec![a0, a1], vec![b0]);
-            h.loss_a2b = 0.05;
-            h.loss_b2a = 0.05;
-            h.b.listen(
+        let world = || {
+            let mut h = World::new(31, Duration::from_millis(5), &[a0, a1], &[b0]);
+            h.set_loss(Side::A, 0.05);
+            h.set_loss(Side::B, 0.05);
+            h.listen(
+                Side::B,
                 80,
                 Box::new(|| Box::new(BulkSender::new(200_000).close_when_done())),
             );
@@ -949,12 +953,12 @@ mod tests {
         };
         let client_app = || Box::new(BulkSender::new(300_000).close_when_done());
         let mut clock = SimTime::ZERO;
-        let mut h = harness();
-        let send_buf = h.a.cfg.send_buf;
+        let mut h = world();
+        let send_buf = h.a().cfg.send_buf;
         let token = h.connect(Side::A, 80, client_app()).unwrap();
         let established =
-            |h: &Harness| h.a.conn_by_token(token).unwrap().state == ConnState::Established;
-        advance(&mut h, &mut clock, &mut |_: &Harness| {}, established);
+            |h: &World| h.a().conn_by_token(token).unwrap().state == ConnState::Established;
+        advance(&mut h, &mut clock, &mut |_: &World| {}, established);
         let open = PmAction::OpenSubflow {
             token,
             src: a1,
@@ -971,10 +975,10 @@ mod tests {
             let sfs = || (0..conn.subflow_count() as u8).filter_map(|id| conn.subflow(id));
             sfs().any(|sf| !sf.flight.is_empty()) && sfs().any(|sf| sf.reasm.has_hole())
         };
-        let both_busy = |h: &Harness| {
-            h.a.conn_by_token(token).unwrap().subflow_count() == 2 && busy(&h.a) && busy(&h.b)
+        let both_busy = |h: &World| {
+            h.a().conn_by_token(token).unwrap().subflow_count() == 2 && busy(h.a()) && busy(h.b())
         };
-        advance(&mut h, &mut clock, &mut |_: &Harness| {}, both_busy);
+        advance(&mut h, &mut clock, &mut |_: &World| {}, both_busy);
         let open = ROLES.map(|role| live(&h, role));
         assert_eq!(
             open,
@@ -990,23 +994,23 @@ mod tests {
         }
 
         // The next world on this thread starts on that storage, fresh.
-        let mut h = harness();
+        let mut h = world();
         let before = ROLES.map(on_thread);
         let token = h.connect(Side::A, 80, client_app()).unwrap();
         assert_eq!(on_thread(Role::Client), one_taken(before[0]));
-        assert_fresh(h.a.conn_by_token(token).unwrap(), send_buf);
+        assert_fresh(h.a().conn_by_token(token).unwrap(), send_buf);
         let mut clock = SimTime::ZERO;
-        let accepted = |h: &Harness| h.b.connections().next().is_some();
-        advance(&mut h, &mut clock, &mut |_: &Harness| {}, accepted);
+        let accepted = |h: &World| h.b().connections().next().is_some();
+        advance(&mut h, &mut clock, &mut |_: &World| {}, accepted);
         assert_eq!(on_thread(Role::Server), one_taken(before[1]));
-        assert_fresh(h.b.connections().next().unwrap(), send_buf);
-        let both_closed = |h: &Harness| {
-            h.a.conn_by_token(token).unwrap().state == ConnState::Closed
-                && h.b.connections().all(|c| c.state == ConnState::Closed)
+        assert_fresh(h.b().connections().next().unwrap(), send_buf);
+        let both_closed = |h: &World| {
+            h.a().conn_by_token(token).unwrap().state == ConnState::Closed
+                && h.b().connections().all(|c| c.state == ConnState::Closed)
         };
-        advance(&mut h, &mut clock, &mut |_: &Harness| {}, both_closed);
-        let client = h.a.conn_by_token(token).unwrap();
-        let server = h.b.connections().next().unwrap();
+        advance(&mut h, &mut clock, &mut |_: &World| {}, both_closed);
+        let client = h.a().conn_by_token(token).unwrap();
+        let server = h.b().connections().next().unwrap();
         assert_eq!(
             (server.bytes_delivered(), client.bytes_delivered()),
             (300_000, 200_000)
@@ -1022,8 +1026,8 @@ mod tests {
     fn a_new_client_connection_starts_on_the_rings_a_client_grew() {
         std::thread::spawn(|| {
             let (a0, b0) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 1, 1));
-            let mut h = Harness::new(7, Duration::from_millis(5), vec![a0], vec![b0]);
-            h.b.listen(80, Box::new(|| Box::new(GetServer::new(200_000))));
+            let mut h = World::new(7, Duration::from_millis(5), &[a0], &[b0]);
+            h.listen(Side::B, 80, Box::new(|| Box::new(GetServer::new(200_000))));
             let get = || {
                 Box::new(GetClient {
                     remaining: 0,
@@ -1036,12 +1040,15 @@ mod tests {
             };
             let token = h.connect(Side::A, 80, get()).unwrap();
             let mut clock = SimTime::ZERO;
-            let both_closed = |h: &Harness| {
-                h.a.conn_by_token(token).unwrap().state == ConnState::Closed
-                    && h.b.connections().all(|c| c.state == ConnState::Closed)
+            let both_closed = |h: &World| {
+                h.a().conn_by_token(token).unwrap().state == ConnState::Closed
+                    && h.b().connections().all(|c| c.state == ConnState::Closed)
             };
-            advance(&mut h, &mut clock, &mut |_: &Harness| {}, both_closed);
-            assert_eq!(h.a.conn_by_token(token).unwrap().bytes_delivered(), 200_000);
+            advance(&mut h, &mut clock, &mut |_: &World| {}, both_closed);
+            assert_eq!(
+                h.a().conn_by_token(token).unwrap().bytes_delivered(),
+                200_000
+            );
 
             // One subflow spare per role; the server's flight ring grew with
             // the response, the client's held one request.

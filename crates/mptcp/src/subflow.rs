@@ -176,7 +176,7 @@ pub struct Subflow {
     /// Whether a timer is conceptually armed.
     pub rto_armed: bool,
     /// The host's handle on the simulator timer behind the RTO, re-armed
-    /// in place on the next arm (None under a harness without a simulator).
+    /// in place on the next arm (None until the first arm).
     pub(crate) rto_timer: Option<TimerHandle>,
 
     // --- receiver side ---

@@ -5,9 +5,11 @@
 use std::time::Duration;
 
 use smapp_mptcp::apps::{BulkSender, Sink};
-use smapp_mptcp::harness::{Harness, Side};
-use smapp_mptcp::{CcAlgo, ConnState, HostStack, NullApp, PmAction, StackConfig};
+use smapp_mptcp::{CcAlgo, ConnState, NullApp, PmAction, StackConfig};
 use smapp_sim::{Addr, SimTime};
+
+mod common;
+use common::{Side, World};
 
 const A1: Addr = Addr::new(10, 0, 0, 1);
 const A2: Addr = Addr::new(10, 0, 2, 1);
@@ -20,25 +22,16 @@ fn closing_sink() -> Box<dyn smapp_mptcp::App> {
     })
 }
 
-fn harness_with(seed: u64, cfg_a: StackConfig, cfg_b: StackConfig) -> Harness {
-    let mut h = Harness::new(seed, Duration::from_millis(10), vec![A1, A2], vec![B1]);
-    h.a = {
-        let mut s = HostStack::new(cfg_a);
-        s.set_local_addr(A1, true);
-        s.set_local_addr(A2, true);
-        s
-    };
-    h.b = {
-        let mut s = HostStack::new(cfg_b);
-        s.set_local_addr(B1, true);
-        s
-    };
-    h.b.listen(80, Box::new(closing_sink));
+fn world_with(seed: u64, cfg_a: StackConfig, cfg_b: StackConfig) -> World {
+    let addrs = [&[A1, A2][..], &[B1]];
+    let mut h = World::with_configs(seed, Duration::from_millis(10), addrs, [cfg_a, cfg_b]);
+    h.listen(Side::B, 80, Box::new(closing_sink));
     h
 }
 
-fn sink_received(h: &Harness) -> u64 {
-    h.b.connections()
+fn sink_received(h: &World) -> u64 {
+    h.b()
+        .connections()
         .next()
         .and_then(|c| c.app())
         .and_then(|a| a.as_any().downcast_ref::<Sink>())
@@ -50,20 +43,20 @@ fn sink_received(h: &Harness) -> u64 {
 /// SYN retransmission with exponential backoff.
 #[test]
 fn handshake_survives_syn_loss() {
-    let mut h = harness_with(1, StackConfig::default(), StackConfig::default());
+    let mut h = world_with(1, StackConfig::default(), StackConfig::default());
     // Lose everything for the first 2.5 s: the first SYN (t=0) and the 1 s
     // retransmission die; the 3 s one gets through.
-    h.loss_a2b = 1.0;
+    h.set_loss(Side::A, 1.0);
     let token = h.connect(Side::A, 80, Box::new(NullApp)).unwrap();
     h.run_until(SimTime::from_millis(2500));
     assert_eq!(
-        h.a.conn_by_token(token).unwrap().state,
+        h.a().conn_by_token(token).unwrap().state,
         ConnState::Establishing
     );
-    h.loss_a2b = 0.0;
+    h.set_loss(Side::A, 0.0);
     h.run_until(SimTime::from_secs(10));
     assert_eq!(
-        h.a.conn_by_token(token).unwrap().state,
+        h.a().conn_by_token(token).unwrap().state,
         ConnState::Established,
         "handshake completed after the blackhole lifted"
     );
@@ -76,11 +69,11 @@ fn handshake_gives_up_after_syn_retries() {
         syn_retries: 2,
         ..Default::default()
     };
-    let mut h = harness_with(2, cfg, StackConfig::default());
-    h.loss_a2b = 1.0;
+    let mut h = world_with(2, cfg, StackConfig::default());
+    h.set_loss(Side::A, 1.0);
     let token = h.connect(Side::A, 80, Box::new(NullApp)).unwrap();
     h.run_until(SimTime::from_secs(60));
-    assert_eq!(h.a.conn_by_token(token).unwrap().state, ConnState::Closed);
+    assert_eq!(h.a().conn_by_token(token).unwrap().state, ConnState::Closed);
 }
 
 /// Tiny receive buffer: flow control throttles the sender but every byte
@@ -91,7 +84,7 @@ fn tiny_receive_window_transfer_completes() {
         recv_buf: 8 * 1024, // 8 KB receive buffer
         ..Default::default()
     };
-    let mut h = harness_with(3, StackConfig::default(), cfg_b);
+    let mut h = world_with(3, StackConfig::default(), cfg_b);
     let total = 200_000u64;
     let token = h
         .connect(
@@ -102,7 +95,7 @@ fn tiny_receive_window_transfer_completes() {
         .unwrap();
     h.run_until(SimTime::from_secs(60));
     assert_eq!(sink_received(&h), total);
-    assert_eq!(h.a.conn_by_token(token).unwrap().state, ConnState::Closed);
+    assert_eq!(h.a().conn_by_token(token).unwrap().state, ConnState::Closed);
 }
 
 /// The redundant scheduler duplicates data on every subflow; the receiver
@@ -113,7 +106,7 @@ fn redundant_scheduler_delivers_exactly_once() {
         scheduler: "redundant",
         ..Default::default()
     };
-    let mut h = harness_with(4, cfg, StackConfig::default());
+    let mut h = world_with(4, cfg, StackConfig::default());
     let total = 300_000u64;
     let token = h
         .connect(
@@ -136,7 +129,7 @@ fn redundant_scheduler_delivers_exactly_once() {
     );
     h.run_until(SimTime::from_secs(60));
     assert_eq!(sink_received(&h), total, "no duplication at the app level");
-    let conn = h.a.conn_by_token(token).unwrap();
+    let conn = h.a().conn_by_token(token).unwrap();
     assert!(
         conn.stats.reinjections > 0,
         "redundant copies were actually sent"
@@ -147,17 +140,18 @@ fn redundant_scheduler_delivers_exactly_once() {
 /// subflows share one bottleneck — the RFC 6356 fairness goal.
 #[test]
 fn lia_is_less_aggressive_than_reno_on_shared_bottleneck() {
-    // The harness pipe *is* a shared bottleneck when rate-limited.
+    // Both subflows end on B's one address, whose rate-limited link is a
+    // shared bottleneck.
     let completion = |cc: CcAlgo| -> SimTime {
         let cfg = StackConfig {
             cc,
             ..Default::default()
         };
-        let mut h = harness_with(5, cfg, StackConfig::default());
-        h.rate_a2b = Some(10_000_000);
-        h.rate_b2a = Some(10_000_000);
-        h.loss_a2b = 0.01; // light loss so CA (where coupling acts) matters
-        h.loss_b2a = 0.01;
+        let mut h = world_with(5, cfg, StackConfig::default());
+        h.set_rate(Side::A, 10_000_000);
+        h.set_rate(Side::B, 10_000_000);
+        h.set_loss(Side::A, 0.01); // light loss so CA (where coupling acts) matters
+        h.set_loss(Side::B, 0.01);
         let token = h
             .connect(
                 Side::A,
@@ -177,7 +171,7 @@ fn lia_is_less_aggressive_than_reno_on_shared_bottleneck() {
                 backup: false,
             },
         );
-        h.run_until(SimTime::from_secs(300))
+        h.run_until(SimTime::from_secs(300)).ended_at
     };
     let reno = completion(CcAlgo::Reno);
     let lia = completion(CcAlgo::Lia);
@@ -192,9 +186,9 @@ fn lia_is_less_aggressive_than_reno_on_shared_bottleneck() {
 /// A graceful (FIN) PM-requested close drains in-flight data first.
 #[test]
 fn graceful_pm_close_drains_before_fin() {
-    let mut h = harness_with(6, StackConfig::default(), StackConfig::default());
-    h.rate_a2b = Some(10_000_000);
-    h.rate_b2a = Some(10_000_000);
+    let mut h = world_with(6, StackConfig::default(), StackConfig::default());
+    h.set_rate(Side::A, 10_000_000);
+    h.set_rate(Side::B, 10_000_000);
     let total = 1_000_000u64;
     let token = h
         .connect(
@@ -232,10 +226,10 @@ fn graceful_pm_close_drains_before_fin() {
 /// Duplicate ADD_ADDR announcements are idempotent at the receiver.
 #[test]
 fn duplicate_add_addr_recorded_once() {
-    let mut h = harness_with(7, StackConfig::default(), StackConfig::default());
+    let mut h = world_with(7, StackConfig::default(), StackConfig::default());
     let token = h.connect(Side::A, 80, Box::new(NullApp)).unwrap();
     h.run_until(SimTime::from_millis(100));
-    let server_token = h.b.connections().next().unwrap().token;
+    let server_token = h.b().connections().next().unwrap().token;
     for _ in 0..3 {
         h.apply(
             Side::B,
@@ -247,7 +241,7 @@ fn duplicate_add_addr_recorded_once() {
         );
         h.run_until(h.now() + Duration::from_millis(100));
     }
-    let conn = h.a.conn_by_token(token).unwrap();
+    let conn = h.a().conn_by_token(token).unwrap();
     assert_eq!(
         conn.remote_addrs
             .iter()
@@ -260,7 +254,7 @@ fn duplicate_add_addr_recorded_once() {
 /// Closing a subflow that never existed is rejected without panicking.
 #[test]
 fn pm_commands_on_missing_targets_are_safe() {
-    let mut h = harness_with(8, StackConfig::default(), StackConfig::default());
+    let mut h = world_with(8, StackConfig::default(), StackConfig::default());
     let token = h.connect(Side::A, 80, Box::new(NullApp)).unwrap();
     h.run_until(SimTime::from_millis(100));
     // Unknown subflow id: no-op.
@@ -283,7 +277,7 @@ fn pm_commands_on_missing_targets_are_safe() {
     ));
     h.run_until(SimTime::from_secs(1));
     assert_eq!(
-        h.a.conn_by_token(token).unwrap().state,
+        h.a().conn_by_token(token).unwrap().state,
         ConnState::Established
     );
 }
@@ -291,10 +285,10 @@ fn pm_commands_on_missing_targets_are_safe() {
 /// Opening a subflow from a down interface is refused by the stack.
 #[test]
 fn open_subflow_from_down_iface_refused() {
-    let mut h = harness_with(9, StackConfig::default(), StackConfig::default());
+    let mut h = world_with(9, StackConfig::default(), StackConfig::default());
     let token = h.connect(Side::A, 80, Box::new(NullApp)).unwrap();
     h.run_until(SimTime::from_millis(100));
-    h.a.set_local_addr(A2, false);
+    h.with(Side::A, |n, _| n.stack.set_local_addr(A2, false));
     assert!(!h.apply(
         Side::A,
         &PmAction::OpenSubflow {
@@ -325,14 +319,14 @@ fn open_from_a2(token: u32) -> PmAction {
 /// wrapping onto id 0.
 #[test]
 fn open_subflow_refused_once_every_id_is_taken() {
-    let mut h = harness_with(10, StackConfig::default(), StackConfig::default());
+    let mut h = world_with(10, StackConfig::default(), StackConfig::default());
     let token = h.connect(Side::A, 80, Box::new(NullApp)).unwrap();
     h.run_until(SimTime::from_millis(100));
     for _ in 1..256 {
         assert!(h.apply(Side::A, &open_from_a2(token)));
     }
     assert!(!h.apply(Side::A, &open_from_a2(token)));
-    let conn = h.a.conn_by_token(token).unwrap();
+    let conn = h.a().conn_by_token(token).unwrap();
     assert_eq!(conn.subflow_count(), 256);
     assert_eq!(conn.subflow(255).unwrap().id, 255);
 }
@@ -342,13 +336,13 @@ fn open_subflow_refused_once_every_id_is_taken() {
 /// taken. It is refused with a RST, and no subflow is added.
 #[test]
 fn join_syn_refused_once_every_id_is_taken() {
-    let mut h = harness_with(11, StackConfig::default(), StackConfig::default());
+    let mut h = world_with(11, StackConfig::default(), StackConfig::default());
     let token = h.connect(Side::A, 80, Box::new(NullApp)).unwrap();
     h.run_until(SimTime::from_millis(100));
     // The server fills its ids with joins of its own whose SYNs are lost,
     // so only its side holds them.
-    let server_token = h.b.connections().next().unwrap().token;
-    h.loss_b2a = 1.0;
+    let server_token = h.b().connections().next().unwrap().token;
+    h.set_loss(Side::B, 1.0);
     for _ in 1..256 {
         let open = PmAction::OpenSubflow {
             token: server_token,
@@ -360,12 +354,12 @@ fn join_syn_refused_once_every_id_is_taken() {
         };
         assert!(h.apply(Side::B, &open));
     }
-    let rst_before = h.b.rst_sent;
+    let rst_before = h.b().rst_sent;
     assert!(h.apply(Side::A, &open_from_a2(token)));
     h.run_until(h.now() + Duration::from_millis(15));
-    assert_eq!(h.b.rst_sent, rst_before + 1, "the join is refused");
+    assert_eq!(h.b().rst_sent, rst_before + 1, "the join is refused");
     assert_eq!(
-        h.b.conn_by_token(server_token).unwrap().subflow_count(),
+        h.b().conn_by_token(server_token).unwrap().subflow_count(),
         256
     );
 }

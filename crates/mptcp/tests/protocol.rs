@@ -1,18 +1,18 @@
 //! Protocol-level integration tests: multiple subflows, backup semantics,
 //! reinjection, break-before-make, address signalling, fallback.
 //!
-//! These drive two full stacks through the in-memory harness, applying
-//! path-manager actions directly (the real path managers live in
+//! These drive two stack nodes across a router in a simulated world, under
+//! the oracle, applying path-manager actions directly (the real path managers live in
 //! `smapp-pm`; the SMAPP controllers in `smapp`).
 
 use std::time::Duration;
 
 use smapp_mptcp::apps::{BulkSender, Sink};
-use smapp_mptcp::harness::{Harness, Side};
-use smapp_mptcp::{
-    ConnState, NullApp, PmAction, PmEvent, RecordingPm, SfState, StackConfig, SubflowError,
-};
+use smapp_mptcp::{ConnState, NullApp, PmAction, PmEvent, SfState, StackConfig, SubflowError};
 use smapp_sim::{Addr, SimTime};
+
+mod common;
+use common::{Side, World};
 
 const A1: Addr = Addr::new(10, 0, 0, 1);
 const A2: Addr = Addr::new(10, 0, 2, 1);
@@ -26,15 +26,26 @@ fn closing_sink() -> Box<dyn smapp_mptcp::App> {
     })
 }
 
-fn two_addr_harness(seed: u64) -> Harness {
-    let mut h = Harness::new(seed, Duration::from_millis(10), vec![A1, A2], vec![B1]);
-    h.b.listen(80, Box::new(|| closing_sink()));
+fn two_addr_world(seed: u64) -> World {
+    two_addr_world_with(seed, StackConfig::default())
+}
+
+/// Two addresses on A with `cfg_a`, one on B, which listens on port 80.
+fn two_addr_world_with(seed: u64, cfg_a: StackConfig) -> World {
+    let addrs = [&[A1, A2][..], &[B1]];
+    let mut h = World::with_configs(
+        seed,
+        Duration::from_millis(10),
+        addrs,
+        [cfg_a, Default::default()],
+    );
+    h.listen(Side::B, 80, Box::new(|| closing_sink()));
     h
 }
 
 #[test]
 fn mp_join_adds_second_subflow() {
-    let mut h = two_addr_harness(1);
+    let mut h = two_addr_world(1);
     let token = h.connect(Side::A, 80, Box::new(NullApp)).unwrap();
     h.run_until(SimTime::from_millis(100));
 
@@ -51,11 +62,11 @@ fn mp_join_adds_second_subflow() {
     ));
     h.run_until(SimTime::from_millis(300));
 
-    let conn = h.a.conn_by_token(token).unwrap();
+    let conn = h.a().conn_by_token(token).unwrap();
     assert_eq!(conn.live_subflow_ids(), vec![0, 1]);
     assert_eq!(conn.subflow(1).unwrap().state, SfState::Established);
     // Server sees two subflows on its (single) connection as well.
-    let sconn = h.b.connections().next().unwrap();
+    let sconn = h.b().connections().next().unwrap();
     assert_eq!(sconn.live_subflow_ids().len(), 2);
     // Join handshake authenticated: the subflow's tuple uses A2.
     assert_eq!(conn.subflow(1).unwrap().tuple.src, A2);
@@ -63,7 +74,7 @@ fn mp_join_adds_second_subflow() {
 
 #[test]
 fn join_with_bad_token_is_refused() {
-    let mut h = two_addr_harness(2);
+    let mut h = two_addr_world(2);
     let token = h.connect(Side::A, 80, Box::new(NullApp)).unwrap();
     h.run_until(SimTime::from_millis(100));
     // Claim a bogus remote: open toward a port with no matching token by
@@ -85,16 +96,11 @@ fn join_with_bad_token_is_refused() {
 
 #[test]
 fn round_robin_spreads_data_over_subflows() {
-    let mut h = two_addr_harness(3);
-    h.a = {
-        let mut s = smapp_mptcp::HostStack::new(StackConfig {
-            scheduler: "round-robin",
-            ..Default::default()
-        });
-        s.set_local_addr(A1, true);
-        s.set_local_addr(A2, true);
-        s
+    let cfg = StackConfig {
+        scheduler: "round-robin",
+        ..Default::default()
     };
+    let mut h = two_addr_world_with(3, cfg);
     let token = h
         .connect(
             Side::A,
@@ -115,29 +121,30 @@ fn round_robin_spreads_data_over_subflows() {
         },
     );
     h.run_until(SimTime::from_secs(60));
-    let conn = h.a.conn_by_token(token).unwrap();
+    let conn = h.a().conn_by_token(token).unwrap();
     let s0 = conn.subflow_info(0).unwrap();
     let s1 = conn.subflow_info(1).unwrap();
     assert!(s0.bytes_acked > 100_000, "subflow 0 carried data: {s0:?}");
     assert!(s1.bytes_acked > 100_000, "subflow 1 carried data: {s1:?}");
-    let sink_bytes =
-        h.b.connections()
-            .next()
-            .unwrap()
-            .app()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<Sink>()
-            .unwrap()
-            .received;
+    let sink_bytes = h
+        .b()
+        .connections()
+        .next()
+        .unwrap()
+        .app()
+        .unwrap()
+        .as_any()
+        .downcast_ref::<Sink>()
+        .unwrap()
+        .received;
     assert_eq!(sink_bytes, 2_000_000);
 }
 
 #[test]
 fn backup_subflow_idle_until_primary_dies() {
-    let mut h = two_addr_harness(4);
-    h.rate_a2b = Some(10_000_000);
-    h.rate_b2a = Some(10_000_000);
+    let mut h = two_addr_world(4);
+    h.set_rate(Side::A, 10_000_000);
+    h.set_rate(Side::B, 10_000_000);
     let token = h
         .connect(
             Side::A,
@@ -159,7 +166,7 @@ fn backup_subflow_idle_until_primary_dies() {
     );
     h.run_until(SimTime::from_millis(400));
     {
-        let conn = h.a.conn_by_token(token).unwrap();
+        let conn = h.a().conn_by_token(token).unwrap();
         let backup = conn.subflow_info(1).unwrap();
         assert!(backup.backup);
         assert_eq!(
@@ -177,22 +184,23 @@ fn backup_subflow_idle_until_primary_dies() {
         },
     );
     h.run_until(SimTime::from_secs(120));
-    let conn = h.a.conn_by_token(token).unwrap();
+    let conn = h.a().conn_by_token(token).unwrap();
     let backup = conn.subflow_info(1).unwrap();
     assert!(
         backup.bytes_acked > 0,
         "backup takes over after the primary dies"
     );
-    let sink_bytes =
-        h.b.connections()
-            .next()
-            .unwrap()
-            .app()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<Sink>()
-            .unwrap()
-            .received;
+    let sink_bytes = h
+        .b()
+        .connections()
+        .next()
+        .unwrap()
+        .app()
+        .unwrap()
+        .as_any()
+        .downcast_ref::<Sink>()
+        .unwrap()
+        .received;
     assert_eq!(sink_bytes, 3_000_000, "no data lost across the switchover");
 }
 
@@ -203,9 +211,9 @@ fn blackhole_triggers_rto_reinjection() {
     // the subflow keeps retransmitting them itself) - the paper's §4.3
     // mechanism. After the network heals the transfer completes and the
     // reinjection counter shows connection-level recovery happened.
-    let mut h = two_addr_harness(5);
-    h.rate_a2b = Some(10_000_000);
-    h.rate_b2a = Some(10_000_000);
+    let mut h = two_addr_world(5);
+    h.set_rate(Side::A, 10_000_000);
+    h.set_rate(Side::B, 10_000_000);
     let token = h
         .connect(
             Side::A,
@@ -227,54 +235,49 @@ fn blackhole_triggers_rto_reinjection() {
     );
     // Let data flow on both, then blackhole for one second.
     h.run_until(SimTime::from_millis(400));
-    h.loss_a2b = 1.0;
-    h.loss_b2a = 1.0;
+    h.set_loss(Side::A, 1.0);
+    h.set_loss(Side::B, 1.0);
     h.run_until(SimTime::from_millis(1400));
-    h.loss_a2b = 0.0;
-    h.loss_b2a = 0.0;
+    h.set_loss(Side::A, 0.0);
+    h.set_loss(Side::B, 0.0);
     h.run_until(SimTime::from_secs(120));
-    let conn = h.a.conn_by_token(token).unwrap();
+    let conn = h.a().conn_by_token(token).unwrap();
     assert!(
         conn.stats.reinjections > 0,
         "lost in-flight data must be reinjected at the connection level"
     );
-    let sink_bytes =
-        h.b.connections()
-            .next()
-            .unwrap()
-            .app()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<Sink>()
-            .unwrap()
-            .received;
+    let sink_bytes = h
+        .b()
+        .connections()
+        .next()
+        .unwrap()
+        .app()
+        .unwrap()
+        .as_any()
+        .downcast_ref::<Sink>()
+        .unwrap()
+        .received;
     assert_eq!(sink_bytes, 2_000_000);
 }
 
 #[test]
 fn rto_exhaustion_fires_timeout_events_then_kills() {
-    let mut h = two_addr_harness(6);
     // Short give-up for test speed: 5 doublings.
-    h.a = {
-        let mut cfg = StackConfig::default();
-        cfg.rto.max_retries = 5;
-        let mut s = smapp_mptcp::HostStack::new(cfg);
-        s.set_local_addr(A1, true);
-        s.set_local_addr(A2, true);
-        s
-    };
-    h.pm_a = Box::new(RecordingPm::default());
-    h.rate_a2b = Some(10_000_000);
-    h.rate_b2a = Some(10_000_000);
+    let mut cfg = StackConfig::default();
+    cfg.rto.max_retries = 5;
+    let mut h = two_addr_world_with(6, cfg);
+    h.record(Side::A);
+    h.set_rate(Side::A, 10_000_000);
+    h.set_rate(Side::B, 10_000_000);
     let token = h
         .connect(Side::A, 80, Box::new(BulkSender::new(5_000_000)))
         .unwrap();
     h.run_until(SimTime::from_millis(500));
     // Blackhole both directions: every retransmission is lost.
-    h.loss_a2b = 1.0;
-    h.loss_b2a = 1.0;
+    h.set_loss(Side::A, 1.0);
+    h.set_loss(Side::B, 1.0);
     h.run_until(SimTime::from_secs(120));
-    let pm = h.pm_a.as_any_mut().downcast_mut::<RecordingPm>().unwrap();
+    let pm = h.recorded(Side::A);
     let timeouts = pm.count(|e| matches!(e, PmEvent::RtoExpired { .. }));
     assert!(
         timeouts >= 4,
@@ -302,24 +305,18 @@ fn rto_exhaustion_fires_timeout_events_then_kills() {
         "subflow killed after max_retries"
     );
     // The connection survives with zero subflows (break-before-make base).
-    let conn = h.a.conn_by_token(token).unwrap();
+    let conn = h.a().conn_by_token(token).unwrap();
     assert_eq!(conn.state, ConnState::Established);
     assert!(conn.live_subflow_ids().is_empty());
 }
 
 #[test]
 fn break_before_make_resumes_on_new_subflow() {
-    let mut h = two_addr_harness(7);
-    h.a = {
-        let mut cfg = StackConfig::default();
-        cfg.rto.max_retries = 4;
-        let mut s = smapp_mptcp::HostStack::new(cfg);
-        s.set_local_addr(A1, true);
-        s.set_local_addr(A2, true);
-        s
-    };
-    h.rate_a2b = Some(10_000_000);
-    h.rate_b2a = Some(10_000_000);
+    let mut cfg = StackConfig::default();
+    cfg.rto.max_retries = 4;
+    let mut h = two_addr_world_with(7, cfg);
+    h.set_rate(Side::A, 10_000_000);
+    h.set_rate(Side::B, 10_000_000);
     let total = 1_000_000u64;
     let token = h
         .connect(
@@ -330,18 +327,18 @@ fn break_before_make_resumes_on_new_subflow() {
         .unwrap();
     h.run_until(SimTime::from_millis(300));
     // Blackhole until the lone subflow dies.
-    h.loss_a2b = 1.0;
-    h.loss_b2a = 1.0;
+    h.set_loss(Side::A, 1.0);
+    h.set_loss(Side::B, 1.0);
     h.run_until(SimTime::from_secs(60));
     assert!(h
-        .a
+        .a()
         .conn_by_token(token)
         .unwrap()
         .live_subflow_ids()
         .is_empty());
     // Network heals; controller opens a fresh subflow from the other addr.
-    h.loss_a2b = 0.0;
-    h.loss_b2a = 0.0;
+    h.set_loss(Side::A, 0.0);
+    h.set_loss(Side::B, 0.0);
     assert!(h.apply(
         Side::A,
         &PmAction::OpenSubflow {
@@ -354,28 +351,29 @@ fn break_before_make_resumes_on_new_subflow() {
         },
     ));
     h.run_until(SimTime::from_secs(200));
-    let sink_bytes =
-        h.b.connections()
-            .next()
-            .unwrap()
-            .app()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<Sink>()
-            .unwrap()
-            .received;
+    let sink_bytes = h
+        .b()
+        .connections()
+        .next()
+        .unwrap()
+        .app()
+        .unwrap()
+        .as_any()
+        .downcast_ref::<Sink>()
+        .unwrap()
+        .received;
     assert_eq!(sink_bytes, total, "transfer completes on the new subflow");
 }
 
 #[test]
 fn add_addr_learned_and_usable_for_join() {
-    let mut h = Harness::new(8, Duration::from_millis(10), vec![A1, A2], vec![B1, B2]);
-    h.b.listen(80, Box::new(|| closing_sink()));
-    h.pm_a = Box::new(RecordingPm::default());
+    let mut h = World::new(8, Duration::from_millis(10), &[A1, A2], &[B1, B2]);
+    h.listen(Side::B, 80, Box::new(|| closing_sink()));
+    h.record(Side::A);
     let token = h.connect(Side::A, 80, Box::new(NullApp)).unwrap();
     h.run_until(SimTime::from_millis(100));
     // Server announces its second address.
-    let server_token = h.b.connections().next().unwrap().token;
+    let server_token = h.b().connections().next().unwrap().token;
     h.apply(
         Side::B,
         &PmAction::AnnounceAddr {
@@ -386,7 +384,7 @@ fn add_addr_learned_and_usable_for_join() {
     );
     h.run_until(SimTime::from_millis(200));
     {
-        let pm = h.pm_a.as_any_mut().downcast_mut::<RecordingPm>().unwrap();
+        let pm = h.recorded(Side::A);
         assert_eq!(
             pm.count(|e| matches!(
                 e,
@@ -395,7 +393,7 @@ fn add_addr_learned_and_usable_for_join() {
             1
         );
     }
-    let conn = h.a.conn_by_token(token).unwrap();
+    let conn = h.a().conn_by_token(token).unwrap();
     assert!(conn.remote_addrs.iter().any(|(_, a, _)| *a == B2));
     // Join toward the announced address.
     h.apply(
@@ -410,19 +408,19 @@ fn add_addr_learned_and_usable_for_join() {
         },
     );
     h.run_until(SimTime::from_millis(400));
-    let conn = h.a.conn_by_token(token).unwrap();
+    let conn = h.a().conn_by_token(token).unwrap();
     assert_eq!(conn.subflow(1).unwrap().state, SfState::Established);
     assert_eq!(conn.subflow(1).unwrap().tuple.dst, B2);
 }
 
 #[test]
 fn remove_addr_event_reaches_peer_pm() {
-    let mut h = Harness::new(9, Duration::from_millis(10), vec![A1], vec![B1, B2]);
-    h.b.listen(80, Box::new(|| closing_sink()));
-    h.pm_a = Box::new(RecordingPm::default());
+    let mut h = World::new(9, Duration::from_millis(10), &[A1], &[B1, B2]);
+    h.listen(Side::B, 80, Box::new(|| closing_sink()));
+    h.record(Side::A);
     h.connect(Side::A, 80, Box::new(NullApp)).unwrap();
     h.run_until(SimTime::from_millis(100));
-    let server_token = h.b.connections().next().unwrap().token;
+    let server_token = h.b().connections().next().unwrap().token;
     h.apply(
         Side::B,
         &PmAction::AnnounceAddr {
@@ -440,7 +438,7 @@ fn remove_addr_event_reaches_peer_pm() {
         },
     );
     h.run_until(SimTime::from_millis(300));
-    let pm = h.pm_a.as_any_mut().downcast_mut::<RecordingPm>().unwrap();
+    let pm = h.recorded(Side::A);
     assert_eq!(
         pm.count(|e| matches!(e, PmEvent::RemAddrReceived { addr_id: 2, .. })),
         1
@@ -449,7 +447,7 @@ fn remove_addr_event_reaches_peer_pm() {
 
 #[test]
 fn mp_prio_flips_backup_flag_at_peer() {
-    let mut h = two_addr_harness(10);
+    let mut h = two_addr_world(10);
     let token = h.connect(Side::A, 80, Box::new(NullApp)).unwrap();
     h.run_until(SimTime::from_millis(100));
     h.apply(
@@ -461,26 +459,35 @@ fn mp_prio_flips_backup_flag_at_peer() {
         },
     );
     h.run_until(SimTime::from_millis(200));
-    let sconn = h.b.connections().next().unwrap();
+    let sconn = h.b().connections().next().unwrap();
     assert!(
         sconn.subflow(0).unwrap().backup,
         "MP_PRIO must flip the peer's view"
     );
-    assert!(h.a.conn_by_token(token).unwrap().subflow(0).unwrap().backup);
+    assert!(
+        h.a()
+            .conn_by_token(token)
+            .unwrap()
+            .subflow(0)
+            .unwrap()
+            .backup
+    );
 }
 
 #[test]
 fn plain_tcp_fallback_when_server_lacks_mptcp() {
-    let mut h = Harness::new(11, Duration::from_millis(10), vec![A1], vec![B1]);
-    h.b = {
-        let mut s = smapp_mptcp::HostStack::new(StackConfig {
-            mptcp_enabled: false,
-            ..Default::default()
-        });
-        s.set_local_addr(B1, true);
-        s
+    let cfg_b = StackConfig {
+        mptcp_enabled: false,
+        ..Default::default()
     };
-    h.b.listen(80, Box::new(|| closing_sink()));
+    let addrs = [&[A1][..], &[B1]];
+    let mut h = World::with_configs(
+        11,
+        Duration::from_millis(10),
+        addrs,
+        [Default::default(), cfg_b],
+    );
+    h.listen(Side::B, 80, Box::new(|| closing_sink()));
     let token = h
         .connect(
             Side::A,
@@ -493,10 +500,11 @@ fn plain_tcp_fallback_when_server_lacks_mptcp() {
     // stripper switched on after establishment counts any that do.
     h.run_until(SimTime::from_millis(25));
     assert_eq!(
-        h.a.conn_by_token(token).unwrap().state,
+        h.a().conn_by_token(token).unwrap().state,
         ConnState::Established
     );
-    (h.strip_a2b, h.strip_b2a, h.loss_a2b) = (true, true, 0.05);
+    h.strip(true);
+    h.set_loss(Side::A, 0.05);
     // PM-requested signalling (MP_PRIO, ADD_ADDR) has no peer to reach.
     h.apply(
         Side::A,
@@ -515,20 +523,21 @@ fn plain_tcp_fallback_when_server_lacks_mptcp() {
         },
     );
     h.run_until(SimTime::from_secs(60));
-    assert_eq!(h.stripped, [0, 0], "MPTCP option sent after fallback");
-    let conn = h.a.conn_by_token(token).unwrap();
+    assert_eq!(h.stripped(), 0, "MPTCP option sent after fallback");
+    let conn = h.a().conn_by_token(token).unwrap();
     assert_eq!(conn.state, ConnState::Closed, "transfer completed");
     assert_eq!(conn.remote_token(), None, "no MPTCP negotiated");
-    let sink_bytes =
-        h.b.connections()
-            .next()
-            .unwrap()
-            .app()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<Sink>()
-            .unwrap()
-            .received;
+    let sink_bytes = h
+        .b()
+        .connections()
+        .next()
+        .unwrap()
+        .app()
+        .unwrap()
+        .as_any()
+        .downcast_ref::<Sink>()
+        .unwrap()
+        .received;
     assert_eq!(sink_bytes, 100_000);
     // A join attempt on a fallback connection must fail.
     assert!(!h.apply(
@@ -549,10 +558,9 @@ fn middlebox_stripping_both_directions_forces_clean_fallback() {
     // An option-normalizing middlebox strips MPTCP options in both
     // directions from the first SYN on: the handshake degrades to plain
     // TCP on both sides and the transfer still completes.
-    let mut h = Harness::new(31, Duration::from_millis(10), vec![A1], vec![B1]);
-    h.b.listen(80, Box::new(|| closing_sink()));
-    h.strip_a2b = true;
-    h.strip_b2a = true;
+    let mut h = World::new(31, Duration::from_millis(10), &[A1], &[B1]);
+    h.listen(Side::B, 80, Box::new(|| closing_sink()));
+    h.strip(true);
     let token = h
         .connect(
             Side::A,
@@ -562,23 +570,25 @@ fn middlebox_stripping_both_directions_forces_clean_fallback() {
         .unwrap();
     h.run_until(SimTime::from_millis(25));
     assert_eq!(
-        h.a.conn_by_token(token).unwrap().state,
+        h.a().conn_by_token(token).unwrap().state,
         ConnState::Established
     );
-    assert_eq!(h.stripped, [1, 0], "only the SYN's MP_CAPABLE was stripped");
+    // One option in all, and the server fell back at the handshake (checked
+    // below), so it never saw one: the SYN's MP_CAPABLE was the one.
+    assert_eq!(h.stripped(), 1, "only the SYN's MP_CAPABLE was stripped");
     // From here on the connection is plain TCP: with loss forcing
     // retransmissions, neither those nor the FINs may carry an option.
-    h.loss_a2b = 0.05;
+    h.set_loss(Side::A, 0.05);
     h.run_until(SimTime::from_secs(60));
-    assert_eq!(h.stripped, [1, 0], "MPTCP option sent after fallback");
-    let conn = h.a.conn_by_token(token).unwrap();
+    assert_eq!(h.stripped(), 1, "MPTCP option sent after fallback");
+    let conn = h.a().conn_by_token(token).unwrap();
     assert_eq!(conn.state, ConnState::Closed, "transfer completed");
     assert!(conn.is_fallback());
     assert!(
         !conn.stats.fallback_inferred,
         "handshake-level fallback, not data-level inference"
     );
-    let sconn = h.b.connections().next().unwrap();
+    let sconn = h.b().connections().next().unwrap();
     assert!(sconn.is_fallback());
     let sink = sconn
         .app()
@@ -609,9 +619,8 @@ fn one_directional_stripping_infers_fallback_from_dss_less_data() {
     // negotiated. The client's first data segment then arrives without a
     // DSS option; without RFC 6824 §3.7 inference the server would drop
     // those bytes as unmapped forever and the transfer would stall.
-    let mut h = Harness::new(32, Duration::from_millis(10), vec![A1], vec![B1]);
-    h.b.listen(80, Box::new(|| closing_sink()));
-    h.strip_b2a = true;
+    let mut h = World::new(32, Duration::from_millis(10), &[A1], &[B1]);
+    h.listen(Side::B, 80, Box::new(|| closing_sink()));
     let token = h
         .connect(
             Side::A,
@@ -619,10 +628,16 @@ fn one_directional_stripping_infers_fallback_from_dss_less_data() {
             Box::new(BulkSender::new(100_000).close_when_done()),
         )
         .unwrap();
+    // The router, 5 ms from each host, strips both ways from 10 ms on:
+    // after the SYN has passed it and before the SYN/ACK reaches it. The
+    // client falls back at the SYN/ACK and sends no option again, so only
+    // B→A options are ever stripped.
+    h.run_until(SimTime::from_millis(10));
+    h.strip(true);
     h.run_until(SimTime::from_secs(30));
-    let conn = h.a.conn_by_token(token).unwrap();
+    let conn = h.a().conn_by_token(token).unwrap();
     assert!(conn.is_fallback(), "client fell back at the SYN/ACK");
-    let sconn = h.b.connections().next().unwrap();
+    let sconn = h.b().connections().next().unwrap();
     assert!(
         sconn.is_fallback(),
         "server inferred the fallback from data"
@@ -650,7 +665,7 @@ fn join_reaching_a_connection_that_inferred_fallback_is_refused() {
     // then the server sees DSS-less data and infers fallback (forgetting
     // the keys) while the client, not yet aware, sends an intact MP_JOIN.
     // The server must answer it with a reset, not look for keys.
-    let mut h = two_addr_harness(33);
+    let mut h = two_addr_world(33);
     let token = h
         .connect(
             Side::A,
@@ -658,10 +673,13 @@ fn join_reaching_a_connection_that_inferred_fallback_is_refused() {
             Box::new(BulkSender::new(100_000).close_when_done()),
         )
         .unwrap();
-    h.run_until(SimTime::from_millis(15));
-    h.strip_a2b = true;
-    h.run_until(SimTime::from_millis(25));
-    h.strip_a2b = false;
+    // The router sits 5 ms from each host: what the client sends at 20 ms
+    // (the third ACK and its first window) passes it at 25 ms, while the
+    // SYN/ACK passed at 15 ms and the server's next ACK comes at 35 ms.
+    h.run_until(SimTime::from_millis(20));
+    h.strip(true);
+    h.run_until(SimTime::from_millis(30));
+    h.strip(false);
     assert!(h.apply(
         Side::A,
         &PmAction::OpenSubflow {
@@ -674,19 +692,19 @@ fn join_reaching_a_connection_that_inferred_fallback_is_refused() {
         },
     ));
     h.run_until(SimTime::from_secs(30));
-    let sconn = h.b.connections().next().unwrap();
+    let sconn = h.b().connections().next().unwrap();
     assert!(sconn.stats.fallback_inferred);
     assert_eq!(sconn.subflow_count(), 1, "the join was refused");
     assert_eq!(sconn.stats.bytes_received, 100_000);
-    let conn = h.a.conn_by_token(token).unwrap();
+    let conn = h.a().conn_by_token(token).unwrap();
     assert_eq!(conn.subflow(1).unwrap().state, SfState::Closed);
 }
 
 #[test]
 fn subflow_established_events_on_both_sides() {
-    let mut h = two_addr_harness(12);
-    h.pm_a = Box::new(RecordingPm::default());
-    h.pm_b = Box::new(RecordingPm::default());
+    let mut h = two_addr_world(12);
+    h.record(Side::A);
+    h.record(Side::B);
     let token = h.connect(Side::A, 80, Box::new(NullApp)).unwrap();
     h.run_until(SimTime::from_millis(100));
     h.apply(
@@ -701,8 +719,8 @@ fn subflow_established_events_on_both_sides() {
         },
     );
     h.run_until(SimTime::from_millis(300));
-    for (side_pm, initiated) in [(&mut h.pm_a, true), (&mut h.pm_b, false)] {
-        let pm = side_pm.as_any_mut().downcast_mut::<RecordingPm>().unwrap();
+    for (side, initiated) in [(Side::A, true), (Side::B, false)] {
+        let pm = h.recorded(side);
         assert_eq!(
             pm.count(|e| matches!(e, PmEvent::ConnEstablished { .. })),
             1
@@ -720,9 +738,9 @@ fn subflow_established_events_on_both_sides() {
 
 #[test]
 fn heavy_loss_transfer_still_completes_on_two_subflows() {
-    let mut h = two_addr_harness(13);
-    h.loss_a2b = 0.15;
-    h.loss_b2a = 0.15;
+    let mut h = two_addr_world(13);
+    h.set_loss(Side::A, 0.15);
+    h.set_loss(Side::B, 0.15);
     let total = 200_000u64;
     let token = h
         .connect(
@@ -744,16 +762,17 @@ fn heavy_loss_transfer_still_completes_on_two_subflows() {
         },
     );
     h.run_until(SimTime::from_secs(300));
-    let sink_bytes =
-        h.b.connections()
-            .next()
-            .unwrap()
-            .app()
-            .unwrap()
-            .as_any()
-            .downcast_ref::<Sink>()
-            .unwrap()
-            .received;
+    let sink_bytes = h
+        .b()
+        .connections()
+        .next()
+        .unwrap()
+        .app()
+        .unwrap()
+        .as_any()
+        .downcast_ref::<Sink>()
+        .unwrap()
+        .received;
     assert_eq!(sink_bytes, total, "reliability under 15% loss, 2 subflows");
 }
 
@@ -764,9 +783,9 @@ fn heavy_loss_transfer_still_completes_on_two_subflows() {
 /// when the connection closes.
 #[test]
 fn closed_subflows_and_connections_keep_no_buffer_storage() {
-    let mut h = two_addr_harness(17);
-    h.rate_a2b = Some(10_000_000);
-    h.rate_b2a = Some(10_000_000);
+    let mut h = two_addr_world(17);
+    h.set_rate(Side::A, 10_000_000);
+    h.set_rate(Side::B, 10_000_000);
     let total = 1_000_000u64;
     let token = h
         .connect(
@@ -788,7 +807,7 @@ fn closed_subflows_and_connections_keep_no_buffer_storage() {
         },
     );
     h.run_until(SimTime::from_millis(300));
-    let conn = h.a.conn_by_token(token).unwrap();
+    let conn = h.a().conn_by_token(token).unwrap();
     for id in [0, 1] {
         let sf = conn.subflow(id).unwrap();
         assert!(sf.flight.capacity() > 0, "subflow {id} is carrying data");
@@ -804,7 +823,7 @@ fn closed_subflows_and_connections_keep_no_buffer_storage() {
             reset: true,
         },
     );
-    let conn = h.a.conn_by_token(token).unwrap();
+    let conn = h.a().conn_by_token(token).unwrap();
     assert_eq!(conn.subflow(1).unwrap().state, SfState::Closed);
     assert_eq!(conn.subflow(1).unwrap().flight.capacity(), 0);
     assert!(conn.subflow(0).unwrap().flight.capacity() > 0);
@@ -812,8 +831,8 @@ fn closed_subflows_and_connections_keep_no_buffer_storage() {
     h.run_until(SimTime::from_secs(60));
     let send_buf = StackConfig::default().send_buf;
     for conn in [
-        h.a.conn_by_token(token).unwrap(),
-        h.b.connections().next().unwrap(),
+        h.a().conn_by_token(token).unwrap(),
+        h.b().connections().next().unwrap(),
     ] {
         assert_eq!(conn.state, ConnState::Closed);
         assert_eq!(conn.send_space(), send_buf, "send buffer emptied");
@@ -824,10 +843,48 @@ fn closed_subflows_and_connections_keep_no_buffer_storage() {
         }
     }
     // What post-run inspection reads is still there.
-    let client = h.a.conn_by_token(token).unwrap();
-    let server = h.b.connections().next().unwrap();
+    let client = h.a().conn_by_token(token).unwrap();
+    let server = h.b().connections().next().unwrap();
     assert_eq!(client.stats.bytes_sent, total);
     assert_eq!(server.stats.bytes_received, total);
     assert_eq!(client.meta_una(), total);
     assert!(client.subflow_info(0).unwrap().snd_una > 0);
+}
+
+/// The oracle only observes: a lossy world with an `MP_JOIN` runs the same
+/// with it installed and without it, to the packet counts of every link
+/// and the digests of both stream taps of both ends.
+#[test]
+fn the_oracle_moves_no_trajectory() {
+    let run = |oracle: bool| {
+        let mut h = two_addr_world(34);
+        if !oracle {
+            assert!(h.sim.core.take_trace().is_some());
+        }
+        h.set_loss(Side::A, 0.05);
+        h.set_loss(Side::B, 0.05);
+        let app = Box::new(BulkSender::new(300_000).close_when_done());
+        let token = h.connect(Side::A, 80, app).unwrap();
+        h.run_until(SimTime::from_millis(100));
+        let join = PmAction::OpenSubflow {
+            token,
+            src: A2,
+            src_port: 0,
+            dst: B1,
+            dst_port: 80,
+            backup: false,
+        };
+        assert!(h.apply(Side::A, &join));
+        let run = h.run_until(SimTime::from_secs(60));
+        let taps = |c: &smapp_mptcp::Connection| {
+            let tap = |t: &smapp_tcp::StreamTap| (t.count(), t.digest());
+            (tap(&c.stats.tap_sent), tap(&c.stats.tap_recvd))
+        };
+        let client = h.a().conn_by_token(token).unwrap();
+        let server = h.b().connections().next().unwrap();
+        assert_eq!(server.subflow_count(), 2, "the join reached the server");
+        assert_eq!(server.stats.bytes_received, 300_000);
+        (run, h.sent(), taps(client), taps(server))
+    };
+    assert_eq!(run(true), run(false));
 }

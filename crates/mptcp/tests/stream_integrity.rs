@@ -8,9 +8,11 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use smapp_mptcp::app::{App, AppCtx};
-use smapp_mptcp::harness::{Harness, Side};
-use smapp_mptcp::PmAction;
+use smapp_mptcp::{PmAction, StackConfig};
 use smapp_sim::{Addr, SimTime};
+
+mod common;
+use common::{Side, World};
 
 const A1: Addr = Addr::new(10, 0, 0, 1);
 const A2: Addr = Addr::new(10, 0, 2, 1);
@@ -140,13 +142,26 @@ fn run_writer(
     writes: Writes,
     send_buf: u64,
 ) -> u32 {
-    let mut h = Harness::new(seed, Duration::from_millis(10), vec![A1, A2], vec![B1]);
-    h.a.cfg.send_buf = send_buf;
-    h.b.listen(80, Box::new(|| Box::new(PatternChecker::default())));
-    h.rate_a2b = Some(10_000_000);
-    h.rate_b2a = Some(10_000_000);
-    h.loss_a2b = loss;
-    h.loss_b2a = loss;
+    let cfg_a = StackConfig {
+        send_buf,
+        ..Default::default()
+    };
+    let addrs = [&[A1, A2][..], &[B1]];
+    let mut h = World::with_configs(
+        seed,
+        Duration::from_millis(10),
+        addrs,
+        [cfg_a, Default::default()],
+    );
+    h.listen(
+        Side::B,
+        80,
+        Box::new(|| Box::new(PatternChecker::default())),
+    );
+    h.set_rate(Side::A, 10_000_000);
+    h.set_rate(Side::B, 10_000_000);
+    h.set_loss(Side::A, loss);
+    h.set_loss(Side::B, loss);
     let token = h
         .connect(Side::A, 80, Box::new(PatternSender::new(total, writes)))
         .unwrap();
@@ -168,16 +183,16 @@ fn run_writer(
         // A one-second total outage in the middle of the transfer: RTOs,
         // reinjection, recovery.
         h.run_until(SimTime::from_millis(600));
-        h.loss_a2b = 1.0;
-        h.loss_b2a = 1.0;
+        h.set_loss(Side::A, 1.0);
+        h.set_loss(Side::B, 1.0);
         h.run_until(SimTime::from_millis(1600));
-        h.loss_a2b = loss;
-        h.loss_b2a = loss;
+        h.set_loss(Side::A, loss);
+        h.set_loss(Side::B, loss);
     }
     h.run_until(SimTime::from_secs(600));
 
-    let sender = h.a.conn_by_token(token).unwrap();
-    let receiver = h.b.connections().next().unwrap();
+    let sender = h.a().conn_by_token(token).unwrap();
+    let receiver = h.b().connections().next().unwrap();
     let (sent, recvd) = (&sender.stats.tap_sent, &receiver.stats.tap_recvd);
     assert_eq!((sent.count(), recvd.count()), (total, total));
     assert_eq!(sent.check_against_receiver(recvd), None, "seed {seed}");

@@ -19,69 +19,36 @@
 //! Fig. 3 measures.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 use std::time::Duration;
 
 use bytes::Bytes;
-use smapp_mptcp::{
-    App, ConnToken, HostStack, OutPacket, PathManagerHook, PmAction, PmActions, PmEvent,
-    StackConfig, StackEnv, SubflowId,
-};
+use smapp_mptcp::{ConnToken, PathManagerHook, PmEvent, StackConfig, StackNode, SubflowId};
 use smapp_netlink::{
     decode, encode_event, encode_reply, DiagConn, LatencyModel, PmNlCommand, PmNlMessage, UserCtx,
     UserProcess,
 };
-use smapp_sim::{
-    Addr, Ctx, FxHashMap, IfaceId, Node, NodeCommand, Packet, Recycle, SimTime, Spare,
-};
+use smapp_sim::{Ctx, FxHashMap, IfaceId, Node, NodeCommand, Packet, Recycle, Spare};
 use smapp_tcp::TcpInfo;
 
 use crate::netlink_pm::NetlinkPm;
 
-/// Timer-token domains (top nibble). Domains 1–3 belong to the stack.
+/// Timer-token domains (top nibble). Domains 1–3 belong to the stack, 7
+/// to the node's connect queue.
 const D_USER_TIMER: u64 = 4 << 60;
 const D_TO_USER: u64 = 5 << 60;
 const D_TO_KERNEL: u64 = 6 << 60;
-const D_CONNECT: u64 = 7 << 60;
 const PAYLOAD: u64 = (1 << 60) - 1;
 
-/// Work items the host feeds through the stack.
-enum Work {
-    Packet(Packet),
-    StackTimer(u64),
-    Connect {
-        src: Option<Addr>,
-        dst: Addr,
-        dst_port: u16,
-        app: Box<dyn App>,
-    },
-    Action(PmAction),
-    LocalAddr(Addr, bool),
-}
-
-/// A client connection scheduled for a future simulated time:
-/// `(when, source address, destination, port, app)`.
-type ScheduledConnect = (SimTime, Option<Addr>, Addr, u16, Option<Box<dyn App>>);
-
-/// Reusable buffers for [`Host::drive`] and the netlink boundary, so the
-/// per-event hot path does not re-allocate its scratch vectors for every
-/// packet/timer/callback/reply. One set per thread, shared by every host
-/// on it: a callback borrows it in place and leaves it emptied, with its
-/// capacity, so between callbacks it holds no element but
-/// the spare `infos` vectors, themselves empty, and its capacity is the
-/// most any callback on the thread needed. Capacity is not observable, so
+/// Reusable buffers for the netlink boundary, so a callback or a reply
+/// does not re-allocate its scratch vectors. One set per thread, shared by
+/// every host on it: a callback borrows it in place and leaves it emptied,
+/// with its capacity, so between callbacks it holds no element but the
+/// spare `infos` vectors, themselves empty, and its capacity is the most
+/// any callback on the thread needed. Capacity is not observable, so
 /// sharing moves no trajectory.
 #[derive(Default)]
-struct DriveScratch {
-    work: VecDeque<Work>,
-    packets: Vec<OutPacket>,
-    timers: Vec<(Duration, u64)>,
-    connects: Vec<smapp_mptcp::ConnectRequest>,
-    /// Path-manager events of the current stack call, swapped out of the
-    /// stack by [`HostStack::swap_events`].
-    events: Vec<PmEvent>,
-    /// The kernel path manager's answers to `events`.
-    actions: PmActions,
+struct NetlinkScratch {
     /// Frames toward userspace, swapped out of the [`NetlinkPm`].
     to_user: Vec<Bytes>,
     /// A userspace callback's [`UserCtx::to_kernel`] and
@@ -96,10 +63,10 @@ struct DriveScratch {
     diag: Vec<DiagConn>,
 }
 
-impl DriveScratch {
+impl NetlinkScratch {
     /// Encode the reply `build` makes from the scratch, then take back the
     /// vectors it holds.
-    fn encode(build: impl FnOnce(&mut DriveScratch) -> PmNlMessage) -> Bytes {
+    fn encode(build: impl FnOnce(&mut NetlinkScratch) -> PmNlMessage) -> Bytes {
         SCRATCH.with_borrow_mut(|s| {
             let msg = build(s);
             let frame = encode_reply(&msg);
@@ -127,31 +94,12 @@ thread_local! {
     /// The thread's set, borrowed in place by each callback. Callbacks do
     /// not nest, so it is always free when one borrows it; a nested
     /// borrow would panic.
-    static SCRATCH: RefCell<DriveScratch> = RefCell::default();
+    static SCRATCH: RefCell<NetlinkScratch> = RefCell::default();
 }
 
-/// Frames in flight across the netlink boundary, by crossing id.
+/// Frames in flight across the netlink boundary, by crossing id. Only
+/// probed, never iterated, so its capacity reaches no trajectory.
 type Pending = FxHashMap<u64, Bytes>;
-
-/// A [`Host`]'s tables, in one box that the thread recycles whole: its
-/// crossing table and connect queue. The crossing table is only probed,
-/// never iterated, and the queue is indexed by its own pushes, so their
-/// capacity reaches no trajectory.
-#[derive(Default)]
-struct HostTables {
-    pending: Pending,
-    connects: Vec<ScheduledConnect>,
-}
-
-impl Recycle for HostTables {
-    fn reset(&mut self) {
-        self.pending.clear();
-        self.connects.clear();
-    }
-    fn is_empty(&self) -> bool {
-        self.pending.is_empty() && self.connects.is_empty()
-    }
-}
 
 /// Record of sockdiag probes taken mid-run, filled by scripted
 /// [`NodeCommand::Probe`] actions. Probing is read-only: it draws no
@@ -175,24 +123,35 @@ impl Recycle for DiagLog {
     }
 }
 
-/// One simulated multihomed endpoint.
+/// One simulated multihomed endpoint: a [`StackNode`] (reachable through
+/// `Deref` as `host.stack` and `host.pm`) plus the netlink process.
 pub struct Host {
     /// Human-readable name for reports.
     pub name: String,
-    /// The in-kernel stack.
-    pub stack: HostStack,
-    /// The kernel path manager plugged into the stack.
-    pub pm: Box<dyn PathManagerHook>,
+    node: StackNode,
     /// Optional userspace subflow-controller process.
     pub user: Option<Box<dyn UserProcess>>,
     /// Boundary latency applied per netlink crossing.
     pub latency: LatencyModel,
-    t: Spare<Box<HostTables>>,
+    pending: Spare<Pending>,
     next_pending: u64,
     /// Netlink frames that failed to decode at the kernel (diagnostics).
     pub malformed_commands: u64,
     /// Sockdiag snapshots taken by scripted `Probe` commands.
     pub diag: Spare<DiagLog>,
+}
+
+impl Deref for Host {
+    type Target = StackNode;
+    fn deref(&self) -> &StackNode {
+        &self.node
+    }
+}
+
+impl DerefMut for Host {
+    fn deref_mut(&mut self) -> &mut StackNode {
+        &mut self.node
+    }
 }
 
 impl Host {
@@ -202,11 +161,10 @@ impl Host {
     pub fn new(name: impl Into<String>, cfg: StackConfig) -> Self {
         Host {
             name: name.into(),
-            stack: HostStack::new(cfg),
-            pm: Box::new(smapp_mptcp::NoopPm),
+            node: StackNode::new(cfg),
             user: None,
             latency: LatencyModel::Zero,
-            t: Spare::default(),
+            pending: Spare::default(),
             next_pending: 0,
             malformed_commands: 0,
             diag: Spare::default(),
@@ -215,14 +173,14 @@ impl Host {
 
     /// Plug in a kernel path manager.
     pub fn with_pm(mut self, pm: Box<dyn PathManagerHook>) -> Self {
-        self.pm = pm;
+        self.node.pm = pm;
         self
     }
 
     /// Attach a userspace process behind the given boundary latency. Also
     /// installs a [`NetlinkPm`] as the kernel path manager.
     pub fn with_user(mut self, user: Box<dyn UserProcess>, latency: LatencyModel) -> Self {
-        self.pm = Box::new(NetlinkPm::new());
+        self.node.pm = Box::new(NetlinkPm::new());
         self.user = Some(user);
         self.latency = latency;
         self
@@ -230,19 +188,7 @@ impl Host {
 
     /// Listen on `port` with a per-connection app factory.
     pub fn listen(&mut self, port: u16, factory: smapp_mptcp::stack::AppFactory) {
-        self.stack.listen(port, factory);
-    }
-
-    /// Schedule a client connection at simulated time `at`.
-    pub fn connect_at(
-        &mut self,
-        at: SimTime,
-        src: Option<Addr>,
-        dst: Addr,
-        dst_port: u16,
-        app: Box<dyn App>,
-    ) {
-        self.t.connects.push((at, src, dst, dst_port, Some(app)));
+        self.node.stack.listen(port, factory);
     }
 
     /// Downcast the userspace process.
@@ -250,123 +196,27 @@ impl Host {
         self.user.as_ref()?.as_any().downcast_ref::<T>()
     }
 
-    /// Run one work item through the stack, then the kernel-PM loop.
-    /// Outputs are *appended* to the scratch buffers (which become the
-    /// stack env's), preserving emission order across batched work items.
-    fn run_stack(&mut self, ctx: &mut Ctx<'_>, work: Work, s: &mut DriveScratch) -> (bool, bool) {
-        let mut env = StackEnv {
-            now: ctx.now(),
-            rng: ctx.rng(),
-            out: std::mem::take(&mut s.packets),
-            timers: std::mem::take(&mut s.timers),
-            connects: std::mem::take(&mut s.connects),
-            stop: false,
-        };
-        let mut action_ok = true;
-        match work {
-            Work::Packet(p) => self.stack.on_packet(&mut env, &p),
-            Work::StackTimer(t) => self.stack.on_timer(&mut env, t),
-            Work::Connect {
-                src,
-                dst,
-                dst_port,
-                app,
-            } => {
-                self.stack.connect(&mut env, src, dst, dst_port, app);
-            }
-            Work::Action(a) => {
-                action_ok = self.stack.apply_action(&mut env, &a);
-            }
-            Work::LocalAddr(addr, up) => self.stack.on_local_addr(&mut env, addr, up),
-        }
-        // Kernel path-manager loop: events -> actions -> (more events) ...
-        for _ in 0..8 {
-            self.stack.swap_events(&mut s.events);
-            if s.events.is_empty() {
-                break;
-            }
-            for ev in &s.events {
-                self.pm.on_event(ev, &self.stack, &mut s.actions);
-            }
-            for a in s.actions.drain() {
-                self.stack.apply_action(&mut env, &a);
-            }
-        }
-        s.packets = env.out;
-        s.timers = env.timers;
-        s.connects = env.connects;
-        (env.stop, action_ok)
-    }
-
-    /// Feed a work item (and any follow-up connects) through the stack,
-    /// then flush packets/timers into the simulator and drain the netlink
-    /// outbox toward userspace.
-    fn drive(&mut self, ctx: &mut Ctx<'_>, work: Work) -> bool {
-        SCRATCH.with_borrow_mut(|s| {
-            let (mut stop, first_action_ok) = self.run_stack(ctx, work, s);
-            loop {
-                for c in s.connects.drain(..) {
-                    s.work.push_back(Work::Connect {
-                        src: c.src,
-                        dst: c.dst,
-                        dst_port: c.dst_port,
-                        app: c.app,
-                    });
-                }
-                let Some(w) = s.work.pop_front() else {
-                    break;
-                };
-                stop |= self.run_stack(ctx, w, s).0;
-            }
-            for p in s.packets.drain(..) {
-                if let Some(iface) = ctx.my_iface_by_addr(p.src) {
-                    ctx.send(iface, Packet::tcp(p.src, p.dst, p.seg));
-                }
-            }
-            for (d, t) in s.timers.drain(..) {
-                // A timer the stack restarts on every arm (RTO, DATA_FIN) is
-                // re-armed through the handle it keeps, in place when later.
-                match self.stack.timer_handle_mut(t) {
-                    Some(held) => {
-                        *held = Some(match *held {
-                            Some(h) => ctx.rearm_timer_after(h, d, t),
-                            None => ctx.set_timer_after(d, t),
-                        })
-                    }
-                    None => {
-                        ctx.set_timer_after(d, t);
-                    }
-                }
-            }
-            if stop {
-                ctx.stop();
-            }
-            self.flush_netlink_outbox(ctx, &mut s.to_user);
-            // A run of eight path-manager rounds may leave its last events.
-            s.events.clear();
-            first_action_ok
-        })
-    }
-
     /// Move frames queued by the NetlinkPm across the boundary (adds one
-    /// latency sample each).
-    fn flush_netlink_outbox(&mut self, ctx: &mut Ctx<'_>, frames: &mut Vec<Bytes>) {
+    /// latency sample each). Runs after every drive of the node.
+    fn flush_netlink_outbox(&mut self, ctx: &mut Ctx<'_>) {
         if self.user.is_none() {
             return;
         }
-        let Some(nl) = self.pm.as_any_mut().downcast_mut::<NetlinkPm>() else {
-            return;
-        };
-        nl.swap_outbox(frames);
-        for f in frames.drain(..) {
-            self.schedule_boundary(ctx, f, D_TO_USER);
-        }
+        SCRATCH.with_borrow_mut(|s| {
+            let Some(nl) = self.node.pm.as_any_mut().downcast_mut::<NetlinkPm>() else {
+                return;
+            };
+            nl.swap_outbox(&mut s.to_user);
+            for f in s.to_user.drain(..) {
+                self.schedule_boundary(ctx, f, D_TO_USER);
+            }
+        })
     }
 
     fn schedule_boundary(&mut self, ctx: &mut Ctx<'_>, frame: Bytes, domain: u64) {
         let id = self.next_pending;
         self.next_pending += 1;
-        self.t.pending.insert(id, frame);
+        self.pending.insert(id, frame);
         let d = self.latency.sample(ctx.rng());
         ctx.set_timer_after(d, domain | (id & PAYLOAD));
     }
@@ -437,11 +287,14 @@ impl Host {
                 }
             }
             PmNlCommand::GetInfo { token, id } => {
-                let reply = DriveScratch::encode(|s| self.info_reply(seq, token, id, s));
+                let reply = NetlinkScratch::encode(|s| self.info_reply(seq, token, id, s));
                 self.schedule_boundary(ctx, reply, D_TO_USER);
             }
             PmNlCommand::Action(action) => {
-                let ok = self.drive(ctx, Work::Action(action));
+                let ok = self
+                    .node
+                    .drive(ctx, |stack, env| stack.apply_action(env, &action));
+                self.flush_netlink_outbox(ctx);
                 let errno = if ok {
                     0
                 } else {
@@ -460,7 +313,7 @@ impl Host {
         seq: u32,
         token: ConnToken,
         id: Option<SubflowId>,
-        s: &mut DriveScratch,
+        s: &mut NetlinkScratch,
     ) -> PmNlMessage {
         let mut subflows = s.infos.pop().unwrap_or_default();
         let conn = self.stack.conn_by_token(token);
@@ -481,7 +334,7 @@ impl Host {
     /// Sockdiag dump: live state of every connection on this host, in
     /// creation order, built in the scratch `s`. Read-only, so a probe does
     /// not perturb the trajectory.
-    fn diag_dump(&self, s: &mut DriveScratch) -> Vec<DiagConn> {
+    fn diag_dump(&self, s: &mut NetlinkScratch) -> Vec<DiagConn> {
         let mut conns = std::mem::take(&mut s.diag);
         conns.extend(self.stack.connections().map(|c| {
             let info = c.info();
@@ -505,59 +358,37 @@ impl Host {
 
 impl Node for Host {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        // Wire up interfaces.
-        for (_, iface) in ctx.my_ifaces() {
-            self.stack.set_local_addr(iface.addr, iface.up);
-        }
-        // Give the controller a chance to subscribe.
+        // Give the controller a chance to subscribe, then wire up the
+        // interfaces and schedule the workload.
         self.run_user(ctx, |u, uctx| u.on_start(uctx));
-        // Schedule the workload.
-        for (i, (at, ..)) in self.t.connects.iter().enumerate() {
-            ctx.set_timer_at(*at, D_CONNECT | i as u64);
-        }
+        self.node.on_start(ctx);
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, pkt: Packet) {
-        self.drive(ctx, Work::Packet(pkt));
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, pkt: Packet) {
+        self.node.on_packet(ctx, iface, pkt);
+        self.flush_netlink_outbox(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match token >> 60 {
-            1..=3 => {
-                self.drive(ctx, Work::StackTimer(token));
-            }
             4 => {
                 let tok = token & PAYLOAD;
                 self.run_user(ctx, |u, uctx| u.on_timer(uctx, tok));
             }
             5 => {
-                if let Some(frame) = self.t.pending.remove(&(token & PAYLOAD)) {
+                if let Some(frame) = self.pending.remove(&(token & PAYLOAD)) {
                     self.run_user(ctx, |u, uctx| u.on_message(uctx, frame));
                 }
             }
             6 => {
-                if let Some(frame) = self.t.pending.remove(&(token & PAYLOAD)) {
+                if let Some(frame) = self.pending.remove(&(token & PAYLOAD)) {
                     self.kernel_receive(ctx, frame);
                 }
             }
-            7 => {
-                let idx = (token & PAYLOAD) as usize;
-                if let Some((_, src, dst, port, app)) = self.t.connects.get_mut(idx) {
-                    if let Some(app) = app.take() {
-                        let (src, dst, port) = (*src, *dst, *port);
-                        self.drive(
-                            ctx,
-                            Work::Connect {
-                                src,
-                                dst,
-                                dst_port: port,
-                                app,
-                            },
-                        );
-                    }
-                }
+            _ => {
+                self.node.on_timer(ctx, token);
+                self.flush_netlink_outbox(ctx);
             }
-            _ => {}
         }
     }
 
@@ -566,7 +397,7 @@ impl Node for Host {
             // Read-only snapshot: no RNG draws, no sends, no timers.
             let seq = self.diag.probes as u32;
             self.diag.probes += 1;
-            let reply = DriveScratch::encode(|s| PmNlMessage::DiagReply {
+            let reply = NetlinkScratch::encode(|s| PmNlMessage::DiagReply {
                 seq,
                 conns: self.diag_dump(s),
             });
@@ -575,8 +406,8 @@ impl Node for Host {
     }
 
     fn on_iface_admin(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, up: bool) {
-        let addr = ctx.iface(iface).addr;
-        self.drive(ctx, Work::LocalAddr(addr, up));
+        self.node.on_iface_admin(ctx, iface, up);
+        self.flush_netlink_outbox(ctx);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -590,23 +421,20 @@ impl Node for Host {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smapp_mptcp::NullApp;
 
-    /// A dropped host gives its connect queue and its sockdiag reply list,
-    /// emptied, to the thread; the next host starts on them.
+    /// A dropped host gives its crossing table and its sockdiag reply
+    /// list, emptied, to the thread; the next host starts on them.
     #[test]
     fn a_new_host_starts_on_the_tables_a_dropped_one_gave_back() {
         std::thread::spawn(|| {
             let mut host = Host::new("h", StackConfig::default());
-            let dst = Addr::new(10, 0, 0, 2);
-            for ms in 0..3 {
-                let at = SimTime::from_millis(ms);
-                host.connect_at(at, None, dst, 80, Box::new(NullApp));
+            for id in 0..3 {
+                host.pending.insert(id, Bytes::from_static(b"frame"));
                 host.diag.replies.push(Bytes::from_static(b"reply"));
             }
             let tables = |h: &Host| {
-                let lens = (h.t.connects.len(), h.diag.replies.len());
-                (lens, (h.t.connects.capacity(), h.diag.replies.capacity()))
+                let lens = (h.pending.len(), h.diag.replies.len());
+                (lens, (h.pending.capacity(), h.diag.replies.capacity()))
             };
             let (_, held) = tables(&host);
             drop(host);

@@ -219,10 +219,7 @@ pub fn firewalled(
 
 /// Convenience: borrow a node as a [`Host`].
 pub fn host(sim: &Simulator, id: NodeId) -> &Host {
-    sim.node(id)
-        .as_any()
-        .downcast_ref::<Host>()
-        .expect("node is a Host")
+    sim.node_as(id).expect("node is a Host")
 }
 
 /// Convenience: mutably borrow a node as a [`Host`].

@@ -940,6 +940,28 @@ impl Simulator {
         self.nodes[id.0].as_mut()
     }
 
+    /// Node `id` as its concrete type `N`; `None` when it is not one.
+    pub fn node_as<N: Node + 'static>(&self, id: NodeId) -> Option<&N> {
+        self.node(id).as_any().downcast_ref()
+    }
+
+    /// Call `f` with node `id`, as its concrete type `N`, and the node's
+    /// context: how code outside a run hands a node work between two
+    /// [`Simulator::run_until`] calls, at the time the last one ended.
+    /// `None` when the node is not an `N`.
+    pub fn with_node<N: Node + 'static, R>(
+        &mut self,
+        id: NodeId,
+        f: impl FnOnce(&mut N, &mut Ctx<'_>) -> R,
+    ) -> Option<R> {
+        let node = self.nodes[id.0].as_any_mut().downcast_mut()?;
+        let mut ctx = Ctx {
+            core: &mut self.core,
+            node: id,
+        };
+        Some(f(node, &mut ctx))
+    }
+
     /// Run until the queue drains or `horizon` is reached.
     pub fn run_until(&mut self, horizon: SimTime) -> RunSummary {
         self.run_inner(Some(horizon))
