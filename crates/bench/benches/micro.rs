@@ -20,6 +20,10 @@ use smapp_tcp::{
 };
 use std::hint::black_box;
 
+// The protocol suite's two-host world, which the spares bench builds.
+#[path = "../../mptcp/tests/common/mod.rs"]
+mod world;
+
 /// An ACK carrying a 1400-byte payload and one DSS option (data ACK and
 /// mapping): the common data segment of every workload.
 fn dss_segment() -> TcpSegment {
@@ -225,37 +229,24 @@ fn bench_send_buffer(c: &mut Criterion) {
 /// previous iteration's stacks gave back to the thread.
 fn bench_spares(c: &mut Criterion) {
     use smapp_mptcp::apps::BulkSender;
-    use smapp_mptcp::{ConnState, StackConfig, StackNode};
-    use smapp_sim::{AddrPrefix, LinkCfg, Oracle, Router, SimTime, Simulator};
+    use smapp_mptcp::ConnState;
+    use smapp_sim::SimTime;
+    use std::time::Duration;
+    use world::{Side, World};
     const BLOCK: u64 = 64 * 1024;
     let (client, server) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 1, 1));
     let mut g = c.benchmark_group("spares");
     g.throughput(Throughput::Bytes(2 * BLOCK));
     g.bench_function("connection_on_fresh_stack_64kib", |b| {
         b.iter(|| {
+            let delay = Duration::from_millis(5);
+            let mut w = World::new(7, delay, &[client], &[server]);
             let send = || Box::new(BulkSender::new(BLOCK).close_when_done());
-            let mut a = StackNode::new(StackConfig::default());
-            a.connect_at(SimTime::ZERO, None, server, 80, send());
-            let mut b = StackNode::new(StackConfig::default());
-            b.stack.listen(80, Box::new(move || send()));
-            let mut sim = Simulator::new(7);
-            sim.core.set_trace(Box::new(Oracle::new()));
-            let r = sim.add_node(Box::new(Router::new(0)));
-            let ids = [(a, client), (b, server)].map(|(node, addr)| {
-                let id = sim.add_node(Box::new(node));
-                let (iface, port) = (sim.add_iface(id, addr, "eth0"), sim.add_iface(r, addr, "r"));
-                sim.connect(iface, port, LinkCfg::mbps_ms(1000, 2));
-                sim.with_node(r, |r: &mut Router, _| {
-                    r.add_route(AddrPrefix::host(addr), vec![port]);
-                });
-                id
-            });
-            sim.run_until(SimTime::from_secs(10));
+            w.listen(Side::B, 80, Box::new(move || send()));
+            w.connect(Side::A, 80, send()).unwrap();
+            w.run_until(SimTime::from_secs(10));
             let closed = |c: &smapp_mptcp::Connection| c.state == ConnState::Closed;
-            let stack = |id| &sim.node_as::<StackNode>(id).unwrap().stack;
-            assert!(ids
-                .into_iter()
-                .all(|id| stack(id).connections().all(closed)));
+            assert!(w.a().connections().chain(w.b().connections()).all(closed));
         })
     });
     g.finish();

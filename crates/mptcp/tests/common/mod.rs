@@ -9,7 +9,8 @@
 //! between `run_until` calls through [`Simulator::with_node`], and the
 //! oracle's verdict is checked when the world drops.
 //!
-//! The library's unit tests include this file as `crate::world`.
+//! The library's unit tests include this file as `crate::world`, and the
+//! `spares` micro-bench as `world`.
 
 #![allow(dead_code)] // each test target uses its own part
 

@@ -590,6 +590,10 @@ fn middlebox_stripping_both_directions_forces_clean_fallback() {
     );
     let sconn = h.b().connections().next().unwrap();
     assert!(sconn.is_fallback());
+    assert!(
+        !sconn.stats.fallback_inferred,
+        "server fell back at the handshake"
+    );
     let sink = sconn
         .app()
         .unwrap()
