@@ -176,7 +176,7 @@ fn mutate(seeds: &[u64], mutation_seed: u64, minutes: f64) {
 }
 
 /// Shrink a failing case's dynamics and print the kept entries as a
-/// copy-pasteable Rust `DynamicsScript` snippet.
+/// copy-pasteable Rust `NetemScript` snippet.
 fn report_shrunk(case: &fuzz::FuzzCase, opts: &fuzz::FuzzOptions) {
     match fuzz::shrink_case(case, opts) {
         Some(s) => {

@@ -5,8 +5,8 @@
 //! executions against an executable specification (rather than hand-picked
 //! cases), this module derives a complete scenario — topology, link
 //! parameters, path-manager mix, workload, middlebox/rewriter family,
-//! adversarial flood plan and a [`smapp_sim::DynamicsScript`] of mid-run churn — from
-//! a `u64` seed, runs it with the wire oracle and the end-host taps
+//! adversarial flood plan and a [`NetemScript`] of mid-run churn — from a
+//! `u64` seed, runs it with the wire oracle and the end-host taps
 //! enabled, and reports every invariant violation with the replayable
 //! `(scenario="fuzz", seed, time)` triple.
 //!
@@ -33,7 +33,7 @@
 //! * [`shrink`] / [`shrink_case`] — for a failing case, bisect the
 //!   dynamics script down to a minimal still-failing subset;
 //!   [`dynamics_snippet`] renders the survivor as a copy-pasteable Rust
-//!   `DynamicsScript` snippet.
+//!   [`NetemScript`] snippet.
 //! * [`default_corpus`] — the committed fixed-seed corpus
 //!   (`FUZZ_CORPUS.txt`) CI runs on every build; failures reproduce
 //!   locally with `cargo run --release -p smapp-bench --bin fuzz --

@@ -14,7 +14,7 @@ use smapp_mptcp::StackConfig;
 use smapp_netlink::LatencyModel;
 use smapp_pm::topo::{self, CLIENT_ADDR1, CLIENT_ADDR2};
 use smapp_pm::Host;
-use smapp_sim::{LinkCfg, LossModel, SimTime};
+use smapp_sim::{InstallPolicy, LinkCfg, LossPct, Netem, NetemScript, SimTime};
 
 use super::{bulk_client, bulk_outcome, checked_run, sink_as, sink_server, Row, Run, Scenario};
 use crate::sweep::digest_rows;
@@ -107,11 +107,9 @@ impl Scenario for Fig2a {
             LinkCfg::mbps_ms(5, 10),
         );
         let mut sim = net.sim;
-        let l1 = net.link1;
-        let loss = p.loss;
-        sim.at(p.loss_onset, move |core| {
-            core.set_loss_both(l1, LossModel::Bernoulli(loss));
-        });
+        let onset = Netem::on(net.link1).loss(LossPct::ratio(p.loss));
+        sim.install(NetemScript::new().at(p.loss_onset, onset), InstallPolicy::Sort)
+            .unwrap();
         let (summary, sink) = checked_run(
             &mut sim,
             Some(Box::new(SeqTraceSink::new(vec![net.link1, net.link2]))),

@@ -19,7 +19,7 @@ use smapp_mptcp::StackConfig;
 use smapp_netlink::LatencyModel;
 use smapp_pm::topo::{self, CLIENT_ADDR1, CLIENT_ADDR2, SERVER_ADDR};
 use smapp_pm::{FullMeshPm, Host};
-use smapp_sim::{LinkCfg, LossModel, SimTime};
+use smapp_sim::{InstallPolicy, LinkCfg, LossPct, Netem, NetemScript, SimTime};
 
 use super::{checked_run, first_app, Row, Run, Scenario};
 use crate::sweep::digest_f64s;
@@ -135,12 +135,10 @@ impl Scenario for Fig2b {
             LinkCfg::mbps_ms(5, 10),
         );
         let mut sim = net.sim;
-        let l1 = net.link1;
-        let loss = p.loss;
         // Loss starts with the stream (after the handshake completes).
-        sim.at(SimTime::from_millis(200), move |core| {
-            core.set_loss_both(l1, LossModel::Bernoulli(loss));
-        });
+        let onset = Netem::on(net.link1).loss(LossPct::ratio(p.loss));
+        let script = NetemScript::new().at(SimTime::from_millis(200), onset);
+        sim.install(script, InstallPolicy::Sort).unwrap();
         let horizon = SimTime::from_secs(p.blocks + 120);
         let (summary, _) = checked_run(&mut sim, None, horizon, Self::NAME, seed);
 

@@ -17,7 +17,7 @@
 use smapp_mptcp::StackConfig;
 use smapp_pm::topo::{self, CLIENT_ADDR1};
 use smapp_pm::Host;
-use smapp_sim::{LinkCfg, LossModel, SimTime};
+use smapp_sim::{InstallPolicy, LinkCfg, LossPct, Netem, NetemScript, SimTime};
 
 use super::{bulk_client, bulk_outcome, checked_run, sink_as, sink_server, Row, Run, Scenario};
 use crate::pms::BackupFlagPm;
@@ -104,10 +104,9 @@ impl Scenario for Sec42 {
             LinkCfg::mbps_ms(5, 10),
         );
         let mut sim = net.sim;
-        let l1 = net.link1;
-        sim.at(p.loss_onset, move |core| {
-            core.set_loss_both(l1, LossModel::Bernoulli(1.0));
-        });
+        let onset = Netem::on(net.link1).loss(LossPct::ratio(1.0));
+        sim.install(NetemScript::new().at(p.loss_onset, onset), InstallPolicy::Sort)
+            .unwrap();
         // Horizon: the give-up takes ~13.5 minutes; allow the transfer to
         // finish afterwards.
         let (summary, sink) = checked_run(

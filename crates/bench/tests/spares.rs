@@ -18,7 +18,7 @@ use smapp_sim::spare;
 /// runtime's kept reply and query table; the refresh controller's tables
 /// and log; the stack's tables; connection, subflow and retired storage
 /// for each of the two roles; completion logs.
-const KINDS: usize = 25;
+const KINDS: usize = 24;
 
 #[test]
 fn every_spare_comes_back_emptied_after_each_smoke_cell() {

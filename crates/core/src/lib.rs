@@ -80,11 +80,9 @@ pub mod prelude {
     pub use smapp_mptcp::{ConnToken, PmEvent, StackConfig, SubflowError, SubflowId};
     pub use smapp_netlink::{DiagConn, LatencyModel};
     pub use smapp_pm::{DiagLog, FullMeshPm, Host, NdiffportsPm};
-    // The typed netem impairment language plus the raw script layer it
-    // compiles to, so examples can use either.
+    // The typed netem impairment language and the actions it compiles to.
     pub use smapp_sim::{
-        Addr, DynAction, DynamicsScript, Eviction, Handle, InstallPolicy, LinkCfg, LossModel,
-        LossPct, Netem, NetemScript, NodeCommand, OneWayDelay, QueueLen, RateBps, SimTime,
-        Simulator,
+        Addr, DynAction, Eviction, InstallPolicy, LinkCfg, LossModel, LossPct, Netem, NetemScript,
+        NodeCommand, OneWayDelay, QueueLen, RateBps, SimTime, Simulator,
     };
 }

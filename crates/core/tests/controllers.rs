@@ -89,10 +89,9 @@ fn backup_controller_switches_when_rto_escalates() {
     let mut sim = net.sim;
     // After 1 s, the primary path starts losing 30% of packets (both
     // directions) — the Fig. 2a condition.
-    let l1 = net.link1;
-    sim.at(SimTime::from_secs(1), move |core| {
-        core.set_loss_both(l1, LossModel::Bernoulli(0.30));
-    });
+    let onset = Netem::on(net.link1).loss(LossPct::ratio(0.30));
+    let script = NetemScript::new().at(SimTime::from_secs(1), onset);
+    sim.install(script, InstallPolicy::Sort).unwrap();
     sim.run_until(SimTime::from_secs(120));
 
     let client = topo::host(&sim, net.client);
@@ -182,10 +181,9 @@ fn stream_controller_adds_subflow_when_block_lags() {
     );
     let mut sim = net.sim;
     // 30% loss on the initial path from the start of streaming.
-    let l1 = net.link1;
-    sim.at(SimTime::from_millis(500), move |core| {
-        core.set_loss_both(l1, LossModel::Bernoulli(0.30));
-    });
+    let onset = Netem::on(net.link1).loss(LossPct::ratio(0.30));
+    let script = NetemScript::new().at(SimTime::from_millis(500), onset);
+    sim.install(script, InstallPolicy::Sort).unwrap();
     sim.run_until(SimTime::from_secs(60));
 
     let client_host = topo::host(&sim, net.client);

@@ -21,7 +21,10 @@ use smapp_mptcp::{PathManagerHook, StackConfig};
 use smapp_netlink::LatencyModel;
 use smapp_pm::topo::{self, SERVER_ADDR};
 use smapp_pm::{FullMeshPm, Host, NdiffportsPm};
-use smapp_sim::{LinkCfg, LossModel, SimTime, TraceEvent, TraceKind, TraceSink};
+use smapp_sim::{
+    InstallPolicy, LinkCfg, LossModel, Netem, NetemScript, SimTime, TraceEvent, TraceKind,
+    TraceSink,
+};
 use smapp_tcp::check::StreamTap;
 
 const SEEDS: [u64; 3] = [1, 2, 3];
@@ -81,10 +84,10 @@ fn wire(seed: u64, mut client: Host, flap: bool, loss: bool) -> ((u64, u64), u64
     let mut sim = net.sim;
     if flap {
         let if2 = net.client_if2;
-        sim.core
-            .schedule_iface_admin(SimTime::from_millis(900), if2, false);
-        sim.core
-            .schedule_iface_admin(SimTime::from_millis(1500), if2, true);
+        let flap = NetemScript::new()
+            .at(SimTime::from_millis(900), Netem::iface(if2).down())
+            .at(SimTime::from_millis(1500), Netem::iface(if2).up());
+        sim.install(flap, InstallPolicy::Sort).unwrap();
     }
     sim.core.set_trace(Box::<WireSink>::default());
     sim.run_until(SimTime::from_secs(30));

@@ -1,26 +1,21 @@
-//! Scripted, deterministic network dynamics.
+//! Scripted, deterministic network dynamics: the actions a script runs.
 //!
 //! The paper's headline scenarios are stories about *networks that change
 //! under the connection*: a WiFi path that degrades as the user walks away
 //! (§4.2), flapping bottlenecks that a refresh controller routes around
 //! (§4.4), middleboxes that strip the MPTCP options and force a fallback
-//! to plain TCP (§1, the classic deployment hazard). This module makes
-//! those changes first-class: a [`DynamicsScript`] is a time-ordered list
-//! of [`DynAction`]s installed on the [`crate::Simulator`] with
-//! [`crate::Simulator::install`] and executed through the same
-//! event queue as every packet and timer — so a scripted run is
-//! exactly as deterministic, seed-stable and sweep-parallel-safe as an
-//! unscripted one.
+//! to plain TCP (§1, the classic deployment hazard). A
+//! [`crate::NetemScript`] of [`crate::Netem`] clauses compiles each such
+//! change to one [`DynAction`] at an instant; [`crate::Simulator::install`]
+//! schedules them on the same event queue as every packet and timer — so
+//! a scripted run is exactly as deterministic, seed-stable and
+//! sweep-parallel-safe as an unscripted one.
 //!
 //! # Determinism contract
 //!
-//! * Entries are executed in `(time, installation order)` order. A script
-//!   whose entries are out of order is either **stably sorted** at install
-//!   time ([`crate::InstallPolicy::Sort`]) or **rejected**
-//!   ([`DynamicsScript::validate`] / [`crate::InstallPolicy::Strict`]) —
-//!   both behaviours are deterministic, there is no silent reordering
-//!   ambiguity: ties at the same instant always preserve the order entries
-//!   were added in.
+//! * Entries execute in `(time, installation order)` order: `install`
+//!   stably sorts a script by time, so entries sharing an instant run in
+//!   the order they were added.
 //! * Actions mutate only simulation state (link parameters, interface
 //!   admin state, node middlebox knobs) through the same code paths node
 //!   callbacks use, so per-seed trajectories are bit-identical whether the
@@ -45,7 +40,6 @@ use bytes::{Bytes, BytesMut};
 
 use crate::link::{Dir, Eviction, LinkId, LossModel};
 use crate::node::{IfaceId, NodeId};
-use crate::time::SimTime;
 use crate::wire::{OptionWriter, TcpView, OPT_KIND_MPTCP, TCP_HEADER_LEN};
 
 /// An out-of-band control command delivered to a node by
@@ -177,111 +171,6 @@ pub enum DynAction {
     Stop,
 }
 
-/// One scripted entry: an action and the instant it executes.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DynEntry {
-    /// When the action runs.
-    pub at: SimTime,
-    /// What happens.
-    pub action: DynAction,
-}
-
-/// Error returned by [`DynamicsScript::validate`] when entries are not in
-/// non-decreasing time order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OutOfOrderError {
-    /// Index of the first entry whose time precedes its predecessor's.
-    pub index: usize,
-    /// The offending entry's time.
-    pub at: SimTime,
-    /// The predecessor's time.
-    pub prev: SimTime,
-}
-
-impl std::fmt::Display for OutOfOrderError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "dynamics entry {} at {} precedes its predecessor at {}",
-            self.index, self.at, self.prev
-        )
-    }
-}
-
-impl std::error::Error for OutOfOrderError {}
-
-/// A time-ordered list of deterministic network changes.
-///
-/// Build one with the chainable [`DynamicsScript::at`] (or
-/// [`DynamicsScript::push`]), then install it with
-/// [`crate::Simulator::install`]. Entries may be added in any order; the
-/// [`crate::InstallPolicy::Sort`] policy stably sorts by time, so entries
-/// sharing an instant run in the order they were added. Use
-/// [`DynamicsScript::validate`] (or [`crate::InstallPolicy::Strict`]) to
-/// *reject* out-of-order scripts instead.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct DynamicsScript {
-    entries: Vec<DynEntry>,
-}
-
-impl DynamicsScript {
-    /// An empty script.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add an action at `at` (builder style).
-    #[must_use]
-    pub fn at(mut self, at: SimTime, action: DynAction) -> Self {
-        self.push(at, action);
-        self
-    }
-
-    /// Add an action at `at`.
-    pub fn push(&mut self, at: SimTime, action: DynAction) {
-        self.entries.push(DynEntry { at, action });
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the script has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The entries, in insertion order.
-    pub fn entries(&self) -> &[DynEntry] {
-        &self.entries
-    }
-
-    /// Check that entries are already in non-decreasing time order;
-    /// returns the first violation otherwise.
-    pub fn validate(&self) -> Result<(), OutOfOrderError> {
-        for (i, w) in self.entries.windows(2).enumerate() {
-            if w[1].at < w[0].at {
-                return Err(OutOfOrderError {
-                    index: i + 1,
-                    at: w[1].at,
-                    prev: w[0].at,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Consume the script, returning entries stably sorted by time:
-    /// entries at the same instant keep their insertion order. This is the
-    /// deterministic normalization [`crate::Simulator::install`] applies
-    /// under [`crate::InstallPolicy::Sort`].
-    pub fn into_ordered(mut self) -> Vec<DynEntry> {
-        self.entries.sort_by_key(|e| e.at);
-        self.entries
-    }
-}
-
 /// Strip every MPTCP option (kind 30) from a raw TCP segment.
 ///
 /// `payload` is the L4 bytes of a [`crate::Packet`] with `proto ==`
@@ -324,61 +213,6 @@ pub fn strip_mptcp_options(payload: &[u8]) -> Option<(Bytes, u32)> {
 mod tests {
     use super::*;
     use crate::wire::{encode_parts, TcpFixed, TcpFlags, OPT_KIND_MSS, OPT_KIND_WINDOW_SCALE};
-
-    fn at(ms: u64) -> SimTime {
-        SimTime::from_millis(ms)
-    }
-
-    #[test]
-    fn validate_accepts_ordered_rejects_unordered() {
-        let ok = DynamicsScript::new()
-            .at(at(1), DynAction::Stop)
-            .at(at(1), DynAction::Stop)
-            .at(at(5), DynAction::Stop);
-        assert!(ok.validate().is_ok());
-
-        let bad = DynamicsScript::new()
-            .at(at(5), DynAction::Stop)
-            .at(at(1), DynAction::Stop);
-        let err = bad.validate().unwrap_err();
-        assert_eq!(err.index, 1);
-        assert_eq!(err.at, at(1));
-        assert_eq!(err.prev, at(5));
-        assert!(err.to_string().contains("precedes"));
-    }
-
-    #[test]
-    fn into_ordered_is_a_stable_sort() {
-        // Two entries at the same instant must keep insertion order even
-        // when a later-added earlier entry is sorted in front of them.
-        let s = DynamicsScript::new()
-            .at(
-                at(10),
-                DynAction::IfaceAdmin {
-                    iface: IfaceId(0),
-                    up: false,
-                },
-            )
-            .at(
-                at(10),
-                DynAction::IfaceAdmin {
-                    iface: IfaceId(0),
-                    up: true,
-                },
-            )
-            .at(at(2), DynAction::Stop);
-        let ordered = s.into_ordered();
-        assert_eq!(ordered.len(), 3);
-        assert_eq!(ordered[0].at, at(2));
-        assert!(matches!(
-            ordered[1].action,
-            DynAction::IfaceAdmin { up: false, .. }
-        ));
-        assert!(matches!(
-            ordered[2].action,
-            DynAction::IfaceAdmin { up: true, .. }
-        ));
-    }
 
     /// A valid PSH|ACK segment from port 4321 to 80 carrying `options`
     /// (kind, body) NOP-padded by the writer, then `payload`.

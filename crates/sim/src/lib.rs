@@ -8,14 +8,14 @@
 //! * IP-style packets carrying real L4 wire bytes ([`Packet`]), and the
 //!   TCP header reader and writer every layer shares ([`wire`]),
 //! * full-duplex links with bandwidth, propagation delay, drop-tail queues
-//!   and (time-varying) random loss ([`LinkCfg`], [`LossModel`]),
+//!   and random loss ([`LinkCfg`], [`LossModel`]),
 //! * ECMP routers hashing the 5-tuple ([`Router`]),
 //! * stateful firewall/NAT middleboxes with idle timeouts ([`Firewall`]),
 //! * scripted deterministic network dynamics — link parameter changes,
-//!   link/interface flaps, middlebox control — executed through the
-//!   event queue ([`DynamicsScript`], [`dynamics`]), plus a
-//!   typed `tc`-style impairment language that compiles onto it
-//!   ([`Netem`], [`netem`]),
+//!   link/interface flaps, middlebox control — written in one typed
+//!   `tc`-style language ([`Netem`] clauses in a [`NetemScript`], see
+//!   [`netem`]) whose actions ([`DynAction`], see [`dynamics`]) run
+//!   through the event queue,
 //! * a tracing facility equivalent to running tcpdump on every link
 //!   ([`TraceSink`]),
 //! * an always-on protocol-invariant checker built on that tracing
@@ -89,11 +89,11 @@ pub mod world;
 pub use addr::{Addr, AddrPrefix, FlowKey};
 pub use adversary::FloodSource;
 pub use coverage::Coverage;
-pub use dynamics::{DynAction, DynEntry, DynamicsScript, NodeCommand, OutOfOrderError};
+pub use dynamics::{DynAction, NodeCommand};
 pub use firewall::{DenyPolicy, Firewall};
 pub use hash::{FxHashMap, FxHashSet};
 pub use link::{Dir, DropReason, Eviction, LinkCfg, LinkDirStats, LinkId, LossModel, ReorderModel};
-pub use netem::{Handle, LossPct, Netem, NetemScript, OneWayDelay, QueueLen, RateBps};
+pub use netem::{LossPct, Netem, NetemScript, OneWayDelay, QueueLen, RateBps};
 pub use node::{Iface, IfaceId, Node, NodeId};
 pub use oracle::{Oracle, OracleOutcome, Violation};
 pub use packet::{IcmpMsg, Packet, PktSummary, UnreachCode, IP_HEADER_LEN, PROTO_ICMP, PROTO_TCP};

@@ -8,17 +8,14 @@
 //! 3. a loss trial (a lost packet still consumed serializer time),
 //! 4. propagation delay.
 //!
-//! Loss models can change over simulated time ([`LossModel::Schedule`]),
-//! which is how the Fig. 2a experiment raises the primary path's loss ratio
-//! to 30 % one second into the transfer.
+//! A script changes a loss model mid-run ([`crate::Netem::loss`]), which is
+//! how the Fig. 2a experiment raises the primary path's loss ratio to 30 %
+//! one second into the transfer.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::packet::Packet;
-use crate::rng::SimRng;
-use crate::time::SimTime;
 
 /// Identifies a link within a simulation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -51,37 +48,15 @@ pub enum LossModel {
     None,
     /// Independent Bernoulli loss with the given probability.
     Bernoulli(f64),
-    /// Piecewise-constant loss ratio over time: `(from, p)` entries sorted
-    /// by `from`; the ratio in force is the last entry whose `from <= now`.
-    /// Before the first entry the ratio is 0. The entries are shared, so
-    /// cloning the model (e.g. applying one schedule to both directions of
-    /// a link) is a refcount bump, not a copy.
-    Schedule(Arc<[(SimTime, f64)]>),
 }
 
 impl LossModel {
-    /// Build a [`LossModel::Schedule`] from `(from, p)` entries.
-    pub fn schedule(entries: Vec<(SimTime, f64)>) -> Self {
-        LossModel::Schedule(entries.into())
-    }
-
-    /// The loss probability in force at `now`.
-    pub fn ratio_at(&self, now: SimTime) -> f64 {
+    /// The loss probability of one trial.
+    pub fn ratio(&self) -> f64 {
         match self {
             LossModel::None => 0.0,
             LossModel::Bernoulli(p) => *p,
-            LossModel::Schedule(entries) => entries
-                .iter()
-                .take_while(|(from, _)| *from <= now)
-                .last()
-                .map(|(_, p)| *p)
-                .unwrap_or(0.0),
         }
-    }
-
-    /// Perform a loss trial at `now`.
-    pub fn drops(&self, now: SimTime, rng: &mut SimRng) -> bool {
-        rng.chance(self.ratio_at(now))
     }
 }
 
@@ -294,22 +269,9 @@ mod tests {
     }
 
     #[test]
-    fn loss_schedule_lookup() {
-        let m = LossModel::schedule(vec![
-            (SimTime::from_secs(1), 0.3),
-            (SimTime::from_secs(5), 0.0),
-        ]);
-        assert_eq!(m.ratio_at(SimTime::ZERO), 0.0);
-        assert_eq!(m.ratio_at(SimTime::from_millis(999)), 0.0);
-        assert_eq!(m.ratio_at(SimTime::from_secs(1)), 0.3);
-        assert_eq!(m.ratio_at(SimTime::from_secs(4)), 0.3);
-        assert_eq!(m.ratio_at(SimTime::from_secs(6)), 0.0);
-    }
-
-    #[test]
     fn bernoulli_ratio() {
-        assert_eq!(LossModel::Bernoulli(0.25).ratio_at(SimTime::ZERO), 0.25);
-        assert_eq!(LossModel::None.ratio_at(SimTime::ZERO), 0.0);
+        assert_eq!(LossModel::Bernoulli(0.25).ratio(), 0.25);
+        assert_eq!(LossModel::None.ratio(), 0.0);
     }
 
     #[test]

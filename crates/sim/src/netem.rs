@@ -1,14 +1,13 @@
-//! Typed, `tc`-style impairment language.
+//! Typed, `tc`-style impairment language: the one way to script a world.
 //!
-//! This module is the *upper* layer of the scripted-dynamics control
-//! plane: a [`Netem`] clause reads like a `tc qdisc`/`tc netem` command
-//! line and compiles down to the ordered [`crate::dynamics::DynEntry`]s
-//! of a plain [`DynamicsScript`] — which stays the stable lower layer the
-//! simulator executes. Nothing a netem program can express is outside
-//! `DynamicsScript`, and the compilation is purely positional: each
-//! builder call appends exactly one [`DynAction`], so a netem program and
-//! the hand-written script it compiles to install identically and run
-//! trajectory-identically.
+//! A [`Netem`] clause reads like a `tc qdisc`/`tc netem` command line; each
+//! builder call compiles to exactly one [`DynAction`], in call order. A
+//! [`NetemScript`] holds the `(instant, action)` entries its clauses
+//! compiled to, and [`crate::Simulator::install`] schedules them on the
+//! world's event queue, stably sorted by time: entries sharing an instant
+//! run in the order they were added. A change that must read world state
+//! first (a watchdog that stops the run once every transfer is done) is a
+//! hook on [`crate::Simulator::at`] instead; both kinds wait on one list.
 //!
 //! Quantities are typed newtypes ([`RateBps`], [`OneWayDelay`],
 //! [`QueueLen`], [`LossPct`]) so a rate cannot be passed where a delay is
@@ -21,7 +20,7 @@
 //!
 //! ```
 //! use smapp_sim::netem::{LossPct, Netem, NetemScript, OneWayDelay, QueueLen, RateBps};
-//! use smapp_sim::{DynamicsScript, LinkId, SimTime};
+//! use smapp_sim::{LinkId, SimTime};
 //!
 //! let wifi = LinkId(0);
 //! let script = NetemScript::new()
@@ -41,8 +40,7 @@
 //!             .reorder(LossPct::percent(10.0), OneWayDelay::ms(5))
 //!             .duplicate(LossPct::percent(1.0)),
 //!     );
-//! let dynamics: DynamicsScript = script.into();
-//! assert_eq!(dynamics.len(), 6);
+//! assert_eq!(script.len(), 6);
 //! ```
 //!
 //! Middlebox and host control use per-peer clauses; probing a host takes
@@ -62,7 +60,7 @@
 
 use std::time::Duration;
 
-use crate::dynamics::{DynAction, DynamicsScript, NodeCommand};
+use crate::dynamics::{DynAction, NodeCommand};
 use crate::link::{Dir, Eviction, LinkId, LossModel};
 use crate::node::{IfaceId, NodeId};
 use crate::time::SimTime;
@@ -151,19 +149,6 @@ impl LossPct {
     }
     /// The probability as a ratio in `[0, 1]`.
     pub const fn as_ratio(self) -> f64 {
-        self.0
-    }
-}
-
-/// Identifies one installed clause within a [`NetemScript`] (the analogue
-/// of a `tc` qdisc handle): [`NetemScript::add`] returns one per clause,
-/// in installation order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Handle(pub u32);
-
-impl Handle {
-    /// The clause's zero-based installation index.
-    pub const fn index(self) -> u32 {
         self.0
     }
 }
@@ -328,7 +313,7 @@ impl Netem {
         self.loss_model(LossModel::Bernoulli(pct.as_ratio()))
     }
 
-    /// Replace the whole loss model (schedules, or [`LossModel::None`]).
+    /// Replace the whole loss model ([`LossModel::None`] clears loss).
     #[must_use]
     pub fn loss_model(mut self, loss: LossModel) -> Self {
         let link = self.link("loss");
@@ -474,13 +459,12 @@ impl Netem {
     }
 }
 
-/// A timed program of [`Netem`] clauses, compiling to a
-/// [`DynamicsScript`]. Install it directly with
-/// [`crate::Simulator::install`] (it converts via [`From`]).
-#[derive(Clone, Debug, Default)]
+/// A timed program of [`Netem`] clauses: the `(instant, action)` entries
+/// they compiled to, one per builder call, in the order they were added.
+/// Install it with [`crate::Simulator::install`].
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct NetemScript {
-    script: DynamicsScript,
-    clauses: u32,
+    pub(crate) entries: Vec<(SimTime, DynAction)>,
 }
 
 impl NetemScript {
@@ -496,38 +480,28 @@ impl NetemScript {
         self
     }
 
-    /// Add a clause at `at`, returning its [`Handle`].
-    pub fn add(&mut self, at: SimTime, clause: Netem) -> Handle {
+    /// Add a clause at `at`.
+    pub fn add(&mut self, at: SimTime, clause: Netem) {
         match clause.actions {
             Actions::Empty => {}
-            Actions::One(action) => self.script.push(at, action),
-            Actions::Many(all) => all.into_iter().for_each(|a| self.script.push(at, a)),
+            Actions::One(action) => self.entries.push((at, action)),
+            Actions::Many(all) => all.into_iter().for_each(|a| self.entries.push((at, a))),
         }
-        let h = Handle(self.clauses);
-        self.clauses += 1;
-        h
     }
 
-    /// Number of clauses added so far.
-    pub fn len(&self) -> u32 {
-        self.clauses
+    /// Number of entries (compiled actions) added so far.
+    pub fn len(&self) -> usize {
+        self.entries.len()
     }
 
-    /// True when no clause has been added.
+    /// True when no entry has been added.
     pub fn is_empty(&self) -> bool {
-        self.clauses == 0
+        self.entries.is_empty()
     }
 
-    /// Compile to the underlying [`DynamicsScript`] (one entry per
-    /// builder call, in clause-then-call order).
-    pub fn compile(self) -> DynamicsScript {
-        self.script
-    }
-}
-
-impl From<NetemScript> for DynamicsScript {
-    fn from(s: NetemScript) -> DynamicsScript {
-        s.compile()
+    /// The entries, in the order they were added.
+    pub fn entries(&self) -> &[(SimTime, DynAction)] {
+        &self.entries
     }
 }
 
@@ -616,19 +590,16 @@ mod tests {
     }
 
     #[test]
-    fn script_orders_entries_and_hands_out_handles() {
+    fn script_keeps_entries_in_the_order_they_were_added() {
         let mut s = NetemScript::new();
-        let h0 = s.add(
-            SimTime::from_secs(1),
+        s.add(
+            SimTime::from_secs(2),
             Netem::on(LinkId(0)).loss(LossPct::percent(10.0)),
         );
-        let h1 = s.add(SimTime::from_secs(2), Netem::on(LinkId(0)).down());
-        assert_eq!((h0.index(), h1.index()), (0, 1));
+        s.add(SimTime::from_secs(1), Netem::on(LinkId(0)).down());
         assert_eq!(s.len(), 2);
-        let d: DynamicsScript = s.into();
-        assert_eq!(d.len(), 2);
-        assert!(d.validate().is_ok());
-        assert_eq!(d.entries()[0].at, SimTime::from_secs(1));
+        let times: Vec<_> = s.entries().iter().map(|&(at, _)| at).collect();
+        assert_eq!(times, [SimTime::from_secs(2), SimTime::from_secs(1)]);
     }
 
     /// One-, two- and three-action clauses reach the script whole and in
@@ -645,7 +616,6 @@ mod tests {
             .probe();
         assert_eq!(c.clone().actions().len(), 3);
         s.add(t(3), c);
-        let d: DynamicsScript = s.into();
         let cmd = |node, cmd| DynAction::Command { node, cmd };
         let link = |up| DynAction::LinkAdmin {
             link: LinkId(0),
@@ -659,12 +629,7 @@ mod tests {
             (t(3), cmd(NodeId(2), NodeCommand::SeqNat(true))),
             (t(3), cmd(NodeId(2), NodeCommand::Probe)),
         ];
-        let got: Vec<_> = d
-            .entries()
-            .iter()
-            .map(|e| (e.at, e.action.clone()))
-            .collect();
-        assert_eq!(got, expect);
+        assert_eq!(s.entries(), expect);
     }
 
     #[test]

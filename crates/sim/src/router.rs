@@ -701,20 +701,12 @@ mod tests {
 
     #[test]
     fn strip_command_toggles_the_flag() {
-        use crate::dynamics::NodeCommand;
+        use crate::netem::{Netem, NetemScript};
         let mut sim = crate::Simulator::new(0);
         let rid = sim.add_node(Box::new(Router::new(0)));
-        sim.install(
-            crate::DynamicsScript::new().at(
-                crate::SimTime::from_millis(1),
-                crate::DynAction::Command {
-                    node: rid,
-                    cmd: NodeCommand::StripMptcp(true),
-                },
-            ),
-            crate::InstallPolicy::Sort,
-        )
-        .unwrap();
+        let strip = Netem::peer(rid).strip_mptcp(true);
+        let script = NetemScript::new().at(crate::SimTime::from_millis(1), strip);
+        sim.install(script, crate::InstallPolicy::Sort).unwrap();
         sim.run();
         let r = sim.node(rid).as_any().downcast_ref::<Router>().unwrap();
         assert!(r.strip_mptcp);

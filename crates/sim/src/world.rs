@@ -37,14 +37,16 @@
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::time::Duration;
 
 use crate::addr::Addr;
-use crate::dynamics::{DynAction, DynamicsScript, OutOfOrderError};
+use crate::dynamics::DynAction;
 use crate::equeue::{EventQueue, Scheduled};
 use crate::link::{
     Dir, DropReason, Eviction, LinkCfg, LinkDirState, LinkDirStats, LinkId, LossModel, ReorderModel,
 };
+use crate::netem::NetemScript;
 use crate::node::{Iface, IfaceId, Node, NodeId};
 use crate::packet::Packet;
 use crate::rng::SimRng;
@@ -63,12 +65,9 @@ pub(crate) enum SimEvent {
     TxDone { link: LinkId, dir: Dir, pkt: Packet },
     /// A packet finished propagating and arrives at the far end.
     Deliver { link: LinkId, dir: Dir, pkt: Packet },
-    /// Administrative interface state change.
-    IfaceAdmin { iface: IfaceId, up: bool },
-    /// Run a registered script hook.
-    Script(usize),
-    /// Execute an installed dynamics-script action.
-    Dyn(usize),
+    /// Run a scheduled change: an installed script action or an
+    /// [`Simulator::at`] hook.
+    Change(usize),
 }
 
 /// One link: two interfaces and two directional states.
@@ -405,11 +404,6 @@ impl SimCore {
         (l.a, l.b)
     }
 
-    /// Schedule an administrative up/down change for an interface.
-    pub fn schedule_iface_admin(&mut self, at: SimTime, iface: IfaceId, up: bool) {
-        self.push(at, SimEvent::IfaceAdmin { iface, up });
-    }
-
     /// Entries currently in the event queue (live work plus
     /// lazily-cancelled timers awaiting expiry).
     pub fn queue_depth(&self) -> usize {
@@ -490,20 +484,17 @@ impl SimCore {
         node: NodeId,
         token: u64,
     ) -> TimerHandle {
-        let seq = self.next_seq;
-        match self.live_timer_mut(handle) {
-            Some(st) if at >= st.queued_at => {
-                st.at = at;
-                st.seq = seq;
-                st.token = token;
-                self.next_seq += 1;
-                handle
-            }
-            _ => {
-                self.release_timer(handle);
-                self.arm_timer(at, node, token)
-            }
+        if self
+            .live_timer_mut(handle)
+            .is_none_or(|st| at < st.queued_at)
+        {
+            self.release_timer(handle);
+            return self.arm_timer(at, node, token);
         }
+        let seq = self.draw_seq();
+        let st = &mut self.timer_slots[handle.slot as usize];
+        (st.at, st.seq, st.token) = (at, seq, token);
+        handle
     }
 
     /// A timer's queue entry `(_, seq)` popped. Returns the token to
@@ -771,33 +762,31 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Script hook: scheduled scenario actions with access to the core (links,
-/// loss models, interface admin, more scheduling).
-type ScriptFn = Box<dyn FnMut(&mut SimCore)>;
-
-/// Ordering policy for [`Simulator::install`]: what to do with a dynamics
-/// script whose entries are not in non-decreasing time order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InstallPolicy {
-    /// Stably sort entries by time (ties keep insertion order) — a
-    /// deterministic normalization, never an error.
-    Sort,
-    /// Reject out-of-order scripts with an [`OutOfOrderError`].
-    Strict,
+/// One scheduled change of the world: a script action, or a hook that
+/// reads what a script cannot.
+enum Change {
+    Action(DynAction),
+    Hook(Box<dyn FnOnce(&mut SimCore)>),
 }
 
-/// The complete simulation. Its core and its node, script and dynamics
-/// lists come from the thread's store and go back to it when it drops.
+/// How [`Simulator::install`] orders a script: its one policy stably
+/// sorts the entries by time (ties keep insertion order).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum InstallPolicy {
+    /// Stably sort entries by time.
+    Sort,
+}
+
+/// The complete simulation. Its core and its node and change lists come
+/// from the thread's store and go back to it when it drops.
 pub struct Simulator {
     /// The shared core (public so scenario code can inspect links/stats
     /// between runs).
     pub core: Spare<SimCore>,
     nodes: Spare<Vec<Box<dyn Node>>>,
-    scripts: Spare<Vec<ScriptFn>>,
-    /// Installed dynamics actions, indexed by [`SimEvent::Dyn`]. Each
-    /// entry fires exactly once, so dispatch *takes* the action out of its
-    /// slot instead of cloning it.
-    dynamics: Spare<Vec<Option<DynAction>>>,
+    /// Scheduled changes, indexed by [`SimEvent::Change`]. Each runs once,
+    /// so dispatch *takes* it out of its slot.
+    changes: Spare<Vec<Option<Change>>>,
     started: bool,
 }
 
@@ -811,8 +800,7 @@ impl Simulator {
         Simulator {
             core,
             nodes: Spare::default(),
-            scripts: Spare::default(),
-            dynamics: Spare::default(),
+            changes: Spare::default(),
             started: false,
         }
     }
@@ -883,40 +871,37 @@ impl Simulator {
         id
     }
 
-    /// Register a script hook to run at `at`. The hook receives the core
-    /// and may change loss models, flip interfaces, or schedule more work.
-    pub fn at(&mut self, at: SimTime, hook: impl FnMut(&mut SimCore) + 'static) {
-        let idx = self.scripts.len();
-        self.scripts.push(Box::new(hook));
-        self.core.push(at, SimEvent::Script(idx));
+    /// Run `hook` once at `at`, for a change that must read world state
+    /// (a watchdog that stops the run once its transfers are done); a
+    /// change a [`NetemScript`] can say goes through
+    /// [`Simulator::install`]. The hook receives the core and may change
+    /// links, send, or schedule more work.
+    pub fn at(&mut self, at: SimTime, hook: impl FnOnce(&mut SimCore) + 'static) {
+        self.schedule(at, Change::Hook(Box::new(hook)));
     }
 
-    /// Install a dynamics script — a [`DynamicsScript`] or anything that
-    /// compiles into one, e.g. a [`crate::netem::NetemScript`]. Every
-    /// entry becomes an event-queue entry at its scheduled time.
-    ///
-    /// The ordering policy decides what happens to out-of-order scripts:
-    /// [`InstallPolicy::Sort`] stably sorts entries by time first (ties
-    /// keep the order they were added in, a deterministic normalization),
-    /// while [`InstallPolicy::Strict`] rejects any script whose entries
-    /// are not already in non-decreasing time order. Call before running;
-    /// an entry scheduled in the simulated past is a scenario bug (debug
+    /// Install a script: every entry becomes an event-queue entry at its
+    /// instant, the entries stably sorted by time (entries sharing an
+    /// instant run in the order they were added). Call before running; an
+    /// entry scheduled in the simulated past is a scenario bug (debug
     /// assert, same rule as any other event).
     pub fn install(
         &mut self,
-        script: impl Into<DynamicsScript>,
-        policy: InstallPolicy,
-    ) -> Result<(), OutOfOrderError> {
-        let script = script.into();
-        if policy == InstallPolicy::Strict {
-            script.validate()?;
-        }
-        for entry in script.into_ordered() {
-            let idx = self.dynamics.len();
-            self.dynamics.push(Some(entry.action));
-            self.core.push(entry.at, SimEvent::Dyn(idx));
+        script: NetemScript,
+        _policy: InstallPolicy,
+    ) -> Result<(), Infallible> {
+        let mut entries = script.entries;
+        entries.sort_by_key(|&(at, _)| at);
+        for (at, action) in entries {
+            self.schedule(at, Change::Action(action));
         }
         Ok(())
+    }
+
+    fn schedule(&mut self, at: SimTime, change: Change) {
+        let idx = self.changes.len();
+        self.changes.push(Some(change));
+        self.core.push(at, SimEvent::Change(idx));
     }
 
     /// Number of nodes in the simulation.
@@ -1043,7 +1028,7 @@ impl Simulator {
                 let now = core.now;
                 let (p, delay, reorder) = {
                     let st = core.links[link.0].dir_ref(dir);
-                    (st.cfg.loss.ratio_at(now), st.cfg.delay, st.cfg.reorder)
+                    (st.cfg.loss.ratio(), st.cfg.delay, st.cfg.reorder)
                 };
                 // Impairment trials run loss → reorder; each is guarded so
                 // a disabled impairment performs no RNG draw (existing
@@ -1105,23 +1090,14 @@ impl Simulator {
                 let mut ctx = Ctx { core, node };
                 self.nodes[node.0].on_packet(&mut ctx, iface_id, pkt);
             }
-            SimEvent::IfaceAdmin { iface, up } => {
-                self.apply_iface_admin(iface, up);
-            }
-            SimEvent::Script(idx) => {
-                (self.scripts[idx])(&mut self.core);
-            }
-            SimEvent::Dyn(idx) => {
-                let action = self.dynamics[idx]
-                    .take()
-                    .expect("dynamics action dispatched twice");
-                self.apply_dyn(action);
-            }
+            SimEvent::Change(idx) => match self.changes[idx].take().expect("a change runs once") {
+                Change::Action(action) => self.apply_dyn(action),
+                Change::Hook(hook) => hook(&mut self.core),
+            },
         }
     }
 
-    /// Flip an interface's administrative state and notify its owner —
-    /// shared by [`SimEvent::IfaceAdmin`] and dynamics actions.
+    /// Flip an interface's administrative state and notify its owner.
     fn apply_iface_admin(&mut self, iface: IfaceId, up: bool) {
         let node = self.core.ifaces[iface.0].node;
         self.core.ifaces[iface.0].up = up;
@@ -1206,6 +1182,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netem::{LossPct, Netem, RateBps};
     use crate::packet::Packet;
     use crate::trace::CollectorSink;
     use bytes::Bytes;
@@ -1316,21 +1293,30 @@ mod tests {
     fn iface_down_drops_delivery() {
         let (mut sim, a, _b) = two_hosts(3, LinkCfg::mbps_ms(10, 5));
         // Take B's interface down immediately; A's ping must vanish.
-        sim.core
-            .schedule_iface_admin(SimTime::ZERO, IfaceId(1), false);
+        let down = NetemScript::new().at(SimTime::ZERO, Netem::iface(IfaceId(1)).down());
+        sim.install(down, InstallPolicy::Sort).unwrap();
         sim.run();
-        let ping = sim.node(a).as_any().downcast_ref::<Pinger>().unwrap();
-        assert_eq!(ping.got, 0);
+        assert_eq!(sim.node_as::<Pinger>(a).map(|p| p.got), Some(0));
     }
 
     #[test]
     fn scripts_run_and_can_change_loss() {
-        let (mut sim, _a, _b) = two_hosts(4, LinkCfg::mbps_ms(10, 5));
-        sim.at(SimTime::from_millis(1), |core| {
+        let (mut sim, a, _b) = two_hosts(4, LinkCfg::mbps_ms(10, 5));
+        let ran = std::rc::Rc::new(std::cell::Cell::new(None));
+        let seen = std::rc::Rc::clone(&ran);
+        sim.at(SimTime::from_millis(1), move |core| {
+            seen.set(Some(core.now()));
             core.set_loss_both(LinkId(0), LossModel::Bernoulli(1.0));
         });
         let summary = sim.run();
         assert_eq!(summary.reason, StopReason::Idle);
+        assert_eq!(
+            ran.get(),
+            Some(SimTime::from_millis(1)),
+            "runs once, on time"
+        );
+        // The ping left before the hook ran; the echo is lost.
+        assert_eq!(sim.node_as::<Pinger>(a).map(|p| p.got), Some(0));
     }
 
     #[test]
@@ -1516,32 +1502,24 @@ mod tests {
 
     #[test]
     fn dynamics_set_loss_blocks_delivery_like_inline_scripts() {
-        use crate::dynamics::{DynAction, DynamicsScript};
         let (mut sim, a, _b) = two_hosts(4, LinkCfg::mbps_ms(10, 5));
+        let loss = Netem::on(LinkId(0)).loss(LossPct::ratio(1.0));
         sim.install(
-            DynamicsScript::new().at(
-                SimTime::ZERO,
-                DynAction::SetLoss {
-                    link: LinkId(0),
-                    dir: None,
-                    loss: LossModel::Bernoulli(1.0),
-                },
-            ),
+            NetemScript::new().at(SimTime::ZERO, loss),
             InstallPolicy::Sort,
         )
         .unwrap();
         sim.run();
-        let ping = sim.node(a).as_any().downcast_ref::<Pinger>().unwrap();
-        assert_eq!(ping.got, 0, "full loss installed at t=0 blocks echoes");
+        let got = sim.node_as::<Pinger>(a).map(|p| p.got);
+        assert_eq!(got, Some(0), "full loss installed at t=0 blocks echoes");
     }
 
     #[test]
     fn dynamics_rate_change_applies_to_later_transmissions() {
-        use crate::dynamics::{DynAction, DynamicsScript};
         // Baseline at 1 kb/s (192 ms serialization per 24-byte packet,
         // dominating the run) vs a script that jumps to 100 Mb/s at t=0:
         // serialization shrinks, so the whole exchange ends earlier.
-        let run = |script: Option<DynamicsScript>| {
+        let run = |script: Option<NetemScript>| {
             let (mut sim, _a, _b) = two_hosts(1, LinkCfg::new(1_000, Duration::from_millis(10)));
             if let Some(s) = script {
                 sim.install(s, InstallPolicy::Sort).unwrap();
@@ -1549,14 +1527,9 @@ mod tests {
             sim.run().ended_at
         };
         let slow = run(None);
-        let fast = run(Some(DynamicsScript::new().at(
-            SimTime::ZERO,
-            DynAction::SetRate {
-                link: LinkId(0),
-                dir: None,
-                rate_bps: 100_000_000,
-            },
-        )));
+        let fast = run(Some(
+            NetemScript::new().at(SimTime::ZERO, Netem::on(LinkId(0)).rate(RateBps::mbps(100))),
+        ));
         assert!(
             fast < slow,
             "rate bump must shorten the run: {fast} vs {slow}"
@@ -1565,68 +1538,50 @@ mod tests {
 
     #[test]
     fn dynamics_link_admin_downs_both_ends_and_notifies() {
-        use crate::dynamics::{DynAction, DynamicsScript};
         let (mut sim, a, _b) = two_hosts(3, LinkCfg::mbps_ms(10, 5));
-        sim.install(
-            DynamicsScript::new().at(
-                SimTime::ZERO,
-                DynAction::LinkAdmin {
-                    link: LinkId(0),
-                    up: false,
-                },
-            ),
-            InstallPolicy::Sort,
-        )
-        .unwrap();
+        let down = NetemScript::new().at(SimTime::ZERO, Netem::on(LinkId(0)).down());
+        sim.install(down, InstallPolicy::Sort).unwrap();
         sim.run();
-        let ping = sim.node(a).as_any().downcast_ref::<Pinger>().unwrap();
-        assert_eq!(ping.got, 0, "downed link carries nothing");
+        let got = sim.node_as::<Pinger>(a).map(|p| p.got);
+        assert_eq!(got, Some(0), "downed link carries nothing");
         assert!(!sim.core.iface(IfaceId(0)).up);
         assert!(!sim.core.iface(IfaceId(1)).up);
     }
 
     #[test]
     fn dynamics_stop_action_requests_stop() {
-        use crate::dynamics::{DynAction, DynamicsScript};
         let (mut sim, _a, _b) = two_hosts(5, LinkCfg::mbps_ms(1, 500));
-        sim.install(
-            DynamicsScript::new().at(SimTime::from_millis(1), DynAction::Stop),
-            InstallPolicy::Sort,
-        )
-        .unwrap();
+        let stop = NetemScript::new().at(SimTime::from_millis(1), Netem::world().stop());
+        sim.install(stop, InstallPolicy::Sort).unwrap();
         let s = sim.run();
         assert_eq!(s.reason, StopReason::Requested);
         assert_eq!(s.ended_at, SimTime::from_millis(1));
     }
 
     #[test]
-    fn dynamics_out_of_order_scripts_sort_or_reject_deterministically() {
-        use crate::dynamics::{DynAction, DynamicsScript};
+    fn dynamics_out_of_order_scripts_sort_deterministically() {
+        // Added out of order: the 1 ms entries run before the 2 ms stop,
+        // and the two flips sharing 1 ms run in the order they were added.
+        let ms = SimTime::from_millis;
         let script = || {
-            DynamicsScript::new()
-                .at(SimTime::from_millis(2), DynAction::Stop)
-                .at(
-                    SimTime::from_millis(1),
-                    DynAction::SetLoss {
-                        link: LinkId(0),
-                        dir: None,
-                        loss: LossModel::Bernoulli(1.0),
-                    },
-                )
+            NetemScript::new()
+                .at(ms(2), Netem::world().stop())
+                .at(ms(1), Netem::on(LinkId(0)).loss(LossPct::ratio(1.0)))
+                .at(ms(1), Netem::iface(IfaceId(1)).down())
+                .at(ms(1), Netem::iface(IfaceId(1)).up())
         };
-        // Strict install rejects…
-        let (mut sim, ..) = two_hosts(6, LinkCfg::mbps_ms(10, 5));
-        let err = sim.install(script(), InstallPolicy::Strict).unwrap_err();
-        assert_eq!(err.index, 1);
-        // …lenient install sorts; two runs of the sorted script agree
-        // bit-for-bit with each other.
         let run = |seed| {
-            let (mut sim, a, _b) = two_hosts(seed, LinkCfg::mbps_ms(10, 5));
+            let (mut sim, ..) = two_hosts(seed, LinkCfg::mbps_ms(10, 5));
             sim.install(script(), InstallPolicy::Sort).unwrap();
             let s = sim.run();
-            let ping = sim.node(a).as_any().downcast_ref::<Pinger>().unwrap();
-            (s.events, s.ended_at, ping.got)
+            assert_eq!(
+                sim.core.links[0].dirs[0].cfg.loss,
+                LossModel::Bernoulli(1.0)
+            );
+            assert!(sim.core.iface(IfaceId(1)).up, "down, then up");
+            (s.reason, s.ended_at, s.events)
         };
+        assert_eq!(run(7).0, StopReason::Requested);
         assert_eq!(run(7), run(7));
     }
 

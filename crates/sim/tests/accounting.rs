@@ -5,8 +5,8 @@ use std::any::Any;
 
 use bytes::Bytes;
 use smapp_sim::{
-    Addr, CollectorSink, Ctx, DropReason, IfaceId, LinkCfg, LossModel, Node, Packet, SimTime,
-    Simulator, TraceKind,
+    Addr, CollectorSink, Ctx, DropReason, IfaceId, InstallPolicy, LinkCfg, LossModel, LossPct,
+    Netem, NetemScript, Node, Packet, SimTime, Simulator, TraceKind,
 };
 
 /// Blasts `n` packets back-to-back at start.
@@ -150,11 +150,10 @@ fn scheduled_loss_transitions_exactly() {
     let b = sim.add_node(Box::new(Counter(0)));
     let ia = sim.add_iface(a, Addr::new(10, 0, 0, 1), "eth0");
     let ib = sim.add_iface(b, Addr::new(10, 0, 0, 2), "eth0");
-    sim.connect(
-        ia,
-        ib,
-        LinkCfg::mbps_ms(1000, 1).loss(LossModel::schedule(vec![(SimTime::from_secs(1), 1.0)])),
-    );
+    let link = sim.connect(ia, ib, LinkCfg::mbps_ms(1000, 1));
+    let onset = Netem::on(link).loss(LossPct::ratio(1.0));
+    let script = NetemScript::new().at(SimTime::from_secs(1), onset);
+    sim.install(script, InstallPolicy::Sort).unwrap();
     sim.run();
     let got = sim.node(b).as_any().downcast_ref::<Counter>().unwrap().0;
     assert_eq!(got, 1, "only the pre-onset packet survives");

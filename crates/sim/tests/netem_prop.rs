@@ -1,16 +1,15 @@
-//! Property: the typed netem language is a zero-cost skin over
-//! `DynamicsScript`. For any random netem program, the compiled script is
-//! *equal* — entry by entry, times and actions — to the hand-written
-//! `DynamicsScript` a scenario author would have pushed directly. Since
-//! the simulator executes only the `DynamicsScript` layer, equal scripts
-//! install identically and run trajectory-identically per seed.
+//! Property: the typed netem language compiles positionally. For any
+//! random netem program, the script's entries are *equal* — entry by
+//! entry, times and actions — to the hand-written `(SimTime, DynAction)`
+//! list of what each builder call is documented to compile to. The
+//! simulator executes exactly those entries.
 
 use std::time::Duration;
 
 use proptest::prelude::*;
 use smapp_sim::{
-    Dir, DynAction, DynamicsScript, Eviction, IfaceId, LinkId, LossModel, LossPct, Netem,
-    NetemScript, NodeCommand, NodeId, OneWayDelay, QueueLen, RateBps, SimTime,
+    Dir, DynAction, Eviction, IfaceId, LinkId, LossModel, LossPct, Netem, NetemScript, NodeCommand,
+    NodeId, OneWayDelay, QueueLen, RateBps, SimTime,
 };
 
 /// One randomly-drawn builder call, paired with the `DynAction` the
@@ -75,8 +74,14 @@ fn apply(clause: Netem, op: &Op) -> Netem {
     }
 }
 
-/// Push the `DynAction` the op is documented to compile to.
-fn push_raw(script: &mut DynamicsScript, at: SimTime, link: LinkId, dir: Option<Dir>, op: &Op) {
+/// Push the entry the op is documented to compile to.
+fn push_raw(
+    script: &mut Vec<(SimTime, DynAction)>,
+    at: SimTime,
+    link: LinkId,
+    dir: Option<Dir>,
+    op: &Op,
+) {
     let action = match *op {
         Op::Rate(k) => DynAction::SetRate {
             link,
@@ -119,18 +124,18 @@ fn push_raw(script: &mut DynamicsScript, at: SimTime, link: LinkId, dir: Option<
         Op::Down => DynAction::LinkAdmin { link, up: false },
         Op::Up => DynAction::LinkAdmin { link, up: true },
     };
-    script.push(at, action);
+    script.push((at, action));
 }
 
 proptest! {
-    /// Every random link-clause program compiles to exactly the script a
-    /// scenario author would have written by hand against the raw layer.
+    /// Every random link-clause program compiles to exactly the entries a
+    /// scenario author would have written by hand.
     #[test]
     fn netem_compiles_to_the_identical_hand_written_script(
         clauses in proptest::collection::vec(clause_strategy(), 0..10),
     ) {
         let mut typed = NetemScript::new();
-        let mut raw = DynamicsScript::new();
+        let mut raw = Vec::new();
         for (t_ms, link, dir_sel, ops) in &clauses {
             let at = SimTime::from_millis(*t_ms);
             let link = LinkId(*link);
@@ -146,8 +151,7 @@ proptest! {
             }
             typed.add(at, clause);
         }
-        let compiled: DynamicsScript = typed.into();
-        prop_assert_eq!(compiled, raw);
+        prop_assert_eq!(typed.entries(), raw);
     }
 
     /// Peer/iface/world clauses compile positionally too.
@@ -160,7 +164,7 @@ proptest! {
         thin in 0u32..8,
     ) {
         let at = SimTime::from_millis(t_ms);
-        let typed: DynamicsScript = NetemScript::new()
+        let typed = NetemScript::new()
             .at(
                 at,
                 Netem::peer(NodeId(node))
@@ -169,20 +173,19 @@ proptest! {
                     .probe(),
             )
             .at(at, Netem::iface(IfaceId(iface)).down().up())
-            .at(at, Netem::world().stop())
-            .into();
+            .at(at, Netem::world().stop());
 
-        let mut raw = DynamicsScript::new();
+        let mut raw = Vec::new();
         for cmd in [
             NodeCommand::StripMptcp(strip),
             NodeCommand::AckThin(thin),
             NodeCommand::Probe,
         ] {
-            raw.push(at, DynAction::Command { node: NodeId(node), cmd });
+            raw.push((at, DynAction::Command { node: NodeId(node), cmd }));
         }
-        raw.push(at, DynAction::IfaceAdmin { iface: IfaceId(iface), up: false });
-        raw.push(at, DynAction::IfaceAdmin { iface: IfaceId(iface), up: true });
-        raw.push(at, DynAction::Stop);
-        prop_assert_eq!(typed, raw);
+        raw.push((at, DynAction::IfaceAdmin { iface: IfaceId(iface), up: false }));
+        raw.push((at, DynAction::IfaceAdmin { iface: IfaceId(iface), up: true }));
+        raw.push((at, DynAction::Stop));
+        prop_assert_eq!(typed.entries(), raw);
     }
 }

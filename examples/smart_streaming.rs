@@ -55,10 +55,9 @@ fn main() {
     let mut sim = net.sim;
     sim.core.set_trace(Box::new(smapp_sim::Oracle::new()));
     // The initial path starts losing 30% of packets shortly after start.
-    let l1 = net.link1;
-    sim.at(SimTime::from_millis(500), move |core| {
-        core.set_loss_both(l1, LossModel::Bernoulli(0.30));
-    });
+    let onset = Netem::on(net.link1).loss(LossPct::ratio(0.30));
+    let script = NetemScript::new().at(SimTime::from_millis(500), onset);
+    sim.install(script, InstallPolicy::Sort).unwrap();
     let summary = sim.run_until(SimTime::from_secs(120));
     smapp_pm::verify::conclude(&mut sim, &summary, "smart_streaming", 3).expect_clean();
     println!("protocol-invariant oracle: clean");

@@ -69,10 +69,9 @@ fn whole_stack_is_deterministic() {
             LinkCfg::mbps_ms(5, 10),
         );
         let mut sim = net.sim;
-        let l1 = net.link1;
-        sim.at(SimTime::from_secs(1), move |core| {
-            core.set_loss_both(l1, LossModel::Bernoulli(0.3));
-        });
+        let onset = Netem::on(net.link1).loss(LossPct::ratio(0.3));
+        let script = NetemScript::new().at(SimTime::from_secs(1), onset);
+        sim.install(script, InstallPolicy::Sort).unwrap();
         let summary = sim.run_until(SimTime::from_secs(120));
         (summary.ended_at.as_nanos(), summary.events)
     };
@@ -140,10 +139,10 @@ fn interface_flap_remeshes_through_userspace_controller() {
     let mut sim = net.sim;
     // Flap the second interface: down at 2 s, up at 4 s.
     let if2 = net.client_if2;
-    sim.core
-        .schedule_iface_admin(SimTime::from_secs(2), if2, false);
-    sim.core
-        .schedule_iface_admin(SimTime::from_secs(4), if2, true);
+    let flap = NetemScript::new()
+        .at(SimTime::from_secs(2), Netem::iface(if2).down())
+        .at(SimTime::from_secs(4), Netem::iface(if2).up());
+    sim.install(flap, InstallPolicy::Sort).unwrap();
     sim.run_until(SimTime::from_secs(90));
 
     let client_host = topo::host(&sim, net.client);
