@@ -1586,6 +1586,41 @@ mod tests {
     }
 
     #[test]
+    fn install_is_a_stable_sort() {
+        // Two entries at the same instant keep the order they were added
+        // in even when a later-added earlier entry is scheduled before them.
+        let ms = SimTime::from_millis;
+        let (mut sim, ..) = two_hosts(3, LinkCfg::mbps_ms(10, 5));
+        let script = NetemScript::new()
+            .at(ms(10), Netem::iface(IfaceId(0)).down())
+            .at(ms(10), Netem::iface(IfaceId(0)).up())
+            .at(ms(2), Netem::world().stop());
+        let Ok(()) = sim.install(script, InstallPolicy::Sort);
+        let scheduled: Vec<&DynAction> = sim
+            .changes
+            .iter()
+            .map(|c| match c {
+                Some(Change::Action(a)) => a,
+                _ => panic!("install schedules only actions"),
+            })
+            .collect();
+        assert_eq!(
+            scheduled,
+            [
+                &DynAction::Stop,
+                &DynAction::IfaceAdmin {
+                    iface: IfaceId(0),
+                    up: false
+                },
+                &DynAction::IfaceAdmin {
+                    iface: IfaceId(0),
+                    up: true
+                },
+            ]
+        );
+    }
+
+    #[test]
     fn queue_shrink_keep_does_not_evict_dropnewest_does() {
         use crate::addr::Addr;
         use bytes::Bytes;
