@@ -171,7 +171,7 @@ mod tests {
         };
         let mut opts = OptionWriter::new();
         opts.push(OPT_KIND_MPTCP, &opt.encode());
-        let seg = encode_parts(&hdr, &opts, &vec![0u8; payload_len]).unwrap();
+        let seg = encode_parts(&hdr, &opts, vec![0u8; payload_len].into()).unwrap();
         Packet::tcp(Addr::new(1, 1, 1, 1), Addr::new(2, 2, 2, 2), seg)
     }
 

@@ -379,6 +379,8 @@ mod tests {
     use super::*;
     use crate::world::{Side, World};
     use smapp_sim::Addr;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::sync::Arc;
     use std::time::Duration;
 
     #[test]
@@ -598,5 +600,80 @@ mod tests {
         ));
         let serving = h.b().connections().find(|c| !c.send_buffer().is_empty());
         assert!(buffers_from(serving.unwrap(), &RESPONSE_CHUNK));
+    }
+
+    /// A receiver that counts the bytes it was handed and those that do not
+    /// lie in `block`. (Listener factories must be `Send`, hence atomics;
+    /// the world runs on one thread, so the counts publish nothing else.)
+    struct PointsInto {
+        block: &'static Bytes,
+        got: Arc<[AtomicU64; 2]>,
+    }
+
+    impl App for PointsInto {
+        fn on_data(&mut self, _ctx: &mut AppCtx<'_, '_>, data: Bytes) {
+            let start = self.block.as_ptr() as usize;
+            let inside = start..=start + self.block.len();
+            let (p, q) = (data.as_ptr() as usize, data.as_ptr() as usize + data.len());
+            let strays = if inside.contains(&p) && inside.contains(&q) {
+                0
+            } else {
+                data.len() as u64
+            };
+            self.got[0].fetch_add(data.len() as u64, Relaxed);
+            self.got[1].fetch_add(strays, Relaxed);
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Transmit copies no payload: the frame the encoder builds carries the
+    /// `Bytes` it was given as its body, and every byte the receiving
+    /// application is handed still lies in the sender's static block, after
+    /// the encoder, two links, a router, the subflow and the connection
+    /// reassembly. The transfer is one write of one block, so no segment
+    /// spans two buffered chunks (`SendBuffer::slice` stitches such a range
+    /// into a pooled buffer).
+    #[test]
+    fn transmit_hands_the_receiver_the_senders_static_block() {
+        let payload = BULK_CHUNK.slice(100..1500);
+        let hdr = smapp_tcp::TcpFixed::default();
+        let frame = smapp_tcp::encode_parts(&hdr, &smapp_tcp::OptionWriter::new(), payload.clone())
+            .unwrap();
+        assert_eq!(frame.body().as_ptr(), payload.as_ptr());
+        assert_eq!(frame.body().len(), 1400);
+
+        let mut h = World::new(
+            2,
+            Duration::from_millis(5),
+            &[Addr::new(10, 0, 0, 1)],
+            &[Addr::new(10, 0, 1, 1)],
+        );
+        let got = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
+        let sink_got = Arc::clone(&got);
+        h.listen(
+            Side::B,
+            80,
+            Box::new(move || {
+                Box::new(PointsInto {
+                    block: &BULK_CHUNK,
+                    got: Arc::clone(&sink_got),
+                })
+            }),
+        );
+        let total = BULK_CHUNK.len() as u64;
+        h.connect(Side::A, 80, Box::new(BulkSender::new(total)))
+            .unwrap();
+        h.run_until(SimTime::from_secs(5));
+        let (delivered, strays) = (got[0].load(Relaxed), got[1].load(Relaxed));
+        assert_eq!(
+            (delivered, strays),
+            (total, 0),
+            "(bytes delivered, bytes not in the block)"
+        );
     }
 }

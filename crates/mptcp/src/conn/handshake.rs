@@ -237,7 +237,7 @@ impl Connection {
         &mut self,
         id: SubflowId,
         seg: &TcpView<'_>,
-        frame: &Bytes,
+        frame: &Frame,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {
@@ -279,7 +279,7 @@ impl Connection {
         &mut self,
         id: SubflowId,
         seg: &TcpView<'_>,
-        frame: &Bytes,
+        frame: &Frame,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {
@@ -321,7 +321,7 @@ impl Connection {
         &mut self,
         id: SubflowId,
         seg: &TcpView<'_>,
-        frame: &Bytes,
+        frame: &Frame,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {

@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use bytes::Bytes;
-use smapp_sim::{spare, Addr, Recycle, SimTime, TimerHandle};
+use smapp_sim::{spare, Addr, Frame, Recycle, SimTime, TimerHandle};
 use smapp_tcp::{
     lia_alpha, Cc, CongestionControl, Lia, OptionWriter, ReassemblyRings, Reno, RtoState,
     StreamTap, TcpFixed, TcpFlags, TcpInfo, TcpView, MAX_WINDOW_SCALE, OPT_KIND_MPTCP,
@@ -680,7 +680,7 @@ impl Connection {
             flags,
             window: window.min(u16::MAX as u64) as u16,
         };
-        env.send_segment(sf.tuple.src, sf.tuple.dst, &hdr, &opts, &what.payload);
+        env.send_segment(sf.tuple.src, sf.tuple.dst, &hdr, &opts, what.payload);
     }
 }
 
@@ -776,7 +776,7 @@ mod tests {
                 flags,
                 window: 1000,
             };
-            smapp_tcp::encode_parts(&hdr, opts, &[]).unwrap()
+            smapp_tcp::encode_parts(&hdr, opts, Bytes::new()).unwrap()
         };
         for announced in [15u8, 200] {
             let mut rng = SimRng::seed_from_u64(5);

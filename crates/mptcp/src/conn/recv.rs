@@ -5,13 +5,13 @@ use super::*;
 
 impl Connection {
     /// Process an incoming segment for subflow `id`. `seg` is `frame` read
-    /// through `TcpView::parse`; payload the subflow keeps is a zero-copy
-    /// slice of `frame`.
+    /// through `TcpView::parse`; payload the subflow keeps is the frame's
+    /// body, a slice of the sender's buffer, not a copy.
     pub fn on_segment(
         &mut self,
         id: SubflowId,
         seg: &TcpView<'_>,
-        frame: &Bytes,
+        frame: &Frame,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {
@@ -39,7 +39,7 @@ impl Connection {
         &mut self,
         id: SubflowId,
         seg: &TcpView<'_>,
-        frame: &Bytes,
+        frame: &Frame,
         env: &mut StackEnv<'_>,
         events: &mut Vec<PmEvent>,
     ) {
@@ -198,7 +198,7 @@ impl Connection {
                     len,
                 });
             }
-            sf.reasm.insert(off, frame.slice(seg.header_len()..));
+            sf.reasm.insert(off, frame.slice_from(seg.header_len()));
             // Pop in-order subflow bytes and lift them to the meta level;
             // each popped chunk carries the subflow offset of its first
             // byte.
@@ -405,7 +405,7 @@ impl Connection {
     fn deliver_meta(&mut self, env: &mut StackEnv<'_>) {
         while let Some((_, c)) = self.meta_recv.pop_next() {
             self.stats.bytes_received += c.len() as u64;
-            self.stats.tap_recvd.update(&c);
+            self.stats.tap_recvd.update(&c[..]);
             self.with_app(env, |app, ctx| app.on_data(ctx, c));
         }
         if let Some(f) = self.peer_fin_off {

@@ -8,7 +8,7 @@
 //! unit-testable.
 
 use bytes::Bytes;
-use smapp_sim::{Addr, SimRng, SimTime};
+use smapp_sim::{Addr, Frame, SimRng, SimTime};
 use smapp_tcp::{encode_parts, OptionWriter, TcpFixed};
 
 use crate::app::App;
@@ -21,8 +21,8 @@ pub struct OutPacket {
     pub src: Addr,
     /// Destination address.
     pub dst: Addr,
-    /// Encoded TCP segment bytes.
-    pub seg: Bytes,
+    /// The encoded segment: its header, then the payload it was given.
+    pub seg: Frame,
 }
 
 /// An application's request to open a new connection.
@@ -76,7 +76,8 @@ impl<'a> StackEnv<'a> {
         }
     }
 
-    /// Encode a segment from its parts and queue it for transmission.
+    /// Encode a segment from its parts and queue it for transmission. The
+    /// payload is not copied: the frame's body shares its storage.
     ///
     /// # Panics
     /// Panics if `opts` overflowed the 40-byte options area — the stack
@@ -87,7 +88,7 @@ impl<'a> StackEnv<'a> {
         dst: Addr,
         hdr: &TcpFixed,
         opts: &OptionWriter,
-        payload: &[u8],
+        payload: Bytes,
     ) {
         let seg = encode_parts(hdr, opts, payload).expect("stack built an unencodable segment");
         self.out.push(OutPacket { src, dst, seg });
@@ -109,7 +110,13 @@ mod tests {
             ..Default::default()
         };
         let (src, dst) = (Addr::new(1, 1, 1, 1), Addr::new(2, 2, 2, 2));
-        env.send_segment(src, dst, &hdr, &OptionWriter::new(), b"hi");
+        env.send_segment(
+            src,
+            dst,
+            &hdr,
+            &OptionWriter::new(),
+            Bytes::from_static(b"hi"),
+        );
         assert_eq!(env.out.len(), 1);
         let back = TcpView::parse(&env.out[0].seg).unwrap();
         assert_eq!(back.hdr, hdr);

@@ -6,6 +6,7 @@
 //! `MP_JOIN` SYNs routed by token), applies path-manager actions, and
 //! surfaces [`PmEvent`]s for whatever path manager the host plugged in.
 
+use bytes::Bytes;
 use smapp_sim::{
     Addr, FxHashMap, FxHashSet, IcmpMsg, Packet, Recycle, Spare, TimerHandle, PROTO_ICMP, PROTO_TCP,
 };
@@ -343,7 +344,13 @@ impl HostStack {
             flags: TcpFlags::RST,
             window: 0,
         };
-        env.send_segment(tuple.src, tuple.dst, &hdr, &OptionWriter::new(), &[]);
+        env.send_segment(
+            tuple.src,
+            tuple.dst,
+            &hdr,
+            &OptionWriter::new(),
+            Bytes::new(),
+        );
     }
 
     fn on_icmp(&mut self, env: &mut StackEnv<'_>, pkt: &Packet) {
@@ -351,7 +358,7 @@ impl HostStack {
             orig_src_port,
             orig_dst_port,
             ..
-        }) = IcmpMsg::decode(&pkt.payload)
+        }) = IcmpMsg::decode(pkt.payload.head())
         else {
             return;
         };

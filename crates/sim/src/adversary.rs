@@ -17,6 +17,8 @@
 use std::any::Any;
 use std::time::Duration;
 
+use bytes::Bytes;
+
 use crate::addr::Addr;
 use crate::node::{IfaceId, Node};
 use crate::packet::{Packet, PROTO_TCP};
@@ -111,7 +113,7 @@ impl FloodSource {
             window: 65_535,
             ..TcpFixed::default()
         };
-        let seg = encode_parts(&hdr, &opts, &[]).expect("one option fits");
+        let seg = encode_parts(&hdr, &opts, Bytes::new()).expect("one option fits");
         ctx.send(iface, Packet::tcp(src, self.cfg.target, seg));
         self.sent += 1;
     }
@@ -156,7 +158,7 @@ impl Node for FloodSource {
             },
             ..TcpFixed::default()
         };
-        let rst = encode_parts(&hdr, &OptionWriter::new(), &[]).expect("no options");
+        let rst = encode_parts(&hdr, &OptionWriter::new(), Bytes::new()).expect("no options");
         let src = ctx.iface(iface).addr;
         ctx.send(iface, Packet::tcp(src, pkt.src, rst));
         self.rst_replies += 1;
@@ -224,9 +226,9 @@ mod tests {
         assert!(a
             .iter()
             .zip(b.iter())
-            .all(|(x, y)| x.payload == y.payload && x.src == y.src));
+            .all(|(x, y)| x.payload.to_vec() == y.payload.to_vec() && x.src == y.src));
         // Every packet is a SYN; a mixed flood uses several source ports.
-        assert!(a.iter().all(|p| p.payload[13] == 0x02));
+        assert!(a.iter().all(|p| p.payload.head()[13] == 0x02));
         let ports: crate::FxHashSet<_> = a.iter().map(|p| p.ports().0).collect();
         assert!(ports.len() > 1);
     }
@@ -254,10 +256,10 @@ mod tests {
             ],
         ];
         for (got, want) in syns.iter().zip(expect) {
-            assert_eq!(&got.payload[..], want);
+            assert_eq!(got.payload.to_vec(), want);
         }
         assert_eq!(
-            &rst_reply().payload[..],
+            rst_reply().payload.to_vec(),
             &[156, 64, 0, 80, 0, 0, 3, 9, 0, 0, 0, 0, 80, 4, 0, 0, 0, 0, 0, 0]
         );
     }
@@ -266,7 +268,7 @@ mod tests {
     fn mp_join_flood_carries_kind_30_joins() {
         let pkts = flood_world(3, FloodMix::MpJoin);
         assert!(pkts.iter().all(|p| {
-            let b = &p.payload;
+            let b = p.payload.to_vec();
             b.len() == 32 && b[20] == OPT_KIND_MPTCP && b[22] >> 4 == 0x1
         }));
     }
@@ -298,7 +300,7 @@ mod tests {
         let synack = Packet::tcp(
             Addr::new(10, 0, 9, 1),
             Addr::new(10, 0, 3, 1),
-            encode_parts(&hdr, &OptionWriter::new(), &[]).unwrap(),
+            encode_parts(&hdr, &OptionWriter::new(), Bytes::new()).unwrap(),
         );
         sim.core.send_from(ci, synack);
         sim.run();
@@ -317,9 +319,9 @@ mod tests {
     #[test]
     fn syn_ack_is_answered_with_rst() {
         let rst = rst_reply();
-        assert_eq!(rst.payload[13], 0x04, "RST");
+        assert_eq!(rst.payload.head()[13], 0x04, "RST");
         assert_eq!(
-            u32::from_be_bytes(rst.payload[4..8].try_into().unwrap()),
+            u32::from_be_bytes(rst.payload.head()[4..8].try_into().unwrap()),
             777,
             "RST seq = their ack"
         );

@@ -36,10 +36,11 @@
 
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 
 use crate::link::{Dir, Eviction, LinkId, LossModel};
 use crate::node::{IfaceId, NodeId};
+use crate::packet::Frame;
 use crate::wire::{OptionWriter, TcpView, OPT_KIND_MPTCP, TCP_HEADER_LEN};
 
 /// An out-of-band control command delivered to a node by
@@ -173,8 +174,9 @@ pub enum DynAction {
 
 /// Strip every MPTCP option (kind 30) from a raw TCP segment.
 ///
-/// `payload` is the L4 bytes of a [`crate::Packet`] with `proto ==`
-/// [`crate::PROTO_TCP`]. Returns the rewritten segment plus the number of
+/// `frame` is the L4 bytes of a [`crate::Packet`] with `proto ==`
+/// [`crate::PROTO_TCP`]. Returns the rewritten segment, a new header in
+/// front of the same payload bytes, plus the number of
 /// options removed, or `None` when there is nothing to strip — the segment
 /// carries no kind-30 option, or [`TcpView::parse`] rejects it (a
 /// middlebox must never corrupt what it cannot parse).
@@ -185,8 +187,8 @@ pub enum DynAction {
 /// application payload pass through untouched — exactly the behaviour of a
 /// protocol-normalizing middlebox that "cleans" unknown TCP options while
 /// forwarding the connection itself.
-pub fn strip_mptcp_options(payload: &[u8]) -> Option<(Bytes, u32)> {
-    let seg = TcpView::parse(payload).ok()?;
+pub fn strip_mptcp_options(frame: &Frame) -> Option<(Frame, u32)> {
+    let seg = TcpView::parse(frame).ok()?;
     let mut kept = OptionWriter::new();
     let mut stripped = 0u32;
     for (kind, body) in seg.options() {
@@ -201,18 +203,26 @@ pub fn strip_mptcp_options(payload: &[u8]) -> Option<(Bytes, u32)> {
     }
     // The survivors came out of a valid 40-byte area: they fit in one.
     let area = kept.padded().ok()?;
-    let mut out = BytesMut::with_capacity(TCP_HEADER_LEN + area.len() + seg.payload.len());
-    out.extend_from_slice(&payload[..TCP_HEADER_LEN]);
-    out.extend_from_slice(area);
-    out.extend_from_slice(seg.payload);
-    out[12] = (((TCP_HEADER_LEN + area.len()) / 4) as u8) << 4 | (payload[12] & 0x0F);
-    Some((out.freeze(), stripped))
+    let fixed = &frame.head()[..TCP_HEADER_LEN];
+    let mut head = BytesMut::with_capacity(TCP_HEADER_LEN + area.len());
+    head.extend_from_slice(fixed);
+    head.extend_from_slice(area);
+    head[12] = (((TCP_HEADER_LEN + area.len()) / 4) as u8) << 4 | (fixed[12] & 0x0F);
+    let payload = frame.slice_from(seg.header_len());
+    Some((Frame::segment(head.freeze(), payload), stripped))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::{encode_parts, TcpFixed, TcpFlags, OPT_KIND_MSS, OPT_KIND_WINDOW_SCALE};
+    use bytes::Bytes;
+
+    /// `seg` as a one-part frame, then stripped, the result copied out.
+    fn strip(seg: &[u8]) -> Option<(Vec<u8>, u32)> {
+        let frame = Bytes::copy_from_slice(seg).into();
+        strip_mptcp_options(&frame).map(|(out, n)| (out.to_vec(), n))
+    }
 
     /// A valid PSH|ACK segment from port 4321 to 80 carrying `options`
     /// (kind, body) NOP-padded by the writer, then `payload`.
@@ -227,7 +237,9 @@ mod tests {
         for (kind, body) in options {
             opts.push(*kind, body);
         }
-        encode_parts(&hdr, &opts, payload).unwrap().to_vec()
+        encode_parts(&hdr, &opts, Bytes::copy_from_slice(payload))
+            .unwrap()
+            .to_vec()
     }
 
     #[test]
@@ -241,7 +253,7 @@ mod tests {
             ],
             b"hello",
         );
-        let (out, n) = strip_mptcp_options(&seg).expect("stripped");
+        let (out, n) = strip(&seg).expect("stripped");
         assert_eq!(n, 1);
         // Survivors: MSS(4) + WScale(3) -> 7 -> padded to 8.
         assert_eq!((out[12] >> 4) as usize * 4, TCP_HEADER_LEN + 8);
@@ -259,18 +271,18 @@ mod tests {
     #[test]
     fn strip_is_noop_without_mptcp_options() {
         let seg = tcp_seg(&[(OPT_KIND_MSS, &1460u16.to_be_bytes())], b"data");
-        assert!(strip_mptcp_options(&seg).is_none());
-        assert!(strip_mptcp_options(b"short").is_none());
+        assert!(strip(&seg).is_none());
+        assert!(strip(b"short").is_none());
     }
 
     #[test]
     fn strip_passes_malformed_segments_through() {
         // Option with length 0 — unparseable; middlebox must not touch it.
-        assert!(strip_mptcp_options(&crate::wire::MALFORMED_OPTION_AREA).is_none());
+        assert!(strip(&crate::wire::MALFORMED_OPTION_AREA).is_none());
         // Bad data offset.
         let mut seg = tcp_seg(&[], b"x");
         seg[12] = 0xF0;
-        assert!(strip_mptcp_options(&seg).is_none());
+        assert!(strip(&seg).is_none());
     }
 
     #[test]
@@ -281,7 +293,7 @@ mod tests {
         );
         // EOL where the writer put its NOP pad: the rest is padding.
         seg[TCP_HEADER_LEN + 7] = 0;
-        let (out, n) = strip_mptcp_options(&seg).expect("stripped");
+        let (out, n) = strip(&seg).expect("stripped");
         assert_eq!(n, 2);
         assert_eq!(
             (out[12] >> 4) as usize * 4,

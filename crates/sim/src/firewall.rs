@@ -21,8 +21,6 @@
 use std::any::Any;
 use std::time::Duration;
 
-use bytes::BytesMut;
-
 use crate::addr::{Addr, FlowKey};
 use crate::hash::FxHashMap;
 use crate::node::{IfaceId, Node};
@@ -149,26 +147,28 @@ impl Firewall {
         }
     }
 
-    /// Rewrite the TCP source port inside the payload bytes.
+    /// Rewrite the TCP source port inside the payload's head.
     fn rewrite_src_port(pkt: &Packet, new_port: u16) -> Packet {
-        let mut bytes = BytesMut::from(&pkt.payload[..]);
-        if bytes.len() >= 2 {
-            bytes[0..2].copy_from_slice(&new_port.to_be_bytes());
-        }
+        let payload = pkt.payload.with_head(|h| {
+            if h.len() >= 2 {
+                h[0..2].copy_from_slice(&new_port.to_be_bytes());
+            }
+        });
         Packet {
-            payload: bytes.freeze(),
+            payload,
             ..pkt.clone()
         }
     }
 
-    /// Rewrite the TCP destination port inside the payload bytes.
+    /// Rewrite the TCP destination port inside the payload's head.
     fn rewrite_dst_port(pkt: &Packet, new_port: u16) -> Packet {
-        let mut bytes = BytesMut::from(&pkt.payload[..]);
-        if bytes.len() >= 4 {
-            bytes[2..4].copy_from_slice(&new_port.to_be_bytes());
-        }
+        let payload = pkt.payload.with_head(|h| {
+            if h.len() >= 4 {
+                h[2..4].copy_from_slice(&new_port.to_be_bytes());
+            }
+        });
         Packet {
-            payload: bytes.freeze(),
+            payload,
             ..pkt.clone()
         }
     }
@@ -446,7 +446,7 @@ mod tests {
         assert_eq!(got.len(), 1);
         let (_, pkt) = &got[0];
         assert_eq!(pkt.proto, PROTO_ICMP);
-        let msg = IcmpMsg::decode(&pkt.payload).unwrap();
+        let msg = IcmpMsg::decode(pkt.payload.head()).unwrap();
         assert_eq!(
             msg,
             IcmpMsg::DestUnreachable {

@@ -96,7 +96,9 @@ pub use link::{Dir, DropReason, Eviction, LinkCfg, LinkDirStats, LinkId, LossMod
 pub use netem::{LossPct, Netem, NetemScript, OneWayDelay, QueueLen, RateBps};
 pub use node::{Iface, IfaceId, Node, NodeId};
 pub use oracle::{Oracle, OracleOutcome, Violation};
-pub use packet::{IcmpMsg, Packet, PktSummary, UnreachCode, IP_HEADER_LEN, PROTO_ICMP, PROTO_TCP};
+pub use packet::{
+    Frame, IcmpMsg, Packet, PktSummary, UnreachCode, IP_HEADER_LEN, PROTO_ICMP, PROTO_TCP,
+};
 pub use rng::SimRng;
 pub use router::{Route, Router};
 pub use spare::{Recycle, Spare};

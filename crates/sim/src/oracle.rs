@@ -523,6 +523,7 @@ mod tests {
     use crate::addr::Addr;
     use crate::link::{Dir, LinkId};
     use crate::node::{IfaceId, NodeId};
+    use crate::packet::Frame;
     use crate::wire::{encode_parts, OptionWriter, TcpFixed, TcpFlags, OPT_KIND_MPTCP};
     use bytes::Bytes;
 
@@ -553,7 +554,7 @@ mod tests {
         }
     }
 
-    fn tcp_pkt(payload: impl Into<Bytes>) -> Packet {
+    fn tcp_pkt(payload: impl Into<Frame>) -> Packet {
         Packet::tcp(
             Addr::new(10, 0, 0, 1),
             Addr::new(10, 0, 0, 2),
@@ -563,7 +564,7 @@ mod tests {
 
     /// A valid segment from port 40000 to 80: `flags`, one MPTCP option
     /// per body in `mptcp`, then `payload`.
-    fn tcp_seg(flags: TcpFlags, mptcp: &[&[u8]], payload: &[u8]) -> Bytes {
+    fn tcp_seg(flags: TcpFlags, mptcp: &[&[u8]], payload: &[u8]) -> Frame {
         let hdr = TcpFixed {
             src_port: 40_000,
             dst_port: 80,
@@ -574,7 +575,7 @@ mod tests {
         for body in mptcp {
             opts.push(OPT_KIND_MPTCP, body);
         }
-        encode_parts(&hdr, &opts, payload).unwrap()
+        encode_parts(&hdr, &opts, Bytes::copy_from_slice(payload)).unwrap()
     }
 
     #[test]
@@ -647,7 +648,7 @@ mod tests {
         // A bad data offset, which the writer cannot produce.
         let mut raw = tcp_seg(TcpFlags::ACK, &[], b"x").to_vec();
         raw[12] = 0xF0; // data offset 60 > len
-        let p = tcp_pkt(raw);
+        let p = tcp_pkt(Bytes::from(raw));
         o.record(&ev(1, SEND, &p));
         assert_eq!(o.violations()[0].invariant, "tcp-parse");
     }
@@ -734,7 +735,7 @@ mod tests {
         // A bad data offset, which the writer cannot produce.
         let mut raw = tcp_seg(TcpFlags::ACK, &[], b"x").to_vec();
         raw[12] = 0xF0;
-        o.record(&ev(1, SEND, &tcp_pkt(raw)));
+        o.record(&ev(1, SEND, &tcp_pkt(Bytes::from(raw))));
         assert!(o.coverage.get(crate::coverage::wire::VIOLATION));
     }
 

@@ -2,9 +2,15 @@
 //!
 //! A [`Packet`] is an IP-level datagram: a small fixed header that the
 //! simulator itself understands (addresses, protocol, TTL) plus an opaque
-//! L4 `payload` of real wire bytes. End hosts encode and decode transport
-//! segments to/from those bytes; routers never parse beyond the first four
-//! payload octets (the transport port pair), exactly like ECMP hardware.
+//! L4 `payload` of real wire bytes, held as a two-part [`Frame`]. End hosts
+//! encode and decode transport segments to/from those bytes; routers never
+//! parse beyond the first four payload octets (the transport port pair),
+//! exactly like ECMP hardware.
+//!
+//! A segment's frame keeps its TCP header and options in a small pooled
+//! buffer and its payload as a slice of the sending application's buffer,
+//! the scatter-gather list a NIC transmits from: no payload byte is copied
+//! between the sending application and the receiving one.
 
 use bytes::{BufMut, Bytes, BytesMut};
 
@@ -31,18 +37,19 @@ pub struct Packet {
     /// Remaining hop count; routers decrement and drop at zero.
     pub ttl: u8,
     /// Serialized L4 segment (header + data).
-    pub payload: Bytes,
+    pub payload: Frame,
 }
 
 impl Packet {
-    /// Build a TCP packet from already-encoded segment bytes.
-    pub fn tcp(src: Addr, dst: Addr, payload: Bytes) -> Self {
+    /// Build a TCP packet from an encoded segment: a [`Frame`], or one
+    /// `Bytes` holding the whole segment.
+    pub fn tcp(src: Addr, dst: Addr, payload: impl Into<Frame>) -> Self {
         Packet {
             src,
             dst,
             proto: PROTO_TCP,
             ttl: DEFAULT_TTL,
-            payload,
+            payload: payload.into(),
         }
     }
 
@@ -60,7 +67,7 @@ impl Packet {
     /// (both TCP and our ICMP encapsulation place them there). Returns
     /// `(0, 0)` when the payload is too short.
     pub fn ports(&self) -> (u16, u16) {
-        match *self.payload {
+        match *self.payload.head() {
             [s0, s1, d0, d1, ..] => (u16::from_be_bytes([s0, s1]), u16::from_be_bytes([d0, d1])),
             _ => (0, 0),
         }
@@ -89,6 +96,101 @@ impl Packet {
             dst_port,
             proto: self.proto,
             wire_len: self.wire_len() as u32,
+        }
+    }
+}
+
+/// The bytes a packet carries past its IP header, in two parts read as one
+/// sequence: the head, then the body.
+///
+/// A segment built by [`crate::wire::encode_parts`] or rewritten by a
+/// middlebox holds exactly its TCP header and options in the head, a
+/// buffer from the `bytes` pool, and its payload in the body, the `Bytes`
+/// the sender passed in: a slice of the application's buffer, shared and
+/// not copied. A frame made from one `Bytes` (an ICMP message, a raw test
+/// frame) holds everything in the head and has an empty body.
+#[derive(Clone, Debug)]
+pub struct Frame {
+    head: Bytes,
+    body: Bytes,
+}
+
+impl Frame {
+    /// A segment's frame: `head` is its header and options, exactly as long
+    /// as its data offset says, `body` its payload.
+    pub(crate) fn segment(head: Bytes, body: Bytes) -> Frame {
+        Frame { head, body }
+    }
+
+    /// The first part: a segment's header and options, or the whole frame
+    /// when it was made from one `Bytes`.
+    #[inline]
+    pub fn head(&self) -> &[u8] {
+        &self.head
+    }
+
+    /// The second part: a segment's payload, sharing the storage of the
+    /// `Bytes` it was encoded from; empty when the head holds everything.
+    #[inline]
+    pub fn body(&self) -> &Bytes {
+        &self.body
+    }
+
+    /// Both parts, in wire order.
+    #[inline]
+    pub fn parts(&self) -> [&[u8]; 2] {
+        [&self.head, &self.body]
+    }
+
+    /// Length in bytes, both parts.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.head.len() + self.body.len()
+    }
+
+    /// True when the frame holds no bytes.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The bytes from offset `at` to the end, as a slice of the part they
+    /// lie in: a segment's payload (`at` its header length, as a
+    /// [`crate::wire::TcpView`] reads it) is its body, uncopied.
+    ///
+    /// # Panics
+    /// When `at` is past the end, like `Bytes::slice`, or inside the head
+    /// of a frame with a body: no view reads a payload that starts there.
+    pub fn slice_from(&self, at: usize) -> Bytes {
+        match at.checked_sub(self.head.len()) {
+            Some(in_body) => self.body.slice(in_body..),
+            None => {
+                assert!(self.body.is_empty(), "{at} is inside a head with a body");
+                self.head.slice(at..)
+            }
+        }
+    }
+
+    /// The same frame with its head copied into a fresh buffer and changed
+    /// by `edit`; the body is shared. How a middlebox rewrites header fields
+    /// without touching the payload.
+    pub(crate) fn with_head(&self, edit: impl FnOnce(&mut [u8])) -> Frame {
+        let mut head = BytesMut::from(&self.head[..]);
+        edit(&mut head);
+        Frame::segment(head.freeze(), self.body.clone())
+    }
+
+    /// The bytes of both parts, copied into one `Vec`.
+    pub fn to_vec(&self) -> Vec<u8> {
+        [&self.head[..], &self.body[..]].concat()
+    }
+}
+
+impl From<Bytes> for Frame {
+    fn from(whole: Bytes) -> Frame {
+        Frame {
+            head: whole,
+            body: Bytes::new(),
         }
     }
 }
@@ -218,7 +320,7 @@ impl IcmpMsg {
             dst,
             proto: PROTO_ICMP,
             ttl: DEFAULT_TTL,
-            payload: self.encode(),
+            payload: self.encode().into(),
         }
     }
 }
@@ -235,11 +337,13 @@ mod tests {
         )
     }
 
-    /// A packet sits in every link queue slot and event: its payload
-    /// handle is 32 bytes, the addresses and header bytes the rest.
+    /// A packet sits in every link queue slot and event: its frame is two
+    /// 32-byte `Bytes` handles, the addresses and header bytes the rest.
+    /// The second handle is what lets the payload be shared instead of
+    /// copied into a wire buffer.
     #[test]
-    fn packet_is_48_bytes() {
-        assert_eq!(std::mem::size_of::<Packet>(), 48);
+    fn packet_is_80_bytes() {
+        assert_eq!(std::mem::size_of::<Packet>(), 80);
     }
 
     #[test]

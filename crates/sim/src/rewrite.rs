@@ -19,8 +19,9 @@
 //! rejects — a short frame, a bad data offset, or a valid data offset over
 //! a malformed option area — passes through untouched (`None`), because a
 //! middlebox must never corrupt what it cannot parse. They take seq, flags
-//! and payload length from the view but copy every byte they do not
-//! change, reserved and unknown flag bits included. Splitting and
+//! and payload length from the view but copy every header byte they do not
+//! change, reserved and unknown flag bits included, into a new head; NAT
+//! and splitting share the payload, coalescing copies it. Splitting and
 //! coalescing are restricted to segments with **no options area**: a DSS
 //! mapping covers exactly one segment's payload, so re-segmenting an
 //! option-bearing packet would forge mappings the endpoints never made
@@ -28,8 +29,9 @@
 //! normalized a flow — or on a plain-TCP fallback connection — data
 //! segments are option-free and eligible.
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 
+use crate::packet::Frame;
 use crate::wire::{TcpView, TCP_HEADER_LEN};
 
 /// Rewrite sequence and acknowledgment numbers by the given wrapping
@@ -37,18 +39,19 @@ use crate::wire::{TcpView, TCP_HEADER_LEN};
 /// number always shifts by `seq_delta`; the acknowledgment shifts by
 /// `ack_delta` only when the ACK flag is set (an unset ack field is
 /// garbage and must stay untouched). Returns `None` when the segment does
-/// not parse (pass through) or when both deltas are no-ops.
-pub fn rewrite_seq_ack(p: &[u8], seq_delta: u32, ack_delta: u32) -> Option<Bytes> {
+/// not parse (pass through) or when both deltas are no-ops. Only the head
+/// is rewritten; the payload is shared.
+pub fn rewrite_seq_ack(p: &Frame, seq_delta: u32, ack_delta: u32) -> Option<Frame> {
     let hdr = TcpView::parse(p).ok()?.hdr;
     if seq_delta == 0 && (!hdr.flags.ack || ack_delta == 0) {
         return None;
     }
-    let mut out = BytesMut::from(p);
-    out[4..8].copy_from_slice(&hdr.seq.add(seq_delta).0.to_be_bytes());
-    if hdr.flags.ack {
-        out[8..12].copy_from_slice(&hdr.ack.sub(ack_delta).0.to_be_bytes());
-    }
-    Some(out.freeze())
+    Some(p.with_head(|out| {
+        out[4..8].copy_from_slice(&hdr.seq.add(seq_delta).0.to_be_bytes());
+        if hdr.flags.ack {
+            out[8..12].copy_from_slice(&hdr.ack.sub(ack_delta).0.to_be_bytes());
+        }
+    }))
 }
 
 /// Split one option-free data segment into two contiguous halves, exactly
@@ -56,13 +59,13 @@ pub fn rewrite_seq_ack(p: &[u8], seq_delta: u32, ack_delta: u32) -> Option<Bytes
 /// original sequence number and loses FIN/PSH, the second half starts
 /// `k` bytes later in sequence space and inherits the trailing flags.
 /// Eligibility: parses, no options area, no SYN/RST, at least 2 payload
-/// bytes.
+/// bytes. Each half gets a header of its own and a slice of the payload.
 ///
 /// `buggy` is a **test-only** fault injection: the second half is emitted
 /// with a corrupt data offset (claiming a zero-length header), which the
 /// wire oracle must flag as `tcp-parse`. It exists so the fuzzer's
 /// broken-build detection test has a deterministic rewriter bug to find.
-pub fn split_segment(p: &[u8], buggy: bool) -> Option<(Bytes, Bytes)> {
+pub fn split_segment(p: &Frame, buggy: bool) -> Option<(Frame, Frame)> {
     let seg = TcpView::parse(p).ok()?;
     if seg.header_len() != TCP_HEADER_LEN {
         return None; // options present: re-segmenting would forge DSS maps
@@ -70,19 +73,21 @@ pub fn split_segment(p: &[u8], buggy: bool) -> Option<(Bytes, Bytes)> {
     if seg.hdr.flags.syn || seg.hdr.flags.rst || seg.payload.len() < 2 {
         return None;
     }
-    let (off, k) = (TCP_HEADER_LEN, seg.payload.len() / 2);
+    let k = seg.payload.len() / 2;
+    let (header, payload) = (&p.head()[..TCP_HEADER_LEN], p.slice_from(TCP_HEADER_LEN));
 
-    let mut first = BytesMut::from(&p[..off + k]);
+    let mut first = BytesMut::from(header);
     first[13] &= !0x09; // clear FIN|PSH: they travel with the tail
 
-    let mut second = BytesMut::with_capacity(p.len() - k);
-    second.extend_from_slice(&p[..off]);
-    second.extend_from_slice(&p[off + k..]);
+    let mut second = BytesMut::from(header);
     second[4..8].copy_from_slice(&seg.hdr.seq.add(k as u32).0.to_be_bytes());
     if buggy {
         second[12] &= 0x0F; // data offset 0: structurally invalid
     }
-    Some((first.freeze(), second.freeze()))
+    Some((
+        Frame::segment(first.freeze(), payload.slice(..k)),
+        Frame::segment(second.freeze(), payload.slice(k..)),
+    ))
 }
 
 /// Merge two contiguous option-free segments of the same flow into one —
@@ -90,8 +95,9 @@ pub fn split_segment(p: &[u8], buggy: bool) -> Option<(Bytes, Bytes)> {
 /// sequence space; both must parse, carry no options area, and `first`
 /// must be plain data (no SYN/FIN/RST). The merged segment keeps `first`'s
 /// sequence number, takes `second`'s acknowledgment/window/flags (the
-/// fresher cumulative state), and concatenates the payloads.
-pub fn coalesce_pair(first: &[u8], second: &[u8]) -> Option<Bytes> {
+/// fresher cumulative state), and concatenates the payloads: the one
+/// middlebox that copies payload bytes, into one new buffer.
+pub fn coalesce_pair(first: &Frame, second: &Frame) -> Option<Frame> {
     let (a, b) = (TcpView::parse(first).ok()?, TcpView::parse(second).ok()?);
     if a.header_len() != TCP_HEADER_LEN || b.header_len() != TCP_HEADER_LEN {
         return None;
@@ -110,27 +116,22 @@ pub fn coalesce_pair(first: &[u8], second: &[u8]) -> Option<Bytes> {
         return None; // not contiguous
     }
     let mut out = BytesMut::with_capacity(TCP_HEADER_LEN + a.payload.len() + b.payload.len());
-    out.extend_from_slice(&second[..TCP_HEADER_LEN]);
+    out.extend_from_slice(&second.head()[..TCP_HEADER_LEN]);
     out[4..8].copy_from_slice(&a.hdr.seq.0.to_be_bytes());
     out.extend_from_slice(a.payload);
     out.extend_from_slice(b.payload);
-    Some(out.freeze())
+    Some(out.freeze().into())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::{encode_parts, OptionWriter, TcpFixed, TcpFlags, MALFORMED_OPTION_AREA};
+    use bytes::Bytes;
 
     /// A segment from port 4321 to 80: seq/ack/flags, the options in
     /// `opts`, then `payload`.
-    fn seg_with(
-        seq: u32,
-        ack: u32,
-        flags: TcpFlags,
-        opts: &OptionWriter,
-        payload: &[u8],
-    ) -> Vec<u8> {
+    fn seg_with(seq: u32, ack: u32, flags: TcpFlags, opts: &OptionWriter, payload: &[u8]) -> Frame {
         let hdr = TcpFixed {
             src_port: 4321,
             dst_port: 80,
@@ -139,16 +140,20 @@ mod tests {
             flags,
             window: 0,
         };
-        encode_parts(&hdr, opts, payload).unwrap().to_vec()
+        encode_parts(&hdr, opts, Bytes::copy_from_slice(payload)).unwrap()
     }
 
     /// An option-free segment from port 4321 to 80.
-    fn seg(seq: u32, ack: u32, flags: TcpFlags, payload: &[u8]) -> Vec<u8> {
+    fn seg(seq: u32, ack: u32, flags: TcpFlags, payload: &[u8]) -> Frame {
         seg_with(seq, ack, flags, &OptionWriter::new(), payload)
     }
 
-    fn view(b: &[u8]) -> TcpView<'_> {
+    fn view(b: &Frame) -> TcpView<'_> {
         TcpView::parse(b).unwrap()
+    }
+
+    fn malformed() -> Frame {
+        Bytes::from_static(&MALFORMED_OPTION_AREA).into()
     }
 
     #[test]
@@ -159,7 +164,7 @@ mod tests {
         assert_eq!(view(&out).hdr.ack.0, 497);
         // Undo with the inverse deltas: byte-identical round trip.
         let back = rewrite_seq_ack(&out, 0u32.wrapping_sub(7), 0u32.wrapping_sub(3)).unwrap();
-        assert_eq!(&back[..], &s[..]);
+        assert_eq!(back.to_vec(), s.to_vec());
     }
 
     #[test]
@@ -167,8 +172,8 @@ mod tests {
         let s = seg(1000, 0xDEAD, TcpFlags::SYN, b""); // no ACK flag
         let out = rewrite_seq_ack(&s, 5, 9).unwrap();
         assert_eq!(view(&out).hdr.seq.0, 1005);
-        assert_eq!(&out[8..12], &s[8..12], "ack field untouched");
-        assert!(rewrite_seq_ack(b"shrt", 5, 9).is_none());
+        assert_eq!(&out.head()[8..12], &s.head()[8..12], "ack field untouched");
+        assert!(rewrite_seq_ack(&Bytes::from_static(b"shrt").into(), 5, 9).is_none());
     }
 
     #[test]
@@ -211,7 +216,7 @@ mod tests {
         let with_opts = seg_with(1, 0, TcpFlags::PSH_ACK, &opts, b"abcd");
         assert!(split_segment(&with_opts, false).is_none(), "options");
         assert!(
-            split_segment(&MALFORMED_OPTION_AREA, false).is_none(),
+            split_segment(&malformed(), false).is_none(),
             "malformed option area"
         );
     }
@@ -228,11 +233,12 @@ mod tests {
         let a = seg(100, 0, TcpFlags::ACK, b"ab");
         let gap = seg(103, 0, TcpFlags::ACK, b"cd");
         assert!(coalesce_pair(&a, &gap).is_none(), "gap");
-        let mut other = seg(102, 0, TcpFlags::ACK, b"cd");
+        let mut other = seg(102, 0, TcpFlags::ACK, b"cd").to_vec();
         other[0] = 0xFF; // different source port
+        let other = Bytes::from(other).into();
         assert!(coalesce_pair(&a, &other).is_none(), "different flow");
         assert!(
-            coalesce_pair(&a, &MALFORMED_OPTION_AREA).is_none(),
+            coalesce_pair(&a, &malformed()).is_none(),
             "malformed option area"
         );
         let b = seg(102, 77, TcpFlags::PSH_ACK, b"cd");

@@ -499,13 +499,17 @@ mod tests {
         let pkt = Packet::tcp(
             Addr::new(10, 0, 0, 1),
             Addr::new(10, 1, 0, 1),
-            encode_parts(&hdr, &opts, &[]).unwrap(),
+            encode_parts(&hdr, &opts, Bytes::new()).unwrap(),
         );
         // Through a real simulator, so the rewrite happens on the
         // forwarding path, not in isolation.
         let (got, router) = forward_through(|r| r.strip_mptcp = true, vec![pkt]);
         assert_eq!(router.options_stripped, 1);
-        assert_eq!((got[0].payload[12] >> 4) as usize * 4, 20, "options gone");
+        assert_eq!(
+            (got[0].payload.head()[12] >> 4) as usize * 4,
+            20,
+            "options gone"
+        );
         assert_eq!(got[0].ports(), (1, 2), "ports untouched");
     }
 
@@ -546,7 +550,7 @@ mod tests {
         Packet::tcp(
             Addr::new(10, 0, 0, 1),
             Addr::new(10, 1, 0, 1),
-            encode_parts(&hdr, &OptionWriter::new(), payload).unwrap(),
+            encode_parts(&hdr, &OptionWriter::new(), Bytes::copy_from_slice(payload)).unwrap(),
         )
     }
 
@@ -602,9 +606,9 @@ mod tests {
         );
         assert_eq!(r.segments_split, 1);
         assert_eq!(got.len(), 2);
-        assert_eq!(&got[0].payload[20..], b"abcd");
-        assert_eq!(&got[1].payload[20..], b"efgh");
-        let seq1 = u32::from_be_bytes(got[1].payload[4..8].try_into().unwrap());
+        assert_eq!(&got[0].payload.slice_from(20)[..], b"abcd");
+        assert_eq!(&got[1].payload.slice_from(20)[..], b"efgh");
+        let seq1 = u32::from_be_bytes(got[1].payload.head()[4..8].try_into().unwrap());
         assert_eq!(seq1, 1004);
     }
 
@@ -619,7 +623,7 @@ mod tests {
         );
         assert_eq!(r.segments_coalesced, 1);
         assert_eq!(got.len(), 1);
-        assert_eq!(&got[0].payload[20..], b"abcdefgh");
+        assert_eq!(&got[0].payload.slice_from(20)[..], b"abcdefgh");
     }
 
     #[test]
@@ -630,7 +634,7 @@ mod tests {
         );
         assert_eq!(r.segments_coalesced, 0);
         assert_eq!(got.len(), 1, "flush timer released the held segment");
-        assert_eq!(&got[0].payload[20..], b"abcd");
+        assert_eq!(&got[0].payload.slice_from(20)[..], b"abcd");
     }
 
     #[test]
@@ -643,8 +647,8 @@ mod tests {
             ],
         );
         assert_eq!(r.seq_rewritten, 2);
-        let s0 = u32::from_be_bytes(got[0].payload[4..8].try_into().unwrap());
-        let s1 = u32::from_be_bytes(got[1].payload[4..8].try_into().unwrap());
+        let s0 = u32::from_be_bytes(got[0].payload.head()[4..8].try_into().unwrap());
+        let s1 = u32::from_be_bytes(got[1].payload.head()[4..8].try_into().unwrap());
         assert_ne!(s0, 1000, "ISN shifted");
         assert_eq!(s1.wrapping_sub(s0), 2, "same delta for the whole flow");
     }

@@ -5,8 +5,9 @@
 //! header is copied out, the options stay in the frame behind one
 //! `(kind, body)` iterator, and the payload is a borrowed slice.
 //! [`OptionWriter`] appends options into a 40-byte area and
-//! [`encode_parts`] writes header, padded options and payload into a pooled
-//! buffer.
+//! [`encode_parts`] writes header and padded options into a pooled buffer,
+//! the head of a two-part [`Frame`] whose body is the payload `Bytes` it
+//! was given, shared and not copied.
 //!
 //! The module lives in the simulator because the simulator reads TCP too:
 //! the oracle's framing checks ([`crate::oracle`]), the option stripper
@@ -20,6 +21,8 @@
 use std::fmt;
 
 use bytes::{BufMut, Bytes, BytesMut};
+
+use crate::packet::Frame;
 
 /// Maximum bytes of options a TCP header can carry (data offset is 4 bits).
 pub const MAX_OPTIONS_LEN: usize = 40;
@@ -164,10 +167,11 @@ pub struct TcpFixed {
 /// [`TcpView::parse`] checks the whole header, options included, so a view
 /// always holds a well-formed segment: walking its options cannot fail. The
 /// fixed fields are copied out and the options area and the payload are
-/// borrowed from the frame. A reader that keeps the payload takes it as a
-/// `Bytes::slice` of its own frame, so a 1400-byte payload is never
-/// memcpy'd between the sender's [`encode_parts`] and the receiving
-/// application.
+/// borrowed from the frame. A reader that keeps the payload takes it with
+/// [`Frame::slice_from`] at [`TcpView::header_len`], which is the frame's
+/// body: the slice of the sender's buffer that [`encode_parts`] was given,
+/// so a payload byte is never memcpy'd between the sending application and
+/// the receiving one.
 #[derive(Clone, Copy, Debug)]
 pub struct TcpView<'a> {
     /// The fixed header fields.
@@ -181,18 +185,27 @@ pub struct TcpView<'a> {
 impl<'a> TcpView<'a> {
     /// Validate `frame` and read it in place. Allocation-free.
     ///
+    /// The header must lie in the frame's head. When the frame has a body,
+    /// the head must be exactly the header and the body is the payload;
+    /// otherwise the payload is the rest of the head.
+    ///
     /// # Errors
     /// [`WireError::Truncated`], [`WireError::BadDataOffset`] or
     /// [`WireError::BadOptionLength`] for a malformed header.
-    pub fn parse(frame: &'a [u8]) -> Result<TcpView<'a>, WireError> {
-        let Some(h) = frame.first_chunk::<TCP_HEADER_LEN>() else {
+    pub fn parse(frame: &'a Frame) -> Result<TcpView<'a>, WireError> {
+        let [head, body] = frame.parts();
+        let Some(h) = head.first_chunk::<TCP_HEADER_LEN>() else {
             return Err(WireError::Truncated);
         };
         let data_offset = (h[12] >> 4) as usize * 4;
-        if data_offset < TCP_HEADER_LEN || data_offset > frame.len() {
+        if data_offset < TCP_HEADER_LEN || data_offset > head.len() {
             return Err(WireError::BadDataOffset);
         }
-        let (head, payload) = frame.split_at(data_offset);
+        let (head, payload) = match head.split_at(data_offset) {
+            (head, []) => (head, body),
+            (head, rest) if body.is_empty() => (head, rest),
+            _ => return Err(WireError::BadDataOffset),
+        };
         let options = &head[TCP_HEADER_LEN..];
         let mut walk = OptionWalk {
             rest: options,
@@ -331,16 +344,17 @@ impl Default for OptionWriter {
     }
 }
 
-/// Encode one segment: the fixed header, the options NOP-padded to a
-/// 4-byte boundary, then the payload, in one buffer from the `bytes` pool.
+/// Encode one segment: the fixed header and the options NOP-padded to a
+/// 4-byte boundary, in one small buffer from the `bytes` pool, then
+/// `payload` as the frame's body, shared with the caller and not copied.
 ///
 /// # Errors
 /// [`WireError::OptionsTooLong`] if `opts` overflowed its 40 bytes.
 pub fn encode_parts(
     hdr: &TcpFixed,
     opts: &OptionWriter,
-    payload: &[u8],
-) -> Result<Bytes, WireError> {
+    payload: Bytes,
+) -> Result<Frame, WireError> {
     // Compose header, options and padding on the stack and append them
     // at once: every `BufMut` call re-checks the buffer's uniqueness and
     // capacity, which costs more than the bytes it writes.
@@ -356,10 +370,9 @@ pub fn encode_parts(
     // 16..18 checksum: not modeled (no corruption in the simulator);
     // 18..20 urgent pointer: unused.
     head[TCP_HEADER_LEN..].copy_from_slice(&opts.buf);
-    let mut buf = BytesMut::with_capacity(head_len + payload.len());
+    let mut buf = BytesMut::with_capacity(head_len);
     buf.put_slice(&head[..head_len]);
-    buf.put_slice(payload);
-    Ok(buf.freeze())
+    Ok(Frame::segment(buf.freeze(), payload))
 }
 
 /// Errors from [`TcpView::parse`] and [`encode_parts`].

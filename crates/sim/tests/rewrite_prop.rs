@@ -15,6 +15,10 @@
 //!   original segment byte-for-byte, and a single rewrite touches
 //!   *nothing* but the seq field (and the ack field when the ACK flag is
 //!   set).
+//! * **Two-part frames** — a segment the encoder built (header in the
+//!   head, payload in the body) comes out of seq-NAT, split and coalesce
+//!   byte for byte as its contiguous copy does, and seq-NAT and split
+//!   share its payload instead of copying it.
 //! * **ACK thinning never drops the final FIN ACK** — driven through a
 //!   real `Router` in a real simulator: FIN-bearing segments are never
 //!   eligible for thinning, and once a FIN has crossed the router, every
@@ -27,8 +31,8 @@ use std::any::Any;
 use bytes::Bytes;
 use proptest::prelude::*;
 use smapp_sim::rewrite::{coalesce_pair, rewrite_seq_ack, split_segment};
-use smapp_sim::wire::{TcpView, TCP_HEADER_LEN};
-use smapp_sim::{Addr, Ctx, IfaceId, LinkCfg, Node, Packet, Router, Simulator};
+use smapp_sim::wire::{encode_parts, OptionWriter, TcpFixed, TcpFlags, TcpView, TCP_HEADER_LEN};
+use smapp_sim::{Addr, Ctx, Frame, IfaceId, LinkCfg, Node, Packet, Router, Simulator};
 
 /// Build an option-free TCP segment. By hand, because `flags` is any
 /// byte, reserved bits included, which `TcpFlags` cannot carry.
@@ -68,9 +72,45 @@ fn with_malformed_options(s: Vec<u8>, opt_words: u8) -> Vec<u8> {
     s
 }
 
+/// `bytes` as a one-part frame, the way a raw frame enters a packet.
+fn one(bytes: &[u8]) -> Frame {
+    Bytes::copy_from_slice(bytes).into()
+}
+
+/// A segment as the encoder builds it: header and options in the head, an
+/// option of kind 99 with an `opt_len`-byte body unless `opt_len` is 0, and
+/// `payload` in the body. `flags` are the five bits the encoder writes.
+fn two_part(sport: u16, seq: u32, ack: u32, flags: u8, opt_len: usize, payload: &[u8]) -> Frame {
+    let hdr = TcpFixed {
+        src_port: sport,
+        dst_port: 80,
+        seq: seq.into(),
+        ack: ack.into(),
+        flags: TcpFlags {
+            fin: flags & 0x01 != 0,
+            syn: flags & 0x02 != 0,
+            rst: flags & 0x04 != 0,
+            psh: flags & 0x08 != 0,
+            ack: flags & 0x10 != 0,
+        },
+        window: 9000,
+    };
+    let mut opts = OptionWriter::new();
+    if opt_len > 0 {
+        opts.push(99, &vec![0xAB; opt_len]);
+    }
+    encode_parts(&hdr, &opts, Bytes::copy_from_slice(payload)).expect("options fit")
+}
+
 /// The fixed header of a segment the rewriters produced.
-fn hdr(s: &[u8]) -> smapp_sim::wire::TcpFixed {
+fn hdr(s: &Frame) -> smapp_sim::wire::TcpFixed {
     TcpView::parse(s).expect("rewriter output parses").hdr
+}
+
+/// The bytes of a rewriter's output, for comparing outputs whatever their
+/// parts.
+fn bytes(f: Option<Frame>) -> Option<Vec<u8>> {
+    f.map(|f| f.to_vec())
 }
 
 /// Forward `pkts` through a router thinning every `thin`-th pure ACK;
@@ -146,7 +186,7 @@ proptest! {
         flags in arb_data_flags(),
         payload in proptest::collection::vec(any::<u8>(), 2..120),
     ) {
-        let s = seg(sport, 80, seq, ack, flags, &payload);
+        let s = one(&seg(sport, 80, seq, ack, flags, &payload));
         let (a, b) = split_segment(&s, false).expect("eligible segment splits");
 
         // Both halves parse, stay option-free, and partition the payload
@@ -154,18 +194,18 @@ proptest! {
         let k = payload.len() / 2;
         prop_assert_eq!(hdr(&a).seq.0, seq);
         prop_assert_eq!(hdr(&b).seq.0, seq.wrapping_add(k as u32));
-        prop_assert_eq!(&a[TCP_HEADER_LEN..], &payload[..k]);
-        prop_assert_eq!(&b[TCP_HEADER_LEN..], &payload[k..]);
+        prop_assert_eq!(&a.slice_from(TCP_HEADER_LEN)[..], &payload[..k]);
+        prop_assert_eq!(&b.slice_from(TCP_HEADER_LEN)[..], &payload[k..]);
 
         // FIN and PSH travel with the tail; the head is plain data.
-        prop_assert_eq!(a[13] & 0x09, 0);
-        prop_assert_eq!(b[13], flags);
+        prop_assert_eq!(a.head()[13] & 0x09, 0);
+        prop_assert_eq!(b.head()[13], flags);
 
         // Coalescing the halves reconstructs the original byte-for-byte:
         // the byte stream, the sequence numbers, the flags, the
         // acknowledgment — nothing about the flow changed end to end.
         let merged = coalesce_pair(&a, &b).expect("contiguous halves coalesce");
-        prop_assert_eq!(&merged[..], &s[..]);
+        prop_assert_eq!(merged.to_vec(), s.to_vec());
     }
 
     /// DSS-mapping consistency by refusal: a segment with any option area
@@ -178,7 +218,8 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 2..60),
     ) {
         let plain = seg(4321, 80, seq, 7, 0x18, &payload);
-        let opted = with_options(plain.clone(), opt_words);
+        let opted = one(&with_options(plain.clone(), opt_words));
+        let plain = one(&plain);
         prop_assert!(split_segment(&opted, false).is_none());
 
         // Build a plain successor contiguous with each candidate first
@@ -186,8 +227,9 @@ proptest! {
         // carries options.
         let next_seq = seq.wrapping_add(payload.len() as u32);
         let successor = seg(4321, 80, next_seq, 7, 0x10, b"x");
+        let opted_successor = one(&with_options(successor.clone(), opt_words));
+        let successor = one(&successor);
         prop_assert!(coalesce_pair(&opted, &successor).is_none());
-        let opted_successor = with_options(successor.clone(), opt_words);
         prop_assert!(coalesce_pair(&plain, &opted_successor).is_none());
         // Control: the all-plain pair does coalesce.
         prop_assert!(coalesce_pair(&plain, &successor).is_some());
@@ -206,11 +248,11 @@ proptest! {
     ) {
         let plain = seg(sport, 80, seq, ack, flags, &payload);
         let malformed = opt_words % 3 == 2;
-        let s = match opt_words % 3 {
+        let s = one(&match opt_words % 3 {
             0 => plain,
             1 => with_options(plain, opt_words),
             _ => with_malformed_options(plain, opt_words),
-        };
+        });
         let ack_flag = flags & 0x10 != 0;
 
         match rewrite_seq_ack(&s, d_seq, d_ack) {
@@ -225,10 +267,11 @@ proptest! {
                 // iff the ACK flag is set) moved.
                 prop_assert_eq!(out.len(), s.len());
                 prop_assert_eq!(hdr(&out).seq.0, seq.wrapping_add(d_seq));
-                prop_assert_eq!(&out[0..4], &s[0..4]);
-                prop_assert_eq!(&out[12..], &s[12..]);
+                let (out_bytes, s_bytes) = (out.to_vec(), s.to_vec());
+                prop_assert_eq!(&out_bytes[0..4], &s_bytes[0..4]);
+                prop_assert_eq!(&out_bytes[12..], &s_bytes[12..]);
                 if !ack_flag {
-                    prop_assert_eq!(&out[8..12], &s[8..12]);
+                    prop_assert_eq!(&out_bytes[8..12], &s_bytes[8..12]);
                 }
 
                 // The inverse deltas restore the original exactly — the
@@ -239,9 +282,51 @@ proptest! {
                     0u32.wrapping_sub(d_ack),
                 )
                 .expect("inverse rewrite applies");
-                prop_assert_eq!(&back[..], &s[..]);
+                prop_assert_eq!(back.to_vec(), s.to_vec());
             }
         }
+    }
+
+    /// Seq-NAT, split (sound and buggy) and coalesce on a two-part frame
+    /// give byte for byte what they give on its contiguous copy, any mix of
+    /// the two for coalesce, and seq-NAT and split keep the payload where
+    /// the encoder put it.
+    #[test]
+    fn rewriters_give_two_part_frames_the_bytes_of_their_contiguous_copy(
+        sport in 1u16..65535,
+        seq in any::<u32>(),
+        ack in any::<u32>(),
+        flags in 0u8..32,
+        d_seq in any::<u32>(),
+        d_ack in any::<u32>(),
+        opt_len in prop_oneof![Just(0usize), 0usize..=38],
+        payload in proptest::collection::vec(any::<u8>(), 0..60),
+        next in proptest::collection::vec(any::<u8>(), 1..20),
+        buggy in any::<bool>(),
+    ) {
+        let two = two_part(sport, seq, ack, flags, opt_len, &payload);
+        let contiguous = one(&two.to_vec());
+
+        let nat = rewrite_seq_ack(&two, d_seq, d_ack);
+        if let Some(out) = &nat {
+            prop_assert!(out.body().as_ptr() == two.body().as_ptr(), "seq-NAT copied the payload");
+        }
+        prop_assert_eq!(bytes(nat), bytes(rewrite_seq_ack(&contiguous, d_seq, d_ack)));
+
+        let halves = |f: &Frame| split_segment(f, buggy).map(|(a, b)| (a.to_vec(), b.to_vec()));
+        prop_assert_eq!(halves(&two), halves(&contiguous));
+        if let Some((a, b)) = split_segment(&two, buggy) {
+            prop_assert!(a.body().as_ptr() == two.body().as_ptr(), "split copied the payload");
+            prop_assert_eq!(b.body().as_ptr(), two.body()[a.body().len()..].as_ptr());
+        }
+
+        let next_seq = seq.wrapping_add(payload.len() as u32);
+        let successor = two_part(sport, next_seq, ack, 0x18, 0, &next);
+        let successor_contiguous = one(&successor.to_vec());
+        let want = bytes(coalesce_pair(&contiguous, &successor_contiguous));
+        prop_assert_eq!(bytes(coalesce_pair(&two, &successor)), want.clone());
+        prop_assert_eq!(bytes(coalesce_pair(&two, &successor_contiguous)), want.clone());
+        prop_assert_eq!(bytes(coalesce_pair(&contiguous, &successor)), want);
     }
 
     /// The guard under the thinner, through a router that drops every

@@ -2,7 +2,10 @@
 //! (`dynamics::strip_mptcp_options`) against arbitrary generated option
 //! lists: kind-30 options are always removed, every other option is
 //! byte-preserved in order, the rewritten segment still parses, and the
-//! NOP padding is length-exact.
+//! NOP padding is length-exact. The same segment built by the encoder, its
+//! header in the frame's head and its payload in the body, has exactly the
+//! hand-built bytes and strips to exactly the bytes the contiguous copy
+//! strips to, its payload shared rather than copied.
 //!
 //! The same generated headers, cut short at every byte and with every
 //! byte flipped in turn, check the tree's one header reader
@@ -12,8 +15,12 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use smapp_sim::dynamics::strip_mptcp_options;
-use smapp_sim::wire::{TcpView, OPT_KIND_MPTCP, TCP_HEADER_LEN};
-use smapp_sim::{Addr, IfaceId, NodeId, Oracle, Packet, SimTime, TraceEvent, TraceKind, TraceSink};
+use smapp_sim::wire::{
+    encode_parts, OptionWriter, TcpFixed, TcpFlags, TcpView, OPT_KIND_MPTCP, TCP_HEADER_LEN,
+};
+use smapp_sim::{
+    Addr, Frame, IfaceId, NodeId, Oracle, Packet, SimTime, TraceEvent, TraceKind, TraceSink,
+};
 
 /// One generated option: `(kind, body)` with `kind` never NOP/EOL.
 fn arb_option() -> impl Strategy<Value = (u8, Vec<u8>)> {
@@ -54,6 +61,38 @@ fn build_segment(options: &[(u8, Vec<u8>)], payload: &[u8]) -> Vec<u8> {
     b.extend_from_slice(&area);
     b.extend_from_slice(payload);
     b
+}
+
+/// The segment [`build_segment`] writes by hand, built by the encoder: a
+/// two-part frame, header and options in the head, `payload` in the body.
+fn encode_segment(options: &[(u8, Vec<u8>)], payload: &[u8]) -> Frame {
+    let hdr = TcpFixed {
+        src_port: 40_000,
+        dst_port: 80,
+        seq: 0x1111_2222.into(),
+        ack: 0x3333_4444.into(),
+        flags: TcpFlags {
+            psh: true,
+            ack: true,
+            ..TcpFlags::default()
+        },
+        window: 9000,
+    };
+    let mut opts = OptionWriter::new();
+    for (kind, body) in options {
+        opts.push(*kind, body);
+    }
+    encode_parts(&hdr, &opts, Bytes::copy_from_slice(payload)).expect("options fit")
+}
+
+/// `bytes` as a one-part frame, the way a raw frame enters a packet.
+fn one(bytes: &[u8]) -> Frame {
+    Bytes::copy_from_slice(bytes).into()
+}
+
+/// Strip `frame`, the result copied out.
+fn strip(frame: &Frame) -> Option<(Vec<u8>, u32)> {
+    strip_mptcp_options(frame).map(|(out, n)| (out.to_vec(), n))
 }
 
 /// Walk a segment's option area; returns `(kind, body)` pairs (skipping
@@ -115,7 +154,16 @@ proptest! {
             .cloned()
             .collect();
 
-        match strip_mptcp_options(&seg) {
+        // The encoder's two parts are the hand-built bytes, and strip the
+        // same; a stripped frame keeps the payload the encoder was given.
+        let two = encode_segment(&options, &payload);
+        prop_assert_eq!(two.to_vec(), seg.clone());
+        prop_assert_eq!(strip(&two), strip(&one(&seg)));
+        if let Some((out, _)) = strip_mptcp_options(&two) {
+            prop_assert!(out.body().as_ptr() == two.body().as_ptr(), "strip copied the payload");
+        }
+
+        match strip(&one(&seg)) {
             None => {
                 // Nothing to strip: only valid when the segment carries no
                 // kind-30 option.
@@ -138,8 +186,8 @@ proptest! {
                 let padded = kept_len.div_ceil(4) * 4;
                 let data_offset = (out[12] >> 4) as usize * 4;
                 prop_assert_eq!(data_offset, TCP_HEADER_LEN + padded);
-                for i in TCP_HEADER_LEN + kept_len..data_offset {
-                    prop_assert_eq!(out[i], 1);
+                for &pad in &out[TCP_HEADER_LEN + kept_len..data_offset] {
+                    prop_assert_eq!(pad, 1);
                 }
 
                 // Fixed header (minus data offset) and payload untouched.
@@ -153,7 +201,7 @@ proptest! {
 
     #[test]
     fn strip_never_panics_on_byte_soup(soup in proptest::collection::vec(any::<u8>(), 0..80)) {
-        let _ = strip_mptcp_options(&soup);
+        let _ = strip(&one(&soup));
     }
 
     /// The shared reader on damaged headers: it never panics, accepts
@@ -168,7 +216,7 @@ proptest! {
     ) {
         let seg = build_segment(&options, &payload);
         for frame in cut_and_flipped(&seg, mask) {
-            let parsed = TcpView::parse(&frame)
+            let parsed = TcpView::parse(&one(&frame))
                 .map(|v| v.options().map(|(k, b)| (k, b.to_vec())).collect::<Vec<_>>());
             let walked = walk_options(&frame);
             let agree = parsed.as_ref().ok() == walked.as_ref();
@@ -182,7 +230,7 @@ proptest! {
                 pkt: &pkt,
             });
             let flagged = oracle.violations().iter().any(|v| v.invariant == "tcp-parse");
-            let frame = &pkt.payload[..];
+            let frame = pkt.payload.to_vec();
             prop_assert!(flagged == parsed.is_err(), "{:?}: tcp-parse {}", frame, flagged);
         }
     }

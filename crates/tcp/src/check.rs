@@ -44,6 +44,8 @@
 //! same lane would cancel. The digest is not keyed and not cryptographic;
 //! nothing in a simulated world searches for collisions.
 
+use smapp_sim::Frame;
+
 /// Snapshot interval in bytes (64 KiB): bounded memory (a 100 MB transfer
 /// keeps ~1600 snapshots) while catching corruption early in the stream.
 /// A multiple of the 32-byte digest block, so a snapshot always lands on a
@@ -142,8 +144,15 @@ impl StreamTap {
             .fold(self.count, |h, (&lane, mul)| mix(h, lane, mul))
     }
 
-    /// Feed the next in-order chunk of the stream.
-    pub fn update(&mut self, mut data: &[u8]) {
+    /// Feed the next in-order chunk of the stream: a slice, or a frame's
+    /// two parts one after the other.
+    pub fn update(&mut self, data: &(impl TapBytes + ?Sized)) {
+        for part in data.parts() {
+            self.update_slice(part);
+        }
+    }
+
+    fn update_slice(&mut self, mut data: &[u8]) {
         while !data.is_empty() {
             let until_snap = SNAP_EVERY - self.count % SNAP_EVERY;
             let take = (until_snap as usize).min(data.len());
@@ -211,6 +220,32 @@ impl StreamTap {
     }
 }
 
+/// Bytes a [`StreamTap`] reads, in stream order, in at most two slices: a
+/// frame feeds its head and then its body without being stitched into one
+/// buffer, and the digest does not depend on where the parts split.
+pub trait TapBytes {
+    /// The bytes, in order.
+    fn parts(&self) -> [&[u8]; 2];
+}
+
+impl TapBytes for [u8] {
+    fn parts(&self) -> [&[u8]; 2] {
+        [self, &[]]
+    }
+}
+
+impl<const N: usize> TapBytes for [u8; N] {
+    fn parts(&self) -> [&[u8]; 2] {
+        [self, &[]]
+    }
+}
+
+impl TapBytes for Frame {
+    fn parts(&self) -> [&[u8]; 2] {
+        Frame::parts(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,7 +267,7 @@ mod tests {
         let spare = tap_of(&stream(8, 5 * SNAP)).into_spare();
         assert!(spare.is_empty() && spare.capacity() >= 5);
         let mut reused = StreamTap::reusing(spare);
-        reused.update(&data);
+        reused.update(data.as_slice());
         let fresh = tap_of(&data);
         assert_eq!(
             (reused.count(), reused.digest()),

@@ -40,7 +40,7 @@ pub mod wire;
 
 pub use buffer::{Reassembly, ReassemblyRings, SendBuffer};
 pub use cc::{lia_alpha, Cc, CongestionControl, Lia, Reno, ALPHA_SCALE};
-pub use check::StreamTap;
+pub use check::{StreamTap, TapBytes};
 pub use flight::{AckResult, Flight, SentSeg};
 pub use info::{TcpInfo, TcpStateInfo};
 pub use pacing::pacing_rate;

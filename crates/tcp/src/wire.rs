@@ -20,6 +20,7 @@ pub use smapp_sim::wire::{
     OPT_KIND_MPTCP, OPT_KIND_MSS, OPT_KIND_WINDOW_SCALE, TCP_HEADER_LEN,
 };
 use smapp_sim::wire::{OPT_KIND_SACK_PERMITTED, OPT_KIND_TIMESTAMPS};
+use smapp_sim::Frame;
 
 use crate::seq::SeqNum;
 
@@ -339,22 +340,23 @@ impl TcpSegment {
         })
     }
 
-    /// Encode to wire bytes, through [`OptionWriter`] and [`encode_parts`].
+    /// Encode to a frame, through [`OptionWriter`] and [`encode_parts`]:
+    /// the frame's body shares the storage of `self.payload`.
     ///
     /// # Errors
     /// [`WireError::OptionsTooLong`] if the options exceed 40 bytes.
-    pub fn encode(&self) -> Result<Bytes, WireError> {
+    pub fn encode(&self) -> Result<Frame, WireError> {
         let mut opts = OptionWriter::new();
         for opt in &self.hdr.options {
             opt.write_to(&mut opts);
         }
-        encode_parts(&self.hdr.fixed(), &opts, &self.payload)
+        encode_parts(&self.hdr.fixed(), &opts, self.payload.clone())
     }
 
-    /// Decode from wire bytes: [`TcpView::parse`], then the options
+    /// Decode from a frame: [`TcpView::parse`], then the options
     /// collected into inline storage. Allocation-free; the payload aliases
-    /// the frame.
-    pub fn decode(b: &Bytes) -> Result<TcpSegment, WireError> {
+    /// the frame ([`Frame::slice_from`]).
+    pub fn decode(b: &Frame) -> Result<TcpSegment, WireError> {
         let v = TcpView::parse(b)?;
         let f = v.hdr;
         Ok(TcpSegment {
@@ -370,7 +372,7 @@ impl TcpSegment {
                     .map(|(kind, body)| TcpOption::from_wire(kind, body))
                     .collect(),
             },
-            payload: b.slice(v.header_len()..),
+            payload: b.slice_from(v.header_len()),
         })
     }
 }
@@ -392,6 +394,11 @@ impl TcpHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `bytes` as a one-part frame.
+    fn frame(bytes: Vec<u8>) -> Frame {
+        Bytes::from(bytes).into()
+    }
 
     fn sample_header() -> TcpHeader {
         TcpHeader {
@@ -451,13 +458,13 @@ mod tests {
             payload: Bytes::new(),
         };
         let wire = seg.encode().unwrap();
-        assert_eq!(&wire[..4], &[0x12, 0x34, 0x56, 0x78]);
+        assert_eq!(&wire.head()[..4], &[0x12, 0x34, 0x56, 0x78]);
     }
 
     #[test]
     fn decode_rejects_truncated() {
         assert_eq!(
-            TcpSegment::decode(&Bytes::from(vec![0u8; 10])),
+            TcpSegment::decode(&frame(vec![0u8; 10])),
             Err(WireError::Truncated)
         );
     }
@@ -467,13 +474,13 @@ mod tests {
         let mut wire = vec![0u8; 20];
         wire[12] = 4 << 4; // data offset 16 < 20
         assert_eq!(
-            TcpSegment::decode(&Bytes::from(wire)),
+            TcpSegment::decode(&frame(wire)),
             Err(WireError::BadDataOffset)
         );
         let mut wire = vec![0u8; 20];
         wire[12] = 15 << 4; // data offset 60 > buffer
         assert_eq!(
-            TcpSegment::decode(&Bytes::from(wire)),
+            TcpSegment::decode(&frame(wire)),
             Err(WireError::BadDataOffset)
         );
     }
@@ -487,42 +494,45 @@ mod tests {
             },
             payload: Bytes::new(),
         };
-        let mut wire = Vec::from(&seg.encode().unwrap()[..]);
+        let mut wire = seg.encode().unwrap().to_vec();
         wire[21] = 0; // MSS option length = 0
         assert_eq!(
-            TcpSegment::decode(&Bytes::from(wire.clone())),
+            TcpSegment::decode(&frame(wire.clone())),
             Err(WireError::BadOptionLength)
         );
         wire[21] = 40; // overruns header
         assert_eq!(
-            TcpSegment::decode(&Bytes::from(wire)),
+            TcpSegment::decode(&frame(wire)),
             Err(WireError::BadOptionLength)
         );
     }
 
     #[test]
     fn decode_payload_aliases_the_frame_allocation() {
-        // Zero-copy receive path: the decoded payload must point *into*
-        // the frame's backing allocation, not to a fresh copy. (Option
-        // bodies are parsed into inline fixed-size storage instead — 38
-        // bytes at most — so the decode path performs no allocation at
-        // all.)
+        // Zero-copy both ways: the frame's body is the payload the segment
+        // was encoded from, and the decoded payload is that body, not a
+        // fresh copy. (Option bodies are parsed into inline fixed-size
+        // storage instead — 38 bytes at most — so the decode path performs
+        // no allocation at all.)
         let seg = TcpSegment {
             hdr: sample_header(),
             payload: Bytes::from(vec![0xAB; 1400]),
         };
         let wire = seg.encode().unwrap();
-        let frame = wire.as_ptr() as usize;
-        let frame_end = frame + wire.len();
+        assert_eq!(wire.body().as_ptr(), seg.payload.as_ptr());
+        assert_eq!(wire.head().len(), TCP_HEADER_LEN + 20);
         let back = TcpSegment::decode(&wire).unwrap();
+        assert_eq!(back.payload.as_ptr(), seg.payload.as_ptr());
+        assert_eq!(back.payload.len(), 1400);
 
-        let p = back.payload.as_ptr() as usize;
-        assert!(
-            p >= frame && p + back.payload.len() <= frame_end,
-            "payload must alias the received frame's allocation"
+        // A one-part frame: the payload is a slice of it, just past the
+        // header.
+        let whole = frame(wire.to_vec());
+        let back = TcpSegment::decode(&whole).unwrap();
+        assert_eq!(
+            back.payload.as_ptr(),
+            whole.head()[TCP_HEADER_LEN + 20..].as_ptr()
         );
-        // The payload sits right where encode wrote it.
-        assert_eq!(p - frame, wire.len() - back.payload.len());
 
         // Option bodies still round-trip byte-for-byte.
         let opt = back.mptcp_opt().unwrap();
@@ -545,7 +555,7 @@ mod tests {
             },
             payload: Bytes::new(),
         };
-        assert_eq!(seg.encode(), Err(WireError::OptionsTooLong));
+        assert_eq!(seg.encode().err(), Some(WireError::OptionsTooLong));
     }
 
     #[test]
@@ -553,12 +563,12 @@ mod tests {
         let mut w = OptionWriter::new();
         w.push(99, &[0; 18]);
         w.push(99, &[0; 18]);
-        let full = encode_parts(&TcpFixed::default(), &w, &[]).unwrap();
+        let full = encode_parts(&TcpFixed::default(), &w, Bytes::new()).unwrap();
         assert_eq!(full.len(), TCP_HEADER_LEN + MAX_OPTIONS_LEN);
         w.push(OPT_KIND_SACK_PERMITTED, &[]);
         assert_eq!(
-            encode_parts(&TcpFixed::default(), &w, &[]),
-            Err(WireError::OptionsTooLong)
+            encode_parts(&TcpFixed::default(), &w, Bytes::new()).err(),
+            Some(WireError::OptionsTooLong)
         );
     }
 
@@ -570,7 +580,7 @@ mod tests {
         wire[12] = 8 << 4;
         wire.extend_from_slice(&[1, 30, 4, 0xAB, 0xCD, 0, 99, 2, 7, 7, 7, 7]);
         wire.extend_from_slice(b"data");
-        let frame = Bytes::from(wire);
+        let frame = frame(wire);
         let view = TcpView::parse(&frame).unwrap();
         assert_eq!(
             view.options().collect::<Vec<_>>(),
@@ -634,6 +644,7 @@ mod tests {
 #[cfg(test)]
 mod prop {
     use super::*;
+    use crate::check::StreamTap;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
@@ -755,10 +766,50 @@ mod prop {
         })
     }
 
+    /// The encoder as it was before a frame had two parts, kept as a
+    /// reference model: header, options NOP-padded to a 4-byte boundary
+    /// and payload, written by hand into one buffer.
+    fn contiguous_encode(seg: &TcpSegment) -> Vec<u8> {
+        let h = &seg.hdr;
+        let mut area = Vec::new();
+        for opt in &h.options {
+            let (kind, body) = match *opt {
+                TcpOption::Mss(v) => (OPT_KIND_MSS, v.to_be_bytes().to_vec()),
+                TcpOption::WindowScale(s) => (OPT_KIND_WINDOW_SCALE, vec![s]),
+                TcpOption::SackPermitted => (OPT_KIND_SACK_PERMITTED, vec![]),
+                TcpOption::Timestamps { val, ecr } => (
+                    OPT_KIND_TIMESTAMPS,
+                    [val.to_be_bytes(), ecr.to_be_bytes()].concat(),
+                ),
+                TcpOption::Mptcp(b) => (OPT_KIND_MPTCP, b.to_vec()),
+                TcpOption::Unknown { kind, data } => (kind, data.to_vec()),
+            };
+            area.extend_from_slice(&[kind, 2 + body.len() as u8]);
+            area.extend_from_slice(&body);
+        }
+        area.resize(area.len().div_ceil(4) * 4, 1); // NOP
+        let flags = (h.flags.fin as u8)
+            | (h.flags.syn as u8) << 1
+            | (h.flags.rst as u8) << 2
+            | (h.flags.psh as u8) << 3
+            | (h.flags.ack as u8) << 4;
+        let mut b = Vec::new();
+        b.extend_from_slice(&h.src_port.to_be_bytes());
+        b.extend_from_slice(&h.dst_port.to_be_bytes());
+        b.extend_from_slice(&h.seq.0.to_be_bytes());
+        b.extend_from_slice(&h.ack.0.to_be_bytes());
+        b.extend_from_slice(&[(((TCP_HEADER_LEN + area.len()) / 4) as u8) << 4, flags]);
+        b.extend_from_slice(&h.window.to_be_bytes());
+        b.extend_from_slice(&[0; 4]); // checksum, urgent pointer
+        b.extend_from_slice(&area);
+        b.extend_from_slice(&seg.payload);
+        b
+    }
+
     /// [`TcpView::parse`] against the reference model: the same error, or
     /// the same fixed fields, options and payload.
-    fn view_matches_copying_decode(wire: &[u8]) -> Result<(), TestCaseError> {
-        match (TcpView::parse(wire), copying_decode(wire)) {
+    fn view_matches_copying_decode(wire: &Frame) -> Result<(), TestCaseError> {
+        match (TcpView::parse(wire), copying_decode(&wire.to_vec())) {
             (Ok(view), Ok(seg)) => {
                 prop_assert_eq!(view.hdr, seg.hdr.fixed());
                 let opts: TcpOptions = view
@@ -780,6 +831,43 @@ mod prop {
     }
 
     proptest! {
+        /// A two-part frame holds the bytes the one-buffer encoder wrote:
+        /// header and options in the head, the payload in the body sharing
+        /// the caller's storage. The view reads it as it reads those bytes
+        /// in one part, and a tap fed its two parts, after any lead-in that
+        /// moves where the digest's blocks fall, digests what a tap fed the
+        /// bytes at once does.
+        #[test]
+        fn two_part_frames_hold_the_contiguous_encoding(
+            seg in arb_segment(),
+            lead in proptest::collection::vec(any::<u8>(), 0..40),
+        ) {
+            let raw: usize = seg.hdr.options.iter().map(|o| o.wire_len()).sum();
+            prop_assume!(raw <= MAX_OPTIONS_LEN);
+            let frame = seg.encode().unwrap();
+            let reference = contiguous_encode(&seg);
+            prop_assert_eq!(frame.to_vec(), reference.clone());
+            prop_assert_eq!(frame.head().len(), reference.len() - seg.payload.len());
+            prop_assert!(frame.body().as_ptr() == seg.payload.as_ptr(), "the body is a copy");
+
+            let whole = Frame::from(Bytes::from(reference.clone()));
+            let (two, one) = (TcpView::parse(&frame).unwrap(), TcpView::parse(&whole).unwrap());
+            prop_assert_eq!(two.hdr, one.hdr);
+            prop_assert_eq!(two.header_len(), one.header_len());
+            prop_assert_eq!(two.options().collect::<Vec<_>>(), one.options().collect::<Vec<_>>());
+            prop_assert_eq!(two.payload, one.payload);
+
+            let (mut parts, mut at_once) = (StreamTap::new(), StreamTap::new());
+            parts.update(&lead[..]);
+            parts.update(&frame);
+            at_once.update(&lead[..]);
+            at_once.update(&reference[..]);
+            prop_assert_eq!(
+                (parts.count(), parts.digest()),
+                (at_once.count(), at_once.digest())
+            );
+        }
+
         #[test]
         fn encode_decode_roundtrip(seg in arb_segment()) {
             prop_assume!(seg.hdr.options.iter().map(|o| o.wire_len()).sum::<usize>() <= 38);
@@ -790,7 +878,7 @@ mod prop {
 
         #[test]
         fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..120)) {
-            let frame = Bytes::from(bytes);
+            let frame = Frame::from(Bytes::from(bytes));
             let _ = TcpSegment::decode(&frame);
             if let Ok(view) = TcpView::parse(&frame) {
                 for (kind, body) in view.options() {
@@ -812,11 +900,11 @@ mod prop {
         ) {
             if seg.hdr.options.iter().map(|o| o.wire_len()).sum::<usize>() <= 38 {
                 let wire = seg.encode().unwrap();
-                prop_assert_eq!(TcpSegment::decode(&wire), copying_decode(&wire));
+                prop_assert_eq!(TcpSegment::decode(&wire), copying_decode(&wire.to_vec()));
                 view_matches_copying_decode(&wire)?;
             }
-            let soup = Bytes::from(soup);
-            prop_assert_eq!(TcpSegment::decode(&soup), copying_decode(&soup));
+            let soup = Frame::from(Bytes::from(soup));
+            prop_assert_eq!(TcpSegment::decode(&soup), copying_decode(&soup.to_vec()));
             view_matches_copying_decode(&soup)?;
             // A valid fixed header over option bytes that are mostly small
             // kinds and lengths: the option walk itself meets the byte soup.
@@ -826,8 +914,8 @@ mod prop {
             framed.extend_from_slice(&garbled);
             framed.resize(TCP_HEADER_LEN + area, 1); // NOP
             framed.extend_from_slice(b"payload");
-            let framed = Bytes::from(framed);
-            prop_assert_eq!(TcpSegment::decode(&framed), copying_decode(&framed));
+            let framed = Frame::from(Bytes::from(framed));
+            prop_assert_eq!(TcpSegment::decode(&framed), copying_decode(&framed.to_vec()));
             view_matches_copying_decode(&framed)?;
         }
 
@@ -842,7 +930,7 @@ mod prop {
                 opt.write_to(&mut w);
             }
             let raw: usize = options.iter().map(|o| o.wire_len()).sum();
-            match encode_parts(&TcpFixed::default(), &w, b"x") {
+            match encode_parts(&TcpFixed::default(), &w, Bytes::from_static(b"x")) {
                 Ok(frame) => prop_assert!(
                     raw <= MAX_OPTIONS_LEN && frame.len() == TCP_HEADER_LEN + raw.div_ceil(4) * 4 + 1
                 ),
