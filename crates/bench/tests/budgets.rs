@@ -31,26 +31,26 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 const THREAD_LOCALS: usize = 3;
-const ARCHITECTURE_LINES: usize = 1746;
+const ARCHITECTURE_LINES: usize = 1777;
 const NEWEST_CHANGES_ENTRY_BYTES: usize = 5152;
 const AS_ANY_SITES: usize = 213;
-const PUB_ITEMS: usize = 985;
+const PUB_ITEMS: usize = 986;
 const NON_TEST_LINES: [(&str, usize); 7] = [
     ("bench", 5498),
     ("core", 1406),
-    ("mptcp", 5328),
+    ("mptcp", 5362),
     ("netlink", 1214),
     ("pm", 1172),
     ("sim", 6037),
-    ("tcp", 1946),
+    ("tcp", 1980),
 ];
 const UNWRAP_EXPECT: [(&str, usize); 6] = [
     ("core", 6),
-    ("mptcp", 98),
+    ("mptcp", 101),
     ("netlink", 33),
     ("pm", 17),
     ("sim", 109),
-    ("tcp", 41),
+    ("tcp", 40),
 ];
 
 /// Every `.rs` file under `dir` but this one, in a stable order.

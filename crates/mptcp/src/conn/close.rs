@@ -68,7 +68,7 @@ impl Connection {
         if sf.state != SfState::Established || sf.fin_sent_off.is_some() || !sf.flight.is_empty() {
             return;
         }
-        let fin_off = sf.snd_off;
+        let fin_off = sf.snd_off();
         sf.fin_sent_off = Some(fin_off);
         self.send_fin(id, fin_off, env);
         self.arm_rto(id, env);

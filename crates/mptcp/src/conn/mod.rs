@@ -661,7 +661,7 @@ impl Connection {
         let seq = if flags.syn {
             sf.iss
         } else {
-            sf.wire_seq(what.off.unwrap_or(sf.snd_off))
+            sf.wire_seq(what.off.unwrap_or(sf.snd_off()))
         };
         // SYN windows are never scaled (RFC 7323 §2.2); a RST offers none.
         let window = if flags.rst {
@@ -926,6 +926,69 @@ mod tests {
                 proptest::prop_assert_eq!(&ring.0, &held);
             }
         }
+    }
+
+    /// A subflow retransmits its own unacked bytes, whatever the data ACK
+    /// says: after a partial subflow ACK, and after the connection let the
+    /// bytes go because they were data-acked (through another subflow),
+    /// the head it resends is the unacked tail of the original segment,
+    /// still a slice of the sender's static block, with its mapping
+    /// advanced past the acked prefix.
+    #[test]
+    fn retransmitted_head_is_a_slice_of_the_senders_block() {
+        static BLOCK: [u8; 4096] = [0x3C; 4096];
+        with_client(6, StackConfig::default(), |mut conn, _env, _events| {
+            let mut rng = SimRng::seed_from_u64(6);
+            let mut env = StackEnv::new(SimTime::ZERO, &mut rng);
+            conn.state = ConnState::Established;
+            let tuple = conn.subflows[0].tuple;
+            let other = FourTuple {
+                src_port: tuple.src_port + 1,
+                ..tuple
+            };
+            conn.start_subflow(other, false, None, &mut env);
+            conn.subflows
+                .iter_mut()
+                .for_each(|sf| sf.state = SfState::Established);
+            conn.meta_send.write(Bytes::from_static(&BLOCK));
+            conn.send_data_on(0, MetaRange { off: 0, len: 1400 }, false, &mut env);
+            conn.send_data_on(
+                0,
+                MetaRange {
+                    off: 1400,
+                    len: 1400,
+                },
+                false,
+                &mut env,
+            );
+            assert_eq!(conn.subflows[0].unacked.len(), 2800);
+            conn.meta_snd_nxt = 2800;
+            conn.on_data_ack(2800, &mut env);
+            assert_eq!(conn.meta_send.head_offset(), 2800);
+            // Subflow 0's peer acknowledges half of the first segment.
+            let sf = &conn.subflows[0];
+            let ack = TcpFixed {
+                src_port: tuple.dst_port,
+                dst_port: tuple.src_port,
+                seq: sf.irs.wrapping_add(1).into(),
+                ack: sf.wire_seq(700).into(),
+                flags: TcpFlags::ACK,
+                window: 1000,
+            };
+            let ack = smapp_tcp::encode_parts(&ack, &OptionWriter::new(), Bytes::new()).unwrap();
+            conn.process_subflow_ack(0, &TcpView::parse(&ack).unwrap(), &mut env);
+            assert_eq!(conn.subflows[0].unacked.head_offset(), 700);
+            env.out.clear();
+            conn.retransmit_head(0, &mut env);
+            let body = env.out[0].seg.body();
+            assert_eq!((body.as_ptr(), body.len()), (BLOCK[700..].as_ptr(), 700));
+            let seg = TcpView::parse(&env.out[0].seg).unwrap();
+            let dss = seg.mptcp_opts().find_map(|o| match MpOption::decode(o) {
+                Ok(MpOption::Dss(dss)) => dss.mapping,
+                _ => None,
+            });
+            assert_eq!(dss.map(|m| (m.dsn, m.len)), Some((conn.wire_dsn(700), 700)));
+        });
     }
 
     #[test]

@@ -164,7 +164,7 @@ impl Connection {
         // ---- DSS: data ack (fallback: the subflow ACK is the data ack) ----
         if self.is_fallback() {
             let sf0 = &self.subflows[0];
-            let acked = sf0.una_off.min(sf0.snd_off);
+            let acked = sf0.una_off.min(sf0.snd_off());
             let fin_acked = sf0.fin_acked;
             self.on_data_ack(acked, env);
             if fin_acked {
@@ -290,18 +290,24 @@ impl Connection {
     }
 
     /// Cumulative/duplicate ACK handling for one subflow.
-    fn process_subflow_ack(&mut self, id: SubflowId, seg: &TcpView<'_>, env: &mut StackEnv<'_>) {
+    pub(super) fn process_subflow_ack(
+        &mut self,
+        id: SubflowId,
+        seg: &TcpView<'_>,
+        env: &mut StackEnv<'_>,
+    ) {
         let now = env.now;
         let sf = &mut self.subflows[id as usize];
         let acked_off = sf.offset_from_wire_ack(seg.hdr.ack.0);
         let fin_limit = sf.fin_sent_off.map(|f| f + 1);
-        let max_valid = fin_limit.unwrap_or(sf.snd_off).max(sf.snd_off);
+        let max_valid = fin_limit.unwrap_or(sf.snd_off()).max(sf.snd_off());
         if acked_off > max_valid {
             return; // nonsense ACK
         }
         if acked_off > sf.una_off {
-            let data_limit = acked_off.min(sf.snd_off);
+            let data_limit = acked_off.min(sf.snd_off());
             let res = sf.flight.on_cum_ack(data_limit, now);
+            sf.unacked.release_until(data_limit);
             if let Some(s) = res.rtt_sample {
                 sf.rtt.on_sample(s);
                 // HyStart-style delay-based slow-start exit: once the RTT
@@ -360,14 +366,14 @@ impl Connection {
             if sf.dupacks == 3 && sf.recovery.is_none() {
                 let flight = sf.flight.bytes_in_flight();
                 sf.cc.on_enter_recovery(flight);
-                sf.recovery = Some(sf.snd_off);
+                sf.recovery = Some(sf.snd_off());
                 self.retransmit_head(id, env);
             }
         }
     }
 
     /// Meta-level cumulative data ACK.
-    fn on_data_ack(&mut self, acked_off: u64, env: &mut StackEnv<'_>) {
+    pub(super) fn on_data_ack(&mut self, acked_off: u64, env: &mut StackEnv<'_>) {
         let fin_plus = self.fin_sent_off.map(|f| f + 1);
         let limit = fin_plus.unwrap_or(self.meta_snd_nxt).max(self.meta_snd_nxt);
         let acked = acked_off.min(limit);

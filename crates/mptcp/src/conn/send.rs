@@ -61,7 +61,7 @@ impl Connection {
     }
 
     /// Transmit `range` of the meta stream on subflow `id`.
-    fn send_data_on(
+    pub(super) fn send_data_on(
         &mut self,
         id: SubflowId,
         range: MetaRange,
@@ -70,11 +70,11 @@ impl Connection {
     ) {
         let payload = self.meta_send.slice(range.off, range.len);
         let sf = &mut self.subflows[id as usize];
-        let ssn_off = sf.snd_off;
+        let ssn_off = sf.snd_off();
         debug_assert_eq!(payload.len(), range.len as usize);
-        let tag = SegTag::new(range.off, payload.clone(), data_fin);
+        let tag = SegTag::new(range.off, range.len, data_fin);
         sf.flight.on_send(ssn_off, range.len, env.now, tag);
-        sf.snd_off += range.len as u64;
+        sf.unacked.write(payload.clone());
         let need_arm = !sf.rto_armed;
         let mapping = DssMapping {
             dsn: self.wire_dsn(range.off),
@@ -108,20 +108,22 @@ impl Connection {
             }
             return;
         };
-        let tag = &sf.flight.oldest().expect("head exists").tag;
+        let tag = sf.flight.oldest().expect("head exists").tag;
         // A partial ACK may have trimmed the head inside the original
         // segment (a middlebox that re-segments the stream makes
         // mid-segment cumulative ACKs routine): the tag still holds the
-        // payload as originally sent, so skip the acked prefix and
-        // advance the mapping to match. Replaying the full payload at
+        // mapping as originally sent, so skip the acked prefix and
+        // advance the mapping to match. Replaying the full mapping at
         // the trimmed offset would shift the byte stream and write past
-        // its end.
-        let skip = tag.payload.len() - len as usize;
-        let (payload, map, data_fin) = (tag.payload.slice(skip..), tag.map(), tag.data_fin());
+        // its end. The bytes are the subflow's own, still unacked there
+        // whatever the data ACK says.
+        let (map, data_fin) = (tag.map(), tag.data_fin());
+        let skip = map.len - len;
+        let payload = sf.unacked.slice(off, len);
         let mapping = Some(DssMapping {
             dsn: self.wire_dsn(map.off + skip as u64),
             ssn: (off as u32).wrapping_add(1),
-            len: (map.len - skip as u32) as u16,
+            len: len as u16,
         });
         let what = Seg {
             flags: PSH_ACK,

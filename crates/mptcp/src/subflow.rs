@@ -13,7 +13,7 @@ use bytes::Bytes;
 use smapp_sim::{spare, Recycle, SimTime, TimerHandle};
 use smapp_tcp::{
     pacing_rate, Cc, CongestionControl, Flight, Reassembly, ReassemblyRings, RtoState,
-    RttEstimator, SentSeg, TcpInfo, TcpStateInfo,
+    RttEstimator, SendBuffer, SentSeg, TcpInfo, TcpStateInfo,
 };
 
 use crate::conn::Role;
@@ -48,41 +48,40 @@ impl MetaRange {
     }
 }
 
-/// Tag attached to each in-flight subflow segment: enough to rebuild the
-/// exact segment for retransmission and to reinject its meta range
-/// elsewhere. Subflow-level retransmission must not depend on the meta send
-/// buffer (the data may already be data-acked via another subflow), so the
-/// payload bytes ride along (cheap: `Bytes` is reference-counted). The
-/// mapping's length is the payload's, and the DATA_FIN flag rides in the
-/// top bit of its offset, so a flight entry fits in 64 bytes.
-#[derive(Clone, Debug)]
-pub struct SegTag {
-    /// Meta offset of the payload's first byte, or'd with `DATA_FIN`.
-    meta: u64,
-    /// The payload bytes as originally sent.
-    pub payload: Bytes,
-}
+/// Tag attached to each in-flight subflow segment: the DSS mapping it was
+/// sent with, enough to rebuild the segment for retransmission and to
+/// reinject its meta range elsewhere. Its bytes are in
+/// [`Subflow::unacked`], not the meta send buffer: they may already be
+/// data-acked via another subflow. One word: the mapping's length (a DSS
+/// length, at most 65 535) in the low 16 bits, its meta offset in the next
+/// 47 and the DATA_FIN flag in the top bit, so a flight entry is 32 bytes.
+#[derive(Clone, Copy, Debug)]
+pub struct SegTag(u64);
 
 impl SegTag {
-    /// Set in `meta` when the segment carried a DATA_FIN signal.
+    /// Set when the segment carried a DATA_FIN signal.
     const DATA_FIN: u64 = 1 << 63;
+    /// Bits below the meta offset: the length.
+    const LEN_BITS: u32 = 16;
 
-    /// The tag of `payload`, sent at meta offset `off`.
-    pub(crate) fn new(off: u64, payload: Bytes, data_fin: bool) -> Self {
-        debug_assert!(off < Self::DATA_FIN, "meta offset overflow");
-        let meta = off | u64::from(data_fin) << 63;
-        SegTag { meta, payload }
+    /// The tag of `len` payload bytes sent at meta offset `off`.
+    pub(crate) fn new(off: u64, len: u32, data_fin: bool) -> Self {
+        assert!(off < 1 << (63 - Self::LEN_BITS), "meta offset overflow");
+        assert!(len < 1 << Self::LEN_BITS, "DSS length overflow");
+        let word = off << Self::LEN_BITS | u64::from(len) | u64::from(data_fin) << 63;
+        SegTag(word)
     }
 
     /// The meta range the payload maps to.
     pub(crate) fn map(&self) -> MetaRange {
-        let (off, len) = (self.meta & !Self::DATA_FIN, self.payload.len() as u32);
+        let off = (self.0 & !Self::DATA_FIN) >> Self::LEN_BITS;
+        let len = (self.0 & ((1 << Self::LEN_BITS) - 1)) as u32;
         MetaRange { off, len }
     }
 
     /// Whether the segment carried a DATA_FIN signal.
     pub(crate) fn data_fin(&self) -> bool {
-        self.meta & Self::DATA_FIN != 0
+        self.0 & Self::DATA_FIN != 0
     }
 }
 
@@ -111,13 +110,14 @@ pub struct SfStats {
     pub established_at: Option<SimTime>,
 }
 
-/// The storage a dead subflow gives up, emptied: its flight, reassembly
-/// and mapping rings. The thread keeps it for the next subflow of a
-/// connection of the same role, which starts on it instead of growing its
-/// own (see [`ConnSpare`](crate::conn::ConnSpare)).
+/// The storage a dead subflow gives up, emptied: its flight, unacked,
+/// reassembly and mapping rings. The thread keeps it for the next subflow
+/// of a connection of the same role, which starts on it instead of growing
+/// its own (see [`ConnSpare`](crate::conn::ConnSpare)).
 #[derive(Default)]
 pub(crate) struct SubflowSpare {
     flight: VecDeque<SentSeg<SegTag>>,
+    unacked: VecDeque<(u64, Bytes)>,
     reasm: ReassemblyRings,
     recv_maps: VecDeque<RecvMap>,
 }
@@ -125,11 +125,15 @@ pub(crate) struct SubflowSpare {
 impl Recycle for SubflowSpare {
     fn reset(&mut self) {
         self.flight.clear();
+        self.unacked.clear();
         self.reasm.reset();
         self.recv_maps.clear();
     }
     fn is_empty(&self) -> bool {
-        self.flight.is_empty() && self.reasm.is_empty() && self.recv_maps.is_empty()
+        self.flight.is_empty()
+            && self.unacked.is_empty()
+            && self.reasm.is_empty()
+            && self.recv_maps.is_empty()
     }
 }
 
@@ -147,12 +151,14 @@ pub struct Subflow {
     // --- sender side ---
     /// Our initial sequence number (wire).
     pub iss: u32,
-    /// Next new payload offset to send (subflow stream, 0-based).
-    pub snd_off: u64,
     /// Lowest unacknowledged payload offset.
     pub una_off: u64,
     /// In-flight segments.
     pub flight: Flight<SegTag>,
+    /// The in-flight payload by subflow offset, as runs of bytes adjacent
+    /// in memory: a segment lies inside one, so a retransmission is a
+    /// slice of it. Released by the subflow's cumulative ACK.
+    pub unacked: SendBuffer,
     /// RTT estimator.
     pub rtt: RttEstimator,
     /// RTO backoff state.
@@ -224,7 +230,7 @@ impl std::fmt::Debug for Subflow {
             self.tuple,
             self.state,
             self.una_off,
-            self.snd_off,
+            self.snd_off(),
             self.cc.cwnd()
         )
     }
@@ -250,6 +256,7 @@ impl Subflow {
     ) -> Self {
         let SubflowSpare {
             flight,
+            unacked,
             reasm,
             recv_maps,
         } = spare::take(role as u8);
@@ -259,9 +266,9 @@ impl Subflow {
             state,
             initiated_here,
             iss,
-            snd_off: 0,
             una_off: 0,
             flight: Flight::reusing(flight),
+            unacked: SendBuffer::reusing(u64::MAX, unacked),
             rtt: RttEstimator::new(),
             rto,
             cc,
@@ -291,6 +298,12 @@ impl Subflow {
             coupled: None,
             reaped: false,
         }
+    }
+
+    /// Next new payload offset to send (subflow stream, 0-based): where
+    /// the unacked runs end.
+    pub fn snd_off(&self) -> u64 {
+        self.unacked.tail_offset()
     }
 
     /// Wire sequence number for payload offset `off`.
@@ -333,35 +346,47 @@ impl Subflow {
         self.state == SfState::Established && self.fin_sent_off.is_none() && !self.fin_wanted
     }
 
-    /// Record a new DSS mapping for received data, deduplicating repeats
-    /// (retransmissions re-announce the same mapping).
+    /// Record a new DSS mapping for received data. A mapping that
+    /// continues the last one in both subflow and meta offset extends it,
+    /// so in-order data keeps one mapping per run, not one per segment;
+    /// one the mapping before it already holds (a retransmission
+    /// re-announces its mapping, or its tail after a partial ACK) is
+    /// dropped. Every byte of a run keeps the meta offset its own mapping
+    /// gave it.
     pub fn add_recv_map(&mut self, m: RecvMap) {
         if m.len == 0 {
             return;
         }
-        if self
-            .recv_maps
-            .iter()
-            .any(|x| x.ssn == m.ssn && x.meta == m.meta && x.len == m.len)
-        {
-            return;
+        let at = self.recv_maps.partition_point(|x| x.ssn <= m.ssn);
+        let last = at == self.recv_maps.len();
+        if let Some(prev) = at.checked_sub(1).map(|p| &mut self.recv_maps[p]) {
+            let prev_end = prev.ssn + prev.len as u64;
+            if prev.meta + (m.ssn - prev.ssn) == m.meta {
+                if m.ssn + m.len as u64 <= prev_end {
+                    return;
+                }
+                if let Some(len) = prev.len.checked_add(m.len) {
+                    if last && prev_end == m.ssn {
+                        prev.len = len;
+                        return;
+                    }
+                }
+            }
         }
-        let pos = self
-            .recv_maps
-            .iter()
-            .position(|x| x.ssn > m.ssn)
-            .unwrap_or(self.recv_maps.len());
-        self.recv_maps.insert(pos, m);
+        self.recv_maps.insert(at, m);
     }
 
     /// Translate in-order subflow offset `ssn` to its meta offset using the
     /// stored mappings, with the number of bytes the covering mapping maps
-    /// from there on. Returns `None` when no mapping covers the byte — a
-    /// protocol violation from the peer.
+    /// from there on. Of conflicting mappings the first covering one in
+    /// `ssn` order wins, a run counting from its first byte. Returns `None`
+    /// when no mapping covers the byte — a protocol violation from the
+    /// peer.
     pub fn meta_offset_of(&self, ssn: u64) -> Option<(u64, u64)> {
+        let starts_below = self.recv_maps.partition_point(|m| m.ssn <= ssn);
         self.recv_maps
-            .iter()
-            .find(|m| m.ssn <= ssn && ssn < m.ssn + m.len as u64)
+            .range(..starts_below)
+            .find(|m| ssn < m.ssn + m.len as u64)
             .map(|m| (m.meta + (ssn - m.ssn), m.ssn + m.len as u64 - ssn))
     }
 
@@ -378,16 +403,17 @@ impl Subflow {
     }
 
     /// The subflow is closed and will neither send nor receive again:
-    /// drop what its flight, reassembly and mapping queues hold and give
-    /// their emptied storage to the thread's store, kept for the next
-    /// subflow of a `role` connection. The sequence state the diag dump
-    /// reads stays.
+    /// drop what its flight, unacked, reassembly and mapping queues hold
+    /// and give their emptied storage to the thread's store, kept for the
+    /// next subflow of a `role` connection. The sequence state the diag
+    /// dump reads stays.
     pub(crate) fn release_buffers(&mut self, role: Role) {
         self.recv_maps.clear();
         spare::give(
             role as u8,
             SubflowSpare {
                 flight: self.flight.clear(),
+                unacked: self.unacked.clear(),
                 reasm: self.reasm.clear(),
                 recv_maps: std::mem::take(&mut self.recv_maps),
             },
@@ -433,7 +459,7 @@ impl Subflow {
             ssthresh: self.cc.ssthresh(),
             pacing_rate: pacing_rate(self.cc.cwnd(), srtt, self.cc.in_slow_start()).unwrap_or(0),
             snd_una: self.una_off,
-            snd_nxt: self.snd_off,
+            snd_nxt: self.snd_off(),
             in_flight: self.flight.bytes_in_flight(),
             bytes_acked: self.stats.bytes_acked,
             retrans: self.stats.retrans,
@@ -565,15 +591,55 @@ mod tests {
     }
 
     #[test]
-    fn a_flight_entry_fits_in_64_bytes() {
-        assert!(std::mem::size_of::<SentSeg<SegTag>>() <= 64);
-        let tag = SegTag::new(1 << 40, Bytes::from_static(b"abc"), true);
+    fn a_flight_entry_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<SentSeg<SegTag>>(), 32);
+        let tag = SegTag::new((1 << 47) - 1, 65_535, true);
         let map = MetaRange {
-            off: 1 << 40,
-            len: 3,
+            off: (1 << 47) - 1,
+            len: 65_535,
         };
         assert_eq!((tag.map(), tag.data_fin()), (map, true));
-        assert!(!SegTag::new(7, Bytes::new(), false).data_fin());
+        let tag = SegTag::new(7, 1400, false);
+        assert_eq!(
+            (tag.map(), tag.data_fin()),
+            (MetaRange { off: 7, len: 1400 }, false)
+        );
+    }
+
+    #[test]
+    fn continuing_mappings_extend_one_run() {
+        let mut s = mk(0, 0);
+        let map = |ssn, meta, len| RecvMap { ssn, meta, len };
+        for i in 0..10 {
+            s.add_recv_map(map(i * 100, 5000 + i * 100, 100));
+        }
+        assert_eq!(Vec::from(s.recv_maps.clone()), [map(0, 5000, 1000)]);
+        // A retransmission's mapping, whole or its tail, is already held.
+        s.add_recv_map(map(300, 5300, 100));
+        s.add_recv_map(map(350, 5350, 50));
+        assert_eq!(s.recv_maps.len(), 1);
+        // A jump in the meta space starts a run of its own.
+        s.add_recv_map(map(1000, 9000, 100));
+        s.add_recv_map(map(1100, 9100, 100));
+        assert_eq!(s.recv_maps.len(), 2);
+        assert_eq!(s.meta_offset_of(999), Some((5999, 1)));
+        assert_eq!(s.meta_offset_of(1000), Some((9000, 200)));
+        assert_eq!(s.meta_offset_of(1200), None);
+    }
+
+    #[test]
+    fn an_earlier_overlapping_mapping_still_wins() {
+        let mut s = mk(0, 0);
+        let map = |ssn, meta, len| RecvMap { ssn, meta, len };
+        s.add_recv_map(map(0, 1000, 100));
+        s.add_recv_map(map(100, 1100, 100));
+        // Conflicting mappings of bytes already mapped, added later.
+        s.add_recv_map(map(0, 7000, 300));
+        s.add_recv_map(map(150, 8000, 100));
+        assert_eq!(s.meta_offset_of(50), Some((1050, 150)));
+        assert_eq!(s.meta_offset_of(170), Some((1170, 30)));
+        assert_eq!(s.meta_offset_of(220), Some((7220, 80)));
+        assert_eq!(s.meta_offset_of(260), Some((7260, 40)));
     }
 
     #[test]
@@ -581,12 +647,8 @@ mod tests {
         let mut s = mk(0, 0);
         assert_eq!(s.cwnd_space(), 14_000);
         assert!(s.can_carry_data());
-        s.flight.on_send(
-            0,
-            14_000,
-            SimTime::ZERO,
-            SegTag::new(0, Bytes::new(), false),
-        );
+        s.flight
+            .on_send(0, 14_000, SimTime::ZERO, SegTag::new(0, 14_000, false));
         assert_eq!(s.cwnd_space(), 0);
         s.fin_wanted = true;
         assert!(!s.can_carry_data());

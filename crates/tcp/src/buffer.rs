@@ -75,12 +75,20 @@ impl SendBuffer {
     ///
     /// The buffer keeps `data` itself, cut to the accepted prefix: nothing
     /// is copied, and everything downstream (slice/retransmit/encode input)
-    /// shares the caller's storage.
+    /// shares the caller's storage. A write that continues the last chunk
+    /// in memory extends it ([`Bytes::try_join`]) instead of adding one.
     pub fn write(&mut self, data: Bytes) -> usize {
         let take = (self.free().min(data.len() as u64)) as usize;
         if take > 0 {
-            self.chunks
-                .push_back((self.tail_offset(), data.slice(..take)));
+            let tail = self.tail_offset();
+            let data = data.slice(..take);
+            let data = match self.chunks.back_mut() {
+                Some((_, last)) => last.try_join(data).err(),
+                None => Some(data),
+            };
+            if let Some(data) = data {
+                self.chunks.push_back((tail, data));
+            }
             self.len += take as u64;
         }
         take
@@ -178,43 +186,42 @@ impl SendBuffer {
 /// or out of order; [`Reassembly::pop_next`] yields the in-order byte
 /// stream exactly once.
 ///
-/// In-order arrivals (the no-loss steady state, i.e. almost every data
-/// segment of a simulation) go straight into a ring-buffered ready queue;
-/// out-of-order ones wait in a second ring kept sorted by offset. With
-/// several subflows over unequal paths the connection-level queue goes
-/// empty and non-empty again constantly, and both rings keep their capacity
-/// across that, so neither path allocates per segment.
+/// One ring holds every buffered byte as `(offset, bytes)` runs sorted by
+/// offset: first the in-order prefix awaiting [`Reassembly::pop_next`],
+/// then the out-of-order runs. A run is as long as its bytes are
+/// contiguous both in the stream and in memory: a segment that continues
+/// its neighbour's slice of one sender block joins it
+/// ([`Bytes::try_join`]), so a queue holds one entry per run of adjacent
+/// bytes, not one per segment. With several subflows over unequal paths
+/// the connection-level queue goes empty and non-empty again constantly,
+/// and the ring keeps its capacity across that, so no path allocates per
+/// segment.
 #[derive(Debug, Default)]
 pub struct Reassembly {
-    /// Next offset the consumer expects (end of the ready queue).
+    /// Next offset the consumer expects (end of the in-order prefix).
     next: u64,
-    /// Stream offset of the first byte in `ready`. Invariant:
-    /// `ready_off + Σ ready lengths == next`.
-    ready_off: u64,
-    /// Contiguous in-order chunks awaiting [`Reassembly::pop_next`].
-    ready: VecDeque<Bytes>,
-    /// Pending out-of-order segments as `(start offset, bytes)`, sorted by
-    /// start. Invariant: entries are disjoint and all start after `next`.
-    segs: VecDeque<(u64, Bytes)>,
+    /// The buffered runs, sorted by offset and disjoint. The first `ready`
+    /// are contiguous and end at `next`; every later one starts after it.
+    runs: VecDeque<(u64, Bytes)>,
+    /// How many runs at the front are in order.
+    ready: usize,
     /// Bytes currently buffered out of order.
     buffered: u64,
 }
 
-/// The two rings a [`Reassembly`] gives up with [`Reassembly::clear`],
-/// emptied and with their capacity kept, for a new queue to start on.
+/// The ring a [`Reassembly`] gives up with [`Reassembly::clear`], emptied
+/// and with its capacity kept, for a new queue to start on.
 #[derive(Debug, Default)]
 pub struct ReassemblyRings {
-    ready: VecDeque<Bytes>,
-    segs: VecDeque<(u64, Bytes)>,
+    runs: VecDeque<(u64, Bytes)>,
 }
 
 impl smapp_sim::Recycle for ReassemblyRings {
     fn reset(&mut self) {
-        self.ready.clear();
-        self.segs.clear();
+        self.runs.clear();
     }
     fn is_empty(&self) -> bool {
-        self.ready.is_empty() && self.segs.is_empty()
+        self.runs.is_empty()
     }
 }
 
@@ -230,20 +237,15 @@ impl Reassembly {
         Self::reusing(next, ReassemblyRings::default())
     }
 
-    /// [`Reassembly::starting_at`] on rings another queue gave up:
-    /// whatever they still hold is dropped first, their capacity is kept.
+    /// [`Reassembly::starting_at`] on the ring another queue gave up:
+    /// whatever it still holds is dropped first, its capacity is kept.
     pub fn reusing(next: u64, rings: ReassemblyRings) -> Self {
-        let ReassemblyRings {
-            mut ready,
-            mut segs,
-        } = rings;
-        ready.clear();
-        segs.clear();
+        let ReassemblyRings { mut runs } = rings;
+        runs.clear();
         Reassembly {
             next,
-            ready_off: next,
-            ready,
-            segs,
+            runs,
+            ready: 0,
             buffered: 0,
         }
     }
@@ -260,32 +262,25 @@ impl Reassembly {
 
     /// True when out-of-order data is pending (a hole exists).
     pub fn has_hole(&self) -> bool {
-        !self.segs.is_empty()
+        self.runs.len() > self.ready
     }
 
     /// Drop everything buffered, in order or not, and give up the storage
     /// behind it (subflow death, connection close). The expected offset
-    /// stays. The emptied rings come back for a new queue to start on
-    /// ([`Reassembly::reusing`]); dropping them frees them.
+    /// stays. The emptied ring comes back for a new queue to start on
+    /// ([`Reassembly::reusing`]); dropping it frees it.
     pub fn clear(&mut self) -> ReassemblyRings {
-        let Reassembly {
-            mut ready,
-            mut segs,
-            ..
-        } = std::mem::replace(self, Self::starting_at(self.next));
-        ready.clear();
-        segs.clear();
-        ReassemblyRings { ready, segs }
+        let Reassembly { mut runs, .. } = std::mem::replace(self, Self::starting_at(self.next));
+        runs.clear();
+        ReassemblyRings { runs }
     }
 
     /// Offer a segment at `off`. Duplicate and overlapping bytes are
-    /// discarded; new bytes are retained.
+    /// discarded; new bytes are retained, joined to the run before or
+    /// after them when they continue it in memory.
     pub fn insert(&mut self, off: u64, data: Bytes) {
-        if data.is_empty() {
-            return;
-        }
-        let mut off = off;
-        let mut data = data;
+        let end_of = |(off, data): &(u64, Bytes)| off + data.len() as u64;
+        let (mut off, mut data) = (off, data);
         // Trim anything already consumed.
         if off < self.next {
             let skip = self.next - off;
@@ -295,19 +290,28 @@ impl Reassembly {
             data = data.slice(skip as usize..);
             off = self.next;
         }
-        // In-order fast path: exactly the expected offset with nothing
-        // buffered out of order — straight into the ready queue.
-        if off == self.next && self.segs.is_empty() {
-            self.next = off + data.len() as u64;
-            self.ready.push_back(data);
+        if data.is_empty() {
             return;
         }
-        // Where the segment goes: after every entry starting at or below
-        // `off`.
-        let i = self.segs.partition_point(|s| s.0 <= off);
-        // Trim against the predecessor segment.
-        if let Some((p_off, p_data)) = i.checked_sub(1).map(|p| &self.segs[p]) {
-            let p_end = p_off + p_data.len() as u64;
+        // In order with nothing out of order, the no-loss steady state:
+        // the bytes extend the in-order prefix.
+        if off == self.next && !self.has_hole() {
+            self.next += data.len() as u64;
+            let data = match self.runs.back_mut() {
+                Some((_, last)) => last.try_join(data).err(),
+                None => Some(data),
+            };
+            if let Some(data) = data {
+                self.runs.push_back((off, data));
+                self.ready += 1;
+            }
+            return;
+        }
+        // Where the segment goes: after every run starting at or below
+        // `off`, in-order ones included (they all end at or below it).
+        let i = self.runs.partition_point(|s| s.0 <= off);
+        // Trim against the predecessor run.
+        if let Some(p_end) = i.checked_sub(1).map(|p| end_of(&self.runs[p])) {
             if p_end > off {
                 let skip = p_end - off;
                 if skip >= data.len() as u64 {
@@ -317,41 +321,71 @@ impl Reassembly {
                 off = p_end;
             }
         }
-        // Swallow the successor segments that we now cover entirely, and
-        // keep the tail of one we cover in part.
+        // Swallow the successor runs that we now cover entirely, and keep
+        // the tail of one we cover in part.
         let end = off + data.len() as u64;
-        let seg_end = |(s_off, s_data): &(u64, Bytes)| s_off + s_data.len() as u64;
         let mut covered = i;
-        while self.segs.get(covered).is_some_and(|s| seg_end(s) <= end) {
-            self.buffered -= self.segs[covered].1.len() as u64;
+        while self.runs.get(covered).is_some_and(|s| end_of(s) <= end) {
+            self.buffered -= self.runs[covered].1.len() as u64;
             covered += 1;
         }
-        self.segs.drain(i..covered);
-        if let Some((s_off, s_data)) = self.segs.get_mut(i).filter(|s| s.0 < end) {
+        self.runs.drain(i..covered);
+        if let Some((s_off, s_data)) = self.runs.get_mut(i).filter(|s| s.0 < end) {
             let cut = end - *s_off;
             *s_data = s_data.slice(cut as usize..);
             *s_off = end;
             self.buffered -= cut;
         }
-        self.buffered += data.len() as u64;
-        self.segs.insert(i, (off, data));
-        // Lift whatever became contiguous into the ready queue.
-        while self.segs.front().is_some_and(|s| s.0 == self.next) {
-            let (_, d) = self.segs.pop_front().expect("front was just seen");
-            self.next += d.len() as u64;
-            self.buffered -= d.len() as u64;
-            self.ready.push_back(d);
+        let in_order = off == self.next;
+        if in_order {
+            self.next = end;
+        } else {
+            self.buffered += data.len() as u64;
+        }
+        // Join the predecessor when the bytes continue it in memory, or
+        // take a run of their own (an in-order one lands right after the
+        // in-order prefix: every later run starts past `next`).
+        let pred = i.checked_sub(1).filter(|&p| end_of(&self.runs[p]) == off);
+        let joined = match pred {
+            Some(p) => self.runs[p].1.try_join(data).map(|()| p),
+            None => Err(data),
+        };
+        let at = joined.unwrap_or_else(|data| {
+            self.runs.insert(i, (off, data));
+            self.ready += usize::from(in_order);
+            i
+        });
+        // Join the successor the same way. Joined to an in-order run, its
+        // bytes are in order now.
+        if self.runs.get(at + 1).is_some_and(|s| s.0 == end) {
+            let next = std::mem::take(&mut self.runs[at + 1].1);
+            match self.runs[at].1.try_join(next) {
+                Ok(()) => {
+                    self.runs.remove(at + 1);
+                    if at < self.ready {
+                        let end = end_of(&self.runs[at]);
+                        self.buffered -= end - self.next;
+                        self.next = end;
+                    }
+                }
+                Err(back) => self.runs[at + 1].1 = back,
+            }
+        }
+        // Whatever became contiguous joins the in-order prefix.
+        while self.runs.get(self.ready).is_some_and(|s| s.0 == self.next) {
+            let len = self.runs[self.ready].1.len() as u64;
+            self.next += len;
+            self.buffered -= len;
+            self.ready += 1;
         }
     }
 
-    /// Pop the next in-order chunk, with the stream offset of its first
+    /// Pop the next in-order run, with the stream offset of its first
     /// byte, or `None` when the stream has a hole (or no data) at the
     /// consumption point.
     pub fn pop_next(&mut self) -> Option<(u64, Bytes)> {
-        let data = self.ready.pop_front()?;
-        let off = self.ready_off;
-        self.ready_off += data.len() as u64;
-        Some((off, data))
+        self.ready = self.ready.checked_sub(1)?;
+        self.runs.pop_front()
     }
 
     /// Remove and return the whole in-order prefix now available.
@@ -359,7 +393,7 @@ impl Reassembly {
     /// Convenience for tests and benchmarks; the engine's hot path uses
     /// the allocation-free [`Reassembly::pop_next`] loop instead.
     pub fn pop_ready(&mut self) -> Vec<Bytes> {
-        let mut out = Vec::with_capacity(self.ready.len());
+        let mut out = Vec::with_capacity(self.ready);
         while let Some((_, data)) = self.pop_next() {
             out.push(data);
         }
@@ -535,14 +569,14 @@ mod tests {
             r.insert(pair * 4 + 2, b(b"cd"));
             assert!(r.has_hole());
             if pair == 0 {
-                cap = r.segs.capacity();
+                cap = r.runs.capacity();
             }
             r.insert(pair * 4, b(b"ab"));
             assert!(!r.has_hole());
             assert_eq!(r.pop_ready().concat(), b"abcd");
         }
         assert!(cap > 0);
-        assert_eq!(r.segs.capacity(), cap);
+        assert_eq!(r.runs.capacity(), cap);
     }
 
     #[test]
@@ -553,9 +587,67 @@ mod tests {
         r.clear();
         assert_eq!((r.next_expected(), r.buffered_bytes()), (2, 0));
         assert!(!r.has_hole() && r.pop_next().is_none());
-        assert_eq!((r.ready.capacity(), r.segs.capacity()), (0, 0));
+        assert_eq!(r.runs.capacity(), 0);
         r.insert(2, b(b"cd"));
         assert_eq!(r.pop_next(), Some((2, b(b"cd"))));
+    }
+
+    /// A 64 KiB static block, as an application writes it.
+    static BLOCK: [u8; 65_536] = [0xA5; 65_536];
+
+    #[test]
+    fn in_order_slices_of_one_block_pop_as_one_run() {
+        let block = Bytes::from_static(&BLOCK);
+        let mut r = Reassembly::new();
+        for i in 0..46 {
+            r.insert(
+                i * 1400,
+                block.slice(i as usize * 1400..(i as usize + 1) * 1400),
+            );
+        }
+        assert_eq!(r.runs.len(), 1);
+        let run = r
+            .pop_next()
+            .map(|(off, run)| (off, run.len(), run.as_ptr()));
+        assert_eq!(run, Some((0, 46 * 1400, BLOCK.as_ptr())));
+        assert_eq!(r.pop_next(), None);
+    }
+
+    #[test]
+    fn out_of_order_slices_join_their_neighbours_both_ways() {
+        let block = Bytes::from_static(&BLOCK);
+        let seg = |i: usize| block.slice(i * 100..(i + 1) * 100);
+        let mut r = Reassembly::new();
+        // 3 and 5 wait apart; 4 joins both into one run; 1 then 2 fill
+        // the front, 2 joining 1 and then the waiting run.
+        for i in [3, 5, 4, 1] {
+            r.insert(i as u64 * 100, seg(i));
+        }
+        assert_eq!((r.runs.len(), r.buffered_bytes()), (2, 400));
+        r.insert(200, seg(2));
+        assert_eq!(
+            (r.runs.len(), r.buffered_bytes(), r.next_expected()),
+            (1, 500, 0)
+        );
+        r.insert(0, seg(0));
+        let run = r
+            .pop_next()
+            .map(|(off, run)| (off, run.len(), run.as_ptr()));
+        assert_eq!(run, Some((0, 600, BLOCK.as_ptr())));
+        assert_eq!((r.buffered_bytes(), r.pop_next()), (0, None));
+    }
+
+    #[test]
+    fn send_buffer_write_joins_a_continuing_chunk() {
+        let block = Bytes::from_static(&BLOCK);
+        let mut sb = SendBuffer::with_capacity(1 << 20);
+        sb.write(block.slice(..1000));
+        sb.write(block.slice(1000..3000));
+        sb.write(b(b"elsewhere"));
+        assert_eq!(sb.chunks.len(), 2);
+        let all = sb.slice(500, 2000);
+        assert_eq!(all.as_ptr(), BLOCK[500..].as_ptr());
+        assert_eq!(&sb.slice(2999, 4)[..], b"\xA5els");
     }
 
     #[test]

@@ -99,7 +99,104 @@ fn send_buffer_transcript(sb: &mut SendBuffer, ops: &[Op]) -> Vec<String> {
     out
 }
 
+/// Byte `i` of [`stream`], as one static block.
+static STREAM: [u8; 4096] = {
+    let mut block = [0; 4096];
+    let mut i = 0;
+    while i < block.len() {
+        block[i] = (i * 31 % 251) as u8;
+        i += 1;
+    }
+    block
+};
+
+/// Where the first `n` bytes of [`STREAM`] lie in memory, by stream
+/// offset: `[0, a)` in the static block itself, `[a, b)` and `[b, n)` in
+/// two owned buffers, adjacent in the stream but not in memory.
+fn backings(n: usize, a: usize, b: usize) -> [(usize, Bytes); 3] {
+    [
+        (0, Bytes::from_static(&STREAM[..a])),
+        (a, Bytes::copy_from_slice(&STREAM[a..b])),
+        (b, Bytes::copy_from_slice(&STREAM[b..n])),
+    ]
+}
+
 proptest! {
+    /// Whatever order segments arrive in, and whatever memory they lie in,
+    /// a reassembly queue pops the bytes of the stream at their offsets,
+    /// each exactly once, as soon as the model says they are in order. A
+    /// segment is a slice of the backing that holds its range, or a copy
+    /// of its own (always, when it spans two backings); runs join only
+    /// within one backing, so a popped run that lies in a backing lies at
+    /// its own offset there and does not run past the backing's end.
+    #[test]
+    fn reassembly_pops_the_stream_over_mixed_backings(
+        n in 3usize..4096,
+        cut_fracs in (0.0f64..1.0, 0.0f64..1.0),
+        segs in proptest::collection::vec((0.0f64..1.0, 1usize..1500, any::<bool>()), 1..40),
+        order in proptest::collection::vec(any::<usize>(), 1..40),
+    ) {
+        let a = 1 + ((n - 2) as f64 * cut_fracs.0) as usize;
+        let b = a + 1 + ((n - a - 2) as f64 * cut_fracs.1) as usize;
+        let parts = backings(n, a, b);
+        let part_of = |off: usize| parts.iter().rposition(|p| p.0 <= off).expect("0 is covered");
+        // A cover of the stream in in-order pieces, then noise.
+        let mut ranges: Vec<(usize, usize, bool)> = Vec::new();
+        let mut pos = 0;
+        for &(_, len, copy) in segs.iter().cycle() {
+            if pos == n {
+                break;
+            }
+            ranges.push((pos, (pos + len).min(n), copy));
+            pos = (pos + len).min(n);
+        }
+        for &(frac, len, copy) in &segs {
+            let s = (n as f64 * frac) as usize;
+            ranges.push((s, (s + len).min(n), copy));
+        }
+        let mut shuffled = Vec::with_capacity(ranges.len());
+        for (j, k) in order.iter().cycle().enumerate() {
+            if ranges.is_empty() {
+                break;
+            }
+            shuffled.push(ranges.swap_remove(k.wrapping_add(j) % ranges.len()));
+        }
+
+        let mut r = Reassembly::new();
+        let mut seen = vec![false; n];
+        let mut popped = 0usize;
+        for (s, e, copy) in shuffled {
+            let p = part_of(s);
+            let (p_off, p_bytes) = &parts[p];
+            let data = if copy || e > p_off + p_bytes.len() {
+                Bytes::copy_from_slice(&STREAM[s..e])
+            } else {
+                p_bytes.slice(s - p_off..e - p_off)
+            };
+            r.insert(s as u64, data);
+            seen[s..e].fill(true);
+            let prefix = seen.iter().position(|&b| !b).unwrap_or(n);
+            while let Some((off, run)) = r.pop_next() {
+                prop_assert_eq!(off, popped as u64);
+                prop_assert_eq!(&run[..], &STREAM[popped..popped + run.len()]);
+                let (p_off, p_bytes) = &parts[part_of(popped)];
+                let p_at = p_bytes.as_ptr() as usize;
+                let at = run.as_ptr() as usize;
+                if (p_at..p_at + p_bytes.len()).contains(&at) {
+                    prop_assert_eq!(at - p_at, popped - p_off);
+                    prop_assert!(popped + run.len() <= p_off + p_bytes.len());
+                }
+                popped += run.len();
+            }
+            let held = seen[prefix..].iter().filter(|&&b| b).count();
+            prop_assert_eq!(popped, prefix);
+            prop_assert_eq!(r.next_expected(), prefix as u64);
+            prop_assert_eq!(r.buffered_bytes(), held as u64);
+            prop_assert_eq!(r.has_hole(), held > 0);
+        }
+        prop_assert_eq!(popped, n);
+    }
+
     /// The RTO is always within the policy clamps, and never decreases as
     /// backoffs accumulate.
     #[test]
