@@ -134,7 +134,7 @@ fn bench_tcp_codec(c: &mut Criterion) {
 /// The simulator's own readers of the same frame: the always-on oracle
 /// checks every sent segment, and an option-stripping router rewrites it.
 fn bench_sim_wire(c: &mut Criterion) {
-    use smapp_sim::dynamics::strip_mptcp_options;
+    use smapp_sim::rewrite::strip_mptcp_options;
     use smapp_sim::{IfaceId, NodeId, Oracle, Packet, SimTime, TraceEvent, TraceKind, TraceSink};
     let wire = dss_segment().encode().unwrap();
     let pkt = Packet::tcp(Addr::new(10, 0, 1, 1), Addr::new(10, 0, 9, 1), wire.clone());

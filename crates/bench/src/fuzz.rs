@@ -53,7 +53,7 @@ use smapp_pm::{verify, FullMeshPm, Host, NdiffportsPm};
 use smapp_sim::adversary::{FloodCfg, FloodMix, FloodSource};
 use smapp_sim::{
     Addr, Coverage, Dir, InstallPolicy, LinkCfg, LinkId, LossPct, Netem, NetemScript, OneWayDelay,
-    Oracle, QueueLen, RateBps, Router, RunSummary, SimRng, SimTime, Simulator, StopReason,
+    Oracle, QueueLen, RateBps, Router, RunSummary, SimRng, SimTime, Simulator, Stage, StopReason,
 };
 
 use crate::pms::BackupFlagPm;
@@ -667,10 +667,10 @@ pub fn run_case_opts(case: &FuzzCase, opts: &FuzzOptions) -> CaseOutcome {
             .expect("two-path router node");
         match case.rewrite {
             Rewrite::Off => {}
-            Rewrite::SeqNat => r.seq_nat = true,
-            Rewrite::Split => r.split_segments = true,
-            Rewrite::Coalesce => r.coalesce_segments = true,
-            Rewrite::AckThin(n) => r.ack_thin = n.max(2),
+            Rewrite::SeqNat => r.middlebox(None, Stage::SeqNat, true),
+            Rewrite::Split => r.middlebox(None, Stage::Split, true),
+            Rewrite::Coalesce => r.middlebox(None, Stage::Coalesce, true),
+            Rewrite::AckThin(n) => r.middlebox(None, Stage::AckThin(n.max(2)), true),
         }
         r.buggy_split = opts.buggy_split;
     }
@@ -703,15 +703,11 @@ pub fn run_case_opts(case: &FuzzCase, opts: &FuzzOptions) -> CaseOutcome {
     // order the hand-rolled script used to push, so per-seed trajectories
     // are unchanged.
     let mut script = NetemScript::new();
+    let strip_on = |router| Netem::peer(router).middlebox(None, Stage::StripMptcp, true);
     match (case.strip, router) {
-        (Strip::FromStart, Some(router)) => {
-            script.add(SimTime::ZERO, Netem::peer(router).strip_mptcp(true));
-        }
+        (Strip::FromStart, Some(router)) => script.add(SimTime::ZERO, strip_on(router)),
         (Strip::MidHandshake, Some(router)) => {
-            script.add(
-                SimTime::from_millis(MID_STRIP_AT_MS),
-                Netem::peer(router).strip_mptcp(true),
-            );
+            script.add(SimTime::from_millis(MID_STRIP_AT_MS), strip_on(router))
         }
         _ => {}
     }
@@ -840,11 +836,11 @@ pub fn run_case_opts(case: &FuzzCase, opts: &FuzzOptions) -> CaseOutcome {
             .downcast_ref::<Router>()
             .expect("two-path router node");
         for (counter, bit) in [
-            (r.options_stripped, feat::OPTIONS_STRIPPED),
-            (r.seq_rewritten, feat::SEQ_REWRITTEN),
-            (r.segments_split, feat::SEGMENTS_SPLIT),
-            (r.segments_coalesced, feat::SEGMENTS_COALESCED),
-            (r.acks_thinned, feat::ACKS_THINNED),
+            (r.counters.options_stripped, feat::OPTIONS_STRIPPED),
+            (r.counters.seq_rewritten, feat::SEQ_REWRITTEN),
+            (r.counters.segments_split, feat::SEGMENTS_SPLIT),
+            (r.counters.segments_coalesced, feat::SEGMENTS_COALESCED),
+            (r.counters.acks_thinned, feat::ACKS_THINNED),
         ] {
             if counter > 0 {
                 cov.set(bit);
@@ -983,12 +979,13 @@ pub fn dynamics_snippet(case: &FuzzCase, kept: &[usize]) -> String {
     let mut s = String::from("let mut script = NetemScript::new();\n");
     match case.strip {
         Strip::Off => {}
-        Strip::FromStart => {
-            s.push_str("script.add(SimTime::ZERO, Netem::peer(router).strip_mptcp(true));\n")
-        }
+        Strip::FromStart => s.push_str(
+            "script.add(SimTime::ZERO, \
+             Netem::peer(router).middlebox(None, Stage::StripMptcp, true));\n",
+        ),
         Strip::MidHandshake => s.push_str(&format!(
             "script.add(SimTime::from_millis({MID_STRIP_AT_MS}), \
-             Netem::peer(router).strip_mptcp(true));\n"
+             Netem::peer(router).middlebox(None, Stage::StripMptcp, true));\n"
         )),
     }
     for &i in kept {
@@ -1853,7 +1850,10 @@ mod tests {
         };
         let s = dynamics_snippet(&case, &[1]);
         assert!(s.starts_with("let mut script = NetemScript::new();\n"));
-        assert!(s.contains("Netem::peer(router).strip_mptcp(true)"), "{s}");
+        assert!(
+            s.contains("Netem::peer(router).middlebox(None, Stage::StripMptcp, true)"),
+            "{s}"
+        );
         // Only the kept entry is rendered.
         assert!(!s.contains("loss"), "{s}");
         assert!(s.contains("script.add(SimTime::from_millis(900), Netem::on(links[0]).down());"));

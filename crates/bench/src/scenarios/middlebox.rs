@@ -16,7 +16,7 @@
 use smapp_mptcp::StackConfig;
 use smapp_pm::topo::{self, CLIENT_ADDR1, CLIENT_ADDR2};
 use smapp_pm::Host;
-use smapp_sim::{InstallPolicy, LinkCfg, Netem, NetemScript, Router, SimTime};
+use smapp_sim::{InstallPolicy, LinkCfg, Netem, NetemScript, Router, SimTime, Stage};
 
 use super::{bulk_client, bulk_outcome, checked_run, sink_server, Row, Run, Scenario};
 use crate::pms::BackupFlagPm;
@@ -107,11 +107,9 @@ impl Scenario for Middlebox {
         );
         let mut sim = net.sim;
         if p.strip {
-            sim.install(
-                NetemScript::new().at(p.strip_at, Netem::peer(net.router).strip_mptcp(true)),
-                InstallPolicy::Sort,
-            )
-            .unwrap();
+            let strip = Netem::peer(net.router).middlebox(None, Stage::StripMptcp, true);
+            let script = NetemScript::new().at(p.strip_at, strip);
+            sim.install(script, InstallPolicy::Sort).unwrap();
         }
         let (summary, _) = checked_run(&mut sim, None, p.horizon, Self::NAME, seed);
 
@@ -125,6 +123,7 @@ impl Scenario for Middlebox {
             .as_any()
             .downcast_ref::<Router>()
             .expect("router node")
+            .counters
             .options_stripped;
         let (delivered, completed_at) = bulk_outcome(&sim, net.server, p.transfer, &summary);
         Run {

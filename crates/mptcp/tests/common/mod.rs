@@ -19,8 +19,8 @@ use std::time::Duration;
 use smapp_mptcp::stack::AppFactory;
 use smapp_mptcp::{App, ConnToken, HostStack, PmAction, RecordingPm, StackConfig, StackNode};
 use smapp_sim::{
-    oracle, Addr, AddrPrefix, Ctx, Dir, LinkCfg, LinkId, LossModel, NodeId, Oracle, Router,
-    RunSummary, SimTime, Simulator,
+    oracle, Addr, AddrPrefix, Ctx, Dir, IfaceId, LinkCfg, LinkId, LossModel, NodeId, Oracle,
+    Router, RunSummary, SimTime, Simulator, Stage,
 };
 
 /// Which host of the world.
@@ -41,6 +41,8 @@ pub(crate) struct World {
     /// Each side's links, one per address; `Dir::AtoB` carries what the
     /// side sends.
     links: [Vec<LinkId>; 2],
+    /// The router's interface at the far end of each of those links.
+    ports: [Vec<IfaceId>; 2],
     addrs: [Vec<Addr>; 2],
     last: RunSummary,
 }
@@ -63,12 +65,14 @@ impl World {
         let router = sim.add_node(Box::new(Router::new(0)));
         let hop = LinkCfg::new(u64::MAX, delay / 2).queue(usize::MAX);
         let mut links = [Vec::new(), Vec::new()];
+        let mut ports = [Vec::new(), Vec::new()];
         let nodes = [0, 1].map(|side| {
             let id = sim.add_node(Box::new(StackNode::new(cfgs[side].clone())));
             for &addr in addrs[side] {
                 let iface = sim.add_iface(id, addr, "eth");
                 let port = sim.add_iface(router, addr, "port");
                 links[side].push(sim.connect(iface, port, hop.clone()));
+                ports[side].push(port);
                 sim.with_node(router, |r: &mut Router, _| {
                     r.add_route(AddrPrefix::host(addr), vec![port]);
                 });
@@ -81,6 +85,7 @@ impl World {
             nodes,
             router,
             links,
+            ports,
             addrs: addrs.map(<[Addr]>::to_vec),
             last,
         }
@@ -183,17 +188,24 @@ impl World {
         }
     }
 
-    /// Switch the router's MPTCP-option stripping, both directions.
-    pub(crate) fn strip(&mut self, on: bool) {
-        let router = self.router;
-        self.sim
-            .with_node(router, |r: &mut Router, _| r.strip_mptcp = on);
+    /// Switch the router's MPTCP-option stripping for the packets `from`
+    /// sends, or (`None`) for both sides' packets.
+    pub(crate) fn strip(&mut self, from: Option<Side>, on: bool) {
+        let ingress: Vec<_> = match from {
+            Some(side) => self.ports[side as usize].iter().map(|&p| Some(p)).collect(),
+            None => vec![None],
+        };
+        self.sim.with_node(self.router, |r: &mut Router, _| {
+            for &iface in &ingress {
+                r.middlebox(iface, Stage::StripMptcp, on);
+            }
+        });
     }
 
     /// MPTCP options the router has stripped so far.
     pub(crate) fn stripped(&self) -> u64 {
         let router = self.sim.node_as::<Router>(self.router);
-        router.expect("the router").options_stripped
+        router.expect("the router").counters.options_stripped
     }
 
     /// Packets sent into each link direction, side A's links first.

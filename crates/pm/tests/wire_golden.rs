@@ -15,8 +15,8 @@ use smapp_mptcp::{PathManagerHook, PmAction, PmActions, PmEvent, StackConfig, St
 use smapp_pm::topo::{self, TwoPathNet, CLIENT_ADDR1, CLIENT_ADDR2, SERVER_ADDR};
 use smapp_pm::{FullMeshPm, Host};
 use smapp_sim::{
-    InstallPolicy, LinkCfg, LossModel, LossPct, Netem, NetemScript, SimTime, TraceEvent, TraceKind,
-    TraceSink,
+    InstallPolicy, LinkCfg, LossModel, LossPct, Netem, NetemScript, SimTime, Stage, TraceEvent,
+    TraceKind, TraceSink,
 };
 use smapp_tcp::check::StreamTap;
 
@@ -184,7 +184,8 @@ fn emitted_bytes_match_the_recorded_constants() {
     // (d) The router strips MPTCP options from the first SYN on: plain-TCP
     // fallback, with loss so the retransmission and FIN paths run too.
     let net = world(4, Box::new(smapp_mptcp::NoopPm), lossy());
-    let strip = NetemScript::new().at(SimTime::ZERO, Netem::peer(net.router).strip_mptcp(true));
+    let strip_on = Netem::peer(net.router).middlebox(None, Stage::StripMptcp, true);
+    let strip = NetemScript::new().at(SimTime::ZERO, strip_on);
     let (row, net) = run("stripped_fallback_loss", net, strip);
     let conn = topo::host(&net.sim, net.client).stack.connections().next();
     assert!(conn.unwrap().is_fallback());

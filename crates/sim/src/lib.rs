@@ -9,7 +9,7 @@
 //!   TCP header reader and writer every layer shares ([`wire`]),
 //! * full-duplex links with bandwidth, propagation delay, drop-tail queues
 //!   and random loss ([`LinkCfg`], [`LossModel`]),
-//! * ECMP routers hashing the 5-tuple ([`Router`]),
+//! * ECMP routers with per-ingress middlebox [`Stage`]s ([`Router`]),
 //! * stateful firewall/NAT middleboxes with idle timeouts ([`Firewall`]),
 //! * scripted deterministic network dynamics — link parameter changes,
 //!   link/interface flaps, middlebox control — written in one typed
@@ -100,7 +100,7 @@ pub use packet::{
     Frame, IcmpMsg, Packet, PktSummary, UnreachCode, IP_HEADER_LEN, PROTO_ICMP, PROTO_TCP,
 };
 pub use rng::SimRng;
-pub use router::{Route, Router};
+pub use router::{Router, RouterCounters, Stage};
 pub use spare::{Recycle, Spare};
 pub use time::{tx_time, SimTime};
 pub use trace::{CollectorSink, TraceEvent, TraceKind, TraceSink};

@@ -43,17 +43,20 @@
 //! assert_eq!(script.len(), 6);
 //! ```
 //!
-//! Middlebox and host control use per-peer clauses; probing a host takes
+//! Middlebox and host control use per-peer clauses. Here a router strips
+//! MPTCP options from what the client sends only, and probing a host takes
 //! a live sockdiag-style snapshot of its connections:
 //!
 //! ```
 //! use smapp_sim::netem::{Netem, NetemScript};
-//! use smapp_sim::{NodeId, SimTime};
+//! use smapp_sim::{IfaceId, NodeId, SimTime, Stage};
 //!
 //! let router = NodeId(2);
 //! let client = NodeId(0);
+//! let client_port = IfaceId(3); // the router's port facing the client
+//! let strip = Netem::peer(router).middlebox(Some(client_port), Stage::StripMptcp, true);
 //! let script = NetemScript::new()
-//!     .at(SimTime::from_millis(500), Netem::peer(router).strip_mptcp(true))
+//!     .at(SimTime::from_millis(500), strip)
 //!     .at(SimTime::from_secs(2), Netem::peer(client).probe());
 //! assert_eq!(script.len(), 2);
 //! ```
@@ -63,6 +66,7 @@ use std::time::Duration;
 use crate::dynamics::{DynAction, NodeCommand};
 use crate::link::{Dir, Eviction, LinkId, LossModel};
 use crate::node::{IfaceId, NodeId};
+use crate::router::Stage;
 use crate::time::SimTime;
 
 /// A serialization rate in bits per second.
@@ -400,34 +404,13 @@ impl Netem {
         self
     }
 
-    /// Middlebox: enable/disable stripping of MPTCP options.
+    /// Middlebox: switch a router [`Stage`] on or off for the packets
+    /// arriving on `iface`, or on every ingress with `None` (see
+    /// [`NodeCommand::Middlebox`]).
     #[must_use]
-    pub fn strip_mptcp(self, on: bool) -> Self {
-        self.command(NodeCommand::StripMptcp(on), "strip_mptcp")
-    }
-
-    /// Middlebox: enable/disable NAT-style sequence rewriting.
-    #[must_use]
-    pub fn seq_nat(self, on: bool) -> Self {
-        self.command(NodeCommand::SeqNat(on), "seq_nat")
-    }
-
-    /// Middlebox: enable/disable re-segmentation of data segments.
-    #[must_use]
-    pub fn split_segments(self, on: bool) -> Self {
-        self.command(NodeCommand::SplitSegments(on), "split_segments")
-    }
-
-    /// Middlebox: enable/disable LRO/GRO-style coalescing.
-    #[must_use]
-    pub fn coalesce_segments(self, on: bool) -> Self {
-        self.command(NodeCommand::CoalesceSegments(on), "coalesce_segments")
-    }
-
-    /// Middlebox: drop every n-th eligible pure ACK (`0` disables).
-    #[must_use]
-    pub fn ack_thin(self, every: u32) -> Self {
-        self.command(NodeCommand::AckThin(every), "ack_thin")
+    pub fn middlebox(self, iface: Option<IfaceId>, stage: Stage, on: bool) -> Self {
+        let cmd = NodeCommand::Middlebox { iface, stage, on };
+        self.command(cmd, "middlebox")
     }
 
     /// Middlebox: flush all dynamic state (firewall/NAT reboot).
@@ -555,12 +538,18 @@ mod tests {
 
     #[test]
     fn peer_and_world_clauses() {
-        let c = Netem::peer(NodeId(7)).strip_mptcp(true).probe();
+        let c = Netem::peer(NodeId(7))
+            .middlebox(None, Stage::StripMptcp, true)
+            .probe();
         assert!(matches!(
             c.actions()[0],
             DynAction::Command {
                 node: NodeId(7),
-                cmd: NodeCommand::StripMptcp(true)
+                cmd: NodeCommand::Middlebox {
+                    iface: None,
+                    stage: Stage::StripMptcp,
+                    on: true
+                }
             }
         ));
         assert!(matches!(
@@ -611,12 +600,17 @@ mod tests {
         s.add(t(1), Netem::peer(NodeId(1)).probe());
         s.add(t(2), Netem::on(LinkId(0)).down().up());
         let c = Netem::peer(NodeId(2))
-            .strip_mptcp(true)
-            .seq_nat(true)
+            .middlebox(None, Stage::StripMptcp, true)
+            .middlebox(Some(IfaceId(1)), Stage::SeqNat, true)
             .probe();
         assert_eq!(c.clone().actions().len(), 3);
         s.add(t(3), c);
         let cmd = |node, cmd| DynAction::Command { node, cmd };
+        let middlebox = |iface, stage| NodeCommand::Middlebox {
+            iface,
+            stage,
+            on: true,
+        };
         let link = |up| DynAction::LinkAdmin {
             link: LinkId(0),
             up,
@@ -625,8 +619,11 @@ mod tests {
             (t(1), cmd(NodeId(1), NodeCommand::Probe)),
             (t(2), link(false)),
             (t(2), link(true)),
-            (t(3), cmd(NodeId(2), NodeCommand::StripMptcp(true))),
-            (t(3), cmd(NodeId(2), NodeCommand::SeqNat(true))),
+            (t(3), cmd(NodeId(2), middlebox(None, Stage::StripMptcp))),
+            (
+                t(3),
+                cmd(NodeId(2), middlebox(Some(IfaceId(1)), Stage::SeqNat)),
+            ),
             (t(3), cmd(NodeId(2), NodeCommand::Probe)),
         ];
         assert_eq!(s.entries(), expect);

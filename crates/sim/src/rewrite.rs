@@ -1,11 +1,8 @@
-//! Adversarial middlebox rewriters: byte-level TCP segment surgery.
+//! Middlebox rewriters: the byte-level TCP segment surgery behind the
+//! [`crate::Stage`]s a [`crate::Router`] applies on its forwarding path:
 //!
-//! The option-stripping middlebox ([`crate::dynamics::strip_mptcp_options`])
-//! models one deployment hazard; the paper's larger point is that the
-//! internet path does *many* rude things to a TCP flow. This module holds
-//! the pure byte-level halves of the adversarial family the [`crate::Router`]
-//! can apply on its forwarding path:
-//!
+//! * **option stripping** ([`strip_mptcp_options`]) — a middlebox that
+//!   normalizes unknown options, the hazard MPTCP's fallback exists for,
 //! * **sequence-number rewriting** ([`rewrite_seq_ack`]) — what a NAT or
 //!   load balancer does when it randomizes ISNs; MPTCP survives it because
 //!   DSS subflow sequence numbers are relative (RFC 6824 §3.3),
@@ -14,25 +11,65 @@
 //! * **segment coalescing** ([`coalesce_pair`]) — LRO/GRO-style merging of
 //!   contiguous in-flight segments.
 //!
-//! All three read the segment through the tree's one header reader,
-//! [`TcpView::parse`], and follow the stripper's contract: anything it
-//! rejects — a short frame, a bad data offset, or a valid data offset over
-//! a malformed option area — passes through untouched (`None`), because a
-//! middlebox must never corrupt what it cannot parse. They take seq, flags
-//! and payload length from the view but copy every header byte they do not
-//! change, reserved and unknown flag bits included, into a new head; NAT
-//! and splitting share the payload, coalescing copies it. Splitting and
-//! coalescing are restricted to segments with **no options area**: a DSS
-//! mapping covers exactly one segment's payload, so re-segmenting an
-//! option-bearing packet would forge mappings the endpoints never made
-//! (and the wire oracle would rightly flag). After an option stripper has
-//! normalized a flow — or on a plain-TCP fallback connection — data
-//! segments are option-free and eligible.
+//! All four read the segment through the tree's one header reader,
+//! [`TcpView::parse`]: anything it rejects — a short frame, a bad data
+//! offset, or a valid data offset over a malformed option area — passes
+//! through untouched (`None`), because a middlebox must never corrupt
+//! what it cannot parse. They take seq, flags and payload length from the
+//! view but copy every header byte they do not change, reserved and
+//! unknown flag bits included, into a new head; all but coalescing share
+//! the payload. Splitting and coalescing are restricted to segments with
+//! **no options area**: a DSS mapping covers exactly one segment's
+//! payload, so re-segmenting an option-bearing packet would forge
+//! mappings the endpoints never made (and the wire oracle would rightly
+//! flag). After an option stripper has normalized a flow — or on a
+//! plain-TCP fallback connection — data segments are option-free and
+//! eligible.
 
 use bytes::BytesMut;
 
 use crate::packet::Frame;
-use crate::wire::{TcpView, TCP_HEADER_LEN};
+use crate::wire::{OptionWriter, TcpView, OPT_KIND_MPTCP, TCP_HEADER_LEN};
+
+/// Strip every MPTCP option (kind 30) from a raw TCP segment.
+///
+/// `frame` is the L4 bytes of a [`crate::Packet`] with `proto ==`
+/// [`crate::PROTO_TCP`]. Returns the rewritten segment, a new header in
+/// front of the same payload bytes, plus the number of
+/// options removed, or `None` when there is nothing to strip — the segment
+/// carries no kind-30 option, or [`TcpView::parse`] rejects it (a
+/// middlebox must never corrupt what it cannot parse).
+///
+/// Remaining options are re-packed in order through an [`OptionWriter`],
+/// which NOP-pads them to a 4-byte boundary; the data offset is rewritten
+/// accordingly. All other header bits, reserved ones included, and the
+/// application payload pass through untouched — exactly the behaviour of a
+/// protocol-normalizing middlebox that "cleans" unknown TCP options while
+/// forwarding the connection itself.
+pub fn strip_mptcp_options(frame: &Frame) -> Option<(Frame, u32)> {
+    let seg = TcpView::parse(frame).ok()?;
+    let mut kept = OptionWriter::new();
+    let mut stripped = 0u32;
+    for (kind, body) in seg.options() {
+        if kind == OPT_KIND_MPTCP {
+            stripped += 1;
+        } else {
+            kept.push(kind, body);
+        }
+    }
+    if stripped == 0 {
+        return None;
+    }
+    // The survivors came out of a valid 40-byte area: they fit in one.
+    let area = kept.padded().ok()?;
+    let fixed = &frame.head()[..TCP_HEADER_LEN];
+    let mut head = BytesMut::with_capacity(TCP_HEADER_LEN + area.len());
+    head.extend_from_slice(fixed);
+    head.extend_from_slice(area);
+    head[12] = (((TCP_HEADER_LEN + area.len()) / 4) as u8) << 4 | (fixed[12] & 0x0F);
+    let payload = frame.slice_from(seg.header_len());
+    Some((Frame::segment(head.freeze(), payload), stripped))
+}
 
 /// Rewrite sequence and acknowledgment numbers by the given wrapping
 /// deltas — the observable effect of an ISN-randomizing NAT. The sequence
@@ -126,7 +163,10 @@ pub fn coalesce_pair(first: &Frame, second: &Frame) -> Option<Frame> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{encode_parts, OptionWriter, TcpFixed, TcpFlags, MALFORMED_OPTION_AREA};
+    use crate::wire::{
+        encode_parts, TcpFixed, TcpFlags, MALFORMED_OPTION_AREA, OPT_KIND_MSS,
+        OPT_KIND_WINDOW_SCALE,
+    };
     use bytes::Bytes;
 
     /// A segment from port 4321 to 80: seq/ack/flags, the options in
@@ -245,5 +285,82 @@ mod tests {
         let m = coalesce_pair(&a, &b).unwrap();
         assert_eq!(view(&m).payload.len(), 4);
         assert_eq!(view(&m).hdr.ack.0, 77, "fresher ack wins");
+    }
+
+    /// `seg` as a one-part frame, then stripped, the result copied out.
+    fn strip(seg: &[u8]) -> Option<(Vec<u8>, u32)> {
+        let frame = Bytes::copy_from_slice(seg).into();
+        strip_mptcp_options(&frame).map(|(out, n)| (out.to_vec(), n))
+    }
+
+    /// A PSH|ACK segment from port 4321 to 80 carrying `options` (kind,
+    /// body) NOP-padded by the writer, then `payload`.
+    fn tcp_seg(options: &[(u8, &[u8])], payload: &[u8]) -> Vec<u8> {
+        let mut opts = OptionWriter::new();
+        for (kind, body) in options {
+            opts.push(*kind, body);
+        }
+        seg_with(0, 0, TcpFlags::PSH_ACK, &opts, payload).to_vec()
+    }
+
+    #[test]
+    fn strip_removes_only_kind_30() {
+        // MSS (4) + MPTCP dss-ish (4) + WScale (3, then one NOP of padding).
+        let seg = tcp_seg(
+            &[
+                (OPT_KIND_MSS, &1460u16.to_be_bytes()),
+                (OPT_KIND_MPTCP, &[0x20, 0x00]),
+                (OPT_KIND_WINDOW_SCALE, &[7]),
+            ],
+            b"hello",
+        );
+        let (out, n) = strip(&seg).expect("stripped");
+        assert_eq!(n, 1);
+        // Survivors: MSS(4) + WScale(3) -> 7 -> padded to 8.
+        assert_eq!((out[12] >> 4) as usize * 4, TCP_HEADER_LEN + 8);
+        assert_eq!(
+            &out[TCP_HEADER_LEN..TCP_HEADER_LEN + 7],
+            &[2, 4, 0x05, 0xB4, 3, 3, 7]
+        );
+        assert_eq!(out[TCP_HEADER_LEN + 7], 1, "NOP padded");
+        assert_eq!(&out[out.len() - 5..], b"hello");
+        // Ports and flags untouched.
+        assert_eq!(&out[..12], &seg[..12]);
+        assert_eq!(out[13], seg[13]);
+    }
+
+    #[test]
+    fn strip_is_noop_without_mptcp_options() {
+        let seg = tcp_seg(&[(OPT_KIND_MSS, &1460u16.to_be_bytes())], b"data");
+        assert!(strip(&seg).is_none());
+        assert!(strip(b"short").is_none());
+    }
+
+    #[test]
+    fn strip_passes_malformed_segments_through() {
+        // Option with length 0 — unparseable; middlebox must not touch it.
+        assert!(strip(&crate::wire::MALFORMED_OPTION_AREA).is_none());
+        // Bad data offset.
+        let mut seg = tcp_seg(&[], b"x");
+        seg[12] = 0xF0;
+        assert!(strip(&seg).is_none());
+    }
+
+    #[test]
+    fn strip_handles_multiple_mptcp_options_and_eol() {
+        let mut seg = tcp_seg(
+            &[(OPT_KIND_MPTCP, &[0x20, 0x00]), (OPT_KIND_MPTCP, &[0x50])],
+            b"zz",
+        );
+        // EOL where the writer put its NOP pad: the rest is padding.
+        seg[TCP_HEADER_LEN + 7] = 0;
+        let (out, n) = strip(&seg).expect("stripped");
+        assert_eq!(n, 2);
+        assert_eq!(
+            (out[12] >> 4) as usize * 4,
+            TCP_HEADER_LEN,
+            "no options left"
+        );
+        assert_eq!(&out[TCP_HEADER_LEN..], b"zz");
     }
 }

@@ -1,4 +1,5 @@
-//! Routers with longest-prefix-match forwarding and ECMP.
+//! Routers with longest-prefix-match forwarding and ECMP, and the
+//! middlebox stages they apply on the forwarding path.
 //!
 //! A [`Router`] forwards packets between its interfaces. Each route maps a
 //! destination prefix to one *or several* egress interfaces; with several,
@@ -6,12 +7,13 @@
 //! load-balancing exactly as described in §4.4 of the paper ("load-balancing
 //! routers compute a hash over the four-tuple to select the path for each
 //! flow"). The hash is salted per router so cascaded routers don't make
-//! correlated choices.
+//! correlated choices. Middlebox [`Stage`]s act on the TCP segments
+//! arriving on one ingress interface, or on every ingress (both ways).
 
 use std::any::Any;
 
 use crate::addr::{Addr, AddrPrefix, FlowKey};
-use crate::dynamics::{strip_mptcp_options, NodeCommand};
+use crate::dynamics::NodeCommand;
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::node::{IfaceId, Node};
 use crate::packet::{Packet, PROTO_TCP};
@@ -20,13 +22,63 @@ use crate::spare::Spare;
 use crate::wire::{TcpView, TCP_HEADER_LEN};
 use crate::world::Ctx;
 
-/// One routing-table entry.
+/// One routing-table entry: a destination prefix and its candidate
+/// egress interfaces (more than one means ECMP across them).
 #[derive(Clone, Debug)]
-pub struct Route {
-    /// Destination prefix this entry covers.
-    pub prefix: AddrPrefix,
-    /// Candidate egress interfaces; >1 means ECMP across them.
-    pub egress: Vec<IfaceId>,
+struct Route {
+    prefix: AddrPrefix,
+    egress: Vec<IfaceId>,
+}
+
+/// One middlebox behaviour a [`Router`] applies to the TCP segments
+/// arriving on an ingress interface. Stripping, seq NAT and ACK thinning
+/// act before the route lookup, then coalescing and splitting.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stage {
+    /// Remove MPTCP options ([`rewrite::strip_mptcp_options`]).
+    StripMptcp,
+    /// Shift each directed flow's sequence space by a salt-derived delta,
+    /// like an ISN-randomizing NAT ([`rewrite::rewrite_seq_ack`]).
+    SeqNat,
+    /// Split option-free data segments in two ([`rewrite::split_segment`]).
+    Split,
+    /// Hold an option-free data segment briefly to merge it with its
+    /// successor, LRO/GRO-style ([`rewrite::coalesce_pair`]).
+    Coalesce,
+    /// Drop every n-th pure ACK per directed flow (`AckThin(0)` is off),
+    /// except on a flow a FIN crossed either way, so a close completes.
+    AckThin(u32),
+}
+
+/// The stages on for one ingress key: a slot per [`Stage`] holding `0`
+/// when off, else `1` (the period for [`Stage::AckThin`]).
+type StageSet = [u32; 5];
+
+const STRIP: usize = 0;
+const SEQ_NAT: usize = 1;
+const SPLIT: usize = 2;
+const COALESCE: usize = 3;
+const THIN: usize = 4;
+
+/// What a [`Router`] did with the packets it received.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RouterCounters {
+    /// Packets sent on to their egress.
+    pub forwarded: u64,
+    /// Packets dropped for lack of a route (or one back out the ingress).
+    pub no_route: u64,
+    /// Packets dropped because TTL reached zero.
+    pub ttl_drops: u64,
+    /// MPTCP options removed by [`Stage::StripMptcp`].
+    pub options_stripped: u64,
+    /// Segments rewritten by [`Stage::SeqNat`].
+    pub seq_rewritten: u64,
+    /// Segments split in two by [`Stage::Split`].
+    pub segments_split: u64,
+    /// Segment pairs merged by [`Stage::Coalesce`].
+    pub segments_coalesced: u64,
+    /// Pure ACKs dropped by [`Stage::AckThin`].
+    pub acks_thinned: u64,
 }
 
 /// A router node.
@@ -40,53 +92,14 @@ pub struct Router {
     /// so trajectories are identical with or without it.
     lpm_cache: Spare<FxHashMap<Addr, Option<usize>>>,
     salt: u64,
-    /// When set, forwarded TCP segments have their MPTCP options (kind 30)
-    /// removed — the protocol-normalizing middlebox interference that
-    /// forces endpoints into plain-TCP fallback. Toggled by scenarios
-    /// directly or via [`NodeCommand::StripMptcp`] in a dynamics script.
-    pub strip_mptcp: bool,
-    /// When set, forwarded TCP segments get NAT-style sequence/ack
-    /// rewriting: each directed flow's sequence space shifts by a delta
-    /// derived from the router salt and the flow key, and acknowledgments
-    /// shift back by the reverse flow's delta — so both endpoints see a
-    /// consistent (but shifted) conversation, exactly like an
-    /// ISN-randomizing NAT. Toggled via [`NodeCommand::SeqNat`].
-    pub seq_nat: bool,
-    /// When set, eligible option-free data segments are split in two on
-    /// the forwarding path (re-segmenting middlebox). Toggled via
-    /// [`NodeCommand::SplitSegments`].
-    pub split_segments: bool,
-    /// When set, contiguous option-free data segments of a flow are
-    /// coalesced LRO/GRO-style: one segment is briefly held back and
-    /// merged with its successor (or flushed on a short timer). Toggled
-    /// via [`NodeCommand::CoalesceSegments`].
-    pub coalesce_segments: bool,
-    /// Drop every n-th eligible pure ACK per directed flow (`0` = off).
-    /// ACKs on flows involved in a FIN exchange are never thinned, so a
-    /// close handshake always completes. Toggled via
-    /// [`NodeCommand::AckThin`].
-    pub ack_thin: u32,
-    /// **Test-only** fault injection: when set, the split rewriter emits
-    /// a structurally corrupt second half (see
-    /// [`rewrite::split_segment`]). Exists so broken-build detection
-    /// tests have a deterministic rewriter bug for the fuzzer to find.
+    /// Stages on per ingress interface, `None` for every ingress.
+    stages: Vec<(Option<IfaceId>, StageSet)>,
+    /// What the router did, counted.
+    pub counters: RouterCounters,
+    /// Test-only fault: [`Stage::Split`] corrupts its second half, a bug
+    /// for the fuzzer's broken-build detection ([`rewrite::split_segment`]).
+    #[doc(hidden)]
     pub buggy_split: bool,
-    /// MPTCP options removed while [`Router::strip_mptcp`] was on.
-    pub options_stripped: u64,
-    /// Segments whose sequence numbers were rewritten by the seq NAT.
-    pub seq_rewritten: u64,
-    /// Segments split in two by the re-segmenter.
-    pub segments_split: u64,
-    /// Segment pairs merged by the coalescer.
-    pub segments_coalesced: u64,
-    /// Pure ACKs dropped by the thinner.
-    pub acks_thinned: u64,
-    /// Packets forwarded, for reporting.
-    pub forwarded: u64,
-    /// Packets dropped for lack of a route.
-    pub no_route: u64,
-    /// Packets dropped because TTL reached zero.
-    pub ttl_drops: u64,
     /// One held-back segment per flow awaiting a coalesce partner.
     pending: Vec<(FlowKey, PendingSeg)>,
     /// Directed flows on which this router forwarded a FIN (ack-thinning
@@ -123,20 +136,9 @@ impl Router {
             routes: Spare::default(),
             lpm_cache: Spare::default(),
             salt,
-            strip_mptcp: false,
-            seq_nat: false,
-            split_segments: false,
-            coalesce_segments: false,
-            ack_thin: 0,
+            stages: Vec::new(),
+            counters: RouterCounters::default(),
             buggy_split: false,
-            options_stripped: 0,
-            seq_rewritten: 0,
-            segments_split: 0,
-            segments_coalesced: 0,
-            acks_thinned: 0,
-            forwarded: 0,
-            no_route: 0,
-            ttl_drops: 0,
             pending: Vec::new(),
             fin_seen: FxHashSet::default(),
             ack_counters: FxHashMap::default(),
@@ -152,6 +154,38 @@ impl Router {
         // A new route can change any memoized lookup.
         self.lpm_cache.clear();
         self
+    }
+
+    /// Switch `stage` on or off for the TCP segments arriving on `iface`,
+    /// or with `None` for those arriving on every ingress, so both ways.
+    /// A stage acts on a segment when it is on for the segment's ingress
+    /// or for every ingress (with two [`Stage::AckThin`] periods, the
+    /// longer).
+    pub fn middlebox(&mut self, iface: Option<IfaceId>, stage: Stage, on: bool) {
+        let found = self.stages.iter().position(|&(key, _)| key == iface);
+        let k = found.unwrap_or_else(|| {
+            self.stages.push((iface, StageSet::default()));
+            self.stages.len() - 1
+        });
+        let (slot, value) = match stage {
+            Stage::StripMptcp => (STRIP, 1),
+            Stage::SeqNat => (SEQ_NAT, 1),
+            Stage::Split => (SPLIT, 1),
+            Stage::Coalesce => (COALESCE, 1),
+            Stage::AckThin(n) => (THIN, n),
+        };
+        self.stages[k].1[slot] = if on { value } else { 0 };
+    }
+
+    /// The stages on for segments arriving on `ingress`.
+    fn stages_on(&self, ingress: IfaceId) -> StageSet {
+        let mut on = StageSet::default();
+        for (key, set) in &self.stages {
+            if key.is_none_or(|i| i == ingress) {
+                on.iter_mut().zip(set).for_each(|(o, &s)| *o = (*o).max(s));
+            }
+        }
+        on
     }
 
     /// Longest-prefix match over the routing table (uncached).
@@ -209,20 +243,20 @@ impl Router {
     /// per directed flow and drops every n-th — unless either direction
     /// of the flow has carried a FIN through this router, in which case
     /// the close handshake's ACKs must all pass.
-    fn thin_this_ack(&mut self, pkt: &Packet) -> bool {
+    fn thin_this_ack(&mut self, pkt: &Packet, period: u32) -> bool {
         let key = pkt.flow_key();
         if self.fin_seen.contains(&key) || self.fin_seen.contains(&key.reversed()) {
             return false;
         }
         let c = self.ack_counters.entry(key).or_insert(0);
         *c += 1;
-        *c % self.ack_thin == 0
+        *c % period == 0
     }
 
     /// Flush one held segment (by position in the pending list).
     fn flush_pending(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
         let (_, held) = self.pending.remove(idx);
-        self.forwarded += 1;
+        self.counters.forwarded += 1;
         ctx.send(held.egress, held.pkt);
     }
 
@@ -250,15 +284,15 @@ impl Router {
             match rewrite::coalesce_pair(&held.pkt.payload, &pkt.payload) {
                 Some(merged) => {
                     held.pkt.payload = merged;
-                    self.segments_coalesced += 1;
-                    self.forwarded += 1;
+                    self.counters.segments_coalesced += 1;
+                    self.counters.forwarded += 1;
                     ctx.send(held.egress, held.pkt);
                     return true;
                 }
                 None => {
                     // Not contiguous: flush the held segment in order,
                     // then treat the newcomer as a fresh candidate.
-                    self.forwarded += 1;
+                    self.counters.forwarded += 1;
                     ctx.send(held.egress, held.pkt);
                 }
             }
@@ -284,33 +318,36 @@ impl Router {
 impl Node for Router {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, in_iface: IfaceId, mut pkt: Packet) {
         if pkt.ttl <= 1 {
-            self.ttl_drops += 1;
+            self.counters.ttl_drops += 1;
             return;
         }
         pkt.ttl -= 1;
+        let stages = self.stages_on(in_iface);
         if pkt.proto == PROTO_TCP {
-            if self.strip_mptcp {
-                if let Some((cleaned, n)) = strip_mptcp_options(&pkt.payload) {
+            if stages[STRIP] > 0 {
+                if let Some((cleaned, n)) = rewrite::strip_mptcp_options(&pkt.payload) {
                     pkt.payload = cleaned;
-                    self.options_stripped += n as u64;
+                    self.counters.options_stripped += n as u64;
                 }
             }
-            if self.seq_nat {
+            if stages[SEQ_NAT] > 0 {
                 let (fwd, rev) = self.nat_deltas(&pkt);
                 if let Some(rewritten) = rewrite::rewrite_seq_ack(&pkt.payload, fwd, rev) {
                     pkt.payload = rewritten;
-                    self.seq_rewritten += 1;
+                    self.counters.seq_rewritten += 1;
                 }
             }
-            if self.ack_thin > 0 {
+            // FINs are tracked on every ingress while any thins, so a
+            // close is exempt whichever side sends the FIN.
+            if self.stages.iter().any(|(_, set)| set[THIN] > 0) {
                 if let Ok(seg) = TcpView::parse(&pkt.payload) {
                     // A pure ACK: ACK set, no payload, no SYN/FIN/RST.
                     // Option-bearing ones (MPTCP DSS data-acks) count too:
                     // TCP and DSS acknowledgements are both cumulative.
                     let f = seg.hdr.flags;
                     let pure_ack = f.ack && !(f.syn || f.fin || f.rst) && seg.payload.is_empty();
-                    if pure_ack && self.thin_this_ack(&pkt) {
-                        self.acks_thinned += 1;
+                    if pure_ack && stages[THIN] > 0 && self.thin_this_ack(&pkt, stages[THIN]) {
+                        self.counters.acks_thinned += 1;
                         return;
                     }
                     if f.fin {
@@ -320,23 +357,19 @@ impl Node for Router {
             }
         }
         match self.select_egress_cached(&pkt) {
-            Some(egress) => {
-                // A route pointing back out of the ingress interface would
-                // loop the packet on a point-to-point link; treat as no route.
-                if egress == in_iface {
-                    self.no_route += 1;
-                    return;
-                }
+            // A route pointing back out of the ingress interface would
+            // loop the packet on a point-to-point link; treat as no route.
+            Some(egress) if egress != in_iface => {
                 if pkt.proto == PROTO_TCP
-                    && self.coalesce_segments
+                    && stages[COALESCE] > 0
                     && self.coalesce(ctx, egress, &pkt)
                 {
                     return;
                 }
-                if pkt.proto == PROTO_TCP && self.split_segments {
+                if pkt.proto == PROTO_TCP && stages[SPLIT] > 0 {
                     if let Some((a, b)) = rewrite::split_segment(&pkt.payload, self.buggy_split) {
-                        self.segments_split += 1;
-                        self.forwarded += 2;
+                        self.counters.segments_split += 1;
+                        self.counters.forwarded += 2;
                         let mut first = pkt.clone();
                         first.payload = a;
                         pkt.payload = b;
@@ -345,12 +378,10 @@ impl Node for Router {
                         return;
                     }
                 }
-                self.forwarded += 1;
+                self.counters.forwarded += 1;
                 ctx.send(egress, pkt);
             }
-            None => {
-                self.no_route += 1;
-            }
+            _ => self.counters.no_route += 1,
         }
     }
 
@@ -363,19 +394,12 @@ impl Node for Router {
     }
 
     fn on_command(&mut self, ctx: &mut Ctx<'_>, cmd: &NodeCommand) {
-        match cmd {
-            NodeCommand::StripMptcp(on) => self.strip_mptcp = *on,
-            NodeCommand::SeqNat(on) => self.seq_nat = *on,
-            NodeCommand::SplitSegments(on) => self.split_segments = *on,
-            NodeCommand::CoalesceSegments(on) => {
-                self.coalesce_segments = *on;
-                if !*on {
-                    self.flush_all_pending(ctx);
-                }
+        // Turning a coalescer off on any ingress flushes every held segment.
+        if let NodeCommand::Middlebox { iface, stage, on } = *cmd {
+            self.middlebox(iface, stage, on);
+            if stage == Stage::Coalesce && !on {
+                self.flush_all_pending(ctx);
             }
-            NodeCommand::AckThin(n) => self.ack_thin = *n,
-            NodeCommand::FlushState => {}
-            NodeCommand::Probe => {} // routers keep no connection state
         }
     }
 
@@ -486,31 +510,50 @@ mod tests {
         assert_eq!(r.select_egress_cached(&miss), Some(IfaceId(3)));
     }
 
-    #[test]
-    fn stripping_router_removes_mptcp_options_from_forwarded_tcp() {
-        // Ports 1/2, one 4-byte option block: MPTCP kind 30 len 4.
+    /// A segment from `src`:`sport` to `dst`:`dport` whose one option is
+    /// a 4-byte MPTCP one (kind 30).
+    fn mptcp_seg(src: Addr, dst: Addr, sport: u16, dport: u16) -> Packet {
         let hdr = TcpFixed {
-            src_port: 1,
-            dst_port: 2,
+            src_port: sport,
+            dst_port: dport,
             ..TcpFixed::default()
         };
         let mut opts = OptionWriter::new();
         opts.push(OPT_KIND_MPTCP, &[0x20, 0]);
-        let pkt = Packet::tcp(
-            Addr::new(10, 0, 0, 1),
-            Addr::new(10, 1, 0, 1),
-            encode_parts(&hdr, &opts, Bytes::new()).unwrap(),
-        );
+        Packet::tcp(src, dst, encode_parts(&hdr, &opts, Bytes::new()).unwrap())
+    }
+
+    /// The ports of each packet and the bytes of its options area.
+    fn ports_and_options(got: &[Packet]) -> Vec<((u16, u16), usize)> {
+        let options = |p: &Packet| (p.payload.head()[12] >> 4) as usize * 4 - TCP_HEADER_LEN;
+        got.iter().map(|p| (p.ports(), options(p))).collect()
+    }
+
+    const A: Addr = Addr::new(10, 0, 0, 1);
+    const B: Addr = Addr::new(10, 1, 0, 1);
+
+    #[test]
+    fn stripping_router_removes_mptcp_options_from_forwarded_tcp() {
         // Through a real simulator, so the rewrite happens on the
         // forwarding path, not in isolation.
-        let (got, router) = forward_through(|r| r.strip_mptcp = true, vec![pkt]);
-        assert_eq!(router.options_stripped, 1);
-        assert_eq!(
-            (got[0].payload.head()[12] >> 4) as usize * 4,
-            20,
-            "options gone"
-        );
-        assert_eq!(got[0].ports(), (1, 2), "ports untouched");
+        let pkt = mptcp_seg(A, B, 1, 2);
+        let (got, router) = forward_through(&[(None, Stage::StripMptcp)], vec![pkt]);
+        assert_eq!(router.counters.options_stripped, 1);
+        assert_eq!(ports_and_options(&got), [((1, 2), 0)], "options gone");
+    }
+
+    /// A stage scripted onto one ingress acts on what arrives there only:
+    /// on host A's port it strips A→B segments and lets B→A ones through
+    /// intact; on every ingress it strips both ways.
+    #[test]
+    fn a_stage_on_one_ingress_acts_one_way() {
+        let both = || vec![mptcp_seg(A, B, 1, 2), mptcp_seg(B, A, 2, 1)];
+        let (got, r) = forward_through(&[(Some(PORT_A), Stage::StripMptcp)], both());
+        assert_eq!(r.counters.options_stripped, 1);
+        assert_eq!(ports_and_options(&got), [((1, 2), 0), ((2, 1), 4)]);
+        let (got, r) = forward_through(&[(None, Stage::StripMptcp)], both());
+        assert_eq!(r.counters.options_stripped, 2);
+        assert_eq!(ports_and_options(&got), [((1, 2), 0), ((2, 1), 0)]);
     }
 
     /// Sends `out` back to back at start and keeps every packet it
@@ -554,57 +597,72 @@ mod tests {
         )
     }
 
-    /// Drive `pkts` through a router configured by `cfg`; returns what
-    /// came out the far side plus the router for counter inspection.
-    fn forward_through(cfg: impl FnOnce(&mut Router), pkts: Vec<Packet>) -> (Vec<Packet>, Router) {
-        let mut r = Router::new(0);
-        cfg(&mut r);
+    /// The router's ports in [`forward_through`]'s world: toward host A
+    /// (10.0.0.1) and toward host B (10.1.0.1).
+    const PORT_A: IfaceId = IfaceId(0);
+    const PORT_B: IfaceId = IfaceId(1);
+
+    /// Drive `pkts` through a router whose `stages` a script switches on
+    /// at t = 0, each on one ingress or (`None`) on every ingress. Host A
+    /// sends the packets addressed into 10.1.0.0/16, host B the others.
+    /// Returns what came out, B's arrivals first, and the router for
+    /// counter inspection.
+    fn forward_through(
+        stages: &[(Option<IfaceId>, Stage)],
+        pkts: Vec<Packet>,
+    ) -> (Vec<Packet>, Router) {
+        use crate::netem::{Netem, NetemScript};
+        let b_net: AddrPrefix = "10.1.0.0/16".parse().unwrap();
+        let (to_b, to_a) = pkts.into_iter().partition(|p| b_net.contains(p.dst));
         let mut sim = crate::Simulator::new(0);
-        let rid = sim.add_node(Box::new(r));
+        let rid = sim.add_node(Box::new(Router::new(0)));
         let host = |out| {
             Box::new(Host {
                 out,
                 got: Vec::new(),
             })
         };
-        let sink = sim.add_node(host(Vec::new()));
+        let host_b = sim.add_node(host(to_a));
         let r_in = sim.add_iface(rid, Addr::new(10, 0, 0, 254), "in");
         let r_out = sim.add_iface(rid, Addr::new(10, 1, 0, 254), "out");
-        let s_if = sim.add_iface(sink, Addr::new(10, 1, 0, 1), "eth0");
-        let src = sim.add_node(host(pkts));
-        let src_if = sim.add_iface(src, Addr::new(10, 0, 0, 1), "eth0");
-        sim.connect(src_if, r_in, crate::link::LinkCfg::mbps_ms(100, 1));
-        sim.connect(r_out, s_if, crate::link::LinkCfg::mbps_ms(100, 1));
-        sim.node_mut(rid)
-            .as_any_mut()
-            .downcast_mut::<Router>()
-            .unwrap()
-            .add_route("10.1.0.0/16".parse().unwrap(), vec![r_out]);
+        assert_eq!((r_in, r_out), (PORT_A, PORT_B));
+        let b_if = sim.add_iface(host_b, B, "eth0");
+        let host_a = sim.add_node(host(to_b));
+        let a_if = sim.add_iface(host_a, A, "eth0");
+        sim.connect(a_if, r_in, crate::link::LinkCfg::mbps_ms(100, 1));
+        sim.connect(r_out, b_if, crate::link::LinkCfg::mbps_ms(100, 1));
+        sim.with_node(rid, |r: &mut Router, _| {
+            r.add_route(b_net, vec![r_out]);
+            r.add_route("10.0.0.0/16".parse().unwrap(), vec![r_in]);
+        });
+        let mut script = NetemScript::new();
+        for &(iface, stage) in stages {
+            let on = Netem::peer(rid).middlebox(iface, stage, true);
+            script.add(crate::SimTime::ZERO, on);
+        }
+        sim.install(script, crate::InstallPolicy::Sort).unwrap();
         sim.run();
-        let got = std::mem::take(
-            &mut sim
-                .node_mut(sink)
-                .as_any_mut()
-                .downcast_mut::<Host>()
-                .unwrap()
-                .got,
-        );
-        let router = sim
-            .node_mut(rid)
-            .as_any_mut()
-            .downcast_mut::<Router>()
-            .unwrap();
-        let router = std::mem::replace(router, Router::new(0));
-        (got, router)
+        let mut got = Vec::new();
+        for id in [host_b, host_a] {
+            got.append(
+                &mut sim
+                    .with_node(id, |h: &mut Host, _| std::mem::take(&mut h.got))
+                    .unwrap(),
+            );
+        }
+        let router = sim.with_node(rid, |r: &mut Router, _| {
+            std::mem::replace(r, Router::new(0))
+        });
+        (got, router.unwrap())
     }
 
     #[test]
     fn splitting_router_halves_data_segments_on_the_path() {
         let (got, r) = forward_through(
-            |r| r.split_segments = true,
+            &[(None, Stage::Split)],
             vec![data_seg(1000, TcpFlags::PSH_ACK, b"abcdefgh")],
         );
-        assert_eq!(r.segments_split, 1);
+        assert_eq!(r.counters.segments_split, 1);
         assert_eq!(got.len(), 2);
         assert_eq!(&got[0].payload.slice_from(20)[..], b"abcd");
         assert_eq!(&got[1].payload.slice_from(20)[..], b"efgh");
@@ -615,13 +673,13 @@ mod tests {
     #[test]
     fn coalescing_router_merges_contiguous_segments() {
         let (got, r) = forward_through(
-            |r| r.coalesce_segments = true,
+            &[(None, Stage::Coalesce)],
             vec![
                 data_seg(1000, TcpFlags::ACK, b"abcd"),
                 data_seg(1004, TcpFlags::PSH_ACK, b"efgh"),
             ],
         );
-        assert_eq!(r.segments_coalesced, 1);
+        assert_eq!(r.counters.segments_coalesced, 1);
         assert_eq!(got.len(), 1);
         assert_eq!(&got[0].payload.slice_from(20)[..], b"abcdefgh");
     }
@@ -629,10 +687,10 @@ mod tests {
     #[test]
     fn coalescing_router_flushes_a_lone_segment_on_its_timer() {
         let (got, r) = forward_through(
-            |r| r.coalesce_segments = true,
+            &[(None, Stage::Coalesce)],
             vec![data_seg(1000, TcpFlags::ACK, b"abcd")],
         );
-        assert_eq!(r.segments_coalesced, 0);
+        assert_eq!(r.counters.segments_coalesced, 0);
         assert_eq!(got.len(), 1, "flush timer released the held segment");
         assert_eq!(&got[0].payload.slice_from(20)[..], b"abcd");
     }
@@ -640,13 +698,13 @@ mod tests {
     #[test]
     fn seq_nat_router_shifts_seq_consistently_per_flow() {
         let (got, r) = forward_through(
-            |r| r.seq_nat = true,
+            &[(None, Stage::SeqNat)],
             vec![
                 data_seg(1000, TcpFlags::ACK, b"ab"),
                 data_seg(1002, TcpFlags::ACK, b"cd"),
             ],
         );
-        assert_eq!(r.seq_rewritten, 2);
+        assert_eq!(r.counters.seq_rewritten, 2);
         let s0 = u32::from_be_bytes(got[0].payload.head()[4..8].try_into().unwrap());
         let s1 = u32::from_be_bytes(got[1].payload.head()[4..8].try_into().unwrap());
         assert_ne!(s0, 1000, "ISN shifted");
@@ -657,14 +715,14 @@ mod tests {
     fn ack_thinning_drops_every_nth_but_spares_fin_exchanges() {
         let pure_ack = || data_seg(2000, TcpFlags::ACK, b"");
         let (got, r) = forward_through(
-            |r| r.ack_thin = 2,
+            &[(None, Stage::AckThin(2))],
             vec![pure_ack(), pure_ack(), pure_ack(), pure_ack()],
         );
-        assert_eq!(r.acks_thinned, 2, "every 2nd pure ACK dropped");
+        assert_eq!(r.counters.acks_thinned, 2, "every 2nd pure ACK dropped");
         assert_eq!(got.len(), 2);
         // After a FIN passes, the same flow's ACKs are exempt.
         let (got, r) = forward_through(
-            |r| r.ack_thin = 2,
+            &[(None, Stage::AckThin(2))],
             vec![
                 data_seg(3000, TcpFlags::FIN_ACK, b"x"),
                 pure_ack(),
@@ -672,7 +730,7 @@ mod tests {
                 pure_ack(),
             ],
         );
-        assert_eq!(r.acks_thinned, 0, "FIN exchange never thinned");
+        assert_eq!(r.counters.acks_thinned, 0, "FIN exchange never thinned");
         assert_eq!(got.len(), 4);
     }
 
@@ -682,8 +740,8 @@ mod tests {
     #[test]
     fn pure_ack_classifier() {
         let thinned = |pkt: Packet| {
-            let (_, r) = forward_through(|r| r.ack_thin = 1, vec![pkt]);
-            r.acks_thinned == 1
+            let (_, r) = forward_through(&[(None, Stage::AckThin(1))], vec![pkt]);
+            r.counters.acks_thinned == 1
         };
         assert!(thinned(data_seg(1, TcpFlags::ACK, b"")));
         assert!(!thinned(data_seg(1, TcpFlags::ACK, b"x")), "data");
@@ -701,19 +759,6 @@ mod tests {
             Bytes::from_static(&crate::wire::MALFORMED_OPTION_AREA),
         );
         assert!(!thinned(malformed), "malformed option area");
-    }
-
-    #[test]
-    fn strip_command_toggles_the_flag() {
-        use crate::netem::{Netem, NetemScript};
-        let mut sim = crate::Simulator::new(0);
-        let rid = sim.add_node(Box::new(Router::new(0)));
-        let strip = Netem::peer(rid).strip_mptcp(true);
-        let script = NetemScript::new().at(crate::SimTime::from_millis(1), strip);
-        sim.install(script, crate::InstallPolicy::Sort).unwrap();
-        sim.run();
-        let r = sim.node(rid).as_any().downcast_ref::<Router>().unwrap();
-        assert!(r.strip_mptcp);
     }
 
     #[test]

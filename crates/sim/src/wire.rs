@@ -11,7 +11,7 @@
 //!
 //! The module lives in the simulator because the simulator reads TCP too:
 //! the oracle's framing checks ([`crate::oracle`]), the option stripper
-//! ([`crate::dynamics::strip_mptcp_options`]), the middlebox rewriters
+//! ([`crate::rewrite::strip_mptcp_options`]), the middlebox rewriters
 //! ([`crate::rewrite`]) and the flood source ([`crate::adversary`]). The
 //! `smapp-tcp` crate re-exports these items for the end-host stack, so one
 //! parser and one encoder serve every TCP byte in a run. Multipath TCP

@@ -7,16 +7,21 @@ use std::any::Any;
 use proptest::prelude::*;
 use smapp_sim::{
     Ctx, IfaceId, InstallPolicy, Netem, NetemScript, Node, NodeCommand, Packet, SimTime, Simulator,
+    Stage,
 };
 
 /// Records each command it receives, with the instant it ran; the
-/// `AckThin` count carries the entry's insertion index.
+/// `Stage::AckThin` period carries the entry's insertion index.
 #[derive(Default)]
 struct Recorder(Vec<(SimTime, u32)>);
 
 impl Node for Recorder {
     fn on_command(&mut self, ctx: &mut Ctx<'_>, cmd: &NodeCommand) {
-        if let NodeCommand::AckThin(index) = *cmd {
+        if let NodeCommand::Middlebox {
+            stage: Stage::AckThin(index),
+            ..
+        } = *cmd
+        {
             self.0.push((ctx.now(), index));
         }
     }
@@ -43,7 +48,7 @@ proptest! {
         let node = sim.add_node(Box::new(Recorder::default()));
         let mut script = NetemScript::new();
         for (&t, index) in times.iter().zip(0..) {
-            script.add(SimTime::from_millis(t), Netem::peer(node).ack_thin(index));
+            script.add(SimTime::from_millis(t), Netem::peer(node).middlebox(None, Stage::AckThin(index), true));
         }
         sim.install(script, InstallPolicy::Sort).unwrap();
         sim.run();

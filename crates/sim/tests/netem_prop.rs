@@ -9,7 +9,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use smapp_sim::{
     Dir, DynAction, Eviction, IfaceId, LinkId, LossModel, LossPct, Netem, NetemScript, NodeCommand,
-    NodeId, OneWayDelay, QueueLen, RateBps, SimTime,
+    NodeId, OneWayDelay, QueueLen, RateBps, SimTime, Stage,
 };
 
 /// One randomly-drawn builder call, paired with the `DynAction` the
@@ -168,8 +168,8 @@ proptest! {
             .at(
                 at,
                 Netem::peer(NodeId(node))
-                    .strip_mptcp(strip)
-                    .ack_thin(thin)
+                    .middlebox(None, Stage::StripMptcp, strip)
+                    .middlebox(Some(IfaceId(iface)), Stage::AckThin(thin), true)
                     .probe(),
             )
             .at(at, Netem::iface(IfaceId(iface)).down().up())
@@ -177,8 +177,8 @@ proptest! {
 
         let mut raw = Vec::new();
         for cmd in [
-            NodeCommand::StripMptcp(strip),
-            NodeCommand::AckThin(thin),
+            NodeCommand::Middlebox { iface: None, stage: Stage::StripMptcp, on: strip },
+            NodeCommand::Middlebox { iface: Some(IfaceId(iface)), stage: Stage::AckThin(thin), on: true },
             NodeCommand::Probe,
         ] {
             raw.push((at, DynAction::Command { node: NodeId(node), cmd }));

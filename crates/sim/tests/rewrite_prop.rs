@@ -32,7 +32,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use smapp_sim::rewrite::{coalesce_pair, rewrite_seq_ack, split_segment};
 use smapp_sim::wire::{encode_parts, OptionWriter, TcpFixed, TcpFlags, TcpView, TCP_HEADER_LEN};
-use smapp_sim::{Addr, Ctx, Frame, IfaceId, LinkCfg, Node, Packet, Router, Simulator};
+use smapp_sim::{Addr, Ctx, Frame, IfaceId, LinkCfg, Node, Packet, Router, Simulator, Stage};
 
 /// Build an option-free TCP segment. By hand, because `flags` is any
 /// byte, reserved bits included, which `TcpFlags` cannot carry.
@@ -117,7 +117,7 @@ fn bytes(f: Option<Frame>) -> Option<Vec<u8>> {
 /// returns what came out, in order, and how many ACKs it dropped.
 fn thin_through_router(thin: u32, pkts: Vec<Packet>) -> (Vec<Packet>, u64) {
     let mut r = Router::new(0);
-    r.ack_thin = thin;
+    r.middlebox(None, Stage::AckThin(thin), true);
     let mut sim = Simulator::new(1);
     let rid = sim.add_node(Box::new(r));
     let host = |out| {
@@ -145,6 +145,7 @@ fn thin_through_router(thin: u32, pkts: Vec<Packet>) -> (Vec<Packet>, u64) {
         .as_any()
         .downcast_ref::<Router>()
         .unwrap()
+        .counters
         .acks_thinned;
     let got = std::mem::take(
         &mut sim

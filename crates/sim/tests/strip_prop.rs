@@ -1,5 +1,5 @@
 //! Property tests for the middlebox option rewriter
-//! (`dynamics::strip_mptcp_options`) against arbitrary generated option
+//! (`rewrite::strip_mptcp_options`) against arbitrary generated option
 //! lists: kind-30 options are always removed, every other option is
 //! byte-preserved in order, the rewritten segment still parses, and the
 //! NOP padding is length-exact. The same segment built by the encoder, its
@@ -14,7 +14,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use smapp_sim::dynamics::strip_mptcp_options;
+use smapp_sim::rewrite::strip_mptcp_options;
 use smapp_sim::wire::{
     encode_parts, OptionWriter, TcpFixed, TcpFlags, TcpView, OPT_KIND_MPTCP, TCP_HEADER_LEN,
 };
