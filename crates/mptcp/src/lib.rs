@@ -73,11 +73,11 @@ pub use app::{App, AppCtx, NullApp};
 pub use config::{CcAlgo, StackConfig};
 pub use conn::{ConnInfo, ConnState, Connection, Role};
 pub use env::{ConnectRequest, OutPacket, StackEnv};
-pub use node::StackNode;
+pub use node::{StackNode, Subscription};
 pub use options::{Dss, DssMapping, MpOption, MpParseError};
 pub use pm::{
-    ConnToken, FourTuple, NoopPm, PathManagerHook, PmAction, PmActions, PmEvent, RecordingPm,
-    StackView, SubflowError, SubflowId, EVENT_MASK_ALL,
+    ConnToken, FourTuple, NoopPm, PathManagerHook, PmAction, PmActions, PmEvent, StackView,
+    SubflowError, SubflowId, EVENT_MASK_ALL,
 };
 pub use scheduler::{LowestRtt, Redundant, RoundRobin, SchedCandidate, Scheduler};
 pub use stack::{parse_timer_token, timer_token, HostStack, TimerKind};

@@ -4,8 +4,9 @@
 //! feeds each packet, timer, connect, path-manager action and interface
 //! change through the [`HostStack`], runs the kernel path manager over the
 //! events the call raised, and hands the sends and timer arms to the
-//! simulator. `smapp_pm::Host` adds the netlink process on top; the
-//! protocol tests run two of these on either side of a router.
+//! simulator, and offers each event to the node's [`Subscription`].
+//! `smapp_pm::Host` adds the netlink process on top; the protocol tests
+//! run two of these on either side of a router.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -56,12 +57,58 @@ thread_local! {
     static SCRATCH: RefCell<DriveScratch> = RefCell::default();
 }
 
+/// The events a userspace subflow controller registered for: "the
+/// subflow controller receives only notifications for events it
+/// registered to" (§3). It is offered every event the kernel path
+/// manager sees, in the same order.
+#[derive(Debug, Default)]
+pub struct Subscription {
+    /// Bits of [`PmEvent::mask_bit`]; 0 until someone subscribes.
+    mask: u32,
+    /// Events kept and not taken yet, on a vector taken from the thread's
+    /// spares at the first subscribe: a node nobody subscribes to has none.
+    events: Option<Spare<Vec<PmEvent>>>,
+    /// Events withheld, by the mask or for want of a subscriber.
+    pub suppressed: u64,
+}
+
+impl Subscription {
+    /// Keep from now on the events whose mask bit is in `mask`.
+    pub fn subscribe(&mut self, mask: u32) {
+        self.mask = mask;
+        self.events.get_or_insert_with(Spare::default);
+    }
+
+    fn offer(&mut self, ev: &PmEvent) {
+        match &mut self.events {
+            Some(kept) if ev.mask_bit() & self.mask != 0 => kept.push(ev.clone()),
+            _ => self.suppressed += 1,
+        }
+    }
+
+    /// The events kept and not taken yet, oldest first.
+    pub fn events(&self) -> &[PmEvent] {
+        self.events.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    /// Move the kept events into `into` (cleared first). The two vectors
+    /// trade places, so both keep their capacity.
+    pub fn swap_events(&mut self, into: &mut Vec<PmEvent>) {
+        into.clear();
+        if let Some(kept) = &mut self.events {
+            std::mem::swap(&mut **kept, into);
+        }
+    }
+}
+
 /// A host's MPTCP stack and the kernel path manager plugged into it.
 pub struct StackNode {
     /// The in-kernel stack.
     pub stack: HostStack,
     /// The kernel path manager plugged into the stack.
     pub pm: Box<dyn PathManagerHook>,
+    /// The events a userspace subflow controller registered for.
+    pub subscription: Subscription,
     /// Connects queued by [`StackNode::connect_at`], indexed by their
     /// timer tokens.
     connects: Spare<Vec<ScheduledConnect>>,
@@ -75,6 +122,7 @@ impl StackNode {
         StackNode {
             stack: HostStack::new(cfg),
             pm: Box::new(NoopPm),
+            subscription: Subscription::default(),
             connects: Spare::default(),
         }
     }
@@ -171,6 +219,7 @@ impl StackNode {
             }
             for ev in &s.events {
                 self.pm.on_event(ev, &self.stack, &mut s.actions);
+                self.subscription.offer(ev);
             }
             for a in s.actions.drain() {
                 self.stack.apply_action(&mut env, &a);
@@ -236,6 +285,7 @@ mod tests {
     use crate::app::NullApp;
     use crate::apps::{BulkSender, Sink};
     use crate::conn::ConnState;
+    use crate::pm::{ConnToken, EVENT_MASK_ALL};
     use crate::world::{Side, World};
 
     fn world(seed: u64) -> World {
@@ -338,5 +388,88 @@ mod tests {
         })
         .join()
         .unwrap();
+    }
+
+    fn closed(token: ConnToken) -> PmEvent {
+        PmEvent::ConnClosed { token }
+    }
+
+    /// The length and capacity of the vector `sub` keeps events on.
+    fn held(sub: &Subscription) -> Option<(usize, usize)> {
+        sub.events.as_deref().map(|v| (v.len(), v.capacity()))
+    }
+
+    #[test]
+    fn events_outside_the_mask_are_suppressed() {
+        let mut sub = Subscription::default();
+        sub.offer(&closed(1));
+        assert_eq!((sub.events(), sub.suppressed), (&[][..], 1));
+        sub.subscribe(EVENT_MASK_ALL & !closed(1).mask_bit());
+        sub.offer(&closed(2));
+        assert_eq!((sub.events(), sub.suppressed), (&[][..], 2));
+    }
+
+    #[test]
+    fn a_partial_mask_filters() {
+        let mut sub = Subscription::default();
+        sub.subscribe(closed(1).mask_bit());
+        sub.offer(&closed(1));
+        sub.offer(&PmEvent::LocalAddrUp {
+            addr: Addr::new(1, 1, 1, 1),
+        });
+        sub.offer(&closed(2));
+        assert_eq!(sub.events(), [closed(1), closed(2)]);
+        assert_eq!(sub.suppressed, 1);
+    }
+
+    /// The kept events move out whole and the vectors trade places with
+    /// their capacity, so nothing is taken twice.
+    #[test]
+    fn swap_events_trades_vectors_and_keeps_capacity() {
+        let mut sub = Subscription::default();
+        let mut into = vec![closed(9)];
+        sub.swap_events(&mut into);
+        assert!(into.is_empty(), "no subscriber: the target is only cleared");
+        sub.subscribe(EVENT_MASK_ALL);
+        for token in 0..3 {
+            sub.offer(&closed(token));
+        }
+        let kept = sub.events().as_ptr();
+        let mut into = Vec::with_capacity(64);
+        into.push(closed(9));
+        sub.swap_events(&mut into);
+        assert_eq!(
+            (into.as_slice(), into.as_ptr()),
+            (&[closed(0), closed(1), closed(2)][..], kept)
+        );
+        assert!(matches!(held(&sub), Some((0, cap)) if cap >= 64));
+        sub.swap_events(&mut into);
+        assert!(into.is_empty());
+    }
+
+    /// A node nobody subscribes to takes no event vector from the thread; a
+    /// dropped subscriber gives its vector, emptied, back, and the next
+    /// subscriber keeps events on it.
+    #[test]
+    fn only_a_subscriber_holds_an_event_vector_and_gives_it_back() {
+        // A thread of its own, so the store starts empty; the scope
+        // re-raises its panic.
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut node = StackNode::new(StackConfig::default());
+                node.subscription.subscribe(EVENT_MASK_ALL);
+                for token in 0..3 {
+                    node.subscription.offer(&closed(token));
+                }
+                let (_, cap) = held(&node.subscription).unwrap_or_default();
+                assert!(cap >= 3);
+                drop(node);
+                let idle = StackNode::new(StackConfig::default());
+                assert_eq!(held(&idle.subscription), None);
+                let mut next = StackNode::new(StackConfig::default());
+                next.subscription.subscribe(EVENT_MASK_ALL);
+                assert_eq!(held(&next.subscription), Some((0, cap)));
+            });
+        });
     }
 }

@@ -333,10 +333,12 @@ pub trait PathManagerHook: Send {
     /// Handle one stack event, optionally queueing actions.
     fn on_event(&mut self, ev: &PmEvent, view: &dyn StackView, actions: &mut PmActions);
 
-    /// Name for logs and reports ("fullmesh", "ndiffports", "netlink").
+    /// Name for logs and reports ("fullmesh", "ndiffports", "noop").
     fn name(&self) -> &'static str;
 
-    /// Downcast support (the host needs to reach the netlink PM's queues).
+    /// Downcast support. Nothing in the workspace calls it: it is kept
+    /// only for `benchmark/src/bind.rs`, whose span wrapper implements and
+    /// forwards it, until ROADMAP item 18 removes it.
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 }
 
@@ -348,33 +350,6 @@ impl PathManagerHook for NoopPm {
     fn on_event(&mut self, _ev: &PmEvent, _view: &dyn StackView, _actions: &mut PmActions) {}
     fn name(&self) -> &'static str {
         "noop"
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-/// A path manager that records every event it sees and takes no action.
-/// Useful in tests and for event-stream inspection.
-#[derive(Debug, Default)]
-pub struct RecordingPm {
-    /// Events in arrival order.
-    pub events: Vec<PmEvent>,
-}
-
-impl RecordingPm {
-    /// Count events matching a predicate.
-    pub fn count(&self, f: impl Fn(&PmEvent) -> bool) -> usize {
-        self.events.iter().filter(|e| f(e)).count()
-    }
-}
-
-impl PathManagerHook for RecordingPm {
-    fn on_event(&mut self, ev: &PmEvent, _view: &dyn StackView, _actions: &mut PmActions) {
-        self.events.push(ev.clone());
-    }
-    fn name(&self) -> &'static str {
-        "recording"
     }
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self

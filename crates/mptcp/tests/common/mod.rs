@@ -17,7 +17,9 @@
 use std::time::Duration;
 
 use smapp_mptcp::stack::AppFactory;
-use smapp_mptcp::{App, ConnToken, HostStack, PmAction, RecordingPm, StackConfig, StackNode};
+use smapp_mptcp::{
+    App, ConnToken, HostStack, PmAction, PmEvent, StackConfig, StackNode, EVENT_MASK_ALL,
+};
 use smapp_sim::{
     oracle, Addr, AddrPrefix, Ctx, Dir, IfaceId, LinkCfg, LinkId, LossModel, NodeId, Oracle,
     Router, RunSummary, SimTime, Simulator, Stage,
@@ -143,18 +145,14 @@ impl World {
         })
     }
 
-    /// Put a [`RecordingPm`] in as `side`'s path manager.
+    /// Keep every event `side` raises from now on.
     pub(crate) fn record(&mut self, side: Side) {
-        self.with(side, |n, _| n.pm = Box::new(RecordingPm::default()));
+        self.with(side, |n, _| n.subscription.subscribe(EVENT_MASK_ALL));
     }
 
-    /// The events `side`'s [`RecordingPm`] has seen so far.
-    pub(crate) fn recorded(&mut self, side: Side) -> RecordingPm {
-        self.with(side, |n, _| {
-            let pm = n.pm.as_any_mut().downcast_mut::<RecordingPm>();
-            let events = pm.expect("a recording path manager").events.clone();
-            RecordingPm { events }
-        })
+    /// The events `side` has raised since [`World::record`], in order.
+    pub(crate) fn recorded(&mut self, side: Side) -> Vec<PmEvent> {
+        self.with(side, |n, _| n.subscription.events().to_vec())
     }
 
     /// Run until the queue drains, an app stops the run, or `horizon`.

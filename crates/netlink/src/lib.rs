@@ -14,7 +14,7 @@
 //! * [`channel`] — the user/kernel boundary cost model ([`LatencyModel`])
 //!   and the [`UserProcess`] trait that subflow controllers implement.
 //!
-//! The kernel side of the boundary (`NetlinkPm`) lives in `smapp-pm`; the
+//! The kernel side of the boundary lives in `smapp-pm`'s `Host`; the
 //! userspace side (the controller runtime) in the `smapp` core crate.
 
 #![warn(missing_docs)]

@@ -9,7 +9,8 @@
 //!   └──────▲──────────────┬────────┘
 //!          │ netlink msgs │          ← LatencyModel per crossing
 //!   ┌──────┴──────────────▼────────┐
-//!   │  NetlinkPm / FullMeshPm / …  │   kernel path manager
+//!   │  Subscription (StackNode)    │   netlink path manager
+//!   │  FullMeshPm / NoopPm / …     │   kernel path manager
 //!   │  HostStack (MPTCP engine)    │   kernel data plane
 //!   └──────────────────────────────┘
 //! ```
@@ -31,8 +32,6 @@ use smapp_netlink::{
 use smapp_sim::{Ctx, FxHashMap, IfaceId, Node, NodeCommand, Packet, Recycle, Spare};
 use smapp_tcp::TcpInfo;
 
-use crate::netlink_pm::NetlinkPm;
-
 /// Timer-token domains (top nibble). Domains 1–3 belong to the stack, 7
 /// to the node's connect queue.
 const D_USER_TIMER: u64 = 4 << 60;
@@ -49,8 +48,9 @@ const PAYLOAD: u64 = (1 << 60) - 1;
 /// sharing moves no trajectory.
 #[derive(Default)]
 struct NetlinkScratch {
-    /// Frames toward userspace, swapped out of the [`NetlinkPm`].
-    to_user: Vec<Bytes>,
+    /// Events toward userspace, swapped out of the node's
+    /// [`Subscription`](smapp_mptcp::Subscription).
+    events: Vec<PmEvent>,
     /// A userspace callback's [`UserCtx::to_kernel`] and
     /// [`UserCtx::timers`].
     to_kernel: Vec<Bytes>,
@@ -124,7 +124,8 @@ impl Recycle for DiagLog {
 }
 
 /// One simulated multihomed endpoint: a [`StackNode`] (reachable through
-/// `Deref` as `host.stack` and `host.pm`) plus the netlink process.
+/// `Deref` as `host.stack`, `host.pm` and `host.subscription`) plus the
+/// netlink process.
 pub struct Host {
     /// Human-readable name for reports.
     pub name: String,
@@ -177,10 +178,9 @@ impl Host {
         self
     }
 
-    /// Attach a userspace process behind the given boundary latency. Also
-    /// installs a [`NetlinkPm`] as the kernel path manager.
+    /// Attach a userspace process behind the given boundary latency. It
+    /// hears the events it subscribes to, whatever the kernel path manager.
     pub fn with_user(mut self, user: Box<dyn UserProcess>, latency: LatencyModel) -> Self {
-        self.node.pm = Box::new(NetlinkPm::new());
         self.user = Some(user);
         self.latency = latency;
         self
@@ -196,21 +196,24 @@ impl Host {
         self.user.as_ref()?.as_any().downcast_ref::<T>()
     }
 
-    /// Move frames queued by the NetlinkPm across the boundary (adds one
+    /// Send the events the subscription kept across the boundary (one
     /// latency sample each). Runs after every drive of the node.
-    fn flush_netlink_outbox(&mut self, ctx: &mut Ctx<'_>) {
-        if self.user.is_none() {
+    fn flush_subscription(&mut self, ctx: &mut Ctx<'_>) {
+        if self.node.subscription.events().is_empty() {
             return;
         }
         SCRATCH.with_borrow_mut(|s| {
-            let Some(nl) = self.node.pm.as_any_mut().downcast_mut::<NetlinkPm>() else {
-                return;
-            };
-            nl.swap_outbox(&mut s.to_user);
-            for f in s.to_user.drain(..) {
-                self.schedule_boundary(ctx, f, D_TO_USER);
-            }
+            self.node.subscription.swap_events(&mut s.events);
+            self.send_events(ctx, &mut s.events);
         })
+    }
+
+    /// Encode each of `events`, oldest first, and send it toward
+    /// userspace, leaving `events` empty.
+    fn send_events(&mut self, ctx: &mut Ctx<'_>, events: &mut Vec<PmEvent>) {
+        for ev in events.drain(..) {
+            self.schedule_boundary(ctx, encode_event(&ev), D_TO_USER);
+        }
     }
 
     fn schedule_boundary(&mut self, ctx: &mut Ctx<'_>, frame: Bytes, domain: u64) {
@@ -261,29 +264,20 @@ impl Host {
         };
         match cmd {
             PmNlCommand::Subscribe { mask } => {
-                if let Some(nl) = self.pm.as_any_mut().downcast_mut::<NetlinkPm>() {
-                    nl.mask = mask;
-                    let ack = encode_reply(&PmNlMessage::Ack { seq, errno: 0 });
-                    self.schedule_boundary(ctx, ack, D_TO_USER);
-                    // Netlink dump semantics: a fresh subscriber learns the
-                    // current local addresses immediately (real controllers
-                    // do an RTM_GETADDR dump at startup).
-                    let up_bit = smapp_mptcp::PmEvent::LocalAddrUp {
-                        addr: smapp_sim::Addr::UNSPECIFIED,
-                    }
-                    .mask_bit();
-                    if mask & up_bit != 0 {
-                        // Encoded into the scratch first: scheduling a
-                        // crossing needs the host, and so the stack, whole.
-                        SCRATCH.with_borrow_mut(|s| {
-                            let up = |addr| PmEvent::LocalAddrUp { addr };
-                            let frames = self.stack.local_addrs_up().map(up);
-                            s.to_user.extend(frames.map(|ev| encode_event(&ev)));
-                            for frame in s.to_user.drain(..) {
-                                self.schedule_boundary(ctx, frame, D_TO_USER);
-                            }
-                        });
-                    }
+                self.node.subscription.subscribe(mask);
+                let ack = encode_reply(&PmNlMessage::Ack { seq, errno: 0 });
+                self.schedule_boundary(ctx, ack, D_TO_USER);
+                // Netlink dump semantics: a fresh subscriber learns the
+                // current local addresses immediately (real controllers do
+                // an RTM_GETADDR dump at startup).
+                let up = |addr| PmEvent::LocalAddrUp { addr };
+                if mask & up(smapp_sim::Addr::UNSPECIFIED).mask_bit() != 0 {
+                    // Gathered in the scratch first: scheduling a crossing
+                    // needs the host, and so the stack, whole.
+                    SCRATCH.with_borrow_mut(|s| {
+                        s.events.extend(self.stack.local_addrs_up().map(up));
+                        self.send_events(ctx, &mut s.events);
+                    });
                 }
             }
             PmNlCommand::GetInfo { token, id } => {
@@ -294,7 +288,7 @@ impl Host {
                 let ok = self
                     .node
                     .drive(ctx, |stack, env| stack.apply_action(env, &action));
-                self.flush_netlink_outbox(ctx);
+                self.flush_subscription(ctx);
                 let errno = if ok {
                     0
                 } else {
@@ -366,7 +360,7 @@ impl Node for Host {
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, pkt: Packet) {
         self.node.on_packet(ctx, iface, pkt);
-        self.flush_netlink_outbox(ctx);
+        self.flush_subscription(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -387,7 +381,7 @@ impl Node for Host {
             }
             _ => {
                 self.node.on_timer(ctx, token);
-                self.flush_netlink_outbox(ctx);
+                self.flush_subscription(ctx);
             }
         }
     }
@@ -407,7 +401,7 @@ impl Node for Host {
 
     fn on_iface_admin(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, up: bool) {
         self.node.on_iface_admin(ctx, iface, up);
-        self.flush_netlink_outbox(ctx);
+        self.flush_subscription(ctx);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -6,13 +6,14 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use smapp_mptcp::apps::{BulkSender, Sink};
-use smapp_mptcp::{ConnState, StackConfig};
+use smapp_mptcp::{ConnState, NoopPm, PathManagerHook, StackConfig};
 use smapp_netlink::{
-    decode, encode_command, LatencyModel, PmNlCommand, PmNlMessage, UserCtx, UserProcess,
+    decode, encode_command, encode_reply, LatencyModel, PmNlCommand, PmNlMessage, UserCtx,
+    UserProcess,
 };
 use smapp_pm::topo::{self, CLIENT_ADDR2, SERVER_ADDR};
 use smapp_pm::{FullMeshPm, Host, NdiffportsPm};
-use smapp_sim::{LinkCfg, SimTime};
+use smapp_sim::{LinkCfg, RunSummary, SimTime};
 
 fn client_host() -> Host {
     Host::new("client", StackConfig::default())
@@ -217,12 +218,18 @@ impl UserProcess for MiniController {
     }
 }
 
-#[test]
-fn userspace_controller_creates_subflow_through_netlink() {
+/// Run [`MiniController`] on the client of a two-path world, with `pm`
+/// set as the client's kernel path manager after the controller when
+/// given; the run's summary, the controller's establish and ack counts and
+/// the bytes the server received, once the subflow it asked for is checked.
+fn mini_controller_run(pm: Option<Box<dyn PathManagerHook>>) -> (RunSummary, u32, u32, u64) {
     let mut client = client_host().with_user(
         Box::new(MiniController::default()),
         LatencyModel::idle_host(),
     );
+    if let Some(pm) = pm {
+        client = client.with_pm(pm);
+    }
     client.connect_at(
         SimTime::from_millis(10),
         None,
@@ -238,37 +245,69 @@ fn userspace_controller_creates_subflow_through_netlink() {
         LinkCfg::mbps_ms(5, 10),
     );
     let mut sim = net.sim;
-    sim.run_until(SimTime::from_secs(60));
+    let summary = sim.run_until(SimTime::from_secs(60));
 
     let client = topo::host(&sim, net.client);
     let ctrl = client.user_as::<MiniController>().unwrap();
-    assert_eq!(ctrl.estabs, 1);
-    assert!(ctrl.acks >= 2, "subscribe + subflow-create acks");
     let conn = client.stack.connections().next().unwrap();
     let sf1 = conn.subflow(1).expect("controller-created subflow");
     assert_eq!(sf1.tuple.src, CLIENT_ADDR2);
-    assert_eq!(sink_bytes(&sim, net.server), 500_000);
+    let bytes = sink_bytes(&sim, net.server);
+    (summary, ctrl.estabs, ctrl.acks, bytes)
 }
 
 #[test]
-fn unsubscribed_controller_sees_nothing() {
-    /// Controller that never subscribes: must receive zero events.
-    #[derive(Default)]
-    struct Deaf {
-        messages: u32,
+fn userspace_controller_creates_subflow_through_netlink() {
+    let (_, estabs, acks, bytes) = mini_controller_run(None);
+    assert_eq!(estabs, 1);
+    assert!(acks >= 2, "subscribe + subflow-create acks");
+    assert_eq!(bytes, 500_000);
+}
+
+/// A kernel path manager set after the controller leaves the controller
+/// hearing its events: it subscribes, is acked and opens its subflow, and
+/// the run is the one without that path manager.
+#[test]
+fn a_kernel_pm_set_after_the_controller_leaves_it_hearing() {
+    let plain = mini_controller_run(None);
+    assert_eq!(mini_controller_run(Some(Box::new(NoopPm))), plain);
+}
+
+/// A controller that never subscribes: it sends `frames` to the kernel at
+/// start and counts the messages that come back.
+#[derive(Default)]
+struct Silent {
+    frames: Vec<Bytes>,
+    messages: u32,
+}
+
+impl UserProcess for Silent {
+    fn on_start(&mut self, ctx: &mut UserCtx<'_>) {
+        for frame in self.frames.drain(..) {
+            ctx.send(frame);
+        }
     }
-    impl UserProcess for Deaf {
-        fn on_message(&mut self, _ctx: &mut UserCtx<'_>, _frame: Bytes) {
-            self.messages += 1;
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
+    fn on_message(&mut self, _ctx: &mut UserCtx<'_>, _frame: Bytes) {
+        self.messages += 1;
     }
-    let mut client = client_host().with_user(Box::new(Deaf::default()), LatencyModel::idle_host());
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// Run a [`Silent`] controller sending `frames` on the client of a
+/// two-path world that uploads 10 000 bytes. Returns the messages it
+/// heard, the events the client withheld, the frames the client's kernel
+/// rejected and the bytes the server received.
+fn silent_run(seed: u64, frames: Vec<Bytes>) -> (u32, u64, u64, u64) {
+    let user = Box::new(Silent {
+        frames,
+        messages: 0,
+    });
+    let mut client = client_host().with_user(user, LatencyModel::idle_host());
     client.connect_at(
         SimTime::from_millis(10),
         None,
@@ -277,7 +316,7 @@ fn unsubscribed_controller_sees_nothing() {
         Box::new(BulkSender::new(10_000).close_when_done()),
     );
     let net = topo::two_path(
-        5,
+        seed,
         client,
         server_host(),
         LinkCfg::mbps_ms(5, 10),
@@ -286,12 +325,38 @@ fn unsubscribed_controller_sees_nothing() {
     let mut sim = net.sim;
     sim.run_until(SimTime::from_secs(30));
     let client = topo::host(&sim, net.client);
-    assert_eq!(client.user_as::<Deaf>().unwrap().messages, 0);
-    assert_eq!(
-        sink_bytes(&sim, net.server),
-        10_000,
-        "data plane unaffected"
-    );
+    let messages = client.user_as::<Silent>().unwrap().messages;
+    let withheld = client.subscription.suppressed;
+    let bytes = sink_bytes(&sim, net.server);
+    (messages, withheld, client.malformed_commands, bytes)
+}
+
+#[test]
+fn unsubscribed_controller_sees_nothing() {
+    let (messages, withheld, _, bytes) = silent_run(5, Vec::new());
+    assert_eq!(messages, 0);
+    assert!(withheld > 0, "the stack raised events and withheld them");
+    assert_eq!(bytes, 10_000, "data plane unaffected");
+}
+
+/// Hostile input at the kernel's decoder: bytes that are not netlink, a
+/// command cut short and a reply sent the wrong way are each counted and
+/// dropped, unanswered, and the data plane carries on.
+#[test]
+fn kernel_counts_and_drops_frames_that_are_not_commands() {
+    let subscribe = PmNlCommand::Subscribe {
+        mask: smapp_mptcp::EVENT_MASK_ALL,
+    };
+    let whole = encode_command(1, &subscribe);
+    let frames = vec![
+        Bytes::from_static(b"not a netlink frame"),
+        whole.slice(..whole.len() - 4),
+        encode_reply(&PmNlMessage::Ack { seq: 2, errno: 0 }),
+    ];
+    let (messages, _, malformed, bytes) = silent_run(6, frames);
+    assert_eq!(malformed, 3);
+    assert_eq!(messages, 0, "no ack");
+    assert_eq!(bytes, 10_000, "data plane unaffected");
 }
 
 #[test]
